@@ -60,6 +60,7 @@ fuzz:
 	go test -fuzz=FuzzUnmarshalMessage -fuzztime=30s ./internal/gptp/
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/faults/
 	go test -fuzz=FuzzWALReader -fuzztime=30s ./internal/wal/
+	go test -fuzz=FuzzComputeEquivalence -fuzztime=30s ./internal/itp/
 
 # chaos runs a randomized invariant-checking campaign (fixed default
 # seed — rerun with the same profile to reproduce); failing cases leave

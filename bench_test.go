@@ -21,6 +21,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/obs"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 	"github.com/tsnbuilder/tsnbuilder/tsnbuilder"
 )
 
@@ -451,6 +452,40 @@ func BenchmarkITPCompute(b *testing.B) {
 		if _, err := itp.Compute(specs, 65*sim.Microsecond, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWorkloadBuild measures workload.Build — topology, path
+// binding, derivation with ITP, design — on the two input families the
+// repository benchmark drives it with: derive-grid is one Build per
+// shape of derive-cold's spec grid (ring/linear/star/tree × 7–14
+// switches, 64–436 flows, hops 2/3), mesh210x2048 the mesh workloads'
+// set-up.
+func BenchmarkWorkloadBuild(b *testing.B) {
+	var grid []workload.Params
+	for i := 0; i < 32; i++ {
+		grid = append(grid, workload.Params{
+			Topology: []string{"ring", "linear", "star", "tree"}[i%4], Switches: 7 + i/4,
+			TSFlows: 64 + 12*i, Hops: 2 + i%2, WireSize: 200, SlotUs: 65, Seed: uint64(i),
+		})
+	}
+	for _, bc := range []struct {
+		name   string
+		params []workload.Params
+	}{
+		{"derive-grid", grid},
+		{"mesh210x2048", []workload.Params{{Topology: "mesh", Switches: 210, TSFlows: 2048, Hops: 4, WireSize: 64, SlotUs: 65}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range bc.params {
+					if _, err := workload.Build(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -58,8 +58,10 @@ func (sc *Scenario) defaults() {
 // BindPaths fills each flow's Path from the topology and the hosts'
 // attachment points. FRER flows get two link-disjoint member-stream
 // paths (Path + AltPath), which requires a topology that can provide
-// them (a bidirectional ring).
+// them (a bidirectional ring). Flows between the same pair of switches
+// share one path slice.
 func BindPaths(topo *topology.Topology, specs []*flows.Spec) error {
+	router := topo.Router()
 	for _, s := range specs {
 		if s.FRER {
 			pri, alt, err := topo.DisjointHostPaths(s.SrcHost, s.DstHost)
@@ -69,7 +71,7 @@ func BindPaths(topo *topology.Topology, specs []*flows.Spec) error {
 			s.Path, s.AltPath = pri, alt
 			continue
 		}
-		p, err := topo.HostPath(s.SrcHost, s.DstHost)
+		p, err := router.HostPath(s.SrcHost, s.DstHost)
 		if err != nil {
 			return fmt.Errorf("core: flow %d: %w", s.ID, err)
 		}
@@ -122,14 +124,12 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 	// Guideline (4): plan injection times, then provision depth with
 	// margin. The cell key is port-aware: flows through the same
 	// switch toward different next hops use different egress queues.
-	key := func(s *flows.Spec, hop int) string {
-		next := -1
+	key := func(s *flows.Spec, hop int) itp.Cell {
+		next := -(s.DstHost + 2) // egress to the destination host
 		if hop+1 < len(s.Path) {
 			next = s.Path[hop+1]
-		} else {
-			next = -(s.DstHost + 2) // egress to the destination host
 		}
-		return fmt.Sprintf("sw%d->%d", s.Path[hop], next)
+		return itp.Cell{Switch: s.Path[hop], Next: next}
 	}
 	plan, err := itp.Compute(sc.Flows, sc.SlotSize, key)
 	if err != nil {

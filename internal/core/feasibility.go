@@ -46,7 +46,7 @@ func CheckSlotFeasibility(plan *itp.Plan, rate ethernet.Rate, maxWire int) []Fea
 		drain := perFrame * sim.Time(occ)
 		if drain > plan.Slot {
 			out = append(out, FeasibilityIssue{
-				Cell: cell, Occupancy: occ, DrainTime: drain, Slot: plan.Slot,
+				Cell: cell.String(), Occupancy: occ, DrainTime: drain, Slot: plan.Slot,
 			})
 		}
 	}

@@ -40,8 +40,10 @@ type Spec struct {
 	// burst so the average rate is unchanged.
 	Burst int
 
-	// Path is the switch sequence the flow traverses (filled by the
-	// testbed from the topology).
+	// Path is the switch sequence the flow traverses (filled by
+	// core.BindPaths from the topology). Flows between the same pair of
+	// switches share one slice: read it, or replace it, but never
+	// modify it in place. Nothing in the repository does.
 	Path []int
 
 	// FRER enables 802.1CB seamless redundancy: the talker replicates

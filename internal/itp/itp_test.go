@@ -148,8 +148,8 @@ func TestPortAwareCellKey(t *testing.T) {
 	a := &flows.Spec{ID: 1, Class: ethernet.ClassTS, WireSize: 64, Period: 1 * slot, Path: []int{0}}
 	b := &flows.Spec{ID: 2, Class: ethernet.ClassTS, WireSize: 64, Period: 1 * slot, Path: []int{0}}
 	portOf := map[uint32]int{1: 0, 2: 1}
-	key := func(s *flows.Spec, hop int) string {
-		return DefaultCellKey(s, hop) + string(rune('a'+portOf[s.ID]))
+	key := func(s *flows.Spec, hop int) Cell {
+		return Cell{Switch: s.Path[hop], Next: portOf[s.ID]}
 	}
 	plan, err := Compute([]*flows.Spec{a, b}, slot, key)
 	if err != nil {

@@ -1,0 +1,349 @@
+package itp
+
+// The string-keyed planner this package shipped until the dense cell
+// grid replaced it, moved here verbatim (identifiers prefixed ref, the
+// shared constant maxHyperperiod kept) as the oracle for the
+// equivalence tests below. Its capped-hyperperiod fold under-books
+// (see TestFoldedHyperperiodCoversTrueOccupancy), so equivalence is
+// asserted only where the periods' lcm fits the cap — which is where
+// the two are required to agree.
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/flows"
+	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/topology"
+)
+
+type refCellKey func(spec *flows.Spec, hop int) string
+
+func refDefaultCellKey(spec *flows.Spec, hop int) string {
+	return fmt.Sprintf("sw%d", spec.Path[hop])
+}
+
+type refPlan struct {
+	Offsets      map[uint32]sim.Time
+	MaxOccupancy int
+	PerCell      map[string]int
+	Slot         sim.Time
+}
+
+// gcd/lcm over int64.
+func refGCD(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func refLCM(a, b int64) int64 {
+	g := refGCD(a, b)
+	l := a / g * b
+	if l <= 0 || l > maxHyperperiod {
+		return 0 // overflow sentinel; caller caps
+	}
+	return l
+}
+
+// referenceCompute is Compute as it stood before the dense grid.
+func referenceCompute(specs []*flows.Spec, slot sim.Time, key refCellKey) (*refPlan, error) {
+	if slot <= 0 {
+		return nil, fmt.Errorf("itp: non-positive slot %v", slot)
+	}
+	if key == nil {
+		key = refDefaultCellKey
+	}
+	var ts []*flows.Spec
+	for _, s := range specs {
+		if s.Class != ethernet.ClassTS || s.Period <= 0 {
+			continue
+		}
+		if len(s.Path) == 0 {
+			return nil, fmt.Errorf("itp: flow %d has no path", s.ID)
+		}
+		if s.Period < slot {
+			return nil, fmt.Errorf("itp: flow %d period %v below slot %v", s.ID, s.Period, slot)
+		}
+		ts = append(ts, s)
+	}
+	plan := &refPlan{
+		Offsets: make(map[uint32]sim.Time),
+		PerCell: make(map[string]int),
+		Slot:    slot,
+	}
+	if len(ts) == 0 {
+		return plan, nil
+	}
+
+	// Periods in slots (floor: conservative — occupancy repeats at
+	// least this often).
+	periodSlots := make(map[uint32]int64, len(ts))
+	var hyper int64 = 1
+	for _, s := range ts {
+		p := int64(s.Period / slot)
+		if p < 1 {
+			p = 1
+		}
+		periodSlots[s.ID] = p
+		if hyper != 0 {
+			hyper = refLCM(hyper, p)
+		}
+	}
+	if hyper == 0 {
+		// Cap: fold onto the largest period.
+		for _, p := range periodSlots {
+			if p > hyper {
+				hyper = p
+			}
+		}
+	}
+
+	// Plan longest-period flows first: they have the most offset
+	// freedom relative to their footprint, and short-period flows are
+	// the binding constraint placed against an almost-final grid.
+	order := append([]*flows.Spec(nil), ts...)
+	sort.SliceStable(order, func(i, j int) bool {
+		pi, pj := periodSlots[order[i].ID], periodSlots[order[j].ID]
+		if pi != pj {
+			return pi > pj
+		}
+		return order[i].ID < order[j].ID
+	})
+
+	grid := make(map[string][]int)
+	cells := func(s *flows.Spec) []string {
+		out := make([]string, len(s.Path))
+		for h := range s.Path {
+			out[h] = key(s, h)
+		}
+		return out
+	}
+	for _, s := range order {
+		p := periodSlots[s.ID]
+		reps := hyper / p
+		ck := cells(s)
+		for _, c := range ck {
+			if grid[c] == nil {
+				grid[c] = make([]int, hyper)
+			}
+		}
+		bestOffset, bestWorst, bestSum := int64(0), int(1<<30), int(1<<30)
+		for o := int64(0); o < p; o++ {
+			worst, sum := 0, 0
+			for h, c := range ck {
+				row := grid[c]
+				for r := int64(0); r < reps; r++ {
+					idx := (o + int64(h) + r*p) % hyper
+					v := row[idx] + 1
+					sum += v
+					if v > worst {
+						worst = v
+					}
+				}
+			}
+			if worst < bestWorst || (worst == bestWorst && sum < bestSum) {
+				bestOffset, bestWorst, bestSum = o, worst, sum
+			}
+		}
+		for h, c := range ck {
+			row := grid[c]
+			for r := int64(0); r < reps; r++ {
+				row[(bestOffset+int64(h)+r*p)%hyper]++
+			}
+		}
+		plan.Offsets[s.ID] = sim.Time(bestOffset) * slot
+	}
+
+	for c, row := range grid {
+		worst := 0
+		for _, v := range row {
+			if v > worst {
+				worst = v
+			}
+		}
+		plan.PerCell[c] = worst
+		if worst > plan.MaxOccupancy {
+			plan.MaxOccupancy = worst
+		}
+	}
+	return plan, nil
+}
+
+// --- equivalence: the dense-grid planner against the oracle ---
+
+// portKey / refPortKey are core.DeriveConfig's port-aware cell key, in
+// the new and in the old (Sprintf'd) form. core imports this package,
+// so the test cannot import it back.
+func portKey(s *flows.Spec, hop int) Cell {
+	next := -(s.DstHost + 2)
+	if hop+1 < len(s.Path) {
+		next = s.Path[hop+1]
+	}
+	return Cell{Switch: s.Path[hop], Next: next}
+}
+
+func refPortKey(s *flows.Spec, hop int) string {
+	c := portKey(s, hop)
+	return fmt.Sprintf("sw%d->%d", c.Switch, c.Next)
+}
+
+// assertMatchesReference plans specs with both planners, under the
+// default and the port-aware key, and requires identical results; the
+// new Cell must also render the old string key.
+func assertMatchesReference(t testing.TB, name string, specs []*flows.Spec, slot sim.Time) {
+	t.Helper()
+	for _, k := range []struct {
+		name string
+		key  CellKey
+		ref  refCellKey
+	}{{"default", nil, nil}, {"port", portKey, refPortKey}} {
+		want, wantErr := referenceCompute(specs, slot, k.ref)
+		got, gotErr := Compute(specs, slot, k.key)
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("%s/%s: error %v, reference %v", name, k.name, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if !reflect.DeepEqual(got.Offsets, want.Offsets) {
+			t.Fatalf("%s/%s: offsets differ from the reference planner", name, k.name)
+		}
+		if got.MaxOccupancy != want.MaxOccupancy || got.Slot != want.Slot {
+			t.Fatalf("%s/%s: MaxOccupancy %d slot %v, reference %d slot %v",
+				name, k.name, got.MaxOccupancy, got.Slot, want.MaxOccupancy, want.Slot)
+		}
+		if len(got.PerCell) != len(want.PerCell) {
+			t.Fatalf("%s/%s: %d cells, reference %d", name, k.name, len(got.PerCell), len(want.PerCell))
+		}
+		for c, occ := range got.PerCell {
+			if ref, ok := want.PerCell[c.String()]; !ok || ref != occ {
+				t.Fatalf("%s/%s: cell %v occupancy %d, reference %d (present %v)", name, k.name, c, occ, ref, ok)
+			}
+		}
+	}
+}
+
+// workloadSpecs is workload.Build's TS flow set on topo: hosts 100+h on
+// every switch, flow i from switch i mod n across hops switches, 10 ms
+// period, paths bound as core.BindPaths binds them.
+func workloadSpecs(t testing.TB, topo *topology.Topology, nFlows, hops int) []*flows.Spec {
+	t.Helper()
+	n := topo.N
+	for h := 0; h < n; h++ {
+		topo.AttachHost(100+h, h)
+	}
+	specs := flows.GenerateTS(flows.TSParams{
+		Count: nFlows, Period: 10 * sim.Millisecond, WireSize: 200, VID: 1,
+		Hosts: func(i int) (int, int) { return 100 + i%n, 100 + (i%n+hops-1)%n },
+		Seed:  uint64(nFlows),
+	})
+	router := topo.Router()
+	for _, s := range specs {
+		p, err := router.HostPath(s.SrcHost, s.DstHost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Path = p
+	}
+	return specs
+}
+
+// TestEquivalenceDeriveGrid walks the benchmark's derive-cold grid:
+// ring/linear/star/tree × 7–14 switches × 64–440 flows × hops 2/3.
+func TestEquivalenceDeriveGrid(t *testing.T) {
+	shapes := []struct {
+		name string
+		mk   func(n int) *topology.Topology
+	}{
+		{"ring", topology.Ring},
+		{"linear", topology.Linear},
+		{"star", func(n int) *topology.Topology { return topology.Star(n - 1) }},
+		{"tree", func(n int) *topology.Topology { return topology.Tree(2, (n-3)/2) }},
+	}
+	for _, shape := range shapes {
+		for sw := 7; sw <= 14; sw++ {
+			for i, nFlows := range []int{64, 143, 242, 341, 440} {
+				hops := 2 + (sw+i)%2
+				assertMatchesReference(t, fmt.Sprintf("%s/%dsw/%dflows/%dhops", shape.name, sw, nFlows, hops),
+					workloadSpecs(t, shape.mk(sw), nFlows, hops), slot)
+			}
+		}
+	}
+}
+
+// TestEquivalenceMesh210 is the benchmark's mesh workload: 210
+// switches, 2048 flows across 4 switches each.
+func TestEquivalenceMesh210(t *testing.T) {
+	assertMatchesReference(t, "mesh210", workloadSpecs(t, topology.MeshSquarish(210), 2048, 4), slot)
+}
+
+// periods720 are the divisors of 720 the random and fuzzed flow sets
+// draw periods (in slots) from, which keeps every hyperperiod under
+// the cap.
+var periods720 = []int{1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 30, 36, 40, 45, 48, 60, 72, 80, 90, 120, 144, 180, 240, 360, 720}
+
+// randomSpecs draws a mixed-period flow set: several repetitions per
+// flow, single-hop and revisiting paths, FRER members and non-TS
+// bystanders.
+func randomSpecs(rng *rand.Rand, n int) []*flows.Spec {
+	specs := make([]*flows.Spec, 0, n)
+	for i := 0; i < n; i++ {
+		path := make([]int, 1+rng.Intn(5))
+		for h := range path {
+			path[h] = rng.Intn(6) // may revisit a switch
+		}
+		s := &flows.Spec{
+			ID: uint32(i + 1), Class: ethernet.ClassTS, WireSize: 64, DstHost: 100 + rng.Intn(3),
+			// A fraction of a slot on top: periods floor to whole slots.
+			Period: sim.Time(periods720[rng.Intn(len(periods720))])*slot + sim.Time(rng.Intn(2))*slot/3,
+			Path:   path,
+		}
+		switch rng.Intn(8) {
+		case 0:
+			s.FRER, s.AltVID, s.AltPath = true, 4001, []int{path[0], 7, path[len(path)-1]}
+		case 1:
+			s.Class, s.Period = ethernet.ClassBE, 0
+		}
+		specs = append(specs, s)
+	}
+	return specs
+}
+
+func TestEquivalenceRandomMixedPeriods(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260929))
+	for i := 0; i < 150; i++ {
+		assertMatchesReference(t, fmt.Sprintf("set%d", i), randomSpecs(rng, 1+rng.Intn(40)), slot)
+	}
+}
+
+// FuzzComputeEquivalence lets the fuzzer pick the flow set: two bytes
+// per flow choose the period and the path.
+func FuzzComputeEquivalence(f *testing.F) {
+	f.Add([]byte{0, 0})
+	f.Add([]byte{3, 0x12, 3, 0x21, 7, 0xff, 29, 0x05})
+	f.Add([]byte{29, 0xaa, 1, 0xaa, 2, 0xaa, 4, 0xaa, 11, 0x00, 11, 0x00, 11, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 128 {
+			data = data[:128]
+		}
+		var specs []*flows.Spec
+		for i := 0; i+1 < len(data); i += 2 {
+			hops, bits := 1+int(data[i+1]&3), data[i+1]>>2
+			path := make([]int, hops)
+			for h := range path {
+				path[h] = (int(bits) + h*int(1+bits%3)) % 5
+			}
+			specs = append(specs, &flows.Spec{
+				ID: uint32(i/2 + 1), Class: ethernet.ClassTS, WireSize: 64, DstHost: int(bits % 3),
+				Period: sim.Time(periods720[int(data[i])%len(periods720)]) * slot, Path: path,
+			})
+		}
+		assertMatchesReference(t, "fuzz", specs, slot)
+	})
+}

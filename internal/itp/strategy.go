@@ -1,10 +1,10 @@
 package itp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
@@ -46,68 +46,27 @@ func (s Strategy) String() string {
 
 // ComputeWith plans injection offsets using the given strategy and
 // evaluates the resulting worst-case occupancy. StrategyGreedy
-// delegates to Compute; the others assign offsets first and then
-// measure.
+// delegates to Compute; the others assign offsets in flow-ID order,
+// blind to the grid they are booked into.
 func ComputeWith(specs []*flows.Spec, slot sim.Time, key CellKey, strategy Strategy, seed uint64) (*Plan, error) {
-	if strategy == StrategyGreedy {
+	var choose func(i int, f *flow) int
+	switch strategy {
+	case StrategyGreedy:
 		return Compute(specs, slot, key)
+	case StrategyRoundRobin:
+		choose = func(i int, f *flow) int { return i % f.period }
+	case StrategyRandom:
+		rng := sim.NewRand(seed)
+		choose = func(_ int, f *flow) int { return int(rng.Int63n(int64(f.period))) }
+	case StrategyNaive:
+		choose = func(int, *flow) int { return 0 }
+	default:
+		return nil, fmt.Errorf("itp: unknown strategy %d", strategy)
 	}
-	if slot <= 0 {
-		return nil, fmt.Errorf("itp: non-positive slot %v", slot)
-	}
-	var ts []*flows.Spec
-	for _, s := range specs {
-		if s.Class != ethernet.ClassTS || s.Period <= 0 {
-			continue
-		}
-		if len(s.Path) == 0 {
-			return nil, fmt.Errorf("itp: flow %d has no path", s.ID)
-		}
-		if s.Period < slot {
-			return nil, fmt.Errorf("itp: flow %d period %v below slot %v", s.ID, s.Period, slot)
-		}
-		ts = append(ts, s)
-	}
-	plan := &Plan{
-		Offsets: make(map[uint32]sim.Time),
-		PerCell: make(map[string]int),
-		Slot:    slot,
-	}
-	// Deterministic order.
-	order := append([]*flows.Spec(nil), ts...)
-	sort.Slice(order, func(i, j int) bool { return order[i].ID < order[j].ID })
-	rng := sim.NewRand(seed)
-	for i, s := range order {
-		p := int64(s.Period / slot)
-		if p < 1 {
-			p = 1
-		}
-		var o int64
-		switch strategy {
-		case StrategyRoundRobin:
-			o = int64(i) % p
-		case StrategyRandom:
-			o = rng.Int63n(p)
-		case StrategyNaive:
-			o = 0
-		default:
-			return nil, fmt.Errorf("itp: unknown strategy %d", strategy)
-		}
-		plan.Offsets[s.ID] = sim.Time(o) * slot
-	}
-	// Evaluate the assignment.
-	saved := make(map[uint32]sim.Time, len(ts))
-	for _, s := range ts {
-		saved[s.ID] = s.Offset
-		s.Offset = plan.Offsets[s.ID]
-	}
-	occ, err := Occupancy(specs, slot, key)
-	for _, s := range ts {
-		s.Offset = saved[s.ID]
-	}
+	g, err := prepare(specs, slot, key)
 	if err != nil {
 		return nil, err
 	}
-	plan.MaxOccupancy = occ
-	return plan, nil
+	slices.SortStableFunc(g.flows, func(a, b flow) int { return cmp.Compare(a.spec.ID, b.spec.ID) })
+	return g.place(slot, choose), nil
 }

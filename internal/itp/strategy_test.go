@@ -83,13 +83,10 @@ func TestStrategyErrors(t *testing.T) {
 	if _, err := ComputeWith(noPath, slot, nil, StrategyRandom, 0); err == nil {
 		t.Error("flow without path accepted")
 	}
-	if _, err := ComputeWith(nil, slot, nil, Strategy(99), 0); err != nil {
-		// Empty spec list never reaches the strategy switch; force it.
-		t.Skip()
-	}
-	bad := strategyWorkload()[:1]
-	if _, err := ComputeWith(bad, slot, nil, Strategy(99), 0); err == nil {
-		t.Error("unknown strategy accepted")
+	for _, specs := range [][]*flows.Spec{nil, strategyWorkload()[:1]} {
+		if _, err := ComputeWith(specs, slot, nil, Strategy(99), 0); err == nil {
+			t.Errorf("unknown strategy accepted for %d flows", len(specs))
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Kind enumerates the supported shapes.
@@ -58,8 +58,8 @@ type Topology struct {
 	// star/linear/ring).
 	EnabledTSNPorts int
 
-	// adj[sw][neighbor] = output port on sw toward neighbor.
-	adj []map[int]int
+	// adj[sw] lists sw's trunks in ascending neighbor order.
+	adj [][]trunk
 	// nextPort[sw] = next unallocated port index.
 	nextPort []int
 	// hostPort[host] = attachment point.
@@ -67,6 +67,10 @@ type Topology struct {
 	// links are the physical trunk cables (both endpoints).
 	links []Link
 }
+
+// trunk is one direction of an inter-switch link: the output port
+// toward neighbor to.
+type trunk struct{ to, port int }
 
 // Attach locates a host's access port.
 type Attach struct {
@@ -80,23 +84,20 @@ type Link struct {
 }
 
 func newTopology(kind Kind, n, enabled int) *Topology {
-	t := &Topology{
+	return &Topology{
 		Kind:            kind,
 		N:               n,
 		EnabledTSNPorts: enabled,
-		adj:             make([]map[int]int, n),
+		adj:             make([][]trunk, n),
 		nextPort:        make([]int, n),
 		hostPort:        make(map[int]Attach),
 	}
-	for i := range t.adj {
-		t.adj[i] = make(map[int]int)
-	}
-	return t
 }
 
 // addTrunk allocates the next port on sw toward neighbor.
 func (t *Topology) addTrunk(sw, neighbor int) {
-	t.adj[sw][neighbor] = t.nextPort[sw]
+	at, _ := slices.BinarySearchFunc(t.adj[sw], neighbor, func(e trunk, to int) int { return e.to - to })
+	t.adj[sw] = slices.Insert(t.adj[sw], at, trunk{to: neighbor, port: t.nextPort[sw]})
 	t.nextPort[sw]++
 }
 
@@ -139,8 +140,9 @@ func Ring(n int) *Topology {
 		next := (i + 1) % n
 		rx := t.nextPort[next]
 		t.nextPort[next]++
+		tx, _ := t.PortToward(i, next)
 		t.links = append(t.links, Link{
-			A: Attach{Switch: i, Port: t.adj[i][next]},
+			A: Attach{Switch: i, Port: tx},
 			B: Attach{Switch: next, Port: rx},
 		})
 	}
@@ -167,9 +169,11 @@ func RingBidir(n int) *Topology {
 	// to (i+1)'s counter-clockwise port.
 	for i := 0; i < n; i++ {
 		next := (i + 1) % n
+		cw, _ := t.PortToward(i, next)
+		ccw, _ := t.PortToward(next, i)
 		t.links = append(t.links, Link{
-			A: Attach{Switch: i, Port: t.adj[i][next]},
-			B: Attach{Switch: next, Port: t.adj[next][i]},
+			A: Attach{Switch: i, Port: cw},
+			B: Attach{Switch: next, Port: ccw},
 		})
 	}
 	return t
@@ -275,62 +279,111 @@ func (t *Topology) TrunkLinks() []Link { return t.links }
 
 // PortToward returns sw's output port toward direct neighbor next.
 func (t *Topology) PortToward(sw, next int) (int, bool) {
-	p, ok := t.adj[sw][next]
-	return p, ok
+	for _, e := range t.adj[sw] {
+		if e.to == next {
+			return e.port, true
+		}
+	}
+	return 0, false
 }
 
 // Path returns the switch sequence from switch src to switch dst,
 // inclusive. For the unidirectional ring the path follows the ring
-// direction; otherwise it is the (unique) shortest path.
-func (t *Topology) Path(src, dst int) ([]int, error) {
-	if src < 0 || src >= t.N || dst < 0 || dst >= t.N {
+// direction; otherwise it is the shortest path, the lowest-numbered
+// neighbor first where several are equally short.
+func (t *Topology) Path(src, dst int) ([]int, error) { return t.Router().Path(src, dst) }
+
+// Router answers path queries over one topology with one breadth-first
+// search per distinct source switch. Equal (src, dst) queries return
+// the same slice: callers share it and must not modify it.
+type Router struct {
+	t     *Topology
+	trees []*pathTree // by source switch, built on first use
+}
+
+// Router returns a path router over t's trunks.
+func (t *Topology) Router() *Router {
+	return &Router{t: t, trees: make([]*pathTree, t.N)}
+}
+
+// Path is Topology.Path with the search and the result shared across
+// calls.
+func (r *Router) Path(src, dst int) ([]int, error) {
+	if src < 0 || src >= r.t.N || dst < 0 || dst >= r.t.N {
 		return nil, fmt.Errorf("topology: path %d->%d out of range", src, dst)
 	}
-	if src == dst {
-		return []int{src}, nil
+	if r.trees[src] == nil {
+		r.trees[src] = r.t.bfs(src)
 	}
-	// BFS over the directed adjacency (the ring is directed; star and
-	// linear are symmetric).
-	prev := make([]int, t.N)
-	for i := range prev {
-		prev[i] = -1
+	return r.trees[src].to(dst)
+}
+
+// HostPath returns the full switch path between two attached hosts.
+func (r *Router) HostPath(srcHost, dstHost int) ([]int, error) {
+	sa, ok := r.t.hostPort[srcHost]
+	if !ok {
+		return nil, fmt.Errorf("topology: host %d not attached", srcHost)
 	}
-	prev[src] = src
-	queue := []int{src}
+	da, ok := r.t.hostPort[dstHost]
+	if !ok {
+		return nil, fmt.Errorf("topology: host %d not attached", dstHost)
+	}
+	return r.Path(sa.Switch, da.Switch)
+}
+
+// pathTree is the breadth-first predecessor tree of one source switch.
+type pathTree struct {
+	src   int
+	prev  []int32       // -1: unreachable from src
+	paths map[int][]int // by destination, built on first use
+}
+
+// bfs searches the directed adjacency from src (the ring is directed;
+// the other shapes are symmetric). Neighbors are expanded in ascending
+// order so the choice between equal-length paths (bidirectional ring,
+// mesh, fat-tree) is deterministic. A predecessor is written only when
+// its switch is first discovered, so the tree holds, for every
+// destination, exactly the path a search stopping there would return.
+func (t *Topology) bfs(src int) *pathTree {
+	pt := &pathTree{src: src, prev: make([]int32, t.N), paths: make(map[int][]int)}
+	for i := range pt.prev {
+		pt.prev[i] = -1
+	}
+	pt.prev[src] = int32(src)
+	queue := make([]int, 1, t.N)
+	queue[0] = src
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		if cur == dst {
-			break
-		}
-		// Iterate neighbors in sorted order so tie-breaking between
-		// equal-length paths (possible on the bidirectional ring) is
-		// deterministic across runs.
-		nbs := make([]int, 0, len(t.adj[cur]))
-		for nb := range t.adj[cur] {
-			nbs = append(nbs, nb)
-		}
-		sort.Ints(nbs)
-		for _, nb := range nbs {
-			if prev[nb] == -1 {
-				prev[nb] = cur
-				queue = append(queue, nb)
+		for _, e := range t.adj[cur] {
+			if pt.prev[e.to] == -1 {
+				pt.prev[e.to] = int32(cur)
+				queue = append(queue, e.to)
 			}
 		}
 	}
-	if prev[dst] == -1 {
-		return nil, fmt.Errorf("topology: no path %d->%d", src, dst)
+	return pt
+}
+
+// to returns the tree's path to dst.
+func (pt *pathTree) to(dst int) ([]int, error) {
+	if path, ok := pt.paths[dst]; ok {
+		return path, nil
 	}
-	var rev []int
-	for cur := dst; cur != src; cur = prev[cur] {
-		rev = append(rev, cur)
+	if pt.prev[dst] == -1 {
+		return nil, fmt.Errorf("topology: no path %d->%d", pt.src, dst)
 	}
-	rev = append(rev, src)
-	// Reverse.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	n := 1
+	for cur := dst; cur != pt.src; cur = int(pt.prev[cur]) {
+		n++
 	}
-	return rev, nil
+	path := make([]int, n)
+	for cur := dst; n > 0; cur = int(pt.prev[cur]) {
+		n--
+		path[n] = cur
+	}
+	pt.paths[dst] = path
+	return path, nil
 }
 
 // DisjointPaths returns two link-disjoint switch paths from src to
@@ -378,13 +431,5 @@ func (t *Topology) DisjointHostPaths(srcHost, dstHost int) (primary, alternate [
 
 // HostPath returns the full switch path between two attached hosts.
 func (t *Topology) HostPath(srcHost, dstHost int) ([]int, error) {
-	sa, ok := t.hostPort[srcHost]
-	if !ok {
-		return nil, fmt.Errorf("topology: host %d not attached", srcHost)
-	}
-	da, ok := t.hostPort[dstHost]
-	if !ok {
-		return nil, fmt.Errorf("topology: host %d not attached", dstHost)
-	}
-	return t.Path(sa.Switch, da.Switch)
+	return t.Router().HostPath(srcHost, dstHost)
 }

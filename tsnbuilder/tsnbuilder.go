@@ -16,6 +16,13 @@
 //  4. Inspect the Design's platform memory report, and instantiate the
 //     network with the testbed package to measure latency, jitter and
 //     loss.
+//
+// A Plan reports occupancy per queueing point in PerCell, keyed by Cell
+// — the (switch, next hop) pair of an egress queue. The key was a
+// formatted string ("sw3->4") until the planner went integer-indexed;
+// Cell's String method still renders exactly that, so printing a cell
+// is unchanged and only code that indexed PerCell by a literal string
+// needs the struct instead.
 package tsnbuilder
 
 import (
@@ -56,6 +63,9 @@ type (
 	Derivation = core.Derivation
 	// Plan is an Injection Time Planning result.
 	Plan = itp.Plan
+	// Cell is one queueing point of a Plan: the egress queue of Switch
+	// toward Next.
+	Cell = itp.Cell
 )
 
 // Traffic and topology.
