@@ -42,17 +42,23 @@ bench:
 # regression tracking; -short keeps it at test scale. -count=3 gives
 # benchjson three samples per benchmark to collapse best-of-N: macro
 # benchmarks jitter by tens of percent on a loaded host, and the
-# fastest sample is the one that reflects the code.
+# fastest sample is the one that reflects the code. -cpu 1 keeps the
+# committed trajectory on one configuration: the earlier BENCH files
+# come from a single-core host, and at GOMAXPROCS=1 go test adds no -N
+# suffix to the names, so files from hosts with different core counts
+# compare row for row instead of reading as all-new/all-missing.
+BENCH_RUN = go test -bench=. -benchmem -short -count=3 -cpu 1 -timeout=60m .
 bench-json:
-	go test -bench=. -benchmem -short -count=3 -timeout=60m . | go run ./cmd/benchjson -o BENCH_$$(date +%Y%m%d).json
+	$(BENCH_RUN) | go run ./cmd/benchjson -o BENCH_$$(date +%Y%m%d).json
 
-# bench-compare gates the current bench run against the committed
-# baseline: >20% ns/op slowdown fails, as does any allocs/op increase
+# bench-compare gates the current bench run against the newest
+# committed BENCH_*.json (the date in the name sorts; override with
+# BENCH_BASELINE=file): >20% ns/op slowdown fails, as does any allocs/op increase
 # on zero-alloc benchmarks (>0.1% on allocation-heavy ones). Samples
 # best-of-3 like bench-json so host noise doesn't trip the gate.
-BENCH_BASELINE ?= BENCH_20260808.json
+BENCH_BASELINE ?= $(lastword $(sort $(shell git ls-files 'BENCH_*.json')))
 bench-compare:
-	go test -bench=. -benchmem -short -count=3 -timeout=60m . | go run ./cmd/benchjson -o /tmp/bench_current.json
+	$(BENCH_RUN) | go run ./cmd/benchjson -o /tmp/bench_current.json
 	go run ./cmd/benchjson -compare $(BENCH_BASELINE) /tmp/bench_current.json
 
 fuzz:
@@ -61,6 +67,7 @@ fuzz:
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/faults/
 	go test -fuzz=FuzzWALReader -fuzztime=30s ./internal/wal/
 	go test -fuzz=FuzzComputeEquivalence -fuzztime=30s ./internal/itp/
+	go test -fuzz=FuzzHeapOrder -fuzztime=30s ./internal/sim/
 
 # chaos runs a randomized invariant-checking campaign (fixed default
 # seed — rerun with the same profile to reproduce); failing cases leave

@@ -97,20 +97,28 @@ func (f *Frame) WireBytes() int {
 // (same as WireBytes; preamble/IFG are never buffered).
 func (f *Frame) BufferBytes() int { return f.WireBytes() }
 
-// Payload ownership contract
+// Frame and payload ownership contract
+//
+// A frame has one owner at a time, and forwarding moves the pointer
+// instead of copying: netdev.Transmit hands the frame to the wire, and
+// the peer's Receive gets that same pointer (a successful Abort hands
+// it back to the sender instead). Between Transmit and Receive the
+// frame belongs to the wire — a sender must not read or write it after
+// the hand-off. Whoever needs a second frame makes one explicitly with
+// CloneHeader: multicast replication in the switch ingress, FRER
+// member-stream re-tagging in the NIC. Header fields (VID, PCP,
+// addresses) on a CloneHeader copy are the copy's own and may be
+// rewritten freely.
 //
 // A frame's Payload is immutable from the instant the frame enters the
-// dataplane (NIC injection or Unmarshal). Per-hop forwarding therefore
-// copies only the header via CloneHeader — the payload bytes are shared
-// by every copy in flight, which removes the dominant per-hop
-// allocation of the simulator. Header fields (VID, PCP, addresses) on
-// a CloneHeader copy are the copy's own and may be rewritten freely
-// (FRER re-tagging does). A path that genuinely needs to rewrite
-// payload bytes (a PTP correction-field rewrite in place, fault-model
-// bit corruption) must take ownership first with CloneDeep.
+// dataplane (NIC injection or Unmarshal), so every copy in flight — and
+// every frame a tester injects — may share the same bytes. A path that
+// genuinely needs to rewrite payload bytes (a PTP correction-field
+// rewrite in place, fault-model bit corruption) must take ownership
+// first with CloneDeep.
 
 // CloneHeader returns a copy of the frame that shares the payload
-// bytes — the cheap per-hop copy of the forwarding path. The copy's
+// bytes — the copy replication and re-tagging make. The copy's
 // header fields are independent; its Payload aliases the original and
 // must be treated as read-only per the payload ownership contract.
 func (f *Frame) CloneHeader() *Frame {

@@ -37,30 +37,22 @@ func MCID(dst ethernet.MAC) uint16 {
 	return binary.BigEndian.Uint16(dst[4:6])
 }
 
-// Resolve parses the frame header and returns the set of output ports.
+// Resolve parses the frame header and returns the set of output ports
+// as a bit mask (bit p = port p), the form the multicast table stores.
 // ok is false when no table entry matches (the frame is dropped; the
 // testbed installs static routes for every flow, so a miss indicates a
-// misconfiguration, which the stats surface).
-func (e *Engine) Resolve(f *ethernet.Frame) (ports []int, ok bool) {
+// misconfiguration, which the stats surface). A unicast entry naming a
+// port the mask cannot hold is such a miss.
+func (e *Engine) Resolve(f *ethernet.Frame) (ports uint32, ok bool) {
 	if f.Dst.IsMulticast() && !f.Dst.IsBroadcast() {
-		mask, hit := e.Multicast.Lookup(MCID(f.Dst))
-		if !hit {
-			e.noRoute++
-			return nil, false
-		}
-		for p := 0; p < 32; p++ {
-			if mask&(1<<uint(p)) != 0 {
-				ports = append(ports, p)
-			}
-		}
-		return ports, true
+		ports, ok = e.Multicast.Lookup(MCID(f.Dst))
+	} else if p, hit := e.Unicast.Lookup(f.Dst, f.VID); hit && p >= 0 && p < 32 {
+		ports, ok = 1<<uint(p), true
 	}
-	p, hit := e.Unicast.Lookup(f.Dst, f.VID)
-	if !hit {
+	if !ok {
 		e.noRoute++
-		return nil, false
 	}
-	return []int{p}, true
+	return ports, ok
 }
 
 // NoRoute returns the number of lookup misses.

@@ -13,8 +13,23 @@ func TestResolveUnicast(t *testing.T) {
 	}
 	f := &ethernet.Frame{Dst: ethernet.HostMAC(1), VID: 10}
 	ports, ok := e.Resolve(f)
-	if !ok || len(ports) != 1 || ports[0] != 2 {
-		t.Fatalf("Resolve = (%v,%v)", ports, ok)
+	if !ok || ports != 1<<2 {
+		t.Fatalf("Resolve = (%#b,%v)", ports, ok)
+	}
+}
+
+func TestResolveUnicastPortOutsideMask(t *testing.T) {
+	e := New(16, 4)
+	for vid, port := range []int{-1, 32} {
+		if err := e.Unicast.Add(ethernet.HostMAC(1), uint16(vid), port); err != nil {
+			t.Fatal(err)
+		}
+		if ports, ok := e.Resolve(&ethernet.Frame{Dst: ethernet.HostMAC(1), VID: uint16(vid)}); ok {
+			t.Fatalf("port %d resolved to mask %#b", port, ports)
+		}
+	}
+	if e.NoRoute() != 2 {
+		t.Fatalf("NoRoute = %d, want 2", e.NoRoute())
 	}
 }
 
@@ -39,14 +54,8 @@ func TestResolveMulticast(t *testing.T) {
 	if !ok {
 		t.Fatal("multicast miss")
 	}
-	want := []int{0, 2, 3}
-	if len(ports) != len(want) {
-		t.Fatalf("ports = %v, want %v", ports, want)
-	}
-	for i := range want {
-		if ports[i] != want[i] {
-			t.Fatalf("ports = %v, want %v", ports, want)
-		}
+	if ports != 0b1101 {
+		t.Fatalf("ports = %#b, want 0b1101", ports)
 	}
 }
 

@@ -106,13 +106,12 @@ func TestSetLinkWithoutCablePanics(t *testing.T) {
 func TestAbortOnDownedLink(t *testing.T) {
 	e := sim.NewEngine()
 	a, _, _, sb := pair(e, 0)
-	var h *TxHandle
 	e.After(0, "tx", func(*sim.Engine) {
-		h = a.TransmitHandle(&ethernet.Frame{Payload: make([]byte, 1400)}, nil)
+		a.Transmit(&ethernet.Frame{Payload: make([]byte, 1400)}, nil)
 	})
 	e.After(2*sim.Microsecond, "pull+abort", func(*sim.Engine) {
 		a.Disconnect()
-		if _, ok := h.Abort(); !ok {
+		if _, _, ok := a.Abort(); !ok {
 			t.Error("legal-window abort failed on downed link")
 		}
 	})

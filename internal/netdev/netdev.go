@@ -30,6 +30,21 @@ type Ifc struct {
 	prop   sim.Time
 	peer   *Ifc
 
+	// The transmission occupying the wire. Serialization is exclusive,
+	// so one set of fields (not a handle per transmit) describes it;
+	// txFrame is nil when the MAC is idle.
+	txFrame           *ethernet.Frame
+	txWireBytes       int // bytes still to serialize when this (fragment) began
+	txStarted         sim.Time
+	txDeliver, txDone sim.EventRef // the pending arrival and completion
+	txOnDone          func()
+	// inbound holds the frames launched toward this interface that
+	// have not arrived yet, oldest first; every arrival event pops one.
+	inbound wireFIFO
+	// Handlers bound once at construction, so scheduling an arrival or
+	// a completion allocates nothing.
+	arriveFn, doneFn sim.Handler
+
 	busyUntil sim.Time
 	txFrames  uint64
 	rxFrames  uint64
@@ -83,7 +98,9 @@ func NewIfc(engine *sim.Engine, name string, owner Receiver, rate ethernet.Rate)
 	if rate <= 0 {
 		panic("netdev: non-positive rate")
 	}
-	return &Ifc{Name: name, engine: engine, owner: owner, rate: rate}
+	i := &Ifc{Name: name, engine: engine, owner: owner, rate: rate}
+	i.arriveFn, i.doneFn = i.arrive, i.done
+	return i
 }
 
 // Connect joins a and b with a cable of the given propagation delay.
@@ -190,17 +207,14 @@ func (i *Ifc) SetRemotePost(fn func(f *ethernet.Frame, at, wire sim.Time)) { i.r
 // delivery priority — byte-for-byte the same dispatch the serial
 // engine would have performed. wire is the final fragment's
 // serialization time, needed to close the latency-attribution hop.
-// Fault and impairment checks are skipped: partitioned runs carry
-// neither (validated at build), so a cut link is always clean.
+// The mailbox drains one direction in launch order, so the frame joins
+// the same inbound FIFO a local launch would. Partitioned runs carry
+// neither faults nor impairments (validated at build), so the arrival
+// checks never fire on a cut link; the launch epoch is this end's own,
+// which the cable keeps equal to the sender's.
 func (i *Ifc) ScheduleRemoteDelivery(f *ethernet.Frame, at, wire sim.Time) {
-	i.engine.AtPrio(at, i.deliverPrio, "rdeliver:"+i.Name, func(e *sim.Engine) {
-		i.rxFrames++
-		f.Span.OnDeliver(e.Now(), i.prop, wire)
-		i.owner.Receive(f, i)
-		if i.sniff != nil {
-			i.sniff(f, e.Now())
-		}
-	})
+	i.inbound.push(inFlight{frame: f, epoch: i.epoch, wire: wire})
+	i.engine.AtPrio(at, i.deliverPrio, "deliver", i.arriveFn)
 }
 
 // Busy reports whether a transmission is occupying the wire now.
@@ -215,32 +229,21 @@ func (i *Ifc) FreeAt() sim.Time { return i.busyUntil }
 // inter-frame gap. The peer receives the frame store-and-forward: after
 // full serialization plus propagation.
 //
+// Transmit transfers ownership: f belongs to the wire from this call
+// until the peer's Receive gets that same pointer (or a successful
+// Abort hands it back). The caller must not read or write f after the
+// call; a sender that needs the frame again clones it first.
+//
 // Transmitting while Busy panics: the MAC layer above must serialize.
 func (i *Ifc) Transmit(f *ethernet.Frame, onDone func()) {
-	i.TransmitHandle(f, onDone)
+	i.Resume(f, f.WireBytes(), onDone)
 }
 
-// TxHandle tracks one in-flight transmission so a preemption-capable
-// MAC (802.3br) can interrupt it.
-type TxHandle struct {
-	ifc       *Ifc
-	frame     *ethernet.Frame
-	wireBytes int // bytes still to serialize when this (fragment) began
-	started   sim.Time
-	deliver   sim.EventRef
-	done      sim.EventRef
-	completed bool
-}
-
-// TransmitHandle is Transmit returning an abort handle.
-func (i *Ifc) TransmitHandle(f *ethernet.Frame, onDone func()) *TxHandle {
-	return i.transmitBytes(f, f.WireBytes(), onDone)
-}
-
-// transmitBytes serializes wireBytes worth of f (a fragment when below
-// the frame's full size); the complete frame is delivered only when the
-// final fragment finishes.
-func (i *Ifc) transmitBytes(f *ethernet.Frame, wireBytes int, onDone func()) *TxHandle {
+// Resume continues an aborted frame: it serializes the wireBytes still
+// to go (a fragment, below the frame's full size) and delivers the full
+// original frame when they complete. Like Transmit, it hands f to the
+// wire.
+func (i *Ifc) Resume(f *ethernet.Frame, wireBytes int, onDone func()) {
 	if i.peer == nil {
 		panic(fmt.Sprintf("netdev: %s transmit with no cable", i.Name))
 	}
@@ -254,71 +257,115 @@ func (i *Ifc) transmitBytes(f *ethernet.Frame, wireBytes int, onDone func()) *Tx
 	i.txFrames++
 	i.txBytes += uint64(wireBytes)
 
-	h := &TxHandle{ifc: i, frame: f, wireBytes: wireBytes, started: now}
-	// Header-only copy: the receiver gets its own header fields but
-	// shares the payload bytes, which are immutable once in flight
-	// (see the ethernet payload ownership contract).
-	deliver := f.CloneHeader()
-	peer := i.peer
-	epoch := i.epoch
+	i.txFrame, i.txWireBytes, i.txStarted, i.txOnDone = f, wireBytes, now, onDone
 	if i.remotePost != nil {
 		// Cut link: the receiving partition schedules the delivery on
-		// its own engine. No local deliver event exists, so Abort()
+		// its own engine. No local arrival event exists, so Abort()
 		// cannot cancel it — the partitioned testbed rejects
 		// preemption-enabled designs for exactly this reason.
-		i.remotePost(deliver, now+wire+i.prop, wire)
-		h.done = i.engine.After(occupancy, "txdone:"+i.Name, func(*sim.Engine) {
-			h.completed = true
-			if onDone != nil {
-				onDone()
-			}
-		})
-		return h
+		i.remotePost(f, now+wire+i.prop, wire)
+		i.txDeliver = sim.EventRef{}
+	} else {
+		i.peer.inbound.push(inFlight{frame: f, epoch: i.epoch, wire: wire})
+		i.txDeliver = i.engine.AtPrio(now+wire+i.prop, i.peer.deliverPrio, "deliver", i.peer.arriveFn)
 	}
-	h.deliver = i.engine.AtPrio(now+wire+i.prop, peer.deliverPrio, "deliver:"+i.Name, func(e *sim.Engine) {
-		// Link faults and impairments are applied at delivery time so
-		// the transmitting MAC's timing is never perturbed. The epoch
-		// check catches a down/up flap between serialization and
-		// arrival: a frame launched before (or during) an outage is
-		// lost even if the link is back up now.
-		if i.down || i.epoch != epoch {
-			i.dropLinkDown++
-			i.mLinkDown.Inc()
-			return
-		}
-		if i.lossProb > 0 && i.impairRng.Float64() < i.lossProb {
-			i.dropLoss++
-			i.mLoss.Inc()
-			return
-		}
-		if i.corruptProb > 0 && i.impairRng.Float64() < i.corruptProb {
-			// Bit error on the wire: the receiver's FCS check fails
-			// and the MAC discards the frame silently.
-			i.dropCorrupt++
-			i.mCorrupt.Inc()
-			return
-		}
-		peer.rxFrames++
-		// Close the latency-attribution hop: propagation plus this
-		// (final) fragment's serialization; the remainder since the last
-		// boundary books as residence at the transmitting node.
-		deliver.Span.OnDeliver(e.Now(), i.prop, wire)
-		peer.owner.Receive(deliver, peer)
-		if peer.sniff != nil {
-			peer.sniff(deliver, e.Now())
-		}
-	})
-	h.done = i.engine.After(occupancy, "txdone:"+i.Name, func(*sim.Engine) {
-		h.completed = true
-		if onDone != nil {
-			onDone()
-		}
-	})
-	return h
+	i.txDone = i.engine.After(occupancy, "txdone", i.doneFn)
 }
 
-// Frame returns the frame this handle is transmitting.
-func (h *TxHandle) Frame() *ethernet.Frame { return h.frame }
+// InFlight returns the frame being serialized, nil when the MAC is
+// idle. The frame belongs to the wire; see Transmit.
+func (i *Ifc) InFlight() *ethernet.Frame { return i.txFrame }
+
+// done fires when the wire is free again (frame plus inter-frame gap).
+func (i *Ifc) done(*sim.Engine) {
+	i.txFrame = nil
+	if i.txOnDone != nil {
+		i.txOnDone()
+	}
+}
+
+// inFlight is one frame between launch and arrival.
+type inFlight struct {
+	frame *ethernet.Frame
+	epoch uint64   // the link epoch at launch
+	wire  sim.Time // the final fragment's serialization time
+}
+
+// wireFIFO is the queue of frames in flight in one direction of a
+// cable. A FIFO suffices because arrivals on one wire are strictly
+// ordered: a frame arrives at start + wire + prop, and the next start
+// is at least one occupancy (wire + preamble + gap) later. Its depth is
+// 1 on a short cable and grows with prop/occupancy on a long or fast
+// one, so it is a ring (of power-of-two length), not a field.
+type wireFIFO struct {
+	ring    []inFlight
+	head, n int
+}
+
+func (q *wireFIFO) push(x inFlight) {
+	if q.n == len(q.ring) {
+		grown := make([]inFlight, max(2*q.n, 2))
+		for k := 0; k < q.n; k++ {
+			grown[k] = q.ring[(q.head+k)&(q.n-1)]
+		}
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = x
+	q.n++
+}
+
+// pop removes the oldest entry, dropTail the newest; both clear the
+// slot so the ring never pins a frame that left the wire.
+func (q *wireFIFO) pop() inFlight {
+	x := q.ring[q.head]
+	q.ring[q.head] = inFlight{}
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return x
+}
+
+func (q *wireFIFO) dropTail() {
+	q.n--
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = inFlight{}
+}
+
+// arrive is the one delivery handler: it runs on the receiving
+// interface at each arrival instant and takes the oldest in-flight
+// frame off the wire. Link faults and impairments of the sending
+// direction are applied here, at delivery time, so the transmitting
+// MAC's timing is never perturbed.
+func (i *Ifc) arrive(e *sim.Engine) {
+	in, tx := i.inbound.pop(), i.peer
+	// The epoch check catches a down/up flap between serialization and
+	// arrival: a frame launched before (or during) an outage is lost
+	// even if the link is back up now.
+	if tx.down || tx.epoch != in.epoch {
+		tx.dropLinkDown++
+		tx.mLinkDown.Inc()
+		return
+	}
+	if tx.lossProb > 0 && tx.impairRng.Float64() < tx.lossProb {
+		tx.dropLoss++
+		tx.mLoss.Inc()
+		return
+	}
+	if tx.corruptProb > 0 && tx.impairRng.Float64() < tx.corruptProb {
+		// Bit error on the wire: the receiver's FCS check fails
+		// and the MAC discards the frame silently.
+		tx.dropCorrupt++
+		tx.mCorrupt.Inc()
+		return
+	}
+	i.rxFrames++
+	// Close the latency-attribution hop: propagation plus this
+	// (final) fragment's serialization; the remainder since the last
+	// boundary books as residence at the transmitting node.
+	in.frame.Span.OnDeliver(e.Now(), i.prop, in.wire)
+	i.owner.Receive(in.frame, i)
+	if i.sniff != nil {
+		i.sniff(in.frame, e.Now())
+	}
+}
 
 // fragOverheadBytes is the extra on-wire cost of each additional
 // 802.3br fragment: renewed preamble/SFD, fragment header and mCRC.
@@ -329,33 +376,31 @@ const minFragmentBytes = 64
 
 // Abort interrupts the transmission at the current instant (802.3br
 // preemption): the partial fragment's wire time is already spent, the
-// delivery is suppressed, and the remaining bytes (plus the per-
-// fragment overhead) are returned for a later Resume. ok is false when
-// the frame is too far along (or too early) to preempt legally.
-func (h *TxHandle) Abort() (remainingBytes int, ok bool) {
-	if h.completed {
-		return 0, false
+// delivery is suppressed — the frame comes off the wire and back to the
+// caller — and the remaining bytes (plus the per-fragment overhead) are
+// returned for a later Resume. ok is false when the MAC is idle or the
+// frame is too far along (or too early) to preempt legally; the wire
+// then keeps the frame.
+func (i *Ifc) Abort() (f *ethernet.Frame, remainingBytes int, ok bool) {
+	if i.txFrame == nil {
+		return nil, 0, false
 	}
-	now := h.ifc.engine.Now()
-	elapsed := now - h.started
-	sentBytes := int(int64(elapsed) * int64(h.ifc.rate) / (8 * int64(sim.Second)))
-	remaining := h.wireBytes - sentBytes
+	now := i.engine.Now()
+	elapsed := now - i.txStarted
+	sentBytes := int(int64(elapsed) * int64(i.rate) / (8 * int64(sim.Second)))
+	remaining := i.txWireBytes - sentBytes
 	if sentBytes < minFragmentBytes || remaining < minFragmentBytes {
-		return 0, false
+		return nil, 0, false
 	}
-	if !h.ifc.engine.Cancel(h.deliver) || !h.ifc.engine.Cancel(h.done) {
-		return 0, false
+	if !i.engine.Cancel(i.txDeliver) || !i.engine.Cancel(i.txDone) {
+		return nil, 0, false
 	}
-	h.completed = true
+	// The canceled arrival was the newest launch on this wire.
+	i.peer.inbound.dropTail()
+	f, i.txFrame = i.txFrame, nil
 	// The wire frees after the fragment's mCRC + IFG.
-	h.ifc.busyUntil = now + ethernet.TxTime(ethernet.OverheadBytes, h.ifc.rate)
-	return remaining + fragOverheadBytes, true
-}
-
-// Resume continues an aborted frame: transmits remainingBytes and
-// delivers the full original frame when they complete.
-func (i *Ifc) Resume(f *ethernet.Frame, remainingBytes int, onDone func()) *TxHandle {
-	return i.transmitBytes(f, remainingBytes, onDone)
+	i.busyUntil = now + ethernet.TxTime(ethernet.OverheadBytes, i.rate)
+	return f, remaining + fragOverheadBytes, true
 }
 
 // SetSniffer installs a receive-side tap: fn observes every frame

@@ -100,26 +100,87 @@ func TestBackToBackViaOnDone(t *testing.T) {
 	}
 }
 
-func TestTransmitClonesHeader(t *testing.T) {
-	// Delivery hands the receiver its own header copy: mutating the
-	// sender's header fields after Transmit must not reach the peer.
-	// (Payload bytes are deliberately shared — immutable in flight per
-	// the ethernet payload ownership contract — so only header fields
-	// are probed here.)
+func TestTransmitTransfersOwnership(t *testing.T) {
+	// Transmit hands the frame to the wire: the peer's Receive gets the
+	// very pointer that was transmitted (no per-hop copy), payload bytes
+	// included.
 	e := sim.NewEngine()
 	a, _, _, sb := pair(e, 0)
 	f := &ethernet.Frame{Seq: 1, VID: 7, Payload: []byte{1}}
-	e.After(0, "tx", func(*sim.Engine) {
-		a.Transmit(f, nil)
-		f.Seq = 99 // mutate after transmit
-		f.VID = 99
-	})
+	e.After(0, "tx", func(*sim.Engine) { a.Transmit(f, nil) })
 	e.Run()
-	if sb.frames[0].Seq != 1 || sb.frames[0].VID != 7 {
-		t.Fatal("delivered frame aliases sender's header")
+	if len(sb.frames) != 1 || sb.frames[0] != f {
+		t.Fatalf("delivered %v, want the transmitted pointer %p", sb.frames, f)
 	}
 	if &sb.frames[0].Payload[0] != &f.Payload[0] {
-		t.Fatal("delivery deep-copied the payload; want shared bytes")
+		t.Fatal("delivery copied the payload; want shared bytes")
+	}
+}
+
+func TestAbortReturnsOwnership(t *testing.T) {
+	// A successful Abort takes the frame off the wire and gives it back:
+	// no delivery ever fires for that launch, and Resume delivers that
+	// same frame exactly once.
+	e := sim.NewEngine()
+	a, _, _, sb := pair(e, 100*sim.Nanosecond)
+	f := bigFrame()
+	e.After(0, "tx", func(*sim.Engine) { a.Transmit(f, nil) })
+	e.RunUntil(6 * sim.Microsecond)
+	got, remaining, ok := a.Abort()
+	if !ok || got != f {
+		t.Fatalf("Abort = (%p, %d, %v), want the transmitted frame %p", got, remaining, ok, f)
+	}
+	if a.InFlight() != nil {
+		t.Fatal("aborted frame still in flight")
+	}
+	e.Run()
+	if len(sb.frames) != 0 || e.Pending() != 0 {
+		t.Fatalf("aborted launch delivered %d frames, %d events pending", len(sb.frames), e.Pending())
+	}
+	e.RunUntil(a.FreeAt()) // the fragment's mCRC + IFG
+	done := 0
+	a.Resume(got, remaining, func() { done++ })
+	e.Run()
+	if len(sb.frames) != 1 || sb.frames[0] != f || done != 1 {
+		t.Fatalf("resume delivered %v (done=%d), want %p exactly once", sb.frames, done, f)
+	}
+}
+
+func TestWireFIFOAcrossFlap(t *testing.T) {
+	// A 5 µs cable holds several 64 B frames at once (one launch per
+	// 672 ns). The link flaps between the second and third launch: each
+	// arrival is judged against its own launch epoch, so the two frames
+	// launched before the flap are lost and the third arrives.
+	e := sim.NewEngine()
+	a, _, _, sb := pair(e, 5*sim.Microsecond)
+	frames := []*ethernet.Frame{{Seq: 1}, {Seq: 2}, {Seq: 3}}
+	sent := 0
+	var sendNext func()
+	sendNext = func() {
+		if sent == 2 {
+			a.SetLink(false)
+			a.SetLink(true)
+		}
+		if sent < len(frames) {
+			sent++
+			a.Transmit(frames[sent-1], sendNext)
+		}
+	}
+	e.After(0, "start", func(*sim.Engine) { sendNext() })
+	e.RunUntil(3 * 672 * sim.Nanosecond)
+	if sent != 3 || len(sb.frames) != 0 {
+		t.Fatalf("sent %d, delivered %d before the first arrival; want 3 in flight", sent, len(sb.frames))
+	}
+	e.Run()
+	if len(sb.frames) != 1 || sb.frames[0] != frames[2] {
+		t.Fatalf("delivered %v, want only the post-flap frame", sb.frames)
+	}
+	// Third launch at 2·672 ns, 512 ns serialization, 5 µs propagation.
+	if want := (2*672 + 512 + 5000) * sim.Nanosecond; sb.times[0] != want {
+		t.Fatalf("arrival = %v, want %v", sb.times[0], want)
+	}
+	if down, loss, corrupt := a.LinkDrops(); down != 2 || loss != 0 || corrupt != 0 {
+		t.Fatalf("drops = down %d loss %d corrupt %d, want 2/0/0", down, loss, corrupt)
 	}
 }
 

@@ -14,11 +14,10 @@ func bigFrame() *ethernet.Frame {
 func TestAbortMidFrame(t *testing.T) {
 	e := sim.NewEngine()
 	a, _, _, sb := pair(e, 0)
-	var h *TxHandle
-	e.After(0, "tx", func(*sim.Engine) { h = a.TransmitHandle(bigFrame(), nil) })
+	e.After(0, "tx", func(*sim.Engine) { a.Transmit(bigFrame(), nil) })
 	// 6 µs in: ~750 of 1500 bytes sent.
 	e.RunUntil(6 * sim.Microsecond)
-	remaining, ok := h.Abort()
+	f, remaining, ok := a.Abort()
 	if !ok {
 		t.Fatal("mid-frame abort refused")
 	}
@@ -36,7 +35,7 @@ func TestAbortMidFrame(t *testing.T) {
 		e.RunUntil(e.Now() + ethernet.TxTime(ethernet.OverheadBytes, ethernet.Gbps))
 	}
 	done := false
-	a.Resume(bigFrame(), remaining, func() { done = true })
+	a.Resume(f, remaining, func() { done = true })
 	e.Run()
 	if len(sb.frames) != 1 || !done {
 		t.Fatalf("resume delivered %d frames, done=%v", len(sb.frames), done)
@@ -46,11 +45,10 @@ func TestAbortMidFrame(t *testing.T) {
 func TestAbortTooEarlyRefused(t *testing.T) {
 	e := sim.NewEngine()
 	a, _, _, _ := pair(e, 0)
-	var h *TxHandle
-	e.After(0, "tx", func(*sim.Engine) { h = a.TransmitHandle(bigFrame(), nil) })
+	e.After(0, "tx", func(*sim.Engine) { a.Transmit(bigFrame(), nil) })
 	// 100 ns in: only ~12 bytes sent (< 64 B minimum fragment).
 	e.RunUntil(100 * sim.Nanosecond)
-	if _, ok := h.Abort(); ok {
+	if _, _, ok := a.Abort(); ok {
 		t.Fatal("abort accepted before the minimum fragment")
 	}
 	e.Run() // frame must still complete normally
@@ -59,11 +57,10 @@ func TestAbortTooEarlyRefused(t *testing.T) {
 func TestAbortTooLateRefused(t *testing.T) {
 	e := sim.NewEngine()
 	a, _, _, _ := pair(e, 0)
-	var h *TxHandle
-	e.After(0, "tx", func(*sim.Engine) { h = a.TransmitHandle(bigFrame(), nil) })
+	e.After(0, "tx", func(*sim.Engine) { a.Transmit(bigFrame(), nil) })
 	// 11.9 µs in: fewer than 64 bytes remain.
 	e.RunUntil(11900 * sim.Nanosecond)
-	if _, ok := h.Abort(); ok {
+	if _, _, ok := a.Abort(); ok {
 		t.Fatal("abort accepted with a sub-minimum remainder")
 	}
 }
@@ -71,10 +68,9 @@ func TestAbortTooLateRefused(t *testing.T) {
 func TestAbortAfterCompletionRefused(t *testing.T) {
 	e := sim.NewEngine()
 	a, _, _, _ := pair(e, 0)
-	var h *TxHandle
-	e.After(0, "tx", func(*sim.Engine) { h = a.TransmitHandle(bigFrame(), nil) })
+	e.After(0, "tx", func(*sim.Engine) { a.Transmit(bigFrame(), nil) })
 	e.Run()
-	if _, ok := h.Abort(); ok {
+	if _, _, ok := a.Abort(); ok {
 		t.Fatal("abort accepted after completion")
 	}
 }
@@ -82,13 +78,12 @@ func TestAbortAfterCompletionRefused(t *testing.T) {
 func TestAbortDoubleRefused(t *testing.T) {
 	e := sim.NewEngine()
 	a, _, _, _ := pair(e, 0)
-	var h *TxHandle
-	e.After(0, "tx", func(*sim.Engine) { h = a.TransmitHandle(bigFrame(), nil) })
+	e.After(0, "tx", func(*sim.Engine) { a.Transmit(bigFrame(), nil) })
 	e.RunUntil(6 * sim.Microsecond)
-	if _, ok := h.Abort(); !ok {
+	if _, _, ok := a.Abort(); !ok {
 		t.Fatal("first abort refused")
 	}
-	if _, ok := h.Abort(); ok {
+	if _, _, ok := a.Abort(); ok {
 		t.Fatal("second abort accepted")
 	}
 }
@@ -99,10 +94,13 @@ func TestHandleFrameAccessor(t *testing.T) {
 	f := bigFrame()
 	f.FlowID = 77
 	e.After(0, "tx", func(*sim.Engine) {
-		h := a.TransmitHandle(f, nil)
-		if h.Frame().FlowID != 77 {
-			t.Error("Frame accessor wrong")
+		a.Transmit(f, nil)
+		if a.InFlight() != f {
+			t.Error("InFlight accessor wrong")
 		}
 	})
 	e.Run()
+	if a.InFlight() != nil {
+		t.Error("InFlight non-nil on an idle interface")
+	}
 }

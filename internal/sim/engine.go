@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
@@ -11,65 +10,109 @@ import (
 // engine so it can schedule follow-up events.
 type Handler func(e *Engine)
 
-// event is a scheduled callback. Ties between events scheduled for the
-// same instant break on (prio, seq): prio is a stable identity assigned
-// by the caller (AtPrio) — zero for ordinary events, a unique
-// per-interface index for frame deliveries — and seq is the scheduling
-// order. Ordinary events therefore stay FIFO in scheduling order, while
-// deliveries order by interface identity, which is what lets a
-// partitioned run reproduce the serial execution order exactly: an
-// interface index is the same number no matter which engine schedules
-// the delivery, whereas a creation seq is not.
-//
-// Popped and canceled events are recycled through the engine's free
-// list, so steady-state scheduling allocates nothing. gen increments on
-// every recycle; an EventRef snapshots it so a stale ref can never
-// resurrect (or cancel) a reused event.
+// event is a scheduled callback. Popped and canceled events are
+// recycled through the engine's free list, so steady-state scheduling
+// allocates nothing. gen increments on every recycle; an EventRef
+// snapshots it so a stale ref can never resurrect (or cancel) a reused
+// event.
 type event struct {
-	at    Time
-	prio  uint64
-	seq   uint64
 	fn    Handler
 	index int // heap index, -1 once popped or canceled
 	label string
 	gen   uint32
 }
 
-// eventHeap implements container/heap ordered by (at, prio, seq).
-type eventHeap []*event
+// entry is one slot of the pending-event heap. The ordering key is held
+// inline, so a comparison reads the heap's own backing array and never
+// chases the event pointer. Ties between events scheduled for the same
+// instant break on (prio, seq): prio is a stable identity assigned by
+// the caller (AtPrio) — zero for ordinary events, a unique
+// per-interface index for frame deliveries — and seq is the scheduling
+// order. Ordinary events therefore stay FIFO in scheduling order, while
+// deliveries order by interface identity, which is what lets a
+// partitioned run reproduce the serial execution order exactly: an
+// interface index is the same number no matter which engine schedules
+// the delivery, whereas a creation seq is not. seq is unique, so
+// (at, prio, seq) is a total order and the pop sequence does not depend
+// on the heap's shape or arity.
+type entry struct {
+	at   Time
+	prio uint64
+	seq  uint64
+	ev   *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
+	if a.prio != b.prio {
+		return a.prio < b.prio
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// arity is the heap's fan-out: four children share a cache line pair
+// and halve the depth of a binary heap.
+const arity = 4
+
+// siftUp places x at hole i or above, moving later parents down.
+func (e *Engine) siftUp(i int, x entry) {
+	q := e.queue
+	for i > 0 {
+		p := (i - 1) / arity
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
+	}
+	q[i] = x
+	x.ev.index = i
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+// siftDown places x at hole i or below, moving earlier children up.
+func (e *Engine) siftDown(i int, x entry) {
+	q := e.queue
+	for {
+		first := arity*i + 1
+		if first >= len(q) {
+			break
+		}
+		c, end := first, min(first+arity, len(q))
+		for k := first + 1; k < end; k++ {
+			if q[k].before(&q[c]) {
+				c = k
+			}
+		}
+		if !q[c].before(&x) {
+			break
+		}
+		q[i] = q[c]
+		q[i].ev.index = i
+		i = c
+	}
+	q[i] = x
+	x.ev.index = i
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// remove takes the entry at heap index i out of the queue and refills
+// the hole with the last entry.
+func (e *Engine) remove(i int) {
+	e.queue[i].ev.index = -1
+	n := len(e.queue) - 1
+	x := e.queue[n]
+	e.queue[n] = entry{}
+	e.queue = e.queue[:n]
+	if i == n {
+		return // the removed entry was the last one
+	}
+	if i > 0 && x.before(&e.queue[(i-1)/arity]) {
+		e.siftUp(i, x)
+	} else {
+		e.siftDown(i, x)
+	}
 }
 
 // EventRef identifies a scheduled event so it can be canceled. The zero
@@ -89,7 +132,7 @@ func (r EventRef) Valid() bool { return r.ev != nil && r.ev.gen == r.gen && r.ev
 // not ready for use; construct with NewEngine.
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   []entry // arity-ary min-heap on (at, prio, seq)
 	nextSeq uint64
 	stopped bool
 	// free recycles fired/canceled event structs so steady-state
@@ -188,9 +231,10 @@ func (e *Engine) AtPrio(at Time, prio uint64, label string, fn Handler) EventRef
 		panic(fmt.Sprintf("sim: scheduling %q at %v which is before now %v", label, at, e.now))
 	}
 	ev := e.alloc()
-	ev.at, ev.prio, ev.seq, ev.fn, ev.label = at, prio, e.nextSeq, fn, label
+	ev.fn, ev.label = fn, label
+	e.queue = append(e.queue, entry{})
+	e.siftUp(len(e.queue)-1, entry{at: at, prio: prio, seq: e.nextSeq, ev: ev})
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
 	e.metHeapHW.SetMax(int64(len(e.queue)))
 	return EventRef{ev: ev, gen: ev.gen}
 }
@@ -211,7 +255,7 @@ func (e *Engine) Cancel(r EventRef) bool {
 	if !r.Valid() {
 		return false
 	}
-	heap.Remove(&e.queue, r.ev.index)
+	e.remove(r.ev.index)
 	e.recycle(r.ev)
 	return true
 }
@@ -234,8 +278,9 @@ func (e *Engine) step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
-	e.now = ev.at
+	ev := e.queue[0].ev
+	e.now = e.queue[0].at
+	e.remove(0)
 	e.executed++
 	e.metExecuted.Inc()
 	if e.progressFn != nil {

@@ -27,9 +27,16 @@ type NIC struct {
 	engine *sim.Engine
 	ifc    *netdev.Ifc
 
-	// Strict-priority MAC FIFOs indexed by class (TS > RC > BE).
-	fifos [3][]*ethernet.Frame
-	busy  bool
+	// Strict-priority MAC FIFOs indexed by class (TS > RC > BE). A FIFO
+	// holds its frames at [head:]; popping clears the slot and an
+	// emptied FIFO rewinds, so the backing array is reused and never
+	// pins a transmitted frame.
+	fifos [3]struct {
+		frames []*ethernet.Frame
+		head   int
+	}
+	// drainFn is drain bound once, for Transmit's completion callback.
+	drainFn func()
 
 	// Collector receives frames arriving at this NIC; shared collectors
 	// across NICs are allowed (one "analyzer" box).
@@ -64,6 +71,7 @@ func New(engine *sim.Engine, hostID int, rate ethernet.Rate, col *analyzer.Colle
 		seq:       make(map[uint32]uint32),
 	}
 	n.ifc = netdev.NewIfc(engine, fmt.Sprintf("nic%d", hostID), n, rate)
+	n.drainFn = n.drain
 	return n
 }
 
@@ -135,51 +143,58 @@ func classIndex(c ethernet.Class) int {
 	}
 }
 
-// drain starts the next transmission if the wire is free, strict
-// priority across the class FIFOs.
+// drain starts the next transmission if the MAC is idle, strict
+// priority across the class FIFOs. It is also the MAC's completion
+// handler: the interface clears its in-flight frame before calling it.
 func (n *NIC) drain() {
-	if n.busy {
+	if n.ifc.InFlight() != nil {
 		return
 	}
-	for ci := 0; ci < 3; ci++ {
-		if len(n.fifos[ci]) == 0 {
+	for ci := range n.fifos {
+		q := &n.fifos[ci]
+		if len(q.frames) == 0 {
 			continue
 		}
-		f := n.fifos[ci][0]
-		n.fifos[ci] = n.fifos[ci][1:]
+		f := q.frames[q.head]
+		q.frames[q.head] = nil
+		if q.head++; q.head == len(q.frames) {
+			q.frames, q.head = q.frames[:0], 0
+		}
 		// Stamp the tester timestamp when the frame actually hits the
 		// wire: queueing inside the tester is not network latency. The
 		// attribution span anchors at the same instant so its buckets
 		// sum exactly to the analyzer's latency.
 		f.SentAt = n.engine.Now()
 		f.Span.Begin(f.SentAt)
-		n.busy = true
-		n.ifc.Transmit(f, func() {
-			n.busy = false
-			n.drain()
-		})
+		n.ifc.Transmit(f, n.drainFn)
 		return
 	}
 }
+
+// zeros backs every injected frame's payload: the tester sends zero
+// bytes, and payloads are immutable in flight (see the ethernet payload
+// ownership contract), so all frames share them.
+var zeros [ethernet.MaxFrameBytes]byte
 
 // inject enqueues one frame of spec into the MAC.
 func (n *NIC) inject(spec *flows.Spec) {
 	seq := n.seq[spec.ID]
 	n.seq[spec.ID] = seq + 1
 	n.sent[spec.ID]++
+	size := ethernet.PayloadForWireSize(spec.WireSize)
 	f := &ethernet.Frame{
 		Dst:       ethernet.HostMAC(spec.DstHost),
 		Src:       ethernet.HostMAC(spec.SrcHost),
 		VID:       spec.VID,
 		PCP:       spec.PCP,
 		EtherType: ethernet.TypeTSN,
-		Payload:   make([]byte, ethernet.PayloadForWireSize(spec.WireSize)),
+		Payload:   zeros[:size:size], // capacity clipped: an append cannot reach the shared array
 		FlowID:    spec.ID,
 		Seq:       seq,
 		Class:     spec.Class,
 	}
-	ci := classIndex(spec.Class)
-	n.fifos[ci] = append(n.fifos[ci], f)
+	q := &n.fifos[classIndex(spec.Class)]
+	q.frames = append(q.frames, f)
 	// 802.1CB replication: the member stream is the same frame (same
 	// FlowID, same sequence number) tagged with the alternate VID, so
 	// the network's forwarding tables steer it onto the disjoint path.
@@ -188,7 +203,7 @@ func (n *NIC) inject(spec *flows.Spec) {
 	if altVID, ok := n.replicate[spec.ID]; ok {
 		r := f.CloneHeader() // re-tags the VID, a header field; payload is shared
 		r.VID = altVID
-		n.fifos[ci] = append(n.fifos[ci], r)
+		q.frames = append(q.frames, r)
 		n.replicas++
 	}
 	n.drain()
@@ -215,7 +230,7 @@ func (n *NIC) StartFlow(spec *flows.Spec) {
 		for i := 0; i < burst; i++ {
 			n.inject(spec)
 		}
-		e.After(interval, fmt.Sprintf("flow%d", spec.ID), tick)
+		e.After(interval, "flow-tick", tick)
 	}
-	n.engine.At(n.engine.Now()+spec.Offset, fmt.Sprintf("flow%d-start", spec.ID), tick)
+	n.engine.At(n.engine.Now()+spec.Offset, "flow-start", tick)
 }

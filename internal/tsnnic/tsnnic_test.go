@@ -169,3 +169,37 @@ func TestSeqIncrements(t *testing.T) {
 		t.Fatalf("sent = %d", gen.Sent()[1])
 	}
 }
+
+// TestMACFifoReusesArrayAndReleasesFrames: a drained class FIFO rewinds
+// onto its backing array (capacity stable burst after burst) and keeps
+// no pointer to a frame it already handed to the wire.
+func TestMACFifoReusesArrayAndReleasesFrames(t *testing.T) {
+	e := sim.NewEngine()
+	gen, _, col := wirePair(e)
+	spec := tsSpec()
+	const bursts, perBurst = 1200, 4
+	capAfterFirst := 0
+	for b := 0; b < bursts; b++ {
+		for k := 0; k < perBurst; k++ {
+			gen.inject(spec) // first goes to the wire, the rest queue behind it
+		}
+		e.Run()
+		q := &gen.fifos[classIndex(spec.Class)]
+		if len(q.frames) != 0 || q.head != 0 {
+			t.Fatalf("burst %d: drained FIFO has len %d head %d", b, len(q.frames), q.head)
+		}
+		if b == 0 {
+			capAfterFirst = cap(q.frames)
+		} else if cap(q.frames) != capAfterFirst {
+			t.Fatalf("burst %d: FIFO capacity %d, was %d after the first burst", b, cap(q.frames), capAfterFirst)
+		}
+		for i, f := range q.frames[:cap(q.frames)] {
+			if f != nil {
+				t.Fatalf("burst %d: backing slot %d still pins frame seq %d", b, i, f.Seq)
+			}
+		}
+	}
+	if st := col.Flow(spec.ID); st == nil || st.Received != bursts*perBurst {
+		t.Fatalf("received %+v, want %d frames", st, bursts*perBurst)
+	}
+}

@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/israce"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/netdev"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/tables"
 )
 
 func newMetricsRig(t *testing.T) (*rig, *metrics.Registry) {
@@ -113,4 +115,39 @@ func BenchmarkSwitchForward(b *testing.B) {
 
 func BenchmarkSwitchForwardInstrumented(b *testing.B) {
 	benchForward(b, metrics.New())
+}
+
+// TestSwitchHopAllocFree gates the switch layer of the frame path: on a
+// warmed engine one instrumented hop — Port.Receive through filter,
+// gate, queue and egress to the peer's Receive, the CQF slot waited out
+// in simulated time — allocates nothing.
+func TestSwitchHopAllocFree(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e := sim.NewEngine()
+	cfg := testConfig()
+	cfg.Metrics = metrics.New()
+	sw := New(e, cfg)
+	peer := netdev.NewIfc(e, "peer", sink{}, ethernet.Gbps)
+	netdev.Connect(sw.Ifc(1), peer, 100*sim.Nanosecond)
+	if err := sw.Forward().Unicast.Add(ethernet.HostMAC(1), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	f := tsFrame(1, 1)
+	if err := sw.Filter().Class.Add(tables.KeyFor(f), tables.ClassEntry{QueueID: cfg.TSQueueA}); err != nil {
+		t.Fatal(err)
+	}
+	hop := func() {
+		sw.Port(0).Receive(f, sw.Ifc(0))
+		e.Run()
+	}
+	hop() // warm the event free list and the wire FIFO
+	if allocs := testing.AllocsPerRun(1000, hop); allocs != 0 {
+		t.Fatalf("one switch hop allocated %.1f/frame, want 0", allocs)
+	}
+	st := sw.Stats()
+	if _, rx, _ := peer.Counters(); rx < 1000 || st.TotalDrops() != 0 {
+		t.Fatalf("peer received %d frames, %d drops", rx, st.TotalDrops())
+	}
 }

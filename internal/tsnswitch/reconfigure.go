@@ -257,7 +257,7 @@ func (p *Port) heldBuffers() int {
 	for _, q := range p.queues {
 		held += q.Len()
 	}
-	if p.txHandle != nil {
+	if p.ifc.InFlight() != nil {
 		held++
 	}
 	if p.suspended != nil {

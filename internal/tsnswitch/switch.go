@@ -2,6 +2,7 @@ package tsnswitch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/buffering"
 	"github.com/tsnbuilder/tsnbuilder/internal/clock"
@@ -86,12 +87,15 @@ type Port struct {
 
 	transmitting bool
 	retryPending bool
-	// Preemption state: the in-flight transmission handle, its queue,
-	// and a preempted frame awaiting resumption.
-	txHandle  *netdev.TxHandle
+	// The in-flight transmission's queue and buffer slot, and a
+	// preempted frame awaiting resumption.
 	txQueue   int
 	txBufSlot int
 	suspended *suspendedTx
+	// Handlers bound once in New, so starting a transmission or arming
+	// a retry allocates nothing.
+	txDoneFn func()
+	retryFn  sim.Handler
 }
 
 // suspendedTx is a preempted frame: its descriptor plus the bytes (and
@@ -137,6 +141,7 @@ func New(engine *sim.Engine, cfg Config) *Switch {
 			bank:   shaper.NewBank(cfg.CBSMapSize, cfg.CBSSize),
 		}
 		port.ifc = netdev.NewIfc(engine, fmt.Sprintf("sw%d.p%d", cfg.ID, p), port, cfg.RateFor(p))
+		port.txDoneFn, port.retryFn = port.txDone, port.retry
 		for q := 0; q < cfg.QueuesPerPort; q++ {
 			port.queues = append(port.queues, buffering.NewQueue(cfg.QueueDepth))
 		}
@@ -240,8 +245,10 @@ func (sw *Switch) ingress(f *ethernet.Frame) {
 		sw.emit(trace.KindDrop, -1, -1, f, DropMeter.String())
 		return
 	}
-	for _, op := range outPorts {
-		if op < 0 || op >= len(sw.ports) {
+	multicast := outPorts&(outPorts-1) != 0
+	for ; outPorts != 0; outPorts &= outPorts - 1 {
+		op := bits.TrailingZeros32(outPorts)
+		if op >= len(sw.ports) {
 			sw.stats.Drops[DropNoRoute]++
 			sw.met.drops[DropNoRoute].Inc()
 			continue
@@ -250,7 +257,7 @@ func (sw *Switch) ingress(f *ethernet.Frame) {
 		// immutable in flight); the common unicast case moves the frame
 		// through untouched.
 		g := f
-		if len(outPorts) > 1 {
+		if multicast {
 			g = f.CloneHeader()
 		}
 		sw.ports[op].enqueue(g, v.QueueID)
@@ -313,7 +320,7 @@ func (p *Port) isExpress(q int) bool {
 // window — or the preemption would idle the wire for nothing.
 func (p *Port) maybePreempt(arrivedQueue int) {
 	sw := p.sw
-	if !sw.cfg.EnablePreemption || !p.transmitting || p.txHandle == nil {
+	if !sw.cfg.EnablePreemption || !p.transmitting {
 		return
 	}
 	if p.isExpress(p.txQueue) || !p.isExpress(arrivedQueue) {
@@ -327,18 +334,16 @@ func (p *Port) maybePreempt(arrivedQueue int) {
 	if !ok || !p.isExpress(q) {
 		return
 	}
-	remaining, ok := p.txHandle.Abort()
+	frame, remaining, ok := p.ifc.Abort()
 	if !ok {
 		return // too early or too late in the frame to cut legally
 	}
-	frame := p.txHandle.Frame()
 	sw.met.preemptions.Inc()
 	p.suspended = &suspendedTx{
 		desc:      buffering.Descriptor{Frame: frame, Slot: p.txBufSlot},
 		queue:     p.txQueue,
 		remaining: remaining,
 	}
-	p.txHandle = nil
 	// The wire stays occupied for the fragment's mCRC + IFG; the port
 	// frees (and the express frame starts) once it clears. transmitting
 	// stays true until then so re-entrant tryTransmit calls no-op.
@@ -346,7 +351,7 @@ func (p *Port) maybePreempt(arrivedQueue int) {
 	if gap < 0 {
 		gap = 0
 	}
-	sw.engine.After(gap, fmt.Sprintf("sw%d.p%d.preempt-gap", sw.cfg.ID, p.id), func(*sim.Engine) {
+	sw.engine.After(gap, "preempt-gap", func(*sim.Engine) {
 		p.transmitting = false
 		p.tryTransmit()
 	})
@@ -420,15 +425,18 @@ func (p *Port) tryTransmit() {
 	p.txQueue = q
 	sw.met.residence.Observe(int64(sw.engine.Now() - d.EnqueuedAt))
 	sw.emit(trace.KindTxStart, p.id, q, d.Frame, "")
-	p.txHandle = p.ifc.TransmitHandle(d.Frame, func() {
-		p.pool.Free(d.Slot)
-		sw.stats.TxFrames++
-		sw.met.tx.Inc()
-		p.transmitting = false
-		p.txHandle = nil
-		p.tryTransmit()
-	})
 	p.txBufSlot = d.Slot
+	p.ifc.Transmit(d.Frame, p.txDoneFn)
+}
+
+// txDone runs when the wire is free again: the transmitted frame's
+// buffer returns to the pool and the egress scheduler picks again.
+func (p *Port) txDone() {
+	p.pool.Free(p.txBufSlot)
+	p.sw.stats.TxFrames++
+	p.sw.met.tx.Inc()
+	p.transmitting = false
+	p.tryTransmit()
 }
 
 // maxGateScan bounds the analytic gate-wait walk: past this many
@@ -515,15 +523,8 @@ func (p *Port) resumeSuspended() {
 	p.transmitting = true
 	p.txQueue = s.queue
 	sw.emit(trace.KindTxStart, p.id, s.queue, s.desc.Frame, "resume")
-	p.txHandle = p.ifc.Resume(s.desc.Frame, s.remaining, func() {
-		p.pool.Free(s.desc.Slot)
-		sw.stats.TxFrames++
-		sw.met.tx.Inc()
-		p.transmitting = false
-		p.txHandle = nil
-		p.tryTransmit()
-	})
 	p.txBufSlot = s.desc.Slot
+	p.ifc.Resume(s.desc.Frame, s.remaining, p.txDoneFn)
 }
 
 // armRetry schedules a re-evaluation at the next gate slot boundary if
@@ -550,10 +551,12 @@ func (p *Port) armRetry(local sim.Time) {
 	// 65 µs slot — far below the guard band — so the distance is used
 	// as-is, plus 1 ns to land strictly inside the next slot.
 	delay := p.outGCL.TimeToBoundary(local) + 1
-	p.sw.engine.After(delay, fmt.Sprintf("sw%d.p%d.retry", p.sw.cfg.ID, p.id), func(*sim.Engine) {
-		p.retryPending = false
-		p.tryTransmit()
-	})
+	p.sw.engine.After(delay, "port-retry", p.retryFn)
+}
+
+func (p *Port) retry(*sim.Engine) {
+	p.retryPending = false
+	p.tryTransmit()
 }
 
 // QueueHighWater returns the worst-case occupancy of queue q on port

@@ -34,6 +34,13 @@ func ringScenario(t *testing.T, nTS, hops int, withGPTP bool) (*Net, []*flows.Sp
 	for i, s := range specs {
 		s.VID = uint16(1 + i%4000)
 	}
+	return buildNet(t, topo, specs, Options{EnableGPTP: withGPTP, Seed: 5}), specs
+}
+
+// buildNet binds specs to paths on topo, derives and applies the
+// design, and builds the network; opts carries everything else.
+func buildNet(t *testing.T, topo *topology.Topology, specs []*flows.Spec, opts Options) *Net {
+	t.Helper()
 	if err := core.BindPaths(topo, specs); err != nil {
 		t.Fatal(err)
 	}
@@ -46,17 +53,12 @@ func ringScenario(t *testing.T, nTS, hops int, withGPTP bool) (*Net, []*flows.Sp
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := Build(Options{
-		Design:     design,
-		Topo:       topo,
-		Flows:      specs,
-		EnableGPTP: withGPTP,
-		Seed:       5,
-	})
+	opts.Design, opts.Topo, opts.Flows = design, topo, specs
+	net, err := Build(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, specs
+	return net
 }
 
 func TestRingZeroLossWithinBounds(t *testing.T) {
