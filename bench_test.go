@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/obs"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/svc"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 	"github.com/tsnbuilder/tsnbuilder/tsnbuilder"
@@ -557,5 +559,34 @@ func BenchmarkSpanOps(b *testing.B) {
 		s.Begin(100)
 		s.Claim(10, 5)
 		s.OnDeliver(400, 50, 100)
+	}
+}
+
+// BenchmarkSvcReconfigure measures one acknowledged reconfiguration on
+// the managed instance, without HTTP or a WAL: validate, stage, run to
+// the CQF boundary, apply, watchdog audit, verify. The deltas are the
+// repository benchmark's reconfig sequence (meter_size alternates,
+// unicast_size cycles three sizes), so every op changes the live
+// configuration.
+func BenchmarkSvcReconfigure(b *testing.B) {
+	in, err := svc.NewInstance(svc.InstanceOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer in.Close()
+	deltas := make([]svc.ReconfigRequest, 6)
+	for i := range deltas {
+		deltas[i] = svc.ReconfigRequest{
+			MeterSize:   []int{128, 64}[i%2],
+			UnicastSize: []int{384, 512, 256}[i%3],
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := in.Reconfigure(context.Background(), &deltas[i%len(deltas)])
+		if err != nil || out.Seq == 0 {
+			b.Fatalf("reconfigure %d: %+v %v", i, out, err)
+		}
 	}
 }

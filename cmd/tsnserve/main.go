@@ -8,7 +8,8 @@
 //	GET  /v1/journal   the committed-transaction journal
 //	GET  /healthz      liveness + watchdog/verification health
 //	GET  /readyz       readiness (breaker, queues, drain state)
-//	GET  /metrics      Prometheus exposition (service + simulation)
+//	GET  /metrics      Prometheus exposition: service section always, simulation
+//	                   section read through the control loop at scrape time
 //
 // The daemon is built for overload: bounded admission queues shed with
 // 429 before anything melts, per-request deadlines propagate, a circuit

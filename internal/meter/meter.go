@@ -156,7 +156,8 @@ func (t *Table) RequiredCapacity() int {
 // Resize changes the table capacity in place, preserving configured
 // meters and their token state — the live-reconfiguration primitive
 // behind set_meter_tbl. It fails if a configured meter id would fall
-// outside the new capacity.
+// outside the new capacity. Only a grow past cap reallocates; slots that
+// leave on a shrink are cleared, so a later grow exposes zero meters.
 func (t *Table) Resize(capacity int) error {
 	if capacity < 0 {
 		return fmt.Errorf("meter: negative capacity %d", capacity)
@@ -164,11 +165,14 @@ func (t *Table) Resize(capacity int) error {
 	if req := t.RequiredCapacity(); capacity < req {
 		return fmt.Errorf("meter: cannot shrink table to %d: meter %d is configured", capacity, req-1)
 	}
-	meters := make([]Meter, capacity)
-	inUse := make([]bool, capacity)
-	copy(meters, t.meters)
-	copy(inUse, t.inUse)
-	t.meters, t.inUse = meters, inUse
+	if capacity > cap(t.meters) {
+		t.meters = append(make([]Meter, 0, capacity), t.meters...)
+		t.inUse = append(make([]bool, 0, capacity), t.inUse...)
+	} else if n := len(t.meters); capacity < n {
+		clear(t.meters[capacity:n])
+		clear(t.inUse[capacity:n])
+	}
+	t.meters, t.inUse = t.meters[:capacity], t.inUse[:capacity]
 	return nil
 }
 

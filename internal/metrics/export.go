@@ -22,7 +22,8 @@ type FamilySnapshot struct {
 }
 
 // SampleSnapshot is one labeled cell. Counters and gauges use Value;
-// histograms use Bounds/Counts/Sum/Count.
+// histograms use Bounds/Counts/Sum/Count. Labels and Bounds are
+// read-only: every snapshot shares the registry's immutable slices.
 type SampleSnapshot struct {
 	Labels []Label  `json:"labels,omitempty"`
 	Value  float64  `json:"value"`
@@ -43,39 +44,53 @@ func (s SampleSnapshot) Quantile(q float64) float64 {
 
 // Snapshot copies the registry's current state. Families appear in
 // registration order, samples in registration order, so exports are
-// deterministic. A nil registry snapshots empty.
+// deterministic. A nil registry snapshots empty. Slices are sized
+// exactly; histogram counts are carved from one array per snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var snap Snapshot
+	var nFam, nCounts int
+	for _, f := range r.families {
+		if f.kind != "" { // else Help() registered a name never instrumented
+			nFam++
+		}
+		if f.kind == KindHistogram {
+			nCounts += len(f.samples) * (len(f.bounds) + 1)
+		}
+	}
+	if nFam == 0 {
+		return Snapshot{} // nil Families: the JSON export stays "families": null
+	}
+	snap := Snapshot{Families: make([]FamilySnapshot, 0, nFam)}
+	counts := make([]uint64, 0, nCounts)
 	for _, f := range r.families {
 		if f.kind == "" {
-			continue // Help() registered a name never instrumented
+			continue
 		}
-		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind}
-		for _, s := range f.samples {
-			ss := SampleSnapshot{Labels: append([]Label(nil), s.labels...)}
+		samples := make([]SampleSnapshot, len(f.samples))
+		for i, s := range f.samples {
+			ss := &samples[i]
+			ss.Labels = s.labels
 			switch f.kind {
 			case KindCounter:
 				ss.Value = float64(*s.c)
 			case KindGauge:
 				ss.Value = float64(*s.g)
 			case KindHistogram:
-				ss.Bounds = append([]int64(nil), s.h.bounds...)
-				ss.Counts = append([]uint64(nil), s.h.counts...)
-				ss.Sum = s.h.sum
-				ss.Count = s.h.count
+				n := len(counts)
+				counts = append(counts, s.h.counts...)
+				ss.Bounds, ss.Counts = s.h.bounds, counts[n:len(counts):len(counts)]
+				ss.Sum, ss.Count = s.h.sum, s.h.count
 				if s.h.exSet {
 					ex := s.h.ex
 					ss.Exemplar = &ex
 				}
 			}
-			fs.Samples = append(fs.Samples, ss)
 		}
-		snap.Families = append(snap.Families, fs)
+		snap.Families = append(snap.Families, FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind, Samples: samples})
 	}
 	return snap
 }

@@ -70,12 +70,9 @@ type JournalEntry struct {
 // InstanceStatus is a point-in-time copy of the instance's control
 // state, safe to read from any goroutine.
 type InstanceStatus struct {
-	Live      core.Config
-	Seq       uint64
-	Journal   []JournalEntry
-	VerifyErr error
-	Degraded  bool
-	Detail    string
+	Live    core.Config
+	Seq     uint64
+	Journal []JournalEntry
 }
 
 // ReconfigOutcome is one processed reconfiguration job's result.
@@ -135,10 +132,6 @@ type Instance struct {
 	recoverOnce sync.Once
 	recoverEnds atomic.Int32
 
-	// snap is the last published registry snapshot (obs pattern: HTTP
-	// readers only ever see published copies).
-	snap atomic.Value // metrics.Snapshot
-
 	// OnHealth is the health callback from InstanceOptions; read by the
 	// loop goroutine only.
 	OnHealth func(healthy bool)
@@ -197,7 +190,6 @@ func NewInstance(opts InstanceOptions) (*Instance, error) {
 		live:     net.LiveConfig(),
 		OnHealth: opts.OnHealth,
 	}
-	in.snap.Store(reg.Snapshot())
 	if in.store != nil {
 		// The write-ahead rule at the commit point: the transaction's
 		// intent record becomes stable before the first staged operation
@@ -319,7 +311,6 @@ func (in *Instance) recoverJob(img *recoveredImage, hold chan struct{}) {
 	} else {
 		in.finishRecovery()
 	}
-	in.publish()
 	if in.OnHealth != nil {
 		in.OnHealth(err == nil && !in.net.Watchdog.Degraded())
 	}
@@ -423,7 +414,6 @@ func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (Reco
 		if err != nil {
 			out.RejectErr = err
 			in.abortTxn(txnID)
-			in.publish()
 			return
 		}
 		// From here the commit is in flight: run the engine to the
@@ -475,7 +465,6 @@ func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (Reco
 				in.setWALErr(err)
 			}
 		}
-		in.publish()
 		if in.OnHealth != nil {
 			in.OnHealth(out.VerifyErr == nil && !in.net.Watchdog.Degraded())
 		}
@@ -497,18 +486,6 @@ func (in *Instance) abortTxn(txnID uint64) {
 	}
 }
 
-// Advance runs the simulated network forward by d (watchdog audits
-// included) — the idle-time heartbeat that keeps health fresh.
-func (in *Instance) Advance(ctx context.Context, d sim.Time) error {
-	return in.submit(ctx, func() {
-		in.net.Engine.RunFor(d)
-		in.publish()
-		if in.OnHealth != nil {
-			in.OnHealth(in.verifyError() == nil && !in.net.Watchdog.Degraded())
-		}
-	})
-}
-
 // ArmTransient arms n transient mid-commit failures before staged op
 // index op on the next commit attempts (chaos hook).
 func (in *Instance) ArmTransient(op, times int) error {
@@ -522,37 +499,46 @@ func (in *Instance) ArmWedge(op int) error {
 	return in.submit(context.Background(), func() { in.net.Reconfig.ArmWedge(op) })
 }
 
-// publish stores a fresh registry snapshot for HTTP readers; loop
-// goroutine only.
-func (in *Instance) publish() { in.snap.Store(in.reg.Snapshot()) }
-
-// MetricsSnapshot returns the last published simulation-registry
-// snapshot.
-func (in *Instance) MetricsSnapshot() metrics.Snapshot {
-	return in.snap.Load().(metrics.Snapshot)
+// MetricsSnapshot reads the simulation registry through the control
+// loop: between jobs, on the goroutine that writes its unsynchronized
+// cells, FIFO-ordered behind every acknowledged commit. ctx bounds the
+// whole wait; a job that outlives its scraper ends in the buffered
+// channel. After Close, <-in.done orders the caller's direct read.
+func (in *Instance) MetricsSnapshot(ctx context.Context) (metrics.Snapshot, error) {
+	res := make(chan metrics.Snapshot, 1)
+	select {
+	case in.jobs <- func() { res <- in.reg.Snapshot() }:
+	case <-ctx.Done():
+		return metrics.Snapshot{}, ctx.Err()
+	case <-in.done: // nothing queued; the select below reads directly
+	}
+	select {
+	case snap := <-res:
+		return snap, nil
+	case <-ctx.Done():
+		return metrics.Snapshot{}, ctx.Err()
+	case <-in.done:
+		return in.reg.Snapshot(), nil
+	}
 }
 
 // Health returns the live health board (watchdog-written, mutex-
 // guarded, safe from any goroutine). A durability or replay failure
-// degrades the instance like a wedged commit does.
+// degrades the instance like a wedged commit, whose error leads detail.
 func (in *Instance) Health() (degraded bool, detail string) {
 	d, detail, _, _ := in.net.Health.Status()
 	in.mu.Lock()
 	verifyErr, walErr, recoverErr := in.verifyErr, in.walErr, in.recoverErr
 	in.mu.Unlock()
 	switch {
+	case verifyErr != nil:
+		detail = verifyErr.Error()
 	case recoverErr != nil && detail == "":
 		detail = "recovery failed: " + recoverErr.Error()
 	case walErr != nil && detail == "":
 		detail = "durability failed: " + walErr.Error()
 	}
 	return d || verifyErr != nil || walErr != nil || recoverErr != nil, detail
-}
-
-func (in *Instance) verifyError() error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.verifyErr
 }
 
 func (in *Instance) walError() error {
@@ -573,15 +559,7 @@ func (in *Instance) setWALErr(err error) {
 func (in *Instance) Status() InstanceStatus {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	degraded, detail, _, _ := in.net.Health.Status()
-	return InstanceStatus{
-		Live:      in.live,
-		Seq:       in.seq,
-		Journal:   append([]JournalEntry(nil), in.journal...),
-		VerifyErr: in.verifyErr,
-		Degraded:  degraded || in.verifyErr != nil || in.walErr != nil || in.recoverErr != nil,
-		Detail:    detail,
-	}
+	return InstanceStatus{Live: in.live, Seq: in.seq, Journal: append([]JournalEntry(nil), in.journal...)}
 }
 
 // LiveConfig returns the configuration the controller believes is in

@@ -532,9 +532,6 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if degraded {
 		body["status"] = "degraded"
 		body["detail"] = detail
-		if st := s.inst.Status(); st.VerifyErr != nil {
-			body["detail"] = st.VerifyErr.Error()
-		}
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, body)
@@ -582,12 +579,18 @@ func (s *Service) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves the Prometheus exposition: the service-level
-// counters folded into a scrape-time registry, followed by the managed
-// instance's last published simulation snapshot.
-func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+// section first — it never touches the control loop and is what
+// explains a stuck one — then the instance section, read through the
+// loop and omitted if it does not answer within the request deadline.
+func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.scrapeRegistry().Snapshot().WritePrometheus(w)
-	_ = s.inst.MetricsSnapshot().WritePrometheus(w)
+	snap, err := s.inst.MetricsSnapshot(r.Context())
+	if err != nil {
+		_, _ = fmt.Fprintf(w, "# instance metrics omitted: control loop busy: %v\n", err)
+		return
+	}
+	_ = snap.WritePrometheus(w)
 }
 
 // Service metric names.
