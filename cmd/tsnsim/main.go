@@ -31,6 +31,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/obs"
+	"github.com/tsnbuilder/tsnbuilder/internal/psim"
 	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
@@ -540,11 +541,31 @@ func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
 			reg.SumCounter(faults.MetricLinkDrops))
 	}
 	printSummary(reg, wall, net.Tracer)
+	printPartitionStats(net.PartitionStats())
 	printAttribution(net)
 	if srv != nil {
 		srv.Publish(reg.Snapshot())
 	}
 	return net, nil
+}
+
+// printPartitionStats renders the partitioned runner's own account of
+// the run: how many barrier-synchronized windows it stepped, how many
+// events each paid for, and where each worker's wall time went. Nothing
+// on serial runs.
+func printPartitionStats(parts []psim.PartStats) {
+	if parts == nil {
+		return
+	}
+	var events uint64
+	for _, p := range parts {
+		events += p.Events
+	}
+	fmt.Printf("partitions: %d windows, %.1f events/window\n", parts[0].Windows, float64(events)/float64(parts[0].Windows))
+	for k, p := range parts {
+		fmt.Printf("  partition %d: events=%d busy=%v barrier-wait=%v mailbox-posts=%d ring-hw=%d\n",
+			k, p.Events, p.Busy.Round(time.Microsecond), p.Wait.Round(time.Microsecond), p.Posts, p.RingHW)
+	}
 }
 
 // printAttribution renders the top-3 flows by worst-case latency, one

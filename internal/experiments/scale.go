@@ -10,6 +10,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"syscall"
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
@@ -27,6 +28,12 @@ type ScaleRow struct {
 	Window sim.Time
 	// Wall is the host time the simulation took.
 	Wall time.Duration
+	// CPUPerWall is process CPU time (rusage) over Wall: the cores the
+	// run actually kept busy.
+	CPUPerWall float64
+	// Windows is how many barrier pairs the runner stepped (0 when
+	// serial); Events/Windows is what each one paid for.
+	Windows uint64
 	// Events is the discrete-event count (identical at every partition
 	// count — the parity contract).
 	Events uint64
@@ -43,13 +50,6 @@ type ScaleRow struct {
 // scaleSwitches is the mesh size of the study: a 14×15 grid, ~35× the
 // paper's ring.
 const scaleSwitches = 210
-
-// scaleCableDelay stretches every cable to long-haul factory trunks.
-// The conservative window is one cable delay plus a minimum frame's
-// store-and-forward time, so longer cables mean fewer barrier steps
-// per simulated second — this is the knob that keeps synchronization
-// cost negligible against event execution.
-const scaleCableDelay = 30 * sim.Microsecond
 
 // ScalePartitionCounts are the partition counts the study sweeps.
 var ScalePartitionCounts = []int{1, 2, 4, 8}
@@ -76,7 +76,6 @@ func buildScale(p Params, partitions int) (*testbed.Net, *metrics.Registry, erro
 		Flows:      w.Specs,
 		Metrics:    reg,
 		Seed:       p.Seed,
-		CableDelay: scaleCableDelay,
 		Partitions: partitions,
 	})
 	if err != nil {
@@ -97,19 +96,23 @@ func ScaleStudy(p Params) ([]ScaleRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
+		cpu, start := cpuTime(), time.Now()
 		net.Run(0, p.Duration)
 		wall := time.Since(start)
 		row := ScaleRow{
 			Partitions: net.Partitions(),
 			Window:     net.LookaheadWindow(),
 			Wall:       wall,
+			CPUPerWall: (cpuTime() - cpu).Seconds() / wall.Seconds(),
 			Events:     reg.CounterValue("tsn_sim_events_total"),
 			Delivered:  reg.SumCounter("tsn_flows_delivered_total"),
 			TSMax:      net.Summary(ethernet.ClassTS).MaxLat,
 		}
 		if secs := wall.Seconds(); secs > 0 {
 			row.EventsPerSec = float64(row.Events) / secs
+		}
+		if st := net.PartitionStats(); st != nil {
+			row.Windows = st[0].Windows
 		}
 		rows = append(rows, row)
 	}
@@ -132,11 +135,24 @@ func FormatScale(rows []ScaleRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "E-SCALE — partitioned simulation, %d-switch mesh (lookahead %v)\n",
 		scaleSwitches, rows[len(rows)-1].Window)
-	fmt.Fprintf(&b, "  %-10s %12s %12s %10s %12s\n",
-		"partitions", "events", "wall", "ev/s", "speedup")
+	fmt.Fprintf(&b, "  %-10s %12s %9s %14s %12s %10s %9s %12s\n",
+		"partitions", "events", "windows", "events/window", "wall", "ev/s", "cpu/wall", "speedup")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-10d %12d %12v %10.0f %11.2fx\n",
-			r.Partitions, r.Events, r.Wall.Round(time.Millisecond), r.EventsPerSec, r.Speedup)
+		perWindow := "-"
+		if r.Windows > 0 {
+			perWindow = fmt.Sprintf("%.1f", float64(r.Events)/float64(r.Windows))
+		}
+		fmt.Fprintf(&b, "  %-10d %12d %9d %14s %12v %10.0f %9.2f %11.2fx\n", r.Partitions, r.Events, r.Windows,
+			perWindow, r.Wall.Round(time.Millisecond), r.EventsPerSec, r.CPUPerWall, r.Speedup)
 	}
 	return b.String()
+}
+
+// cpuTime is the process's user+system CPU time so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

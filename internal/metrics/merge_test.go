@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 )
 
@@ -280,4 +281,223 @@ func snapText(t *testing.T, r *Registry) string {
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// exportBytes renders r both ways an operator reads it.
+func exportBytes(t testing.TB, r *Registry) (prom, js string) {
+	t.Helper()
+	var p, j bytes.Buffer
+	snap := r.Snapshot()
+	if err := snap.WritePrometheus(&p); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.WriteJSON(&j); err != nil {
+		t.Fatal(err)
+	}
+	return p.String(), j.String()
+}
+
+// meshPartitionRegistry mirrors the scratch registry of one partition
+// of the 210-switch mesh (switches first..first+n-1): 22 families, 4 of
+// them histograms, ≈ 127 samples per switch — ≈ 13.4 k samples at the
+// 105 switches a 2-partition run gives each side.
+func meshPartitionRegistry(first, n int) *Registry {
+	r := New()
+	classes := []string{"TS", "RC", "BE"}
+	r.Help("tsn_sim_events_total", "discrete events executed")
+	r.Counter("tsn_sim_events_total").Add(uint64(1000 + first))
+	r.Gauge("tsn_sim_heap_depth_high_water").SetMax(int64(900 + first))
+	for ci, c := range classes {
+		r.Counter("tsn_flows_delivered_total", L("class", c)).Add(uint64(first + ci))
+		r.Histogram("tsn_e2e_latency_ns", ExponentialBounds(1000, 2, 14), L("class", c)).
+			ObserveExemplar(int64(4000*(ci+1)), "flow="+strconv.Itoa(first+ci), int64(first))
+		for _, comp := range []string{"prop", "ser", "queue", "gate", "shape"} {
+			r.Histogram("tsn_latency_component_ns", ExponentialBounds(100, 2, 16),
+				L("class", c), L("component", comp)).Observe(int64(300 * (ci + 1)))
+		}
+		r.Histogram("tsn_deadline_miss_ns", ExponentialBounds(1000, 2, 14), L("class", c))
+	}
+	r.Help("tsn_queue_enqueues_total", "frames enqueued")
+	for sw := first; sw < first+n; sw++ {
+		s := L("switch", strconv.Itoa(sw))
+		r.Counter("tsn_switch_rx_frames_total", s).Add(uint64(sw))
+		r.Counter("tsn_switch_tx_frames_total", s).Add(uint64(sw))
+		for _, reason := range []string{"queue-full", "no-buffer", "meter", "unknown-dst", "gate", "link"} {
+			r.Counter("tsn_switch_drops_total", s, L("reason", reason))
+		}
+		for p := 0; p < 5+sw%2; p++ {
+			port := L("port", strconv.Itoa(p))
+			for q := 0; q < 8; q++ {
+				// Registered queue-first: lookup sorts, merge must not need to.
+				r.Counter("tsn_queue_enqueues_total", L("queue", strconv.Itoa(q)), s, port).Add(uint64(q))
+				r.Gauge("tsn_queue_depth_high_water", s, port, L("queue", strconv.Itoa(q))).SetMax(int64(q % 3))
+			}
+			r.Gauge("tsn_pool_occupancy", s, port)
+			r.Gauge("tsn_pool_high_water", s, port).SetMax(int64(p))
+			r.Counter("tsn_pool_alloc_failures_total", s, port)
+			for _, g := range []string{"0", "1"} {
+				r.Counter("tsn_gate_rollovers_total", s, port, L("gate", g)).Add(2307)
+			}
+		}
+		r.Counter("tsn_meter_passed_total", s).Add(uint64(sw))
+		r.Counter("tsn_meter_dropped_total", s)
+		r.Histogram("tsn_queue_residence_ns", ExponentialBounds(100, 2, 12), s).Observe(int64(100 * sw))
+		r.Counter("tsn_switch_preemptions_total", s)
+	}
+	for _, o := range []string{"committed", "rolled-back", "rejected"} {
+		r.Counter("tsn_reconfig_txns_total", L("outcome", o))
+	}
+	r.Counter("tsn_reconfig_ops_total", L("phase", "apply"))
+	r.Counter("tsn_reconfig_ops_total", L("phase", "undo"))
+	r.Counter("tsn_reconfig_retries_total")
+	return r
+}
+
+func countSamples(r *Registry) int {
+	n := 0
+	for _, f := range r.Snapshot().Families {
+		n += len(f.Samples)
+	}
+	return n
+}
+
+// TestMergeMatchesReference folds the same sources into two identical
+// destinations, one through Merge and one through the kept pre-PR-16
+// implementation, and requires byte-identical Prometheus and JSON
+// exports after every step.
+func TestMergeMatchesReference(t *testing.T) {
+	bounds := []int64{10, 100, 1000}
+	// Every feature of a source registry the merge has to carry.
+	rich := func(bias int64) *Registry {
+		r := New()
+		r.Help("only_help", "a family nobody instrumented")
+		r.Help("hits_total", "hits")
+		r.Counter("hits_total", L("zone", "z"), L("area", "a")).Add(uint64(3 + bias)) // unsorted at registration
+		r.Counter("hits_total", L("area", "b"), L("zone", "y")).Add(uint64(bias))
+		r.Counter("bare_total").Add(7)
+		r.Gauge("depth_hw", L("q", "0")).SetMax(10 - bias)
+		r.Gauge("depth_hw", L("q", strconv.FormatInt(bias, 10))).SetMax(bias)
+		r.Gauge("negative").Set(-5 - bias)
+		h := r.Histogram("lat_ns", bounds, L("class", "TS"))
+		h.ObserveExemplar(500, "flow=1 seq=1", 40+bias) // equal value: the earlier At must win
+		h.Observe(5000)                                 // +Inf bucket
+		r.Histogram("lat_ns", bounds, L("class", "RC")).ObserveExemplar(50+bias, "flow=2", 9)
+		r.Histogram("lat_ns", bounds, L("class", "BE")).ObserveExemplar(77, "flow=3", 11) // exact (value, At) tie
+		r.Histogram("quiet_ns", bounds)                                                   // registered, never observed
+		r.Help("late_help", "help after registration")
+		return r
+	}
+	steps := []struct {
+		name string
+		dst  func() *Registry
+		srcs func() []*Registry
+	}{
+		{"into empty", New, func() []*Registry { return []*Registry{rich(0)} }},
+		{"into pre-populated", func() *Registry { return rich(0) },
+			func() []*Registry { return []*Registry{rich(1), rich(2), rich(0)} }},
+		{"empty source", func() *Registry { return rich(3) }, func() []*Registry { return []*Registry{New()} }},
+		{"help-only destination family gains a kind", func() *Registry {
+			r := New()
+			r.Help("hits_total", "destination wording")
+			return r
+		}, func() []*Registry { return []*Registry{rich(4)} }},
+		{"mesh partitions in order", New,
+			func() []*Registry { return []*Registry{meshPartitionRegistry(0, 9), meshPartitionRegistry(9, 8)} }},
+	}
+	for _, st := range steps {
+		t.Run(st.name, func(t *testing.T) {
+			got, want := st.dst(), st.dst()
+			refSrcs := st.srcs()
+			for i, src := range st.srcs() {
+				got.Merge(src)
+				referenceMerge(want, refSrcs[i])
+				gp, gj := exportBytes(t, got)
+				wp, wj := exportBytes(t, want)
+				if gp != wp {
+					t.Fatalf("source %d: Prometheus export differs from the reference:\n--- got ---\n%s--- want ---\n%s", i, gp, wp)
+				}
+				if gj != wj {
+					t.Fatalf("source %d: JSON export differs from the reference:\n--- got ---\n%s--- want ---\n%s", i, gj, wj)
+				}
+			}
+			// A merged cell is the cell ordinary registration resolves,
+			// whatever order the caller names the labels in.
+			got.Counter("hits_total", L("zone", "z"), L("area", "a")).Inc()
+			*referenceLookup(want, "hits_total", KindCounter, nil, []Label{L("area", "a"), L("zone", "z")}).c += 1
+			if gp, _ := exportBytes(t, got); gp != snapText(t, want) {
+				t.Fatalf("registration after merge resolved a different cell than the reference")
+			}
+		})
+	}
+
+	// Mismatches still panic, with the same message, destination intact.
+	mismatches := map[string]func() (dst, src *Registry){
+		"kind": func() (*Registry, *Registry) {
+			a, b := rich(0), rich(1)
+			a.Counter("x")
+			b.Gauge("x")
+			return a, b
+		},
+		"bucket count": func() (*Registry, *Registry) {
+			a, b := rich(0), rich(1)
+			a.Histogram("other_ns", []int64{10, 100})
+			b.Histogram("other_ns", []int64{10, 100, 1000})
+			return a, b
+		},
+		"bucket values": func() (*Registry, *Registry) {
+			a, b := rich(0), rich(1)
+			a.Histogram("other_ns", []int64{10, 100})
+			b.Histogram("other_ns", []int64{20, 200})
+			return a, b
+		},
+	}
+	for name, mk := range mismatches {
+		t.Run("mismatch/"+name, func(t *testing.T) {
+			panicOf := func(merge func(dst, src *Registry)) (msg interface{}, after, before string) {
+				dst, src := mk()
+				before = snapText(t, dst)
+				func() {
+					defer func() { msg = recover() }()
+					merge(dst, src)
+				}()
+				return msg, snapText(t, dst), before
+			}
+			gotMsg, gotAfter, before := panicOf((*Registry).Merge)
+			wantMsg, _, _ := panicOf(referenceMerge)
+			if gotMsg == nil || gotMsg != wantMsg {
+				t.Fatalf("panic = %v, reference panicked with %v", gotMsg, wantMsg)
+			}
+			if gotAfter != before {
+				t.Errorf("failed merge corrupted the destination:\n--- before ---\n%s--- after ---\n%s", before, gotAfter)
+			}
+		})
+	}
+}
+
+// BenchmarkRegistryMerge is what mergeResults pays at the end of a
+// 2-partition mesh run: two partition-shaped registries (≈ 13.4 k
+// samples each) folded into an empty one, in order. Budget: ≤ 3.5
+// allocations per merged sample — the sample, its value cell and its
+// key string, plus map and slice growth (≈ 8.9 when every sample's
+// labels were copied, sort.Slice'd and re-keyed through a
+// strings.Builder).
+func BenchmarkRegistryMerge(b *testing.B) {
+	parts := []*Registry{meshPartitionRegistry(0, 105), meshPartitionRegistry(105, 105)}
+	samples := countSamples(parts[0]) + countSamples(parts[1])
+	merge := func() {
+		dst := New()
+		for _, p := range parts {
+			dst.Merge(p)
+		}
+	}
+	perSample := testing.AllocsPerRun(3, merge) / float64(samples)
+	if perSample > 3.5 {
+		b.Fatalf("%.2f allocations per merged sample (%d samples), budget 3.5", perSample, samples)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merge()
+	}
+	b.ReportMetric(perSample, "allocs/sample")
 }

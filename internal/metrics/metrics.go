@@ -24,7 +24,6 @@ package metrics
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -274,6 +273,7 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	keyBuf   []byte // lookup's key scratch, guarded by mu
 }
 
 // New returns an empty registry.
@@ -299,22 +299,29 @@ func (r *Registry) Help(name, help string) {
 	r.families = append(r.families, f)
 }
 
-// labelKey builds the dedup key of a sorted label set.
-func labelKey(labels []Label) string {
-	var b strings.Builder
+// appendLabelKey appends the dedup key of a sorted label set to buf.
+func appendLabelKey(buf []byte, labels []Label) []byte {
 	for _, l := range labels {
-		b.WriteString(l.Key)
-		b.WriteByte(1)
-		b.WriteString(l.Value)
-		b.WriteByte(0)
+		buf = append(buf, l.Key...)
+		buf = append(buf, 1)
+		buf = append(buf, l.Value...)
+		buf = append(buf, 0)
 	}
-	return b.String()
+	return buf
+}
+
+// sortedLabels returns a copy of labels sorted by key.
+func sortedLabels(labels []Label) []Label {
+	sorted := append([]Label(nil), labels...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	return sorted
 }
 
 // lookup finds or creates the cell for (name, labels) of the given
 // kind. Kind mismatches on an existing family panic: they are
-// programming errors at instrumentation sites.
-func (r *Registry) lookup(name string, kind Kind, bounds []int64, labels []Label) *sample {
+// programming errors at instrumentation sites. sorted must be sorted by
+// key; a new cell keeps the slice (read-only from then on).
+func (r *Registry) lookup(name string, kind Kind, bounds []int64, sorted []Label) *sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.byName[name]
@@ -329,10 +336,10 @@ func (r *Registry) lookup(name string, kind Kind, bounds []int64, labels []Label
 	} else if f.kind != kind {
 		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, f.kind, kind))
 	}
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	key := labelKey(sorted)
-	if s, ok := f.byKey[key]; ok {
+	// The key is built in a buffer reused under the lock and becomes a
+	// string only when a cell is inserted.
+	r.keyBuf = appendLabelKey(r.keyBuf[:0], sorted)
+	if s, ok := f.byKey[string(r.keyBuf)]; ok {
 		return s
 	}
 	s := &sample{labels: sorted}
@@ -344,7 +351,7 @@ func (r *Registry) lookup(name string, kind Kind, bounds []int64, labels []Label
 	case KindHistogram:
 		s.h = &histData{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
 	}
-	f.byKey[key] = s
+	f.byKey[string(r.keyBuf)] = s
 	f.samples = append(f.samples, s)
 	return s
 }
@@ -355,7 +362,7 @@ func (r *Registry) Counter(name string, labels ...Label) Counter {
 	if r == nil {
 		return Counter{}
 	}
-	return Counter{v: r.lookup(name, KindCounter, nil, labels).c}
+	return Counter{v: r.lookup(name, KindCounter, nil, sortedLabels(labels)).c}
 }
 
 // Gauge resolves (or creates) a gauge cell and returns its handle.
@@ -363,7 +370,7 @@ func (r *Registry) Gauge(name string, labels ...Label) Gauge {
 	if r == nil {
 		return Gauge{}
 	}
-	return Gauge{v: r.lookup(name, KindGauge, nil, labels).g}
+	return Gauge{v: r.lookup(name, KindGauge, nil, sortedLabels(labels)).g}
 }
 
 // Histogram resolves (or creates) a histogram cell with the given
@@ -378,7 +385,7 @@ func (r *Registry) Histogram(name string, bounds []int64, labels ...Label) Histo
 			panic(fmt.Sprintf("metrics: %s bounds not strictly increasing", name))
 		}
 	}
-	return Histogram{h: r.lookup(name, KindHistogram, bounds, labels).h}
+	return Histogram{h: r.lookup(name, KindHistogram, bounds, sortedLabels(labels)).h}
 }
 
 // CounterValue reads a counter cell without creating it; missing
@@ -447,7 +454,5 @@ func (r *Registry) find(name string, labels []Label) *sample {
 	if !ok {
 		return nil
 	}
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	return f.byKey[labelKey(sorted)]
+	return f.byKey[string(appendLabelKey(nil, sortedLabels(labels)))]
 }

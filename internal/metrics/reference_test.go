@@ -1,29 +1,19 @@
 package metrics
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
 
-// Merge folds every instrument of src into r:
-//
-//   - counters and histograms accumulate (sums of sums, bucket-wise
-//     counts);
-//   - gauges take the maximum — high-water semantics, matching how the
-//     dataplane uses gauges (queue/pool/heap high waters via SetMax).
-//     Snapshot-style gauges (an occupancy at run end) are only
-//     meaningful per run and read as the cross-run worst after a merge;
-//   - help strings and family/sample registration order are preserved:
-//     families (and samples within a family) missing from r are
-//     appended in src's registration order, so merging the same run
-//     sequence in the same order always produces a byte-identical
-//     export.
-//
-// Merge is how the parallel experiment harness keeps the hot path
-// unsynchronized: every worker instruments its own scratch registry,
-// and the harness merges them back in sweep order once the rows are
-// done. Merging a registry into itself panics. Merge locks src while
-// copying and r while applying (never both), so concurrent snapshots
-// stay safe; two goroutines merging two registries into each other
-// concurrently is the caller's bug.
-func (r *Registry) Merge(src *Registry) {
+// The pre-PR-16 Merge and the registration path it ran every source
+// sample through (copy the labels, sort.Slice them, build the key with
+// a strings.Builder), kept verbatim as the oracle for
+// TestMergeMatchesReference and as the "before" of
+// BenchmarkRegistryMerge.
+
+// referenceMerge is the old Registry.Merge.
+func referenceMerge(r, src *Registry) {
 	if r == nil || src == nil {
 		return
 	}
@@ -93,25 +83,22 @@ func (r *Registry) Merge(src *Registry) {
 
 	// ...then apply under r's lock via the normal registration path, so
 	// family/sample ordering matches a serial run registering the same
-	// sequence. A source sample's labels are already sorted and
-	// immutable, so r shares the slice instead of sorting a copy.
-	last := ""
+	// sequence.
 	for _, c := range cells {
-		if c.help != "" && c.name != last {
+		if c.help != "" {
 			r.Help(c.name, c.help)
 		}
-		last = c.name
 		switch c.kind {
 		case KindCounter:
-			s := r.lookup(c.name, KindCounter, nil, c.labels)
+			s := referenceLookup(r, c.name, KindCounter, nil, c.labels)
 			*s.c += c.c
 		case KindGauge:
-			s := r.lookup(c.name, KindGauge, nil, c.labels)
+			s := referenceLookup(r, c.name, KindGauge, nil, c.labels)
 			if c.g > *s.g {
 				*s.g = c.g
 			}
 		case KindHistogram:
-			s := r.lookup(c.name, KindHistogram, c.bounds, c.labels)
+			s := referenceLookup(r, c.name, KindHistogram, c.bounds, c.labels)
 			for i, n := range c.h.counts {
 				s.h.counts[i] += n
 			}
@@ -133,15 +120,52 @@ func (r *Registry) Merge(src *Registry) {
 	}
 }
 
-// equalBounds reports whether two bucket layouts are identical.
-func equalBounds(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
+// referenceLabelKey builds the dedup key of a sorted label set.
+func referenceLabelKey(labels []Label) string {
+	var b strings.Builder
+	for _, l := range labels {
+		b.WriteString(l.Key)
+		b.WriteByte(1)
+		b.WriteString(l.Value)
+		b.WriteByte(0)
 	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
+	return b.String()
+}
+
+// referenceLookup finds or creates the cell for (name, labels) of the given
+// kind. Kind mismatches on an existing family panic: they are
+// programming errors at instrumentation sites.
+func referenceLookup(r *Registry, name string, kind Kind, bounds []int64, labels []Label) *sample {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.byName[name]
+	if !ok {
+		f = &family{name: name, byKey: make(map[string]*sample)}
+		r.byName[name] = f
+		r.families = append(r.families, f)
 	}
-	return true
+	if f.kind == "" {
+		f.kind = kind
+		f.bounds = bounds
+	} else if f.kind != kind {
+		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, f.kind, kind))
+	}
+	sorted := append([]Label(nil), labels...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	key := referenceLabelKey(sorted)
+	if s, ok := f.byKey[key]; ok {
+		return s
+	}
+	s := &sample{labels: sorted}
+	switch kind {
+	case KindCounter:
+		s.c = new(uint64)
+	case KindGauge:
+		s.g = new(int64)
+	case KindHistogram:
+		s.h = &histData{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
+	}
+	f.byKey[key] = s
+	f.samples = append(f.samples, s)
+	return s
 }

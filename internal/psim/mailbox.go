@@ -38,6 +38,8 @@ type Mailbox struct {
 	ring     []Message
 	n        int
 	overflow []Message
+	posts    uint64 // consumer-side: messages ever drained
+	hw       int    // consumer-side: most messages one Drain found
 }
 
 // NewMailbox returns a mailbox with the given ring capacity.
@@ -63,6 +65,8 @@ func (m *Mailbox) Post(msg Message) {
 // receiving engine. Consumer-side only (drain phase). Message slots
 // are cleared so a parked mailbox never pins frame payloads.
 func (m *Mailbox) Drain() {
+	m.posts += uint64(m.Len())
+	m.hw = max(m.hw, m.Len())
 	for i := 0; i < m.n; i++ {
 		msg := &m.ring[i]
 		msg.To.ScheduleRemoteDelivery(msg.Frame, msg.At, msg.Wire)

@@ -2,20 +2,22 @@
 // internal/sim: it shards one large topology into partitions, gives
 // each partition its own event heap (a plain sim.Engine) and worker
 // goroutine, and synchronizes them with barrier-stepped conservative
-// lookahead.
+// windows that start at the earliest pending event.
 //
-// The safe window W is the minimum over cut links (links whose
-// endpoints land in different partitions) of propagation plus
-// store-and-forward serialization of a minimum frame: an event
-// executing at time t in one partition cannot affect another partition
-// before t+W, because the only inter-partition channel is a frame on a
-// cut link, and a frame launched at t is delivered no earlier than
-// t + TxTime(min frame) + prop ≥ t + W. Each partition therefore runs
-// the half-open window [T, T+W) to completion without hearing from its
+// The lookahead W is the minimum over cut links (links whose endpoints
+// land in different partitions) of propagation plus store-and-forward
+// serialization of a minimum frame: an event executing at time t in
+// one partition cannot affect another partition before t+W, because
+// the only inter-partition channel is a frame on a cut link, and a
+// frame launched at t is delivered no earlier than
+// t + TxTime(min frame) + prop ≥ t + W. Before each window every
+// partition publishes its earliest pending instant; from those each
+// worker derives the earliest instant anything could still reach it
+// (Runner.RunUntil) and runs up to there without hearing from its
 // neighbors, the workers barrier, cross-partition deliveries drain
 // from their mailboxes onto the receiving engines, and the next window
-// begins. With no cut links the window is Unbounded and the run
-// degenerates to one uninterrupted serial pass per partition.
+// begins at the next event, however far away. With no cut links the
+// window is Unbounded and each partition runs one serial pass.
 //
 // Determinism contract: merged execution order is a function of the
 // model, not of goroutine scheduling. Same-instant events order by

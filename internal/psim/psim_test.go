@@ -309,3 +309,68 @@ func TestNewRunnerRejectsNonPositiveWindow(t *testing.T) {
 	}()
 	NewRunner([]*Partition{NewPartition(sim.NewEngine())}, 0)
 }
+
+// TestRunnerRoundTripBound pins the next_k+2W term of the window
+// limit. A's earliest event mails idle B, B replies on receipt, and A
+// holds a local event one nanosecond after the reply lands: with no
+// other partition holding anything, only the round-trip bound keeps A
+// from running past an arrival its own message provoked (dropping the
+// term schedules the reply into A's past, which the engine rejects with
+// a panic).
+func TestRunnerRoundTripBound(t *testing.T) {
+	const w = sim.Time(100)
+	ea, eb := sim.NewEngine(), sim.NewEngine()
+	aToB, bToA := NewMailbox(1), NewMailbox(1)
+	pa, pb := NewPartition(ea), NewPartition(eb)
+	pa.AddInbox(bToA)
+	pb.AddInbox(aToB)
+
+	var order []string // A's events, appended by A's worker only
+	recvA := &funcReceiver{engine: ea, prio: 1, fn: func() { order = append(order, "reply") }}
+	recvB := &funcReceiver{engine: eb, prio: 2}
+	recvB.fn = func() {
+		bToA.Post(Message{To: recvA, Frame: &ethernet.Frame{}, At: eb.Now() + w, Wire: 1})
+	}
+	ea.At(0, "send", func(*sim.Engine) {
+		aToB.Post(Message{To: recvB, Frame: &ethernet.Frame{}, At: w, Wire: 1})
+	})
+	ea.At(2*w+1, "local", func(*sim.Engine) { order = append(order, "local") })
+
+	NewRunner([]*Partition{pa, pb}, w).RunUntil(10 * w)
+	if want := []string{"reply", "local"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("A executed %v, want %v", order, want)
+	}
+}
+
+// funcReceiver runs fn when a drained message's delivery executes.
+type funcReceiver struct {
+	engine *sim.Engine
+	prio   uint64
+	fn     func()
+}
+
+func (r *funcReceiver) ScheduleRemoteDelivery(f *ethernet.Frame, at, wire sim.Time) {
+	r.engine.AtPrio(at, r.prio, "rdeliver", func(*sim.Engine) { r.fn() })
+}
+
+// TestRunnerSkipsIdleTime checks windows follow events, not simulated
+// time: two events a second apart cost a window each plus the final one
+// (the fixed-step loop took 1.6 M windows of 612 ns to cross the gap).
+func TestRunnerSkipsIdleTime(t *testing.T) {
+	ea, eb := sim.NewEngine(), sim.NewEngine()
+	ran := 0
+	ea.At(0, "first", func(*sim.Engine) { ran++ })
+	ea.At(sim.Second, "second", func(*sim.Engine) { ran++ })
+	r := NewRunner([]*Partition{NewPartition(ea), NewPartition(eb)}, 612)
+	r.RunUntil(2 * sim.Second)
+	if ran != 2 || ea.Now() != 2*sim.Second || eb.Now() != 2*sim.Second {
+		t.Fatalf("ran %d events, clocks %v/%v", ran, ea.Now(), eb.Now())
+	}
+	st := r.Stats()
+	if st[0].Windows > 4 || st[1].Windows != st[0].Windows {
+		t.Fatalf("%d/%d windows for two events one second apart, want ≤ 4", st[0].Windows, st[1].Windows)
+	}
+	if st[0].Events != 2 || st[1].Events != 0 {
+		t.Fatalf("per-partition events %d/%d, want 2/0", st[0].Events, st[1].Events)
+	}
+}

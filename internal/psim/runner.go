@@ -3,6 +3,7 @@ package psim
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
@@ -16,6 +17,7 @@ import (
 type Partition struct {
 	Engine *sim.Engine
 	inbox  []*Mailbox
+	stats  PartStats // Windows, Busy and Wait; written by the partition's worker only
 }
 
 // NewPartition wraps an engine as a partition.
@@ -66,10 +68,11 @@ func (b *barrier) wait() {
 }
 
 // Runner steps a set of partitions through barrier-synchronized
-// conservative windows.
+// conservative windows, each starting at the earliest pending event.
 type Runner struct {
 	parts  []*Partition
 	window sim.Time
+	next   [][8]sim.Time // next[k][0]: partition k's earliest pending instant; a cache line each
 }
 
 // NewRunner builds a runner over the partitions with the given safe
@@ -83,25 +86,41 @@ func NewRunner(parts []*Partition, window sim.Time) *Runner {
 	if window <= 0 {
 		panic(fmt.Sprintf("psim: non-positive lookahead window %v", window))
 	}
-	return &Runner{parts: parts, window: window}
+	return &Runner{parts: parts, window: window, next: make([][8]sim.Time, len(parts))}
 }
 
-// Window returns the conservative lookahead the runner steps by.
+// Window returns the conservative lookahead W the runner was built with.
 func (r *Runner) Window() sim.Time { return r.window }
+
+// capAdd returns min(t+d, limit) without overflowing (d > 0, limit ≥ 0).
+func capAdd(t, d, limit sim.Time) sim.Time {
+	if t >= limit-d {
+		return limit
+	}
+	return t + d
+}
 
 // RunUntil advances every partition to the deadline, inclusive —
 // the partitioned equivalent of sim.Engine.RunUntil. All engines must
 // agree on the current instant (they do after construction, and after
 // every RunUntil).
 //
-// Per window each worker drains its inboxes, barriers (no engine runs
-// until every drain is done), executes the half-open window [T, T+W)
-// via RunBefore, and barriers again (no drain starts until every
-// producer is quiescent). The final window — when less than W remains
-// — runs RunUntil(deadline) so events at exactly the deadline execute,
-// matching serial semantics; anything posted during it arrives
-// strictly beyond the deadline (arrival ≥ T+W > deadline) and is
-// drained after the last barrier only so no message is silently lost.
+// Per window each worker k drains its inboxes, publishes next_k (its
+// engine's earliest pending instant, Unbounded when idle), barriers (no
+// engine runs until every drain is done), runs the half-open window up
+// to min(other_k+W, next_k+2W, deadline) via RunBefore — other_k being
+// the earliest instant any other partition holds — and barriers again
+// (no drain starts until every producer is quiescent). Nothing reaches
+// k sooner: a frame launched at t arrives at t+W or later, and the one
+// arrival not rooted in another partition's pending event is a reply to
+// k's own earliest message, a round trip after next_k (DESIGN.md §16).
+// The holder of the global minimum always executes it, so idle
+// simulated time costs no windows. Once that minimum is within W of the
+// deadline nothing launched from here on arrives by it, and every
+// worker (the test reads shared data) takes the final window:
+// RunUntil(deadline), so events at exactly the deadline execute as they
+// do serially, then a drain after the last barrier only so no message
+// is silently lost.
 func (r *Runner) RunUntil(deadline sim.Time) {
 	start := r.parts[0].Engine.Now()
 	for _, p := range r.parts[1:] {
@@ -114,26 +133,63 @@ func (r *Runner) RunUntil(deadline sim.Time) {
 	}
 	bar := newBarrier(len(r.parts))
 	var wg sync.WaitGroup
-	for _, p := range r.parts {
+	for k, p := range r.parts {
 		wg.Add(1)
-		go func(p *Partition) {
+		go func(k int, p *Partition) {
 			defer wg.Done()
-			t := start
-			for {
+			mark := time.Now() // the clock is read twice per window, never per event
+			for final := false; !final; {
 				p.drain()
+				mine := p.Engine.NextAt()
+				r.next[k][0] = mine
 				bar.wait()
-				if deadline-t < r.window {
-					p.Engine.RunUntil(deadline)
-					bar.wait()
-					p.drain()
-					return
+				other := Unbounded
+				for j := range r.next {
+					if j != k {
+						other = min(other, r.next[j][0])
+					}
 				}
-				limit := t + r.window
-				p.Engine.RunBefore(limit)
-				t = limit
+				final = min(mine, other) > deadline-r.window
+				begin := time.Now()
+				if final {
+					p.Engine.RunUntil(deadline)
+				} else {
+					limit := capAdd(other, r.window, deadline)
+					p.Engine.RunBefore(capAdd(capAdd(mine, r.window, limit), r.window, limit))
+				}
+				p.stats.Wait += begin.Sub(mark)
+				mark = time.Now()
+				p.stats.Busy += mark.Sub(begin)
+				p.stats.Windows++
 				bar.wait()
 			}
-		}(p)
+			p.drain()
+			p.stats.Wait += time.Since(mark)
+		}(k, p)
 	}
 	wg.Wait()
+}
+
+// PartStats is one partition's share of the runs so far, kept per
+// window and never per event.
+type PartStats struct {
+	Windows    uint64        // barrier pairs stepped (the same in every partition)
+	Events     uint64        // events its engine executed
+	Busy, Wait time.Duration // worker time inside RunBefore/RunUntil, and the rest: barriers, drains
+	Posts      uint64        // messages mailed to it
+	RingHW     int           // deepest any one of its inboxes got between drains
+}
+
+// Stats returns every partition's counters, accumulated over all runs.
+func (r *Runner) Stats() []PartStats {
+	out := make([]PartStats, len(r.parts))
+	for k, p := range r.parts {
+		out[k] = p.stats
+		out[k].Events = p.Engine.Executed()
+		for _, m := range p.inbox {
+			out[k].Posts += m.posts
+			out[k].RingHW = max(out[k].RingHW, m.hw)
+		}
+	}
+	return out
 }

@@ -188,6 +188,14 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending reports how many events are waiting in the queue.
 func (e *Engine) Pending() int { return len(e.queue) }
 
+// NextAt returns the earliest pending instant (the largest Time when idle).
+func (e *Engine) NextAt() Time {
+	if len(e.queue) == 0 {
+		return 1<<63 - 1
+	}
+	return e.queue[0].at
+}
+
 // alloc takes an event struct off the free list, or heap-allocates one
 // when the list is dry (cold start or a new pending-depth high water).
 func (e *Engine) alloc() *event {

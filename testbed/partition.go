@@ -44,11 +44,6 @@ type part struct {
 	ps     *psim.Partition
 }
 
-// mailboxCapacity is the steady-state ring size of one directed cut
-// link's mailbox; bursts beyond it spill to the (never-dropping)
-// overflow slice.
-const mailboxCapacity = 1 << 10
-
 // regFor returns the registry instruments of switch sw resolve
 // against: the partition's scratch registry, or the shared one on
 // serial builds. May be nil (uninstrumented).
@@ -85,6 +80,16 @@ func (n *Net) LookaheadWindow() sim.Time {
 		return 0
 	}
 	return n.runner.Window()
+}
+
+// PartitionStats returns the runner's per-partition account of the run
+// (nil on serial builds). It is deliberately not in the registry: the
+// merged export must equal the serial one byte for byte.
+func (n *Net) PartitionStats() []psim.PartStats {
+	if n.runner == nil {
+		return nil
+	}
+	return n.runner.Stats()
 }
 
 // assignDeliverPrios stamps every interface's stable global index as
@@ -247,7 +252,9 @@ func buildPartitioned(opts Options) (*Net, error) {
 	// cut links additionally reroute their deliveries through a
 	// mailbox per direction, registered as the receiving partition's
 	// inbox in TrunkLinks order (A→B then B→A) so drain order is
-	// deterministic.
+	// deterministic. A ring holds what one direction can launch between
+	// drains: a window spans under 2W (Runner.RunUntil), W is at most this
+	// cable's own lookahead, and launches are a minimum frame time apart.
 	var cuts []psim.CutLink
 	for _, l := range opts.Topo.TrunkLinks() {
 		a := n.Switches[l.A.Switch].Ifc(l.A.Port)
@@ -263,13 +270,15 @@ func buildPartitioned(opts Options) (*Net, error) {
 			{a, b, assign[l.B.Switch]},
 			{b, a, assign[l.A.Switch]},
 		} {
-			m := psim.NewMailbox(mailboxCapacity)
+			cut := psim.CutLink{Prop: opts.CableDelay, Rate: dir.from.Rate()}
+			tx := ethernet.TxTime(ethernet.MinFrameBytes, cut.Rate)
+			m := psim.NewMailbox(int((2*psim.Lookahead([]psim.CutLink{cut})+tx-1)/tx) + 1)
 			n.parts[dir.rxPart].ps.AddInbox(m)
 			rx := dir.to
 			dir.from.SetRemotePost(func(f *ethernet.Frame, at, wire sim.Time) {
 				m.Post(psim.Message{To: rx, Frame: f, At: at, Wire: wire})
 			})
-			cuts = append(cuts, psim.CutLink{Prop: opts.CableDelay, Rate: dir.from.Rate()})
+			cuts = append(cuts, cut)
 		}
 	}
 	n.runner = psim.NewRunner(psParts, psim.Lookahead(cuts))

@@ -172,16 +172,41 @@ func TestPartitionedParityMesh(t *testing.T) {
 	if s, p := serial.Summary(ethernet.ClassTS), par.Summary(ethernet.ClassTS); s != p {
 		t.Fatalf("mesh TS summary differs:\nserial      %+v\npartitioned %+v", s, p)
 	}
+	// The runner's own account: mailbox rings are sized from the window
+	// bound, so the never-dropping overflow slice must have stayed empty.
+	if serial.PartitionStats() != nil {
+		t.Fatalf("serial build reports partition stats: %+v", serial.PartitionStats())
+	}
+	tx := ethernet.TxTime(ethernet.MinFrameBytes, ethernet.Gbps)
+	ringCap := int((2*par.LookaheadWindow()+tx-1)/tx) + 1
+	var events, posts uint64
+	stats := par.PartitionStats()
+	for k, ps := range stats {
+		if ps.RingHW > ringCap {
+			t.Errorf("partition %d: a mailbox held %d messages, ring capacity %d — overflow was used", k, ps.RingHW, ringCap)
+		}
+		if ps.Windows == 0 || ps.Windows != stats[0].Windows {
+			t.Errorf("partition %d stepped %d windows, partition 0 %d", k, ps.Windows, stats[0].Windows)
+		}
+		events += ps.Events
+		posts += ps.Posts
+	}
+	if want := par.Metrics.CounterValue("tsn_sim_events_total"); events != want || posts == 0 {
+		t.Errorf("partition stats count %d events (registry %d) and %d mailbox posts", events, want, posts)
+	}
 }
 
 // TestPartitionedRunIsDeterministic pins run-to-run byte identity of a
 // partitioned run against itself — goroutine scheduling must never leak
 // into results.
 func TestPartitionedRunIsDeterministic(t *testing.T) {
-	_, a := runParity(t, 4)
-	_, b := runParity(t, 4)
+	na, a := runParity(t, 4)
+	nb, b := runParity(t, 4)
 	if a != b {
 		t.Fatalf("two identical partitioned runs diverge:\n%s", firstDiff(a, b))
+	}
+	if wa, wb := na.PartitionStats()[0].Windows, nb.PartitionStats()[0].Windows; wa != wb {
+		t.Fatalf("window count differs run to run: %d vs %d", wa, wb)
 	}
 }
 
