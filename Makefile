@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test short race vet lint bench bench-json bench-compare fuzz chaos crash examples reproduce clean
+.PHONY: all build test short race vet lint loc bench bench-json bench-compare fuzz chaos crash examples reproduce clean
 
 all: build vet test
 
@@ -34,6 +34,14 @@ lint: vet
 	else \
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
+
+# loc prints non-test Go lines per package outside benchmark/, then the
+# total: the number ROADMAP's code budget and every CHANGES.md "line
+# delta per package" are stated in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 bench:
 	go test -bench=. -benchmem .
@@ -88,7 +96,7 @@ crash:
 
 examples:
 	@for ex in quickstart ring-industrial star-production-cell \
-	            platform-compare tas-lowlatency reconfigure gptp-failover \
+	            platform-compare tas-lowlatency gptp-failover \
 	            ring-frer-failover live-reconfigure; do \
 		echo "=== $$ex ==="; go run ./examples/$$ex || exit 1; \
 	done

@@ -62,33 +62,6 @@ func (c *Case) TsnsimArgs(faultsFile, reconfigFile string) []string {
 	return args
 }
 
-// reconfigFile mirrors tsnsim's -reconfig JSON: pointer fields so only
-// the delta's changed resources appear in the file.
-type reconfigFile struct {
-	AtUs        int64 `json:"at_us"`
-	UnicastSize *int  `json:"unicast_size,omitempty"`
-	ClassSize   *int  `json:"class_size,omitempty"`
-	MeterSize   *int  `json:"meter_size,omitempty"`
-	QueueDepth  *int  `json:"queue_depth,omitempty"`
-	BufferNum   *int  `json:"buffer_num,omitempty"`
-}
-
-func reconfigFileFrom(d *Delta) *reconfigFile {
-	rf := &reconfigFile{AtUs: d.AtUs}
-	opt := func(v int) *int {
-		if v > 0 {
-			return &v
-		}
-		return nil
-	}
-	rf.UnicastSize = opt(d.UnicastSize)
-	rf.ClassSize = opt(d.ClassSize)
-	rf.MeterSize = opt(d.MeterSize)
-	rf.QueueDepth = opt(d.QueueDepth)
-	rf.BufferNum = opt(d.BufferNum)
-	return rf
-}
-
 // WriteRepro writes the minimal-repro artifact set for one failure
 // into dir: <name>.repro.json (case + violations + replay argv), and
 // when applicable <name>.faults.json / <name>.reconfig.json sidecars
@@ -115,7 +88,8 @@ func WriteRepro(dir, name string, c Case, violations []Violation) (string, error
 	}
 	if c.Reconfig != nil && !c.Reconfig.empty() {
 		reconfigName = name + ".reconfig.json"
-		if err := writeJSON(filepath.Join(dir, reconfigName), reconfigFileFrom(c.Reconfig)); err != nil {
+		// Delta's JSON tags are tsnsim's -reconfig format.
+		if err := writeJSON(filepath.Join(dir, reconfigName), c.Reconfig); err != nil {
 			return "", err
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
 // Case is one fully-specified chaos scenario. Every field is
@@ -66,6 +67,16 @@ type Case struct {
 	Faults []faults.Fault `json:"faults,omitempty"`
 	// Reconfig, when set, applies a mid-run live reconfiguration.
 	Reconfig *Delta `json:"reconfig,omitempty"`
+}
+
+// params is the case's workload: the tsnsim flag set it replays through.
+func (c *Case) params() workload.Params {
+	return workload.Params{
+		Topology: c.Topology, Switches: c.Switches, TSFlows: c.TSFlows,
+		Hops: c.Hops, WireSize: c.WireSize, SlotUs: c.SlotUs,
+		RCMbps: c.RCMbps, BEMbps: c.BEMbps, FRERFlows: c.FRERFlows,
+		Seed: c.Seed,
+	}
 }
 
 // Delta is a mid-run reconfiguration request: the begin instant plus

@@ -89,12 +89,7 @@ func Generate(p Profile, index int) (Case, error) {
 	// Build the workload once at generation time: it proves the case
 	// constructs, and supplies the base configuration the reconfig
 	// delta doubles from.
-	wl, err := workload.Build(workload.Params{
-		Topology: c.Topology, Switches: c.Switches, TSFlows: c.TSFlows,
-		Hops: c.Hops, WireSize: c.WireSize, SlotUs: c.SlotUs,
-		RCMbps: c.RCMbps, BEMbps: c.BEMbps, FRERFlows: c.FRERFlows,
-		Seed: c.Seed,
-	})
+	wl, err := workload.Build(c.params())
 	if err != nil {
 		return Case{}, fmt.Errorf("chaos: case %d does not build: %w", index, err)
 	}

@@ -30,12 +30,7 @@ type txnRecord struct {
 // distinct from a Result with violations, which means the system under
 // test broke an invariant.
 func Execute(c Case) (*Result, error) {
-	wl, err := workload.Build(workload.Params{
-		Topology: c.Topology, Switches: c.Switches, TSFlows: c.TSFlows,
-		Hops: c.Hops, WireSize: c.WireSize, SlotUs: c.SlotUs,
-		RCMbps: c.RCMbps, BEMbps: c.BEMbps, FRERFlows: c.FRERFlows,
-		Seed: c.Seed,
-	})
+	wl, err := workload.Build(c.params())
 	if err != nil {
 		return nil, fmt.Errorf("chaos: case %d workload: %w", c.Index, err)
 	}
@@ -124,12 +119,7 @@ func stripHeapGauge(export string) string {
 func CheckPartitionParity(c Case, partitions int) *Violation {
 	s := parityStrip(c)
 	run := func(parts int) (string, error) {
-		wl, err := workload.Build(workload.Params{
-			Topology: s.Topology, Switches: s.Switches, TSFlows: s.TSFlows,
-			Hops: s.Hops, WireSize: s.WireSize, SlotUs: s.SlotUs,
-			RCMbps: s.RCMbps, BEMbps: s.BEMbps,
-			Seed: s.Seed,
-		})
+		wl, err := workload.Build(s.params())
 		if err != nil {
 			return "", err
 		}

@@ -11,10 +11,9 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
-	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
-	"github.com/tsnbuilder/tsnbuilder/internal/topology"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
 
@@ -98,14 +97,13 @@ func ShortParams() Params {
 	return Params{TSFlows: 128, Duration: 50 * sim.Millisecond, Seed: 42}
 }
 
-// ringBench assembles the paper's demo network: a 6-switch ring with
-// one TSNNic host per switch, TS flows of a fixed hop count (number of
-// switches traversed), optional RC/BE background on the first hop, and
-// a derived (customized) or commercial design.
+// ringBench is the paper's demo network, built and programmed: a
+// 6-switch ring with one TSNNic host and one background injector per
+// switch, TS flows of a fixed hop count (number of switches traversed),
+// optional RC/BE background, and a derived (customized) or commercial
+// design.
 type ringBench struct {
-	Topo  *topology.Topology
-	Specs []*flows.Spec
-	Net   *testbed.Net
+	Net *testbed.Net
 }
 
 // benchSpec configures buildRing.
@@ -117,7 +115,6 @@ type benchSpec struct {
 	rcMbps    int // per-source RC background
 	beMbps    int // per-source BE background
 	useConfig *core.Config
-	gptp      bool
 	// noITP leaves every TS flow at injection offset zero (the naive
 	// baseline of the ITP ablation).
 	noITP bool
@@ -127,66 +124,44 @@ type benchSpec struct {
 	bufferNum  int
 }
 
-// buildRing constructs and programs the network.
-func buildRing(bs benchSpec) (*ringBench, error) {
-	if bs.wireSize == 0 {
-		bs.wireSize = 64
+// ringParams is the paper's ring as a workload.Build input at the
+// evaluation's defaults: 64 B frames over 3 switches, 65 µs slot, no
+// background. Background flows run from the first three injectors over
+// as many hops as the TS flows, so they share trunks with them.
+func ringParams(p Params) workload.Params {
+	return workload.Params{
+		Topology: "ring", Switches: 6, TSFlows: p.TSFlows,
+		Hops: 3, WireSize: 64, SlotUs: 65, Seed: p.Seed,
 	}
-	if bs.slot == 0 {
-		bs.slot = 65 * sim.Microsecond
-	}
-	if bs.hops == 0 {
-		bs.hops = 3
-	}
-	topo := topology.Ring(6)
-	for h := 0; h < 6; h++ {
-		topo.AttachHost(100+h, h)
-		topo.AttachHost(200+h, h) // background injector per switch
-	}
-	specs := flows.GenerateTS(flows.TSParams{
-		Count:    bs.p.TSFlows,
-		Period:   10 * sim.Millisecond,
-		WireSize: bs.wireSize,
-		VID:      1,
-		Hosts: func(i int) (int, int) {
-			src := i % 6
-			return 100 + src, 100 + (src+bs.hops-1)%6
-		},
-		Seed: bs.p.Seed,
-	})
-	for i, s := range specs {
-		s.VID = uint16(1 + i%4000)
-	}
-	// Background: RC and/or BE from three injectors, two hops each, so
-	// they share trunks with the TS flows.
-	id := uint32(100_000)
-	for src := 0; src < 3; src++ {
-		if bs.rcMbps > 0 {
-			specs = append(specs, flows.Background(id, ethernet.ClassRC,
-				200+src, 100+(src+2)%6, uint16(3000+src), ethernet.Rate(bs.rcMbps)*ethernet.Mbps))
-			id++
-		}
-		if bs.beMbps > 0 {
-			specs = append(specs, flows.Background(id, ethernet.ClassBE,
-				200+src, 100+(src+2)%6, uint16(3200+src), ethernet.Rate(bs.beMbps)*ethernet.Mbps))
-			id++
-		}
-	}
-	if err := core.BindPaths(topo, specs); err != nil {
-		return nil, err
-	}
+}
 
-	der, err := core.DeriveConfig(core.Scenario{Topo: topo, Flows: specs, SlotSize: bs.slot})
+// buildRing constructs and programs the network: workload.Build's ring,
+// then the spec's overrides on top of what it derived.
+func buildRing(bs benchSpec) (*ringBench, error) {
+	wp := ringParams(bs.p)
+	wp.RCMbps, wp.BEMbps = bs.rcMbps, bs.beMbps
+	if bs.hops != 0 {
+		wp.Hops = bs.hops
+	}
+	if bs.wireSize != 0 {
+		wp.WireSize = bs.wireSize
+	}
+	if bs.slot != 0 {
+		wp.SlotUs = int(bs.slot / sim.Microsecond)
+	}
+	w, err := workload.Build(wp)
 	if err != nil {
 		return nil, err
 	}
-	if !bs.noITP {
-		der.Plan.Apply(specs)
+	if bs.noITP {
+		for _, s := range w.Specs {
+			s.Offset = 0
+		}
 	}
-	cfg := der.Config
+	cfg := w.Der.Config
 	if bs.useConfig != nil {
 		cfg = *bs.useConfig
-		cfg.SlotSize = bs.slot
+		cfg.SlotSize = sim.Time(wp.SlotUs) * sim.Microsecond
 	}
 	if bs.queueDepth > 0 {
 		cfg.QueueDepth = bs.queueDepth
@@ -194,22 +169,23 @@ func buildRing(bs benchSpec) (*ringBench, error) {
 	if bs.bufferNum > 0 {
 		cfg.BufferNum = bs.bufferNum
 	}
-	design, err := core.BuilderFor(cfg, nil).Build()
-	if err != nil {
-		return nil, err
+	design := w.Design
+	if cfg != w.Der.Config {
+		if design, err = core.BuilderFor(cfg, nil).Build(); err != nil {
+			return nil, err
+		}
 	}
 	net, err := testbed.Build(testbed.Options{
-		Design:     design,
-		Topo:       topo,
-		Flows:      specs,
-		EnableGPTP: bs.gptp,
-		Seed:       bs.p.Seed,
-		Metrics:    bs.p.Metrics,
+		Design:  design,
+		Topo:    w.Topo,
+		Flows:   w.Specs,
+		Seed:    bs.p.Seed,
+		Metrics: bs.p.Metrics,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &ringBench{Topo: topo, Specs: specs, Net: net}, nil
+	return &ringBench{Net: net}, nil
 }
 
 // run executes the scenario and summarizes the TS class.

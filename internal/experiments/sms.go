@@ -6,10 +6,8 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
-	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/resource"
-	"github.com/tsnbuilder/tsnbuilder/internal/sim"
-	"github.com/tsnbuilder/tsnbuilder/internal/topology"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
 
@@ -31,54 +29,20 @@ type SMSRow struct {
 // RC+BE background.
 func SMSStudy(p Params) ([]SMSRow, error) {
 	build := func(shared int) (*testbed.Net, *core.Derivation, error) {
-		topo := topology.Ring(6)
-		for h := 0; h < 6; h++ {
-			topo.AttachHost(100+h, h)
-			topo.AttachHost(200+h, h)
-		}
-		specs := flows.GenerateTS(flows.TSParams{
-			Count:    p.TSFlows,
-			Period:   10 * sim.Millisecond,
-			WireSize: 64,
-			VID:      1,
-			Hosts: func(i int) (int, int) {
-				src := i % 6
-				return 100 + src, 100 + (src+2)%6
-			},
-			Seed: p.Seed,
-		})
-		for i, s := range specs {
-			s.VID = uint16(1 + i%4000)
-		}
-		id := uint32(100_000)
-		for src := 0; src < 3; src++ {
-			specs = append(specs, flows.Background(id, ethernet.ClassRC,
-				200+src, 100+(src+2)%6, uint16(3000+src), 100*ethernet.Mbps))
-			id++
-			specs = append(specs, flows.Background(id, ethernet.ClassBE,
-				200+src, 100+(src+2)%6, uint16(3200+src), 100*ethernet.Mbps))
-			id++
-		}
-		if err := core.BindPaths(topo, specs); err != nil {
-			return nil, nil, err
-		}
-		der, err := core.DeriveConfig(core.Scenario{Topo: topo, Flows: specs})
-		if err != nil {
-			return nil, nil, err
-		}
-		der.Plan.Apply(specs)
-		design, err := core.BuilderFor(der.Config, nil).Build()
+		wp := ringParams(p)
+		wp.RCMbps, wp.BEMbps = 100, 100
+		w, err := workload.Build(wp)
 		if err != nil {
 			return nil, nil, err
 		}
 		net, err := testbed.Build(testbed.Options{
-			Design: design, Topo: topo, Flows: specs,
+			Design: w.Design, Topo: w.Topo, Flows: w.Specs,
 			SharedBufferNum: shared, Seed: p.Seed,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		return net, der, nil
+		return net, w.Der, nil
 	}
 
 	peakShared := func(net *testbed.Net) int {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -344,5 +345,66 @@ func TestHealthzDegradedIgnoresJournalLength(t *testing.T) {
 	a2000 := testing.AllocsPerRun(100, func() { healthz(long) })
 	if a2000 > a0 {
 		t.Fatalf("/healthz allocations grow with the journal: %.0f at 0 entries, %.0f at 2000", a0, a2000)
+	}
+}
+
+// TestMetricsServiceSectionOrderStable: the service section is rebuilt
+// from a map on every scrape, so its sample order must come from a sort,
+// not from map iteration — every scrape of an idle service is
+// byte-equal, with tsn_svc_requests_total in (route, code) order.
+func TestMetricsServiceSectionOrderStable(t *testing.T) {
+	s, ts := newTestService(t, Options{})
+	for _, rq := range []struct {
+		path, body string
+		code       int
+	}{
+		{"/v1/reconfig", benchDeltaBody(0), http.StatusOK},
+		{"/v1/reconfig", `{"unicast_size":1}`, http.StatusConflict},
+		{"/v1/reconfig", `{`, http.StatusBadRequest},
+		{"/v1/derive", `{"topology":"linear","switches":3,"ts_flows":8}`, http.StatusOK},
+		{"/v1/derive", `{`, http.StatusBadRequest},
+	} {
+		if resp, body := postJSON(t, ts.URL+rq.path, rq.body, nil); resp.StatusCode != rq.code {
+			t.Fatalf("POST %s %s: %d %s, want %d", rq.path, rq.body, resp.StatusCode, body, rq.code)
+		}
+	}
+	if _, err := scrape(ts.URL, nil); err != nil {
+		t.Fatal(err)
+	}
+	section := func() string {
+		var b strings.Builder
+		if err := s.scrapeRegistry().Snapshot().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	// A request is counted after its response is written: wait for the
+	// last one (the scrape above) to land before comparing.
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(section(), MetricRequests+`{code="200",route="metrics"}`) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the /metrics request never showed up in:\n%s", section())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	first := section()
+	var routes []string
+	for _, line := range strings.Split(first, "\n") {
+		if strings.HasPrefix(line, MetricRequests+"{") {
+			var code int
+			var route string
+			if _, err := fmt.Sscanf(line, MetricRequests+`{code="%d",route=%q}`, &code, &route); err != nil {
+				t.Fatalf("sample line %q: %v", line, err)
+			}
+			routes = append(routes, fmt.Sprintf("%s %d", route, code))
+		}
+	}
+	if len(routes) < 6 || !sort.StringsAreSorted(routes) {
+		t.Fatalf("%s samples are not ≥ 6 in (route, code) order: %q", MetricRequests, routes)
+	}
+	for i := 1; i < 20; i++ {
+		if got := section(); got != first {
+			t.Fatalf("scrape %d of an idle service differs from the first:\n%s\n--- first ---\n%s", i, got, first)
+		}
 	}
 }

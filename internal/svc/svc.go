@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -612,18 +613,26 @@ const (
 func (s *Service) scrapeRegistry() *metrics.Registry {
 	reg := metrics.New()
 	reg.Help(MetricRequests, "service requests finished, by route and status code")
-	s.stats.mu.Lock()
-	keys := make([][2]string, 0, len(s.stats.requests))
-	for k := range s.stats.requests {
-		keys = append(keys, k)
+	type requestCount struct {
+		route, code string
+		n           uint64
 	}
-	counters := make(map[[2]string]uint64, len(keys))
-	for _, k := range keys {
-		counters[k] = s.stats.requests[k].Value()
+	s.stats.mu.Lock()
+	counts := make([]requestCount, 0, len(s.stats.requests))
+	for k, c := range s.stats.requests {
+		counts = append(counts, requestCount{k[0], k[1], c.Value()})
 	}
 	s.stats.mu.Unlock()
-	for k, v := range counters {
-		reg.Counter(MetricRequests, metrics.L("route", k[0]), metrics.L("code", k[1])).Add(v)
+	// Samples export in registration order: sort by (route, code) so a
+	// scrape does not depend on map iteration.
+	sort.Slice(counts, func(i, j int) bool {
+		if counts[i].route != counts[j].route {
+			return counts[i].route < counts[j].route
+		}
+		return counts[i].code < counts[j].code
+	})
+	for _, c := range counts {
+		reg.Counter(MetricRequests, metrics.L("route", c.route), metrics.L("code", c.code)).Add(c.n)
 	}
 
 	reg.Help(MetricQueueDepth, "admission queue depth (waiting requests)")

@@ -1,10 +1,12 @@
 // Package workload constructs the canonical tsnsim workload — topology,
 // attached hosts, TS flow set with optional FRER coverage and RC/BE
 // background, derived configuration and built design — from a compact
-// parameter set. It is the single definition both cmd/tsnsim and the
-// chaos campaign engine build from, which is what makes a chaos case
-// replayable through plain tsnsim flags: the same Params always produce
-// byte-identical flow sets and designs.
+// parameter set. It is the single definition cmd/tsnsim, the chaos
+// campaign engine, the tsnserve instance and internal/experiments (the
+// paper's 6-switch ring is Topology "ring", Switches 6) all build from,
+// which is what makes a chaos case replayable through plain tsnsim
+// flags: the same Params always produce byte-identical flow sets and
+// designs.
 package workload
 
 import (

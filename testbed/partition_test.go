@@ -1,10 +1,12 @@
 package testbed
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
@@ -109,6 +111,45 @@ func TestPartitionedParity(t *testing.T) {
 					parts, cls, s, p)
 			}
 		}
+	}
+}
+
+// flowCSV renders the per-flow statistics the way tsnsim -csv does: one
+// line per flow, every field.
+func flowCSV(n *Net) string {
+	var b strings.Builder
+	for _, f := range n.Collector.Flows() {
+		fmt.Fprintf(&b, "%+v\n", *f)
+	}
+	return b.String()
+}
+
+// TestSerialIsOnePartition pins the serial build as the one-partition
+// case of the single builder: Partitions 0 and 1 are the same network —
+// byte-equal exports with nothing normalized, one engine driven
+// directly, no runner — and only a real sharding gives up the single
+// engine and flight recorder.
+func TestSerialIsOnePartition(t *testing.T) {
+	zero, zeroExp := runParity(t, 0)
+	one, oneExp := runParity(t, 1)
+	if zeroExp != oneExp {
+		t.Fatalf("Partitions 0 and 1 export different metrics:\n%s", firstDiff(zeroExp, oneExp))
+	}
+	if a, b := flowCSV(zero), flowCSV(one); a != b || a == "" {
+		t.Fatalf("Partitions 0 and 1 report different per-flow statistics:\n%s", firstDiff(a, b))
+	}
+	for _, n := range []*Net{zero, one} {
+		if n.Partitions() != 1 || n.LookaheadWindow() != 0 || n.PartitionStats() != nil {
+			t.Errorf("serial build: Partitions()=%d LookaheadWindow()=%v PartitionStats()=%v, want 1, 0, nil",
+				n.Partitions(), n.LookaheadWindow(), n.PartitionStats())
+		}
+		if n.Engine == nil || n.Flight == nil {
+			t.Errorf("serial build: Engine=%v Flight=%v, want both set", n.Engine, n.Flight)
+		}
+	}
+	two, _ := runParity(t, 2)
+	if two.Engine != nil || two.Flight != nil {
+		t.Errorf("2-partition build: Engine=%v Flight=%v, want both nil", two.Engine, two.Flight)
 	}
 }
 
@@ -225,6 +266,7 @@ func TestPartitionedRejections(t *testing.T) {
 		mut  func(*Options)
 	}{
 		{"gptp", func(o *Options) { o.EnableGPTP = true }},
+		{"faults", func(o *Options) { o.Faults = &faults.Scenario{} }},
 		{"watchdog", func(o *Options) { o.EnableWatchdog = true }},
 		{"trace", func(o *Options) { o.EnableTrace = true }},
 		{"pcap", func(o *Options) { o.Pcap = &strings.Builder{} }},

@@ -101,7 +101,7 @@ type Options struct {
 
 // Net is a built network ready to run.
 type Net struct {
-	Engine    *sim.Engine
+	Engine    *sim.Engine // nil when partitioned: each part has its own
 	Switches  []*tsnswitch.Switch
 	NICs      map[int]*tsnnic.NIC
 	Collector *analyzer.Collector
@@ -109,7 +109,7 @@ type Net struct {
 	Tracer    *trace.Recorder // nil unless EnableTrace
 	// Flight is the always-on bounded flight recorder every switch
 	// writes into; the attribution layer dumps it on deadline misses,
-	// watchdog degradation and fault injection.
+	// watchdog degradation and fault injection. Nil when partitioned.
 	Flight *trace.Flight
 	// Attr decomposes every delivery's latency into per-flow component
 	// breakdowns; nil unless Options.Metrics is set.
@@ -131,15 +131,15 @@ type Net struct {
 	// Options.EnableWatchdog.
 	Watchdog *reconfig.Watchdog
 
-	// Partitioned-mode state (nil/zero on serial builds): the per-shard
-	// engines with their scratch registries and collectors, the
-	// per-switch partition assignment, the host→partition map and the
-	// barrier-stepped runner. See partition.go.
-	parts    []*part
-	assign   []int
-	hostPart map[int]int
-	runner   *psim.Runner
-	merged   bool
+	// parts are the engines the network runs on, with the state their
+	// switches and NICs record into, and assign maps each switch to its
+	// part. A serial build has one part, which aliases the fields above;
+	// only a build with several has a barrier-stepped runner and, after
+	// its one Run, merged scratch state. See partition.go.
+	parts  []*part
+	assign []int
+	runner *psim.Runner
+	merged bool
 
 	opts  Options
 	specs []*flows.Spec
@@ -180,15 +180,17 @@ type bankKey struct{ sw, port int }
 // miss, small enough to keep resident cost bounded (~4 MB).
 const flightCapacity = 1 << 16
 
-// cbsStallsName/Help label the credit-based shaper stall counter; one
-// definition so serial and partitioned builds register byte-identical
-// families.
+// cbsStallsName/Help label the credit-based shaper stall counter, which
+// applyCBS and Build's family-order pin both register.
 const (
 	cbsStallsName = "tsn_cbs_stalls_total"
 	cbsStallsHelp = "egress selections blocked on negative CBS credit"
 )
 
-// Build assembles the network.
+// Build assembles the network. There is one build: the topology is
+// sharded into min(Options.Partitions, Topo.N) parts, and an ordinary
+// serial network is the one-part case, whose single part aliases the
+// Net's own registry, collector and flight recorder (see partition.go).
 func Build(opts Options) (*Net, error) {
 	if opts.Design == nil || opts.Topo == nil {
 		return nil, fmt.Errorf("testbed: missing design or topology")
@@ -197,13 +199,15 @@ func Build(opts Options) (*Net, error) {
 		opts.CableDelay = 100 * sim.Nanosecond
 	}
 	if opts.Partitions > 1 {
-		return buildPartitioned(opts)
+		if err := validatePartitioned(opts); err != nil {
+			return nil, err
+		}
 	}
-	engine := sim.NewEngine()
 	n := &Net{
-		Engine:    engine,
 		NICs:      make(map[int]*tsnnic.NIC),
 		Collector: analyzer.NewCollector(),
+		Health:    &obs.Health{},
+		Metrics:   opts.Metrics,
 		opts:      opts,
 		specs:     opts.Flows,
 		liveCfg:   opts.Design.Config,
@@ -214,24 +218,13 @@ func Build(opts Options) (*Net, error) {
 			cbsID:    make(map[pq]int),
 		},
 	}
-
 	if opts.EnableTrace {
 		n.Tracer = &trace.Recorder{Limit: 1 << 20}
 	}
-	n.Flight = trace.NewFlight(flightCapacity)
-	n.Health = &obs.Health{}
-	if opts.Metrics != nil {
-		n.Metrics = opts.Metrics
-		opts.Metrics.Help("tsn_sim_events_total", "discrete events executed")
-		opts.Metrics.Help("tsn_sim_heap_depth_high_water", "worst-case scheduler heap depth")
-		engine.Instrument(
-			opts.Metrics.Counter("tsn_sim_events_total"),
-			opts.Metrics.Gauge("tsn_sim_heap_depth_high_water"),
-		)
-		n.Collector.Instrument(opts.Metrics)
-		n.Attr = obs.NewAttribution(opts.Metrics, n.Flight)
-		n.Collector.SetLatencySink(n.Attr)
-	}
+	n.shard(max(1, min(opts.Partitions, opts.Topo.N)))
+	// gPTP, the watchdog and fault injection are rejected above one part,
+	// so where they run part 0's engine is the network's only engine.
+	engine := n.parts[0].engine
 
 	// Access ports run at AccessRate when configured.
 	accessPorts := make(map[topology.Attach]bool)
@@ -242,11 +235,15 @@ func Build(opts Options) (*Net, error) {
 		}
 	}
 
-	// Switches, one per topology node.
+	// Switches, one per topology node, each on its part's engine. The
+	// ascending-ID loop plus psim.Assign's ascending-ID blocks keep every
+	// part registry's per-switch samples in the one-part registration
+	// order.
 	for s := 0; s < opts.Topo.N; s++ {
+		p := n.switchPart(s)
 		cfg := opts.Design.SwitchConfig(s, opts.Topo.PortCount(s))
 		cfg.SharedBufferNum = opts.SharedBufferNum
-		cfg.Metrics = opts.Metrics
+		cfg.Metrics = p.reg
 		if opts.AccessRate > 0 {
 			cfg.PortRates = make([]ethernet.Rate, cfg.Ports)
 			for pt := 0; pt < cfg.Ports; pt++ {
@@ -255,34 +252,48 @@ func Build(opts Options) (*Net, error) {
 				}
 			}
 		}
-		sw := tsnswitch.New(engine, cfg)
+		sw := tsnswitch.New(p.engine, cfg)
 		sw.Tracer = n.Tracer
-		sw.Flight = n.Flight
+		sw.Flight = p.flight
 		n.Switches = append(n.Switches, sw)
 	}
 
-	// Trunk cables.
+	// Trunk cables; the ones whose ends landed in different parts also
+	// get a mailbox per direction, and those cut links set the runner's
+	// lookahead.
+	var cuts []psim.CutLink
 	for _, l := range opts.Topo.TrunkLinks() {
-		netdev.Connect(
-			n.Switches[l.A.Switch].Ifc(l.A.Port),
-			n.Switches[l.B.Switch].Ifc(l.B.Port),
-			opts.CableDelay,
-		)
+		a := n.Switches[l.A.Switch].Ifc(l.A.Port)
+		b := n.Switches[l.B.Switch].Ifc(l.B.Port)
+		netdev.Connect(a, b, opts.CableDelay)
+		if pa, pb := n.switchPart(l.A.Switch), n.switchPart(l.B.Switch); pa != pb {
+			cuts = append(cuts, cutLink(a, b, pb, opts.CableDelay), cutLink(b, a, pa, opts.CableDelay))
+		}
+	}
+	if len(n.parts) > 1 {
+		psParts := make([]*psim.Partition, len(n.parts))
+		for k, p := range n.parts {
+			psParts[k] = p.ps
+		}
+		n.runner = psim.NewRunner(psParts, psim.Lookahead(cuts))
 	}
 
-	// End stations, optionally tapped into a pcap capture.
+	// End stations, optionally tapped into a pcap capture: each NIC
+	// lives on (and records into) the part of the switch it attaches to,
+	// so NIC↔switch cables are never cut.
 	var capture *pcap.Writer
 	if opts.Pcap != nil {
 		capture = pcap.NewWriter(opts.Pcap)
 		n.Capture = capture
 	}
-	for _, h := range opts.Topo.Hosts() {
+	for _, h := range sortedHosts(opts.Topo) {
 		at, _ := opts.Topo.HostAttach(h)
+		p := n.switchPart(at.Switch)
 		nicRate := opts.Design.Config.LinkRate
 		if opts.AccessRate > 0 {
 			nicRate = opts.AccessRate
 		}
-		nic := tsnnic.New(engine, h, nicRate, n.Collector)
+		nic := tsnnic.New(p.engine, h, nicRate, p.coll)
 		netdev.Connect(nic.Ifc(), n.Switches[at.Switch].Ifc(at.Port), opts.CableDelay)
 		if capture != nil {
 			nic.Ifc().SetSniffer(func(f *ethernet.Frame, at sim.Time) {
@@ -323,10 +334,22 @@ func Build(opts Options) (*Net, error) {
 		return nil, err
 	}
 
+	// Family order: the CBS stall family (registered during applyCBS, by
+	// the parts that own RC cells) precedes the reconfiguration families.
+	// Part 0's registry leads the merge and therefore dictates family
+	// order, so it gets the family even when it owns no RC cell — a no-op
+	// when it already has it, which a single part always does.
+	if !opts.DisableCBS && len(n.prog.cbsID) > 0 {
+		n.parts[0].reg.Help(cbsStallsName, cbsStallsHelp)
+	}
+
 	// Live-reconfiguration controller: always present, so fault
 	// scenarios can arm mid-apply failures even before the first
-	// Reconfigure call.
-	n.Reconfig = reconfig.NewController(engine, opts.Metrics)
+	// Reconfigure call. It registers its metric families at construction,
+	// in part 0's registry; a sharded network rejects Reconfigure, so
+	// there it only ever exports zero-valued counters — exactly like a
+	// serial run that never reconfigures.
+	n.Reconfig = reconfig.NewController(engine, n.parts[0].reg)
 
 	// Invariant watchdog over every switch and recovery table.
 	if opts.EnableWatchdog {
@@ -558,10 +581,9 @@ func (n *Net) installFlows(specs []*flows.Spec) ([]pq, error) {
 		if spec.Class == ethernet.ClassRC {
 			n.prog.nextMeter++
 		}
-		// The destination host's collector: in partitioned builds the
-		// flow is received (and its stats kept) on the partition its
+		// The flow is received (and its stats kept) on the part its
 		// listener NIC lives in.
-		coll := n.collectorFor(spec.DstHost)
+		coll := n.hostPart(spec.DstHost).coll
 		coll.RegisterFlow(spec.ID, spec.Class)
 		if spec.Class == ethernet.ClassTS && spec.Deadline > 0 {
 			coll.SetDeadline(spec.ID, spec.Deadline)
@@ -616,7 +638,7 @@ func (n *Net) applyCBS(cells []pq) error {
 		if err := bank.Configure(id, idle, n.liveCfg.LinkRate); err != nil {
 			return fmt.Errorf("testbed: cbs configure: %w", err)
 		}
-		if reg := n.regFor(cell.sw); !attached && reg != nil {
+		if reg := n.switchPart(cell.sw).reg; !attached && reg != nil {
 			reg.Help(cbsStallsName, cbsStallsHelp)
 			bank.For(cell.q).Instrument(reg.Counter(cbsStallsName,
 				metrics.L("switch", strconv.Itoa(cell.sw)),
@@ -722,13 +744,14 @@ func (n *Net) InstallTAS(sch *tas.Schedule) error {
 
 // Run executes the scenario: gPTP (if enabled) converges during warmup,
 // flows generate for duration, then the network drains. Flow generation
-// begins at warmup and stops at warmup+duration.
+// begins at warmup and stops at warmup+duration. A partitioned network
+// runs once: the merge folds scratch state into the shared view, so a
+// second Run would double-count.
 func (n *Net) Run(warmup, duration sim.Time) {
-	if n.parts != nil {
-		n.runPartitioned(warmup, duration)
-		return
+	if n.merged {
+		panic("testbed: partitioned Run may only be called once")
 	}
-	start := n.Engine.Now() + warmup
+	start := n.parts[0].engine.Now() + warmup
 	stop := start + duration
 	n.flowStop = stop
 	for _, spec := range n.specs {
@@ -738,13 +761,18 @@ func (n *Net) Run(warmup, duration sim.Time) {
 		}
 		nic.SetStopTime(stop)
 		spec := spec
-		n.Engine.At(start, fmt.Sprintf("start-flow%d", spec.ID), func(*sim.Engine) {
+		n.hostPart(spec.SrcHost).engine.At(start, fmt.Sprintf("start-flow%d", spec.ID), func(*sim.Engine) {
 			nic.StartFlow(spec)
 		})
 	}
 	// Drain: two slots plus cable time covers any in-flight CQF frame.
 	drain := 4*n.opts.Design.Config.SlotSize + sim.Millisecond
-	n.Engine.RunUntil(stop + drain)
+	if n.runner == nil {
+		n.Engine.RunUntil(stop + drain)
+		return
+	}
+	n.runner.RunUntil(stop + drain)
+	n.mergeResults()
 }
 
 // telemetryPublishInterval is the simulated-time cadence at which the
@@ -844,7 +872,7 @@ func (n *Net) reconfigBindings() reconfig.Bindings {
 // The returned transaction resolves (committed or rolled back) at its
 // CommitTime; inspect State and Err after the engine passes it.
 func (n *Net) Reconfigure(cfg core.Config) (*reconfig.Txn, error) {
-	if n.parts != nil {
+	if n.runner != nil {
 		return nil, fmt.Errorf("testbed: live reconfiguration is not supported in partitioned runs (a commit would touch switches across partition goroutines)")
 	}
 	txn, err := n.Reconfig.Begin(n.liveCfg, cfg, n.reconfigBindings())
@@ -867,7 +895,7 @@ func (n *Net) Reconfigure(cfg core.Config) (*reconfig.Txn, error) {
 // new flows stop with the rest of the workload. On a programming error
 // the tables may hold a partial install.
 func (n *Net) AddFlows(specs []*flows.Spec, start sim.Time) error {
-	if n.parts != nil {
+	if n.runner != nil {
 		return fmt.Errorf("testbed: AddFlows is not supported in partitioned runs (table programming would race the partition workers)")
 	}
 	for _, spec := range specs {
