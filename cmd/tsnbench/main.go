@@ -16,16 +16,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
-	"syscall"
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/experiments"
@@ -54,51 +49,47 @@ func main() {
 	if *metPath != "" || *serve != "" {
 		p.Metrics = metrics.New()
 	}
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "tsnbench:", err)
+		os.Exit(1)
+	}
 	if *serve != "" {
-		if _, err := serveTelemetry(*serve, p.Metrics); err != nil {
-			fmt.Fprintln(os.Stderr, "tsnbench:", err)
-			os.Exit(1)
+		var err error
+		if telemetry, _, err = serveTelemetry(*serve, p.Metrics); err != nil {
+			fail(err)
 		}
 	}
 	csvOut = *csvDir
 	if err := run(*exp, p); err != nil {
-		fmt.Fprintln(os.Stderr, "tsnbench:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	publishTelemetry()
+	publishTelemetry(p.Metrics)
 	if *metPath != "" {
-		if err := writeMetrics(p.Metrics, *metPath, *metJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "tsnbench:", err)
-			os.Exit(1)
+		if err := p.Metrics.Snapshot().WriteFile(*metPath, *metJSON); err != nil {
+			fail(err)
 		}
 	}
-	if *serve != "" {
+	if telemetry != nil {
+		// An interrupted hold after a successful run still exits 0.
 		fmt.Println("telemetry: holding final state — interrupt to exit")
-		<-benchSignals()
-		if err := drainTelemetry(); err != nil {
-			// The server is down either way; an interrupted hold after a
-			// successful run still exits 0.
-			fmt.Println("telemetry: drain timed out, connections force-closed:", err)
+		if err := telemetry.Hold("telemetry", nil, telemetryDrainTimeout); err != nil {
+			fail(err)
 		}
 	}
 }
 
-// benchSignals returns the channel the -serve hold blocks on
-// (SIGINT/SIGTERM); tests swap it for a channel they control.
-var benchSignals = func() <-chan os.Signal {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	return ch
-}
+// telemetry is the -serve server over the accumulated experiment
+// registry; nil without -serve.
+var telemetry *obs.Server
 
 // publishTelemetry refreshes the served snapshot; a no-op without
 // -serve. It only runs at quiescent points (between experiment
 // sections), so it never races the sweeps' hot-path registry writes.
-var publishTelemetry = func() {}
-
-// drainTelemetry gracefully shuts the telemetry server down, draining
-// in-flight requests; a no-op without -serve.
-var drainTelemetry = func() error { return nil }
+func publishTelemetry(reg *metrics.Registry) {
+	if telemetry != nil {
+		telemetry.Publish(reg.Snapshot())
+	}
+}
 
 // telemetryDrainTimeout bounds how long the exit path waits for
 // in-flight requests before force-closing their connections.
@@ -106,51 +97,27 @@ const telemetryDrainTimeout = 5 * time.Second
 
 // serveTelemetry starts the telemetry server over the accumulated
 // experiment registry — /metrics refreshes after every emitted series,
-// /debug/pprof profiles the runner itself live. It returns the bound
-// address and arms drainTelemetry for the graceful exit path.
-func serveTelemetry(addr string, reg *metrics.Registry) (string, error) {
-	srv := obs.NewServer(nil, nil, nil)
+// /debug/pprof profiles the runner itself live — and returns it with
+// the bound address.
+func serveTelemetry(addr string, reg *metrics.Registry) (*obs.Server, string, error) {
+	srv := obs.NewServer(nil, nil)
+	srv.MountPublished(nil)
 	srv.Publish(reg.Snapshot())
-	ln, err := net.Listen("tcp", addr)
+	bound, err := srv.Listen(addr)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
-	go func() { _ = srv.Serve(ln) }()
-	fmt.Printf("telemetry: live on http://%s (/metrics /debug/pprof)\n", ln.Addr())
-	publishTelemetry = func() { srv.Publish(reg.Snapshot()) }
-	drainTelemetry = func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), telemetryDrainTimeout)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
-	return ln.Addr().String(), nil
-}
-
-// writeMetrics dumps the registry to path ("-" = stdout).
-func writeMetrics(reg *metrics.Registry, path string, asJSON bool) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	snap := reg.Snapshot()
-	if asJSON {
-		return snap.WriteJSON(w)
-	}
-	return snap.WritePrometheus(w)
+	fmt.Printf("telemetry: live on http://%s (/metrics /debug/pprof)\n", bound)
+	return srv, bound, nil
 }
 
 // csvOut, when set, receives one CSV file per latency series.
 var csvOut string
 
 // emitSeries prints a series and optionally writes its CSV.
-func emitSeries(id string, s *experiments.Series) error {
+func emitSeries(p experiments.Params, id string, s *experiments.Series) error {
 	fmt.Println(s.String())
-	publishTelemetry()
+	publishTelemetry(p.Metrics)
 	if csvOut == "" {
 		return nil
 	}
@@ -160,83 +127,82 @@ func emitSeries(id string, s *experiments.Series) error {
 	return os.WriteFile(filepath.Join(csvOut, id+".csv"), []byte(s.CSV()), 0o644)
 }
 
-func run(exp string, p experiments.Params) error {
-	all := exp == "all"
-	did := false
+// series is the experiment that computes one latency series and emits
+// it under its own id.
+func series(id string, compute func(experiments.Params) (*experiments.Series, error)) experiment {
+	return experiment{id, func(p experiments.Params) error {
+		s, err := compute(p)
+		if err != nil {
+			return err
+		}
+		return emitSeries(p, id, s)
+	}}
+}
 
-	if all || exp == "table1" {
-		did = true
+// table is the experiment that computes rows and prints them formatted,
+// followed by a blank line.
+func table[R any](id string, study func(experiments.Params) (R, error), format func(R) string) experiment {
+	return experiment{id, func(p experiments.Params) error {
+		rows, err := study(p)
+		if err != nil {
+			return err
+		}
+		fmt.Print(format(rows))
+		fmt.Println()
+		return nil
+	}}
+}
+
+// experiment is one -exp id and what it runs.
+type experiment struct {
+	id  string
+	run func(experiments.Params) error
+}
+
+// catalog is every experiment, in the order -exp all runs them.
+var catalog = []experiment{
+	{"table1", func(experiments.Params) error {
 		fmt.Print(experiments.FormatTableI(experiments.TableI()))
 		fmt.Println()
-	}
-	if all || exp == "fig2" {
-		did = true
+		return nil
+	}},
+	{"fig2", func(p experiments.Params) error {
 		for _, bg := range []string{"BE", "RC"} {
 			for _, cse := range []int{1, 2} {
 				s, err := experiments.Fig2(p, bg, cse)
 				if err != nil {
 					return err
 				}
-				if err := emitSeries(fmt.Sprintf("fig2-%s-case%d", bg, cse), s); err != nil {
+				if err := emitSeries(p, fmt.Sprintf("fig2-%s-case%d", bg, cse), s); err != nil {
 					return err
 				}
 			}
 		}
-	}
-	if all || exp == "table3" {
-		did = true
+		return nil
+	}},
+	{"table3", func(experiments.Params) error {
 		cols, err := experiments.TableIII()
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.FormatTableIII(cols))
-	}
-	figs := map[string]func(experiments.Params) (*experiments.Series, error){
-		"fig7a": experiments.Fig7Hops,
-		"fig7b": experiments.Fig7PktSize,
-		"fig7c": experiments.Fig7Slot,
-		"fig7d": experiments.Fig7Background,
-		"qos":   experiments.CommercialVsCustomizedQoS,
-	}
-	for _, id := range []string{"fig7a", "fig7b", "fig7c", "fig7d", "qos"} {
-		if all || exp == id {
-			did = true
-			s, err := figs[id](p)
-			if err != nil {
-				return err
-			}
-			if err := emitSeries(id, s); err != nil {
-				return err
-			}
-		}
-	}
-	if all || exp == "sync" {
-		did = true
+		return nil
+	}},
+	series("fig7a", experiments.Fig7Hops),
+	series("fig7b", experiments.Fig7PktSize),
+	series("fig7c", experiments.Fig7Slot),
+	series("fig7d", experiments.Fig7Background),
+	series("qos", experiments.CommercialVsCustomizedQoS),
+	{"sync", func(p experiments.Params) error {
 		res := experiments.SyncPrecision(p.Seed)
 		fmt.Printf("E-SYNC — gPTP precision (6-switch ring, ±50ppm oscillators)\n")
 		fmt.Printf("  steady-state worst offset: %v (target < 50ns)\n", res.SteadyState)
 		fmt.Printf("  converged after:           %v\n\n", res.ConvergedAfter)
-	}
-	if all || exp == "itp" {
-		did = true
-		rows, err := experiments.ITPAblation(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatITP(rows))
-		fmt.Println()
-	}
-	if all || exp == "tas" {
-		did = true
-		rows, err := experiments.TASvsCQF(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatTAS(rows))
-		fmt.Println()
-	}
-	if all || exp == "threshold" {
-		did = true
+		return nil
+	}},
+	table("itp", experiments.ITPAblation, experiments.FormatITP),
+	table("tas", experiments.TASvsCQF, experiments.FormatTAS),
+	{"threshold", func(p experiments.Params) error {
 		rows, err := experiments.ThresholdStudy(p)
 		if err != nil {
 			return err
@@ -248,72 +214,16 @@ func run(exp string, p experiments.Params) error {
 		}
 		fmt.Printf("  with depth 6: planned-injection loss %.2f%%, naive-injection loss %.2f%% (highwater %d vs %d)\n\n",
 			100*planned.TSLossRate, 100*naive.TSLossRate, planned.HighWater, naive.HighWater)
-	}
-	if all || exp == "cbs" {
-		did = true
-		rows, err := experiments.CBSStudy(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatCBS(rows))
-		fmt.Println()
-	}
-	if all || exp == "deadline" {
-		did = true
-		rows, err := experiments.DeadlineStudy(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatDeadline(rows))
-		fmt.Println()
-	}
-	if all || exp == "desync" {
-		did = true
-		rows, err := experiments.DesyncStudy(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatDesync(rows))
-		fmt.Println()
-	}
-	if all || exp == "sms" {
-		did = true
-		rows, err := experiments.SMSStudy(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatSMS(rows))
-		fmt.Println()
-	}
-	if all || exp == "preempt" {
-		did = true
-		rows, err := experiments.PreemptStudy(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatPreempt(rows))
-		fmt.Println()
-	}
-	if all || exp == "rate" {
-		did = true
-		rows, err := experiments.RateStudy(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatRate(rows))
-		fmt.Println()
-	}
-	if all || exp == "scale" {
-		did = true
-		rows, err := experiments.ScaleStudy(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatScale(rows))
-		fmt.Println()
-	}
-	if all || exp == "platform" {
-		did = true
+		return nil
+	}},
+	table("cbs", experiments.CBSStudy, experiments.FormatCBS),
+	table("deadline", experiments.DeadlineStudy, experiments.FormatDeadline),
+	table("desync", experiments.DesyncStudy, experiments.FormatDesync),
+	table("sms", experiments.SMSStudy, experiments.FormatSMS),
+	table("preempt", experiments.PreemptStudy, experiments.FormatPreempt),
+	table("rate", experiments.RateStudy, experiments.FormatRate),
+	table("scale", experiments.ScaleStudy, experiments.FormatScale),
+	{"platform", func(experiments.Params) error {
 		rows, err := experiments.PlatformAblation()
 		if err != nil {
 			return err
@@ -323,6 +233,20 @@ func run(exp string, p experiments.Params) error {
 			fmt.Printf("  %-10s %8.1fKb\n", r.Platform, r.TotalKb)
 		}
 		fmt.Println()
+		return nil
+	}},
+}
+
+// run executes experiment exp, or every one in order for "all".
+func run(exp string, p experiments.Params) error {
+	did := false
+	for _, e := range catalog {
+		if exp == "all" || exp == e.id {
+			did = true
+			if err := e.run(p); err != nil {
+				return err
+			}
+		}
 	}
 	if !did {
 		return fmt.Errorf("unknown experiment %q", exp)

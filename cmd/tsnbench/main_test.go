@@ -2,6 +2,8 @@ package main
 
 import (
 	"net/http"
+	"os"
+	"syscall"
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/experiments"
@@ -38,13 +40,11 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 // TestServeTelemetryGracefulDrain checks the -serve exit path: the
-// server answers /metrics while held, drainTelemetry shuts it down
-// cleanly, and the listener stops accepting afterwards.
+// server answers /metrics while held, one signal on the channel handed
+// to Hold shuts it down cleanly, and the listener stops accepting
+// afterwards.
 func TestServeTelemetryGracefulDrain(t *testing.T) {
-	oldPublish, oldDrain := publishTelemetry, drainTelemetry
-	defer func() { publishTelemetry, drainTelemetry = oldPublish, oldDrain }()
-
-	addr, err := serveTelemetry("127.0.0.1:0", metrics.New())
+	srv, addr, err := serveTelemetry("127.0.0.1:0", metrics.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,9 @@ func TestServeTelemetryGracefulDrain(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("/metrics = %d before drain", resp.StatusCode)
 	}
-	if err := drainTelemetry(); err != nil {
+	sig := make(chan os.Signal, 1)
+	sig <- syscall.SIGINT
+	if err := srv.Hold("telemetry", sig, telemetryDrainTimeout); err != nil {
 		t.Fatalf("drain failed: %v", err)
 	}
 	if resp, err := http.Get(base + "/metrics"); err == nil {

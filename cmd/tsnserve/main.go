@@ -10,6 +10,10 @@
 //	GET  /readyz       readiness (breaker, queues, drain state)
 //	GET  /metrics      Prometheus exposition: service section always, simulation
 //	                   section read through the control loop at scrape time
+//	GET  /flows, /flows/{id}, /events, /flightrec, /debug/pprof/
+//	                   the managed network's introspection set, the same
+//	                   one tsnsim -serve answers. pprof is exposed, which
+//	                   is why the default bind is loopback.
 //
 // The daemon is built for overload: bounded admission queues shed with
 // 429 before anything melts, per-request deadlines propagate, a circuit
@@ -25,43 +29,24 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/chaos"
 	"github.com/tsnbuilder/tsnbuilder/internal/svc"
 	"github.com/tsnbuilder/tsnbuilder/internal/wal"
-	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
 type options struct {
 	addr string
 
-	topology string
-	switches int
-	tsFlows  int
-	hops     int
-	wireSize int
-	slotUs   int
-	seed     uint64
-
-	cacheSize     int
-	deriveConc    int
-	deriveQueue   int
-	reconfigQueue int
+	// svc is what the workload and service-tuning flags bind straight
+	// into; the millisecond flags below are converted by svcOptions.
+	svc           svc.Options
 	deriveMs      int
 	reconfigMs    int
-	breakerTrips  int
 	breakerCoolMs int
-	retryMax      int
-	retryUs       int
-
-	stateDir  string
-	ckptEvery int
 
 	chaos         bool
 	chaosSeed     uint64
@@ -78,29 +63,30 @@ type options struct {
 func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("tsnserve", flag.ContinueOnError)
-	fs.StringVar(&o.addr, "addr", "127.0.0.1:9780", "listen address")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:9780", "listen address (loopback by default: /debug/pprof is served)")
 
-	fs.StringVar(&o.topology, "topology", "linear", "managed network topology (star|ring|bidir-ring|linear|tree)")
-	fs.IntVar(&o.switches, "switches", 4, "managed network switch count")
-	fs.IntVar(&o.tsFlows, "ts-flows", 24, "managed network TS flow count")
-	fs.IntVar(&o.hops, "hops", 2, "TS flow hop length")
-	fs.IntVar(&o.wireSize, "wire-size", 200, "TS frame wire size (bytes)")
-	fs.IntVar(&o.slotUs, "slot-us", 65, "CQF slot (µs)")
-	fs.Uint64Var(&o.seed, "seed", 1, "managed network seed")
+	w := &o.svc.Workload
+	fs.StringVar(&w.Topology, "topology", "linear", "managed network topology (star|ring|bidir-ring|linear|tree)")
+	fs.IntVar(&w.Switches, "switches", 4, "managed network switch count")
+	fs.IntVar(&w.TSFlows, "ts-flows", 24, "managed network TS flow count")
+	fs.IntVar(&w.Hops, "hops", 2, "TS flow hop length")
+	fs.IntVar(&w.WireSize, "wire-size", 200, "TS frame wire size (bytes)")
+	fs.IntVar(&w.SlotUs, "slot-us", 65, "CQF slot (µs)")
+	fs.Uint64Var(&w.Seed, "seed", 1, "managed network seed")
 
-	fs.IntVar(&o.cacheSize, "cache-size", 512, "derivation cache entries")
-	fs.IntVar(&o.deriveConc, "derive-concurrency", 4, "concurrent derivations")
-	fs.IntVar(&o.deriveQueue, "derive-queue", 64, "derive admission wait bound")
-	fs.IntVar(&o.reconfigQueue, "reconfig-queue", 16, "reconfig admission wait bound")
+	fs.IntVar(&o.svc.CacheSize, "cache-size", 512, "derivation cache entries")
+	fs.IntVar(&o.svc.DeriveConcurrency, "derive-concurrency", 4, "concurrent derivations")
+	fs.IntVar(&o.svc.DeriveQueue, "derive-queue", 64, "derive admission wait bound")
+	fs.IntVar(&o.svc.ReconfigQueue, "reconfig-queue", 16, "reconfig admission wait bound")
 	fs.IntVar(&o.deriveMs, "derive-deadline-ms", 2000, "default derive deadline (ms)")
 	fs.IntVar(&o.reconfigMs, "reconfig-deadline-ms", 10000, "default reconfig deadline (ms)")
-	fs.IntVar(&o.breakerTrips, "breaker-threshold", 3, "consecutive commit failures that open the breaker")
+	fs.IntVar(&o.svc.BreakerThreshold, "breaker-threshold", 3, "consecutive commit failures that open the breaker")
 	fs.IntVar(&o.breakerCoolMs, "breaker-cooldown-ms", 2000, "breaker open→half-open cooldown (ms)")
-	fs.IntVar(&o.retryMax, "retry-max", 3, "bounded commit retries")
-	fs.IntVar(&o.retryUs, "retry-backoff-us", 0, "commit retry backoff (µs, 0 = one CQF cycle)")
+	fs.IntVar(&o.svc.RetryMax, "retry-max", 3, "bounded commit retries")
+	fs.IntVar(&o.svc.RetryBackoffUs, "retry-backoff-us", 0, "commit retry backoff (µs, 0 = one CQF cycle)")
 
-	fs.StringVar(&o.stateDir, "state-dir", "", "durable state directory (WAL + checkpoints); empty = in-memory only")
-	fs.IntVar(&o.ckptEvery, "checkpoint-every", 16, "fold the journal into a checkpoint every n commits")
+	fs.StringVar(&o.svc.StateDir, "state-dir", "", "durable state directory (WAL + checkpoints); empty = in-memory only")
+	fs.IntVar(&o.svc.CheckpointEvery, "checkpoint-every", 16, "fold the journal into a checkpoint every n commits")
 
 	fs.BoolVar(&o.chaos, "chaos", false, "run the service chaos campaign instead of serving")
 	fs.Uint64Var(&o.chaosSeed, "chaos-seed", 42, "chaos campaign seed")
@@ -118,44 +104,20 @@ func parseFlags(args []string) (*options, error) {
 	return o, nil
 }
 
-func (o *options) workload() workload.Params {
-	return workload.Params{
-		Topology: o.topology, Switches: o.switches, TSFlows: o.tsFlows,
-		Hops: o.hops, WireSize: o.wireSize, SlotUs: o.slotUs, Seed: o.seed,
-	}
-}
-
 func (o *options) svcOptions() svc.Options {
-	return svc.Options{
-		Workload:          o.workload(),
-		CacheSize:         o.cacheSize,
-		DeriveConcurrency: o.deriveConc,
-		DeriveQueue:       o.deriveQueue,
-		ReconfigQueue:     o.reconfigQueue,
-		DeriveDeadline:    time.Duration(o.deriveMs) * time.Millisecond,
-		ReconfigDeadline:  time.Duration(o.reconfigMs) * time.Millisecond,
-		BreakerThreshold:  o.breakerTrips,
-		BreakerCooldown:   time.Duration(o.breakerCoolMs) * time.Millisecond,
-		RetryMax:          o.retryMax,
-		RetryBackoffUs:    o.retryUs,
-		StateDir:          o.stateDir,
-		CheckpointEvery:   o.ckptEvery,
-	}
-}
-
-// serveSignals returns the channel the daemon blocks on
-// (SIGINT/SIGTERM); tests swap it for a channel they control.
-var serveSignals = func() <-chan os.Signal {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	return ch
+	so := o.svc
+	so.DeriveDeadline = time.Duration(o.deriveMs) * time.Millisecond
+	so.ReconfigDeadline = time.Duration(o.reconfigMs) * time.Millisecond
+	so.BreakerCooldown = time.Duration(o.breakerCoolMs) * time.Millisecond
+	return so
 }
 
 // drainTimeout bounds how long shutdown waits for in-flight requests
 // (and the queued commits behind them) before force-closing.
 const drainTimeout = 15 * time.Second
 
-func run(args []string) error {
+// run is the daemon; sig is what ends it (nil: SIGINT/SIGTERM).
+func run(args []string, sig <-chan os.Signal) error {
 	o, err := parseFlags(args)
 	if err != nil {
 		return err
@@ -176,32 +138,21 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", o.addr)
+	addr, err := s.Server().Listen(o.addr)
+	if err == nil {
+		fmt.Printf("tsnserve: managing %s/%d switches, %d TS flows on http://%s\n",
+			o.svc.Workload.Topology, o.svc.Workload.Switches, o.svc.Workload.TSFlows, addr)
+		err = s.Server().Hold("tsnserve", sig, drainTimeout)
+	}
+	// On every way out — a listen that failed included — the instance's
+	// control loop stops and the WAL closes; after a hold the HTTP drain
+	// is already over, so accepted work has resolved.
+	_ = s.Shutdown(context.Background())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("tsnserve: managing %s/%d switches, %d TS flows on http://%s\n",
-		o.topology, o.switches, o.tsFlows, ln.Addr())
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.Serve(ln) }()
-
-	select {
-	case sig := <-serveSignals():
-		fmt.Printf("tsnserve: %v — draining\n", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			// Stuck clients were force-closed; the daemon still exits
-			// cleanly — accepted work resolved before the instance stopped.
-			fmt.Printf("tsnserve: drain timed out, connections force-closed (%v)\n", err)
-		}
-		<-serveErr
-		fmt.Println("tsnserve: drained")
-		return nil
-	case err := <-serveErr:
-		return fmt.Errorf("tsnserve: serve: %w", err)
-	}
+	fmt.Println("tsnserve: drained")
+	return nil
 }
 
 // runChaos runs the service chaos campaign and reports its verdict.
@@ -231,18 +182,24 @@ func runChaos(o *options) error {
 	for _, code := range codes {
 		fmt.Printf("chaos:   status %d × %d\n", code, sum.ByStatus[code])
 	}
-	for _, v := range sum.Violations {
-		fmt.Printf("chaos: VIOLATION %s\n", v)
-	}
-	for _, e := range sum.Errors {
-		fmt.Printf("chaos: ERROR %s\n", e)
-	}
-	if sum.Failed() {
+	if report("chaos", sum.Verdict) {
 		return fmt.Errorf("tsnserve: chaos campaign failed: %d violations, %d errors",
 			len(sum.Violations), len(sum.Errors))
 	}
 	fmt.Println("chaos: PASS — both service oracles held")
 	return nil
+}
+
+// report prints a campaign's violations and errors and reports whether
+// it failed.
+func report(who string, v chaos.Verdict) bool {
+	for _, viol := range v.Violations {
+		fmt.Printf("%s: VIOLATION %s\n", who, viol)
+	}
+	for _, e := range v.Errors {
+		fmt.Printf("%s: ERROR %s\n", who, e)
+	}
+	return v.Failed()
 }
 
 // runCrashChaos runs the crash-recovery campaign, re-executing this
@@ -257,7 +214,7 @@ func runCrashChaos(o *options) error {
 		Seed:       o.chaosSeed,
 		Kills:      o.crashKills,
 		ServerPath: exe,
-		StateDir:   o.stateDir,
+		StateDir:   o.svc.StateDir,
 		Budget:     time.Duration(o.chaosBudgetS) * time.Second,
 		Log: func(format string, args ...any) {
 			fmt.Printf("crash: "+format+"\n", args...)
@@ -268,13 +225,7 @@ func runCrashChaos(o *options) error {
 	}
 	fmt.Printf("crash: %d/%d kills (%d armed, %d torn, %d random), %d acks, %d journal entries recovered\n",
 		sum.Kills, sum.Planned, sum.ArmedKills, sum.TornKills, sum.RandomKills, sum.Accepted, sum.Recovered)
-	for _, v := range sum.Violations {
-		fmt.Printf("crash: VIOLATION %s\n", v)
-	}
-	for _, e := range sum.Errors {
-		fmt.Printf("crash: ERROR %s\n", e)
-	}
-	if sum.Failed() {
+	if report("crash", sum.Verdict) {
 		return fmt.Errorf("tsnserve: crash campaign failed: %d violations, %d errors (state kept at %s)",
 			len(sum.Violations), len(sum.Errors), sum.StateDir)
 	}
@@ -283,7 +234,7 @@ func runCrashChaos(o *options) error {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], nil); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

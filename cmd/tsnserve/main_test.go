@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -28,7 +30,9 @@ func waitReady(t *testing.T, base string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/healthz")
+		// /readyz, not /healthz: a durable daemon is healthy while it still
+		// replays its journal, and answers 503 "recovering" to the API.
+		resp, err := http.Get(base + "/readyz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -37,7 +41,7 @@ func waitReady(t *testing.T, base string) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatal("daemon never became healthy")
+	t.Fatal("daemon never became ready")
 }
 
 // TestServeAndSIGTERMDrain boots the daemon on an ephemeral port,
@@ -46,13 +50,9 @@ func waitReady(t *testing.T, base string) {
 func TestServeAndSIGTERMDrain(t *testing.T) {
 	addr := freePort(t)
 	sig := make(chan os.Signal, 1)
-	oldSignals := serveSignals
-	serveSignals = func() <-chan os.Signal { return sig }
-	defer func() { serveSignals = oldSignals }()
-
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- run([]string{"-addr", addr, "-switches", "2", "-ts-flows", "4"})
+		runErr <- run([]string{"-addr", addr, "-switches", "2", "-ts-flows", "4"}, sig)
 	}()
 	base := "http://" + addr
 	waitReady(t, base)
@@ -102,12 +102,9 @@ func TestStateDirSurvivesRestart(t *testing.T) {
 	life := func(check func(base string)) {
 		addr := freePort(t)
 		sig := make(chan os.Signal, 1)
-		oldSignals := serveSignals
-		serveSignals = func() <-chan os.Signal { return sig }
-		defer func() { serveSignals = oldSignals }()
 		runErr := make(chan error, 1)
 		go func() {
-			runErr <- run([]string{"-addr", addr, "-switches", "2", "-ts-flows", "4", "-state-dir", dir})
+			runErr <- run([]string{"-addr", addr, "-switches", "2", "-ts-flows", "4", "-state-dir", dir}, sig)
 		}()
 		waitReady(t, "http://"+addr)
 		check("http://" + addr)
@@ -156,13 +153,44 @@ func TestStateDirSurvivesRestart(t *testing.T) {
 	})
 }
 
+// TestListenFailureStopsTheInstance: when the address is taken, run
+// fails after the service — control loop, and with -state-dir an open
+// WAL — already exists. The error must come back and nothing of the
+// service may outlive the call.
+func TestListenFailureStopsTheInstance(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for _, extra := range [][]string{nil, {"-state-dir", t.TempDir()}} {
+		args := append([]string{"-addr", ln.Addr().String(), "-switches", "2", "-ts-flows", "4"}, extra...)
+		err := run(args, make(chan os.Signal))
+		if err == nil || !strings.Contains(err.Error(), "address already in use") {
+			t.Fatalf("run %v on an occupied port = %v, want the listen error", extra, err)
+		}
+		// Close waits for the loop to signal done; give the goroutine the
+		// instant it needs to actually return after that.
+		stacks := make([]byte, 1<<20)
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			stacks = stacks[:runtime.Stack(stacks[:cap(stacks)], true)]
+			if !bytes.Contains(stacks, []byte("svc.(*Instance).loop")) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("run %v returned %v but the instance control loop is still running:\n%s", extra, err, stacks)
+			}
+		}
+	}
+}
+
 // TestChaosModeSmoke runs a tiny chaos campaign through the CLI path
 // and expects a clean verdict.
 func TestChaosModeSmoke(t *testing.T) {
 	err := run([]string{
 		"-chaos", "-chaos-requests", "60", "-chaos-clients", "4",
 		"-switches", "2", "-ts-flows", "6", "-chaos-budget-s", "60",
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("chaos mode: %v", err)
 	}
@@ -176,7 +204,7 @@ func TestParseFlagsRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.addr != "127.0.0.1:1234" || o.workload().Topology != "ring" {
+	if o.addr != "127.0.0.1:1234" || o.svc.Workload.Topology != "ring" {
 		t.Fatalf("flags not applied: %+v", o)
 	}
 	if fmt.Sprintf("%v", o.svcOptions().DeriveDeadline) != "2s" {

@@ -15,22 +15,18 @@
 package main
 
 import (
-	"context"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
-	"github.com/tsnbuilder/tsnbuilder/internal/obs"
 	"github.com/tsnbuilder/tsnbuilder/internal/psim"
 	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
@@ -62,6 +58,9 @@ type runOpts struct {
 	deadline   time.Duration
 	tsDeadline time.Duration
 	serve      string
+	// signals ends the -serve hold; nil means the process's own
+	// SIGINT/SIGTERM (tests hand in a channel).
+	signals <-chan os.Signal
 
 	csvPath     string
 	pcapPath    string
@@ -183,7 +182,7 @@ func runWithOutputs(o runOpts) error {
 		fmt.Printf("trace: %d events written to %s\n", net.Tracer.Len(), o.traceJSON)
 	}
 	if o.metricsPath != "" {
-		if err := writeMetrics(net.Metrics, o.metricsPath, o.metricsJSON); err != nil {
+		if err := net.Metrics.Snapshot().WriteFile(o.metricsPath, o.metricsJSON); err != nil {
 			return err
 		}
 	}
@@ -193,59 +192,18 @@ func runWithOutputs(o runOpts) error {
 		}
 	}
 	if o.serve != "" {
+		// The final telemetry state stays queryable until the first
+		// interrupt; a held run that was interrupted still exits 0 — the
+		// simulation itself succeeded.
 		fmt.Printf("telemetry: holding final state on %s — interrupt to exit\n", o.serve)
-		if err := serveHold(net.Server); err != nil {
-			// The drain timed out on a stuck client; the server is down
-			// regardless, and a held -serve that was interrupted still
-			// exits 0 — the simulation itself succeeded.
-			fmt.Printf("telemetry: drain timed out, connections force-closed (%v)\n", err)
-		}
+		return net.Server.Hold("telemetry", o.signals, serveDrainTimeout)
 	}
 	return nil
-}
-
-// serveSignals returns the channel the -serve hold blocks on
-// (SIGINT/SIGTERM); tests swap it for a channel they control.
-var serveSignals = func() <-chan os.Signal {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	return ch
 }
 
 // serveDrainTimeout bounds how long the -serve exit path waits for
 // in-flight requests to finish before force-closing their connections.
 const serveDrainTimeout = 5 * time.Second
-
-// serveHold blocks the -serve run after the simulation finishes so the
-// final telemetry state stays queryable, then shuts the server down
-// gracefully on the first interrupt: the listener closes, streaming
-// endpoints terminate, and in-flight requests drain within
-// serveDrainTimeout. Tests swap it out.
-var serveHold = func(srv *obs.Server) error {
-	<-serveSignals()
-	ctx, cancel := context.WithTimeout(context.Background(), serveDrainTimeout)
-	defer cancel()
-	return srv.Shutdown(ctx)
-}
-
-// writeMetrics dumps the registry to path ("-" = stdout) in Prometheus
-// text exposition or, with asJSON, as an indented JSON snapshot.
-func writeMetrics(reg *metrics.Registry, path string, asJSON bool) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	snap := reg.Snapshot()
-	if asJSON {
-		return snap.WriteJSON(w)
-	}
-	return snap.WritePrometheus(w)
-}
 
 // exit is swapped out by tests; the deadline guard calls it with a
 // non-zero status from the simulation thread.
@@ -467,10 +425,9 @@ func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
 	if rspec != nil {
 		reportReconfig = scheduleReconfig(net, rspec)
 	}
-	var srv *obs.Server
 	if o.serve != "" {
-		var addr string
-		if srv, addr, err = net.Serve(o.serve); err != nil {
+		_, addr, err := net.Serve(o.serve)
+		if err != nil {
 			return nil, err
 		}
 		fmt.Printf("telemetry: live on http://%s (/metrics /healthz /flows /events /flightrec /debug/pprof)\n", addr)
@@ -543,8 +500,8 @@ func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
 	printSummary(reg, wall, net.Tracer)
 	printPartitionStats(net.PartitionStats())
 	printAttribution(net)
-	if srv != nil {
-		srv.Publish(reg.Snapshot())
+	if net.Server != nil {
+		net.Server.Publish(reg.Snapshot())
 	}
 	return net, nil
 }

@@ -9,8 +9,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"github.com/tsnbuilder/tsnbuilder/internal/obs"
 )
 
 // TestServeWithForcedMisses drives a run whose TS deadline is forced to
@@ -49,40 +47,44 @@ func TestServeWithForcedMisses(t *testing.T) {
 
 // TestServeEndpointsDuringHold checks the -serve lifecycle end to end:
 // runWithOutputs serves, holds, and the held server answers /metrics,
-// /healthz and /flows/{id} with live content.
+// /healthz and /flows/{id} with live content until the signal channel
+// it was handed delivers.
 func TestServeEndpointsDuringHold(t *testing.T) {
+	sig := make(chan os.Signal, 1)
 	o := baseOpts()
 	o.tsDeadline = time.Microsecond
 	o.serve = "127.0.0.1:18462"
+	o.signals = sig
 
-	probed := make(chan error, 1)
-	oldHold := serveHold
-	defer func() { serveHold = oldHold }()
-	serveHold = func(*obs.Server) error {
-		probed <- probeServe("http://" + o.serve)
-		return nil
+	done := make(chan error, 1)
+	go func() { done <- runWithOutputs(o) }()
+	// The server is up from before the run; the probe passes once the
+	// final snapshot is published, which is the state the hold keeps.
+	var err error
+	for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if err = probeServe("http://" + o.serve); err == nil {
+			break
+		}
 	}
-	if err := runWithOutputs(o); err != nil {
-		t.Fatal(err)
+	sig <- syscall.SIGINT
+	if runErr := <-done; runErr != nil {
+		t.Fatal(runErr)
 	}
-	if err := <-probed; err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestServeGracefulShutdownOnSignal drives the real serveHold path: a
+// TestServeGracefulShutdownOnSignal drives the real hold-and-drain path: a
 // run holds with the telemetry server live, an NDJSON /events stream
 // is in flight, and one SIGTERM drains everything — the stream ends
 // cleanly, runWithOutputs returns nil (exit 0), and the listener stops
 // accepting new connections.
 func TestServeGracefulShutdownOnSignal(t *testing.T) {
+	sig := make(chan os.Signal, 1)
 	o := baseOpts()
 	o.serve = "127.0.0.1:18463"
-
-	sig := make(chan os.Signal, 1)
-	oldSignals := serveSignals
-	defer func() { serveSignals = oldSignals }()
-	serveSignals = func() <-chan os.Signal { return sig }
+	o.signals = sig
 
 	done := make(chan error, 1)
 	go func() { done <- runWithOutputs(o) }()

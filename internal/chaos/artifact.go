@@ -86,7 +86,7 @@ func WriteRepro(dir, name string, c Case, violations []Violation) (string, error
 			return "", err
 		}
 	}
-	if c.Reconfig != nil && !c.Reconfig.empty() {
+	if c.Reconfig != nil && !c.Reconfig.Empty() {
 		reconfigName = name + ".reconfig.json"
 		// Delta's JSON tags are tsnsim's -reconfig format.
 		if err := writeJSON(filepath.Join(dir, reconfigName), c.Reconfig); err != nil {

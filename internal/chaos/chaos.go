@@ -20,9 +20,9 @@ package chaos
 import (
 	"fmt"
 
-	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/svc"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
@@ -80,42 +80,13 @@ func (c *Case) params() workload.Params {
 }
 
 // Delta is a mid-run reconfiguration request: the begin instant plus
-// absolute new values for the resizable resources (zero = keep live
-// value). Field names match tsnsim's -reconfig JSON so a case's delta
-// serializes directly into a replay file.
+// the service's delta — absolute new values for the resizable resources,
+// zero keeps the live value; Candidate and Empty come with it. The
+// flattened field names match tsnsim's -reconfig JSON, so a case's
+// delta serializes directly into a replay file.
 type Delta struct {
-	AtUs        int64 `json:"at_us"`
-	UnicastSize int   `json:"unicast_size,omitempty"`
-	ClassSize   int   `json:"class_size,omitempty"`
-	MeterSize   int   `json:"meter_size,omitempty"`
-	QueueDepth  int   `json:"queue_depth,omitempty"`
-	BufferNum   int   `json:"buffer_num,omitempty"`
-}
-
-// Candidate overlays the delta's non-zero fields on the live config.
-func (d *Delta) Candidate(cfg core.Config) core.Config {
-	if d.UnicastSize > 0 {
-		cfg.UnicastSize = d.UnicastSize
-	}
-	if d.ClassSize > 0 {
-		cfg.ClassSize = d.ClassSize
-	}
-	if d.MeterSize > 0 {
-		cfg.MeterSize = d.MeterSize
-	}
-	if d.QueueDepth > 0 {
-		cfg.QueueDepth = d.QueueDepth
-	}
-	if d.BufferNum > 0 {
-		cfg.BufferNum = d.BufferNum
-	}
-	return cfg
-}
-
-// empty reports a delta that changes nothing.
-func (d *Delta) empty() bool {
-	return d.UnicastSize == 0 && d.ClassSize == 0 && d.MeterSize == 0 &&
-		d.QueueDepth == 0 && d.BufferNum == 0
+	AtUs int64 `json:"at_us"`
+	svc.ReconfigRequest
 }
 
 // Violation is one oracle failure on one case.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
+	"github.com/tsnbuilder/tsnbuilder/internal/svc"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
@@ -133,11 +134,10 @@ func wedgeCase(t *testing.T) Case {
 		t.Fatal(err)
 	}
 	base := wl.Der.Config
-	c.Reconfig = &Delta{
-		AtUs:        5000,
+	c.Reconfig = &Delta{AtUs: 5000, ReconfigRequest: svc.ReconfigRequest{
 		UnicastSize: 2 * base.UnicastSize,
 		MeterSize:   2 * base.MeterSize,
-	}
+	}}
 	op := 1
 	sw2 := 2
 	a01, b01 := 0, 1

@@ -32,7 +32,6 @@ package chaos
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -41,7 +40,6 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
@@ -104,15 +102,8 @@ type CrashSummary struct {
 	Recovered int `json:"recovered"`
 	// StateDir is where the durable state lives (kept on failure).
 	StateDir string `json:"state_dir"`
-	// Violations holds every oracle failure.
-	Violations []Violation `json:"violations,omitempty"`
-	// Errors holds infrastructure failures (spawn, readiness timeout).
-	Errors []string `json:"errors,omitempty"`
+	Verdict
 }
-
-// Failed reports whether any oracle rejected the run or the drive
-// itself broke.
-func (s *CrashSummary) Failed() bool { return len(s.Violations) > 0 || len(s.Errors) > 0 }
 
 // crashPlan is one round's kill decision, derived purely from the seed.
 type crashPlan struct {
@@ -137,27 +128,10 @@ func planRound(rng *rand.Rand) crashPlan {
 	}
 }
 
-// crashDriver accumulates ground truth across every life of the server.
-type crashDriver struct {
-	client *http.Client
-
-	mu         sync.Mutex
-	acked      map[uint64]svc.ConfigJSON // every 2xx ack, any life
-	seen       map[uint64]svc.ConfigJSON // every journal entry ever observed
-	violations []Violation
-	errors     []string
-}
-
-func (d *crashDriver) errf(format string, args ...any) {
-	d.mu.Lock()
-	d.errors = append(d.errors, fmt.Sprintf(format, args...))
-	d.mu.Unlock()
-}
-
 // serverProc is one life of the tsnserve subprocess.
 type serverProc struct {
+	ctl
 	cmd  *exec.Cmd
-	base string
 	out  *bytes.Buffer
 	done chan error
 }
@@ -176,7 +150,7 @@ func crashFreePort() (int, error) {
 }
 
 // startServer spawns one life of tsnserve on the shared state dir.
-func startServer(serverPath, stateDir string, plan crashPlan) (*serverProc, error) {
+func startServer(client *http.Client, serverPath, stateDir string, plan crashPlan) (*serverProc, error) {
 	port, err := crashFreePort()
 	if err != nil {
 		return nil, fmt.Errorf("free port: %w", err)
@@ -198,8 +172,8 @@ func startServer(serverPath, stateDir string, plan crashPlan) (*serverProc, erro
 		}
 	}
 	p := &serverProc{
+		ctl:  ctl{base: "http://" + addr, client: client},
 		cmd:  exec.Command(serverPath, args...),
-		base: "http://" + addr,
 		out:  &bytes.Buffer{},
 		done: make(chan error, 1),
 	}
@@ -233,7 +207,7 @@ func (p *serverProc) waitExit(timeout time.Duration) (selfExit bool) {
 // waitReady polls /readyz until the server answers 200 (replay done) or
 // the deadline passes. 503 recovering responses along the way are the
 // expected shape of the window.
-func (d *crashDriver) waitReady(p *serverProc, timeout time.Duration) error {
+func (p *serverProc) waitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		select {
@@ -241,7 +215,7 @@ func (d *crashDriver) waitReady(p *serverProc, timeout time.Duration) error {
 			return fmt.Errorf("server died before ready (%v); output:\n%s", err, tail(p.out.String(), 1200))
 		default:
 		}
-		resp, err := d.client.Get(p.base + "/readyz")
+		resp, err := p.client.Get(p.base + "/readyz")
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -262,130 +236,38 @@ func tail(s string, n int) string {
 	return "..." + s[len(s)-n:]
 }
 
-func (d *crashDriver) getJSON(base, path string, v any) error {
-	resp, err := d.client.Get(base + path)
+// verify holds the life's recovered journal and live config to the
+// three crash oracles and returns the journal length.
+func (p *serverProc) verify(l *ledger, round int, initial svc.ConfigJSON) int {
+	journal, live, err := p.state()
 	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// verifyRecovery fetches the recovered journal + live config and holds
-// them to the three crash oracles. Returns the journal length.
-func (d *crashDriver) verifyRecovery(p *serverProc, round int, initial *svc.ConfigJSON) int {
-	var journal []svc.JournalEntry
-	if err := d.getJSON(p.base, "/v1/journal", &journal); err != nil {
-		d.errf("round %d: fetch journal: %v", round, err)
+		l.errf("round %d: %v", round, err)
 		return 0
 	}
-	var live svc.ConfigJSON
-	if err := d.getJSON(p.base, "/v1/config", &live); err != nil {
-		d.errf("round %d: fetch config: %v", round, err)
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	recovered := make(map[uint64]svc.ConfigJSON, len(journal))
-	for i, e := range journal {
-		if e.Seq != uint64(i)+1 {
-			d.violations = append(d.violations, Violation{
-				Oracle: OracleCrashAcceptedLost,
-				Detail: fmt.Sprintf("round %d: journal entry %d has seq %d: sequence gap", round, i, e.Seq),
-			})
-		}
-		recovered[e.Seq] = e.Config
-		if prev, ok := d.seen[e.Seq]; ok && prev != e.Config {
-			d.violations = append(d.violations, Violation{
-				Oracle: OracleCrashJournalImmutable,
-				Detail: fmt.Sprintf("round %d: journal seq %d changed across restart: %+v became %+v", round, e.Seq, prev, e.Config),
-			})
-		}
-		d.seen[e.Seq] = e.Config
-	}
-	// Entries once observed can only be missing if the whole recovered
-	// journal shrank — which the acked check below and the gapless check
-	// above would surface; acked entries are the binding contract.
-	for seq, cfg := range d.acked {
-		got, ok := recovered[seq]
-		if !ok {
-			d.violations = append(d.violations, Violation{
-				Oracle: OracleCrashAcceptedLost,
-				Detail: fmt.Sprintf("round %d: 2xx-acknowledged seq %d missing after recovery", round, seq),
-			})
-			continue
-		}
-		if got != cfg {
-			d.violations = append(d.violations, Violation{
-				Oracle: OracleCrashAcceptedLost,
-				Detail: fmt.Sprintf("round %d: seq %d recovered with different config than acknowledged", round, seq),
-			})
-		}
-	}
-	want := *initial
-	if len(journal) > 0 {
-		want = journal[len(journal)-1].Config
-	}
-	if live != want {
-		d.violations = append(d.violations, Violation{
-			Oracle: OracleCrashLiveIsTail,
-			Detail: fmt.Sprintf("round %d: recovered live config is not the journal tail (live %+v, want %+v)", round, live, want),
-		})
-	}
+	l.check(journal, live, initial, fmt.Sprintf("round %d", round))
 	return len(journal)
 }
 
 // drive fires grow-reconfigurations at the life until stop closes, the
 // request cap is hit, or the server dies under it. Every 2xx is
 // recorded as an ack the kill must not erase.
-func (d *crashDriver) drive(p *serverProc, rng *rand.Rand, initial svc.ConfigJSON, stop <-chan struct{}, maxReqs int) {
+func (p *serverProc) drive(l *ledger, rng *rand.Rand, initial svc.ConfigJSON, stop <-chan struct{}, maxReqs int) {
 	for i := 0; i < maxReqs; i++ {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		var delta svc.ReconfigRequest
-		// Absolute target sizes cycle over small multiples of the
-		// initial configuration: always valid grows-or-sideways moves,
-		// bounded no matter how many lives the campaign runs.
 		m := 2 + rng.Intn(4)
-		switch rng.Intn(3) {
-		case 0:
-			delta.UnicastSize = initial.UnicastSize * m
-		case 1:
-			delta.MeterSize = initial.MeterSize * m
-		default:
-			delta.ClassSize = initial.ClassSize * m
+		status, ack, err := p.postReconfig(growDelta(initial, rng.Intn(3), m))
+		switch {
+		case status == 0:
+			return // the kill landed mid-request: expected, not an error
+		case err != nil:
+			l.errf("%v", err)
+		case status == http.StatusOK:
+			l.ack(ack)
 		}
-		body, _ := json.Marshal(delta)
-		resp, err := d.client.Post(p.base+"/v1/reconfig", "application/json", bytes.NewReader(body))
-		if err != nil {
-			// The kill landed mid-request: expected, not an error.
-			return
-		}
-		rb, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			continue
-		}
-		var rr svc.ReconfigResponse
-		if err := json.Unmarshal(rb, &rr); err != nil {
-			d.errf("reconfig 200 with unparseable body: %v", err)
-			continue
-		}
-		d.mu.Lock()
-		if prev, dup := d.acked[rr.Seq]; dup && prev != rr.Config {
-			d.violations = append(d.violations, Violation{
-				Oracle: OracleCrashAcceptedLost,
-				Detail: fmt.Sprintf("seq %d acknowledged twice with different configs", rr.Seq),
-			})
-		}
-		d.acked[rr.Seq] = rr.Config
-		d.mu.Unlock()
 	}
 }
 
@@ -417,11 +299,8 @@ func RunCrashCampaign(opts CrashOptions) (*CrashSummary, error) {
 		stateDir, ownDir = dir, true
 	}
 
-	d := &crashDriver{
-		client: &http.Client{Timeout: 10 * time.Second},
-		acked:  make(map[uint64]svc.ConfigJSON),
-		seen:   make(map[uint64]svc.ConfigJSON),
-	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	led := newLedger(OracleCrashAcceptedLost, OracleCrashJournalImmutable, OracleCrashLiveIsTail)
 	sum := &CrashSummary{Planned: opts.Kills, StateDir: stateDir}
 	rng := rand.New(rand.NewSource(int64(opts.Seed)))
 	ctx, cancel := context.WithTimeout(context.Background(), opts.Budget)
@@ -436,33 +315,33 @@ func RunCrashCampaign(opts CrashOptions) (*CrashSummary, error) {
 			break
 		}
 		plan := planRound(rng)
-		p, err := startServer(opts.ServerPath, stateDir, plan)
+		p, err := startServer(client, opts.ServerPath, stateDir, plan)
 		if err != nil {
-			d.errf("round %d: %v", round, err)
+			led.errf("round %d: %v", round, err)
 			break
 		}
-		if err := d.waitReady(p, 30*time.Second); err != nil {
-			d.errf("round %d: %v", round, err)
+		if err := p.waitReady(30 * time.Second); err != nil {
+			led.errf("round %d: %v", round, err)
 			p.kill()
 			break
 		}
 		if !haveInitial {
 			// The very first life's pre-commit configuration anchors the
 			// live-is-tail oracle for empty journals.
-			if err := d.getJSON(p.base, "/v1/config", &initial); err != nil {
-				d.errf("round 0: fetch initial config: %v", err)
+			if err := p.getJSON("/v1/config", &initial); err != nil {
+				led.errf("round 0: fetch initial config: %v", err)
 				p.kill()
 				break
 			}
 			haveInitial = true
 		}
-		d.verifyRecovery(p, round, &initial)
+		p.verify(&led, round, initial)
 
 		stop := make(chan struct{})
 		driveDone := make(chan struct{})
 		go func() {
 			defer close(driveDone)
-			d.drive(p, rand.New(rand.NewSource(int64(opts.Seed)*7_919+int64(round))), initial, stop, 40)
+			p.drive(&led, rand.New(rand.NewSource(int64(opts.Seed)*7_919+int64(round))), initial, stop, 40)
 		}()
 		if plan.armed {
 			// The crash hook fires on the Nth WAL append: the load above
@@ -473,11 +352,11 @@ func RunCrashCampaign(opts CrashOptions) (*CrashSummary, error) {
 					sum.TornKills++
 				}
 				if code := p.cmd.ProcessState.ExitCode(); code != CrashHookExitCode {
-					d.errf("round %d: armed life exited %d, want %d; output:\n%s",
+					led.errf("round %d: armed life exited %d, want %d; output:\n%s",
 						round, code, CrashHookExitCode, tail(p.out.String(), 1200))
 				}
 			} else {
-				d.errf("round %d: armed crash (after %d appends) never fired", round, plan.after)
+				led.errf("round %d: armed crash (after %d appends) never fired", round, plan.after)
 			}
 		} else {
 			time.Sleep(plan.delay)
@@ -489,7 +368,7 @@ func RunCrashCampaign(opts CrashOptions) (*CrashSummary, error) {
 		sum.Kills++
 		if (round+1)%10 == 0 {
 			logf("%d/%d kills (%d armed, %d torn, %d random), %d acks so far",
-				round+1, opts.Kills, sum.ArmedKills, sum.TornKills, sum.RandomKills, len(d.acked))
+				round+1, opts.Kills, sum.ArmedKills, sum.TornKills, sum.RandomKills, len(led.acked))
 		}
 	}
 
@@ -497,24 +376,23 @@ func RunCrashCampaign(opts CrashOptions) (*CrashSummary, error) {
 	// gracefully — the clean-shutdown path gets judged by the same
 	// oracles as every crash.
 	if haveInitial {
-		p, err := startServer(opts.ServerPath, stateDir, crashPlan{})
+		p, err := startServer(client, opts.ServerPath, stateDir, crashPlan{})
 		if err != nil {
-			d.errf("final life: %v", err)
-		} else if err := d.waitReady(p, 30*time.Second); err != nil {
-			d.errf("final life: %v", err)
+			led.errf("final life: %v", err)
+		} else if err := p.waitReady(30 * time.Second); err != nil {
+			led.errf("final life: %v", err)
 			p.kill()
 		} else {
-			sum.Recovered = d.verifyRecovery(p, opts.Kills, &initial)
+			sum.Recovered = p.verify(&led, opts.Kills, initial)
 			_ = p.cmd.Process.Signal(syscall.SIGTERM)
 			if !p.waitExit(20 * time.Second) {
-				d.errf("final life: graceful drain timed out")
+				led.errf("final life: graceful drain timed out")
 			}
 		}
 	}
 
-	sum.Accepted = len(d.acked)
-	sum.Violations = d.violations
-	sum.Errors = d.errors
+	sum.Accepted = len(led.acked)
+	sum.Verdict = led.Verdict
 	if ownDir && !sum.Failed() {
 		_ = os.RemoveAll(stateDir)
 	}

@@ -55,7 +55,7 @@ func Execute(c Case) (*Result, error) {
 		net.Reconfig.SetRetryPolicy(c.RetryMax, sim.Time(c.RetryBackoffUs)*sim.Microsecond)
 	}
 	var txns []*txnRecord
-	if c.Reconfig != nil && !c.Reconfig.empty() {
+	if c.Reconfig != nil && !c.Reconfig.Empty() {
 		rec := &txnRecord{}
 		txns = append(txns, rec)
 		d := c.Reconfig

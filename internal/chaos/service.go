@@ -28,14 +28,12 @@ package chaos
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/experiments"
@@ -88,53 +86,26 @@ type ServiceSummary struct {
 	CoherenceProbes int `json:"coherence_probes"`
 	// FaultsArmed counts transient/wedge faults injected mid-campaign.
 	FaultsArmed int `json:"faults_armed"`
-	// Violations holds every oracle failure.
-	Violations []Violation `json:"violations,omitempty"`
-	// Errors holds infrastructure failures (transport errors etc.).
-	Errors []string `json:"errors,omitempty"`
+	Verdict
 }
 
-// Failed reports whether any oracle rejected the run or the drive
-// itself broke.
-func (s *ServiceSummary) Failed() bool { return len(s.Violations) > 0 || len(s.Errors) > 0 }
-
-// acceptedTxn is one client-side 2xx reconfiguration acknowledgment.
-type acceptedTxn struct {
-	seq    uint64
-	config svc.ConfigJSON
-}
-
-// svcDriver is the shared mutable state of one campaign run.
+// svcDriver is the shared mutable state of one campaign run: the
+// client, the ledger (whose mutex also guards the tallies) and the
+// request tallies.
 type svcDriver struct {
-	base   string
-	client *http.Client
+	ctl
+	ledger
 
-	mu         sync.Mutex
-	byStatus   map[int]int64
-	accepted   []acceptedTxn
-	violations []Violation
-	errors     []string
-	probes     int
-	faults     int
-	executed   int
+	byStatus map[int]int64
+	probes   int
+	faults   int
+	executed int
 }
 
 func (d *svcDriver) record(status int) {
 	d.mu.Lock()
 	d.byStatus[status]++
 	d.executed++
-	d.mu.Unlock()
-}
-
-func (d *svcDriver) violate(oracle, format string, args ...any) {
-	d.mu.Lock()
-	d.violations = append(d.violations, Violation{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
-	d.mu.Unlock()
-}
-
-func (d *svcDriver) errf(format string, args ...any) {
-	d.mu.Lock()
-	d.errors = append(d.errors, fmt.Sprintf(format, args...))
 	d.mu.Unlock()
 }
 
@@ -147,6 +118,14 @@ func specPool(seed uint64) []string {
 			2+i%2, 4+2*i, seed)
 	}
 	return specs
+}
+
+func newSvcDriver(base string, timeout time.Duration) *svcDriver {
+	return &svcDriver{
+		ctl:      ctl{base: base, client: &http.Client{Timeout: timeout}},
+		ledger:   newLedger(OracleAcceptedLost, OracleAcceptedLost, OracleAcceptedLost),
+		byStatus: make(map[int]int64),
+	}
 }
 
 // RunServiceCampaign builds a service, drives it with the scripted
@@ -189,13 +168,9 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 		<-serveDone
 	}()
 
-	d := &svcDriver{
-		base:     "http://" + ln.Addr().String(),
-		client:   &http.Client{Timeout: 30 * time.Second},
-		byStatus: make(map[int]int64),
-	}
+	d := newSvcDriver("http://"+ln.Addr().String(), 30*time.Second)
 	specs := specPool(opts.Seed)
-	initial := svc.ToConfigJSON(s.Instance().LiveConfig())
+	initial := s.Instance().LiveConfig()
 
 	ctx := context.Background()
 	if opts.Budget > 0 {
@@ -209,7 +184,11 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 		rng := rand.New(rand.NewSource(int64(opts.Seed)*1_000_003 + int64(i)))
 		switch {
 		case i == wedgeAt:
-			d.armWedgeThenReconfig(s, initial, rng)
+			// The seeded atomicity bug: a commit that dies mid-apply
+			// claiming rolled-back. The response must NOT be 2xx — the
+			// post-commit verification catches the partial state and the
+			// breaker starts tripping.
+			d.armThenReconfig(func() error { return s.Instance().ArmWedge(1) }, initial, rng)
 		case i%11 == 3:
 			d.coherenceProbe(specs[rng.Intn(len(specs))])
 		case i%11 == 6:
@@ -217,36 +196,43 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 		case i%11 == 8:
 			d.slowDerive(specs[rng.Intn(len(specs))])
 		case i%23 == 9:
-			d.armTransientThenReconfig(s, initial, rng)
+			// A transient fault the bounded retry should absorb into a 2xx.
+			d.armThenReconfig(func() error { return s.Instance().ArmTransient(rng.Intn(2), 1) }, initial, rng)
 		case i%29 == 11:
 			d.burst(rng)
 		default:
-			d.derive(specs[rng.Intn(len(specs))], false)
+			d.derive(strings.NewReader(specs[rng.Intn(len(specs))]), false)
 		}
 		return true
 	})
 
+	// The journal oracles run after the drive drains, so they are
+	// interleaving-independent.
+	if journal, live, err := d.state(); err != nil {
+		d.errf("%v", err)
+	} else {
+		d.check(journal, live, initial, "after the drive")
+	}
+	d.checkQueueBound("derive", s.Admission().Derive)
+	d.checkQueueBound("reconfig", s.Admission().Reconfig)
 	sum := &ServiceSummary{
 		Planned:         opts.Requests,
 		Executed:        d.executed,
 		ByStatus:        d.byStatus,
-		Accepted:        len(d.accepted),
+		Accepted:        len(d.acked),
 		CoherenceProbes: d.probes,
 		FaultsArmed:     d.faults,
-		Violations:      d.violations,
-		Errors:          d.errors,
+		Verdict:         d.Verdict,
 	}
-	d.checkAcceptedThenLost(sum, initial)
-	checkQueueBound(sum, "derive", s.Admission().Derive)
-	checkQueueBound(sum, "reconfig", s.Admission().Reconfig)
 	logf("service campaign: %d executed, %d accepted, %d violations",
 		sum.Executed, sum.Accepted, len(sum.Violations))
 	return sum, nil
 }
 
-// derive POSTs a spec and returns the body (nil on any non-200).
-func (d *svcDriver) derive(spec string, fresh bool) []byte {
-	req, err := http.NewRequest(http.MethodPost, d.base+"/v1/derive", strings.NewReader(spec))
+// derive POSTs a spec — fresh bypasses the cache — books the status and
+// returns the body (nil on any non-200).
+func (d *svcDriver) derive(spec io.Reader, fresh bool) []byte {
+	req, err := http.NewRequest(http.MethodPost, d.base+"/v1/derive", spec)
 	if err != nil {
 		d.errf("derive request: %v", err)
 		return nil
@@ -260,7 +246,7 @@ func (d *svcDriver) derive(spec string, fresh bool) []byte {
 		d.errf("derive: %v", err)
 		return nil
 	}
-	body, _ := io.ReadAll(resp.Body)
+	body, _ := io.ReadAll(resp.Body) // a torn body fails the coherence comparison
 	resp.Body.Close()
 	d.record(resp.StatusCode)
 	if resp.StatusCode != http.StatusOK {
@@ -272,8 +258,8 @@ func (d *svcDriver) derive(spec string, fresh bool) []byte {
 // coherenceProbe compares a cached derivation against a fresh
 // recomputation of the same spec: the cache-coherence oracle.
 func (d *svcDriver) coherenceProbe(spec string) {
-	cached := d.derive(spec, false)
-	fresh := d.derive(spec, true)
+	cached := d.derive(strings.NewReader(spec), false)
+	fresh := d.derive(strings.NewReader(spec), true)
 	if cached == nil || fresh == nil {
 		return // shed or deadline — nothing to compare
 	}
@@ -298,20 +284,7 @@ func (d *svcDriver) slowDerive(spec string) {
 		}
 		pw.Close()
 	}()
-	req, err := http.NewRequest(http.MethodPost, d.base+"/v1/derive", pr)
-	if err != nil {
-		d.errf("slow derive request: %v", err)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := d.client.Do(req)
-	if err != nil {
-		d.errf("slow derive: %v", err)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	d.record(resp.StatusCode)
+	d.derive(pr, false)
 }
 
 // burst fires several unique-spec derivations back to back — all cache
@@ -320,7 +293,7 @@ func (d *svcDriver) burst(rng *rand.Rand) {
 	for k := 0; k < 6; k++ {
 		spec := fmt.Sprintf(`{"topology":"ring","switches":%d,"ts_flows":%d,"seed":%d}`,
 			3+rng.Intn(3), 6+rng.Intn(20), rng.Int63())
-		d.derive(spec, false)
+		d.derive(strings.NewReader(spec), false)
 	}
 }
 
@@ -332,42 +305,28 @@ func (d *svcDriver) reconfig(initial svc.ConfigJSON, rng *rand.Rand, allowShrink
 	if allowShrink && rng.Intn(4) == 0 {
 		delta.UnicastSize = 1
 	} else {
-		switch rng.Intn(3) {
-		case 0:
-			delta.UnicastSize = initial.UnicastSize * (2 + rng.Intn(3))
-		case 1:
-			delta.MeterSize = initial.MeterSize * (2 + rng.Intn(3))
-		default:
-			delta.ClassSize = initial.ClassSize * (2 + rng.Intn(3))
-		}
+		table := rng.Intn(3)
+		delta = growDelta(initial, table, 2+rng.Intn(3))
 	}
-	body, _ := json.Marshal(delta)
-	resp, err := d.client.Post(d.base+"/v1/reconfig", "application/json", bytes.NewReader(body))
-	if err != nil {
+	status, ack, err := d.postReconfig(delta)
+	if status == 0 {
 		d.errf("reconfig: %v", err)
 		return
 	}
-	rb, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	d.record(resp.StatusCode)
-	if resp.StatusCode != http.StatusOK {
-		return
+	d.record(status)
+	switch {
+	case err != nil:
+		d.errf("%v", err)
+	case status == http.StatusOK:
+		d.ack(ack)
 	}
-	var rr svc.ReconfigResponse
-	if err := json.Unmarshal(rb, &rr); err != nil {
-		d.errf("reconfig 200 with unparseable body: %v", err)
-		return
-	}
-	d.mu.Lock()
-	d.accepted = append(d.accepted, acceptedTxn{seq: rr.Seq, config: rr.Config})
-	d.mu.Unlock()
 }
 
-// armTransientThenReconfig injects a transient mid-commit fault and
-// immediately transacts: the bounded retry should absorb it into a 2xx.
-func (d *svcDriver) armTransientThenReconfig(s *svc.Service, initial svc.ConfigJSON, rng *rand.Rand) {
-	if err := s.Instance().ArmTransient(rng.Intn(2), 1); err != nil {
-		d.errf("arm transient: %v", err)
+// armThenReconfig injects a mid-commit fault and immediately transacts
+// into it.
+func (d *svcDriver) armThenReconfig(arm func() error, initial svc.ConfigJSON, rng *rand.Rand) {
+	if err := arm(); err != nil {
+		d.errf("arm fault: %v", err)
 		return
 	}
 	d.mu.Lock()
@@ -376,92 +335,8 @@ func (d *svcDriver) armTransientThenReconfig(s *svc.Service, initial svc.ConfigJ
 	d.reconfig(initial, rng, false)
 }
 
-// armWedgeThenReconfig injects the seeded atomicity bug — a commit that
-// dies mid-apply claiming rolled-back — and transacts into it. The
-// response must NOT be 2xx: the post-commit verification catches the
-// partial state and the breaker starts tripping.
-func (d *svcDriver) armWedgeThenReconfig(s *svc.Service, initial svc.ConfigJSON, rng *rand.Rand) {
-	if err := s.Instance().ArmWedge(1); err != nil {
-		d.errf("arm wedge: %v", err)
-		return
-	}
-	d.mu.Lock()
-	d.faults++
-	d.mu.Unlock()
-	d.reconfig(initial, rng, false)
-}
-
-// checkAcceptedThenLost applies the accepted-then-lost oracle: journal
-// and live config fetched over the API after the drive drains.
-func (d *svcDriver) checkAcceptedThenLost(sum *ServiceSummary, initial svc.ConfigJSON) {
-	var journal []svc.JournalEntry
-	if err := d.getJSON("/v1/journal", &journal); err != nil {
-		sum.Errors = append(sum.Errors, fmt.Sprintf("fetch journal: %v", err))
-		return
-	}
-	var live svc.ConfigJSON
-	if err := d.getJSON("/v1/config", &live); err != nil {
-		sum.Errors = append(sum.Errors, fmt.Sprintf("fetch config: %v", err))
-		return
-	}
-	bySeq := make(map[uint64]svc.ConfigJSON, len(journal))
-	for i, e := range journal {
-		if e.Seq != uint64(i+1) {
-			sum.Violations = append(sum.Violations, Violation{
-				Oracle: OracleAcceptedLost,
-				Detail: fmt.Sprintf("journal entry %d has seq %d: sequence gap", i, e.Seq),
-			})
-		}
-		bySeq[e.Seq] = e.Config
-	}
-	for _, a := range d.accepted {
-		got, ok := bySeq[a.seq]
-		if !ok {
-			sum.Violations = append(sum.Violations, Violation{
-				Oracle: OracleAcceptedLost,
-				Detail: fmt.Sprintf("2xx-acknowledged seq %d missing from journal", a.seq),
-			})
-			continue
-		}
-		if got != a.config {
-			sum.Violations = append(sum.Violations, Violation{
-				Oracle: OracleAcceptedLost,
-				Detail: fmt.Sprintf("seq %d: acknowledged config differs from journal", a.seq),
-			})
-		}
-	}
-	// The configuration in force is the journal tail (or the initial
-	// configuration when nothing ever committed): a rolled-back or
-	// wedged transaction must never move it.
-	want := initial
-	if len(journal) > 0 {
-		want = journal[len(journal)-1].Config
-	}
-	if live != want {
-		sum.Violations = append(sum.Violations, Violation{
-			Oracle: OracleAcceptedLost,
-			Detail: "live config is not the journal tail: accepted state lost or unaccepted state live",
-		})
-	}
-}
-
-func checkQueueBound(sum *ServiceSummary, name string, q *svc.ClassQueue) {
+func (d *svcDriver) checkQueueBound(name string, q *svc.ClassQueue) {
 	if hw := q.DepthHW.Value(); hw > q.MaxWait() {
-		sum.Violations = append(sum.Violations, Violation{
-			Oracle: OracleQueueBounded,
-			Detail: fmt.Sprintf("%s queue high water %d exceeded bound %d", name, hw, q.MaxWait()),
-		})
+		d.violate(OracleQueueBounded, "%s queue high water %d exceeded bound %d", name, hw, q.MaxWait())
 	}
-}
-
-func (d *svcDriver) getJSON(path string, v any) error {
-	resp, err := d.client.Get(d.base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }

@@ -16,32 +16,32 @@ import (
 // timing the Gate Ctrl template needs.
 type Config struct {
 	// set_switch_tbl
-	UnicastSize   int
-	MulticastSize int
+	UnicastSize   int `json:"unicast_size"`
+	MulticastSize int `json:"multicast_size"`
 	// set_class_tbl
-	ClassSize int
+	ClassSize int `json:"class_size"`
 	// set_meter_tbl
-	MeterSize int
+	MeterSize int `json:"meter_size"`
 	// set_gate_tbl
-	GateSize int
-	QueueNum int
-	PortNum  int
+	GateSize int `json:"gate_size"`
+	QueueNum int `json:"queue_num"`
+	PortNum  int `json:"port_num"`
 	// set_cbs_tbl
-	CBSMapSize int
-	CBSSize    int
+	CBSMapSize int `json:"cbs_map_size"`
+	CBSSize    int `json:"cbs_size"`
 	// set_queues
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// set_buffers
-	BufferNum int
+	BufferNum int `json:"buffer_num"`
 	// set_frer_tbl — the eighth resource class (802.1CB sequence
 	// recovery), optional: zero means no FRER hardware is generated.
-	FRERSize    int
-	FRERHistory int
+	FRERSize    int `json:"frer_size"`
+	FRERHistory int `json:"frer_history"`
 
 	// SlotSize is the gate time slot (65 µs in the evaluation).
-	SlotSize sim.Time
+	SlotSize sim.Time `json:"slot_ns"`
 	// LinkRate is the port line rate (1 Gbps in the evaluation).
-	LinkRate ethernet.Rate
+	LinkRate ethernet.Rate `json:"link_rate_bps"`
 }
 
 // Builder accumulates a Config through the Table II APIs. Methods

@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -187,4 +189,21 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
+}
+
+// WriteFile exports the snapshot to path ("-": stdout) as Prometheus
+// text exposition or, with asJSON, as an indented JSON snapshot.
+func (s Snapshot) WriteFile(path string, asJSON bool) error {
+	write := s.WritePrometheus
+	if asJSON {
+		write = s.WriteJSON
+	}
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o666)
 }

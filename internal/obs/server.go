@@ -4,13 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
+	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
@@ -50,23 +54,21 @@ func (h *Health) Status() (degraded bool, detail string, audits, violations uint
 	return h.degraded, h.detail, h.audits, h.violations
 }
 
-// Server is the live telemetry HTTP handler: Prometheus /metrics (from
-// the last published snapshot — the hot path's unsynchronized cells are
-// never read live), /metrics.json, /healthz, /flows and /flows/{id}
-// latency breakdowns, an NDJSON /events stream off the flight recorder,
-// /flightrec miss dumps, and /debug/pprof. Construct with NewServer,
-// publish snapshots from the simulation thread with Publish, and serve
-// via Handler.
+// Server is the one HTTP server in the repository. It always serves the
+// introspection set — /flows and /flows/{id} latency breakdowns, an
+// NDJSON /events stream off the flight recorder, /flightrec miss dumps,
+// /debug/pprof — and owns the listener (Listen or Serve, Hold, Shutdown).
+// The rest is mounted with Handle: MountPublished, or svc.Service's API.
 type Server struct {
 	mux    *http.ServeMux
 	snap   atomic.Value // metrics.Snapshot
 	attr   *Attribution
 	flight *trace.Flight
-	health *Health
 
-	// httpSrv is built eagerly so Serve (listener goroutine) and
-	// Shutdown (signal handler) never race on its existence.
+	// httpSrv is built eagerly so Serve and Shutdown never race on its
+	// existence; served is the result of the Serve that Listen started.
 	httpSrv *http.Server
+	served  chan error
 	// closing is closed by Shutdown so streaming handlers (/events)
 	// terminate promptly — net/http's graceful Shutdown waits for
 	// in-flight requests but does not cancel their contexts, and an
@@ -75,28 +77,41 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// NewServer wires the endpoint set. Any of attr, flight, health may be
-// nil; the corresponding endpoints degrade gracefully (404/empty).
-func NewServer(attr *Attribution, flight *trace.Flight, health *Health) *Server {
+// NewServer wires the introspection set. Either argument may be nil;
+// the corresponding endpoints degrade gracefully (404/empty).
+func NewServer(attr *Attribution, flight *trace.Flight) *Server {
 	s := &Server{
-		mux: http.NewServeMux(), attr: attr, flight: flight, health: health,
-		closing: make(chan struct{}),
+		mux: http.NewServeMux(), attr: attr, flight: flight,
+		served: make(chan error, 1), closing: make(chan struct{}),
 	}
 	s.httpSrv = &http.Server{Handler: s.mux}
 	s.snap.Store(metrics.Snapshot{})
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/flows", s.handleFlows)
-	s.mux.HandleFunc("/flows/", s.handleFlow)
-	s.mux.HandleFunc("/events", s.handleEvents)
-	s.mux.HandleFunc("/flightrec", s.handleFlightrec)
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s.Handle("/flows", s.handleFlows)
+	s.Handle("/flows/", s.handleFlow)
+	s.Handle("/events", s.handleEvents)
+	s.Handle("/flightrec", s.handleFlightrec)
+	// Importing net/http/pprof registers its handlers on the default mux.
+	s.Handle("/debug/pprof/", http.DefaultServeMux.ServeHTTP)
 	return s
+}
+
+// Handle mounts one more route; call it before serving.
+func (s *Server) Handle(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
+
+// MountPublished mounts the simulation binaries' set: /metrics[.json]
+// from the last Publish, /healthz from the health board (nil: always ok).
+func (s *Server) MountPublished(health *Health) {
+	s.Handle("/metrics", s.published("text/plain; version=0.0.4; charset=utf-8", metrics.Snapshot.WritePrometheus))
+	s.Handle("/metrics.json", s.published("application/json", metrics.Snapshot.WriteJSON))
+	s.Handle("/healthz", health.serve)
+}
+
+// published serves the last published snapshot in one export format.
+func (s *Server) published(ctype string, write func(metrics.Snapshot, io.Writer) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", ctype)
+		_ = write(s.snap.Load().(metrics.Snapshot), w)
+	}
 }
 
 // Publish stores a registry snapshot for /metrics to serve. Call it
@@ -108,11 +123,49 @@ func (s *Server) Publish(snap metrics.Snapshot) { s.snap.Store(snap) }
 // Handler returns the HTTP handler serving every endpoint.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Serve accepts connections on ln until Shutdown. It owns the
-// underlying http.Server, so in-flight requests can be drained
-// gracefully; like http.Serve it always returns a non-nil error
-// (http.ErrServerClosed after a clean Shutdown).
+// Serve accepts connections on ln until Shutdown. Like http.Serve it
+// always returns a non-nil error (http.ErrServerClosed after a clean
+// Shutdown).
 func (s *Server) Serve(ln net.Listener) error { return s.httpSrv.Serve(ln) }
+
+// Listen binds addr, serves it on a goroutine until Shutdown and
+// returns the bound address; Hold waits on that goroutine.
+func (s *Server) Listen(addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
+	}
+	go func() { s.served <- s.Serve(ln) }()
+	return ln.Addr().String(), nil
+}
+
+// Hold blocks a process that called Listen until sig delivers (nil: its
+// own SIGINT/SIGTERM), then drains within the timeout. A drain that had
+// to force-close stuck clients is reported under who, not returned: the
+// server is down either way. The only error is a Serve that failed.
+func (s *Server) Hold(who string, sig <-chan os.Signal, drain time.Duration) error {
+	if sig == nil {
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+		sig = ch
+	}
+	select {
+	case got := <-sig:
+		fmt.Printf("%s: %v — draining\n", who, got)
+	case err := <-s.served:
+		return fmt.Errorf("%s: serve: %w", who, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		fmt.Printf("%s: drain timed out, connections force-closed (%v)\n", who, err)
+	}
+	<-s.served
+	return nil
+}
+
+// Closing is closed when Shutdown begins.
+func (s *Server) Closing() <-chan struct{} { return s.closing }
 
 // Shutdown drains the server: the listener closes immediately, idle
 // connections drop, streaming endpoints are told to finish, and
@@ -128,26 +181,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.snap.Load().(metrics.Snapshot)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = snap.WritePrometheus(w)
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	snap := s.snap.Load().(metrics.Snapshot)
+// serve answers /healthz from the board; a nil board is always ok.
+func (h *Health) serve(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = snap.WriteJSON(w)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.health == nil {
-		w.WriteHeader(http.StatusOK)
+	if h == nil {
 		fmt.Fprintln(w, `{"status":"ok"}`)
 		return
 	}
-	degraded, detail, audits, violations := s.health.Status()
+	degraded, detail, audits, violations := h.Status()
 	status := "ok"
 	code := http.StatusOK
 	if degraded {

@@ -8,7 +8,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -27,7 +29,8 @@ func testServer(t *testing.T) (*Server, *Health, *metrics.Registry) {
 	attr := NewAttribution(reg, fl)
 	attr.ObserveLatency(spanFrame(7, 1, ethernet.ClassTS, 5000), 6000, 5000, true)
 	health := &Health{}
-	srv := NewServer(attr, fl, health)
+	srv := NewServer(attr, fl)
+	srv.MountPublished(health)
 	srv.Publish(reg.Snapshot())
 	return srv, health, reg
 }
@@ -134,7 +137,8 @@ func TestServerFlightrec(t *testing.T) {
 }
 
 func TestServerNilComponentsDegradeGracefully(t *testing.T) {
-	srv := NewServer(nil, nil, nil)
+	srv := NewServer(nil, nil)
+	srv.MountPublished(nil)
 	if code, _ := get(t, srv.Handler(), "/healthz"); code != 200 {
 		t.Fatal("nil health should report ok")
 	}
@@ -157,7 +161,7 @@ func TestServerNilComponentsDegradeGracefully(t *testing.T) {
 // stream ends when the client goes away.
 func TestServerEventStream(t *testing.T) {
 	fl := trace.NewFlight(64)
-	srv := NewServer(nil, fl, nil)
+	srv := NewServer(nil, fl)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -200,7 +204,7 @@ func TestServerEventStream(t *testing.T) {
 func TestServeShutdownDrainsStream(t *testing.T) {
 	fl := trace.NewFlight(64)
 	fl.Record(trace.Event{At: 5, Kind: trace.KindIngress, FlowID: 3, Seq: 9})
-	srv := NewServer(nil, fl, nil)
+	srv := NewServer(nil, fl)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -245,5 +249,86 @@ func TestServeShutdownDrainsStream(t *testing.T) {
 	if resp, err := http.Get(base + "/healthz"); err == nil {
 		resp.Body.Close()
 		t.Fatal("listener still accepting connections after Shutdown")
+	}
+}
+
+// TestListenHoldDrainsOnSignal is the lifecycle the three binaries
+// share: Listen serves on its own goroutine, a route mounted with Handle
+// and the pprof subtree answer beside the introspection set, and one
+// signal on the channel handed to Hold drains an in-flight /events
+// stream, stops the listener and returns nil.
+func TestListenHoldDrainsOnSignal(t *testing.T) {
+	srv := NewServer(nil, trace.NewFlight(8))
+	srv.Handle("/v1/ping", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "pong") })
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + addr
+	for path, want := range map[string]string{"/v1/ping": "pong", "/debug/pprof/cmdline": "obs.test", "/flows": "[]"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || !strings.Contains(string(body), want) {
+			t.Fatalf("%s = %d %q, want 200 containing %q", path, resp.StatusCode, body, want)
+		}
+	}
+	if code, _ := get(t, srv.Handler(), "/metrics"); code != 404 {
+		t.Fatalf("/metrics = %d without MountPublished, want 404", code)
+	}
+	stream, err := http.Get(base + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+
+	sig := make(chan os.Signal, 1)
+	held := make(chan error, 1)
+	go func() { held <- srv.Hold("test", sig, 5*time.Second) }()
+	select {
+	case err := <-held:
+		t.Fatalf("Hold returned %v before any signal", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	sig <- syscall.SIGTERM
+	select {
+	case err := <-held:
+		if err != nil {
+			t.Fatalf("Hold = %v after a clean drain", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Hold did not return after the signal")
+	}
+	if _, err := io.Copy(io.Discard, stream.Body); err != nil {
+		t.Fatalf("in-flight stream did not drain cleanly: %v", err)
+	}
+	select {
+	case <-srv.Closing():
+	default:
+		t.Fatal("Closing() still open after the drain")
+	}
+	if resp, err := http.Get(base + "/flows"); err == nil {
+		resp.Body.Close()
+		t.Fatal("listener still accepting connections after Hold returned")
+	}
+}
+
+// TestHoldReturnsServeFailure: a Serve that dies on its own (here: its
+// listener is closed underneath it) ends the hold with that error
+// instead of waiting for a signal that may never come.
+func TestHoldReturnsServeFailure(t *testing.T) {
+	srv := NewServer(nil, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { srv.served <- srv.Serve(ln) }()
+	ln.Close()
+	err = srv.Hold("test", make(chan os.Signal), 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "test: serve:") {
+		t.Fatalf("Hold = %v, want the serve failure", err)
 	}
 }

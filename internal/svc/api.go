@@ -115,37 +115,9 @@ func (s *Spec) Params() workload.Params {
 
 // ConfigJSON is the wire form of a resource configuration — the Table
 // II set_* parameter file a derivation produces and a reconfiguration
-// transacts to.
-type ConfigJSON struct {
-	UnicastSize   int   `json:"unicast_size"`
-	MulticastSize int   `json:"multicast_size"`
-	ClassSize     int   `json:"class_size"`
-	MeterSize     int   `json:"meter_size"`
-	GateSize      int   `json:"gate_size"`
-	QueueNum      int   `json:"queue_num"`
-	PortNum       int   `json:"port_num"`
-	CBSMapSize    int   `json:"cbs_map_size"`
-	CBSSize       int   `json:"cbs_size"`
-	QueueDepth    int   `json:"queue_depth"`
-	BufferNum     int   `json:"buffer_num"`
-	FRERSize      int   `json:"frer_size"`
-	FRERHistory   int   `json:"frer_history"`
-	SlotNs        int64 `json:"slot_ns"`
-	LinkRateBps   int64 `json:"link_rate_bps"`
-}
-
-// ToConfigJSON converts a core configuration to its wire form.
-func ToConfigJSON(c core.Config) ConfigJSON {
-	return ConfigJSON{
-		UnicastSize: c.UnicastSize, MulticastSize: c.MulticastSize,
-		ClassSize: c.ClassSize, MeterSize: c.MeterSize,
-		GateSize: c.GateSize, QueueNum: c.QueueNum, PortNum: c.PortNum,
-		CBSMapSize: c.CBSMapSize, CBSSize: c.CBSSize,
-		QueueDepth: c.QueueDepth, BufferNum: c.BufferNum,
-		FRERSize: c.FRERSize, FRERHistory: c.FRERHistory,
-		SlotNs: int64(c.SlotSize), LinkRateBps: int64(c.LinkRate),
-	}
-}
+// transacts to. core.Config carries the wire tags itself, so a
+// configuration is encoded as it is, never copied into a second struct.
+type ConfigJSON = core.Config
 
 // MemoryItem is one row of the platform memory report.
 type MemoryItem struct {
@@ -177,12 +149,11 @@ type ReconfigRequest struct {
 }
 
 // Empty reports a request that changes nothing.
-func (r *ReconfigRequest) Empty() bool {
-	return r.UnicastSize == 0 && r.MulticastSize == 0 && r.ClassSize == 0 &&
-		r.MeterSize == 0 && r.QueueDepth == 0 && r.BufferNum == 0
-}
+func (r *ReconfigRequest) Empty() bool { return *r == ReconfigRequest{} }
 
-// Candidate overlays the request's non-zero fields on the live config.
+// Candidate overlays the request's non-zero fields on the live config:
+// the one statement of "zero keeps the live value" the chaos deltas
+// (chaos.Delta embeds this type) and journal replay also go through.
 func (r *ReconfigRequest) Candidate(cfg core.Config) core.Config {
 	if r.UnicastSize > 0 {
 		cfg.UnicastSize = r.UnicastSize

@@ -143,7 +143,9 @@ func (b *Breaker) RetryAfter() time.Duration {
 	if left < time.Second {
 		left = time.Second
 	}
-	return left.Round(time.Second)
+	// Up, never to nearest: a client told 1 s with 1.4 s left comes back
+	// into a breaker that is still open.
+	return (left + time.Second - 1).Truncate(time.Second)
 }
 
 // setState moves to s with telemetry; call with mu held.

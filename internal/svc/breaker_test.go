@@ -110,8 +110,16 @@ func TestBreakerRetryAfter(t *testing.T) {
 	if got := b.RetryAfter(); got != 10*time.Second {
 		t.Fatalf("open RetryAfter = %v", got)
 	}
-	clk.advance(9500 * time.Millisecond)
-	if got := b.RetryAfter(); got != time.Second {
-		t.Fatalf("nearly-elapsed RetryAfter = %v (want floor 1s)", got)
+	// Rounded up to a whole second, never to the nearest: advertising
+	// 1 s with 1.4 s left sends a client back into an open breaker.
+	for _, c := range []struct{ advance, left, want time.Duration }{
+		{8600 * time.Millisecond, 1400 * time.Millisecond, 2 * time.Second},
+		{400 * time.Millisecond, time.Second, time.Second},
+		{800 * time.Millisecond, 200 * time.Millisecond, time.Second},
+	} {
+		clk.advance(c.advance)
+		if got := b.RetryAfter(); got != c.want {
+			t.Fatalf("RetryAfter with %v left = %v, want %v", c.left, got, c.want)
+		}
 	}
 }

@@ -347,7 +347,7 @@ func (in *Instance) replay(img *recoveredImage) error {
 				return fmt.Errorf("svc: replay verification: %w", verr)
 			}
 		}
-		if got := ToConfigJSON(in.net.LiveConfig()); got != tail.Config {
+		if in.net.LiveConfig() != tail.Config {
 			return fmt.Errorf("svc: replayed live config diverges from journal tail seq %d", tail.Seq)
 		}
 	}
@@ -403,8 +403,8 @@ func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (Reco
 		var txnID uint64
 		if in.store != nil {
 			txnID = in.store.takeTxn()
-			candJSON := ToConfigJSON(cand)
-			if err := in.store.append(walRecord{T: recIntent, Txn: txnID, Config: &candJSON}); err != nil {
+			intent := cand // the record's copy: cand itself stays off the heap on the non-durable path
+			if err := in.store.append(walRecord{T: recIntent, Txn: txnID, Config: &intent}); err != nil {
 				out.WALErr = err
 				in.setWALErr(err)
 				return
@@ -434,10 +434,9 @@ func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (Reco
 		committed := out.State == reconfig.StateCommitted && out.VerifyErr == nil
 		if in.store != nil {
 			if committed {
-				cfgJSON := ToConfigJSON(out.Config)
 				// in.seq is only ever written on this goroutine; the
 				// unlocked read is ordered by program order.
-				rec := walRecord{T: recCommit, Txn: txnID, Seq: in.seq + 1, Config: &cfgJSON}
+				rec := walRecord{T: recCommit, Txn: txnID, Seq: in.seq + 1, Config: &out.Config}
 				if err := in.store.appendSync(rec); err != nil {
 					// The engine committed but durability failed: the ack
 					// must not be sent, and the instance is degraded until
@@ -456,7 +455,7 @@ func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (Reco
 		if committed && out.WALErr == nil {
 			in.seq++
 			out.Seq = in.seq
-			in.journal = append(in.journal, JournalEntry{Seq: in.seq, Config: ToConfigJSON(out.Config)})
+			in.journal = append(in.journal, JournalEntry{Seq: in.seq, Config: out.Config})
 		}
 		seq := in.seq
 		in.mu.Unlock()

@@ -234,15 +234,14 @@ func (ds *durableStore) checkpoint(seq uint64, journal []JournalEntry) error {
 }
 
 // applyJournalConfig overlays a journal entry's live-reconfigurable
-// fields onto a freshly built configuration: the replay candidate.
-// Non-wire fields (shared-pool mode, template selection) stay whatever
-// the fresh build chose — the journal only ever moved these six.
+// fields onto a freshly built configuration: the replay candidate. A
+// request can never zero a field, so a zero in the journal is the fresh
+// build's own zero and the request overlay reproduces the entry exactly
+// (replay checks that it did).
 func applyJournalConfig(live core.Config, j ConfigJSON) core.Config {
-	live.UnicastSize = j.UnicastSize
-	live.MulticastSize = j.MulticastSize
-	live.ClassSize = j.ClassSize
-	live.MeterSize = j.MeterSize
-	live.QueueDepth = j.QueueDepth
-	live.BufferNum = j.BufferNum
-	return live
+	return (&ReconfigRequest{
+		UnicastSize: j.UnicastSize, MulticastSize: j.MulticastSize,
+		ClassSize: j.ClassSize, MeterSize: j.MeterSize,
+		QueueDepth: j.QueueDepth, BufferNum: j.BufferNum,
+	}).Candidate(live)
 }

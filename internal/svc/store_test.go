@@ -196,7 +196,7 @@ func TestServiceDrainReopenEquivalence(t *testing.T) {
 			t.Fatalf("journal entry %d: %+v reopened as %+v", i, before.Journal[i], after.Journal[i])
 		}
 	}
-	if ToConfigJSON(before.Live) != ToConfigJSON(after.Live) {
+	if before.Live != after.Live {
 		t.Fatalf("live config changed across drain: %+v vs %+v", before.Live, after.Live)
 	}
 }
@@ -309,7 +309,7 @@ func TestServiceCheckpointRotation(t *testing.T) {
 			t.Fatalf("entry %d seq %d", i, e.Seq)
 		}
 	}
-	if got := ToConfigJSON(s2.Instance().LiveConfig()).UnicastSize; got != live.UnicastSize {
+	if got := s2.Instance().LiveConfig().UnicastSize; got != live.UnicastSize {
 		t.Fatalf("live unicast %d, want %d", got, live.UnicastSize)
 	}
 }

@@ -18,8 +18,12 @@
 //   - panic-recovery middleware that fails the request, never the
 //     process;
 //   - graceful drain: Shutdown stops the listener, waits for in-flight
-//     requests, then stops the instance control loop (the obs.Server
-//     ownership pattern).
+//     requests, then stops the instance control loop.
+//
+// The service owns no HTTP server of its own: it mounts its routes on
+// one obs.Server built over the managed instance's attribution and
+// flight recorder, so the daemon also answers /flows, /events,
+// /flightrec and /debug/pprof.
 package svc
 
 import (
@@ -35,6 +39,7 @@ import (
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
+	"github.com/tsnbuilder/tsnbuilder/internal/obs"
 	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
@@ -126,11 +131,7 @@ type Service struct {
 	adm   *Admission
 	brk   *Breaker
 	stats *stats
-
-	mux       *http.ServeMux
-	httpSrv   *http.Server
-	closing   chan struct{}
-	closeOnce sync.Once
+	srv   *obs.Server
 }
 
 // stats is the service-level telemetry: atomic cells written by any
@@ -201,23 +202,25 @@ func NewService(opts Options) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		opts:    opts,
-		inst:    inst,
-		cache:   NewCache(opts.CacheSize),
-		adm:     NewAdmission(opts.DeriveConcurrency, opts.DeriveQueue, opts.ReconfigQueue),
-		brk:     brk,
-		stats:   newStats(),
-		mux:     http.NewServeMux(),
-		closing: make(chan struct{}),
+		opts:  opts,
+		inst:  inst,
+		cache: NewCache(opts.CacheSize),
+		adm:   NewAdmission(opts.DeriveConcurrency, opts.DeriveQueue, opts.ReconfigQueue),
+		brk:   brk,
+		stats: newStats(),
+		// The introspection routes the server registers itself stay
+		// outside route: its statusRecorder hides http.Flusher (the
+		// /events stream would stop flushing) and its deadline would cut
+		// a stream or a 30 s CPU profile short.
+		srv: obs.NewServer(inst.net.Attr, inst.net.Flight),
 	}
-	s.httpSrv = &http.Server{Handler: s.mux}
-	s.mux.HandleFunc("/v1/derive", s.route("derive", s.opts.DeriveDeadline, s.handleDerive))
-	s.mux.HandleFunc("/v1/reconfig", s.route("reconfig", s.opts.ReconfigDeadline, s.handleReconfig))
-	s.mux.HandleFunc("/v1/config", s.route("config", 5*time.Second, s.handleConfig))
-	s.mux.HandleFunc("/v1/journal", s.route("journal", 5*time.Second, s.handleJournal))
-	s.mux.HandleFunc("/healthz", s.route("healthz", 5*time.Second, s.handleHealthz))
-	s.mux.HandleFunc("/readyz", s.route("readyz", 5*time.Second, s.handleReadyz))
-	s.mux.HandleFunc("/metrics", s.route("metrics", 5*time.Second, s.handleMetrics))
+	s.srv.Handle("/v1/derive", s.route("derive", s.opts.DeriveDeadline, s.handleDerive))
+	s.srv.Handle("/v1/reconfig", s.route("reconfig", s.opts.ReconfigDeadline, s.handleReconfig))
+	s.srv.Handle("/v1/config", s.route("config", 5*time.Second, s.handleConfig))
+	s.srv.Handle("/v1/journal", s.route("journal", 5*time.Second, s.handleJournal))
+	s.srv.Handle("/healthz", s.route("healthz", 5*time.Second, s.handleHealthz))
+	s.srv.Handle("/readyz", s.route("readyz", 5*time.Second, s.handleReadyz))
+	s.srv.Handle("/metrics", s.route("metrics", 5*time.Second, s.handleMetrics))
 	return s, nil
 }
 
@@ -234,28 +237,24 @@ func (s *Service) Admission() *Admission { return s.adm }
 // Cache exposes the derivation cache.
 func (s *Service) Cache() *Cache { return s.cache }
 
-// Handler returns the HTTP handler serving every endpoint.
-func (s *Service) Handler() http.Handler { return s.mux }
+// Server exposes the HTTP server every route is mounted on (the daemon
+// listens and holds through it).
+func (s *Service) Server() *obs.Server { return s.srv }
 
-// Serve accepts connections on ln until Shutdown; it owns the
-// underlying http.Server (the obs.Server pattern) and always returns a
+// Handler returns the HTTP handler serving every endpoint.
+func (s *Service) Handler() http.Handler { return s.srv.Handler() }
+
+// Serve accepts connections on ln until Shutdown and always returns a
 // non-nil error, http.ErrServerClosed after a clean Shutdown.
-func (s *Service) Serve(ln net.Listener) error { return s.httpSrv.Serve(ln) }
+func (s *Service) Serve(ln net.Listener) error { return s.srv.Serve(ln) }
 
 // Shutdown drains the service: the listener closes, in-flight requests
 // get until ctx's deadline, then the instance control loop stops. Work
 // accepted before the drain still resolves — the instance sentinel is
-// FIFO-ordered behind queued commits.
+// FIFO-ordered behind queued commits. Both halves are idempotent.
 func (s *Service) Shutdown(ctx context.Context) error {
-	var err error
-	s.closeOnce.Do(func() {
-		close(s.closing)
-		err = s.httpSrv.Shutdown(ctx)
-		if err != nil {
-			_ = s.httpSrv.Close()
-		}
-		s.inst.Close()
-	})
+	err := s.srv.Shutdown(ctx)
+	s.inst.Close()
 	return err
 }
 
@@ -387,7 +386,7 @@ func deriveBody(key string, spec Spec) ([]byte, error) {
 	}
 	resp := DeriveResponse{
 		SpecHash:     key,
-		Config:       ToConfigJSON(wl.Der.Config),
+		Config:       wl.Der.Config,
 		MaxOccupancy: wl.Der.Plan.MaxOccupancy,
 		MemoryKb:     wl.Design.Report.TotalKb(),
 	}
@@ -491,7 +490,7 @@ func (s *Service) handleReconfig(w http.ResponseWriter, r *http.Request) {
 	s.brk.Success()
 	writeJSON(w, http.StatusOK, ReconfigResponse{
 		Seq: out.Seq, State: out.State.String(), Attempts: out.Attempts,
-		CommitAtNs: out.CommitAt, Config: ToConfigJSON(out.Config),
+		CommitAtNs: out.CommitAt, Config: out.Config,
 	})
 }
 
@@ -503,7 +502,7 @@ func (s *Service) handleConfig(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "recovering: journal replay in progress")
 		return
 	}
-	writeJSON(w, http.StatusOK, ToConfigJSON(s.inst.LiveConfig()))
+	writeJSON(w, http.StatusOK, s.inst.LiveConfig())
 }
 
 // handleJournal serves GET /v1/journal: the committed-transaction
@@ -568,7 +567,7 @@ func (s *Service) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		reasons = append(reasons, "reconfig queue saturated")
 	}
 	select {
-	case <-s.closing:
+	case <-s.srv.Closing():
 		reasons = append(reasons, "draining")
 	default:
 	}

@@ -10,7 +10,6 @@ package testbed
 import (
 	"fmt"
 	"io"
-	stdnet "net"
 	"sort"
 	"strconv"
 
@@ -779,13 +778,17 @@ func (n *Net) Run(warmup, duration sim.Time) {
 // telemetry server's registry snapshot refreshes during a run.
 const telemetryPublishInterval = 10 * sim.Millisecond
 
-// NewTelemetryServer builds the live telemetry server over this
-// network's attribution, flight recorder and health board, and arms a
-// periodic engine event republishing the registry snapshot — the HTTP
-// goroutines only ever read published copies, never the hot-path cells.
-// Use Serve to also bind a TCP listener.
-func (n *Net) NewTelemetryServer() *obs.Server {
-	srv := obs.NewServer(n.Attr, n.Flight, n.Health)
+// Serve starts the live telemetry HTTP server on addr (e.g. ":9090",
+// or ":0" for an ephemeral port) over this network's attribution,
+// flight recorder and health board, and returns it (also stored in
+// n.Server) plus the bound address. A periodic engine event republishes
+// the registry snapshot every telemetryPublishInterval of simulated
+// time — the HTTP goroutines only ever read published copies, never the
+// hot-path cells; call srv.Publish once more after the run for the
+// final state. The server drains gracefully via srv.Hold or Shutdown.
+func (n *Net) Serve(addr string) (*obs.Server, string, error) {
+	srv := obs.NewServer(n.Attr, n.Flight)
+	srv.MountPublished(n.Health)
 	if n.Metrics != nil {
 		srv.Publish(n.Metrics.Snapshot())
 		var tick func(e *sim.Engine)
@@ -795,24 +798,12 @@ func (n *Net) NewTelemetryServer() *obs.Server {
 		}
 		n.Engine.After(telemetryPublishInterval, "obs:publish", tick)
 	}
-	return srv
-}
-
-// Serve starts the live telemetry HTTP server on addr (e.g. ":9090",
-// or ":0" for an ephemeral port) and returns the server plus the bound
-// address. The server (also stored in n.Server) owns its listener
-// goroutine and drains gracefully via srv.Shutdown; snapshots refresh
-// every telemetryPublishInterval of simulated time while the engine
-// runs (call srv.Publish once more after the run for the final state).
-func (n *Net) Serve(addr string) (*obs.Server, string, error) {
-	srv := n.NewTelemetryServer()
-	ln, err := stdnet.Listen("tcp", addr)
+	bound, err := srv.Listen(addr)
 	if err != nil {
 		return nil, "", err
 	}
-	go func() { _ = srv.Serve(ln) }()
 	n.Server = srv
-	return srv, ln.Addr().String(), nil
+	return srv, bound, nil
 }
 
 // LiveConfig returns the configuration currently in force: the design's
