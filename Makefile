@@ -76,6 +76,7 @@ fuzz:
 	go test -fuzz=FuzzWALReader -fuzztime=30s ./internal/wal/
 	go test -fuzz=FuzzComputeEquivalence -fuzztime=30s ./internal/itp/
 	go test -fuzz=FuzzHeapOrder -fuzztime=30s ./internal/sim/
+	go test -fuzz=FuzzGCLMatchesReference -fuzztime=30s ./internal/gate/
 
 # chaos runs a randomized invariant-checking campaign (fixed default
 # seed — rerun with the same profile to reproduce); failing cases leave

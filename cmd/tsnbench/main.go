@@ -4,9 +4,7 @@
 //	tsnbench -exp table3       # just Table III
 //	tsnbench -exp fig7a -short # reduced workload
 //	tsnbench -exp all -parallel 1  # force fully serial sweeps
-//
-// Experiments: table1, fig2, table3, fig7a, fig7b, fig7c, fig7d, qos,
-// sync, itp, scale, platform, all.
+//	tsnbench -h                # every experiment id
 //
 // Sweep points (independent build-and-run simulations) fan out on a
 // worker pool sized by -parallel (default GOMAXPROCS). Output is
@@ -30,7 +28,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1 fig2 table3 fig7a fig7b fig7c fig7d qos sync itp tas threshold sms desync deadline cbs preempt rate scale platform all)")
+		exp      = flag.String("exp", "all", "experiment id ("+expIDs+")")
 		short    = flag.Bool("short", false, "reduced workload for quick runs")
 		seed     = flag.Uint64("seed", 42, "workload seed")
 		csvDir   = flag.String("csv", "", "also write each latency series as CSV into this directory")
@@ -96,9 +94,8 @@ func publishTelemetry(reg *metrics.Registry) {
 const telemetryDrainTimeout = 5 * time.Second
 
 // serveTelemetry starts the telemetry server over the accumulated
-// experiment registry — /metrics refreshes after every emitted series,
-// /debug/pprof profiles the runner itself live — and returns it with
-// the bound address.
+// experiment registry (/metrics refreshes after every emitted series,
+// /debug/pprof profiles the runner live) and returns it with its address.
 func serveTelemetry(addr string, reg *metrics.Registry) (*obs.Server, string, error) {
 	srv := obs.NewServer(nil, nil)
 	srv.MountPublished(nil)
@@ -147,8 +144,7 @@ func table[R any](id string, study func(experiments.Params) (R, error), format f
 		if err != nil {
 			return err
 		}
-		fmt.Print(format(rows))
-		fmt.Println()
+		fmt.Println(format(rows))
 		return nil
 	}}
 }
@@ -161,11 +157,7 @@ type experiment struct {
 
 // catalog is every experiment, in the order -exp all runs them.
 var catalog = []experiment{
-	{"table1", func(experiments.Params) error {
-		fmt.Print(experiments.FormatTableI(experiments.TableI()))
-		fmt.Println()
-		return nil
-	}},
+	table("table1", func(experiments.Params) ([]experiments.TableIRow, error) { return experiments.TableI(), nil }, experiments.FormatTableI),
 	{"fig2", func(p experiments.Params) error {
 		for _, bg := range []string{"BE", "RC"} {
 			for _, cse := range []int{1, 2} {
@@ -237,6 +229,14 @@ var catalog = []experiment{
 	}},
 }
 
+// expIDs is every -exp id: the catalog's, in order, then "all".
+var expIDs = func() (ids string) {
+	for _, e := range catalog {
+		ids += e.id + " "
+	}
+	return ids + "all"
+}()
+
 // run executes experiment exp, or every one in order for "all".
 func run(exp string, p experiments.Params) error {
 	did := false
@@ -249,7 +249,7 @@ func run(exp string, p experiments.Params) error {
 		}
 	}
 	if !did {
-		return fmt.Errorf("unknown experiment %q", exp)
+		return fmt.Errorf("unknown experiment %q (want one of: %s)", exp, expIDs)
 	}
 	return nil
 }

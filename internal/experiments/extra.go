@@ -6,12 +6,11 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/clock"
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
-	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/gptp"
 	"github.com/tsnbuilder/tsnbuilder/internal/itp"
 	"github.com/tsnbuilder/tsnbuilder/internal/resource"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
-	"github.com/tsnbuilder/tsnbuilder/internal/topology"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
 // SyncResult reports the E-SYNC experiment: the prototype's claimed
@@ -103,25 +102,11 @@ func ITPAblation(p Params) ([]ITPRow, error) {
 		itp.StrategyRoundRobin, itp.StrategyGreedy}
 	return sweep(p, len(strategies), func(i int, rp Params) (ITPRow, error) {
 		st := strategies[i]
-		topo := topology.Ring(6)
-		for h := 0; h < 6; h++ {
-			topo.AttachHost(100+h, h)
-		}
-		specs := flows.GenerateTS(flows.TSParams{
-			Count:    rp.TSFlows,
-			Period:   10 * sim.Millisecond,
-			WireSize: 64,
-			VID:      1,
-			Hosts: func(i int) (int, int) {
-				src := i % 6
-				return 100 + src, 100 + (src+2)%6
-			},
-			Seed: rp.Seed,
-		})
-		if err := core.BindPaths(topo, specs); err != nil {
+		w, err := workload.Build(ringParams(rp))
+		if err != nil {
 			return ITPRow{}, err
 		}
-		plan, err := itp.ComputeWith(specs, slot, nil, st, rp.Seed)
+		plan, err := itp.ComputeWith(w.Specs, slot, nil, st, rp.Seed)
 		if err != nil {
 			return ITPRow{}, err
 		}

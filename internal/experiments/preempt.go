@@ -44,7 +44,7 @@ func PreemptStudy(p Params) ([]PreemptRow, error) {
 		}
 		sw := tsnswitch.New(engine, cfg)
 		// Ungated: strict priority only.
-		open := gate.NewVarGCL([]gate.VarEntry{{Mask: gate.AllOpen, Duration: sim.Millisecond}})
+		open := gate.AlwaysOpen(sim.Millisecond)
 		for port := 0; port < cfg.Ports; port++ {
 			if err := sw.SetPortSchedules(port, open, open); err != nil {
 				return PreemptRow{}, err

@@ -6,9 +6,8 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
-	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
-	"github.com/tsnbuilder/tsnbuilder/internal/topology"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
 
@@ -30,42 +29,17 @@ type RateRow struct {
 // simulated outcome: feasible rates keep zero loss and bounded
 // latency; infeasible ones back up the access port until frames drop.
 func RateStudy(p Params) ([]RateRow, error) {
-	slot := 65 * sim.Microsecond
-	run := func(rp Params, accessMbps int) (RateRow, error) {
-		topo := topology.Ring(6)
-		for h := 0; h < 6; h++ {
-			topo.AttachHost(100+h, h)
-		}
-		specs := flows.GenerateTS(flows.TSParams{
-			Count:    rp.TSFlows,
-			Period:   10 * sim.Millisecond,
-			WireSize: 64,
-			VID:      1,
-			Hosts: func(i int) (int, int) {
-				src := i % 6
-				return 100 + src, 100 + (src+2)%6
-			},
-			Seed: rp.Seed,
-		})
-		for i, s := range specs {
-			s.VID = uint16(1 + i%4000)
-		}
-		if err := core.BindPaths(topo, specs); err != nil {
-			return RateRow{}, err
-		}
-		der, err := core.DeriveConfig(core.Scenario{Topo: topo, Flows: specs, SlotSize: slot})
+	rates := []int{1000, 100, 30, 10}
+	return sweep(p, len(rates), func(i int, rp Params) (RateRow, error) {
+		wp := ringParams(rp)
+		w, err := workload.Build(wp)
 		if err != nil {
 			return RateRow{}, err
 		}
-		der.Plan.Apply(specs)
-		design, err := core.BuilderFor(der.Config, nil).Build()
-		if err != nil {
-			return RateRow{}, err
-		}
-		rate := ethernet.Rate(accessMbps) * ethernet.Mbps
-		issues := core.CheckSlotFeasibility(der.Plan, rate, 64)
+		rate := ethernet.Rate(rates[i]) * ethernet.Mbps
+		issues := core.CheckSlotFeasibility(w.Der.Plan, rate, 64)
 		net, err := testbed.Build(testbed.Options{
-			Design: design, Topo: topo, Flows: specs,
+			Design: w.Design, Topo: w.Topo, Flows: w.Specs,
 			AccessRate: rate, Seed: rp.Seed,
 		})
 		if err != nil {
@@ -74,18 +48,13 @@ func RateStudy(p Params) ([]RateRow, error) {
 		net.Run(0, rp.Duration)
 		s := net.Summary(ethernet.ClassTS)
 		return RateRow{
-			AccessMbps: accessMbps,
-			SlotUs:     int(slot / sim.Microsecond),
+			AccessMbps: rates[i],
+			SlotUs:     wp.SlotUs,
 			Feasible:   len(issues) == 0,
 			TSMean:     s.MeanLatency,
 			TSMax:      s.MaxLat,
 			TSLossRate: s.LossRate,
 		}, nil
-	}
-
-	rates := []int{1000, 100, 30, 10}
-	return sweep(p, len(rates), func(i int, rp Params) (RateRow, error) {
-		return run(rp, rates[i])
 	})
 }
 

@@ -6,11 +6,10 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
-	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/resource"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/tas"
-	"github.com/tsnbuilder/tsnbuilder/internal/topology"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
 
@@ -33,105 +32,41 @@ type TASRow struct {
 // zero) while the gate tables grow from 2 entries to one-plus entries
 // per scheduled window.
 func TASvsCQF(p Params) ([]TASRow, error) {
-	build := func(rp Params) (*topology.Topology, []*flows.Spec, error) {
-		topo := topology.Ring(6)
-		for h := 0; h < 6; h++ {
-			topo.AttachHost(100+h, h)
-		}
-		specs := flows.GenerateTS(flows.TSParams{
-			Count:    rp.TSFlows,
-			Period:   10 * sim.Millisecond,
-			WireSize: 64,
-			VID:      1,
-			Hosts: func(i int) (int, int) {
-				src := i % 6
-				return 100 + src, 100 + (src+2)%6
-			},
-			Seed: rp.Seed,
-		})
-		for i, s := range specs {
-			s.VID = uint16(1 + i%4000)
-		}
-		if err := core.BindPaths(topo, specs); err != nil {
-			return nil, nil, err
-		}
-		return topo, specs, nil
-	}
-
-	runCQF := func(rp Params) (TASRow, error) {
-		topo, specs, err := build(rp)
-		if err != nil {
-			return TASRow{}, err
-		}
-		der, err := core.DeriveConfig(core.Scenario{Topo: topo, Flows: specs})
-		if err != nil {
-			return TASRow{}, err
-		}
-		der.Plan.Apply(specs)
-		design, err := core.BuilderFor(der.Config, nil).Build()
-		if err != nil {
-			return TASRow{}, err
-		}
-		net, err := testbed.Build(testbed.Options{Design: design, Topo: topo, Flows: specs, Seed: rp.Seed})
-		if err != nil {
-			return TASRow{}, err
-		}
-		net.Run(0, rp.Duration)
-		s := net.Summary(ethernet.ClassTS)
-		return TASRow{
-			Mechanism: "CQF (gate_size=2)",
-			Mean:      s.MeanLatency, Jitter: s.Jitter, Max: s.MaxLat, LossRate: s.LossRate,
-			GateEntries: 2,
-			GateKb:      resource.GateTbl(2, 8, topo.EnabledTSNPorts).Kb(),
-		}, nil
-	}
-
-	runTAS := func(rp Params) (TASRow, error) {
-		topo, specs, err := build(rp)
-		if err != nil {
-			return TASRow{}, err
-		}
-		// No background here, so the guard band only needs to absorb a
-		// TS frame.
-		sch, err := tas.Synthesize(specs, topo, tas.Options{MaxFrameBytes: 64})
-		if err != nil {
-			return TASRow{}, err
-		}
-		der, err := core.DeriveConfig(core.Scenario{Topo: topo, Flows: specs})
-		if err != nil {
-			return TASRow{}, err
-		}
-		cfg := der.Config
-		if sch.MaxGateEntries > cfg.GateSize {
-			cfg.GateSize = sch.MaxGateEntries
-		}
-		design, err := core.BuilderFor(cfg, nil).Build()
-		if err != nil {
-			return TASRow{}, err
-		}
-		net, err := testbed.Build(testbed.Options{Design: design, Topo: topo, Flows: specs, Seed: rp.Seed})
-		if err != nil {
-			return TASRow{}, err
-		}
-		if err := net.InstallTAS(sch); err != nil {
-			return TASRow{}, err
-		}
-		sch.Apply(specs)
-		net.Run(0, rp.Duration)
-		s := net.Summary(ethernet.ClassTS)
-		return TASRow{
-			Mechanism: fmt.Sprintf("TAS (gate_size=%d)", sch.MaxGateEntries),
-			Mean:      s.MeanLatency, Jitter: s.Jitter, Max: s.MaxLat, LossRate: s.LossRate,
-			GateEntries: sch.MaxGateEntries,
-			GateKb:      resource.GateTbl(sch.MaxGateEntries, 8, topo.EnabledTSNPorts).Kb(),
-		}, nil
-	}
-
 	return sweep(p, 2, func(i int, rp Params) (TASRow, error) {
-		if i == 0 {
-			return runCQF(rp)
+		w, err := workload.Build(ringParams(rp))
+		if err != nil {
+			return TASRow{}, err
 		}
-		return runTAS(rp)
+		row, design := TASRow{Mechanism: "CQF (gate_size=2)", GateEntries: 2}, w.Design
+		var sch *tas.Schedule
+		if i == 1 {
+			// No background here, so the guard band only needs to absorb a
+			// TS frame.
+			if sch, err = tas.Synthesize(w.Specs, w.Topo, tas.Options{MaxFrameBytes: 64}); err != nil {
+				return TASRow{}, err
+			}
+			cfg := w.Der.Config
+			cfg.GateSize = max(cfg.GateSize, sch.MaxGateEntries)
+			if design, err = core.BuilderFor(cfg, nil).Build(); err != nil {
+				return TASRow{}, err
+			}
+			row = TASRow{Mechanism: fmt.Sprintf("TAS (gate_size=%d)", sch.MaxGateEntries), GateEntries: sch.MaxGateEntries}
+		}
+		net, err := testbed.Build(testbed.Options{Design: design, Topo: w.Topo, Flows: w.Specs, Seed: rp.Seed})
+		if err != nil {
+			return TASRow{}, err
+		}
+		if sch != nil {
+			if err := net.InstallTAS(sch); err != nil {
+				return TASRow{}, err
+			}
+			sch.Apply(w.Specs)
+		}
+		net.Run(0, rp.Duration)
+		s := net.Summary(ethernet.ClassTS)
+		row.Mean, row.Jitter, row.Max, row.LossRate = s.MeanLatency, s.Jitter, s.MaxLat, s.LossRate
+		row.GateKb = resource.GateTbl(row.GateEntries, 8, w.Topo.EnabledTSNPorts).Kb()
+		return row, nil
 	})
 }
 

@@ -679,10 +679,9 @@ func (inj *Injector) schedule(f *Fault, at sim.Time, seed uint64, b Bindings) er
 		// The misconfigured GCL keeps every gate open EXCEPT the TS
 		// queues — the paper's CQF pair is stuck closed, so TS frames
 		// drop with reason gate-closed while RC/BE continue.
-		closed := gate.Mask(1<<uint(cfg.QueuesPerPort) - 1)
-		closed &^= 1 << uint(cfg.TSQueueA)
-		closed &^= 1 << uint(cfg.TSQueueB)
-		bad := gate.NewGCL(cfg.SlotSize, []gate.Mask{closed, closed})
+		closed := gate.Mask(1<<uint(cfg.QueuesPerPort)-1) &^ (1<<uint(cfg.TSQueueA) | 1<<uint(cfg.TSQueueB))
+		stuck := gate.Entry{Mask: closed, Duration: cfg.SlotSize}
+		bad := gate.NewGCL([]gate.Entry{stuck, stuck})
 		inj.engine.At(at, "fault:gate-close:"+label, func(*sim.Engine) {
 			in, out := sw.PortSchedules(port)
 			if err := sw.SetPortSchedules(port, bad, bad); err != nil {

@@ -1,19 +1,19 @@
 // Package gate implements the Gate Ctrl function template: the ingress
 // and egress Gate Control Lists (GCLs) attached to each queue of each
-// port (802.1Qbv), plus the CQF (Cyclic Queuing and Forwarding,
-// 802.1Qch) GCL synthesis the paper's evaluation uses.
+// port (802.1Qbv). There is one list type; its depth is the gate_size
+// argument of set_gate_tbl. CQF (802.1Qch), the paper's evaluation
+// configuration, is the list of two equal entries — gate_size = 2 —
+// a synthesized TAS schedule is a longer one with unequal durations,
+// and an ungated port runs the one-entry list.
 //
-// Time is divided into equal slots. Each GCL entry holds an open/close
-// bit per queue; the entry in effect at local time t is
-// entries[(t/slot) mod len(entries)]. With CQF the list has exactly two
-// entries — which is why the paper's customized gate tables need only
-// gate_size = 2.
+// A list is immutable once built, so one value may be installed on any
+// number of ports and directions; whoever evaluates it (tsnswitch.Port)
+// owns the rollover accounting.
 package gate
 
 import (
 	"fmt"
 
-	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
@@ -30,145 +30,156 @@ func (m Mask) With(q int) Mask { return m | 1<<uint(q) }
 // AllOpen is the mask with every gate open (ungated queues).
 const AllOpen Mask = 0xffff
 
-// GCL is one gate control list: a cyclic schedule of gate masks over
-// equally sized time slots.
-type GCL struct {
-	slot    sim.Time
-	entries []Mask
-	// base aligns slot 0; local gate time is measured from it.
-	base sim.Time
-	// roll, when bound, counts slot rollovers observed by StateAt;
-	// lastSlot is the last slot index seen.
-	roll     metrics.Counter
-	lastSlot int64
+// Entry is one gate control list entry: a gate mask held for a
+// duration, as 802.1Qbv's SetGateStates/TimeInterval pairs.
+type Entry struct {
+	Mask     Mask
+	Duration sim.Time
 }
 
-// NewGCL builds a GCL with the given slot size and entries. The entry
-// count is the gate table size of the set_gate_tbl customization API.
-func NewGCL(slot sim.Time, entries []Mask) *GCL {
-	if slot <= 0 {
-		panic("gate: non-positive slot size")
-	}
+// GCL is one gate control list: entries in effect one after the other,
+// repeating with period Cycle() from local time Base().
+type GCL struct {
+	entries []Entry
+	// starts[i] is the offset of entry i within the cycle.
+	starts []sim.Time
+	cycle  sim.Time
+	base   sim.Time
+}
+
+// NewGCL builds a list aligned to local time 0. The entry count is the
+// gate table size of the set_gate_tbl customization API; durations must
+// be positive.
+func NewGCL(entries []Entry) *GCL {
 	if len(entries) == 0 {
 		panic("gate: empty GCL")
 	}
-	return &GCL{slot: slot, entries: append([]Mask(nil), entries...)}
-}
-
-// AlwaysOpen returns a one-entry GCL that never gates any queue, used
-// for ports or queues without time-aware shaping.
-func AlwaysOpen(slot sim.Time) *GCL {
-	return NewGCL(slot, []Mask{AllOpen})
-}
-
-// Size returns the number of entries (the gate table depth).
-func (g *GCL) Size() int { return len(g.entries) }
-
-// Slot returns the slot duration.
-func (g *GCL) Slot() sim.Time { return g.slot }
-
-// Cycle returns the full schedule period: slot × entries.
-func (g *GCL) Cycle() sim.Time { return g.slot * sim.Time(len(g.entries)) }
-
-// SetBase aligns slot boundaries to local time base.
-func (g *GCL) SetBase(base sim.Time) { g.base = base }
-
-// index returns the entry index in effect at local time t.
-func (g *GCL) index(t sim.Time) int {
-	rel := t - g.base
-	if rel < 0 {
-		// Align negative times onto the cycle.
-		rel = rel%g.Cycle() + g.Cycle()
+	g := &GCL{entries: append([]Entry(nil), entries...), starts: make([]sim.Time, len(entries))}
+	for i, e := range entries {
+		if e.Duration <= 0 {
+			panic(fmt.Sprintf("gate: non-positive entry duration %v", e.Duration))
+		}
+		g.starts[i] = g.cycle
+		g.cycle += e.Duration
 	}
-	return int(rel/g.slot) % len(g.entries)
+	return g
 }
 
-// SetRolloverCounter binds a counter that tallies slot rollovers as
-// the schedule is evaluated. Only forward progress counts: a clock
-// step backwards re-anchors without decrementing.
-func (g *GCL) SetRolloverCounter(c metrics.Counter) { g.roll = c }
-
-// observeRollover advances the rollover counter to slot s.
-func (g *GCL) observeRollover(s int64) {
-	if s > g.lastSlot {
-		g.roll.Add(uint64(s - g.lastSlot))
-	}
-	g.lastSlot = s
-}
-
-// StateAt returns the gate mask in effect at local time t.
-func (g *GCL) StateAt(t sim.Time) Mask {
-	if g.roll.Active() {
-		g.observeRollover(g.SlotIndex(t))
-	}
-	return g.entries[g.index(t)]
-}
-
-// PeekState is StateAt without the rollover observation: safe for
-// probing arbitrary (including future) instants, e.g. latency
-// attribution replaying a frame's gate wait, without perturbing the
-// rollover counter.
-func (g *GCL) PeekState(t sim.Time) Mask { return g.entries[g.index(t)] }
-
-// SlotIndex returns the absolute slot number containing local time t.
-func (g *GCL) SlotIndex(t sim.Time) int64 {
-	rel := t - g.base
-	if rel < 0 {
-		return int64(rel/g.slot) - 1
-	}
-	return int64(rel / g.slot)
-}
-
-// NextBoundary returns the earliest slot boundary strictly after local
-// time t.
-func (g *GCL) NextBoundary(t sim.Time) sim.Time {
-	rel := t - g.base
-	n := rel / g.slot
-	if rel < 0 && rel%g.slot != 0 {
-		// Integer division truncates toward zero; floor it instead.
-		n--
-	}
-	return g.base + (n+1)*g.slot
-}
-
-// TimeToBoundary returns how long after local time t the next slot
-// boundary occurs; in (0, slot].
-func (g *GCL) TimeToBoundary(t sim.Time) sim.Time { return g.NextBoundary(t) - t }
-
-// String renders the schedule compactly.
-func (g *GCL) String() string {
-	return fmt.Sprintf("GCL{slot=%v entries=%d}", g.slot, len(g.entries))
+// AlwaysOpen returns the one-entry list that never gates any queue,
+// for ports without time-aware shaping.
+func AlwaysOpen(cycle sim.Time) *GCL {
+	return NewGCL([]Entry{{Mask: AllOpen, Duration: cycle}})
 }
 
 // CQF builds the paper's static CQF configuration for one port: two TSN
 // queues (queueA, queueB) enqueue and dequeue in a cyclic manner. In
 // even slots queueA accepts arrivals while queueB drains; odd slots
 // swap roles. Non-TS queues (all others) are always open in both
-// directions.
-//
-// The returned in/out GCLs each have exactly 2 entries, matching the
+// directions. Each list has two entries of one slot each, matching the
 // paper's gate table parameter gate_size = 2.
 func CQF(slot sim.Time, queueA, queueB int) (in, out *GCL) {
 	if queueA == queueB {
 		panic("gate: CQF queues must differ")
 	}
 	others := AllOpen &^ (1<<uint(queueA) | 1<<uint(queueB))
-	inEntries := []Mask{
-		others.With(queueA), // slot 0: A enqueues
-		others.With(queueB), // slot 1: B enqueues
-	}
-	outEntries := []Mask{
-		others.With(queueB), // slot 0: B drains
-		others.With(queueA), // slot 1: A drains
-	}
-	return NewGCL(slot, inEntries), NewGCL(slot, outEntries)
+	a, b := others.With(queueA), others.With(queueB)
+	return NewGCL([]Entry{{a, slot}, {b, slot}}), // in: A enqueues, then B
+		NewGCL([]Entry{{b, slot}, {a, slot}}) // out: B drains, then A
 }
 
-// EnqueueQueue returns which of the two CQF queues accepts arrivals at
-// local time t under the in-GCL built by CQF.
-func EnqueueQueue(in *GCL, t sim.Time, queueA, queueB int) int {
-	if in.StateAt(t).Open(queueA) {
-		return queueA
+// WithBase returns the same list with its cycle start aligned to local
+// time base.
+func (g *GCL) WithBase(base sim.Time) *GCL {
+	c := *g
+	c.base = base
+	return &c
+}
+
+// Base returns the local time entry 0 starts at.
+func (g *GCL) Base() sim.Time { return g.base }
+
+// Size returns the number of entries (the gate table depth).
+func (g *GCL) Size() int { return len(g.entries) }
+
+// Cycle returns the schedule period.
+func (g *GCL) Cycle() sim.Time { return g.cycle }
+
+// IsCQF reports whether the list has CQF's shape: two entries of equal
+// duration.
+func (g *GCL) IsCQF() bool {
+	return len(g.entries) == 2 && g.entries[0].Duration == g.entries[1].Duration
+}
+
+// locate returns the cycle number (floored: negative before the base),
+// the phase within it and the entry covering local time t.
+func (g *GCL) locate(t sim.Time) (cycles int64, phase sim.Time, i int) {
+	rel := t - g.base
+	cycles = int64(rel / g.cycle)
+	phase = rel - sim.Time(cycles)*g.cycle // one division, not two
+	if phase < 0 {
+		cycles, phase = cycles-1, phase+g.cycle
 	}
-	return queueB
+	lo, hi := 0, len(g.starts)-1
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if g.starts[mid] <= phase {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return cycles, phase, lo
+}
+
+// StateAt returns the gate mask in effect at local time t.
+func (g *GCL) StateAt(t sim.Time) Mask {
+	_, _, i := g.locate(t)
+	return g.entries[i].Mask
+}
+
+// SlotIndex returns the absolute number of the entry containing local
+// time t, counted from the base: 0 for entry 0 of the first cycle,
+// negative before it. The difference between two instants is the
+// number of rollovers between them.
+func (g *GCL) SlotIndex(t sim.Time) int64 {
+	cycles, _, i := g.locate(t)
+	return cycles*int64(len(g.entries)) + int64(i)
+}
+
+// NextBoundary returns the earliest entry boundary strictly after local
+// time t.
+func (g *GCL) NextBoundary(t sim.Time) sim.Time { return t + g.TimeToBoundary(t) }
+
+// TimeToBoundary returns how long after local time t the next entry
+// boundary occurs; in (0, entry duration].
+func (g *GCL) TimeToBoundary(t sim.Time) sim.Time {
+	_, phase, i := g.locate(t)
+	return g.starts[i] + g.entries[i].Duration - phase
+}
+
+// String renders the schedule compactly.
+func (g *GCL) String() string {
+	return fmt.Sprintf("GCL{entries=%d cycle=%v}", len(g.entries), g.cycle)
+}
+
+// EnqueueTarget is Gate Ctrl's ingress decision: given the in-gate mask
+// in effect, the classified queue q and the CQF pair (a, b), it returns
+// the queue the frame should join, or -1 if its gate is closed. A frame
+// classified to either pair queue joins whichever of the two is open —
+// CQF's redirection, with exactly one open per slot; for any other
+// queue the mask decides admission directly.
+func EnqueueTarget(state Mask, q, a, b int) int {
+	if q == a || q == b {
+		if state.Open(a) {
+			return a
+		}
+		if state.Open(b) {
+			return b
+		}
+		return -1
+	}
+	if !state.Open(q) {
+		return -1
+	}
+	return q
 }

@@ -25,7 +25,7 @@ func TestMask(t *testing.T) {
 
 func TestGCLRotation(t *testing.T) {
 	slot := 65 * sim.Microsecond
-	g := NewGCL(slot, []Mask{Mask(0).With(7), Mask(0).With(6)})
+	g := uniform(slot, Mask(0).With(7), Mask(0).With(6))
 	if !g.StateAt(0).Open(7) || g.StateAt(0).Open(6) {
 		t.Fatal("slot 0 state wrong")
 	}
@@ -44,8 +44,7 @@ func TestGCLRotation(t *testing.T) {
 
 func TestGCLBase(t *testing.T) {
 	slot := 10 * sim.Microsecond
-	g := NewGCL(slot, []Mask{1, 2})
-	g.SetBase(3 * sim.Microsecond)
+	g := uniform(slot, 1, 2).WithBase(3 * sim.Microsecond)
 	if g.StateAt(3*sim.Microsecond) != 1 {
 		t.Fatal("base not honored")
 	}
@@ -60,7 +59,7 @@ func TestGCLBase(t *testing.T) {
 
 func TestGCLBoundaries(t *testing.T) {
 	slot := 10 * sim.Microsecond
-	g := NewGCL(slot, []Mask{1, 2, 3})
+	g := uniform(slot, 1, 2, 3)
 	if g.NextBoundary(0) != slot {
 		t.Fatalf("NextBoundary(0) = %v", g.NextBoundary(0))
 	}
@@ -85,7 +84,7 @@ func TestGCLPanics(t *testing.T) {
 				t.Error("zero slot did not panic")
 			}
 		}()
-		NewGCL(0, []Mask{1})
+		uniform(0, 1)
 	}()
 	func() {
 		defer func() {
@@ -93,7 +92,7 @@ func TestGCLPanics(t *testing.T) {
 				t.Error("empty GCL did not panic")
 			}
 		}()
-		NewGCL(sim.Microsecond, nil)
+		NewGCL(nil)
 	}()
 }
 
@@ -146,20 +145,6 @@ func TestCQFSameQueuePanics(t *testing.T) {
 	CQF(sim.Microsecond, 7, 7)
 }
 
-func TestEnqueueQueueAlternates(t *testing.T) {
-	slot := 65 * sim.Microsecond
-	in, _ := CQF(slot, 7, 6)
-	if EnqueueQueue(in, 0, 7, 6) != 7 {
-		t.Fatal("slot 0 should enqueue into queue 7")
-	}
-	if EnqueueQueue(in, slot, 7, 6) != 6 {
-		t.Fatal("slot 1 should enqueue into queue 6")
-	}
-	if EnqueueQueue(in, 2*slot, 7, 6) != 7 {
-		t.Fatal("slot 2 should wrap to queue 7")
-	}
-}
-
 // Property: for any time, the CQF in- and out-gates of the two TS
 // queues are exclusive and complementary, and the state is periodic
 // with the cycle.
@@ -187,9 +172,8 @@ func TestCQFInvariantProperty(t *testing.T) {
 // one slot away, and lies on a slot edge.
 func TestBoundaryProperty(t *testing.T) {
 	slot := 13 * sim.Microsecond
-	g := NewGCL(slot, []Mask{1, 2, 3, 4, 5})
 	prop := func(raw uint32, baseRaw uint16) bool {
-		g.SetBase(sim.Time(baseRaw))
+		g := uniform(slot, 1, 2, 3, 4, 5).WithBase(sim.Time(baseRaw))
 		at := sim.Time(raw)
 		nb := g.NextBoundary(at)
 		if nb <= at || nb-at > slot {

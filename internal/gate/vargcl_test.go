@@ -9,10 +9,10 @@ import (
 
 func us(n int) sim.Time { return sim.Time(n) * sim.Microsecond }
 
-func sampleVarGCL() *VarGCL {
+func sampleVarGCL() *GCL {
 	// 10 µs window for queue 7, 30 µs everything-but-7, 20 µs queue 6
 	// only: cycle 60 µs.
-	return NewVarGCL([]VarEntry{
+	return NewGCL([]Entry{
 		{Mask: Mask(0).With(7), Duration: us(10)},
 		{Mask: AllOpen &^ (1 << 7), Duration: us(30)},
 		{Mask: Mask(0).With(6), Duration: us(20)},
@@ -69,8 +69,7 @@ func TestVarGCLBoundaries(t *testing.T) {
 }
 
 func TestVarGCLBase(t *testing.T) {
-	g := sampleVarGCL()
-	g.SetBase(us(7))
+	g := sampleVarGCL().WithBase(us(7))
 	if !g.StateAt(us(7)).Open(7) {
 		t.Fatal("base not applied")
 	}
@@ -86,7 +85,7 @@ func TestVarGCLPanics(t *testing.T) {
 				t.Error("empty VarGCL did not panic")
 			}
 		}()
-		NewVarGCL(nil)
+		NewGCL(nil)
 	}()
 	func() {
 		defer func() {
@@ -94,7 +93,7 @@ func TestVarGCLPanics(t *testing.T) {
 				t.Error("zero duration did not panic")
 			}
 		}()
-		NewVarGCL([]VarEntry{{Mask: 1, Duration: 0}})
+		NewGCL([]Entry{{Mask: 1, Duration: 0}})
 	}()
 }
 
@@ -124,33 +123,41 @@ func TestVarGCLProperty(t *testing.T) {
 func TestEnqueueTargetCQF(t *testing.T) {
 	slot := us(65)
 	in, _ := CQF(slot, 7, 6)
-	if got := EnqueueTarget(in, 0, 7, 7, 6); got != 7 {
+	if got := EnqueueTarget(in.StateAt(0), 7, 7, 6); got != 7 {
 		t.Fatalf("slot 0 target = %d", got)
 	}
-	if got := EnqueueTarget(in, slot, 7, 7, 6); got != 6 {
+	if got := EnqueueTarget(in.StateAt(slot), 7, 7, 6); got != 6 {
 		t.Fatalf("slot 1 target = %d", got)
 	}
+	// The pair alternates whichever member the frame was classified to,
+	// and wraps at the cycle.
+	if got := EnqueueTarget(in.StateAt(slot), 6, 7, 6); got != 6 {
+		t.Fatalf("slot 1 target for queue 6 = %d", got)
+	}
+	if got := EnqueueTarget(in.StateAt(2*slot), 6, 7, 6); got != 7 {
+		t.Fatalf("slot 2 should wrap to queue 7, got %d", got)
+	}
 	// Non-pair queue passes through when open.
-	if got := EnqueueTarget(in, 0, 3, 7, 6); got != 3 {
+	if got := EnqueueTarget(in.StateAt(0), 3, 7, 6); got != 3 {
 		t.Fatalf("queue 3 target = %d", got)
 	}
 }
 
 func TestEnqueueTargetClosed(t *testing.T) {
 	// A schedule closing everything: pair members and others rejected.
-	g := NewVarGCL([]VarEntry{{Mask: 0, Duration: us(10)}})
-	if got := EnqueueTarget(g, 0, 7, 7, 6); got != -1 {
+	g := NewGCL([]Entry{{Mask: 0, Duration: us(10)}})
+	if got := EnqueueTarget(g.StateAt(0), 7, 7, 6); got != -1 {
 		t.Fatalf("closed pair target = %d", got)
 	}
-	if got := EnqueueTarget(g, 0, 3, 7, 6); got != -1 {
+	if got := EnqueueTarget(g.StateAt(0), 3, 7, 6); got != -1 {
 		t.Fatalf("closed queue 3 target = %d", got)
 	}
 }
 
 func TestEnqueueTargetAlwaysOpen(t *testing.T) {
-	g := NewVarGCL([]VarEntry{{Mask: AllOpen, Duration: us(10)}})
+	g := NewGCL([]Entry{{Mask: AllOpen, Duration: us(10)}})
 	// Both pair members open: prefer a.
-	if got := EnqueueTarget(g, 0, 6, 7, 6); got != 7 {
+	if got := EnqueueTarget(g.StateAt(0), 6, 7, 6); got != 7 {
 		t.Fatalf("target = %d, want preference for a", got)
 	}
 }

@@ -90,12 +90,56 @@ type Bindings struct {
 	Platform core.Platform
 }
 
-// op is one staged reconfiguration step: apply moves a resource from
-// the old to the new configuration, revert restores it exactly.
-type op struct {
+// classes is the per-class table of staged operations, in staging
+// order: the set_* API name, the parameters that dimension the class
+// (an operation is staged when they change) and the switch primitive
+// that resizes to them: the new configuration's to apply, the old's to
+// revert.
+var classes = [...]struct {
 	name   string
-	apply  func() error
-	revert func() error
+	sizes  func(c *core.Config) [2]int
+	resize func(sw *tsnswitch.Switch, n [2]int) error
+}{
+	{"set_switch_tbl", func(c *core.Config) [2]int { return [2]int{c.UnicastSize, c.MulticastSize} },
+		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeSwitchTbl(n[0], n[1]) }},
+	{"set_class_tbl", func(c *core.Config) [2]int { return [2]int{c.ClassSize} },
+		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeClassTbl(n[0]) }},
+	{"set_meter_tbl", func(c *core.Config) [2]int { return [2]int{c.MeterSize} },
+		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeMeterTbl(n[0]) }},
+	{"set_gate_tbl", func(c *core.Config) [2]int { return [2]int{c.GateSize} },
+		func(sw *tsnswitch.Switch, n [2]int) error { return sw.SetGateSize(n[0]) }},
+	{"set_cbs_tbl", func(c *core.Config) [2]int { return [2]int{c.CBSMapSize, c.CBSSize} },
+		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeCBS(n[0], n[1]) }},
+	{"set_queues", func(c *core.Config) [2]int { return [2]int{c.QueueDepth} },
+		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeQueues(n[0]) }},
+	{"set_buffers", func(c *core.Config) [2]int { return [2]int{c.BufferNum} },
+		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeBuffers(n[0]) }},
+	{"rebase_slot", func(c *core.Config) [2]int { return [2]int{int(c.SlotSize)} }, nil},
+}
+
+// The classes apply and prepare single out; set_frer_tbl is staged per
+// FRER table, not per switch, so it has no row.
+const setBuffers, rebaseSlot, setFRERTbl = len(classes) - 2, len(classes) - 1, len(classes)
+
+// op is one staged reconfiguration step — data, not code: a resize is
+// {switch, class}; rebase_slot (not a resize) and set_frer_tbl add the
+// state their revert restores.
+type op struct {
+	sw    *tsnswitch.Switch // nil for set_frer_tbl
+	class int               // index into classes, or setFRERTbl
+	// rebase_slot: the lists apply replaced, captured at apply time so
+	// revert reinstalls the exact values, base alignment included.
+	savedIn, savedOut []*gate.GCL
+	// set_frer_tbl: index in Bindings.FRER, window to apply / to restore.
+	frerIdx, hist, oldHist int
+}
+
+// name formats the operation's name on demand.
+func (o *op) name() string {
+	if o.class == setFRERTbl {
+		return fmt.Sprintf("frer%d:set_frer_tbl", o.frerIdx)
+	}
+	return fmt.Sprintf("sw%d:%s", o.sw.ID(), classes[o.class].name)
 }
 
 // Controller owns transaction bookkeeping: metrics, and the fault-
@@ -358,98 +402,54 @@ func effectiveHistory(cfg core.Config) int {
 }
 
 // prepare stages one operation per changed resource class, per switch,
-// in deterministic order. Each operation's revert closure restores the
-// exact state its apply replaced.
+// in deterministic order.
 func (t *Txn) prepare() {
-	old, new := t.old, t.new
+	old, new := &t.old, &t.new
 	for _, sw := range t.b.Switches {
-		sw := sw
-		pfx := fmt.Sprintf("sw%d:", sw.ID())
-		if new.UnicastSize != old.UnicastSize || new.MulticastSize != old.MulticastSize {
-			t.ops = append(t.ops, op{
-				name:   pfx + "set_switch_tbl",
-				apply:  func() error { return sw.ResizeSwitchTbl(new.UnicastSize, new.MulticastSize) },
-				revert: func() error { return sw.ResizeSwitchTbl(old.UnicastSize, old.MulticastSize) },
-			})
-		}
-		if new.ClassSize != old.ClassSize {
-			t.ops = append(t.ops, op{
-				name:   pfx + "set_class_tbl",
-				apply:  func() error { return sw.ResizeClassTbl(new.ClassSize) },
-				revert: func() error { return sw.ResizeClassTbl(old.ClassSize) },
-			})
-		}
-		if new.MeterSize != old.MeterSize {
-			t.ops = append(t.ops, op{
-				name:   pfx + "set_meter_tbl",
-				apply:  func() error { return sw.ResizeMeterTbl(new.MeterSize) },
-				revert: func() error { return sw.ResizeMeterTbl(old.MeterSize) },
-			})
-		}
-		if new.GateSize != old.GateSize {
-			t.ops = append(t.ops, op{
-				name:   pfx + "set_gate_tbl",
-				apply:  func() error { return sw.SetGateSize(new.GateSize) },
-				revert: func() error { return sw.SetGateSize(old.GateSize) },
-			})
-		}
-		if new.CBSMapSize != old.CBSMapSize || new.CBSSize != old.CBSSize {
-			t.ops = append(t.ops, op{
-				name:   pfx + "set_cbs_tbl",
-				apply:  func() error { return sw.ResizeCBS(new.CBSMapSize, new.CBSSize) },
-				revert: func() error { return sw.ResizeCBS(old.CBSMapSize, old.CBSSize) },
-			})
-		}
-		if new.QueueDepth != old.QueueDepth {
-			t.ops = append(t.ops, op{
-				name:   pfx + "set_queues",
-				apply:  func() error { return sw.ResizeQueues(new.QueueDepth) },
-				revert: func() error { return sw.ResizeQueues(old.QueueDepth) },
-			})
-		}
-		if new.BufferNum != old.BufferNum && sw.Config().SharedBufferNum <= 0 {
-			t.ops = append(t.ops, op{
-				name:   pfx + "set_buffers",
-				apply:  func() error { return sw.ResizeBuffers(new.BufferNum) },
-				revert: func() error { return sw.ResizeBuffers(old.BufferNum) },
-			})
-		}
-		if new.SlotSize != old.SlotSize {
-			// Capture the replaced schedules at apply time so revert
-			// restores the exact objects, base alignment included.
-			var savedIn, savedOut []gate.Schedule
-			t.ops = append(t.ops, op{
-				name: pfx + "rebase_slot",
-				apply: func() error {
-					ports := sw.Config().Ports
-					savedIn = make([]gate.Schedule, ports)
-					savedOut = make([]gate.Schedule, ports)
-					for p := 0; p < ports; p++ {
-						savedIn[p], savedOut[p] = sw.PortSchedules(p)
-					}
-					base := sw.Clock.Now(t.c.engine.Now())
-					return sw.RebaseCQF(new.SlotSize, base)
-				},
-				revert: func() error { return sw.RestoreSchedules(old.SlotSize, savedIn, savedOut) },
-			})
-		}
-	}
-	if new.FRERSize != old.FRERSize || effectiveHistory(new) != effectiveHistory(old) {
-		newHist := effectiveHistory(new)
-		for i, tbl := range t.b.FRER {
-			i, tbl := i, tbl
-			oldHist := tbl.History()
-			hist := newHist
-			if hist == 0 {
-				hist = oldHist // frer_size 0: keep the window, only the budget shrinks
+		for c := range classes {
+			unchanged := classes[c].sizes(old) == classes[c].sizes(new)
+			if unchanged || (c == setBuffers && sw.Config().SharedBufferNum > 0) {
+				continue
 			}
-			t.ops = append(t.ops, op{
-				name:   fmt.Sprintf("frer%d:set_frer_tbl", i),
-				apply:  func() error { return tbl.Resize(new.FRERSize, hist) },
-				revert: func() error { return tbl.Resize(old.FRERSize, oldHist) },
-			})
+			t.ops = append(t.ops, op{sw: sw, class: c})
 		}
 	}
+	if new.FRERSize != old.FRERSize || effectiveHistory(*new) != effectiveHistory(*old) {
+		for i, tbl := range t.b.FRER {
+			hist := effectiveHistory(*new)
+			if hist == 0 {
+				hist = tbl.History() // frer_size 0: keep the window, only the budget shrinks
+			}
+			t.ops = append(t.ops, op{class: setFRERTbl, frerIdx: i, hist: hist, oldHist: tbl.History()})
+		}
+	}
+}
+
+// apply moves o's resource from the old to the new configuration.
+func (t *Txn) apply(o *op) error {
+	switch o.class {
+	case setFRERTbl:
+		return t.b.FRER[o.frerIdx].Resize(t.new.FRERSize, o.hist)
+	case rebaseSlot:
+		ports := o.sw.Config().Ports
+		o.savedIn, o.savedOut = make([]*gate.GCL, ports), make([]*gate.GCL, ports)
+		for p := range o.savedIn {
+			o.savedIn[p], o.savedOut[p] = o.sw.PortSchedules(p)
+		}
+		return o.sw.RebaseCQF(t.new.SlotSize, o.sw.Clock.Now(t.c.engine.Now()))
+	}
+	return classes[o.class].resize(o.sw, classes[o.class].sizes(&t.new))
+}
+
+// revert restores exactly the state o's apply replaced.
+func (t *Txn) revert(o *op) error {
+	switch o.class {
+	case setFRERTbl:
+		return t.b.FRER[o.frerIdx].Resize(t.old.FRERSize, o.oldHist)
+	case rebaseSlot:
+		return o.sw.RestoreSchedules(t.old.SlotSize, o.savedIn, o.savedOut)
+	}
+	return classes[o.class].resize(o.sw, classes[o.class].sizes(&t.old))
 }
 
 // State returns the transaction's lifecycle state.
@@ -467,8 +467,8 @@ func (t *Txn) New() core.Config { return t.new }
 // Ops lists the staged operation names in apply order.
 func (t *Txn) Ops() []string {
 	names := make([]string, len(t.ops))
-	for i, o := range t.ops {
-		names[i] = o.name
+	for i := range t.ops {
+		names[i] = t.ops[i].name()
 	}
 	return names
 }
@@ -535,44 +535,43 @@ func (t *Txn) Commit() {
 	if t.c.onAttempt != nil {
 		t.c.onAttempt(t, t.attempts)
 	}
-	for i, o := range t.ops {
+	for i := range t.ops {
+		o := &t.ops[i]
 		var err error
 		fired, wedged := t.c.takeFailure(i, len(t.ops))
 		if fired {
-			err = fmt.Errorf("reconfig: injected failure before %q", o.name)
+			err = fmt.Errorf("reconfig: injected failure before %q", o.name())
 		} else {
-			err = o.apply()
+			err = t.apply(o)
 		}
 		if err != nil {
+			how := ""
 			if wedged {
-				t.err = fmt.Errorf("reconfig: commit failed at %q with rollback disabled: %w", o.name, err)
-				t.state = StateRolledBack
-				t.c.metRolledBack.Inc()
-				t.resolve()
-				return
-			}
-			t.rollback(i)
-			if t.attempts <= t.c.retryMax {
-				t.c.metRetried.Inc()
-				backoff := t.c.backoff
-				if backoff <= 0 {
-					backoff = 2 * t.old.SlotSize
+				how = " with rollback disabled"
+			} else {
+				t.rollback(i)
+				if t.attempts <= t.c.retryMax {
+					t.c.metRetried.Inc()
+					backoff := t.c.backoff
+					if backoff <= 0 {
+						backoff = 2 * t.old.SlotSize
+					}
+					// Clamp the retry instant: a pathological backoff (or a
+					// long-lived engine already deep into its timeline) must
+					// not overflow sim.Time into the past and time-travel
+					// the retry. maxCommitAt leaves headroom for callers
+					// that add small offsets to CommitTime.
+					now := t.c.engine.Now()
+					if backoff > maxCommitAt-now {
+						t.commitAt = maxCommitAt
+					} else {
+						t.commitAt = now + backoff
+					}
+					t.c.engine.At(t.commitAt, "reconfig:retry", func(*sim.Engine) { t.Commit() })
+					return
 				}
-				// Clamp the retry instant: a pathological backoff (or a
-				// long-lived engine already deep into its timeline) must
-				// not overflow sim.Time into the past and time-travel the
-				// retry. maxCommitAt leaves headroom for callers that add
-				// small offsets to CommitTime.
-				now := t.c.engine.Now()
-				if backoff > maxCommitAt-now {
-					t.commitAt = maxCommitAt
-				} else {
-					t.commitAt = now + backoff
-				}
-				t.c.engine.At(t.commitAt, "reconfig:retry", func(*sim.Engine) { t.Commit() })
-				return
 			}
-			t.err = fmt.Errorf("reconfig: commit failed at %q: %w", o.name, err)
+			t.err = fmt.Errorf("reconfig: commit failed at %q%s: %w", o.name(), how, err)
 			t.state = StateRolledBack
 			t.c.metRolledBack.Inc()
 			t.resolve()
@@ -592,8 +591,8 @@ func (t *Txn) Commit() {
 // — so it panics.
 func (t *Txn) rollback(applied int) {
 	for i := applied - 1; i >= 0; i-- {
-		if err := t.ops[i].revert(); err != nil {
-			panic(fmt.Sprintf("reconfig: rollback of %q failed: %v", t.ops[i].name, err))
+		if err := t.revert(&t.ops[i]); err != nil {
+			panic(fmt.Sprintf("reconfig: rollback of %q failed: %v", t.ops[i].name(), err))
 		}
 		t.c.metReverted.Inc()
 	}

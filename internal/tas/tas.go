@@ -291,8 +291,8 @@ func (s *Schedule) Apply(specs []*flows.Spec) {
 
 // buildSegments compiles windows into mask/duration segments. tsMask
 // and defMask select the open sets inside and outside TS windows.
-func buildSegments(ws []Window, tsMask, defMask gate.Mask, cycle, guard sim.Time) ([]gate.VarEntry, error) {
-	var out []gate.VarEntry
+func buildSegments(ws []Window, tsMask, defMask gate.Mask, cycle, guard sim.Time) ([]gate.Entry, error) {
+	var out []gate.Entry
 	emit := func(m gate.Mask, d sim.Time) {
 		if d <= 0 {
 			return
@@ -301,7 +301,7 @@ func buildSegments(ws []Window, tsMask, defMask gate.Mask, cycle, guard sim.Time
 			out[len(out)-1].Duration += d
 			return
 		}
-		out = append(out, gate.VarEntry{Mask: m, Duration: d})
+		out = append(out, gate.Entry{Mask: m, Duration: d})
 	}
 	at := sim.Time(0)
 	for _, w := range ws {
@@ -319,7 +319,7 @@ func buildSegments(ws []Window, tsMask, defMask gate.Mask, cycle, guard sim.Time
 	}
 	emit(defMask, cycle-at)
 	if len(out) == 0 {
-		out = append(out, gate.VarEntry{Mask: defMask, Duration: cycle})
+		out = append(out, gate.Entry{Mask: defMask, Duration: cycle})
 	}
 	return out, nil
 }
@@ -329,15 +329,14 @@ func buildSegments(ws []Window, tsMask, defMask gate.Mask, cycle, guard sim.Time
 // (TAS gates on egress only); the out-list opens only the TS queues
 // inside windows, closes everything during the pre-window guard band,
 // and opens everything except the TS queues elsewhere.
-func (s *Schedule) GCLs(pk PortKey, tsA, tsB int) (in, out gate.Schedule, err error) {
+func (s *Schedule) GCLs(pk PortKey, tsA, tsB int) (in, out *gate.GCL, err error) {
 	tsMask := gate.Mask(0).With(tsA).With(tsB)
 	defMask := gate.AllOpen &^ tsMask
 	segs, err := buildSegments(s.Windows[pk], tsMask, defMask, s.Cycle, s.GuardBand)
 	if err != nil {
 		return nil, nil, err
 	}
-	inList := gate.NewVarGCL([]gate.VarEntry{{Mask: gate.AllOpen, Duration: s.Cycle}})
-	return inList, gate.NewVarGCL(segs), nil
+	return gate.AlwaysOpen(s.Cycle), gate.NewGCL(segs), nil
 }
 
 // WorstCaseLatency returns the synthesized bound for flow id: from

@@ -98,23 +98,8 @@ func (sw *Switch) resolveInstruments(reg *metrics.Registry) {
 			p.metEnq[q] = reg.Counter(MetricEnqueues, swl, pl, ql)
 			queue.Instrument(reg.Gauge(MetricQueueHW, swl, pl, ql))
 		}
-		sw.attachGateCounters(p)
-	}
-}
-
-// attachGateCounters binds rollover counters to port p's current
-// in/out schedules. Re-run after SetPortSchedules replaces them.
-func (sw *Switch) attachGateCounters(p *Port) {
-	if sw.metrics == nil {
-		return
-	}
-	swl := metrics.L("switch", strconv.Itoa(sw.cfg.ID))
-	pl := metrics.L("port", strconv.Itoa(p.id))
-	type rollable interface{ SetRolloverCounter(metrics.Counter) }
-	if g, ok := p.inGCL.(rollable); ok {
-		g.SetRolloverCounter(sw.metrics.Counter(MetricRollovers, swl, pl, metrics.L("dir", "in")))
-	}
-	if g, ok := p.outGCL.(rollable); ok {
-		g.SetRolloverCounter(sw.metrics.Counter(MetricRollovers, swl, pl, metrics.L("dir", "out")))
+		for dir := range p.gates {
+			p.gates[dir].roll = reg.Counter(MetricRollovers, swl, pl, metrics.L("dir", dirNames[dir]))
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/gate"
 	"github.com/tsnbuilder/tsnbuilder/internal/israce"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/netdev"
@@ -149,5 +150,83 @@ func TestSwitchHopAllocFree(t *testing.T) {
 	st := sw.Stats()
 	if _, rx, _ := peer.Counters(); rx < 1000 || st.TotalDrops() != 0 {
 		t.Fatalf("peer received %d frames, %d drops", rx, st.TotalDrops())
+	}
+}
+
+// rollovers reads one (port, direction) series of the rig's switch.
+func rollovers(reg *metrics.Registry, port, dir string) uint64 {
+	return reg.CounterValue(MetricRollovers,
+		metrics.L("switch", "0"), metrics.L("port", port), metrics.L("dir", dir))
+}
+
+// TestRolloversCountPerPortAndDirection: one immutable list installed
+// as in and out of both ports counts every (port, direction) on its
+// own — each reads the slot index of its own last evaluation. (With
+// the counter and cursor inside the list object, only the last bound
+// series moved.)
+func TestRolloversCountPerPortAndDirection(t *testing.T) {
+	r, reg := newMetricsRig(t)
+	shared := gate.AlwaysOpen(100 * sim.Microsecond)
+	for p := 0; p < 2; p++ {
+		if err := r.sw.SetPortSchedules(p, shared, shared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Port 1 evaluates its gates until 950 µs (slot 9), port 0 — the
+	// reverse direction — only until 350 µs (slot 3).
+	for i := 0; i < 10; i++ {
+		r.hosts[0].sendAt(sim.Time(50+100*i)*sim.Microsecond, tsFrame(1, uint32(i+1)))
+	}
+	for i := 0; i < 4; i++ {
+		r.hosts[1].sendAt(sim.Time(50+100*i)*sim.Microsecond, tsFrame(0, uint32(i+1)))
+	}
+	r.engine.RunUntil(sim.Second)
+	for _, c := range []struct {
+		port, dir string
+		want      uint64
+	}{{"1", "in", 9}, {"1", "out", 9}, {"0", "in", 3}, {"0", "out", 3}} {
+		if got := rollovers(reg, c.port, c.dir); got != c.want {
+			t.Errorf("port %s dir %s: %d rollovers, want %d", c.port, c.dir, got, c.want)
+		}
+	}
+}
+
+// TestRolloverCursorAcrossReplacement: replacing a port's lists by
+// ones on the same grid and putting the originals back — what a
+// gate-close fault does — neither repeats nor drops a rollover, also
+// when nothing evaluates the gates in between; a list installed at its
+// own base (RebaseCQF) counts from that instant.
+func TestRolloverCursorAcrossReplacement(t *testing.T) {
+	r, reg := newMetricsRig(t)
+	slot := r.sw.Config().SlotSize
+	send := func(at sim.Time, seq uint32) { r.hosts[0].sendAt(at, tsFrame(1, seq)) }
+	send(slot/2, 1) // both directions of port 1 evaluated in slot 0/1
+	r.engine.At(10*slot+slot/2, "swap", func(*sim.Engine) {
+		in, out := r.sw.PortSchedules(1)
+		stuck, _ := gate.CQF(slot, 5, 4)
+		if err := r.sw.SetPortSchedules(1, stuck, stuck); err != nil {
+			t.Error(err)
+		}
+		r.engine.After(20*slot, "restore", func(*sim.Engine) {
+			if err := r.sw.SetPortSchedules(1, in, out); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	send(40*slot+slot/2, 2)
+	r.engine.RunUntil(50 * slot)
+	if in, out := rollovers(reg, "1", "in"), rollovers(reg, "1", "out"); in != 40 || out != 41 {
+		t.Fatalf("after replace+restore: in=%d out=%d, want 40/41 (enqueued in slot 40, drained in 41)", in, out)
+	}
+	// Rebase at 50 slots onto a 3× slot: counting restarts at the new
+	// base, so a frame in the new grid's slot 2 adds 2 (in) and 3 (out).
+	base := 50 * slot
+	if err := r.sw.RebaseCQF(3*slot, base); err != nil {
+		t.Fatal(err)
+	}
+	send(base+7*slot, 3)
+	r.engine.RunUntil(base + 20*slot)
+	if in, out := rollovers(reg, "1", "in"), rollovers(reg, "1", "out"); in != 42 || out != 44 {
+		t.Fatalf("after rebase: in=%d out=%d, want 42/44", in, out)
 	}
 }

@@ -18,7 +18,7 @@ func preemptRig(t *testing.T, preempt bool) *rig {
 	cfg.QueueDepth = 64
 	cfg.BuffersPerPort = 256
 	r := newRig(t, cfg)
-	open := gate.NewVarGCL([]gate.VarEntry{{Mask: gate.AllOpen, Duration: sim.Millisecond}})
+	open := gate.AlwaysOpen(sim.Millisecond)
 	for p := 0; p < cfg.Ports; p++ {
 		if err := r.sw.SetPortSchedules(p, open, open); err != nil {
 			t.Fatal(err)

@@ -70,9 +70,9 @@ func (sw *Switch) SetGateSize(size int) error {
 		return fmt.Errorf("tsnswitch: gate size %d < 2 (CQF needs 2)", size)
 	}
 	for _, p := range sw.ports {
-		if p.inGCL.Size() > size || p.outGCL.Size() > size {
+		if in, out := p.gates[dirIn].Size(), p.gates[dirOut].Size(); in > size || out > size {
 			return fmt.Errorf("tsnswitch: port %d schedule of %d/%d entries exceeds gate size %d",
-				p.id, p.inGCL.Size(), p.outGCL.Size(), size)
+				p.id, in, out, size)
 		}
 	}
 	sw.cfg.GateSize = size
@@ -168,15 +168,14 @@ func (sw *Switch) ResizeSharedBuffers(total int) error {
 	return nil
 }
 
-// CQFSchedules reports whether every port still runs the 2-entry CQF
-// gate pair the switch was built with — the precondition for changing
-// the slot size, since an arbitrary synthesized 802.1Qbv schedule has
-// no meaningful "same schedule at a new slot".
+// CQFSchedules reports whether every port still runs lists of CQF's
+// shape (two equal entries, as the pair the switch was built with) —
+// the precondition for changing the slot size, since an arbitrary
+// synthesized 802.1Qbv schedule has no meaningful "same schedule at a
+// new slot".
 func (sw *Switch) CQFSchedules() bool {
 	for _, p := range sw.ports {
-		in, inOK := p.inGCL.(*gate.GCL)
-		out, outOK := p.outGCL.(*gate.GCL)
-		if !inOK || !outOK || in.Size() != 2 || out.Size() != 2 {
+		if !p.gates[dirIn].IsCQF() || !p.gates[dirOut].IsCQF() {
 			return false
 		}
 	}
@@ -194,10 +193,9 @@ func (sw *Switch) RebaseCQF(slot sim.Time, base sim.Time) error {
 	if !sw.CQFSchedules() {
 		return fmt.Errorf("tsnswitch: ports carry non-CQF schedules; cannot rebase slot size")
 	}
+	in, out := gate.CQF(slot, sw.cfg.TSQueueA, sw.cfg.TSQueueB)
+	in, out = in.WithBase(base), out.WithBase(base)
 	for p := range sw.ports {
-		in, out := gate.CQF(slot, sw.cfg.TSQueueA, sw.cfg.TSQueueB)
-		in.SetBase(base)
-		out.SetBase(base)
 		if err := sw.SetPortSchedules(p, in, out); err != nil {
 			return err
 		}
@@ -206,11 +204,11 @@ func (sw *Switch) RebaseCQF(slot sim.Time, base sim.Time) error {
 	return nil
 }
 
-// RestoreSchedules reinstalls previously captured per-port schedules
+// RestoreSchedules reinstalls previously captured per-port lists
 // together with the slot size they belong to — the rollback inverse of
 // RebaseCQF, restoring the exact pre-transaction gate state including
-// each schedule's base alignment.
-func (sw *Switch) RestoreSchedules(slot sim.Time, in, out []gate.Schedule) error {
+// each list's base alignment and each port's rollover cursor.
+func (sw *Switch) RestoreSchedules(slot sim.Time, in, out []*gate.GCL) error {
 	if slot <= 0 {
 		return fmt.Errorf("tsnswitch: non-positive slot size %v", slot)
 	}
@@ -309,12 +307,8 @@ func (sw *Switch) Audit(now sim.Time) []Violation {
 				})
 			}
 		}
-		gcls := []struct {
-			dir string
-			g   gate.Schedule
-		}{{"in", p.inGCL}, {"out", p.outGCL}}
-		for _, sg := range gcls {
-			dir, g := sg.dir, sg.g
+		for d, g := range p.gates {
+			dir := dirNames[d]
 			if g.Cycle() <= 0 {
 				out = append(out, Violation{
 					Invariant: "gate-monotonic",

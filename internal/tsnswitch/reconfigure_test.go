@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/gate"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
@@ -101,6 +102,29 @@ func TestCQFSchedulesAndRebase(t *testing.T) {
 	}
 	if !r.sw.CQFSchedules() {
 		t.Fatal("rebase must keep CQF schedules")
+	}
+	// CQF is a shape — two equal entries — not a type: the gate-close
+	// fault's stuck pair keeps it, anything InstallTAS loads (the open
+	// list; unequal windows) does not, and a slot change is refused.
+	slot := 130 * sim.Microsecond
+	stuck := gate.NewGCL([]gate.Entry{{Mask: 0x3f, Duration: slot}, {Mask: 0x3f, Duration: slot}})
+	if err := r.sw.SetPortSchedules(0, stuck, stuck); err != nil || !r.sw.CQFSchedules() {
+		t.Fatalf("two equal entries must count as CQF (err %v)", err)
+	}
+	in, out := r.sw.PortSchedules(1)
+	for name, g := range map[string]*gate.GCL{
+		"open":    gate.AlwaysOpen(2 * slot),
+		"unequal": gate.NewGCL([]gate.Entry{{Mask: 1, Duration: slot}, {Mask: 2, Duration: slot + 1}}),
+	} {
+		if err := r.sw.SetPortSchedules(1, in, g); err != nil || r.sw.CQFSchedules() {
+			t.Fatalf("%s list must not count as CQF (err %v)", name, err)
+		}
+		if err := r.sw.RebaseCQF(slot, 0); err == nil {
+			t.Fatalf("rebase accepted with the %s list installed", name)
+		}
+	}
+	if err := r.sw.SetPortSchedules(1, in, out); err != nil || !r.sw.CQFSchedules() {
+		t.Fatalf("restoring the pair must restore CQF (err %v)", err)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestSetPortSchedules(t *testing.T) {
 	cfg := testConfig()
 	cfg.GateSize = 4
 	r := newRig(t, cfg)
-	sched := gate.NewVarGCL([]gate.VarEntry{
+	sched := gate.NewGCL([]gate.Entry{
 		{Mask: gate.AllOpen, Duration: 100 * sim.Microsecond},
 		{Mask: 0, Duration: 10 * sim.Microsecond},
 	})
@@ -69,7 +69,7 @@ func TestSetPortSchedules(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Oversized schedule rejected.
-	big := gate.NewVarGCL([]gate.VarEntry{
+	big := gate.NewGCL([]gate.Entry{
 		{Mask: 1, Duration: 1}, {Mask: 2, Duration: 1}, {Mask: 1, Duration: 1},
 		{Mask: 2, Duration: 1}, {Mask: 1, Duration: 1},
 	})
@@ -86,7 +86,7 @@ func TestCustomScheduleDataplane(t *testing.T) {
 	// then forward immediately instead of waiting for a CQF slot.
 	cfg := testConfig()
 	r := newRig(t, cfg)
-	open := gate.NewVarGCL([]gate.VarEntry{{Mask: gate.AllOpen, Duration: sim.Millisecond}})
+	open := gate.AlwaysOpen(sim.Millisecond)
 	if err := r.sw.SetPortSchedules(1, open, open); err != nil {
 		t.Fatal(err)
 	}

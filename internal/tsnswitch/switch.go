@@ -41,9 +41,8 @@ type Switch struct {
 	// enqueue sheds lower classes at admission while it is raised.
 	degrade DegradeLevel
 	// Telemetry: handles resolved once at construction (zero values are
-	// no-ops), plus the registry for re-binding replaced schedules.
-	met     swInstruments
-	metrics *metrics.Registry
+	// no-ops).
+	met swInstruments
 }
 
 // emit records a trace event if tracing or the flight recorder is
@@ -70,9 +69,9 @@ type Port struct {
 
 	queues []*buffering.Queue
 	pool   *buffering.Pool
-	inGCL  gate.Schedule
-	outGCL gate.Schedule
-	bank   *shaper.Bank
+	// gates[dirIn] and gates[dirOut] are Gate Ctrl's two directions.
+	gates [2]portGate
+	bank  *shaper.Bank
 
 	// metEnq has one admitted-frames counter per queue; always sized
 	// len(queues) so the enqueue path indexes it unconditionally.
@@ -96,6 +95,46 @@ type Port struct {
 	// a retry allocates nothing.
 	txDoneFn func()
 	retryFn  sim.Handler
+}
+
+// Gate directions; dirNames are their "dir" label values.
+const dirIn, dirOut = 0, 1
+
+var dirNames = [2]string{"in", "out"}
+
+// portGate is one direction of a port's Gate Ctrl: the installed list
+// and — lists being immutable and freely shared — the rollover
+// accounting, which belongs to the (port, direction): rollovers are
+// counted up to seen, the list's slot index at the last observation's
+// local time seenAt.
+type portGate struct {
+	*gate.GCL
+	roll   metrics.Counter
+	seen   int64
+	seenAt sim.Time
+}
+
+// install replaces the list and re-anchors the cursor on its grid: at
+// the last observation, or at the list's base when that is later. So a
+// list installed at its own base (construction, rebase_slot) counts
+// from that instant; one whose grid is already running (a gate-close
+// replacement, a rollback's restored lists) continues the count.
+func (d *portGate) install(g *gate.GCL) {
+	d.GCL, d.seen = g, g.SlotIndex(max(d.seenAt, g.Base()))
+}
+
+// observe counts the rollovers up to local time t — forward progress
+// only: a clock step backwards re-anchors without decrementing — and
+// returns the mask in effect then.
+func (d *portGate) observe(t sim.Time) gate.Mask {
+	if d.roll.Active() {
+		s := d.SlotIndex(t)
+		if s > d.seen {
+			d.roll.Add(uint64(s - d.seen))
+		}
+		d.seen, d.seenAt = s, t
+	}
+	return d.StateAt(t)
 }
 
 // suspendedTx is a preempted frame: its descriptor plus the bytes (and
@@ -126,20 +165,20 @@ func New(engine *sim.Engine, cfg Config) *Switch {
 	if cfg.SharedBufferNum > 0 {
 		shared = buffering.NewPool(cfg.SharedBufferNum)
 	}
+	in, out := gate.CQF(cfg.SlotSize, cfg.TSQueueA, cfg.TSQueueB)
 	for p := 0; p < cfg.Ports; p++ {
-		in, out := gate.CQF(cfg.SlotSize, cfg.TSQueueA, cfg.TSQueueB)
 		pool := shared
 		if pool == nil {
 			pool = buffering.NewPool(cfg.BuffersPerPort)
 		}
 		port := &Port{
-			sw:     sw,
-			id:     p,
-			pool:   pool,
-			inGCL:  in,
-			outGCL: out,
-			bank:   shaper.NewBank(cfg.CBSMapSize, cfg.CBSSize),
+			sw:   sw,
+			id:   p,
+			pool: pool,
+			bank: shaper.NewBank(cfg.CBSMapSize, cfg.CBSSize),
 		}
+		port.gates[dirIn].install(in)
+		port.gates[dirOut].install(out)
 		port.ifc = netdev.NewIfc(engine, fmt.Sprintf("sw%d.p%d", cfg.ID, p), port, cfg.RateFor(p))
 		port.txDoneFn, port.retryFn = port.txDone, port.retry
 		for q := 0; q < cfg.QueuesPerPort; q++ {
@@ -149,7 +188,6 @@ func New(engine *sim.Engine, cfg Config) *Switch {
 		port.shapeBlockedAt = make([]sim.Time, cfg.QueuesPerPort)
 		sw.ports = append(sw.ports, port)
 	}
-	sw.metrics = cfg.Metrics
 	sw.resolveInstruments(cfg.Metrics)
 	return sw
 }
@@ -189,11 +227,11 @@ func (sw *Switch) Bank(p int) *shaper.Bank { return sw.Port(p).bank }
 // mode) for occupancy inspection.
 func (p *Port) Pool() *buffering.Pool { return p.pool }
 
-// SetPortSchedules replaces port p's in/out gate schedules — how the
-// control plane loads a synthesized 802.1Qbv GCL instead of the
-// default CQF pair. The schedule entry count must fit the configured
-// gate table size.
-func (sw *Switch) SetPortSchedules(p int, in, out gate.Schedule) error {
+// SetPortSchedules replaces port p's in/out gate control lists — how
+// the control plane loads a synthesized 802.1Qbv list instead of the
+// default CQF pair. The entry count must fit the configured gate table
+// size; one list may serve both directions and any number of ports.
+func (sw *Switch) SetPortSchedules(p int, in, out *gate.GCL) error {
 	if in == nil || out == nil {
 		return fmt.Errorf("tsnswitch: nil schedule")
 	}
@@ -202,17 +240,17 @@ func (sw *Switch) SetPortSchedules(p int, in, out gate.Schedule) error {
 			in.Size(), out.Size(), sw.cfg.GateSize)
 	}
 	port := sw.Port(p)
-	port.inGCL, port.outGCL = in, out
-	sw.attachGateCounters(port)
+	port.gates[dirIn].install(in)
+	port.gates[dirOut].install(out)
 	return nil
 }
 
-// PortSchedules returns port p's current in/out gate schedules, so a
-// caller replacing them (reconfiguration, fault injection) can restore
-// the originals afterwards.
-func (sw *Switch) PortSchedules(p int) (in, out gate.Schedule) {
+// PortSchedules returns port p's current in/out gate control lists, so
+// a caller replacing them (reconfiguration, fault injection) can
+// restore the originals afterwards.
+func (sw *Switch) PortSchedules(p int) (in, out *gate.GCL) {
 	port := sw.Port(p)
-	return port.inGCL, port.outGCL
+	return port.gates[dirIn].GCL, port.gates[dirOut].GCL
 }
 
 // localTime returns the Gate Ctrl time base: the synchronized local
@@ -271,7 +309,7 @@ func (p *Port) enqueue(f *ethernet.Frame, queueID int) {
 	local := sw.localTime()
 	// CQF redirects TS frames to whichever pair queue is accepting
 	// this slot; other queues are admitted iff their in-gate is open.
-	qid := gate.EnqueueTarget(p.inGCL, local, queueID, sw.cfg.TSQueueA, sw.cfg.TSQueueB)
+	qid := gate.EnqueueTarget(p.gates[dirIn].observe(local), queueID, sw.cfg.TSQueueA, sw.cfg.TSQueueB)
 	if qid < 0 {
 		sw.stats.Drops[DropGateClosed]++
 		sw.met.drops[DropGateClosed].Inc()
@@ -364,7 +402,7 @@ func (p *Port) maybePreempt(arrivedQueue int) {
 // (length-aware guard band).
 func (p *Port) selectQueue(local sim.Time) (int, bool) {
 	sw := p.sw
-	outState := p.outGCL.StateAt(local)
+	outState := p.gates[dirOut].observe(local)
 	for q := len(p.queues) - 1; q >= 0; q-- {
 		queue := p.queues[q]
 		if queue.Len() == 0 {
@@ -383,7 +421,7 @@ func (p *Port) selectQueue(local sim.Time) (int, bool) {
 		}
 		if q == sw.cfg.TSQueueA || q == sw.cfg.TSQueueB {
 			head, _ := queue.Peek()
-			if ethernet.FrameTxTime(head.Frame, sw.cfg.RateFor(p.id)) > p.outGCL.TimeToBoundary(local) {
+			if ethernet.FrameTxTime(head.Frame, sw.cfg.RateFor(p.id)) > p.gates[dirOut].TimeToBoundary(local) {
 				// Guard band: the frame would overrun the slot.
 				continue
 			}
@@ -449,22 +487,22 @@ const maxGateScan = 64
 // window [from, to): time the egress gate of queue q was closed, plus —
 // for the CQF TS queues — the length-aware guard band (the last `need`
 // of an open interval the gate closed again before `to`, which the
-// frame could not use). Uses PeekState, so probing never perturbs the
-// rollover counters bound to StateAt.
+// frame could not use). It reads the list, not the port's rollover
+// cursor, so probing past instants perturbs nothing.
 func (p *Port) gateWait(q int, from, to, need sim.Time) sim.Time {
 	if to <= from {
 		return 0
 	}
-	guard := p.isExpress(q)
+	guard, out := p.isExpress(q), p.gates[dirOut].GCL
 	var wait sim.Time
 	t := from
 	for i := 0; i < maxGateScan && t < to; i++ {
-		next := p.outGCL.NextBoundary(t)
+		next := out.NextBoundary(t)
 		closesBeforeTo := next < to
 		if next > to {
 			next = to
 		}
-		if !p.outGCL.PeekState(t).Open(q) {
+		if !out.StateAt(t).Open(q) {
 			wait += next - t
 		} else if guard && closesBeforeTo {
 			if g := need; g > next-t {
@@ -550,7 +588,7 @@ func (p *Port) armRetry(local sim.Time) {
 	// The synchronized clock's rate error is < 1e-4, i.e. < 7 ns over a
 	// 65 µs slot — far below the guard band — so the distance is used
 	// as-is, plus 1 ns to land strictly inside the next slot.
-	delay := p.outGCL.TimeToBoundary(local) + 1
+	delay := p.gates[dirOut].TimeToBoundary(local) + 1
 	p.sw.engine.After(delay, "port-retry", p.retryFn)
 }
 

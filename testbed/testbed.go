@@ -719,11 +719,11 @@ func rcQueueSet(queueNum, rcCount int) []int {
 func (n *Net) InstallTAS(sch *tas.Schedule) error {
 	qa := n.opts.Design.Config.QueueNum - 1
 	qb := n.opts.Design.Config.QueueNum - 2
+	open := gate.AlwaysOpen(sch.Cycle)
 	for s, sw := range n.Switches {
 		for p := 0; p < n.opts.Topo.PortCount(s); p++ {
 			pk := tas.PortKey{Switch: s, Port: p}
 			if len(sch.Windows[pk]) == 0 {
-				open := gate.NewVarGCL([]gate.VarEntry{{Mask: gate.AllOpen, Duration: sch.Cycle}})
 				if err := sw.SetPortSchedules(p, open, open); err != nil {
 					return err
 				}
