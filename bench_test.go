@@ -19,10 +19,12 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/itp"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
+	"github.com/tsnbuilder/tsnbuilder/internal/netdev"
 	"github.com/tsnbuilder/tsnbuilder/internal/obs"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/svc"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
+	"github.com/tsnbuilder/tsnbuilder/internal/tsnnic"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 	"github.com/tsnbuilder/tsnbuilder/tsnbuilder"
 )
@@ -394,6 +396,45 @@ func BenchmarkEngineEvents(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// nicSink counts the frames a NIC's peer receives and samples the
+// engine's pending-event depth at each arrival.
+type nicSink struct {
+	e             *sim.Engine
+	frames, depth int
+}
+
+func (s *nicSink) Receive(*ethernet.Frame, *netdev.Ifc) {
+	s.frames++
+	s.depth = max(s.depth, s.e.Pending())
+}
+
+// BenchmarkNICTick measures flow injection alone: one NIC generating
+// the paper's 1 024 periodic TS flows of 64 B into a sink peer, no
+// switch in between. One op is one injected frame (tick, frame, MAC,
+// wire, delivery); heap-depth is the worst engine queue depth a frame
+// arrival saw — the number of NICs and frames in flight, not of flows.
+func BenchmarkNICTick(b *testing.B) {
+	e := sim.NewEngine()
+	nic, sink := tsnnic.New(e, 1, ethernet.Gbps, nil), &nicSink{e: e}
+	netdev.Connect(nic.Ifc(), netdev.NewIfc(e, "sink", sink, ethernet.Gbps), 100*sim.Nanosecond)
+	for i := 0; i < 1024; i++ {
+		nic.StartFlow(&flows.Spec{
+			ID: uint32(1 + i), Class: ethernet.ClassTS, SrcHost: 1, DstHost: 2, VID: 1, PCP: 7,
+			WireSize: 64, Period: sim.Millisecond, Offset: sim.Time(i) * 700 * sim.Nanosecond,
+		})
+	}
+	e.RunFor(2 * sim.Millisecond) // warm: FIFO, event free list
+	sink.frames, sink.depth = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for sink.frames < b.N {
+		e.RunFor(sim.Millisecond) // one period: 1 024 frames
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sink.frames), "ns/frame")
+	b.ReportMetric(float64(sink.depth), "heap-depth")
 }
 
 // BenchmarkFrameCodec measures the zero-copy codec hot path — the one

@@ -32,7 +32,8 @@ type Descriptor struct {
 // slots.
 type Pool struct {
 	capacity int
-	free     []int // LIFO free list of slot indices
+	free     []int  // LIFO free list of slot indices
+	onFree   []bool // per minted id: on the free list (Free's double-release check)
 	inUse    int
 	// highWater tracks the worst-case simultaneous occupancy, the
 	// number a dimensioning pass would need.
@@ -64,11 +65,25 @@ func NewPool(capacity int) *Pool {
 	if capacity < 0 {
 		panic("buffering: negative pool capacity")
 	}
-	p := &Pool{capacity: capacity, free: make([]int, capacity), created: capacity}
-	for i := range p.free {
-		p.free[i] = capacity - 1 - i // pop order 0,1,2,...
+	p := &Pool{capacity: capacity, free: make([]int, 0, capacity), onFree: make([]bool, capacity), created: capacity}
+	for slot := capacity - 1; slot >= 0; slot-- {
+		p.push(slot) // pop order 0,1,2,...
 	}
 	return p
+}
+
+// pop takes the top slot off the free list.
+func (p *Pool) pop() int {
+	slot := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	p.onFree[slot] = false
+	return slot
+}
+
+// push puts slot on the free list.
+func (p *Pool) push(slot int) {
+	p.free = append(p.free, slot)
+	p.onFree[slot] = true
 }
 
 // Instrument binds the pool's telemetry: occupancy follows InUse,
@@ -96,22 +111,14 @@ func (p *Pool) AllocFailures() uint64 { return p.allocFail }
 // exceeds SlotBytes (a hardware buffer cannot hold it) or the pool is
 // exhausted.
 func (p *Pool) Alloc(wireBytes int) (slot int, ok bool) {
-	if wireBytes > SlotBytes {
+	if wireBytes > SlotBytes || len(p.free) == 0 {
 		p.allocFail++
 		p.metFail.Inc()
 		return -1, false
 	}
-	if len(p.free) == 0 {
-		p.allocFail++
-		p.metFail.Inc()
-		return -1, false
-	}
-	slot = p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
+	slot = p.pop()
 	p.inUse++
-	if p.inUse > p.highWater {
-		p.highWater = p.inUse
-	}
+	p.highWater = max(p.highWater, p.inUse)
 	p.metOcc.Set(int64(p.inUse))
 	p.metHW.SetMax(int64(p.inUse))
 	return slot, true
@@ -125,12 +132,10 @@ func (p *Pool) Free(slot int) {
 	if p.retired[slot] {
 		panic(fmt.Sprintf("buffering: Free of retired slot %d", slot))
 	}
-	for _, f := range p.free {
-		if f == slot {
-			panic(fmt.Sprintf("buffering: double Free of slot %d", slot))
-		}
+	if p.onFree[slot] {
+		panic(fmt.Sprintf("buffering: double Free of slot %d", slot))
 	}
-	p.free = append(p.free, slot)
+	p.push(slot)
 	p.inUse--
 	p.metOcc.Set(int64(p.inUse))
 }
@@ -146,9 +151,7 @@ func (p *Pool) Reserve(n int) int {
 	}
 	taken := 0
 	for taken < n && len(p.free) > 0 {
-		slot := p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		p.reserved = append(p.reserved, slot)
+		p.reserved = append(p.reserved, p.pop())
 		taken++
 	}
 	return taken
@@ -158,7 +161,9 @@ func (p *Pool) Reserve(n int) int {
 // reports how many were released.
 func (p *Pool) ReleaseReserved() int {
 	n := len(p.reserved)
-	p.free = append(p.free, p.reserved...)
+	for _, slot := range p.reserved {
+		p.push(slot)
+	}
 	p.reserved = nil
 	return n
 }
@@ -184,16 +189,15 @@ func (p *Pool) Resize(capacity int) error {
 		// The free list holds capacity-inUse-reserved slots, which the
 		// check above guarantees is at least the number to retire.
 		for i := p.capacity - capacity; i > 0; i-- {
-			slot := p.free[len(p.free)-1]
-			p.free = p.free[:len(p.free)-1]
 			if p.retired == nil {
 				p.retired = make(map[int]bool)
 			}
-			p.retired[slot] = true
+			p.retired[p.pop()] = true
 		}
 	} else {
 		for i := p.capacity; i < capacity; i++ {
-			p.free = append(p.free, p.created)
+			p.onFree = append(p.onFree, false)
+			p.push(p.created)
 			p.created++
 		}
 	}
@@ -211,14 +215,12 @@ func (p *Pool) Leak(n int) int {
 	}
 	taken := 0
 	for taken < n && len(p.free) > 0 {
-		p.free = p.free[:len(p.free)-1]
+		p.pop()
 		p.inUse++
 		taken++
 	}
 	p.leaked += taken
-	if p.inUse > p.highWater {
-		p.highWater = p.inUse
-	}
+	p.highWater = max(p.highWater, p.inUse)
 	p.metOcc.Set(int64(p.inUse))
 	p.metHW.SetMax(int64(p.inUse))
 	return taken

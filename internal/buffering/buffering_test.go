@@ -1,8 +1,11 @@
 package buffering
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
 func TestPoolAllocFree(t *testing.T) {
@@ -292,4 +295,85 @@ func TestPoolReserveNegativePanics(t *testing.T) {
 		}
 	}()
 	NewPool(1).Reserve(-1)
+}
+
+// referenceFreeVerdict is Free's validation as it was before the
+// per-slot mark — the bounds check, the retired check and the scan of
+// the whole free list — kept verbatim except that it returns the panic
+// message instead of panicking ("" when the Free is accepted).
+func referenceFreeVerdict(p *Pool, slot int) string {
+	if slot < 0 || slot >= p.created {
+		return fmt.Sprintf("buffering: Free of invalid slot %d", slot)
+	}
+	if p.retired[slot] {
+		return fmt.Sprintf("buffering: Free of retired slot %d", slot)
+	}
+	for _, f := range p.free {
+		if f == slot {
+			return fmt.Sprintf("buffering: double Free of slot %d", slot)
+		}
+	}
+	return ""
+}
+
+// TestPoolFreeMarkMatchesScan drives random Alloc / Free / Reserve /
+// ReleaseReserved / Resize / Leak sequences and, after every step, asks
+// both the O(1) mark and the old scan about every slot id ever minted
+// (plus one either side): same verdict, same message, and a rejected
+// Free changes nothing.
+func TestPoolFreeMarkMatchesScan(t *testing.T) {
+	for seed := uint64(1); seed <= 60; seed++ {
+		rng := sim.NewRand(seed)
+		pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
+		p := NewPool(pick(12))
+		var held []int
+		for step := 0; step < 300; step++ {
+			switch pick(10) {
+			case 0, 1, 2, 3:
+				if s, ok := p.Alloc(64); ok {
+					held = append(held, s)
+				}
+			case 4, 5, 6:
+				if len(held) > 0 {
+					k := pick(len(held))
+					p.Free(held[k])
+					held = append(held[:k], held[k+1:]...)
+				}
+			case 7:
+				if pick(2) == 0 {
+					p.Reserve(pick(4))
+				} else {
+					p.ReleaseReserved()
+				}
+			case 8:
+				_ = p.Resize(pick(24)) // a shrink below the live slots is refused; both outcomes are part of the walk
+			case 9:
+				p.Leak(pick(2))
+			}
+			if len(p.onFree) != p.created {
+				t.Fatalf("seed %d step %d: %d marks for %d minted slots", seed, step, len(p.onFree), p.created)
+			}
+			for slot := -1; slot <= p.created; slot++ {
+				want := referenceFreeVerdict(p, slot)
+				if want == "" {
+					if p.onFree[slot] {
+						t.Fatalf("seed %d step %d: slot %d marked free but not on the free list", seed, step, slot)
+					}
+					continue // accepted: only the walk above may really free it
+				}
+				inUse, free := p.InUse(), len(p.free)
+				got := func() (msg any) {
+					defer func() { msg = recover() }()
+					p.Free(slot)
+					return nil
+				}()
+				if got != want {
+					t.Fatalf("seed %d step %d: Free(%d) panicked with %v, reference %q", seed, step, slot, got, want)
+				}
+				if p.InUse() != inUse || len(p.free) != free {
+					t.Fatalf("seed %d step %d: rejected Free(%d) changed the pool", seed, step, slot)
+				}
+			}
+		}
+	}
 }

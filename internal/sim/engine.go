@@ -235,14 +235,33 @@ func (e *Engine) At(at Time, label string, fn Handler) EventRef {
 // the event — the property partitioned runs need to match serial runs
 // byte for byte.
 func (e *Engine) AtPrio(at Time, prio uint64, label string, fn Handler) EventRef {
+	return e.push(at, prio, e.TakeSeq(), label, fn)
+}
+
+// TakeSeq takes the next scheduling-order number — the one At would
+// stamp on an event scheduled now — without scheduling anything, for a
+// source that keeps many timers behind one event (the NIC) to pass AtSeq.
+func (e *Engine) TakeSeq() uint64 {
+	e.nextSeq++
+	return e.nextSeq - 1
+}
+
+// AtSeq schedules fn at (at, prio 0, seq) for a seq TakeSeq returned:
+// the slot At would have given it then. A taken number may be scheduled
+// any time later or never, but never twice at once.
+func (e *Engine) AtSeq(at Time, seq uint64, label string, fn Handler) EventRef {
+	return e.push(at, 0, seq, label, fn)
+}
+
+// push is the one scheduling routine behind At, AtPrio and AtSeq.
+func (e *Engine) push(at Time, prio, seq uint64, label string, fn Handler) EventRef {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v which is before now %v", label, at, e.now))
 	}
 	ev := e.alloc()
 	ev.fn, ev.label = fn, label
 	e.queue = append(e.queue, entry{})
-	e.siftUp(len(e.queue)-1, entry{at: at, prio: prio, seq: e.nextSeq, ev: ev})
-	e.nextSeq++
+	e.siftUp(len(e.queue)-1, entry{at: at, prio: prio, seq: seq, ev: ev})
 	e.metHeapHW.SetMax(int64(len(e.queue)))
 	return EventRef{ev: ev, gen: ev.gen}
 }

@@ -38,6 +38,37 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 	}
 }
 
+// TestEngineAtSeqKeepsTheTakenSlot: an event scheduled late under a
+// number taken early runs where At would have put it when the number
+// was taken — ahead of everything scheduled since for that instant, and
+// still behind an earlier instant or a prioritized same-instant event.
+func TestEngineAtSeqKeepsTheTakenSlot(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	note := func(i int) Handler { return func(*Engine) { got = append(got, i) } }
+	e.At(5, "first", note(1))
+	taken := e.TakeSeq()
+	e.At(5, "after-take", note(3))
+	e.AtPrio(5, 7, "prio", note(4))
+	e.At(4, "earlier", note(0))
+	if e.Pending() != 4 {
+		t.Fatalf("TakeSeq scheduled something: %d pending, want 4", e.Pending())
+	}
+	e.AtSeq(5, taken, "taken", note(2))
+	e.Run()
+	for i := range got {
+		if got[i] != i || len(got) != 5 {
+			t.Fatalf("order = %v, want [0 1 2 3 4]", got)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AtSeq in the past did not panic")
+		}
+	}()
+	e.AtSeq(4, e.TakeSeq(), "past", note(9))
+}
+
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var fires int

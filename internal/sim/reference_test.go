@@ -57,9 +57,12 @@ func (h *eventHeap) Pop() any {
 
 // runHeapScript drives the engine and the reference with one script and
 // fails on the first divergence. Each step reads an opcode byte and an
-// argument byte: half the opcodes schedule (AtPrio at now+0..3 with
-// prio 0..2, so equal instants and equal prios are the norm), a quarter
-// cancel, a quarter pop. A cancel aims at the reference heap's head,
+// argument byte: three in eight opcodes schedule (AtPrio at now+0..3
+// with prio 0..2, so equal instants and equal prios are the norm), one
+// takes an order number without scheduling (TakeSeq) or schedules a
+// number taken earlier (AtSeq at now+0..3 — later than numbers handed
+// out since, at any instant, or never), a quarter cancel, a quarter pop.
+// A cancel aims at the reference heap's head,
 // middle or tail, or at any ref ever issued — pending, fired, canceled,
 // or stale with its event struct since reused by a later scheduling.
 // Pending() is compared after every step, and the script's leftovers
@@ -72,7 +75,14 @@ func runHeapScript(t testing.TB, script []byte) {
 		fired  []int
 		issued []EventRef  // by id
 		mirror []*refEvent // by id
+		taken  []uint64    // order numbers taken and not yet scheduled
 	)
+	schedule := func(at Time, prio, seq uint64, r EventRef) {
+		ev := &refEvent{at: at, prio: prio, seq: seq, id: len(issued)}
+		issued = append(issued, r)
+		heap.Push(&ref, ev)
+		mirror = append(mirror, ev)
+	}
 	pop := func(step int) {
 		want := heap.Pop(&ref).(*refEvent)
 		n := len(fired)
@@ -88,14 +98,24 @@ func runHeapScript(t testing.TB, script []byte) {
 		op, arg := script[0], int(script[1])
 		script = script[2:]
 		switch op % 8 {
-		case 0, 1, 2, 3:
+		case 0, 1, 2:
 			id := len(issued)
 			at, prio := e.Now()+Time(arg%4), uint64(arg/4%3)
-			issued = append(issued, e.AtPrio(at, prio, "x", func(*Engine) { fired = append(fired, id) }))
-			ev := &refEvent{at: at, prio: prio, seq: seq, id: id}
+			schedule(at, prio, seq, e.AtPrio(at, prio, "x", func(*Engine) { fired = append(fired, id) }))
 			seq++
-			heap.Push(&ref, ev)
-			mirror = append(mirror, ev)
+		case 3:
+			if arg%2 == 0 || len(taken) == 0 {
+				if got := e.TakeSeq(); got != seq {
+					t.Fatalf("step %d: TakeSeq = %d, reference %d", step, got, seq)
+				}
+				taken = append(taken, seq)
+				seq++
+				continue
+			}
+			id, k := len(issued), arg/8%len(taken)
+			at, num := e.Now()+Time(arg/2%4), taken[k]
+			taken = append(taken[:k], taken[k+1:]...)
+			schedule(at, 0, num, e.AtSeq(at, num, "x", func(*Engine) { fired = append(fired, id) }))
 		case 4, 5:
 			if len(issued) == 0 {
 				continue

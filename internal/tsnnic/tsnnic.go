@@ -7,6 +7,12 @@
 // frame for more than one MTU time. TS flows fire at offset + k·period
 // (the offset comes from the ITP planner); RC and BE flows are paced at
 // their configured rate.
+//
+// A NIC keeps one pending engine event however many flows it generates:
+// the flows' timers sit in its own min-heap, the engine event is armed
+// for the head, and each timer carries the order number a per-flow
+// engine timer would have been stamped with, so the engine executes the
+// same (instant, order) sequence — DESIGN §11, "One timer per NIC".
 package tsnnic
 
 import (
@@ -42,16 +48,18 @@ type NIC struct {
 	// across NICs are allowed (one "analyzer" box).
 	Collector *analyzer.Collector
 
-	// sent counts transmitted frames per flow. FRER flows count each
-	// sequence number once: the member-stream replica is redundancy,
-	// not offered load.
-	sent map[uint32]uint64
-	seq  map[uint32]uint32
+	// sched is the injection schedule: a binary min-heap of the flows'
+	// timers on (at, order). armed is the one engine event, set for
+	// sched[0]; fireFn is fire bound once.
+	sched  []timer
+	armed  sim.EventRef
+	fireFn sim.Handler
 
-	// replicate maps flow ID → alternate VID for 802.1CB talker-side
-	// replication; replicas counts the extra member-stream frames.
-	replicate map[uint32]uint16
-	replicas  uint64
+	// cells holds the counters per flow ID; flows sharing an ID on this
+	// NIC share one cell.
+	cells map[uint32]*counters
+	// replicas counts the extra 802.1CB member-stream frames.
+	replicas uint64
 
 	// recovery, when set, is the listener-side 802.1CB sequence
 	// recovery run on every arriving frame before the collector.
@@ -67,12 +75,32 @@ func New(engine *sim.Engine, hostID int, rate ethernet.Rate, col *analyzer.Colle
 		HostID:    hostID,
 		engine:    engine,
 		Collector: col,
-		sent:      make(map[uint32]uint64),
-		seq:       make(map[uint32]uint32),
+		cells:     make(map[uint32]*counters),
 	}
 	n.ifc = netdev.NewIfc(engine, fmt.Sprintf("nic%d", hostID), n, rate)
 	n.drainFn = n.drain
+	n.fireFn = n.fire
 	return n
+}
+
+// counters is the generator state of one flow ID. FRER flows count each
+// sequence number once in sent: the member-stream replica (tagged
+// altVID) is redundancy, not offered load.
+type counters struct {
+	sent      uint64
+	seq       uint32
+	altVID    uint16
+	replicate bool
+}
+
+// cell returns the counters of flow id, created on first use.
+func (n *NIC) cell(id uint32) *counters {
+	c := n.cells[id]
+	if c == nil {
+		c = &counters{}
+		n.cells[id] = c
+	}
+	return c
 }
 
 // Ifc returns the NIC's physical interface for cabling.
@@ -82,17 +110,23 @@ func (n *NIC) Ifc() *netdev.Ifc { return n.ifc }
 // t. Zero means unbounded.
 func (n *NIC) SetStopTime(t sim.Time) { n.stopAt = t }
 
-// Sent returns per-flow transmit counts (live map; read-only use).
-func (n *NIC) Sent() map[uint32]uint64 { return n.sent }
+// Sent returns a snapshot of the per-flow transmit counts.
+func (n *NIC) Sent() map[uint32]uint64 {
+	out := make(map[uint32]uint64, len(n.cells))
+	for id, c := range n.cells {
+		if c.sent > 0 {
+			out[id] = c.sent
+		}
+	}
+	return out
+}
 
 // SetReplication enables 802.1CB talker-side replication for flow id:
 // every injected frame is duplicated onto a member stream tagged
 // altVID, which the network forwards along a disjoint path.
 func (n *NIC) SetReplication(id uint32, altVID uint16) {
-	if n.replicate == nil {
-		n.replicate = make(map[uint32]uint16)
-	}
-	n.replicate[id] = altVID
+	c := n.cell(id)
+	c.altVID, c.replicate = altVID, true
 }
 
 // SetRecovery installs the listener-side sequence-recovery table:
@@ -176,43 +210,73 @@ func (n *NIC) drain() {
 // ownership contract), so all frames share them.
 var zeros [ethernet.MaxFrameBytes]byte
 
-// inject enqueues one frame of spec into the MAC.
-func (n *NIC) inject(spec *flows.Spec) {
-	seq := n.seq[spec.ID]
-	n.seq[spec.ID] = seq + 1
-	n.sent[spec.ID]++
-	size := ethernet.PayloadForWireSize(spec.WireSize)
-	f := &ethernet.Frame{
-		Dst:       ethernet.HostMAC(spec.DstHost),
-		Src:       ethernet.HostMAC(spec.SrcHost),
+// flow is one generator: everything a tick needs, resolved once.
+type flow struct {
+	spec     *flows.Spec
+	interval sim.Time
+	burst    int
+	payload  int // bytes
+	dst, src ethernet.MAC
+	cell     *counters
+	started  bool // false until the start instant has fired
+}
+
+// timer is one schedule entry; order is the engine's order number, taken
+// where a per-flow engine timer would have been scheduled.
+type timer struct {
+	at    sim.Time
+	order uint64
+	f     *flow
+}
+
+func (a *timer) before(b *timer) bool {
+	return a.at < b.at || a.at == b.at && a.order < b.order
+}
+
+// inject enqueues one frame of f into the MAC.
+func (n *NIC) inject(f *flow) {
+	spec, c := f.spec, f.cell
+	fr := &ethernet.Frame{
+		Dst:       f.dst,
+		Src:       f.src,
 		VID:       spec.VID,
 		PCP:       spec.PCP,
 		EtherType: ethernet.TypeTSN,
-		Payload:   zeros[:size:size], // capacity clipped: an append cannot reach the shared array
+		Payload:   zeros[:f.payload:f.payload], // capacity clipped: an append cannot reach the shared array
 		FlowID:    spec.ID,
-		Seq:       seq,
+		Seq:       c.seq,
 		Class:     spec.Class,
 	}
+	c.seq++
+	c.sent++
 	q := &n.fifos[classIndex(spec.Class)]
-	q.frames = append(q.frames, f)
+	q.frames = append(q.frames, fr)
 	// 802.1CB replication: the member stream is the same frame (same
 	// FlowID, same sequence number) tagged with the alternate VID, so
 	// the network's forwarding tables steer it onto the disjoint path.
 	// It serializes back-to-back behind the primary and is NOT counted
 	// in sent: the analyzer's loss accounting is per logical frame.
-	if altVID, ok := n.replicate[spec.ID]; ok {
-		r := f.CloneHeader() // re-tags the VID, a header field; payload is shared
-		r.VID = altVID
+	if c.replicate {
+		r := fr.CloneHeader() // re-tags the VID, a header field; payload is shared
+		r.VID = c.altVID
 		q.frames = append(q.frames, r)
 		n.replicas++
 	}
 	n.drain()
 }
 
-// StartFlow schedules spec's generation. TS flows fire at
+// StartFlow starts spec's generation now: TS flows fire at
 // Offset + k·Period; RC/BE flows are paced at their rate starting at
 // Offset.
-func (n *NIC) StartFlow(spec *flows.Spec) {
+func (n *NIC) StartFlow(spec *flows.Spec) { n.add(spec, n.engine.Now()+spec.Offset, true) }
+
+// StartFlowAt registers spec to start at the absolute instant start,
+// as StartFlow called from an engine event at start would.
+func (n *NIC) StartFlowAt(spec *flows.Spec, start sim.Time) { n.add(spec, start, false) }
+
+// add puts spec's timer on the schedule at `at` under a fresh order
+// number; a new head moves the engine event.
+func (n *NIC) add(spec *flows.Spec, at sim.Time, started bool) {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
@@ -220,17 +284,71 @@ func (n *NIC) StartFlow(spec *flows.Spec) {
 		panic(fmt.Sprintf("tsnnic: flow %d src host %d started on NIC %d",
 			spec.ID, spec.SrcHost, n.HostID))
 	}
-	interval := spec.FrameInterval()
-	burst := spec.BurstFrames()
-	var tick func(e *sim.Engine)
-	tick = func(e *sim.Engine) {
-		if n.stopAt > 0 && e.Now() >= n.stopAt {
-			return
-		}
-		for i := 0; i < burst; i++ {
-			n.inject(spec)
-		}
-		e.After(interval, "flow-tick", tick)
+	t := timer{at: at, order: n.engine.TakeSeq(), f: &flow{
+		spec:     spec,
+		interval: spec.FrameInterval(),
+		burst:    spec.BurstFrames(),
+		payload:  ethernet.PayloadForWireSize(spec.WireSize),
+		dst:      ethernet.HostMAC(spec.DstHost),
+		src:      ethernet.HostMAC(spec.SrcHost),
+		cell:     n.cell(spec.ID),
+		started:  started,
+	}}
+	n.sched = append(n.sched, t)
+	i := len(n.sched) - 1
+	for ; i > 0 && t.before(&n.sched[(i-1)/2]); i = (i - 1) / 2 {
+		n.sched[i] = n.sched[(i-1)/2]
 	}
-	n.engine.At(n.engine.Now()+spec.Offset, "flow-start", tick)
+	n.sched[i] = t
+	if i == 0 {
+		n.engine.Cancel(n.armed)
+		n.arm()
+	}
+}
+
+// arm schedules the engine event for the head under the head's number.
+func (n *NIC) arm() {
+	if len(n.sched) > 0 {
+		n.armed = n.engine.AtSeq(n.sched[0].at, n.sched[0].order, "nic-timer", n.fireFn)
+	}
+}
+
+// fire runs the head timer. A flow's first firing is its start: nothing
+// is injected and the timer moves to now + Offset. Later firings inject
+// one burst and move one interval on, or retire the timer once
+// generation has stopped. The new number is taken after the injections
+// (after Transmit scheduled txdone and the delivery), where a
+// self-rescheduling timer took it.
+func (n *NIC) fire(e *sim.Engine) {
+	t, now := n.sched[0], e.Now()
+	switch {
+	case !t.f.started:
+		t.f.started = true
+		t.at, t.order = now+t.f.spec.Offset, e.TakeSeq()
+	case n.stopAt > 0 && now >= n.stopAt:
+		last := len(n.sched) - 1
+		t, n.sched[last] = n.sched[last], timer{}
+		n.sched = n.sched[:last]
+	default:
+		for i := 0; i < t.f.burst; i++ {
+			n.inject(t.f)
+		}
+		t.at, t.order = now+t.f.interval, e.TakeSeq()
+	}
+	// Sift t down from the root (a retired head's place goes to the last timer).
+	q, i := n.sched, 0
+	for c := 1; c < len(q); c = 2*i + 1 {
+		if c+1 < len(q) && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&t) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if len(q) > 0 {
+		q[i] = t
+	}
+	n.arm()
 }

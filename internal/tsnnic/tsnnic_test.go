@@ -6,6 +6,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
+	"github.com/tsnbuilder/tsnbuilder/internal/israce"
 	"github.com/tsnbuilder/tsnbuilder/internal/netdev"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
@@ -177,11 +178,12 @@ func TestMACFifoReusesArrayAndReleasesFrames(t *testing.T) {
 	e := sim.NewEngine()
 	gen, _, col := wirePair(e)
 	spec := tsSpec()
+	f := &flow{spec: spec, cell: gen.cell(spec.ID), payload: ethernet.PayloadForWireSize(spec.WireSize)}
 	const bursts, perBurst = 1200, 4
 	capAfterFirst := 0
 	for b := 0; b < bursts; b++ {
 		for k := 0; k < perBurst; k++ {
-			gen.inject(spec) // first goes to the wire, the rest queue behind it
+			gen.inject(f) // first goes to the wire, the rest queue behind it
 		}
 		e.Run()
 		q := &gen.fifos[classIndex(spec.Class)]
@@ -201,5 +203,110 @@ func TestMACFifoReusesArrayAndReleasesFrames(t *testing.T) {
 	}
 	if st := col.Flow(spec.ID); st == nil || st.Received != bursts*perBurst {
 		t.Fatalf("received %+v, want %d frames", st, bursts*perBurst)
+	}
+}
+
+// recvFunc adapts a function to netdev.Receiver.
+type recvFunc func(*ethernet.Frame)
+
+func (r recvFunc) Receive(f *ethernet.Frame, _ *netdev.Ifc) { r(f) }
+
+// wireSink connects a generator NIC to an interface that only counts
+// arrivals and starts count TS flows of 64 B on it, one per 50 ns of a
+// 1 ms period.
+func wireSink(e *sim.Engine, count int) (gen *NIC, frames *int) {
+	gen, frames = New(e, 1, ethernet.Gbps, nil), new(int)
+	sink := recvFunc(func(*ethernet.Frame) { *frames++ })
+	netdev.Connect(gen.Ifc(), netdev.NewIfc(e, "sink", sink, ethernet.Gbps), 100*sim.Nanosecond)
+	for i := 0; i < count; i++ {
+		spec := tsSpec()
+		spec.ID, spec.Offset = uint32(1+i), sim.Time(i)*50*sim.Nanosecond
+		gen.StartFlowAt(spec, 0)
+	}
+	return gen, frames
+}
+
+// TestEngineDepthIndependentOfFlowCount: 1 024 started flows on one NIC
+// keep one event in the engine, not 1 024. At every executed event the
+// heap holds at most the NIC's timer, the MAC's txdone and the frames
+// on the 100 ns cable (one: the next leaves 672 ns after the last).
+func TestEngineDepthIndependentOfFlowCount(t *testing.T) {
+	e := sim.NewEngine()
+	gen, frames := wireSink(e, 1024)
+	if e.Pending() != 1 {
+		t.Fatalf("%d events pending after registering 1024 flows, want 1", e.Pending())
+	}
+	worst := 0
+	e.SetProgress(1, func(uint64, sim.Time) { worst = max(worst, e.Pending()) })
+	gen.SetStopTime(5 * sim.Millisecond)
+	e.Run()
+	if *frames != 5*1024 {
+		t.Fatalf("%d frames delivered, want %d", *frames, 5*1024)
+	}
+	if worst > 3 {
+		t.Fatalf("engine heap reached %d pending events with 1024 flows on one NIC, want <= 3", worst)
+	}
+}
+
+// TestInjectAllocs: in steady state an injected frame costs exactly one
+// allocation, the ethernet.Frame, and a tick costs none — no closure,
+// no label, no event struct, no map growth.
+func TestInjectAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const flowCount = 256
+	e := sim.NewEngine()
+	_, frames := wireSink(e, flowCount)
+	e.RunFor(2 * sim.Millisecond) // warm: both starts, FIFO and event free list grown
+	before := *frames
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, func() { e.RunFor(sim.Millisecond) })
+	if perRun := (*frames - before) / (runs + 1); perRun != flowCount { // AllocsPerRun adds one warm-up call
+		t.Fatalf("%d frames per period, want %d", perRun, flowCount)
+	}
+	if allocs != flowCount {
+		t.Fatalf("%.1f allocations per %d injected frames, want exactly one each", allocs, flowCount)
+	}
+}
+
+// TestTickVersusTxDoneSameInstant: every millisecond a BE burst of two
+// 1500 B frames starts, and the first frame's txdone lands on the exact
+// nanosecond of a TS tick. The tick's order number was taken a period
+// earlier than the txdone's, so the tick runs first, the TS frame is in
+// its FIFO when the MAC frees, and strict priority sends it ahead of
+// the second BE frame — on the wire at the tick instant, not one BE
+// frame later.
+func TestTickVersusTxDoneSameInstant(t *testing.T) {
+	e := sim.NewEngine()
+	gen := New(e, 1, ethernet.Gbps, nil)
+	var tsSent []sim.Time
+	sink := recvFunc(func(f *ethernet.Frame) {
+		if f.Class == ethernet.ClassTS {
+			tsSent = append(tsSent, f.SentAt)
+		}
+	})
+	netdev.Connect(gen.Ifc(), netdev.NewIfc(e, "sink", sink, ethernet.Gbps), 100*sim.Nanosecond)
+	const beWire = 1500
+	occupancy := ethernet.TxTime(beWire+ethernet.OverheadBytes, ethernet.Gbps)
+	be := flows.Background(2, ethernet.ClassBE, 1, 2, 1, ethernet.Gbps)
+	be.WireSize, be.Burst = beWire, 2
+	be.Rate = ethernet.Rate(int64(beWire+ethernet.OverheadBytes) * 8 * int64(sim.Second) / int64(500*sim.Microsecond))
+	if be.FrameInterval() != sim.Millisecond {
+		t.Fatalf("BE burst interval %v, want 1ms", be.FrameInterval())
+	}
+	ts := tsSpec()
+	ts.Offset = occupancy
+	gen.SetStopTime(4 * sim.Millisecond)
+	gen.StartFlow(be)
+	gen.StartFlow(ts)
+	e.Run()
+	if len(tsSent) != 4 {
+		t.Fatalf("%d TS frames, want 4", len(tsSent))
+	}
+	for k, at := range tsSent {
+		if want := sim.Time(k)*sim.Millisecond + occupancy; at != want {
+			t.Fatalf("TS frame %d on the wire at %v, want %v (the tick instant): txdone ran before the tick", k, at, want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ package testbed
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -334,5 +335,75 @@ func TestDegradationShedsOnlyBE(t *testing.T) {
 	}
 	if reg.CounterValue(reconfig.MetricDegradeTransitions, metrics.L("switch", "0")) == 0 {
 		t.Fatal("degradation transition not counted")
+	}
+}
+
+// netState captures what a rejected AddFlows must leave alone: every
+// switch's table occupancy, the programming cursor, the flow list and
+// the live metrics export.
+func netState(net *Net) string {
+	var buf bytes.Buffer
+	for _, sw := range net.Switches {
+		fmt.Fprintf(&buf, "sw%d unicast=%d class=%d meters=%d\n", sw.ID(),
+			sw.Forward().Unicast.Len(), sw.Filter().Class.Len(), sw.Filter().Meters.Used())
+	}
+	fmt.Fprintf(&buf, "specs=%d prog=%+v pending=%d\n", len(net.specs), net.prog, net.Engine.Pending())
+	net.Metrics.Snapshot().WritePrometheus(&buf)
+	return buf.String()
+}
+
+// TestAddFlowsRejectsBeforeTouchingAnything: a start in the past and a
+// spec that fails Validate are returned errors, checked before the
+// tables are programmed — not a panic inside the engine after they
+// were (past start), and not an accepted call that panics mid-run when
+// the flow's start fires (TS Offset == Period).
+func TestAddFlowsRejectsBeforeTouchingAnything(t *testing.T) {
+	net, _, topo := liveRing(t, 30, false, Options{Metrics: metrics.New()})
+	extra := flows.GenerateTS(flows.TSParams{
+		Count: 4, Period: 10 * sim.Millisecond, WireSize: 64, VID: 1,
+		Hosts: func(i int) (int, int) { return 100 + (i+3)%6, 100 + (i+5)%6 },
+		Seed:  13,
+	})
+	for i, s := range extra {
+		s.ID, s.VID = uint32(1000+i), uint16(2000+i)
+	}
+	if err := core.BindPaths(topo, extra); err != nil {
+		t.Fatal(err)
+	}
+	invalid := *extra[3]
+	invalid.Offset = invalid.Period
+
+	checked := 0
+	net.Engine.At(40*sim.Millisecond, "add-flows", func(*sim.Engine) {
+		before := netState(net)
+		err := net.AddFlows(extra, 5*sim.Millisecond)
+		if err == nil || !strings.Contains(err.Error(), "before now") {
+			t.Errorf("start in the past: err = %v", err)
+		}
+		err = net.AddFlows([]*flows.Spec{extra[0], &invalid}, 45*sim.Millisecond)
+		if err == nil || !strings.Contains(err.Error(), "outside period") {
+			t.Errorf("invalid spec: err = %v", err)
+		}
+		if after := netState(net); after != before {
+			t.Errorf("rejected AddFlows changed the network:\n--- before\n%s--- after\n%s", before, after)
+		}
+		// The same flows with a start of exactly now are accepted.
+		if err := net.AddFlows(extra, net.Engine.Now()); err != nil {
+			t.Errorf("start == now: %v", err)
+		}
+		checked++
+	})
+	net.Run(0, 80*sim.Millisecond)
+	if checked != 1 {
+		t.Fatal("add-flows event did not run")
+	}
+	sent := net.SentCounts()
+	for _, s := range extra {
+		if sent[s.ID] == 0 {
+			t.Fatalf("added flow %d never transmitted", s.ID)
+		}
+	}
+	if lost := net.Summary(ethernet.ClassTS).Lost; lost != 0 {
+		t.Fatalf("TS loss %d after the accepted add", lost)
 	}
 }

@@ -759,10 +759,7 @@ func (n *Net) Run(warmup, duration sim.Time) {
 			panic(fmt.Sprintf("testbed: flow %d source host %d has no NIC", spec.ID, spec.SrcHost))
 		}
 		nic.SetStopTime(stop)
-		spec := spec
-		n.hostPart(spec.SrcHost).engine.At(start, fmt.Sprintf("start-flow%d", spec.ID), func(*sim.Engine) {
-			nic.StartFlow(spec)
-		})
+		nic.StartFlowAt(spec, start)
 	}
 	// Drain: two slots plus cable time covers any in-flight CQF frame.
 	drain := 4*n.opts.Design.Config.SlotSize + sim.Millisecond
@@ -883,13 +880,20 @@ func (n *Net) Reconfigure(cfg core.Config) (*reconfig.Txn, error) {
 // and schedules their generators to start at the absolute instant
 // start. Call it after Run has begun (typically from an engine event,
 // e.g. once a reconfiguration that grew the tables has committed); the
-// new flows stop with the rest of the workload. On a programming error
-// the tables may hold a partial install.
+// new flows stop with the rest of the workload. An invalid spec or a
+// past start is rejected before anything is touched; on a programming
+// error the tables may hold a partial install.
 func (n *Net) AddFlows(specs []*flows.Spec, start sim.Time) error {
 	if n.runner != nil {
 		return fmt.Errorf("testbed: AddFlows is not supported in partitioned runs (table programming would race the partition workers)")
 	}
+	if now := n.Engine.Now(); start < now {
+		return fmt.Errorf("testbed: AddFlows start %v is before now %v", start, now)
+	}
 	for _, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return fmt.Errorf("testbed: AddFlows: %w", err)
+		}
 		if spec.FRER {
 			return fmt.Errorf("testbed: flow %d: FRER flows cannot be added live", spec.ID)
 		}
@@ -906,12 +910,9 @@ func (n *Net) AddFlows(specs []*flows.Spec, start sim.Time) error {
 	}
 	n.specs = append(n.specs, specs...)
 	for _, spec := range specs {
-		spec := spec
 		nic := n.NICs[spec.SrcHost]
-		n.Engine.At(start, fmt.Sprintf("start-flow%d", spec.ID), func(*sim.Engine) {
-			nic.SetStopTime(n.flowStop)
-			nic.StartFlow(spec)
-		})
+		nic.SetStopTime(n.flowStop)
+		nic.StartFlowAt(spec, start)
 	}
 	return nil
 }
