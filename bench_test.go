@@ -12,6 +12,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
@@ -26,6 +27,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
 	"github.com/tsnbuilder/tsnbuilder/internal/tsnnic"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
+	"github.com/tsnbuilder/tsnbuilder/testbed"
 	"github.com/tsnbuilder/tsnbuilder/tsnbuilder"
 )
 
@@ -530,6 +532,41 @@ func BenchmarkWorkloadBuild(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkMeshBuild is the set-up of the repository benchmark's
+// mesh-serial workload — workload.Build then testbed.Build of the
+// 210-switch mesh with 2 048 flows, registry on — and what that network
+// retains: heap-MB is the live heap the built network adds after a
+// collection, the number per-switch dimensioning moves (each switch's
+// tables hold what is bound through it, not the network's flow count).
+func BenchmarkMeshBuild(b *testing.B) {
+	p := workload.Params{Topology: "mesh", Switches: 210, TSFlows: 2048, Hops: 4, WireSize: 64, SlotUs: 65, Seed: 42}
+	live := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	base := live()
+	var net *testbed.Net
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wl, err := workload.Build(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		net, err = testbed.Build(testbed.Options{
+			Design: wl.Design, Topo: wl.Topo, Flows: wl.Specs, Seed: p.Seed, Metrics: metrics.New(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(live()-base, "heap-MB")
+	runtime.KeepAlive(net)
 }
 
 // BenchmarkDeriveAndBuild measures the full customization path: derive

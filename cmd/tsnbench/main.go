@@ -111,9 +111,9 @@ func serveTelemetry(addr string, reg *metrics.Registry) (*obs.Server, string, er
 // csvOut, when set, receives one CSV file per latency series.
 var csvOut string
 
-// emitSeries prints a series and optionally writes its CSV.
-func emitSeries(p experiments.Params, id string, s *experiments.Series) error {
-	fmt.Println(s.String())
+// emit prints a study's text and optionally writes its CSV form.
+func emit(p experiments.Params, id, text, csv string) error {
+	fmt.Println(text)
 	publishTelemetry(p.Metrics)
 	if csvOut == "" {
 		return nil
@@ -121,7 +121,7 @@ func emitSeries(p experiments.Params, id string, s *experiments.Series) error {
 	if err := os.MkdirAll(csvOut, 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(csvOut, id+".csv"), []byte(s.CSV()), 0o644)
+	return os.WriteFile(filepath.Join(csvOut, id+".csv"), []byte(csv), 0o644)
 }
 
 // series is the experiment that computes one latency series and emits
@@ -132,7 +132,7 @@ func series(id string, compute func(experiments.Params) (*experiments.Series, er
 		if err != nil {
 			return err
 		}
-		return emitSeries(p, id, s)
+		return emit(p, id, s.String(), s.CSV())
 	}}
 }
 
@@ -165,7 +165,7 @@ var catalog = []experiment{
 				if err != nil {
 					return err
 				}
-				if err := emitSeries(p, fmt.Sprintf("fig2-%s-case%d", bg, cse), s); err != nil {
+				if err := emit(p, fmt.Sprintf("fig2-%s-case%d", bg, cse), s.String(), s.CSV()); err != nil {
 					return err
 				}
 			}
@@ -179,6 +179,13 @@ var catalog = []experiment{
 		}
 		fmt.Print(experiments.FormatTableIII(cols))
 		return nil
+	}},
+	{"perswitch", func(p experiments.Params) error {
+		rows, err := experiments.PerSwitchStudy(p)
+		if err != nil {
+			return err
+		}
+		return emit(p, "perswitch", experiments.FormatPerSwitch(rows, false), experiments.FormatPerSwitch(rows, true))
 	}},
 	series("fig7a", experiments.Fig7Hops),
 	series("fig7b", experiments.Fig7PktSize),

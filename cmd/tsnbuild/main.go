@@ -66,7 +66,7 @@ func runSpec(path, platformName string) error {
 	if err != nil {
 		return err
 	}
-	design, err := tsnbuilder.BuilderFor(der.Config, platform).Build()
+	design, err := der.Design(platform)
 	if err != nil {
 		return err
 	}
@@ -152,7 +152,7 @@ func run(topoKind string, switches, children, flowCount, hops,
 	if err != nil {
 		return err
 	}
-	design, err := tsnbuilder.BuilderFor(der.Config, platform).Build()
+	design, err := der.Design(platform)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
 func writeSpec(t *testing.T, body string) string {
@@ -29,8 +31,18 @@ func TestReconfigFlagCommits(t *testing.T) {
 	if live.UnicastSize != 64 || live.ClassSize != 64 || live.BufferNum != 256 {
 		t.Fatalf("candidate not committed: %+v", live)
 	}
-	if ts := net.Switches[0].Config(); ts.UnicastSize != 64 {
-		t.Fatalf("switch table not grown: %d", ts.UnicastSize)
+	// Switch 0 carries 5 of the ring's 16 flows, so it holds the
+	// network-wide 64 minus its derived spare of 11.
+	wl, err := workload.Build(workload.Params{
+		Topology: o.topo, Switches: o.switches, TSFlows: o.flows, Hops: o.hops,
+		WireSize: o.size, SlotUs: o.slotUs, Seed: o.seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wl.Design.Local(live, 0).UnicastSize
+	if ts := net.Switches[0].Config(); ts.UnicastSize != want || want != 53 {
+		t.Fatalf("switch table not grown: %d, want %d (53)", ts.UnicastSize, want)
 	}
 }
 

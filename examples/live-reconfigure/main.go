@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	der.Plan.Apply(initial)
-	design, err := core.BuilderFor(der.Config, nil).Build()
+	design, err := der.Design(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func main() {
 		log.Fatal(err)
 	}
 	der2.Plan.Apply(extra)
-	design2, err := core.BuilderFor(der2.Config, nil).Build()
+	design2, err := der2.Design(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

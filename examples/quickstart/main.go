@@ -49,7 +49,7 @@ func main() {
 
 	// 3. Push the parameters through the Table II customization APIs
 	// and build the design for the FPGA platform.
-	design, err := tsnbuilder.BuilderFor(der.Config, tsnbuilder.FPGA{}).Build()
+	design, err := der.Design(tsnbuilder.FPGA{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func run(withFRER bool) {
 		log.Fatal(err)
 	}
 	der.Plan.Apply(specs)
-	design, err := tsnbuilder.BuilderFor(der.Config, nil).Build()
+	design, err := der.Design(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

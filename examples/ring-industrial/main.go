@@ -59,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	der.Plan.Apply(specs)
-	design, err := tsnbuilder.BuilderFor(der.Config, nil).Build()
+	design, err := der.Design(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

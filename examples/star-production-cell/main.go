@@ -47,10 +47,10 @@ func buildNet(cfg tsnbuilder.Config, seed uint64) (*testbed.Net, error) {
 		return nil, err
 	}
 	der.Plan.Apply(specs)
-	if cfg.PortNum == 0 {
-		cfg = der.Config // use the derived customization
+	design, err := der.Design(nil) // the derived customization
+	if cfg.PortNum != 0 {
+		design, err = tsnbuilder.BuilderFor(cfg, nil).Build()
 	}
-	design, err := tsnbuilder.BuilderFor(cfg, nil).Build()
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	custom, _ := tsnbuilder.BuilderFor(der.Config, nil).Build()
+	custom, _ := der.Design(nil)
 	base, _ := tsnbuilder.BuilderFor(tsnbuilder.CommercialProfile(), nil).Build()
 	fmt.Printf("customized BRAM: %7.0fKb\ncommercial BRAM: %7.0fKb\nsaved: %.2f%%\n",
 		custom.Report.TotalKb(), base.Report.TotalKb(),

@@ -273,33 +273,50 @@ type Design struct {
 	Templates []Template
 	Platform  Platform
 	Report    *resource.Report
+	// spare is set by Derivation.Design only: a hand-written design has
+	// none and sizes every switch alike.
+	spare []Spare
 }
 
-// SwitchConfig materializes the dataplane configuration for switch id
-// with the given number of instantiated ports. ports may exceed the
-// design's PortNum: access (host-facing) ports exist physically but are
-// outside the TSN resource budget, exactly as the paper counts only
-// "enabled TSN ports".
-func (d *Design) SwitchConfig(id, ports int) tsnswitch.Config {
-	if ports < d.Config.PortNum {
-		ports = d.Config.PortNum
+// Local returns what switch id holds when cfg is in force network-wide:
+// cfg minus the spare the derivation found for that switch in the three
+// per-flow tables, clamped at zero. It depends on (d, cfg) only, not on
+// what the switch held before, so rollback, verification and a recovery
+// that replays only the last commit agree. A nil or hand-written design
+// returns cfg.
+func (d *Design) Local(cfg Config, id int) Config {
+	if d != nil && id < len(d.spare) {
+		sp := d.spare[id]
+		cfg.UnicastSize = max(0, cfg.UnicastSize-int(sp.Entries))
+		cfg.ClassSize = max(0, cfg.ClassSize-int(sp.Entries))
+		cfg.MeterSize = max(0, cfg.MeterSize-int(sp.Flows))
 	}
+	return cfg
+}
+
+// SwitchConfig materializes Local(d.Config, id) as the dataplane
+// configuration for switch id with the given number of instantiated
+// ports. ports may exceed the design's PortNum: access (host-facing)
+// ports exist physically but are outside the TSN resource budget, exactly
+// as the paper counts only "enabled TSN ports".
+func (d *Design) SwitchConfig(id, ports int) tsnswitch.Config {
+	c := d.Local(d.Config, id)
 	return tsnswitch.Config{
 		ID:             id,
-		Ports:          ports,
-		QueuesPerPort:  d.Config.QueueNum,
-		QueueDepth:     d.Config.QueueDepth,
-		BuffersPerPort: d.Config.BufferNum,
-		UnicastSize:    d.Config.UnicastSize,
-		MulticastSize:  d.Config.MulticastSize,
-		ClassSize:      d.Config.ClassSize,
-		MeterSize:      d.Config.MeterSize,
-		GateSize:       d.Config.GateSize,
-		CBSMapSize:     d.Config.CBSMapSize,
-		CBSSize:        d.Config.CBSSize,
-		SlotSize:       d.Config.SlotSize,
-		TSQueueA:       d.Config.QueueNum - 1,
-		TSQueueB:       d.Config.QueueNum - 2,
-		LinkRate:       d.Config.LinkRate,
+		Ports:          max(ports, c.PortNum),
+		QueuesPerPort:  c.QueueNum,
+		QueueDepth:     c.QueueDepth,
+		BuffersPerPort: c.BufferNum,
+		UnicastSize:    c.UnicastSize,
+		MulticastSize:  c.MulticastSize,
+		ClassSize:      c.ClassSize,
+		MeterSize:      c.MeterSize,
+		GateSize:       c.GateSize,
+		CBSMapSize:     c.CBSMapSize,
+		CBSSize:        c.CBSSize,
+		SlotSize:       c.SlotSize,
+		TSQueueA:       c.QueueNum - 1,
+		TSQueueB:       c.QueueNum - 2,
+		LinkRate:       c.LinkRate,
 	}
 }

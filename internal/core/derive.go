@@ -80,17 +80,38 @@ func BindPaths(topo *topology.Topology, specs []*flows.Spec) error {
 	return nil
 }
 
-// Derivation is DeriveConfig's result: the configuration plus the ITP
-// plan that justified the queue depth.
+// Derivation is DeriveConfig's result: the network-wide configuration
+// (guideline (1)'s worst case, what the paper prints), the ITP plan that
+// justified the queue depth, and by switch ID how far below that worst
+// case each switch's own tables sit.
 type Derivation struct {
 	Config Config
 	Plan   *itp.Plan
+	Spare  []Spare
+}
+
+// Spare is what one switch does not need of the network-wide sizes:
+// Entries forwarding/classification entries (it needs one per hop bound
+// through it) and Flows meter slots (one per hop of a primary path).
+type Spare struct{ Entries, Flows int32 }
+
+// Design builds the derived configuration for platform (nil selects
+// FPGA) with the per-switch spare, so each switch holds what is bound
+// through it (Design.Local). Hand-written configurations go through
+// BuilderFor and stay uniform.
+func (d *Derivation) Design(platform Platform) (*Design, error) {
+	design, err := BuilderFor(d.Config, platform).Build()
+	if err == nil {
+		design.spare = d.Spare
+	}
+	return design, err
 }
 
 // DeriveConfig computes the resource parameters from the scenario,
 // following the §III.C guidelines:
 //
-//  1. switch/classification/meter tables sized to the flow count;
+//  1. switch/classification/meter tables sized to the flow count:
+//     network-wide in Config, what each switch carries less in Spare;
 //  2. gate tables sized to the slots per scheduling cycle (2 for CQF);
 //  3. CBS tables sized to the RC queue count;
 //  4. queue depth from the ITP occupancy bound (plus margin), buffers
@@ -105,6 +126,8 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 		return nil, fmt.Errorf("core: scenario without flows")
 	}
 	nFlows, nFRER := 0, 0
+	// spare counts what each switch carries until the totals are known.
+	spare := make([]Spare, sc.Topo.N)
 	for _, s := range sc.Flows {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -113,11 +136,18 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 			return nil, fmt.Errorf("core: flow %d has no path (call BindPaths)", s.ID)
 		}
 		nFlows++
+		for _, sw := range s.Path {
+			spare[sw].Entries++
+			spare[sw].Flows++
+		}
 		if s.FRER {
 			if len(s.AltPath) == 0 {
 				return nil, fmt.Errorf("core: FRER flow %d has no alternate path (call BindPaths)", s.ID)
 			}
 			nFRER++
+			for _, sw := range s.AltPath {
+				spare[sw].Entries++
+			}
 		}
 	}
 
@@ -177,6 +207,9 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 	// injection offsets, and the depth margin absorbs their extra
 	// occupancy on the disjoint alternate paths.
 	nEntries := nFlows + nFRER
+	for i, c := range spare {
+		spare[i] = Spare{Entries: int32(nEntries) - c.Entries, Flows: int32(nFlows) - c.Flows}
+	}
 	cfg := Config{
 		UnicastSize:   nEntries, // guideline (1): one entry per flow worst case
 		MulticastSize: 0,        // multicast split into unicast flows (§IV.B)
@@ -196,7 +229,7 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 		cfg.FRERSize = nFRER
 		cfg.FRERHistory = frer.DefaultHistory
 	}
-	return &Derivation{Config: cfg, Plan: plan}, nil
+	return &Derivation{Config: cfg, Plan: plan, Spare: spare}, nil
 }
 
 // BuilderFor returns a Builder pre-loaded with cfg through the

@@ -29,6 +29,28 @@ func TestTableIValues(t *testing.T) {
 	}
 }
 
+// TestPerSwitchStudyValues pins E-PERSWITCH (FPGA platform, seed 42):
+// network-total BRAM commercial / uniform derived / per switch, and the
+// range of entries a switch holds.
+func TestPerSwitchStudyValues(t *testing.T) {
+	rows, err := PerSwitchStudy(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "network,commercial_kb,uniform_kb,per_switch_kb,saving_pct,min_entries,max_entries,flows\n" +
+		"ring-6 × 1024 × 3 hops,64908,6966,6246,-10.3,511,513,1024\n" +
+		"mesh-210 × 2048 × 4 hops,2271780,517860,414306,-20.0,0,188,2048\n" +
+		"fattree-20 × 512 × 3 hops,216360,41760,39960,-4.3,50,152,512\n"
+	if got := FormatPerSwitch(rows, true); got != want {
+		t.Fatalf("E-PERSWITCH:\n%s\nwant\n%s", got, want)
+	}
+	for _, frag := range []string{"6246Kb", "-20.0%", "511–513 of 1024", "0–188 of 2048"} {
+		if !strings.Contains(FormatPerSwitch(rows, false), frag) {
+			t.Errorf("E-PERSWITCH table missing %q", frag)
+		}
+	}
+}
+
 func TestTableIIIValues(t *testing.T) {
 	cols, err := TableIII()
 	if err != nil {

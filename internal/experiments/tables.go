@@ -6,6 +6,7 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/resource"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
 // TableIRow is one configuration row of Table I (the motivation case
@@ -108,4 +109,62 @@ func FormatTableIII(cols []TableIIIColumn) string {
 		}
 	}
 	return b.String()
+}
+
+// PerSwitchRow is one network of E-PERSWITCH: total BRAM with every switch
+// at the commercial profile, the uniform derived design and its own share
+// of it (Design.Local); the fewest and most entries a switch then holds.
+type PerSwitchRow struct {
+	Net                              string
+	CommercialKb, UniformKb, LocalKb float64
+	MinEntries, MaxEntries, Flows    int
+}
+
+// PerSwitchStudy prices guideline (1) applied per network and per switch
+// on the benchmark ring, the 210-switch mesh and a fat-tree; no simulation.
+func PerSwitchStudy(p Params) ([]PerSwitchRow, error) {
+	var rows []PerSwitchRow
+	for _, wp := range []workload.Params{
+		{Topology: "ring", Switches: 6, TSFlows: 1024, Hops: 3},
+		{Topology: "mesh", Switches: 210, TSFlows: 2048, Hops: 4},
+		{Topology: "fattree", Switches: 20, TSFlows: 512, Hops: 3},
+	} {
+		wp.WireSize, wp.SlotUs, wp.Seed = 64, 65, p.Seed
+		w, err := workload.Build(wp)
+		if err != nil {
+			return nil, err
+		}
+		d, n := w.Design, float64(w.Topo.N)
+		row := PerSwitchRow{
+			Net:          fmt.Sprintf("%s-%d × %d × %d hops", wp.Topology, w.Topo.N, wp.TSFlows, wp.Hops),
+			CommercialKb: n * d.Platform.MemoryCost(core.CommercialProfile()).TotalKb(),
+			UniformKb:    n * d.Report.TotalKb(),
+			MinEntries:   wp.TSFlows, Flows: wp.TSFlows,
+		}
+		for s := 0; s < w.Topo.N; s++ {
+			local := d.Local(d.Config, s)
+			row.LocalKb += d.Platform.MemoryCost(local).TotalKb()
+			row.MinEntries = min(row.MinEntries, local.UnicastSize)
+			row.MaxEntries = max(row.MaxEntries, local.UnicastSize)
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+// FormatPerSwitch renders the study as an aligned table, or as CSV for
+// external plotting tools.
+func FormatPerSwitch(rows []PerSwitchRow, csv bool) string {
+	out, rowFmt := "E-PERSWITCH — network-total BRAM, guideline (1) once per network vs once per switch\n"+
+		"  network                        commercial    uniform   per-switch   saving  entries/switch\n",
+		"  %-28s %10.0fKb %8.0fKb %10.0fKb %7.1f%%  %d–%d of %d\n"
+	if csv {
+		out = "network,commercial_kb,uniform_kb,per_switch_kb,saving_pct,min_entries,max_entries,flows\n"
+		rowFmt = "%s,%.0f,%.0f,%.0f,%.1f,%d,%d,%d\n"
+	}
+	for _, r := range rows {
+		out += fmt.Sprintf(rowFmt, r.Net, r.CommercialKb, r.UniformKb, r.LocalKb,
+			100*(r.LocalKb/r.UniformKb-1), r.MinEntries, r.MaxEntries, r.Flows)
+	}
+	return out
 }

@@ -88,33 +88,37 @@ type Bindings struct {
 	// Platform validates the candidate's structural rules; nil selects
 	// the default FPGA platform.
 	Platform core.Platform
+	// Design gives each switch's share of a network-wide configuration
+	// (Design.Local) to validate, apply and revert; nil sizes all alike.
+	Design *core.Design
 }
 
 // classes is the per-class table of staged operations, in staging
 // order: the set_* API name, the parameters that dimension the class
-// (an operation is staged when they change) and the switch primitive
-// that resizes to them: the new configuration's to apply, the old's to
-// revert.
+// (an operation is staged when they change network-wide) and the switch
+// primitive that resizes to them: the switch's share (Design.Local) of
+// the new configuration to apply, of the old to revert. sizes takes it
+// by value: a pointer into a func-table call escapes, one allocation each.
 var classes = [...]struct {
 	name   string
-	sizes  func(c *core.Config) [2]int
+	sizes  func(c core.Config) [2]int
 	resize func(sw *tsnswitch.Switch, n [2]int) error
 }{
-	{"set_switch_tbl", func(c *core.Config) [2]int { return [2]int{c.UnicastSize, c.MulticastSize} },
+	{"set_switch_tbl", func(c core.Config) [2]int { return [2]int{c.UnicastSize, c.MulticastSize} },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeSwitchTbl(n[0], n[1]) }},
-	{"set_class_tbl", func(c *core.Config) [2]int { return [2]int{c.ClassSize} },
+	{"set_class_tbl", func(c core.Config) [2]int { return [2]int{c.ClassSize} },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeClassTbl(n[0]) }},
-	{"set_meter_tbl", func(c *core.Config) [2]int { return [2]int{c.MeterSize} },
+	{"set_meter_tbl", func(c core.Config) [2]int { return [2]int{c.MeterSize} },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeMeterTbl(n[0]) }},
-	{"set_gate_tbl", func(c *core.Config) [2]int { return [2]int{c.GateSize} },
+	{"set_gate_tbl", func(c core.Config) [2]int { return [2]int{c.GateSize} },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.SetGateSize(n[0]) }},
-	{"set_cbs_tbl", func(c *core.Config) [2]int { return [2]int{c.CBSMapSize, c.CBSSize} },
+	{"set_cbs_tbl", func(c core.Config) [2]int { return [2]int{c.CBSMapSize, c.CBSSize} },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeCBS(n[0], n[1]) }},
-	{"set_queues", func(c *core.Config) [2]int { return [2]int{c.QueueDepth} },
+	{"set_queues", func(c core.Config) [2]int { return [2]int{c.QueueDepth} },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeQueues(n[0]) }},
-	{"set_buffers", func(c *core.Config) [2]int { return [2]int{c.BufferNum} },
+	{"set_buffers", func(c core.Config) [2]int { return [2]int{c.BufferNum} },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeBuffers(n[0]) }},
-	{"rebase_slot", func(c *core.Config) [2]int { return [2]int{int(c.SlotSize)} }, nil},
+	{"rebase_slot", func(c core.Config) [2]int { return [2]int{int(c.SlotSize)} }, nil},
 }
 
 // The classes apply and prepare single out; set_frer_tbl is staged per
@@ -323,21 +327,23 @@ func validate(old, new core.Config, b Bindings) error {
 	}
 	for _, sw := range b.Switches {
 		id := sw.ID()
-		if n := sw.Forward().Unicast.Len(); n > new.UnicastSize {
+		// Per-flow tables: this switch's share of the candidate.
+		local := b.Design.Local(new, id)
+		if n := sw.Forward().Unicast.Len(); n > local.UnicastSize {
 			errs = append(errs, fmt.Errorf("reconfig: switch %d unicast table holds %d entries > candidate size %d",
-				id, n, new.UnicastSize))
+				id, n, local.UnicastSize))
 		}
 		if n := sw.Forward().Multicast.Len(); n > new.MulticastSize {
 			errs = append(errs, fmt.Errorf("reconfig: switch %d multicast table holds %d entries > candidate size %d",
 				id, n, new.MulticastSize))
 		}
-		if n := sw.Filter().Class.Len(); n > new.ClassSize {
+		if n := sw.Filter().Class.Len(); n > local.ClassSize {
 			errs = append(errs, fmt.Errorf("reconfig: switch %d classification table holds %d entries > candidate size %d",
-				id, n, new.ClassSize))
+				id, n, local.ClassSize))
 		}
-		if req := sw.Filter().Meters.RequiredCapacity(); req > new.MeterSize {
+		if req := sw.Filter().Meters.RequiredCapacity(); req > local.MeterSize {
 			errs = append(errs, fmt.Errorf("reconfig: switch %d meter %d is configured, candidate size %d too small",
-				id, req-1, new.MeterSize))
+				id, req-1, local.MeterSize))
 		}
 		cfg := sw.Config()
 		for p := 0; p < cfg.Ports; p++ {
@@ -407,7 +413,7 @@ func (t *Txn) prepare() {
 	old, new := &t.old, &t.new
 	for _, sw := range t.b.Switches {
 		for c := range classes {
-			unchanged := classes[c].sizes(old) == classes[c].sizes(new)
+			unchanged := classes[c].sizes(*old) == classes[c].sizes(*new)
 			if unchanged || (c == setBuffers && sw.Config().SharedBufferNum > 0) {
 				continue
 			}
@@ -438,7 +444,7 @@ func (t *Txn) apply(o *op) error {
 		}
 		return o.sw.RebaseCQF(t.new.SlotSize, o.sw.Clock.Now(t.c.engine.Now()))
 	}
-	return classes[o.class].resize(o.sw, classes[o.class].sizes(&t.new))
+	return classes[o.class].resize(o.sw, classes[o.class].sizes(t.b.Design.Local(t.new, o.sw.ID())))
 }
 
 // revert restores exactly the state o's apply replaced.
@@ -449,7 +455,7 @@ func (t *Txn) revert(o *op) error {
 	case rebaseSlot:
 		return o.sw.RestoreSchedules(t.old.SlotSize, o.savedIn, o.savedOut)
 	}
-	return classes[o.class].resize(o.sw, classes[o.class].sizes(&t.old))
+	return classes[o.class].resize(o.sw, classes[o.class].sizes(t.b.Design.Local(t.old, o.sw.ID())))
 }
 
 // State returns the transaction's lifecycle state.

@@ -136,9 +136,10 @@ type DeriveResponse struct {
 	Memory       []MemoryItem `json:"memory"`
 }
 
-// ReconfigRequest is POST /v1/reconfig's body: absolute new values for
-// the live-resizable resources; zero keeps the live value. The field
-// set matches the chaos engine's reconfiguration delta.
+// ReconfigRequest is POST /v1/reconfig's body: absolute new network-wide
+// values for the live-resizable resources; zero keeps the live value. A
+// table size N means "N minus this switch's derived spare" on each switch
+// (core.Design.Local). The field set matches the chaos engine's delta.
 type ReconfigRequest struct {
 	UnicastSize   int `json:"unicast_size,omitempty"`
 	MulticastSize int `json:"multicast_size,omitempty"`

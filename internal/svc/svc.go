@@ -494,9 +494,10 @@ func (s *Service) handleReconfig(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleConfig serves GET /v1/config: the configuration in force. While
-// journal replay is still running the in-force configuration is not yet
-// known, so the endpoint refuses rather than answering stale.
+// handleConfig serves GET /v1/config: the network-wide configuration in
+// force (each switch holds a table size minus its derived spare, see
+// core.Design.Local). While journal replay is still running it is not
+// yet known, so the endpoint refuses rather than answering stale.
 func (s *Service) handleConfig(w http.ResponseWriter, _ *http.Request) {
 	if s.inst.Recovering() {
 		writeError(w, http.StatusServiceUnavailable, "recovering: journal replay in progress")

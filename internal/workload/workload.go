@@ -155,7 +155,7 @@ func Build(p Params) (*Built, error) {
 			}
 		}
 	}
-	design, err := core.BuilderFor(der.Config, nil).Build()
+	design, err := der.Design(nil)
 	if err != nil {
 		return nil, err
 	}

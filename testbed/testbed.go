@@ -158,8 +158,9 @@ type Net struct {
 type progState struct {
 	// flowIdx counts programmed flows; RC queue assignment cycles on it.
 	flowIdx int
-	// nextMeter is the next free meter table index.
-	nextMeter int
+	// nextMeter is each switch's next free meter index: its table holds
+	// only the flows bound through it, so nothing network-wide indexes it.
+	nextMeter []int
 	// reserved is the cumulative RC bandwidth per (switch, port, queue)
 	// cell, the input to CBS slope configuration.
 	reserved map[pq]ethernet.Rate
@@ -212,9 +213,10 @@ func Build(opts Options) (*Net, error) {
 		liveCfg:   opts.Design.Config,
 		recovery:  make(map[int]*frer.Table),
 		prog: progState{
-			reserved: make(map[pq]ethernet.Rate),
-			nextCBS:  make(map[bankKey]int),
-			cbsID:    make(map[pq]int),
+			nextMeter: make([]int, opts.Topo.N),
+			reserved:  make(map[pq]ethernet.Rate),
+			nextCBS:   make(map[bankKey]int),
+			cbsID:     make(map[pq]int),
 		},
 	}
 	if opts.EnableTrace {
@@ -477,20 +479,16 @@ func (n *Net) program() error {
 		n.frerHist = frer.DefaultHistory
 	}
 
-	changed, err := n.installFlows(n.specs)
-	if err != nil {
-		return err
-	}
-	return n.applyCBS(changed)
+	return n.installFlows(n.specs)
 }
 
 // installFlows programs forwarding, classification and meter state for
 // specs, advancing the incremental programming cursor (n.prog) so the
-// same function serves the initial build and flows added live. It
-// returns the (switch, port, queue) cells whose RC bandwidth
-// reservation changed and therefore need CBS (re)configuration. On
-// error the tables may hold a partial install.
-func (n *Net) installFlows(specs []*flows.Spec) ([]pq, error) {
+// same function serves the initial build and flows added live, then
+// (re)configures CBS on the (switch, port, queue) cells whose RC
+// bandwidth reservation changed. On error the tables may hold a partial
+// install.
+func (n *Net) installFlows(specs []*flows.Spec) error {
 	topo := n.opts.Topo
 	rcQueues := rcQueueSet(n.liveCfg.QueueNum, n.liveCfg.CBSMapSize)
 	changed := map[pq]bool{}
@@ -499,11 +497,11 @@ func (n *Net) installFlows(specs []*flows.Spec) ([]pq, error) {
 		idx := n.prog.flowIdx
 		n.prog.flowIdx++
 		if len(spec.Path) == 0 {
-			return nil, fmt.Errorf("testbed: flow %d path not bound", spec.ID)
+			return fmt.Errorf("testbed: flow %d path not bound", spec.ID)
 		}
 		dstAt, ok := topo.HostAttach(spec.DstHost)
 		if !ok {
-			return nil, fmt.Errorf("testbed: flow %d destination host %d not attached", spec.ID, spec.DstHost)
+			return fmt.Errorf("testbed: flow %d destination host %d not attached", spec.ID, spec.DstHost)
 		}
 		// Queue assignment by class.
 		var queueID int
@@ -544,7 +542,8 @@ func (n *Net) installFlows(specs []*flows.Spec) ([]pq, error) {
 				}
 				entry := tables.ClassEntry{QueueID: queueID}
 				if withMeter {
-					entry.MeterID = n.prog.nextMeter
+					entry.MeterID = n.prog.nextMeter[swID]
+					n.prog.nextMeter[swID]++
 					entry.HasMeter = true
 					// The meter must admit the flow's declared burst; the
 					// CBS, not the policer, spreads it (802.1Qav).
@@ -552,7 +551,7 @@ func (n *Net) installFlows(specs []*flows.Spec) ([]pq, error) {
 					if b := 2 * spec.BurstFrames() * spec.WireSize; b > burst {
 						burst = b
 					}
-					if err := sw.Filter().Meters.Configure(n.prog.nextMeter, spec.Rate+spec.Rate/10, burst); err != nil {
+					if err := sw.Filter().Meters.Configure(entry.MeterID, spec.Rate+spec.Rate/10, burst); err != nil {
 						return fmt.Errorf("testbed: flow %d meter: %w", spec.ID, err)
 					}
 					cell := pq{swID, outPort, queueID}
@@ -570,15 +569,12 @@ func (n *Net) installFlows(specs []*flows.Spec) ([]pq, error) {
 			return nil
 		}
 		if err := installPath(spec.Path, spec.VID, spec.Class == ethernet.ClassRC); err != nil {
-			return nil, err
+			return err
 		}
 		if spec.FRER {
 			if err := n.programFRER(spec, n.recovery, n.frerCap, n.frerHist, installPath); err != nil {
-				return nil, err
+				return err
 			}
-		}
-		if spec.Class == ethernet.ClassRC {
-			n.prog.nextMeter++
 		}
 		// The flow is received (and its stats kept) on the part its
 		// listener NIC lives in.
@@ -605,7 +601,7 @@ func (n *Net) installFlows(specs []*flows.Spec) ([]pq, error) {
 		}
 		return a.q < b.q
 	})
-	return cells, nil
+	return n.applyCBS(cells)
 }
 
 // applyCBS configures one credit-based shaper per touched RC cell with
@@ -808,16 +804,15 @@ func (n *Net) Serve(addr string) (*obs.Server, string, error) {
 // reconfiguration. A rolled-back transaction leaves it unchanged.
 func (n *Net) LiveConfig() core.Config { return n.liveCfg }
 
-// VerifyLive checks that every switch's resizable resources match the
-// configuration the controller believes is in force (LiveConfig). This
-// is the reconfiguration-atomicity postcondition the chaos oracle
-// leans on: after a committed transaction the switches must carry the
-// candidate, after a rollback the pre-transaction configuration, and
-// any mismatch means a commit died partway and left partial state.
+// VerifyLive checks that every switch's resizable resources match its
+// share (Design.Local) of the configuration the controller believes is
+// in force (LiveConfig): the reconfiguration-atomicity postcondition the
+// chaos oracle leans on. After a committed transaction the switches must
+// carry the candidate, after a rollback the pre-transaction configuration;
+// a mismatch means a commit died partway and left partial state.
 func (n *Net) VerifyLive() error {
-	want := n.liveCfg
 	for s, sw := range n.Switches {
-		got := sw.Config()
+		got, want := sw.Config(), n.opts.Design.Local(n.liveCfg, s)
 		checks := []struct {
 			field    string
 			got, exp int64
@@ -850,6 +845,7 @@ func (n *Net) reconfigBindings() reconfig.Bindings {
 		Switches: n.Switches,
 		FRER:     n.sortedRecovery(),
 		Platform: n.opts.Design.Platform,
+		Design:   n.opts.Design,
 	}
 }
 
@@ -880,9 +876,10 @@ func (n *Net) Reconfigure(cfg core.Config) (*reconfig.Txn, error) {
 // and schedules their generators to start at the absolute instant
 // start. Call it after Run has begun (typically from an engine event,
 // e.g. once a reconfiguration that grew the tables has committed); the
-// new flows stop with the rest of the workload. An invalid spec or a
-// past start is rejected before anything is touched; on a programming
-// error the tables may hold a partial install.
+// new flows stop with the rest of the workload. An invalid spec, a past
+// start or a batch some switch has no table room for (on a derived design,
+// any batch until a reconfiguration grows the tables) is rejected before
+// anything is touched.
 func (n *Net) AddFlows(specs []*flows.Spec, start sim.Time) error {
 	if n.runner != nil {
 		return fmt.Errorf("testbed: AddFlows is not supported in partitioned runs (table programming would race the partition workers)")
@@ -901,11 +898,10 @@ func (n *Net) AddFlows(specs []*flows.Spec, start sim.Time) error {
 			return fmt.Errorf("testbed: flow %d source host %d has no NIC", spec.ID, spec.SrcHost)
 		}
 	}
-	changed, err := n.installFlows(specs)
-	if err != nil {
+	if err := n.fits(specs); err != nil {
 		return err
 	}
-	if err := n.applyCBS(changed); err != nil {
+	if err := n.installFlows(specs); err != nil {
 		return err
 	}
 	n.specs = append(n.specs, specs...)
@@ -913,6 +909,34 @@ func (n *Net) AddFlows(specs []*flows.Spec, start sim.Time) error {
 		nic := n.NICs[spec.SrcHost]
 		nic.SetStopTime(n.flowStop)
 		nic.StartFlowAt(spec, start)
+	}
+	return nil
+}
+
+// fits checks the table slots specs would take on each switch against
+// the room left there. The count is an upper bound (a repeated (dst, VID)
+// key overwrites instead of taking a slot), so the check is conservative:
+// it can refuse a batch that would have fitted, never admit one that won't.
+func (n *Net) fits(specs []*flows.Spec) error {
+	need := make([][3]int, len(n.Switches))
+	for _, spec := range specs {
+		for _, s := range spec.Path {
+			need[s][0]++
+			need[s][1]++
+			if spec.Class == ethernet.ClassRC {
+				need[s][2]++
+			}
+		}
+	}
+	for s, sw := range n.Switches {
+		uni, cls, met := sw.Forward().Unicast, sw.Filter().Class, sw.Filter().Meters
+		room := [3]int{uni.Capacity() - uni.Len(), cls.Capacity() - cls.Len(), met.Capacity() - n.prog.nextMeter[s]}
+		for i, table := range [3]string{"unicast", "classification", "meter"} {
+			if need[s][i] > room[i] {
+				return fmt.Errorf("testbed: AddFlows: switch %d %s table needs %d more slots, has room for %d",
+					s, table, need[s][i], room[i])
+			}
+		}
 	}
 	return nil
 }

@@ -10,9 +10,10 @@
 //  2. Derive the resource parameters with DeriveConfig (the §III.C
 //     guidelines: tables sized to the flow count, CQF gate tables of
 //     two entries, queue depth from Injection Time Planning).
-//  3. Feed the parameters through the Table II customization APIs of a
-//     Builder (SetSwitchTbl … SetBuffers) — or use BuilderFor — and
-//     Build a Design.
+//  3. Turn the Derivation into a Design with its Design method: each
+//     switch then holds the table entries bound through it. Hand-written
+//     parameters go through the Table II customization APIs of a Builder
+//     (SetSwitchTbl … SetBuffers, or BuilderFor) and size all alike.
 //  4. Inspect the Design's platform memory report, and instantiate the
 //     network with the testbed package to measure latency, jitter and
 //     loss.
