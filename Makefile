@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test short race vet lint loc bench bench-json bench-compare fuzz chaos crash examples reproduce clean
+.PHONY: all build test short race vet lint loc golden bench bench-json bench-compare fuzz chaos crash examples reproduce clean
 
 all: build vet test
 
@@ -42,6 +42,15 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | \
 		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# golden regenerates cmd/tsnbench/testdata (TestGoldenOutput's oracle):
+# stdout and the CSV files of every experiment at -short. E-SCALE's
+# section is cut from stdout — its wall-clock columns differ run to run.
+GOLDEN = cmd/tsnbench/testdata
+golden:
+	rm -rf $(GOLDEN) && mkdir -p $(GOLDEN)
+	go run ./cmd/tsnbench -short -exp all -csv $(GOLDEN) | \
+		awk '/^E-SCALE/ { skip = 1 } !skip { print } skip && /^$$/ { skip = 0 }' > $(GOLDEN)/stdout.txt
 
 bench:
 	go test -bench=. -benchmem .

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -58,7 +59,7 @@ func main() {
 		}
 	}
 	csvOut = *csvDir
-	if err := run(*exp, p); err != nil {
+	if err := run(os.Stdout, *exp, p); err != nil {
 		fail(err)
 	}
 	publishTelemetry(p.Metrics)
@@ -112,8 +113,8 @@ func serveTelemetry(addr string, reg *metrics.Registry) (*obs.Server, string, er
 var csvOut string
 
 // emit prints a study's text and optionally writes its CSV form.
-func emit(p experiments.Params, id, text, csv string) error {
-	fmt.Println(text)
+func emit(w io.Writer, p experiments.Params, id, text, csv string) error {
+	fmt.Fprintln(w, text)
 	publishTelemetry(p.Metrics)
 	if csvOut == "" {
 		return nil
@@ -127,24 +128,24 @@ func emit(p experiments.Params, id, text, csv string) error {
 // series is the experiment that computes one latency series and emits
 // it under its own id.
 func series(id string, compute func(experiments.Params) (*experiments.Series, error)) experiment {
-	return experiment{id, func(p experiments.Params) error {
+	return experiment{id, func(w io.Writer, p experiments.Params) error {
 		s, err := compute(p)
 		if err != nil {
 			return err
 		}
-		return emit(p, id, s.String(), s.CSV())
+		return emit(w, p, id, s.String(), s.CSV())
 	}}
 }
 
 // table is the experiment that computes rows and prints them formatted,
 // followed by a blank line.
 func table[R any](id string, study func(experiments.Params) (R, error), format func(R) string) experiment {
-	return experiment{id, func(p experiments.Params) error {
+	return experiment{id, func(w io.Writer, p experiments.Params) error {
 		rows, err := study(p)
 		if err != nil {
 			return err
 		}
-		fmt.Println(format(rows))
+		fmt.Fprintln(w, format(rows))
 		return nil
 	}}
 }
@@ -152,66 +153,66 @@ func table[R any](id string, study func(experiments.Params) (R, error), format f
 // experiment is one -exp id and what it runs.
 type experiment struct {
 	id  string
-	run func(experiments.Params) error
+	run func(io.Writer, experiments.Params) error
 }
 
 // catalog is every experiment, in the order -exp all runs them.
 var catalog = []experiment{
 	table("table1", func(experiments.Params) ([]experiments.TableIRow, error) { return experiments.TableI(), nil }, experiments.FormatTableI),
-	{"fig2", func(p experiments.Params) error {
+	{"fig2", func(w io.Writer, p experiments.Params) error {
 		for _, bg := range []string{"BE", "RC"} {
 			for _, cse := range []int{1, 2} {
 				s, err := experiments.Fig2(p, bg, cse)
 				if err != nil {
 					return err
 				}
-				if err := emit(p, fmt.Sprintf("fig2-%s-case%d", bg, cse), s.String(), s.CSV()); err != nil {
+				if err := emit(w, p, fmt.Sprintf("fig2-%s-case%d", bg, cse), s.String(), s.CSV()); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
 	}},
-	{"table3", func(experiments.Params) error {
+	{"table3", func(w io.Writer, _ experiments.Params) error {
 		cols, err := experiments.TableIII()
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatTableIII(cols))
+		fmt.Fprint(w, experiments.FormatTableIII(cols))
 		return nil
 	}},
-	{"perswitch", func(p experiments.Params) error {
+	{"perswitch", func(w io.Writer, p experiments.Params) error {
 		rows, err := experiments.PerSwitchStudy(p)
 		if err != nil {
 			return err
 		}
-		return emit(p, "perswitch", experiments.FormatPerSwitch(rows, false), experiments.FormatPerSwitch(rows, true))
+		return emit(w, p, "perswitch", experiments.FormatPerSwitch(rows, false), experiments.FormatPerSwitch(rows, true))
 	}},
 	series("fig7a", experiments.Fig7Hops),
 	series("fig7b", experiments.Fig7PktSize),
 	series("fig7c", experiments.Fig7Slot),
 	series("fig7d", experiments.Fig7Background),
 	series("qos", experiments.CommercialVsCustomizedQoS),
-	{"sync", func(p experiments.Params) error {
+	{"sync", func(w io.Writer, p experiments.Params) error {
 		res := experiments.SyncPrecision(p.Seed)
-		fmt.Printf("E-SYNC — gPTP precision (6-switch ring, ±50ppm oscillators)\n")
-		fmt.Printf("  steady-state worst offset: %v (target < 50ns)\n", res.SteadyState)
-		fmt.Printf("  converged after:           %v\n\n", res.ConvergedAfter)
+		fmt.Fprintf(w, "E-SYNC — gPTP precision (6-switch ring, ±50ppm oscillators)\n")
+		fmt.Fprintf(w, "  steady-state worst offset: %v (target < 50ns)\n", res.SteadyState)
+		fmt.Fprintf(w, "  converged after:           %v\n\n", res.ConvergedAfter)
 		return nil
 	}},
 	table("itp", experiments.ITPAblation, experiments.FormatITP),
 	table("tas", experiments.TASvsCQF, experiments.FormatTAS),
-	{"threshold", func(p experiments.Params) error {
+	{"threshold", func(w io.Writer, p experiments.Params) error {
 		rows, err := experiments.ThresholdStudy(p)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatThreshold(rows))
+		fmt.Fprint(w, experiments.FormatThreshold(rows))
 		planned, naive, err := experiments.NoITPStudy(p, 6)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  with depth 6: planned-injection loss %.2f%%, naive-injection loss %.2f%% (highwater %d vs %d)\n\n",
+		fmt.Fprintf(w, "  with depth 6: planned-injection loss %.2f%%, naive-injection loss %.2f%% (highwater %d vs %d)\n\n",
 			100*planned.TSLossRate, 100*naive.TSLossRate, planned.HighWater, naive.HighWater)
 		return nil
 	}},
@@ -222,16 +223,16 @@ var catalog = []experiment{
 	table("preempt", experiments.PreemptStudy, experiments.FormatPreempt),
 	table("rate", experiments.RateStudy, experiments.FormatRate),
 	table("scale", experiments.ScaleStudy, experiments.FormatScale),
-	{"platform", func(experiments.Params) error {
+	{"platform", func(w io.Writer, _ experiments.Params) error {
 		rows, err := experiments.PlatformAblation()
 		if err != nil {
 			return err
 		}
-		fmt.Println("E-PLATFORM — same customization, different cost models (ring config)")
+		fmt.Fprintln(w, "E-PLATFORM — same customization, different cost models (ring config)")
 		for _, r := range rows {
-			fmt.Printf("  %-10s %8.1fKb\n", r.Platform, r.TotalKb)
+			fmt.Fprintf(w, "  %-10s %8.1fKb\n", r.Platform, r.TotalKb)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		return nil
 	}},
 }
@@ -245,12 +246,12 @@ var expIDs = func() (ids string) {
 }()
 
 // run executes experiment exp, or every one in order for "all".
-func run(exp string, p experiments.Params) error {
+func run(w io.Writer, exp string, p experiments.Params) error {
 	did := false
 	for _, e := range catalog {
 		if exp == "all" || exp == e.id {
 			did = true
-			if err := e.run(p); err != nil {
+			if err := e.run(w, p); err != nil {
 				return err
 			}
 		}

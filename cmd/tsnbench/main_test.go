@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"net/http"
 	"os"
 	"syscall"
@@ -16,7 +17,7 @@ func tiny() experiments.Params {
 
 func TestRunCheapExperiments(t *testing.T) {
 	for _, exp := range []string{"table1", "table3", "sync", "itp", "platform"} {
-		if err := run(exp, tiny()); err != nil {
+		if err := run(io.Discard, exp, tiny()); err != nil {
 			t.Errorf("%s: %v", exp, err)
 		}
 	}
@@ -27,14 +28,14 @@ func TestRunFigures(t *testing.T) {
 		t.Skip("figure sweeps are slow")
 	}
 	for _, exp := range []string{"fig7a", "fig7c", "qos", "tas", "sms"} {
-		if err := run(exp, tiny()); err != nil {
+		if err := run(io.Discard, exp, tiny()); err != nil {
 			t.Errorf("%s: %v", exp, err)
 		}
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nope", tiny()); err == nil {
+	if err := run(io.Discard, "nope", tiny()); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
