@@ -1,8 +1,8 @@
 // Package bench is the benchmark harness that regenerates every table
 // and figure of the paper at full evaluation scale (1024 TS flows,
-// 100 ms measurement windows). Each BenchmarkXxx corresponds to one
-// table/figure; custom metrics report the headline numbers next to the
-// usual ns/op:
+// 100 ms measurement windows). Each study BenchmarkXxx corresponds to
+// one experiments.Catalog entry; custom metrics report its headline
+// numbers next to the usual ns/op:
 //
 //	go test -bench=. -benchmem
 //
@@ -11,7 +11,6 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -39,347 +38,71 @@ func params() experiments.Params {
 	return p
 }
 
-// reportSeries attaches the last row's headline metrics to the bench.
-func reportSeries(b *testing.B, s *experiments.Series) {
+// catalogStudy is the experiments.Catalog entry that names b as its
+// benchmark.
+func catalogStudy(b *testing.B) experiments.Study {
 	b.Helper()
-	if len(s.Rows) == 0 {
-		b.Fatal("empty series")
-	}
-	last := s.Rows[len(s.Rows)-1]
-	b.ReportMetric(last.Mean.Micros(), "mean_µs")
-	b.ReportMetric(last.Jitter.Micros(), "jitter_µs")
-	b.ReportMetric(100*last.LossRate, "loss_%")
-}
-
-// BenchmarkTableI regenerates Table I (queue/buffer configuration
-// BRAM totals: 2304 Kb vs 1764 Kb).
-func BenchmarkTableI(b *testing.B) {
-	var total float64
-	for i := 0; i < b.N; i++ {
-		rows := experiments.TableI()
-		total = rows[0].TotalKb - rows[1].TotalKb
-	}
-	b.ReportMetric(total, "savedKb")
-}
-
-// BenchmarkTableIII regenerates Table III (resource usage of the
-// commercial vs star/linear/ring customized switches).
-func BenchmarkTableIII(b *testing.B) {
-	var reduction float64
-	for i := 0; i < b.N; i++ {
-		cols, err := experiments.TableIII()
-		if err != nil {
-			b.Fatal(err)
+	for _, st := range experiments.Catalog {
+		if st.Bench == b.Name() {
+			return st
 		}
-		reduction = cols[3].Reduction
 	}
-	b.ReportMetric(reduction, "ring_reduction_%")
+	b.Fatalf("no experiments.Catalog entry names %s as its benchmark", b.Name())
+	return experiments.Study{}
 }
 
-// BenchmarkFig2BE regenerates Fig. 2(a): TS latency under BE
-// background on the Table I Case 2 configuration.
-func BenchmarkFig2BE(b *testing.B) {
-	p := params()
-	var s *experiments.Series
+// benchStudy times the catalog study behind b at params().
+func benchStudy(b *testing.B) {
+	seed := params().Seed
+	benchStudySeeded(b, func(int) uint64 { return seed })
+}
+
+// benchStudySeeded times the catalog study behind b, iteration i on
+// workload seed(i) — the study alone: its Result is rendered once, after
+// the clock stops — and reports the study's headline metrics next to
+// ns/op.
+func benchStudySeeded(b *testing.B, seed func(i int) uint64) {
+	st, p := catalogStudy(b), params()
+	var res experiments.Result
 	for i := 0; i < b.N; i++ {
+		p.Seed = seed(i)
 		var err error
-		s, err = experiments.Fig2(p, "BE", 2)
-		if err != nil {
+		if res, err = st.Run(p); err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportSeries(b, s)
+	b.StopTimer()
+	for _, m := range res().Metrics {
+		b.ReportMetric(m.Value, m.Unit)
+	}
 }
 
-// BenchmarkFig2RC regenerates Fig. 2(b): TS latency under RC
-// background.
-func BenchmarkFig2RC(b *testing.B) {
-	p := params()
-	var s *experiments.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		s, err = experiments.Fig2(p, "RC", 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, s)
-}
-
-// BenchmarkFig7Hops regenerates Fig. 7(a): latency vs hop count.
-func BenchmarkFig7Hops(b *testing.B) {
-	p := params()
-	var s *experiments.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		s, err = experiments.Fig7Hops(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, s)
-}
-
-// BenchmarkFig7PktSize regenerates Fig. 7(b): latency vs packet size.
-func BenchmarkFig7PktSize(b *testing.B) {
-	p := params()
-	var s *experiments.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		s, err = experiments.Fig7PktSize(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, s)
-}
-
-// BenchmarkFig7Slot regenerates Fig. 7(c): latency vs slot size.
-func BenchmarkFig7Slot(b *testing.B) {
-	p := params()
-	var s *experiments.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		s, err = experiments.Fig7Slot(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, s)
-}
-
-// BenchmarkFig7Background regenerates Fig. 7(d): latency vs combined
-// RC+BE background load.
-func BenchmarkFig7Background(b *testing.B) {
-	p := params()
-	var s *experiments.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		s, err = experiments.Fig7Background(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, s)
-}
-
-// BenchmarkQoSEquivalence runs the §IV.C summary claim: the same
-// workload on commercial and customized resources.
-func BenchmarkQoSEquivalence(b *testing.B) {
-	p := params()
-	var s *experiments.Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		s, err = experiments.CommercialVsCustomizedQoS(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	diff := s.Rows[0].Mean - s.Rows[1].Mean
-	if diff < 0 {
-		diff = -diff
-	}
-	b.ReportMetric(diff.Micros(), "mean_diff_µs")
-}
-
-// BenchmarkGPTPPrecision measures the Time Sync template's steady-state
-// precision (§IV.A: < 50 ns).
+// One benchmark per catalog study that names one; what each runs and
+// reports is the entry's (internal/experiments/catalog.go).
+// BenchmarkGPTPPrecision draws fresh oscillator drifts every iteration.
+func BenchmarkTableI(b *testing.B)         { benchStudy(b) }
+func BenchmarkTableIII(b *testing.B)       { benchStudy(b) }
+func BenchmarkFig2BE(b *testing.B)         { benchStudy(b) }
+func BenchmarkFig2RC(b *testing.B)         { benchStudy(b) }
+func BenchmarkFig7Hops(b *testing.B)       { benchStudy(b) }
+func BenchmarkFig7PktSize(b *testing.B)    { benchStudy(b) }
+func BenchmarkFig7Slot(b *testing.B)       { benchStudy(b) }
+func BenchmarkFig7Background(b *testing.B) { benchStudy(b) }
+func BenchmarkQoSEquivalence(b *testing.B) { benchStudy(b) }
 func BenchmarkGPTPPrecision(b *testing.B) {
-	var res experiments.SyncResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.SyncPrecision(uint64(i) + 1)
-	}
-	b.ReportMetric(float64(res.SteadyState), "steady_ns")
+	benchStudySeeded(b, func(i int) uint64 { return uint64(i) + 1 })
 }
-
-// BenchmarkITPAblation measures the queue/buffer BRAM that Injection
-// Time Planning saves versus naive zero-offset injection.
-func BenchmarkITPAblation(b *testing.B) {
-	p := params()
-	var rows []experiments.ITPRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.ITPAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].QueueBufKb-rows[len(rows)-1].QueueBufKb, "savedKb")
-}
-
-// BenchmarkPlatformAblation prices the ring customization on FPGA vs
-// ASIC cost models.
-func BenchmarkPlatformAblation(b *testing.B) {
-	var rows []experiments.PlatformRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.PlatformAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].TotalKb-rows[1].TotalKb, "blockOverheadKb")
-}
-
-// BenchmarkThresholdStudy sweeps queue/buffer provisioning across the
-// traffic-dependent threshold of the Table I motivation study.
-func BenchmarkThresholdStudy(b *testing.B) {
-	p := params()
-	var rows []experiments.ThresholdRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.ThresholdStudy(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Report the knee: the smallest zero-loss depth.
-	for _, r := range rows {
-		if r.TSLossRate == 0 {
-			b.ReportMetric(float64(r.QueueDepth), "threshold_depth")
-			break
-		}
-	}
-}
-
-// BenchmarkPartitionedRun measures the partitioned parallel simulator
-// on the 210-switch mesh at 1/2/4/8 partitions: events/sec per
-// partition count plus the 4-partition speedup over the serial engine.
-// The study itself enforces parity (identical event/delivery/latency
-// totals at every partition count) and fails the bench if it breaks.
-// Speedup tracks available cores: on a single-core host the partition
-// counts measure synchronization overhead only.
-func BenchmarkPartitionedRun(b *testing.B) {
-	p := params()
-	var rows []experiments.ScaleRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.ScaleStudy(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.EventsPerSec, fmt.Sprintf("p%d_ev/s", r.Partitions))
-		if r.Partitions == 4 {
-			b.ReportMetric(r.Speedup, "speedup_4p")
-		}
-	}
-	b.ReportMetric(float64(rows[0].Events), "events")
-}
-
-// BenchmarkTASvsCQF runs the gate-mechanism ablation: synthesized
-// 802.1Qbv schedule against the paper's 2-entry CQF configuration.
-func BenchmarkTASvsCQF(b *testing.B) {
-	p := params()
-	var rows []experiments.TASRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.TASvsCQF(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Mean.Micros(), "cqf_mean_µs")
-	b.ReportMetric(rows[1].Mean.Micros(), "tas_mean_µs")
-	b.ReportMetric(float64(rows[1].GateEntries), "tas_gate_entries")
-}
-
-// BenchmarkSMSStudy runs the buffer-architecture ablation (per-port
-// pools vs a shared SMS pool).
-func BenchmarkSMSStudy(b *testing.B) {
-	p := params()
-	var rows []experiments.SMSRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.SMSStudy(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].BufferKb-rows[1].BufferKb, "sharedSavesKb")
-}
-
-// BenchmarkDeadlineStudy sweeps slot sizes against the IEC 60802
-// deadline classes.
-func BenchmarkDeadlineStudy(b *testing.B) {
-	p := params()
-	var rows []experiments.DeadlineRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.DeadlineStudy(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*rows[len(rows)-1].MissRate, "misses_at_520µs_%")
-}
-
-// BenchmarkDesyncStudy measures CQF sensitivity to clock error.
-func BenchmarkDesyncStudy(b *testing.B) {
-	p := params()
-	var rows []experiments.DesyncRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.DesyncStudy(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	worst := rows[0].Jitter
-	for _, r := range rows {
-		if r.Jitter > worst {
-			worst = r.Jitter
-		}
-	}
-	b.ReportMetric(worst.Micros(), "worst_jitter_µs")
-}
-
-// BenchmarkCBSStudy runs the credit-based-shaping ablation.
-func BenchmarkCBSStudy(b *testing.B) {
-	p := params()
-	var rows []experiments.CBSRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.CBSStudy(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].BEP99.Micros(), "bare_be_p99_µs")
-	b.ReportMetric(rows[1].BEP99.Micros(), "shaped_be_p99_µs")
-}
-
-// BenchmarkPreemptStudy measures 802.3br frame preemption on an
-// ungated strict-priority port.
-func BenchmarkPreemptStudy(b *testing.B) {
-	p := params()
-	var rows []experiments.PreemptRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.PreemptStudy(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].TSMax.Micros(), "plain_max_µs")
-	b.ReportMetric(rows[1].TSMax.Micros(), "preempt_max_µs")
-}
-
-// BenchmarkRateStudy sweeps mixed-speed access links against the CQF
-// slot feasibility constraint.
-func BenchmarkRateStudy(b *testing.B) {
-	p := params()
-	var rows []experiments.RateRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RateStudy(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*rows[len(rows)-1].TSLossRate, "loss_at_10Mbps_%")
-}
+func BenchmarkITPAblation(b *testing.B)      { benchStudy(b) }
+func BenchmarkPlatformAblation(b *testing.B) { benchStudy(b) }
+func BenchmarkThresholdStudy(b *testing.B)   { benchStudy(b) }
+func BenchmarkPartitionedRun(b *testing.B)   { benchStudy(b) }
+func BenchmarkTASvsCQF(b *testing.B)         { benchStudy(b) }
+func BenchmarkSMSStudy(b *testing.B)         { benchStudy(b) }
+func BenchmarkDeadlineStudy(b *testing.B)    { benchStudy(b) }
+func BenchmarkDesyncStudy(b *testing.B)      { benchStudy(b) }
+func BenchmarkCBSStudy(b *testing.B)         { benchStudy(b) }
+func BenchmarkPreemptStudy(b *testing.B)     { benchStudy(b) }
+func BenchmarkRateStudy(b *testing.B)        { benchStudy(b) }
 
 // --- Micro-benchmarks of the substrates ---
 

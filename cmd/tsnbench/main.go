@@ -82,8 +82,8 @@ func main() {
 var telemetry *obs.Server
 
 // publishTelemetry refreshes the served snapshot; a no-op without
-// -serve. It only runs at quiescent points (between experiment
-// sections), so it never races the sweeps' hot-path registry writes.
+// -serve. It only runs at quiescent points (between studies), so it
+// never races the sweeps' hot-path registry writes.
 func publishTelemetry(reg *metrics.Registry) {
 	if telemetry != nil {
 		telemetry.Publish(reg.Snapshot())
@@ -95,7 +95,7 @@ func publishTelemetry(reg *metrics.Registry) {
 const telemetryDrainTimeout = 5 * time.Second
 
 // serveTelemetry starts the telemetry server over the accumulated
-// experiment registry (/metrics refreshes after every emitted series,
+// experiment registry (/metrics refreshes after every study,
 // /debug/pprof profiles the runner live) and returns it with its address.
 func serveTelemetry(addr string, reg *metrics.Registry) (*obs.Server, string, error) {
 	srv := obs.NewServer(nil, nil)
@@ -109,151 +109,44 @@ func serveTelemetry(addr string, reg *metrics.Registry) (*obs.Server, string, er
 	return srv, bound, nil
 }
 
-// csvOut, when set, receives one CSV file per latency series.
+// csvOut, when set, receives one CSV file per study that has a CSV form.
 var csvOut string
-
-// emit prints a study's text and optionally writes its CSV form.
-func emit(w io.Writer, p experiments.Params, id, text, csv string) error {
-	fmt.Fprintln(w, text)
-	publishTelemetry(p.Metrics)
-	if csvOut == "" {
-		return nil
-	}
-	if err := os.MkdirAll(csvOut, 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(csvOut, id+".csv"), []byte(csv), 0o644)
-}
-
-// series is the experiment that computes one latency series and emits
-// it under its own id.
-func series(id string, compute func(experiments.Params) (*experiments.Series, error)) experiment {
-	return experiment{id, func(w io.Writer, p experiments.Params) error {
-		s, err := compute(p)
-		if err != nil {
-			return err
-		}
-		return emit(w, p, id, s.String(), s.CSV())
-	}}
-}
-
-// table is the experiment that computes rows and prints them formatted,
-// followed by a blank line.
-func table[R any](id string, study func(experiments.Params) (R, error), format func(R) string) experiment {
-	return experiment{id, func(w io.Writer, p experiments.Params) error {
-		rows, err := study(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, format(rows))
-		return nil
-	}}
-}
-
-// experiment is one -exp id and what it runs.
-type experiment struct {
-	id  string
-	run func(io.Writer, experiments.Params) error
-}
-
-// catalog is every experiment, in the order -exp all runs them.
-var catalog = []experiment{
-	table("table1", func(experiments.Params) ([]experiments.TableIRow, error) { return experiments.TableI(), nil }, experiments.FormatTableI),
-	{"fig2", func(w io.Writer, p experiments.Params) error {
-		for _, bg := range []string{"BE", "RC"} {
-			for _, cse := range []int{1, 2} {
-				s, err := experiments.Fig2(p, bg, cse)
-				if err != nil {
-					return err
-				}
-				if err := emit(w, p, fmt.Sprintf("fig2-%s-case%d", bg, cse), s.String(), s.CSV()); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}},
-	{"table3", func(w io.Writer, _ experiments.Params) error {
-		cols, err := experiments.TableIII()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, experiments.FormatTableIII(cols))
-		return nil
-	}},
-	{"perswitch", func(w io.Writer, p experiments.Params) error {
-		rows, err := experiments.PerSwitchStudy(p)
-		if err != nil {
-			return err
-		}
-		return emit(w, p, "perswitch", experiments.FormatPerSwitch(rows, false), experiments.FormatPerSwitch(rows, true))
-	}},
-	series("fig7a", experiments.Fig7Hops),
-	series("fig7b", experiments.Fig7PktSize),
-	series("fig7c", experiments.Fig7Slot),
-	series("fig7d", experiments.Fig7Background),
-	series("qos", experiments.CommercialVsCustomizedQoS),
-	{"sync", func(w io.Writer, p experiments.Params) error {
-		res := experiments.SyncPrecision(p.Seed)
-		fmt.Fprintf(w, "E-SYNC — gPTP precision (6-switch ring, ±50ppm oscillators)\n")
-		fmt.Fprintf(w, "  steady-state worst offset: %v (target < 50ns)\n", res.SteadyState)
-		fmt.Fprintf(w, "  converged after:           %v\n\n", res.ConvergedAfter)
-		return nil
-	}},
-	table("itp", experiments.ITPAblation, experiments.FormatITP),
-	table("tas", experiments.TASvsCQF, experiments.FormatTAS),
-	{"threshold", func(w io.Writer, p experiments.Params) error {
-		rows, err := experiments.ThresholdStudy(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, experiments.FormatThreshold(rows))
-		planned, naive, err := experiments.NoITPStudy(p, 6)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  with depth 6: planned-injection loss %.2f%%, naive-injection loss %.2f%% (highwater %d vs %d)\n\n",
-			100*planned.TSLossRate, 100*naive.TSLossRate, planned.HighWater, naive.HighWater)
-		return nil
-	}},
-	table("cbs", experiments.CBSStudy, experiments.FormatCBS),
-	table("deadline", experiments.DeadlineStudy, experiments.FormatDeadline),
-	table("desync", experiments.DesyncStudy, experiments.FormatDesync),
-	table("sms", experiments.SMSStudy, experiments.FormatSMS),
-	table("preempt", experiments.PreemptStudy, experiments.FormatPreempt),
-	table("rate", experiments.RateStudy, experiments.FormatRate),
-	table("scale", experiments.ScaleStudy, experiments.FormatScale),
-	{"platform", func(w io.Writer, _ experiments.Params) error {
-		rows, err := experiments.PlatformAblation()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "E-PLATFORM — same customization, different cost models (ring config)")
-		for _, r := range rows {
-			fmt.Fprintf(w, "  %-10s %8.1fKb\n", r.Platform, r.TotalKb)
-		}
-		fmt.Fprintln(w)
-		return nil
-	}},
-}
 
 // expIDs is every -exp id: the catalog's, in order, then "all".
 var expIDs = func() (ids string) {
-	for _, e := range catalog {
-		ids += e.id + " "
+	for i, st := range experiments.Catalog {
+		if i == 0 || st.ID != experiments.Catalog[i-1].ID {
+			ids += st.ID + " "
+		}
 	}
 	return ids + "all"
 }()
 
-// run executes experiment exp, or every one in order for "all".
+// run executes every catalog study filed under exp, or all of them in
+// order for "all": prints its text to w, refreshes the served
+// telemetry and writes its CSV form, if it has one, into csvOut.
 func run(w io.Writer, exp string, p experiments.Params) error {
 	did := false
-	for _, e := range catalog {
-		if exp == "all" || exp == e.id {
-			did = true
-			if err := e.run(w, p); err != nil {
-				return err
-			}
+	for _, st := range experiments.Catalog {
+		if exp != "all" && exp != st.ID {
+			continue
+		}
+		did = true
+		res, err := st.Run(p)
+		if err != nil {
+			return err
+		}
+		rep := res()
+		fmt.Fprint(w, rep.Text)
+		publishTelemetry(p.Metrics)
+		if csvOut == "" || rep.CSVName == "" {
+			continue
+		}
+		if err := os.MkdirAll(csvOut, 0o755); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(csvOut, rep.CSVName+".csv"), []byte(rep.CSV), 0o644); err != nil {
+			return err
 		}
 	}
 	if !did {

@@ -73,7 +73,7 @@ func CBSStudy(p Params) ([]CBSRow, error) {
 		}
 		return testbed.Build(testbed.Options{
 			Design: design, Topo: topo, Flows: specs,
-			DisableCBS: disableCBS, Seed: rp.Seed,
+			DisableCBS: disableCBS, Seed: rp.Seed, Metrics: rp.Metrics,
 		})
 	}
 

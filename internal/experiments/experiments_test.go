@@ -272,23 +272,23 @@ func TestThresholdStudyKnee(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// Depth 1 must lose packets; the largest depths must not.
-	if rows[0].TSLossRate == 0 {
+	if rows[0].LossRate == 0 {
 		t.Error("depth 1 shows no loss — threshold invisible")
 	}
 	last := rows[len(rows)-1]
-	if last.TSLossRate != 0 {
-		t.Errorf("depth %d still losing %.2f%%", last.QueueDepth, 100*last.TSLossRate)
+	if last.LossRate != 0 {
+		t.Errorf("depth %d still losing %.2f%%", last.QueueDepth, 100*last.LossRate)
 	}
 	// Loss is monotonically non-increasing with depth.
 	for i := 1; i < len(rows); i++ {
-		if rows[i].TSLossRate > rows[i-1].TSLossRate+1e-9 {
+		if rows[i].LossRate > rows[i-1].LossRate+1e-9 {
 			t.Errorf("loss increased from depth %d to %d", rows[i-1].QueueDepth, rows[i].QueueDepth)
 		}
 	}
 	// Above the threshold, latency is identical: extra memory is free.
-	var atThreshold *ThresholdRow
+	var atThreshold *Row
 	for i := range rows {
-		if rows[i].TSLossRate == 0 {
+		if rows[i].LossRate == 0 {
 			atThreshold = &rows[i]
 			break
 		}
@@ -296,8 +296,8 @@ func TestThresholdStudyKnee(t *testing.T) {
 	if atThreshold == nil {
 		t.Fatal("never reached zero loss")
 	}
-	if d := last.MeanLat - atThreshold.MeanLat; d > sim.Microsecond || d < -sim.Microsecond {
-		t.Errorf("latency changed above threshold: %v vs %v", atThreshold.MeanLat, last.MeanLat)
+	if d := last.Mean - atThreshold.Mean; d > sim.Microsecond || d < -sim.Microsecond {
+		t.Errorf("latency changed above threshold: %v vs %v", atThreshold.Mean, last.Mean)
 	}
 	out := FormatThreshold(rows)
 	if !strings.Contains(out, "E-THRESHOLD") {
@@ -307,16 +307,17 @@ func TestThresholdStudyKnee(t *testing.T) {
 
 func TestNoITPStudy(t *testing.T) {
 	p := params(t)
-	planned, naive, err := NoITPStudy(p, 6)
+	rows, err := NoITPStudy(p, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planned.TSLossRate != 0 {
-		t.Errorf("planned injection lost %.2f%%", 100*planned.TSLossRate)
+	planned, naive := rows[0], rows[1]
+	if planned.LossRate != 0 {
+		t.Errorf("planned injection lost %.2f%%", 100*planned.LossRate)
 	}
-	if naive.TSLossRate <= planned.TSLossRate {
+	if naive.LossRate <= planned.LossRate {
 		t.Errorf("naive injection (%.2f%%) not worse than planned (%.2f%%)",
-			100*naive.TSLossRate, 100*planned.TSLossRate)
+			100*naive.LossRate, 100*planned.LossRate)
 	}
 	if naive.HighWater < planned.HighWater {
 		t.Errorf("naive high water %d below planned %d", naive.HighWater, planned.HighWater)
@@ -342,8 +343,8 @@ func TestTASvsCQF(t *testing.T) {
 		t.Errorf("TAS jitter %v not ≪ CQF jitter %v", tasRow.Jitter, cqf.Jitter)
 	}
 	// The price: gate tables grow well beyond CQF's 2 entries.
-	if tasRow.GateEntries <= cqf.GateEntries {
-		t.Errorf("TAS gate entries %d not above CQF's %d", tasRow.GateEntries, cqf.GateEntries)
+	if tasRow.GateSize <= cqf.GateSize {
+		t.Errorf("TAS gate entries %d not above CQF's %d", tasRow.GateSize, cqf.GateSize)
 	}
 	if !strings.Contains(FormatTAS(rows), "E-TAS") {
 		t.Fatal("format broken")
@@ -380,10 +381,10 @@ func TestDesyncStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].Offset != 0 {
+	if rows[0].X != 0 {
 		t.Fatal("first row must be the synchronized baseline")
 	}
-	if rows[0].LossRate != 0 || rows[0].BoundBreak {
+	if rows[0].LossRate != 0 || rows[0].BoundBroken() {
 		t.Fatalf("synchronized baseline degraded: %+v", rows[0])
 	}
 	// Some nonzero offset must inflate jitter over the baseline
@@ -409,19 +410,19 @@ func TestDeadlineStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At 65 µs every deadline class holds.
-	if rows[0].MissRate != 0 {
-		t.Fatalf("misses at 65µs slot: %v", rows[0].MissRate)
+	if rows[0].MissRate() != 0 {
+		t.Fatalf("misses at 65µs slot: %v", rows[0].MissRate())
 	}
 	// At 520 µs the 1 ms deadline class must miss: the Eq. (1) upper
 	// bound (2.08 ms) exceeds it.
 	last := rows[len(rows)-1]
-	if last.MissRate == 0 {
+	if last.MissRate() == 0 {
 		t.Fatal("no misses at 520µs slot — deadline accounting inert")
 	}
 	// Misses grow (weakly) with the slot.
 	for i := 1; i < len(rows); i++ {
-		if rows[i].MissRate < rows[i-1].MissRate-1e-9 {
-			t.Fatalf("miss rate decreased at %v", rows[i].Slot)
+		if rows[i].MissRate() < rows[i-1].MissRate()-1e-9 {
+			t.Fatalf("miss rate decreased at %v", rows[i].Label)
 		}
 	}
 	if !strings.Contains(FormatDeadline(rows), "E-DEADLINE") {
@@ -482,19 +483,19 @@ func TestRateStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rows[0].Feasible || rows[0].TSLossRate != 0 {
+	if !rows[0].Feasible || rows[0].LossRate != 0 {
 		t.Fatalf("gigabit row degraded: %+v", rows[0])
 	}
 	last := rows[len(rows)-1] // 10 Mbps: frame tx > slot
 	if last.Feasible {
 		t.Fatal("10 Mbps flagged feasible")
 	}
-	if last.TSLossRate < 0.99 {
-		t.Fatalf("10 Mbps loss = %v, want ~100%% (guard band never opens)", last.TSLossRate)
+	if last.LossRate < 0.99 {
+		t.Fatalf("10 Mbps loss = %v, want ~100%% (guard band never opens)", last.LossRate)
 	}
 	// Latency grows as the access rate falls (while feasible).
-	if rows[1].TSMean <= rows[0].TSMean {
-		t.Errorf("100 Mbps mean %v not above gigabit %v", rows[1].TSMean, rows[0].TSMean)
+	if rows[1].Mean <= rows[0].Mean {
+		t.Errorf("100 Mbps mean %v not above gigabit %v", rows[1].Mean, rows[0].Mean)
 	}
 	if !strings.Contains(FormatRate(rows), "E-RATE") {
 		t.Fatal("format broken")

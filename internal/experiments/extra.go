@@ -8,7 +8,6 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/gptp"
 	"github.com/tsnbuilder/tsnbuilder/internal/itp"
-	"github.com/tsnbuilder/tsnbuilder/internal/resource"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
@@ -68,6 +67,13 @@ func SyncPrecision(seed uint64) SyncResult {
 	return res
 }
 
+// FormatSync renders the precision result.
+func FormatSync(res SyncResult) string {
+	return fmt.Sprintf("E-SYNC — gPTP precision (%d-switch ring, ±50ppm oscillators)\n"+
+		"  steady-state worst offset: %v (target < 50ns)\n"+
+		"  converged after:           %v\n", res.Nodes, res.SteadyState, res.ConvergedAfter)
+}
+
 // ITPRow is one strategy of the ITP ablation.
 type ITPRow struct {
 	Strategy   string
@@ -86,11 +92,9 @@ func ITPAblation(p Params) ([]ITPRow, error) {
 
 	row := func(strategy string, occupancy int) ITPRow {
 		depth := occupancy + (occupancy+1)/2 // 50% margin
-		buffers := depth * 8
-		kb := resource.Queues(depth, 8, 1).Kb() + resource.Buffers(buffers, 1).Kb()
 		return ITPRow{
 			Strategy: strategy, Occupancy: occupancy,
-			QueueDepth: depth, BufferNum: buffers, QueueBufKb: kb,
+			QueueDepth: depth, BufferNum: depth * 8, QueueBufKb: queueBufKb(depth, depth*8),
 		}
 	}
 
@@ -153,4 +157,14 @@ func PlatformAblation() ([]PlatformRow, error) {
 		rows = append(rows, PlatformRow{Platform: pf.Name(), TotalKb: d.Report.TotalKb()})
 	}
 	return rows, nil
+}
+
+// FormatPlatform renders the comparison.
+func FormatPlatform(rows []PlatformRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "E-PLATFORM — same customization, different cost models (ring config)\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "  %-10s %8.1fKb\n", r.Platform, r.TotalKb)
+	}
+	return b.String()
 }

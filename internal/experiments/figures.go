@@ -2,10 +2,31 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
+
+// over builds a point table from an axis: one point per value.
+func over(axis []int, at func(int) point) []point {
+	pts := make([]point, len(axis))
+	for i, v := range axis {
+		pts[i] = at(v)
+	}
+	return pts
+}
+
+// ringSeries runs a point table as a latency series.
+func ringSeries(p Params, name, xAxis string, pts []point) (*Series, error) {
+	rows, err := ringSweep(p, pts)
+	if err != nil {
+		return nil, err
+	}
+	return &Series{Name: name, XAxis: xAxis, Rows: rows}, nil
+}
+
+func mbpsLabel(mbps int) string { return fmt.Sprintf("%dMbps", mbps) }
 
 // Fig2 reproduces Fig. 2 of the motivation study: TS-flow latency under
 // increasing background bandwidth — (a) BE background, (b) RC
@@ -22,160 +43,72 @@ func Fig2(p Params, background string, caseCfg int) (*Series, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown Table I case %d", caseCfg)
 	}
-	switch background {
-	case "BE", "RC":
-	default:
+	if background != "BE" && background != "RC" {
 		return nil, fmt.Errorf("experiments: unknown background class %q", background)
 	}
-	s := &Series{
-		Name:  fmt.Sprintf("Fig. 2(%s) — TS latency vs %s background (Case %d)", background, background, caseCfg),
-		XAxis: background + "(Mbps)",
-	}
-	sweepMbps := []int{0, 200, 400, 600, 800}
-	rows, err := sweep(p, len(sweepMbps), func(i int, rp Params) (Row, error) {
-		mbps := sweepMbps[i]
-		bs := benchSpec{p: rp, hops: 3, useConfig: &cfg}
-		if background == "BE" {
-			bs.beMbps = mbps
-		} else {
-			bs.rcMbps = mbps
-		}
-		rb, err := buildRing(bs)
-		if err != nil {
-			return Row{}, err
-		}
-		row := rb.run(rp, 0)
-		row.Label = fmt.Sprintf("%dMbps", mbps)
-		row.X = float64(mbps)
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.Rows = rows
-	return s, nil
+	return ringSeries(p,
+		fmt.Sprintf("Fig. 2(%s) — TS latency vs %s background (Case %d)", background, background, caseCfg),
+		background+"(Mbps)",
+		over([]int{0, 200, 400, 600, 800}, func(mbps int) point {
+			pt := point{label: mbpsLabel(mbps), x: float64(mbps), config: &cfg}
+			if background == "BE" {
+				pt.beMbps = mbps
+			} else {
+				pt.rcMbps = mbps
+			}
+			return pt
+		}))
 }
 
 // Fig7Hops reproduces Fig. 7(a): end-to-end TS latency for flows
 // traversing 1..4 switches at the 65 µs slot. Expected shape: mean
 // latency ≈ hops × slot, jitter roughly constant.
 func Fig7Hops(p Params) (*Series, error) {
-	s := &Series{Name: "Fig. 7(a) — E2E latency under different hops", XAxis: "hops"}
-	rows, err := sweep(p, 4, func(i int, rp Params) (Row, error) {
-		hops := i + 1
-		rb, err := buildRing(benchSpec{p: rp, hops: hops})
-		if err != nil {
-			return Row{}, err
-		}
-		row := rb.run(rp, 0)
-		row.Label = fmt.Sprintf("%d", hops)
-		row.X = float64(hops)
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.Rows = rows
-	return s, nil
+	return ringSeries(p, "Fig. 7(a) — E2E latency under different hops", "hops",
+		over([]int{1, 2, 3, 4}, func(hops int) point {
+			return point{label: strconv.Itoa(hops), x: float64(hops), hops: hops}
+		}))
 }
 
 // Fig7PktSize reproduces Fig. 7(b): latency under different TS packet
 // sizes. Expected shape: slight increase with size (serialization).
 func Fig7PktSize(p Params) (*Series, error) {
-	s := &Series{Name: "Fig. 7(b) — E2E latency under different packet sizes", XAxis: "size(B)"}
-	sizes := []int{64, 128, 256, 512, 1024, 1500}
-	rows, err := sweep(p, len(sizes), func(i int, rp Params) (Row, error) {
-		size := sizes[i]
-		rb, err := buildRing(benchSpec{p: rp, hops: 3, wireSize: size})
-		if err != nil {
-			return Row{}, err
-		}
-		row := rb.run(rp, 0)
-		row.Label = fmt.Sprintf("%dB", size)
-		row.X = float64(size)
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.Rows = rows
-	return s, nil
+	return ringSeries(p, "Fig. 7(b) — E2E latency under different packet sizes", "size(B)",
+		over([]int{64, 128, 256, 512, 1024, 1500}, func(size int) point {
+			return point{label: fmt.Sprintf("%dB", size), x: float64(size), wireSize: size}
+		}))
+}
+
+// slotPoint is the ring at one CQF slot size, labelled by it.
+func slotPoint(us int) point {
+	slot := sim.Time(us) * sim.Microsecond
+	return point{label: slot.String(), x: slot.Micros(), slot: slot}
 }
 
 // Fig7Slot reproduces Fig. 7(c): latency under different slot sizes.
 // Expected shape: mean latency and jitter scale with the slot.
 func Fig7Slot(p Params) (*Series, error) {
-	s := &Series{Name: "Fig. 7(c) — E2E latency under different time slots", XAxis: "slot(µs)"}
-	slots := []sim.Time{65 * sim.Microsecond, 130 * sim.Microsecond,
-		260 * sim.Microsecond, 520 * sim.Microsecond}
-	rows, err := sweep(p, len(slots), func(i int, rp Params) (Row, error) {
-		slot := slots[i]
-		rb, err := buildRing(benchSpec{p: rp, hops: 3, slot: slot})
-		if err != nil {
-			return Row{}, err
-		}
-		row := rb.run(rp, 0)
-		row.Label = slot.String()
-		row.X = slot.Micros()
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.Rows = rows
-	return s, nil
+	return ringSeries(p, "Fig. 7(c) — E2E latency under different time slots", "slot(µs)",
+		over([]int{65, 130, 260, 520}, slotPoint))
 }
 
 // Fig7Background reproduces Fig. 7(d): RC and BE background injected
 // simultaneously at equal bandwidth. Expected shape: no effect on TS
 // latency or jitter, zero TS loss.
 func Fig7Background(p Params) (*Series, error) {
-	s := &Series{Name: "Fig. 7(d) — E2E latency under different background flows", XAxis: "each(Mbps)"}
-	sweepMbps := []int{0, 100, 200, 300, 400}
-	rows, err := sweep(p, len(sweepMbps), func(i int, rp Params) (Row, error) {
-		mbps := sweepMbps[i]
-		rb, err := buildRing(benchSpec{p: rp, hops: 3, rcMbps: mbps, beMbps: mbps})
-		if err != nil {
-			return Row{}, err
-		}
-		row := rb.run(rp, 0)
-		row.Label = fmt.Sprintf("%dMbps", mbps)
-		row.X = float64(mbps)
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.Rows = rows
-	return s, nil
+	return ringSeries(p, "Fig. 7(d) — E2E latency under different background flows", "each(Mbps)",
+		over([]int{0, 100, 200, 300, 400}, func(mbps int) point {
+			return point{label: mbpsLabel(mbps), x: float64(mbps), rcMbps: mbps, beMbps: mbps}
+		}))
 }
 
 // CommercialVsCustomizedQoS runs the same workload on the commercial
 // resource configuration and on the derived customized one — the
 // paper's headline QoS-equivalence claim (§IV.C summary).
 func CommercialVsCustomizedQoS(p Params) (*Series, error) {
-	s := &Series{Name: "QoS equivalence — commercial vs customized resources", XAxis: "config"}
 	commercial := core.CommercialProfile()
-	configs := []struct {
-		label string
-		cfg   *core.Config
-	}{
-		{"commercial", &commercial},
-		{"customized", nil},
-	}
-	rows, err := sweep(p, len(configs), func(i int, rp Params) (Row, error) {
-		c := configs[i]
-		rb, err := buildRing(benchSpec{p: rp, hops: 3, rcMbps: 100, beMbps: 100, useConfig: c.cfg})
-		if err != nil {
-			return Row{}, err
-		}
-		row := rb.run(rp, 0)
-		row.Label = c.label
-		return row, nil
+	return ringSeries(p, "QoS equivalence — commercial vs customized resources", "config", []point{
+		{label: "commercial", rcMbps: 100, beMbps: 100, config: &commercial},
+		{label: "customized", rcMbps: 100, beMbps: 100},
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.Rows = rows
-	return s, nil
 }

@@ -1,23 +1,40 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§II.A Table I/Fig. 2, §IV Table III/Fig. 7) plus
-// the sync-precision claim and an ITP ablation, against the simulated
-// substrate. Each experiment returns structured rows; cmd/tsnbench
-// prints them and bench_test.go wraps them as benchmarks.
+// the sync-precision claim and the ablations, against the simulated
+// substrate.
+//
+// A study is a value. The ones that run the paper's ring are tables of
+// points (figures.go, ringstudies.go): each point names what it changes
+// about the ring, and ringSweep turns the table into Rows (point.run is
+// the one place a point becomes a network). Catalog is the one ordered
+// list of studies: cmd/tsnbench loops over it, every study benchmark in
+// bench_test.go looks itself up in it by name, and a test holds
+// EXPERIMENTS.md and DESIGN.md §6 to it.
+//
+// To add a study: its function (a point table if it runs the ring), one
+// Catalog entry, one one-line benchmark under the name the entry gives
+// and one EXPERIMENTS.md section with its `tsnbench -exp <id>` line;
+// TestCatalogMatchesDocs names whatever is missing.
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
+	"github.com/tsnbuilder/tsnbuilder/internal/resource"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/tas"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
 
-// Row is one data point of a latency experiment.
+// Row is one point of a ring study: what the TS class measured, what
+// the switches were provisioned with, and what the analysis predicts
+// for the point's own parameters.
 type Row struct {
 	// Label names the x value ("2 hops", "512B", "200Mbps"...).
 	Label string
@@ -28,6 +45,38 @@ type Row struct {
 	LossRate               float64
 	Sent, Received         uint64
 	DeadlineMisses         uint64
+	// HighWater is the worst TS queue occupancy observed anywhere,
+	// PoolHighWater the worst concurrent usage of any switch's first
+	// buffer pool (the shared one under SMS).
+	HighWater, PoolHighWater int
+	// QueueDepth, BufferNum and GateSize are the provisioned queue depth,
+	// per-port buffer count and gate table size.
+	QueueDepth, BufferNum, GateSize int
+	// Bound is Eq. (1)'s upper latency bound, (hops+1)·slot.
+	Bound sim.Time
+	// Feasible is core.CheckSlotFeasibility's verdict at the slowest
+	// egress a TS flow crosses: one slot's frames drain within a slot.
+	Feasible bool
+}
+
+// MissRate is the fraction of received TS frames past their deadline.
+func (r Row) MissRate() float64 {
+	if r.Received == 0 {
+		return 0
+	}
+	return float64(r.DeadlineMisses) / float64(r.Received)
+}
+
+// BoundBroken reports a worst latency beyond Eq. (1)'s bound (plus
+// sub-slot wire time).
+func (r Row) BoundBroken() bool { return r.Max > r.Bound+2*sim.Microsecond }
+
+// QueueBufKb is queueBufKb of the row's provisioned depth and buffers.
+func (r Row) QueueBufKb() float64 { return queueBufKb(r.QueueDepth, r.BufferNum) }
+
+// queueBufKb is Table I's sum: queue plus buffer BRAM of one 8-queue port.
+func queueBufKb(depth, buffers int) float64 {
+	return resource.Queues(depth, 8, 1).Kb() + resource.Buffers(buffers, 1).Kb()
 }
 
 // Series is one experiment's output: an x-axis sweep of Rows.
@@ -78,7 +127,9 @@ type Params struct {
 	// registry (cmd/tsnbench -metrics). Under the parallel harness each
 	// sweep point instruments a scratch registry that is merged back in
 	// sweep order (see pool.go), so the export does not depend on
-	// worker scheduling.
+	// worker scheduling. The exceptions build no testbed.Net and record
+	// nothing: PreemptStudy (a bare switch between two NICs) and
+	// SyncPrecision (a bare gPTP domain).
 	Metrics *metrics.Registry
 	// Parallel bounds the sweep worker pool: sweep points (independent
 	// build-and-run pairs) run on up to this many goroutines. 1 is
@@ -97,33 +148,6 @@ func ShortParams() Params {
 	return Params{TSFlows: 128, Duration: 50 * sim.Millisecond, Seed: 42}
 }
 
-// ringBench is the paper's demo network, built and programmed: a
-// 6-switch ring with one TSNNic host and one background injector per
-// switch, TS flows of a fixed hop count (number of switches traversed),
-// optional RC/BE background, and a derived (customized) or commercial
-// design.
-type ringBench struct {
-	Net *testbed.Net
-}
-
-// benchSpec configures buildRing.
-type benchSpec struct {
-	p         Params
-	hops      int // switches traversed by each TS flow
-	wireSize  int
-	slot      sim.Time
-	rcMbps    int // per-source RC background
-	beMbps    int // per-source BE background
-	useConfig *core.Config
-	// noITP leaves every TS flow at injection offset zero (the naive
-	// baseline of the ITP ablation).
-	noITP bool
-	// queueDepth/bufferNum override the derived provisioning when > 0
-	// (the Table I threshold study turns these knobs).
-	queueDepth int
-	bufferNum  int
-}
-
 // ringParams is the paper's ring as a workload.Build input at the
 // evaluation's defaults: 64 B frames over 3 switches, 65 µs slot, no
 // background. Background flows run from the first three injectors over
@@ -135,66 +159,123 @@ func ringParams(p Params) workload.Params {
 	}
 }
 
-// buildRing constructs and programs the network: workload.Build's ring,
-// then the spec's overrides on top of what it derived.
-func buildRing(bs benchSpec) (*ringBench, error) {
-	wp := ringParams(bs.p)
-	wp.RCMbps, wp.BEMbps = bs.rcMbps, bs.beMbps
-	if bs.hops != 0 {
-		wp.Hops = bs.hops
-	}
-	if bs.wireSize != 0 {
-		wp.WireSize = bs.wireSize
-	}
-	if bs.slot != 0 {
-		wp.SlotUs = int(bs.slot / sim.Microsecond)
-	}
+// point is one run of the paper's demo network — a 6-switch ring with
+// one TSNNic host and one background injector per switch — as data: a
+// row label and x value, plus what this run changes about ringParams
+// and the design derived for it. A zero override keeps the default.
+type point struct {
+	label string
+	x     float64
+
+	hops     int      // switches traversed by each TS flow
+	wireSize int      // TS frame size in bytes
+	slot     sim.Time // CQF slot
+	rcMbps   int      // per-source RC background
+	beMbps   int      // per-source BE background
+	// accessMbps runs every host access link at this rate (E-RATE); the
+	// trunks stay at the design's link rate.
+	accessMbps int
+	// config replaces the derived resource configuration (commercial
+	// profile, Table I cases); the point's slot still applies.
+	config *core.Config
+	// depth overrides the provisioned queue depth, with depth × 8
+	// buffers behind it (E-THRESHOLD turns this knob).
+	depth int
+	// noITP leaves every TS flow at injection offset zero (the naive
+	// baseline of the ITP ablation).
+	noITP bool
+	// tas gates the TS class by a synthesized 802.1Qbv schedule instead
+	// of CQF's two entries, growing the gate table to hold it (E-TAS).
+	tas bool
+	// sharedBuffers pools this many buffers per switch across all of its
+	// ports instead of a pool per port (E-SMS).
+	sharedBuffers int
+	// preRun touches the built network before traffic starts (E-DESYNC
+	// skews clocks with it).
+	preRun func(*testbed.Net)
+}
+
+// ringSweep runs every point on the worker pool and returns one Row per
+// point, in order.
+func ringSweep(p Params, pts []point) ([]Row, error) {
+	return sweep(p, len(pts), func(i int, rp Params) (Row, error) { return pts[i].run(rp) })
+}
+
+// run is the one place a ring study becomes a network: workload.Build's
+// ring, the point's overrides on top of what it derived, testbed.Build
+// into rp's registry, run, summarize the TS class.
+func (pt point) run(rp Params) (Row, error) {
+	wp := ringParams(rp)
+	wp.RCMbps, wp.BEMbps = pt.rcMbps, pt.beMbps
+	wp.Hops, wp.WireSize = cmp.Or(pt.hops, wp.Hops), cmp.Or(pt.wireSize, wp.WireSize)
+	wp.SlotUs = cmp.Or(int(pt.slot/sim.Microsecond), wp.SlotUs)
 	w, err := workload.Build(wp)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
-	if bs.noITP {
+	if pt.noITP {
 		for _, s := range w.Specs {
 			s.Offset = 0
 		}
 	}
 	cfg := w.Der.Config
-	if bs.useConfig != nil {
-		cfg = *bs.useConfig
+	if pt.config != nil {
+		cfg = *pt.config
 		cfg.SlotSize = sim.Time(wp.SlotUs) * sim.Microsecond
 	}
-	if bs.queueDepth > 0 {
-		cfg.QueueDepth = bs.queueDepth
+	if pt.depth > 0 {
+		cfg.QueueDepth, cfg.BufferNum = pt.depth, pt.depth*8
 	}
-	if bs.bufferNum > 0 {
-		cfg.BufferNum = bs.bufferNum
+	var sch *tas.Schedule
+	if pt.tas {
+		// The guard band only needs to absorb a TS frame: E-TAS runs no
+		// background.
+		if sch, err = tas.Synthesize(w.Specs, w.Topo, tas.Options{MaxFrameBytes: wp.WireSize}); err != nil {
+			return Row{}, err
+		}
+		cfg.GateSize = max(cfg.GateSize, sch.MaxGateEntries)
 	}
 	design := w.Design
 	if cfg != w.Der.Config {
 		if design, err = core.BuilderFor(cfg, nil).Build(); err != nil {
-			return nil, err
+			return Row{}, err
 		}
 	}
+	access := ethernet.Rate(pt.accessMbps) * ethernet.Mbps
 	net, err := testbed.Build(testbed.Options{
-		Design:  design,
-		Topo:    w.Topo,
-		Flows:   w.Specs,
-		Seed:    bs.p.Seed,
-		Metrics: bs.p.Metrics,
+		Design: design, Topo: w.Topo, Flows: w.Specs,
+		AccessRate: access, SharedBufferNum: pt.sharedBuffers,
+		Seed: rp.Seed, Metrics: rp.Metrics,
 	})
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
-	return &ringBench{Net: net}, nil
-}
-
-// run executes the scenario and summarizes the TS class.
-func (rb *ringBench) run(p Params, warmup sim.Time) Row {
-	rb.Net.Run(warmup, p.Duration)
-	s := rb.Net.Summary(ethernet.ClassTS)
+	if sch != nil {
+		if err := net.InstallTAS(sch); err != nil {
+			return Row{}, err
+		}
+		sch.Apply(w.Specs)
+	}
+	if pt.preRun != nil {
+		pt.preRun(net)
+	}
+	net.Run(0, rp.Duration)
+	s := net.Summary(ethernet.ClassTS)
+	pool := 0
+	for _, sw := range net.Switches {
+		pool = max(pool, sw.PoolHighWater(0))
+	}
 	return Row{
+		Label: pt.label, X: pt.x,
 		Mean: s.MeanLatency, Jitter: s.Jitter, Min: s.MinLat, Max: s.MaxLat,
 		LossRate: s.LossRate, Sent: s.Sent, Received: s.Received,
 		DeadlineMisses: s.DeadlineMisses,
-	}
+		HighWater:      net.MaxQueueHighWater(),
+		PoolHighWater:  pool,
+		QueueDepth:     cfg.QueueDepth,
+		BufferNum:      cfg.BufferNum,
+		GateSize:       cfg.GateSize,
+		Bound:          sim.Time(wp.Hops+1) * cfg.SlotSize,
+		Feasible:       len(core.CheckSlotFeasibility(w.Der.Plan, cmp.Or(access, cfg.LinkRate), wp.WireSize)) == 0,
+	}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
+	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
 // TestParallelDeterminism is the harness's core guarantee: the same
@@ -37,29 +38,56 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestParallelMetricsParity checks the scratch-and-merge telemetry
 // path: the accumulated registry export must not depend on worker
-// count or completion order.
+// count or completion order — for a figure and for one of the studies
+// that used to build their networks outside Params.Metrics.
 func TestParallelMetricsParity(t *testing.T) {
-	export := func(parallel int) string {
-		p := ShortParams()
-		p.Parallel = parallel
-		p.Metrics = metrics.New()
-		if _, err := Fig7Hops(p); err != nil {
-			t.Fatal(err)
+	for _, st := range Catalog {
+		if st.ID != "fig7a" && st.ID != "rate" {
+			continue
 		}
-		var b bytes.Buffer
-		if err := p.Metrics.Snapshot().WritePrometheus(&b); err != nil {
-			t.Fatal(err)
+		export := func(parallel int) string {
+			p := ShortParams()
+			p.Parallel = parallel
+			p.Metrics = metrics.New()
+			if _, err := st.Run(p); err != nil {
+				t.Fatal(err)
+			}
+			var b bytes.Buffer
+			if err := p.Metrics.Snapshot().WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			return b.String()
 		}
-		return b.String()
+		serial := export(1)
+		par := export(8)
+		if serial == "" {
+			t.Fatalf("%s: serial export is empty — instrumentation not wired?", st.ID)
+		}
+		if serial != par {
+			t.Errorf("%s: metrics export differs between -parallel 1 and -parallel 8:\nserial:\n%s\nparallel:\n%s",
+				st.ID, serial, par)
+		}
 	}
-	serial := export(1)
-	par := export(8)
-	if serial == "" {
-		t.Fatal("serial export is empty — instrumentation not wired?")
-	}
-	if serial != par {
-		t.Errorf("metrics export differs between -parallel 1 and -parallel 8:\nserial:\n%s\nparallel:\n%s",
-			serial, par)
+}
+
+// TestStudiesInstrumentParamsMetrics holds Params.Metrics to its doc:
+// every study that builds a testbed.Net leaves its events in the
+// caller's registry (rate, tas, cbs and sms once did not).
+func TestStudiesInstrumentParamsMetrics(t *testing.T) {
+	// No testbed.Net: arithmetic, a bare gPTP domain, a bare switch.
+	bare := map[string]bool{"table1": true, "table3": true, "perswitch": true,
+		"sync": true, "itp": true, "platform": true, "preempt": true}
+	for _, st := range Catalog {
+		if bare[st.ID] {
+			continue
+		}
+		p := Params{TSFlows: 32, Duration: 10 * sim.Millisecond, Seed: 42, Metrics: metrics.New()}
+		if _, err := st.Run(p); err != nil {
+			t.Fatalf("%s: %v", st.ID, err)
+		}
+		if p.Metrics.CounterValue("tsn_sim_events_total") == 0 {
+			t.Errorf("%s: tsn_sim_events_total = 0 in Params.Metrics", st.ID)
+		}
 	}
 }
 

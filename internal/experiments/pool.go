@@ -24,9 +24,9 @@ import (
 // registry. When Params.Metrics is set, every point runs against its
 // own scratch registry and the harness folds the scratch registries
 // into Params.Metrics in sweep order after the pool drains
-// (metrics.Registry.Merge). The serial path (Parallel=1) goes through
-// the identical scratch-and-merge sequence, so serial and parallel
-// exports are byte-identical by construction.
+// (metrics.Registry.Merge). Parallel=1 is the same pool with one
+// worker, so serial and parallel exports are byte-identical by
+// construction.
 
 // FanOut runs fn(i) for every i in [0, n) across a pool of workers
 // goroutines, claiming indices atomically in ascending order. When fn
@@ -110,62 +110,28 @@ func rowParams(p Params) Params {
 
 // sweep runs fn(i, rowParams) for every i in [0, n) across the worker
 // pool and returns the results in sweep order. fn must be
-// self-contained per the package contract above. On error the
-// lowest-index error wins (matching what a serial loop would have
-// returned), scratch telemetry of rows past it is discarded, and the
-// partial prefix is still merged so serial and parallel error paths
-// leave identical registry state.
+// self-contained per the package contract above. A failing point stops
+// the claiming of further points, as a serial loop would; the points
+// below it were claimed before it and still finish, so the lowest-index
+// error wins, the scratch telemetry of the points below it is merged and
+// everything from it on is discarded — at any worker count.
 func sweep[T any](p Params, n int, fn func(i int, rp Params) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
 	out := make([]T, n)
 	errs := make([]error, n)
-	var regs []*metrics.Registry
-	if p.Metrics != nil {
-		regs = make([]*metrics.Registry, n)
-	}
-
-	runOne := func(i int, rp Params) {
-		if regs != nil {
-			regs[i] = rp.Metrics
-		}
+	regs := make([]*metrics.Registry, n) // all nil without telemetry
+	FanOut(p.workers(), n, func(i int) bool {
+		rp := rowParams(p)
+		regs[i] = rp.Metrics
 		out[i], errs[i] = fn(i, rp)
-	}
-
-	if w := min(p.workers(), n); w <= 1 {
-		for i := 0; i < n; i++ {
-			runOne(i, rowParams(p))
-			if errs[i] != nil {
-				break // a serial sweep stops at the first error
-			}
-		}
-	} else {
-		FanOut(w, n, func(i int) bool {
-			runOne(i, rowParams(p))
-			return true
-		})
-	}
-
-	firstErr := -1
+		return errs[i] == nil
+	})
 	for i, err := range errs {
 		if err != nil {
-			firstErr = i
-			break
+			return nil, err
 		}
-	}
-	if p.Metrics != nil {
-		for i, reg := range regs {
-			if firstErr >= 0 && i >= firstErr {
-				break
-			}
-			if reg != nil {
-				p.Metrics.Merge(reg)
-			}
+		if regs[i] != nil {
+			p.Metrics.Merge(regs[i])
 		}
-	}
-	if firstErr >= 0 {
-		return nil, errs[firstErr]
 	}
 	return out, nil
 }

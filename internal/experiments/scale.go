@@ -99,6 +99,9 @@ func ScaleStudy(p Params) ([]ScaleRow, error) {
 		cpu, start := cpuTime(), time.Now()
 		net.Run(0, p.Duration)
 		wall := time.Since(start)
+		if p.Metrics != nil {
+			p.Metrics.Merge(reg)
+		}
 		row := ScaleRow{
 			Partitions: net.Partitions(),
 			Window:     net.LookaheadWindow(),

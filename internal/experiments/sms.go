@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/tsnbuilder/tsnbuilder/internal/core"
-	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/resource"
-	"github.com/tsnbuilder/tsnbuilder/internal/workload"
-	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
 
 // SMSRow is one buffer-architecture data point.
@@ -28,74 +24,49 @@ type SMSRow struct {
 // study quantifies both against each other on the ring workload with
 // RC+BE background.
 func SMSStudy(p Params) ([]SMSRow, error) {
-	build := func(shared int) (*testbed.Net, *core.Derivation, error) {
-		wp := ringParams(p)
-		wp.RCMbps, wp.BEMbps = 100, 100
-		w, err := workload.Build(wp)
-		if err != nil {
-			return nil, nil, err
+	// run is the ring with RC+BE background on a shared pool of the given
+	// size per switch (0: per-port pools). The probe's peak provisions the
+	// last run, so each point runs right here, scratch-and-merge included.
+	run := func(shared int) (Row, error) {
+		rp := rowParams(p)
+		row, err := point{rcMbps: 100, beMbps: 100, sharedBuffers: shared}.run(rp)
+		if err == nil && p.Metrics != nil {
+			p.Metrics.Merge(rp.Metrics)
 		}
-		net, err := testbed.Build(testbed.Options{
-			Design: w.Design, Topo: w.Topo, Flows: w.Specs,
-			SharedBufferNum: shared, Seed: p.Seed,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return net, w.Der, nil
+		return row, err
 	}
-
-	peakShared := func(net *testbed.Net) int {
-		worst := 0
-		for s := range net.Switches {
-			if hw := net.Switches[s].PoolHighWater(0); hw > worst {
-				worst = hw
-			}
-		}
-		return worst
-	}
-
-	var rows []SMSRow
 
 	// Per-port pools, derived provisioning. The simulated ring switch
 	// instantiates 3 ports (trunk out, trunk rx, host access).
-	netPP, der, err := build(0)
+	perPort, err := run(0)
 	if err != nil {
 		return nil, err
 	}
-	netPP.Run(0, p.Duration)
-	lossPP := netPP.Summary(ethernet.ClassTS).LossRate
-	perPortTotal := der.Config.BufferNum * 3
-	rows = append(rows, SMSRow{
-		Architecture: "per-port (TSN-Builder)",
-		BufferTotal:  perPortTotal,
-		BufferKb:     resource.Buffers(der.Config.BufferNum, 3).Kb(),
-		TSLossRate:   lossPP,
-		PeakUsage:    peakShared(netPP), // worst single pool
-	})
-
+	perPortTotal := perPort.BufferNum * 3
 	// Shared pool: first run generously to observe the true concurrent
 	// demand, then provision peak + 25 % and verify zero loss.
-	probe, _, err := build(perPortTotal)
+	probe, err := run(perPortTotal)
 	if err != nil {
 		return nil, err
 	}
-	probe.Run(0, p.Duration)
-	peak := peakShared(probe)
-	sharedNum := peak + (peak+3)/4
-	netSMS, _, err := build(sharedNum)
+	sharedNum := probe.PoolHighWater + (probe.PoolHighWater+3)/4
+	sms, err := run(sharedNum)
 	if err != nil {
 		return nil, err
 	}
-	netSMS.Run(0, p.Duration)
-	rows = append(rows, SMSRow{
+	return []SMSRow{{
+		Architecture: "per-port (TSN-Builder)",
+		BufferTotal:  perPortTotal,
+		BufferKb:     resource.Buffers(perPort.BufferNum, 3).Kb(),
+		TSLossRate:   perPort.LossRate,
+		PeakUsage:    perPort.PoolHighWater, // worst single pool
+	}, {
 		Architecture: "shared (SMS)",
 		BufferTotal:  sharedNum,
 		BufferKb:     resource.SharedBuffers(sharedNum).Kb(),
-		TSLossRate:   netSMS.Summary(ethernet.ClassTS).LossRate,
-		PeakUsage:    peakShared(netSMS),
-	})
-	return rows, nil
+		TSLossRate:   sms.LossRate,
+		PeakUsage:    sms.PoolHighWater,
+	}}, nil
 }
 
 // FormatSMS renders the study.

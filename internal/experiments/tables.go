@@ -23,11 +23,9 @@ type TableIRow struct {
 // configurations for the 3-switch, 1-enabled-port motivation network.
 func TableI() []TableIRow {
 	row := func(name string, depth, buffers int) TableIRow {
-		q := resource.Queues(depth, 8, 1)
-		b := resource.Buffers(buffers, 1)
 		return TableIRow{
 			Case: name, QueueNumPort: 8, PktPerQueue: depth, BufferNum: buffers,
-			TotalKb: q.Kb() + b.Kb(),
+			TotalKb: queueBufKb(depth, buffers),
 		}
 	}
 	return []TableIRow{

@@ -87,12 +87,24 @@ func (it Item) Blocks() (int64, int64) {
 	return n18 / 2, n18 % 2
 }
 
+// The Width column of every fixed-width item, rendered once: the
+// pricing functions run per design build and per study row.
+var (
+	widthUnicast = fmt.Sprintf("%db", UnicastWidth)
+	widthClass   = fmt.Sprintf("%db", ClassWidth)
+	widthMeter   = fmt.Sprintf("%db", MeterWidth)
+	widthGate    = fmt.Sprintf("%db", GateWidth)
+	widthCBS     = fmt.Sprintf("%db", CBSMapWidth+CBSWidth)
+	widthQueue   = fmt.Sprintf("%db", QueueMetaWidth)
+	widthBuffer  = fmt.Sprintf("%dB", BufferPayloadBytes)
+)
+
 // SwitchTbl models set_switch_tbl(unicast_size, multicast_size): the
 // unicast and multicast switch tables, shared by all ports.
 func SwitchTbl(unicastSize, multicastSize int) Item {
 	return Item{
 		Name:   "Switch Tbl",
-		Width:  fmt.Sprintf("%db", UnicastWidth),
+		Width:  widthUnicast,
 		Params: fmt.Sprintf("%s, %s", compact(unicastSize), compact(multicastSize)),
 		Bits:   tableBits(UnicastWidth, unicastSize) + tableBits(MulticastWidth, multicastSize),
 	}
@@ -102,7 +114,7 @@ func SwitchTbl(unicastSize, multicastSize int) Item {
 func ClassTbl(classSize int) Item {
 	return Item{
 		Name:   "Class. Tbl",
-		Width:  fmt.Sprintf("%db", ClassWidth),
+		Width:  widthClass,
 		Params: compact(classSize),
 		Bits:   tableBits(ClassWidth, classSize),
 	}
@@ -112,7 +124,7 @@ func ClassTbl(classSize int) Item {
 func MeterTbl(meterSize int) Item {
 	return Item{
 		Name:   "Meter Tbl",
-		Width:  fmt.Sprintf("%db", MeterWidth),
+		Width:  widthMeter,
 		Params: compact(meterSize),
 		Bits:   tableBits(MeterWidth, meterSize),
 	}
@@ -125,7 +137,7 @@ func GateTbl(gateSize, queueNum, portNum int) Item {
 	perTable := tableBits(GateWidth, gateSize)
 	return Item{
 		Name:   "Gate Tbl",
-		Width:  fmt.Sprintf("%db", GateWidth),
+		Width:  widthGate,
 		Params: fmt.Sprintf("%d, %d, %d", gateSize, queueNum, portNum),
 		Bits:   2 * perTable * int64(portNum),
 	}
@@ -137,7 +149,7 @@ func CBSTbl(cbsMapSize, cbsSize, portNum int) Item {
 	per := tableBits(CBSMapWidth, cbsMapSize) + tableBits(CBSWidth, cbsSize)
 	return Item{
 		Name:   "CBS Tbl",
-		Width:  fmt.Sprintf("%db", CBSMapWidth+CBSWidth),
+		Width:  widthCBS,
 		Params: fmt.Sprintf("%d, %d, %d", cbsMapSize, cbsSize, portNum),
 		Bits:   per * int64(portNum),
 	}
@@ -150,7 +162,7 @@ func Queues(queueDepth, queueNum, portNum int) Item {
 	perQueue := tableBits(QueueMetaWidth, queueDepth)
 	return Item{
 		Name:   "Queues",
-		Width:  fmt.Sprintf("%db", QueueMetaWidth),
+		Width:  widthQueue,
 		Params: fmt.Sprintf("%d, %d, %d", queueDepth, queueNum, portNum),
 		Bits:   perQueue * int64(queueNum) * int64(portNum),
 	}
@@ -161,7 +173,7 @@ func Queues(queueDepth, queueNum, portNum int) Item {
 func Buffers(bufferNum, portNum int) Item {
 	return Item{
 		Name:   "Buffers",
-		Width:  fmt.Sprintf("%dB", BufferPayloadBytes),
+		Width:  widthBuffer,
 		Params: fmt.Sprintf("%d, %d", bufferNum, portNum),
 		Bits:   int64(BufferSlotBits) * int64(bufferNum) * int64(portNum),
 	}
@@ -186,7 +198,7 @@ func FRERTbl(frerSize, historyLen int) Item {
 func SharedBuffers(bufferNum int) Item {
 	return Item{
 		Name:   "Buffers",
-		Width:  fmt.Sprintf("%dB", BufferPayloadBytes),
+		Width:  widthBuffer,
 		Params: fmt.Sprintf("%d shared", bufferNum),
 		Bits:   int64(BufferSlotBits) * int64(bufferNum),
 	}
