@@ -104,11 +104,18 @@ func (f *Frame) BufferBytes() int { return f.WireBytes() }
 // the peer's Receive gets that same pointer (a successful Abort hands
 // it back to the sender instead). Between Transmit and Receive the
 // frame belongs to the wire — a sender must not read or write it after
-// the hand-off. Whoever needs a second frame makes one explicitly with
-// CloneHeader: multicast replication in the switch ingress, FRER
+// the hand-off, and Ifc.InFlight says only that a frame is out, never
+// which: on a short cable it arrives, and may already serve another
+// flow, before the sender's completion fires. The end station that
+// consumes a frame returns it to its engine's Pool, from which
+// injection draws; a tap sees the frame before that, and nobody keeps
+// the pointer past Receive. Frames that end elsewhere (dropped in a
+// switch, lost on the wire) are left to the garbage collector. Whoever
+// needs a second frame makes one explicitly: CloneHeader for multicast
+// replication in the switch ingress, a copy into a pool frame for FRER
 // member-stream re-tagging in the NIC. Header fields (VID, PCP,
-// addresses) on a CloneHeader copy are the copy's own and may be
-// rewritten freely.
+// addresses) on such a copy are the copy's own and may be rewritten
+// freely.
 //
 // A frame's Payload is immutable from the instant the frame enters the
 // dataplane (NIC injection or Unmarshal), so every copy in flight — and
@@ -118,7 +125,7 @@ func (f *Frame) BufferBytes() int { return f.WireBytes() }
 // first with CloneDeep.
 
 // CloneHeader returns a copy of the frame that shares the payload
-// bytes — the copy replication and re-tagging make. The copy's
+// bytes — the copy multicast replication makes. The copy's
 // header fields are independent; its Payload aliases the original and
 // must be treated as read-only per the payload ownership contract.
 func (f *Frame) CloneHeader() *Frame {

@@ -2,7 +2,9 @@
 // switch dataplane needs: MAC addressing, VLAN tags with PCP priority,
 // a binary codec used by the simulated wire, and transmission-time math
 // (including preamble and inter-frame gap) so end-to-end latencies match
-// what a hardware tester would observe on 1 Gbps links.
+// what a hardware tester would observe on 1 Gbps links. Frames move by
+// pointer under a one-owner contract and are recycled through a
+// per-engine Pool once an end station has consumed them (frame.go).
 package ethernet
 
 import (

@@ -53,6 +53,9 @@ func PreemptStudy(p Params) ([]PreemptRow, error) {
 		col := analyzer.NewCollector()
 		src := tsnnic.New(engine, 1, ethernet.Gbps, col)
 		dst := tsnnic.New(engine, 2, ethernet.Gbps, col)
+		frames := new(ethernet.Pool)
+		src.SetPool(frames)
+		dst.SetPool(frames)
 		netdev.Connect(src.Ifc(), sw.Ifc(0), 100*sim.Nanosecond)
 		netdev.Connect(dst.Ifc(), sw.Ifc(1), 100*sim.Nanosecond)
 		if err := sw.Forward().Unicast.Add(ethernet.HostMAC(2), 1, 1); err != nil {

@@ -50,7 +50,7 @@ type Ifc struct {
 	rxFrames  uint64
 	txBytes   uint64
 	// sniff, when set, observes every frame delivered to this
-	// interface (a mirror-port tap).
+	// interface (a mirror-port tap), ahead of the owner.
 	sniff func(*ethernet.Frame, sim.Time)
 
 	// deliverPrio is this interface's stable global index, stamped as
@@ -272,9 +272,11 @@ func (i *Ifc) Resume(f *ethernet.Frame, wireBytes int, onDone func()) {
 	i.txDone = i.engine.After(occupancy, "txdone", i.doneFn)
 }
 
-// InFlight returns the frame being serialized, nil when the MAC is
-// idle. The frame belongs to the wire; see Transmit.
-func (i *Ifc) InFlight() *ethernet.Frame { return i.txFrame }
+// InFlight reports whether the MAC holds a transmission: true until its
+// completion event has run, whereas Busy is already false at that
+// instant. It does not say which frame: on a short cable the frame
+// arrives, and may be recycled, before the sender's completion.
+func (i *Ifc) InFlight() bool { return i.txFrame != nil }
 
 // done fires when the wire is free again (frame plus inter-frame gap).
 func (i *Ifc) done(*sim.Engine) {
@@ -361,10 +363,10 @@ func (i *Ifc) arrive(e *sim.Engine) {
 	// (final) fragment's serialization; the remainder since the last
 	// boundary books as residence at the transmitting node.
 	in.frame.Span.OnDeliver(e.Now(), i.prop, in.wire)
-	i.owner.Receive(in.frame, i)
 	if i.sniff != nil {
 		i.sniff(in.frame, e.Now())
 	}
+	i.owner.Receive(in.frame, i)
 }
 
 // fragOverheadBytes is the extra on-wire cost of each additional
@@ -404,7 +406,8 @@ func (i *Ifc) Abort() (f *ethernet.Frame, remainingBytes int, ok bool) {
 }
 
 // SetSniffer installs a receive-side tap: fn observes every frame
-// delivered to this interface, after the owner processed it.
+// delivered to this interface, before the owner consumes it (an end
+// station recycles what it receives). fn must not keep the pointer.
 func (i *Ifc) SetSniffer(fn func(*ethernet.Frame, sim.Time)) { i.sniff = fn }
 
 // Counters returns (txFrames, rxFrames, txBytes).

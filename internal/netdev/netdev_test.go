@@ -130,7 +130,7 @@ func TestAbortReturnsOwnership(t *testing.T) {
 	if !ok || got != f {
 		t.Fatalf("Abort = (%p, %d, %v), want the transmitted frame %p", got, remaining, ok, f)
 	}
-	if a.InFlight() != nil {
+	if a.InFlight() {
 		t.Fatal("aborted frame still in flight")
 	}
 	e.Run()

@@ -1,6 +1,10 @@
 package trace
 
-import "sync"
+import (
+	"sync"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+)
 
 // Flight is the always-on flight recorder: a fixed-capacity ring of the
 // most recent dataplane events, kept cheap enough to leave enabled in
@@ -14,12 +18,54 @@ import "sync"
 // Unlike the rest of the dataplane, Flight is safe for concurrent use:
 // the simulation thread records while the telemetry server reads
 // snapshots and streams increments.
+//
+// A ring slot is a 24-byte record without pointers (an Event is 64,
+// with a string header), so the ring is small and the collector never
+// scans it; readers get Events back. A field the record cannot hold
+// saturates: Port and Queue at the int8 range, Switch at int32, Kind
+// at 0..255. A recorder tells 255 distinct Detail strings apart; an
+// event bringing one more reads back with the detail "?".
 type Flight struct {
 	mu  sync.Mutex
-	buf []Event
+	buf []record
 	// seq counts events ever recorded; it is the generation cursor for
 	// Since and tells readers how much history the ring has dropped.
 	seq uint64
+	// details[:known] are the Detail strings seen ("" first); a record
+	// stores the index, unknownDetail when the table was full.
+	details [unknownDetail + 1]string
+	known   int
+}
+
+const unknownDetail = 255
+
+// record is the stored form of an Event.
+type record struct {
+	at           sim.Time
+	flow, seq    uint32
+	sw           int32
+	port, queue  int8
+	kind, detail uint8
+}
+
+// detailIndex interns d; with the table full it returns unknownDetail.
+func (fl *Flight) detailIndex(d string) uint8 {
+	i := 0
+	for i < fl.known && fl.details[i] != d {
+		i++
+	}
+	if i == fl.known && i < unknownDetail {
+		fl.details[i] = d
+		fl.known++
+	}
+	return uint8(i)
+}
+
+// event expands the record at ordinal i.
+func (fl *Flight) event(i uint64) Event {
+	r := &fl.buf[i%uint64(len(fl.buf))]
+	return Event{At: r.at, Kind: Kind(r.kind), Switch: int(r.sw), Port: int(r.port),
+		Queue: int(r.queue), FlowID: r.flow, Seq: r.seq, Detail: fl.details[r.detail]}
 }
 
 // NewFlight builds a recorder holding the last capacity events.
@@ -27,7 +73,9 @@ func NewFlight(capacity int) *Flight {
 	if capacity <= 0 {
 		panic("trace: non-positive flight recorder capacity")
 	}
-	return &Flight{buf: make([]Event, capacity)}
+	fl := &Flight{buf: make([]record, capacity), known: 1}
+	fl.details[unknownDetail] = "?"
+	return fl
 }
 
 // Record stores one event, overwriting the oldest when the ring is
@@ -37,7 +85,15 @@ func (fl *Flight) Record(ev Event) {
 		return
 	}
 	fl.mu.Lock()
-	fl.buf[fl.seq%uint64(len(fl.buf))] = ev
+	// Field by field: a record literal is built bytewise on the stack and
+	// copied with wide loads, which stalls on store forwarding.
+	r := &fl.buf[fl.seq%uint64(len(fl.buf))]
+	r.at, r.flow, r.seq = ev.At, ev.FlowID, ev.Seq
+	r.sw = int32(min(max(ev.Switch, -1<<31), 1<<31-1))
+	r.port = int8(min(max(ev.Port, -128), 127))
+	r.queue = int8(min(max(ev.Queue, -128), 127))
+	r.kind = uint8(min(max(ev.Kind, 0), 255))
+	r.detail = fl.detailIndex(ev.Detail)
 	fl.seq++
 	fl.mu.Unlock()
 }
@@ -89,7 +145,7 @@ func (fl *Flight) Snapshot() []Event {
 	out := make([]Event, n)
 	start := fl.seq - uint64(n)
 	for i := 0; i < n; i++ {
-		out[i] = fl.buf[(start+uint64(i))%uint64(len(fl.buf))]
+		out[i] = fl.event(start + uint64(i))
 	}
 	return out
 }
@@ -102,13 +158,10 @@ func (fl *Flight) SnapshotFlow(flowID uint32) []Event {
 	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	n := fl.len()
-	start := fl.seq - uint64(n)
 	var out []Event
-	for i := 0; i < n; i++ {
-		ev := fl.buf[(start+uint64(i))%uint64(len(fl.buf))]
-		if ev.FlowID == flowID {
-			out = append(out, ev)
+	for i := fl.seq - uint64(fl.len()); i < fl.seq; i++ {
+		if fl.buf[i%uint64(len(fl.buf))].flow == flowID {
+			out = append(out, fl.event(i))
 		}
 	}
 	return out
@@ -126,13 +179,11 @@ func (fl *Flight) Since(cursor uint64, buf []Event) (out []Event, next uint64) {
 	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	n := fl.len()
-	oldest := fl.seq - uint64(n)
-	if cursor < oldest {
+	if oldest := fl.seq - uint64(fl.len()); cursor < oldest {
 		cursor = oldest
 	}
 	for ; cursor < fl.seq; cursor++ {
-		buf = append(buf, fl.buf[cursor%uint64(len(fl.buf))])
+		buf = append(buf, fl.event(cursor))
 	}
 	return buf, fl.seq
 }

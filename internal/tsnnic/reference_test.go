@@ -16,6 +16,9 @@ import (
 // heap, per-ID sent/seq/replicate maps. inject and referenceStartFlow
 // are kept verbatim; refNIC supplies the maps the NIC no longer has and
 // borrows the NIC's MAC (FIFOs, drain, stop time), which did not change.
+// inject is also the allocate-per-frame oracle: it makes every frame
+// with &ethernet.Frame{} and CloneHeader, where the NIC draws from its
+// pool — and the rig under test hands every arrived frame back to it.
 type refNIC struct {
 	*NIC
 	sent      map[uint32]uint64
@@ -86,7 +89,8 @@ func (n *refNIC) referenceStartFlow(spec *flows.Spec) {
 }
 
 // rig is one engine with generator NICs, each cabled to a tap that logs
-// what arrives. With refs set the flows run on the reference's per-flow
+// what arrives (the compared fields are copied at arrival: the frame is
+// recycled). With refs set the flows run on the reference's per-flow
 // timers, started the way testbed.Run used to start them; otherwise on
 // the NIC's schedule.
 type rig struct {
@@ -122,6 +126,9 @@ func newRig(nics int, reference bool) *rig {
 		n := New(r.e, h, ethernet.Gbps, nil)
 		tap := recvFunc(func(f *ethernet.Frame) {
 			r.wire = append(r.wire, wireEntry{r.e.Now(), f.SentAt, h, f.FlowID, f.Seq, f.VID})
+			if !reference {
+				n.pool.Put(f)
+			}
 		})
 		sink := netdev.NewIfc(r.e, fmt.Sprintf("tap%d", h), tap, ethernet.Gbps)
 		netdev.Connect(n.Ifc(), sink, sim.Time(100+h)*sim.Nanosecond)

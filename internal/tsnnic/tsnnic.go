@@ -13,6 +13,10 @@
 // for the head, and each timer carries the order number a per-flow
 // engine timer would have been stamped with, so the engine executes the
 // same (instant, order) sequence — DESIGN §11, "One timer per NIC".
+//
+// A NIC is also where a frame ends: Receive returns every frame to the
+// engine's ethernet.Pool, from which inject draws, so steady traffic
+// allocates per flow and not per frame (DESIGN §11, "Copy-light frames").
 package tsnnic
 
 import (
@@ -32,6 +36,10 @@ type NIC struct {
 
 	engine *sim.Engine
 	ifc    *netdev.Ifc
+	// pool gives inject its frames and takes back what Receive consumed:
+	// the engine's once SetPool has run, the NIC's own until then.
+	pool *ethernet.Pool
+	own  ethernet.Pool
 
 	// Strict-priority MAC FIFOs indexed by class (TS > RC > BE). A FIFO
 	// holds its frames at [head:]; popping clears the slot and an
@@ -77,6 +85,7 @@ func New(engine *sim.Engine, hostID int, rate ethernet.Rate, col *analyzer.Colle
 		Collector: col,
 		cells:     make(map[uint32]*counters),
 	}
+	n.pool = &n.own
 	n.ifc = netdev.NewIfc(engine, fmt.Sprintf("nic%d", hostID), n, rate)
 	n.drainFn = n.drain
 	n.fireFn = n.fire
@@ -129,6 +138,10 @@ func (n *NIC) SetReplication(id uint32, altVID uint16) {
 	c.altVID, c.replicate = altVID, true
 }
 
+// SetPool replaces the NIC's own pool by p, its engine's: what a
+// talker injects comes back at a listener, another NIC.
+func (n *NIC) SetPool(p *ethernet.Pool) { n.pool = p }
+
 // SetRecovery installs the listener-side sequence-recovery table:
 // arriving frames of registered streams pass the 802.1CB vector
 // recovery function; eliminated duplicates and rogues are reported to
@@ -144,25 +157,23 @@ func (n *NIC) Recovery() *frer.Table { return n.recovery }
 func (n *NIC) Replicas() uint64 { return n.replicas }
 
 // Receive implements netdev.Receiver: arriving frames pass sequence
-// recovery (when configured) and then go to the analyzer collector.
+// recovery (when configured) and then go to the analyzer collector. A
+// frame ends here: however it is accounted, it returns to the pool.
 func (n *NIC) Receive(f *ethernet.Frame, on *netdev.Ifc) {
+	verdict := frer.Pass
 	if n.recovery != nil {
-		switch n.recovery.Accept(f.FlowID, f.Seq) {
-		case frer.Duplicate:
-			if n.Collector != nil {
-				n.Collector.NoteDuplicate(f.FlowID)
-			}
-			return
-		case frer.Rogue:
-			if n.Collector != nil {
-				n.Collector.NoteRogue(f.FlowID)
-			}
-			return
-		}
+		verdict = n.recovery.Accept(f.FlowID, f.Seq)
 	}
-	if n.Collector != nil {
+	switch {
+	case n.Collector == nil:
+	case verdict == frer.Duplicate:
+		n.Collector.NoteDuplicate(f.FlowID)
+	case verdict == frer.Rogue:
+		n.Collector.NoteRogue(f.FlowID)
+	default:
 		n.Collector.Record(f, n.engine.Now())
 	}
+	n.pool.Put(f)
 }
 
 // classIndex orders FIFOs: 0 = TS (highest), 1 = RC, 2 = BE.
@@ -181,7 +192,7 @@ func classIndex(c ethernet.Class) int {
 // priority across the class FIFOs. It is also the MAC's completion
 // handler: the interface clears its in-flight frame before calling it.
 func (n *NIC) drain() {
-	if n.ifc.InFlight() != nil {
+	if n.ifc.InFlight() {
 		return
 	}
 	for ci := range n.fifos {
@@ -236,7 +247,8 @@ func (a *timer) before(b *timer) bool {
 // inject enqueues one frame of f into the MAC.
 func (n *NIC) inject(f *flow) {
 	spec, c := f.spec, f.cell
-	fr := &ethernet.Frame{
+	fr := n.pool.Get()
+	*fr = ethernet.Frame{
 		Dst:       f.dst,
 		Src:       f.src,
 		VID:       spec.VID,
@@ -257,7 +269,8 @@ func (n *NIC) inject(f *flow) {
 	// It serializes back-to-back behind the primary and is NOT counted
 	// in sent: the analyzer's loss accounting is per logical frame.
 	if c.replicate {
-		r := fr.CloneHeader() // re-tags the VID, a header field; payload is shared
+		r := n.pool.Get()
+		*r = *fr // payload is shared; the VID is a header field
 		r.VID = c.altVID
 		q.frames = append(q.frames, r)
 		n.replicas++

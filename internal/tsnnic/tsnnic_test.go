@@ -6,6 +6,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
+	"github.com/tsnbuilder/tsnbuilder/internal/frer"
 	"github.com/tsnbuilder/tsnbuilder/internal/israce"
 	"github.com/tsnbuilder/tsnbuilder/internal/netdev"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
@@ -211,19 +212,25 @@ type recvFunc func(*ethernet.Frame)
 
 func (r recvFunc) Receive(f *ethernet.Frame, _ *netdev.Ifc) { r(f) }
 
-// wireSink connects a generator NIC to an interface that only counts
-// arrivals and starts count TS flows of 64 B on it, one per 50 ns of a
-// 1 ms period.
-func wireSink(e *sim.Engine, count int) (gen *NIC, frames *int) {
-	gen, frames = New(e, 1, ethernet.Gbps, nil), new(int)
-	sink := recvFunc(func(*ethernet.Frame) { *frames++ })
-	netdev.Connect(gen.Ifc(), netdev.NewIfc(e, "sink", sink, ethernet.Gbps), 100*sim.Nanosecond)
+// talker cables a generator NIC to peer and starts count TS flows of
+// 64 B on it, one per 50 ns of a 1 ms period.
+func talker(e *sim.Engine, peer *netdev.Ifc, count int) *NIC {
+	gen := New(e, 1, ethernet.Gbps, nil)
+	netdev.Connect(gen.Ifc(), peer, 100*sim.Nanosecond)
 	for i := 0; i < count; i++ {
 		spec := tsSpec()
 		spec.ID, spec.Offset = uint32(1+i), sim.Time(i)*50*sim.Nanosecond
 		gen.StartFlowAt(spec, 0)
 	}
-	return gen, frames
+	return gen
+}
+
+// wireSink is a talker into an interface that only counts arrivals and
+// never returns a frame.
+func wireSink(e *sim.Engine, count int) (gen *NIC, frames *int) {
+	frames = new(int)
+	sink := recvFunc(func(*ethernet.Frame) { *frames++ })
+	return talker(e, netdev.NewIfc(e, "sink", sink, ethernet.Gbps), count), frames
 }
 
 // TestEngineDepthIndependentOfFlowCount: 1 024 started flows on one NIC
@@ -248,25 +255,74 @@ func TestEngineDepthIndependentOfFlowCount(t *testing.T) {
 	}
 }
 
-// TestInjectAllocs: in steady state an injected frame costs exactly one
-// allocation, the ethernet.Frame, and a tick costs none — no closure,
-// no label, no event struct, no map growth.
+// TestInjectAllocs: in steady state a tick costs nothing — no closure,
+// no label, no event struct, no map growth — and a frame costs nothing
+// either once frames come back: a listener NIC on the talker's pool
+// returns each one before the next is injected. Into a sink that keeps
+// what it receives the pool mints, exactly one frame per injection and
+// nothing besides.
 func TestInjectAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const flowCount = 256
-	e := sim.NewEngine()
-	_, frames := wireSink(e, flowCount)
-	e.RunFor(2 * sim.Millisecond) // warm: both starts, FIFO and event free list grown
-	before := *frames
-	const runs = 10
-	allocs := testing.AllocsPerRun(runs, func() { e.RunFor(sim.Millisecond) })
-	if perRun := (*frames - before) / (runs + 1); perRun != flowCount { // AllocsPerRun adds one warm-up call
-		t.Fatalf("%d frames per period, want %d", perRun, flowCount)
+	measure := func(t *testing.T, e *sim.Engine, delivered func() int) float64 {
+		e.RunFor(2 * sim.Millisecond) // warm: both starts, FIFO and event free list grown
+		before := delivered()
+		const runs = 10
+		allocs := testing.AllocsPerRun(runs, func() { e.RunFor(sim.Millisecond) })
+		if perRun := (delivered() - before) / (runs + 1); perRun != flowCount { // AllocsPerRun adds one warm-up call
+			t.Fatalf("%d frames per period, want %d", perRun, flowCount)
+		}
+		return allocs
 	}
-	if allocs != flowCount {
-		t.Fatalf("%.1f allocations per %d injected frames, want exactly one each", allocs, flowCount)
+	t.Run("recycled", func(t *testing.T) {
+		e := sim.NewEngine()
+		rcv := New(e, 2, ethernet.Gbps, nil)
+		gen := talker(e, rcv.Ifc(), flowCount)
+		rcv.SetPool(gen.pool)
+		allocs := measure(t, e, func() int { _, rx, _ := rcv.Ifc().Counters(); return int(rx) })
+		if allocs != 0 {
+			t.Fatalf("%.1f allocations per %d injected frames, want none", allocs, flowCount)
+		}
+	})
+	t.Run("never-returned", func(t *testing.T) {
+		e := sim.NewEngine()
+		_, frames := wireSink(e, flowCount)
+		if allocs := measure(t, e, func() int { return *frames }); allocs != flowCount {
+			t.Fatalf("%.1f allocations per %d injected frames, want exactly one each", allocs, flowCount)
+		}
+	})
+}
+
+// TestReceiveReturnsTheFrameOnEveryExit: a listener with sequence
+// recovery sees each replicated frame twice — one delivered, one
+// eliminated — and a replayed old sequence number as a rogue; all three
+// ways out of Receive hand the frame back, so after the run the pool
+// holds every frame it minted.
+func TestReceiveReturnsTheFrameOnEveryExit(t *testing.T) {
+	e := sim.NewEngine()
+	gen, rcv, col := wirePair(e)
+	rcv.SetPool(gen.pool)
+	spec := tsSpec()
+	tbl := frer.NewTable(1, 4)
+	if err := tbl.Register(spec.ID); err != nil {
+		t.Fatal(err)
+	}
+	rcv.SetRecovery(tbl)
+	gen.SetReplication(spec.ID, 9)
+	gen.SetStopTime(20 * sim.Millisecond)
+	gen.StartFlow(spec)
+	e.Run()
+	rogue := gen.pool.Get()
+	*rogue = ethernet.Frame{FlowID: spec.ID, Seq: 2, Class: ethernet.ClassTS}
+	rcv.Receive(rogue, rcv.Ifc())
+	st := col.Flow(spec.ID)
+	if st.Received != 20 || st.Duplicates != 20 || st.Rogue != 1 {
+		t.Fatalf("received/duplicates/rogues = %d/%d/%d, want 20/20/1", st.Received, st.Duplicates, st.Rogue)
+	}
+	if held, minted := gen.pool.Stats(); held != minted || minted != 2 {
+		t.Fatalf("pool holds %d of the %d frames it minted, want 2 of 2 (a primary and its replica)", held, minted)
 	}
 }
 

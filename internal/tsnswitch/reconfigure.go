@@ -255,7 +255,7 @@ func (p *Port) heldBuffers() int {
 	for _, q := range p.queues {
 		held += q.Len()
 	}
-	if p.ifc.InFlight() != nil {
+	if p.ifc.InFlight() {
 		held++
 	}
 	if p.suspended != nil {

@@ -13,8 +13,10 @@ import (
 
 // TestLineFramePathAllocs gates the whole frame path end to end: NIC
 // inject → three switches → remote NIC → Collector.Record, registry
-// on as in tsnsim. In steady state a delivered frame may cost the
-// Frame itself and at most one more allocation.
+// on as in tsnsim. In steady state a delivered frame costs nothing: the
+// listener returns the Frame to the part's pool and the talker draws it
+// again (1.00 per frame before recycling; the budget leaves room for a
+// histogram bucket or a map growing late).
 func TestLineFramePathAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -44,8 +46,8 @@ func TestLineFramePathAllocs(t *testing.T) {
 	if st := net.SwitchStats(); frames < 100 || st.TotalDrops() != 0 {
 		t.Fatalf("%.0f frames per window, %d drops", frames, st.TotalDrops())
 	}
-	if perFrame := allocs / frames; perFrame > 2 {
-		t.Fatalf("%.2f allocations per delivered frame (%.0f per %.0f frames), want <= 2", perFrame, allocs, frames)
+	if perFrame := allocs / frames; perFrame > 0.05 {
+		t.Fatalf("%.2f allocations per delivered frame (%.0f per %.0f frames), want <= 0.05", perFrame, allocs, frames)
 	} else {
 		t.Logf("%.2f allocations per delivered frame", perFrame)
 	}

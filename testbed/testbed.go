@@ -177,7 +177,7 @@ type bankKey struct{ sw, port int }
 
 // flightCapacity is the always-on flight recorder's ring size: enough
 // recent dataplane events to reconstruct the span chain of a deadline
-// miss, small enough to keep resident cost bounded (~4 MB).
+// miss, small enough to keep resident cost bounded (1.57 MB per engine).
 const flightCapacity = 1 << 16
 
 // cbsStallsName/Help label the credit-based shaper stall counter, which
@@ -295,6 +295,7 @@ func Build(opts Options) (*Net, error) {
 			nicRate = opts.AccessRate
 		}
 		nic := tsnnic.New(p.engine, h, nicRate, p.coll)
+		nic.SetPool(&p.frames)
 		netdev.Connect(nic.Ifc(), n.Switches[at.Switch].Ifc(at.Port), opts.CableDelay)
 		if capture != nil {
 			nic.Ifc().SetSniffer(func(f *ethernet.Frame, at sim.Time) {
