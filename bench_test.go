@@ -370,7 +370,7 @@ func BenchmarkSpanOps(b *testing.B) {
 // unicast_size cycles three sizes), so every op changes the live
 // configuration.
 func BenchmarkSvcReconfigure(b *testing.B) {
-	in, err := svc.NewInstance(svc.InstanceOptions{})
+	in, err := svc.NewInstance(svc.Options{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

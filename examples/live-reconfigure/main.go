@@ -119,7 +119,7 @@ func main() {
 	// Phase 3: a further grow attempt dies mid-apply (injected fault on
 	// its second staged operation) and must roll back completely.
 	net.Engine.At(80*sim.Millisecond, "doomed-grow", func(*sim.Engine) {
-		net.Reconfig.ArmFailure(1)
+		net.Reconfig.Arm(1, 1, false)
 		doomed := der2.Config
 		doomed.UnicastSize *= 2
 		doomed.MeterSize *= 2

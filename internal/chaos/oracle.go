@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 
-	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
@@ -124,15 +123,15 @@ func checkOracles(c *Case, net *testbed.Net, reg *metrics.Registry, txns []*txnR
 			continue
 		case rec.beginErr != nil:
 			// Rejected before staging: the live config must be untouched.
-			if !sameResizable(live, rec.pre) {
+			if live != rec.pre {
 				add(OracleAtomicity, "txn %d rejected (%v) but live config drifted", i, rec.beginErr)
 			}
 		case rec.txn.State() == reconfig.StateCommitted:
-			if !sameResizable(live, rec.cand) {
+			if live != rec.cand {
 				add(OracleAtomicity, "txn %d committed but live config is not the candidate", i)
 			}
 		case rec.txn.State() == reconfig.StateRolledBack:
-			if !sameResizable(live, rec.pre) {
+			if live != rec.pre {
 				add(OracleAtomicity, "txn %d rolled back but live config is not the pre-transaction config", i)
 			}
 		default:
@@ -161,15 +160,4 @@ func hasFaultKind(c *Case, kind string) bool {
 		}
 	}
 	return false
-}
-
-// sameResizable compares the reconfigurable resources of two configs —
-// every field a live reconfiguration can change.
-func sameResizable(a, b core.Config) bool {
-	return a.UnicastSize == b.UnicastSize && a.MulticastSize == b.MulticastSize &&
-		a.ClassSize == b.ClassSize && a.MeterSize == b.MeterSize &&
-		a.GateSize == b.GateSize && a.CBSMapSize == b.CBSMapSize &&
-		a.CBSSize == b.CBSSize && a.QueueDepth == b.QueueDepth &&
-		a.BufferNum == b.BufferNum && a.FRERSize == b.FRERSize &&
-		a.FRERHistory == b.FRERHistory && a.SlotSize == b.SlotSize
 }

@@ -188,7 +188,7 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 			// claiming rolled-back. The response must NOT be 2xx — the
 			// post-commit verification catches the partial state and the
 			// breaker starts tripping.
-			d.armThenReconfig(func() error { return s.Instance().ArmWedge(1) }, initial, rng)
+			d.armThenReconfig(func() error { return s.Instance().Arm(1, 1, true) }, initial, rng)
 		case i%11 == 3:
 			d.coherenceProbe(specs[rng.Intn(len(specs))])
 		case i%11 == 6:
@@ -197,7 +197,7 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 			d.slowDerive(specs[rng.Intn(len(specs))])
 		case i%23 == 9:
 			// A transient fault the bounded retry should absorb into a 2xx.
-			d.armThenReconfig(func() error { return s.Instance().ArmTransient(rng.Intn(2), 1) }, initial, rng)
+			d.armThenReconfig(func() error { return s.Instance().Arm(rng.Intn(2), 1, false) }, initial, rng)
 		case i%29 == 11:
 			d.burst(rng)
 		default:

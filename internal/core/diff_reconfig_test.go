@@ -123,7 +123,7 @@ func TestDerivationRoundTripAfterRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fail mid-apply, after several operations have already run.
-	ctrl.ArmFailure(len(txn.Ops()) - 1)
+	ctrl.Arm(len(txn.Ops())-1, 1, false)
 	txn.Commit()
 	if txn.State() != reconfig.StateRolledBack || txn.Err() == nil {
 		t.Fatalf("state = %v err = %v", txn.State(), txn.Err())

@@ -28,6 +28,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/gptp"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/netdev"
+	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
 )
@@ -112,7 +113,8 @@ type Fault struct {
 	// AtUs + DurationUs.
 	DurationUs int64 `json:"duration_us,omitempty"`
 	// PeriodUs and Count shape link flapping: Count down/up cycles of
-	// PeriodUs each (half down, half up).
+	// PeriodUs each (half down, half up). On reconfig-transient, Count
+	// is how many commit attempts fail (absent: one).
 	PeriodUs int64 `json:"period_us,omitempty"`
 	Count    int   `json:"count,omitempty"`
 	// Prob is the per-frame loss/corruption probability.
@@ -124,8 +126,8 @@ type Fault struct {
 	// Slots is how many buffer slots the exhaustion or leak fault
 	// removes from service.
 	Slots int `json:"slots,omitempty"`
-	// Op is the staged-operation index a reconfig-fail fault arms: the
-	// next reconfiguration commit fails right before that operation.
+	// Op is the staged-operation index a reconfig-* fault arms: the next
+	// reconfiguration commit fails right before that operation.
 	Op *int `json:"op,omitempty"`
 }
 
@@ -350,20 +352,13 @@ func (f *Fault) validate() error {
 		if f.Port == nil || f.Slots <= 0 {
 			return fmt.Errorf("buffer-leak needs port and positive slots")
 		}
-	case KindReconfigFail:
+	case KindReconfigFail, KindReconfigTransient, KindReconfigWedge:
 		if f.Op != nil && *f.Op < 0 {
-			return fmt.Errorf("reconfig-fail op %d negative", *f.Op)
+			return fmt.Errorf("%s op %d negative", f.Kind, *f.Op)
 		}
-	case KindReconfigTransient:
-		if f.Op != nil && *f.Op < 0 {
-			return fmt.Errorf("reconfig-transient op %d negative", *f.Op)
-		}
+		// Only reconfig-transient may set count (allowedFields).
 		if f.Count < 0 {
-			return fmt.Errorf("reconfig-transient count %d negative", f.Count)
-		}
-	case KindReconfigWedge:
-		if f.Op != nil && *f.Op < 0 {
-			return fmt.Errorf("reconfig-wedge op %d negative", *f.Op)
+			return fmt.Errorf("%s count %d negative", f.Kind, f.Count)
 		}
 	default:
 		return fmt.Errorf("unknown kind %q", f.Kind)
@@ -384,18 +379,9 @@ type Bindings struct {
 	// Domain is the gPTP domain; nil when time sync is disabled, which
 	// makes gm-kill and node-kill scenario errors.
 	Domain *gptp.Domain
-	// ArmReconfigFail arms a one-shot mid-apply failure of the next
-	// reconfiguration commit, right before staged operation op. Nil
-	// makes reconfig-fail a scenario error.
-	ArmReconfigFail func(op int) error
-	// ArmReconfigTransient arms a transient mid-apply failure: the next
-	// `times` commit attempts fail before staged operation op, then the
-	// fault clears. Nil makes reconfig-transient a scenario error.
-	ArmReconfigTransient func(op, times int) error
-	// ArmReconfigWedge arms a one-shot mid-apply failure with the
-	// rollback path disabled. Nil makes reconfig-wedge a scenario
-	// error.
-	ArmReconfigWedge func(op int) error
+	// Reconfig is the reconfiguration controller the reconfig-* kinds
+	// arm; nil makes them scenario errors.
+	Reconfig *reconfig.Controller
 }
 
 // Injector schedules a scenario's faults on a simulation engine.
@@ -711,56 +697,21 @@ func (inj *Injector) schedule(f *Fault, at sim.Time, seed uint64, b Bindings) er
 			inj.markInjected(KindBufferLeak)
 		})
 
-	case KindReconfigFail:
-		if b.ArmReconfigFail == nil {
-			return fmt.Errorf("reconfig-fail without a reconfiguration controller")
+	case KindReconfigFail, KindReconfigTransient, KindReconfigWedge:
+		if b.Reconfig == nil {
+			return fmt.Errorf("%s without a reconfiguration controller", f.Kind)
 		}
-		arm := b.ArmReconfigFail
+		ctrl, kind := b.Reconfig, f.Kind
 		opIdx := 0
 		if f.Op != nil {
 			opIdx = *f.Op
 		}
-		inj.engine.At(at, "fault:reconfig-fail", func(*sim.Engine) {
-			if err := arm(opIdx); err != nil {
-				panic(fmt.Sprintf("faults: reconfig-fail: %v", err))
-			}
-			inj.markInjected(KindReconfigFail)
-		})
-
-	case KindReconfigTransient:
-		if b.ArmReconfigTransient == nil {
-			return fmt.Errorf("reconfig-transient without a reconfiguration controller")
-		}
-		arm := b.ArmReconfigTransient
-		opIdx := 0
-		if f.Op != nil {
-			opIdx = *f.Op
-		}
-		times := f.Count
-		if times < 1 {
-			times = 1
-		}
-		inj.engine.At(at, "fault:reconfig-transient", func(*sim.Engine) {
-			if err := arm(opIdx, times); err != nil {
-				panic(fmt.Sprintf("faults: reconfig-transient: %v", err))
-			}
-			inj.markInjected(KindReconfigTransient)
-		})
-
-	case KindReconfigWedge:
-		if b.ArmReconfigWedge == nil {
-			return fmt.Errorf("reconfig-wedge without a reconfiguration controller")
-		}
-		arm := b.ArmReconfigWedge
-		opIdx := 0
-		if f.Op != nil {
-			opIdx = *f.Op
-		}
-		inj.engine.At(at, "fault:reconfig-wedge", func(*sim.Engine) {
-			if err := arm(opIdx); err != nil {
-				panic(fmt.Sprintf("faults: reconfig-wedge: %v", err))
-			}
-			inj.markInjected(KindReconfigWedge)
+		// count is reconfig-transient's; absent, and on the one-shot
+		// kinds, Arm takes it as one attempt.
+		times, wedged := f.Count, kind == KindReconfigWedge
+		inj.engine.At(at, "fault:"+kind, func(*sim.Engine) {
+			ctrl.Arm(opIdx, times, wedged)
+			inj.markInjected(kind)
 		})
 
 	default:

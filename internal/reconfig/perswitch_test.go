@@ -92,7 +92,7 @@ func TestPerSwitchApplyRevertValidate(t *testing.T) {
 		t.Fatalf("staged ops: %v", ops)
 	}
 	for k := range ops {
-		ctrl.ArmFailure(k)
+		ctrl.Arm(k, 1, false)
 		txn, err := ctrl.Begin(old, cand, b)
 		if err != nil {
 			t.Fatal(err)

@@ -216,41 +216,19 @@ func (c *Controller) SetRetryPolicy(maxRetries int, backoff sim.Time) {
 	c.backoff = backoff
 }
 
-// ArmFailure arms a one-shot injected failure: the next commit fails
-// right before staged operation index opIndex (clamped to the staged
-// range), exercising the rollback path. Negative indexes fail before
-// the first operation.
-func (c *Controller) ArmFailure(opIndex int) {
-	c.arm(opIndex, 1, false)
-}
-
-// ArmTransient arms a transient injected failure: the next `times`
-// commit attempts fail right before staged operation opIndex, then the
-// fault clears. Paired with SetRetryPolicy it exercises the bounded
-// retry path end to end.
-func (c *Controller) ArmTransient(opIndex, times int) {
-	if times < 1 {
-		times = 1
-	}
-	c.arm(opIndex, times, false)
-}
-
-// ArmWedge arms a one-shot injected failure whose rollback path is
-// disabled: the commit fails mid-apply and the already-applied prefix
-// is NOT reverted, yet the transaction still reports rolled-back. This
-// deliberately violates the commit-or-exact-rollback contract — it
-// exists so the chaos invariant oracles have a real bug to catch.
-func (c *Controller) ArmWedge(opIndex int) {
-	c.arm(opIndex, 1, true)
-}
-
-func (c *Controller) arm(opIndex, times int, wedged bool) {
-	if opIndex < 0 {
-		opIndex = 0
-	}
+// Arm injects a mid-commit failure: the next `times` commit attempts
+// (at least one) fail right before staged operation opIndex — clamped
+// to the staged range, negative meaning the first — then the fault
+// clears. Each failed attempt rolls back and, under SetRetryPolicy,
+// retries. A wedged failure instead disables the rollback path: the
+// already-applied prefix is NOT reverted, yet the transaction still
+// reports rolled-back. That deliberately violates the commit-or-exact-
+// rollback contract — it exists so the chaos invariant oracles have a
+// real bug to catch.
+func (c *Controller) Arm(opIndex, times int, wedged bool) {
 	c.armed = true
-	c.failOp = opIndex
-	c.armCount = times
+	c.failOp = max(opIndex, 0)
+	c.armCount = max(times, 1)
 	c.wedged = wedged
 }
 
@@ -522,12 +500,12 @@ func (t *Txn) commitSchedule(at sim.Time) {
 }
 
 // Commit applies every staged operation in order, immediately. On the
-// first failure — real or injected via Controller.ArmFailure — every
+// first failure — real or injected via Controller.Arm — every
 // already-applied operation is reverted in reverse order; then, while
 // the controller's retry budget lasts, the whole commit is re-run one
 // backoff later (each attempt stays atomic within its own event), and
 // only a failure past the budget resolves the transaction rolled-back
-// with Err set. A wedged injected failure (Controller.ArmWedge) skips
+// with Err set. A wedged injected failure skips
 // both the rollback and the retries: the applied prefix is left in
 // place while the transaction still claims rolled-back — the seeded
 // atomicity bug the chaos oracles exist to catch. All operations of

@@ -189,7 +189,7 @@ func TestInjectedFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ctrl.ArmFailure(2)
+	h.ctrl.Arm(2, 1, false)
 	txn.Commit()
 	if txn.State() != StateRolledBack {
 		t.Fatalf("state = %v", txn.State())
@@ -227,18 +227,24 @@ func TestInjectedFailureRollsBack(t *testing.T) {
 	}
 }
 
-func TestArmFailureClampsToStagedRange(t *testing.T) {
-	h := newHarness(t)
-	cand := h.cfg
-	cand.MeterSize = 32 // single op
-	txn, err := h.ctrl.Begin(h.cfg, cand, h.bindings())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.ctrl.ArmFailure(99)
-	txn.Commit()
-	if txn.State() != StateRolledBack {
-		t.Fatalf("state = %v (clamped failure must still fire)", txn.State())
+// TestArmClampsToStagedRange: an index past the staged range fails the
+// last op, a negative one the first, and times < 1 arms one attempt.
+func TestArmClampsToStagedRange(t *testing.T) {
+	for _, op := range []int{99, -3} {
+		h := newHarness(t)
+		cand := h.cfg
+		cand.MeterSize = 32 // single op
+		h.ctrl.Arm(op, 0, false)
+		for i, want := range []State{StateRolledBack, StateCommitted} {
+			txn, err := h.ctrl.Begin(h.cfg, cand, h.bindings())
+			if err != nil {
+				t.Fatal(err)
+			}
+			txn.Commit()
+			if txn.State() != want {
+				t.Fatalf("Arm(%d, 0): commit %d = %v, want %v", op, i, txn.State(), want)
+			}
+		}
 	}
 }
 
@@ -304,7 +310,7 @@ func TestSlotRebaseRollsBackToSavedSchedules(t *testing.T) {
 	// Ops: [set_queues, rebase_slot]. The out-of-range index clamps to
 	// the last op, so set_queues applies, the injected failure fires in
 	// place of rebase_slot, and set_queues reverts.
-	h.ctrl.ArmFailure(99)
+	h.ctrl.Arm(99, 1, false)
 	txn.Commit()
 	if txn.State() != StateRolledBack {
 		t.Fatalf("state = %v", txn.State())
@@ -385,7 +391,7 @@ func TestTransientFailureRetriesThenCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The next two commit attempts fail before op 1; the third clears.
-	h.ctrl.ArmTransient(1, 2)
+	h.ctrl.Arm(1, 2, false)
 	txn.Commit()
 	if txn.State() != StatePrepared {
 		t.Fatalf("state after first failure = %v, want prepared (retry pending)", txn.State())
@@ -423,7 +429,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both the first attempt and its single retry fail.
-	h.ctrl.ArmTransient(0, 5)
+	h.ctrl.Arm(0, 5, false)
 	txn.Commit()
 	h.engine.RunUntil(sim.Millisecond)
 	if txn.State() != StateRolledBack {
@@ -453,7 +459,7 @@ func TestRetryDefaultBackoffIsTwoCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ctrl.ArmTransient(0, 1)
+	h.ctrl.Arm(0, 1, false)
 	txn.Commit()
 	h.engine.RunUntil(sim.Millisecond)
 	if txn.State() != StateCommitted {
@@ -477,7 +483,7 @@ func TestWedgeSkipsRollbackAndRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ctrl.ArmWedge(2)
+	h.ctrl.Arm(2, 1, true)
 	txn.Commit()
 	h.engine.RunUntil(sim.Millisecond)
 	if txn.State() != StateRolledBack {
@@ -534,7 +540,7 @@ func TestOnAttemptCommitPointHook(t *testing.T) {
 		}
 		attempts = append(attempts, attempt)
 	})
-	h.ctrl.ArmTransient(0, 1)
+	h.ctrl.Arm(0, 1, false)
 	txn.CommitAt(h.engine.Now() + 1)
 	h.engine.RunUntil(txn.CommitTime() + 1)
 	for txn.State() == StatePrepared {

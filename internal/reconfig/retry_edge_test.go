@@ -21,7 +21,7 @@ func TestZeroMaxRetriesRollsBackImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ctrl.ArmTransient(0, 1)
+	h.ctrl.Arm(0, 1, false)
 	txn.Commit()
 	// No retry event may be pending: the rollback resolves within the
 	// commit call itself, before any engine time passes.
@@ -49,7 +49,7 @@ func TestNegativeMaxRetriesClampsToZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ctrl.ArmTransient(0, 1)
+	h.ctrl.Arm(0, 1, false)
 	txn.Commit()
 	if txn.State() != StateRolledBack || txn.Attempts() != 1 {
 		t.Fatalf("state=%v attempts=%d, want immediate rollback", txn.State(), txn.Attempts())
@@ -70,7 +70,7 @@ func TestBackoffOverflowClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ctrl.ArmTransient(0, 1)
+	h.ctrl.Arm(0, 1, false)
 	txn.Commit()
 	if txn.State() != StatePrepared {
 		t.Fatalf("state = %v, want prepared with a retry pending", txn.State())
@@ -104,7 +104,7 @@ func TestHugeBackoffRepeatedRetriesStayMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ctrl.ArmTransient(0, 4) // every attempt inside the budget fails
+	h.ctrl.Arm(0, 4, false) // every attempt inside the budget fails
 	txn.Commit()
 	prev := sim.Time(0)
 	for txn.State() == StatePrepared {

@@ -49,10 +49,8 @@ type Breaker struct {
 	probing   bool
 	now       func() time.Time
 
-	// Transitions counts state entries by target state; StateGauge
-	// mirrors the current state (0 closed, 1 open, 2 half-open).
+	// Transitions counts state entries by target state.
 	TransToOpen, TransToHalfOpen, TransToClosed metrics.SyncCounter
-	StateGauge                                  metrics.SyncGauge
 }
 
 // NewBreaker returns a closed breaker tripping after `threshold`
@@ -151,7 +149,6 @@ func (b *Breaker) RetryAfter() time.Duration {
 // setState moves to s with telemetry; call with mu held.
 func (b *Breaker) setState(s BreakerState) {
 	b.state = s
-	b.StateGauge.Set(int64(s))
 	switch s {
 	case BreakerOpen:
 		b.TransToOpen.Inc()

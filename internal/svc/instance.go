@@ -21,40 +21,11 @@ var ErrInstanceClosed = errors.New("svc: instance closed")
 // ErrRecovering marks work refused while journal replay is running.
 var ErrRecovering = errors.New("svc: recovering: journal replay in progress")
 
-// InstanceOptions configures the managed testbed instance.
-type InstanceOptions struct {
-	// Workload selects the managed network; the zero value picks a
-	// small linear default.
-	Workload workload.Params
-	// RetryMax/RetryBackoff configure the reconfiguration engine's
-	// bounded commit retry (absorbs transient staging failures).
-	RetryMax     int
-	RetryBackoff sim.Time
-	// WatchdogInterval is the invariant audit period (default 1 ms of
-	// simulated time). After every commit the instance advances the
-	// simulation one interval so the watchdog sweeps the post-commit
-	// state before the response is written.
-	WatchdogInterval sim.Time
-	// Store/Recovered, when set, make the instance durable: accepted
-	// reconfigurations are journaled to the WAL, and the recovered
-	// image is replayed onto the fresh network before the instance
-	// reports ready.
-	Store     *durableStore
-	Recovered *recoveredImage
-	// CheckpointEvery folds the journal into a checkpoint (with WAL
-	// rotation) every n commits (default 16).
-	CheckpointEvery int
-	// OnHealth, when set, is invoked after every job with the
-	// instance's health — the service wires it into the circuit
-	// breaker so watchdog recovery de-escalates an open breaker. It
-	// must be supplied at construction: the control loop (and, on a
-	// durable instance, the replay job) starts before NewInstance
-	// returns.
-	OnHealth func(healthy bool)
-	// recoverHold, when non-nil, stalls the replay job until the
-	// channel closes — a test hook for observing the recovering state.
-	recoverHold chan struct{}
-}
+// watchdogInterval is the managed network's invariant audit period.
+// After every commit the instance advances the simulation one interval
+// so the watchdog sweeps the post-commit state before the response is
+// written.
+const watchdogInterval = sim.Millisecond
 
 // JournalEntry is one committed reconfiguration: the sequence number
 // returned to the client and the configuration it put in force. The
@@ -114,9 +85,8 @@ type ReconfigOutcome struct {
 // loop replays the recovered journal onto the fresh network, then
 // de-asserts recovering exactly once.
 type Instance struct {
-	net      *testbed.Net
-	reg      *metrics.Registry
-	interval sim.Time
+	net *testbed.Net
+	reg *metrics.Registry
 
 	store     *durableStore
 	ckptEvery int
@@ -132,9 +102,9 @@ type Instance struct {
 	recoverOnce sync.Once
 	recoverEnds atomic.Int32
 
-	// OnHealth is the health callback from InstanceOptions; read by the
-	// loop goroutine only.
-	OnHealth func(healthy bool)
+	// onHealth, when set, is invoked after every job with the
+	// instance's health (NewInstance); read by the loop goroutine only.
+	onHealth func(healthy bool)
 
 	mu         sync.Mutex
 	live       core.Config
@@ -153,19 +123,17 @@ func DefaultWorkload() workload.Params {
 	}
 }
 
-// NewInstance builds the managed network and starts its control loop.
-// A durable instance (opts.Store set) starts recovering: the replay
-// job is the first thing the loop runs, ahead of any submitted work.
-func NewInstance(opts InstanceOptions) (*Instance, error) {
-	if opts.Workload.Topology == "" {
-		opts.Workload = DefaultWorkload()
-	}
-	if opts.WatchdogInterval <= 0 {
-		opts.WatchdogInterval = sim.Millisecond
-	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 16
-	}
+// NewInstance builds the managed network of opts.Workload and starts
+// its control loop; the Retry* and durability fields of opts apply,
+// the HTTP-side ones are ignored. With opts.StateDir set it opens the
+// durable store and replays checkpoint + WAL tail — corrupt or
+// mismatched state is an error — and the instance starts recovering:
+// the replay job is the first thing the loop runs, ahead of any
+// submitted work. onHealth, when non-nil, is invoked after every job
+// with the instance's health; it is taken here because the loop (and
+// the replay job) starts before NewInstance returns.
+func NewInstance(opts Options, onHealth func(healthy bool)) (*Instance, error) {
+	opts.defaults()
 	wl, err := workload.Build(opts.Workload)
 	if err != nil {
 		return nil, fmt.Errorf("svc: instance workload: %w", err)
@@ -174,23 +142,26 @@ func NewInstance(opts InstanceOptions) (*Instance, error) {
 	net, err := testbed.Build(testbed.Options{
 		Design: wl.Design, Topo: wl.Topo, Flows: wl.Specs,
 		Metrics: reg, Seed: opts.Workload.Seed,
-		EnableWatchdog: true, WatchdogInterval: opts.WatchdogInterval,
+		EnableWatchdog: true, WatchdogInterval: watchdogInterval,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("svc: instance build: %w", err)
 	}
 	if opts.RetryMax > 0 {
-		net.Reconfig.SetRetryPolicy(opts.RetryMax, opts.RetryBackoff)
+		net.Reconfig.SetRetryPolicy(opts.RetryMax, sim.Time(opts.RetryBackoffUs)*sim.Microsecond)
 	}
 	in := &Instance{
-		net: net, reg: reg, interval: opts.WatchdogInterval,
-		store: opts.Store, ckptEvery: opts.CheckpointEvery,
+		net: net, reg: reg, ckptEvery: opts.CheckpointEvery,
 		jobs:     make(chan func(), 64),
 		done:     make(chan struct{}),
 		live:     net.LiveConfig(),
-		OnHealth: opts.OnHealth,
+		onHealth: onHealth,
 	}
-	if in.store != nil {
+	if opts.StateDir != "" {
+		var img *recoveredImage
+		if in.store, img, err = openDurable(opts.StateDir, workloadHash(opts.Workload)); err != nil {
+			return nil, err
+		}
 		// The write-ahead rule at the commit point: the transaction's
 		// intent record becomes stable before the first staged operation
 		// mutates the engine, on every attempt.
@@ -200,10 +171,9 @@ func NewInstance(opts InstanceOptions) (*Instance, error) {
 			}
 		})
 		in.recovering.Store(true)
-		img, hold := opts.Recovered, opts.recoverHold
 		// Enqueued before loop starts: FIFO guarantees replay runs ahead
 		// of any job a handler could submit.
-		in.jobs <- func() { in.recoverJob(img, hold) }
+		in.jobs <- func() { in.recoverJob(img, opts.recoverHold) }
 	}
 	go in.loop()
 	return in, nil
@@ -311,8 +281,8 @@ func (in *Instance) recoverJob(img *recoveredImage, hold chan struct{}) {
 	} else {
 		in.finishRecovery()
 	}
-	if in.OnHealth != nil {
-		in.OnHealth(err == nil && !in.net.Watchdog.Degraded())
+	if in.onHealth != nil {
+		in.onHealth(err == nil && !in.net.Watchdog.Degraded())
 	}
 }
 
@@ -336,14 +306,11 @@ func (in *Instance) replay(img *recoveredImage) error {
 			if err != nil {
 				return fmt.Errorf("svc: replay to journal tail seq %d: %w", tail.Seq, err)
 			}
-			for txn.State() == reconfig.StatePrepared {
-				in.net.Engine.RunUntil(txn.CommitTime() + 1)
-			}
+			verr := in.settle(txn)
 			if txn.State() != reconfig.StateCommitted {
 				return fmt.Errorf("svc: replay commit resolved %v: %w", txn.State(), txn.Err())
 			}
-			in.net.Engine.RunFor(in.interval + 1)
-			if verr := in.net.VerifyLive(); verr != nil {
+			if verr != nil {
 				return fmt.Errorf("svc: replay verification: %w", verr)
 			}
 		}
@@ -365,6 +332,18 @@ func (in *Instance) replay(img *recoveredImage) error {
 		return fmt.Errorf("svc: post-recovery checkpoint: %w", err)
 	}
 	return nil
+}
+
+// settle drives a begun transaction to resolution: the engine runs to
+// the commit instant and through bounded retries, then one watchdog
+// interval so the audit sweeps the post-commit state; it returns the
+// live verification. Loop goroutine only.
+func (in *Instance) settle(txn *reconfig.Txn) error {
+	for txn.State() == reconfig.StatePrepared {
+		in.net.Engine.RunUntil(txn.CommitTime() + 1)
+	}
+	in.net.Engine.RunFor(watchdogInterval + 1)
+	return in.net.VerifyLive()
 }
 
 // Recovering reports whether journal replay is still in progress (or
@@ -416,19 +395,13 @@ func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (Reco
 			in.abortTxn(txnID)
 			return
 		}
-		// From here the commit is in flight: run the engine to the
-		// commit instant (and through bounded retries) regardless of
+		// From here the commit is in flight: it settles regardless of
 		// the request deadline.
-		for txn.State() == reconfig.StatePrepared {
-			in.net.Engine.RunUntil(txn.CommitTime() + 1)
-		}
-		// Let the watchdog audit the post-commit state before replying.
-		in.net.Engine.RunFor(in.interval + 1)
+		out.VerifyErr = in.settle(txn)
 		out.State = txn.State()
 		out.Attempts = txn.Attempts()
 		out.CommitAt = txn.CommitTime()
 		out.Err = txn.Err()
-		out.VerifyErr = in.net.VerifyLive()
 		out.Config = in.net.LiveConfig()
 
 		committed := out.State == reconfig.StateCommitted && out.VerifyErr == nil
@@ -464,8 +437,8 @@ func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (Reco
 				in.setWALErr(err)
 			}
 		}
-		if in.OnHealth != nil {
-			in.OnHealth(out.VerifyErr == nil && !in.net.Watchdog.Degraded())
+		if in.onHealth != nil {
+			in.onHealth(out.VerifyErr == nil && !in.net.Watchdog.Degraded())
 		}
 	})
 	return out, err
@@ -485,17 +458,12 @@ func (in *Instance) abortTxn(txnID uint64) {
 	}
 }
 
-// ArmTransient arms n transient mid-commit failures before staged op
-// index op on the next commit attempts (chaos hook).
-func (in *Instance) ArmTransient(op, times int) error {
-	return in.submit(context.Background(), func() { in.net.Reconfig.ArmTransient(op, times) })
-}
-
-// ArmWedge arms a wedged mid-commit failure: the applied prefix stays
-// in place while the transaction claims rolled-back (chaos hook; the
-// post-commit VerifyLive catches it and trips the breaker).
-func (in *Instance) ArmWedge(op int) error {
-	return in.submit(context.Background(), func() { in.net.Reconfig.ArmWedge(op) })
+// Arm injects a mid-commit failure through the control loop (chaos
+// hook; see reconfig.Controller.Arm). A wedged commit leaves its
+// applied prefix in place; the post-commit VerifyLive catches it and
+// trips the breaker.
+func (in *Instance) Arm(op, times int, wedged bool) error {
+	return in.submit(context.Background(), func() { in.net.Reconfig.Arm(op, times, wedged) })
 }
 
 // MetricsSnapshot reads the simulation registry through the control

@@ -275,7 +275,7 @@ func TestReconfigureAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	in, err := NewInstance(InstanceOptions{})
+	in, err := NewInstance(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func wedgedService(t *testing.T, journal int) (*Service, error) {
 			t.Fatalf("reconfigure %d: %+v %v", i, out, err)
 		}
 	}
-	if err := s.Instance().ArmWedge(1); err != nil {
+	if err := s.Instance().Arm(1, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	d := ReconfigRequest{UnicastSize: s.Instance().LiveConfig().UnicastSize * 2}

@@ -41,13 +41,15 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/obs"
 	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
-	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
-// Options configures NewService. Zero values select the defaults.
+// Options configures NewService (and NewInstance, which reads the
+// workload, retry and durability fields). Zero values select the
+// defaults.
 type Options struct {
-	// Workload selects the managed instance's network.
+	// Workload selects the managed instance's network (default
+	// DefaultWorkload).
 	Workload workload.Params
 	// CacheSize bounds the derivation cache (entries; default 512).
 	CacheSize int
@@ -87,6 +89,12 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
+	if o.Workload.Topology == "" {
+		o.Workload = DefaultWorkload()
+	}
+	if o.CheckpointEvery <= 0 {
+		o.CheckpointEvery = 16
+	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 512
 	}
@@ -168,36 +176,15 @@ func (s *stats) request(route string, code int) {
 // serve rather than serving a journal it cannot trust.
 func NewService(opts Options) (*Service, error) {
 	opts.defaults()
-	if opts.Workload.Topology == "" {
-		// Resolve the default here so the durable state's workload hash
-		// matches what the instance will actually build.
-		opts.Workload = DefaultWorkload()
-	}
 	brk := NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
-	iopts := InstanceOptions{
-		Workload:        opts.Workload,
-		RetryMax:        opts.RetryMax,
-		RetryBackoff:    sim.Time(opts.RetryBackoffUs) * sim.Microsecond,
-		CheckpointEvery: opts.CheckpointEvery,
-		recoverHold:     opts.recoverHold,
-		// Watchdog recovery de-escalates the breaker: a healthy outcome
-		// resets it; failures count only through the explicit Failure
-		// calls on commit outcomes. Wired at construction because a
-		// durable instance's replay job runs before NewInstance returns.
-		OnHealth: func(healthy bool) {
-			if healthy && brk.State() != BreakerClosed {
-				brk.Success()
-			}
-		},
-	}
-	if opts.StateDir != "" {
-		store, img, err := openDurable(opts.StateDir, workloadHash(opts.Workload))
-		if err != nil {
-			return nil, err
+	// Watchdog recovery de-escalates the breaker: a healthy outcome
+	// resets it; failures count only through the explicit Failure calls
+	// on commit outcomes.
+	inst, err := NewInstance(opts, func(healthy bool) {
+		if healthy && brk.State() != BreakerClosed {
+			brk.Success()
 		}
-		iopts.Store, iopts.Recovered = store, img
-	}
-	inst, err := NewInstance(iopts)
+	})
 	if err != nil {
 		return nil, err
 	}

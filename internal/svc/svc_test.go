@@ -184,7 +184,7 @@ func TestServiceReconfigValidationRejection(t *testing.T) {
 
 func TestServiceWedgeTripsBreakerAndHealth(t *testing.T) {
 	s, ts := newTestService(t, Options{BreakerThreshold: 1, BreakerCooldown: time.Hour})
-	if err := s.Instance().ArmWedge(1); err != nil {
+	if err := s.Instance().Arm(1, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	live := s.Instance().LiveConfig()
@@ -216,7 +216,7 @@ func TestServiceWedgeTripsBreakerAndHealth(t *testing.T) {
 
 func TestServiceTransientAbsorbedByRetry(t *testing.T) {
 	s, ts := newTestService(t, Options{RetryMax: 3})
-	if err := s.Instance().ArmTransient(0, 2); err != nil {
+	if err := s.Instance().Arm(0, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	live := s.Instance().LiveConfig()

@@ -18,24 +18,14 @@ func Mesh(rows, cols int) *Topology {
 		panic("topology: mesh needs at least 2 switches")
 	}
 	t := newTopology(KindMesh, rows*cols, 4)
-	connect := func(a, b int) {
-		ap := t.nextPort[a]
-		t.addTrunk(a, b)
-		bp := t.nextPort[b]
-		t.addTrunk(b, a)
-		t.links = append(t.links, Link{
-			A: Attach{Switch: a, Port: ap},
-			B: Attach{Switch: b, Port: bp},
-		})
-	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			sw := r*cols + c
 			if c+1 < cols {
-				connect(sw, sw+1)
+				t.cable(sw, sw+1)
 			}
 			if r+1 < rows {
-				connect(sw, sw+cols)
+				t.cable(sw, sw+cols)
 			}
 		}
 	}
@@ -76,21 +66,11 @@ func FatTree(k int) *Topology {
 	nPods := k * k // k pods × k switches
 	n := nPods + half*half
 	t := newTopology(KindFatTree, n, k)
-	connect := func(a, b int) {
-		ap := t.nextPort[a]
-		t.addTrunk(a, b)
-		bp := t.nextPort[b]
-		t.addTrunk(b, a)
-		t.links = append(t.links, Link{
-			A: Attach{Switch: a, Port: ap},
-			B: Attach{Switch: b, Port: bp},
-		})
-	}
 	for p := 0; p < k; p++ {
 		base := p * k
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
-				connect(base+e, base+half+a)
+				t.cable(base+e, base+half+a)
 			}
 		}
 	}
@@ -98,7 +78,7 @@ func FatTree(k int) *Topology {
 		base := p * k
 		for a := 0; a < half; a++ {
 			for c := 0; c < half; c++ {
-				connect(base+half+a, nPods+a*half+c)
+				t.cable(base+half+a, nPods+a*half+c)
 			}
 		}
 	}

@@ -101,6 +101,15 @@ func (t *Topology) addTrunk(sw, neighbor int) {
 	t.nextPort[sw]++
 }
 
+// cable joins switches a and b with one bidirectional trunk — the next
+// free port on each side, a's allocated first — and records the Link.
+func (t *Topology) cable(a, b int) {
+	ap, bp := t.nextPort[a], t.nextPort[b]
+	t.addTrunk(a, b)
+	t.addTrunk(b, a)
+	t.links = append(t.links, Link{A: Attach{Switch: a, Port: ap}, B: Attach{Switch: b, Port: bp}})
+}
+
 // Star builds a core switch (0) with children 1..children. The paper's
 // star has three children (4 switches) and 3 enabled TSN ports on the
 // core.
@@ -110,14 +119,7 @@ func Star(children int) *Topology {
 	}
 	t := newTopology(KindStar, children+1, children)
 	for c := 1; c <= children; c++ {
-		corePort := t.nextPort[0]
-		t.addTrunk(0, c)
-		childPort := t.nextPort[c]
-		t.addTrunk(c, 0)
-		t.links = append(t.links, Link{
-			A: Attach{Switch: 0, Port: corePort},
-			B: Attach{Switch: c, Port: childPort},
-		})
+		t.cable(0, c)
 	}
 	return t
 }
@@ -198,25 +200,10 @@ func Tree(spines, leaves int) *Topology {
 	for s := 0; s < spines; s++ {
 		spine := next
 		next++
-		rootPort := t.nextPort[0]
-		t.addTrunk(0, spine)
-		spinePort := t.nextPort[spine]
-		t.addTrunk(spine, 0)
-		t.links = append(t.links, Link{
-			A: Attach{Switch: 0, Port: rootPort},
-			B: Attach{Switch: spine, Port: spinePort},
-		})
+		t.cable(0, spine)
 		for l := 0; l < leaves; l++ {
-			leaf := next
+			t.cable(spine, next)
 			next++
-			sp := t.nextPort[spine]
-			t.addTrunk(spine, leaf)
-			lp := t.nextPort[leaf]
-			t.addTrunk(leaf, spine)
-			t.links = append(t.links, Link{
-				A: Attach{Switch: spine, Port: sp},
-				B: Attach{Switch: leaf, Port: lp},
-			})
 		}
 	}
 	return t
@@ -230,14 +217,7 @@ func Linear(n int) *Topology {
 	}
 	t := newTopology(KindLinear, n, 2)
 	for i := 0; i < n-1; i++ {
-		left := t.nextPort[i]
-		t.addTrunk(i, i+1)
-		right := t.nextPort[i+1]
-		t.addTrunk(i+1, i)
-		t.links = append(t.links, Link{
-			A: Attach{Switch: i, Port: left},
-			B: Attach{Switch: i + 1, Port: right},
-		})
+		t.cable(i, i+1)
 	}
 	return t
 }

@@ -124,7 +124,7 @@ func TestDerivedMeshReconfigurationStaysPerSwitch(t *testing.T) {
 	// 16 switches × (switch, class, meter tables + queues + buffers).
 	const nOps = 16 * 5
 	for k := 0; k < nOps; k++ {
-		net.Reconfig.ArmFailure(k)
+		net.Reconfig.Arm(k, 1, false)
 		txn := resolve(grown)
 		if n := len(txn.Ops()); n != nOps {
 			t.Fatalf("staged %d ops, want %d", n, nOps)
@@ -161,7 +161,7 @@ func TestDerivedMeshReconfigurationStaysPerSwitch(t *testing.T) {
 		t.Fatalf("one below the derived size on full tables: err = %v", err)
 	}
 
-	net.Reconfig.ArmWedge(7)
+	net.Reconfig.Arm(7, 1, true)
 	if txn := resolve(grown); txn.State() != reconfig.StateRolledBack {
 		t.Fatalf("wedge: %v", txn.State())
 	}

@@ -28,7 +28,7 @@ func TestRetryExhaustionRollsBackCleanLive(t *testing.T) {
 		}
 		// More transient failures than the budget (1 original + 2
 		// retries) can absorb: the transaction must exhaust and roll back.
-		net.Reconfig.ArmTransient(1, 5)
+		net.Reconfig.Arm(1, 5, false)
 	})
 	net.Run(0, 60*sim.Millisecond)
 

@@ -443,19 +443,8 @@ func (n *Net) faultBindings() faults.Bindings {
 			}
 			return n.Switches[id], nil
 		},
-		Domain: n.Domain,
-		ArmReconfigFail: func(op int) error {
-			n.Reconfig.ArmFailure(op)
-			return nil
-		},
-		ArmReconfigTransient: func(op, times int) error {
-			n.Reconfig.ArmTransient(op, times)
-			return nil
-		},
-		ArmReconfigWedge: func(op int) error {
-			n.Reconfig.ArmWedge(op)
-			return nil
-		},
+		Domain:   n.Domain,
+		Reconfig: n.Reconfig,
 	}
 }
 
