@@ -2,18 +2,17 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/chaos"
 )
 
-// chaosOpts bundles the -chaos flag family.
+// chaosOpts is the -chaos flag family: the campaign options
+// -chaos-runs, -chaos-budget and -chaos-parallel bind into, the profile
+// to load into them and the directory for failing cases' repros.
 type chaosOpts struct {
-	profile  string // profile JSON path, or "default"
-	runs     int
-	budget   time.Duration
-	parallel int
-	out      string
+	chaos.Options
+	profile string // profile JSON path, or "default"
+	out     string
 }
 
 // runChaos executes a chaos campaign and writes a minimal-repro
@@ -21,23 +20,15 @@ type chaosOpts struct {
 // any invariant oracle rejected a case (the caller exits 1 on true)
 // and any infrastructure error.
 func runChaos(o chaosOpts) (bool, error) {
-	p := chaos.DefaultProfile()
+	o.Profile = chaos.DefaultProfile()
 	if o.profile != "default" {
-		loaded, err := chaos.LoadProfile(o.profile)
-		if err != nil {
+		var err error
+		if o.Profile, err = chaos.LoadProfile(o.profile); err != nil {
 			return true, err
 		}
-		p = loaded
 	}
-	fmt.Printf("chaos: campaign seed=%d runs=%d topologies=%v budget=%v\n",
-		p.Seed, campaignRuns(p, o.runs), p.Topologies, o.budget)
-	sum, err := chaos.RunCampaign(chaos.Options{
-		Profile:  p,
-		Runs:     o.runs,
-		Budget:   o.budget,
-		Parallel: o.parallel,
-		Log:      func(format string, args ...any) { fmt.Printf("chaos: "+format+"\n", args...) },
-	})
+	o.Log = func(format string, args ...any) { fmt.Printf("chaos: "+format+"\n", args...) }
+	sum, err := chaos.RunCampaign(o.Options)
 	if err != nil {
 		return true, err
 	}
@@ -62,15 +53,6 @@ func runChaos(o chaosOpts) (bool, error) {
 		fmt.Println("chaos: all invariants held")
 	}
 	return sum.Failed(), nil
-}
-
-// campaignRuns mirrors RunCampaign's run-count resolution for the
-// banner line.
-func campaignRuns(p chaos.Profile, override int) int {
-	if override > 0 {
-		return override
-	}
-	return p.MaxRuns
 }
 
 // runChaosReplay re-executes a minimal-repro artifact written by a

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/chaos"
 )
@@ -50,9 +52,9 @@ func TestChaosCampaignCLI(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "repros")
 	failed, err := runChaos(chaosOpts{
-		profile:  wedgeProfile(t, dir),
-		parallel: 4,
-		out:      out,
+		profile: wedgeProfile(t, dir),
+		Options: chaos.Options{Parallel: 4},
+		out:     out,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +98,7 @@ func TestChaosCleanCampaignPasses(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	failed, err := runChaos(chaosOpts{profile: path, parallel: 2, out: dir})
+	failed, err := runChaos(chaosOpts{profile: path, Options: chaos.Options{Parallel: 2}, out: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +107,16 @@ func TestChaosCleanCampaignPasses(t *testing.T) {
 	}
 }
 
-// TestChaosReproReplaysThroughPlainTsnsim proves the acceptance
-// contract end to end: the minimal repro's sidecar files drive a plain
-// tsnsim run (-faults/-reconfig), i.e. the artifact is not tied to the
-// chaos harness.
+// TestChaosReproReplaysThroughPlainTsnsim holds the byte-for-byte
+// replay claim: each repro's recorded tsnsim argv, run verbatim from
+// the artifact's directory, exports the same metrics JSON as
+// chaos.Execute of the recorded case.
 func TestChaosReproReplaysThroughPlainTsnsim(t *testing.T) {
 	dir := t.TempDir()
 	failed, err := runChaos(chaosOpts{
-		profile:  wedgeProfile(t, dir),
-		parallel: 4,
-		out:      dir,
+		profile: wedgeProfile(t, dir),
+		Options: chaos.Options{Parallel: 4},
+		out:     dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,37 +125,75 @@ func TestChaosReproReplaysThroughPlainTsnsim(t *testing.T) {
 		t.Fatal("campaign found nothing to replay")
 	}
 	repros, _ := filepath.Glob(filepath.Join(dir, "*.repro.json"))
-	repro, err := chaos.LoadRepro(repros[0])
+	if len(repros) == 0 {
+		t.Fatal("no repro artifacts written")
+	}
+	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := repro.Case
-	o := runOpts{
-		topo: c.Topology, switches: c.Switches, flows: c.TSFlows,
-		hops: c.Hops, size: c.WireSize, slotUs: c.SlotUs,
-		rcMbps: c.RCMbps, beMbps: c.BEMbps, durMs: c.DurMs,
-		seed: c.Seed, frer: c.FRERFlows, watchdog: c.Watchdog,
-		retries: c.RetryMax,
-		backoff: time.Duration(c.RetryBackoffUs) * time.Microsecond,
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
 	}
-	base := strings.TrimSuffix(repros[0], ".repro.json")
-	if _, err := os.Stat(base + ".faults.json"); err == nil {
-		o.faults = base + ".faults.json"
+	defer os.Chdir(wd)
+	for _, path := range repros {
+		repro, err := chaos.LoadRepro(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := chaos.Execute(repro.Case)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := strings.TrimSuffix(filepath.Base(path), ".repro.json") + ".metrics.json"
+		o, err := parseFlags(append(repro.TsnsimArgs, "-metrics-json", "-metrics", out))
+		if err != nil {
+			t.Fatalf("%s: tsnsim rejected the recorded argv: %v", path, err)
+		}
+		if err := runWithOutputs(*o); err != nil {
+			t.Fatalf("%s: replay: %v", path, err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.MetricsJSON) {
+			t.Errorf("%s: tsnsim metrics (%d bytes) differ from chaos.Execute (%d bytes)",
+				path, len(got), len(want.MetricsJSON))
+		}
 	}
-	if _, err := os.Stat(base + ".reconfig.json"); err == nil {
-		o.reconfig = base + ".reconfig.json"
-	}
-	if o.faults == "" || o.reconfig == "" {
-		t.Fatalf("wedge repro missing sidecars (faults=%q reconfig=%q)", o.faults, o.reconfig)
-	}
-	net, err := run(o, nil)
-	if err != nil {
-		t.Fatalf("plain tsnsim replay rejected the repro: %v", err)
-	}
-	// The replayed wedge leaves the reconfiguration half-applied: the
-	// live config claims the pre state while some switch carries
-	// candidate values — exactly what VerifyLive detects.
-	if err := net.VerifyLive(); err == nil {
-		t.Fatal("replay did not reproduce the partial-commit state")
+}
+
+// TestChaosCaseRoundTripsThroughFlags checks that TsnsimArgs, the one
+// hand-written Case→tsnsim mapping, is the flag parser's inverse: the
+// argv and sidecar files of a generated case parse back into that case.
+func TestChaosCaseRoundTripsThroughFlags(t *testing.T) {
+	dir := t.TempDir()
+	p := chaos.DefaultProfile()
+	for i := 0; i < 50; i++ {
+		c, err := chaos.Generate(p, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("case%04d", i)
+		if _, err := chaos.WriteRepro(dir, name, c, nil); err != nil {
+			t.Fatal(err)
+		}
+		sidecar := func(suffix string) string {
+			path := filepath.Join(dir, name+suffix)
+			if _, err := os.Stat(path); err != nil {
+				return ""
+			}
+			return path
+		}
+		o, err := parseFlags(c.TsnsimArgs(sidecar(".faults.json"), sidecar(".reconfig.json")))
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		// The argv does not carry the campaign's bookkeeping.
+		c.Index, c.FRERCovered = 0, false
+		if !reflect.DeepEqual(o.Case, c) {
+			t.Errorf("case %d does not round-trip:\n flags %+v\n case  %+v", i, o.Case, c)
+		}
 	}
 }

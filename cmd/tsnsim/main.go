@@ -16,14 +16,14 @@ package main
 
 import (
 	"encoding/csv"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
-	"github.com/tsnbuilder/tsnbuilder/internal/core"
+	"github.com/tsnbuilder/tsnbuilder/internal/chaos"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
@@ -32,32 +32,23 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
 	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
-	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
 
-// runOpts bundles one simulation's parameters.
+// runOpts is one tsnsim invocation: the scenario its flags describe
+// plus what only a tsnsim run has — clocks, exports, guards, serving.
 type runOpts struct {
-	topo       string
-	switches   int
-	flows      int
-	hops       int
-	size       int
-	slotUs     int
-	rcMbps     int
-	beMbps     int
-	durMs      int
-	gptp       bool
-	seed       uint64
-	frer       int
-	watchdog   bool
-	faults     string
-	reconfig   string
-	retries    int
-	backoff    time.Duration
-	deadline   time.Duration
-	tsDeadline time.Duration
-	serve      string
+	// Case is the scenario. -topology … -seed, -frer, -watchdog,
+	// -reconfig-retries, -reconfig-backoff and -ts-deadline bind into
+	// it, and the -faults and -reconfig files load into it.
+	chaos.Case
+	// scenario is the -faults file whole (Case.Faults holds its
+	// faults), so the file's own seed reaches the injector.
+	scenario *faults.Scenario
+
+	gptp     bool
+	deadline time.Duration
+	serve    string
 	// signals ends the -serve hold; nil means the process's own
 	// SIGINT/SIGTERM (tests hand in a channel).
 	signals <-chan os.Signal
@@ -70,71 +61,99 @@ type runOpts struct {
 	traceJSON   string
 	progress    time.Duration
 	partitions  int
+
+	campaign chaosOpts
+	replay   string
+}
+
+// parseFlags binds argv into a runOpts, loading the -faults and
+// -reconfig files it names.
+func parseFlags(args []string) (*runOpts, error) {
+	o := &runOpts{}
+	fs := flag.NewFlagSet("tsnsim", flag.ContinueOnError)
+	fs.StringVar(&o.Topology, "topology", "ring", "topology: star, ring, bidir-ring, linear, tree, mesh or fattree")
+	fs.IntVar(&o.Switches, "switches", 6, "switch count (ring/linear); star children = switches-1")
+	fs.IntVar(&o.TSFlows, "flows", 1024, "TS flow count")
+	fs.IntVar(&o.Hops, "hops", 3, "switches each TS flow traverses")
+	fs.IntVar(&o.WireSize, "size", 64, "TS frame size (bytes)")
+	fs.IntVar(&o.SlotUs, "slot", 65, "CQF slot (µs)")
+	fs.IntVar(&o.RCMbps, "rc", 0, "RC background per injector (Mbps)")
+	fs.IntVar(&o.BEMbps, "be", 0, "BE background per injector (Mbps)")
+	fs.IntVar(&o.DurMs, "duration", 100, "measurement window (ms)")
+	noGPTP := fs.Bool("no-gptp", false, "run with perfect clocks instead of gPTP")
+	fs.Uint64Var(&o.Seed, "seed", 42, "workload seed")
+	fs.IntVar(&o.FRERFlows, "frer", 0, "make the first n TS flows 802.1CB-redundant (bidir-ring only, max 64)")
+	fs.BoolVar(&o.Watchdog, "watchdog", false, "run the invariant watchdog and graceful-degradation policy")
+	faultsPath := fs.String("faults", "", "fault-scenario JSON file to inject during the run")
+	reconfigPath := fs.String("reconfig", "", "live-reconfiguration JSON file to apply mid-run")
+	fs.IntVar(&o.RetryMax, "reconfig-retries", 0, "retry a failed reconfig commit up to this many times")
+	backoff := fs.Duration("reconfig-backoff", 0, "backoff between reconfig commit retries (simulated time, whole µs)")
+	fs.DurationVar(&o.deadline, "deadline", 0, "abort with a diagnostic if the run exceeds this wall-clock time (e.g. 30s)")
+	tsDeadline := fs.Duration("ts-deadline", 0, "override every TS flow's latency deadline (tight values force misses, e.g. 10us)")
+	fs.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (e.g. :9090); holds after the run until interrupted")
+	fs.StringVar(&o.csvPath, "csv", "", "write per-flow statistics to this CSV file")
+	fs.StringVar(&o.pcapPath, "pcap", "", "write delivered frames to this pcap file")
+	fs.BoolVar(&o.hotspots, "hotspots", false, "trace the dataplane and print the worst queue-residence cells")
+	fs.StringVar(&o.metricsPath, "metrics", "", "write the metrics registry to this file ('-' for stdout)")
+	fs.BoolVar(&o.metricsJSON, "metrics-json", false, "export -metrics as JSON instead of Prometheus text")
+	fs.StringVar(&o.traceJSON, "trace-json", "", "write the packet trace as Chrome trace-event JSON to this file")
+	fs.DurationVar(&o.progress, "progress", 0, "print progress to stderr at this wall-clock interval (e.g. 2s)")
+	fs.IntVar(&o.partitions, "partitions", 0, "shard the topology across this many parallel engines (conservative lookahead; results byte-identical to serial, needs -no-gptp)")
+	co := &o.campaign
+	fs.StringVar(&co.profile, "chaos", "", "run a chaos campaign from this profile JSON ('default' for the built-in profile) instead of one simulation")
+	fs.IntVar(&co.Runs, "chaos-runs", 0, "override the profile's case count")
+	fs.DurationVar(&co.Budget, "chaos-budget", 0, "wall-clock budget; the campaign stops claiming new cases when it expires")
+	fs.IntVar(&co.Parallel, "chaos-parallel", 0, "campaign worker count (default GOMAXPROCS)")
+	fs.StringVar(&co.out, "chaos-out", "chaos-out", "directory for minimal-repro artifacts of failing cases")
+	fs.StringVar(&o.replay, "chaos-replay", "", "re-execute a minimal-repro artifact (<case>.repro.json) and report whether it still reproduces")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	o.gptp = !*noGPTP
+	if *backoff%time.Microsecond != 0 {
+		return nil, fmt.Errorf("-reconfig-backoff %v is not a whole number of microseconds", *backoff)
+	}
+	o.RetryBackoffUs = int(*backoff / time.Microsecond)
+	o.TSDeadlineNs = int64(*tsDeadline)
+	var err error
+	if *faultsPath != "" {
+		if o.scenario, err = faults.Load(*faultsPath); err != nil {
+			return nil, err
+		}
+		o.Faults = o.scenario.Faults
+	}
+	if *reconfigPath != "" {
+		if o.Reconfig, err = chaos.LoadDelta(*reconfigPath); err != nil {
+			return nil, err
+		}
+	}
+	return o, nil
 }
 
 func main() {
-	var o runOpts
-	flag.StringVar(&o.topo, "topology", "ring", "topology: star, ring, bidir-ring, linear, tree, mesh or fattree")
-	flag.IntVar(&o.switches, "switches", 6, "switch count (ring/linear); star children = switches-1")
-	flag.IntVar(&o.flows, "flows", 1024, "TS flow count")
-	flag.IntVar(&o.hops, "hops", 3, "switches each TS flow traverses")
-	flag.IntVar(&o.size, "size", 64, "TS frame size (bytes)")
-	flag.IntVar(&o.slotUs, "slot", 65, "CQF slot (µs)")
-	flag.IntVar(&o.rcMbps, "rc", 0, "RC background per injector (Mbps)")
-	flag.IntVar(&o.beMbps, "be", 0, "BE background per injector (Mbps)")
-	flag.IntVar(&o.durMs, "duration", 100, "measurement window (ms)")
-	noGPTP := flag.Bool("no-gptp", false, "run with perfect clocks instead of gPTP")
-	flag.Uint64Var(&o.seed, "seed", 42, "workload seed")
-	flag.IntVar(&o.frer, "frer", 0, "make the first n TS flows 802.1CB-redundant (bidir-ring only, max 64)")
-	flag.BoolVar(&o.watchdog, "watchdog", false, "run the invariant watchdog and graceful-degradation policy")
-	flag.StringVar(&o.faults, "faults", "", "fault-scenario JSON file to inject during the run")
-	flag.StringVar(&o.reconfig, "reconfig", "", "live-reconfiguration JSON file to apply mid-run")
-	flag.IntVar(&o.retries, "reconfig-retries", 0, "retry a failed reconfig commit up to this many times")
-	flag.DurationVar(&o.backoff, "reconfig-backoff", 0, "backoff between reconfig commit retries (simulated time)")
-	flag.DurationVar(&o.deadline, "deadline", 0, "abort with a diagnostic if the run exceeds this wall-clock time (e.g. 30s)")
-	flag.DurationVar(&o.tsDeadline, "ts-deadline", 0, "override every TS flow's latency deadline (tight values force misses, e.g. 10us)")
-	flag.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (e.g. :9090); holds after the run until interrupted")
-	flag.StringVar(&o.csvPath, "csv", "", "write per-flow statistics to this CSV file")
-	flag.StringVar(&o.pcapPath, "pcap", "", "write delivered frames to this pcap file")
-	flag.BoolVar(&o.hotspots, "hotspots", false, "trace the dataplane and print the worst queue-residence cells")
-	flag.StringVar(&o.metricsPath, "metrics", "", "write the metrics registry to this file ('-' for stdout)")
-	flag.BoolVar(&o.metricsJSON, "metrics-json", false, "export -metrics as JSON instead of Prometheus text")
-	flag.StringVar(&o.traceJSON, "trace-json", "", "write the packet trace as Chrome trace-event JSON to this file")
-	flag.DurationVar(&o.progress, "progress", 0, "print progress to stderr at this wall-clock interval (e.g. 2s)")
-	flag.IntVar(&o.partitions, "partitions", 0, "shard the topology across this many parallel engines (conservative lookahead; results byte-identical to serial, needs -no-gptp)")
-	var co chaosOpts
-	flag.StringVar(&co.profile, "chaos", "", "run a chaos campaign from this profile JSON ('default' for the built-in profile) instead of one simulation")
-	flag.IntVar(&co.runs, "chaos-runs", 0, "override the profile's case count")
-	flag.DurationVar(&co.budget, "chaos-budget", 0, "wall-clock budget; the campaign stops claiming new cases when it expires")
-	flag.IntVar(&co.parallel, "chaos-parallel", 0, "campaign worker count (default GOMAXPROCS)")
-	flag.StringVar(&co.out, "chaos-out", "chaos-out", "directory for minimal-repro artifacts of failing cases")
-	chaosReplay := flag.String("chaos-replay", "", "re-execute a minimal-repro artifact (<case>.repro.json) and report whether it still reproduces")
-	flag.Parse()
-	o.gptp = !*noGPTP
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tsnsim:", err)
+		os.Exit(2)
+	}
+	// A campaign or replay that finds a violation exits 1, like an error.
+	failed := false
 	switch {
-	case *chaosReplay != "":
-		reproduced, err := runChaosReplay(*chaosReplay)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tsnsim:", err)
-			os.Exit(1)
-		}
-		if reproduced {
-			os.Exit(1)
-		}
-	case co.profile != "":
-		failed, err := runChaos(co)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tsnsim:", err)
-			os.Exit(1)
-		}
-		if failed {
-			os.Exit(1)
-		}
+	case o.replay != "":
+		failed, err = runChaosReplay(o.replay)
+	case o.campaign.profile != "":
+		failed, err = runChaos(o.campaign)
 	default:
-		if err := runWithOutputs(o); err != nil {
-			fmt.Fprintln(os.Stderr, "tsnsim:", err)
-			os.Exit(1)
-		}
+		err = runWithOutputs(*o)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tsnsim:", err)
+	}
+	if err != nil || failed {
+		os.Exit(1)
 	}
 }
 
@@ -209,94 +228,19 @@ const serveDrainTimeout = 5 * time.Second
 // non-zero status from the simulation thread.
 var exit = os.Exit
 
-// reconfigSpec is the on-disk form of a -reconfig request: the instant
-// to begin the transaction plus per-field overrides of the running
-// configuration. Absent fields keep their live values. Structural
-// parameters (queue_num, port_num, link_rate) are deliberately not
-// representable — changing them requires regeneration, which the
-// engine would reject anyway.
-type reconfigSpec struct {
-	AtUs          int64  `json:"at_us"`
-	UnicastSize   *int   `json:"unicast_size"`
-	MulticastSize *int   `json:"multicast_size"`
-	ClassSize     *int   `json:"class_size"`
-	MeterSize     *int   `json:"meter_size"`
-	GateSize      *int   `json:"gate_size"`
-	CBSMapSize    *int   `json:"cbs_map_size"`
-	CBSSize       *int   `json:"cbs_size"`
-	QueueDepth    *int   `json:"queue_depth"`
-	BufferNum     *int   `json:"buffer_num"`
-	FRERSize      *int   `json:"frer_size"`
-	FRERHistory   *int   `json:"frer_history"`
-	SlotUs        *int64 `json:"slot_us"`
-}
-
-// loadReconfigSpec parses path strictly: unknown fields and a negative
-// begin time are rejected here, before the simulation is built.
-func loadReconfigSpec(path string) (*reconfigSpec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	var rs reconfigSpec
-	if err := dec.Decode(&rs); err != nil {
-		return nil, fmt.Errorf("reconfig spec %s: %w", path, err)
-	}
-	if rs.AtUs < 0 {
-		return nil, fmt.Errorf("reconfig spec %s: negative at_us %d", path, rs.AtUs)
-	}
-	return &rs, nil
-}
-
-// candidate overlays the spec's overrides on the live configuration.
-func (rs *reconfigSpec) candidate(cfg core.Config) core.Config {
-	setInt := func(dst *int, src *int) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setInt(&cfg.UnicastSize, rs.UnicastSize)
-	setInt(&cfg.MulticastSize, rs.MulticastSize)
-	setInt(&cfg.ClassSize, rs.ClassSize)
-	setInt(&cfg.MeterSize, rs.MeterSize)
-	setInt(&cfg.GateSize, rs.GateSize)
-	setInt(&cfg.CBSMapSize, rs.CBSMapSize)
-	setInt(&cfg.CBSSize, rs.CBSSize)
-	setInt(&cfg.QueueDepth, rs.QueueDepth)
-	setInt(&cfg.BufferNum, rs.BufferNum)
-	setInt(&cfg.FRERSize, rs.FRERSize)
-	setInt(&cfg.FRERHistory, rs.FRERHistory)
-	if rs.SlotUs != nil {
-		cfg.SlotSize = sim.Time(*rs.SlotUs) * sim.Microsecond
-	}
-	return cfg
-}
-
-// scheduleReconfig arms the -reconfig transaction on the running
-// network and returns a reporter to call once the simulation ends.
-func scheduleReconfig(net *testbed.Net, rs *reconfigSpec) (report func()) {
-	at := sim.Time(rs.AtUs) * sim.Microsecond
-	var txn *reconfig.Txn
-	var beginErr error
-	net.Engine.At(at, "live-reconfig", func(*sim.Engine) {
-		txn, beginErr = net.Reconfigure(rs.candidate(net.LiveConfig()))
-	})
-	return func() {
-		switch {
-		case beginErr != nil:
-			fmt.Printf("reconfig: rejected: %v\n", beginErr)
-		case txn == nil:
-			fmt.Printf("reconfig: begin time %v is outside the run; nothing applied\n", at)
-		case txn.State() == reconfig.StateCommitted:
-			fmt.Printf("reconfig: committed at %v (%d ops)\n", txn.CommitTime(), len(txn.Ops()))
-		case txn.State() == reconfig.StateRolledBack:
-			fmt.Printf("reconfig: rolled back: %v\n", txn.Err())
-		default:
-			fmt.Printf("reconfig: unresolved at simulation end (state %v)\n", txn.State())
-		}
+// printReconfig reports how the -reconfig transaction ended.
+func printReconfig(rec *chaos.TxnRecord, d *chaos.Delta) {
+	switch {
+	case rec.BeginErr != nil:
+		fmt.Printf("reconfig: rejected: %v\n", rec.BeginErr)
+	case rec.Txn == nil:
+		fmt.Printf("reconfig: begin time %v is outside the run; nothing applied\n", sim.Time(d.AtUs)*sim.Microsecond)
+	case rec.Txn.State() == reconfig.StateCommitted:
+		fmt.Printf("reconfig: committed at %v (%d ops)\n", rec.Txn.CommitTime(), len(rec.Txn.Ops()))
+	case rec.Txn.State() == reconfig.StateRolledBack:
+		fmt.Printf("reconfig: rolled back: %v\n", rec.Txn.Err())
+	default:
+		fmt.Printf("reconfig: unresolved at simulation end (state %v)\n", rec.Txn.State())
 	}
 }
 
@@ -343,88 +287,48 @@ func writeCSV(net *testbed.Net, path string) error {
 	return w.Error()
 }
 
-// validatePartitions rejects flag combinations a partitioned run
-// cannot honor: features the testbed refuses to shard, plus the
-// single-engine conveniences (progress, deadline guard, live serving)
-// that hook the one serial engine.
-func validatePartitions(o runOpts, pcapOut io.Writer) error {
+// validatePartitions rejects the flags that hook the one serial
+// engine, which a partitioned network does not have: the mid-run
+// reconfiguration event, live serving, progress and the deadline
+// guard. testbed.Build rejects the features it cannot shard.
+func validatePartitions(o *runOpts) error {
 	if o.partitions <= 1 {
 		return nil
 	}
-	reasons := []struct {
+	for _, r := range []struct {
 		bad  bool
 		flag string
 	}{
-		{o.gptp, "-partitions needs -no-gptp (clock sync spans partitions)"},
-		{o.frer > 0, "-frer is not supported with -partitions"},
-		{o.watchdog, "-watchdog is not supported with -partitions"},
-		{o.faults != "", "-faults is not supported with -partitions"},
-		{o.reconfig != "", "-reconfig is not supported with -partitions"},
-		{o.serve != "", "-serve is not supported with -partitions"},
-		{o.progress > 0, "-progress is not supported with -partitions"},
-		{o.deadline > 0, "-deadline is not supported with -partitions"},
-		{o.hotspots, "-hotspots is not supported with -partitions"},
-		{o.traceJSON != "", "-trace-json is not supported with -partitions"},
-		{pcapOut != nil, "-pcap is not supported with -partitions"},
-	}
-	for _, r := range reasons {
+		{o.Reconfig != nil, "-reconfig"},
+		{o.serve != "", "-serve"},
+		{o.progress > 0, "-progress"},
+		{o.deadline > 0, "-deadline"},
+	} {
 		if r.bad {
-			return fmt.Errorf("%s", r.flag)
+			return fmt.Errorf("%s is not supported with -partitions", r.flag)
 		}
 	}
 	return nil
 }
 
 func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
-	if err := validatePartitions(o, pcapOut); err != nil {
+	if err := validatePartitions(&o); err != nil {
 		return nil, err
-	}
-	wl, err := workload.Build(workload.Params{
-		Topology: o.topo, Switches: o.switches,
-		TSFlows: o.flows, Hops: o.hops, WireSize: o.size,
-		SlotUs: o.slotUs, RCMbps: o.rcMbps, BEMbps: o.beMbps,
-		FRERFlows: o.frer, TSDeadline: sim.Time(o.tsDeadline),
-		Seed: o.seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	topo, specs, der, design := wl.Topo, wl.Specs, wl.Der, wl.Design
-	n := topo.N
-	var scenario *faults.Scenario
-	if o.faults != "" {
-		if scenario, err = faults.Load(o.faults); err != nil {
-			return nil, err
-		}
-	}
-	var rspec *reconfigSpec
-	if o.reconfig != "" {
-		if rspec, err = loadReconfigSpec(o.reconfig); err != nil {
-			return nil, err
-		}
 	}
 	// The registry is always built: the exit summary reads it even when
 	// no export flag is set, and instrumented forwarding costs ~nothing.
 	reg := metrics.New()
-	net, err := testbed.Build(testbed.Options{
-		Design: design, Topo: topo, Flows: specs,
-		EnableGPTP: o.gptp, Seed: o.seed, Pcap: pcapOut,
-		EnableTrace:    o.hotspots || o.traceJSON != "",
-		Metrics:        reg,
-		Faults:         scenario,
-		EnableWatchdog: o.watchdog,
-		Partitions:     o.partitions,
+	net, rec, err := o.Build(testbed.Options{
+		EnableGPTP: o.gptp, Pcap: pcapOut,
+		EnableTrace: o.hotspots || o.traceJSON != "",
+		Metrics:     reg,
+		Faults:      o.scenario,
+		Partitions:  o.partitions,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if o.retries > 0 {
-		net.Reconfig.SetRetryPolicy(o.retries, sim.Time(o.backoff))
-	}
-	reportReconfig := func() {}
-	if rspec != nil {
-		reportReconfig = scheduleReconfig(net, rspec)
-	}
+	provisioned := net.LiveConfig().QueueDepth
 	if o.serve != "" {
 		_, addr, err := net.Serve(o.serve)
 		if err != nil {
@@ -461,13 +365,13 @@ func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
 		warmup = 2 * sim.Second
 	}
 	fmt.Printf("running %s/%d: %d TS flows (%dB, %d hops), rc=%dMbps be=%dMbps, slot=%dµs, gptp=%v\n",
-		o.topo, n, o.flows, o.size, o.hops, o.rcMbps, o.beMbps, o.slotUs, o.gptp)
+		o.Topology, len(net.Switches), o.TSFlows, o.WireSize, o.Hops, o.RCMbps, o.BEMbps, o.SlotUs, o.gptp)
 	if net.Partitions() > 1 {
 		fmt.Printf("partitions: %d parallel engines, lookahead window %v\n",
 			net.Partitions(), net.LookaheadWindow())
 	}
 	wallStart := time.Now()
-	net.Run(warmup, sim.Time(o.durMs)*sim.Millisecond)
+	net.Run(warmup, sim.Time(o.DurMs)*sim.Millisecond)
 	wall := time.Since(wallStart)
 
 	for _, cls := range []ethernet.Class{ethernet.ClassTS, ethernet.ClassRC, ethernet.ClassBE} {
@@ -482,13 +386,15 @@ func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
 			fmt.Printf("    deadline misses: %d\n", s.DeadlineMisses)
 		}
 	}
-	reportReconfig()
+	if rec != nil {
+		printReconfig(rec, o.Reconfig)
+	}
 	st := net.SwitchStats()
 	fmt.Printf("switches: rx=%d tx=%d drops=%d (no-route=%d meter=%d gate=%d buffer=%d queue=%d)\n",
 		st.RxFrames, st.TxFrames, st.TotalDrops(),
 		st.Drops[0], st.Drops[1], st.Drops[2], st.Drops[3], st.Drops[4])
 	fmt.Printf("worst TS queue occupancy: %d (provisioned depth %d)\n",
-		net.MaxQueueHighWater(), der.Config.QueueDepth)
+		net.MaxQueueHighWater(), provisioned)
 	if net.Domain != nil {
 		fmt.Printf("gPTP precision at end: %v\n", net.Domain.MaxAbsOffset())
 	}

@@ -7,19 +7,33 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/chaos"
+	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 )
 
 // baseOpts returns a small, fast scenario; tests override fields.
 func baseOpts() runOpts {
-	return runOpts{
-		topo: "ring", switches: 6, flows: 16, hops: 2,
-		size: 64, slotUs: 65, durMs: 20, gptp: false, seed: 1,
+	return runOpts{Case: chaos.Case{
+		Topology: "ring", Switches: 6, TSFlows: 16, Hops: 2,
+		WireSize: 64, SlotUs: 65, DurMs: 20, Seed: 1,
+	}}
+}
+
+// withFlags is baseOpts with extra tsnsim flags parsed on top.
+func withFlags(t *testing.T, extra ...string) runOpts {
+	t.Helper()
+	base := baseOpts()
+	o, err := parseFlags(append(base.TsnsimArgs("", ""), extra...))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return *o
 }
 
 func TestRunRingSmall(t *testing.T) {
 	o := baseOpts()
-	o.flows, o.rcMbps, o.beMbps = 32, 50, 50
+	o.TSFlows, o.RCMbps, o.BEMbps = 32, 50, 50
 	if _, err := run(o, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +44,7 @@ func TestRunStarWithGPTP(t *testing.T) {
 		t.Skip("gPTP warmup is seconds of simulated time")
 	}
 	o := baseOpts()
-	o.topo, o.switches, o.gptp = "star", 4, true
+	o.Topology, o.Switches, o.gptp = "star", 4, true
 	if _, err := run(o, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +52,7 @@ func TestRunStarWithGPTP(t *testing.T) {
 
 func TestRunLinear(t *testing.T) {
 	o := baseOpts()
-	o.topo, o.switches, o.hops, o.size, o.beMbps = "linear", 4, 3, 128, 20
+	o.Topology, o.Switches, o.Hops, o.WireSize, o.BEMbps = "linear", 4, 3, 128, 20
 	if _, err := run(o, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +60,7 @@ func TestRunLinear(t *testing.T) {
 
 func TestRunPartitioned(t *testing.T) {
 	o := baseOpts()
-	o.partitions, o.rcMbps = 3, 30
+	o.partitions, o.RCMbps = 3, 30
 	net, err := run(o, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -62,10 +76,10 @@ func TestPartitionsRejectUnshardableFlags(t *testing.T) {
 		mut  func(*runOpts)
 	}{
 		{"gptp", func(o *runOpts) { o.gptp = true }},
-		{"frer", func(o *runOpts) { o.topo, o.frer = "bidir-ring", 2 }},
-		{"watchdog", func(o *runOpts) { o.watchdog = true }},
-		{"faults", func(o *runOpts) { o.faults = "x.json" }},
-		{"reconfig", func(o *runOpts) { o.reconfig = "x.json" }},
+		{"frer", func(o *runOpts) { o.Topology, o.FRERFlows = "bidir-ring", 2 }},
+		{"watchdog", func(o *runOpts) { o.Watchdog = true }},
+		{"faults", func(o *runOpts) { o.scenario = &faults.Scenario{} }},
+		{"reconfig", func(o *runOpts) { o.Reconfig = &chaos.Delta{} }},
 		{"serve", func(o *runOpts) { o.serve = ":0" }},
 		{"progress", func(o *runOpts) { o.progress = 1 }},
 		{"deadline", func(o *runOpts) { o.deadline = 1 }},
@@ -84,7 +98,7 @@ func TestPartitionsRejectUnshardableFlags(t *testing.T) {
 
 func TestRunUnknownTopology(t *testing.T) {
 	o := baseOpts()
-	o.topo = "moebius"
+	o.Topology = "moebius"
 	if _, err := run(o, nil); err == nil {
 		t.Fatal("unknown topology accepted")
 	}
@@ -114,8 +128,8 @@ func TestCSVOutput(t *testing.T) {
 
 func TestPcapOutput(t *testing.T) {
 	o := baseOpts()
-	o.flows = 8
-	o.durMs = 10
+	o.TSFlows = 8
+	o.DurMs = 10
 	o.pcapPath = filepath.Join(t.TempDir(), "run.pcap")
 	if err := runWithOutputs(o); err != nil {
 		t.Fatal(err)
@@ -143,7 +157,7 @@ func TestPcapBadPath(t *testing.T) {
 
 func TestHotspots(t *testing.T) {
 	o := baseOpts()
-	o.hops = 3
+	o.Hops = 3
 	o.hotspots = true
 	if err := runWithOutputs(o); err != nil {
 		t.Fatal(err)
@@ -217,8 +231,8 @@ func TestMetricsJSONOutput(t *testing.T) {
 
 func TestTraceJSONOutput(t *testing.T) {
 	o := baseOpts()
-	o.flows = 8
-	o.durMs = 10
+	o.TSFlows = 8
+	o.DurMs = 10
 	o.traceJSON = filepath.Join(t.TempDir(), "trace.json")
 	if err := runWithOutputs(o); err != nil {
 		t.Fatal(err)
@@ -263,8 +277,7 @@ func TestRunWithFaultScenario(t *testing.T) {
 	if err := os.WriteFile(path, []byte(faultScenarioJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o := baseOpts()
-	o.faults = path
+	o := withFlags(t, "-faults", path)
 	net, err := run(o, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +293,7 @@ func TestRunWithFaultScenario(t *testing.T) {
 
 func TestRunBidirRing(t *testing.T) {
 	o := baseOpts()
-	o.topo = "bidir-ring"
+	o.Topology = "bidir-ring"
 	if _, err := run(o, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -296,9 +309,8 @@ func TestFaultScenarioDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapshot := func(out string) []byte {
-		o := baseOpts()
-		o.flows, o.rcMbps = 32, 30
-		o.faults = scenario
+		o := withFlags(t, "-faults", scenario)
+		o.TSFlows, o.RCMbps = 32, 30
 		o.metricsPath = filepath.Join(dir, out)
 		o.metricsJSON = true
 		if err := runWithOutputs(o); err != nil {
@@ -317,9 +329,7 @@ func TestFaultScenarioDeterministic(t *testing.T) {
 }
 
 func TestFaultScenarioBadFile(t *testing.T) {
-	o := baseOpts()
-	o.faults = "/nonexistent/faults.json"
-	if _, err := run(o, nil); err == nil {
+	if _, err := parseFlags([]string{"-faults", "/nonexistent/faults.json"}); err == nil {
 		t.Fatal("missing fault scenario accepted")
 	}
 }

@@ -20,9 +20,8 @@ func writeSpec(t *testing.T, body string) string {
 }
 
 func TestReconfigFlagCommits(t *testing.T) {
-	o := baseOpts()
-	o.reconfig = writeSpec(t,
-		`{"at_us": 10000, "unicast_size": 64, "class_size": 64, "meter_size": 64, "buffer_num": 256}`)
+	o := withFlags(t, "-reconfig", writeSpec(t,
+		`{"at_us": 10000, "unicast_size": 64, "class_size": 64, "meter_size": 64, "buffer_num": 256}`))
 	net, err := run(o, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +33,8 @@ func TestReconfigFlagCommits(t *testing.T) {
 	// Switch 0 carries 5 of the ring's 16 flows, so it holds the
 	// network-wide 64 minus its derived spare of 11.
 	wl, err := workload.Build(workload.Params{
-		Topology: o.topo, Switches: o.switches, TSFlows: o.flows, Hops: o.hops,
-		WireSize: o.size, SlotUs: o.slotUs, Seed: o.seed,
+		Topology: o.Topology, Switches: o.Switches, TSFlows: o.TSFlows, Hops: o.Hops,
+		WireSize: o.WireSize, SlotUs: o.SlotUs, Seed: o.Seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,11 +46,10 @@ func TestReconfigFlagCommits(t *testing.T) {
 }
 
 func TestReconfigFlagRejectedKeepsLiveConfig(t *testing.T) {
-	o := baseOpts()
 	// Shrinking the MAC table to one entry is below the live occupancy
 	// of 16 programmed flows: the transaction must be rejected and the
 	// run must still complete cleanly.
-	o.reconfig = writeSpec(t, `{"at_us": 10000, "unicast_size": 1}`)
+	o := withFlags(t, "-reconfig", writeSpec(t, `{"at_us": 10000, "unicast_size": 1}`))
 	net, err := run(o, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +69,7 @@ func TestReconfigSpecStrictParsing(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := loadReconfigSpec(writeSpec(t, tc.body))
+			_, err := parseFlags([]string{"-reconfig", writeSpec(t, tc.body)})
 			if err == nil {
 				t.Fatalf("accepted: %s", tc.body)
 			}
@@ -82,10 +80,22 @@ func TestReconfigSpecStrictParsing(t *testing.T) {
 	}
 }
 
+func TestReconfigBackoffWholeMicroseconds(t *testing.T) {
+	if _, err := parseFlags([]string{"-reconfig-backoff", "1500ns"}); err == nil ||
+		!strings.Contains(err.Error(), "whole number of microseconds") {
+		t.Fatalf("sub-µs backoff not rejected: %v", err)
+	}
+	o, err := parseFlags([]string{"-reconfig-backoff", "2ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.RetryBackoffUs != 2000 {
+		t.Fatalf("2ms backoff parsed to %dµs", o.RetryBackoffUs)
+	}
+}
+
 func TestReconfigSpecBadPath(t *testing.T) {
-	o := baseOpts()
-	o.reconfig = "/nonexistent/reconfig.json"
-	if _, err := run(o, nil); err == nil {
+	if _, err := parseFlags([]string{"-reconfig", "/nonexistent/reconfig.json"}); err == nil {
 		t.Fatal("missing reconfig spec accepted")
 	}
 }
@@ -110,7 +120,7 @@ func TestDeadlineGuardFires(t *testing.T) {
 	o := baseOpts()
 	// Enough simulated work that the progress hook (every 64k events)
 	// fires at least once; any positive wall time exceeds 1 ns.
-	o.flows, o.rcMbps, o.beMbps, o.durMs = 32, 50, 50, 300
+	o.TSFlows, o.RCMbps, o.BEMbps, o.DurMs = 32, 50, 50, 300
 	o.deadline = time.Nanosecond
 	if _, err := run(o, nil); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // exactly, and the flight recorder must have captured the worst chain.
 func TestServeWithForcedMisses(t *testing.T) {
 	o := baseOpts()
-	o.tsDeadline = time.Microsecond
+	o.TSDeadlineNs = int64(time.Microsecond)
 	o.serve = "127.0.0.1:0"
 	net, err := run(o, nil)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestServeWithForcedMisses(t *testing.T) {
 func TestServeEndpointsDuringHold(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	o := baseOpts()
-	o.tsDeadline = time.Microsecond
+	o.TSDeadlineNs = int64(time.Microsecond)
 	o.serve = "127.0.0.1:18462"
 	o.signals = sig
 

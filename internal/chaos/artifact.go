@@ -53,6 +53,9 @@ func (c *Case) TsnsimArgs(faultsFile, reconfigFile string) []string {
 		args = append(args, "-reconfig-retries", strconv.Itoa(c.RetryMax),
 			"-reconfig-backoff", fmt.Sprintf("%dus", c.RetryBackoffUs))
 	}
+	if c.TSDeadlineNs > 0 {
+		args = append(args, "-ts-deadline", fmt.Sprintf("%dns", c.TSDeadlineNs))
+	}
 	if faultsFile != "" {
 		args = append(args, "-faults", faultsFile)
 	}
@@ -86,9 +89,8 @@ func WriteRepro(dir, name string, c Case, violations []Violation) (string, error
 			return "", err
 		}
 	}
-	if c.Reconfig != nil && !c.Reconfig.Empty() {
+	if c.Reconfig != nil {
 		reconfigName = name + ".reconfig.json"
-		// Delta's JSON tags are tsnsim's -reconfig format.
 		if err := writeJSON(filepath.Join(dir, reconfigName), c.Reconfig); err != nil {
 			return "", err
 		}

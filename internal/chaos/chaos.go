@@ -12,17 +12,22 @@
 // so the same profile always yields the same scenarios and the same
 // verdicts regardless of worker count or which runs a budget cut off
 // mid-sweep (a budget only truncates the tail, never reorders it).
-// That is also what makes a shrunk failure trustworthy: the minimal
-// case replays through plain tsnsim flags and fault/reconfig files,
-// byte-for-byte the same workload the campaign ran.
+//
+// A Case is also tsnsim's scenario: tsnsim's flags bind into one, its
+// -reconfig file is a Delta, and Case.Build is the one path from a
+// scenario to a built network for tsnsim, Execute and the parity
+// re-run alike. That is what makes a shrunk failure trustworthy: its
+// recorded tsnsim argv replays the same workload through the same
+// builder, and a test holds the replay's metrics byte-equal to the
+// campaign's.
 package chaos
 
 import (
 	"fmt"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
-	"github.com/tsnbuilder/tsnbuilder/internal/svc"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
@@ -62,6 +67,9 @@ type Case struct {
 	// bounded retry of transiently-failed commits.
 	RetryMax       int `json:"retry_max,omitempty"`
 	RetryBackoffUs int `json:"retry_backoff_us,omitempty"`
+	// TSDeadlineNs, when positive, overrides every TS flow's deadline
+	// (tsnsim -ts-deadline; tight values force misses).
+	TSDeadlineNs int64 `json:"ts_deadline_ns,omitempty"`
 
 	// Faults is the fault script, in faults.Scenario form.
 	Faults []faults.Fault `json:"faults,omitempty"`
@@ -75,18 +83,66 @@ func (c *Case) params() workload.Params {
 		Topology: c.Topology, Switches: c.Switches, TSFlows: c.TSFlows,
 		Hops: c.Hops, WireSize: c.WireSize, SlotUs: c.SlotUs,
 		RCMbps: c.RCMbps, BEMbps: c.BEMbps, FRERFlows: c.FRERFlows,
-		Seed: c.Seed,
+		TSDeadline: sim.Time(c.TSDeadlineNs), Seed: c.Seed,
 	}
 }
 
-// Delta is a mid-run reconfiguration request: the begin instant plus
-// the service's delta — absolute new values for the resizable resources,
-// zero keeps the live value; Candidate and Empty come with it. The
-// flattened field names match tsnsim's -reconfig JSON, so a case's
-// delta serializes directly into a replay file.
+// Delta is a mid-run live reconfiguration and tsnsim's -reconfig file
+// format: the instant to begin the transaction plus per-field
+// overrides of the running configuration. An absent field keeps its
+// live value. Structural parameters (queue_num, port_num, link_rate)
+// are deliberately not representable — changing them requires
+// regeneration, which the engine would reject anyway.
 type Delta struct {
-	AtUs int64 `json:"at_us"`
-	svc.ReconfigRequest
+	AtUs          int64  `json:"at_us"`
+	UnicastSize   *int   `json:"unicast_size,omitempty"`
+	MulticastSize *int   `json:"multicast_size,omitempty"`
+	ClassSize     *int   `json:"class_size,omitempty"`
+	MeterSize     *int   `json:"meter_size,omitempty"`
+	GateSize      *int   `json:"gate_size,omitempty"`
+	CBSMapSize    *int   `json:"cbs_map_size,omitempty"`
+	CBSSize       *int   `json:"cbs_size,omitempty"`
+	QueueDepth    *int   `json:"queue_depth,omitempty"`
+	BufferNum     *int   `json:"buffer_num,omitempty"`
+	FRERSize      *int   `json:"frer_size,omitempty"`
+	FRERHistory   *int   `json:"frer_history,omitempty"`
+	SlotUs        *int64 `json:"slot_us,omitempty"`
+}
+
+// LoadDelta parses a -reconfig file strictly: unknown fields and a
+// negative begin time are rejected here, before anything is built.
+func LoadDelta(path string) (*Delta, error) {
+	var d Delta
+	if err := loadStrict(path, "reconfig spec", &d); err != nil {
+		return nil, err
+	}
+	if d.AtUs < 0 {
+		return nil, fmt.Errorf("reconfig spec %s: negative at_us %d", path, d.AtUs)
+	}
+	return &d, nil
+}
+
+// Candidate overlays the delta's overrides on the live configuration.
+func (d *Delta) Candidate(cfg core.Config) core.Config {
+	for _, f := range []struct {
+		dst *int
+		src *int
+	}{
+		{&cfg.UnicastSize, d.UnicastSize}, {&cfg.MulticastSize, d.MulticastSize},
+		{&cfg.ClassSize, d.ClassSize}, {&cfg.MeterSize, d.MeterSize},
+		{&cfg.GateSize, d.GateSize}, {&cfg.CBSMapSize, d.CBSMapSize},
+		{&cfg.CBSSize, d.CBSSize}, {&cfg.QueueDepth, d.QueueDepth},
+		{&cfg.BufferNum, d.BufferNum}, {&cfg.FRERSize, d.FRERSize},
+		{&cfg.FRERHistory, d.FRERHistory},
+	} {
+		if f.src != nil {
+			*f.dst = *f.src
+		}
+	}
+	if d.SlotUs != nil {
+		cfg.SlotSize = sim.Time(*d.SlotUs) * sim.Microsecond
+	}
+	return cfg
 }
 
 // Violation is one oracle failure on one case.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
-	"github.com/tsnbuilder/tsnbuilder/internal/svc"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
@@ -134,10 +133,8 @@ func wedgeCase(t *testing.T) Case {
 		t.Fatal(err)
 	}
 	base := wl.Der.Config
-	c.Reconfig = &Delta{AtUs: 5000, ReconfigRequest: svc.ReconfigRequest{
-		UnicastSize: 2 * base.UnicastSize,
-		MeterSize:   2 * base.MeterSize,
-	}}
+	unicast, meter := 2*base.UnicastSize, 2*base.MeterSize
+	c.Reconfig = &Delta{AtUs: 5000, UnicastSize: &unicast, MeterSize: &meter}
 	op := 1
 	sw2 := 2
 	a01, b01 := 0, 1

@@ -32,11 +32,11 @@ func topoFloor(topo string) int {
 }
 
 // rangeInt draws uniformly from [lo, hi].
-func rangeInt(rng *sim.Rand, lo, hi int) int {
+func rangeInt[T int | int64](rng *sim.Rand, lo, hi T) T {
 	if hi <= lo {
 		return lo
 	}
-	return lo + rng.Intn(hi-lo+1)
+	return lo + T(rng.Int63n(int64(hi-lo+1)))
 }
 
 // Generate derives case index of the campaign described by p. The
@@ -96,23 +96,21 @@ func Generate(p Profile, index int) (Case, error) {
 
 	if rng.Float64() < p.ReconfigProb {
 		base := wl.Der.Config
-		d := &Delta{AtUs: rangeInt64(rng, c.durUs()/4, c.durUs()/2)}
+		d := &Delta{AtUs: rangeInt(rng, c.durUs()/4, c.durUs()/2)}
 		// Grow one to three resizable resources to double their derived
 		// size. Growth is always valid (shrink could collide with live
 		// occupancy and get rejected, which would not exercise commit).
-		for _, grow := range rng.Perm(5)[:1+rng.Intn(3)] {
-			switch grow {
-			case 0:
-				d.UnicastSize = 2 * base.UnicastSize
-			case 1:
-				d.ClassSize = 2 * base.ClassSize
-			case 2:
-				d.MeterSize = 2 * base.MeterSize
-			case 3:
-				d.QueueDepth = 2 * base.QueueDepth
-			case 4:
-				d.BufferNum = 2 * base.BufferNum
-			}
+		grow := []struct {
+			dst  **int
+			size int
+		}{
+			{&d.UnicastSize, base.UnicastSize}, {&d.ClassSize, base.ClassSize},
+			{&d.MeterSize, base.MeterSize}, {&d.QueueDepth, base.QueueDepth},
+			{&d.BufferNum, base.BufferNum},
+		}
+		for _, i := range rng.Perm(len(grow))[:1+rng.Intn(3)] {
+			doubled := 2 * grow[i].size
+			*grow[i].dst = &doubled
 		}
 		c.Reconfig = d
 		c.RetryMax = p.RetryMax
@@ -154,14 +152,6 @@ func Generate(p Profile, index int) (Case, error) {
 	return c, nil
 }
 
-// rangeInt64 draws uniformly from [lo, hi].
-func rangeInt64(rng *sim.Rand, lo, hi int64) int64 {
-	if hi <= lo {
-		return lo
-	}
-	return lo + rng.Int63n(hi-lo+1)
-}
-
 // randomFaults draws up to maxFaults faults for c. Each candidate is
 // validated against the script built so far and silently dropped when
 // it duplicates an earlier fault's kind/target/window — the generator
@@ -179,8 +169,8 @@ func randomFaults(rng *sim.Rand, c *Case, n int, trunks [][2]int, maxFaults int)
 	}
 	// Fault instants stay inside the run with a margin at both ends so
 	// activation and (usually) recovery land while traffic flows.
-	at := func() int64 { return rangeInt64(rng, 1000, maxInt64(1001, c.durUs()-5000)) }
-	dur := func() int64 { return rangeInt64(rng, 500, 5000) }
+	at := func() int64 { return rangeInt(rng, 1000, max(1001, c.durUs()-5000)) }
+	dur := func() int64 { return rangeInt[int64](rng, 500, 5000) }
 
 	budget := rng.Intn(maxFaults + 1)
 	// Covered cases confine every fault to ONE ring cable, drawn once:
@@ -214,7 +204,7 @@ func randomFaults(rng *sim.Rand, c *Case, n int, trunks [][2]int, maxFaults int)
 		if f.Kind == faults.KindLinkDown && rng.Float64() < 0.5 && len(out) < budget {
 			up := f
 			up.Kind = faults.KindLinkUp
-			up.AtUs = rangeInt64(rng, f.AtUs+500, f.AtUs+8000)
+			up.AtUs = rangeInt(rng, f.AtUs+500, f.AtUs+8000)
 			tryAdd(up)
 		}
 	}
@@ -274,11 +264,4 @@ func randomFault(rng *sim.Rand, n int, trunks [][2]int, at, dur func() int64) fa
 		f.DurationUs = dur()
 	}
 	return f
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -54,7 +54,7 @@ func Oracles() []string {
 }
 
 // checkOracles applies the post-run oracle suite to one executed case.
-func checkOracles(c *Case, net *testbed.Net, reg *metrics.Registry, txns []*txnRecord) []Violation {
+func checkOracles(c *Case, net *testbed.Net, reg *metrics.Registry, rec *TxnRecord) []Violation {
 	var out []Violation
 	add := func(oracle, format string, args ...any) {
 		out = append(out, Violation{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
@@ -114,40 +114,38 @@ func checkOracles(c *Case, net *testbed.Net, reg *metrics.Registry, txns []*txnR
 		}
 	}
 
-	// Reconfiguration atomicity: commit-or-exact-rollback.
+	// Reconfiguration atomicity: commit-or-exact-rollback. A case has
+	// at most one transaction; violations name it "txn 0".
+	if rec == nil {
+		return out
+	}
 	live := net.LiveConfig()
-	for i, rec := range txns {
-		switch {
-		case rec.txn == nil && rec.beginErr == nil:
-			// The begin instant fell outside the run; nothing staged.
-			continue
-		case rec.beginErr != nil:
-			// Rejected before staging: the live config must be untouched.
-			if live != rec.pre {
-				add(OracleAtomicity, "txn %d rejected (%v) but live config drifted", i, rec.beginErr)
-			}
-		case rec.txn.State() == reconfig.StateCommitted:
-			if live != rec.cand {
-				add(OracleAtomicity, "txn %d committed but live config is not the candidate", i)
-			}
-		case rec.txn.State() == reconfig.StateRolledBack:
-			if live != rec.pre {
-				add(OracleAtomicity, "txn %d rolled back but live config is not the pre-transaction config", i)
-			}
-		default:
-			// Unresolved at run end (commit boundary or retry beyond the
-			// window): nothing to assert about the outcome.
-			continue
+	switch {
+	case rec.Txn == nil && rec.BeginErr == nil:
+		// The begin instant fell outside the run; nothing staged.
+	case rec.BeginErr != nil:
+		// Rejected before staging: the live config must be untouched.
+		if live != rec.Pre {
+			add(OracleAtomicity, "txn 0 rejected (%v) but live config drifted", rec.BeginErr)
 		}
+	case rec.Txn.State() == reconfig.StateCommitted:
+		if live != rec.Cand {
+			add(OracleAtomicity, "txn 0 committed but live config is not the candidate")
+		}
+	case rec.Txn.State() == reconfig.StateRolledBack:
+		if live != rec.Pre {
+			add(OracleAtomicity, "txn 0 rolled back but live config is not the pre-transaction config")
+		}
+	default:
+		// Unresolved at run end (commit boundary or retry beyond the
+		// window): nothing to assert about the outcome.
 	}
 	// Regardless of claimed outcomes, the switches themselves must
 	// match whatever configuration the controller says is in force —
 	// this is what catches a wedged commit that left partial state
 	// while claiming rolled-back.
-	if len(txns) > 0 {
-		if err := net.VerifyLive(); err != nil {
-			add(OracleAtomicity, "%v", err)
-		}
+	if err := net.VerifyLive(); err != nil {
+		add(OracleAtomicity, "%v", err)
 	}
 	return out
 }

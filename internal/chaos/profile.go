@@ -149,19 +149,28 @@ func (p *Profile) Validate() error {
 // LoadProfile parses a profile file strictly: unknown fields are
 // rejected so a typo'd knob cannot silently fall back to a default.
 func LoadProfile(path string) (Profile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Profile{}, err
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
 	var p Profile
-	if err := dec.Decode(&p); err != nil {
-		return Profile{}, fmt.Errorf("chaos profile %s: %w", path, err)
+	if err := loadStrict(path, "chaos profile", &p); err != nil {
+		return Profile{}, err
 	}
 	if err := p.Validate(); err != nil {
 		return Profile{}, fmt.Errorf("chaos profile %s: %w", path, err)
 	}
 	return p, nil
+}
+
+// loadStrict decodes the JSON file at path into v, rejecting unknown
+// fields; what names the file kind in errors.
+func loadStrict(path, what string, v any) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%s %s: %w", what, path, err)
+	}
+	return nil
 }

@@ -14,14 +14,54 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
 
-// txnRecord tracks one mid-run reconfiguration for the atomicity
-// oracle: the configuration in force when the transaction began, the
-// candidate it tried to reach, and the transaction itself (nil when
-// the begin instant fell outside the run).
-type txnRecord struct {
-	pre, cand core.Config
-	txn       *reconfig.Txn
-	beginErr  error
+// TxnRecord tracks a case's mid-run reconfiguration for the atomicity
+// oracle and tsnsim's report: the configuration in force when the
+// transaction began, the candidate it tried to reach, and the
+// transaction itself (nil when the begin instant fell outside the run
+// or Begin rejected the candidate with BeginErr).
+type TxnRecord struct {
+	Pre, Cand core.Config
+	Txn       *reconfig.Txn
+	BeginErr  error
+}
+
+// Build turns c into a network ready to Run: its workload, fault
+// script, watchdog, commit retry policy and mid-run reconfiguration.
+// opts carries what a case does not describe — gPTP, trace, pcap, the
+// metrics registry and partitions — plus, when the faults came from a
+// file, that file's scenario, whose own seed then reaches the
+// injector. The record is nil when c has no reconfiguration, which
+// needs a serial build.
+func (c *Case) Build(opts testbed.Options) (*testbed.Net, *TxnRecord, error) {
+	wl, err := workload.Build(c.params())
+	if err != nil {
+		return nil, nil, err
+	}
+	opts.Design, opts.Topo, opts.Flows = wl.Design, wl.Topo, wl.Specs
+	opts.Seed, opts.EnableWatchdog = c.Seed, c.Watchdog
+	if opts.Faults == nil && len(c.Faults) > 0 {
+		opts.Faults = &faults.Scenario{Faults: c.Faults}
+		if err := opts.Faults.Validate(); err != nil {
+			return nil, nil, err
+		}
+	}
+	net, err := testbed.Build(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if c.RetryMax > 0 {
+		net.Reconfig.SetRetryPolicy(c.RetryMax, sim.Time(c.RetryBackoffUs)*sim.Microsecond)
+	}
+	if c.Reconfig == nil {
+		return net, nil, nil
+	}
+	rec, d := &TxnRecord{}, c.Reconfig
+	net.Engine.At(sim.Time(d.AtUs)*sim.Microsecond, "live-reconfig", func(*sim.Engine) {
+		rec.Pre = net.LiveConfig()
+		rec.Cand = d.Candidate(rec.Pre)
+		rec.Txn, rec.BeginErr = net.Reconfigure(rec.Cand)
+	})
+	return net, rec, nil
 }
 
 // Execute runs one case in a fresh simulation and applies every
@@ -30,45 +70,15 @@ type txnRecord struct {
 // distinct from a Result with violations, which means the system under
 // test broke an invariant.
 func Execute(c Case) (*Result, error) {
-	wl, err := workload.Build(c.params())
-	if err != nil {
-		return nil, fmt.Errorf("chaos: case %d workload: %w", c.Index, err)
-	}
-	var scenario *faults.Scenario
-	if len(c.Faults) > 0 {
-		scenario = &faults.Scenario{Faults: c.Faults}
-		if err := scenario.Validate(); err != nil {
-			return nil, fmt.Errorf("chaos: case %d: %w", c.Index, err)
-		}
-	}
 	reg := metrics.New()
-	net, err := testbed.Build(testbed.Options{
-		Design: wl.Design, Topo: wl.Topo, Flows: wl.Specs,
-		Metrics: reg, Seed: c.Seed,
-		Faults:         scenario,
-		EnableWatchdog: c.Watchdog,
-	})
+	net, rec, err := c.Build(testbed.Options{Metrics: reg})
 	if err != nil {
-		return nil, fmt.Errorf("chaos: case %d build: %w", c.Index, err)
-	}
-	if c.RetryMax > 0 {
-		net.Reconfig.SetRetryPolicy(c.RetryMax, sim.Time(c.RetryBackoffUs)*sim.Microsecond)
-	}
-	var txns []*txnRecord
-	if c.Reconfig != nil && !c.Reconfig.Empty() {
-		rec := &txnRecord{}
-		txns = append(txns, rec)
-		d := c.Reconfig
-		net.Engine.At(sim.Time(d.AtUs)*sim.Microsecond, "chaos:reconfig", func(*sim.Engine) {
-			rec.pre = net.LiveConfig()
-			rec.cand = d.Candidate(rec.pre)
-			rec.txn, rec.beginErr = net.Reconfigure(rec.cand)
-		})
+		return nil, fmt.Errorf("chaos: case %d: %w", c.Index, err)
 	}
 	net.Run(0, c.dur())
 
 	res := &Result{Case: c, Events: net.Engine.Executed()}
-	res.Violations = checkOracles(&c, net, reg, txns)
+	res.Violations = checkOracles(&c, net, reg, rec)
 	var buf bytes.Buffer
 	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
 		return nil, fmt.Errorf("chaos: case %d metrics export: %w", c.Index, err)
@@ -119,16 +129,8 @@ func stripHeapGauge(export string) string {
 func CheckPartitionParity(c Case, partitions int) *Violation {
 	s := parityStrip(c)
 	run := func(parts int) (string, error) {
-		wl, err := workload.Build(s.params())
-		if err != nil {
-			return "", err
-		}
 		reg := metrics.New()
-		net, err := testbed.Build(testbed.Options{
-			Design: wl.Design, Topo: wl.Topo, Flows: wl.Specs,
-			Metrics: reg, Seed: s.Seed,
-			Partitions: parts,
-		})
+		net, _, err := s.Build(testbed.Options{Metrics: reg, Partitions: parts})
 		if err != nil {
 			return "", err
 		}

@@ -143,7 +143,7 @@ func fits(c *Case, durMs int) bool {
 			return false
 		}
 	}
-	if c.Reconfig != nil && c.Reconfig.AtUs+int64(c.RetryMax+1)*maxInt64(int64(c.RetryBackoffUs), 2*int64(c.SlotUs)) > limit {
+	if c.Reconfig != nil && c.Reconfig.AtUs+int64(c.RetryMax+1)*max(int64(c.RetryBackoffUs), 2*int64(c.SlotUs)) > limit {
 		return false
 	}
 	return true

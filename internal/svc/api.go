@@ -139,7 +139,8 @@ type DeriveResponse struct {
 // ReconfigRequest is POST /v1/reconfig's body: absolute new network-wide
 // values for the live-resizable resources; zero keeps the live value. A
 // table size N means "N minus this switch's derived spare" on each switch
-// (core.Design.Local). The field set matches the chaos engine's delta.
+// (core.Design.Local). It is the narrower HTTP form of tsnsim's
+// -reconfig file (chaos.Delta).
 type ReconfigRequest struct {
 	UnicastSize   int `json:"unicast_size,omitempty"`
 	MulticastSize int `json:"multicast_size,omitempty"`
@@ -153,8 +154,8 @@ type ReconfigRequest struct {
 func (r *ReconfigRequest) Empty() bool { return *r == ReconfigRequest{} }
 
 // Candidate overlays the request's non-zero fields on the live config:
-// the one statement of "zero keeps the live value" the chaos deltas
-// (chaos.Delta embeds this type) and journal replay also go through.
+// the one statement of "zero keeps the live value" the handler and
+// journal replay both go through.
 func (r *ReconfigRequest) Candidate(cfg core.Config) core.Config {
 	if r.UnicastSize > 0 {
 		cfg.UnicastSize = r.UnicastSize
