@@ -32,6 +32,9 @@ type ClassQueue struct {
 	name    string
 	slots   chan struct{}
 	maxWait int64
+	// release frees one slot. It is bound once here: returning the
+	// method value q.free from Acquire would allocate per admission.
+	release func()
 
 	// Waiting is the live queue depth (acquired but not yet running);
 	// DepthHW its high-water mark; Shed the rejections by reason.
@@ -51,11 +54,13 @@ func NewClassQueue(name string, concurrency, maxWait int) *ClassQueue {
 	if maxWait < 0 {
 		maxWait = 0
 	}
-	return &ClassQueue{
+	q := &ClassQueue{
 		name:    name,
 		slots:   make(chan struct{}, concurrency),
 		maxWait: int64(maxWait),
 	}
+	q.release = q.free
+	return q
 }
 
 // NewAdmission wires the two service classes.
@@ -106,7 +111,7 @@ func (q *ClassQueue) Acquire(ctx context.Context, pressured bool) (release func(
 	}
 }
 
-func (q *ClassQueue) release() { <-q.slots }
+func (q *ClassQueue) free() { <-q.slots }
 
 // Depth returns the current wait-queue depth.
 func (q *ClassQueue) Depth() int64 { return q.Waiting.Value() }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
@@ -94,13 +95,21 @@ func (s *Spec) Normalize() error {
 	return nil
 }
 
-// Hash returns the normalized spec's cache key. Call Normalize first.
+// Hash returns the normalized spec's cache key: the hex SHA-256 of
+// "topology|switches|ts_flows|hops|wire_size|slot_us|rc_mbps|be_mbps|
+// frer_flows|seed" in decimal. Call Normalize first. The key is built in
+// a stack buffer, so a hash costs one allocation — the returned string.
 func (s *Spec) Hash() string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf(
-		"%s|%d|%d|%d|%d|%d|%d|%d|%d|%d",
-		s.Topology, s.Switches, s.TSFlows, s.Hops, s.WireSize,
-		s.SlotUs, s.RCMbps, s.BEMbps, s.FRERFlows, s.Seed)))
-	return hex.EncodeToString(sum[:])
+	var buf [128]byte
+	b := append(buf[:0], s.Topology...)
+	for _, v := range [...]int{s.Switches, s.TSFlows, s.Hops, s.WireSize, s.SlotUs, s.RCMbps, s.BEMbps, s.FRERFlows} {
+		b = strconv.AppendInt(append(b, '|'), int64(v), 10)
+	}
+	b = strconv.AppendUint(append(b, '|'), s.Seed, 10)
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // Params converts the normalized spec into workload build parameters.

@@ -46,8 +46,16 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
-// lock acquires the cache mutex unless ctx expires first.
+// lock acquires the cache mutex unless ctx expires first. A free lock
+// is taken without evaluating ctx.Done(): a select evaluates every
+// channel operand before it chooses, and a request context's Done arms
+// its deadline (see request).
 func (c *Cache) lock(ctx context.Context) error {
+	select {
+	case c.mu <- struct{}{}:
+		return nil
+	default:
+	}
 	select {
 	case c.mu <- struct{}{}:
 		return nil
@@ -81,9 +89,13 @@ func (c *Cache) Get(ctx context.Context, key string, compute func() ([]byte, err
 		c.ll.MoveToFront(el)
 		c.unlock()
 		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
+		case <-e.ready: // resident: no wait, so ctx.Done() stays untouched
+		default:
+			select {
+			case <-e.ready:
+			case <-ctx.Done():
+				return nil, false, ctx.Err()
+			}
 		}
 		if e.err != nil {
 			// The leader failed; report its error without retrying here —

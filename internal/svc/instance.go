@@ -202,12 +202,19 @@ func (in *Instance) submit(ctx context.Context, fn func()) error {
 	}
 	ran := make(chan struct{})
 	wrapped := func() { fn(); close(ran) }
+	// Room in the queue enqueues without evaluating ctx.Done(), which
+	// would arm the request deadline (see request); fn's own ctx.Err()
+	// check still sheds a job whose deadline lapsed while queued.
 	select {
 	case in.jobs <- wrapped:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-in.done:
-		return ErrInstanceClosed
+	default:
+		select {
+		case in.jobs <- wrapped:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-in.done:
+			return ErrInstanceClosed
+		}
 	}
 	select {
 	case <-ran:

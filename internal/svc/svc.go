@@ -36,6 +36,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
@@ -146,20 +147,27 @@ type Service struct {
 // handler goroutine, folded into a registry snapshot at scrape time.
 type stats struct {
 	mu       sync.Mutex
-	requests map[[2]string]*metrics.SyncCounter // {route, code-class} → count
+	requests map[requestKey]*metrics.SyncCounter
 
 	deadlineExceeded metrics.SyncCounter
 	panics           metrics.SyncCounter
 	breakerRejects   metrics.SyncCounter
 }
 
+// requestKey is one tsn_svc_requests_total series. The code stays an
+// int until a scrape formats it, so counting a request allocates nothing.
+type requestKey struct {
+	route string
+	code  int
+}
+
 func newStats() *stats {
-	return &stats{requests: make(map[[2]string]*metrics.SyncCounter)}
+	return &stats{requests: make(map[requestKey]*metrics.SyncCounter)}
 }
 
 // request counts one finished request under its route and status code.
 func (s *stats) request(route string, code int) {
-	key := [2]string{route, strconv.Itoa(code)}
+	key := requestKey{route, code}
 	s.mu.Lock()
 	c, ok := s.requests[key]
 	if !ok {
@@ -196,7 +204,7 @@ func NewService(opts Options) (*Service, error) {
 		brk:   brk,
 		stats: newStats(),
 		// The introspection routes the server registers itself stay
-		// outside route: its statusRecorder hides http.Flusher (the
+		// outside route: its request writer hides http.Flusher (the
 		// /events stream would stop flushing) and its deadline would cut
 		// a stream or a 30 s CPU profile short.
 		srv: obs.NewServer(inst.net.Attr, inst.net.Flight),
@@ -245,15 +253,67 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// statusRecorder captures the response code for request accounting.
-type statusRecorder struct {
+// request is one routed request's ResponseWriter and context. As the
+// writer it records the status code for request accounting. As the
+// context it is the client's context with the route deadline at — but
+// the deadline is armed (a context.WithDeadline and its runtime timer)
+// only when something first calls Done, i.e. only when the request
+// actually waits: a cache hit or a free admission slot never does.
+// Until then Err reads the parent and the clock.
+type request struct {
 	http.ResponseWriter
-	code int
+	context.Context // the client's: Value, and the parent of the armed deadline
+	code            int
+	at              time.Time
+	armed           atomic.Pointer[armedDeadline]
 }
 
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
+// armedDeadline is a request's deadline once something waits on it.
+type armedDeadline struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+func (q *request) WriteHeader(code int) {
+	q.code = code
+	q.ResponseWriter.WriteHeader(code)
+}
+
+func (q *request) Deadline() (time.Time, bool) { return q.at, true }
+
+// Done arms the deadline on first use. It is race-safe: the instance
+// control loop may ask from its own goroutine while the handler waits.
+func (q *request) Done() <-chan struct{} { return q.arm().Done() }
+
+func (q *request) Err() error {
+	if a := q.armed.Load(); a != nil {
+		return a.ctx.Err()
+	}
+	if err := q.Context.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(q.at) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+func (q *request) arm() context.Context {
+	if a := q.armed.Load(); a != nil {
+		return a.ctx
+	}
+	ctx, cancel := context.WithDeadline(q.Context, q.at)
+	if !q.armed.CompareAndSwap(nil, &armedDeadline{ctx, cancel}) {
+		cancel() // another goroutine armed first; use its deadline
+	}
+	return q.armed.Load().ctx
+}
+
+// stop releases whatever the request armed.
+func (q *request) stop() {
+	if a := q.armed.Load(); a != nil {
+		a.cancel()
+	}
 }
 
 // route wraps a handler in the middleware stack: panic recovery
@@ -261,38 +321,48 @@ func (r *statusRecorder) WriteHeader(code int) {
 // per-request deadline, then request accounting.
 func (s *Service) route(name string, deadline time.Duration, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		defer func() {
-			if p := recover(); p != nil {
-				s.stats.panics.Inc()
-				// The handler may have written nothing yet; best-effort
-				// error body, never re-panic.
-				writeError(rec, http.StatusInternalServerError, fmt.Sprintf("internal panic: %v", p))
-			}
-			s.stats.request(name, rec.code)
-		}()
 		d := deadline
 		if hdr := r.Header.Get("X-Request-Deadline"); hdr != "" {
 			if v, err := time.ParseDuration(hdr); err == nil && v > 0 {
 				d = min(v, maxDeadline)
 			}
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		h(rec, r.WithContext(ctx))
+		q := &request{ResponseWriter: w, Context: r.Context(), code: http.StatusOK, at: time.Now().Add(d)}
+		if at, ok := q.Context.Deadline(); ok && at.Before(q.at) {
+			q.at = at
+		}
+		defer func() {
+			q.stop()
+			if p := recover(); p != nil {
+				s.stats.panics.Inc()
+				// The handler may have written nothing yet; best-effort
+				// error body, never re-panic.
+				writeError(q, http.StatusInternalServerError, fmt.Sprintf("internal panic: %v", p))
+			}
+			s.stats.request(name, q.code)
+		}()
+		h(q, r.WithContext(q))
 	}
 }
 
+// Constant response header values, assigned to w.Header() without a
+// per-response []string. The keys are already in canonical form.
+var (
+	headerJSON      = []string{"application/json"}
+	headerCacheHit  = []string{"hit"}
+	headerCacheMiss = []string{"miss"}
+)
+
 // writeJSON writes a 2xx JSON body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = headerJSON
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeError writes the uniform error body.
 func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = headerJSON
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: msg})
 }
@@ -353,12 +423,13 @@ func (s *Service) handleDerive(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Spec-Hash", key)
+	h := w.Header()
+	h["Content-Type"] = headerJSON
+	h["X-Spec-Hash"] = []string{key}
 	if cached {
-		w.Header().Set("X-Cache", "hit")
+		h["X-Cache"] = headerCacheHit
 	} else {
-		w.Header().Set("X-Cache", "miss")
+		h["X-Cache"] = headerCacheMiss
 	}
 	_, _ = w.Write(body)
 }
@@ -607,7 +678,7 @@ func (s *Service) scrapeRegistry() *metrics.Registry {
 	s.stats.mu.Lock()
 	counts := make([]requestCount, 0, len(s.stats.requests))
 	for k, c := range s.stats.requests {
-		counts = append(counts, requestCount{k[0], k[1], c.Value()})
+		counts = append(counts, requestCount{k.route, strconv.Itoa(k.code), c.Value()})
 	}
 	s.stats.mu.Unlock()
 	// Samples export in registration order: sort by (route, code) so a
