@@ -65,28 +65,31 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("tsnserve", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:9780", "listen address (loopback by default: /debug/pprof is served)")
 
-	w := &o.svc.Workload
-	fs.StringVar(&w.Topology, "topology", "linear", "managed network topology (star|ring|bidir-ring|linear|tree)")
-	fs.IntVar(&w.Switches, "switches", 4, "managed network switch count")
-	fs.IntVar(&w.TSFlows, "ts-flows", 24, "managed network TS flow count")
-	fs.IntVar(&w.Hops, "hops", 2, "TS flow hop length")
-	fs.IntVar(&w.WireSize, "wire-size", 200, "TS frame wire size (bytes)")
-	fs.IntVar(&w.SlotUs, "slot-us", 65, "CQF slot (µs)")
-	fs.Uint64Var(&w.Seed, "seed", 1, "managed network seed")
+	// Every workload and service default is svc's own.
+	d := svc.DefaultOptions()
+	w, dw := &o.svc.Workload, d.Workload
+	fs.StringVar(&w.Topology, "topology", dw.Topology, "managed network topology (star|ring|bidir-ring|linear|tree)")
+	fs.IntVar(&w.Switches, "switches", dw.Switches, "managed network switch count")
+	fs.IntVar(&w.TSFlows, "ts-flows", dw.TSFlows, "managed network TS flow count")
+	fs.IntVar(&w.Hops, "hops", dw.Hops, "TS flow hop length")
+	fs.IntVar(&w.WireSize, "wire-size", dw.WireSize, "TS frame wire size (bytes)")
+	fs.IntVar(&w.SlotUs, "slot-us", dw.SlotUs, "CQF slot (µs)")
+	fs.Uint64Var(&w.Seed, "seed", dw.Seed, "managed network seed")
 
-	fs.IntVar(&o.svc.CacheSize, "cache-size", 512, "derivation cache entries")
-	fs.IntVar(&o.svc.DeriveConcurrency, "derive-concurrency", 4, "concurrent derivations")
-	fs.IntVar(&o.svc.DeriveQueue, "derive-queue", 64, "derive admission wait bound")
-	fs.IntVar(&o.svc.ReconfigQueue, "reconfig-queue", 16, "reconfig admission wait bound")
-	fs.IntVar(&o.deriveMs, "derive-deadline-ms", 2000, "default derive deadline (ms)")
-	fs.IntVar(&o.reconfigMs, "reconfig-deadline-ms", 10000, "default reconfig deadline (ms)")
-	fs.IntVar(&o.svc.BreakerThreshold, "breaker-threshold", 3, "consecutive commit failures that open the breaker")
-	fs.IntVar(&o.breakerCoolMs, "breaker-cooldown-ms", 2000, "breaker open→half-open cooldown (ms)")
-	fs.IntVar(&o.svc.RetryMax, "retry-max", 3, "bounded commit retries")
-	fs.IntVar(&o.svc.RetryBackoffUs, "retry-backoff-us", 0, "commit retry backoff (µs, 0 = one CQF cycle)")
+	ms := func(t time.Duration) int { return int(t / time.Millisecond) }
+	fs.IntVar(&o.svc.CacheSize, "cache-size", d.CacheSize, "derivation cache entries")
+	fs.IntVar(&o.svc.DeriveConcurrency, "derive-concurrency", d.DeriveConcurrency, "concurrent derivations")
+	fs.IntVar(&o.svc.DeriveQueue, "derive-queue", d.DeriveQueue, "derive admission wait bound")
+	fs.IntVar(&o.svc.ReconfigQueue, "reconfig-queue", d.ReconfigQueue, "reconfig admission wait bound")
+	fs.IntVar(&o.deriveMs, "derive-deadline-ms", ms(d.DeriveDeadline), "default derive deadline (ms)")
+	fs.IntVar(&o.reconfigMs, "reconfig-deadline-ms", ms(d.ReconfigDeadline), "default reconfig deadline (ms)")
+	fs.IntVar(&o.svc.BreakerThreshold, "breaker-threshold", d.BreakerThreshold, "consecutive commit failures that open the breaker")
+	fs.IntVar(&o.breakerCoolMs, "breaker-cooldown-ms", ms(d.BreakerCooldown), "breaker open→half-open cooldown (ms)")
+	fs.IntVar(&o.svc.RetryMax, "retry-max", d.RetryMax, "bounded commit retries")
+	fs.IntVar(&o.svc.RetryBackoffUs, "retry-backoff-us", d.RetryBackoffUs, "commit retry backoff (µs, 0 = one CQF cycle)")
 
-	fs.StringVar(&o.svc.StateDir, "state-dir", "", "durable state directory (WAL + checkpoints); empty = in-memory only")
-	fs.IntVar(&o.svc.CheckpointEvery, "checkpoint-every", 16, "fold the journal into a checkpoint every n commits")
+	fs.StringVar(&o.svc.StateDir, "state-dir", d.StateDir, "durable state directory (WAL + checkpoints); empty = in-memory only")
+	fs.IntVar(&o.svc.CheckpointEvery, "checkpoint-every", d.CheckpointEvery, "fold the journal into a checkpoint every n commits")
 
 	fs.BoolVar(&o.chaos, "chaos", false, "run the service chaos campaign instead of serving")
 	fs.Uint64Var(&o.chaosSeed, "chaos-seed", 42, "chaos campaign seed")

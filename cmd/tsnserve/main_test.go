@@ -7,11 +7,14 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/svc"
 )
 
 // freePort grabs an ephemeral port and releases it for the daemon.
@@ -209,5 +212,18 @@ func TestParseFlagsRejectsGarbage(t *testing.T) {
 	}
 	if fmt.Sprintf("%v", o.svcOptions().DeriveDeadline) != "2s" {
 		t.Fatalf("default derive deadline: %v", o.svcOptions().DeriveDeadline)
+	}
+}
+
+// TestFlagDefaultsAreSvcDefaults: with no flags, the options tsnserve
+// hands to svc are exactly svc.DefaultOptions — the daemon states no
+// default of its own.
+func TestFlagDefaultsAreSvcDefaults(t *testing.T) {
+	o, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := o.svcOptions(), svc.DefaultOptions(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag defaults %+v, svc defaults %+v", got, want)
 	}
 }

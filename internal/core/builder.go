@@ -300,10 +300,15 @@ func (d *Design) Local(cfg Config, id int) Config {
 // ports exist physically but are outside the TSN resource budget, exactly
 // as the paper counts only "enabled TSN ports".
 func (d *Design) SwitchConfig(id, ports int) tsnswitch.Config {
-	c := d.Local(d.Config, id)
+	c := d.Local(d.Config, id).Switch()
+	c.ID, c.Ports = id, max(ports, d.Config.PortNum)
+	return c
+}
+
+// Switch maps c onto a switch's dataplane configuration: its sizes,
+// slot, link rate and TS queue pair; ID and Ports are left zero.
+func (c Config) Switch() tsnswitch.Config {
 	return tsnswitch.Config{
-		ID:             id,
-		Ports:          max(ports, c.PortNum),
 		QueuesPerPort:  c.QueueNum,
 		QueueDepth:     c.QueueDepth,
 		BuffersPerPort: c.BufferNum,

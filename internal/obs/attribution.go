@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
@@ -137,15 +138,10 @@ func NewAttribution(reg *metrics.Registry, flight *trace.Flight) *Attribution {
 		for ci, name := range componentNames {
 			a.comp[cls][ci] = reg.Histogram(MetricComponent, ComponentBounds, l, metrics.L("component", name))
 		}
-		a.miss[cls] = reg.Histogram(MetricMiss, analyzerLatencyBounds, l)
+		a.miss[cls] = reg.Histogram(MetricMiss, analyzer.LatencyBounds, l)
 	}
 	return a
 }
-
-// analyzerLatencyBounds mirrors analyzer.LatencyBounds without the
-// import (obs must stay import-light so dataplane packages could link
-// it if ever needed): 1 µs to ~8 ms doubling.
-var analyzerLatencyBounds = metrics.ExponentialBounds(1000, 2, 14)
 
 // ObserveLatency ingests one delivery: the frame's span decomposition,
 // its measured end-to-end latency and whether it missed its deadline.

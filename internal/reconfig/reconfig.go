@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/frer"
@@ -93,37 +94,67 @@ type Bindings struct {
 	Design *core.Design
 }
 
-// classes is the per-class table of staged operations, in staging
-// order: the set_* API name, the parameters that dimension the class
-// (an operation is staged when they change network-wide) and the switch
-// primitive that resizes to them: the switch's share (Design.Local) of
-// the new configuration to apply, of the old to revert. sizes takes it
-// by value: a pointer into a func-table call escapes, one allocation each.
+// classes is the one description of each live-resizable set_* class,
+// in staging order: the API name; fit, the switch primitive's own
+// occupancy check; and resize, the primitive. Both take the class's
+// parameters (sizes) in the switch's share (Design.Local) of a
+// configuration: the candidate to validate and apply, the old one to
+// revert.
 var classes = [...]struct {
 	name   string
-	sizes  func(c core.Config) [2]int
+	fit    func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit
 	resize func(sw *tsnswitch.Switch, n [2]int) error
 }{
-	{"set_switch_tbl", func(c core.Config) [2]int { return [2]int{c.UnicastSize, c.MulticastSize} },
+	{"set_switch_tbl", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitSwitchTbl(n[0], n[1]) },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeSwitchTbl(n[0], n[1]) }},
-	{"set_class_tbl", func(c core.Config) [2]int { return [2]int{c.ClassSize} },
+	{"set_class_tbl", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitClassTbl(n[0]) },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeClassTbl(n[0]) }},
-	{"set_meter_tbl", func(c core.Config) [2]int { return [2]int{c.MeterSize} },
+	{"set_meter_tbl", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitMeterTbl(n[0]) },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeMeterTbl(n[0]) }},
-	{"set_gate_tbl", func(c core.Config) [2]int { return [2]int{c.GateSize} },
+	{"set_gate_tbl", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitGateSize(n[0]) },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.SetGateSize(n[0]) }},
-	{"set_cbs_tbl", func(c core.Config) [2]int { return [2]int{c.CBSMapSize, c.CBSSize} },
+	{"set_cbs_tbl", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitCBS(n[0], n[1]) },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeCBS(n[0], n[1]) }},
-	{"set_queues", func(c core.Config) [2]int { return [2]int{c.QueueDepth} },
+	{"set_queues", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitQueues(n[0]) },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeQueues(n[0]) }},
-	{"set_buffers", func(c core.Config) [2]int { return [2]int{c.BufferNum} },
+	{"set_buffers", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitBuffers(n[0]) },
 		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeBuffers(n[0]) }},
-	{"rebase_slot", func(c core.Config) [2]int { return [2]int{int(c.SlotSize)} }, nil},
+	{"rebase_slot", func(sw *tsnswitch.Switch, _ [2]int) []tsnswitch.Misfit { return sw.FitRebase() }, nil},
 }
 
-// The classes apply and prepare single out; set_frer_tbl is staged per
-// FRER table, not per switch, so it has no row.
-const setBuffers, rebaseSlot, setFRERTbl = len(classes) - 2, len(classes) - 1, len(classes)
+// classSizes reads each class's parameters, row by row of classes, as a
+// switch's Config holds them (a core.Config reads through Config.Switch).
+// One direct call per config: a closure column would copy it per row.
+func classSizes(c *tsnswitch.Config) [len(classes)][2]int {
+	return [len(classes)][2]int{{c.UnicastSize, c.MulticastSize}, {c.ClassSize}, {c.MeterSize}, {c.GateSize},
+		{c.CBSMapSize, c.CBSSize}, {c.QueueDepth}, {c.BuffersPerPort}, {int(c.SlotSize)}}
+}
+
+// The class apply singles out; set_frer_tbl is staged per FRER table,
+// not per switch, so it has no row.
+const rebaseSlot, setFRERTbl = len(classes) - 1, len(classes)
+
+// local is the sizes of the switch's share of cfg.
+func (b *Bindings) local(cfg core.Config, sw *tsnswitch.Switch) [len(classes)][2]int {
+	c := b.Design.Local(cfg, sw.ID()).Switch()
+	return classSizes(&c)
+}
+
+// Verify reports a class whose sizes on sw differ from want, the
+// switch's share (Design.Local) of the configuration in force. It scans
+// the classes last to first (testbed.VerifyLive scans the switches the
+// same way), so after a commit that died partway it names the last
+// staged operation that applied.
+func Verify(sw *tsnswitch.Switch, want core.Config) error {
+	got, exp := sw.Config(), want.Switch()
+	g, w := classSizes(&got), classSizes(&exp)
+	for c := len(classes) - 1; c >= 0; c-- {
+		if g[c] != w[c] {
+			return fmt.Errorf("switch %d %s is %v, expected %v", sw.ID(), classes[c].name, g[c], w[c])
+		}
+	}
+	return nil
+}
 
 // op is one staged reconfiguration step — data, not code: a resize is
 // {switch, class}; rebase_slot (not a resize) and set_frer_tbl add the
@@ -209,10 +240,7 @@ func NewController(engine *sim.Engine, reg *metrics.Registry) *Controller {
 // backoff defaults to one CQF cycle of the outgoing configuration at
 // retry time. maxRetries 0 disables retrying.
 func (c *Controller) SetRetryPolicy(maxRetries int, backoff sim.Time) {
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
-	c.retryMax = maxRetries
+	c.retryMax = max(maxRetries, 0)
 	c.backoff = backoff
 }
 
@@ -238,11 +266,7 @@ func (c *Controller) takeFailure(i, n int) (fired, wedged bool) {
 	if !c.armed {
 		return false, false
 	}
-	fail := c.failOp
-	if fail >= n {
-		fail = n - 1
-	}
-	if i != fail {
+	if i != min(c.failOp, n-1) {
 		return false, false
 	}
 	wedged = c.wedged
@@ -285,7 +309,12 @@ func (c *Controller) Begin(old, new core.Config, b Bindings) (*Txn, error) {
 
 // validate statically checks the candidate: structural rules first
 // (the same Builder validation a fresh design passes), then the fields
-// a live switch cannot change, then every live-occupancy constraint.
+// a live switch cannot change, then, switch by switch, a dry run of
+// every class the switch does not already hold at its share of the
+// candidate — its row's fit, the switch primitive's own check — and
+// last the FRER tables' occupancy. A class held at the candidate's size
+// needs no check: its live occupancy fits its live size. A switch's
+// findings read in At order: its tables, port by port, then the rest.
 func validate(old, new core.Config, b Bindings) error {
 	var errs []error
 	if _, err := core.BuilderFor(new, b.Platform).Build(); err != nil {
@@ -304,60 +333,17 @@ func validate(old, new core.Config, b Bindings) error {
 			old.LinkRate, new.LinkRate))
 	}
 	for _, sw := range b.Switches {
-		id := sw.ID()
-		// Per-flow tables: this switch's share of the candidate.
-		local := b.Design.Local(new, id)
-		if n := sw.Forward().Unicast.Len(); n > local.UnicastSize {
-			errs = append(errs, fmt.Errorf("reconfig: switch %d unicast table holds %d entries > candidate size %d",
-				id, n, local.UnicastSize))
-		}
-		if n := sw.Forward().Multicast.Len(); n > new.MulticastSize {
-			errs = append(errs, fmt.Errorf("reconfig: switch %d multicast table holds %d entries > candidate size %d",
-				id, n, new.MulticastSize))
-		}
-		if n := sw.Filter().Class.Len(); n > local.ClassSize {
-			errs = append(errs, fmt.Errorf("reconfig: switch %d classification table holds %d entries > candidate size %d",
-				id, n, local.ClassSize))
-		}
-		if req := sw.Filter().Meters.RequiredCapacity(); req > local.MeterSize {
-			errs = append(errs, fmt.Errorf("reconfig: switch %d meter %d is configured, candidate size %d too small",
-				id, req-1, local.MeterSize))
-		}
-		cfg := sw.Config()
-		for p := 0; p < cfg.Ports; p++ {
-			in, out := sw.PortSchedules(p)
-			if in.Size() > new.GateSize || out.Size() > new.GateSize {
-				errs = append(errs, fmt.Errorf("reconfig: switch %d port %d schedules (%d/%d entries) exceed candidate gate size %d",
-					id, p, in.Size(), out.Size(), new.GateSize))
-			}
-			bank := sw.Bank(p)
-			if bank.MapLen() > new.CBSMapSize {
-				errs = append(errs, fmt.Errorf("reconfig: switch %d port %d has %d CBS bindings > candidate map size %d",
-					id, p, bank.MapLen(), new.CBSMapSize))
-			}
-			if req := bank.RequiredSize(); req > new.CBSSize {
-				errs = append(errs, fmt.Errorf("reconfig: switch %d port %d CBS %d is live, candidate size %d too small",
-					id, p, req-1, new.CBSSize))
-			}
-			pool := sw.Port(p).Pool()
-			if cfg.SharedBufferNum <= 0 {
-				if live := pool.InUse() + pool.Reserved(); live > new.BufferNum {
-					errs = append(errs, fmt.Errorf("reconfig: switch %d port %d holds %d live buffers > candidate buffer_num %d",
-						id, p, live, new.BufferNum))
-				}
+		got := sw.Config()
+		live := classSizes(&got)
+		var found []tsnswitch.Misfit
+		for c, n := range b.local(new, sw) {
+			if n != live[c] {
+				found = append(found, classes[c].fit(sw, n)...)
 			}
 		}
-		if n := sw.MaxQueueLen(); n > new.QueueDepth {
-			errs = append(errs, fmt.Errorf("reconfig: switch %d queue holds %d descriptors > candidate depth %d",
-				id, n, new.QueueDepth))
-		}
-		if cfg.SharedBufferNum > 0 && new.BufferNum != old.BufferNum {
-			errs = append(errs, fmt.Errorf("reconfig: switch %d uses a shared (SMS) pool; buffer_num is not live-reconfigurable",
-				id))
-		}
-		if new.SlotSize != old.SlotSize && !sw.CQFSchedules() {
-			errs = append(errs, fmt.Errorf("reconfig: switch %d carries synthesized (non-CQF) schedules; slot_size is not live-reconfigurable",
-				id))
+		slices.SortStableFunc(found, func(x, y tsnswitch.Misfit) int { return x.At - y.At })
+		for _, m := range found {
+			errs = append(errs, fmt.Errorf("reconfig: %w", m))
 		}
 	}
 	newHist := effectiveHistory(new)
@@ -389,13 +375,13 @@ func effectiveHistory(cfg core.Config) int {
 // in deterministic order.
 func (t *Txn) prepare() {
 	old, new := &t.old, &t.new
+	was, will := old.Switch(), new.Switch()
+	from, to := classSizes(&was), classSizes(&will)
 	for _, sw := range t.b.Switches {
 		for c := range classes {
-			unchanged := classes[c].sizes(*old) == classes[c].sizes(*new)
-			if unchanged || (c == setBuffers && sw.Config().SharedBufferNum > 0) {
-				continue
+			if from[c] != to[c] {
+				t.ops = append(t.ops, op{sw: sw, class: c})
 			}
-			t.ops = append(t.ops, op{sw: sw, class: c})
 		}
 	}
 	if new.FRERSize != old.FRERSize || effectiveHistory(*new) != effectiveHistory(*old) {
@@ -422,7 +408,7 @@ func (t *Txn) apply(o *op) error {
 		}
 		return o.sw.RebaseCQF(t.new.SlotSize, o.sw.Clock.Now(t.c.engine.Now()))
 	}
-	return classes[o.class].resize(o.sw, classes[o.class].sizes(t.b.Design.Local(t.new, o.sw.ID())))
+	return classes[o.class].resize(o.sw, t.b.local(t.new, o.sw)[o.class])
 }
 
 // revert restores exactly the state o's apply replaced.
@@ -433,7 +419,7 @@ func (t *Txn) revert(o *op) error {
 	case rebaseSlot:
 		return o.sw.RestoreSchedules(t.old.SlotSize, o.savedIn, o.savedOut)
 	}
-	return classes[o.class].resize(o.sw, classes[o.class].sizes(t.b.Design.Local(t.old, o.sw.ID())))
+	return classes[o.class].resize(o.sw, t.b.local(t.old, o.sw)[o.class])
 }
 
 // State returns the transaction's lifecycle state.
@@ -546,11 +532,7 @@ func (t *Txn) Commit() {
 					// the retry. maxCommitAt leaves headroom for callers
 					// that add small offsets to CommitTime.
 					now := t.c.engine.Now()
-					if backoff > maxCommitAt-now {
-						t.commitAt = maxCommitAt
-					} else {
-						t.commitAt = now + backoff
-					}
+					t.commitAt = now + min(backoff, maxCommitAt-now)
 					t.c.engine.At(t.commitAt, "reconfig:retry", func(*sim.Engine) { t.Commit() })
 					return
 				}

@@ -318,7 +318,7 @@ func TestSlotRebaseRollsBackToSavedSchedules(t *testing.T) {
 	if got := h.sw.Config().SlotSize; got != h.cfg.SlotSize {
 		t.Fatalf("slot changed on rolled-back txn: %v", got)
 	}
-	if !h.sw.CQFSchedules() {
+	if h.sw.FitRebase() != nil {
 		t.Fatal("schedules corrupted by rollback")
 	}
 }

@@ -163,8 +163,7 @@ type ReconfigRequest struct {
 func (r *ReconfigRequest) Empty() bool { return *r == ReconfigRequest{} }
 
 // Candidate overlays the request's non-zero fields on the live config:
-// the one statement of "zero keeps the live value" the handler and
-// journal replay both go through.
+// the one statement of "zero keeps the live value".
 func (r *ReconfigRequest) Candidate(cfg core.Config) core.Config {
 	if r.UnicastSize > 0 {
 		cfg.UnicastSize = r.UnicastSize

@@ -307,9 +307,8 @@ func (in *Instance) finishRecovery() {
 func (in *Instance) replay(img *recoveredImage) error {
 	if img != nil && len(img.Journal) > 0 {
 		tail := img.Journal[len(img.Journal)-1]
-		cand := applyJournalConfig(in.net.LiveConfig(), tail.Config)
-		if cand != in.net.LiveConfig() {
-			txn, err := in.net.Reconfigure(cand)
+		if tail.Config != in.net.LiveConfig() {
+			txn, err := in.net.Reconfigure(tail.Config)
 			if err != nil {
 				return fmt.Errorf("svc: replay to journal tail seq %d: %w", tail.Seq, err)
 			}

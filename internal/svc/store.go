@@ -35,7 +35,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/wal"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
@@ -231,17 +230,4 @@ func (ds *durableStore) checkpoint(seq uint64, journal []JournalEntry) error {
 		return fmt.Errorf("svc: checkpoint encode: %w", err)
 	}
 	return ds.st.Checkpoint(raw)
-}
-
-// applyJournalConfig overlays a journal entry's live-reconfigurable
-// fields onto a freshly built configuration: the replay candidate. A
-// request can never zero a field, so a zero in the journal is the fresh
-// build's own zero and the request overlay reproduces the entry exactly
-// (replay checks that it did).
-func applyJournalConfig(live core.Config, j ConfigJSON) core.Config {
-	return (&ReconfigRequest{
-		UnicastSize: j.UnicastSize, MulticastSize: j.MulticastSize,
-		ClassSize: j.ClassSize, MeterSize: j.MeterSize,
-		QueueDepth: j.QueueDepth, BufferNum: j.BufferNum,
-	}).Candidate(live)
 }

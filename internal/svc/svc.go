@@ -46,32 +46,30 @@ import (
 )
 
 // Options configures NewService (and NewInstance, which reads the
-// workload, retry and durability fields). Zero values select the
-// defaults.
+// workload, retry and durability fields). A zero field takes its value
+// in DefaultOptions.
 type Options struct {
-	// Workload selects the managed instance's network (default
-	// DefaultWorkload).
+	// Workload selects the managed instance's network.
 	Workload workload.Params
-	// CacheSize bounds the derivation cache (entries; default 512).
+	// CacheSize bounds the derivation cache (entries).
 	CacheSize int
-	// DeriveConcurrency/DeriveQueue bound the derive class (defaults
-	// 4 running, 64 waiting). ReconfigQueue bounds the reconfig wait
-	// queue (default 16; concurrency is 1 — commits serialize).
+	// DeriveConcurrency/DeriveQueue bound the derive class (running,
+	// waiting). ReconfigQueue bounds the reconfig wait queue
+	// (concurrency is 1 — commits serialize).
 	DeriveConcurrency int
 	DeriveQueue       int
 	ReconfigQueue     int
 	// DeriveDeadline/ReconfigDeadline are the default per-request
-	// deadlines (2s / 10s); the X-Request-Deadline header (a Go
-	// duration, e.g. "500ms") overrides per request, capped at 60s.
+	// deadlines; the X-Request-Deadline header (a Go duration, e.g.
+	// "500ms") overrides per request, capped at 60s.
 	DeriveDeadline   time.Duration
 	ReconfigDeadline time.Duration
-	// BreakerThreshold consecutive commit failures trip the breaker
-	// (default 3); BreakerCooldown is the open→half-open delay
-	// (default 2s).
+	// BreakerThreshold consecutive commit failures trip the breaker;
+	// BreakerCooldown is the open→half-open delay.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// RetryMax/RetryBackoffUs configure the reconfiguration engine's
-	// bounded commit retry (default 3 retries, engine-default backoff).
+	// bounded commit retry (a zero backoff is the engine's default).
 	RetryMax       int
 	RetryBackoffUs int
 	// StateDir, when set, makes the control plane crash-consistent:
@@ -81,7 +79,7 @@ type Options struct {
 	// purely in-memory behavior.
 	StateDir string
 	// CheckpointEvery folds the journal into a checkpoint (rotating the
-	// WAL) every n commits (default 16). Only meaningful with StateDir.
+	// WAL) every n commits. Only meaningful with StateDir.
 	CheckpointEvery int
 	// recoverHold, when non-nil, stalls journal replay until the channel
 	// closes — an in-package test hook for observing the recovering
@@ -89,39 +87,42 @@ type Options struct {
 	recoverHold chan struct{}
 }
 
+// DefaultOptions is every default of Options, stated once: NewService
+// and NewInstance fill zero fields from it, tsnserve's flags start at it.
+func DefaultOptions() Options {
+	return Options{
+		Workload: DefaultWorkload(), CacheSize: 512,
+		DeriveConcurrency: 4, DeriveQueue: 64, ReconfigQueue: 16,
+		DeriveDeadline: 2 * time.Second, ReconfigDeadline: 10 * time.Second,
+		BreakerThreshold: 3, BreakerCooldown: 2 * time.Second,
+		RetryMax: 3, CheckpointEvery: 16,
+	}
+}
+
 func (o *Options) defaults() {
+	d := DefaultOptions()
 	if o.Workload.Topology == "" {
-		o.Workload = DefaultWorkload()
+		o.Workload = d.Workload
 	}
 	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 16
+		o.CheckpointEvery = d.CheckpointEvery
 	}
-	if o.CacheSize == 0 {
-		o.CacheSize = 512
-	}
-	if o.DeriveConcurrency == 0 {
-		o.DeriveConcurrency = 4
-	}
-	if o.DeriveQueue == 0 {
-		o.DeriveQueue = 64
-	}
-	if o.ReconfigQueue == 0 {
-		o.ReconfigQueue = 16
-	}
-	if o.DeriveDeadline == 0 {
-		o.DeriveDeadline = 2 * time.Second
-	}
-	if o.ReconfigDeadline == 0 {
-		o.ReconfigDeadline = 10 * time.Second
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown == 0 {
-		o.BreakerCooldown = 2 * time.Second
-	}
-	if o.RetryMax == 0 {
-		o.RetryMax = 3
+	orDefault(&o.CacheSize, d.CacheSize)
+	orDefault(&o.DeriveConcurrency, d.DeriveConcurrency)
+	orDefault(&o.DeriveQueue, d.DeriveQueue)
+	orDefault(&o.ReconfigQueue, d.ReconfigQueue)
+	orDefault(&o.DeriveDeadline, d.DeriveDeadline)
+	orDefault(&o.ReconfigDeadline, d.ReconfigDeadline)
+	orDefault(&o.BreakerThreshold, d.BreakerThreshold)
+	orDefault(&o.BreakerCooldown, d.BreakerCooldown)
+	orDefault(&o.RetryMax, d.RetryMax)
+}
+
+// orDefault sets *v to d when it is zero.
+func orDefault[T comparable](v *T, d T) {
+	var zero T
+	if *v == zero {
+		*v = d
 	}
 }
 

@@ -26,160 +26,211 @@ func (sw *Switch) SetDegradeLevel(l DegradeLevel) {
 // DegradeLevel returns the current graceful-degradation level.
 func (sw *Switch) DegradeLevel() DegradeLevel { return sw.degrade }
 
+// A Misfit is one way the live state would not fit a size asked of a
+// resize primitive, which runs its Fit check first and changes nothing
+// unless it is empty; the reconfiguration engine runs it as a dry run.
+// At orders a switch's report: -1 for its tables, a port's number for
+// that port's gates, CBS and buffers, the port count for the rest.
+type Misfit struct {
+	At int
+	error
+}
+
+// misfit appends a finding worded "switch <id> …".
+func (sw *Switch) misfit(m []Misfit, at int, format string, a ...any) []Misfit {
+	return append(m, Misfit{at, fmt.Errorf("switch %d %s", sw.cfg.ID, fmt.Sprintf(format, a...))})
+}
+
+// resized panics if a leaf refused a resize its Fit check passed: the
+// check covers every reason a leaf refuses.
+func resized(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("tsnswitch: resize failed after its fit check: %v", err))
+	}
+}
+
+// FitSwitchTbl is ResizeSwitchTbl's check: the installed routes.
+func (sw *Switch) FitSwitchTbl(unicast, multicast int) (m []Misfit) {
+	if n := sw.fwd.Unicast.Len(); n > unicast {
+		m = sw.misfit(m, -1, "unicast table holds %d entries > candidate size %d", n, unicast)
+	}
+	if n := sw.fwd.Multicast.Len(); n > multicast {
+		m = sw.misfit(m, -1, "multicast table holds %d entries > candidate size %d", n, multicast)
+	}
+	return m
+}
+
 // ResizeSwitchTbl resizes the unicast/multicast switch tables
 // (set_switch_tbl) without disturbing installed routes.
 func (sw *Switch) ResizeSwitchTbl(unicast, multicast int) error {
-	if err := sw.fwd.Unicast.Resize(unicast); err != nil {
-		return err
+	if m := sw.FitSwitchTbl(unicast, multicast); m != nil {
+		return m[0]
 	}
-	if err := sw.fwd.Multicast.Resize(multicast); err != nil {
-		// Undo the half-applied unicast change; restoring the previous
-		// capacity cannot fail (occupancy fit it a moment ago).
-		if uerr := sw.fwd.Unicast.Resize(sw.cfg.UnicastSize); uerr != nil {
-			panic(fmt.Sprintf("tsnswitch: unicast resize rollback failed: %v", uerr))
-		}
-		return err
-	}
+	resized(sw.fwd.Unicast.Resize(unicast))
+	resized(sw.fwd.Multicast.Resize(multicast))
 	sw.cfg.UnicastSize, sw.cfg.MulticastSize = unicast, multicast
 	return nil
 }
 
+// FitClassTbl is ResizeClassTbl's check: the installed entries.
+func (sw *Switch) FitClassTbl(size int) (m []Misfit) {
+	if n := sw.flt.Class.Len(); n > size {
+		m = sw.misfit(m, -1, "classification table holds %d entries > candidate size %d", n, size)
+	}
+	return m
+}
+
 // ResizeClassTbl resizes the classification table (set_class_tbl).
 func (sw *Switch) ResizeClassTbl(size int) error {
-	if err := sw.flt.Class.Resize(size); err != nil {
-		return err
+	if m := sw.FitClassTbl(size); m != nil {
+		return m[0]
 	}
+	resized(sw.flt.Class.Resize(size))
 	sw.cfg.ClassSize = size
 	return nil
+}
+
+// FitMeterTbl is ResizeMeterTbl's check: the configured meters.
+func (sw *Switch) FitMeterTbl(size int) (m []Misfit) {
+	if req := sw.flt.Meters.RequiredCapacity(); req > size {
+		m = sw.misfit(m, -1, "meter %d is configured, candidate size %d too small", req-1, size)
+	}
+	return m
 }
 
 // ResizeMeterTbl resizes the meter table (set_meter_tbl), preserving
 // configured meters and their token state.
 func (sw *Switch) ResizeMeterTbl(size int) error {
-	if err := sw.flt.Meters.Resize(size); err != nil {
-		return err
+	if m := sw.FitMeterTbl(size); m != nil {
+		return m[0]
 	}
+	resized(sw.flt.Meters.Resize(size))
 	sw.cfg.MeterSize = size
 	return nil
 }
 
-// SetGateSize changes the gate table budget (set_gate_tbl). The
-// installed schedules must already fit the new size; CQF needs 2.
+// FitGateSize is SetGateSize's check: every port's installed schedules.
+func (sw *Switch) FitGateSize(size int) (m []Misfit) {
+	for _, p := range sw.ports {
+		if in, out := p.gates[dirIn].Size(), p.gates[dirOut].Size(); in > size || out > size {
+			m = sw.misfit(m, p.id, "port %d schedules (%d/%d entries) exceed candidate gate size %d", p.id, in, out, size)
+		}
+	}
+	return m
+}
+
+// SetGateSize changes the gate table budget (set_gate_tbl); CQF needs 2.
 func (sw *Switch) SetGateSize(size int) error {
 	if size < 2 {
 		return fmt.Errorf("tsnswitch: gate size %d < 2 (CQF needs 2)", size)
 	}
-	for _, p := range sw.ports {
-		if in, out := p.gates[dirIn].Size(), p.gates[dirOut].Size(); in > size || out > size {
-			return fmt.Errorf("tsnswitch: port %d schedule of %d/%d entries exceeds gate size %d",
-				p.id, in, out, size)
-		}
+	if m := sw.FitGateSize(size); m != nil {
+		return m[0]
 	}
 	sw.cfg.GateSize = size
 	return nil
 }
 
+// FitCBS is ResizeCBS's check: every port's bindings and live shapers.
+func (sw *Switch) FitCBS(mapSize, cbsSize int) (m []Misfit) {
+	for _, p := range sw.ports {
+		if n := p.bank.MapLen(); n > mapSize {
+			m = sw.misfit(m, p.id, "port %d has %d CBS bindings > candidate map size %d", p.id, n, mapSize)
+		}
+		if req := p.bank.RequiredSize(); req > cbsSize {
+			m = sw.misfit(m, p.id, "port %d CBS %d is live, candidate size %d too small", p.id, req-1, cbsSize)
+		}
+	}
+	return m
+}
+
 // ResizeCBS resizes every port's CBS MAP and CBS tables (set_cbs_tbl),
 // preserving bindings, slopes and credit.
 func (sw *Switch) ResizeCBS(mapSize, cbsSize int) error {
-	for _, p := range sw.ports {
-		if p.bank.MapLen() > mapSize {
-			return fmt.Errorf("tsnswitch: port %d has %d CBS bindings, map size %d too small",
-				p.id, p.bank.MapLen(), mapSize)
-		}
-		if req := p.bank.RequiredSize(); req > cbsSize {
-			return fmt.Errorf("tsnswitch: port %d needs %d CBS entries, size %d too small",
-				p.id, req, cbsSize)
-		}
+	if m := sw.FitCBS(mapSize, cbsSize); m != nil {
+		return m[0]
 	}
 	for _, p := range sw.ports {
-		if err := p.bank.Resize(mapSize, cbsSize); err != nil {
-			panic(fmt.Sprintf("tsnswitch: CBS resize failed after precheck: %v", err))
-		}
+		resized(p.bank.Resize(mapSize, cbsSize))
 	}
 	sw.cfg.CBSMapSize, sw.cfg.CBSSize = mapSize, cbsSize
 	return nil
 }
 
+// FitQueues is ResizeQueues' check: the deepest queue backlog.
+func (sw *Switch) FitQueues(depth int) (m []Misfit) {
+	most := 0
+	for _, p := range sw.ports {
+		for _, q := range p.queues {
+			most = max(most, q.Len())
+		}
+	}
+	if most > depth {
+		m = sw.misfit(m, len(sw.ports), "queue holds %d descriptors > candidate depth %d", most, depth)
+	}
+	return m
+}
+
 // ResizeQueues changes every queue's descriptor depth (set_queues),
-// preserving queued descriptors. It fails if any live queue occupancy
-// exceeds the new depth.
+// preserving queued descriptors.
 func (sw *Switch) ResizeQueues(depth int) error {
 	if depth <= 0 {
 		return fmt.Errorf("tsnswitch: non-positive queue depth %d", depth)
 	}
-	for _, p := range sw.ports {
-		for q, queue := range p.queues {
-			if queue.Len() > depth {
-				return fmt.Errorf("tsnswitch: port %d queue %d holds %d descriptors, depth %d too small",
-					p.id, q, queue.Len(), depth)
-			}
-		}
+	if m := sw.FitQueues(depth); m != nil {
+		return m[0]
 	}
 	for _, p := range sw.ports {
 		for _, queue := range p.queues {
-			if err := queue.Resize(depth); err != nil {
-				panic(fmt.Sprintf("tsnswitch: queue resize failed after precheck: %v", err))
-			}
+			resized(queue.Resize(depth))
 		}
 	}
 	sw.cfg.QueueDepth = depth
 	return nil
 }
 
-// ResizeBuffers changes every per-port buffer pool's capacity
-// (set_buffers). It fails in SMS mode — the shared pool is resized
-// with ResizeSharedBuffers — or when a pool's live occupancy (allocated
-// plus fault-reserved slots) exceeds the new capacity.
-func (sw *Switch) ResizeBuffers(perPort int) error {
+// FitBuffers is ResizeBuffers' check: every per-port pool's live slots
+// (allocated plus fault-reserved). A shared (SMS) pool has no per-port
+// count to change.
+func (sw *Switch) FitBuffers(perPort int) (m []Misfit) {
 	if sw.cfg.SharedBufferNum > 0 {
-		return fmt.Errorf("tsnswitch: switch uses a shared (SMS) pool; use ResizeSharedBuffers")
-	}
-	if perPort <= 0 {
-		return fmt.Errorf("tsnswitch: non-positive buffer count %d", perPort)
+		return sw.misfit(m, len(sw.ports), "uses a shared (SMS) pool; buffer_num is not live-reconfigurable")
 	}
 	for _, p := range sw.ports {
 		if live := p.pool.InUse() + p.pool.Reserved(); live > perPort {
-			return fmt.Errorf("tsnswitch: port %d has %d live buffers, capacity %d too small",
-				p.id, live, perPort)
+			m = sw.misfit(m, p.id, "port %d holds %d live buffers > candidate buffer_num %d", p.id, live, perPort)
 		}
 	}
+	return m
+}
+
+// ResizeBuffers changes every per-port buffer pool's capacity
+// (set_buffers).
+func (sw *Switch) ResizeBuffers(perPort int) error {
+	if perPort <= 0 {
+		return fmt.Errorf("tsnswitch: non-positive buffer count %d", perPort)
+	}
+	if m := sw.FitBuffers(perPort); m != nil {
+		return m[0]
+	}
 	for _, p := range sw.ports {
-		if err := p.pool.Resize(perPort); err != nil {
-			panic(fmt.Sprintf("tsnswitch: pool resize failed after precheck: %v", err))
-		}
+		resized(p.pool.Resize(perPort))
 	}
 	sw.cfg.BuffersPerPort = perPort
 	return nil
 }
 
-// ResizeSharedBuffers changes the SMS shared pool's capacity.
-func (sw *Switch) ResizeSharedBuffers(total int) error {
-	if sw.cfg.SharedBufferNum <= 0 {
-		return fmt.Errorf("tsnswitch: switch uses per-port pools; use ResizeBuffers")
-	}
-	if total <= 0 {
-		return fmt.Errorf("tsnswitch: non-positive buffer count %d", total)
-	}
-	if err := sw.ports[0].pool.Resize(total); err != nil {
-		return err
-	}
-	sw.cfg.SharedBufferNum = total
-	return nil
-}
-
-// CQFSchedules reports whether every port still runs lists of CQF's
-// shape (two equal entries, as the pair the switch was built with) —
-// the precondition for changing the slot size, since an arbitrary
-// synthesized 802.1Qbv schedule has no meaningful "same schedule at a
-// new slot".
-func (sw *Switch) CQFSchedules() bool {
+// FitRebase is RebaseCQF's check: every port must still run lists of
+// CQF's shape (two equal entries, as the pair the switch was built
+// with), since an arbitrary synthesized 802.1Qbv schedule has no
+// meaningful "same schedule at a new slot".
+func (sw *Switch) FitRebase() []Misfit {
 	for _, p := range sw.ports {
 		if !p.gates[dirIn].IsCQF() || !p.gates[dirOut].IsCQF() {
-			return false
+			return sw.misfit(nil, len(sw.ports), "carries synthesized (non-CQF) schedules; slot_size is not live-reconfigurable")
 		}
 	}
-	return true
+	return nil
 }
 
 // RebaseCQF installs fresh CQF gate pairs with the given slot size on
@@ -187,21 +238,16 @@ func (sw *Switch) CQFSchedules() bool {
 // reconfiguration engine) commits at a cycle boundary so the alignment
 // change never truncates an in-progress slot.
 func (sw *Switch) RebaseCQF(slot sim.Time, base sim.Time) error {
-	if slot <= 0 {
-		return fmt.Errorf("tsnswitch: non-positive slot size %v", slot)
-	}
-	if !sw.CQFSchedules() {
-		return fmt.Errorf("tsnswitch: ports carry non-CQF schedules; cannot rebase slot size")
+	if m := sw.FitRebase(); m != nil {
+		return m[0]
 	}
 	in, out := gate.CQF(slot, sw.cfg.TSQueueA, sw.cfg.TSQueueB)
 	in, out = in.WithBase(base), out.WithBase(base)
+	ins, outs := make([]*gate.GCL, len(sw.ports)), make([]*gate.GCL, len(sw.ports))
 	for p := range sw.ports {
-		if err := sw.SetPortSchedules(p, in, out); err != nil {
-			return err
-		}
+		ins[p], outs[p] = in, out
 	}
-	sw.cfg.SlotSize = slot
-	return nil
+	return sw.RestoreSchedules(slot, ins, outs)
 }
 
 // RestoreSchedules reinstalls previously captured per-port lists
@@ -222,20 +268,6 @@ func (sw *Switch) RestoreSchedules(slot sim.Time, in, out []*gate.GCL) error {
 	}
 	sw.cfg.SlotSize = slot
 	return nil
-}
-
-// MaxQueueLen returns the largest current occupancy across every queue
-// of every port — the live state a queue-depth shrink must clear.
-func (sw *Switch) MaxQueueLen() int {
-	most := 0
-	for _, p := range sw.ports {
-		for _, q := range p.queues {
-			if q.Len() > most {
-				most = q.Len()
-			}
-		}
-	}
-	return most
 }
 
 // Violation is one invariant-audit finding.
@@ -273,54 +305,37 @@ func (p *Port) heldBuffers() int {
 //   - queue-bounds: no queue holds more descriptors than its depth;
 //   - gate-monotonic: every schedule has a positive cycle and its next
 //     boundary lies strictly in the future.
-func (sw *Switch) Audit(now sim.Time) []Violation {
-	var out []Violation
+func (sw *Switch) Audit(now sim.Time) (out []Violation) {
+	found := func(invariant, format string, a ...any) {
+		out = append(out, Violation{invariant, fmt.Sprintf(format, a...)})
+	}
 	if sw.cfg.SharedBufferNum > 0 {
 		held := 0
 		for _, p := range sw.ports {
 			held += p.heldBuffers()
 		}
 		if inUse := sw.ports[0].pool.InUse(); inUse != held {
-			out = append(out, Violation{
-				Invariant: "buffer-conservation",
-				Detail: fmt.Sprintf("switch %d shared pool: %d slots allocated, %d accounted for",
-					sw.cfg.ID, inUse, held),
-			})
+			found("buffer-conservation", "switch %d shared pool: %d slots allocated, %d accounted for", sw.cfg.ID, inUse, held)
 		}
 	}
 	for _, p := range sw.ports {
 		if sw.cfg.SharedBufferNum <= 0 {
 			if inUse, held := p.pool.InUse(), p.heldBuffers(); inUse != held {
-				out = append(out, Violation{
-					Invariant: "buffer-conservation",
-					Detail: fmt.Sprintf("switch %d port %d: %d slots allocated, %d accounted for",
-						sw.cfg.ID, p.id, inUse, held),
-				})
+				found("buffer-conservation", "switch %d port %d: %d slots allocated, %d accounted for", sw.cfg.ID, p.id, inUse, held)
 			}
 		}
 		for q, queue := range p.queues {
 			if queue.Len() > queue.Depth() {
-				out = append(out, Violation{
-					Invariant: "queue-bounds",
-					Detail: fmt.Sprintf("switch %d port %d queue %d: %d descriptors exceed depth %d",
-						sw.cfg.ID, p.id, q, queue.Len(), queue.Depth()),
-				})
+				found("queue-bounds", "switch %d port %d queue %d: %d descriptors exceed depth %d",
+					sw.cfg.ID, p.id, q, queue.Len(), queue.Depth())
 			}
 		}
 		for d, g := range p.gates {
-			dir := dirNames[d]
 			if g.Cycle() <= 0 {
-				out = append(out, Violation{
-					Invariant: "gate-monotonic",
-					Detail: fmt.Sprintf("switch %d port %d %s-GCL: non-positive cycle %v",
-						sw.cfg.ID, p.id, dir, g.Cycle()),
-				})
+				found("gate-monotonic", "switch %d port %d %s-GCL: non-positive cycle %v", sw.cfg.ID, p.id, dirNames[d], g.Cycle())
 			} else if nb := g.NextBoundary(now); nb <= now {
-				out = append(out, Violation{
-					Invariant: "gate-monotonic",
-					Detail: fmt.Sprintf("switch %d port %d %s-GCL: next boundary %v not after %v",
-						sw.cfg.ID, p.id, dir, nb, now),
-				})
+				found("gate-monotonic", "switch %d port %d %s-GCL: next boundary %v not after %v",
+					sw.cfg.ID, p.id, dirNames[d], nb, now)
 			}
 		}
 	}
@@ -337,9 +352,7 @@ func (sw *Switch) PoolPressure() float64 {
 			break // one shared pool: a single sample suffices
 		}
 		if c := p.pool.Capacity(); c > 0 {
-			if f := float64(p.pool.InUse()+p.pool.Reserved()) / float64(c); f > worst {
-				worst = f
-			}
+			worst = max(worst, float64(p.pool.InUse()+p.pool.Reserved())/float64(c))
 		}
 	}
 	return worst

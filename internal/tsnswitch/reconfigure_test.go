@@ -91,7 +91,7 @@ func TestSetGateSizeRejectsLiveSchedules(t *testing.T) {
 func TestCQFSchedulesAndRebase(t *testing.T) {
 	cfg := testConfig()
 	r := newRig(t, cfg)
-	if !r.sw.CQFSchedules() {
+	if r.sw.FitRebase() != nil {
 		t.Fatal("default build must carry CQF schedules")
 	}
 	if err := r.sw.RebaseCQF(130*sim.Microsecond, 0); err != nil {
@@ -100,7 +100,7 @@ func TestCQFSchedulesAndRebase(t *testing.T) {
 	if got := r.sw.Config().SlotSize; got != 130*sim.Microsecond {
 		t.Fatalf("slot = %v", got)
 	}
-	if !r.sw.CQFSchedules() {
+	if r.sw.FitRebase() != nil {
 		t.Fatal("rebase must keep CQF schedules")
 	}
 	// CQF is a shape — two equal entries — not a type: the gate-close
@@ -108,7 +108,7 @@ func TestCQFSchedulesAndRebase(t *testing.T) {
 	// list; unequal windows) does not, and a slot change is refused.
 	slot := 130 * sim.Microsecond
 	stuck := gate.NewGCL([]gate.Entry{{Mask: 0x3f, Duration: slot}, {Mask: 0x3f, Duration: slot}})
-	if err := r.sw.SetPortSchedules(0, stuck, stuck); err != nil || !r.sw.CQFSchedules() {
+	if err := r.sw.SetPortSchedules(0, stuck, stuck); err != nil || r.sw.FitRebase() != nil {
 		t.Fatalf("two equal entries must count as CQF (err %v)", err)
 	}
 	in, out := r.sw.PortSchedules(1)
@@ -116,14 +116,14 @@ func TestCQFSchedulesAndRebase(t *testing.T) {
 		"open":    gate.AlwaysOpen(2 * slot),
 		"unequal": gate.NewGCL([]gate.Entry{{Mask: 1, Duration: slot}, {Mask: 2, Duration: slot + 1}}),
 	} {
-		if err := r.sw.SetPortSchedules(1, in, g); err != nil || r.sw.CQFSchedules() {
+		if err := r.sw.SetPortSchedules(1, in, g); err != nil || r.sw.FitRebase() == nil {
 			t.Fatalf("%s list must not count as CQF (err %v)", name, err)
 		}
 		if err := r.sw.RebaseCQF(slot, 0); err == nil {
 			t.Fatalf("rebase accepted with the %s list installed", name)
 		}
 	}
-	if err := r.sw.SetPortSchedules(1, in, out); err != nil || !r.sw.CQFSchedules() {
+	if err := r.sw.SetPortSchedules(1, in, out); err != nil || r.sw.FitRebase() != nil {
 		t.Fatalf("restoring the pair must restore CQF (err %v)", err)
 	}
 }

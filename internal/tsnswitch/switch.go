@@ -385,10 +385,7 @@ func (p *Port) maybePreempt(arrivedQueue int) {
 	// The wire stays occupied for the fragment's mCRC + IFG; the port
 	// frees (and the express frame starts) once it clears. transmitting
 	// stays true until then so re-entrant tryTransmit calls no-op.
-	gap := p.ifc.FreeAt() - sw.engine.Now()
-	if gap < 0 {
-		gap = 0
-	}
+	gap := max(0, p.ifc.FreeAt()-sw.engine.Now())
 	sw.engine.After(gap, "preempt-gap", func(*sim.Engine) {
 		p.transmitting = false
 		p.tryTransmit()
@@ -499,17 +496,11 @@ func (p *Port) gateWait(q int, from, to, need sim.Time) sim.Time {
 	for i := 0; i < maxGateScan && t < to; i++ {
 		next := out.NextBoundary(t)
 		closesBeforeTo := next < to
-		if next > to {
-			next = to
-		}
+		next = min(next, to)
 		if !out.StateAt(t).Open(q) {
 			wait += next - t
 		} else if guard && closesBeforeTo {
-			if g := need; g > next-t {
-				wait += next - t
-			} else {
-				wait += g
-			}
+			wait += min(need, next-t)
 		}
 		t = next
 	}
@@ -534,20 +525,12 @@ func (p *Port) claimWait(q int, local sim.Time, d buffering.Descriptor) {
 	if wait <= 0 {
 		return
 	}
-	g := p.gateWait(q, local-wait, local, ethernet.FrameTxTime(d.Frame, sw.cfg.RateFor(p.id)))
-	if g > wait {
-		g = wait
-	}
+	g := min(p.gateWait(q, local-wait, local, ethernet.FrameTxTime(d.Frame, sw.cfg.RateFor(p.id))), wait)
 	var s sim.Time
 	if blockedAt > 0 {
-		if blockedAt < d.EnqueuedAt {
-			blockedAt = d.EnqueuedAt // block predates the frame
-		}
-		s = sw.engine.Now() - blockedAt
+		s = sw.engine.Now() - max(blockedAt, d.EnqueuedAt) // a block predating the frame counts from its enqueue
 	}
-	if s > wait-g {
-		s = wait - g
-	}
+	s = min(s, wait-g)
 	if g > 0 || s > 0 {
 		d.Frame.Span.Claim(g, s)
 	}

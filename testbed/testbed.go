@@ -796,33 +796,16 @@ func (n *Net) LiveConfig() core.Config { return n.liveCfg }
 
 // VerifyLive checks that every switch's resizable resources match its
 // share (Design.Local) of the configuration the controller believes is
-// in force (LiveConfig): the reconfiguration-atomicity postcondition the
-// chaos oracle leans on. After a committed transaction the switches must
-// carry the candidate, after a rollback the pre-transaction configuration;
-// a mismatch means a commit died partway and left partial state.
+// in force (LiveConfig), class by class (reconfig.Verify): the
+// reconfiguration-atomicity postcondition the chaos oracle leans on.
+// After a committed transaction the switches must carry the candidate,
+// after a rollback the pre-transaction configuration; a mismatch means a
+// commit died partway and left partial state. Switches are scanned last
+// to first, so the mismatch named is the last staged operation applied.
 func (n *Net) VerifyLive() error {
-	for s, sw := range n.Switches {
-		got, want := sw.Config(), n.opts.Design.Local(n.liveCfg, s)
-		checks := []struct {
-			field    string
-			got, exp int64
-		}{
-			{"unicast_size", int64(got.UnicastSize), int64(want.UnicastSize)},
-			{"multicast_size", int64(got.MulticastSize), int64(want.MulticastSize)},
-			{"class_size", int64(got.ClassSize), int64(want.ClassSize)},
-			{"meter_size", int64(got.MeterSize), int64(want.MeterSize)},
-			{"gate_size", int64(got.GateSize), int64(want.GateSize)},
-			{"cbs_map_size", int64(got.CBSMapSize), int64(want.CBSMapSize)},
-			{"cbs_size", int64(got.CBSSize), int64(want.CBSSize)},
-			{"queue_depth", int64(got.QueueDepth), int64(want.QueueDepth)},
-			{"buffer_num", int64(got.BuffersPerPort), int64(want.BufferNum)},
-			{"slot_us", int64(got.SlotSize), int64(want.SlotSize)},
-		}
-		for _, c := range checks {
-			if c.got != c.exp {
-				return fmt.Errorf("testbed: switch %d %s = %d, expected %d: partial reconfiguration left in place",
-					s, c.field, c.got, c.exp)
-			}
+	for s := len(n.Switches) - 1; s >= 0; s-- {
+		if err := reconfig.Verify(n.Switches[s], n.opts.Design.Local(n.liveCfg, s)); err != nil {
+			return fmt.Errorf("testbed: %w: partial reconfiguration left in place", err)
 		}
 	}
 	return nil
