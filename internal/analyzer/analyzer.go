@@ -7,9 +7,11 @@ package analyzer
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
@@ -145,15 +147,24 @@ func (c *classSamples) quantile(q float64) sim.Time {
 // LatencySink receives every delivery the collector records, with the
 // computed latency and deadline verdict — the hook the observability
 // layer uses to decompose latency from the frame's span without the
-// analyzer importing it.
+// analyzer importing it. The sink numbers its per-flow state as the
+// collector does: Admit hands it every batch the collector admits, and
+// each frame reaches ObserveLatency carrying the collector's row.
 type LatencySink interface {
+	Admit(first int, specs []*flows.Spec)
 	ObserveLatency(f *ethernet.Frame, arrival, lat sim.Time, missed bool)
 }
 
 // Collector receives frames and maintains statistics. It implements
 // the receive half of a TSNNic endpoint.
 type Collector struct {
-	perFlow  map[uint32]*FlowStats
+	// rows holds every flow's statistics; a frame's Row, minus one,
+	// indexes it. Each admitted batch is backed by one block, so a
+	// *FlowStats stays valid however many rows follow. byID finds a row
+	// on the cold paths: admission, Flow, Merge and a frame that carries
+	// no row of this collector.
+	rows     []*FlowStats
+	byID     map[uint32]int
 	perClass map[ethernet.Class]*classSamples
 
 	// sink, when set, observes every recorded delivery.
@@ -168,7 +179,7 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		perFlow:  make(map[uint32]*FlowStats),
+		byID:     make(map[uint32]int),
 		perClass: make(map[ethernet.Class]*classSamples),
 	}
 }
@@ -190,34 +201,71 @@ func (c *Collector) Instrument(reg *metrics.Registry) {
 	}
 }
 
-// SetLatencySink installs the per-delivery observation hook.
+// SetLatencySink installs the per-delivery observation hook, before the
+// first Admit: rows admitted earlier reach the sink by ID.
 func (c *Collector) SetLatencySink(s LatencySink) { c.sink = s }
 
-// SetDeadline registers flowID's deadline for miss accounting.
-func (c *Collector) SetDeadline(flowID uint32, d sim.Time) {
-	c.stats(flowID).deadline = d
-}
-
-// RegisterFlow pre-registers a flow's class so fully-lost flows (zero
-// receives) still count toward their class's Sent/Lost totals.
-func (c *Collector) RegisterFlow(flowID uint32, cls ethernet.Class) {
-	c.stats(flowID).Class = cls
-}
-
-func (c *Collector) stats(flowID uint32) *FlowStats {
-	st, ok := c.perFlow[flowID]
-	if !ok {
-		st = &FlowStats{FlowID: flowID, MinLat: math.MaxInt64}
-		c.perFlow[flowID] = st
+// Admit gives every flow of a batch its row, all in one new block, and
+// returns the first: specs[i] gets row first+i, which its talker stamps
+// into each frame as Row first+i+1. A TS flow's deadline counts misses;
+// an admitted flow counts toward its class's Sent/Lost totals even if
+// nothing arrives. The sink admits the same rows. An ID is admitted once.
+func (c *Collector) Admit(specs []*flows.Spec) int {
+	first := len(c.rows)
+	if len(c.byID) == 0 {
+		c.byID = make(map[uint32]int, len(specs))
 	}
-	return st
+	c.rows = slices.Grow(c.rows, len(specs))
+	block := make([]FlowStats, len(specs))
+	for i, spec := range specs {
+		st := &block[i]
+		st.FlowID, st.Class = spec.ID, spec.Class
+		if spec.Class == ethernet.ClassTS && spec.Deadline > 0 {
+			st.deadline = spec.Deadline
+		}
+		c.add(st)
+	}
+	if len(c.byID) != len(c.rows) {
+		panic("analyzer: a flow ID admitted twice")
+	}
+	if c.sink != nil {
+		c.sink.Admit(first, specs)
+	}
+	return first
+}
+
+// lookup returns flowID's row number, adding the row on first use.
+func (c *Collector) lookup(flowID uint32) int {
+	if r, ok := c.byID[flowID]; ok {
+		return r
+	}
+	return c.add(&FlowStats{FlowID: flowID})
+}
+
+// add files st, new, as the row of its flow and returns the row number.
+func (c *Collector) add(st *FlowStats) int {
+	st.MinLat = math.MaxInt64
+	c.byID[st.FlowID] = len(c.rows)
+	c.rows = append(c.rows, st)
+	return len(c.rows) - 1
+}
+
+// row returns the statistics of f's flow: the row f carries, or the
+// flow's row by ID, which it stamps into f so the sink reads the same.
+func (c *Collector) row(f *ethernet.Frame) *FlowStats {
+	if r := int(f.Row) - 1; uint(r) < uint(len(c.rows)) && c.rows[r].FlowID == f.FlowID {
+		return c.rows[r]
+	}
+	r := c.lookup(f.FlowID)
+	f.Row = uint32(r + 1)
+	return c.rows[r]
 }
 
 // Record ingests one frame arriving at the given instant. Latency is
 // measured from the tester timestamp the generator stamped at
 // injection.
 func (c *Collector) Record(f *ethernet.Frame, arrival sim.Time) {
-	st := c.stats(f.FlowID)
+	st := c.row(f)
 	st.Class = f.Class
 	lat := arrival - f.SentAt
 	if lat < 0 {
@@ -262,17 +310,17 @@ func (c *Collector) Record(f *ethernet.Frame, arrival sim.Time) {
 	cs.add(lat)
 }
 
-// NoteDuplicate records a FRER-eliminated duplicate for flowID. The
-// frame is accounted as redundancy overhead, not as a delivery, so
-// loss/latency statistics never double-count member streams.
-func (c *Collector) NoteDuplicate(flowID uint32) {
-	c.stats(flowID).Duplicates++
+// NoteDuplicate records f as a FRER-eliminated duplicate. The frame is
+// accounted as redundancy overhead, not as a delivery, so loss/latency
+// statistics never double-count member streams.
+func (c *Collector) NoteDuplicate(f *ethernet.Frame) {
+	c.row(f).Duplicates++
 }
 
-// NoteRogue records a FRER rogue discard (arrival outside the
-// recovery window) for flowID.
-func (c *Collector) NoteRogue(flowID uint32) {
-	c.stats(flowID).Rogue++
+// NoteRogue records f as a FRER rogue discard (arrival outside the
+// recovery window).
+func (c *Collector) NoteRogue(f *ethernet.Frame) {
+	c.row(f).Rogue++
 }
 
 // Merge folds src's statistics into c — how the partitioned testbed
@@ -283,14 +331,28 @@ func (c *Collector) NoteRogue(flowID uint32) {
 // threshold). Sequence-tracking state (lastSeq/seenSeq) carries over
 // only when c has not itself received the flow: every flow is
 // delivered at exactly one NIC, so in partition merges at most one
-// side has receive-state for any flow and the fold is exact. Telemetry
-// handles are registry-side and merge with metrics.Registry.Merge.
+// side has receive-state for any flow and the fold is exact. The flows
+// new to c get their rows in one block. Telemetry handles are
+// registry-side and merge with metrics.Registry.Merge.
 func (c *Collector) Merge(src *Collector) {
 	if src == nil || src == c {
 		return
 	}
-	for id, st := range src.perFlow {
-		dst := c.stats(id)
+	added := 0
+	for _, st := range src.rows {
+		if _, ok := c.byID[st.FlowID]; !ok {
+			added++
+		}
+	}
+	c.rows = slices.Grow(c.rows, added)
+	block := make([]FlowStats, added)
+	for _, st := range src.rows {
+		r, ok := c.byID[st.FlowID]
+		if !ok {
+			block[0].FlowID = st.FlowID
+			r, block = c.add(&block[0]), block[1:]
+		}
+		dst := c.rows[r]
 		dst.Class = st.Class
 		dst.Received += st.Received
 		dst.sumLat += st.sumLat
@@ -323,21 +385,18 @@ func (c *Collector) Merge(src *Collector) {
 	}
 }
 
-// Flow returns flowID's statistics, or nil if nothing arrived.
+// Flow returns flowID's statistics, or nil if the flow has no row.
 func (c *Collector) Flow(flowID uint32) *FlowStats {
-	st, ok := c.perFlow[flowID]
+	r, ok := c.byID[flowID]
 	if !ok {
 		return nil
 	}
-	return st
+	return c.rows[r]
 }
 
 // Flows returns all flow statistics sorted by flow ID.
 func (c *Collector) Flows() []*FlowStats {
-	out := make([]*FlowStats, 0, len(c.perFlow))
-	for _, st := range c.perFlow {
-		out = append(out, st)
-	}
+	out := append([]*FlowStats(nil), c.rows...)
 	sort.Slice(out, func(i, j int) bool { return out[i].FlowID < out[j].FlowID })
 	return out
 }
@@ -370,11 +429,12 @@ type Summary struct {
 func (c *Collector) Summarize(cls ethernet.Class, sent map[uint32]uint64) Summary {
 	s := Summary{Class: cls, MinLat: math.MaxInt64}
 	var sumLat, sumSq float64
-	for _, st := range c.perFlow {
+	for _, st := range c.rows {
 		if st.Class != cls {
 			continue
 		}
 		s.Flows++
+		s.Sent += sent[st.FlowID]
 		s.Duplicates += st.Duplicates
 		s.Rogue += st.Rogue
 		if st.Received == 0 {
@@ -390,11 +450,6 @@ func (c *Collector) Summarize(cls ethernet.Class, sent map[uint32]uint64) Summar
 			s.MaxLat = st.MaxLat
 		}
 		s.DeadlineMisses += st.DeadlineMisses
-	}
-	for id, n := range sent {
-		if st, ok := c.perFlow[id]; ok && st.Class == cls {
-			s.Sent += n
-		}
 	}
 	if s.Sent > s.Received {
 		s.Lost = s.Sent - s.Received

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
@@ -57,7 +58,7 @@ func TestJitterSingleSample(t *testing.T) {
 
 func TestDeadlineMisses(t *testing.T) {
 	c := NewCollector()
-	c.SetDeadline(1, 100)
+	c.Admit([]*flows.Spec{{ID: 1, Class: ethernet.ClassTS, Deadline: 100}})
 	c.Record(frame(1, ethernet.ClassTS, 0), 99)  // hit
 	c.Record(frame(1, ethernet.ClassTS, 0), 150) // miss
 	if got := c.Flow(1).DeadlineMisses; got != 1 {
@@ -243,7 +244,7 @@ func TestRegisteredButLostFlowCountsAsLoss(t *testing.T) {
 	// A flow whose every frame was dropped must still contribute its
 	// sent count to the class summary (the fully-lost blind spot).
 	c := NewCollector()
-	c.RegisterFlow(1, ethernet.ClassTS)
+	c.Admit([]*flows.Spec{{ID: 1, Class: ethernet.ClassTS}})
 	c.Record(frame(2, ethernet.ClassTS, 0), 100)
 	s := c.Summarize(ethernet.ClassTS, map[uint32]uint64{1: 10, 2: 1})
 	if s.Sent != 11 || s.Received != 1 || s.Lost != 10 {
@@ -275,12 +276,10 @@ func TestMergeDisjointFlowsMatchesSerial(t *testing.T) {
 	merged := NewCollector()
 
 	for _, c := range []*Collector{serial, pa} {
-		c.RegisterFlow(1, ethernet.ClassTS)
-		c.SetDeadline(1, 120)
+		c.Admit([]*flows.Spec{{ID: 1, Class: ethernet.ClassTS, Deadline: 120}})
 	}
 	for _, c := range []*Collector{serial, pb} {
-		c.RegisterFlow(2, ethernet.ClassRC)
-		c.RegisterFlow(3, ethernet.ClassTS) // fully lost: zero receives
+		c.Admit([]*flows.Spec{{ID: 2, Class: ethernet.ClassRC}, {ID: 3, Class: ethernet.ClassTS}}) // 3 is fully lost: zero receives
 	}
 
 	// Flow 1 (partition A): a hit, a miss, a sequence gap.
@@ -293,8 +292,8 @@ func TestMergeDisjointFlowsMatchesSerial(t *testing.T) {
 	for _, c := range []*Collector{serial, pb} {
 		c.Record(clsSeqFrame(2, ethernet.ClassRC, 0, 0), 900)
 		c.Record(clsSeqFrame(2, ethernet.ClassRC, 1, 0), 1100)
-		c.NoteDuplicate(2)
-		c.NoteRogue(2)
+		c.NoteDuplicate(frame(2, ethernet.ClassRC, 0))
+		c.NoteRogue(frame(2, ethernet.ClassRC, 0))
 	}
 
 	merged.Merge(pa)

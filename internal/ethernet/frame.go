@@ -69,6 +69,11 @@ type Frame struct {
 	FlowID uint32
 	Seq    uint32
 	Class  Class
+	// Row is the listener's per-flow row plus one, assigned when the
+	// network admitted the flow and stamped by the talker, so the end
+	// station indexes its state instead of looking the flow up; 0 means
+	// the frame carries none. Never on the wire.
+	Row uint32
 
 	// SentAt is stamped by the generator when the first bit hits the
 	// wire; the analyzer computes latency from it. Not on the wire in

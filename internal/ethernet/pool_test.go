@@ -27,17 +27,17 @@ func TestPoolReusesLastReturned(t *testing.T) {
 }
 
 // TestPoolPutClearsTheFrame: whoever still holds the pointer reads a
-// zero frame (no flow, no sequence number, inactive span, no payload),
+// zero frame (no flow, no sequence number, no row, inactive span, no payload),
 // not the next owner's — and the payload is not pinned by the pool.
 func TestPoolPutClearsTheFrame(t *testing.T) {
 	var p Pool
 	f := p.Get()
 	*f = Frame{Dst: HostMAC(2), Src: HostMAC(1), VID: 7, PCP: 3, EtherType: TypeTSN,
-		Payload: make([]byte, 46), FlowID: 9, Seq: 41, Class: ClassTS, SentAt: 1000}
+		Payload: make([]byte, 46), FlowID: 9, Seq: 41, Class: ClassTS, Row: 3, SentAt: 1000}
 	f.Span.Begin(1000)
 	f.Span.OnDeliver(2000, 100, 500)
 	p.Put(f)
-	if f.FlowID != 0 || f.Seq != 0 || f.Payload != nil || f.SentAt != 0 || f.Span != (Span{}) || f.Dst != (MAC{}) {
+	if f.FlowID != 0 || f.Seq != 0 || f.Row != 0 || f.Payload != nil || f.SentAt != 0 || f.Span != (Span{}) || f.Dst != (MAC{}) {
 		t.Fatalf("frame after Put: %+v", *f)
 	}
 	if g := p.Get(); g != f || g.VID != 0 || g.Class != ClassBE {

@@ -37,9 +37,10 @@ func CBSStudy(p Params) ([]CBSRow, error) {
 		topo.AttachHost(100, 0) // RC source
 		topo.AttachHost(101, 0) // BE source
 		topo.AttachHost(102, 1) // sink
-		rc := flows.Background(1, ethernet.ClassRC, 100, 102, 10, 200*ethernet.Mbps)
+		// Background IDs clear of the TS flows' 1..4: an ID names one flow.
+		rc := flows.Background(101, ethernet.ClassRC, 100, 102, 10, 200*ethernet.Mbps)
 		rc.Burst = 32
-		be := flows.Background(2, ethernet.ClassBE, 101, 102, 11, 300*ethernet.Mbps)
+		be := flows.Background(102, ethernet.ClassBE, 101, 102, 11, 300*ethernet.Mbps)
 		specs := []*flows.Spec{rc, be}
 		// A token TS flow keeps the scenario derivable (DeriveConfig
 		// requires TS flows for the ITP pass).

@@ -12,11 +12,13 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
@@ -113,8 +115,17 @@ var componentNames = [5]string{"propagation", "store_and_forward", "queue", "gat
 // analyzer.LatencySink. Safe for concurrent reads while the simulation
 // observes.
 type Attribution struct {
-	mu    sync.Mutex
-	flows map[uint32]*FlowLatency
+	mu sync.Mutex
+	// rows are the per-flow aggregates under the collector's row numbers
+	// (a frame's Row minus one); byID holds every aggregate, for Flow,
+	// Flows, Merge and a frame without a row. Admit only notes a batch
+	// (unmade): the next delivery makes the aggregates of every noted
+	// flow in one block, so building a network costs a flow ID each
+	// here, and a network that never delivers holds no aggregates. The
+	// exports skip aggregates with Count 0.
+	rows   []*FlowLatency
+	byID   map[uint32]*FlowLatency
+	unmade []batch
 
 	// comp[class][component] and miss[class] are resolved once; zero
 	// handles (nil registry) no-op.
@@ -130,7 +141,7 @@ type Attribution struct {
 // NewAttribution builds the aggregation layer. reg may be nil (no
 // histograms); flight may be nil (no miss dumps).
 func NewAttribution(reg *metrics.Registry, flight *trace.Flight) *Attribution {
-	a := &Attribution{flows: make(map[uint32]*FlowLatency), flight: flight}
+	a := &Attribution{byID: make(map[uint32]*FlowLatency), flight: flight}
 	reg.Help(MetricComponent, "per-delivery latency attribution by component, nanoseconds")
 	reg.Help(MetricMiss, "end-to-end latency of deadline-missing deliveries, nanoseconds")
 	for _, cls := range []ethernet.Class{ethernet.ClassBE, ethernet.ClassRC, ethernet.ClassTS} {
@@ -143,10 +154,98 @@ func NewAttribution(reg *metrics.Registry, flight *trace.Flight) *Attribution {
 	return a
 }
 
+// batch is an admitted batch whose aggregates are not made yet: the
+// flows of rows first, first+1, ….
+type batch struct {
+	first int
+	ids   []uint32
+}
+
+// Admit notes a batch of flows under the collector's rows: specs[i] is
+// row first+i. Implements analyzer.LatencySink.
+func (a *Attribution) Admit(first int, specs []*flows.Spec) {
+	ids := make([]uint32, len(specs))
+	for i, spec := range specs {
+		ids[i] = spec.ID
+	}
+	a.mu.Lock()
+	a.unmade = append(a.unmade, batch{first, ids})
+	a.mu.Unlock()
+}
+
+// makeAdmitted gives every noted flow that has no aggregate one, all in
+// one block, and files each under its row.
+func (a *Attribution) makeAdmitted() {
+	n, end := 0, len(a.rows)
+	for _, b := range a.unmade {
+		n, end = n+len(b.ids), max(end, b.first+len(b.ids))
+	}
+	if len(a.byID) == 0 {
+		a.byID = make(map[uint32]*FlowLatency, n)
+	}
+	a.rows = slices.Grow(a.rows, end-len(a.rows))
+	block := make([]FlowLatency, n)
+	for _, b := range a.unmade {
+		for i, id := range b.ids {
+			fl := a.byID[id]
+			if fl == nil {
+				fl, block = &block[0], block[1:]
+				fl.FlowID = id
+				a.byID[id] = fl
+			}
+			a.file(b.first+i, fl)
+		}
+	}
+	a.unmade = nil
+}
+
+// file puts fl under row r.
+func (a *Attribution) file(r int, fl *FlowLatency) {
+	for len(a.rows) <= r {
+		a.rows = append(a.rows, nil)
+	}
+	a.rows[r] = fl
+}
+
+// filed returns the aggregate under row r if it is flow id's, else nil.
+func (a *Attribution) filed(r int, id uint32) *FlowLatency {
+	if uint(r) < uint(len(a.rows)) {
+		if fl := a.rows[r]; fl != nil && fl.FlowID == id {
+			return fl
+		}
+	}
+	return nil
+}
+
+// row returns the aggregate of f's flow: the row f carries (made first
+// if its batch is still unmade), or the flow's aggregate by ID — created
+// at its first delivery and filed under f's row, if any.
+func (a *Attribution) row(f *ethernet.Frame) *FlowLatency {
+	r := int(f.Row) - 1
+	if fl := a.filed(r, f.FlowID); fl != nil {
+		return fl
+	}
+	if len(a.unmade) > 0 {
+		a.makeAdmitted()
+		if fl := a.filed(r, f.FlowID); fl != nil {
+			return fl
+		}
+	}
+	fl := a.byID[f.FlowID]
+	if fl == nil {
+		fl = &FlowLatency{FlowID: f.FlowID}
+		a.byID[f.FlowID] = fl
+	}
+	if r >= 0 {
+		a.file(r, fl)
+	}
+	return fl
+}
+
 // ObserveLatency ingests one delivery: the frame's span decomposition,
 // its measured end-to-end latency and whether it missed its deadline.
 // Implements analyzer.LatencySink. Steady-state cost is a mutex pair,
-// a map hit and six histogram writes — no allocation; a new global
+// a row index and six histogram writes — no allocation; a new global
 // worst deadline miss additionally captures a flight-recorder dump.
 func (a *Attribution) ObserveLatency(f *ethernet.Frame, arrival, lat sim.Time, missed bool) {
 	if !f.Span.Active() {
@@ -154,11 +253,7 @@ func (a *Attribution) ObserveLatency(f *ethernet.Frame, arrival, lat sim.Time, m
 	}
 	c := fromSpan(&f.Span)
 	a.mu.Lock()
-	fl, ok := a.flows[f.FlowID]
-	if !ok {
-		fl = &FlowLatency{FlowID: f.FlowID}
-		a.flows[f.FlowID] = fl
-	}
+	fl := a.row(f)
 	fl.Class = f.Class
 	fl.Count++
 	fl.Sum.add(c)
@@ -218,11 +313,8 @@ func (a *Attribution) Merge(src *Attribution) {
 	if src == nil || src == a {
 		return
 	}
+	delivered := src.Flows()
 	src.mu.Lock()
-	flows := make([]FlowLatency, 0, len(src.flows))
-	for _, fl := range src.flows {
-		flows = append(flows, *fl)
-	}
 	dumps := append([]MissDump(nil), src.dumps...)
 	eventDumps := append([]EventDump(nil), src.eventDumps...)
 	worst := src.worstMiss
@@ -230,11 +322,13 @@ func (a *Attribution) Merge(src *Attribution) {
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, in := range flows {
-		fl, ok := a.flows[in.FlowID]
-		if !ok {
-			fl = &FlowLatency{FlowID: in.FlowID}
-			a.flows[in.FlowID] = fl
+	block := make([]FlowLatency, len(delivered))
+	for i, in := range delivered {
+		fl := a.byID[in.FlowID]
+		if fl == nil {
+			fl = &block[i]
+			fl.FlowID = in.FlowID
+			a.byID[in.FlowID] = fl
 		}
 		fl.Class = in.Class
 		had := fl.Count
@@ -263,24 +357,26 @@ func (a *Attribution) Merge(src *Attribution) {
 	}
 }
 
-// Flow returns one flow's aggregate (copy) and whether it exists.
+// Flow returns one flow's aggregate (copy) and whether it was delivered.
 func (a *Attribution) Flow(id uint32) (FlowLatency, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	fl, ok := a.flows[id]
-	if !ok {
+	fl := a.byID[id]
+	if fl == nil || fl.Count == 0 {
 		return FlowLatency{}, false
 	}
 	return *fl, true
 }
 
-// Flows returns every flow's aggregate sorted by flow ID.
+// Flows returns every delivered flow's aggregate sorted by flow ID.
 func (a *Attribution) Flows() []FlowLatency {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]FlowLatency, 0, len(a.flows))
-	for _, fl := range a.flows {
-		out = append(out, *fl)
+	out := make([]FlowLatency, 0, len(a.byID))
+	for _, fl := range a.byID {
+		if fl.Count > 0 {
+			out = append(out, *fl)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FlowID < out[j].FlowID })
 	return out

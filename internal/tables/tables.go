@@ -49,6 +49,14 @@ func (t *UnicastTable) Capacity() int { return t.capacity }
 // Len returns the number of installed entries.
 func (t *UnicastTable) Len() int { return len(t.entries) }
 
+// Reserve sizes an empty table's storage for n entries (at most its
+// capacity), so installing them grows nothing.
+func (t *UnicastTable) Reserve(n int) {
+	if len(t.entries) == 0 {
+		t.entries = make(map[UnicastKey]int, min(n, t.capacity))
+	}
+}
+
 // Add installs dst/vid -> outPort. Overwriting an existing key does not
 // consume capacity.
 func (t *UnicastTable) Add(dst ethernet.MAC, vid uint16, outPort int) error {
@@ -180,6 +188,14 @@ func (t *ClassTable) Capacity() int { return t.capacity }
 
 // Len returns the number of installed entries.
 func (t *ClassTable) Len() int { return len(t.entries) }
+
+// Reserve sizes an empty table's storage for n entries (at most its
+// capacity), so installing them grows nothing.
+func (t *ClassTable) Reserve(n int) {
+	if len(t.entries) == 0 {
+		t.entries = make(map[ClassKey]ClassEntry, min(n, t.capacity))
+	}
+}
 
 // Add installs a classification entry.
 func (t *ClassTable) Add(k ClassKey, e ClassEntry) error {

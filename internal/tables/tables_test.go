@@ -2,10 +2,12 @@ package tables
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/israce"
 )
 
 func TestUnicastAddLookup(t *testing.T) {
@@ -165,5 +167,35 @@ func TestUnicastCapacityProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReserveThenAddAllocatesNothing: an empty table reserved for n
+// entries installs them without growing its storage, and a reservation
+// past the capacity changes nothing about what fits.
+func TestReserveThenAddAllocatesNothing(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 512
+	uni, cls := NewUnicast(n), NewClass(n)
+	uni.Reserve(n)
+	cls.Reserve(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		mac := ethernet.HostMAC(i)
+		if uni.Add(mac, 1, 2) != nil || cls.Add(ClassKey{Dst: mac, VID: 1}, ClassEntry{QueueID: 7}) != nil {
+			t.Fatal("a reserved entry did not fit")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.Mallocs - before.Mallocs; grown != 0 {
+		t.Fatalf("installing %d reserved entries in two tables allocated %d times, want 0", n, grown)
+	}
+	small := NewUnicast(1)
+	small.Reserve(10)
+	if small.Add(ethernet.HostMAC(1), 1, 0) != nil || small.Add(ethernet.HostMAC(2), 1, 0) == nil {
+		t.Fatal("Reserve changed the table's capacity")
 	}
 }

@@ -156,15 +156,17 @@ func (r *rig) startAt(spec *flows.Spec, at sim.Time) {
 		ref := r.refs[spec.SrcHost]
 		r.e.At(at, fmt.Sprintf("start-flow%d", spec.ID), func(*sim.Engine) { ref.referenceStartFlow(spec) })
 	} else {
-		r.nics[spec.SrcHost].StartFlowAt(spec, at)
+		r.nics[spec.SrcHost].Start(r.nics[spec.SrcHost].Admit(spec, 0), at)
 	}
 }
 
-func (r *rig) replicate(host int, id uint32, vid uint16) {
+// replicate turns on 802.1CB replication of TS flow spec onto vid: by
+// ID on the reference, on the spec itself for the NIC.
+func (r *rig) replicate(spec *flows.Spec, vid uint16) {
 	if r.refs != nil {
-		r.refs[host].SetReplication(id, vid)
+		r.refs[spec.SrcHost].SetReplication(spec.ID, vid)
 	} else {
-		r.nics[host].SetReplication(id, vid)
+		spec.FRER, spec.AltVID = true, vid
 	}
 }
 
@@ -195,6 +197,7 @@ func drive(r *rig, seed uint64) {
 	periods := []sim.Time{1, 2, 4, 10}
 	id := uint32(0)
 	for h, n := range r.nics {
+		var ts []*flows.Spec // this NIC's TS flows, the ones FRER may replicate
 		n.SetStopTime(stop)
 		count := 1 + pick(200)
 		if seed%8 == 0 {
@@ -216,11 +219,11 @@ func drive(r *rig, seed uint64) {
 				spec.WireSize, spec.Burst = 200+pick(1300), pick(5) // burst 0 means 1
 				spec.Offset = sim.Time(pick(300)) * sim.Microsecond
 			}
-			if pick(10) == 0 {
-				id-- // the next flow reuses this ID: one shared counter cell (CBSStudy's shape)
-			}
-			if pick(6) == 0 {
-				r.replicate(h, spec.ID, uint16(100+pick(4))) // before start
+			if spec.Class == ethernet.ClassTS {
+				ts = append(ts, spec)
+				if pick(6) == 0 {
+					r.replicate(spec, uint16(100+pick(4))) // before start
+				}
 			}
 			switch pick(4) {
 			case 0: // started directly, before the run
@@ -255,8 +258,10 @@ func drive(r *rig, seed uint64) {
 			r.e.At(at, "add-flows", func(*sim.Engine) { r.startAt(spec, at+delay) })
 		}
 		// Replication switched on mid-run for a flow that is already ticking.
-		late := uint32(1 + pick(int(id)))
-		r.e.At(base+2500*sim.Microsecond, "late-frer", func(*sim.Engine) { r.replicate(h, late, 77) })
+		if len(ts) > 0 {
+			late := ts[pick(len(ts))]
+			r.e.At(base+2500*sim.Microsecond, "late-frer", func(*sim.Engine) { r.replicate(late, 77) })
+		}
 	}
 	r.e.Run()
 }

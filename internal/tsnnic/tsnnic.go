@@ -15,12 +15,14 @@
 // same (instant, order) sequence — DESIGN §11, "One timer per NIC".
 //
 // A NIC is also where a frame ends: Receive returns every frame to the
-// engine's ethernet.Pool, from which inject draws, so steady traffic
-// allocates per flow and not per frame (DESIGN §11, "Copy-light frames").
+// engine's ethernet.Pool, from which inject draws, and a flow's generator
+// state is a row admitted before it starts, so steady traffic allocates
+// neither per frame nor per flow (DESIGN §11, "Copy-light frames").
 package tsnnic
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
@@ -56,16 +58,15 @@ type NIC struct {
 	// across NICs are allowed (one "analyzer" box).
 	Collector *analyzer.Collector
 
-	// sched is the injection schedule: a binary min-heap of the flows'
-	// timers on (at, order). armed is the one engine event, set for
-	// sched[0]; fireFn is fire bound once.
+	// flows are the generator rows, one per admitted flow. sched is the
+	// injection schedule: a binary min-heap of the started flows' timers
+	// on (at, order), with room for every row. armed is the one engine
+	// event, set for sched[0]; fireFn is fire bound once.
+	flows  []flow
 	sched  []timer
 	armed  sim.EventRef
 	fireFn sim.Handler
 
-	// cells holds the counters per flow ID; flows sharing an ID on this
-	// NIC share one cell.
-	cells map[uint32]*counters
 	// replicas counts the extra 802.1CB member-stream frames.
 	replicas uint64
 
@@ -83,33 +84,12 @@ func New(engine *sim.Engine, hostID int, rate ethernet.Rate, col *analyzer.Colle
 		HostID:    hostID,
 		engine:    engine,
 		Collector: col,
-		cells:     make(map[uint32]*counters),
 	}
 	n.pool = &n.own
 	n.ifc = netdev.NewIfc(engine, fmt.Sprintf("nic%d", hostID), n, rate)
 	n.drainFn = n.drain
 	n.fireFn = n.fire
 	return n
-}
-
-// counters is the generator state of one flow ID. FRER flows count each
-// sequence number once in sent: the member-stream replica (tagged
-// altVID) is redundancy, not offered load.
-type counters struct {
-	sent      uint64
-	seq       uint32
-	altVID    uint16
-	replicate bool
-}
-
-// cell returns the counters of flow id, created on first use.
-func (n *NIC) cell(id uint32) *counters {
-	c := n.cells[id]
-	if c == nil {
-		c = &counters{}
-		n.cells[id] = c
-	}
-	return c
 }
 
 // Ifc returns the NIC's physical interface for cabling.
@@ -121,21 +101,13 @@ func (n *NIC) SetStopTime(t sim.Time) { n.stopAt = t }
 
 // Sent returns a snapshot of the per-flow transmit counts.
 func (n *NIC) Sent() map[uint32]uint64 {
-	out := make(map[uint32]uint64, len(n.cells))
-	for id, c := range n.cells {
-		if c.sent > 0 {
-			out[id] = c.sent
+	out := make(map[uint32]uint64, len(n.flows))
+	for i := range n.flows {
+		if fl := &n.flows[i]; fl.sent > 0 {
+			out[fl.spec.ID] += fl.sent
 		}
 	}
 	return out
-}
-
-// SetReplication enables 802.1CB talker-side replication for flow id:
-// every injected frame is duplicated onto a member stream tagged
-// altVID, which the network forwards along a disjoint path.
-func (n *NIC) SetReplication(id uint32, altVID uint16) {
-	c := n.cell(id)
-	c.altVID, c.replicate = altVID, true
 }
 
 // SetPool replaces the NIC's own pool by p, its engine's: what a
@@ -167,9 +139,9 @@ func (n *NIC) Receive(f *ethernet.Frame, on *netdev.Ifc) {
 	switch {
 	case n.Collector == nil:
 	case verdict == frer.Duplicate:
-		n.Collector.NoteDuplicate(f.FlowID)
+		n.Collector.NoteDuplicate(f)
 	case verdict == frer.Rogue:
-		n.Collector.NoteRogue(f.FlowID)
+		n.Collector.NoteRogue(f)
 	default:
 		n.Collector.Record(f, n.engine.Now())
 	}
@@ -221,23 +193,27 @@ func (n *NIC) drain() {
 // ownership contract), so all frames share them.
 var zeros [ethernet.MaxFrameBytes]byte
 
-// flow is one generator: everything a tick needs, resolved once.
+// flow is one generator row: everything a tick needs, resolved at
+// admission, and its counters. A FRER flow counts each sequence number
+// once in sent: the member-stream replica is redundancy, not offered load.
 type flow struct {
 	spec     *flows.Spec
 	interval sim.Time
-	burst    int
-	payload  int // bytes
+	burst    int32 // frames per tick; int32 and this order keep a row at 56 B
+	payload  int32 // bytes
 	dst, src ethernet.MAC
-	cell     *counters
+	row      uint32 // stamped into every frame as ethernet.Frame.Row
+	seq      uint32
 	started  bool // false until the start instant has fired
+	sent     uint64
 }
 
-// timer is one schedule entry; order is the engine's order number, taken
-// where a per-flow engine timer would have been scheduled.
+// timer is one schedule entry for row f; order is the engine's order
+// number, taken where a per-flow engine timer would have been scheduled.
 type timer struct {
 	at    sim.Time
 	order uint64
-	f     *flow
+	f     int
 }
 
 func (a *timer) before(b *timer) bool {
@@ -246,7 +222,7 @@ func (a *timer) before(b *timer) bool {
 
 // inject enqueues one frame of f into the MAC.
 func (n *NIC) inject(f *flow) {
-	spec, c := f.spec, f.cell
+	spec := f.spec
 	fr := n.pool.Get()
 	*fr = ethernet.Frame{
 		Dst:       f.dst,
@@ -256,11 +232,12 @@ func (n *NIC) inject(f *flow) {
 		EtherType: ethernet.TypeTSN,
 		Payload:   zeros[:f.payload:f.payload], // capacity clipped: an append cannot reach the shared array
 		FlowID:    spec.ID,
-		Seq:       c.seq,
+		Seq:       f.seq,
 		Class:     spec.Class,
+		Row:       f.row,
 	}
-	c.seq++
-	c.sent++
+	f.seq++
+	f.sent++
 	q := &n.fifos[classIndex(spec.Class)]
 	q.frames = append(q.frames, fr)
 	// 802.1CB replication: the member stream is the same frame (same
@@ -268,28 +245,28 @@ func (n *NIC) inject(f *flow) {
 	// the network's forwarding tables steer it onto the disjoint path.
 	// It serializes back-to-back behind the primary and is NOT counted
 	// in sent: the analyzer's loss accounting is per logical frame.
-	if c.replicate {
+	if spec.FRER {
 		r := n.pool.Get()
 		*r = *fr // payload is shared; the VID is a header field
-		r.VID = c.altVID
+		r.VID = spec.AltVID
 		q.frames = append(q.frames, r)
 		n.replicas++
 	}
 	n.drain()
 }
 
-// StartFlow starts spec's generation now: TS flows fire at
-// Offset + k·Period; RC/BE flows are paced at their rate starting at
-// Offset.
-func (n *NIC) StartFlow(spec *flows.Spec) { n.add(spec, n.engine.Now()+spec.Offset, true) }
+// Reserve makes room for k more rows and their timers, so admitting and
+// starting k flows allocates nothing more.
+func (n *NIC) Reserve(k int) {
+	n.flows = slices.Grow(n.flows, k)
+	n.sched = slices.Grow(n.sched, max(0, len(n.flows)+k-len(n.sched)))
+}
 
-// StartFlowAt registers spec to start at the absolute instant start,
-// as StartFlow called from an engine event at start would.
-func (n *NIC) StartFlowAt(spec *flows.Spec, start sim.Time) { n.add(spec, start, false) }
-
-// add puts spec's timer on the schedule at `at` under a fresh order
-// number; a new head moves the engine event.
-func (n *NIC) add(spec *flows.Spec, at sim.Time, started bool) {
+// Admit gives spec a generator row on this NIC and returns it for Start.
+// Every frame of the flow carries row as its ethernet.Frame.Row: the
+// listener's row for the flow plus one, or 0 when none was assigned. A
+// FRER spec is replicated onto its AltVID member stream.
+func (n *NIC) Admit(spec *flows.Spec, row uint32) int {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
@@ -297,16 +274,34 @@ func (n *NIC) add(spec *flows.Spec, at sim.Time, started bool) {
 		panic(fmt.Sprintf("tsnnic: flow %d src host %d started on NIC %d",
 			spec.ID, spec.SrcHost, n.HostID))
 	}
-	t := timer{at: at, order: n.engine.TakeSeq(), f: &flow{
+	n.flows = append(n.flows, flow{
 		spec:     spec,
 		interval: spec.FrameInterval(),
-		burst:    spec.BurstFrames(),
-		payload:  ethernet.PayloadForWireSize(spec.WireSize),
+		burst:    int32(spec.BurstFrames()),
+		payload:  int32(ethernet.PayloadForWireSize(spec.WireSize)),
 		dst:      ethernet.HostMAC(spec.DstHost),
 		src:      ethernet.HostMAC(spec.SrcHost),
-		cell:     n.cell(spec.ID),
-		started:  started,
-	}}
+		row:      row,
+	})
+	return len(n.flows) - 1
+}
+
+// Start registers admitted row f to start at the absolute instant at,
+// as StartFlow called from an engine event at that instant would.
+func (n *NIC) Start(f int, at sim.Time) { n.add(f, at, false) }
+
+// StartFlow admits spec without a listener row and starts its generation
+// now: TS flows fire at Offset + k·Period; RC/BE flows are paced at
+// their rate starting at Offset.
+func (n *NIC) StartFlow(spec *flows.Spec) {
+	n.add(n.Admit(spec, 0), n.engine.Now()+spec.Offset, true)
+}
+
+// add puts row f's timer on the schedule at `at` under a fresh order
+// number; a new head moves the engine event.
+func (n *NIC) add(f int, at sim.Time, started bool) {
+	n.flows[f].started = started
+	t := timer{at: at, order: n.engine.TakeSeq(), f: f}
 	n.sched = append(n.sched, t)
 	i := len(n.sched) - 1
 	for ; i > 0 && t.before(&n.sched[(i-1)/2]); i = (i - 1) / 2 {
@@ -334,19 +329,20 @@ func (n *NIC) arm() {
 // self-rescheduling timer took it.
 func (n *NIC) fire(e *sim.Engine) {
 	t, now := n.sched[0], e.Now()
+	f := &n.flows[t.f]
 	switch {
-	case !t.f.started:
-		t.f.started = true
-		t.at, t.order = now+t.f.spec.Offset, e.TakeSeq()
+	case !f.started:
+		f.started = true
+		t.at, t.order = now+f.spec.Offset, e.TakeSeq()
 	case n.stopAt > 0 && now >= n.stopAt:
 		last := len(n.sched) - 1
 		t, n.sched[last] = n.sched[last], timer{}
 		n.sched = n.sched[:last]
 	default:
-		for i := 0; i < t.f.burst; i++ {
-			n.inject(t.f)
+		for range f.burst {
+			n.inject(f)
 		}
-		t.at, t.order = now+t.f.interval, e.TakeSeq()
+		t.at, t.order = now+f.interval, e.TakeSeq()
 	}
 	// Sift t down from the root (a retired head's place goes to the last timer).
 	q, i := n.sched, 0

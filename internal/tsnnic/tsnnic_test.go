@@ -179,7 +179,7 @@ func TestMACFifoReusesArrayAndReleasesFrames(t *testing.T) {
 	e := sim.NewEngine()
 	gen, _, col := wirePair(e)
 	spec := tsSpec()
-	f := &flow{spec: spec, cell: gen.cell(spec.ID), payload: ethernet.PayloadForWireSize(spec.WireSize)}
+	f := &gen.flows[gen.Admit(spec, 0)]
 	const bursts, perBurst = 1200, 4
 	capAfterFirst := 0
 	for b := 0; b < bursts; b++ {
@@ -220,7 +220,7 @@ func talker(e *sim.Engine, peer *netdev.Ifc, count int) *NIC {
 	for i := 0; i < count; i++ {
 		spec := tsSpec()
 		spec.ID, spec.Offset = uint32(1+i), sim.Time(i)*50*sim.Nanosecond
-		gen.StartFlowAt(spec, 0)
+		gen.Start(gen.Admit(spec, 0), 0)
 	}
 	return gen
 }
@@ -310,7 +310,7 @@ func TestReceiveReturnsTheFrameOnEveryExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rcv.SetRecovery(tbl)
-	gen.SetReplication(spec.ID, 9)
+	spec.FRER, spec.AltVID = true, 9
 	gen.SetStopTime(20 * sim.Millisecond)
 	gen.StartFlow(spec)
 	e.Run()

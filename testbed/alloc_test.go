@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
@@ -15,8 +16,9 @@ import (
 // inject → three switches → remote NIC → Collector.Record, registry
 // on as in tsnsim. In steady state a delivered frame costs nothing: the
 // listener returns the Frame to the part's pool and the talker draws it
-// again (1.00 per frame before recycling; the budget leaves room for a
-// histogram bucket or a map growing late).
+// again (1.00 per frame before recycling). Per-flow state is admitted at
+// build, so the budget only leaves room for a late growth step of
+// something sized by traffic: a latency sample store, a FIFO.
 func TestLineFramePathAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -50,5 +52,33 @@ func TestLineFramePathAllocs(t *testing.T) {
 		t.Fatalf("%.2f allocations per delivered frame (%.0f per %.0f frames), want <= 0.05", perFrame, allocs, frames)
 	} else {
 		t.Logf("%.2f allocations per delivered frame", perFrame)
+	}
+}
+
+// TestRunAllocsIndependentOfFlowCount: a flow's state in every layer — its
+// generator row at the talker, its statistics and attribution rows at the
+// listener — is admitted at build, so Net.Run allocates no more with
+// 1 024 flows than with 256 (about three allocations per flow when that
+// state was made at first use). What remains grows with the frames in
+// flight, not the flows.
+func TestRunAllocsIndependentOfFlowCount(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	runAllocs := func(flowCount int) uint64 {
+		net, _, _ := liveRing(t, flowCount, false, Options{Metrics: metrics.New()})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net.Run(0, 30*sim.Millisecond)
+		runtime.ReadMemStats(&after)
+		if ts := net.Summary(ethernet.ClassTS); ts.Lost != 0 || len(net.Attr.Flows()) != flowCount {
+			t.Fatalf("%d flows: lost %d, %d flows delivered", flowCount, ts.Lost, len(net.Attr.Flows()))
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	few, many := runAllocs(256), runAllocs(1024)
+	t.Logf("Net.Run allocations: %d with 256 flows, %d with 1024", few, many)
+	if many > few+64 {
+		t.Fatalf("Net.Run allocates %d times with 1024 flows, %d with 256: want a difference <= 64", many, few)
 	}
 }

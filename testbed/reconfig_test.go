@@ -347,7 +347,7 @@ func netState(net *Net) string {
 		fmt.Fprintf(&buf, "sw%d unicast=%d class=%d meters=%d\n", sw.ID(),
 			sw.Forward().Unicast.Len(), sw.Filter().Class.Len(), sw.Filter().Meters.Used())
 	}
-	fmt.Fprintf(&buf, "specs=%d prog=%+v pending=%d\n", len(net.specs), net.prog, net.Engine.Pending())
+	fmt.Fprintf(&buf, "specs=%d prog=%+v pending=%d\n", len(net.talkers), net.prog, net.Engine.Pending())
 	net.Metrics.Snapshot().WritePrometheus(&buf)
 	return buf.String()
 }
@@ -405,5 +405,56 @@ func TestAddFlowsRejectsBeforeTouchingAnything(t *testing.T) {
 	}
 	if lost := net.Summary(ethernet.ClassTS).Lost; lost != 0 {
 		t.Fatalf("TS loss %d after the accepted add", lost)
+	}
+}
+
+// TestRepeatedFlowIDIsRejected: a flow ID names one flow's rows, so Build
+// refuses a workload that repeats one, and AddFlows a batch that repeats
+// a running flow's ID or one of its own — before anything is touched.
+func TestRepeatedFlowIDIsRejected(t *testing.T) {
+	net, specs, topo := liveRing(t, 12, false, Options{Metrics: metrics.New()})
+	twin := *specs[3]
+	twin.VID = 3999
+	_, err := Build(Options{Design: net.opts.Design, Topo: topo, Flows: append(specs[:len(specs):len(specs)], &twin)})
+	if want := fmt.Sprintf("flow ID %d is used twice", twin.ID); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Build with flow %d twice: err = %v, want %q", twin.ID, err, want)
+	}
+
+	extra := flows.GenerateTS(flows.TSParams{
+		Count: 2, Period: 10 * sim.Millisecond, WireSize: 64, VID: 1,
+		Hosts: func(i int) (int, int) { return 101, 103 },
+		Seed:  17,
+	})
+	for i, s := range extra {
+		s.ID, s.VID = uint32(1000+i), uint16(2000+i)
+	}
+	again := *extra[0]
+	again.VID = 2002
+	if err := core.BindPaths(topo, append(extra, &twin, &again)); err != nil {
+		t.Fatal(err)
+	}
+	checked := false
+	net.Engine.At(20*sim.Millisecond, "add-flows", func(*sim.Engine) {
+		before := netState(net)
+		for _, c := range []struct {
+			batch []*flows.Spec
+			id    uint32
+		}{
+			{[]*flows.Spec{extra[0], &twin}, twin.ID},
+			{[]*flows.Spec{extra[0], extra[1], &again}, again.ID},
+		} {
+			err := net.AddFlows(c.batch, net.Engine.Now())
+			if want := fmt.Sprintf("flow ID %d is used twice", c.id); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("AddFlows: err = %v, want %q", err, want)
+			}
+		}
+		if after := netState(net); after != before {
+			t.Errorf("rejected AddFlows changed the network:\n--- before\n%s--- after\n%s", before, after)
+		}
+		checked = true
+	})
+	net.Run(0, 40*sim.Millisecond)
+	if !checked {
+		t.Fatal("add-flows event did not run")
 	}
 }

@@ -10,6 +10,7 @@ package testbed
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -140,8 +141,9 @@ type Net struct {
 	runner *psim.Runner
 	merged bool
 
-	opts  Options
-	specs []*flows.Spec
+	opts Options
+	// talkers are the admitted flows, in admission order (installFlows).
+	talkers []talker
 	// liveCfg tracks the configuration currently in force: the design's
 	// at build, then each committed reconfiguration's candidate.
 	liveCfg core.Config
@@ -168,6 +170,13 @@ type progState struct {
 	// remembers the shaper already serving a cell.
 	nextCBS map[bankKey]int
 	cbsID   map[pq]int
+}
+
+// talker is one admitted flow's generator: its source NIC and the
+// flow's row there.
+type talker struct {
+	nic *tsnnic.NIC
+	row int
 }
 
 // pq addresses one (switch, port, queue) cell; bankKey one port's CBS
@@ -209,7 +218,6 @@ func Build(opts Options) (*Net, error) {
 		Health:    &obs.Health{},
 		Metrics:   opts.Metrics,
 		opts:      opts,
-		specs:     opts.Flows,
 		liveCfg:   opts.Design.Config,
 		recovery:  make(map[int]*frer.Table),
 		prog: progState{
@@ -455,7 +463,7 @@ func (n *Net) program() error {
 	// every redundant stream the design provisioned (set_frer_tbl), or
 	// at minimum every FRER flow in the workload.
 	nFRER := 0
-	for _, spec := range n.specs {
+	for _, spec := range n.opts.Flows {
 		if spec.FRER {
 			nFRER++
 		}
@@ -469,16 +477,43 @@ func (n *Net) program() error {
 		n.frerHist = frer.DefaultHistory
 	}
 
-	return n.installFlows(n.specs)
+	return n.installFlows(n.opts.Flows)
 }
 
-// installFlows programs forwarding, classification and meter state for
-// specs, advancing the incremental programming cursor (n.prog) so the
-// same function serves the initial build and flows added live, then
-// (re)configures CBS on the (switch, port, queue) cells whose RC
-// bandwidth reservation changed. On error the tables may hold a partial
-// install.
+// installFlows admits specs: it programs forwarding, classification and
+// meter state, advancing the incremental programming cursor (n.prog) so
+// the same function serves the initial build and flows added live,
+// gives every flow its rows (admit), then (re)configures CBS on the
+// (switch, port, queue) cells whose RC bandwidth reservation changed. An
+// invalid spec, a repeated flow ID or a source host without a NIC is
+// rejected before anything is touched; on a later error the tables may
+// hold a partial install.
 func (n *Net) installFlows(specs []*flows.Spec) error {
+	ids := make([]uint32, len(specs))
+	for i, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return fmt.Errorf("testbed: %w", err)
+		}
+		if _, ok := n.NICs[spec.SrcHost]; !ok {
+			return fmt.Errorf("testbed: flow %d source host %d has no NIC", spec.ID, spec.SrcHost)
+		}
+		ids[i] = spec.ID
+	}
+	slices.Sort(ids)
+	for i, id := range ids {
+		used := i > 0 && ids[i-1] == id
+		for _, p := range n.parts { // an admitted flow has a row at its listener's part
+			used = used || p.coll.Flow(id) != nil
+		}
+		if used {
+			return fmt.Errorf("testbed: flow ID %d is used twice", id)
+		}
+	}
+	need := n.need(specs) // a network's first batch fills its tables without growing them
+	for s, sw := range n.Switches {
+		sw.Forward().Unicast.Reserve(need[s][0])
+		sw.Filter().Class.Reserve(need[s][1])
+	}
 	topo := n.opts.Topo
 	rcQueues := rcQueueSet(n.liveCfg.QueueNum, n.liveCfg.CBSMapSize)
 	changed := map[pq]bool{}
@@ -566,14 +601,8 @@ func (n *Net) installFlows(specs []*flows.Spec) error {
 				return err
 			}
 		}
-		// The flow is received (and its stats kept) on the part its
-		// listener NIC lives in.
-		coll := n.hostPart(spec.DstHost).coll
-		coll.RegisterFlow(spec.ID, spec.Class)
-		if spec.Class == ethernet.ClassTS && spec.Deadline > 0 {
-			coll.SetDeadline(spec.ID, spec.Deadline)
-		}
 	}
+	n.admit(specs)
 
 	// Deterministic cell order: CBS ids and metric registration must
 	// not depend on map iteration (bit-identical reruns).
@@ -592,6 +621,42 @@ func (n *Net) installFlows(specs []*flows.Spec) error {
 		return a.q < b.q
 	})
 	return n.applyCBS(cells)
+}
+
+// admit gives each flow of a batch its rows. The flow is received (and
+// its stats kept) on the part its listener NIC lives in: that part's
+// collector admits the part's share of the batch in one block, and the
+// talker NIC gets a generator row that stamps the listener's row into
+// every frame, so no layer meets the flow for the first time mid-run.
+func (n *Net) admit(specs []*flows.Spec) {
+	listener := make([]*part, len(specs))
+	perNIC := make(map[*tsnnic.NIC]int)
+	for i, spec := range specs {
+		listener[i] = n.hostPart(spec.DstHost)
+		perNIC[n.NICs[spec.SrcHost]]++
+	}
+	for nic, k := range perNIC {
+		nic.Reserve(k)
+	}
+	base := len(n.talkers)
+	n.talkers = slices.Grow(n.talkers, len(specs))[:base+len(specs)]
+	batch := make([]*flows.Spec, 0, len(specs))
+	for _, p := range n.parts {
+		batch = batch[:0]
+		for i, spec := range specs {
+			if listener[i] == p {
+				batch = append(batch, spec)
+			}
+		}
+		row := p.coll.Admit(batch)
+		for i, spec := range specs {
+			if listener[i] == p {
+				row++ // the Row stamp: the listener's row plus one
+				nic := n.NICs[spec.SrcHost]
+				n.talkers[base+i] = talker{nic, nic.Admit(spec, uint32(row))}
+			}
+		}
+	}
 }
 
 // applyCBS configures one credit-based shaper per touched RC cell with
@@ -637,9 +702,9 @@ func (n *Net) applyCBS(cells []pq) error {
 
 // programFRER wires one 802.1CB redundant flow: the member stream's
 // forwarding/classification entries along the disjoint alternate path
-// (same destination MAC, alternate VID), talker-side replication at the
-// source NIC, and listener-side sequence recovery at the destination
-// NIC. installPath is the per-path programmer from program().
+// (same destination MAC, alternate VID) and listener-side sequence
+// recovery at the destination NIC; the talker replicates what its spec
+// marks FRER. installPath is the per-path programmer from program().
 func (n *Net) programFRER(spec *flows.Spec, recovery map[int]*frer.Table,
 	capacity, history int, installPath func(path []int, vid uint16, withMeter bool) error) error {
 	if len(spec.AltPath) == 0 {
@@ -648,12 +713,6 @@ func (n *Net) programFRER(spec *flows.Spec, recovery map[int]*frer.Table,
 	if err := installPath(spec.AltPath, spec.AltVID, false); err != nil {
 		return err
 	}
-	src, ok := n.NICs[spec.SrcHost]
-	if !ok {
-		return fmt.Errorf("testbed: FRER flow %d source host %d has no NIC", spec.ID, spec.SrcHost)
-	}
-	src.SetReplication(spec.ID, spec.AltVID)
-
 	dst, ok := n.NICs[spec.DstHost]
 	if !ok {
 		return fmt.Errorf("testbed: FRER flow %d destination host %d has no NIC", spec.ID, spec.DstHost)
@@ -739,14 +798,7 @@ func (n *Net) Run(warmup, duration sim.Time) {
 	start := n.parts[0].engine.Now() + warmup
 	stop := start + duration
 	n.flowStop = stop
-	for _, spec := range n.specs {
-		nic, ok := n.NICs[spec.SrcHost]
-		if !ok {
-			panic(fmt.Sprintf("testbed: flow %d source host %d has no NIC", spec.ID, spec.SrcHost))
-		}
-		nic.SetStopTime(stop)
-		nic.StartFlowAt(spec, start)
-	}
+	n.start(n.talkers, start)
 	// Drain: two slots plus cable time covers any in-flight CQF frame.
 	drain := 4*n.opts.Design.Config.SlotSize + sim.Millisecond
 	if n.runner == nil {
@@ -849,8 +901,9 @@ func (n *Net) Reconfigure(cfg core.Config) (*reconfig.Txn, error) {
 // and schedules their generators to start at the absolute instant
 // start. Call it after Run has begun (typically from an engine event,
 // e.g. once a reconfiguration that grew the tables has committed); the
-// new flows stop with the rest of the workload. An invalid spec, a past
-// start or a batch some switch has no table room for (on a derived design,
+// new flows stop with the rest of the workload. An invalid spec, a flow
+// ID already in use, a past start or a batch some switch has no table
+// room for (on a derived design,
 // any batch until a reconfiguration grows the tables) is rejected before
 // anything is touched.
 func (n *Net) AddFlows(specs []*flows.Spec, start sim.Time) error {
@@ -861,36 +914,34 @@ func (n *Net) AddFlows(specs []*flows.Spec, start sim.Time) error {
 		return fmt.Errorf("testbed: AddFlows start %v is before now %v", start, now)
 	}
 	for _, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			return fmt.Errorf("testbed: AddFlows: %w", err)
-		}
 		if spec.FRER {
 			return fmt.Errorf("testbed: flow %d: FRER flows cannot be added live", spec.ID)
 		}
-		if _, ok := n.NICs[spec.SrcHost]; !ok {
-			return fmt.Errorf("testbed: flow %d source host %d has no NIC", spec.ID, spec.SrcHost)
-		}
 	}
-	if err := n.fits(specs); err != nil {
+	if err := n.fits(n.need(specs)); err != nil {
 		return err
 	}
 	if err := n.installFlows(specs); err != nil {
 		return err
 	}
-	n.specs = append(n.specs, specs...)
-	for _, spec := range specs {
-		nic := n.NICs[spec.SrcHost]
-		nic.SetStopTime(n.flowStop)
-		nic.StartFlowAt(spec, start)
-	}
+	n.start(n.talkers[len(n.talkers)-len(specs):], start)
 	return nil
 }
 
-// fits checks the table slots specs would take on each switch against
-// the room left there. The count is an upper bound (a repeated (dst, VID)
-// key overwrites instead of taking a slot), so the check is conservative:
-// it can refuse a batch that would have fitted, never admit one that won't.
-func (n *Net) fits(specs []*flows.Spec) error {
+// start starts the talkers' generators at the absolute instant at; they
+// stop with the rest of the workload.
+func (n *Net) start(talkers []talker, at sim.Time) {
+	for _, t := range talkers {
+		t.nic.SetStopTime(n.flowStop)
+		t.nic.Start(t.row, at)
+	}
+}
+
+// need counts the unicast, classification and meter slots specs take on
+// each switch: the first two once per hop of every member path, a meter
+// per hop of an RC flow's path. The count is an upper bound (a repeated
+// (dst, VID) key overwrites instead of taking a slot).
+func (n *Net) need(specs []*flows.Spec) [][3]int {
 	need := make([][3]int, len(n.Switches))
 	for _, spec := range specs {
 		for _, s := range spec.Path {
@@ -900,7 +951,20 @@ func (n *Net) fits(specs []*flows.Spec) error {
 				need[s][2]++
 			}
 		}
+		if spec.FRER {
+			for _, s := range spec.AltPath {
+				need[s][0]++
+				need[s][1]++
+			}
+		}
 	}
+	return need
+}
+
+// fits checks the slots a batch needs on each switch against the room
+// left there. need is an upper bound, so the check is conservative: it
+// can refuse a batch that would have fitted, never admit one that won't.
+func (n *Net) fits(need [][3]int) error {
 	for s, sw := range n.Switches {
 		uni, cls, met := sw.Forward().Unicast, sw.Filter().Class, sw.Filter().Meters
 		room := [3]int{uni.Capacity() - uni.Len(), cls.Capacity() - cls.Len(), met.Capacity() - n.prog.nextMeter[s]}
