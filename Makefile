@@ -86,6 +86,8 @@ fuzz:
 	go test -fuzz=FuzzComputeEquivalence -fuzztime=30s ./internal/itp/
 	go test -fuzz=FuzzHeapOrder -fuzztime=30s ./internal/sim/
 	go test -fuzz=FuzzGCLMatchesReference -fuzztime=30s ./internal/gate/
+	go test -fuzz=FuzzReconfigRequest -fuzztime=30s ./internal/svc/
+	go test -fuzz=FuzzLoadDelta -fuzztime=30s ./internal/chaos/
 
 # chaos runs a randomized invariant-checking campaign (fixed default
 # seed — rerun with the same profile to reproduce); failing cases leave

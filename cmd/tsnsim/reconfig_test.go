@@ -65,6 +65,8 @@ func TestReconfigSpecStrictParsing(t *testing.T) {
 	}{
 		{"unknown field", `{"at_us": 0, "uncast_size": 64}`, "unknown field"},
 		{"negative time", `{"at_us": -1, "unicast_size": 64}`, "negative at_us -1"},
+		{"negative size", `{"at_us": 0, "unicast_size": -5}`, "negative unicast_size -5"},
+		{"negative slot", `{"at_us": 0, "slot_us": -65}`, "negative slot_us -65"},
 		{"wrong type", `{"at_us": 0, "unicast_size": "big"}`, "cannot unmarshal"},
 	}
 	for _, tc := range cases {

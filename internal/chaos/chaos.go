@@ -89,10 +89,10 @@ func (c *Case) params() workload.Params {
 
 // Delta is a mid-run live reconfiguration and tsnsim's -reconfig file
 // format: the instant to begin the transaction plus per-field
-// overrides of the running configuration. An absent field keeps its
-// live value. Structural parameters (queue_num, port_num, link_rate)
-// are deliberately not representable — changing them requires
-// regeneration, which the engine would reject anyway.
+// overrides of the running configuration, read by core.Overlay: an
+// absent field keeps its live value. Structural parameters (queue_num,
+// port_num, link_rate) are deliberately not representable — changing
+// them requires regeneration, which the engine would reject anyway.
 type Delta struct {
 	AtUs          int64  `json:"at_us"`
 	UnicastSize   *int   `json:"unicast_size,omitempty"`
@@ -110,39 +110,17 @@ type Delta struct {
 }
 
 // LoadDelta parses a -reconfig file strictly: unknown fields and a
-// negative begin time are rejected here, before anything is built.
+// negative value, begin time included, are rejected here, before
+// anything is built.
 func LoadDelta(path string) (*Delta, error) {
 	var d Delta
 	if err := loadStrict(path, "reconfig spec", &d); err != nil {
 		return nil, err
 	}
-	if d.AtUs < 0 {
-		return nil, fmt.Errorf("reconfig spec %s: negative at_us %d", path, d.AtUs)
+	if _, err := core.Overlay(core.Config{}, &d); err != nil {
+		return nil, fmt.Errorf("reconfig spec %s: %w", path, err)
 	}
 	return &d, nil
-}
-
-// Candidate overlays the delta's overrides on the live configuration.
-func (d *Delta) Candidate(cfg core.Config) core.Config {
-	for _, f := range []struct {
-		dst *int
-		src *int
-	}{
-		{&cfg.UnicastSize, d.UnicastSize}, {&cfg.MulticastSize, d.MulticastSize},
-		{&cfg.ClassSize, d.ClassSize}, {&cfg.MeterSize, d.MeterSize},
-		{&cfg.GateSize, d.GateSize}, {&cfg.CBSMapSize, d.CBSMapSize},
-		{&cfg.CBSSize, d.CBSSize}, {&cfg.QueueDepth, d.QueueDepth},
-		{&cfg.BufferNum, d.BufferNum}, {&cfg.FRERSize, d.FRERSize},
-		{&cfg.FRERHistory, d.FRERHistory},
-	} {
-		if f.src != nil {
-			*f.dst = *f.src
-		}
-	}
-	if d.SlotUs != nil {
-		cfg.SlotSize = sim.Time(*d.SlotUs) * sim.Microsecond
-	}
-	return cfg
 }
 
 // Violation is one oracle failure on one case.

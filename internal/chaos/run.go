@@ -58,8 +58,9 @@ func (c *Case) Build(opts testbed.Options) (*testbed.Net, *TxnRecord, error) {
 	rec, d := &TxnRecord{}, c.Reconfig
 	net.Engine.At(sim.Time(d.AtUs)*sim.Microsecond, "live-reconfig", func(*sim.Engine) {
 		rec.Pre = net.LiveConfig()
-		rec.Cand = d.Candidate(rec.Pre)
-		rec.Txn, rec.BeginErr = net.Reconfigure(rec.Cand)
+		if rec.Cand, rec.BeginErr = core.Overlay(rec.Pre, d); rec.BeginErr == nil {
+			rec.Txn, rec.BeginErr = net.Reconfigure(rec.Cand)
+		}
 	})
 	return net, rec, nil
 }

@@ -50,7 +50,7 @@ type Config struct {
 type Builder struct {
 	platform Platform
 	cfg      Config
-	set      map[string]bool
+	called   [nClasses]bool
 	selected map[Template]bool
 	errs     []error
 }
@@ -64,7 +64,6 @@ func NewBuilder(platform Platform) *Builder {
 	}
 	b := &Builder{
 		platform: platform,
-		set:      make(map[string]bool),
 		selected: make(map[Template]bool),
 	}
 	for _, t := range AllTemplates() {
@@ -91,16 +90,9 @@ func (b *Builder) errf(format string, args ...any) {
 	b.errs = append(b.errs, fmt.Errorf(format, args...))
 }
 
-func (b *Builder) need(t Template, api string) {
-	if !b.selected[t] {
-		b.errf("core: %s called but template %q not selected", api, t)
-	}
-	b.set[api] = true
-}
-
 // SetSwitchTbl implements set_switch_tbl(unicast_size, multicast_size).
 func (b *Builder) SetSwitchTbl(unicastSize, multicastSize int) *Builder {
-	b.need(TemplatePacketSwitch, "set_switch_tbl")
+	b.called[setSwitchTbl] = true
 	if unicastSize < 0 || multicastSize < 0 {
 		b.errf("core: set_switch_tbl negative size (%d, %d)", unicastSize, multicastSize)
 	}
@@ -110,7 +102,7 @@ func (b *Builder) SetSwitchTbl(unicastSize, multicastSize int) *Builder {
 
 // SetClassTbl implements set_class_tbl(class_size).
 func (b *Builder) SetClassTbl(classSize int) *Builder {
-	b.need(TemplateIngressFilter, "set_class_tbl")
+	b.called[setClassTbl] = true
 	if classSize < 0 {
 		b.errf("core: set_class_tbl negative size %d", classSize)
 	}
@@ -120,7 +112,7 @@ func (b *Builder) SetClassTbl(classSize int) *Builder {
 
 // SetMeterTbl implements set_meter_tbl(meter_size).
 func (b *Builder) SetMeterTbl(meterSize int) *Builder {
-	b.need(TemplateIngressFilter, "set_meter_tbl")
+	b.called[setMeterTbl] = true
 	if meterSize < 0 {
 		b.errf("core: set_meter_tbl negative size %d", meterSize)
 	}
@@ -130,7 +122,7 @@ func (b *Builder) SetMeterTbl(meterSize int) *Builder {
 
 // SetGateTbl implements set_gate_tbl(gate_size, queue_num, port_num).
 func (b *Builder) SetGateTbl(gateSize, queueNum, portNum int) *Builder {
-	b.need(TemplateGateCtrl, "set_gate_tbl")
+	b.called[setGateTbl] = true
 	if gateSize < 2 {
 		b.errf("core: set_gate_tbl gate_size %d < 2", gateSize)
 	}
@@ -142,7 +134,7 @@ func (b *Builder) SetGateTbl(gateSize, queueNum, portNum int) *Builder {
 
 // SetCBSTbl implements set_cbs_tbl(cbs_map_size, cbs_size, port_num).
 func (b *Builder) SetCBSTbl(cbsMapSize, cbsSize, portNum int) *Builder {
-	b.need(TemplateEgressSched, "set_cbs_tbl")
+	b.called[setCBSTbl] = true
 	if cbsMapSize < 0 || cbsSize < 0 {
 		b.errf("core: set_cbs_tbl negative size (%d, %d)", cbsMapSize, cbsSize)
 	}
@@ -153,7 +145,7 @@ func (b *Builder) SetCBSTbl(cbsMapSize, cbsSize, portNum int) *Builder {
 
 // SetQueues implements set_queues(queue_depth, queue_num, port_num).
 func (b *Builder) SetQueues(queueDepth, queueNum, portNum int) *Builder {
-	b.need(TemplateGateCtrl, "set_queues")
+	b.called[setQueues] = true
 	if queueDepth <= 0 {
 		b.errf("core: set_queues non-positive depth %d", queueDepth)
 	}
@@ -165,7 +157,7 @@ func (b *Builder) SetQueues(queueDepth, queueNum, portNum int) *Builder {
 
 // SetBuffers implements set_buffers(buffer_num, port_num).
 func (b *Builder) SetBuffers(bufferNum, portNum int) *Builder {
-	b.need(TemplateGateCtrl, "set_buffers")
+	b.called[setBuffers] = true
 	if bufferNum <= 0 {
 		b.errf("core: set_buffers non-positive count %d", bufferNum)
 	}
@@ -180,7 +172,7 @@ func (b *Builder) SetBuffers(bufferNum, portNum int) *Builder {
 // the paper's seven APIs it is optional — designs without redundant
 // streams simply never call it and pay zero BRAM.
 func (b *Builder) SetFRERTbl(frerSize, historyLen int) *Builder {
-	b.need(TemplateIngressFilter, "set_frer_tbl")
+	b.called[setFRERTbl] = true
 	if frerSize < 0 {
 		b.errf("core: set_frer_tbl negative size %d", frerSize)
 	}
@@ -227,25 +219,19 @@ func (b *Builder) checkQueueNum(api string, queueNum int) {
 	b.cfg.QueueNum = queueNum
 }
 
-// requiredAPIs maps each selected template to the APIs it needs.
-var requiredAPIs = map[Template][]string{
-	TemplatePacketSwitch:  {"set_switch_tbl"},
-	TemplateIngressFilter: {"set_class_tbl", "set_meter_tbl"},
-	TemplateGateCtrl:      {"set_gate_tbl", "set_queues", "set_buffers"},
-	TemplateEgressSched:   {"set_cbs_tbl"},
-}
-
 // Build validates the accumulated configuration and produces the
-// Design.
+// Design: every set_* API called has its template selected, and every
+// selected template's APIs were called (set_frer_tbl is optional).
 func (b *Builder) Build() (*Design, error) {
 	errs := append([]error(nil), b.errs...)
 	for _, t := range AllTemplates() {
-		if !b.selected[t] {
-			continue
-		}
-		for _, api := range requiredAPIs[t] {
-			if !b.set[api] {
-				errs = append(errs, fmt.Errorf("core: template %q selected but %s never called", t, api))
+		for i := range Classes {
+			switch r := &Classes[i]; {
+			case r.Template != t:
+			case b.called[i] && !b.selected[t]:
+				errs = append(errs, fmt.Errorf("core: %s called but template %q not selected", r.API, t))
+			case !b.called[i] && b.selected[t] && !r.Optional:
+				errs = append(errs, fmt.Errorf("core: template %q selected but %s never called", t, r.API))
 			}
 		}
 	}
@@ -286,12 +272,22 @@ type Design struct {
 // returns cfg.
 func (d *Design) Local(cfg Config, id int) Config {
 	if d != nil && id < len(d.spare) {
-		sp := d.spare[id]
-		cfg.UnicastSize = max(0, cfg.UnicastSize-int(sp.Entries))
-		cfg.ClassSize = max(0, cfg.ClassSize-int(sp.Entries))
-		cfg.MeterSize = max(0, cfg.MeterSize-int(sp.Flows))
+		d.spare[id].takeFrom(&cfg)
 	}
 	return cfg
+}
+
+// takeFrom subtracts sp from c's per-flow tables, the rows of Classes
+// with a spare, clamped at zero. It is apart from Local so that Local
+// inlines: a call that does not copies the config in and out.
+func (sp Spare) takeFrom(c *Config) {
+	f := c.fields()
+	for i := range Classes {
+		if r := &Classes[i]; r.spare != nil {
+			n := f[r.Params[0].at]
+			*n = max(0, *n-int(r.spare(sp)))
+		}
+	}
 }
 
 // SwitchConfig materializes Local(d.Config, id) as the dataplane

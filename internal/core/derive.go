@@ -235,19 +235,13 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 // BuilderFor returns a Builder pre-loaded with cfg through the
 // customization APIs, ready to Build for the given platform.
 func BuilderFor(cfg Config, platform Platform) *Builder {
-	b := NewBuilder(platform)
-	b.SetSwitchTbl(cfg.UnicastSize, cfg.MulticastSize).
-		SetClassTbl(cfg.ClassSize).
-		SetMeterTbl(cfg.MeterSize).
-		SetGateTbl(cfg.GateSize, cfg.QueueNum, cfg.PortNum).
-		SetCBSTbl(cfg.CBSMapSize, cfg.CBSSize, cfg.PortNum).
-		SetQueues(cfg.QueueDepth, cfg.QueueNum, cfg.PortNum).
-		SetBuffers(cfg.BufferNum, cfg.PortNum).
-		SetTiming(cfg.SlotSize, cfg.LinkRate)
-	if cfg.FRERSize > 0 {
-		b.SetFRERTbl(cfg.FRERSize, cfg.FRERHistory)
+	b, f := NewBuilder(platform), cfg.fields()
+	for i := range Classes {
+		if r := &Classes[i]; r.in(&cfg) {
+			r.set(b, r.read(f, len(r.Params)))
+		}
 	}
-	return b
+	return b.SetTiming(cfg.SlotSize, cfg.LinkRate)
 }
 
 // CommercialProfile returns the BCM53154 resource configuration the

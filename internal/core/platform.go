@@ -25,24 +25,16 @@ func (FPGA) Name() string { return "fpga-bram" }
 
 // MemoryCost implements Platform with the calibrated Table III model.
 func (FPGA) MemoryCost(cfg Config) *resource.Report {
-	r := &resource.Report{
-		Label: fmt.Sprintf("FPGA BRAM (%d ports)", cfg.PortNum),
-		Items: []resource.Item{
-			resource.SwitchTbl(cfg.UnicastSize, cfg.MulticastSize),
-			resource.ClassTbl(cfg.ClassSize),
-			resource.MeterTbl(cfg.MeterSize),
-			resource.GateTbl(cfg.GateSize, cfg.QueueNum, cfg.PortNum),
-			resource.CBSTbl(cfg.CBSMapSize, cfg.CBSSize, cfg.PortNum),
-			resource.Queues(cfg.QueueDepth, cfg.QueueNum, cfg.PortNum),
-			resource.Buffers(cfg.BufferNum, cfg.PortNum),
-		},
+	// set_frer_tbl appears only when it was called, so designs without
+	// redundancy reproduce Table III bit-for-bit. The slice is sized for
+	// the required classes: room for it would cost every report an item.
+	items, f := make([]resource.Item, 0, len(Classes)-1), cfg.fields()
+	for i := range Classes {
+		if r := &Classes[i]; r.in(&cfg) {
+			items = append(items, r.item(r.read(f, len(r.Params))))
+		}
 	}
-	// The eighth class appears only when set_frer_tbl was called, so
-	// designs without redundancy reproduce Table III bit-for-bit.
-	if cfg.FRERSize > 0 {
-		r.Items = append(r.Items, resource.FRERTbl(cfg.FRERSize, cfg.FRERHistory))
-	}
-	return r
+	return &resource.Report{Label: fmt.Sprintf("FPGA BRAM (%d ports)", cfg.PortNum), Items: items}
 }
 
 // ASIC models an SRAM-based ASIC target where memories are compiled to

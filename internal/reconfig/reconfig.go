@@ -94,63 +94,32 @@ type Bindings struct {
 	Design *core.Design
 }
 
-// classes is the one description of each live-resizable set_* class,
-// in staging order: the API name; fit, the switch primitive's own
-// occupancy check; and resize, the primitive. Both take the class's
-// parameters (sizes) in the switch's share (Design.Local) of a
-// configuration: the candidate to validate and apply, the old one to
-// revert.
-var classes = [...]struct {
-	name   string
-	fit    func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit
-	resize func(sw *tsnswitch.Switch, n [2]int) error
-}{
-	{"set_switch_tbl", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitSwitchTbl(n[0], n[1]) },
-		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeSwitchTbl(n[0], n[1]) }},
-	{"set_class_tbl", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitClassTbl(n[0]) },
-		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeClassTbl(n[0]) }},
-	{"set_meter_tbl", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitMeterTbl(n[0]) },
-		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeMeterTbl(n[0]) }},
-	{"set_gate_tbl", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitGateSize(n[0]) },
-		func(sw *tsnswitch.Switch, n [2]int) error { return sw.SetGateSize(n[0]) }},
-	{"set_cbs_tbl", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitCBS(n[0], n[1]) },
-		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeCBS(n[0], n[1]) }},
-	{"set_queues", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitQueues(n[0]) },
-		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeQueues(n[0]) }},
-	{"set_buffers", func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitBuffers(n[0]) },
-		func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeBuffers(n[0]) }},
-	{"rebase_slot", func(sw *tsnswitch.Switch, _ [2]int) []tsnswitch.Misfit { return sw.FitRebase() }, nil},
-}
+// The op kinds reconfig handles itself: the table's last row,
+// set_frer_tbl, staged per FRER table rather than per switch, and
+// rebase_slot, which is no set_* class.
+const setFRERTbl, rebaseSlot = len(core.Classes) - 1, len(core.Classes)
 
-// classSizes reads each class's parameters, row by row of classes, as a
-// switch's Config holds them (a core.Config reads through Config.Switch).
-// One direct call per config: a closure column would copy it per row.
-func classSizes(c *tsnswitch.Config) [len(classes)][2]int {
-	return [len(classes)][2]int{{c.UnicastSize, c.MulticastSize}, {c.ClassSize}, {c.MeterSize}, {c.GateSize},
-		{c.CBSMapSize, c.CBSSize}, {c.QueueDepth}, {c.BuffersPerPort}, {int(c.SlotSize)}}
-}
-
-// The class apply singles out; set_frer_tbl is staged per FRER table,
-// not per switch, so it has no row.
-const rebaseSlot, setFRERTbl = len(classes) - 1, len(classes)
-
-// local is the sizes of the switch's share of cfg.
-func (b *Bindings) local(cfg core.Config, sw *tsnswitch.Switch) [len(classes)][2]int {
+// local is the sizes (core.Sizes) of the switch's share of cfg.
+func (b *Bindings) local(cfg core.Config, sw *tsnswitch.Switch) [len(core.Classes)][2]int {
 	c := b.Design.Local(cfg, sw.ID()).Switch()
-	return classSizes(&c)
+	return core.Sizes(&c)
 }
 
 // Verify reports a class whose sizes on sw differ from want, the
 // switch's share (Design.Local) of the configuration in force. It scans
-// the classes last to first (testbed.VerifyLive scans the switches the
-// same way), so after a commit that died partway it names the last
-// staged operation that applied.
+// the classes last to first, the slot before them (testbed.VerifyLive
+// scans the switches the same way), so after a commit that died partway
+// it names the last staged operation that applied.
 func Verify(sw *tsnswitch.Switch, want core.Config) error {
 	got, exp := sw.Config(), want.Switch()
-	g, w := classSizes(&got), classSizes(&exp)
-	for c := len(classes) - 1; c >= 0; c-- {
-		if g[c] != w[c] {
-			return fmt.Errorf("switch %d %s is %v, expected %v", sw.ID(), classes[c].name, g[c], w[c])
+	if got.SlotSize != exp.SlotSize {
+		return fmt.Errorf("switch %d rebase_slot is [%d], expected [%d]", sw.ID(), got.SlotSize, exp.SlotSize)
+	}
+	g, w := core.Sizes(&got), core.Sizes(&exp)
+	for c := setFRERTbl - 1; c >= 0; c-- {
+		if r := &core.Classes[c]; g[c] != w[c] {
+			return fmt.Errorf("switch %d %s is %v, expected %v", sw.ID(), r.API,
+				slices.Clone(g[c][:r.Sized]), slices.Clone(w[c][:r.Sized]))
 		}
 	}
 	return nil
@@ -161,7 +130,7 @@ func Verify(sw *tsnswitch.Switch, want core.Config) error {
 // state their revert restores.
 type op struct {
 	sw    *tsnswitch.Switch // nil for set_frer_tbl
-	class int               // index into classes, or setFRERTbl
+	class int               // index into core.Classes, or rebaseSlot
 	// rebase_slot: the lists apply replaced, captured at apply time so
 	// revert reinstalls the exact values, base alignment included.
 	savedIn, savedOut []*gate.GCL
@@ -171,10 +140,13 @@ type op struct {
 
 // name formats the operation's name on demand.
 func (o *op) name() string {
-	if o.class == setFRERTbl {
+	switch o.class {
+	case setFRERTbl:
 		return fmt.Sprintf("frer%d:set_frer_tbl", o.frerIdx)
+	case rebaseSlot:
+		return fmt.Sprintf("sw%d:rebase_slot", o.sw.ID())
 	}
-	return fmt.Sprintf("sw%d:%s", o.sw.ID(), classes[o.class].name)
+	return fmt.Sprintf("sw%d:%s", o.sw.ID(), core.Classes[o.class].API)
 }
 
 // Controller owns transaction bookkeeping: metrics, and the fault-
@@ -311,10 +283,11 @@ func (c *Controller) Begin(old, new core.Config, b Bindings) (*Txn, error) {
 // (the same Builder validation a fresh design passes), then the fields
 // a live switch cannot change, then, switch by switch, a dry run of
 // every class the switch does not already hold at its share of the
-// candidate — its row's fit, the switch primitive's own check — and
-// last the FRER tables' occupancy. A class held at the candidate's size
-// needs no check: its live occupancy fits its live size. A switch's
-// findings read in At order: its tables, port by port, then the rest.
+// candidate — its core.Classes row's Fit (FitRebase for the slot), the
+// switch primitive's own check — and last the FRER tables' occupancy. A
+// class held at the candidate's size needs no check: its live occupancy
+// fits its live size. A switch's findings read in At order: its tables,
+// port by port, then the rest.
 func validate(old, new core.Config, b Bindings) error {
 	var errs []error
 	if _, err := core.BuilderFor(new, b.Platform).Build(); err != nil {
@@ -334,12 +307,15 @@ func validate(old, new core.Config, b Bindings) error {
 	}
 	for _, sw := range b.Switches {
 		got := sw.Config()
-		live := classSizes(&got)
+		live, n := core.Sizes(&got), b.local(new, sw)
 		var found []tsnswitch.Misfit
-		for c, n := range b.local(new, sw) {
-			if n != live[c] {
-				found = append(found, classes[c].fit(sw, n)...)
+		for c := range setFRERTbl {
+			if n[c] != live[c] {
+				found = append(found, core.Classes[c].Fit(sw, n[c])...)
 			}
+		}
+		if got.SlotSize != new.SlotSize {
+			found = append(found, sw.FitRebase()...)
 		}
 		slices.SortStableFunc(found, func(x, y tsnswitch.Misfit) int { return x.At - y.At })
 		for _, m := range found {
@@ -376,12 +352,15 @@ func effectiveHistory(cfg core.Config) int {
 func (t *Txn) prepare() {
 	old, new := &t.old, &t.new
 	was, will := old.Switch(), new.Switch()
-	from, to := classSizes(&was), classSizes(&will)
+	from, to := core.Sizes(&was), core.Sizes(&will)
 	for _, sw := range t.b.Switches {
-		for c := range classes {
+		for c := range setFRERTbl {
 			if from[c] != to[c] {
 				t.ops = append(t.ops, op{sw: sw, class: c})
 			}
+		}
+		if old.SlotSize != new.SlotSize {
+			t.ops = append(t.ops, op{sw: sw, class: rebaseSlot})
 		}
 	}
 	if new.FRERSize != old.FRERSize || effectiveHistory(*new) != effectiveHistory(*old) {
@@ -408,7 +387,7 @@ func (t *Txn) apply(o *op) error {
 		}
 		return o.sw.RebaseCQF(t.new.SlotSize, o.sw.Clock.Now(t.c.engine.Now()))
 	}
-	return classes[o.class].resize(o.sw, t.b.local(t.new, o.sw)[o.class])
+	return core.Classes[o.class].Resize(o.sw, t.b.local(t.new, o.sw)[o.class])
 }
 
 // revert restores exactly the state o's apply replaced.
@@ -419,7 +398,7 @@ func (t *Txn) revert(o *op) error {
 	case rebaseSlot:
 		return o.sw.RestoreSchedules(t.old.SlotSize, o.savedIn, o.savedOut)
 	}
-	return classes[o.class].resize(o.sw, t.b.local(t.old, o.sw)[o.class])
+	return core.Classes[o.class].Resize(o.sw, t.b.local(t.old, o.sw)[o.class])
 }
 
 // State returns the transaction's lifecycle state.

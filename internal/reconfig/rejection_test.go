@@ -1,6 +1,7 @@
 package reconfig
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
@@ -178,6 +179,52 @@ func TestReconfigRejectionText(t *testing.T) {
 			}
 			if got := err.Error(); got != tc.want {
 				t.Fatalf("rejection text:\n%s\nwant:\n%s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestEveryClassStagesOneOpPerSwitch grows each row of core.Classes
+// alone, through the row's own parameters: every live-resizable class
+// stages exactly one operation per switch under its API name, commits,
+// and leaves each switch holding the candidate (Verify); set_frer_tbl
+// stages one per FRER table.
+func TestEveryClassStagesOneOpPerSwitch(t *testing.T) {
+	for _, r := range core.Classes {
+		t.Run(r.API, func(t *testing.T) {
+			old := baseCfg()
+			old.FRERSize, old.FRERHistory = 2, 16
+			engine := sim.NewEngine()
+			b := Bindings{FRER: []*frer.Table{frer.NewTable(2, 16), frer.NewTable(2, 16)}}
+			for id := 0; id < 3; id++ {
+				c := switchCfg(old)
+				c.ID = id
+				b.Switches = append(b.Switches, tsnswitch.New(engine, c))
+			}
+			cand := old
+			for _, p := range r.Params[:max(r.Sized, 1)] {
+				*p.Of(&cand) += 2
+			}
+			ctrl := NewController(engine, nil)
+			txn, err := ctrl.Begin(old, cand, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"sw0:" + r.API, "sw1:" + r.API, "sw2:" + r.API}
+			if r.Fit == nil {
+				want = []string{"frer0:" + r.API, "frer1:" + r.API}
+			}
+			if got := txn.Ops(); !slices.Equal(got, want) {
+				t.Fatalf("staged %v, want %v", got, want)
+			}
+			txn.Commit()
+			if txn.State() != StateCommitted {
+				t.Fatalf("%v: %v", txn.State(), txn.Err())
+			}
+			for _, sw := range b.Switches {
+				if err := Verify(sw, cand); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}

@@ -3,7 +3,9 @@ package svc
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 	"strconv"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
@@ -146,8 +148,9 @@ type DeriveResponse struct {
 }
 
 // ReconfigRequest is POST /v1/reconfig's body: absolute new network-wide
-// values for the live-resizable resources; zero keeps the live value. A
-// table size N means "N minus this switch's derived spare" on each switch
+// values for the live-resizable resources, read by core.Overlay: zero
+// keeps the live value, a negative value is rejected. A table size N
+// means "N minus this switch's derived spare" on each switch
 // (core.Design.Local). It is the narrower HTTP form of tsnsim's
 // -reconfig file (chaos.Delta).
 type ReconfigRequest struct {
@@ -162,28 +165,17 @@ type ReconfigRequest struct {
 // Empty reports a request that changes nothing.
 func (r *ReconfigRequest) Empty() bool { return *r == ReconfigRequest{} }
 
-// Candidate overlays the request's non-zero fields on the live config:
-// the one statement of "zero keeps the live value".
-func (r *ReconfigRequest) Candidate(cfg core.Config) core.Config {
-	if r.UnicastSize > 0 {
-		cfg.UnicastSize = r.UnicastSize
+// decodeDelta reads a POST /v1/reconfig body strictly: an unknown field
+// or a negative value is an error.
+func decodeDelta(body io.Reader) (*ReconfigRequest, error) {
+	req := new(ReconfigRequest)
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if err == nil {
+		_, err = core.Overlay(core.Config{}, req)
 	}
-	if r.MulticastSize > 0 {
-		cfg.MulticastSize = r.MulticastSize
-	}
-	if r.ClassSize > 0 {
-		cfg.ClassSize = r.ClassSize
-	}
-	if r.MeterSize > 0 {
-		cfg.MeterSize = r.MeterSize
-	}
-	if r.QueueDepth > 0 {
-		cfg.QueueDepth = r.QueueDepth
-	}
-	if r.BufferNum > 0 {
-		cfg.BufferNum = r.BufferNum
-	}
-	return cfg
+	return req, err
 }
 
 // ReconfigResponse is POST /v1/reconfig's 200 body: the transaction is

@@ -384,7 +384,11 @@ func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (Reco
 			out.Shed = true
 			return
 		}
-		cand := req.Candidate(in.net.LiveConfig())
+		cand, err := core.Overlay(in.net.LiveConfig(), req)
+		if err != nil {
+			out.RejectErr = err
+			return
+		}
 		var txnID uint64
 		if in.store != nil {
 			txnID = in.store.takeTxn()

@@ -10,7 +10,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/core"
 )
 
 // referenceHash is Spec.Hash as it was before the key moved into a
@@ -134,4 +139,75 @@ func TestDeriveHeadersMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceCandidate is ReconfigRequest.Candidate as it was before the
+// overlay moved into core.Overlay, verbatim: the statement of "zero
+// keeps the live value" POST /v1/reconfig was defined by.
+func (r *ReconfigRequest) referenceCandidate(cfg core.Config) core.Config {
+	if r.UnicastSize > 0 {
+		cfg.UnicastSize = r.UnicastSize
+	}
+	if r.MulticastSize > 0 {
+		cfg.MulticastSize = r.MulticastSize
+	}
+	if r.ClassSize > 0 {
+		cfg.ClassSize = r.ClassSize
+	}
+	if r.MeterSize > 0 {
+		cfg.MeterSize = r.MeterSize
+	}
+	if r.QueueDepth > 0 {
+		cfg.QueueDepth = r.QueueDepth
+	}
+	if r.BufferNum > 0 {
+		cfg.BufferNum = r.BufferNum
+	}
+	return cfg
+}
+
+// FuzzReconfigRequest decodes arbitrary bytes as POST /v1/reconfig
+// does. Every accepted body overlays the live configuration exactly as
+// the reference does; a body with a negative value, or with a key that
+// names no field of the request, is rejected.
+func FuzzReconfigRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"meter_size":64}`, `{"unicast_size":384,"meter_size":128}`, `{"unicast_size":-5}`,
+		`{"meter_size":64,"gate_size":4}`, `{"gate_size":4}`, `{"unicast_size":0}`, `{}`,
+		`{"Meter_Size":64}`, `{"buffer_num":-1,"buffer_num":8}`, `{"queue_depth":1e2}`,
+		`{"class_size":3} {"class_size":-3}`, `null`, `[]`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	var names []string
+	for _, fld := range reflect.VisibleFields(reflect.TypeOf(ReconfigRequest{})) {
+		name, _, _ := strings.Cut(fld.Tag.Get("json"), ",")
+		names = append(names, name)
+	}
+	live := core.PaperCustomizedConfig(3)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeDelta(bytes.NewReader(body))
+		if err == nil {
+			if got, oerr := core.Overlay(live, req); oerr != nil || got != req.referenceCandidate(live) {
+				t.Fatalf("%q: overlay %+v, %v; reference %+v", body, got, oerr, req.referenceCandidate(live))
+			}
+		}
+		var loose ReconfigRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&loose) == nil && err == nil {
+			for _, v := range []int{loose.UnicastSize, loose.MulticastSize, loose.ClassSize,
+				loose.MeterSize, loose.QueueDepth, loose.BufferNum} {
+				if v < 0 {
+					t.Fatalf("%q: negative value accepted", body)
+				}
+			}
+		}
+		var keys map[string]json.RawMessage
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&keys) == nil && err == nil {
+			for k := range keys {
+				if !slices.ContainsFunc(names, func(n string) bool { return strings.EqualFold(n, k) }) {
+					t.Fatalf("%q: unknown field %q accepted", body, k)
+				}
+			}
+		}
+	})
 }

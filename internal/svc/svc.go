@@ -483,9 +483,8 @@ func (s *Service) handleReconfig(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	var req ReconfigRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeDelta(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad delta: "+err.Error())
 		return
 	}
@@ -494,7 +493,7 @@ func (s *Service) handleReconfig(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	out, err := s.inst.Reconfigure(r.Context(), &req)
+	out, err := s.inst.Reconfigure(r.Context(), req)
 	switch {
 	case err != nil:
 		switch {

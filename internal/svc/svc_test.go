@@ -182,6 +182,30 @@ func TestServiceReconfigValidationRejection(t *testing.T) {
 	}
 }
 
+// TestServiceReconfigBadDelta: a negative size or a field the request
+// does not have is a 400 naming it, and commits nothing.
+func TestServiceReconfigBadDelta(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	for _, tc := range []struct{ body, want string }{
+		{`{"unicast_size":-5}`, "bad delta: negative unicast_size -5"},
+		{`{"meter_size":64,"buffer_num":-1}`, "bad delta: negative buffer_num -1"},
+		{`{"meter_size":64,"gate_size":4}`, `bad delta: json: unknown field "gate_size"`},
+		{`{"gate_size":4}`, `bad delta: json: unknown field "gate_size"`},
+		{`{"unicast_size":0}`, "empty delta: nothing to reconfigure"},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/reconfig", tc.body, nil)
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusBadRequest || e.Error != tc.want {
+			t.Errorf("%s: %d %s, want 400 %q", tc.body, resp.StatusCode, body, tc.want)
+		}
+	}
+	var journal []JournalEntry
+	getJSON(t, ts.URL+"/v1/journal", &journal)
+	if len(journal) != 0 {
+		t.Fatalf("a rejected delta was journaled: %+v", journal)
+	}
+}
+
 func TestServiceWedgeTripsBreakerAndHealth(t *testing.T) {
 	s, ts := newTestService(t, Options{BreakerThreshold: 1, BreakerCooldown: time.Hour})
 	if err := s.Instance().Arm(1, 1, true); err != nil {

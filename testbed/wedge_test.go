@@ -16,6 +16,10 @@ import (
 // before the first.
 func TestReconfigWedgeNamesTheLastAppliedOp(t *testing.T) {
 	const nOps = 6 * 8 // six switches, every class
+	fullText := map[int]string{
+		5: "testbed: switch 0 set_cbs_tbl is [4 4], expected [3 3]: partial reconfiguration left in place",
+		6: "testbed: switch 0 set_queues is [4], expected [2]: partial reconfiguration left in place",
+	}
 	for k := 0; k < nOps; k++ {
 		net, _, _ := liveRing(t, 12, false, Options{})
 		cand := net.LiveConfig()
@@ -49,6 +53,10 @@ func TestReconfigWedgeNamesTheLastAppliedOp(t *testing.T) {
 		sw, class, _ := strings.Cut(strings.TrimPrefix(ops[k-1], "sw"), ":")
 		if want := "switch " + sw + " " + class + " "; err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("wedge before op %d: VerifyLive = %v, want it to name %q", k, err, want)
+		}
+		// Each class prints the sizes its switch primitive takes.
+		if want, ok := fullText[k]; ok && err.Error() != want {
+			t.Fatalf("wedge before op %d: VerifyLive = %q, want %q", k, err, want)
 		}
 	}
 }
