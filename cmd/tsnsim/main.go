@@ -66,6 +66,10 @@ type runOpts struct {
 	replay   string
 }
 
+// traced reports whether the run keeps a whole packet trace for
+// -hotspots or -trace-json.
+func (o *runOpts) traced() bool { return o.hotspots || o.traceJSON != "" }
+
 // parseFlags binds argv into a runOpts, loading the -faults and
 // -reconfig files it names.
 func parseFlags(args []string) (*runOpts, error) {
@@ -93,10 +97,10 @@ func parseFlags(args []string) (*runOpts, error) {
 	fs.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (e.g. :9090); holds after the run until interrupted")
 	fs.StringVar(&o.csvPath, "csv", "", "write per-flow statistics to this CSV file")
 	fs.StringVar(&o.pcapPath, "pcap", "", "write delivered frames to this pcap file")
-	fs.BoolVar(&o.hotspots, "hotspots", false, "trace the dataplane and print the worst queue-residence cells")
+	fs.BoolVar(&o.hotspots, "hotspots", false, "print the worst queue-residence cells over the most recent 1 Mi dataplane events")
 	fs.StringVar(&o.metricsPath, "metrics", "", "write the metrics registry to this file ('-' for stdout)")
 	fs.BoolVar(&o.metricsJSON, "metrics-json", false, "export -metrics as JSON instead of Prometheus text")
-	fs.StringVar(&o.traceJSON, "trace-json", "", "write the packet trace as Chrome trace-event JSON to this file")
+	fs.StringVar(&o.traceJSON, "trace-json", "", "write the most recent 1 Mi dataplane events as Chrome trace-event JSON to this file")
 	fs.DurationVar(&o.progress, "progress", 0, "print progress to stderr at this wall-clock interval (e.g. 2s)")
 	fs.IntVar(&o.partitions, "partitions", 0, "shard the topology across this many parallel engines (conservative lookahead; results byte-identical to serial, needs -no-gptp)")
 	co := &o.campaign
@@ -173,14 +177,19 @@ func runWithOutputs(o runOpts) error {
 	if err != nil {
 		return err
 	}
+	var events []trace.Event
+	if o.traced() {
+		events = net.Flight.Snapshot(net.Flight.Cap())
+	}
+	overwritten := net.Flight.Seq() - uint64(len(events))
 	if o.hotspots {
 		fmt.Println("worst queue residences:")
-		for _, r := range trace.TopResidences(net.Tracer, 8) {
+		for _, r := range trace.TopResidences(events, 8) {
 			fmt.Printf("  %s\n", r)
 		}
-		if n := net.Tracer.Truncated(); n > 0 {
-			fmt.Printf("  (trace truncated: %d events beyond the %d-event limit were not recorded)\n",
-				n, net.Tracer.Limit)
+		if overwritten > 0 {
+			fmt.Printf("  (trace wrapped: these cells read the newest %d events; the %d before them were overwritten)\n",
+				len(events), overwritten)
 		}
 	}
 	if net.Capture != nil {
@@ -191,14 +200,14 @@ func runWithOutputs(o runOpts) error {
 		if err != nil {
 			return err
 		}
-		if err := net.Tracer.WriteChrome(f); err != nil {
+		if err := trace.WriteChrome(f, events, overwritten); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d events written to %s\n", net.Tracer.Len(), o.traceJSON)
+		fmt.Printf("trace: %d events written to %s\n", len(events), o.traceJSON)
 	}
 	if o.metricsPath != "" {
 		if err := net.Metrics.Snapshot().WriteFile(o.metricsPath, o.metricsJSON); err != nil {
@@ -320,7 +329,7 @@ func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
 	reg := metrics.New()
 	net, rec, err := o.Build(testbed.Options{
 		EnableGPTP: o.gptp, Pcap: pcapOut,
-		EnableTrace: o.hotspots || o.traceJSON != "",
+		EnableTrace: o.traced(),
 		Metrics:     reg,
 		Faults:      o.scenario,
 		Partitions:  o.partitions,
@@ -403,7 +412,11 @@ func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
 			net.Injector.Injected(), net.Injector.Recovered(),
 			reg.SumCounter(faults.MetricLinkDrops))
 	}
-	printSummary(reg, wall, net.Tracer)
+	var traceDropped uint64
+	if o.traced() {
+		traceDropped = net.Flight.Seq() - uint64(net.Flight.Len())
+	}
+	printSummary(reg, wall, traceDropped)
 	printPartitionStats(net.PartitionStats())
 	printAttribution(net)
 	if net.Server != nil {
@@ -460,8 +473,8 @@ func printAttribution(net *testbed.Net) {
 // printSummary renders the exit summary line from the telemetry
 // registry — delivered frames, drops by reason, the simulator's event
 // throughput over the measured wall time, and an honest note when the
-// packet trace hit its recording limit.
-func printSummary(reg *metrics.Registry, wall time.Duration, tr *trace.Recorder) {
+// packet trace lost its oldest traceDropped events to the ring.
+func printSummary(reg *metrics.Registry, wall time.Duration, traceDropped uint64) {
 	delivered := reg.SumCounter("tsn_flows_delivered_total")
 	drops := reg.SumCounter(tsnswitch.MetricDrops)
 	line := fmt.Sprintf("summary: delivered=%d drops=%d", delivered, drops)
@@ -477,8 +490,8 @@ func printSummary(reg *metrics.Registry, wall time.Duration, tr *trace.Recorder)
 	if secs := wall.Seconds(); secs > 0 {
 		line += fmt.Sprintf(" (%.0f ev/s)", float64(events)/secs)
 	}
-	if dropped := tr.Truncated(); dropped > 0 {
-		line += fmt.Sprintf(" trace-dropped=%d", dropped)
+	if traceDropped > 0 {
+		line += fmt.Sprintf(" trace-dropped=%d", traceDropped)
 	}
 	fmt.Println(line)
 }

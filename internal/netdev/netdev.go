@@ -103,6 +103,10 @@ func NewIfc(engine *sim.Engine, name string, owner Receiver, rate ethernet.Rate)
 	return i
 }
 
+// CableDelay is the propagation delay of every cable the testbed lays
+// (100 ns ≈ 20 m), and the one schedule synthesis assumes.
+const CableDelay = 100 * sim.Nanosecond
+
 // Connect joins a and b with a cable of the given propagation delay.
 func Connect(a, b *Ifc, prop sim.Time) {
 	if a.peer != nil || b.peer != nil {

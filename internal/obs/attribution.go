@@ -82,8 +82,9 @@ type MissDump struct {
 	Events []trace.Event `json:"events"`
 }
 
-// EventDump is a full flight-recorder capture taken on a non-miss
-// trigger: a watchdog degradation or an injected fault.
+// EventDump is a flight-recorder capture of the newest DumpWindow
+// events taken on a non-miss trigger: a watchdog degradation or an
+// injected fault.
 type EventDump struct {
 	Reason string        `json:"reason"`
 	At     sim.Time      `json:"at_ns"`
@@ -97,6 +98,10 @@ const (
 	maxMissDumps  = 8
 	maxEventDumps = 4
 )
+
+// DumpWindow is how many of the newest flight-recorder events a dump
+// reads, so a dump is the same whatever the ring's capacity.
+const DumpWindow = 1 << 16
 
 // Metric names and bucket layout of the attribution families.
 const (
@@ -293,7 +298,7 @@ func (a *Attribution) observeMiss(cls ethernet.Class, f *ethernet.Frame, arrival
 	}
 	a.worstMiss = lat
 	d := MissDump{FlowID: f.FlowID, Seq: f.Seq, Lat: lat, At: arrival, Comp: c,
-		Events: a.flight.SnapshotFlow(f.FlowID)}
+		Events: a.flight.SnapshotFlow(f.FlowID, DumpWindow)}
 	if len(a.dumps) >= maxMissDumps {
 		copy(a.dumps, a.dumps[1:])
 		a.dumps = a.dumps[:len(a.dumps)-1]
@@ -400,10 +405,11 @@ func (a *Attribution) Dumps() []MissDump {
 	return append([]MissDump(nil), a.dumps...)
 }
 
-// DumpNow captures the whole flight-recorder ring under a reason tag —
-// called from watchdog-degradation and fault-injection hooks.
+// DumpNow captures the newest DumpWindow flight-recorder events under a
+// reason tag — called from watchdog-degradation and fault-injection
+// hooks.
 func (a *Attribution) DumpNow(reason string, at sim.Time) {
-	events := a.flight.Snapshot()
+	events := a.flight.Snapshot(DumpWindow)
 	a.mu.Lock()
 	if len(a.eventDumps) >= maxEventDumps {
 		copy(a.eventDumps, a.eventDumps[1:])

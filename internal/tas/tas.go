@@ -28,6 +28,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/gate"
+	"github.com/tsnbuilder/tsnbuilder/internal/netdev"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 )
@@ -51,9 +52,6 @@ type Options struct {
 	// transmission time (absorbs clock error and timestamping jitter).
 	// Default 2 µs.
 	Guard sim.Time
-	// CableDelay is the propagation delay of every link (must match
-	// the testbed). Default 100 ns.
-	CableDelay sim.Time
 	// LinkRate is the port line rate. Default 1 Gbps.
 	LinkRate ethernet.Rate
 	// MaxFrameBytes bounds the interfering frame a guard band must
@@ -66,9 +64,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Guard == 0 {
 		o.Guard = 2 * sim.Microsecond
-	}
-	if o.CableDelay == 0 {
-		o.CableDelay = 100 * sim.Nanosecond
 	}
 	if o.LinkRate == 0 {
 		o.LinkRate = ethernet.Gbps
@@ -206,7 +201,7 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 				if conflicts(srcKey(s), base, base+txT) {
 					continue search
 				}
-				at := base + txT + opts.CableDelay // arrival at first switch
+				at := base + txT + netdev.CableDelay // arrival at first switch
 				for _, pk := range ports {
 					start, end := at, at+winLen
 					// Reserve the guard band before the window too, so
@@ -214,19 +209,19 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 					if conflicts(portKeyString(pk), start-sch.GuardBand, end) {
 						continue search
 					}
-					at = end + opts.CableDelay // worst-case arrival at next hop
+					at = end + netdev.CableDelay // worst-case arrival at next hop
 				}
 			}
 			// Feasible: commit all reservations.
 			for r := int64(0); r < reps; r++ {
 				base := o + sim.Time(r)*s.Period
 				reserve(srcKey(s), Window{Start: base, End: base + txT, FlowID: s.ID})
-				at := base + txT + opts.CableDelay
+				at := base + txT + netdev.CableDelay
 				for _, pk := range ports {
 					w := Window{Start: at, End: at + winLen, FlowID: s.ID}
 					reserve(portKeyString(pk), Window{Start: w.Start - sch.GuardBand, End: w.End, FlowID: s.ID})
 					sch.Windows[pk] = append(sch.Windows[pk], w)
-					at = w.End + opts.CableDelay
+					at = w.End + netdev.CableDelay
 				}
 			}
 			sch.Offsets[s.ID] = o
@@ -352,9 +347,9 @@ func (s *Schedule) WorstCaseLatency(spec *flows.Spec, topo *topology.Topology) (
 		return 0, fmt.Errorf("tas: flow %d not scheduled", spec.ID)
 	}
 	txT := ethernet.TxTime(spec.WireSize+ethernet.OverheadBytes, s.opts.LinkRate)
-	at := o + txT + s.opts.CableDelay
+	at := o + txT + netdev.CableDelay
 	for range ports {
-		at += txT + s.opts.Guard + s.opts.CableDelay
+		at += txT + s.opts.Guard + netdev.CableDelay
 	}
 	return at - o, nil
 }

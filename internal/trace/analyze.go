@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
@@ -35,61 +36,52 @@ func (r Residence) String() string {
 
 // Residences pairs each enqueue with the next transmission start of the
 // same packet on the same switch/port and aggregates per (switch, port,
-// queue). Dropped packets contribute nothing.
-func Residences(rec *Recorder) []Residence {
-	if rec == nil {
-		return nil
+// queue), worst max first. Dropped packets contribute nothing, and
+// neither does a transmission start whose enqueue is not among events.
+func Residences(events []Event) []Residence {
+	type hop struct {
+		flow, seq uint32
+		sw, port  int
 	}
-	type key struct{ sw, port, queue int }
-	agg := make(map[key]*Residence)
-	for pk := range rec.byPacket {
-		evs := rec.Packet(pk.FlowID, pk.Seq)
-		// Events are in record (time) order; walk matching pairs.
-		for i := 0; i < len(evs); i++ {
-			if evs[i].Kind != KindEnqueue {
-				continue
-			}
-			enq := evs[i]
-			for j := i + 1; j < len(evs); j++ {
-				tx := evs[j]
-				if tx.Kind != KindTxStart || tx.Switch != enq.Switch || tx.Port != enq.Port {
-					continue
-				}
-				k := key{enq.Switch, enq.Port, enq.Queue}
+	type cell struct{ sw, port, queue int }
+	waiting := make(map[hop][]Event)
+	agg := make(map[cell]*Residence)
+	for _, ev := range events {
+		h := hop{ev.FlowID, ev.Seq, ev.Switch, ev.Port}
+		switch ev.Kind {
+		case KindEnqueue:
+			waiting[h] = append(waiting[h], ev)
+		case KindTxStart:
+			for _, enq := range waiting[h] {
+				k := cell{enq.Switch, enq.Port, enq.Queue}
 				a, ok := agg[k]
 				if !ok {
 					a = &Residence{Switch: enq.Switch, Port: enq.Port, Queue: enq.Queue}
 					agg[k] = a
 				}
-				d := tx.At - enq.At
+				d := ev.At - enq.At
 				a.Count++
 				a.Sum += d
-				if d > a.Max {
-					a.Max = d
-				}
-				break
+				a.Max = max(a.Max, d)
 			}
+			delete(waiting, h)
 		}
 	}
-	out := make([]Residence, 0, len(agg))
+	var out []Residence
 	for _, a := range agg {
 		out = append(out, *a)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Max != out[j].Max {
-			return out[i].Max > out[j].Max
-		}
-		if out[i].Switch != out[j].Switch {
-			return out[i].Switch < out[j].Switch
-		}
-		return out[i].Port < out[j].Port
+	// A total order: cells that tie on Max must not come out in map order.
+	slices.SortFunc(out, func(a, b Residence) int {
+		return cmp.Or(cmp.Compare(b.Max, a.Max), cmp.Compare(a.Switch, b.Switch),
+			cmp.Compare(a.Port, b.Port), cmp.Compare(a.Queue, b.Queue))
 	})
 	return out
 }
 
 // TopResidences returns the n worst residence cells (by max).
-func TopResidences(rec *Recorder, n int) []Residence {
-	all := Residences(rec)
+func TopResidences(events []Event, n int) []Residence {
+	all := Residences(events)
 	if len(all) > n {
 		all = all[:n]
 	}

@@ -7,19 +7,20 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
-// record a packet's journey: enqueue at sw/port at t, tx at t+d.
-func journey(r *Recorder, flow, seq uint32, sw, port, queue int, at, residence sim.Time) {
-	r.Record(Event{At: at, Kind: KindEnqueue, Switch: sw, Port: port, Queue: queue, FlowID: flow, Seq: seq})
-	r.Record(Event{At: at + residence, Kind: KindTxStart, Switch: sw, Port: port, Queue: queue, FlowID: flow, Seq: seq})
+// journey appends a packet's journey: enqueue at sw/port at t, tx at t+d.
+func journey(evs []Event, flow, seq uint32, sw, port, queue int, at, residence sim.Time) []Event {
+	return append(evs,
+		Event{At: at, Kind: KindEnqueue, Switch: sw, Port: port, Queue: queue, FlowID: flow, Seq: seq},
+		Event{At: at + residence, Kind: KindTxStart, Switch: sw, Port: port, Queue: queue, FlowID: flow, Seq: seq})
 }
 
 func TestResidences(t *testing.T) {
-	var r Recorder
-	journey(&r, 1, 0, 0, 1, 7, 0, 10*sim.Microsecond)
-	journey(&r, 1, 0, 1, 0, 7, 20*sim.Microsecond, 30*sim.Microsecond)
-	journey(&r, 2, 0, 0, 1, 7, 5*sim.Microsecond, 20*sim.Microsecond)
+	var evs []Event
+	evs = journey(evs, 1, 0, 0, 1, 7, 0, 10*sim.Microsecond)
+	evs = journey(evs, 1, 0, 1, 0, 7, 20*sim.Microsecond, 30*sim.Microsecond)
+	evs = journey(evs, 2, 0, 0, 1, 7, 5*sim.Microsecond, 20*sim.Microsecond)
 
-	res := Residences(&r)
+	res := Residences(evs)
 	if len(res) != 2 {
 		t.Fatalf("cells = %d, want 2", len(res))
 	}
@@ -37,10 +38,11 @@ func TestResidences(t *testing.T) {
 }
 
 func TestResidencesIgnoresDrops(t *testing.T) {
-	var r Recorder
-	r.Record(Event{At: 0, Kind: KindEnqueue, Switch: 0, Port: 1, Queue: 7, FlowID: 1, Seq: 0})
-	r.Record(Event{At: 5, Kind: KindDrop, Switch: 0, Port: 1, Queue: 7, FlowID: 1, Seq: 0})
-	if res := Residences(&r); len(res) != 0 {
+	evs := []Event{
+		{At: 0, Kind: KindEnqueue, Switch: 0, Port: 1, Queue: 7, FlowID: 1, Seq: 0},
+		{At: 5, Kind: KindDrop, Switch: 0, Port: 1, Queue: 7, FlowID: 1, Seq: 0},
+	}
+	if res := Residences(evs); len(res) != 0 {
 		t.Fatalf("dropped packet produced residences: %v", res)
 	}
 }
@@ -48,10 +50,9 @@ func TestResidencesIgnoresDrops(t *testing.T) {
 func TestResidencesMultiHopPairing(t *testing.T) {
 	// One packet crossing two switches: each enqueue pairs with its own
 	// switch's tx, not the downstream one.
-	var r Recorder
-	journey(&r, 1, 0, 0, 0, 7, 0, 10)
-	journey(&r, 1, 0, 1, 0, 7, 100, 40)
-	res := Residences(&r)
+	evs := journey(nil, 1, 0, 0, 0, 7, 0, 10)
+	evs = journey(evs, 1, 0, 1, 0, 7, 100, 40)
+	res := Residences(evs)
 	if len(res) != 2 {
 		t.Fatalf("cells = %d", len(res))
 	}
@@ -69,12 +70,27 @@ func TestResidencesMultiHopPairing(t *testing.T) {
 	}
 }
 
-func TestTopResidences(t *testing.T) {
-	var r Recorder
-	for i := 0; i < 5; i++ {
-		journey(&r, uint32(i+1), 0, i, 0, 7, 0, sim.Time(i+1)*sim.Microsecond)
+// TestResidencesTieOrder: cells tied on Max come out by switch, port
+// and then queue, never in map order. Two queues of one port tie here;
+// each run of the loop builds the aggregation map afresh.
+func TestResidencesTieOrder(t *testing.T) {
+	evs := journey(nil, 1, 0, 0, 2, 7, 0, 64*sim.Microsecond)
+	evs = journey(evs, 2, 0, 0, 2, 6, 0, 64*sim.Microsecond)
+	evs = journey(evs, 3, 0, 0, 1, 5, 0, 64*sim.Microsecond)
+	for i := 0; i < 50; i++ {
+		res := Residences(evs)
+		if len(res) != 3 || res[0].Port != 1 || res[1].Queue != 6 || res[2].Queue != 7 {
+			t.Fatalf("run %d: tied cells in order %v, want sw0.p1 q5, sw0.p2 q6, sw0.p2 q7", i, res)
+		}
 	}
-	top := TopResidences(&r, 2)
+}
+
+func TestTopResidences(t *testing.T) {
+	var evs []Event
+	for i := 0; i < 5; i++ {
+		evs = journey(evs, uint32(i+1), 0, i, 0, 7, 0, sim.Time(i+1)*sim.Microsecond)
+	}
+	top := TopResidences(evs, 2)
 	if len(top) != 2 {
 		t.Fatalf("top = %d", len(top))
 	}
@@ -82,6 +98,6 @@ func TestTopResidences(t *testing.T) {
 		t.Fatalf("ordering wrong: %v", top)
 	}
 	if TopResidences(nil, 3) != nil {
-		t.Fatal("nil recorder produced results")
+		t.Fatal("no events produced results")
 	}
 }

@@ -30,43 +30,38 @@ type chromeArgs struct {
 type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 	TraceEvents     []chromeEvent `json:"traceEvents"`
-	// TruncatedEvents is the recorder's Truncated() count: how many
-	// events the Limit dropped and this export therefore lacks. Zero on
-	// a complete trace; tooling must treat a non-zero value as an
-	// incomplete view, not a clean run.
+	// TruncatedEvents is how many older events the ring overwrote and
+	// this export therefore lacks. Zero on a complete trace; tooling
+	// must treat a non-zero value as an incomplete view, not a clean run.
 	TruncatedEvents uint64 `json:"truncatedEvents"`
 }
 
-// WriteChrome exports every stored event as a thread-scoped instant
-// event: pid = switch, tid = port, name = event kind. The output loads
-// directly into chrome://tracing or Perfetto; the traceEvents array
-// holds exactly Len() entries (no metadata records), and the top-level
-// truncatedEvents field carries Truncated() so tooling can cross-check
-// completeness against the recorder.
-func (r *Recorder) WriteChrome(w io.Writer) error {
+// WriteChrome exports events as thread-scoped instant events: pid =
+// switch, tid = port, name = event kind. The output loads directly into
+// chrome://tracing or Perfetto; the traceEvents array holds exactly
+// len(events) entries (no metadata records), and the top-level
+// truncatedEvents field carries truncated — the recorder's count of
+// events it no longer holds — so tooling can tell a partial view.
+func WriteChrome(w io.Writer, events []Event, truncated uint64) error {
 	out := chromeTrace{
 		DisplayTimeUnit: "ns",
-		TraceEvents:     []chromeEvent{},
-		TruncatedEvents: r.Truncated(),
+		TraceEvents:     make([]chromeEvent, 0, len(events)),
+		TruncatedEvents: truncated,
 	}
-	if r != nil {
-		out.TraceEvents = make([]chromeEvent, 0, len(r.events))
-		for _, ev := range r.events {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name:  ev.Kind.String(),
-				Cat:   "dataplane",
-				Phase: "i",
-				TS:    float64(ev.At) / 1e3,
-				PID:   ev.Switch,
-				TID:   ev.Port,
-				Scope: "t",
-				Args: chromeArgs{
-					Flow: ev.FlowID, Seq: ev.Seq,
-					Queue: ev.Queue, Detail: ev.Detail,
-				},
-			})
-		}
+	for _, ev := range events {
+		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+			Name:  ev.Kind.String(),
+			Cat:   "dataplane",
+			Phase: "i",
+			TS:    float64(ev.At) / 1e3,
+			PID:   ev.Switch,
+			TID:   ev.Port,
+			Scope: "t",
+			Args: chromeArgs{
+				Flow: ev.FlowID, Seq: ev.Seq,
+				Queue: ev.Queue, Detail: ev.Detail,
+			},
+		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(out)
 }

@@ -7,13 +7,13 @@ import (
 )
 
 func TestWriteChromeCountMatchesLen(t *testing.T) {
-	var r Recorder
+	r := NewFlight(8)
 	r.Record(Event{At: 1500, Kind: KindIngress, Switch: 0, Port: -1, Queue: -1, FlowID: 1, Seq: 1})
 	r.Record(Event{At: 2500, Kind: KindEnqueue, Switch: 0, Port: 1, Queue: 7, FlowID: 1, Seq: 1})
 	r.Record(Event{At: 3500, Kind: KindDrop, Switch: 1, Port: 2, Queue: 3, FlowID: 2, Seq: 9, Detail: "queue-full"})
 
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, r.Snapshot(r.Cap()), 0); err != nil {
 		t.Fatal(err)
 	}
 	var got struct {
@@ -49,9 +49,9 @@ func TestWriteChromeCountMatchesLen(t *testing.T) {
 }
 
 func TestWriteChromeNilAndEmpty(t *testing.T) {
-	for _, r := range []*Recorder{nil, {}} {
+	for _, evs := range [][]Event{nil, {}} {
 		var buf bytes.Buffer
-		if err := r.WriteChrome(&buf); err != nil {
+		if err := WriteChrome(&buf, evs, 0); err != nil {
 			t.Fatal(err)
 		}
 		var got map[string]any
@@ -64,76 +64,53 @@ func TestWriteChromeNilAndEmpty(t *testing.T) {
 	}
 }
 
+// TestLimitByPacketConsistency: once the ring wraps, the per-flow view
+// and the export both describe the newest Cap() events, and the export
+// counts the overwritten rest.
 func TestLimitByPacketConsistency(t *testing.T) {
-	r := Recorder{Limit: 3}
-	// Two events of packet (1,1) stored, then the limit cuts off the
-	// third and everything of packet (2,2).
+	r := NewFlight(3)
+	// The last two records overwrite packet (1,1)'s ingress and enqueue.
 	r.Record(Event{At: 1, Kind: KindIngress, FlowID: 1, Seq: 1})
 	r.Record(Event{At: 2, Kind: KindEnqueue, FlowID: 1, Seq: 1})
 	r.Record(Event{At: 3, Kind: KindIngress, FlowID: 2, Seq: 2})
 	r.Record(Event{At: 4, Kind: KindTxStart, FlowID: 1, Seq: 1})
 	r.Record(Event{At: 5, Kind: KindEnqueue, FlowID: 2, Seq: 2})
 
-	if r.Len() != 3 || r.Truncated() != 2 {
-		t.Fatalf("Len = %d, Truncated = %d", r.Len(), r.Truncated())
+	lost := r.Seq() - uint64(r.Len())
+	if r.Len() != 3 || lost != 2 {
+		t.Fatalf("Len = %d, overwritten = %d", r.Len(), lost)
 	}
-	// byPacket only indexes stored events, in record order.
-	p1 := r.Packet(1, 1)
-	if len(p1) != 2 || p1[0].Kind != KindIngress || p1[1].Kind != KindEnqueue {
-		t.Fatalf("packet(1,1) = %+v", p1)
+	// The flow views hold only retained events, in record order.
+	p1 := r.SnapshotFlow(1, r.Cap())
+	if len(p1) != 1 || p1[0].Kind != KindTxStart {
+		t.Fatalf("flow 1 = %+v", p1)
 	}
-	if p2 := r.Packet(2, 2); len(p2) != 1 || p2[0].At != 3 {
-		t.Fatalf("packet(2,2) = %+v", p2)
-	}
-	// Filter and export stay consistent with the stored view.
-	if got := r.Filter(KindEnqueue); len(got) != 1 {
-		t.Fatalf("enqueue events = %d", len(got))
+	if p2 := r.SnapshotFlow(2, r.Cap()); len(p2) != 2 || p2[0].At != 3 {
+		t.Fatalf("flow 2 = %+v", p2)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, r.Snapshot(r.Cap()), lost); err != nil {
 		t.Fatal(err)
+	}
+	var got struct {
+		TraceEvents     []json.RawMessage `json:"traceEvents"`
+		TruncatedEvents uint64            `json:"truncatedEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.TraceEvents) != 3 || got.TruncatedEvents != 2 {
+		t.Fatalf("export holds %d events, truncatedEvents %d; want 3 and 2", len(got.TraceEvents), got.TruncatedEvents)
 	}
 }
 
 func TestNilRecorderChromeSafe(t *testing.T) {
-	var r *Recorder
+	var r *Flight
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, r.Snapshot(r.Cap()), 0); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
 		t.Fatal("nil recorder wrote nothing")
-	}
-}
-
-func TestFilterPreallocated(t *testing.T) {
-	var r Recorder
-	for i := 0; i < 100; i++ {
-		k := KindIngress
-		if i%2 == 0 {
-			k = KindTxStart
-		}
-		r.Record(Event{Seq: uint32(i), Kind: k})
-	}
-	out := r.Filter(KindTxStart)
-	if len(out) != 50 || cap(out) != 50 {
-		t.Fatalf("len = %d cap = %d, want 50/50", len(out), cap(out))
-	}
-	if r.Filter(KindDrop) != nil {
-		t.Fatal("no-match filter should return nil")
-	}
-}
-
-func BenchmarkFilter(b *testing.B) {
-	var r Recorder
-	for i := 0; i < 1<<16; i++ {
-		r.Record(Event{Seq: uint32(i), Kind: Kind(i % 4)})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := r.Filter(KindDrop); len(got) != 1<<14 {
-			b.Fatalf("filtered = %d", len(got))
-		}
 	}
 }

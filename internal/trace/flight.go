@@ -10,10 +10,12 @@ import (
 // most recent dataplane events, kept cheap enough to leave enabled in
 // every run (one mutexed copy into a preallocated ring slot, zero
 // allocations after construction — the same philosophy as the engine's
-// generation-counted free list). Where Recorder stores a complete trace
-// for offline analysis and is opt-in, Flight keeps only the recent past
-// so that a deadline miss, a watchdog degradation or an injected fault
-// can dump the events leading up to it.
+// generation-counted free list). It is the dataplane's only event
+// store: the capacity decides how much of the recent past it holds —
+// enough for a deadline miss, a watchdog degradation or an injected
+// fault to dump the events leading up to it, or, sized up, the most
+// recent million for offline analysis. When the ring is full the
+// oldest event goes.
 //
 // Unlike the rest of the dataplane, Flight is safe for concurrent use:
 // the simulation thread records while the telemetry server reads
@@ -22,7 +24,7 @@ import (
 // A ring slot is a 24-byte record without pointers (an Event is 64,
 // with a string header), so the ring is small and the collector never
 // scans it; readers get Events back. A field the record cannot hold
-// saturates: Port and Queue at the int8 range, Switch at int32, Kind
+// saturates: Switch and Port at the int16 range, Queue at int8, Kind
 // at 0..255. A recorder tells 255 distinct Detail strings apart; an
 // event bringing one more reads back with the detail "?".
 type Flight struct {
@@ -43,8 +45,8 @@ const unknownDetail = 255
 type record struct {
 	at           sim.Time
 	flow, seq    uint32
-	sw           int32
-	port, queue  int8
+	sw, port     int16
+	queue        int8
 	kind, detail uint8
 }
 
@@ -89,8 +91,8 @@ func (fl *Flight) Record(ev Event) {
 	// copied with wide loads, which stalls on store forwarding.
 	r := &fl.buf[fl.seq%uint64(len(fl.buf))]
 	r.at, r.flow, r.seq = ev.At, ev.FlowID, ev.Seq
-	r.sw = int32(min(max(ev.Switch, -1<<31), 1<<31-1))
-	r.port = int8(min(max(ev.Port, -128), 127))
+	r.sw = int16(min(max(ev.Switch, -1<<15), 1<<15-1))
+	r.port = int16(min(max(ev.Port, -1<<15), 1<<15-1))
 	r.queue = int8(min(max(ev.Queue, -128), 127))
 	r.kind = uint8(min(max(ev.Kind, 0), 255))
 	r.detail = fl.detailIndex(ev.Detail)
@@ -134,14 +136,15 @@ func (fl *Flight) len() int {
 	return len(fl.buf)
 }
 
-// Snapshot copies the retained events oldest-first.
-func (fl *Flight) Snapshot() []Event {
+// Snapshot copies the newest min(last, Len()) events oldest-first;
+// Snapshot(Cap()) copies all the ring holds.
+func (fl *Flight) Snapshot(last int) []Event {
 	if fl == nil {
 		return nil
 	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	n := fl.len()
+	n := min(last, fl.len())
 	out := make([]Event, n)
 	start := fl.seq - uint64(n)
 	for i := 0; i < n; i++ {
@@ -150,16 +153,16 @@ func (fl *Flight) Snapshot() []Event {
 	return out
 }
 
-// SnapshotFlow copies the retained events of one flow, oldest-first —
-// the "offending span chain" a deadline-miss dump wants.
-func (fl *Flight) SnapshotFlow(flowID uint32) []Event {
+// SnapshotFlow copies one flow's events among the newest last,
+// oldest-first — the "offending span chain" a deadline-miss dump wants.
+func (fl *Flight) SnapshotFlow(flowID uint32, last int) []Event {
 	if fl == nil {
 		return nil
 	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	var out []Event
-	for i := fl.seq - uint64(fl.len()); i < fl.seq; i++ {
+	for i := fl.seq - uint64(min(last, fl.len())); i < fl.seq; i++ {
 		if fl.buf[i%uint64(len(fl.buf))].flow == flowID {
 			out = append(out, fl.event(i))
 		}

@@ -19,7 +19,7 @@ func TestFlightWrap(t *testing.T) {
 	if fl.Cap() != 4 || fl.Len() != 4 || fl.Seq() != 10 {
 		t.Fatalf("cap/len/seq = %d/%d/%d, want 4/4/10", fl.Cap(), fl.Len(), fl.Seq())
 	}
-	snap := fl.Snapshot()
+	snap := fl.Snapshot(fl.Cap())
 	if len(snap) != 4 {
 		t.Fatalf("snapshot holds %d events, want 4", len(snap))
 	}
@@ -38,7 +38,7 @@ func TestFlightPartialFill(t *testing.T) {
 	if fl.Len() != 3 {
 		t.Fatalf("len = %d, want 3", fl.Len())
 	}
-	snap := fl.Snapshot()
+	snap := fl.Snapshot(fl.Cap())
 	if len(snap) != 3 || snap[0].At != 0 || snap[2].At != 2 {
 		t.Fatalf("partial snapshot wrong: %+v", snap)
 	}
@@ -49,7 +49,7 @@ func TestFlightSnapshotFlow(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		fl.Record(flightEvent(i, uint32(1+i%3)))
 	}
-	only := fl.SnapshotFlow(2)
+	only := fl.SnapshotFlow(2, fl.Cap())
 	if len(only) != 4 {
 		t.Fatalf("flow-2 events = %d, want 4", len(only))
 	}
@@ -57,6 +57,27 @@ func TestFlightSnapshotFlow(t *testing.T) {
 		if ev.FlowID != 2 {
 			t.Fatalf("foreign flow %d in filtered snapshot", ev.FlowID)
 		}
+	}
+}
+
+// TestFlightSnapshotWindow: a bounded read sees only the newest last
+// events, whatever else the ring holds.
+func TestFlightSnapshotWindow(t *testing.T) {
+	fl := NewFlight(16)
+	for i := 0; i < 12; i++ {
+		fl.Record(flightEvent(i, uint32(1+i%3)))
+	}
+	snap := fl.Snapshot(5)
+	if len(snap) != 5 || snap[0].At != 7 || snap[4].At != 11 {
+		t.Fatalf("Snapshot(5) = %+v, want ordinals 7..11", snap)
+	}
+	// Among ordinals 6..11, flow 2 recorded 7 and 10.
+	only := fl.SnapshotFlow(2, 6)
+	if len(only) != 2 || only[0].At != 7 || only[1].At != 10 {
+		t.Fatalf("SnapshotFlow(2, 6) = %+v, want ordinals 7 and 10", only)
+	}
+	if got := fl.Snapshot(100); len(got) != 12 {
+		t.Fatalf("Snapshot(100) holds %d events, want all 12", len(got))
 	}
 }
 
@@ -105,7 +126,7 @@ func TestFlightNilSafe(t *testing.T) {
 	if fl.Cap() != 0 || fl.Len() != 0 || fl.Seq() != 0 {
 		t.Fatal("nil flight reports non-zero state")
 	}
-	if fl.Snapshot() != nil || fl.SnapshotFlow(1) != nil {
+	if fl.Snapshot(8) != nil || fl.SnapshotFlow(1, 8) != nil {
 		t.Fatal("nil flight returned events")
 	}
 	if got, next := fl.Since(7, nil); got != nil || next != 7 {

@@ -1,9 +1,10 @@
 // Package trace records per-packet dataplane events — the software
 // equivalent of the probe points a hardware bring-up would watch with a
 // logic analyzer. Switches emit an event at ingress, at enqueue, at
-// every drop and at transmission start; the recorder indexes them by
-// packet so tests and tools can reconstruct a frame's journey and check
-// invariants like CQF's one-slot-per-hop advancement.
+// every drop and at transmission start into one ring per engine, the
+// Flight, which keeps the most recent events. Post-mortem dumps, the
+// live event feed, queue-residence hotspots (Residences) and the
+// Chrome trace export (WriteChrome) all read that one ring.
 package trace
 
 import (
@@ -49,130 +50,6 @@ type Event struct {
 	Seq    uint32
 	// Detail carries the drop reason or other annotations.
 	Detail string
-}
-
-// PacketKey identifies one packet across hops.
-type PacketKey struct {
-	FlowID uint32
-	Seq    uint32
-}
-
-// Recorder accumulates events. The zero value is ready to use; a nil
-// *Recorder ignores all records, so dataplanes can call it
-// unconditionally.
-type Recorder struct {
-	events   []Event
-	byPacket map[PacketKey][]int
-	// Limit bounds stored events (0 = unlimited). Beyond it new events
-	// are counted but not stored.
-	Limit   int
-	dropped uint64
-	// droppedKind breaks the truncation down per event kind so Filter
-	// callers can tell exactly how incomplete their view is.
-	droppedKind map[Kind]uint64
-}
-
-// Record appends one event.
-func (r *Recorder) Record(ev Event) {
-	if r == nil {
-		return
-	}
-	if r.Limit > 0 && len(r.events) >= r.Limit {
-		r.dropped++
-		if r.droppedKind == nil {
-			r.droppedKind = make(map[Kind]uint64)
-		}
-		r.droppedKind[ev.Kind]++
-		return
-	}
-	if r.byPacket == nil {
-		r.byPacket = make(map[PacketKey][]int)
-	}
-	idx := len(r.events)
-	r.events = append(r.events, ev)
-	k := PacketKey{FlowID: ev.FlowID, Seq: ev.Seq}
-	r.byPacket[k] = append(r.byPacket[k], idx)
-}
-
-// Len returns the number of stored events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.events)
-}
-
-// Truncated returns how many events exceeded Limit.
-func (r *Recorder) Truncated() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
-}
-
-// Complete reports whether the recorder holds every event it was
-// offered. When false, Packet and Filter views are missing events and
-// absence of evidence is not evidence of absence.
-func (r *Recorder) Complete() bool { return r.Truncated() == 0 }
-
-// DroppedOfKind returns how many events of the given kind were lost to
-// truncation — the exact deficit of a Filter(kind) result.
-func (r *Recorder) DroppedOfKind(kind Kind) uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.droppedKind[kind]
-}
-
-// Events returns all stored events in record order.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	return r.events
-}
-
-// Packet returns a packet's events in record (time) order. When the
-// recorder is truncated (Complete() == false) the journey may be
-// missing its tail: callers reconstructing per-hop invariants must
-// check Truncated() before treating a short chain as a drop.
-func (r *Recorder) Packet(flowID, seq uint32) []Event {
-	if r == nil {
-		return nil
-	}
-	idxs := r.byPacket[PacketKey{FlowID: flowID, Seq: seq}]
-	out := make([]Event, len(idxs))
-	for i, idx := range idxs {
-		out[i] = r.events[idx]
-	}
-	return out
-}
-
-// Filter returns stored events matching kind. A counting pass sizes
-// the result exactly, so the append loop never reallocates — traces
-// run to millions of events and the doubling copies dominated.
-// DroppedOfKind(kind) tells how many matching events truncation lost
-// from the result.
-func (r *Recorder) Filter(kind Kind) []Event {
-	if r == nil {
-		return nil
-	}
-	n := 0
-	for _, ev := range r.events {
-		if ev.Kind == kind {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Event, 0, n)
-	for _, ev := range r.events {
-		if ev.Kind == kind {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // String renders an event compactly.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRecordAndQuery(t *testing.T) {
-	var r Recorder
+	r := NewFlight(8)
 	r.Record(Event{At: 10, Kind: KindIngress, Switch: 0, FlowID: 1, Seq: 5})
 	r.Record(Event{At: 20, Kind: KindEnqueue, Switch: 0, Port: 1, Queue: 7, FlowID: 1, Seq: 5})
 	r.Record(Event{At: 30, Kind: KindTxStart, Switch: 0, Port: 1, Queue: 7, FlowID: 1, Seq: 5})
@@ -15,7 +15,7 @@ func TestRecordAndQuery(t *testing.T) {
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	pkt := r.Packet(1, 5)
+	pkt := r.SnapshotFlow(1, r.Cap())
 	if len(pkt) != 3 {
 		t.Fatalf("packet events = %d", len(pkt))
 	}
@@ -24,33 +24,47 @@ func TestRecordAndQuery(t *testing.T) {
 			t.Fatal("packet events out of order")
 		}
 	}
-	if got := r.Filter(KindIngress); len(got) != 2 {
-		t.Fatalf("ingress events = %d", len(got))
+	ingress := 0
+	for _, ev := range r.Snapshot(r.Cap()) {
+		if ev.Kind == KindIngress {
+			ingress++
+		}
 	}
-	if got := r.Packet(9, 9); len(got) != 0 {
-		t.Fatal("unknown packet returned events")
+	if ingress != 2 {
+		t.Fatalf("ingress events = %d", ingress)
+	}
+	if got := r.SnapshotFlow(9, r.Cap()); len(got) != 0 {
+		t.Fatal("unknown flow returned events")
 	}
 }
 
+// TestNilRecorderSafe: a nil recorder's empty snapshot is a valid input
+// to every reader.
 func TestNilRecorderSafe(t *testing.T) {
-	var r *Recorder
+	var r *Flight
 	r.Record(Event{}) // must not panic
-	if r.Len() != 0 || r.Events() != nil || r.Packet(1, 1) != nil ||
-		r.Filter(KindDrop) != nil || r.Truncated() != 0 {
+	evs := r.Snapshot(r.Cap())
+	if r.Len() != 0 || evs != nil || r.SnapshotFlow(1, 1) != nil ||
+		Residences(evs) != nil || r.Seq() != 0 {
 		t.Fatal("nil recorder misbehaved")
 	}
 }
 
+// TestLimit: the ring keeps the newest Cap() events; the rest are
+// counted as overwritten (Seq − Len).
 func TestLimit(t *testing.T) {
-	r := Recorder{Limit: 2}
+	r := NewFlight(2)
 	for i := 0; i < 5; i++ {
 		r.Record(Event{Seq: uint32(i)})
 	}
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	if r.Truncated() != 3 {
-		t.Fatalf("Truncated = %d", r.Truncated())
+	if lost := r.Seq() - uint64(r.Len()); lost != 3 {
+		t.Fatalf("overwritten = %d", lost)
+	}
+	if evs := r.Snapshot(r.Cap()); evs[0].Seq != 3 || evs[1].Seq != 4 {
+		t.Fatalf("kept %+v, want the newest two", evs)
 	}
 }
 

@@ -30,10 +30,8 @@ type Switch struct {
 	flt   *filter.Engine
 	ports []*Port
 
-	// Tracer, when non-nil, receives per-packet dataplane events.
-	Tracer *trace.Recorder
-	// Flight, when non-nil, receives the same events into the always-on
-	// ring-buffer flight recorder (last-N history for post-mortem dumps).
+	// Flight, when non-nil, receives per-packet dataplane events into
+	// the ring-buffer flight recorder.
 	Flight *trace.Flight
 
 	stats Stats
@@ -45,19 +43,16 @@ type Switch struct {
 	met swInstruments
 }
 
-// emit records a trace event if tracing or the flight recorder is
-// enabled.
+// emit records a trace event into the flight recorder, if any.
 func (sw *Switch) emit(kind trace.Kind, port, queue int, f *ethernet.Frame, detail string) {
-	if sw.Tracer == nil && sw.Flight == nil {
+	if sw.Flight == nil {
 		return
 	}
-	ev := trace.Event{
+	sw.Flight.Record(trace.Event{
 		At: sw.engine.Now(), Kind: kind,
 		Switch: sw.cfg.ID, Port: port, Queue: queue,
 		FlowID: f.FlowID, Seq: f.Seq, Detail: detail,
-	}
-	sw.Flight.Record(ev)
-	sw.Tracer.Record(ev)
+	})
 }
 
 // Port is one enabled TSN port with its exclusive queue set, buffer

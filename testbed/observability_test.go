@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
+	"github.com/tsnbuilder/tsnbuilder/internal/obs"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 )
@@ -235,7 +238,52 @@ func TestFlightRecorderAlwaysOn(t *testing.T) {
 	if net.Flight.Seq() == 0 {
 		t.Fatal("flight recorder saw no events")
 	}
-	if net.Tracer != nil {
-		t.Fatal("full tracer should stay opt-in")
+	if c := net.Flight.Cap(); c != 1<<16 {
+		t.Fatalf("flight capacity %d without EnableTrace, want %d", c, 1<<16)
+	}
+}
+
+// TestDumpsIndependentOfTrace: a dump reads the newest obs.DumpWindow
+// events whatever the ring's capacity, so a seeded fault run with
+// deadline misses serves the same /flightrec bytes with and without
+// EnableTrace — here after the traced ring has grown past the window.
+func TestDumpsIndependentOfTrace(t *testing.T) {
+	flightrec := func(enableTrace bool) (string, *Net) {
+		topo := topology.Ring(6)
+		for h := 0; h < 6; h++ {
+			topo.AttachHost(100+h, h)
+		}
+		specs := flows.GenerateTS(flows.TSParams{
+			Count: 1024, Period: 10 * sim.Millisecond, WireSize: 64, VID: 1,
+			Hosts: func(i int) (int, int) { return 100 + i%6, 100 + (i+3)%6 },
+			Seed:  7,
+		})
+		for i, s := range specs {
+			s.VID = uint16(1 + i)
+			s.Deadline = sim.Microsecond
+		}
+		sw1, port := 1, 0
+		sc := &faults.Scenario{Faults: []faults.Fault{
+			{AtUs: 60_000, Kind: faults.KindClockStep, Switch: &sw1, StepNs: 800},
+			{AtUs: 75_000, Kind: faults.KindGateClose, Switch: &sw1, Port: &port, DurationUs: 1_000},
+		}}
+		net := buildNet(t, topo, specs, Options{
+			EnableTrace: enableTrace, Seed: 3, Metrics: metrics.New(), Faults: sc,
+		})
+		net.Run(0, 90*sim.Millisecond)
+		rec := httptest.NewRecorder()
+		obs.NewServer(net.Attr, net.Flight).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/flightrec", nil))
+		return rec.Body.String(), net
+	}
+	plain, _ := flightrec(false)
+	traced, net := flightrec(true)
+	if held := net.Flight.Len(); held <= obs.DumpWindow {
+		t.Fatalf("traced ring holds %d events, not more than the %d-event dump window", held, obs.DumpWindow)
+	}
+	if len(net.Attr.Dumps()) == 0 || len(net.Attr.EventDumps()) != 2 {
+		t.Fatalf("%d miss dumps, %d fault dumps; want some and 2", len(net.Attr.Dumps()), len(net.Attr.EventDumps()))
+	}
+	if plain != traced {
+		t.Fatalf("/flightrec differs with EnableTrace: %d bytes vs %d", len(traced), len(plain))
 	}
 }

@@ -71,7 +71,7 @@ func newPart(reg *metrics.Registry, coll *analyzer.Collector, flight *trace.Flig
 func (n *Net) shard(count int) {
 	n.assign = psim.Assign(n.opts.Topo, count)
 	if count == 1 {
-		n.Flight = trace.NewFlight(flightCapacity)
+		n.Flight = trace.NewFlight(n.opts.flightCapacity())
 		one := newPart(n.Metrics, n.Collector, n.Flight)
 		n.Engine, n.Attr = one.engine, one.attr
 		n.parts = []*part{one}
@@ -82,7 +82,7 @@ func (n *Net) shard(count int) {
 		if n.Metrics != nil {
 			reg = metrics.New()
 		}
-		p := newPart(reg, analyzer.NewCollector(), trace.NewFlight(flightCapacity))
+		p := newPart(reg, analyzer.NewCollector(), trace.NewFlight(n.opts.flightCapacity()))
 		p.ps = psim.NewPartition(p.engine)
 		n.parts = append(n.parts, p)
 	}

@@ -46,9 +46,6 @@ type Options struct {
 	Topo *topology.Topology
 	// Flows must have paths bound (core.BindPaths).
 	Flows []*flows.Spec
-	// CableDelay is the propagation delay of every cable (default
-	// 100 ns ≈ 20 m).
-	CableDelay sim.Time
 	// EnableGPTP synchronizes switch clocks over the trunk links; when
 	// false all switches share perfect clocks.
 	EnableGPTP bool
@@ -56,8 +53,9 @@ type Options struct {
 	// shared buffer pool of that size (SMS architecture) instead of the
 	// design's per-port pools.
 	SharedBufferNum int
-	// EnableTrace records per-packet dataplane events from every switch
-	// into Net.Tracer (bounded at one million events).
+	// EnableTrace sizes Net.Flight to the most recent 1 Mi events, a
+	// trace to analyze after the run, instead of what a post-mortem dump
+	// reads.
 	EnableTrace bool
 	// DisableCBS skips credit-based shaper configuration: RC queues
 	// run on bare strict priority (the E-CBS ablation's baseline).
@@ -105,11 +103,11 @@ type Net struct {
 	Switches  []*tsnswitch.Switch
 	NICs      map[int]*tsnnic.NIC
 	Collector *analyzer.Collector
-	Domain    *gptp.Domain    // nil without gPTP
-	Tracer    *trace.Recorder // nil unless EnableTrace
+	Domain    *gptp.Domain // nil without gPTP
 	// Flight is the always-on bounded flight recorder every switch
 	// writes into; the attribution layer dumps it on deadline misses,
-	// watchdog degradation and fault injection. Nil when partitioned.
+	// watchdog degradation and fault injection, and -hotspots and
+	// -trace-json read it. Nil when partitioned.
 	Flight *trace.Flight
 	// Attr decomposes every delivery's latency into per-flow component
 	// breakdowns; nil unless Options.Metrics is set.
@@ -184,10 +182,15 @@ type talker struct {
 type pq struct{ sw, port, q int }
 type bankKey struct{ sw, port int }
 
-// flightCapacity is the always-on flight recorder's ring size: enough
-// recent dataplane events to reconstruct the span chain of a deadline
-// miss, small enough to keep resident cost bounded (1.57 MB per engine).
-const flightCapacity = 1 << 16
+// flightCapacity is the flight recorder's ring size: what a post-mortem
+// dump reads (obs.DumpWindow, 1.57 MB per engine), or with EnableTrace
+// the most recent 1 Mi events (24 MB).
+func (o *Options) flightCapacity() int {
+	if o.EnableTrace {
+		return 1 << 20
+	}
+	return obs.DumpWindow
+}
 
 // cbsStallsName/Help label the credit-based shaper stall counter, which
 // applyCBS and Build's family-order pin both register.
@@ -203,9 +206,6 @@ const (
 func Build(opts Options) (*Net, error) {
 	if opts.Design == nil || opts.Topo == nil {
 		return nil, fmt.Errorf("testbed: missing design or topology")
-	}
-	if opts.CableDelay == 0 {
-		opts.CableDelay = 100 * sim.Nanosecond
 	}
 	if opts.Partitions > 1 {
 		if err := validatePartitioned(opts); err != nil {
@@ -226,9 +226,6 @@ func Build(opts Options) (*Net, error) {
 			nextCBS:   make(map[bankKey]int),
 			cbsID:     make(map[pq]int),
 		},
-	}
-	if opts.EnableTrace {
-		n.Tracer = &trace.Recorder{Limit: 1 << 20}
 	}
 	n.shard(max(1, min(opts.Partitions, opts.Topo.N)))
 	// gPTP, the watchdog and fault injection are rejected above one part,
@@ -262,7 +259,6 @@ func Build(opts Options) (*Net, error) {
 			}
 		}
 		sw := tsnswitch.New(p.engine, cfg)
-		sw.Tracer = n.Tracer
 		sw.Flight = p.flight
 		n.Switches = append(n.Switches, sw)
 	}
@@ -274,9 +270,9 @@ func Build(opts Options) (*Net, error) {
 	for _, l := range opts.Topo.TrunkLinks() {
 		a := n.Switches[l.A.Switch].Ifc(l.A.Port)
 		b := n.Switches[l.B.Switch].Ifc(l.B.Port)
-		netdev.Connect(a, b, opts.CableDelay)
+		netdev.Connect(a, b, netdev.CableDelay)
 		if pa, pb := n.switchPart(l.A.Switch), n.switchPart(l.B.Switch); pa != pb {
-			cuts = append(cuts, cutLink(a, b, pb, opts.CableDelay), cutLink(b, a, pa, opts.CableDelay))
+			cuts = append(cuts, cutLink(a, b, pb, netdev.CableDelay), cutLink(b, a, pa, netdev.CableDelay))
 		}
 	}
 	if len(n.parts) > 1 {
@@ -304,7 +300,7 @@ func Build(opts Options) (*Net, error) {
 		}
 		nic := tsnnic.New(p.engine, h, nicRate, p.coll)
 		nic.SetPool(&p.frames)
-		netdev.Connect(nic.Ifc(), n.Switches[at.Switch].Ifc(at.Port), opts.CableDelay)
+		netdev.Connect(nic.Ifc(), n.Switches[at.Switch].Ifc(at.Port), netdev.CableDelay)
 		if capture != nil {
 			nic.Ifc().SetSniffer(func(f *ethernet.Frame, at sim.Time) {
 				// Capture errors only surface through Capture.Count.
@@ -330,7 +326,7 @@ func Build(opts Options) (*Net, error) {
 			n.Switches[s].Clock = nodes[s].Clock
 		}
 		for _, l := range opts.Topo.TrunkLinks() {
-			dom.Connect(nodes[l.A.Switch], nodes[l.B.Switch], opts.CableDelay)
+			dom.Connect(nodes[l.A.Switch], nodes[l.B.Switch], netdev.CableDelay)
 		}
 		dom.SetGrandmaster(nodes[0])
 		if opts.Metrics != nil {

@@ -12,9 +12,9 @@ import (
 )
 
 // TestCQFOneSlotPerHop validates the CQF principle packet by packet
-// using the dataplane tracer: a frame received in slot s must start
-// transmission in slot s+1 at every switch (the second principle of
-// §IV.A).
+// using the flight recorder's trace: a frame received in slot s must
+// start transmission in slot s+1 at every switch (the second principle
+// of §IV.A).
 func TestCQFOneSlotPerHop(t *testing.T) {
 	topo := topology.Ring(6)
 	for h := 0; h < 6; h++ {
@@ -57,8 +57,14 @@ func TestCQFOneSlotPerHop(t *testing.T) {
 
 	checked := 0
 	for _, spec := range specs {
+		flow := net.Flight.SnapshotFlow(spec.ID, net.Flight.Cap())
 		for seq := uint32(0); seq < 3; seq++ {
-			evs := net.Tracer.Packet(spec.ID, seq)
+			var evs []trace.Event
+			for _, ev := range flow {
+				if ev.Seq == seq {
+					evs = append(evs, ev)
+				}
+			}
 			if len(evs) == 0 {
 				continue
 			}
@@ -100,17 +106,25 @@ func TestCQFOneSlotPerHop(t *testing.T) {
 	}
 }
 
-// TestTraceDisabledByDefault ensures tracing stays off (and free)
-// unless requested.
+// TestTraceDisabledByDefault ensures the flight recorder keeps only
+// what a dump reads unless a whole trace is requested, and that
+// EnableTrace sizes that same recorder rather than adding one.
 func TestTraceDisabledByDefault(t *testing.T) {
-	net, _ := ringScenario(t, 10, 2, false)
-	if net.Tracer != nil {
-		t.Fatal("tracer allocated without EnableTrace")
+	net, specs := ringScenario(t, 10, 2, false)
+	if c := net.Flight.Cap(); c != 1<<16 {
+		t.Fatalf("default flight capacity %d, want %d", c, 1<<16)
 	}
-	net.Run(0, 10*sim.Millisecond)
-	for _, sw := range net.Switches {
-		if sw.Tracer.Len() != 0 {
-			t.Fatal("nil tracer recorded events")
+	topo := topology.Ring(6)
+	for h := 0; h < 6; h++ {
+		topo.AttachHost(100+h, h)
+	}
+	traced := buildNet(t, topo, specs, Options{EnableTrace: true, Seed: 5})
+	if c := traced.Flight.Cap(); c != 1<<20 {
+		t.Fatalf("EnableTrace flight capacity %d, want %d", c, 1<<20)
+	}
+	for _, sw := range traced.Switches {
+		if sw.Flight != traced.Flight {
+			t.Fatal("a switch records somewhere other than Net.Flight")
 		}
 	}
 }
