@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/scenariofile"
+	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 	"github.com/tsnbuilder/tsnbuilder/tsnbuilder"
 )
 
@@ -111,17 +112,22 @@ func run(topoKind string, switches, children, flowCount, hops,
 	}
 
 	var topo *tsnbuilder.Topology
-	switch topoKind {
-	case "star":
-		topo = tsnbuilder.Star(children)
-	case "ring":
-		topo = tsnbuilder.Ring(switches)
-	case "linear":
-		topo = tsnbuilder.Linear(switches)
-	case "tree":
-		topo = tsnbuilder.Tree(children, 2)
+	k, err := topology.Parse(topoKind)
+	switch {
+	case err != nil:
+	case k == topology.KindStar:
+		topo, err = topology.New(topoKind, children+1)
+	case k == topology.KindRing || k == topology.KindLinear:
+		topo, err = topology.New(topoKind, switches)
+	case k != topology.KindTree:
+		err = fmt.Errorf("topology %v is not offered here", k)
+	case children < 1:
+		err = fmt.Errorf("tree needs -children >= 1")
 	default:
-		return fmt.Errorf("unknown topology %q", topoKind)
+		topo = topology.Tree(children, 2)
+	}
+	if err != nil {
+		return err
 	}
 	n := topo.N
 	for h := 0; h < n; h++ {

@@ -33,6 +33,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run("ring", 6, 3, 32, 2, 10, 64, 65, "tpu", false); err == nil {
 		t.Error("unknown platform accepted")
 	}
+	// Below a shape's floor is an error, not a constructor panic.
+	for _, c := range []struct {
+		topo               string
+		switches, children int
+	}{{"ring", 2, 3}, {"linear", 1, 3}, {"star", 6, 0}, {"tree", 6, 0}} {
+		if err := run(c.topo, c.switches, c.children, 32, 1, 10, 64, 65, "fpga", false); err == nil {
+			t.Errorf("%s with %d switches, %d children accepted", c.topo, c.switches, c.children)
+		}
+	}
 }
 
 func TestRunSpec(t *testing.T) {

@@ -68,7 +68,7 @@ func parseFlags(args []string) (*options, error) {
 	// Every workload and service default is svc's own.
 	d := svc.DefaultOptions()
 	w, dw := &o.svc.Workload, d.Workload
-	fs.StringVar(&w.Topology, "topology", dw.Topology, "managed network topology (star|ring|bidir-ring|linear|tree)")
+	fs.StringVar(&w.Topology, "topology", dw.Topology, "managed network topology (any tsnsim -topology)")
 	fs.IntVar(&w.Switches, "switches", dw.Switches, "managed network switch count")
 	fs.IntVar(&w.TSFlows, "ts-flows", dw.TSFlows, "managed network TS flow count")
 	fs.IntVar(&w.Hops, "hops", dw.Hops, "TS flow hop length")

@@ -215,6 +215,21 @@ func TestParseFlagsRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestWorkloadBelowItsFloorIsAnError: a managed workload the topology
+// cannot be built from fails service construction with an error naming
+// the rule, and nothing listens.
+func TestWorkloadBelowItsFloorIsAnError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-topology", "ring", "-switches", "2"},
+		{"-ts-flows", "0"},
+	} {
+		err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), make(chan os.Signal))
+		if err == nil || !strings.Contains(err.Error(), "workload") {
+			t.Errorf("run %v = %v, want a workload error", args, err)
+		}
+	}
+}
+
 // TestFlagDefaultsAreSvcDefaults: with no flags, the options tsnserve
 // hands to svc are exactly svc.DefaultOptions — the daemon states no
 // default of its own.

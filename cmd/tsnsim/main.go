@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/chaos"
@@ -30,6 +31,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/psim"
 	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
 	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
 	"github.com/tsnbuilder/tsnbuilder/testbed"
@@ -75,7 +77,7 @@ func (o *runOpts) traced() bool { return o.hotspots || o.traceJSON != "" }
 func parseFlags(args []string) (*runOpts, error) {
 	o := &runOpts{}
 	fs := flag.NewFlagSet("tsnsim", flag.ContinueOnError)
-	fs.StringVar(&o.Topology, "topology", "ring", "topology: star, ring, bidir-ring, linear, tree, mesh or fattree")
+	fs.StringVar(&o.Topology, "topology", "ring", "topology: one of "+strings.Join(topology.Names, ", "))
 	fs.IntVar(&o.Switches, "switches", 6, "switch count (ring/linear); star children = switches-1")
 	fs.IntVar(&o.TSFlows, "flows", 1024, "TS flow count")
 	fs.IntVar(&o.Hops, "hops", 3, "switches each TS flow traverses")
@@ -93,7 +95,8 @@ func parseFlags(args []string) (*runOpts, error) {
 	fs.IntVar(&o.RetryMax, "reconfig-retries", 0, "retry a failed reconfig commit up to this many times")
 	backoff := fs.Duration("reconfig-backoff", 0, "backoff between reconfig commit retries (simulated time, whole µs)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "abort with a diagnostic if the run exceeds this wall-clock time (e.g. 30s)")
-	tsDeadline := fs.Duration("ts-deadline", 0, "override every TS flow's latency deadline (tight values force misses, e.g. 10us)")
+	// sim.Time counts nanoseconds, as time.Duration does.
+	fs.DurationVar((*time.Duration)(&o.TSDeadline), "ts-deadline", 0, "override every TS flow's latency deadline (tight values force misses, e.g. 10us)")
 	fs.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (e.g. :9090); holds after the run until interrupted")
 	fs.StringVar(&o.csvPath, "csv", "", "write per-flow statistics to this CSV file")
 	fs.StringVar(&o.pcapPath, "pcap", "", "write delivered frames to this pcap file")
@@ -118,7 +121,6 @@ func parseFlags(args []string) (*runOpts, error) {
 		return nil, fmt.Errorf("-reconfig-backoff %v is not a whole number of microseconds", *backoff)
 	}
 	o.RetryBackoffUs = int(*backoff / time.Microsecond)
-	o.TSDeadlineNs = int64(*tsDeadline)
 	var err error
 	if *faultsPath != "" {
 		if o.scenario, err = faults.Load(*faultsPath); err != nil {
@@ -134,16 +136,20 @@ func parseFlags(args []string) (*runOpts, error) {
 	return o, nil
 }
 
-func main() {
-	o, err := parseFlags(os.Args[1:])
+func main() { os.Exit(status(os.Args[1:])) }
+
+// status runs one tsnsim invocation and returns its exit status: 2 for
+// bad flags, 1 for an error or for a campaign or replay that finds a
+// violation, else 0.
+func status(args []string) int {
+	o, err := parseFlags(args)
 	if errors.Is(err, flag.ErrHelp) {
-		return
+		return 0
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tsnsim:", err)
-		os.Exit(2)
+		return 2
 	}
-	// A campaign or replay that finds a violation exits 1, like an error.
 	failed := false
 	switch {
 	case o.replay != "":
@@ -157,8 +163,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tsnsim:", err)
 	}
 	if err != nil || failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runWithOutputs is run plus the optional file exports: per-flow CSV,

@@ -10,14 +10,15 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/chaos"
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
 // baseOpts returns a small, fast scenario; tests override fields.
 func baseOpts() runOpts {
-	return runOpts{Case: chaos.Case{
+	return runOpts{Case: chaos.Case{Params: workload.Params{
 		Topology: "ring", Switches: 6, TSFlows: 16, Hops: 2,
-		WireSize: 64, SlotUs: 65, DurMs: 20, Seed: 1,
-	}}
+		WireSize: 64, SlotUs: 65, Seed: 1,
+	}, DurMs: 20}}
 }
 
 // withFlags is baseOpts with extra tsnsim flags parsed on top.
@@ -101,6 +102,21 @@ func TestRunUnknownTopology(t *testing.T) {
 	o.Topology = "moebius"
 	if _, err := run(o, nil); err == nil {
 		t.Fatal("unknown topology accepted")
+	}
+}
+
+// TestBadWorkloadExitsOne: a workload below its topology's floor or
+// without flows is an error and exit status 1, not a crash.
+func TestBadWorkloadExitsOne(t *testing.T) {
+	for _, args := range [][]string{
+		{"-switches", "2"},
+		{"-flows", "0"},
+		{"-topology", "star", "-switches", "1"},
+		{"-topology", "mesh", "-switches", "1"},
+	} {
+		if got := status(append([]string{"-no-gptp", "-duration", "1"}, args...)); got != 1 {
+			t.Errorf("tsnsim %v exits %d, want 1", args, got)
+		}
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
 // TestServeWithForcedMisses drives a run whose TS deadline is forced to
@@ -17,7 +19,7 @@ import (
 // exactly, and the flight recorder must have captured the worst chain.
 func TestServeWithForcedMisses(t *testing.T) {
 	o := baseOpts()
-	o.TSDeadlineNs = int64(time.Microsecond)
+	o.TSDeadline = sim.Microsecond
 	o.serve = "127.0.0.1:0"
 	net, err := run(o, nil)
 	if err != nil {
@@ -52,7 +54,7 @@ func TestServeWithForcedMisses(t *testing.T) {
 func TestServeEndpointsDuringHold(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	o := baseOpts()
-	o.TSDeadlineNs = int64(time.Microsecond)
+	o.TSDeadline = sim.Microsecond
 	o.serve = "127.0.0.1:18462"
 	o.signals = sig
 

@@ -53,8 +53,8 @@ func (c *Case) TsnsimArgs(faultsFile, reconfigFile string) []string {
 		args = append(args, "-reconfig-retries", strconv.Itoa(c.RetryMax),
 			"-reconfig-backoff", fmt.Sprintf("%dus", c.RetryBackoffUs))
 	}
-	if c.TSDeadlineNs > 0 {
-		args = append(args, "-ts-deadline", fmt.Sprintf("%dns", c.TSDeadlineNs))
+	if c.TSDeadline > 0 {
+		args = append(args, "-ts-deadline", fmt.Sprintf("%dns", c.TSDeadline))
 	}
 	if faultsFile != "" {
 		args = append(args, "-faults", faultsFile)

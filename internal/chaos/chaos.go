@@ -31,27 +31,18 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
-// Case is one fully-specified chaos scenario. Every field is
-// expressible as a tsnsim flag or sidecar file, which is what makes
-// the minimal-repro artifact replayable outside the campaign.
+// Case is one fully-specified chaos scenario: a workload plus what a
+// run adds to it. Every field is expressible as a tsnsim flag or
+// sidecar file, which is what makes the minimal-repro artifact
+// replayable outside the campaign.
 type Case struct {
 	// Index is the case's position in the campaign; with the campaign
 	// seed it fully determines the scenario.
 	Index int `json:"index"`
-	// Seed is the per-case workload seed (also the fault RNG seed).
-	Seed uint64 `json:"seed"`
-
-	Topology string `json:"topology"`
-	Switches int    `json:"switches"`
-	TSFlows  int    `json:"ts_flows"`
-	Hops     int    `json:"hops"`
-	WireSize int    `json:"wire_size"`
-	SlotUs   int    `json:"slot_us"`
-	RCMbps   int    `json:"rc_mbps"`
-	BEMbps   int    `json:"be_mbps"`
-	// FRERFlows > 0 makes the first n TS flows 802.1CB-redundant
-	// (bidir-ring only).
-	FRERFlows int `json:"frer_flows"`
+	// Params is the workload; its Seed is the per-case workload seed
+	// (also the fault RNG seed) and its TSDeadline tsnsim -ts-deadline
+	// (tight values force misses).
+	workload.Params
 	// FRERCovered marks a case whose every TS flow is redundant and
 	// whose fault script only breaks one ring cable (a cable pull downs
 	// both directions, and the disjoint member-stream arcs share no
@@ -67,24 +58,11 @@ type Case struct {
 	// bounded retry of transiently-failed commits.
 	RetryMax       int `json:"retry_max,omitempty"`
 	RetryBackoffUs int `json:"retry_backoff_us,omitempty"`
-	// TSDeadlineNs, when positive, overrides every TS flow's deadline
-	// (tsnsim -ts-deadline; tight values force misses).
-	TSDeadlineNs int64 `json:"ts_deadline_ns,omitempty"`
 
 	// Faults is the fault script, in faults.Scenario form.
 	Faults []faults.Fault `json:"faults,omitempty"`
 	// Reconfig, when set, applies a mid-run live reconfiguration.
 	Reconfig *Delta `json:"reconfig,omitempty"`
-}
-
-// params is the case's workload: the tsnsim flag set it replays through.
-func (c *Case) params() workload.Params {
-	return workload.Params{
-		Topology: c.Topology, Switches: c.Switches, TSFlows: c.TSFlows,
-		Hops: c.Hops, WireSize: c.WireSize, SlotUs: c.SlotUs,
-		RCMbps: c.RCMbps, BEMbps: c.BEMbps, FRERFlows: c.FRERFlows,
-		TSDeadline: sim.Time(c.TSDeadlineNs), Seed: c.Seed,
-	}
 }
 
 // Delta is a mid-run live reconfiguration and tsnsim's -reconfig file

@@ -83,8 +83,9 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestExecuteCleanCase(t *testing.T) {
 	res, err := Execute(Case{
-		Seed: 3, Topology: "ring", Switches: 4, TSFlows: 4, Hops: 2,
-		WireSize: 64, SlotUs: 65, DurMs: 10,
+		Params: workload.Params{Seed: 3, Topology: "ring", Switches: 4, TSFlows: 4, Hops: 2,
+			WireSize: 64, SlotUs: 65},
+		DurMs: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,9 +101,9 @@ func TestExecuteCleanCase(t *testing.T) {
 func TestZeroLossOracleHoldsOnCoveredCase(t *testing.T) {
 	a, b := 1, 2
 	res, err := Execute(Case{
-		Seed: 5, Topology: "bidir-ring", Switches: 4, TSFlows: 4, Hops: 2,
-		WireSize: 64, SlotUs: 65, DurMs: 15,
-		FRERFlows: 4, FRERCovered: true,
+		Params: workload.Params{Seed: 5, Topology: "bidir-ring", Switches: 4, TSFlows: 4, Hops: 2,
+			WireSize: 64, SlotUs: 65, FRERFlows: 4},
+		DurMs: 15, FRERCovered: true,
 		Faults: []faults.Fault{
 			{AtUs: 3000, Kind: faults.KindLinkDown, A: &a, B: &b},
 		},
@@ -121,14 +122,11 @@ func TestZeroLossOracleHoldsOnCoveredCase(t *testing.T) {
 func wedgeCase(t *testing.T) Case {
 	t.Helper()
 	c := Case{
-		Seed: 11, Topology: "bidir-ring", Switches: 4, TSFlows: 4, Hops: 2,
-		WireSize: 64, SlotUs: 65, DurMs: 15,
-		RetryMax: 2, RetryBackoffUs: 200,
+		Params: workload.Params{Seed: 11, Topology: "bidir-ring", Switches: 4, TSFlows: 4, Hops: 2,
+			WireSize: 64, SlotUs: 65},
+		DurMs: 15, RetryMax: 2, RetryBackoffUs: 200,
 	}
-	wl, err := workload.Build(workload.Params{
-		Topology: c.Topology, Switches: c.Switches, TSFlows: c.TSFlows,
-		Hops: c.Hops, WireSize: c.WireSize, SlotUs: c.SlotUs, Seed: c.Seed,
-	})
+	wl, err := workload.Build(c.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +268,9 @@ func TestCampaignFixedSeedReproducible(t *testing.T) {
 func TestPartitionParityOracleHolds(t *testing.T) {
 	a, b := 1, 2
 	c := Case{
-		Seed: 9, Topology: "bidir-ring", Switches: 6, TSFlows: 8, Hops: 3,
-		WireSize: 128, SlotUs: 65, RCMbps: 20, BEMbps: 20, DurMs: 15,
-		Watchdog: true, FRERFlows: 2,
+		Params: workload.Params{Seed: 9, Topology: "bidir-ring", Switches: 6, TSFlows: 8, Hops: 3,
+			WireSize: 128, SlotUs: 65, RCMbps: 20, BEMbps: 20, FRERFlows: 2},
+		DurMs: 15, Watchdog: true,
 		Faults: []faults.Fault{
 			{AtUs: 3000, Kind: faults.KindLinkDown, A: &a, B: &b},
 		},
@@ -282,8 +280,8 @@ func TestPartitionParityOracleHolds(t *testing.T) {
 	}
 	// The new scale topologies run through the same oracle.
 	for _, topo := range []string{"mesh", "fattree"} {
-		c := Case{Seed: 11, Topology: topo, Switches: 9, TSFlows: 12, Hops: 3,
-			WireSize: 64, SlotUs: 65, DurMs: 10}
+		c := Case{Params: workload.Params{Seed: 11, Topology: topo, Switches: 9, TSFlows: 12, Hops: 3,
+			WireSize: 64, SlotUs: 65}, DurMs: 10}
 		if v := CheckPartitionParity(c, 2); v != nil {
 			t.Fatalf("%s: parity oracle violated: %s", topo, v)
 		}

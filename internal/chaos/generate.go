@@ -5,6 +5,7 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
@@ -17,18 +18,6 @@ func caseSeed(campaign uint64, index int) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
-}
-
-// topoFloor is the minimum switch count each topology builds with.
-func topoFloor(topo string) int {
-	switch topo {
-	case "ring", "bidir-ring":
-		return 3
-	case "tree":
-		return 5
-	default: // star, linear
-		return 2
-	}
 }
 
 // rangeInt draws uniformly from [lo, hi].
@@ -46,22 +35,23 @@ func rangeInt[T int | int64](rng *sim.Rand, lo, hi T) T {
 func Generate(p Profile, index int) (Case, error) {
 	rng := sim.NewRand(caseSeed(p.Seed, index))
 	c := Case{
-		Index:    index,
-		Seed:     caseSeed(p.Seed, index) | 1,
-		Topology: p.Topologies[rng.Intn(len(p.Topologies))],
-		WireSize: []int{64, 128, 256, 512}[rng.Intn(4)],
-		SlotUs:   []int{65, 130}[rng.Intn(2)],
-		DurMs:    rangeInt(rng, p.MinDurMs, p.MaxDurMs),
+		Index: index,
+		Params: workload.Params{
+			Seed:     caseSeed(p.Seed, index) | 1,
+			Topology: p.Topologies[rng.Intn(len(p.Topologies))],
+			WireSize: []int{64, 128, 256, 512}[rng.Intn(4)],
+			SlotUs:   []int{65, 130}[rng.Intn(2)],
+		},
+		DurMs: rangeInt(rng, p.MinDurMs, p.MaxDurMs),
 	}
-	lo := p.MinSwitches
-	if f := topoFloor(c.Topology); lo < f {
-		lo = f
+	// Validate has made the topology known. A generated tree has at
+	// least one leaf per spine: five switches, above the shape's floor.
+	kind, _ := topology.Parse(c.Topology)
+	lo := max(p.MinSwitches, kind.Floor())
+	if kind == topology.KindTree {
+		lo = max(lo, 5)
 	}
-	hi := p.MaxSwitches
-	if hi < lo {
-		hi = lo
-	}
-	c.Switches = rangeInt(rng, lo, hi)
+	c.Switches = rangeInt(rng, lo, max(p.MaxSwitches, lo))
 	c.TSFlows = rangeInt(rng, p.MinTSFlows, p.MaxTSFlows)
 	c.Hops = rangeInt(rng, 2, min(p.MaxHops, c.Switches))
 	if p.RCMaxMbps > 0 && rng.Float64() < 0.5 {
@@ -72,7 +62,7 @@ func Generate(p Profile, index int) (Case, error) {
 	}
 	c.Watchdog = rng.Float64() < p.WatchdogProb
 
-	if c.Topology == "bidir-ring" && rng.Float64() < p.FRERProb {
+	if kind == topology.KindRingBidir && rng.Float64() < p.FRERProb {
 		if rng.Float64() < 0.5 {
 			// Covered case: every TS flow redundant, faults restricted
 			// below to one-directional ring-trunk failures.
@@ -89,7 +79,7 @@ func Generate(p Profile, index int) (Case, error) {
 	// Build the workload once at generation time: it proves the case
 	// constructs, and supplies the base configuration the reconfig
 	// delta doubles from.
-	wl, err := workload.Build(c.params())
+	wl, err := workload.Build(c.Params)
 	if err != nil {
 		return Case{}, fmt.Errorf("chaos: case %d does not build: %w", index, err)
 	}

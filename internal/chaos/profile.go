@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 )
 
 // Profile bounds the scenario generator: which topologies and scales
@@ -13,11 +16,10 @@ import (
 type Profile struct {
 	// MaxRuns caps the campaign when no explicit run count is given.
 	MaxRuns int `json:"max_runs"`
-	// Topologies to draw from (subset of star, ring, bidir-ring,
-	// linear, tree).
+	// Topologies to draw from (a subset of topology.Names).
 	Topologies []string `json:"topologies"`
-	// MinSwitches/MaxSwitches bound the node count (per-topology floors
-	// still apply: rings need 3, trees 5).
+	// MinSwitches/MaxSwitches bound the node count (each shape's
+	// topology floor still applies, and a generated tree has 5).
 	MinSwitches int `json:"min_switches"`
 	MaxSwitches int `json:"max_switches"`
 	// MinTSFlows/MaxTSFlows bound the TS flow count.
@@ -72,7 +74,7 @@ type Profile struct {
 func DefaultProfile() Profile {
 	return Profile{
 		MaxRuns:          256,
-		Topologies:       []string{"star", "ring", "bidir-ring", "linear", "tree", "mesh", "fattree"},
+		Topologies:       slices.Clone(topology.Names),
 		MinSwitches:      3,
 		MaxSwitches:      8,
 		MinTSFlows:       4,
@@ -104,10 +106,9 @@ func (p *Profile) Validate() error {
 	if len(p.Topologies) == 0 {
 		return fmt.Errorf("chaos: no topologies")
 	}
-	known := map[string]bool{"star": true, "ring": true, "bidir-ring": true, "linear": true, "tree": true, "mesh": true, "fattree": true}
 	for _, t := range p.Topologies {
-		if !known[t] {
-			return fmt.Errorf("chaos: unknown topology %q", t)
+		if _, err := topology.Parse(t); err != nil {
+			return fmt.Errorf("chaos: %w", err)
 		}
 	}
 	if p.MinSwitches < 2 || p.MaxSwitches < p.MinSwitches {

@@ -33,7 +33,7 @@ type TxnRecord struct {
 // injector. The record is nil when c has no reconfiguration, which
 // needs a serial build.
 func (c *Case) Build(opts testbed.Options) (*testbed.Net, *TxnRecord, error) {
-	wl, err := workload.Build(c.params())
+	wl, err := workload.Build(c.Params)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -89,19 +89,14 @@ func Execute(c Case) (*Result, error) {
 }
 
 // parityStrip reduces a case to the feature set the partitioned build
-// supports: no faults, no mid-run reconfiguration, no watchdog, no
-// FRER. The workload itself (topology, flows, background, seed,
-// duration) is untouched, so the comparison still covers the full
-// forwarding, gating and shaping dataplane.
+// supports: its workload without FRER, run for its duration — no
+// faults, mid-run reconfiguration or watchdog. Topology, flows,
+// background and seed are untouched, so the comparison still covers
+// the full forwarding, gating and shaping dataplane.
 func parityStrip(c Case) Case {
-	c.Faults = nil
-	c.Reconfig = nil
-	c.Watchdog = false
-	c.FRERFlows = 0
-	c.FRERCovered = false
-	c.RetryMax = 0
-	c.RetryBackoffUs = 0
-	return c
+	s := Case{Index: c.Index, Params: c.Params, DurMs: c.DurMs}
+	s.FRERFlows = 0
+	return s
 }
 
 // stripHeapGauge drops the scheduler heap-depth gauge's value lines

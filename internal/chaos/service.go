@@ -142,9 +142,6 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 		logf = func(string, ...any) {}
 	}
 	sopts := opts.Service
-	if sopts.Workload.Topology == "" {
-		sopts.Workload = svc.DefaultWorkload()
-	}
 	if sopts.DeriveQueue == 0 {
 		sopts.DeriveQueue = 8 // small on purpose: shedding must be reachable
 	}

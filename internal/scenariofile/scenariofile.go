@@ -21,12 +21,12 @@ import (
 
 // File is the root JSON document.
 type File struct {
-	// Topology: "star", "ring", "linear" or "tree".
+	// Topology names one of topology.Names: the star, ring and linear
+	// shapes, which topology.New builds from Switches, or the tree.
 	Topology string `json:"topology"`
-	// Switches is the node count (ring/linear) or child count + 1
-	// (star).
+	// Switches is the node count (star: child count + 1).
 	Switches int `json:"switches"`
-	// Spines/Leaves shape the "tree" topology.
+	// Spines/Leaves shape the tree topology.
 	Spines int `json:"spines,omitempty"`
 	Leaves int `json:"leaves,omitempty"`
 	// Hosts places end devices: host ID → switch index. Host IDs must
@@ -109,23 +109,20 @@ func (f *File) Build() (*topology.Topology, []*flows.Spec, error) {
 		return nil, nil, fmt.Errorf("scenariofile: no hosts")
 	}
 	var topo *topology.Topology
-	switch f.Topology {
-	case "star":
-		if f.Switches < 2 {
-			return nil, nil, fmt.Errorf("scenariofile: star needs >= 2 switches")
-		}
-		topo = topology.Star(f.Switches - 1)
-	case "ring":
-		topo = topology.Ring(f.Switches)
-	case "linear":
-		topo = topology.Linear(f.Switches)
-	case "tree":
-		if f.Spines < 1 {
-			return nil, nil, fmt.Errorf("scenariofile: tree needs spines >= 1")
-		}
-		topo = topology.Tree(f.Spines, f.Leaves)
+	k, err := topology.Parse(f.Topology)
+	switch {
+	case err != nil:
+	case k == topology.KindStar || k == topology.KindRing || k == topology.KindLinear:
+		topo, err = topology.New(f.Topology, f.Switches)
+	case k != topology.KindTree:
+		err = fmt.Errorf("topology %v is not offered in scenario files", k)
+	case f.Spines < 1 || f.Leaves < 0:
+		err = fmt.Errorf("tree needs spines >= 1 and leaves >= 0")
 	default:
-		return nil, nil, fmt.Errorf("scenariofile: unknown topology %q", f.Topology)
+		topo = topology.Tree(f.Spines, f.Leaves)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenariofile: %w", err)
 	}
 
 	// Deterministic host numbering: sort names.

@@ -1,6 +1,7 @@
 package scenariofile
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -230,4 +231,37 @@ func TestTreeTopologyFile(t *testing.T) {
 	if _, _, err := bad.Build(); err == nil {
 		t.Fatal("tree without spines accepted")
 	}
+}
+
+// FuzzParse: no document makes Parse, Scenario or DeriveConfig panic.
+// Documents that would build more than 64 switches (a tree: 8 spines
+// of 8 leaves) or 4096 flows are skipped to keep an iteration cheap.
+func FuzzParse(f *testing.F) {
+	for _, doc := range []string{
+		sampleDoc,
+		`{"topology":"ring","hosts":{"0":0}}`,
+		`{"topology":"tree","spines":1,"leaves":-1,"hosts":{"a":0},"flows":[{"class":"TS","src":"a","dst":"a","period_us":1000}]}`,
+		`{"topology":"star","switches":1,"hosts":{"a":0}}`,
+		`{"topology":"mesh","switches":4,"hosts":{"a":0}}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		file, err := Parse(bytes.NewReader(doc))
+		if err != nil || file.Switches > 64 || file.Spines > 8 || file.Leaves > 8 {
+			return
+		}
+		flows := 0
+		for _, e := range file.Flows {
+			flows += max(e.Count, 1)
+			if e.Count > 4096 || flows > 4096 {
+				return
+			}
+		}
+		sc, err := file.Scenario()
+		if err != nil {
+			return
+		}
+		_, _ = core.DeriveConfig(sc)
+	})
 }

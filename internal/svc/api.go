@@ -10,36 +10,16 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
-// Spec is the northbound application spec of POST /v1/derive: the same
-// compact parameter set the chaos engine and tsnsim build workloads
-// from, so any service request is replayable as a command line. The
-// derivation is a pure function of the normalized spec, which is what
-// makes the cache sound: same spec hash, same bytes.
-type Spec struct {
-	// Topology is one of star, ring, bidir-ring, linear, tree.
-	Topology string `json:"topology"`
-	// Switches is the node count.
-	Switches int `json:"switches"`
-	// TSFlows is the time-sensitive flow count.
-	TSFlows int `json:"ts_flows"`
-	// Hops is how many switches each TS flow traverses (default 2).
-	Hops int `json:"hops,omitempty"`
-	// WireSize is the TS frame size in bytes (default 200).
-	WireSize int `json:"wire_size,omitempty"`
-	// SlotUs is the CQF slot in microseconds (default 65, the paper's).
-	SlotUs int `json:"slot_us,omitempty"`
-	// RCMbps/BEMbps are background injector rates.
-	RCMbps int `json:"rc_mbps,omitempty"`
-	BEMbps int `json:"be_mbps,omitempty"`
-	// FRERFlows makes the first n TS flows 802.1CB-redundant
-	// (bidir-ring topologies only).
-	FRERFlows int `json:"frer_flows,omitempty"`
-	// Seed drives deadline assignment.
-	Seed uint64 `json:"seed,omitempty"`
-}
+// Spec is the northbound application spec of POST /v1/derive: a
+// workload.Params, so any service request is replayable as a command
+// line. It is a defined type to carry the service's defaults, limits and
+// cache key. The derivation is a pure function of the normalized spec,
+// which is what makes the cache sound: same spec hash, same bytes.
+type Spec workload.Params
 
 // Derivation size limits: the service is a shared frontend, so one
 // request must not be able to buy unbounded CPU. The bounds cover the
@@ -49,10 +29,11 @@ const (
 	MaxTSFlows  = 512
 )
 
-// Normalize applies defaults and validates the spec, returning a
-// descriptive error for anything out of range. The normalized spec is
-// the cache identity: two requests that normalize equal share one
-// derivation.
+// Normalize applies the service's defaults, drops ts_deadline_ns (a
+// derivation never reads a deadline, so it must not split the cache) and
+// checks workload.Params.Validate plus the service's cost limits. The
+// normalized spec is the cache identity: two requests that normalize
+// equal share one derivation.
 func (s *Spec) Normalize() error {
 	if s.Hops == 0 {
 		s.Hops = 2
@@ -63,36 +44,23 @@ func (s *Spec) Normalize() error {
 	if s.SlotUs == 0 {
 		s.SlotUs = 65
 	}
-	switch s.Topology {
-	case "star", "ring", "bidir-ring", "linear", "tree":
-	case "":
-		return fmt.Errorf("svc: spec missing topology")
-	default:
-		return fmt.Errorf("svc: unknown topology %q", s.Topology)
+	s.TSDeadline = 0
+	if err := s.Params().Validate(); err != nil {
+		return err
 	}
-	if s.Switches < 2 || s.Switches > MaxSwitches {
-		return fmt.Errorf("svc: switches %d out of [2,%d]", s.Switches, MaxSwitches)
-	}
-	if s.TSFlows < 1 || s.TSFlows > MaxTSFlows {
-		return fmt.Errorf("svc: ts_flows %d out of [1,%d]", s.TSFlows, MaxTSFlows)
-	}
-	if s.Hops < 1 || s.Hops > s.Switches {
-		return fmt.Errorf("svc: hops %d out of [1,%d]", s.Hops, s.Switches)
-	}
-	if s.WireSize < 64 || s.WireSize > 1518 {
-		return fmt.Errorf("svc: wire_size %d out of [64,1518]", s.WireSize)
-	}
-	if s.SlotUs < 5 || s.SlotUs > 1000 {
+	switch k, _ := topology.Parse(s.Topology); {
+	case k == topology.KindMesh || k == topology.KindFatTree:
+		return fmt.Errorf("svc: the %v topology is not derived here (tsnsim builds it)", k)
+	case s.Switches > MaxSwitches:
+		return fmt.Errorf("svc: switches %d above %d", s.Switches, MaxSwitches)
+	case s.TSFlows > MaxTSFlows:
+		return fmt.Errorf("svc: ts_flows %d above %d", s.TSFlows, MaxTSFlows)
+	case s.SlotUs < 5 || s.SlotUs > 1000:
 		return fmt.Errorf("svc: slot_us %d out of [5,1000]", s.SlotUs)
-	}
-	if s.RCMbps < 0 || s.RCMbps > 1000 || s.BEMbps < 0 || s.BEMbps > 1000 {
-		return fmt.Errorf("svc: background rates out of [0,1000] Mbps")
-	}
-	if s.FRERFlows < 0 || s.FRERFlows > workload.MaxFRERFlows {
-		return fmt.Errorf("svc: frer_flows %d out of [0,%d]", s.FRERFlows, workload.MaxFRERFlows)
-	}
-	if s.FRERFlows > 0 && s.Topology != "bidir-ring" {
-		return fmt.Errorf("svc: frer_flows requires the bidir-ring topology")
+	case s.RCMbps > 1000 || s.BEMbps > 1000:
+		return fmt.Errorf("svc: background rates above 1000 Mbps")
+	case s.FRERFlows > workload.MaxFRERFlows:
+		return fmt.Errorf("svc: frer_flows %d above %d", s.FRERFlows, workload.MaxFRERFlows)
 	}
 	return nil
 }
@@ -114,15 +82,8 @@ func (s *Spec) Hash() string {
 	return string(out[:])
 }
 
-// Params converts the normalized spec into workload build parameters.
-func (s *Spec) Params() workload.Params {
-	return workload.Params{
-		Topology: s.Topology, Switches: s.Switches, TSFlows: s.TSFlows,
-		Hops: s.Hops, WireSize: s.WireSize, SlotUs: s.SlotUs,
-		RCMbps: s.RCMbps, BEMbps: s.BEMbps, FRERFlows: s.FRERFlows,
-		Seed: s.Seed,
-	}
-}
+// Params is the spec as workload build parameters.
+func (s *Spec) Params() workload.Params { return workload.Params(*s) }
 
 // ConfigJSON is the wire form of a resource configuration — the Table
 // II set_* parameter file a derivation produces and a reconfiguration

@@ -3,6 +3,7 @@ package svc
 import (
 	"container/list"
 	"context"
+	"errors"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 )
@@ -31,6 +32,9 @@ type cacheEntry struct {
 	body  []byte
 	err   error
 }
+
+// errPanicked is what the followers of a panicking compute get.
+var errPanicked = errors.New("svc: derivation panicked")
 
 // NewCache returns a cache bounded to capacity entries (minimum 1).
 func NewCache(capacity int) *Cache {
@@ -106,18 +110,24 @@ func (c *Cache) Get(ctx context.Context, key string, compute func() ([]byte, err
 		return e.body, true, nil
 	}
 
-	// Miss: this caller leads.
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
+	// Miss: this caller leads. A compute that fails — or panics, which
+	// reaches the caller after — removes the entry, so the next request
+	// leads afresh instead of waiting on an entry that never resolves.
+	e := &cacheEntry{key: key, ready: make(chan struct{}), err: errPanicked}
 	el := c.ll.PushFront(e)
 	c.items[key] = el
 	c.evictLocked()
 	c.unlock()
+	defer func() {
+		close(e.ready)
+		if e.err != nil {
+			c.remove(key, el)
+		}
+	}()
 
 	e.body, e.err = compute()
-	close(e.ready)
 	c.Misses.Inc()
 	if e.err != nil {
-		c.remove(key, el)
 		return nil, false, e.err
 	}
 	return e.body, false, nil

@@ -103,6 +103,28 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestCachePanicDoesNotPoisonTheKey: a compute that panics still
+// resolves its entry — the panic reaches the leader's caller, and the
+// next Get computes afresh instead of waiting on an entry that never
+// becomes ready.
+func TestCachePanicDoesNotPoisonTheKey(t *testing.T) {
+	c := NewCache(4)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("compute's panic did not reach the leader's caller")
+			}
+		}()
+		_, _, _ = c.Get(context.Background(), "k", func() ([]byte, error) { panic("boom") })
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	body, hit, err := c.Get(ctx, "k", func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || hit || string(body) != "ok" {
+		t.Fatalf("after a panicking compute: body=%q hit=%v err=%v", body, hit, err)
+	}
+}
+
 func TestCacheFollowerDeadline(t *testing.T) {
 	c := NewCache(4)
 	gate := make(chan struct{})

@@ -71,6 +71,8 @@ func FuzzDeriveRequest(f *testing.F) {
 		`{"topology":"linear","switches":3,"ts_flows":99999999999999999999}`,
 		`{"topology":"linear","switches":3,"ts_flows":8,"seed":-1}`,
 		`{"topology":"moebius","switches":3,"ts_flows":8}`,
+		`{"topology":"ring","switches":2,"ts_flows":4}`,
+		`{"topology":"bidir-ring","switches":2,"ts_flows":4}`,
 		`[]`, `null`, ``, "\xff",
 	} {
 		f.Add([]byte(seed))

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/wal"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
 // waitRecovered polls until the instance has left the recovering state.
@@ -311,5 +313,23 @@ func TestServiceCheckpointRotation(t *testing.T) {
 	}
 	if got := s2.Instance().LiveConfig().UnicastSize; got != live.UnicastSize {
 		t.Fatalf("live unicast %d, want %d", got, live.UnicastSize)
+	}
+}
+
+// TestWorkloadHashGolden pins the state directory's workload
+// fingerprint: a state directory written by an earlier build must still
+// open, so the hash of a given workload never moves.
+func TestWorkloadHashGolden(t *testing.T) {
+	for _, c := range []struct {
+		p    workload.Params
+		want string
+	}{
+		{DefaultWorkload(), "8943d0ab7b2b97d8"},
+		{workload.Params{Topology: "bidir-ring", Switches: 6, TSFlows: 32, Hops: 3, WireSize: 128, SlotUs: 130,
+			RCMbps: 50, BEMbps: 20, FRERFlows: 8, TSDeadline: 250 * sim.Microsecond, Seed: 7}, "4bba4381abaefbe5"},
+	} {
+		if got := workloadHash(c.p); got != c.want {
+			t.Errorf("workloadHash(%+v) = %s, want %s", c.p, got, c.want)
+		}
 	}
 }

@@ -117,6 +117,9 @@ func TestServiceDeriveRejectsBadSpecs(t *testing.T) {
 		{"missing topology", `{"switches":3,"ts_flows":8}`},
 		{"too many switches", `{"topology":"linear","switches":1000,"ts_flows":8}`},
 		{"frer without bidir-ring", `{"topology":"linear","switches":3,"ts_flows":8,"frer_flows":2}`},
+		{"ring below its floor", `{"topology":"ring","switches":2,"ts_flows":4}`},
+		{"bidir-ring below its floor", `{"topology":"bidir-ring","switches":2,"ts_flows":4}`},
+		{"scale topology", `{"topology":"mesh","switches":4,"ts_flows":8}`},
 	} {
 		resp, body := postJSON(t, url, c.body, nil)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -130,6 +133,25 @@ func TestServiceDeriveRejectsBadSpecs(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/v1/derive?x=1", specBody, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("query string broke derive: %d", resp.StatusCode)
+	}
+}
+
+// TestDeriveIgnoresTSDeadline: ts_deadline_ns is accepted and dropped
+// by Normalize — a derivation never reads a deadline — so a body with
+// it answers exactly as the same body without it.
+func TestDeriveIgnoresTSDeadline(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	url := ts.URL + "/v1/derive"
+	for _, c := range []struct{ without, with string }{
+		{specBody, `{"topology":"linear","switches":3,"ts_flows":8,"ts_deadline_ns":250000}`},
+		{`{"topology":"ring","switches":2,"ts_flows":4}`, `{"topology":"ring","switches":2,"ts_flows":4,"ts_deadline_ns":1}`},
+	} {
+		r1, b1 := postJSON(t, url, c.without, map[string]string{"Cache-Control": "no-cache"})
+		r2, b2 := postJSON(t, url, c.with, map[string]string{"Cache-Control": "no-cache"})
+		if r1.StatusCode != r2.StatusCode || r1.Header.Get("X-Spec-Hash") != r2.Header.Get("X-Spec-Hash") || !bytes.Equal(b1, b2) {
+			t.Errorf("%s answers %d %q %s; %s answers %d %q %s", c.without, r1.StatusCode, r1.Header.Get("X-Spec-Hash"), b1,
+				c.with, r2.StatusCode, r2.Header.Get("X-Spec-Hash"), b2)
+		}
 	}
 }
 

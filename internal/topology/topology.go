@@ -11,41 +11,75 @@ package topology
 import (
 	"fmt"
 	"slices"
+	"strings"
 )
 
-// Kind enumerates the supported shapes.
+// Kind enumerates the supported shapes, in the order Names lists them.
 type Kind int
 
 // Supported topology kinds.
 const (
 	KindStar Kind = iota
 	KindRing
+	KindRingBidir
 	KindLinear
 	KindTree
-	KindRingBidir
 	KindMesh
 	KindFatTree
 )
 
+// Names lists every topology New builds, indexed by Kind: the paper's
+// industrial shapes, then the two scale shapes of scale.go.
+var Names = []string{"star", "ring", "bidir-ring", "linear", "tree", "mesh", "fattree"}
+
+// shapes is the topology table, indexed by Kind: the fewest switches
+// each shape builds from — one less panics its constructor, except the
+// fat-tree's, which rounds any count up — and the constructor.
+var shapes = [...]struct {
+	floor int
+	build func(n int) *Topology
+}{
+	KindStar:      {2, func(n int) *Topology { return Star(n - 1) }},
+	KindRing:      {3, Ring},
+	KindRingBidir: {3, RingBidir},
+	KindLinear:    {2, Linear},
+	KindTree:      {2, func(n int) *Topology { return Tree(2, (n-3)/2) }},
+	KindMesh:      {2, MeshSquarish},
+	KindFatTree:   {1, FatTreeAtLeast},
+}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case KindStar:
-		return "star"
-	case KindRing:
-		return "ring"
-	case KindLinear:
-		return "linear"
-	case KindTree:
-		return "tree"
-	case KindRingBidir:
-		return "bidir-ring"
-	case KindMesh:
-		return "mesh"
-	case KindFatTree:
-		return "fattree"
+	if k < 0 || int(k) >= len(Names) {
+		return fmt.Sprintf("Kind(%d)", int(k))
 	}
-	return fmt.Sprintf("Kind(%d)", int(k))
+	return Names[k]
+}
+
+// Floor is the fewest switches a k topology is built from.
+func (k Kind) Floor() int { return shapes[k].floor }
+
+// Parse returns the kind called name.
+func Parse(name string) (Kind, error) {
+	if k := slices.Index(Names, name); k >= 0 {
+		return Kind(k), nil
+	}
+	return 0, fmt.Errorf("topology: unknown %q (one of %s)", name, strings.Join(Names, ", "))
+}
+
+// New builds the topology called name from n switches — star children
+// = n-1, a two-spine tree with (n-3)/2 leaves per spine, the squarest
+// mesh of exactly n, the smallest fat-tree reaching n — or says why it
+// cannot: the name is unknown or n is below the shape's floor.
+func New(name string, n int) (*Topology, error) {
+	k, err := Parse(name)
+	if err != nil {
+		return nil, err
+	}
+	if n < k.Floor() {
+		return nil, fmt.Errorf("topology: %s needs at least %d switches, have %d", name, k.Floor(), n)
+	}
+	return shapes[k].build(n), nil
 }
 
 // Topology is a switch-level graph with port bookkeeping.

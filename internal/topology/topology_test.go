@@ -349,3 +349,36 @@ func TestRingBidirHostDisjointPaths(t *testing.T) {
 		t.Fatal("unattached host accepted")
 	}
 }
+
+// TestFloorIsWhereTheConstructorPanics: each shape's floor is the
+// smallest switch count its constructor takes — one less panics — so
+// New refuses exactly what the constructors cannot build. The fat-tree
+// constructor rounds any count up and never panics.
+func TestFloorIsWhereTheConstructorPanics(t *testing.T) {
+	for k, s := range shapes {
+		name := Names[k]
+		if got, err := Parse(name); err != nil || got != Kind(k) || got.String() != name {
+			t.Fatalf("Parse(%q) = %v, %v", name, got, err)
+		}
+		if topo, err := New(name, s.floor); err != nil || topo.Kind != Kind(k) {
+			t.Errorf("%s at its floor %d: %v", name, s.floor, err)
+		}
+		if _, err := New(name, s.floor-1); err == nil {
+			t.Errorf("%s below its floor built", name)
+		}
+		if Kind(k) == KindFatTree {
+			continue
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: constructor took %d switches, below the floor %d", name, s.floor-1, s.floor)
+				}
+			}()
+			s.build(s.floor - 1)
+		}()
+	}
+	if _, err := New("moebius", 6); err == nil {
+		t.Fatal("unknown topology built")
+	}
+}

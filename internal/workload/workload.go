@@ -24,35 +24,63 @@ import (
 // VID space (4001..4064).
 const MaxFRERFlows = 64
 
-// Params selects one workload. Every field maps 1:1 to a tsnsim flag,
-// so any Params value is expressible as a command line.
+// Params selects one workload. It is the one scenario shape: a
+// tsnsim command line (every field maps 1:1 to a flag), a chaos case
+// (which embeds it) and a POST /v1/derive body (svc.Spec is this type,
+// whose JSON tags it carries) all describe a workload as a Params.
 type Params struct {
-	// Topology is one of star, ring, bidir-ring, linear, tree, mesh,
-	// fattree.
-	Topology string
-	// Switches is the node count (star children = Switches-1, tree
-	// leaves = (Switches-3)/2, mesh the squarest grid of exactly this
-	// many nodes, fattree the smallest even arity reaching it).
-	Switches int
+	// Topology is one of topology.Names.
+	Topology string `json:"topology"`
+	// Switches is the node count, at least the shape's floor
+	// (topology.Kind.Floor); see topology.New for what each shape
+	// builds from it.
+	Switches int `json:"switches"`
 	// TSFlows is the TS flow count.
-	TSFlows int
+	TSFlows int `json:"ts_flows"`
 	// Hops is how many switches each TS flow traverses.
-	Hops int
+	Hops int `json:"hops,omitempty"`
 	// WireSize is the TS frame size in bytes.
-	WireSize int
+	WireSize int `json:"wire_size,omitempty"`
 	// SlotUs is the CQF slot in microseconds.
-	SlotUs int
+	SlotUs int `json:"slot_us,omitempty"`
 	// RCMbps/BEMbps are the per-injector background rates (up to three
 	// injectors each).
-	RCMbps, BEMbps int
+	RCMbps int `json:"rc_mbps,omitempty"`
+	BEMbps int `json:"be_mbps,omitempty"`
 	// FRERFlows makes the first min(FRERFlows, TSFlows, MaxFRERFlows)
 	// TS flows 802.1CB-redundant (bidir-ring topologies only: the
 	// alternate member stream needs a link-disjoint path).
-	FRERFlows int
+	FRERFlows int `json:"frer_flows,omitempty"`
 	// TSDeadline, when positive, overrides every TS flow's deadline.
-	TSDeadline sim.Time
+	TSDeadline sim.Time `json:"ts_deadline_ns,omitempty"`
 	// Seed drives deadline assignment (and clock drift downstream).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
+}
+
+// Validate holds every structural rule a workload must meet to build:
+// a known topology at or above its switch floor, at least one TS flow,
+// hops within the network, an Ethernet frame size, no negative rate,
+// count, slot or deadline, and FRER only on the bidirectional ring
+// between distinct switches.
+func (p Params) Validate() error {
+	k, err := topology.Parse(p.Topology)
+	switch {
+	case err != nil:
+		return err
+	case p.Switches < k.Floor():
+		return fmt.Errorf("workload: %s needs at least %d switches, have %d", p.Topology, k.Floor(), p.Switches)
+	case p.TSFlows < 1:
+		return fmt.Errorf("workload: ts_flows %d < 1", p.TSFlows)
+	case p.Hops < 1 || p.Hops > p.Switches:
+		return fmt.Errorf("workload: hops %d out of [1,%d]", p.Hops, p.Switches)
+	case p.WireSize < 64 || p.WireSize > 1518:
+		return fmt.Errorf("workload: wire_size %d out of [64,1518]", p.WireSize)
+	case p.SlotUs < 0 || p.RCMbps < 0 || p.BEMbps < 0 || p.FRERFlows < 0 || p.TSDeadline < 0:
+		return fmt.Errorf("workload: negative slot_us, rc_mbps, be_mbps, frer_flows or ts_deadline_ns")
+	case p.FRERFlows > 0 && (k != topology.KindRingBidir || p.Hops < 2):
+		return fmt.Errorf("workload: frer_flows requires the %v topology and hops >= 2", topology.KindRingBidir)
+	}
+	return nil
 }
 
 // Built is a constructed workload ready for testbed.Build.
@@ -72,25 +100,10 @@ type Built struct {
 // build — is load-bearing: cmd/tsnsim produced exactly this sequence
 // before the extraction, and replay equivalence depends on keeping it.
 func Build(p Params) (*Built, error) {
-	var topo *topology.Topology
-	switch p.Topology {
-	case "star":
-		topo = topology.Star(p.Switches - 1)
-	case "ring":
-		topo = topology.Ring(p.Switches)
-	case "bidir-ring":
-		topo = topology.RingBidir(p.Switches)
-	case "linear":
-		topo = topology.Linear(p.Switches)
-	case "tree":
-		topo = topology.Tree(2, (p.Switches-3)/2)
-	case "mesh":
-		topo = topology.MeshSquarish(p.Switches)
-	case "fattree":
-		topo = topology.FatTreeAtLeast(p.Switches)
-	default:
-		return nil, fmt.Errorf("unknown topology %q", p.Topology)
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
+	topo, _ := topology.New(p.Topology, p.Switches) // Validate checked name and floor
 	n := topo.N
 	for h := 0; h < n; h++ {
 		topo.AttachHost(100+h, h)
