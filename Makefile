@@ -88,6 +88,8 @@ fuzz:
 	go test -fuzz=FuzzGCLMatchesReference -fuzztime=30s ./internal/gate/
 	go test -fuzz=FuzzReconfigRequest -fuzztime=30s ./internal/svc/
 	go test -fuzz=FuzzLoadDelta -fuzztime=30s ./internal/chaos/
+	go test -fuzz=FuzzLoadProfile -fuzztime=30s ./internal/chaos/
+	go test -fuzz=FuzzLoadRepro -fuzztime=30s ./internal/chaos/
 	go test -fuzz=FuzzDeriveRequest -fuzztime=30s ./internal/svc/
 	go test -fuzz=FuzzBuild -fuzztime=30s ./internal/workload/
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/scenariofile/

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,12 +45,36 @@ func TestProfileValidate(t *testing.T) {
 		func(p *Profile) { p.MinDurMs = 1 },
 		func(p *Profile) { p.WedgeProb = 1.5 },
 		func(p *Profile) { p.RetryMax = -1 },
+		func(p *Profile) { p.MaxFaults = maxFaults + 1 },
+		func(p *Profile) { p.MaxFaults = math.MaxInt },
 	}
 	for i, mutate := range bad {
 		p := DefaultProfile()
 		mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// TestProfileValidateNamesFirstBadProbability: with two probabilities
+// out of range, Validate names the one first in field order, on every
+// call.
+func TestProfileValidateNamesFirstBadProbability(t *testing.T) {
+	names := []string{"frer_prob", "reconfig_prob", "watchdog_prob", "transient_prob", "wedge_prob"}
+	at := func(p *Profile, i int) *float64 {
+		return []*float64{&p.FRERProb, &p.ReconfigProb, &p.WatchdogProb, &p.TransientProb, &p.WedgeProb}[i]
+	}
+	for i := range names {
+		for j := i + 1; j < len(names); j++ {
+			p := DefaultProfile()
+			*at(&p, i), *at(&p, j) = 2, -1
+			want := "chaos: " + names[i] + " 2 outside [0,1]"
+			for range 50 {
+				if err := p.Validate(); err == nil || err.Error() != want {
+					t.Fatalf("%s and %s out of range: Validate = %v, want %q", names[i], names[j], err, want)
+				}
+			}
 		}
 	}
 }
@@ -331,4 +356,66 @@ func TestCampaignCatchesGeneratedWedge(t *testing.T) {
 			t.Fatalf("case %d shrunk to %d faults", f.Result.Case.Index, len(f.Minimal.Faults))
 		}
 	}
+}
+
+// FuzzLoadProfile: LoadProfile never panics, and a profile it accepts,
+// capped as FuzzBuild caps a workload (≤ 32 switches, ≤ 128 TS flows),
+// generates cases 0–3 without panicking, each of whose scenario passes
+// workload.Params.Validate.
+func FuzzLoadProfile(f *testing.F) {
+	bad, huge := DefaultProfile(), DefaultProfile()
+	bad.FRERProb, bad.WedgeProb = 2, -1
+	huge.MaxFaults = math.MaxInt
+	for _, p := range []Profile{DefaultProfile(), smallProfile(), bad, huge} {
+		body, err := json.Marshal(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, body := range []string{`{"max_runs":1}`, `{"topologies":["ring"],"max_faults":-1}`, `{"max_run":1}`, `null`, ``} {
+		f.Add([]byte(body))
+	}
+	path := filepath.Join(f.TempDir(), "profile.json")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := LoadProfile(path)
+		if err != nil || p.MaxSwitches > 32 || p.MaxTSFlows > 128 {
+			return
+		}
+		for i := range 4 {
+			c, err := Generate(p, i)
+			if err != nil {
+				t.Fatalf("%s: case %d: %v", body, i, err)
+			}
+			if err := c.Params.Validate(); err != nil {
+				t.Fatalf("%s: case %d: %v", body, i, err)
+			}
+		}
+	})
+}
+
+// FuzzLoadRepro: LoadRepro never panics.
+func FuzzLoadRepro(f *testing.F) {
+	c, err := Generate(smallProfile(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	body, err := json.Marshal(Repro{Case: c, Violations: []Violation{{Oracle: "o", Detail: "d"}}, TsnsimArgs: c.TsnsimArgs("", "")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body)
+	for _, body := range []string{`{"case":{"faults":[{"kind":"link-down"}]}}`, `{"case":{"reconfig":{"at_us":-1}}}`, `[]`, `null`, ``} {
+		f.Add([]byte(body))
+	}
+	path := filepath.Join(f.TempDir(), "case.repro.json")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		LoadRepro(path)
+	})
 }

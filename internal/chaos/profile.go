@@ -98,6 +98,11 @@ func DefaultProfile() Profile {
 	}
 }
 
+// maxFaults bounds a profile's max_faults: Generate re-validates the
+// script per drawn fault, so its cost grows faster than the square of
+// the budget.
+const maxFaults = 64
+
 // Validate rejects profiles the generator cannot draw from.
 func (p *Profile) Validate() error {
 	if p.MaxRuns < 1 {
@@ -126,13 +131,13 @@ func (p *Profile) Validate() error {
 	if p.MaxFaults < 0 {
 		return fmt.Errorf("chaos: max_faults %d negative", p.MaxFaults)
 	}
-	for name, pr := range map[string]float64{
-		"frer_prob": p.FRERProb, "reconfig_prob": p.ReconfigProb,
-		"watchdog_prob": p.WatchdogProb, "transient_prob": p.TransientProb,
-		"wedge_prob": p.WedgeProb,
-	} {
+	if p.MaxFaults > maxFaults {
+		return fmt.Errorf("chaos: max_faults %d > %d", p.MaxFaults, maxFaults)
+	}
+	probs := [...]string{"frer_prob", "reconfig_prob", "watchdog_prob", "transient_prob", "wedge_prob"}
+	for i, pr := range [...]float64{p.FRERProb, p.ReconfigProb, p.WatchdogProb, p.TransientProb, p.WedgeProb} {
 		if pr < 0 || pr > 1 {
-			return fmt.Errorf("chaos: %s %v outside [0,1]", name, pr)
+			return fmt.Errorf("chaos: %s %v outside [0,1]", probs[i], pr)
 		}
 	}
 	if p.DeterminismEvery < 0 {

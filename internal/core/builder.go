@@ -92,7 +92,7 @@ func (b *Builder) errf(format string, args ...any) {
 
 // SetSwitchTbl implements set_switch_tbl(unicast_size, multicast_size).
 func (b *Builder) SetSwitchTbl(unicastSize, multicastSize int) *Builder {
-	b.called[setSwitchTbl] = true
+	b.called[tsnswitch.SwitchTbl] = true
 	if unicastSize < 0 || multicastSize < 0 {
 		b.errf("core: set_switch_tbl negative size (%d, %d)", unicastSize, multicastSize)
 	}
@@ -102,7 +102,7 @@ func (b *Builder) SetSwitchTbl(unicastSize, multicastSize int) *Builder {
 
 // SetClassTbl implements set_class_tbl(class_size).
 func (b *Builder) SetClassTbl(classSize int) *Builder {
-	b.called[setClassTbl] = true
+	b.called[tsnswitch.ClassTbl] = true
 	if classSize < 0 {
 		b.errf("core: set_class_tbl negative size %d", classSize)
 	}
@@ -112,7 +112,7 @@ func (b *Builder) SetClassTbl(classSize int) *Builder {
 
 // SetMeterTbl implements set_meter_tbl(meter_size).
 func (b *Builder) SetMeterTbl(meterSize int) *Builder {
-	b.called[setMeterTbl] = true
+	b.called[tsnswitch.MeterTbl] = true
 	if meterSize < 0 {
 		b.errf("core: set_meter_tbl negative size %d", meterSize)
 	}
@@ -122,7 +122,7 @@ func (b *Builder) SetMeterTbl(meterSize int) *Builder {
 
 // SetGateTbl implements set_gate_tbl(gate_size, queue_num, port_num).
 func (b *Builder) SetGateTbl(gateSize, queueNum, portNum int) *Builder {
-	b.called[setGateTbl] = true
+	b.called[tsnswitch.GateTbl] = true
 	if gateSize < 2 {
 		b.errf("core: set_gate_tbl gate_size %d < 2", gateSize)
 	}
@@ -134,7 +134,7 @@ func (b *Builder) SetGateTbl(gateSize, queueNum, portNum int) *Builder {
 
 // SetCBSTbl implements set_cbs_tbl(cbs_map_size, cbs_size, port_num).
 func (b *Builder) SetCBSTbl(cbsMapSize, cbsSize, portNum int) *Builder {
-	b.called[setCBSTbl] = true
+	b.called[tsnswitch.CBSTbl] = true
 	if cbsMapSize < 0 || cbsSize < 0 {
 		b.errf("core: set_cbs_tbl negative size (%d, %d)", cbsMapSize, cbsSize)
 	}
@@ -145,7 +145,7 @@ func (b *Builder) SetCBSTbl(cbsMapSize, cbsSize, portNum int) *Builder {
 
 // SetQueues implements set_queues(queue_depth, queue_num, port_num).
 func (b *Builder) SetQueues(queueDepth, queueNum, portNum int) *Builder {
-	b.called[setQueues] = true
+	b.called[tsnswitch.Queues] = true
 	if queueDepth <= 0 {
 		b.errf("core: set_queues non-positive depth %d", queueDepth)
 	}
@@ -157,7 +157,7 @@ func (b *Builder) SetQueues(queueDepth, queueNum, portNum int) *Builder {
 
 // SetBuffers implements set_buffers(buffer_num, port_num).
 func (b *Builder) SetBuffers(bufferNum, portNum int) *Builder {
-	b.called[setBuffers] = true
+	b.called[tsnswitch.Buffers] = true
 	if bufferNum <= 0 {
 		b.errf("core: set_buffers non-positive count %d", bufferNum)
 	}

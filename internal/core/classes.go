@@ -23,12 +23,10 @@ type Class struct {
 	Optional bool
 	// Params are the API's arguments in order.
 	Params []Param
-	// Sized is how many leading Params the switch's Fit/Resize pair
-	// takes; Fit and Resize are nil for set_frer_tbl, which is resized
-	// per FRER table.
-	Sized  int
-	Fit    func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit
-	Resize func(sw *tsnswitch.Switch, n [2]int) error
+	// Sized is how many leading Params the switch's Fit and Resize take
+	// for the row; zero for set_frer_tbl, which is resized per FRER
+	// table.
+	Sized int
 
 	// spare picks what Design.Local takes off the first parameter.
 	spare func(Spare) int32
@@ -50,17 +48,11 @@ type Param struct {
 // args is a class's parameter values in argument order.
 type args [3]int
 
-// The rows of Classes.
+// The rows of Classes: the switch's (tsnswitch.SwitchTbl …
+// tsnswitch.Buffers), then set_frer_tbl.
 const (
-	setSwitchTbl = iota
-	setClassTbl
-	setMeterTbl
-	setGateTbl
-	setCBSTbl
-	setQueues
-	setBuffers
-	setFRERTbl
-	nClasses
+	setFRERTbl = tsnswitch.Rows
+	nClasses   = setFRERTbl + 1
 )
 
 var (
@@ -73,51 +65,37 @@ var (
 // Design.Local, String, DiffConfigs, Overlay and the live
 // reconfiguration engine all iterate it.
 var Classes = [nClasses]Class{
-	setSwitchTbl: {API: "set_switch_tbl", Template: TemplatePacketSwitch, Sized: 2,
+	tsnswitch.SwitchTbl: {API: "set_switch_tbl", Template: TemplatePacketSwitch, Sized: 2,
 		Params: []Param{{"unicast_size", "unicast_size", 0, ""}, {"multicast_size", "multicast_size", 1, ""}},
 		spare:  func(s Spare) int32 { return s.Entries },
 		item:   func(n args) resource.Item { return resource.SwitchTbl(n[0], n[1]) },
-		set:    func(b *Builder, n args) { b.SetSwitchTbl(n[0], n[1]) },
-		Fit:    func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitSwitchTbl(n[0], n[1]) },
-		Resize: func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeSwitchTbl(n[0], n[1]) }},
-	setClassTbl: {API: "set_class_tbl", Template: TemplateIngressFilter, Sized: 1,
+		set:    func(b *Builder, n args) { b.SetSwitchTbl(n[0], n[1]) }},
+	tsnswitch.ClassTbl: {API: "set_class_tbl", Template: TemplateIngressFilter, Sized: 1,
 		Params: []Param{{"class_size", "class_size", 2, ""}},
 		spare:  func(s Spare) int32 { return s.Entries },
 		item:   func(n args) resource.Item { return resource.ClassTbl(n[0]) },
-		set:    func(b *Builder, n args) { b.SetClassTbl(n[0]) },
-		Fit:    func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitClassTbl(n[0]) },
-		Resize: func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeClassTbl(n[0]) }},
-	setMeterTbl: {API: "set_meter_tbl", Template: TemplateIngressFilter, Sized: 1,
+		set:    func(b *Builder, n args) { b.SetClassTbl(n[0]) }},
+	tsnswitch.MeterTbl: {API: "set_meter_tbl", Template: TemplateIngressFilter, Sized: 1,
 		Params: []Param{{"meter_size", "meter_size", 3, ""}},
 		spare:  func(s Spare) int32 { return s.Flows },
 		item:   func(n args) resource.Item { return resource.MeterTbl(n[0]) },
-		set:    func(b *Builder, n args) { b.SetMeterTbl(n[0]) },
-		Fit:    func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitMeterTbl(n[0]) },
-		Resize: func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeMeterTbl(n[0]) }},
-	setGateTbl: {API: "set_gate_tbl", Template: TemplateGateCtrl, Sized: 1,
+		set:    func(b *Builder, n args) { b.SetMeterTbl(n[0]) }},
+	tsnswitch.GateTbl: {API: "set_gate_tbl", Template: TemplateGateCtrl, Sized: 1,
 		Params: []Param{{"gate_size", "gate_size", 4, ""}, queueNum, portNum},
 		item:   func(n args) resource.Item { return resource.GateTbl(n[0], n[1], n[2]) },
-		set:    func(b *Builder, n args) { b.SetGateTbl(n[0], n[1], n[2]) },
-		Fit:    func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitGateSize(n[0]) },
-		Resize: func(sw *tsnswitch.Switch, n [2]int) error { return sw.SetGateSize(n[0]) }},
-	setCBSTbl: {API: "set_cbs_tbl", Template: TemplateEgressSched, Sized: 2,
+		set:    func(b *Builder, n args) { b.SetGateTbl(n[0], n[1], n[2]) }},
+	tsnswitch.CBSTbl: {API: "set_cbs_tbl", Template: TemplateEgressSched, Sized: 2,
 		Params: []Param{{"cbs_map_size", "cbs_map_size", 7, ""}, {"cbs_size", "cbs_size", 8, ""}, portNum},
 		item:   func(n args) resource.Item { return resource.CBSTbl(n[0], n[1], n[2]) },
-		set:    func(b *Builder, n args) { b.SetCBSTbl(n[0], n[1], n[2]) },
-		Fit:    func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitCBS(n[0], n[1]) },
-		Resize: func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeCBS(n[0], n[1]) }},
-	setQueues: {API: "set_queues", Template: TemplateGateCtrl, Sized: 1,
+		set:    func(b *Builder, n args) { b.SetCBSTbl(n[0], n[1], n[2]) }},
+	tsnswitch.Queues: {API: "set_queues", Template: TemplateGateCtrl, Sized: 1,
 		Params: []Param{{"queue_depth", "queue_depth", 9, ""}, queueNum, portNum},
 		item:   func(n args) resource.Item { return resource.Queues(n[0], n[1], n[2]) },
-		set:    func(b *Builder, n args) { b.SetQueues(n[0], n[1], n[2]) },
-		Fit:    func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitQueues(n[0]) },
-		Resize: func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeQueues(n[0]) }},
-	setBuffers: {API: "set_buffers", Template: TemplateGateCtrl, Sized: 1,
+		set:    func(b *Builder, n args) { b.SetQueues(n[0], n[1], n[2]) }},
+	tsnswitch.Buffers: {API: "set_buffers", Template: TemplateGateCtrl, Sized: 1,
 		Params: []Param{{"buffer_num", "buffer_num", 10, ""}, portNum},
 		item:   func(n args) resource.Item { return resource.Buffers(n[0], n[1]) },
-		set:    func(b *Builder, n args) { b.SetBuffers(n[0], n[1]) },
-		Fit:    func(sw *tsnswitch.Switch, n [2]int) []tsnswitch.Misfit { return sw.FitBuffers(n[0]) },
-		Resize: func(sw *tsnswitch.Switch, n [2]int) error { return sw.ResizeBuffers(n[0]) }},
+		set:    func(b *Builder, n args) { b.SetBuffers(n[0], n[1]) }},
 	setFRERTbl: {API: "set_frer_tbl", Template: TemplateIngressFilter, Optional: true,
 		Params: []Param{{"frer_size", "frer_size", 11, ""}, {"history_len", "frer_history", 12, ""}},
 		item:   func(n args) resource.Item { return resource.FRERTbl(n[0], n[1]) },
@@ -145,11 +123,11 @@ func (r *Class) read(f *[13]*int, n int) (a args) {
 	return a
 }
 
-// Sizes returns, row by row of Classes, the arguments of the row's Fit
-// and Resize as a switch with config c holds them, zero past the row's
-// Sized (a core.Config reads through Config.Switch). It gathers through
-// sizedAt instead of walking the rows: the reconfiguration engine calls
-// it several times per switch per commit.
+// Sizes returns, row by row of Classes, the arguments of the switch's
+// Fit and Resize for the row as a switch with config c holds them, zero
+// past the row's Sized (a core.Config reads through Config.Switch). It
+// gathers through sizedAt instead of walking the rows: the
+// reconfiguration engine calls it several times per switch per commit.
 func Sizes(c *tsnswitch.Config) (s [nClasses][2]int) {
 	v := [...]int{c.UnicastSize, c.MulticastSize, c.ClassSize, c.MeterSize, c.GateSize, 0,
 		0, c.CBSMapSize, c.CBSSize, c.QueueDepth, c.BuffersPerPort, 0, 0, 0}
@@ -160,8 +138,8 @@ func Sizes(c *tsnswitch.Config) (s [nClasses][2]int) {
 }
 
 // sizedAt is, row by row, where Sizes' values (in the order of fields)
-// hold each argument of the row's Fit and Resize; 13, the trailing zero,
-// past its Sized.
+// hold each argument of the switch's Fit and Resize for the row; 13,
+// the trailing zero, past its Sized.
 var sizedAt = func() (at [nClasses][2]int) {
 	for i, r := range &Classes {
 		at[i] = [2]int{13, 13}

@@ -6,6 +6,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
 )
 
 // TestEveryParamReachesEveryConsumer moves each parameter of each row
@@ -72,6 +75,34 @@ func TestEveryParamReachesEveryConsumer(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestResizeMovesItsRowOfSizes resizes a switch row by row of Classes
+// through the switch's Fit/Resize pair: a refused size moves no row of
+// Sizes, and an accepted one moves exactly the row it names, by the
+// row's Sized parameters.
+func TestResizeMovesItsRowOfSizes(t *testing.T) {
+	d, err := BuilderFor(PaperCustomizedConfig(2), nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := tsnswitch.New(sim.NewEngine(), d.SwitchConfig(0, 2))
+	sizes := func() [nClasses][2]int {
+		c := sw.Config()
+		return Sizes(&c)
+	}
+	for row, r := range Classes[:setFRERTbl] {
+		want := sizes()
+		if err := sw.Resize(row, [2]int{-1, -1}); err == nil || sizes() != want {
+			t.Fatalf("%s: Resize to -1 returned %v and moved Sizes to %v, want %v", r.API, err, sizes(), want)
+		}
+		for j := range r.Sized {
+			want[row][j]++
+		}
+		if err := sw.Resize(row, want[row]); err != nil || sizes() != want {
+			t.Fatalf("%s: Resize(%v) returned %v and moved Sizes to %v, want %v", r.API, want[row], err, sizes(), want)
 		}
 	}
 }

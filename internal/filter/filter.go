@@ -25,7 +25,7 @@ type Verdict struct {
 
 // Engine is one switch's Ingress Filter stage.
 type Engine struct {
-	Class  *tables.ClassTable
+	Class  *tables.Table[tables.ClassKey, tables.ClassEntry]
 	Meters *meter.Table
 	// queueCount bounds the fallback PCP→queue mapping.
 	queueCount int
@@ -39,7 +39,7 @@ func New(classSize, meterSize, queueCount int) *Engine {
 		panic("filter: non-positive queue count")
 	}
 	return &Engine{
-		Class:      tables.NewClass(classSize),
+		Class:      tables.New[tables.ClassKey, tables.ClassEntry]("classification", classSize),
 		Meters:     meter.NewTable(meterSize),
 		queueCount: queueCount,
 	}

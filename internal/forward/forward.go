@@ -15,8 +15,8 @@ import (
 
 // Engine is one switch's Packet Switch stage.
 type Engine struct {
-	Unicast   *tables.UnicastTable
-	Multicast *tables.MulticastTable
+	Unicast   Unicast
+	Multicast *tables.Table[uint16, uint32]
 	// noRoute counts lookup misses (frames dropped for lack of a
 	// forwarding entry).
 	noRoute uint64
@@ -26,9 +26,26 @@ type Engine struct {
 // set_switch_tbl customization API parameters).
 func New(unicastSize, multicastSize int) *Engine {
 	return &Engine{
-		Unicast:   tables.NewUnicast(unicastSize),
-		Multicast: tables.NewMulticast(multicastSize),
+		Unicast:   Unicast{tables.New[tables.UnicastKey, int]("unicast", unicastSize)},
+		Multicast: tables.New[uint16, uint32]("multicast", multicastSize),
 	}
+}
+
+// Unicast is the unicast switch table; its Add and Lookup take the
+// (Dst MAC, VID) pair the parser extracts rather than a
+// tables.UnicastKey.
+type Unicast struct {
+	*tables.Table[tables.UnicastKey, int]
+}
+
+// Add installs dst/vid -> outPort.
+func (u Unicast) Add(dst ethernet.MAC, vid uint16, outPort int) error {
+	return u.Table.Add(tables.UnicastKey{Dst: dst, VID: vid}, outPort)
+}
+
+// Lookup resolves the output port for dst/vid.
+func (u Unicast) Lookup(dst ethernet.MAC, vid uint16) (outPort int, ok bool) {
+	return u.Table.Lookup(tables.UnicastKey{Dst: dst, VID: vid})
 }
 
 // MCID derives the multicast index from a group MAC: the low 16 bits,

@@ -196,9 +196,6 @@ func (i *Ifc) Peer() *Ifc { return i.peer }
 // serial and partitioned builds.
 func (i *Ifc) SetDeliverPrio(p uint64) { i.deliverPrio = p }
 
-// DeliverPrio returns the interface's delivery tie-break index.
-func (i *Ifc) DeliverPrio() uint64 { return i.deliverPrio }
-
 // SetRemotePost installs the cut-link hook: deliveries transmitted
 // from this interface are handed to fn instead of being scheduled on
 // the local engine. The receiving partition replays them through the

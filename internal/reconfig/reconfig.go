@@ -311,7 +311,7 @@ func validate(old, new core.Config, b Bindings) error {
 		var found []tsnswitch.Misfit
 		for c := range setFRERTbl {
 			if n[c] != live[c] {
-				found = append(found, core.Classes[c].Fit(sw, n[c])...)
+				found = append(found, sw.Fit(c, n[c])...)
 			}
 		}
 		if got.SlotSize != new.SlotSize {
@@ -387,7 +387,7 @@ func (t *Txn) apply(o *op) error {
 		}
 		return o.sw.RebaseCQF(t.new.SlotSize, o.sw.Clock.Now(t.c.engine.Now()))
 	}
-	return core.Classes[o.class].Resize(o.sw, t.b.local(t.new, o.sw)[o.class])
+	return o.sw.Resize(o.class, t.b.local(t.new, o.sw)[o.class])
 }
 
 // revert restores exactly the state o's apply replaced.
@@ -398,7 +398,7 @@ func (t *Txn) revert(o *op) error {
 	case rebaseSlot:
 		return o.sw.RestoreSchedules(t.old.SlotSize, o.savedIn, o.savedOut)
 	}
-	return core.Classes[o.class].Resize(o.sw, t.b.local(t.old, o.sw)[o.class])
+	return o.sw.Resize(o.class, t.b.local(t.old, o.sw)[o.class])
 }
 
 // State returns the transaction's lifecycle state.

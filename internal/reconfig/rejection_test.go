@@ -148,7 +148,7 @@ func TestReconfigRejectionText(t *testing.T) {
 		{"a switch left deeper than the live configuration", 0, func(t *testing.T, sw []*tsnswitch.Switch, _ *Bindings) {
 			// As a wedged commit leaves it: switch 1 grew its queues alone
 			// and filled them past the depth every other switch holds.
-			must(t, sw[1].ResizeQueues(16))
+			must(t, sw[1].Resize(tsnswitch.Queues, [2]int{16}))
 			queue(t, sw[1], 12)
 		}, func(c *core.Config) { c.MeterSize = 32 },
 			"reconfig: switch 1 queue holds 12 descriptors > candidate depth 8"},
@@ -211,7 +211,7 @@ func TestEveryClassStagesOneOpPerSwitch(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := []string{"sw0:" + r.API, "sw1:" + r.API, "sw2:" + r.API}
-			if r.Fit == nil {
+			if r.Sized == 0 {
 				want = []string{"frer0:" + r.API, "frer1:" + r.API}
 			}
 			if got := txn.Ops(); !slices.Equal(got, want) {

@@ -131,15 +131,6 @@ func NewWatchdog(engine *sim.Engine, reg *metrics.Registry, interval sim.Time) *
 	return w
 }
 
-// SetPolicy replaces the degradation policy. Call before Start.
-func (w *Watchdog) SetPolicy(p Policy) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	w.policy = p
-	return nil
-}
-
 // Watch adds sw to the audited set.
 func (w *Watchdog) Watch(sw *tsnswitch.Switch) {
 	w.switches = append(w.switches, sw)

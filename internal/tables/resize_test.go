@@ -7,11 +7,11 @@ import (
 )
 
 func TestUnicastResize(t *testing.T) {
-	tbl := NewUnicast(2)
-	if err := tbl.Add(ethernet.HostMAC(1), 1, 0); err != nil {
+	tbl := unicast(2)
+	if err := tbl.Add(at(1, 1), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Add(ethernet.HostMAC(2), 1, 0); err != nil {
+	if err := tbl.Add(at(2, 1), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Resize(1); err == nil {
@@ -23,16 +23,16 @@ func TestUnicastResize(t *testing.T) {
 	if err := tbl.Resize(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Add(ethernet.HostMAC(3), 1, 0); err != nil {
+	if err := tbl.Add(at(3, 1), 0); err != nil {
 		t.Fatalf("add after grow: %v", err)
 	}
-	if err := tbl.Add(ethernet.HostMAC(4), 1, 0); err == nil {
+	if err := tbl.Add(at(4, 1), 0); err == nil {
 		t.Fatal("add beyond new capacity accepted")
 	}
 }
 
 func TestMulticastResize(t *testing.T) {
-	tbl := NewMulticast(1)
+	tbl := multicast(1)
 	if err := tbl.Add(7, 0b11); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestMulticastResize(t *testing.T) {
 }
 
 func TestClassResize(t *testing.T) {
-	tbl := NewClass(1)
+	tbl := class(1)
 	key := ClassKey{Src: ethernet.HostMAC(1), Dst: ethernet.HostMAC(2), VID: 1, PRI: 7}
 	if err := tbl.Add(key, ClassEntry{QueueID: 1}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 // Package tables implements the capacity-bounded lookup tables of the
 // paper's resource view (Fig. 4): the unicast and multicast switch
 // tables consulted by the Packet Switch template and the classification
-// table consulted by the Ingress Filter template.
+// table consulted by the Ingress Filter template. All three are one
+// Table, instantiated with their key and value types.
 //
 // Every table has a fixed capacity set through the TSN-Builder
 // customization APIs; inserting beyond capacity fails with ErrTableFull
@@ -26,128 +27,6 @@ type UnicastKey struct {
 	VID uint16
 }
 
-// UnicastTable maps (Dst MAC, VID) to an output port.
-type UnicastTable struct {
-	capacity int
-	entries  map[UnicastKey]int
-	// lookups/misses are observability counters for the experiments.
-	lookups uint64
-	misses  uint64
-}
-
-// NewUnicast returns a unicast table with the given capacity.
-func NewUnicast(capacity int) *UnicastTable {
-	if capacity < 0 {
-		panic("tables: negative capacity")
-	}
-	return &UnicastTable{capacity: capacity, entries: make(map[UnicastKey]int)}
-}
-
-// Capacity returns the configured entry budget.
-func (t *UnicastTable) Capacity() int { return t.capacity }
-
-// Len returns the number of installed entries.
-func (t *UnicastTable) Len() int { return len(t.entries) }
-
-// Reserve sizes an empty table's storage for n entries (at most its
-// capacity), so installing them grows nothing.
-func (t *UnicastTable) Reserve(n int) {
-	if len(t.entries) == 0 {
-		t.entries = make(map[UnicastKey]int, min(n, t.capacity))
-	}
-}
-
-// Add installs dst/vid -> outPort. Overwriting an existing key does not
-// consume capacity.
-func (t *UnicastTable) Add(dst ethernet.MAC, vid uint16, outPort int) error {
-	k := UnicastKey{Dst: dst, VID: vid}
-	if _, ok := t.entries[k]; !ok && len(t.entries) >= t.capacity {
-		return fmt.Errorf("%w: unicast capacity %d", ErrTableFull, t.capacity)
-	}
-	t.entries[k] = outPort
-	return nil
-}
-
-// Lookup resolves the output port for dst/vid.
-func (t *UnicastTable) Lookup(dst ethernet.MAC, vid uint16) (outPort int, ok bool) {
-	t.lookups++
-	outPort, ok = t.entries[UnicastKey{Dst: dst, VID: vid}]
-	if !ok {
-		t.misses++
-	}
-	return outPort, ok
-}
-
-// Stats returns (lookups, misses).
-func (t *UnicastTable) Stats() (uint64, uint64) { return t.lookups, t.misses }
-
-// Resize changes the entry budget in place — the live-reconfiguration
-// primitive behind set_switch_tbl. Installed entries survive; shrinking
-// below the live occupancy fails.
-func (t *UnicastTable) Resize(capacity int) error {
-	if capacity < 0 {
-		return fmt.Errorf("tables: negative unicast capacity %d", capacity)
-	}
-	if len(t.entries) > capacity {
-		return fmt.Errorf("tables: cannot shrink unicast table to %d: %d entries installed",
-			capacity, len(t.entries))
-	}
-	t.capacity = capacity
-	return nil
-}
-
-// MulticastTable maps a multicast index (MC ID) to a set of output
-// ports, represented as a bitmask.
-type MulticastTable struct {
-	capacity int
-	entries  map[uint16]uint32
-}
-
-// NewMulticast returns a multicast table with the given capacity.
-// Capacity zero is valid: the paper's customized switches split
-// multicast flows into unicast flows and allocate no multicast table.
-func NewMulticast(capacity int) *MulticastTable {
-	if capacity < 0 {
-		panic("tables: negative capacity")
-	}
-	return &MulticastTable{capacity: capacity, entries: make(map[uint16]uint32)}
-}
-
-// Capacity returns the configured entry budget.
-func (t *MulticastTable) Capacity() int { return t.capacity }
-
-// Len returns the number of installed entries.
-func (t *MulticastTable) Len() int { return len(t.entries) }
-
-// Add installs mcID -> port bitmask.
-func (t *MulticastTable) Add(mcID uint16, portMask uint32) error {
-	if _, ok := t.entries[mcID]; !ok && len(t.entries) >= t.capacity {
-		return fmt.Errorf("%w: multicast capacity %d", ErrTableFull, t.capacity)
-	}
-	t.entries[mcID] = portMask
-	return nil
-}
-
-// Lookup resolves the output port set for mcID.
-func (t *MulticastTable) Lookup(mcID uint16) (portMask uint32, ok bool) {
-	portMask, ok = t.entries[mcID]
-	return portMask, ok
-}
-
-// Resize changes the entry budget in place; shrinking below the live
-// occupancy fails.
-func (t *MulticastTable) Resize(capacity int) error {
-	if capacity < 0 {
-		return fmt.Errorf("tables: negative multicast capacity %d", capacity)
-	}
-	if len(t.entries) > capacity {
-		return fmt.Errorf("tables: cannot shrink multicast table to %d: %d entries installed",
-			capacity, len(t.entries))
-	}
-	t.capacity = capacity
-	return nil
-}
-
 // ClassKey is the classification-table key from Fig. 4: the combination
 // of Src MAC, Dst MAC, VID and PRI carried in the packet header.
 type ClassKey struct {
@@ -167,73 +46,81 @@ type ClassEntry struct {
 	HasMeter bool
 }
 
-// ClassTable is the Ingress Filter's classification table.
-type ClassTable struct {
-	capacity int
-	entries  map[ClassKey]ClassEntry
-	lookups  uint64
-	misses   uint64
-}
-
-// NewClass returns a classification table with the given capacity.
-func NewClass(capacity int) *ClassTable {
-	if capacity < 0 {
-		panic("tables: negative capacity")
-	}
-	return &ClassTable{capacity: capacity, entries: make(map[ClassKey]ClassEntry)}
-}
-
-// Capacity returns the configured entry budget.
-func (t *ClassTable) Capacity() int { return t.capacity }
-
-// Len returns the number of installed entries.
-func (t *ClassTable) Len() int { return len(t.entries) }
-
-// Reserve sizes an empty table's storage for n entries (at most its
-// capacity), so installing them grows nothing.
-func (t *ClassTable) Reserve(n int) {
-	if len(t.entries) == 0 {
-		t.entries = make(map[ClassKey]ClassEntry, min(n, t.capacity))
-	}
-}
-
-// Add installs a classification entry.
-func (t *ClassTable) Add(k ClassKey, e ClassEntry) error {
-	if _, ok := t.entries[k]; !ok && len(t.entries) >= t.capacity {
-		return fmt.Errorf("%w: classification capacity %d", ErrTableFull, t.capacity)
-	}
-	t.entries[k] = e
-	return nil
-}
-
-// Lookup classifies a header tuple.
-func (t *ClassTable) Lookup(k ClassKey) (ClassEntry, bool) {
-	t.lookups++
-	e, ok := t.entries[k]
-	if !ok {
-		t.misses++
-	}
-	return e, ok
-}
-
 // KeyFor extracts the classification key from a frame.
 func KeyFor(f *ethernet.Frame) ClassKey {
 	return ClassKey{Src: f.Src, Dst: f.Dst, VID: f.VID, PRI: f.PCP}
 }
 
+// Table maps keys to values within a capacity: the unicast table
+// (UnicastKey to an output port), the multicast table (MC ID to a port
+// bitmask) and the classification table (ClassKey to a ClassEntry).
+type Table[K comparable, V any] struct {
+	// name is the word the table's errors use ("unicast", ...).
+	name     string
+	capacity int
+	entries  map[K]V
+	// lookups/misses are observability counters for the experiments.
+	lookups uint64
+	misses  uint64
+}
+
+// New returns a table with the given capacity whose errors call it
+// name. Capacity zero is valid: the paper's customized switches split
+// multicast flows into unicast flows and allocate no multicast table.
+func New[K comparable, V any](name string, capacity int) *Table[K, V] {
+	if capacity < 0 {
+		panic("tables: negative capacity")
+	}
+	return &Table[K, V]{name: name, capacity: capacity, entries: make(map[K]V)}
+}
+
+// Capacity returns the configured entry budget.
+func (t *Table[K, V]) Capacity() int { return t.capacity }
+
+// Len returns the number of installed entries.
+func (t *Table[K, V]) Len() int { return len(t.entries) }
+
+// Reserve sizes an empty table's storage for n entries (at most its
+// capacity), so installing them grows nothing.
+func (t *Table[K, V]) Reserve(n int) {
+	if len(t.entries) == 0 {
+		t.entries = make(map[K]V, min(n, t.capacity))
+	}
+}
+
+// Add installs k -> v. Overwriting an existing key does not consume
+// capacity.
+func (t *Table[K, V]) Add(k K, v V) error {
+	if _, ok := t.entries[k]; !ok && len(t.entries) >= t.capacity {
+		return fmt.Errorf("%w: %s capacity %d", ErrTableFull, t.name, t.capacity)
+	}
+	t.entries[k] = v
+	return nil
+}
+
+// Lookup resolves k.
+func (t *Table[K, V]) Lookup(k K) (V, bool) {
+	t.lookups++
+	v, ok := t.entries[k]
+	if !ok {
+		t.misses++
+	}
+	return v, ok
+}
+
 // Stats returns (lookups, misses).
-func (t *ClassTable) Stats() (uint64, uint64) { return t.lookups, t.misses }
+func (t *Table[K, V]) Stats() (uint64, uint64) { return t.lookups, t.misses }
 
 // Resize changes the entry budget in place — the live-reconfiguration
-// primitive behind set_class_tbl. Installed entries survive; shrinking
-// below the live occupancy fails.
-func (t *ClassTable) Resize(capacity int) error {
+// primitive behind set_switch_tbl and set_class_tbl. Installed entries
+// survive; shrinking below the live occupancy fails.
+func (t *Table[K, V]) Resize(capacity int) error {
 	if capacity < 0 {
-		return fmt.Errorf("tables: negative classification capacity %d", capacity)
+		return fmt.Errorf("tables: negative %s capacity %d", t.name, capacity)
 	}
 	if len(t.entries) > capacity {
-		return fmt.Errorf("tables: cannot shrink classification table to %d: %d entries installed",
-			capacity, len(t.entries))
+		return fmt.Errorf("tables: cannot shrink %s table to %d: %d entries installed",
+			t.name, capacity, len(t.entries))
 	}
 	t.capacity = capacity
 	return nil

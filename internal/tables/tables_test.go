@@ -10,38 +10,46 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/israce"
 )
 
+// The three instantiations, as forward and filter make them.
+func unicast(n int) *Table[UnicastKey, int]    { return New[UnicastKey, int]("unicast", n) }
+func multicast(n int) *Table[uint16, uint32]   { return New[uint16, uint32]("multicast", n) }
+func class(n int) *Table[ClassKey, ClassEntry] { return New[ClassKey, ClassEntry]("classification", n) }
+
+// at is host h's unicast key in VLAN vid.
+func at(h int, vid uint16) UnicastKey { return UnicastKey{ethernet.HostMAC(h), vid} }
+
 func TestUnicastAddLookup(t *testing.T) {
-	tbl := NewUnicast(4)
-	if err := tbl.Add(ethernet.HostMAC(1), 100, 2); err != nil {
+	tbl := unicast(4)
+	if err := tbl.Add(at(1, 100), 2); err != nil {
 		t.Fatal(err)
 	}
-	port, ok := tbl.Lookup(ethernet.HostMAC(1), 100)
+	port, ok := tbl.Lookup(at(1, 100))
 	if !ok || port != 2 {
 		t.Fatalf("Lookup = (%d,%v)", port, ok)
 	}
 	// Same MAC, different VID is a distinct key.
-	if _, ok := tbl.Lookup(ethernet.HostMAC(1), 101); ok {
+	if _, ok := tbl.Lookup(at(1, 101)); ok {
 		t.Fatal("lookup with wrong VID hit")
 	}
 }
 
 func TestUnicastCapacity(t *testing.T) {
-	tbl := NewUnicast(2)
-	if err := tbl.Add(ethernet.HostMAC(1), 1, 0); err != nil {
+	tbl := unicast(2)
+	if err := tbl.Add(at(1, 1), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Add(ethernet.HostMAC(2), 1, 0); err != nil {
+	if err := tbl.Add(at(2, 1), 0); err != nil {
 		t.Fatal(err)
 	}
-	err := tbl.Add(ethernet.HostMAC(3), 1, 0)
+	err := tbl.Add(at(3, 1), 0)
 	if !errors.Is(err, ErrTableFull) {
 		t.Fatalf("overflow err = %v, want ErrTableFull", err)
 	}
 	// Overwrite of an existing key must still succeed.
-	if err := tbl.Add(ethernet.HostMAC(2), 1, 3); err != nil {
+	if err := tbl.Add(at(2, 1), 3); err != nil {
 		t.Fatalf("overwrite failed: %v", err)
 	}
-	if port, _ := tbl.Lookup(ethernet.HostMAC(2), 1); port != 3 {
+	if port, _ := tbl.Lookup(at(2, 1)); port != 3 {
 		t.Fatal("overwrite not applied")
 	}
 	if tbl.Len() != 2 {
@@ -50,10 +58,10 @@ func TestUnicastCapacity(t *testing.T) {
 }
 
 func TestUnicastStats(t *testing.T) {
-	tbl := NewUnicast(1)
-	_ = tbl.Add(ethernet.HostMAC(1), 1, 0)
-	tbl.Lookup(ethernet.HostMAC(1), 1)
-	tbl.Lookup(ethernet.HostMAC(9), 1)
+	tbl := unicast(1)
+	_ = tbl.Add(at(1, 1), 0)
+	tbl.Lookup(at(1, 1))
+	tbl.Lookup(at(9, 1))
 	lookups, misses := tbl.Stats()
 	if lookups != 2 || misses != 1 {
 		t.Fatalf("Stats = (%d,%d), want (2,1)", lookups, misses)
@@ -61,7 +69,7 @@ func TestUnicastStats(t *testing.T) {
 }
 
 func TestMulticast(t *testing.T) {
-	tbl := NewMulticast(2)
+	tbl := multicast(2)
 	if err := tbl.Add(7, 0b1010); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +84,7 @@ func TestMulticast(t *testing.T) {
 
 func TestMulticastZeroCapacity(t *testing.T) {
 	// The paper's customized switches allocate no multicast table.
-	tbl := NewMulticast(0)
+	tbl := multicast(0)
 	if err := tbl.Add(1, 1); !errors.Is(err, ErrTableFull) {
 		t.Fatalf("zero-capacity add err = %v", err)
 	}
@@ -86,7 +94,7 @@ func TestMulticastZeroCapacity(t *testing.T) {
 }
 
 func TestClassTable(t *testing.T) {
-	tbl := NewClass(8)
+	tbl := class(8)
 	k := ClassKey{Src: ethernet.HostMAC(1), Dst: ethernet.HostMAC(2), VID: 10, PRI: 7}
 	e := ClassEntry{MeterID: 3, QueueID: 7, HasMeter: true}
 	if err := tbl.Add(k, e); err != nil {
@@ -105,7 +113,7 @@ func TestClassTable(t *testing.T) {
 }
 
 func TestClassCapacity(t *testing.T) {
-	tbl := NewClass(1)
+	tbl := class(1)
 	k1 := ClassKey{VID: 1}
 	k2 := ClassKey{VID: 2}
 	if err := tbl.Add(k1, ClassEntry{}); err != nil {
@@ -130,9 +138,9 @@ func TestKeyFor(t *testing.T) {
 
 func TestNegativeCapacityPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"unicast":   func() { NewUnicast(-1) },
-		"multicast": func() { NewMulticast(-1) },
-		"class":     func() { NewClass(-1) },
+		"unicast":   func() { unicast(-1) },
+		"multicast": func() { multicast(-1) },
+		"class":     func() { class(-1) },
 	} {
 		func() {
 			defer func() {
@@ -150,12 +158,12 @@ func TestNegativeCapacityPanics(t *testing.T) {
 func TestUnicastCapacityProperty(t *testing.T) {
 	prop := func(ids []uint16, capRaw uint8) bool {
 		capacity := int(capRaw%32) + 1
-		tbl := NewUnicast(capacity)
+		tbl := unicast(capacity)
 		for _, id := range ids {
 			mac := ethernet.HostMAC(int(id % 64))
-			err := tbl.Add(mac, 1, int(id))
+			err := tbl.Add(UnicastKey{mac, 1}, int(id))
 			if err == nil {
-				if port, ok := tbl.Lookup(mac, 1); !ok || port != int(id) {
+				if port, ok := tbl.Lookup(UnicastKey{mac, 1}); !ok || port != int(id) {
 					return false
 				}
 			}
@@ -178,14 +186,20 @@ func TestReserveThenAddAllocatesNothing(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const n = 512
-	uni, cls := NewUnicast(n), NewClass(n)
+	uni, cls := unicast(n), class(n)
 	uni.Reserve(n)
 	cls.Reserve(n)
+	// ReadMemStats stops the world; restarting it with idle Ps may start
+	// an OS thread, and a GC cycle in flight may contend for the stop.
+	// Both allocate in the runtime, so the window runs on one P right
+	// after a GC, as testing.AllocsPerRun runs on one P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
 		mac := ethernet.HostMAC(i)
-		if uni.Add(mac, 1, 2) != nil || cls.Add(ClassKey{Dst: mac, VID: 1}, ClassEntry{QueueID: 7}) != nil {
+		if uni.Add(UnicastKey{mac, 1}, 2) != nil || cls.Add(ClassKey{Dst: mac, VID: 1}, ClassEntry{QueueID: 7}) != nil {
 			t.Fatal("a reserved entry did not fit")
 		}
 	}
@@ -193,9 +207,9 @@ func TestReserveThenAddAllocatesNothing(t *testing.T) {
 	if grown := after.Mallocs - before.Mallocs; grown != 0 {
 		t.Fatalf("installing %d reserved entries in two tables allocated %d times, want 0", n, grown)
 	}
-	small := NewUnicast(1)
+	small := unicast(1)
 	small.Reserve(10)
-	if small.Add(ethernet.HostMAC(1), 1, 0) != nil || small.Add(ethernet.HostMAC(2), 1, 0) == nil {
+	if small.Add(at(1, 1), 0) != nil || small.Add(at(2, 1), 0) == nil {
 		t.Fatal("Reserve changed the table's capacity")
 	}
 }

@@ -26,9 +26,23 @@ func (sw *Switch) SetDegradeLevel(l DegradeLevel) {
 // DegradeLevel returns the current graceful-degradation level.
 func (sw *Switch) DegradeLevel() DegradeLevel { return sw.degrade }
 
-// A Misfit is one way the live state would not fit a size asked of a
-// resize primitive, which runs its Fit check first and changes nothing
-// unless it is empty; the reconfiguration engine runs it as a dry run.
+// The resource classes a switch resizes live: one row per set_* API of
+// Table II, in the paper's order. core.Classes is indexed by them and
+// adds set_frer_tbl after them.
+const (
+	SwitchTbl = iota // set_switch_tbl(unicast, multicast)
+	ClassTbl         // set_class_tbl(size)
+	MeterTbl         // set_meter_tbl(size)
+	GateTbl          // set_gate_tbl(size)
+	CBSTbl           // set_cbs_tbl(map size, CBS size)
+	Queues           // set_queues(depth)
+	Buffers          // set_buffers(per port)
+	Rows
+)
+
+// A Misfit is one way the live state would not fit a size asked of
+// Resize, which runs Fit first and changes nothing unless it is empty;
+// the reconfiguration engine runs Fit as a dry run.
 // At orders a switch's report: -1 for its tables, a port's number for
 // that port's gates, CBS and buffers, the port count for the rest.
 type Misfit struct {
@@ -49,174 +63,118 @@ func resized(err error) {
 	}
 }
 
-// FitSwitchTbl is ResizeSwitchTbl's check: the installed routes.
-func (sw *Switch) FitSwitchTbl(unicast, multicast int) (m []Misfit) {
-	if n := sw.fwd.Unicast.Len(); n > unicast {
-		m = sw.misfit(m, -1, "unicast table holds %d entries > candidate size %d", n, unicast)
-	}
-	if n := sw.fwd.Multicast.Len(); n > multicast {
-		m = sw.misfit(m, -1, "multicast table holds %d entries > candidate size %d", n, multicast)
-	}
-	return m
-}
-
-// ResizeSwitchTbl resizes the unicast/multicast switch tables
-// (set_switch_tbl) without disturbing installed routes.
-func (sw *Switch) ResizeSwitchTbl(unicast, multicast int) error {
-	if m := sw.FitSwitchTbl(unicast, multicast); m != nil {
-		return m[0]
-	}
-	resized(sw.fwd.Unicast.Resize(unicast))
-	resized(sw.fwd.Multicast.Resize(multicast))
-	sw.cfg.UnicastSize, sw.cfg.MulticastSize = unicast, multicast
-	return nil
-}
-
-// FitClassTbl is ResizeClassTbl's check: the installed entries.
-func (sw *Switch) FitClassTbl(size int) (m []Misfit) {
-	if n := sw.flt.Class.Len(); n > size {
-		m = sw.misfit(m, -1, "classification table holds %d entries > candidate size %d", n, size)
-	}
-	return m
-}
-
-// ResizeClassTbl resizes the classification table (set_class_tbl).
-func (sw *Switch) ResizeClassTbl(size int) error {
-	if m := sw.FitClassTbl(size); m != nil {
-		return m[0]
-	}
-	resized(sw.flt.Class.Resize(size))
-	sw.cfg.ClassSize = size
-	return nil
-}
-
-// FitMeterTbl is ResizeMeterTbl's check: the configured meters.
-func (sw *Switch) FitMeterTbl(size int) (m []Misfit) {
-	if req := sw.flt.Meters.RequiredCapacity(); req > size {
-		m = sw.misfit(m, -1, "meter %d is configured, candidate size %d too small", req-1, size)
-	}
-	return m
-}
-
-// ResizeMeterTbl resizes the meter table (set_meter_tbl), preserving
-// configured meters and their token state.
-func (sw *Switch) ResizeMeterTbl(size int) error {
-	if m := sw.FitMeterTbl(size); m != nil {
-		return m[0]
-	}
-	resized(sw.flt.Meters.Resize(size))
-	sw.cfg.MeterSize = size
-	return nil
-}
-
-// FitGateSize is SetGateSize's check: every port's installed schedules.
-func (sw *Switch) FitGateSize(size int) (m []Misfit) {
-	for _, p := range sw.ports {
-		if in, out := p.gates[dirIn].Size(), p.gates[dirOut].Size(); in > size || out > size {
-			m = sw.misfit(m, p.id, "port %d schedules (%d/%d entries) exceed candidate gate size %d", p.id, in, out, size)
-		}
-	}
-	return m
-}
-
-// SetGateSize changes the gate table budget (set_gate_tbl); CQF needs 2.
-func (sw *Switch) SetGateSize(size int) error {
-	if size < 2 {
-		return fmt.Errorf("tsnswitch: gate size %d < 2 (CQF needs 2)", size)
-	}
-	if m := sw.FitGateSize(size); m != nil {
-		return m[0]
-	}
-	sw.cfg.GateSize = size
-	return nil
-}
-
-// FitCBS is ResizeCBS's check: every port's bindings and live shapers.
-func (sw *Switch) FitCBS(mapSize, cbsSize int) (m []Misfit) {
-	for _, p := range sw.ports {
-		if n := p.bank.MapLen(); n > mapSize {
-			m = sw.misfit(m, p.id, "port %d has %d CBS bindings > candidate map size %d", p.id, n, mapSize)
-		}
-		if req := p.bank.RequiredSize(); req > cbsSize {
-			m = sw.misfit(m, p.id, "port %d CBS %d is live, candidate size %d too small", p.id, req-1, cbsSize)
-		}
-	}
-	return m
-}
-
-// ResizeCBS resizes every port's CBS MAP and CBS tables (set_cbs_tbl),
-// preserving bindings, slopes and credit.
-func (sw *Switch) ResizeCBS(mapSize, cbsSize int) error {
-	if m := sw.FitCBS(mapSize, cbsSize); m != nil {
-		return m[0]
-	}
-	for _, p := range sw.ports {
-		resized(p.bank.Resize(mapSize, cbsSize))
-	}
-	sw.cfg.CBSMapSize, sw.cfg.CBSSize = mapSize, cbsSize
-	return nil
-}
-
-// FitQueues is ResizeQueues' check: the deepest queue backlog.
-func (sw *Switch) FitQueues(depth int) (m []Misfit) {
-	most := 0
-	for _, p := range sw.ports {
-		for _, q := range p.queues {
-			most = max(most, q.Len())
-		}
-	}
-	if most > depth {
-		m = sw.misfit(m, len(sw.ports), "queue holds %d descriptors > candidate depth %d", most, depth)
-	}
-	return m
-}
-
-// ResizeQueues changes every queue's descriptor depth (set_queues),
-// preserving queued descriptors.
-func (sw *Switch) ResizeQueues(depth int) error {
-	if depth <= 0 {
-		return fmt.Errorf("tsnswitch: non-positive queue depth %d", depth)
-	}
-	if m := sw.FitQueues(depth); m != nil {
-		return m[0]
-	}
-	for _, p := range sw.ports {
-		for _, queue := range p.queues {
-			resized(queue.Resize(depth))
-		}
-	}
-	sw.cfg.QueueDepth = depth
-	return nil
-}
-
-// FitBuffers is ResizeBuffers' check: every per-port pool's live slots
+// Fit is Resize's check of row's sizes n (n[1] only for the two-size
+// rows) against what is live: installed routes and entries, configured
+// meters, every port's schedules, CBS bindings and live shapers, the
+// deepest queue backlog, and every per-port pool's live slots
 // (allocated plus fault-reserved). A shared (SMS) pool has no per-port
 // count to change.
-func (sw *Switch) FitBuffers(perPort int) (m []Misfit) {
-	if sw.cfg.SharedBufferNum > 0 {
-		return sw.misfit(m, len(sw.ports), "uses a shared (SMS) pool; buffer_num is not live-reconfigurable")
-	}
-	for _, p := range sw.ports {
-		if live := p.pool.InUse() + p.pool.Reserved(); live > perPort {
-			m = sw.misfit(m, p.id, "port %d holds %d live buffers > candidate buffer_num %d", p.id, live, perPort)
+func (sw *Switch) Fit(row int, n [2]int) (m []Misfit) {
+	switch row {
+	case SwitchTbl:
+		if l := sw.fwd.Unicast.Len(); l > n[0] {
+			m = sw.misfit(m, -1, "unicast table holds %d entries > candidate size %d", l, n[0])
 		}
+		if l := sw.fwd.Multicast.Len(); l > n[1] {
+			m = sw.misfit(m, -1, "multicast table holds %d entries > candidate size %d", l, n[1])
+		}
+	case ClassTbl:
+		if l := sw.flt.Class.Len(); l > n[0] {
+			m = sw.misfit(m, -1, "classification table holds %d entries > candidate size %d", l, n[0])
+		}
+	case MeterTbl:
+		if req := sw.flt.Meters.RequiredCapacity(); req > n[0] {
+			m = sw.misfit(m, -1, "meter %d is configured, candidate size %d too small", req-1, n[0])
+		}
+	case GateTbl:
+		for _, p := range sw.ports {
+			if in, out := p.gates[dirIn].Size(), p.gates[dirOut].Size(); in > n[0] || out > n[0] {
+				m = sw.misfit(m, p.id, "port %d schedules (%d/%d entries) exceed candidate gate size %d", p.id, in, out, n[0])
+			}
+		}
+	case CBSTbl:
+		for _, p := range sw.ports {
+			if l := p.bank.MapLen(); l > n[0] {
+				m = sw.misfit(m, p.id, "port %d has %d CBS bindings > candidate map size %d", p.id, l, n[0])
+			}
+			if req := p.bank.RequiredSize(); req > n[1] {
+				m = sw.misfit(m, p.id, "port %d CBS %d is live, candidate size %d too small", p.id, req-1, n[1])
+			}
+		}
+	case Queues:
+		most := 0
+		for _, p := range sw.ports {
+			for _, q := range p.queues {
+				most = max(most, q.Len())
+			}
+		}
+		if most > n[0] {
+			m = sw.misfit(m, len(sw.ports), "queue holds %d descriptors > candidate depth %d", most, n[0])
+		}
+	case Buffers:
+		if sw.cfg.SharedBufferNum > 0 {
+			return sw.misfit(m, len(sw.ports), "uses a shared (SMS) pool; buffer_num is not live-reconfigurable")
+		}
+		for _, p := range sw.ports {
+			if live := p.pool.InUse() + p.pool.Reserved(); live > n[0] {
+				m = sw.misfit(m, p.id, "port %d holds %d live buffers > candidate buffer_num %d", p.id, live, n[0])
+			}
+		}
+	default:
+		panic(fmt.Sprintf("tsnswitch: no resource row %d", row))
 	}
 	return m
 }
 
-// ResizeBuffers changes every per-port buffer pool's capacity
-// (set_buffers).
-func (sw *Switch) ResizeBuffers(perPort int) error {
-	if perPort <= 0 {
-		return fmt.Errorf("tsnswitch: non-positive buffer count %d", perPort)
+// Resize changes row's sizes to n in place and updates the switch's
+// Config to match. Whatever is installed survives: routes, entries,
+// meters and their token state, bindings, slopes and credit, queued
+// descriptors. A size CQF cannot run with, or the first of Fit's
+// misfits, is refused without side effects.
+func (sw *Switch) Resize(row int, n [2]int) error {
+	switch {
+	case row == GateTbl && n[0] < 2:
+		return fmt.Errorf("tsnswitch: gate size %d < 2 (CQF needs 2)", n[0])
+	case row == Queues && n[0] <= 0:
+		return fmt.Errorf("tsnswitch: non-positive queue depth %d", n[0])
+	case row == Buffers && n[0] <= 0:
+		return fmt.Errorf("tsnswitch: non-positive buffer count %d", n[0])
 	}
-	if m := sw.FitBuffers(perPort); m != nil {
+	if m := sw.Fit(row, n); m != nil {
 		return m[0]
 	}
-	for _, p := range sw.ports {
-		resized(p.pool.Resize(perPort))
+	c := &sw.cfg
+	switch row {
+	case SwitchTbl:
+		resized(sw.fwd.Unicast.Resize(n[0]))
+		resized(sw.fwd.Multicast.Resize(n[1]))
+		c.UnicastSize, c.MulticastSize = n[0], n[1]
+	case ClassTbl:
+		resized(sw.flt.Class.Resize(n[0]))
+		c.ClassSize = n[0]
+	case MeterTbl:
+		resized(sw.flt.Meters.Resize(n[0]))
+		c.MeterSize = n[0]
+	case GateTbl:
+		c.GateSize = n[0]
+	case CBSTbl:
+		for _, p := range sw.ports {
+			resized(p.bank.Resize(n[0], n[1]))
+		}
+		c.CBSMapSize, c.CBSSize = n[0], n[1]
+	case Queues:
+		for _, p := range sw.ports {
+			for _, q := range p.queues {
+				resized(q.Resize(n[0]))
+			}
+		}
+		c.QueueDepth = n[0]
+	case Buffers:
+		for _, p := range sw.ports {
+			resized(p.pool.Resize(n[0]))
+		}
+		c.BuffersPerPort = n[0]
 	}
-	sw.cfg.BuffersPerPort = perPort
 	return nil
 }
 

@@ -13,27 +13,27 @@ func TestResizeRoundTrip(t *testing.T) {
 	r := newRig(t, testConfig())
 	sw := r.sw
 	// Grow every resource class, then shrink back to the original.
-	if err := sw.ResizeSwitchTbl(128, 16); err != nil {
+	if err := sw.Resize(SwitchTbl, [2]int{128, 16}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.ResizeClassTbl(128); err != nil {
+	if err := sw.Resize(ClassTbl, [2]int{128}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.ResizeMeterTbl(32); err != nil {
+	if err := sw.Resize(MeterTbl, [2]int{32}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.ResizeCBS(4, 5); err != nil {
+	if err := sw.Resize(CBSTbl, [2]int{4, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.ResizeQueues(16); err != nil {
+	if err := sw.Resize(Queues, [2]int{16}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.ResizeBuffers(128); err != nil {
+	if err := sw.Resize(Buffers, [2]int{128}); err != nil {
 		t.Fatal(err)
 	}
 	for _, err := range []error{
-		sw.ResizeSwitchTbl(64, 8), sw.ResizeClassTbl(64), sw.ResizeMeterTbl(16),
-		sw.ResizeCBS(3, 3), sw.ResizeQueues(8), sw.ResizeBuffers(96),
+		sw.Resize(SwitchTbl, [2]int{64, 8}), sw.Resize(ClassTbl, [2]int{64}), sw.Resize(MeterTbl, [2]int{16}),
+		sw.Resize(CBSTbl, [2]int{3, 3}), sw.Resize(Queues, [2]int{8}), sw.Resize(Buffers, [2]int{96}),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -49,7 +49,7 @@ func TestResizeSwitchTblRevertsOnPartialFailure(t *testing.T) {
 	if err := sw.Forward().Multicast.Add(200, 0b11); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.ResizeSwitchTbl(128, 0); err == nil {
+	if err := sw.Resize(SwitchTbl, [2]int{128, 0}); err == nil {
 		t.Fatal("want multicast shrink failure")
 	}
 	// Unicast capacity must still be the original 64: entry 65 fails.
@@ -70,20 +70,20 @@ func TestResizeBuffersRejectsBelowLive(t *testing.T) {
 	if _, ok := pool.Alloc(64); !ok {
 		t.Fatal("alloc failed")
 	}
-	if err := r.sw.ResizeBuffers(0); err == nil {
+	if err := r.sw.Resize(Buffers, [2]int{0}); err == nil {
 		t.Fatal("want shrink-below-live rejection")
 	}
-	if err := r.sw.ResizeBuffers(8); err != nil {
+	if err := r.sw.Resize(Buffers, [2]int{8}); err != nil {
 		t.Fatalf("shrink above live: %v", err)
 	}
 }
 
 func TestSetGateSizeRejectsLiveSchedules(t *testing.T) {
 	r := newRig(t, testConfig())
-	if err := r.sw.SetGateSize(1); err == nil {
+	if err := r.sw.Resize(GateTbl, [2]int{1}); err == nil {
 		t.Fatal("gate size 1 must be rejected (< 2)")
 	}
-	if err := r.sw.SetGateSize(4); err != nil {
+	if err := r.sw.Resize(GateTbl, [2]int{4}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/pcap"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
+	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
 )
 
 // recycleCase is one network of TestRecyclingChangesNothing. Every
@@ -160,7 +161,7 @@ func (c recycleCase) startGroup(t *testing.T, net *Net) {
 	}
 	for sw, mask := range []uint32{1<<local.Port | 1<<trunk, 1 << remote.Port} {
 		s := net.Switches[sw]
-		if err := s.ResizeSwitchTbl(s.Config().UnicastSize, 1); err != nil {
+		if err := s.Resize(tsnswitch.SwitchTbl, [2]int{s.Config().UnicastSize, 1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Forward().Multicast.Add(5, mask); err != nil {

@@ -179,7 +179,3 @@ func Background(id uint32, class Class, src, dst int, vid uint16, rate Rate) *Fl
 func PlanITP(specs []*FlowSpec, slot Time) (*Plan, error) {
 	return itp.Compute(specs, slot, nil)
 }
-
-// LoadFaultScenario reads and validates a fault-scenario JSON file for
-// testbed.Options.Faults.
-func LoadFaultScenario(path string) (*FaultScenario, error) { return faults.Load(path) }
