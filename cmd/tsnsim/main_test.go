@@ -105,14 +105,17 @@ func TestRunUnknownTopology(t *testing.T) {
 	}
 }
 
-// TestBadWorkloadExitsOne: a workload below its topology's floor or
-// without flows is an error and exit status 1, not a crash.
+// TestBadWorkloadExitsOne: a workload below its topology's floor,
+// without flows or without a measurement window is an error and exit
+// status 1, not a crash.
 func TestBadWorkloadExitsOne(t *testing.T) {
 	for _, args := range [][]string{
 		{"-switches", "2"},
 		{"-flows", "0"},
 		{"-topology", "star", "-switches", "1"},
 		{"-topology", "mesh", "-switches", "1"},
+		{"-duration", "0"},
+		{"-duration", "-5"},
 	} {
 		if got := status(append([]string{"-no-gptp", "-duration", "1"}, args...)); got != 1 {
 			t.Errorf("tsnsim %v exits %d, want 1", args, got)

@@ -53,6 +53,12 @@ func run(spec string, flowN, hops, periodMs, sizeB, guardUs int, verbose bool) e
 			return err
 		}
 	} else {
+		if flowN < 1 {
+			return fmt.Errorf("-flows %d: need at least one flow", flowN)
+		}
+		if periodMs < 1 {
+			return fmt.Errorf("-period %d: need at least 1 ms", periodMs)
+		}
 		topo = topology.Ring(6)
 		for h := 0; h < 6; h++ {
 			topo.AttachHost(100+h, h)

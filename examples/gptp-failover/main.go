@@ -19,7 +19,7 @@ import (
 
 func main() {
 	engine := sim.NewEngine()
-	dom := gptp.NewDomain(engine, gptp.DefaultConfig())
+	dom := gptp.NewDomain(engine)
 
 	// Six switches with distinct oscillator qualities; switch 2 carries
 	// the best clock (lowest clockClass).
@@ -63,7 +63,7 @@ func main() {
 	// re-election and servo re-convergence all have to happen on their
 	// own. The time from crash to re-entering the 50 ns band is the
 	// reconvergence time the testbed asserts a bound on.
-	dom.EnableAutoFailover(3 * gptp.DefaultConfig().SyncInterval)
+	dom.EnableAutoFailover()
 	crashed := dom.Grandmaster()
 	fmt.Printf("\n*** switch %d crashes silently (watchdog armed) ***\n", crashed.ID)
 	crashAt := engine.Now()

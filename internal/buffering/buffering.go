@@ -38,9 +38,6 @@ type Pool struct {
 	// highWater tracks the worst-case simultaneous occupancy, the
 	// number a dimensioning pass would need.
 	highWater int
-	// allocFail counts allocation failures (drops due to buffer
-	// exhaustion).
-	allocFail uint64
 	// reserved holds slots withheld from the free list by a fault
 	// injector (transient buffer exhaustion). Reserved slots are
 	// neither free nor in use, so leak accounting ignores them.
@@ -51,8 +48,6 @@ type Pool struct {
 	created int
 	// retired marks slot ids removed by a shrink; nil until first use.
 	retired map[int]bool
-	// leaked counts slots deliberately lost via Leak (fault injection).
-	leaked int
 
 	// Telemetry handles; zero values are no-ops.
 	metOcc  metrics.Gauge
@@ -104,15 +99,11 @@ func (p *Pool) InUse() int { return p.inUse }
 // HighWater returns the worst-case simultaneous occupancy seen.
 func (p *Pool) HighWater() int { return p.highWater }
 
-// AllocFailures returns how many allocations failed.
-func (p *Pool) AllocFailures() uint64 { return p.allocFail }
-
 // Alloc reserves a slot for a frame of wireBytes. It fails if the frame
 // exceeds SlotBytes (a hardware buffer cannot hold it) or the pool is
 // exhausted.
 func (p *Pool) Alloc(wireBytes int) (slot int, ok bool) {
 	if wireBytes > SlotBytes || len(p.free) == 0 {
-		p.allocFail++
 		p.metFail.Inc()
 		return -1, false
 	}
@@ -219,15 +210,11 @@ func (p *Pool) Leak(n int) int {
 		p.inUse++
 		taken++
 	}
-	p.leaked += taken
 	p.highWater = max(p.highWater, p.inUse)
 	p.metOcc.Set(int64(p.inUse))
 	p.metHW.SetMax(int64(p.inUse))
 	return taken
 }
-
-// Leaked returns how many slots have been lost via Leak.
-func (p *Pool) Leaked() int { return p.leaked }
 
 // Queue is a fixed-depth FIFO of descriptors: the hardware per-queue
 // metadata memory.
@@ -238,8 +225,6 @@ type Queue struct {
 	count int
 	// highWater tracks the worst-case depth reached.
 	highWater int
-	// rejects counts failed pushes (queue-full drops).
-	rejects uint64
 
 	// metHW mirrors highWater into the telemetry registry; the zero
 	// value is a no-op.
@@ -266,9 +251,6 @@ func (q *Queue) Len() int { return q.count }
 // HighWater returns the worst-case occupancy seen.
 func (q *Queue) HighWater() int { return q.highWater }
 
-// Rejects returns the number of failed pushes.
-func (q *Queue) Rejects() uint64 { return q.rejects }
-
 // Resize changes the queue depth in place, preserving queued
 // descriptors in FIFO order — the live-reconfiguration primitive behind
 // set_queues. It fails if the current occupancy exceeds the new depth.
@@ -292,7 +274,6 @@ func (q *Queue) Resize(depth int) error {
 // Push appends d. It reports false (and drops) when the queue is full.
 func (q *Queue) Push(d Descriptor) bool {
 	if q.count == q.depth {
-		q.rejects++
 		return false
 	}
 	q.ring[(q.head+q.count)%q.depth] = d

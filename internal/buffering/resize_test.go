@@ -90,8 +90,8 @@ func TestPoolLeak(t *testing.T) {
 	if got := p.Leak(3); got != 3 {
 		t.Fatalf("leaked %d", got)
 	}
-	if p.Leaked() != 3 || p.InUse() != 3 {
-		t.Fatalf("leaked=%d inUse=%d", p.Leaked(), p.InUse())
+	if p.InUse() != 3 {
+		t.Fatalf("inUse=%d", p.InUse())
 	}
 	// Leaking more than remains takes what is there.
 	if got := p.Leak(5); got != 1 {

@@ -33,6 +33,9 @@ type TxnRecord struct {
 // injector. The record is nil when c has no reconfiguration, which
 // needs a serial build.
 func (c *Case) Build(opts testbed.Options) (*testbed.Net, *TxnRecord, error) {
+	if c.DurMs < 1 {
+		return nil, nil, fmt.Errorf("chaos: duration %d ms: need at least 1 ms", c.DurMs)
+	}
 	wl, err := workload.Build(c.Params)
 	if err != nil {
 		return nil, nil, err

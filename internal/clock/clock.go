@@ -99,9 +99,6 @@ func (c *Clock) Trim(now sim.Time, trim PPB) {
 // TrimPPB returns the current servo frequency correction.
 func (c *Clock) TrimPPB() PPB { return c.trim }
 
-// Drift returns the intrinsic oscillator error.
-func (c *Clock) Drift() PPB { return c.drift }
-
 // SetDrift replaces the intrinsic oscillator error from now on — a
 // frequency step, as a temperature shock or failing oscillator would
 // produce. Past readings are unaffected; the servo trim is kept, so a

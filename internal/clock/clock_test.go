@@ -152,8 +152,8 @@ func TestSetDriftFrequencyStep(t *testing.T) {
 	if got := c.Now(2 * sim.Second); got != want {
 		t.Fatalf("Now(2s) = %v, want %v", got, want)
 	}
-	if c.Drift() != 100_000 {
-		t.Fatalf("Drift = %d, want 100000", c.Drift())
+	if c.drift != 100_000 {
+		t.Fatalf("drift = %d, want 100000", c.drift)
 	}
 }
 

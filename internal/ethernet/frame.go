@@ -127,7 +127,7 @@ func (f *Frame) BufferBytes() int { return f.WireBytes() }
 // every frame a tester injects — may share the same bytes. A path that
 // genuinely needs to rewrite payload bytes (a PTP correction-field
 // rewrite in place, fault-model bit corruption) must take ownership
-// first with CloneDeep.
+// first by copying the payload.
 
 // CloneHeader returns a copy of the frame that shares the payload
 // bytes — the copy multicast replication makes. The copy's
@@ -135,14 +135,6 @@ func (f *Frame) BufferBytes() int { return f.WireBytes() }
 // must be treated as read-only per the payload ownership contract.
 func (f *Frame) CloneHeader() *Frame {
 	g := *f
-	return &g
-}
-
-// CloneDeep returns a fully independent copy, payload included. Use it
-// on the rare paths that mutate payload bytes in place.
-func (f *Frame) CloneDeep() *Frame {
-	g := *f
-	g.Payload = append([]byte(nil), f.Payload...)
 	return &g
 }
 

@@ -41,8 +41,3 @@ func HostMAC(id int) MAC {
 func SwitchMAC(id int) MAC {
 	return MAC{0x02, 0x01, 0x5e, byte(id >> 16), byte(id >> 8), byte(id)}
 }
-
-// GroupMAC returns a multicast group address for group id.
-func GroupMAC(id int) MAC {
-	return MAC{0x01, 0x00, 0x5e, byte(id >> 16), byte(id >> 8), byte(id)}
-}

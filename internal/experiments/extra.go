@@ -25,8 +25,7 @@ type SyncResult struct {
 // randomized oscillator drifts up to ±50 ppm.
 func SyncPrecision(seed uint64) SyncResult {
 	engine := sim.NewEngine()
-	cfg := gptp.DefaultConfig()
-	dom := gptp.NewDomain(engine, cfg)
+	dom := gptp.NewDomain(engine)
 	rng := sim.NewRand(seed)
 	const n = 6
 	nodes := make([]*gptp.Node, n)
@@ -49,7 +48,7 @@ func SyncPrecision(seed uint64) SyncResult {
 	// 2 s convergence, then a 1 s steady-state window sampled twice per
 	// sync interval.
 	for engine.Now() < 3*sim.Second {
-		engine.RunFor(cfg.SyncInterval / 2)
+		engine.RunFor(gptp.SyncInterval / 2)
 		off := dom.MaxAbsOffset()
 		if off > res.WorstOffset {
 			res.WorstOffset = off

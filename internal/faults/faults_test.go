@@ -113,7 +113,7 @@ func TestLinkDownUpFault(t *testing.T) {
 
 func TestLinkFlapFault(t *testing.T) {
 	e := sim.NewEngine()
-	ifc, _, _ := linkPair(e)
+	ifc, _, sb := linkPair(e)
 	inj := NewInjector(e, 1, nil) // nil registry: counters are no-ops
 	sc, _ := Parse(strings.NewReader(`{"faults": [
 		{"at_us": 0, "kind": "link-flap", "a": 0, "b": 1, "period_us": 20, "count": 3}
@@ -125,7 +125,10 @@ func TestLinkFlapFault(t *testing.T) {
 	if inj.Injected() != 3 || inj.Recovered() != 3 {
 		t.Fatalf("flap counts = %d/%d, want 3/3", inj.Injected(), inj.Recovered())
 	}
-	if !ifc.LinkUp() {
+	// The link is up after the final flap cycle: a frame crosses it.
+	e.After(0, "probe", func(*sim.Engine) { ifc.Transmit(&ethernet.Frame{}, nil) })
+	e.Run()
+	if len(sb.frames) != 1 {
 		t.Fatal("link not up after final flap cycle")
 	}
 }

@@ -29,7 +29,6 @@ type Engine struct {
 	Meters *meter.Table
 	// queueCount bounds the fallback PCP→queue mapping.
 	queueCount int
-	meterDrops uint64
 }
 
 // New creates the stage with the given classification-table and
@@ -60,10 +59,6 @@ func (e *Engine) Process(f *ethernet.Frame, now sim.Time) Verdict {
 	v := Verdict{QueueID: entry.QueueID, Classified: true, Conform: true}
 	if entry.HasMeter && !e.Meters.Conform(entry.MeterID, now, f.WireBytes()) {
 		v.Conform = false
-		e.meterDrops++
 	}
 	return v
 }
-
-// MeterDrops returns the number of frames dropped by policing.
-func (e *Engine) MeterDrops() uint64 { return e.meterDrops }

@@ -17,9 +17,6 @@ import (
 type Engine struct {
 	Unicast   Unicast
 	Multicast *tables.Table[uint16, uint32]
-	// noRoute counts lookup misses (frames dropped for lack of a
-	// forwarding entry).
-	noRoute uint64
 }
 
 // New creates the stage with the given table capacities (the
@@ -66,11 +63,5 @@ func (e *Engine) Resolve(f *ethernet.Frame) (ports uint32, ok bool) {
 	} else if p, hit := e.Unicast.Lookup(f.Dst, f.VID); hit && p >= 0 && p < 32 {
 		ports, ok = 1<<uint(p), true
 	}
-	if !ok {
-		e.noRoute++
-	}
 	return ports, ok
 }
-
-// NoRoute returns the number of lookup misses.
-func (e *Engine) NoRoute() uint64 { return e.noRoute }

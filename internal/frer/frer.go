@@ -121,12 +121,6 @@ func (t *Table) History() int { return t.history }
 // Len returns how many streams are registered.
 func (t *Table) Len() int { return len(t.streams) }
 
-// Registered reports whether stream id has a recovery entry.
-func (t *Table) Registered(id uint32) bool {
-	_, ok := t.streams[id]
-	return ok
-}
-
 // Resize changes the stream capacity and history window in place,
 // preserving registered streams and their recovery state — the
 // live-reconfiguration primitive behind set_frer_tbl. It fails if the

@@ -96,7 +96,7 @@ func TestTableCapacity(t *testing.T) {
 	if tbl.Len() != 2 || tbl.Capacity() != 2 {
 		t.Fatalf("Len/Capacity = %d/%d", tbl.Len(), tbl.Capacity())
 	}
-	if tbl.Registered(3) {
+	if tbl.streams[3] != nil {
 		t.Fatal("failed registration left an entry")
 	}
 }

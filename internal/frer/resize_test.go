@@ -29,7 +29,7 @@ func TestTableResize(t *testing.T) {
 		t.Fatalf("capacity=%d history=%d", tbl.Capacity(), tbl.History())
 	}
 	// Registered streams and their recovery state survive.
-	if !tbl.Registered(1) || !tbl.Registered(2) {
+	if tbl.streams[1] == nil || tbl.streams[2] == nil {
 		t.Fatal("streams lost across resize")
 	}
 	if err := tbl.Register(3); err != nil {

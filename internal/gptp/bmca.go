@@ -19,9 +19,6 @@ func (d *Domain) SetPriority(n *Node, pv PriorityVector) { n.priority = pv }
 // Priority returns node n's announced system identity.
 func (n *Node) Priority() PriorityVector { return n.priority }
 
-// Alive reports whether the node is still operating.
-func (n *Node) Alive() bool { return n.alive }
-
 // Elect runs the BMCA over the alive nodes: Announce messages flood the
 // link graph (marshaled and unmarshaled at every hop, as on the wire)
 // until every node agrees on the best priority vector. It returns the
@@ -156,10 +153,6 @@ func (d *Domain) FailNode(n *Node) error {
 	return err
 }
 
-// AnnounceCounts returns (sent, received) Announce message counters for
-// node n.
-func (n *Node) AnnounceCounts() (uint64, uint64) { return n.announceTx, n.announceRx }
-
 // KillNode silently takes n out of service without notifying the
 // domain — the crash case. Detection is the watchdog's job (see
 // EnableAutoFailover); contrast with FailNode, which models an
@@ -167,25 +160,21 @@ func (n *Node) AnnounceCounts() (uint64, uint64) { return n.announceTx, n.announ
 func (d *Domain) KillNode(n *Node) { n.alive = false }
 
 // EnableAutoFailover arms a sync-receipt watchdog, the 802.1AS
-// syncReceiptTimeout mechanism: every interval, any alive non-GM node
-// that has not received a sync correction for the whole interval
+// syncReceiptTimeout mechanism: every three sync intervals, any alive
+// non-GM node that has not received a sync correction for that long
 // declares the upstream path dead. If the grandmaster itself died the
-// domain re-elects; survivors re-home either way. interval should be
-// several sync intervals (802.1AS defaults to 3).
-func (d *Domain) EnableAutoFailover(interval sim.Time) {
-	if interval <= 0 {
-		panic("gptp: non-positive failover interval")
-	}
+// domain re-elects; survivors re-home either way.
+func (d *Domain) EnableAutoFailover() {
 	var watchdog func(*sim.Engine)
 	watchdog = func(e *sim.Engine) {
-		d.checkSyncReceipt(e.Now(), interval)
-		e.After(interval, "sync-watchdog", watchdog)
+		d.checkSyncReceipt(e.Now())
+		e.After(syncReceiptTimeout, "sync-watchdog", watchdog)
 	}
-	d.engine.After(interval, "sync-watchdog", watchdog)
+	d.engine.After(syncReceiptTimeout, "sync-watchdog", watchdog)
 }
 
 // checkSyncReceipt performs one watchdog pass.
-func (d *Domain) checkSyncReceipt(now sim.Time, interval sim.Time) {
+func (d *Domain) checkSyncReceipt(now sim.Time) {
 	if d.gm == nil {
 		return
 	}
@@ -200,7 +189,7 @@ func (d *Domain) checkSyncReceipt(now sim.Time, interval sim.Time) {
 		if n == d.gm || !n.alive {
 			continue
 		}
-		if n.synced && now-n.lastCorrAt > interval {
+		if n.synced && now-n.lastCorrAt > syncReceiptTimeout {
 			stale = true
 			break
 		}

@@ -78,7 +78,7 @@ func TestPriorityVectorOrdering(t *testing.T) {
 func electRing(t *testing.T, wantGM int) (*sim.Engine, *Domain) {
 	t.Helper()
 	e := sim.NewEngine()
-	d := NewDomain(e, DefaultConfig())
+	d := NewDomain(e)
 	nodes := make([]*Node, 6)
 	for i := range nodes {
 		nodes[i] = d.AddNode(i, clock.PPB(i*9_000-20_000), sim.Time(i)*30*sim.Microsecond)
@@ -109,8 +109,7 @@ func TestElection(t *testing.T) {
 		}
 	}
 	// Announce messages actually flowed.
-	tx, rx := gm.AnnounceCounts()
-	if tx == 0 || rx == 0 {
+	if gm.announceTx == 0 || gm.announceRx == 0 {
 		t.Fatal("no announce traffic during election")
 	}
 }
@@ -148,7 +147,7 @@ func TestGrandmasterFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	newGM := d.Grandmaster()
-	if newGM == oldGM || !newGM.Alive() {
+	if newGM == oldGM || !newGM.alive {
 		t.Fatal("failover did not elect a new grandmaster")
 	}
 	// The ring minus one node is a line; survivors must re-converge to
@@ -184,7 +183,7 @@ func TestAutoFailoverOnKilledGM(t *testing.T) {
 	if _, err := d.ElectAndAssume(); err != nil {
 		t.Fatal(err)
 	}
-	d.EnableAutoFailover(3 * DefaultConfig().SyncInterval)
+	d.EnableAutoFailover()
 	d.Start()
 	e.RunUntil(2 * sim.Second)
 	oldGM := d.Grandmaster()
@@ -205,7 +204,7 @@ func TestAutoFailoverQuietWhenHealthy(t *testing.T) {
 	if _, err := d.ElectAndAssume(); err != nil {
 		t.Fatal(err)
 	}
-	d.EnableAutoFailover(3 * DefaultConfig().SyncInterval)
+	d.EnableAutoFailover()
 	d.Start()
 	e.RunUntil(3 * sim.Second)
 	if d.Grandmaster().ID != 2 {
@@ -216,19 +215,9 @@ func TestAutoFailoverQuietWhenHealthy(t *testing.T) {
 	}
 }
 
-func TestAutoFailoverInvalidInterval(t *testing.T) {
-	_, d := electRing(t, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("zero interval did not panic")
-		}
-	}()
-	d.EnableAutoFailover(0)
-}
-
 func TestElectionPartitionDetected(t *testing.T) {
 	e := sim.NewEngine()
-	d := NewDomain(e, DefaultConfig())
+	d := NewDomain(e)
 	a := d.AddNode(0, 0, 0)
 	b := d.AddNode(1, 0, 0)
 	c := d.AddNode(2, 0, 0)
@@ -242,7 +231,7 @@ func TestElectionPartitionDetected(t *testing.T) {
 
 func TestElectionNoAliveNodes(t *testing.T) {
 	e := sim.NewEngine()
-	d := NewDomain(e, DefaultConfig())
+	d := NewDomain(e)
 	n := d.AddNode(0, 0, 0)
 	n.alive = false
 	if _, err := d.Elect(); err == nil {

@@ -24,51 +24,37 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
-// Config tunes the protocol. The zero value is not valid; use
-// DefaultConfig.
-type Config struct {
+// Protocol timings and PHY parameters of the paper's prototype: 125 MHz
+// timestamping on 1 Gbps links with sub-50 ns precision as the target.
+const (
 	// SyncInterval is the time between Sync messages on each master
 	// port. 802.1AS defaults to 125 ms; the prototype syncs faster to
 	// converge quickly after power-up.
-	SyncInterval sim.Time
-	// PdelayInterval is the time between peer-delay measurements.
-	PdelayInterval sim.Time
-	// StepThreshold is the offset magnitude above which the servo steps
+	SyncInterval = 32 * sim.Millisecond
+	// pdelayInterval is the time between peer-delay measurements.
+	pdelayInterval = 250 * sim.Millisecond
+	// stepThreshold is the offset magnitude above which the servo steps
 	// the clock phase instead of slewing.
-	StepThreshold sim.Time
-	// TimestampJitter is the half-width of the uniform PHY timestamp
+	stepThreshold = sim.Microsecond
+	// timestampJitter is the half-width of the uniform PHY timestamp
 	// error. The paper's FPGA timestamps at 125 MHz, i.e. 8 ns
-	// granularity with a few ns of sampling jitter.
-	TimestampJitter sim.Time
-	// Granularity is the timestamp quantum applied by the PHY.
-	Granularity sim.Time
-	// MsgWireBytes is the on-wire size of a PTP message (header +
-	// body + FCS), used to compute its serialization delay.
-	MsgWireBytes int
-	// LinkRate is the bit rate PTP messages are serialized at.
-	LinkRate ethernet.Rate
-}
-
-// DefaultConfig matches the paper's prototype: 125 MHz timestamping on
-// 1 Gbps links with sub-50 ns precision as the target.
-func DefaultConfig() Config {
-	return Config{
-		SyncInterval:    sim.Millisecond * 32,
-		PdelayInterval:  sim.Millisecond * 250,
-		StepThreshold:   sim.Microsecond,
-		TimestampJitter: 4 * sim.Nanosecond,
-		Granularity:     clock.Granularity125MHz,
-		MsgWireBytes:    90,
-		LinkRate:        ethernet.Gbps,
-	}
-}
+	// granularity (clock.Granularity125MHz) with a few ns of sampling
+	// jitter.
+	timestampJitter = 4 * sim.Nanosecond
+	// msgWireBytes is the on-wire size of a PTP message (header +
+	// body + FCS), serialized at 1 Gbps.
+	msgWireBytes = 90
+	// syncReceiptTimeout is the silence after which EnableAutoFailover
+	// declares an upstream path dead: 802.1AS's default of three sync
+	// intervals.
+	syncReceiptTimeout = 3 * SyncInterval
+)
 
 // Node is one time-aware system (switch or end station).
 type Node struct {
 	ID    int
 	Clock *clock.Clock
 
-	domain   *Domain
 	ports    []*Port
 	upstream *Port // port toward the grandmaster; nil on the GM
 
@@ -123,14 +109,9 @@ func (d *Domain) send(from *Port, msg *Message, handle func(e *sim.Engine, m *Me
 	})
 }
 
-// MeasuredDelay returns the current peer-delay estimate and whether a
-// measurement has completed.
-func (p *Port) MeasuredDelay() (sim.Time, bool) { return p.measuredDelay, p.hasDelay }
-
 // Domain is a gPTP domain: a set of nodes joined by point-to-point
 // links with one grandmaster.
 type Domain struct {
-	cfg    Config
 	engine *sim.Engine
 	nodes  []*Node
 	gm     *Node
@@ -142,20 +123,17 @@ type Domain struct {
 }
 
 // NewDomain creates an empty domain running on engine.
-func NewDomain(engine *sim.Engine, cfg Config) *Domain {
-	if cfg.SyncInterval <= 0 || cfg.PdelayInterval <= 0 {
-		panic("gptp: non-positive intervals")
-	}
-	return &Domain{cfg: cfg, engine: engine, seed: 0x67707470}
+func NewDomain(engine *sim.Engine) *Domain {
+	return &Domain{engine: engine, seed: 0x67707470}
 }
 
 // AddNode registers a time-aware system whose oscillator has the given
 // intrinsic drift and initial phase offset.
 func (d *Domain) AddNode(id int, drift clock.PPB, initialOffset sim.Time) *Node {
 	c := clock.New(drift, initialOffset)
-	c.SetGranularity(d.cfg.Granularity)
+	c.SetGranularity(clock.Granularity125MHz)
 	n := &Node{
-		ID: id, Clock: c, domain: d, alive: true,
+		ID: id, Clock: c, alive: true,
 		// Default identity: free-running clock class, ID from the node
 		// number (from the MAC in hardware).
 		priority: PriorityVector{Priority1: 246, ClockClass: 248, ClockID: uint64(id) + 1},
@@ -242,24 +220,20 @@ func (d *Domain) Start() {
 // msgDelay returns the wire latency of one PTP message over port p:
 // serialization + propagation.
 func (d *Domain) msgDelay(p *Port) sim.Time {
-	return ethernet.TxTime(d.cfg.MsgWireBytes+ethernet.OverheadBytes, d.cfg.LinkRate) + p.trueDelay
+	return ethernet.TxTime(msgWireBytes+ethernet.OverheadBytes, ethernet.Gbps) + p.trueDelay
 }
 
 // timestamp models PHY timestamping at instant now on port p: the local
 // clock reading, quantized, plus uniform sampling jitter.
 func (d *Domain) timestamp(p *Port, now sim.Time) sim.Time {
-	ts := p.owner.Clock.Timestamp(now)
-	if j := d.cfg.TimestampJitter; j > 0 {
-		ts += p.rng.Time(2*j+1) - j
-	}
-	return ts
+	return p.owner.Clock.Timestamp(now) + p.rng.Time(2*timestampJitter+1) - timestampJitter
 }
 
 // --- Peer delay measurement (Pdelay_Req / Pdelay_Resp) ---
 
 func (d *Domain) startPdelay(p *Port) {
 	d.measurePdelay(p)
-	d.engine.After(d.cfg.PdelayInterval, "pdelay", func(*sim.Engine) { d.startPdelay(p) })
+	d.engine.After(pdelayInterval, "pdelay", func(*sim.Engine) { d.startPdelay(p) })
 }
 
 func (d *Domain) measurePdelay(p *Port) {
@@ -303,7 +277,7 @@ func (d *Domain) measurePdelay(p *Port) {
 // --- Sync / Follow_Up propagation ---
 
 func (d *Domain) schedulePeriodicSync(master *Port) {
-	d.engine.After(d.cfg.SyncInterval, "sync", func(*sim.Engine) {
+	d.engine.After(SyncInterval, "sync", func(*sim.Engine) {
 		d.sendSync(master)
 		d.schedulePeriodicSync(master)
 	})
@@ -342,7 +316,6 @@ func (n *Node) applysync(e *sim.Engine, t1, t2 sim.Time, p *Port) {
 	if !p.hasDelay {
 		return // wait for the first pdelay measurement
 	}
-	d := n.domain
 	now := e.Now()
 	// offset = slaveTime - masterTimeAtArrival.
 	offset := t2 - (t1 + p.measuredDelay)
@@ -352,7 +325,7 @@ func (n *Node) applysync(e *sim.Engine, t1, t2 sim.Time, p *Port) {
 	prevCorr := n.lastCorrAt
 	n.lastCorrAt = now
 
-	if !n.synced || offset > d.cfg.StepThreshold*1000 || offset < -d.cfg.StepThreshold*1000 {
+	if !n.synced || offset > stepThreshold*1000 || offset < -stepThreshold*1000 {
 		// Phase step on first sync or gross error; frequency unknown.
 		n.Clock.Step(now, -offset)
 		n.synced = true
@@ -373,7 +346,7 @@ func (n *Node) applysync(e *sim.Engine, t1, t2 sim.Time, p *Port) {
 	// Remove the residual phase error. Below the step threshold this is
 	// a fine-grained correction; above it, it doubles as a step.
 	n.Clock.Step(now, -offset)
-	if offset > d.cfg.StepThreshold || offset < -d.cfg.StepThreshold {
+	if offset > stepThreshold || offset < -stepThreshold {
 		n.stepCount++
 		n.metSteps.Inc()
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // buildLine creates a chain gm - n1 - n2 - ... with the given drifts.
-func buildLine(e *sim.Engine, cfg Config, drifts []clock.PPB, linkDelay sim.Time) *Domain {
-	d := NewDomain(e, cfg)
+func buildLine(e *sim.Engine, drifts []clock.PPB, linkDelay sim.Time) *Domain {
+	d := NewDomain(e)
 	var prev *Node
 	for i, drift := range drifts {
 		// Give every node a distinct initial phase error up to ±0.5 ms.
@@ -26,7 +26,7 @@ func buildLine(e *sim.Engine, cfg Config, drifts []clock.PPB, linkDelay sim.Time
 
 func TestTwoNodeConvergence(t *testing.T) {
 	e := sim.NewEngine()
-	d := buildLine(e, DefaultConfig(), []clock.PPB{0, 40_000}, 500*sim.Nanosecond)
+	d := buildLine(e, []clock.PPB{0, 40_000}, 500*sim.Nanosecond)
 	d.Start()
 	e.RunUntil(2 * sim.Second)
 	if got := d.MaxAbsOffset(); got > 50*sim.Nanosecond {
@@ -37,8 +37,7 @@ func TestTwoNodeConvergence(t *testing.T) {
 func TestSixNodeRingPrecision(t *testing.T) {
 	// The paper's demo: 6 switches in a ring, sub-50 ns precision.
 	e := sim.NewEngine()
-	cfg := DefaultConfig()
-	d := NewDomain(e, cfg)
+	d := NewDomain(e)
 	drifts := []clock.PPB{0, 35_000, -42_000, 18_500, -7_300, 49_000}
 	nodes := make([]*Node, len(drifts))
 	for i, dr := range drifts {
@@ -54,7 +53,7 @@ func TestSixNodeRingPrecision(t *testing.T) {
 	// Track the worst offset over a steady-state window.
 	var worst sim.Time
 	for i := 0; i < 50; i++ {
-		e.RunFor(cfg.SyncInterval / 2)
+		e.RunFor(SyncInterval / 2)
 		if off := d.MaxAbsOffset(); off > worst {
 			worst = off
 		}
@@ -67,13 +66,12 @@ func TestSixNodeRingPrecision(t *testing.T) {
 
 func TestPdelayAccuracy(t *testing.T) {
 	e := sim.NewEngine()
-	cfg := DefaultConfig()
-	d := buildLine(e, cfg, []clock.PPB{0, 10_000}, 750*sim.Nanosecond)
+	d := buildLine(e, []clock.PPB{0, 10_000}, 750*sim.Nanosecond)
 	d.Start()
 	e.RunUntil(2 * sim.Second)
 	slave := d.Nodes()[1]
-	delay, ok := slave.upstream.MeasuredDelay()
-	if !ok {
+	delay := slave.upstream.measuredDelay
+	if !slave.upstream.hasDelay {
 		t.Fatal("no pdelay measurement completed")
 	}
 	err := delay - d.msgDelay(slave.upstream)
@@ -87,7 +85,7 @@ func TestPdelayAccuracy(t *testing.T) {
 
 func TestStepOnFirstSync(t *testing.T) {
 	e := sim.NewEngine()
-	d := buildLine(e, DefaultConfig(), []clock.PPB{0, 20_000}, 100*sim.Nanosecond)
+	d := buildLine(e, []clock.PPB{0, 20_000}, 100*sim.Nanosecond)
 	d.Start()
 	e.RunUntil(sim.Second)
 	st := d.Stats()
@@ -105,7 +103,7 @@ func TestStepOnFirstSync(t *testing.T) {
 func TestHighDriftStillConverges(t *testing.T) {
 	// ±100 ppm, the worst commodity crystal spec.
 	e := sim.NewEngine()
-	d := buildLine(e, DefaultConfig(), []clock.PPB{0, 100_000, -100_000}, 300*sim.Nanosecond)
+	d := buildLine(e, []clock.PPB{0, 100_000, -100_000}, 300*sim.Nanosecond)
 	d.Start()
 	e.RunUntil(3 * sim.Second)
 	if got := d.MaxAbsOffset(); got > 100*sim.Nanosecond {
@@ -115,7 +113,7 @@ func TestHighDriftStillConverges(t *testing.T) {
 
 func TestUnreachableNodePanics(t *testing.T) {
 	e := sim.NewEngine()
-	d := NewDomain(e, DefaultConfig())
+	d := NewDomain(e)
 	a := d.AddNode(0, 0, 0)
 	d.AddNode(1, 0, 0) // never connected
 	defer func() {
@@ -128,7 +126,7 @@ func TestUnreachableNodePanics(t *testing.T) {
 
 func TestStartWithoutGMPanics(t *testing.T) {
 	e := sim.NewEngine()
-	d := NewDomain(e, DefaultConfig())
+	d := NewDomain(e)
 	d.AddNode(0, 0, 0)
 	defer func() {
 		if recover() == nil {
@@ -138,18 +136,9 @@ func TestStartWithoutGMPanics(t *testing.T) {
 	d.Start()
 }
 
-func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero intervals did not panic")
-		}
-	}()
-	NewDomain(sim.NewEngine(), Config{})
-}
-
 func TestNegativeLinkDelayPanics(t *testing.T) {
 	e := sim.NewEngine()
-	d := NewDomain(e, DefaultConfig())
+	d := NewDomain(e)
 	a := d.AddNode(0, 0, 0)
 	b := d.AddNode(1, 0, 0)
 	defer func() {
@@ -163,7 +152,7 @@ func TestNegativeLinkDelayPanics(t *testing.T) {
 func TestStarTopologySync(t *testing.T) {
 	// Core with three children, as in the paper's star scenario.
 	e := sim.NewEngine()
-	d := NewDomain(e, DefaultConfig())
+	d := NewDomain(e)
 	core := d.AddNode(0, 0, 0)
 	for i := 1; i <= 3; i++ {
 		child := d.AddNode(i, clock.PPB(i*13_000-20_000), sim.Time(i)*50*sim.Microsecond)
@@ -180,7 +169,7 @@ func TestStarTopologySync(t *testing.T) {
 func TestOffsetDeterminism(t *testing.T) {
 	run := func() sim.Time {
 		e := sim.NewEngine()
-		d := buildLine(e, DefaultConfig(), []clock.PPB{0, 33_000, -21_000}, 200*sim.Nanosecond)
+		d := buildLine(e, []clock.PPB{0, 33_000, -21_000}, 200*sim.Nanosecond)
 		d.Start()
 		e.RunUntil(sim.Second)
 		return d.MaxAbsOffset()

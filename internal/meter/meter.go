@@ -131,17 +131,6 @@ func (t *Table) Conform(id int, now sim.Time, wireBytes int) bool {
 	return ok
 }
 
-// Used returns the number of configured meters.
-func (t *Table) Used() int {
-	n := 0
-	for _, u := range t.inUse {
-		if u {
-			n++
-		}
-	}
-	return n
-}
-
 // RequiredCapacity returns the smallest capacity that keeps every
 // configured meter addressable: highest configured id + 1 (0 if none).
 func (t *Table) RequiredCapacity() int {

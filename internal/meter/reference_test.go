@@ -46,7 +46,7 @@ func (p *tablePair) check(what string) {
 	if g, r := p.got.Capacity(), p.ref.Capacity(); g != r {
 		fail("Capacity %d, reference %d", g, r)
 	}
-	if g, r := p.got.Used(), p.ref.Used(); g != r {
+	if g, r := used(p.got), used(p.ref); g != r {
 		fail("Used %d, reference %d", g, r)
 	}
 	if g, r := p.got.RequiredCapacity(), p.ref.RequiredCapacity(); g != r {
@@ -206,7 +206,7 @@ func TestResizeKeepsBackingArrays(t *testing.T) {
 				i, cap(tbl.meters), cap(tbl.inUse), &tbl.meters[0] != m0 || &tbl.inUse[0] != u0)
 		}
 	}
-	if tbl.Capacity() != 128 || tbl.Used() != 24 {
-		t.Fatalf("after alternations: capacity %d used %d", tbl.Capacity(), tbl.Used())
+	if tbl.Capacity() != 128 || used(tbl) != 24 {
+		t.Fatalf("after alternations: capacity %d used %d", tbl.Capacity(), used(tbl))
 	}
 }

@@ -6,6 +6,17 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 )
 
+// used counts the configured meters.
+func used(t *Table) int {
+	n := 0
+	for _, u := range t.inUse {
+		if u {
+			n++
+		}
+	}
+	return n
+}
+
 func TestRequiredCapacity(t *testing.T) {
 	tbl := NewTable(8)
 	if got := tbl.RequiredCapacity(); got != 0 {
@@ -17,7 +28,7 @@ func TestRequiredCapacity(t *testing.T) {
 	if got := tbl.RequiredCapacity(); got != 6 {
 		t.Fatalf("required = %d, want 6 (highest id 5)", got)
 	}
-	if got := tbl.Used(); got != 1 {
+	if got := used(tbl); got != 1 {
 		t.Fatalf("used = %d", got)
 	}
 }
@@ -44,7 +55,7 @@ func TestMeterResize(t *testing.T) {
 	if err := tbl.Resize(8); err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.Used(); got != 1 {
+	if got := used(tbl); got != 1 {
 		t.Fatalf("used after grow = %d", got)
 	}
 	if err := tbl.Configure(7, ethernet.Mbps, 1500); err != nil {

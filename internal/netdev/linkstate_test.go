@@ -4,18 +4,30 @@ import (
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
+
+// drops binds a's link-drop counters to a fresh registry and returns a
+// reader of the (link down, loss, corrupt) counts.
+func drops(a *Ifc) func() (down, loss, corrupt uint64) {
+	reg := metrics.New()
+	a.InstrumentLink(reg.Counter("down"), reg.Counter("loss"), reg.Counter("corrupt"))
+	return func() (uint64, uint64, uint64) {
+		return reg.CounterValue("down"), reg.CounterValue("loss"), reg.CounterValue("corrupt")
+	}
+}
 
 func TestLinkDownSuppressesDeliveryNotCompletion(t *testing.T) {
 	e := sim.NewEngine()
 	a, b, _, sb := pair(e, 100*sim.Nanosecond)
+	linkDrops := drops(a)
 	doneCount := 0
 	e.After(0, "tx", func(*sim.Engine) {
 		a.Transmit(&ethernet.Frame{FlowID: 7}, func() { doneCount++ })
 	})
 	// Cable pulled mid-serialization (64B at 1 Gbps finishes at 512 ns).
-	e.After(200*sim.Nanosecond, "pull", func(*sim.Engine) { a.Disconnect() })
+	e.After(200*sim.Nanosecond, "pull", func(*sim.Engine) { a.SetLink(false) })
 	e.Run()
 	if len(sb.frames) != 0 {
 		t.Fatal("frame delivered across a dead link")
@@ -23,10 +35,10 @@ func TestLinkDownSuppressesDeliveryNotCompletion(t *testing.T) {
 	if doneCount != 1 {
 		t.Fatalf("onDone fired %d times, want exactly 1", doneCount)
 	}
-	if a.LinkUp() || b.LinkUp() {
-		t.Fatal("link state not symmetric after Disconnect")
+	if !a.down || !b.down {
+		t.Fatal("link state not symmetric after the cable pull")
 	}
-	if down, _, _ := a.LinkDrops(); down != 1 {
+	if down, _, _ := linkDrops(); down != 1 {
 		t.Fatalf("link-down drops = %d, want 1", down)
 	}
 }
@@ -62,6 +74,7 @@ func TestLinkDownDoesNotStrandBusyInterface(t *testing.T) {
 func TestLinkFlapEpochDropsInFlightFrame(t *testing.T) {
 	e := sim.NewEngine()
 	a, _, _, sb := pair(e, sim.Millisecond) // long propagation
+	linkDrops := drops(a)
 	e.After(0, "tx", func(*sim.Engine) { a.Transmit(&ethernet.Frame{}, nil) })
 	// Full down/up flap while the frame is in flight: it must still
 	// be lost even though the link is up at delivery time.
@@ -71,7 +84,7 @@ func TestLinkFlapEpochDropsInFlightFrame(t *testing.T) {
 	if len(sb.frames) != 0 {
 		t.Fatal("flap did not drop the in-flight frame")
 	}
-	if down, _, _ := a.LinkDrops(); down != 1 {
+	if down, _, _ := linkDrops(); down != 1 {
 		t.Fatalf("link-down drops = %d, want 1", down)
 	}
 }
@@ -87,7 +100,7 @@ func TestSetLinkIdempotent(t *testing.T) {
 	}
 	a.SetLink(true)
 	a.SetLink(true)
-	if !a.LinkUp() || a.epoch != epoch {
+	if a.down || a.epoch != epoch {
 		t.Fatal("repeated SetLink(true) misbehaved")
 	}
 }
@@ -110,7 +123,7 @@ func TestAbortOnDownedLink(t *testing.T) {
 		a.Transmit(&ethernet.Frame{Payload: make([]byte, 1400)}, nil)
 	})
 	e.After(2*sim.Microsecond, "pull+abort", func(*sim.Engine) {
-		a.Disconnect()
+		a.SetLink(false)
 		if _, _, ok := a.Abort(); !ok {
 			t.Error("legal-window abort failed on downed link")
 		}
@@ -128,6 +141,7 @@ func TestAbortOnDownedLink(t *testing.T) {
 func TestImpairmentLossAndCorruption(t *testing.T) {
 	e := sim.NewEngine()
 	a, _, _, sb := pair(e, 0)
+	linkDrops := drops(a)
 	a.SetImpairment(1.0, 0, sim.NewRand(1))
 	sent := 0
 	var sendNext func()
@@ -143,20 +157,21 @@ func TestImpairmentLossAndCorruption(t *testing.T) {
 	if len(sb.frames) != 0 {
 		t.Fatal("loss=1.0 delivered frames")
 	}
-	if _, loss, _ := a.LinkDrops(); loss != 5 {
+	if _, loss, _ := linkDrops(); loss != 5 {
 		t.Fatalf("loss drops = %d, want 5", loss)
 	}
 
 	// Corruption: every frame discarded as an FCS failure.
 	e2 := sim.NewEngine()
 	a2, _, _, sb2 := pair(e2, 0)
+	linkDrops2 := drops(a2)
 	a2.SetImpairment(0, 1.0, sim.NewRand(1))
 	e2.After(0, "tx", func(*sim.Engine) { a2.Transmit(&ethernet.Frame{}, nil) })
 	e2.Run()
 	if len(sb2.frames) != 0 {
 		t.Fatal("corrupt=1.0 delivered a frame")
 	}
-	if _, _, corrupt := a2.LinkDrops(); corrupt != 1 {
+	if _, _, corrupt := linkDrops2(); corrupt != 1 {
 		t.Fatalf("corrupt drops = %d, want 1", corrupt)
 	}
 	a2.ClearImpairment()

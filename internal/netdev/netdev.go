@@ -46,9 +46,6 @@ type Ifc struct {
 	arriveFn, doneFn sim.Handler
 
 	busyUntil sim.Time
-	txFrames  uint64
-	rxFrames  uint64
-	txBytes   uint64
 	// sniff, when set, observes every frame delivered to this
 	// interface (a mirror-port tap), ahead of the owner.
 	sniff func(*ethernet.Frame, sim.Time)
@@ -85,12 +82,9 @@ type Ifc struct {
 	corruptProb float64
 	impairRng   *sim.Rand
 
-	dropLinkDown uint64
-	dropLoss     uint64
-	dropCorrupt  uint64
-	mLinkDown    metrics.Counter
-	mLoss        metrics.Counter
-	mCorrupt     metrics.Counter
+	mLinkDown metrics.Counter
+	mLoss     metrics.Counter
+	mCorrupt  metrics.Counter
 }
 
 // NewIfc creates an interface owned by owner at the given line rate.
@@ -122,10 +116,6 @@ func Connect(a, b *Ifc, prop sim.Time) {
 // Rate returns the line rate.
 func (i *Ifc) Rate() ethernet.Rate { return i.rate }
 
-// LinkUp reports whether the cable is up. An interface with no cable
-// is down by definition.
-func (i *Ifc) LinkUp() bool { return i.peer != nil && !i.down }
-
 // SetLink changes the administrative/physical state of the cable this
 // interface is attached to. Both ends change together, as with a real
 // cable pull. Taking the link down does NOT interrupt the local MAC:
@@ -148,11 +138,6 @@ func (i *Ifc) SetLink(up bool) {
 		i.peer.epoch++
 	}
 }
-
-// Disconnect is SetLink(false): the peer disappears mid-flight. Frames
-// currently on the wire are lost; the transmitting MAC completes
-// normally.
-func (i *Ifc) Disconnect() { i.SetLink(false) }
 
 // SetImpairment configures probabilistic loss and bit corruption for
 // frames transmitted from this interface toward its peer. Corrupted
@@ -178,12 +163,6 @@ func (i *Ifc) ClearImpairment() { i.lossProb, i.corruptProb, i.impairRng = 0, 0,
 // corruption). Zero-value counters are no-ops.
 func (i *Ifc) InstrumentLink(linkDown, loss, corrupt metrics.Counter) {
 	i.mLinkDown, i.mLoss, i.mCorrupt = linkDown, loss, corrupt
-}
-
-// LinkDrops returns the number of frames lost on the i→peer direction
-// broken down by cause: (link down, probabilistic loss, corruption).
-func (i *Ifc) LinkDrops() (linkDown, loss, corrupt uint64) {
-	return i.dropLinkDown, i.dropLoss, i.dropCorrupt
 }
 
 // Peer returns the interface at the other end of the cable.
@@ -255,8 +234,6 @@ func (i *Ifc) Resume(f *ethernet.Frame, wireBytes int, onDone func()) {
 	wire := ethernet.TxTime(wireBytes, i.rate)
 	occupancy := ethernet.TxTime(wireBytes+ethernet.OverheadBytes, i.rate)
 	i.busyUntil = now + occupancy
-	i.txFrames++
-	i.txBytes += uint64(wireBytes)
 
 	i.txFrame, i.txWireBytes, i.txStarted, i.txOnDone = f, wireBytes, now, onDone
 	if i.remotePost != nil {
@@ -343,23 +320,19 @@ func (i *Ifc) arrive(e *sim.Engine) {
 	// arrival: a frame launched before (or during) an outage is lost
 	// even if the link is back up now.
 	if tx.down || tx.epoch != in.epoch {
-		tx.dropLinkDown++
 		tx.mLinkDown.Inc()
 		return
 	}
 	if tx.lossProb > 0 && tx.impairRng.Float64() < tx.lossProb {
-		tx.dropLoss++
 		tx.mLoss.Inc()
 		return
 	}
 	if tx.corruptProb > 0 && tx.impairRng.Float64() < tx.corruptProb {
 		// Bit error on the wire: the receiver's FCS check fails
 		// and the MAC discards the frame silently.
-		tx.dropCorrupt++
 		tx.mCorrupt.Inc()
 		return
 	}
-	i.rxFrames++
 	// Close the latency-attribution hop: propagation plus this
 	// (final) fragment's serialization; the remainder since the last
 	// boundary books as residence at the transmitting node.
@@ -410,8 +383,3 @@ func (i *Ifc) Abort() (f *ethernet.Frame, remainingBytes int, ok bool) {
 // delivered to this interface, before the owner consumes it (an end
 // station recycles what it receives). fn must not keep the pointer.
 func (i *Ifc) SetSniffer(fn func(*ethernet.Frame, sim.Time)) { i.sniff = fn }
-
-// Counters returns (txFrames, rxFrames, txBytes).
-func (i *Ifc) Counters() (uint64, uint64, uint64) {
-	return i.txFrames, i.rxFrames, i.txBytes
-}

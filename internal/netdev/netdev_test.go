@@ -153,6 +153,7 @@ func TestWireFIFOAcrossFlap(t *testing.T) {
 	// launched before the flap are lost and the third arrives.
 	e := sim.NewEngine()
 	a, _, _, sb := pair(e, 5*sim.Microsecond)
+	linkDrops := drops(a)
 	frames := []*ethernet.Frame{{Seq: 1}, {Seq: 2}, {Seq: 3}}
 	sent := 0
 	var sendNext func()
@@ -179,7 +180,7 @@ func TestWireFIFOAcrossFlap(t *testing.T) {
 	if want := (2*672 + 512 + 5000) * sim.Nanosecond; sb.times[0] != want {
 		t.Fatalf("arrival = %v, want %v", sb.times[0], want)
 	}
-	if down, loss, corrupt := a.LinkDrops(); down != 2 || loss != 0 || corrupt != 0 {
+	if down, loss, corrupt := linkDrops(); down != 2 || loss != 0 || corrupt != 0 {
 		t.Fatalf("drops = down %d loss %d corrupt %d, want 2/0/0", down, loss, corrupt)
 	}
 }
@@ -224,12 +225,11 @@ func TestConnectErrors(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	e := sim.NewEngine()
-	a, b, _, _ := pair(e, 0)
+	a, _, _, sb := pair(e, 0)
 	e.After(0, "tx", func(*sim.Engine) { a.Transmit(&ethernet.Frame{}, nil) })
 	e.Run()
-	tx, _, txb := a.Counters()
-	_, rx, _ := b.Counters()
-	if tx != 1 || rx != 1 || txb != 64 {
-		t.Fatalf("counters = tx%d rx%d txb%d", tx, rx, txb)
+	// One minimum frame: 64 B plus preamble and gap held the wire.
+	if free := a.FreeAt(); len(sb.frames) != 1 || free != ethernet.TxTime(64+ethernet.OverheadBytes, ethernet.Gbps) {
+		t.Fatalf("delivered %d frames, wire free at %v", len(sb.frames), free)
 	}
 }

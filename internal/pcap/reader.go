@@ -42,7 +42,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Aliasing rule: the frame is decoded with ethernet.UnmarshalNoCopy
 // onto the reader's recycled record buffer, so the frame (and its
 // Payload) is valid only until the following Next call. A caller that
-// retains frames must CloneDeep them; the intended consumers (the
+// retains frames must copy them, payload included; the intended consumers (the
 // analyzer's statistics pass, filters, format dumpers) inspect and
 // discard, which is what makes the read path allocation-free per
 // record.

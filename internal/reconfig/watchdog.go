@@ -28,35 +28,23 @@ func Invariants() []string {
 	return []string{"buffer-conservation", "queue-bounds", "gate-monotonic", "frer-bounds"}
 }
 
-// Policy is the graceful-degradation policy: pool-occupancy fractions
-// at which traffic shedding engages and disengages. Recover < ShedBE <
-// ShedRC gives the ladder hysteresis so the level does not flap around
-// a threshold.
-type Policy struct {
-	// ShedBE engages best-effort shedding at this occupancy fraction.
-	ShedBE float64
-	// ShedRC escalates to shedding BE and RC at this fraction.
-	ShedRC float64
-	// Recover disengages shedding once occupancy falls to this
-	// fraction or below.
-	Recover float64
-}
+// WatchdogInterval is the audit period: each sweep runs one interval
+// after the previous one.
+const WatchdogInterval = sim.Millisecond
 
-// DefaultPolicy returns the degradation thresholds used when none are
-// configured: shed BE at 75 % pool occupancy, shed RC too at 90 %,
-// recover below 50 %.
-func DefaultPolicy() Policy {
-	return Policy{ShedBE: 0.75, ShedRC: 0.90, Recover: 0.50}
-}
-
-// Validate checks the ladder ordering.
-func (p Policy) Validate() error {
-	if !(0 <= p.Recover && p.Recover < p.ShedBE && p.ShedBE <= p.ShedRC && p.ShedRC <= 1) {
-		return fmt.Errorf("reconfig: degradation policy not ordered: recover=%v shedBE=%v shedRC=%v",
-			p.Recover, p.ShedBE, p.ShedRC)
-	}
-	return nil
-}
+// The graceful-degradation ladder: pool-occupancy fractions at which
+// traffic shedding engages and disengages. recoverAt < shedBE < shedRC
+// gives the ladder hysteresis so the level does not flap around a
+// threshold.
+const (
+	// shedBE engages best-effort shedding at 75 % pool occupancy.
+	shedBE = 0.75
+	// shedRC escalates to shedding BE and RC at 90 %.
+	shedRC = 0.90
+	// recoverAt disengages shedding once occupancy falls to 50 % or
+	// below.
+	recoverAt = 0.50
+)
 
 // Transition records one degradation-level change the policy drove:
 // which switch moved, from which level to which, at which instant. The
@@ -77,16 +65,14 @@ type Transition struct {
 // as an ordinary simulation event, so audits land deterministically in
 // the event order and the same seed reproduces the same findings.
 type Watchdog struct {
-	engine   *sim.Engine
-	reg      *metrics.Registry
-	interval sim.Time
-	policy   Policy
+	engine *sim.Engine
+	reg    *metrics.Registry
 
 	switches []*tsnswitch.Switch
 	frers    []*frer.Table
 
 	audits      uint64
-	violations  map[string]uint64
+	violations  uint64
 	lastDetail  string
 	transitions []Transition
 
@@ -96,7 +82,6 @@ type Watchdog struct {
 	metTrans  []metrics.Counter
 
 	started bool
-	stopped bool
 
 	// OnAudit, when set, runs on the simulation thread at the end of
 	// every audit sweep — the observability layer publishes watchdog
@@ -104,19 +89,13 @@ type Watchdog struct {
 	OnAudit func()
 }
 
-// NewWatchdog returns a watchdog auditing every interval, counting
-// into reg (nil disables instrumentation), with the default policy.
-func NewWatchdog(engine *sim.Engine, reg *metrics.Registry, interval sim.Time) *Watchdog {
-	if interval <= 0 {
-		panic(fmt.Sprintf("reconfig: non-positive watchdog interval %v", interval))
-	}
+// NewWatchdog returns a watchdog auditing every WatchdogInterval,
+// counting into reg (nil disables instrumentation).
+func NewWatchdog(engine *sim.Engine, reg *metrics.Registry) *Watchdog {
 	w := &Watchdog{
-		engine:     engine,
-		reg:        reg,
-		interval:   interval,
-		policy:     DefaultPolicy(),
-		violations: make(map[string]uint64),
-		metViol:    make(map[string]metrics.Counter),
+		engine:  engine,
+		reg:     reg,
+		metViol: make(map[string]metrics.Counter),
 	}
 	if reg != nil {
 		reg.Help(MetricAudits, "watchdog audit sweeps completed")
@@ -153,32 +132,15 @@ func (w *Watchdog) Start() {
 		return
 	}
 	w.started = true
-	w.engine.After(w.interval, "watchdog:tick", w.tick)
+	w.engine.After(WatchdogInterval, "watchdog:tick", w.tick)
 }
-
-// Stop halts auditing after the current interval.
-func (w *Watchdog) Stop() { w.stopped = true }
 
 // Audits returns how many audit sweeps have completed.
 func (w *Watchdog) Audits() uint64 { return w.audits }
 
-// Violations returns a copy of the per-invariant violation counts.
-func (w *Watchdog) Violations() map[string]uint64 {
-	out := make(map[string]uint64, len(w.violations))
-	for k, v := range w.violations {
-		out[k] = v
-	}
-	return out
-}
-
-// TotalViolations sums all invariant violations observed.
-func (w *Watchdog) TotalViolations() uint64 {
-	var total uint64
-	for _, v := range w.violations {
-		total += v
-	}
-	return total
-}
+// TotalViolations counts all invariant violations observed; the
+// registry's MetricViolations family breaks them down by invariant.
+func (w *Watchdog) TotalViolations() uint64 { return w.violations }
 
 // LastDetail returns the most recent violation's description, for
 // diagnostics.
@@ -195,7 +157,7 @@ func (w *Watchdog) Transitions() []Transition {
 
 // note records one violation.
 func (w *Watchdog) note(invariant, detail string) {
-	w.violations[invariant]++
+	w.violations++
 	w.lastDetail = detail
 	if c, ok := w.metViol[invariant]; ok {
 		c.Inc()
@@ -204,9 +166,6 @@ func (w *Watchdog) note(invariant, detail string) {
 
 // tick runs one audit sweep and reschedules itself.
 func (w *Watchdog) tick(e *sim.Engine) {
-	if w.stopped {
-		return
-	}
 	w.audits++
 	w.metAudits.Inc()
 	for i, sw := range w.switches {
@@ -229,7 +188,7 @@ func (w *Watchdog) tick(e *sim.Engine) {
 	if w.OnAudit != nil {
 		w.OnAudit()
 	}
-	w.engine.After(w.interval, "watchdog:tick", w.tick)
+	w.engine.After(WatchdogInterval, "watchdog:tick", w.tick)
 }
 
 // Degraded reports whether any watched switch currently sheds traffic.
@@ -244,7 +203,7 @@ func (w *Watchdog) Degraded() bool {
 
 // drivePolicy moves switch i's degradation level along the ladder:
 // escalate when pool pressure crosses a shed threshold, de-escalate
-// only once pressure falls to Recover (hysteresis), hold in between.
+// only once pressure falls to recoverAt (hysteresis), hold in between.
 // De-escalation is stepwise — one rung per audit — so a switch that
 // shed BE then RC restores them in reverse order (RC first, BE last),
 // and each restoration gets a full audit interval to prove the
@@ -254,13 +213,13 @@ func (w *Watchdog) drivePolicy(i int, sw *tsnswitch.Switch) {
 	cur := sw.DegradeLevel()
 	want := cur
 	switch {
-	case pressure >= w.policy.ShedRC:
+	case pressure >= shedRC:
 		want = tsnswitch.DegradeShedRC
-	case pressure >= w.policy.ShedBE:
+	case pressure >= shedBE:
 		if cur < tsnswitch.DegradeShedBE {
 			want = tsnswitch.DegradeShedBE
 		}
-	case pressure <= w.policy.Recover:
+	case pressure <= recoverAt:
 		if cur > tsnswitch.DegradeOff {
 			want = cur - 1
 		}

@@ -76,17 +76,6 @@ type Item struct {
 // Kb returns the row's BRAM in Kb (1 Kb = 1024 bits), the paper's unit.
 func (it Item) Kb() float64 { return float64(it.Bits) / 1024 }
 
-// Blocks returns the allocation as (count36, count18): as many 36 Kb
-// blocks as possible plus at most one trailing 18 Kb block, the
-// packing synthesis tools report.
-func (it Item) Blocks() (int64, int64) {
-	n18 := it.Bits / Block18Bits
-	if it.Bits%Block18Bits != 0 {
-		n18++
-	}
-	return n18 / 2, n18 % 2
-}
-
 // The Width column of every fixed-width item, rendered once: the
 // pricing functions run per design build and per study row.
 var (

@@ -122,16 +122,13 @@ func TestZeroSizedTables(t *testing.T) {
 	}
 }
 
+// TestBlocks: every table occupies whole 18 Kb blocks.
 func TestBlocks(t *testing.T) {
-	it := ClassTbl(1024) // 126 Kb = 7 × 18 Kb = 3×36 + 1×18
-	n36, n18 := it.Blocks()
-	if n36 != 3 || n18 != 1 {
-		t.Fatalf("Blocks = (%d,%d), want (3,1)", n36, n18)
+	if got := ClassTbl(1024).Bits; got != 7*Block18Bits { // 126 Kb
+		t.Fatalf("ClassTbl(1024) = %d bits, want 7 blocks", got)
 	}
-	sw := SwitchTbl(16*1024, 0) // 64 blocks = 32×36
-	n36, n18 = sw.Blocks()
-	if n36 != 32 || n18 != 0 {
-		t.Fatalf("Blocks = (%d,%d), want (32,0)", n36, n18)
+	if got := SwitchTbl(16*1024, 0).Bits; got != 64*Block18Bits {
+		t.Fatalf("SwitchTbl(16K, 0) = %d bits, want 64 blocks", got)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestBankResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The binding and its slope survive.
-	if got := b.For(5); got == nil || got.IdleSlope() != ethernet.Mbps {
+	if got := b.For(5); got == nil || got.idleSlope != ethernet.Mbps {
 		t.Fatal("binding lost across resize")
 	}
 	// The grown map admits more bindings.

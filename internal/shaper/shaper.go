@@ -47,12 +47,6 @@ func (c *CBS) Configure(idleSlope, portRate ethernet.Rate) {
 	c.last = 0
 }
 
-// IdleSlope returns the reserved bandwidth.
-func (c *CBS) IdleSlope() ethernet.Rate { return c.idleSlope }
-
-// SendSlope returns the (negative) transmit slope in bits/s.
-func (c *CBS) SendSlope() int64 { return int64(c.idleSlope) - int64(c.portRate) }
-
 // accrue advances the idle accumulation to now.
 func (c *CBS) accrue(now sim.Time) {
 	if now <= c.last {
@@ -99,12 +93,6 @@ func (c *CBS) OnEmpty(now sim.Time) {
 	if c.credit > 0 {
 		c.credit = 0
 	}
-}
-
-// Credit returns the current credit in bits (after accrual to now).
-func (c *CBS) Credit(now sim.Time) int64 {
-	c.accrue(now)
-	return c.credit
 }
 
 // Bank is one port's CBS MAP table + CBS table: a fixed number of

@@ -7,6 +7,12 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
+// credit reads c's credit in bits after accrual to now.
+func credit(c *CBS, now sim.Time) int64 {
+	c.accrue(now)
+	return c.credit
+}
+
 func TestCBSStartsEligible(t *testing.T) {
 	var c CBS
 	c.Configure(100*ethernet.Mbps, ethernet.Gbps)
@@ -24,7 +30,7 @@ func TestCBSGoesNegativeAfterSend(t *testing.T) {
 		t.Fatal("credit should be negative right after a send")
 	}
 	// sendSlope = 100M-1G = -900 Mbps over 10 µs = -9000 bits.
-	if got := c.Credit(tx); got != -9000 {
+	if got := credit(&c, tx); got != -9000 {
 		t.Fatalf("credit = %d, want -9000", got)
 	}
 }
@@ -61,7 +67,7 @@ func TestCBSLongRunThroughput(t *testing.T) {
 			now += tx
 		} else {
 			// Wait for credit: deficit / idleSlope.
-			deficit := -c.Credit(now)
+			deficit := -credit(&c, now)
 			wait := sim.Time(deficit*int64(sim.Second)/int64(200*ethernet.Mbps)) + 1
 			now += wait
 		}
@@ -76,22 +82,22 @@ func TestCBSResetOnEmpty(t *testing.T) {
 	var c CBS
 	c.Configure(500*ethernet.Mbps, ethernet.Gbps)
 	// Build up credit while blocked (e.g. gate closed) for 100 µs.
-	if got := c.Credit(100 * sim.Microsecond); got != 50000 {
+	if got := credit(&c, 100*sim.Microsecond); got != 50000 {
 		t.Fatalf("accrued credit = %d, want 50000", got)
 	}
 	c.OnEmpty(100 * sim.Microsecond)
-	if got := c.Credit(100 * sim.Microsecond); got != 0 {
+	if got := credit(&c, 100*sim.Microsecond); got != 0 {
 		t.Fatalf("credit after OnEmpty = %d, want 0", got)
 	}
 	// Negative credit is NOT reset by OnEmpty.
 	c.OnSend(100*sim.Microsecond, 8000, ethernet.TxTime(1000, ethernet.Gbps))
 	after := 100*sim.Microsecond + ethernet.TxTime(1000, ethernet.Gbps)
-	neg := c.Credit(after)
+	neg := credit(&c, after)
 	if neg >= 0 {
 		t.Fatal("expected negative credit")
 	}
 	c.OnEmpty(after)
-	if c.Credit(after) != neg {
+	if credit(&c, after) != neg {
 		t.Fatal("OnEmpty changed negative credit")
 	}
 }
@@ -118,11 +124,14 @@ func TestCBSInvalidConfigPanics(t *testing.T) {
 func TestCBSSendSlope(t *testing.T) {
 	var c CBS
 	c.Configure(300*ethernet.Mbps, ethernet.Gbps)
-	if c.SendSlope() != -700_000_000 {
-		t.Fatalf("SendSlope = %d", c.SendSlope())
+	// A 10 µs transmission drains credit at sendSlope = 300M − 1G =
+	// −700 Mbit/s, and idling recovers it at idleSlope.
+	c.OnSend(0, 0, 10*sim.Microsecond)
+	if got := credit(&c, 10*sim.Microsecond); got != -7000 {
+		t.Fatalf("credit after send = %d, want -7000", got)
 	}
-	if c.IdleSlope() != 300*ethernet.Mbps {
-		t.Fatalf("IdleSlope = %d", c.IdleSlope())
+	if got := credit(&c, 20*sim.Microsecond); got != -4000 {
+		t.Fatalf("credit after 10 µs idle = %d, want -4000", got)
 	}
 }
 

@@ -296,9 +296,6 @@ func (e *Engine) Cancel(r EventRef) bool {
 // no-op.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether the last run call ended early via Stop.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // step pops and runs the earliest event. It reports false when the
 // queue is empty.
 func (e *Engine) step() bool {
@@ -337,7 +334,7 @@ func (e *Engine) Run() {
 // clock to the deadline. Events scheduled beyond the deadline stay
 // queued. If Stop ends the run early the clock is NOT advanced to the
 // deadline — it stays at the last executed event so callers can see
-// where the run actually stopped (check Stopped()).
+// where the run actually stopped.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {

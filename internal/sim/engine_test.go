@@ -282,8 +282,8 @@ func TestEngineRunUntilStopKeepsClock(t *testing.T) {
 	if e.Now() != 10 {
 		t.Fatalf("Now = %v after early Stop, want 10 (must not jump to the deadline)", e.Now())
 	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false after Stop ended the run")
+	if !e.stopped {
+		t.Fatal("stopped = false after Stop ended the run")
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", e.Pending())
@@ -291,8 +291,8 @@ func TestEngineRunUntilStopKeepsClock(t *testing.T) {
 	// Resuming works: the next bounded run consumes the remaining event
 	// and, completing normally, advances to its deadline.
 	e.RunUntil(100)
-	if e.Stopped() {
-		t.Fatal("Stopped() = true after a run that completed normally")
+	if e.stopped {
+		t.Fatal("stopped = true after a run that completed normally")
 	}
 	if e.Now() != 100 {
 		t.Fatalf("Now = %v after resume, want 100", e.Now())
@@ -306,8 +306,8 @@ func TestEngineRunBeforeStopKeepsClock(t *testing.T) {
 	if e.Now() != 10 {
 		t.Fatalf("Now = %v after early Stop, want 10", e.Now())
 	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false after Stop ended the run")
+	if !e.stopped {
+		t.Fatal("stopped = false after Stop ended the run")
 	}
 }
 

@@ -118,6 +118,3 @@ func (q *ClassQueue) Depth() int64 { return q.Waiting.Value() }
 
 // MaxWait returns the configured wait bound.
 func (q *ClassQueue) MaxWait() int64 { return q.maxWait }
-
-// Running returns how many requests currently hold a slot.
-func (q *ClassQueue) Running() int { return len(q.slots) }

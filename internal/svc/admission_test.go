@@ -18,13 +18,13 @@ func TestAdmissionFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Running(); got != 2 {
-		t.Fatalf("Running = %d", got)
+	if got := len(q.slots); got != 2 {
+		t.Fatalf("running = %d", got)
 	}
 	r1()
 	r2()
-	if got := q.Running(); got != 0 {
-		t.Fatalf("Running after release = %d", got)
+	if got := len(q.slots); got != 0 {
+		t.Fatalf("running after release = %d", got)
 	}
 }
 

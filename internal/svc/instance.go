@@ -21,12 +21,6 @@ var ErrInstanceClosed = errors.New("svc: instance closed")
 // ErrRecovering marks work refused while journal replay is running.
 var ErrRecovering = errors.New("svc: recovering: journal replay in progress")
 
-// watchdogInterval is the managed network's invariant audit period.
-// After every commit the instance advances the simulation one interval
-// so the watchdog sweeps the post-commit state before the response is
-// written.
-const watchdogInterval = sim.Millisecond
-
 // JournalEntry is one committed reconfiguration: the sequence number
 // returned to the client and the configuration it put in force. The
 // journal is the accepted-then-lost oracle's ground truth — every 2xx
@@ -142,7 +136,7 @@ func NewInstance(opts Options, onHealth func(healthy bool)) (*Instance, error) {
 	net, err := testbed.Build(testbed.Options{
 		Design: wl.Design, Topo: wl.Topo, Flows: wl.Specs,
 		Metrics: reg, Seed: opts.Workload.Seed,
-		EnableWatchdog: true, WatchdogInterval: watchdogInterval,
+		EnableWatchdog: true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("svc: instance build: %w", err)
@@ -348,7 +342,7 @@ func (in *Instance) settle(txn *reconfig.Txn) error {
 	for txn.State() == reconfig.StatePrepared {
 		in.net.Engine.RunUntil(txn.CommitTime() + 1)
 	}
-	in.net.Engine.RunFor(watchdogInterval + 1)
+	in.net.Engine.RunFor(reconfig.WatchdogInterval + 1)
 	return in.net.VerifyLive()
 }
 
@@ -362,10 +356,6 @@ func (in *Instance) RecoverErr() error {
 	defer in.mu.Unlock()
 	return in.recoverErr
 }
-
-// RecoverTransitions returns how many times the recovering state was
-// de-asserted; the contract is exactly once for a durable instance.
-func (in *Instance) RecoverTransitions() int { return int(in.recoverEnds.Load()) }
 
 // Reconfigure runs one transactional reconfiguration against the live
 // network. It serializes onto the control loop; ctx sheds the job if

@@ -152,7 +152,7 @@ func TestServiceRecoveringReadyz(t *testing.T) {
 		t.Fatalf("post-recovery readyz: %d %s", resp.StatusCode, body)
 	}
 	// The de-assertion happened exactly once.
-	if n := s.Instance().RecoverTransitions(); n != 1 {
+	if n := s.Instance().recoverEnds.Load(); n != 1 {
 		t.Fatalf("recovering de-asserted %d times, want exactly 1", n)
 	}
 	// And the replayed journal is intact.

@@ -52,29 +52,26 @@ type Options struct {
 	// transmission time (absorbs clock error and timestamping jitter).
 	// Default 2 µs.
 	Guard sim.Time
-	// LinkRate is the port line rate. Default 1 Gbps.
-	LinkRate ethernet.Rate
 	// MaxFrameBytes bounds the interfering frame a guard band must
 	// absorb. Default 1522.
 	MaxFrameBytes int
-	// Quantum is the offset search step. Default 1 µs.
-	Quantum sim.Time
 }
 
 func (o *Options) defaults() {
 	if o.Guard == 0 {
 		o.Guard = 2 * sim.Microsecond
 	}
-	if o.LinkRate == 0 {
-		o.LinkRate = ethernet.Gbps
-	}
 	if o.MaxFrameBytes == 0 {
 		o.MaxFrameBytes = ethernet.MaxFrameBytes
 	}
-	if o.Quantum == 0 {
-		o.Quantum = sim.Microsecond
-	}
 }
+
+const (
+	// linkRate is the port line rate every schedule is planned at.
+	linkRate = ethernet.Gbps
+	// quantum is the offset search step.
+	quantum = sim.Microsecond
+)
 
 // Schedule is a synthesized TAS configuration.
 type Schedule struct {
@@ -105,9 +102,13 @@ func gcd(a, b int64) int64 {
 }
 
 // Synthesize plans windows for every TS flow in specs over topo.
-// Flows must have paths bound. Non-TS flows are ignored (they run
+// Flows must have paths bound and pass flows.Spec.Validate, and
+// opts.Guard must not be negative. Non-TS flows are ignored (they run
 // un-gated under the TS windows' guard regime).
 func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Schedule, error) {
+	if opts.Guard < 0 {
+		return nil, fmt.Errorf("tas: negative guard %v", opts.Guard)
+	}
 	opts.defaults()
 	var ts []*flows.Spec
 	var cycle sim.Time = 0
@@ -118,8 +119,8 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 		if len(s.Path) == 0 {
 			return nil, fmt.Errorf("tas: flow %d has no path", s.ID)
 		}
-		if s.Period <= 0 {
-			return nil, fmt.Errorf("tas: flow %d has no period", s.ID)
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("tas: %w", err)
 		}
 		ts = append(ts, s)
 		if cycle == 0 {
@@ -137,14 +138,14 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 		Cycle:     cycle,
 		Offsets:   make(map[uint32]sim.Time),
 		Windows:   make(map[PortKey][]Window),
-		GuardBand: ethernet.TxTime(opts.MaxFrameBytes+ethernet.OverheadBytes, opts.LinkRate),
+		GuardBand: ethernet.TxTime(opts.MaxFrameBytes+ethernet.OverheadBytes, linkRate),
 		opts:      opts,
 	}
 	if len(ts) == 0 {
 		return sch, nil
 	}
-	if int64(cycle/opts.Quantum) > maxHyper {
-		return nil, fmt.Errorf("tas: cycle %v too fine for quantum %v", cycle, opts.Quantum)
+	if int64(cycle/quantum) > maxHyper {
+		return nil, fmt.Errorf("tas: cycle %v too fine for quantum %v", cycle, quantum)
 	}
 
 	// Longest-period (rarest) flows first would fragment the timeline
@@ -183,7 +184,7 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 	}
 
 	for _, s := range order {
-		txT := ethernet.TxTime(s.WireSize+ethernet.OverheadBytes, opts.LinkRate)
+		txT := ethernet.TxTime(s.WireSize+ethernet.OverheadBytes, linkRate)
 		winLen := txT + opts.Guard
 		ports, err := egressPorts(s, topo)
 		if err != nil {
@@ -192,7 +193,7 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 		reps := int64(cycle / s.Period)
 		placed := false
 	search:
-		for o := sim.Time(0); o+winLen < s.Period; o += opts.Quantum {
+		for o := sim.Time(0); o+winLen < s.Period; o += quantum {
 			// Candidate windows for every hop and repetition.
 			for r := int64(0); r < reps; r++ {
 				base := o + sim.Time(r)*s.Period
@@ -346,7 +347,7 @@ func (s *Schedule) WorstCaseLatency(spec *flows.Spec, topo *topology.Topology) (
 	if !ok {
 		return 0, fmt.Errorf("tas: flow %d not scheduled", spec.ID)
 	}
-	txT := ethernet.TxTime(spec.WireSize+ethernet.OverheadBytes, s.opts.LinkRate)
+	txT := ethernet.TxTime(spec.WireSize+ethernet.OverheadBytes, linkRate)
 	at := o + txT + netdev.CableDelay
 	for range ports {
 		at += txT + s.opts.Guard + netdev.CableDelay

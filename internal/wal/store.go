@@ -215,9 +215,6 @@ func (s *Store) syncDir() error {
 	return nil
 }
 
-// Gen returns the current generation (tests and diagnostics).
-func (s *Store) Gen() uint64 { return s.gen }
-
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 

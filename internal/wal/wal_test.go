@@ -247,8 +247,8 @@ func TestStoreCheckpointRotation(t *testing.T) {
 	if len(rec2.Records) != 1 || string(rec2.Records[0]) != "tail-0" {
 		t.Fatalf("wal tail = %q", rec2.Records)
 	}
-	if s2.Gen() != 2 {
-		t.Fatalf("generation = %d", s2.Gen())
+	if s2.gen != 2 {
+		t.Fatalf("generation = %d", s2.gen)
 	}
 	// The superseded generation is gone.
 	if _, err := os.Stat(filepath.Join(dir, walName(1))); !os.IsNotExist(err) {

@@ -105,7 +105,7 @@ func TestFRERZeroLossAcrossLinkFailure(t *testing.T) {
 		t.Fatalf("injected = %d, want 1", net.Injector.Injected())
 	}
 	// Recovery bookkeeping at the listener NIC.
-	tbl := net.NICs[101].Recovery()
+	tbl := net.recovery[101]
 	if tbl == nil {
 		t.Fatal("listener has no recovery table")
 	}

@@ -6,7 +6,6 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
-	"github.com/tsnbuilder/tsnbuilder/internal/gptp"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 )
@@ -57,7 +56,7 @@ func TestGPTPFailoverReconvergence(t *testing.T) {
 	}
 	// The silent crash is only detectable with the 802.1AS sync-receipt
 	// watchdog armed (three missed sync intervals).
-	net.Domain.EnableAutoFailover(3 * gptp.DefaultConfig().SyncInterval)
+	net.Domain.EnableAutoFailover()
 	oldGM := net.Domain.Grandmaster()
 
 	// Sample domain precision every 50 ms after the kill to measure the

@@ -291,11 +291,8 @@ func TestWatchdogDetectsLeakFault(t *testing.T) {
 	if net.Watchdog == nil {
 		t.Fatal("watchdog not built")
 	}
-	if got := net.Watchdog.Violations()["buffer-conservation"]; got == 0 {
-		t.Fatalf("leak not detected: %v (%s)", net.Watchdog.Violations(), net.Watchdog.LastDetail())
-	}
 	if reg.CounterValue(reconfig.MetricViolations, metrics.L("invariant", "buffer-conservation")) == 0 {
-		t.Fatal("violation not counted in registry")
+		t.Fatalf("leak not detected: %d violations (%s)", net.Watchdog.TotalViolations(), net.Watchdog.LastDetail())
 	}
 	if ts := net.Summary(ethernet.ClassTS); ts.Lost != 0 {
 		t.Fatalf("a two-slot leak must not cost TS frames: lost %d", ts.Lost)
@@ -309,7 +306,6 @@ func TestDegradationShedsOnlyBE(t *testing.T) {
 	reg := metrics.New()
 	net, _, _ := liveRing(t, 30, true, Options{
 		Metrics: reg, EnableWatchdog: true,
-		WatchdogInterval: 200 * sim.Microsecond,
 	})
 	// Starve switch 0 (the BE sources' first hop) to just past the
 	// shed-BE threshold, leaving headroom for the light TS load.
@@ -344,8 +340,14 @@ func TestDegradationShedsOnlyBE(t *testing.T) {
 func netState(net *Net) string {
 	var buf bytes.Buffer
 	for _, sw := range net.Switches {
+		meters := 0
+		for id := 0; id < sw.Filter().Meters.Capacity(); id++ {
+			if sw.Filter().Meters.Get(id) != nil {
+				meters++
+			}
+		}
 		fmt.Fprintf(&buf, "sw%d unicast=%d class=%d meters=%d\n", sw.ID(),
-			sw.Forward().Unicast.Len(), sw.Filter().Class.Len(), sw.Filter().Meters.Used())
+			sw.Forward().Unicast.Len(), sw.Filter().Class.Len(), meters)
 	}
 	fmt.Fprintf(&buf, "specs=%d prog=%+v pending=%d\n", len(net.talkers), net.prog, net.Engine.Pending())
 	net.Metrics.Snapshot().WritePrometheus(&buf)

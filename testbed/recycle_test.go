@@ -105,11 +105,18 @@ func (c recycleCase) run(t *testing.T, noReuse bool) recycleOutcome {
 
 	// The pools' own account: as built, frames came back and went out
 	// again; with a pool per NIC every injected frame was minted for it.
+	// A FRER flow injects a member-stream replica behind every frame.
+	replicated := make(map[uint32]bool)
+	for _, s := range specs {
+		replicated[s.ID] = s.FRER
+	}
 	injected, minted := uint64(0), uint64(0)
 	for _, nic := range net.NICs {
-		injected += nic.Replicas()
-		for _, sent := range nic.Sent() {
+		for id, sent := range nic.Sent() {
 			injected += sent
+			if replicated[id] {
+				injected += sent
+			}
 		}
 	}
 	for _, p := range pools {
@@ -172,7 +179,7 @@ func (c recycleCase) startGroup(t *testing.T, net *Net) {
 	for k := 0; k < mcastFrames; k++ {
 		seq := uint32(k)
 		net.Engine.At(sim.Time(1+k)*100*sim.Microsecond, "group-frame", func(e *sim.Engine) {
-			f := &ethernet.Frame{Dst: ethernet.GroupMAC(5), Src: ethernet.HostMAC(300), VID: 900,
+			f := &ethernet.Frame{Dst: ethernet.MAC{0x01, 0x00, 0x5e, 0, 0, 5}, Src: ethernet.HostMAC(300), VID: 900,
 				EtherType: ethernet.TypeTSN, Payload: make([]byte, 46), FlowID: mcastFlow, Seq: seq, SentAt: e.Now()}
 			f.Span.Begin(e.Now())
 			src.Transmit(f, nil)

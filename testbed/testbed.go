@@ -84,8 +84,6 @@ type Options struct {
 	// and FRER bounds, plus the graceful-degradation policy that sheds
 	// BE/RC traffic under buffer pressure before TS is touched.
 	EnableWatchdog bool
-	// WatchdogInterval overrides the audit period (default 1 ms).
-	WatchdogInterval sim.Time
 	// Partitions, when > 1, shards the topology across that many
 	// engines and runs them in parallel with conservative lookahead
 	// (internal/psim). Exported metrics and per-flow statistics are
@@ -313,7 +311,7 @@ func Build(opts Options) (*Net, error) {
 
 	// gPTP domain over the trunks, grandmaster at switch 0.
 	if opts.EnableGPTP {
-		dom := gptp.NewDomain(engine, gptp.DefaultConfig())
+		dom := gptp.NewDomain(engine)
 		rng := sim.NewRand(opts.Seed ^ 0x74657374)
 		nodes := make([]*gptp.Node, opts.Topo.N)
 		for s := 0; s < opts.Topo.N; s++ {
@@ -359,11 +357,7 @@ func Build(opts Options) (*Net, error) {
 
 	// Invariant watchdog over every switch and recovery table.
 	if opts.EnableWatchdog {
-		interval := opts.WatchdogInterval
-		if interval <= 0 {
-			interval = sim.Millisecond
-		}
-		n.Watchdog = reconfig.NewWatchdog(engine, opts.Metrics, interval)
+		n.Watchdog = reconfig.NewWatchdog(engine, opts.Metrics)
 		for _, sw := range n.Switches {
 			n.Watchdog.Watch(sw)
 		}
