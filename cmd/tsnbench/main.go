@@ -86,7 +86,7 @@ var telemetry *obs.Server
 // never races the sweeps' hot-path registry writes.
 func publishTelemetry(reg *metrics.Registry) {
 	if telemetry != nil {
-		telemetry.Publish(reg.Snapshot())
+		telemetry.Publish(reg.Snapshot(), nil)
 	}
 }
 
@@ -100,7 +100,7 @@ const telemetryDrainTimeout = 5 * time.Second
 func serveTelemetry(addr string, reg *metrics.Registry) (*obs.Server, string, error) {
 	srv := obs.NewServer(nil, nil)
 	srv.MountPublished(nil)
-	srv.Publish(reg.Snapshot())
+	srv.Publish(reg.Snapshot(), nil)
 	bound, err := srv.Listen(addr)
 	if err != nil {
 		return nil, "", err

@@ -285,6 +285,10 @@ func writeCSV(net *testbed.Net, path string) error {
 	}
 	sent := net.SentCounts()
 	for _, st := range net.Collector.Flows() {
+		minLat := st.MinLat
+		if st.Received == 0 {
+			minLat = 0 // as Summarize writes an empty class
+		}
 		row := []string{
 			fmt.Sprintf("%d", st.FlowID),
 			st.Class.String(),
@@ -292,7 +296,7 @@ func writeCSV(net *testbed.Net, path string) error {
 			fmt.Sprintf("%d", st.Received),
 			fmt.Sprintf("%.3f", st.MeanLatency().Micros()),
 			fmt.Sprintf("%.3f", st.Jitter().Micros()),
-			fmt.Sprintf("%.3f", st.MinLat.Micros()),
+			fmt.Sprintf("%.3f", minLat.Micros()),
 			fmt.Sprintf("%.3f", st.MaxLat.Micros()),
 			fmt.Sprintf("%d", st.DeadlineMisses),
 		}
@@ -427,7 +431,7 @@ func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
 	printPartitionStats(net.PartitionStats())
 	printAttribution(net)
 	if net.Server != nil {
-		net.Server.Publish(reg.Snapshot())
+		net.Server.Publish(reg.Snapshot(), net.Collector)
 	}
 	return net, nil
 }
@@ -458,17 +462,17 @@ func printAttribution(net *testbed.Net) {
 	if net.Attr == nil {
 		return
 	}
-	top := net.Attr.TopByWorst(3)
+	top := net.Collector.TopByWorst(3)
 	if len(top) == 0 {
 		return
 	}
 	fmt.Println("worst flows (component breakdown of worst delivery):")
-	for _, fl := range top {
-		w := fl.Worst
+	for _, st := range top {
+		w := st.Worst
 		fmt.Printf("  flow %-6d %-3s worst=%9.1fµs seq=%-6d prop=%.1fµs ser=%.1fµs queue=%.1fµs gate=%.1fµs shape=%.1fµs misses=%d\n",
-			fl.FlowID, fl.Class, fl.WorstLat.Micros(), fl.WorstSeq,
+			st.FlowID, st.Class, st.MaxLat.Micros(), st.WorstSeq,
 			w.Prop.Micros(), w.Ser.Micros(), w.Queue.Micros(), w.Gate.Micros(), w.Shape.Micros(),
-			fl.Misses)
+			st.DeadlineMisses)
 	}
 	if dumps := net.Attr.Dumps(); len(dumps) > 0 {
 		d := dumps[len(dumps)-1]

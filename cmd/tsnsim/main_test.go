@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -142,6 +143,46 @@ func TestCSVOutput(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "TS") {
 		t.Fatalf("row = %q", lines[1])
+	}
+}
+
+// TestCSVUnreceivedFlow: a flow that received nothing — its path cut
+// by a link-down at t=0 — is written with min_us 0.000, like its other
+// latency columns, not the collector's no-delivery-yet sentinel.
+func TestCSVUnreceivedFlow(t *testing.T) {
+	dir := t.TempDir()
+	scenario, out := filepath.Join(dir, "faults.json"), filepath.Join(dir, "flows.csv")
+	if err := os.WriteFile(scenario, []byte(`{"faults":[{"at_us":0,"kind":"link-down","a":0,"b":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseFlags([]string{"-no-gptp", "-flows", "32", "-duration", "10", "-csv", out, "-faults", scenario})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runWithOutputs(*o); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent := 0
+	for _, row := range rows[1:] {
+		if row[3] != "0" {
+			continue
+		}
+		silent++
+		if row[4] != "0.000" || row[5] != "0.000" || row[6] != "0.000" || row[7] != "0.000" {
+			t.Errorf("flow %s received nothing but reads mean/jitter/min/max %v", row[0], row[4:8])
+		}
+	}
+	if silent == 0 {
+		t.Fatal("the link-down left every flow a delivery: the scenario no longer cuts a path")
 	}
 }
 

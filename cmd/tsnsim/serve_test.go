@@ -28,16 +28,16 @@ func TestServeWithForcedMisses(t *testing.T) {
 	if net.Attr == nil {
 		t.Fatal("run built no attribution")
 	}
-	top := net.Attr.TopByWorst(3)
+	top := net.Collector.TopByWorst(3)
 	if len(top) == 0 {
 		t.Fatal("no flows ranked")
 	}
 	var misses uint64
-	for _, fl := range top {
-		if got := fl.Worst.Total(); got != fl.WorstLat {
-			t.Fatalf("flow %d: components sum %v != worst %v", fl.FlowID, got, fl.WorstLat)
+	for _, st := range top {
+		if got := st.Worst.Total(); got != st.MaxLat {
+			t.Fatalf("flow %d: components sum %v != worst %v", st.FlowID, got, st.MaxLat)
 		}
-		misses += fl.Misses
+		misses += st.DeadlineMisses
 	}
 	if misses == 0 {
 		t.Fatal("1µs deadline forced no misses")

@@ -45,6 +45,42 @@ type FlowStats struct {
 	// contributes to Received — an eliminated copy is not a delivery.
 	Duplicates uint64
 	Rogue      uint64
+	// Sum and Worst decompose latency by component, from the deliveries
+	// whose span was begun (every frame a NIC injects): Sum accumulates
+	// them, and Worst is the decomposition of the delivery MaxLat
+	// measured, with its sequence number and arrival instant.
+	Sum      Components
+	Worst    Components
+	WorstSeq uint32
+	WorstAt  sim.Time
+}
+
+// Components is one latency decomposition: where an end-to-end latency
+// went. All values are engine-time differences, so for a delivered
+// frame they sum exactly to the measured latency.
+type Components struct {
+	Prop  sim.Time `json:"prop_ns"`  // cable propagation
+	Ser   sim.Time `json:"ser_ns"`   // store-and-forward serialization
+	Queue sim.Time `json:"queue_ns"` // unattributed wait (HOL, busy wire, preemption)
+	Gate  sim.Time `json:"gate_ns"`  // gate-schedule wait (closed gate, guard band)
+	Shape sim.Time `json:"shape_ns"` // CBS shaper hold
+}
+
+// ComponentsOf returns the decomposition a frame's span booked.
+func ComponentsOf(s *ethernet.Span) Components {
+	return Components{Prop: s.Prop, Ser: s.Ser, Queue: s.Queue, Gate: s.Gate, Shape: s.Shape}
+}
+
+// Total returns the component sum.
+func (c Components) Total() sim.Time { return c.Prop + c.Ser + c.Queue + c.Gate + c.Shape }
+
+// add accumulates d into c.
+func (c *Components) add(d Components) {
+	c.Prop += d.Prop
+	c.Ser += d.Ser
+	c.Queue += d.Queue
+	c.Gate += d.Gate
+	c.Shape += d.Shape
 }
 
 // MeanLatency returns the average latency.
@@ -146,12 +182,9 @@ func (c *classSamples) quantile(q float64) sim.Time {
 
 // LatencySink receives every delivery the collector records, with the
 // computed latency and deadline verdict — the hook the observability
-// layer uses to decompose latency from the frame's span without the
-// analyzer importing it. The sink numbers its per-flow state as the
-// collector does: Admit hands it every batch the collector admits, and
-// each frame reaches ObserveLatency carrying the collector's row.
+// layer uses for its component histograms and miss dumps without the
+// analyzer importing it. The per-flow state is the collector's row.
 type LatencySink interface {
-	Admit(first int, specs []*flows.Spec)
 	ObserveLatency(f *ethernet.Frame, arrival, lat sim.Time, missed bool)
 }
 
@@ -201,15 +234,14 @@ func (c *Collector) Instrument(reg *metrics.Registry) {
 	}
 }
 
-// SetLatencySink installs the per-delivery observation hook, before the
-// first Admit: rows admitted earlier reach the sink by ID.
+// SetLatencySink installs the per-delivery observation hook.
 func (c *Collector) SetLatencySink(s LatencySink) { c.sink = s }
 
 // Admit gives every flow of a batch its row, all in one new block, and
 // returns the first: specs[i] gets row first+i, which its talker stamps
 // into each frame as Row first+i+1. A TS flow's deadline counts misses;
 // an admitted flow counts toward its class's Sent/Lost totals even if
-// nothing arrives. The sink admits the same rows. An ID is admitted once.
+// nothing arrives. An ID is admitted once.
 func (c *Collector) Admit(specs []*flows.Spec) int {
 	first := len(c.rows)
 	if len(c.byID) == 0 {
@@ -227,9 +259,6 @@ func (c *Collector) Admit(specs []*flows.Spec) int {
 	}
 	if len(c.byID) != len(c.rows) {
 		panic("analyzer: a flow ID admitted twice")
-	}
-	if c.sink != nil {
-		c.sink.Admit(first, specs)
 	}
 	return first
 }
@@ -278,6 +307,13 @@ func (c *Collector) Record(f *ethernet.Frame, arrival sim.Time) {
 	}
 	st.sumLat += float64(lat)
 	st.sumLatSq += float64(lat) * float64(lat)
+	if f.Span.Active() {
+		d := ComponentsOf(&f.Span)
+		st.Sum.add(d)
+		if lat > st.MaxLat || st.Received == 1 {
+			st.Worst, st.WorstSeq, st.WorstAt = d, f.Seq, arrival
+		}
+	}
 	if lat < st.MinLat {
 		st.MinLat = lat
 	}
@@ -325,8 +361,9 @@ func (c *Collector) NoteRogue(f *ethernet.Frame) {
 
 // Merge folds src's statistics into c — how the partitioned testbed
 // reassembles one collector view from the per-partition collectors its
-// NICs recorded into. Per-flow accumulators add (counts, latency sums,
-// misses, FRER eliminations), extrema fold, and per-class percentile
+// NICs recorded into. Per-flow accumulators add (counts, latency and
+// component sums, misses, FRER eliminations), extrema and the worst
+// delivery's decomposition fold, and per-class percentile
 // sample sets concatenate (exact while below the decimation
 // threshold). Sequence-tracking state (lastSeq/seenSeq) carries over
 // only when c has not itself received the flow: every flow is
@@ -354,6 +391,10 @@ func (c *Collector) Merge(src *Collector) {
 		}
 		dst := c.rows[r]
 		dst.Class = st.Class
+		if st.MaxLat > dst.MaxLat || dst.Received == 0 {
+			dst.Worst, dst.WorstSeq, dst.WorstAt = st.Worst, st.WorstSeq, st.WorstAt
+		}
+		dst.Sum.add(st.Sum)
 		dst.Received += st.Received
 		dst.sumLat += st.sumLat
 		dst.sumLatSq += st.sumLatSq
@@ -399,6 +440,20 @@ func (c *Collector) Flows() []*FlowStats {
 	out := append([]*FlowStats(nil), c.rows...)
 	sort.Slice(out, func(i, j int) bool { return out[i].FlowID < out[j].FlowID })
 	return out
+}
+
+// Delivered returns the statistics of every flow that received a frame,
+// sorted by flow ID.
+func (c *Collector) Delivered() []*FlowStats {
+	return slices.DeleteFunc(c.Flows(), func(st *FlowStats) bool { return st.Received == 0 })
+}
+
+// TopByWorst returns the n delivered flows with the highest worst-case
+// latency, worst first (ties by flow ID) — the exit summary's shortlist.
+func (c *Collector) TopByWorst(n int) []*FlowStats {
+	top := c.Delivered()
+	sort.SliceStable(top, func(i, j int) bool { return top[i].MaxLat > top[j].MaxLat })
+	return top[:min(n, len(top))]
 }
 
 // Summary aggregates statistics across flows of one class.

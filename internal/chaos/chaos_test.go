@@ -260,7 +260,7 @@ func TestShrinkWedgeToMinimalRepro(t *testing.T) {
 
 func TestCampaignFixedSeedReproducible(t *testing.T) {
 	run := func() *Summary {
-		sum, err := RunCampaign(Options{Profile: smallProfile(), Parallel: 4, ShrinkRuns: -1})
+		sum, err := RunCampaign(Options{Profile: smallProfile(), Parallel: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func TestPartitionParityOracleHolds(t *testing.T) {
 
 func TestCampaignBudgetStopsClaiming(t *testing.T) {
 	sum, err := RunCampaign(Options{
-		Profile: smallProfile(), Parallel: 2, ShrinkRuns: -1,
+		Profile: smallProfile(), Parallel: 2,
 		Budget: time.Nanosecond,
 	})
 	if err != nil {
@@ -334,7 +334,7 @@ func TestCampaignCatchesGeneratedWedge(t *testing.T) {
 	p.WedgeProb = 1
 	p.TransientProb = 0
 	p.DeterminismEvery = 0
-	sum, err := RunCampaign(Options{Profile: p, Parallel: 4, ShrinkRuns: 32})
+	sum, err := RunCampaign(Options{Profile: p, Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

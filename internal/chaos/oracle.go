@@ -88,15 +88,10 @@ func checkOracles(c *Case, net *testbed.Net, reg *metrics.Registry, rec *TxnReco
 	}
 
 	// Exact-sum latency attribution.
-	if net.Attr != nil {
-		for _, fl := range net.Attr.Flows() {
-			if fl.Count == 0 {
-				continue
-			}
-			if got := fl.Worst.Total(); got != fl.WorstLat {
-				add(OracleAttribution, "flow %d worst components sum %v != worst latency %v",
-					fl.FlowID, got, fl.WorstLat)
-			}
+	for _, st := range net.Collector.Delivered() {
+		if got := st.Worst.Total(); got != st.MaxLat {
+			add(OracleAttribution, "flow %d worst components sum %v != worst latency %v",
+				st.FlowID, got, st.MaxLat)
 		}
 	}
 

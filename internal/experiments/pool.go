@@ -28,24 +28,17 @@ import (
 // worker, so serial and parallel exports are byte-identical by
 // construction.
 
-// FanOut runs fn(i) for every i in [0, n) across a pool of workers
+// FanOutCtx runs fn(i) for every i in [0, n) across a pool of workers
 // goroutines, claiming indices atomically in ascending order. When fn
-// returns false no further indices are claimed — work already claimed
-// by other workers still finishes — which is how a wall-clock-budgeted
-// caller (the chaos campaign) stops a sweep midway. fn must be
-// self-contained: it runs concurrently with other indices and must not
-// share unsynchronized mutable state.
-func FanOut(workers, n int, fn func(i int) bool) {
-	FanOutCtx(context.Background(), workers, n, fn)
-}
-
-// FanOutCtx is FanOut under a context: once ctx is done no further
-// indices are claimed, exactly as if fn had returned false. Work
-// already claimed still finishes — cancellation is a stop signal, not
-// an abort — so fn never observes a torn half-run and the caller can
-// rely on every started index having completed when FanOutCtx returns.
-// It returns ctx.Err() when cancellation cut the sweep short and nil
-// when every index was claimed.
+// returns false, or once ctx is done, no further indices are claimed.
+// Work already claimed by other workers still finishes — a stop signal,
+// not an abort — so fn never observes a torn half-run and the caller
+// can rely on every started index having completed when FanOutCtx
+// returns; this is how a wall-clock-budgeted caller (the chaos
+// campaign) stops a sweep midway. fn must be self-contained: it runs
+// concurrently with other indices and must not share unsynchronized
+// mutable state. It returns ctx.Err() when cancellation cut the sweep
+// short and nil otherwise.
 func FanOutCtx(ctx context.Context, workers, n int, fn func(i int) bool) error {
 	if n <= 0 {
 		return nil
@@ -119,7 +112,7 @@ func sweep[T any](p Params, n int, fn func(i int, rp Params) (T, error)) ([]T, e
 	out := make([]T, n)
 	errs := make([]error, n)
 	regs := make([]*metrics.Registry, n) // all nil without telemetry
-	FanOut(p.workers(), n, func(i int) bool {
+	_ = FanOutCtx(context.Background(), p.workers(), n, func(i int) bool {
 		rp := rowParams(p)
 		regs[i] = rp.Metrics
 		out[i], errs[i] = fn(i, rp)

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
@@ -30,34 +32,37 @@ func TestSpanFrameBalances(t *testing.T) {
 	}
 }
 
+// fedCollector returns a collector whose latency sink is a, and a
+// record function that delivers a spanFrame of lat into it.
+func fedCollector(a *Attribution) (*analyzer.Collector, func(flow, seq uint32, cls ethernet.Class, lat sim.Time)) {
+	c := analyzer.NewCollector()
+	c.SetLatencySink(a)
+	return c, func(flow, seq uint32, cls ethernet.Class, lat sim.Time) {
+		f := spanFrame(flow, seq, cls, lat)
+		c.Record(f, f.SentAt+lat)
+	}
+}
+
 func TestAttributionAggregates(t *testing.T) {
 	reg := metrics.New()
-	a := NewAttribution(reg, nil)
+	c, record := fedCollector(NewAttribution(reg, nil))
 
-	a.ObserveLatency(spanFrame(7, 0, ethernet.ClassTS, 1000), 2000, 1000, false)
-	a.ObserveLatency(spanFrame(7, 1, ethernet.ClassTS, 3000), 4000, 3000, false)
-	a.ObserveLatency(spanFrame(7, 2, ethernet.ClassTS, 2000), 3000, 2000, false)
-	a.ObserveLatency(spanFrame(9, 0, ethernet.ClassRC, 5000), 6000, 5000, false)
+	record(7, 0, ethernet.ClassTS, 1000)
+	record(7, 1, ethernet.ClassTS, 3000)
+	record(7, 2, ethernet.ClassTS, 2000)
+	record(9, 0, ethernet.ClassRC, 5000)
 
-	fl, ok := a.Flow(7)
-	if !ok {
-		t.Fatal("flow 7 missing")
+	st := c.Flow(7)
+	if st.Received != 3 || st.MaxLat != 3000 || st.WorstSeq != 1 || st.WorstAt != 4000 {
+		t.Fatalf("flow 7 row wrong: %+v", *st)
 	}
-	if fl.Count != 3 || fl.WorstLat != 3000 || fl.WorstSeq != 1 {
-		t.Fatalf("flow 7 aggregate wrong: %+v", fl)
+	if got := st.Worst.Total(); got != st.MaxLat {
+		t.Fatalf("worst components sum to %v, want exactly %v", got, st.MaxLat)
 	}
-	if got := fl.Worst.Total(); got != fl.WorstLat {
-		t.Fatalf("worst components sum to %v, want exactly %v", got, fl.WorstLat)
-	}
-	if got := fl.Sum.Total(); got != 6000 {
+	if got := st.Sum.Total(); got != 6000 {
 		t.Fatalf("sum of components = %v, want 6000", got)
 	}
-
-	all := a.Flows()
-	if len(all) != 2 || all[0].FlowID != 7 || all[1].FlowID != 9 {
-		t.Fatalf("Flows() order wrong: %+v", all)
-	}
-	top := a.TopByWorst(1)
+	top := c.TopByWorst(1)
 	if len(top) != 1 || top[0].FlowID != 9 {
 		t.Fatalf("TopByWorst wrong: %+v", top)
 	}
@@ -71,12 +76,25 @@ func TestAttributionAggregates(t *testing.T) {
 	}
 }
 
+// TestAttributionSkipsInactiveSpans: a delivery whose span was never
+// begun books no component, in the histograms or in the row.
 func TestAttributionSkipsInactiveSpans(t *testing.T) {
-	a := NewAttribution(nil, nil)
-	f := &ethernet.Frame{FlowID: 3, Class: ethernet.ClassBE}
-	a.ObserveLatency(f, 100, 100, false)
-	if _, ok := a.Flow(3); ok {
-		t.Fatal("inactive span was aggregated")
+	reg := metrics.New()
+	c := analyzer.NewCollector()
+	c.SetLatencySink(NewAttribution(reg, nil))
+	c.Record(&ethernet.Frame{FlowID: 3, Class: ethernet.ClassBE, Seq: 4}, 100)
+	if st := c.Flow(3); st.Received != 1 || st.Worst != (analyzer.Components{}) || st.WorstSeq != 0 {
+		t.Fatalf("inactive span was decomposed: %+v", *st)
+	}
+	for _, fam := range reg.Snapshot().Families {
+		if fam.Name != MetricComponent {
+			continue
+		}
+		for _, s := range fam.Samples {
+			if s.Count != 0 {
+				t.Fatalf("inactive span observed into %s %v", fam.Name, s.Labels)
+			}
+		}
 	}
 }
 
@@ -163,12 +181,11 @@ func TestEventDumpRing(t *testing.T) {
 }
 
 // TestObserveLatencySteadyStateAllocs pins the per-delivery observation
-// at zero allocations once the flow's aggregate exists.
+// at zero allocations.
 func TestObserveLatencySteadyStateAllocs(t *testing.T) {
 	reg := metrics.New()
 	a := NewAttribution(reg, trace.NewFlight(64))
 	f := spanFrame(4, 0, ethernet.ClassTS, 1000)
-	a.ObserveLatency(f, 2000, 1000, false) // create the aggregate
 	if allocs := testing.AllocsPerRun(1000, func() {
 		a.ObserveLatency(f, 2000, 1000, false)
 	}); allocs != 0 {
@@ -177,40 +194,46 @@ func TestObserveLatencySteadyStateAllocs(t *testing.T) {
 }
 
 // TestAttributionMergeFoldsFlowsAndDumps merges two partition-style
-// attributions into an empty target and checks per-flow folding, the
-// global-worst invariant of the dump ring, and idempotence guards.
+// collectors and their attributions into empty targets and checks
+// per-flow folding, the global-worst invariant of the dump ring, and
+// idempotence guards.
 func TestAttributionMergeFoldsFlowsAndDumps(t *testing.T) {
-	mk := func() *Attribution { return NewAttribution(nil, nil) }
-	target, pa, pb := mk(), mk(), mk()
+	target := NewAttribution(nil, nil)
+	pa, pb := NewAttribution(nil, nil), NewAttribution(nil, nil)
+	ca, recordA := fedCollector(pa)
+	cb, recordB := fedCollector(pb)
+	ca.Admit([]*flows.Spec{{ID: 1, Class: ethernet.ClassTS, Deadline: 400}})
+	cb.Admit([]*flows.Spec{{ID: 2, Class: ethernet.ClassTS, Deadline: 400}})
+	recordA(1, 0, ethernet.ClassTS, 100)
+	recordA(1, 1, ethernet.ClassTS, 900)
+	recordB(2, 0, ethernet.ClassTS, 500)
+	recordB(2, 1, ethernet.ClassTS, 200)
 
-	obs := func(a *Attribution, flow uint32, seq uint32, lat sim.Time, missed bool) {
-		f := spanFrame(flow, seq, ethernet.ClassTS, lat)
-		a.ObserveLatency(f, f.SentAt+lat, lat, missed)
+	merged := analyzer.NewCollector()
+	for _, p := range []struct {
+		c *analyzer.Collector
+		a *Attribution
+	}{{ca, pa}, {cb, pb}} {
+		merged.Merge(p.c)
+		target.Merge(p.a)
 	}
-	obs(pa, 1, 0, 100, false)
-	obs(pa, 1, 1, 900, true)
-	obs(pb, 2, 0, 500, true)
-	obs(pb, 2, 1, 200, false)
-
-	target.Merge(pa)
-	target.Merge(pb)
 	target.Merge(nil)    // no-op
 	target.Merge(target) // no-op
 
-	flows := target.Flows()
-	if len(flows) != 2 {
-		t.Fatalf("merged %d flows, want 2", len(flows))
+	if rows := merged.Delivered(); len(rows) != 2 {
+		t.Fatalf("merged %d flows, want 2", len(rows))
 	}
-	f1, ok := target.Flow(1)
-	if !ok || f1.Count != 2 || f1.Misses != 1 || f1.WorstLat != 900 || f1.WorstSeq != 1 {
-		t.Fatalf("flow 1 fold wrong: %+v", f1)
+	if f1 := merged.Flow(1); f1.Received != 2 || f1.DeadlineMisses != 1 || f1.MaxLat != 900 || f1.WorstSeq != 1 {
+		t.Fatalf("flow 1 fold wrong: %+v", *f1)
 	}
-	f2, ok := target.Flow(2)
-	if !ok || f2.Count != 2 || f2.WorstLat != 500 {
-		t.Fatalf("flow 2 fold wrong: %+v", f2)
+	if f2 := merged.Flow(2); f2.Received != 2 || f2.MaxLat != 500 || f2.Sum.Total() != 700 {
+		t.Fatalf("flow 2 fold wrong: %+v", *f2)
 	}
-	top := target.TopByWorst(1)
-	if len(top) != 1 || top[0].FlowID != 1 {
+	if top := merged.TopByWorst(1); len(top) != 1 || top[0].FlowID != 1 {
 		t.Fatalf("TopByWorst = %+v, want flow 1", top)
+	}
+	dumps := target.Dumps()
+	if len(dumps) != 2 || dumps[0].FlowID != 2 || dumps[1].FlowID != 1 || dumps[1].Lat != 900 {
+		t.Fatalf("merged dumps %+v, want flow 2's miss then flow 1's worst", dumps)
 	}
 }

@@ -7,18 +7,66 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
-// The reference: the attribution's per-flow aggregation as it was
-// before per-flow rows — one FlowLatency per flow ID in a map, created
-// at the first delivery and looked up on every one. The per-flow half of
-// ObserveLatency and Merge and the exports Flow, Flows and TopByWorst
-// are kept verbatim (receiver renamed); the histograms and dumps, which
-// did not change, are left out. TestAttributionMatchesReference drives
-// both with one delivery script.
+// The reference: the per-flow latency decomposition as the attribution
+// kept it before it moved into the collector's rows — one FlowLatency
+// per flow ID in a map, created at the first delivery and looked up on
+// every one. Its types and the per-flow half of ObserveLatency and Merge
+// and the exports Flow, Flows and TopByWorst are kept verbatim (receiver
+// renamed). TestAttributionMatchesReference installs it as a collector's
+// latency sink and compares the collector's rows with it.
+
+// Components is one latency decomposition: where an end-to-end latency
+// went. All values are engine-time differences, so for a delivered
+// frame they sum exactly to the measured latency.
+type Components struct {
+	Prop  sim.Time `json:"prop_ns"`  // cable propagation
+	Ser   sim.Time `json:"ser_ns"`   // store-and-forward serialization
+	Queue sim.Time `json:"queue_ns"` // unattributed wait (HOL, busy wire, preemption)
+	Gate  sim.Time `json:"gate_ns"`  // gate-schedule wait (closed gate, guard band)
+	Shape sim.Time `json:"shape_ns"` // CBS shaper hold
+}
+
+// Total returns the component sum.
+func (c Components) Total() sim.Time { return c.Prop + c.Ser + c.Queue + c.Gate + c.Shape }
+
+// add accumulates d into c.
+func (c *Components) add(d Components) {
+	c.Prop += d.Prop
+	c.Ser += d.Ser
+	c.Queue += d.Queue
+	c.Gate += d.Gate
+	c.Shape += d.Shape
+}
+
+// fromSpan converts a frame's span into a Components value.
+func fromSpan(s *ethernet.Span) Components {
+	return Components{Prop: s.Prop, Ser: s.Ser, Queue: s.Queue, Gate: s.Gate, Shape: s.Shape}
+}
+
+// FlowLatency is one flow's attribution aggregate.
+type FlowLatency struct {
+	FlowID uint32         `json:"flow"`
+	Class  ethernet.Class `json:"-"`
+	Count  uint64         `json:"count"`
+	Misses uint64         `json:"deadline_misses"`
+	// Sum accumulates every delivery's decomposition; Sum.Total()/Count
+	// is the mean end-to-end latency.
+	Sum Components `json:"sum"`
+	// Worst is the decomposition of the worst (highest-latency)
+	// delivery, with its end-to-end latency, sequence number and
+	// arrival instant.
+	Worst    Components `json:"worst"`
+	WorstLat sim.Time   `json:"worst_ns"`
+	WorstSeq uint32     `json:"worst_seq"`
+	WorstAt  sim.Time   `json:"worst_at_ns"`
+}
+
 type refAttribution struct {
 	mu    sync.Mutex
 	flows map[uint32]*FlowLatency
@@ -116,13 +164,17 @@ func (a *refAttribution) TopByWorst(n int) []FlowLatency {
 }
 
 // TestAttributionMatchesReference: over seeded delivery scripts, the
-// row attribution exports what the map one exported — Flows, every
-// Flow(id) and TopByWorst, per part and after a two-part merge. Flows
-// are admitted in two batches per part (the second late), some never
-// (met by ID at their first delivery), some admitted flows never
-// deliver, a flow's first delivery may be a deadline miss, and talkers
-// stamp the right row, none, or another flow's.
+// collector's delivered rows carry what the map attribution aggregated —
+// every row, and TopByWorst, per part and after a two-part merge. The
+// reference is each part's latency sink, so both see the same deliveries
+// and the same deadline verdicts. Flows are admitted in two batches per
+// part (the second late), some never (met by ID at their first
+// delivery), some admitted flows never deliver, TS deadlines make some
+// deliveries (a first one among them) miss, some flows deliver at zero
+// latency only, and talkers stamp the right row, none, or another
+// flow's.
 func TestAttributionMatchesReference(t *testing.T) {
+	var misses uint64
 	for seed := uint64(1); seed <= 64; seed++ {
 		rng := sim.NewRand(seed)
 		n := 8 + rng.Intn(40)
@@ -130,22 +182,29 @@ func TestAttributionMatchesReference(t *testing.T) {
 		part, row := make([]int, n), make([]uint32, n)
 		for i := range specs {
 			specs[i] = &flows.Spec{ID: uint32(1 + 3*i + rng.Intn(3)), Class: ethernet.Class(rng.Intn(3))}
+			if specs[i].Class == ethernet.ClassTS && rng.Intn(3) > 0 {
+				specs[i].Deadline = sim.Time(100 + rng.Intn(500))
+			}
 			part[i] = rng.Intn(2)
 		}
-		a := [2]*Attribution{NewAttribution(nil, nil), NewAttribution(nil, nil)}
+		c := [2]*analyzer.Collector{analyzer.NewCollector(), analyzer.NewCollector()}
 		ref := [2]*refAttribution{newRefAttribution(), newRefAttribution()}
-		next := [2]int{}
+		for p := range c {
+			c[p].SetLatencySink(ref[p])
+		}
 		admit := func(from, to int) {
 			for p := 0; p < 2; p++ {
 				var batch []*flows.Spec
+				var at []int
 				for i := from; i < to; i++ {
 					if part[i] == p && i%7 != 3 { // every seventh flow is never admitted
-						batch = append(batch, specs[i])
-						row[i] = uint32(next[p] + len(batch))
+						batch, at = append(batch, specs[i]), append(at, i)
 					}
 				}
-				a[p].Admit(next[p], batch)
-				next[p] += len(batch)
+				first := c[p].Admit(batch)
+				for k, i := range at {
+					row[i] = uint32(first + k + 1)
+				}
 			}
 		}
 		play := func(count, upto int) {
@@ -155,6 +214,9 @@ func TestAttributionMatchesReference(t *testing.T) {
 					continue // admitted but never delivered
 				}
 				lat := sim.Time(10 * (10 + rng.Intn(60)))
+				if i%11 == 5 {
+					lat = 0 // the worst delivery is the first
+				}
 				f := spanFrame(specs[i].ID, uint32(k), specs[i].Class, lat)
 				switch r := rng.Intn(10); {
 				case r < 7:
@@ -164,9 +226,7 @@ func TestAttributionMatchesReference(t *testing.T) {
 				default:
 					f.Row = uint32(rng.Intn(n + 2)) // another flow's row, or past the end
 				}
-				missed := lat > 400
-				ref[part[i]].ObserveLatency(f, f.SentAt+lat, lat, missed)
-				a[part[i]].ObserveLatency(f, f.SentAt+lat, lat, missed)
+				c[part[i]].Record(f, f.SentAt+lat)
 			}
 		}
 		admit(0, n/2)
@@ -174,52 +234,44 @@ func TestAttributionMatchesReference(t *testing.T) {
 		admit(n/2, n) // flows added late
 		play(300, n)
 
-		merged, refMerged := NewAttribution(nil, nil), newRefAttribution()
+		merged, refMerged := analyzer.NewCollector(), newRefAttribution()
 		for p := 0; p < 2; p++ {
-			compareAttributions(t, seed, fmt.Sprintf("part %d", p), a[p], ref[p], specs)
-			merged.Merge(a[p])
+			compareRows(t, seed, fmt.Sprintf("part %d", p), c[p], ref[p], len(specs))
+			merged.Merge(c[p])
 			refMerged.Merge(ref[p])
 		}
-		compareAttributions(t, seed, "merged", merged, refMerged, specs)
+		compareRows(t, seed, "merged", merged, refMerged, len(specs))
+		for _, fl := range refMerged.Flows() {
+			misses += fl.Misses
+		}
+	}
+	if misses == 0 {
+		t.Fatal("the scripts made no deadline misses")
 	}
 }
 
-func compareAttributions(t *testing.T, seed uint64, what string, a *Attribution, ref *refAttribution, specs []*flows.Spec) {
-	t.Helper()
-	if got, want := a.Flows(), ref.Flows(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("seed %d %s: Flows\n got %+v\nwant %+v", seed, what, got, want)
+// asFlowLatency renders collector rows in the reference's shape.
+func asFlowLatency(rows []*analyzer.FlowStats) []FlowLatency {
+	out := make([]FlowLatency, 0, len(rows))
+	for _, st := range rows {
+		out = append(out, FlowLatency{
+			FlowID: st.FlowID, Class: st.Class, Count: st.Received, Misses: st.DeadlineMisses,
+			Sum: Components(st.Sum), Worst: Components(st.Worst),
+			WorstLat: st.MaxLat, WorstSeq: st.WorstSeq, WorstAt: st.WorstAt,
+		})
 	}
-	for _, k := range []int{1, 3, len(specs)} {
-		if got, want := a.TopByWorst(k), ref.TopByWorst(k); !reflect.DeepEqual(got, want) {
+	return out
+}
+
+func compareRows(t *testing.T, seed uint64, what string, c *analyzer.Collector, ref *refAttribution, n int) {
+	t.Helper()
+	want := ref.Flows()
+	if got := asFlowLatency(c.Delivered()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("seed %d %s: rows\n got %+v\nwant %+v", seed, what, got, want)
+	}
+	for _, k := range []int{1, 3, n} {
+		if got, want := asFlowLatency(c.TopByWorst(k)), ref.TopByWorst(k); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d %s: TopByWorst(%d)\n got %+v\nwant %+v", seed, what, k, got, want)
 		}
-	}
-	for _, spec := range append(specs, &flows.Spec{ID: 9999}) {
-		got, gok := a.Flow(spec.ID)
-		want, wok := ref.Flow(spec.ID)
-		if gok != wok || got != want {
-			t.Fatalf("seed %d %s: Flow(%d) = %+v, %v; reference %+v, %v", seed, what, spec.ID, got, gok, want, wok)
-		}
-	}
-}
-
-// TestStampedRowSkipsTheIndex: a delivery carrying its admitted row is
-// aggregated through the row alone. Once the first delivery has made the
-// batch's aggregates, the by-ID index is set aside, so a fallback lookup
-// (a row index read off by one, say) would write to a nil map and panic.
-func TestStampedRowSkipsTheIndex(t *testing.T) {
-	a := NewAttribution(nil, nil)
-	a.Admit(0, []*flows.Spec{{ID: 7, Class: ethernet.ClassTS}, {ID: 9, Class: ethernet.ClassTS}})
-	first := spanFrame(7, 0, ethernet.ClassTS, 1000)
-	first.Row = 1
-	a.ObserveLatency(first, first.SentAt+1000, 1000, false)
-	byID := a.byID
-	a.byID = nil
-	f := spanFrame(9, 0, ethernet.ClassTS, 1000)
-	f.Row = 2
-	a.ObserveLatency(f, f.SentAt+1000, 1000, false)
-	a.byID = byID
-	if fl, ok := a.Flow(9); !ok || fl.Count != 1 {
-		t.Fatalf("flow 9: %+v, %v", fl, ok)
 	}
 }

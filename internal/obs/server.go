@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +19,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
@@ -55,13 +58,14 @@ func (h *Health) Status() (degraded bool, detail string, audits, violations uint
 }
 
 // Server is the one HTTP server in the repository. It always serves the
-// introspection set — /flows and /flows/{id} latency breakdowns, an
-// NDJSON /events stream off the flight recorder, /flightrec miss dumps,
-// /debug/pprof — and owns the listener (Listen or Serve, Hold, Shutdown).
-// The rest is mounted with Handle: MountPublished, or svc.Service's API.
+// introspection set — /flows and /flows/{id} latency breakdowns from the
+// last Publish, an NDJSON /events stream off the flight recorder,
+// /flightrec miss dumps, /debug/pprof — and owns the listener (Listen or
+// Serve, Hold, Shutdown). The rest is mounted with Handle:
+// MountPublished, or svc.Service's API.
 type Server struct {
 	mux    *http.ServeMux
-	snap   atomic.Value // metrics.Snapshot
+	pub    atomic.Pointer[publication]
 	attr   *Attribution
 	flight *trace.Flight
 
@@ -77,6 +81,13 @@ type Server struct {
 	closeOnce sync.Once
 }
 
+// publication is what the simulation thread hands the HTTP goroutines:
+// a registry snapshot and the delivered flows' breakdowns, by flow ID.
+type publication struct {
+	snap  metrics.Snapshot
+	flows []flowJSON
+}
+
 // NewServer wires the introspection set. Either argument may be nil;
 // the corresponding endpoints degrade gracefully (404/empty).
 func NewServer(attr *Attribution, flight *trace.Flight) *Server {
@@ -85,7 +96,7 @@ func NewServer(attr *Attribution, flight *trace.Flight) *Server {
 		served: make(chan error, 1), closing: make(chan struct{}),
 	}
 	s.httpSrv = &http.Server{Handler: s.mux}
-	s.snap.Store(metrics.Snapshot{})
+	s.pub.Store(&publication{flows: []flowJSON{}})
 	s.Handle("/flows", s.handleFlows)
 	s.Handle("/flows/", s.handleFlow)
 	s.Handle("/events", s.handleEvents)
@@ -110,15 +121,24 @@ func (s *Server) MountPublished(health *Health) {
 func (s *Server) published(ctype string, write func(metrics.Snapshot, io.Writer) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", ctype)
-		_ = write(s.snap.Load().(metrics.Snapshot), w)
+		_ = write(s.pub.Load().snap, w)
 	}
 }
 
-// Publish stores a registry snapshot for /metrics to serve. Call it
-// from the simulation thread (periodically, and once after the run);
-// the handler only ever reads published copies, so the registry's
-// unsynchronized hot-path cells are never raced.
-func (s *Server) Publish(snap metrics.Snapshot) { s.snap.Store(snap) }
+// Publish stores a registry snapshot for /metrics and a copy of coll's
+// delivered rows for /flows to serve; coll may be nil (no flows). Call
+// it from the simulation thread (periodically, and once after the run):
+// the handlers only ever read published copies, so neither the
+// registry's hot-path cells nor the collector's rows are ever raced.
+func (s *Server) Publish(snap metrics.Snapshot, coll *analyzer.Collector) {
+	p := &publication{snap: snap, flows: []flowJSON{}}
+	if coll != nil {
+		for _, st := range coll.Delivered() {
+			p.flows = append(p.flows, toFlowJSON(st))
+		}
+	}
+	s.pub.Store(p)
+}
 
 // Handler returns the HTTP handler serving every endpoint.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -204,39 +224,31 @@ func (h *Health) serve(w http.ResponseWriter, _ *http.Request) {
 
 // flowJSON is the wire form of one flow's latency breakdown.
 type flowJSON struct {
-	Flow    uint32     `json:"flow"`
-	Class   string     `json:"class"`
-	Count   uint64     `json:"count"`
-	Misses  uint64     `json:"deadline_misses"`
-	MeanNs  sim.Time   `json:"mean_ns"`
-	Sum     Components `json:"sum"`
-	Worst   Components `json:"worst"`
-	WorstNs sim.Time   `json:"worst_ns"`
-	WSeq    uint32     `json:"worst_seq"`
-	WAt     sim.Time   `json:"worst_at_ns"`
+	Flow    uint32              `json:"flow"`
+	Class   string              `json:"class"`
+	Count   uint64              `json:"count"`
+	Misses  uint64              `json:"deadline_misses"`
+	MeanNs  sim.Time            `json:"mean_ns"`
+	Sum     analyzer.Components `json:"sum"`
+	Worst   analyzer.Components `json:"worst"`
+	WorstNs sim.Time            `json:"worst_ns"`
+	WSeq    uint32              `json:"worst_seq"`
+	WAt     sim.Time            `json:"worst_at_ns"`
 }
 
-func toFlowJSON(fl FlowLatency) flowJSON {
-	var mean sim.Time
-	if fl.Count > 0 {
-		mean = fl.Sum.Total() / sim.Time(fl.Count)
-	}
+// toFlowJSON renders a delivered flow's row; mean_ns is the integer mean
+// of the component sum.
+func toFlowJSON(st *analyzer.FlowStats) flowJSON {
 	return flowJSON{
-		Flow: fl.FlowID, Class: fl.Class.String(), Count: fl.Count,
-		Misses: fl.Misses, MeanNs: mean, Sum: fl.Sum,
-		Worst: fl.Worst, WorstNs: fl.WorstLat, WSeq: fl.WorstSeq, WAt: fl.WorstAt,
+		Flow: st.FlowID, Class: st.Class.String(), Count: st.Received,
+		Misses: st.DeadlineMisses, MeanNs: st.Sum.Total() / sim.Time(st.Received), Sum: st.Sum,
+		Worst: st.Worst, WorstNs: st.MaxLat, WSeq: st.WorstSeq, WAt: st.WorstAt,
 	}
 }
 
 func (s *Server) handleFlows(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	out := []flowJSON{}
-	if s.attr != nil {
-		for _, fl := range s.attr.Flows() {
-			out = append(out, toFlowJSON(fl))
-		}
-	}
-	_ = json.NewEncoder(w).Encode(out)
+	_ = json.NewEncoder(w).Encode(s.pub.Load().flows)
 }
 
 func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
@@ -246,17 +258,14 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad flow id", http.StatusBadRequest)
 		return
 	}
-	if s.attr == nil {
-		http.Error(w, "attribution disabled", http.StatusNotFound)
-		return
-	}
-	fl, ok := s.attr.Flow(uint32(id))
+	flows := s.pub.Load().flows
+	i, ok := slices.BinarySearchFunc(flows, uint32(id), func(fj flowJSON, id uint32) int { return cmp.Compare(fj.Flow, id) })
 	if !ok {
 		http.Error(w, "unknown flow", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(toFlowJSON(fl))
+	_ = json.NewEncoder(w).Encode(flows[i])
 }
 
 func (s *Server) handleFlightrec(w http.ResponseWriter, _ *http.Request) {

@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
@@ -27,11 +29,14 @@ func testServer(t *testing.T) (*Server, *Health, *metrics.Registry) {
 	fl.Record(trace.Event{At: 10, Kind: trace.KindEnqueue, FlowID: 7, Seq: 1})
 	reg := metrics.New()
 	attr := NewAttribution(reg, fl)
-	attr.ObserveLatency(spanFrame(7, 1, ethernet.ClassTS, 5000), 6000, 5000, true)
+	coll := analyzer.NewCollector()
+	coll.SetLatencySink(attr)
+	coll.Admit([]*flows.Spec{{ID: 7, Class: ethernet.ClassTS, Deadline: 1000}})
+	coll.Record(spanFrame(7, 1, ethernet.ClassTS, 5000), 6000)
 	health := &Health{}
 	srv := NewServer(attr, fl)
 	srv.MountPublished(health)
-	srv.Publish(reg.Snapshot())
+	srv.Publish(reg.Snapshot(), coll)
 	return srv, health, reg
 }
 

@@ -28,11 +28,8 @@ func serveTestService(t *testing.T) (*Service, string, chan error) {
 	}
 	served := make(chan error, 1)
 	go func() { served <- s.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
+	liveServices++
+	t.Cleanup(func() { shutdownTestService(t, s) })
 	return s, "http://" + ln.Addr().String(), served
 }
 

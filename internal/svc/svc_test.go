@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -32,13 +33,38 @@ func newTestService(t *testing.T, opts Options) (*Service, *httptest.Server) {
 		t.Fatalf("NewService: %v", err)
 	}
 	ts := httptest.NewServer(s.Handler())
+	liveServices++
 	t.Cleanup(func() {
 		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
+		shutdownTestService(t, s)
 	})
 	return s, ts
+}
+
+// liveServices counts the services newTestService and serveTestService
+// started whose cleanup has not run yet; svc tests run serially.
+var liveServices int
+
+// shutdownTestService shuts s down, then fails t unless within 2 s no
+// more instance control loops run than services are still live: nothing
+// of a service may outlive its Shutdown, so a loop left over is this
+// test's leak or an earlier test's.
+func shutdownTestService(t *testing.T, s *Service) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_ = s.Shutdown(ctx)
+	liveServices--
+	stacks := make([]byte, 1<<20)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		stacks = stacks[:runtime.Stack(stacks[:cap(stacks)], true)]
+		if bytes.Count(stacks, []byte("svc.(*Instance).loop(")) <= liveServices {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("an instance control loop outlived Shutdown (%d services live):\n%s", liveServices, stacks)
+		}
+	}
 }
 
 func postJSON(t *testing.T, url string, body string, hdr map[string]string) (*http.Response, []byte) {

@@ -56,8 +56,8 @@ func TestLineFramePathAllocs(t *testing.T) {
 }
 
 // TestRunAllocsIndependentOfFlowCount: a flow's state in every layer — its
-// generator row at the talker, its statistics and attribution rows at the
-// listener — is admitted at build, so Net.Run allocates no more with
+// generator row at the talker, its statistics row at the listener — is
+// admitted at build, so Net.Run allocates no more with
 // 1 024 flows than with 256 (about three allocations per flow when that
 // state was made at first use). What remains grows with the frames in
 // flight, not the flows.
@@ -71,8 +71,8 @@ func TestRunAllocsIndependentOfFlowCount(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		net.Run(0, 30*sim.Millisecond)
 		runtime.ReadMemStats(&after)
-		if ts := net.Summary(ethernet.ClassTS); ts.Lost != 0 || len(net.Attr.Flows()) != flowCount {
-			t.Fatalf("%d flows: lost %d, %d flows delivered", flowCount, ts.Lost, len(net.Attr.Flows()))
+		if ts := net.Summary(ethernet.ClassTS); ts.Lost != 0 || len(net.Collector.Delivered()) != flowCount {
+			t.Fatalf("%d flows: lost %d, %d flows delivered", flowCount, ts.Lost, len(net.Collector.Delivered()))
 		}
 		return after.Mallocs - before.Mallocs
 	}

@@ -79,41 +79,30 @@ func obsScenario(t *testing.T, deadline sim.Time) (*Net, []*flows.Spec, *metrics
 }
 
 // TestAttributionExactSum is the acceptance check of the attribution
-// books: for every flow, the worst delivery's five components sum to
-// the analyzer's measured end-to-end latency exactly, and per-flow
-// deadline misses agree between the collector and the attribution
-// aggregate.
+// books: for every delivered flow, the worst delivery's five components
+// sum to the analyzer's measured end-to-end latency exactly, and so do
+// the components summed over every delivery.
 func TestAttributionExactSum(t *testing.T) {
-	net, specs, reg := obsScenario(t, sim.Microsecond)
+	net, _, reg := obsScenario(t, sim.Microsecond)
 	net.Run(0, 40*sim.Millisecond)
 
 	if net.Attr == nil {
 		t.Fatal("metrics are on but Attr is nil")
 	}
-	all := net.Attr.Flows()
+	all := net.Collector.Delivered()
 	if len(all) == 0 {
-		t.Fatal("no flows aggregated")
+		t.Fatal("no flows delivered")
 	}
 	misses := uint64(0)
-	for _, fl := range all {
-		if fl.Count == 0 {
-			continue
-		}
-		if got := fl.Worst.Total(); got != fl.WorstLat {
+	for _, st := range all {
+		if got := st.Worst.Total(); got != st.MaxLat {
 			t.Fatalf("flow %d: worst components sum to %v, e2e latency %v — books out of balance",
-				fl.FlowID, got, fl.WorstLat)
+				st.FlowID, got, st.MaxLat)
 		}
-		st := net.Collector.Flow(fl.FlowID)
-		if st == nil {
-			t.Fatalf("flow %d aggregated but unknown to collector", fl.FlowID)
+		if mean := sim.Time(float64(st.Sum.Total()) / float64(st.Received)); mean != st.MeanLatency() {
+			t.Fatalf("flow %d: component mean %v, latency mean %v", st.FlowID, mean, st.MeanLatency())
 		}
-		if st.MaxLat != fl.WorstLat {
-			t.Fatalf("flow %d: collector max %v != attributed worst %v", fl.FlowID, st.MaxLat, fl.WorstLat)
-		}
-		if st.DeadlineMisses != fl.Misses {
-			t.Fatalf("flow %d: collector misses %d != attributed %d", fl.FlowID, st.DeadlineMisses, fl.Misses)
-		}
-		misses += fl.Misses
+		misses += st.DeadlineMisses
 	}
 	if misses == 0 {
 		t.Fatal("1µs TS deadline produced no misses — the forcing scenario is broken")
@@ -148,7 +137,6 @@ func TestAttributionExactSum(t *testing.T) {
 	if !found {
 		t.Fatal("component histogram family missing from registry")
 	}
-	_ = specs
 }
 
 // TestTelemetryServerLiveUnderRace runs the simulation while HTTP
@@ -186,13 +174,13 @@ func TestTelemetryServerLiveUnderRace(t *testing.T) {
 	}
 
 	net.Run(0, 30*sim.Millisecond)
-	srv.Publish(reg.Snapshot())
+	srv.Publish(reg.Snapshot(), net.Collector)
 	close(stop)
 	wg.Wait()
 
 	// Final state: a flow breakdown is served and its components sum
 	// exactly to the reported worst latency.
-	top := net.Attr.TopByWorst(1)
+	top := net.Collector.TopByWorst(1)
 	if len(top) == 0 {
 		t.Fatal("no flows to query")
 	}

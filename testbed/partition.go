@@ -87,8 +87,8 @@ func (n *Net) shard(count int) {
 		n.parts = append(n.parts, p)
 	}
 	if n.Metrics != nil {
-		// The merge target for per-flow attribution aggregates; its
-		// histograms live in the part registries (nil here).
+		// The merge target for the parts' dumps; the histograms live in
+		// the part registries (nil here).
 		n.Attr = obs.NewAttribution(nil, nil)
 	}
 }

@@ -107,8 +107,10 @@ type Net struct {
 	// watchdog degradation and fault injection, and -hotspots and
 	// -trace-json read it. Nil when partitioned.
 	Flight *trace.Flight
-	// Attr decomposes every delivery's latency into per-flow component
-	// breakdowns; nil unless Options.Metrics is set.
+	// Attr books every delivery's latency components into the registry's
+	// histograms and keeps the flight-recorder dumps; nil unless
+	// Options.Metrics is set. Each flow's decomposition is its Collector
+	// row.
 	Attr *obs.Attribution
 	// Health is the live health board the telemetry /healthz serves;
 	// the watchdog publishes into it.
@@ -800,25 +802,27 @@ func (n *Net) Run(warmup, duration sim.Time) {
 }
 
 // telemetryPublishInterval is the simulated-time cadence at which the
-// telemetry server's registry snapshot refreshes during a run.
+// telemetry server's registry snapshot and flow rows refresh during a
+// run.
 const telemetryPublishInterval = 10 * sim.Millisecond
 
 // Serve starts the live telemetry HTTP server on addr (e.g. ":9090",
 // or ":0" for an ephemeral port) over this network's attribution,
 // flight recorder and health board, and returns it (also stored in
 // n.Server) plus the bound address. A periodic engine event republishes
-// the registry snapshot every telemetryPublishInterval of simulated
-// time — the HTTP goroutines only ever read published copies, never the
-// hot-path cells; call srv.Publish once more after the run for the
-// final state. The server drains gracefully via srv.Hold or Shutdown.
+// the registry snapshot and the collector's rows every
+// telemetryPublishInterval of simulated time — the HTTP goroutines only
+// ever read published copies, never the hot-path cells; call
+// srv.Publish once more after the run for the final state. The server
+// drains gracefully via srv.Hold or Shutdown.
 func (n *Net) Serve(addr string) (*obs.Server, string, error) {
 	srv := obs.NewServer(n.Attr, n.Flight)
 	srv.MountPublished(n.Health)
 	if n.Metrics != nil {
-		srv.Publish(n.Metrics.Snapshot())
+		srv.Publish(n.Metrics.Snapshot(), n.Collector)
 		var tick func(e *sim.Engine)
 		tick = func(e *sim.Engine) {
-			srv.Publish(n.Metrics.Snapshot())
+			srv.Publish(n.Metrics.Snapshot(), n.Collector)
 			e.After(telemetryPublishInterval, "obs:publish", tick)
 		}
 		n.Engine.After(telemetryPublishInterval, "obs:publish", tick)
