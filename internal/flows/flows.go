@@ -145,16 +145,18 @@ type TSParams struct {
 }
 
 // GenerateTS builds the paper's TS workload: Count periodic flows of
-// one wire size, deadlines drawn uniformly from DeadlineSet.
+// one wire size, deadlines drawn uniformly from DeadlineSet. The specs
+// share one backing array.
 func GenerateTS(p TSParams) []*Spec {
 	if p.Count <= 0 || p.Period <= 0 || p.Hosts == nil {
 		panic("flows: invalid TSParams")
 	}
 	rng := sim.NewRand(p.Seed)
-	specs := make([]*Spec, 0, p.Count)
-	for i := 0; i < p.Count; i++ {
+	backing := make([]Spec, p.Count)
+	specs := make([]*Spec, p.Count)
+	for i := range specs {
 		src, dst := p.Hosts(i)
-		specs = append(specs, &Spec{
+		backing[i] = Spec{
 			ID:       uint32(i + 1),
 			Class:    ethernet.ClassTS,
 			SrcHost:  src,
@@ -164,7 +166,8 @@ func GenerateTS(p TSParams) []*Spec {
 			WireSize: p.WireSize,
 			Period:   p.Period,
 			Deadline: sim.Pick(rng, DeadlineSet),
-		})
+		}
+		specs[i] = &backing[i]
 	}
 	return specs
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/israce"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
@@ -53,6 +54,22 @@ func TestGenerateTSDeterministic(t *testing.T) {
 		if a[i].Deadline != b[i].Deadline {
 			t.Fatal("generation not deterministic")
 		}
+	}
+}
+
+// TestGenerateTSAllocs: the specs share one backing array, so the
+// allocation count does not grow with Count.
+func TestGenerateTSAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	allocs := func(n int) float64 {
+		p := TSParams{Count: n, Period: sim.Millisecond, WireSize: 128,
+			Hosts: func(i int) (int, int) { return i, i + 1 }, Seed: 7}
+		return testing.AllocsPerRun(20, func() { GenerateTS(p) })
+	}
+	if small, large := allocs(64), allocs(440); small != large {
+		t.Fatalf("GenerateTS allocates %v times for 64 flows, %v for 440", small, large)
 	}
 }
 

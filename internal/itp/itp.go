@@ -19,6 +19,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
@@ -93,22 +94,61 @@ type flow struct {
 	// least this often).
 	period int
 	// rows[h] is the grid row of the cell at hop h.
-	rows []int32
+	rows  []int32
+	class int32 // index into grid.classes
 }
+
+// class gathers the flows of one stride and one row sequence: at hop h
+// offset o reads the slots ≡ o+h (mod stride) of the hop's row, so the
+// class's flows read the same slots at every offset, and offsets o and
+// o+stride read the same ones. A class keeps one live score per offset
+// in [0, stride); with an uncapped hyperperiod the stride is the period.
+type class struct {
+	stride int
+	rows   []int32
+	scores []score
+	next   int32 // next class of the same intern hash, or -1
+}
+
+// score is what a flow injected at one offset would make of the slots
+// it reads: their highest and their summed occupancy, each counting the
+// flow itself.
+type score struct {
+	worst int32
+	sum   int
+}
+
+// user is one (class, hop) pair reading a row; shift is hop mod the
+// class's stride.
+type user struct{ class, shift int32 }
 
 // grid is the occupancy table every entry point books into: one dense
 // row of hyper slot counters per distinct cell, cells interned to row
-// numbers once per (flow, hop).
+// numbers once per (flow, hop), and the live scores of every class.
+// Grids come from and return to gridPool; a Plan shares none of it.
 type grid struct {
-	flows []flow // the TS flows, in input order
-	cells []Cell // row number → cell
-	hyper int    // slots per row
-	occ   []int32
+	flows   []flow   // the TS flows, in input order
+	cells   []Cell   // row number → cell
+	classes []class  // in order of first appearance
+	users   [][]user // row number → the (class, hop) pairs reading it
+	hyper   int      // slots per row
+	occ     []int32
+
+	// Backing arrays carved up per call, and the intern maps.
+	rows       []int32
+	scores     []score
+	cellIndex  map[Cell]int32
+	classIndex map[uint64]int32 // hash of (stride, rows) → first class
 }
 
+var gridPool = sync.Pool{New: func() any {
+	return &grid{cellIndex: make(map[Cell]int32), classIndex: make(map[uint64]int32)}
+}}
+
 // prepare filters and validates the TS flows of specs (non-TS flows are
-// ignored), converts periods to slots, fixes the capped hyperperiod and
-// interns every hop's cell.
+// ignored), converts periods to slots, fixes the capped hyperperiod,
+// interns every hop's cell and every flow's class, and sets each class's
+// scores to the empty grid's. The caller releases the grid.
 func prepare(specs []*flows.Spec, slot sim.Time, key CellKey) (*grid, error) {
 	if slot <= 0 {
 		return nil, fmt.Errorf("itp: non-positive slot %v", slot)
@@ -116,17 +156,22 @@ func prepare(specs []*flows.Spec, slot sim.Time, key CellKey) (*grid, error) {
 	if key == nil {
 		key = DefaultCellKey
 	}
-	g := &grid{flows: make([]flow, 0, len(specs)), hyper: 1}
+	g := gridPool.Get().(*grid)
+	g.flows, g.cells, g.classes, g.hyper = g.flows[:0], g.cells[:0], g.classes[:0], 1
 	hops, longest := 0, 1
 	for _, s := range specs {
 		if s.Class != ethernet.ClassTS || s.Period <= 0 {
 			continue
 		}
+		var err error
 		if len(s.Path) == 0 {
-			return nil, fmt.Errorf("itp: flow %d has no path", s.ID)
+			err = fmt.Errorf("itp: flow %d has no path", s.ID)
+		} else if s.Period < slot {
+			err = fmt.Errorf("itp: flow %d period %v below slot %v", s.ID, s.Period, slot)
 		}
-		if s.Period < slot {
-			return nil, fmt.Errorf("itp: flow %d period %v below slot %v", s.ID, s.Period, slot)
+		if err != nil {
+			g.release()
+			return nil, err
 		}
 		p := int(s.Period / slot)
 		g.flows = append(g.flows, flow{spec: s, period: p})
@@ -139,25 +184,78 @@ func prepare(specs []*flows.Spec, slot sim.Time, key CellKey) (*grid, error) {
 	if g.hyper == 0 {
 		g.hyper = longest // cap: fold onto the largest period
 	}
-	rows := make([]int32, hops)
-	index := make(map[Cell]int32)
+	g.rows = slices.Grow(g.rows[:0], hops)[:hops]
+	rows := g.rows
 	for i := range g.flows {
 		f := &g.flows[i]
 		n := len(f.spec.Path)
 		f.rows, rows = rows[:n:n], rows[n:]
 		for h := range f.rows {
 			c := key(f.spec, h)
-			r, ok := index[c]
+			r, ok := g.cellIndex[c]
 			if !ok {
 				r = int32(len(g.cells))
-				index[c] = r
+				g.cellIndex[c] = r
 				g.cells = append(g.cells, c)
 			}
 			f.rows[h] = r
 		}
+		f.class = g.intern(f)
 	}
-	g.occ = make([]int32, len(g.cells)*g.hyper)
+	g.occ = slices.Grow(g.occ[:0], len(g.cells)*g.hyper)[:len(g.cells)*g.hyper]
+	clear(g.occ)
+	n := 0
+	for i := range g.classes {
+		n += g.classes[i].stride
+	}
+	g.scores = slices.Grow(g.scores[:0], n)[:n]
+	scores := g.scores
+	g.users = slices.Grow(g.users[:0], len(g.cells))[:len(g.cells)]
+	for r := range g.users {
+		g.users[r] = g.users[r][:0]
+	}
+	for i := range g.classes {
+		c := &g.classes[i]
+		c.scores, scores = scores[:c.stride:c.stride], scores[c.stride:]
+		for o := range c.scores {
+			c.scores[o] = score{worst: 1, sum: len(c.rows) * g.hyper / c.stride} // the empty grid's
+		}
+		for h, r := range c.rows {
+			g.users[r] = append(g.users[r], user{class: int32(i), shift: int32(h % c.stride)})
+		}
+	}
 	return g, nil
+}
+
+// intern returns f's class, appending a new one for a (stride, rows)
+// not seen before.
+func (g *grid) intern(f *flow) int32 {
+	st := g.stride(f)
+	h := uint64(st)
+	for _, r := range f.rows {
+		h = (h ^ uint64(r)) * 1099511628211 // FNV-1a over the row numbers
+	}
+	first, ok := g.classIndex[h]
+	if !ok {
+		first = -1
+	}
+	for c := first; c >= 0; c = g.classes[c].next {
+		if g.classes[c].stride == st && slices.Equal(g.classes[c].rows, f.rows) {
+			return c
+		}
+	}
+	c := int32(len(g.classes))
+	g.classes = append(g.classes, class{stride: st, rows: f.rows, next: first})
+	g.classIndex[h] = c
+	return c
+}
+
+// release returns g to the pool, holding no spec.
+func (g *grid) release() {
+	clear(g.flows)
+	clear(g.cellIndex)
+	clear(g.classIndex)
+	gridPool.Put(g)
 }
 
 func (g *grid) row(r int32) []int32 { return g.occ[int(r)*g.hyper:][:g.hyper] }
@@ -168,14 +266,24 @@ func (g *grid) row(r int32) []int32 { return g.occ[int(r)*g.hyper:][:g.hyper] }
 // gcd(p, hyper); booking them all bounds the true occupancy from above.
 func (g *grid) stride(f *flow) int { return gcd(f.period, g.hyper) }
 
-// book adds f injected at slot offset o to the grid.
+// book adds f injected at slot offset o to the grid and keeps every
+// class's scores live: a class reads slot s of a row at hop h from the
+// one offset ≡ s−h (mod its stride), once, so raising s to v adds one
+// to that offset's sum and lifts its worst to at least v+1. Bookings
+// only ever raise a slot, so the running max and sum are exact.
 func (g *grid) book(f *flow, o int) {
 	st := g.stride(f)
 	for h, r := range f.rows {
-		row := g.row(r)
+		row, users := g.row(r), g.users[r]
 		idx := (o + h) % g.hyper
 		for n := g.hyper / st; n > 0; n-- {
 			row[idx]++
+			v := row[idx] + 1
+			for _, u := range users {
+				c := &g.classes[u.class]
+				sc := &c.scores[(idx-int(u.shift)+c.stride)%c.stride]
+				sc.worst, sc.sum = max(sc.worst, v), sc.sum+1
+			}
 			if idx += st; idx >= g.hyper {
 				idx -= g.hyper
 			}
@@ -183,51 +291,18 @@ func (g *grid) book(f *flow, o int) {
 	}
 }
 
-// bestOffset returns the offset in [0, period) at which f would add
-// the least to the grid: smallest worst cell, then smallest summed
-// occupancy, then lowest offset. It goes hop-outer: candidate offsets
-// 0..p-1 of one (hop, repetition) read p consecutive slots of one row,
-// two wrap-free runs, accumulated per offset into the scratch slices.
-// Worst and sum do not depend on visiting order, and the ascending scan
-// at the end takes only strict improvements, so ties resolve to the
-// lowest offset exactly as an offset-outer search would.
-func (g *grid) bestOffset(f *flow, worst []int32, sum []int) int {
-	p, st := f.period, g.stride(f)
-	worst, sum = worst[:p], sum[:p]
-	clear(worst)
-	clear(sum)
-	for h, r := range f.rows {
-		row := g.row(r)
-		start := h % g.hyper
-		for n := g.hyper / st; n > 0; n-- {
-			head := min(p, g.hyper-start)
-			accumulate(row[start:start+head], worst, sum)
-			accumulate(row[:p-head], worst[head:], sum[head:])
-			if start += st; start >= g.hyper {
-				start -= g.hyper
-			}
-		}
-	}
+// best returns the offset in [0, period) at which the next flow of c
+// would add the least to the grid: smallest worst, then smallest sum,
+// then lowest offset. The scan takes strict improvements only, and
+// every offset past the stride repeats a score before it.
+func (c *class) best() int {
 	best := 0
-	for o := 1; o < p; o++ {
-		if worst[o] < worst[best] || (worst[o] == worst[best] && sum[o] < sum[best]) {
+	for o, sc := range c.scores {
+		if b := c.scores[best]; sc.worst < b.worst || (sc.worst == b.worst && sc.sum < b.sum) {
 			best = o
 		}
 	}
 	return best
-}
-
-// accumulate folds the occupancy one more packet would make of each
-// slot of seg into the per-offset worst and sum.
-func accumulate(seg, worst []int32, sum []int) {
-	worst, sum = worst[:len(seg)], sum[:len(seg)]
-	for o, v := range seg {
-		v++
-		sum[o] += int(v)
-		if v > worst[o] {
-			worst[o] = v
-		}
-	}
 }
 
 // place books every flow, in g.flows order, at the slot offset choose
@@ -263,14 +338,19 @@ func Compute(specs []*flows.Spec, slot sim.Time, key CellKey) (*Plan, error) {
 	// Plan longest-period flows first: they have the most offset
 	// freedom relative to their footprint, and short-period flows are
 	// the binding constraint placed against an almost-final grid.
+	defer g.release()
+	g.longestFirst()
+	return g.place(slot, func(_ int, f *flow) int { return g.classes[f.class].best() }), nil
+}
+
+// longestFirst puts g.flows in Compute's planning order.
+func (g *grid) longestFirst() {
 	slices.SortStableFunc(g.flows, func(a, b flow) int {
 		if a.period != b.period {
 			return cmp.Compare(b.period, a.period)
 		}
 		return cmp.Compare(a.spec.ID, b.spec.ID)
 	})
-	worst, sum := make([]int32, g.hyper), make([]int, g.hyper) // no period exceeds hyper
-	return g.place(slot, func(_ int, f *flow) int { return g.bestOffset(f, worst, sum) }), nil
 }
 
 // Apply writes the planned offsets into the specs.
@@ -290,6 +370,7 @@ func Occupancy(specs []*flows.Spec, slot sim.Time, key CellKey) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer g.release()
 	for i := range g.flows {
 		f := &g.flows[i]
 		g.book(f, int(f.spec.Offset/slot))

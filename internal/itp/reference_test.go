@@ -254,9 +254,15 @@ func workloadSpecs(t testing.TB, topo *topology.Topology, nFlows, hops int) []*f
 	return specs
 }
 
-// TestEquivalenceDeriveGrid walks the benchmark's derive-cold grid:
-// ring/linear/star/tree × 7–14 switches × 64–440 flows × hops 2/3.
-func TestEquivalenceDeriveGrid(t *testing.T) {
+// flowSet is one named planner input.
+type flowSet struct {
+	name  string
+	specs []*flows.Spec
+}
+
+// deriveGrid is the benchmark's derive-cold grid: ring/linear/star/tree
+// × 7–14 switches × 64–440 flows × hops 2/3.
+func deriveGrid(t testing.TB) []flowSet {
 	shapes := []struct {
 		name string
 		mk   func(n int) *topology.Topology
@@ -266,14 +272,22 @@ func TestEquivalenceDeriveGrid(t *testing.T) {
 		{"star", func(n int) *topology.Topology { return topology.Star(n - 1) }},
 		{"tree", func(n int) *topology.Topology { return topology.Tree(2, (n-3)/2) }},
 	}
+	var sets []flowSet
 	for _, shape := range shapes {
 		for sw := 7; sw <= 14; sw++ {
 			for i, nFlows := range []int{64, 143, 242, 341, 440} {
 				hops := 2 + (sw+i)%2
-				assertMatchesReference(t, fmt.Sprintf("%s/%dsw/%dflows/%dhops", shape.name, sw, nFlows, hops),
-					workloadSpecs(t, shape.mk(sw), nFlows, hops), slot)
+				sets = append(sets, flowSet{fmt.Sprintf("%s/%dsw/%dflows/%dhops", shape.name, sw, nFlows, hops),
+					workloadSpecs(t, shape.mk(sw), nFlows, hops)})
 			}
 		}
+	}
+	return sets
+}
+
+func TestEquivalenceDeriveGrid(t *testing.T) {
+	for _, set := range deriveGrid(t) {
+		assertMatchesReference(t, set.name, set.specs, slot)
 	}
 }
 
@@ -345,5 +359,157 @@ func FuzzComputeEquivalence(f *testing.F) {
 			})
 		}
 		assertMatchesReference(t, "fuzz", specs, slot)
+	})
+}
+
+// --- the dense-grid search live scores replaced ---
+
+// bestOffset and accumulate are the per-flow search the live class
+// scores replaced, verbatim: every offset's (worst, sum) re-read from
+// the grid. denseCompute plans with them on the same grid, bookings and
+// order as Compute, so the two must agree offset for offset on every
+// input — capped hyperperiods included, where referenceCompute does not
+// apply.
+
+// bestOffset returns the offset in [0, period) at which f would add
+// the least to the grid: smallest worst cell, then smallest summed
+// occupancy, then lowest offset. It goes hop-outer: candidate offsets
+// 0..p-1 of one (hop, repetition) read p consecutive slots of one row,
+// two wrap-free runs, accumulated per offset into the scratch slices.
+// Worst and sum do not depend on visiting order, and the ascending scan
+// at the end takes only strict improvements, so ties resolve to the
+// lowest offset exactly as an offset-outer search would.
+func (g *grid) bestOffset(f *flow, worst []int32, sum []int) int {
+	p, st := f.period, g.stride(f)
+	worst, sum = worst[:p], sum[:p]
+	clear(worst)
+	clear(sum)
+	for h, r := range f.rows {
+		row := g.row(r)
+		start := h % g.hyper
+		for n := g.hyper / st; n > 0; n-- {
+			head := min(p, g.hyper-start)
+			accumulate(row[start:start+head], worst, sum)
+			accumulate(row[:p-head], worst[head:], sum[head:])
+			if start += st; start >= g.hyper {
+				start -= g.hyper
+			}
+		}
+	}
+	best := 0
+	for o := 1; o < p; o++ {
+		if worst[o] < worst[best] || (worst[o] == worst[best] && sum[o] < sum[best]) {
+			best = o
+		}
+	}
+	return best
+}
+
+// accumulate folds the occupancy one more packet would make of each
+// slot of seg into the per-offset worst and sum.
+func accumulate(seg, worst []int32, sum []int) {
+	worst, sum = worst[:len(seg)], sum[:len(seg)]
+	for o, v := range seg {
+		v++
+		sum[o] += int(v)
+		if v > worst[o] {
+			worst[o] = v
+		}
+	}
+}
+
+// denseCompute is Compute with the re-scanning search.
+func denseCompute(specs []*flows.Spec, slot sim.Time, key CellKey) (*Plan, error) {
+	g, err := prepare(specs, slot, key)
+	if err != nil {
+		return nil, err
+	}
+	defer g.release()
+	g.longestFirst()
+	worst, sum := make([]int32, g.hyper), make([]int, g.hyper) // no period exceeds hyper
+	return g.place(slot, func(_ int, f *flow) int { return g.bestOffset(f, worst, sum) }), nil
+}
+
+// assertMatchesDense requires Compute and denseCompute to return equal
+// plans under the default and the port-aware key.
+func assertMatchesDense(t testing.TB, name string, specs []*flows.Spec) {
+	t.Helper()
+	for _, k := range []struct {
+		name string
+		key  CellKey
+	}{{"default", nil}, {"port", portKey}} {
+		want, wantErr := denseCompute(specs, slot, k.key)
+		got, gotErr := Compute(specs, slot, k.key)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotErr, wantErr) {
+			t.Fatalf("%s/%s: Compute %+v, %v; dense-grid search %+v, %v", name, k.name, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// cappedPeriods are periods in slots whose lcm with 280 and 277 passes
+// the cap: the grid folds onto 280, and every other period's stride
+// gcd(p, 280) is below p — 1 for 277, 3 and 9 — so flows of different
+// periods share a class and each offset past the stride repeats one
+// before it.
+var cappedPeriods = []int{280, 277, 3, 4, 6, 9, 10, 12, 15, 21, 35, 40, 56, 70, 140}
+
+// cappedSpecs draws a capped-hyperperiod flow set: one flow each of
+// periods 280 and 277, then n of mixed periods, on paths of one to six
+// hops over six switches that may revisit a switch.
+func cappedSpecs(rng *rand.Rand, n int) []*flows.Spec {
+	specs := make([]*flows.Spec, 2+n)
+	for i := range specs {
+		p := cappedPeriods[rng.Intn(len(cappedPeriods))]
+		if i < 2 {
+			p = cappedPeriods[i]
+		}
+		path := make([]int, 1+rng.Intn(6))
+		for h := range path {
+			path[h] = rng.Intn(6)
+		}
+		specs[i] = &flows.Spec{
+			ID: uint32(i + 1), Class: ethernet.ClassTS, WireSize: 64, DstHost: 100 + rng.Intn(3),
+			Period: sim.Time(p) * slot, Path: path,
+		}
+	}
+	return specs
+}
+
+func TestComputeMatchesDenseGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	for i := 0; i < 60; i++ {
+		assertMatchesDense(t, fmt.Sprintf("capped%d", i), cappedSpecs(rng, 1+rng.Intn(60)))
+		assertMatchesDense(t, fmt.Sprintf("folded%d", i), foldedSpecs(rng))
+		assertMatchesDense(t, fmt.Sprintf("mixed%d", i), randomSpecs(rng, 1+rng.Intn(40)))
+	}
+}
+
+// FuzzComputeMatchesDenseGrid lets the fuzzer pick a capped flow set:
+// the two anchors of cappedSpecs, then two bytes per flow choosing the
+// period and a path that may revisit a switch.
+func FuzzComputeMatchesDenseGrid(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0x12, 3, 0x21, 7, 0xff, 14, 0x05})
+	f.Add([]byte{5, 0xaa, 5, 0xaa, 5, 0xab, 8, 0x03, 11, 0x00, 11, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 128 {
+			data = data[:128]
+		}
+		specs := []*flows.Spec{
+			{ID: 1, Class: ethernet.ClassTS, WireSize: 64, Period: 280 * slot, Path: []int{0, 1}},
+			{ID: 2, Class: ethernet.ClassTS, WireSize: 64, Period: 277 * slot, Path: []int{1, 2}},
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			hops, bits := 1+int(data[i+1]&3), data[i+1]>>2
+			path := make([]int, hops)
+			for h := range path {
+				path[h] = (int(bits) + h*int(bits%3)) % 4 // bits%3 == 0 stays on one switch
+			}
+			specs = append(specs, &flows.Spec{
+				ID: uint32(len(specs) + 1), Class: ethernet.ClassTS, WireSize: 64, DstHost: int(bits % 3),
+				Period: sim.Time(cappedPeriods[int(data[i])%len(cappedPeriods)]) * slot, Path: path,
+			})
+		}
+		assertMatchesDense(t, "fuzz", specs)
 	})
 }

@@ -67,6 +67,7 @@ func ComputeWith(specs []*flows.Spec, slot sim.Time, key CellKey, strategy Strat
 	if err != nil {
 		return nil, err
 	}
+	defer g.release()
 	slices.SortStableFunc(g.flows, func(a, b flow) int { return cmp.Compare(a.spec.ID, b.spec.ID) })
 	return g.place(slot, choose), nil
 }

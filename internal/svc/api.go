@@ -18,7 +18,9 @@ import (
 // workload.Params, so any service request is replayable as a command
 // line. It is a defined type to carry the service's defaults, limits and
 // cache key. The derivation is a pure function of the normalized spec,
-// which is what makes the cache sound: same spec hash, same bytes.
+// which is what makes the cache sound: same spec hash, same bytes. An
+// unknown key is a 400, never ignored: a misspelled "hop" would
+// otherwise answer with the default hops' derivation.
 type Spec workload.Params
 
 // Derivation size limits: the service is a shared frontend, so one

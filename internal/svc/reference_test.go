@@ -57,7 +57,8 @@ func FuzzSpecHashMatchesReference(f *testing.F) {
 
 // FuzzDeriveRequest feeds arbitrary bytes to POST /v1/derive. The
 // answer is 200, 400 or 422 — never a 500 or a panic — and every 200
-// carries the reference key of the spec the body normalizes to.
+// names only Spec fields and carries the reference key of the spec the
+// body normalizes to.
 func FuzzDeriveRequest(f *testing.F) {
 	for _, seed := range []string{
 		specBody,
@@ -73,9 +74,16 @@ func FuzzDeriveRequest(f *testing.F) {
 		`{"topology":"moebius","switches":3,"ts_flows":8}`,
 		`{"topology":"ring","switches":2,"ts_flows":4}`,
 		`{"topology":"bidir-ring","switches":2,"ts_flows":4}`,
+		`{"topology":"ring","switches":8,"ts_flows":64,"hop":3}`,
+		`{"Topology":"ring","SWITCHES":4,"ts_flows":8}`,
 		`[]`, `null`, ``, "\xff",
 	} {
 		f.Add([]byte(seed))
+	}
+	var names []string
+	for _, fld := range reflect.VisibleFields(reflect.TypeOf(Spec{})) {
+		name, _, _ := strings.Cut(fld.Tag.Get("json"), ",")
+		names = append(names, name)
 	}
 	s, err := NewService(Options{Workload: testWorkload()})
 	if err != nil {
@@ -99,6 +107,15 @@ func FuzzDeriveRequest(f *testing.F) {
 		}
 		if err := spec.Normalize(); err != nil {
 			t.Fatalf("200 for an invalid spec %q: %v", body, err)
+		}
+		var keys map[string]json.RawMessage
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&keys); err != nil {
+			t.Fatalf("200 for a body that is not an object %q: %v", body, err)
+		}
+		for k := range keys {
+			if !slices.ContainsFunc(names, func(n string) bool { return strings.EqualFold(n, k) }) {
+				t.Fatalf("%q: unknown field %q accepted", body, k)
+			}
 		}
 		if got, want := rec.Header().Get("X-Spec-Hash"), referenceHash(&spec); got != want {
 			t.Fatalf("X-Spec-Hash %s for %q, reference %s", got, body, want)

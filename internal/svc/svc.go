@@ -396,6 +396,7 @@ func (s *Service) handleDerive(w http.ResponseWriter, r *http.Request) {
 
 	var spec Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return

@@ -136,16 +136,17 @@ func TestServiceDeriveRejectsBadSpecs(t *testing.T) {
 	_, ts := newTestService(t, Options{})
 	url := ts.URL + "/v1/derive"
 	for _, c := range []struct {
-		name, body string
+		name, body, want string // want "" accepts any error text
 	}{
-		{"malformed", `{"topology":`},
-		{"unknown topology", `{"topology":"moebius","switches":3,"ts_flows":8}`},
-		{"missing topology", `{"switches":3,"ts_flows":8}`},
-		{"too many switches", `{"topology":"linear","switches":1000,"ts_flows":8}`},
-		{"frer without bidir-ring", `{"topology":"linear","switches":3,"ts_flows":8,"frer_flows":2}`},
-		{"ring below its floor", `{"topology":"ring","switches":2,"ts_flows":4}`},
-		{"bidir-ring below its floor", `{"topology":"bidir-ring","switches":2,"ts_flows":4}`},
-		{"scale topology", `{"topology":"mesh","switches":4,"ts_flows":8}`},
+		{"malformed", `{"topology":`, ""},
+		{"unknown topology", `{"topology":"moebius","switches":3,"ts_flows":8}`, ""},
+		{"missing topology", `{"switches":3,"ts_flows":8}`, ""},
+		{"too many switches", `{"topology":"linear","switches":1000,"ts_flows":8}`, ""},
+		{"frer without bidir-ring", `{"topology":"linear","switches":3,"ts_flows":8,"frer_flows":2}`, ""},
+		{"ring below its floor", `{"topology":"ring","switches":2,"ts_flows":4}`, ""},
+		{"bidir-ring below its floor", `{"topology":"bidir-ring","switches":2,"ts_flows":4}`, ""},
+		{"scale topology", `{"topology":"mesh","switches":4,"ts_flows":8}`, ""},
+		{"misspelled key", `{"topology":"ring","switches":8,"ts_flows":64,"hop":3}`, `bad spec: json: unknown field "hop"`},
 	} {
 		resp, body := postJSON(t, url, c.body, nil)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -154,6 +155,8 @@ func TestServiceDeriveRejectsBadSpecs(t *testing.T) {
 		var e ErrorResponse
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: no error body: %s", c.name, body)
+		} else if c.want != "" && e.Error != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, e.Error, c.want)
 		}
 	}
 	resp, _ := postJSON(t, ts.URL+"/v1/derive?x=1", specBody, nil)
