@@ -82,6 +82,9 @@ fuzz:
 	go test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/ethernet/
 	go test -fuzz=FuzzUnmarshalMessage -fuzztime=30s ./internal/gptp/
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/faults/
+	go test -fuzz=FuzzValidateMatchesReference -fuzztime=30s ./internal/faults/
+	go test -fuzz=FuzzScenarioApply -fuzztime=30s ./testbed/
+	go test -fuzz=FuzzReplayDurable -fuzztime=30s ./internal/svc/
 	go test -fuzz=FuzzWALReader -fuzztime=30s ./internal/wal/
 	go test -fuzz=FuzzComputeEquivalence -fuzztime=30s ./internal/itp/
 	go test -fuzz=FuzzHeapOrder -fuzztime=30s ./internal/sim/

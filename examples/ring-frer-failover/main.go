@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/testbed"
 	"github.com/tsnbuilder/tsnbuilder/tsnbuilder"
@@ -61,7 +62,7 @@ func run(withFRER bool) {
 	// never restore it.
 	a, b := 1, 2
 	scenario := &tsnbuilder.FaultScenario{Faults: []tsnbuilder.Fault{
-		{AtUs: 50_000, Kind: "link-down", A: &a, B: &b},
+		{AtUs: 50_000, Kind: faults.KindLinkDown, A: &a, B: &b},
 	}}
 
 	reg := metrics.New()

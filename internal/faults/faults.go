@@ -21,6 +21,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/clock"
@@ -58,17 +60,6 @@ const (
 	// atomicity bug for the chaos oracles.
 	KindReconfigWedge = "reconfig-wedge"
 )
-
-// kinds lists every kind once, in the fixed order used for metric
-// registration (determinism: registration order must not depend on the
-// scenario content). New kinds append at the end so existing metric
-// orderings never shift.
-var kinds = []string{
-	KindLinkDown, KindLinkUp, KindLinkFlap, KindLinkLoss, KindLinkCorrupt,
-	KindClockStep, KindClockDrift, KindGMKill, KindNodeKill,
-	KindBufferExhaust, KindGateClose, KindBufferLeak, KindReconfigFail,
-	KindReconfigTransient, KindReconfigWedge,
-}
 
 // Metric names.
 const (
@@ -160,12 +151,245 @@ func Parse(r io.Reader) (*Scenario, error) {
 	return &sc, nil
 }
 
+// selector is what a kind acts on.
+type selector uint8
+
+const (
+	selLink       selector = iota // a+b (trunk) or host (access link): both directions of one cable
+	selSwitch                     // switch, and port where the kind takes one
+	selNode                       // switch, as its gPTP node
+	selDomain                     // the gPTP domain: its current grandmaster
+	selController                 // the reconfiguration controller
+)
+
+// fieldSet is a set of optional Fault fields: bit i is fieldNames[i].
+type fieldSet uint16
+
+const (
+	fA fieldSet = 1 << iota
+	fB
+	fHost
+	fSwitch
+	fPort
+	fDuration
+	fPeriod
+	fCount
+	fProb
+	fStep
+	fDrift
+	fSlots
+	fOp
+)
+
+// fieldNames are the JSON names of the fieldSet bits, in bit order: a
+// fault's lowest foreign bit is the field its error names.
+var fieldNames = [...]string{"a", "b", "host", "switch", "port", "duration_us", "period_us",
+	"count", "prob", "step_ns", "drift_ppb", "slots", "op"}
+
+// selFields are the fields each selector takes.
+var selFields = [selController + 1]fieldSet{selLink: fA | fB | fHost, selSwitch: fSwitch, selNode: fSwitch}
+
+// kind is one row of the fault-kind table: all that validation,
+// duplicate detection, metric registration and Apply know of a kind.
+type kind struct {
+	name string
+	// sel is what the kind acts on; it fixes the selector fields the
+	// kind takes and what Apply resolves them to.
+	sel selector
+	// fields are the optional fields the kind takes beyond its
+	// selector's.
+	fields fieldSet
+	// check, when set, validates the kind's parameters once its fields
+	// and selector have passed.
+	check func(f *Fault) error
+	bind  binder
+	// restoreAtOn books each recovery when its activation runs, because
+	// only then is the state off puts back known.
+	restoreAtOn bool
+}
+
+// binder resolves a fault's bindings into what it does to its target
+// at each activation (on) and each recovery (off); either may be nil.
+type binder func(f *Fault, t *target) (on, off func(*sim.Engine))
+
+// kinds lists every kind once, in the fixed order used for metric
+// registration (determinism: registration order must not depend on the
+// scenario content). New kinds append at the end so existing metric
+// orderings never shift.
+var kinds = []kind{
+	{name: KindLinkDown, sel: selLink, bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
+		return func(*sim.Engine) { t.fwd.SetLink(false) }, nil
+	}},
+	{name: KindLinkUp, sel: selLink, bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
+		return nil, func(*sim.Engine) { t.fwd.SetLink(true) }
+	}},
+	{name: KindLinkFlap, sel: selLink, fields: fPeriod | fCount,
+		check: func(f *Fault) error { return need(f, f.PeriodUs > 0 && f.Count > 0, "positive period_us and count") },
+		bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
+			return func(*sim.Engine) { t.fwd.SetLink(false) }, func(*sim.Engine) { t.fwd.SetLink(true) }
+		}},
+	{name: KindLinkLoss, sel: selLink, fields: fProb | fDuration, check: checkImpair, bind: impair(true)},
+	{name: KindLinkCorrupt, sel: selLink, fields: fProb | fDuration, check: checkImpair, bind: impair(false)},
+	{name: KindClockStep, sel: selSwitch, fields: fStep,
+		check: func(f *Fault) error { return need(f, f.StepNs != 0, "non-zero step_ns") },
+		bind: func(f *Fault, t *target) (on, off func(*sim.Engine)) {
+			step := sim.Time(f.StepNs) * sim.Nanosecond
+			return func(e *sim.Engine) { t.sw.Clock.Step(e.Now(), step) }, nil
+		}},
+	{name: KindClockDrift, sel: selSwitch, fields: fDrift, bind: func(f *Fault, t *target) (on, off func(*sim.Engine)) {
+		drift := clock.PPB(f.DriftPPB)
+		return func(e *sim.Engine) { t.sw.Clock.SetDrift(e.Now(), drift) }, nil
+	}},
+	{name: KindGMKill, sel: selDomain, bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
+		return func(*sim.Engine) {
+			if gm := t.dom.Grandmaster(); gm != nil {
+				t.dom.KillNode(gm)
+			}
+		}, nil
+	}},
+	{name: KindNodeKill, sel: selNode, bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
+		return func(*sim.Engine) { t.dom.KillNode(t.node) }, nil
+	}},
+	{name: KindBufferExhaust, sel: selSwitch, fields: fPort | fSlots | fDuration,
+		check: func(f *Fault) error {
+			return need(f, f.Port != nil && f.Slots > 0 && f.DurationUs > 0, "port, positive slots and duration_us")
+		},
+		bind: func(f *Fault, t *target) (on, off func(*sim.Engine)) {
+			pool, slots := t.sw.Port(*f.Port).Pool(), f.Slots
+			return func(*sim.Engine) { pool.Reserve(slots) }, func(*sim.Engine) { pool.ReleaseReserved() }
+		}},
+	{name: KindGateClose, sel: selSwitch, fields: fPort | fDuration, restoreAtOn: true,
+		check: func(f *Fault) error {
+			return need(f, f.Port != nil && f.DurationUs > 0, "port and positive duration_us")
+		},
+		bind: func(f *Fault, t *target) (on, off func(*sim.Engine)) {
+			sw, port, cfg := t.sw, *f.Port, t.sw.Config()
+			// The misconfigured GCL keeps every gate open EXCEPT the TS
+			// queues — the paper's CQF pair is stuck closed, so TS frames
+			// drop with reason gate-closed while RC/BE continue.
+			closed := gate.Mask(1<<uint(cfg.QueuesPerPort)-1) &^ (1<<uint(cfg.TSQueueA) | 1<<uint(cfg.TSQueueB))
+			stuck := gate.Entry{Mask: closed, Duration: cfg.SlotSize}
+			bad := gate.NewGCL([]gate.Entry{stuck, stuck})
+			var in, out *gate.GCL
+			return func(*sim.Engine) {
+					in, out = sw.PortSchedules(port)
+					if err := sw.SetPortSchedules(port, bad, bad); err != nil {
+						panic(fmt.Sprintf("faults: %s %s: %v", KindGateClose, t.key, err))
+					}
+				}, func(*sim.Engine) {
+					if err := sw.SetPortSchedules(port, in, out); err != nil {
+						panic(fmt.Sprintf("faults: %s restore %s: %v", KindGateClose, t.key, err))
+					}
+				}
+		}},
+	// A leak never recovers: the slots are gone until the watchdog (or
+	// a human) notices the conservation violation.
+	{name: KindBufferLeak, sel: selSwitch, fields: fPort | fSlots,
+		check: func(f *Fault) error { return need(f, f.Port != nil && f.Slots > 0, "port and positive slots") },
+		bind: func(f *Fault, t *target) (on, off func(*sim.Engine)) {
+			pool, slots := t.sw.Port(*f.Port).Pool(), f.Slots
+			return func(*sim.Engine) { pool.Leak(slots) }, nil
+		}},
+	{name: KindReconfigFail, sel: selController, fields: fOp, check: checkArm, bind: arm(false)},
+	{name: KindReconfigTransient, sel: selController, fields: fOp | fCount, check: checkArm, bind: arm(false)},
+	{name: KindReconfigWedge, sel: selController, fields: fOp, check: checkArm, bind: arm(true)},
+}
+
+// fields returns the optional fields f populates, as bits in fieldNames
+// order. Pointer fields count when non-nil, value fields when non-zero
+// (their zero values are indistinguishable from absent).
+func (f *Fault) fields() fieldSet {
+	var s fieldSet
+	for i, set := range [...]bool{f.A != nil, f.B != nil, f.Host != nil, f.Switch != nil,
+		f.Port != nil, f.DurationUs != 0, f.PeriodUs != 0, f.Count != 0, f.Prob != 0,
+		f.StepNs != 0, f.DriftPPB != 0, f.Slots != 0, f.Op != nil} {
+		if set {
+			s |= 1 << i
+		}
+	}
+	return s
+}
+
+// need returns "<kind> needs <what>" unless ok.
+func need(f *Fault, ok bool, what string) error {
+	if ok {
+		return nil
+	}
+	return fmt.Errorf("%s needs %s", f.Kind, what)
+}
+
+func checkImpair(f *Fault) error {
+	if f.Prob <= 0 || f.Prob > 1 {
+		return fmt.Errorf("%s prob %v outside (0,1]", f.Kind, f.Prob)
+	}
+	return need(f, f.DurationUs > 0, "positive duration_us")
+}
+
+func checkArm(f *Fault) error {
+	if f.Op != nil && *f.Op < 0 {
+		return fmt.Errorf("%s op %d negative", f.Kind, *f.Op)
+	}
+	if f.Count < 0 {
+		return fmt.Errorf("%s count %d negative", f.Kind, f.Count)
+	}
+	return nil
+}
+
+// impair binds link-loss (loss) or link-corrupt on both directions of
+// the cable. Each direction draws from its own deterministic stream,
+// derived from the seed and the link label, so reordering faults in
+// the file cannot change per-link outcomes.
+func impair(loss bool) binder {
+	return func(f *Fault, t *target) (on, off func(*sim.Engine)) {
+		lossP, corruptP := f.Prob, 0.0
+		if !loss {
+			lossP, corruptP = 0, f.Prob
+		}
+		rngF := sim.NewRand(t.seed ^ fnv1a(t.key+"/fwd/"+f.Kind))
+		rngR := sim.NewRand(t.seed ^ fnv1a(t.key+"/rev/"+f.Kind))
+		return func(*sim.Engine) {
+				t.fwd.SetImpairment(lossP, corruptP, rngF)
+				t.rev.SetImpairment(lossP, corruptP, rngR)
+			}, func(*sim.Engine) {
+				t.fwd.ClearImpairment()
+				t.rev.ClearImpairment()
+			}
+	}
+}
+
+// arm binds the reconfig-* kinds: the next commit fails before staged
+// op `op` (absent: 0) for `count` attempts (absent, and on the one-shot
+// kinds: one), and wedged disables its rollback.
+func arm(wedged bool) binder {
+	return func(f *Fault, t *target) (on, off func(*sim.Engine)) {
+		op, times := 0, f.Count
+		if f.Op != nil {
+			op = *f.Op
+		}
+		return func(*sim.Engine) { t.ctrl.Arm(op, times, wedged) }, nil
+	}
+}
+
+// lookup returns the row of the named kind, or -1.
+func lookup(name string) int {
+	for i := range kinds {
+		if kinds[i].name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Validate checks every fault's field combination, then rejects
 // duplicate targeting: two faults of the same kind on the same target
 // with overlapping active windows would silently double-schedule
 // (flaps interleave, impairments clear early), so the scenario is a
-// bug, not a stress test.
-func (sc *Scenario) Validate() error {
+// bug, not a stress test. Last, it rejects a window that ends past the
+// simulated clock's range, where µs × 1000 would wrap.
+func (sc *Scenario) Validate() error { return sc.validate(0) }
+
+// validate is Validate for a scenario that starts at base.
+func (sc *Scenario) validate(base sim.Time) error {
 	for i := range sc.Faults {
 		if err := sc.Faults[i].validate(); err != nil {
 			return fmt.Errorf("faults: fault %d: %w", i, err)
@@ -185,7 +409,38 @@ func (sc *Scenario) Validate() error {
 			}
 		}
 	}
+	limit := int64((math.MaxInt64 - base) / sim.Microsecond)
+	for i := range sc.Faults {
+		if !sc.Faults[i].endsBy(limit) {
+			return fmt.Errorf("faults: fault %d: active window ends past %dµs, the end of the simulated clock", i, limit)
+		}
+	}
 	return nil
+}
+
+func (f *Fault) validate() error {
+	if f.AtUs < 0 {
+		return fmt.Errorf("negative at_us %d", f.AtUs)
+	}
+	ki := lookup(f.Kind)
+	if ki < 0 {
+		return fmt.Errorf("unknown kind %q", f.Kind)
+	}
+	k := &kinds[ki]
+	if foreign := f.fields() &^ (k.fields | selFields[k.sel]); foreign != 0 {
+		return fmt.Errorf("field %q is not valid for kind %q", fieldNames[bits.TrailingZeros16(uint16(foreign))], f.Kind)
+	}
+	var err error
+	switch k.sel {
+	case selLink:
+		err = need(f, (f.A != nil && f.B != nil) != (f.Host != nil), "either a+b or host")
+	case selSwitch, selNode:
+		err = need(f, f.Switch != nil, "switch")
+	}
+	if err == nil && k.check != nil {
+		err = k.check(f)
+	}
+	return err
 }
 
 // targetKey is the stable label of what a fault acts on, used for
@@ -207,163 +462,25 @@ func (f *Fault) targetKey() string {
 	}
 }
 
-// window returns the fault's active interval [start, end) in µs.
-// Durational kinds span their duration, flaps span all cycles, and
-// point kinds occupy a single instant — two point faults duplicate
-// each other only at the exact same at_us.
+// window returns the fault's active interval [start, end) in µs, read
+// from its own fields: a flap spans all its cycles, a transient fault
+// its duration, and a point fault a single instant — two point faults
+// duplicate each other only at the exact same at_us.
 func (f *Fault) window() (start, end int64) {
-	start = f.AtUs
-	switch f.Kind {
-	case KindLinkFlap:
-		return start, start + f.PeriodUs*int64(f.Count)
-	case KindLinkLoss, KindLinkCorrupt, KindBufferExhaust, KindGateClose:
-		return start, start + f.DurationUs
-	default:
-		return start, start + 1
+	if f.PeriodUs != 0 {
+		return f.AtUs, f.AtUs + f.PeriodUs*int64(f.Count)
 	}
+	return f.AtUs, f.AtUs + max(f.DurationUs, 1)
 }
 
-// allowedFields whitelists, per kind, the selector/parameter fields a
-// fault may set. Validation rejects any other populated field with a
-// descriptive error: a misplaced "prob" on a link-down fault is a
-// scenario bug, not something to silently ignore.
-var allowedFields = map[string]map[string]bool{
-	KindLinkDown:          {"a": true, "b": true, "host": true},
-	KindLinkUp:            {"a": true, "b": true, "host": true},
-	KindLinkFlap:          {"a": true, "b": true, "host": true, "period_us": true, "count": true},
-	KindLinkLoss:          {"a": true, "b": true, "host": true, "prob": true, "duration_us": true},
-	KindLinkCorrupt:       {"a": true, "b": true, "host": true, "prob": true, "duration_us": true},
-	KindClockStep:         {"switch": true, "step_ns": true},
-	KindClockDrift:        {"switch": true, "drift_ppb": true},
-	KindGMKill:            {},
-	KindNodeKill:          {"switch": true},
-	KindBufferExhaust:     {"switch": true, "port": true, "slots": true, "duration_us": true},
-	KindGateClose:         {"switch": true, "port": true, "duration_us": true},
-	KindBufferLeak:        {"switch": true, "port": true, "slots": true},
-	KindReconfigFail:      {"op": true},
-	KindReconfigTransient: {"op": true, "count": true},
-	KindReconfigWedge:     {"op": true},
-}
-
-// presentFields lists the optional fields this fault populates, by
-// JSON name. Pointer fields count when non-nil, value fields when
-// non-zero (their zero values are indistinguishable from absent).
-func (f *Fault) presentFields() []string {
-	var out []string
-	add := func(name string, set bool) {
-		if set {
-			out = append(out, name)
-		}
+// endsBy reports whether the validated fault's window ends by limit µs,
+// computed without overflow.
+func (f *Fault) endsBy(limit int64) bool {
+	room := limit - f.AtUs
+	if f.PeriodUs != 0 {
+		return int64(f.Count) <= room/f.PeriodUs
 	}
-	add("a", f.A != nil)
-	add("b", f.B != nil)
-	add("host", f.Host != nil)
-	add("switch", f.Switch != nil)
-	add("port", f.Port != nil)
-	add("duration_us", f.DurationUs != 0)
-	add("period_us", f.PeriodUs != 0)
-	add("count", f.Count != 0)
-	add("prob", f.Prob != 0)
-	add("step_ns", f.StepNs != 0)
-	add("drift_ppb", f.DriftPPB != 0)
-	add("slots", f.Slots != 0)
-	add("op", f.Op != nil)
-	return out
-}
-
-func (f *Fault) validate() error {
-	if f.AtUs < 0 {
-		return fmt.Errorf("negative at_us %d", f.AtUs)
-	}
-	allowed, known := allowedFields[f.Kind]
-	if !known {
-		return fmt.Errorf("unknown kind %q", f.Kind)
-	}
-	for _, field := range f.presentFields() {
-		if !allowed[field] {
-			return fmt.Errorf("field %q is not valid for kind %q", field, f.Kind)
-		}
-	}
-	needLink := func() error {
-		hasTrunk := f.A != nil && f.B != nil
-		hasHost := f.Host != nil
-		if hasTrunk == hasHost {
-			return fmt.Errorf("%s needs either a+b or host", f.Kind)
-		}
-		return nil
-	}
-	needSwitch := func() error {
-		if f.Switch == nil {
-			return fmt.Errorf("%s needs switch", f.Kind)
-		}
-		return nil
-	}
-	switch f.Kind {
-	case KindLinkDown, KindLinkUp:
-		return needLink()
-	case KindLinkFlap:
-		if err := needLink(); err != nil {
-			return err
-		}
-		if f.PeriodUs <= 0 || f.Count <= 0 {
-			return fmt.Errorf("link-flap needs positive period_us and count")
-		}
-	case KindLinkLoss, KindLinkCorrupt:
-		if err := needLink(); err != nil {
-			return err
-		}
-		if f.Prob <= 0 || f.Prob > 1 {
-			return fmt.Errorf("%s prob %v outside (0,1]", f.Kind, f.Prob)
-		}
-		if f.DurationUs <= 0 {
-			return fmt.Errorf("%s needs positive duration_us", f.Kind)
-		}
-	case KindClockStep:
-		if err := needSwitch(); err != nil {
-			return err
-		}
-		if f.StepNs == 0 {
-			return fmt.Errorf("clock-step needs non-zero step_ns")
-		}
-	case KindClockDrift:
-		return needSwitch()
-	case KindGMKill:
-		// No target: the current grandmaster dies.
-	case KindNodeKill:
-		return needSwitch()
-	case KindBufferExhaust:
-		if err := needSwitch(); err != nil {
-			return err
-		}
-		if f.Port == nil || f.Slots <= 0 || f.DurationUs <= 0 {
-			return fmt.Errorf("buffer-exhaust needs port, positive slots and duration_us")
-		}
-	case KindGateClose:
-		if err := needSwitch(); err != nil {
-			return err
-		}
-		if f.Port == nil || f.DurationUs <= 0 {
-			return fmt.Errorf("gate-close needs port and positive duration_us")
-		}
-	case KindBufferLeak:
-		if err := needSwitch(); err != nil {
-			return err
-		}
-		if f.Port == nil || f.Slots <= 0 {
-			return fmt.Errorf("buffer-leak needs port and positive slots")
-		}
-	case KindReconfigFail, KindReconfigTransient, KindReconfigWedge:
-		if f.Op != nil && *f.Op < 0 {
-			return fmt.Errorf("%s op %d negative", f.Kind, *f.Op)
-		}
-		// Only reconfig-transient may set count (allowedFields).
-		if f.Count < 0 {
-			return fmt.Errorf("%s count %d negative", f.Kind, f.Count)
-		}
-	default:
-		return fmt.Errorf("unknown kind %q", f.Kind)
-	}
-	return nil
+	return max(f.DurationUs, 1) <= room
 }
 
 // Bindings resolves scenario selectors to live testbed objects. The
@@ -384,14 +501,26 @@ type Bindings struct {
 	Reconfig *reconfig.Controller
 }
 
+// target is a fault's selector resolved against the Bindings.
+type target struct {
+	key      string               // targetKey: event labels and RNG streams
+	seed     uint64               // the scenario's impairment seed
+	fwd, rev *netdev.Ifc          // selLink
+	sw       *tsnswitch.Switch    // selSwitch
+	dom      *gptp.Domain         // selNode, selDomain
+	node     *gptp.Node           // selNode
+	ctrl     *reconfig.Controller // selController
+}
+
 // Injector schedules a scenario's faults on a simulation engine.
 type Injector struct {
 	engine *sim.Engine
 	reg    *metrics.Registry
 	seed   uint64
 
-	injected  map[string]metrics.Counter
-	recovered map[string]metrics.Counter
+	// injected and recovered hold each kind's counters, by row.
+	injected  []metrics.Counter
+	recovered []metrics.Counter
 
 	injectedN  uint64
 	recoveredN uint64
@@ -410,17 +539,17 @@ func NewInjector(engine *sim.Engine, seed uint64, reg *metrics.Registry) *Inject
 		engine:    engine,
 		reg:       reg,
 		seed:      seed,
-		injected:  make(map[string]metrics.Counter),
-		recovered: make(map[string]metrics.Counter),
+		injected:  make([]metrics.Counter, len(kinds)),
+		recovered: make([]metrics.Counter, len(kinds)),
 	}
 	if reg != nil {
 		reg.Help(MetricInjected, "fault activations by kind")
 		reg.Help(MetricRecovered, "fault recoveries by kind")
 		reg.Help(MetricLinkDrops, "frames lost to link faults by link and reason")
-		for _, k := range kinds {
-			l := metrics.L("kind", k)
-			inj.injected[k] = reg.Counter(MetricInjected, l)
-			inj.recovered[k] = reg.Counter(MetricRecovered, l)
+		for i, k := range kinds {
+			l := metrics.L("kind", k.name)
+			inj.injected[i] = reg.Counter(MetricInjected, l)
+			inj.recovered[i] = reg.Counter(MetricRecovered, l)
 		}
 	}
 	return inj
@@ -432,17 +561,17 @@ func (inj *Injector) Injected() uint64 { return inj.injectedN }
 // Recovered returns the total number of fault recoveries so far.
 func (inj *Injector) Recovered() uint64 { return inj.recoveredN }
 
-func (inj *Injector) markInjected(kind string) {
+func (inj *Injector) markInjected(k int) {
 	inj.injectedN++
-	inj.injected[kind].Inc()
+	inj.injected[k].Inc()
 	if inj.OnInject != nil {
-		inj.OnInject(kind)
+		inj.OnInject(kinds[k].name)
 	}
 }
 
-func (inj *Injector) markRecovered(kind string) {
+func (inj *Injector) markRecovered(k int) {
 	inj.recoveredN++
-	inj.recovered[kind].Inc()
+	inj.recovered[k].Inc()
 }
 
 // fnv1a hashes a label so each impaired link direction gets its own
@@ -456,273 +585,129 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// Apply validates bindings for every fault in sc and schedules them
-// relative to the engine's current time. Call once, before Run.
+// Apply validates every fault in sc, resolves its target and schedules
+// it relative to the engine's current time. Call once, before Run.
 func (inj *Injector) Apply(sc *Scenario, b Bindings) error {
-	if err := sc.Validate(); err != nil {
+	base := inj.engine.Now()
+	if err := sc.validate(base); err != nil {
 		return err
 	}
 	seed := inj.seed
 	if sc.Seed != 0 {
 		seed = sc.Seed
 	}
-	base := inj.engine.Now()
 	for i := range sc.Faults {
 		f := &sc.Faults[i]
-		at := base + sim.Time(f.AtUs)*sim.Microsecond
-		if err := inj.schedule(f, at, seed, b); err != nil {
+		t := &target{key: f.targetKey(), seed: seed}
+		k := lookup(f.Kind)
+		if err := inj.resolve(f, kinds[k].sel, b, t); err != nil {
 			return fmt.Errorf("faults: fault %d (%s): %w", i, f.Kind, err)
 		}
+		inj.schedule(k, f, base+sim.Time(f.AtUs)*sim.Microsecond, t)
 	}
 	return nil
 }
 
-// linkTarget resolves a fault's link selector to the two directional
-// interfaces of one cable plus a stable label.
-func (inj *Injector) linkTarget(f *Fault, b Bindings) (fwd, rev *netdev.Ifc, label string, err error) {
-	if f.Host != nil {
-		if b.HostIfc == nil {
-			return nil, nil, "", fmt.Errorf("no host binding")
+// resolve fills t with the live object sel names. A link also gets
+// per-reason drop counters on both directions (idempotent: the
+// registry returns the same handles).
+func (inj *Injector) resolve(f *Fault, sel selector, b Bindings, t *target) error {
+	var err error
+	switch sel {
+	case selLink:
+		var ifc *netdev.Ifc
+		switch {
+		case f.Host != nil && b.HostIfc == nil:
+			return fmt.Errorf("no host binding")
+		case f.Host != nil:
+			if ifc, err = b.HostIfc(*f.Host); err == nil && ifc.Peer() == nil {
+				err = fmt.Errorf("host %d interface not cabled", *f.Host)
+			}
+		case b.TrunkIfc == nil:
+			return fmt.Errorf("no trunk binding")
+		default:
+			ifc, err = b.TrunkIfc(*f.A, *f.B)
 		}
-		ifc, err := b.HostIfc(*f.Host)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if ifc.Peer() == nil {
-			return nil, nil, "", fmt.Errorf("host %d interface not cabled", *f.Host)
-		}
-		return ifc, ifc.Peer(), fmt.Sprintf("host%d", *f.Host), nil
-	}
-	if b.TrunkIfc == nil {
-		return nil, nil, "", fmt.Errorf("no trunk binding")
-	}
-	ifc, err := b.TrunkIfc(*f.A, *f.B)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	return ifc, ifc.Peer(), fmt.Sprintf("sw%d-sw%d", *f.A, *f.B), nil
-}
-
-// instrumentLink binds per-reason drop counters for both directions of
-// a faulted link (idempotent: the registry returns the same handles).
-func (inj *Injector) instrumentLink(fwd, rev *netdev.Ifc, label string) {
-	if inj.reg == nil {
-		return
-	}
-	for _, d := range []struct {
-		ifc *netdev.Ifc
-		dir string
-	}{{fwd, "fwd"}, {rev, "rev"}} {
-		l := metrics.L("link", label+"/"+d.dir)
-		d.ifc.InstrumentLink(
-			inj.reg.Counter(MetricLinkDrops, l, metrics.L("reason", "link-down")),
-			inj.reg.Counter(MetricLinkDrops, l, metrics.L("reason", "loss")),
-			inj.reg.Counter(MetricLinkDrops, l, metrics.L("reason", "corrupt")),
-		)
-	}
-}
-
-func (inj *Injector) schedule(f *Fault, at sim.Time, seed uint64, b Bindings) error {
-	switch f.Kind {
-	case KindLinkDown, KindLinkUp, KindLinkFlap:
-		fwd, rev, label, err := inj.linkTarget(f, b)
 		if err != nil {
 			return err
 		}
-		inj.instrumentLink(fwd, rev, label)
-		switch f.Kind {
-		case KindLinkDown:
-			inj.engine.At(at, "fault:link-down:"+label, func(*sim.Engine) {
-				fwd.SetLink(false)
-				inj.markInjected(KindLinkDown)
-			})
-		case KindLinkUp:
-			inj.engine.At(at, "fault:link-up:"+label, func(*sim.Engine) {
-				fwd.SetLink(true)
-				inj.markRecovered(KindLinkUp)
-			})
-		default: // flap: Count down/up cycles, half a period each state
-			half := sim.Time(f.PeriodUs) * sim.Microsecond / 2
-			for c := 0; c < f.Count; c++ {
-				down := at + sim.Time(c)*2*half
-				inj.engine.At(down, "fault:flap-down:"+label, func(*sim.Engine) {
-					fwd.SetLink(false)
-					inj.markInjected(KindLinkFlap)
-				})
-				inj.engine.At(down+half, "fault:flap-up:"+label, func(*sim.Engine) {
-					fwd.SetLink(true)
-					inj.markRecovered(KindLinkFlap)
-				})
-			}
+		t.fwd, t.rev = ifc, ifc.Peer()
+		if inj.reg == nil {
+			return nil
 		}
-
-	case KindLinkLoss, KindLinkCorrupt:
-		fwd, rev, label, err := inj.linkTarget(f, b)
-		if err != nil {
+		for _, d := range [...]struct {
+			ifc *netdev.Ifc
+			dir string
+		}{{t.fwd, "fwd"}, {t.rev, "rev"}} {
+			l := metrics.L("link", t.key+"/"+d.dir)
+			d.ifc.InstrumentLink(
+				inj.reg.Counter(MetricLinkDrops, l, metrics.L("reason", "link-down")),
+				inj.reg.Counter(MetricLinkDrops, l, metrics.L("reason", "loss")),
+				inj.reg.Counter(MetricLinkDrops, l, metrics.L("reason", "corrupt")),
+			)
+		}
+	case selSwitch:
+		if b.Switch == nil {
+			return fmt.Errorf("no switch binding")
+		}
+		if t.sw, err = b.Switch(*f.Switch); err != nil {
 			return err
 		}
-		inj.instrumentLink(fwd, rev, label)
-		kind := f.Kind
-		prob := f.Prob
-		until := at + sim.Time(f.DurationUs)*sim.Microsecond
-		// One independent deterministic stream per direction, derived
-		// from the seed and the link label, so reordering faults in
-		// the file cannot change per-link outcomes.
-		rngF := sim.NewRand(seed ^ fnv1a(label+"/fwd/"+kind))
-		rngR := sim.NewRand(seed ^ fnv1a(label+"/rev/"+kind))
-		inj.engine.At(at, "fault:"+kind+":"+label, func(*sim.Engine) {
-			if kind == KindLinkLoss {
-				fwd.SetImpairment(prob, 0, rngF)
-				rev.SetImpairment(prob, 0, rngR)
-			} else {
-				fwd.SetImpairment(0, prob, rngF)
-				rev.SetImpairment(0, prob, rngR)
-			}
-			inj.markInjected(kind)
-		})
-		inj.engine.At(until, "recover:"+kind+":"+label, func(*sim.Engine) {
-			fwd.ClearImpairment()
-			rev.ClearImpairment()
-			inj.markRecovered(kind)
-		})
-
-	case KindClockStep, KindClockDrift:
-		sw, err := inj.bindSwitch(f, b)
-		if err != nil {
-			return err
+		if p := f.Port; p != nil && (*p < 0 || *p >= t.sw.Config().Ports) {
+			return fmt.Errorf("switch %d has no port %d", *f.Switch, *p)
 		}
-		kind := f.Kind
-		step := sim.Time(f.StepNs) * sim.Nanosecond
-		drift := clock.PPB(f.DriftPPB)
-		inj.engine.At(at, fmt.Sprintf("fault:%s:sw%d", kind, sw.ID()), func(e *sim.Engine) {
-			if kind == KindClockStep {
-				sw.Clock.Step(e.Now(), step)
-			} else {
-				sw.Clock.SetDrift(e.Now(), drift)
-			}
-			inj.markInjected(kind)
-		})
-
-	case KindGMKill:
-		if b.Domain == nil {
-			return fmt.Errorf("gm-kill without a gPTP domain")
+	case selNode, selDomain:
+		if t.dom = b.Domain; t.dom == nil {
+			return fmt.Errorf("%s without a gPTP domain", f.Kind)
 		}
-		dom := b.Domain
-		inj.engine.At(at, "fault:gm-kill", func(*sim.Engine) {
-			if gm := dom.Grandmaster(); gm != nil {
-				dom.KillNode(gm)
-			}
-			inj.markInjected(KindGMKill)
-		})
-
-	case KindNodeKill:
-		if b.Domain == nil {
-			return fmt.Errorf("node-kill without a gPTP domain")
+		if sel == selDomain {
+			return nil
 		}
-		dom := b.Domain
-		var node *gptp.Node
-		for _, n := range dom.Nodes() {
+		for _, n := range t.dom.Nodes() {
 			if n.ID == *f.Switch {
-				node = n
-				break
+				t.node = n
+				return nil
 			}
 		}
-		if node == nil {
-			return fmt.Errorf("no gPTP node for switch %d", *f.Switch)
-		}
-		inj.engine.At(at, fmt.Sprintf("fault:node-kill:sw%d", *f.Switch), func(*sim.Engine) {
-			dom.KillNode(node)
-			inj.markInjected(KindNodeKill)
-		})
-
-	case KindBufferExhaust:
-		sw, err := inj.bindSwitch(f, b)
-		if err != nil {
-			return err
-		}
-		pool := sw.Port(*f.Port).Pool()
-		slots := f.Slots
-		until := at + sim.Time(f.DurationUs)*sim.Microsecond
-		label := fmt.Sprintf("sw%d.p%d", sw.ID(), *f.Port)
-		inj.engine.At(at, "fault:buffer-exhaust:"+label, func(*sim.Engine) {
-			pool.Reserve(slots)
-			inj.markInjected(KindBufferExhaust)
-		})
-		inj.engine.At(until, "recover:buffer-exhaust:"+label, func(*sim.Engine) {
-			pool.ReleaseReserved()
-			inj.markRecovered(KindBufferExhaust)
-		})
-
-	case KindGateClose:
-		sw, err := inj.bindSwitch(f, b)
-		if err != nil {
-			return err
-		}
-		port := *f.Port
-		until := at + sim.Time(f.DurationUs)*sim.Microsecond
-		label := fmt.Sprintf("sw%d.p%d", sw.ID(), port)
-		cfg := sw.Config()
-		// The misconfigured GCL keeps every gate open EXCEPT the TS
-		// queues — the paper's CQF pair is stuck closed, so TS frames
-		// drop with reason gate-closed while RC/BE continue.
-		closed := gate.Mask(1<<uint(cfg.QueuesPerPort)-1) &^ (1<<uint(cfg.TSQueueA) | 1<<uint(cfg.TSQueueB))
-		stuck := gate.Entry{Mask: closed, Duration: cfg.SlotSize}
-		bad := gate.NewGCL([]gate.Entry{stuck, stuck})
-		inj.engine.At(at, "fault:gate-close:"+label, func(*sim.Engine) {
-			in, out := sw.PortSchedules(port)
-			if err := sw.SetPortSchedules(port, bad, bad); err != nil {
-				panic(fmt.Sprintf("faults: gate-close %s: %v", label, err))
-			}
-			inj.markInjected(KindGateClose)
-			inj.engine.At(until, "recover:gate-close:"+label, func(*sim.Engine) {
-				if err := sw.SetPortSchedules(port, in, out); err != nil {
-					panic(fmt.Sprintf("faults: gate restore %s: %v", label, err))
-				}
-				inj.markRecovered(KindGateClose)
-			})
-		})
-
-	case KindBufferLeak:
-		sw, err := inj.bindSwitch(f, b)
-		if err != nil {
-			return err
-		}
-		pool := sw.Port(*f.Port).Pool()
-		slots := f.Slots
-		label := fmt.Sprintf("sw%d.p%d", sw.ID(), *f.Port)
-		// A leak never recovers: the slots are gone until the watchdog
-		// (or a human) notices the conservation violation.
-		inj.engine.At(at, "fault:buffer-leak:"+label, func(*sim.Engine) {
-			pool.Leak(slots)
-			inj.markInjected(KindBufferLeak)
-		})
-
-	case KindReconfigFail, KindReconfigTransient, KindReconfigWedge:
-		if b.Reconfig == nil {
+		return fmt.Errorf("no gPTP node for switch %d", *f.Switch)
+	case selController:
+		if t.ctrl = b.Reconfig; t.ctrl == nil {
 			return fmt.Errorf("%s without a reconfiguration controller", f.Kind)
 		}
-		ctrl, kind := b.Reconfig, f.Kind
-		opIdx := 0
-		if f.Op != nil {
-			opIdx = *f.Op
-		}
-		// count is reconfig-transient's; absent, and on the one-shot
-		// kinds, Arm takes it as one attempt.
-		times, wedged := f.Count, kind == KindReconfigWedge
-		inj.engine.At(at, "fault:"+kind, func(*sim.Engine) {
-			ctrl.Arm(opIdx, times, wedged)
-			inj.markInjected(kind)
-		})
-
-	default:
-		return fmt.Errorf("unknown kind %q", f.Kind)
 	}
 	return nil
 }
 
-func (inj *Injector) bindSwitch(f *Fault, b Bindings) (*tsnswitch.Switch, error) {
-	if b.Switch == nil {
-		return nil, fmt.Errorf("no switch binding")
+// schedule books row k's fault from the fault's own fields: a flap
+// activates count times a period apart, every other kind once, and each
+// recovery follows its activation by half a period on a flap, by
+// duration_us otherwise.
+func (inj *Injector) schedule(k int, f *Fault, at sim.Time, t *target) {
+	row := &kinds[k]
+	on, off := row.bind(f, t)
+	label := "fault:" + f.Kind + ":" + t.key
+	n, every, hold := 1, sim.Time(0), sim.Time(f.DurationUs)*sim.Microsecond
+	if f.PeriodUs != 0 {
+		n, every = f.Count, sim.Time(f.PeriodUs)*sim.Microsecond
+		hold = every / 2
 	}
-	return b.Switch(*f.Switch)
+	restore := func(e *sim.Engine) {
+		off(e)
+		inj.markRecovered(k)
+	}
+	for c := 0; c < n; c++ {
+		start := at + sim.Time(c)*every
+		if on != nil {
+			inj.engine.At(start, label, func(e *sim.Engine) {
+				on(e)
+				inj.markInjected(k)
+				if row.restoreAtOn {
+					e.At(e.Now()+hold, label, restore)
+				}
+			})
+		}
+		if off != nil && !row.restoreAtOn {
+			inj.engine.At(start+hold, label, restore)
+		}
+	}
 }

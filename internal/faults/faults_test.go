@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/clock"
+	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/netdev"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
 )
 
 // sink collects delivered frames.
@@ -189,6 +191,41 @@ func TestApplyBindingErrors(t *testing.T) {
 	sc, _ = Parse(strings.NewReader(`{"faults": [{"at_us": 0, "kind": "clock-drift", "switch": 0}]}`))
 	if err := inj.Apply(sc, Bindings{}); err == nil {
 		t.Fatal("clock fault without switch binding accepted")
+	}
+}
+
+// TestApplyRejectsOutOfRange: a port the switch lacks, or a window that
+// ends past the simulated clock once the engine's current time is
+// added, is a scenario error from Apply, not a panic at Apply or at
+// activation.
+func TestApplyRejectsOutOfRange(t *testing.T) {
+	cfg := core.Config{
+		UnicastSize: 8, MulticastSize: 8, ClassSize: 8, MeterSize: 8, GateSize: 2,
+		QueueNum: 8, PortNum: 4, CBSMapSize: 3, CBSSize: 3, QueueDepth: 8, BufferNum: 16,
+		SlotSize: 65 * sim.Microsecond, LinkRate: ethernet.Gbps,
+	}
+	for _, tc := range []struct{ fault, want string }{
+		{`{"at_us": 5, "kind": "buffer-exhaust", "switch": 1, "port": 99, "slots": 2, "duration_us": 10}`, "switch 1 has no port 99"},
+		{`{"at_us": 5, "kind": "buffer-exhaust", "switch": 1, "port": -1, "slots": 2, "duration_us": 10}`, "switch 1 has no port -1"},
+		{`{"at_us": 5, "kind": "buffer-leak", "switch": 1, "port": 99, "slots": 2}`, "switch 1 has no port 99"},
+		{`{"at_us": 5, "kind": "buffer-leak", "switch": 1, "port": -1, "slots": 2}`, "switch 1 has no port -1"},
+		{`{"at_us": 5, "kind": "gate-close", "switch": 1, "port": 99, "duration_us": 10}`, "switch 1 has no port 99"},
+		{`{"at_us": 5, "kind": "gate-close", "switch": 1, "port": -1, "duration_us": 10}`, "switch 1 has no port -1"},
+		// Valid from time zero, but the engine is already 1 s in.
+		{`{"at_us": 9223372036854000, "kind": "buffer-leak", "switch": 1, "port": 0, "slots": 2}`,
+			"active window ends past 9223372035854775µs, the end of the simulated clock"},
+	} {
+		e := sim.NewEngine()
+		e.RunUntil(sim.Second)
+		sw := oneSwitch(e, cfg)
+		sc, err := Parse(strings.NewReader(`{"faults": [` + tc.fault + `]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := Bindings{Switch: func(int) (*tsnswitch.Switch, error) { return sw, nil }}
+		if err := NewInjector(e, 1, nil).Apply(sc, b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.fault, err, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -116,6 +118,28 @@ func TestValidateErrorPaths(t *testing.T) {
 			name:    "malformed: unknown json field",
 			json:    `{"faults": [{"at_us": 0, "kind": "gm-kill", "severity": "high"}]}`,
 			wantErr: `unknown field "severity"`,
+		},
+		{
+			name:    "at_us past the simulated clock",
+			json:    `{"faults": [{"at_us": 9223372036854776, "kind": "link-down", "a": 1, "b": 2}]}`,
+			wantErr: "fault 0: active window ends past 9223372036854775µs, the end of the simulated clock",
+		},
+		{
+			name:    "loss recovery past the simulated clock",
+			json:    `{"faults": [{"at_us": 50, "kind": "link-loss", "a": 1, "b": 2, "prob": 0.5, "duration_us": 9223372036854775807}]}`,
+			wantErr: "the end of the simulated clock",
+		},
+		{
+			name:    "gate restore past the simulated clock",
+			json:    `{"faults": [{"at_us": 50, "kind": "gate-close", "switch": 1, "port": 0, "duration_us": 9223372036854775807}]}`,
+			wantErr: "the end of the simulated clock",
+		},
+		{
+			name: "flap cycles wrap past the simulated clock",
+			json: `{"faults": [
+				{"at_us": 0, "kind": "link-flap", "a": 0, "b": 1, "period_us": 4611686018427387904, "count": 4},
+				{"at_us": 10, "kind": "link-flap", "a": 0, "b": 1, "period_us": 4611686018427387904, "count": 4}]}`,
+			wantErr: "the end of the simulated clock",
 		},
 		{
 			name:    "fault index in message",
@@ -315,5 +339,33 @@ func TestEveryKindRejectsForeignField(t *testing.T) {
 		if !strings.Contains(err.Error(), "is not valid for kind") {
 			t.Errorf("%s: error %q is not a field-validity rejection", kind, err)
 		}
+	}
+}
+
+// TestReadmeKindTable: README's fault-kind table lists exactly the
+// kind table's rows, in order.
+func TestReadmeKindTable(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(raw), "| Kind | Fields | Effect |\n|---|---|---|\n")
+	if !ok {
+		t.Fatal("README has no fault-kind table")
+	}
+	var got, want []string
+	for _, line := range strings.Split(table, "\n") {
+		name, ok := strings.CutPrefix(line, "| `")
+		if !ok {
+			break
+		}
+		name, _, _ = strings.Cut(name, "`")
+		got = append(got, name)
+	}
+	for _, k := range kinds {
+		want = append(want, k.name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("README kind column = %q\nkind table          = %q", got, want)
 	}
 }
