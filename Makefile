@@ -87,8 +87,10 @@ fuzz:
 	go test -fuzz=FuzzReplayDurable -fuzztime=30s ./internal/svc/
 	go test -fuzz=FuzzWALReader -fuzztime=30s ./internal/wal/
 	go test -fuzz=FuzzComputeEquivalence -fuzztime=30s ./internal/itp/
+	go test -fuzz=FuzzComputeMatchesDenseGrid -fuzztime=30s ./internal/itp/
 	go test -fuzz=FuzzHeapOrder -fuzztime=30s ./internal/sim/
 	go test -fuzz=FuzzGCLMatchesReference -fuzztime=30s ./internal/gate/
+	go test -fuzz=FuzzSpecHashMatchesReference -fuzztime=30s ./internal/svc/
 	go test -fuzz=FuzzReconfigRequest -fuzztime=30s ./internal/svc/
 	go test -fuzz=FuzzLoadDelta -fuzztime=30s ./internal/chaos/
 	go test -fuzz=FuzzLoadProfile -fuzztime=30s ./internal/chaos/

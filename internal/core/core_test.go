@@ -6,6 +6,7 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
+	"github.com/tsnbuilder/tsnbuilder/internal/israce"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 )
@@ -237,6 +238,36 @@ func TestBindPathsErrors(t *testing.T) {
 	spec := &flows.Spec{ID: 1, SrcHost: 1, DstHost: 2}
 	if err := BindPaths(topo, []*flows.Spec{spec}); err == nil {
 		t.Error("unattached hosts accepted")
+	}
+}
+
+// TestBindPathsAllocs: the router keeps its searches and paths in a few
+// arenas, so binding a workload's flows on a 14-switch ring — every
+// switch a source — costs a handful of allocations whatever the flow
+// count.
+func TestBindPathsAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	for _, nFlows := range []int{64, 440} {
+		topo := topology.Ring(14)
+		for h := 0; h < topo.N; h++ {
+			topo.AttachHost(100+h, h)
+		}
+		specs := flows.GenerateTS(flows.TSParams{
+			Count: nFlows, Period: 10 * sim.Millisecond, WireSize: 200, VID: 1,
+			Hosts: func(i int) (int, int) { return 100 + i%14, 100 + (i%14+2)%14 },
+			Seed:  uint64(nFlows),
+		})
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := BindPaths(topo, specs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("BindPaths allocates %v times for %d flows, want at most 8", allocs, nFlows)
+		}
+		t.Logf("%d flows: %v allocations per BindPaths", nFlows, allocs)
 	}
 }
 

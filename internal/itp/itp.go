@@ -18,6 +18,8 @@ package itp
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -103,11 +105,17 @@ type flow struct {
 // class's flows read the same slots at every offset, and offsets o and
 // o+stride read the same ones. A class keeps one live score per offset
 // in [0, stride); with an uncapped hyperperiod the stride is the period.
+// The scores are the leaves of a min tournament tree, so the best
+// offset is read from the root down instead of scanned for.
 type class struct {
 	stride int
 	rows   []int32
-	scores []score
-	next   int32 // next class of the same intern hash, or -1
+	// tree is the tournament in heap order: tree[1] is the root, the
+	// children of node i are 2i and 2i+1, and the second half holds the
+	// leaves, the scores of offsets 0, 1, … padded to a power of two
+	// with padScore. tree[0] is unused.
+	tree []score
+	next int32 // next class of the same intern hash, or -1
 }
 
 // score is what a flow injected at one offset would make of the slots
@@ -116,6 +124,77 @@ type class struct {
 type score struct {
 	worst int32
 	sum   int
+}
+
+// padScore fills a tournament's leaves past the stride: it loses to
+// every score.
+var padScore = score{worst: math.MaxInt32, sum: math.MaxInt}
+
+// minScore is the lesser of a and b by worst, then sum; a on a tie.
+func minScore(a, b score) score {
+	if b.worst < a.worst || (b.worst == a.worst && b.sum < a.sum) {
+		return b
+	}
+	return a
+}
+
+// treeLeaves is the leaf count of a stride's tournament: the stride
+// rounded up to a power of two. The tree holds twice as many nodes, so
+// a class costs fewer than four scores per offset.
+func treeLeaves(stride int) int { return 1 << bits.Len(uint(stride-1)) }
+
+// plant lays c's tournament out in nodes (2·treeLeaves(c.stride) long)
+// with every offset at score empty. A left child never loses to its
+// sibling then — the padding sits right of every offset — so each
+// internal node takes its left child's score.
+func (c *class) plant(nodes []score, empty score) {
+	c.tree = nodes
+	n := len(nodes) / 2
+	for o := range nodes[n:] {
+		nodes[n+o] = empty
+		if o >= c.stride {
+			nodes[n+o] = padScore
+		}
+	}
+	for i := n - 1; i > 0; i-- {
+		nodes[i] = nodes[2*i]
+	}
+}
+
+// raise counts one more read of a slot now holding v−1 packets into
+// offset o's score, and replays the matches above it. Scores only ever
+// rise, so a parent that did not hold the raised child's old score got
+// its score from elsewhere and keeps it; neither does a parent whose
+// recomputed score is unchanged. Either ends the climb.
+func (c *class) raise(o int, v int32) {
+	i := len(c.tree)/2 + o
+	was := c.tree[i]
+	c.tree[i] = score{worst: max(was.worst, v), sum: was.sum + 1}
+	for i > 1 && c.tree[i/2] == was {
+		i /= 2
+		m := minScore(c.tree[2*i], c.tree[2*i+1])
+		if m == was {
+			return
+		}
+		c.tree[i] = m
+	}
+}
+
+// best returns the offset in [0, period) at which the next flow of c
+// would add the least to the grid: smallest worst, then smallest sum,
+// then lowest offset. It walks down from the root into the left child
+// whenever that holds the root's score, so a tie goes to the lower
+// offset; every offset past the stride repeats a score before it.
+func (c *class) best() int {
+	n := len(c.tree) / 2
+	top, i := c.tree[1], 1
+	for i < n {
+		i *= 2
+		if c.tree[i] != top {
+			i++
+		}
+	}
+	return i - n
 }
 
 // user is one (class, hop) pair reading a row; shift is hop mod the
@@ -136,7 +215,7 @@ type grid struct {
 
 	// Backing arrays carved up per call, and the intern maps.
 	rows       []int32
-	scores     []score
+	nodes      []score
 	cellIndex  map[Cell]int32
 	classIndex map[uint64]int32 // hash of (stride, rows) → first class
 }
@@ -206,20 +285,19 @@ func prepare(specs []*flows.Spec, slot sim.Time, key CellKey) (*grid, error) {
 	clear(g.occ)
 	n := 0
 	for i := range g.classes {
-		n += g.classes[i].stride
+		n += 2 * treeLeaves(g.classes[i].stride)
 	}
-	g.scores = slices.Grow(g.scores[:0], n)[:n]
-	scores := g.scores
+	g.nodes = slices.Grow(g.nodes[:0], n)[:n]
+	nodes := g.nodes
 	g.users = slices.Grow(g.users[:0], len(g.cells))[:len(g.cells)]
 	for r := range g.users {
 		g.users[r] = g.users[r][:0]
 	}
 	for i := range g.classes {
 		c := &g.classes[i]
-		c.scores, scores = scores[:c.stride:c.stride], scores[c.stride:]
-		for o := range c.scores {
-			c.scores[o] = score{worst: 1, sum: len(c.rows) * g.hyper / c.stride} // the empty grid's
-		}
+		m := 2 * treeLeaves(c.stride)
+		c.plant(nodes[:m:m], score{worst: 1, sum: len(c.rows) * g.hyper / c.stride}) // the empty grid's
+		nodes = nodes[m:]
 		for h, r := range c.rows {
 			g.users[r] = append(g.users[r], user{class: int32(i), shift: int32(h % c.stride)})
 		}
@@ -273,36 +351,31 @@ func (g *grid) stride(f *flow) int { return gcd(f.period, g.hyper) }
 // only ever raise a slot, so the running max and sum are exact.
 func (g *grid) book(f *flow, o int) {
 	st := g.stride(f)
+	reps := g.hyper / st
 	for h, r := range f.rows {
 		row, users := g.row(r), g.users[r]
-		idx := (o + h) % g.hyper
-		for n := g.hyper / st; n > 0; n-- {
+		idx := o + h
+		if idx >= g.hyper {
+			idx %= g.hyper
+		}
+		for n := reps; n > 0; n-- {
 			row[idx]++
 			v := row[idx] + 1
 			for _, u := range users {
 				c := &g.classes[u.class]
-				sc := &c.scores[(idx-int(u.shift)+c.stride)%c.stride]
-				sc.worst, sc.sum = max(sc.worst, v), sc.sum+1
+				at := idx - int(u.shift)
+				if at < 0 {
+					at += c.stride
+				} else if at >= c.stride {
+					at %= c.stride // only a stride below hyper lands here
+				}
+				c.raise(at, v)
 			}
 			if idx += st; idx >= g.hyper {
 				idx -= g.hyper
 			}
 		}
 	}
-}
-
-// best returns the offset in [0, period) at which the next flow of c
-// would add the least to the grid: smallest worst, then smallest sum,
-// then lowest offset. The scan takes strict improvements only, and
-// every offset past the stride repeats a score before it.
-func (c *class) best() int {
-	best := 0
-	for o, sc := range c.scores {
-		if b := c.scores[best]; sc.worst < b.worst || (sc.worst == b.worst && sc.sum < b.sum) {
-			best = o
-		}
-	}
-	return best
 }
 
 // place books every flow, in g.flows order, at the slot offset choose

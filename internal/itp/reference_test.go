@@ -513,3 +513,55 @@ func FuzzComputeMatchesDenseGrid(f *testing.F) {
 		assertMatchesDense(t, "fuzz", specs)
 	})
 }
+
+// scanClass is a class's scores as they stood before the tournament
+// tree: one flat score per offset in [0, stride), with the linear best
+// kept verbatim as the oracle for TestClassTreeMatchesScan.
+type scanClass struct{ scores []score }
+
+// best returns the offset in [0, period) at which the next flow of c
+// would add the least to the grid: smallest worst, then smallest sum,
+// then lowest offset. The scan takes strict improvements only, and
+// every offset past the stride repeats a score before it.
+func (c *scanClass) best() int {
+	best := 0
+	for o, sc := range c.scores {
+		if b := c.scores[best]; sc.worst < b.worst || (sc.worst == b.worst && sc.sum < b.sum) {
+			best = o
+		}
+	}
+	return best
+}
+
+// TestClassTreeMatchesScan raises random offsets of a class's
+// tournament and of flat scores alike — by one read of a slot at a
+// random level, so scores only rise — on every stride from 1 to 300,
+// powers of two or not, and requires the tree's best to be the scan's
+// after every raise. Levels drawn from a few small values keep many
+// offsets tied, so the tie order is under test as much as the minimum.
+func TestClassTreeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261018))
+	for stride := 1; stride <= 300; stride++ {
+		empty := score{worst: 1, sum: rng.Intn(5)}
+		c := class{stride: stride}
+		c.plant(make([]score, 2*treeLeaves(stride)), empty)
+		flat := scanClass{scores: make([]score, stride)}
+		for o := range flat.scores {
+			flat.scores[o] = empty
+		}
+		levels := int32(1 + rng.Intn(4))
+		for n := 0; n < 4*stride; n++ {
+			o, v := rng.Intn(stride), 1+rng.Int31n(levels)
+			if rng.Intn(50) == 0 {
+				v += rng.Int31n(100)
+			}
+			c.raise(o, v)
+			sc := &flat.scores[o]
+			sc.worst, sc.sum = max(sc.worst, v), sc.sum+1
+			if got, want := c.best(), flat.best(); got != want {
+				t.Fatalf("stride %d, raise %d (offset %d to %d): tree best %d %+v, scan best %d %+v",
+					stride, n, o, v, got, flat.scores[min(got, stride-1)], want, flat.scores[want])
+			}
+		}
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/wal"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
@@ -158,6 +159,9 @@ func replayDurable(rec *wal.Recovered, wlHash string) (*recoveredImage, error) {
 			}
 			if r.Config == nil {
 				return nil, fmt.Errorf("svc: wal record %d: intent without candidate config", i)
+			}
+			if r.Txn == math.MaxUint64 {
+				return nil, fmt.Errorf("svc: wal record %d: intent txn %d leaves no next transaction id", i, r.Txn)
 			}
 			openIntent, openTxn = true, r.Txn
 			if r.Txn >= img.NextTxn {

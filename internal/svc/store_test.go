@@ -3,6 +3,7 @@ package svc
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -272,6 +273,7 @@ func TestReplayDurableRecordDiscipline(t *testing.T) {
 		"orphan abort":          {walRecord{T: recAbort, Txn: 1}},
 		"unknown type":          {{T: "mystery", Txn: 1}},
 		"intent without config": {{T: recIntent, Txn: 1}},
+		"last txn id":           {intent(math.MaxUint64), commit(math.MaxUint64, 1)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := replayDurable(&wal.Recovered{Records: enc(recs...)}, "h"); err == nil {
@@ -337,7 +339,8 @@ func TestWorkloadHashGolden(t *testing.T) {
 // FuzzReplayDurable feeds arbitrary checkpoint bytes and WAL records
 // (one per line of recs; empty checkpoint bytes mean none) to
 // replayDurable. It never panics, and it either errors or returns a
-// journal numbered 1, 2, 3 … without gaps whose Seq is its length.
+// journal numbered 1, 2, 3 … without gaps whose Seq is its length, and
+// a NextTxn above every transaction the log names.
 func FuzzReplayDurable(f *testing.F) {
 	cfg := `{"unicast_size":64}`
 	intent := func(txn string) string { return `{"t":"intent","txn":` + txn + `,"config":` + cfg + `}` }
@@ -383,6 +386,12 @@ func FuzzReplayDurable(f *testing.F) {
 		}
 		if img.Seq != uint64(len(img.Journal)) {
 			t.Fatalf("seq %d, journal length %d", img.Seq, len(img.Journal))
+		}
+		for _, raw := range rec.Records {
+			var r walRecord
+			if json.Unmarshal(raw, &r) == nil && img.NextTxn <= r.Txn {
+				t.Fatalf("next txn %d does not exceed logged txn %d", img.NextTxn, r.Txn)
+			}
 		}
 	})
 }

@@ -308,16 +308,40 @@ func (t *Topology) PortToward(sw, next int) (int, bool) {
 func (t *Topology) Path(src, dst int) ([]int, error) { return t.Router().Path(src, dst) }
 
 // Router answers path queries over one topology with one breadth-first
-// search per distinct source switch. Equal (src, dst) queries return
-// the same slice: callers share it and must not modify it.
+// search per distinct source switch. Its memory is a few arenas that
+// grow with the sources searched and the paths handed out, never N×N up
+// front: Topology.Path builds a router per call. Equal (src, dst)
+// queries return the same slice: callers share it and must not modify
+// it.
 type Router struct {
-	t     *Topology
-	trees []*pathTree // by source switch, built on first use
+	t *Topology
+	// row[src] is where src's row starts in dests, -1 before its search.
+	row []int32
+	// dests holds one row of N entries per searched source, by
+	// destination; it grows fourfold when full.
+	dests []dest
+	// paths are the paths handed out, in order of first query.
+	paths [][]int
+	// ints is the block paths are carved from. A full block stays with
+	// the paths it backs and a new one takes its place.
+	ints []int
+	// queue is the breadth-first search's, reused across sources.
+	queue []int32
+}
+
+// dest is what a source's search knows of one destination.
+type dest struct {
+	prev int32 // the switch before the destination, -1: unreachable
+	path int32 // 1 + the path's index in paths, 0 before its first query
 }
 
 // Router returns a path router over t's trunks.
 func (t *Topology) Router() *Router {
-	return &Router{t: t, trees: make([]*pathTree, t.N)}
+	r := &Router{t: t, row: make([]int32, t.N), paths: make([][]int, 0, t.N), queue: make([]int32, 0, t.N)}
+	for i := range r.row {
+		r.row[i] = -1
+	}
+	return r
 }
 
 // Path is Topology.Path with the search and the result shared across
@@ -326,10 +350,19 @@ func (r *Router) Path(src, dst int) ([]int, error) {
 	if src < 0 || src >= r.t.N || dst < 0 || dst >= r.t.N {
 		return nil, fmt.Errorf("topology: path %d->%d out of range", src, dst)
 	}
-	if r.trees[src] == nil {
-		r.trees[src] = r.t.bfs(src)
+	if r.row[src] < 0 {
+		r.search(src)
 	}
-	return r.trees[src].to(dst)
+	row := r.dests[r.row[src]:][:r.t.N]
+	d := &row[dst]
+	if d.path == 0 {
+		if d.prev == -1 {
+			return nil, fmt.Errorf("topology: no path %d->%d", src, dst)
+		}
+		r.paths = append(r.paths, r.carve(row, src, dst))
+		d.path = int32(len(r.paths))
+	}
+	return r.paths[d.path-1], nil
 }
 
 // HostPath returns the full switch path between two attached hosts.
@@ -345,59 +378,63 @@ func (r *Router) HostPath(srcHost, dstHost int) ([]int, error) {
 	return r.Path(sa.Switch, da.Switch)
 }
 
-// pathTree is the breadth-first predecessor tree of one source switch.
-type pathTree struct {
-	src   int
-	prev  []int32       // -1: unreachable from src
-	paths map[int][]int // by destination, built on first use
-}
-
-// bfs searches the directed adjacency from src (the ring is directed;
-// the other shapes are symmetric). Neighbors are expanded in ascending
-// order so the choice between equal-length paths (bidirectional ring,
-// mesh, fat-tree) is deterministic. A predecessor is written only when
-// its switch is first discovered, so the tree holds, for every
-// destination, exactly the path a search stopping there would return.
-func (t *Topology) bfs(src int) *pathTree {
-	pt := &pathTree{src: src, prev: make([]int32, t.N), paths: make(map[int][]int)}
-	for i := range pt.prev {
-		pt.prev[i] = -1
+// search appends src's row: the breadth-first predecessor tree over the
+// directed adjacency (the ring is directed; the other shapes are
+// symmetric). Neighbors are expanded in ascending order so the choice
+// between equal-length paths (bidirectional ring, mesh, fat-tree) is
+// deterministic. A predecessor is written only when its switch is first
+// discovered, so the tree holds, for every destination, exactly the
+// path a search stopping there would return.
+func (r *Router) search(src int) {
+	n := r.t.N
+	at := len(r.dests)
+	if cap(r.dests)-at < n {
+		grown := make([]dest, at, max(n, 4*cap(r.dests)))
+		copy(grown, r.dests)
+		r.dests = grown
 	}
-	pt.prev[src] = int32(src)
-	queue := make([]int, 1, t.N)
-	queue[0] = src
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range t.adj[cur] {
-			if pt.prev[e.to] == -1 {
-				pt.prev[e.to] = int32(cur)
-				queue = append(queue, e.to)
+	r.dests = r.dests[:at+n]
+	row := r.dests[at:]
+	for i := range row {
+		row[i] = dest{prev: -1}
+	}
+	row[src].prev = int32(src)
+	queue := append(r.queue[:0], int32(src))
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		for _, e := range r.t.adj[cur] {
+			if row[e.to].prev == -1 {
+				row[e.to].prev = cur
+				queue = append(queue, int32(e.to))
 			}
 		}
 	}
-	return pt
+	r.row[src] = int32(at)
 }
 
-// to returns the tree's path to dst.
-func (pt *pathTree) to(dst int) ([]int, error) {
-	if path, ok := pt.paths[dst]; ok {
-		return path, nil
-	}
-	if pt.prev[dst] == -1 {
-		return nil, fmt.Errorf("topology: no path %d->%d", pt.src, dst)
-	}
+// carve walks row's tree back from dst to src into a path cut from the
+// ints block, its capacity capped so an append cannot reach a neighbor.
+func (r *Router) carve(row []dest, src, dst int) []int {
 	n := 1
-	for cur := dst; cur != pt.src; cur = int(pt.prev[cur]) {
+	for cur := dst; cur != src; cur = int(row[cur].prev) {
 		n++
 	}
-	path := make([]int, n)
-	for cur := dst; n > 0; cur = int(pt.prev[cur]) {
+	if cap(r.ints)-len(r.ints) < n {
+		// Room for a path this long from src and from every source not
+		// searched yet, at most 4·N ints: exact when every switch is the
+		// source of paths of one length to one destination, so the block
+		// keeps no unused tail alive with the paths.
+		sources := 1 + r.t.N - len(r.dests)/r.t.N
+		r.ints = make([]int, 0, max(n, min(n*sources, 4*r.t.N)))
+	}
+	at := len(r.ints)
+	r.ints = r.ints[:at+n]
+	path := r.ints[at : at+n : at+n]
+	for cur := dst; n > 0; cur = int(row[cur].prev) {
 		n--
 		path[n] = cur
 	}
-	pt.paths[dst] = path
-	return path, nil
+	return path
 }
 
 // DisjointPaths returns two link-disjoint switch paths from src to

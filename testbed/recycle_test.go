@@ -13,7 +13,6 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
-	"github.com/tsnbuilder/tsnbuilder/internal/pcap"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
@@ -192,18 +191,18 @@ func (c recycleCase) startGroup(t *testing.T, net *Net) {
 // frames only after they were returned would have written cleared ones.
 func (c recycleCase) checkCapture(t *testing.T, net *Net, capture []byte) {
 	t.Helper()
-	r, err := pcap.NewReader(bytes.NewReader(capture))
+	r, err := newPcapReader(bytes.NewReader(capture))
 	if err != nil {
 		t.Fatal(err)
 	}
 	perFlow := make(map[uint32]uint64)
 	for {
-		_, f, err := r.Next()
+		_, f, err := r.next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
-			t.Fatalf("capture record %d: %v", r.Count(), err)
+			t.Fatalf("capture record %d: %v", r.count, err)
 		}
 		perFlow[f.FlowID]++
 	}
