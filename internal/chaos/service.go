@@ -34,6 +34,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/experiments"
@@ -95,6 +96,7 @@ type ServiceSummary struct {
 type svcDriver struct {
 	ctl
 	ledger
+	armMu sync.Mutex // held from an arm through its reconfiguration
 
 	byStatus map[int]int64
 	probes   int
@@ -183,18 +185,21 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 		case i == wedgeAt:
 			// The seeded atomicity bug: a commit that dies mid-apply
 			// claiming rolled-back. The response must NOT be 2xx — the
-			// post-commit verification catches the partial state and the
-			// breaker starts tripping.
-			d.armThenReconfig(func() error { return s.Instance().Arm(1, 1, true) }, initial, rng)
+			// post-commit verification catches the partial state, the
+			// instance fences itself and the breaker starts tripping. No
+			// other request grows a table five times, so the commit always
+			// has operations to wedge.
+			d.armThenReconfig(func() error { return s.Instance().Arm(1, 1, true) }, growDelta(initial, rng.Intn(3), 5))
 		case i%11 == 3:
 			d.coherenceProbe(specs[rng.Intn(len(specs))])
 		case i%11 == 6:
-			d.reconfig(initial, rng, true)
+			d.reconfig(randomDelta(initial, rng))
 		case i%11 == 8:
 			d.slowDerive(specs[rng.Intn(len(specs))])
 		case i%23 == 9:
 			// A transient fault the bounded retry should absorb into a 2xx.
-			d.armThenReconfig(func() error { return s.Instance().Arm(rng.Intn(2), 1, false) }, initial, rng)
+			op := rng.Intn(2)
+			d.armThenReconfig(func() error { return s.Instance().Arm(op, 1, false) }, growDelta(initial, rng.Intn(3), 2+rng.Intn(3)))
 		case i%29 == 11:
 			d.burst(rng)
 		default:
@@ -208,7 +213,7 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 	if journal, live, err := d.state(); err != nil {
 		d.errf("%v", err)
 	} else {
-		d.check(journal, live, initial, "after the drive")
+		d.check(journal, live, initial, s.Instance().Fenced() != nil, "after the drive")
 	}
 	d.checkQueueBound("derive", s.Admission().Derive)
 	d.checkQueueBound("reconfig", s.Admission().Reconfig)
@@ -294,17 +299,18 @@ func (d *svcDriver) burst(rng *rand.Rand) {
 	}
 }
 
-// reconfig POSTs a delta. Grows are always valid; when allowShrink is
-// set the delta occasionally asks for an implausible shrink to exercise
-// the 409 validation path.
-func (d *svcDriver) reconfig(initial svc.ConfigJSON, rng *rand.Rand, allowShrink bool) {
-	var delta svc.ReconfigRequest
-	if allowShrink && rng.Intn(4) == 0 {
-		delta.UnicastSize = 1
-	} else {
-		table := rng.Intn(3)
-		delta = growDelta(initial, table, 2+rng.Intn(3))
+// randomDelta grows one table — grows are always valid — or, one time in
+// four, asks for an implausible shrink to exercise the 409 validation
+// path.
+func randomDelta(initial svc.ConfigJSON, rng *rand.Rand) svc.ReconfigRequest {
+	if rng.Intn(4) == 0 {
+		return svc.ReconfigRequest{UnicastSize: 1}
 	}
+	return growDelta(initial, rng.Intn(3), 2+rng.Intn(3))
+}
+
+// reconfig POSTs a delta and books the outcome.
+func (d *svcDriver) reconfig(delta svc.ReconfigRequest) {
 	status, ack, err := d.postReconfig(delta)
 	if status == 0 {
 		d.errf("reconfig: %v", err)
@@ -320,8 +326,11 @@ func (d *svcDriver) reconfig(initial svc.ConfigJSON, rng *rand.Rand, allowShrink
 }
 
 // armThenReconfig injects a mid-commit fault and immediately transacts
-// into it.
-func (d *svcDriver) armThenReconfig(arm func() error, initial svc.ConfigJSON, rng *rand.Rand) {
+// into it. armMu keeps another client's arm from replacing this one
+// before a commit has consumed it.
+func (d *svcDriver) armThenReconfig(arm func() error, delta svc.ReconfigRequest) {
+	d.armMu.Lock()
+	defer d.armMu.Unlock()
 	if err := arm(); err != nil {
 		d.errf("arm fault: %v", err)
 		return
@@ -329,7 +338,7 @@ func (d *svcDriver) armThenReconfig(arm func() error, initial svc.ConfigJSON, rn
 	d.mu.Lock()
 	d.faults++
 	d.mu.Unlock()
-	d.reconfig(initial, rng, false)
+	d.reconfig(delta)
 }
 
 func (d *svcDriver) checkQueueBound(name string, q *svc.ClassQueue) {

@@ -152,16 +152,9 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 	}
 
 	// Guideline (4): plan injection times, then provision depth with
-	// margin. The cell key is port-aware: flows through the same
-	// switch toward different next hops use different egress queues.
-	key := func(s *flows.Spec, hop int) itp.Cell {
-		next := -(s.DstHost + 2) // egress to the destination host
-		if hop+1 < len(s.Path) {
-			next = s.Path[hop+1]
-		}
-		return itp.Cell{Switch: s.Path[hop], Next: next}
-	}
-	plan, err := itp.Compute(sc.Flows, sc.SlotSize, key)
+	// margin. The plan is per egress port of the topology: flows through
+	// the same switch toward different next hops use different queues.
+	plan, err := itp.Compute(sc.Flows, sc.SlotSize, sc.Topo)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +179,7 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 				wider = sc.SlotSize + 5*sim.Microsecond
 			}
 			sc.SlotSize = wider
-			if plan, err = itp.Compute(sc.Flows, sc.SlotSize, key); err != nil {
+			if plan, err = itp.Compute(sc.Flows, sc.SlotSize, sc.Topo); err != nil {
 				return nil, err
 			}
 			if iter == 3 {

@@ -68,7 +68,7 @@ func TestFoldedHyperperiodCoversTrueOccupancy(t *testing.T) {
 		for _, s := range specs {
 			s.Offset = sim.Time(rng.Intn(int(s.Period/slot))) * slot
 		}
-		occ, err := Occupancy(specs, slot, nil)
+		occ, err := occupancy(specs, slot)
 		if err != nil {
 			t.Fatal(err)
 		}

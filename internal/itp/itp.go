@@ -26,6 +26,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 )
 
 // maxHyperperiod caps the planning grid; beyond it the schedule folds
@@ -33,8 +34,8 @@ import (
 const maxHyperperiod = 1 << 16
 
 // Cell identifies one queueing point: the egress queue of Switch
-// toward Next. Next is whatever distinguishes the switch's egress
-// ports for the caller (the next switch, a host code), or AnyPort.
+// toward Next — topology.Hop's Next, the next switch or −(host+2) — or
+// AnyPort.
 type Cell struct{ Switch, Next int }
 
 // AnyPort as Cell.Next merges all egress ports of a switch into one
@@ -47,17 +48,6 @@ func (c Cell) String() string {
 		return fmt.Sprintf("sw%d", c.Switch)
 	}
 	return fmt.Sprintf("sw%d->%d", c.Switch, c.Next)
-}
-
-// CellKey identifies the queueing point of flow spec at hop index hop
-// (0-based within spec.Path). The default keys by switch ID alone,
-// which conservatively merges all ports of a switch; testbeds supply a
-// port-aware function.
-type CellKey func(spec *flows.Spec, hop int) Cell
-
-// DefaultCellKey keys by the switch at the hop.
-func DefaultCellKey(spec *flows.Spec, hop int) Cell {
-	return Cell{Switch: spec.Path[hop], Next: AnyPort}
 }
 
 // Plan is the planner's result.
@@ -202,9 +192,9 @@ func (c *class) best() int {
 type user struct{ class, shift int32 }
 
 // grid is the occupancy table every entry point books into: one dense
-// row of hyper slot counters per distinct cell, cells interned to row
-// numbers once per (flow, hop), and the live scores of every class.
-// Grids come from and return to gridPool; a Plan shares none of it.
+// row of hyper slot counters per distinct cell, cells numbered by row
+// once per (flow, hop), and the live scores of every class. Grids come
+// from and return to gridPool; a Plan shares none of it.
 type grid struct {
 	flows   []flow   // the TS flows, in input order
 	cells   []Cell   // row number → cell
@@ -213,31 +203,29 @@ type grid struct {
 	hyper   int      // slots per row
 	occ     []int32
 
-	// Backing arrays carved up per call, and the intern maps.
+	// Backing arrays carved up per call, and the class intern map.
 	rows       []int32
 	nodes      []score
-	cellIndex  map[Cell]int32
+	rowOf      []int32          // 1 + the row of a port index (switch ID without a topology), 0: none yet
 	classIndex map[uint64]int32 // hash of (stride, rows) → first class
 }
 
-var gridPool = sync.Pool{New: func() any {
-	return &grid{cellIndex: make(map[Cell]int32), classIndex: make(map[uint64]int32)}
-}}
+var gridPool = sync.Pool{New: func() any { return &grid{classIndex: make(map[uint64]int32)} }}
 
 // prepare filters and validates the TS flows of specs (non-TS flows are
 // ignored), converts periods to slots, fixes the capped hyperperiod,
-// interns every hop's cell and every flow's class, and sets each class's
-// scores to the empty grid's. The caller releases the grid.
-func prepare(specs []*flows.Spec, slot sim.Time, key CellKey) (*grid, error) {
+// numbers every hop's cell and interns every flow's class, and sets each
+// class's scores to the empty grid's. The caller releases the grid.
+func prepare(specs []*flows.Spec, slot sim.Time, topo *topology.Topology) (*grid, error) {
 	if slot <= 0 {
 		return nil, fmt.Errorf("itp: non-positive slot %v", slot)
 	}
-	if key == nil {
-		key = DefaultCellKey
-	}
 	g := gridPool.Get().(*grid)
 	g.flows, g.cells, g.classes, g.hyper = g.flows[:0], g.cells[:0], g.classes[:0], 1
-	hops, longest := 0, 1
+	hops, longest, keys := 0, 1, 0
+	if topo != nil {
+		keys = topo.Ports()
+	}
 	for _, s := range specs {
 		if s.Class != ethernet.ClassTS || s.Period <= 0 {
 			continue
@@ -247,6 +235,8 @@ func prepare(specs []*flows.Spec, slot sim.Time, key CellKey) (*grid, error) {
 			err = fmt.Errorf("itp: flow %d has no path", s.ID)
 		} else if s.Period < slot {
 			err = fmt.Errorf("itp: flow %d period %v below slot %v", s.ID, s.Period, slot)
+		} else if topo == nil && slices.Min(s.Path) < 0 {
+			err = fmt.Errorf("itp: flow %d path has a negative switch", s.ID)
 		}
 		if err != nil {
 			g.release()
@@ -259,25 +249,37 @@ func prepare(specs []*flows.Spec, slot sim.Time, key CellKey) (*grid, error) {
 		if g.hyper != 0 {
 			g.hyper = lcm(g.hyper, p)
 		}
+		if topo == nil {
+			keys = max(keys, slices.Max(s.Path)+1)
+		}
 	}
 	if g.hyper == 0 {
 		g.hyper = longest // cap: fold onto the largest period
 	}
 	g.rows = slices.Grow(g.rows[:0], hops)[:hops]
+	g.rowOf = slices.Grow(g.rowOf[:0], keys)[:keys]
+	clear(g.rowOf)
 	rows := g.rows
 	for i := range g.flows {
 		f := &g.flows[i]
 		n := len(f.spec.Path)
 		f.rows, rows = rows[:n:n], rows[n:]
-		for h := range f.rows {
-			c := key(f.spec, h)
-			r, ok := g.cellIndex[c]
-			if !ok {
-				r = int32(len(g.cells))
-				g.cellIndex[c] = r
-				g.cells = append(g.cells, c)
+		for h, sw := range f.spec.Path {
+			key, cell := sw, Cell{Switch: sw, Next: AnyPort}
+			if topo != nil {
+				hop, err := topo.Egress(f.spec.Path, f.spec.DstHost, h)
+				if err != nil {
+					err = fmt.Errorf("itp: flow %d: %w", f.spec.ID, err)
+					g.release()
+					return nil, err
+				}
+				key, cell = hop.Index, Cell{Switch: hop.Switch, Next: hop.Next}
 			}
-			f.rows[h] = r
+			if g.rowOf[key] == 0 {
+				g.cells = append(g.cells, cell)
+				g.rowOf[key] = int32(len(g.cells))
+			}
+			f.rows[h] = g.rowOf[key] - 1
 		}
 		f.class = g.intern(f)
 	}
@@ -331,7 +333,6 @@ func (g *grid) intern(f *flow) int32 {
 // release returns g to the pool, holding no spec.
 func (g *grid) release() {
 	clear(g.flows)
-	clear(g.cellIndex)
 	clear(g.classIndex)
 	gridPool.Put(g)
 }
@@ -401,10 +402,13 @@ func (g *grid) place(slot sim.Time, choose func(i int, f *flow) int) *Plan {
 }
 
 // Compute plans offsets for the TS flows in specs. Non-TS flows are
-// ignored. slot is the CQF slot size; key may be nil for
-// DefaultCellKey. Flows must have non-empty paths.
-func Compute(specs []*flows.Spec, slot sim.Time, key CellKey) (*Plan, error) {
-	g, err := prepare(specs, slot, key)
+// ignored. slot is the CQF slot size. With topo every egress port is
+// its own queueing point, resolved by topo.Egress, so each path must
+// follow topo's trunks to its destination host's switch; nil merges a
+// switch's ports into one AnyPort cell. Flows must have non-empty
+// paths.
+func Compute(specs []*flows.Spec, slot sim.Time, topo *topology.Topology) (*Plan, error) {
+	g, err := prepare(specs, slot, topo)
 	if err != nil {
 		return nil, err
 	}
@@ -433,24 +437,4 @@ func (p *Plan) Apply(specs []*flows.Spec) {
 			s.Offset = off
 		}
 	}
-}
-
-// Occupancy evaluates the worst per-cell occupancy of specs using the
-// offsets already present in the specs (e.g. all-zero for the naive
-// baseline the ablation compares against).
-func Occupancy(specs []*flows.Spec, slot sim.Time, key CellKey) (int, error) {
-	g, err := prepare(specs, slot, key)
-	if err != nil {
-		return 0, err
-	}
-	defer g.release()
-	for i := range g.flows {
-		f := &g.flows[i]
-		g.book(f, int(f.spec.Offset/slot))
-	}
-	worst := int32(0)
-	for _, v := range g.occ {
-		worst = max(worst, v)
-	}
-	return int(worst), nil
 }

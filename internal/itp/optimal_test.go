@@ -31,7 +31,7 @@ func bruteForceOptimal(t *testing.T, specs []*flows.Spec, slot sim.Time) int {
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(specs) {
-			occ, err := Occupancy(specs, slot, nil)
+			occ, err := occupancy(specs, slot)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,7 @@ func TestGridPoolLeaksNothing(t *testing.T) {
 	}
 	first := make([]*Plan, len(sets))
 	for i, set := range sets {
-		p, err := Compute(set.specs, slot, portKey)
+		p, err := Compute(set.specs, slot, set.topo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,8 +39,9 @@ func TestGridPoolLeaksNothing(t *testing.T) {
 	noPath[2].Path = nil
 	belowSlot := mkFlows(3, 10*slot, []int{0, 1})
 	belowSlot[1].Period = slot / 2
-	for _, specs := range [][]*flows.Spec{noPath, belowSlot} {
-		if _, err := Compute(specs, slot, portKey); err == nil {
+	offHost := append(walk(sets[0].topo, sets[0].specs), mkFlows(1, 10*slot, []int{0, 1})...)
+	for _, specs := range [][]*flows.Spec{noPath, belowSlot, offHost} {
+		if _, err := Compute(specs, slot, sets[0].topo); err == nil {
 			t.Fatal("invalid flow set planned")
 		}
 	}
@@ -64,7 +65,7 @@ func TestGridPoolLeaksNothing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, set := range sets {
-				p, err := Compute(set.specs, slot, portKey)
+				p, err := Compute(set.specs, slot, set.topo)
 				if err != nil || !reflect.DeepEqual(p, first[i]) {
 					t.Errorf("%s: plan differs from the first serial plan (err %v)", set.name, err)
 					return
@@ -75,23 +76,25 @@ func TestGridPoolLeaksNothing(t *testing.T) {
 	wg.Wait()
 }
 
-// TestComputeAllocs: with the working set pooled, a plan allocates the
-// Plan and its two maps, however many flows it places.
+// TestComputeAllocs: with the working set pooled, a port-aware plan
+// allocates the Plan and its two maps — nine allocations — however many
+// flows it places.
 func TestComputeAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	allocs := func(nFlows int) float64 {
-		specs := workloadSpecs(t, topology.Ring(8), nFlows, 3)
+		topo := topology.Ring(8)
+		specs := workloadSpecs(t, topo, nFlows, 3)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := Compute(specs, slot, portKey); err != nil {
+			if _, err := Compute(specs, slot, topo); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	small, large := allocs(64), allocs(440)
-	if small != large {
-		t.Fatalf("Compute allocates %v times for 64 flows, %v for 440", small, large)
+	if small != large || small > 9 {
+		t.Fatalf("Compute allocates %v times for 64 flows, %v for 440; want the same, at most 9", small, large)
 	}
 	t.Logf("%v allocations per Compute", small)
 }

@@ -177,34 +177,75 @@ func referenceCompute(specs []*flows.Spec, slot sim.Time, key refCellKey) (*refP
 
 // --- equivalence: the dense-grid planner against the oracle ---
 
-// portKey / refPortKey are core.DeriveConfig's port-aware cell key, in
-// the new and in the old (Sprintf'd) form. core imports this package,
-// so the test cannot import it back.
-func portKey(s *flows.Spec, hop int) Cell {
+// refPortKey is core.DeriveConfig's port-aware cell key as it stood
+// before topology.Egress resolved the hops, in the old (Sprintf'd) form:
+// the egress toward the next switch, or −(host+2) toward the host.
+func refPortKey(s *flows.Spec, hop int) string {
 	next := -(s.DstHost + 2)
 	if hop+1 < len(s.Path) {
 		next = s.Path[hop+1]
 	}
-	return Cell{Switch: s.Path[hop], Next: next}
+	return fmt.Sprintf("sw%d->%d", s.Path[hop], next)
 }
 
-func refPortKey(s *flows.Spec, hop int) string {
-	c := portKey(s, hop)
-	return fmt.Sprintf("sw%d->%d", c.Switch, c.Next)
+// keyedInput is one planner input of an equivalence check: the specs,
+// the topology the planner resolves their ports on (nil: per switch)
+// and the reference planner's key for the same cells.
+type keyedInput struct {
+	name  string
+	topo  *topology.Topology
+	ref   refCellKey
+	specs []*flows.Spec
+}
+
+// keyed lists the inputs an equivalence check runs: specs under the
+// default key, and specs walked onto topo under topo's ports.
+func keyed(topo *topology.Topology, specs []*flows.Spec) []keyedInput {
+	return []keyedInput{{"default", nil, nil, specs}, {"port", topo, refPortKey, walk(topo, specs)}}
+}
+
+// testTopo is the network the drawn flow sets are walked onto: a
+// bidirectional ring of six switches with hosts 0–2 and 100–102 on
+// switches 0, 2 and 4.
+func testTopo() *topology.Topology {
+	topo := topology.RingBidir(6)
+	for h := 0; h < 3; h++ {
+		topo.AttachHost(h, 2*h)
+		topo.AttachHost(100+h, 2*h)
+	}
+	return topo
+}
+
+// walk returns copies of specs whose paths topo can resolve: the
+// shortest route through each drawn switch in turn, then on to the
+// destination host's switch. A path already bound on topo comes back
+// unchanged.
+func walk(topo *topology.Topology, specs []*flows.Spec) []*flows.Spec {
+	r := topo.Router()
+	out := make([]*flows.Spec, len(specs))
+	for i, s := range specs {
+		c := *s
+		if len(s.Path) > 0 {
+			at, _ := topo.HostAttach(s.DstHost)
+			c.Path = []int{s.Path[0]}
+			for _, sw := range append(s.Path[1:len(s.Path):len(s.Path)], at.Switch) {
+				p, _ := r.Path(c.Path[len(c.Path)-1], sw)
+				c.Path = append(c.Path, p[1:]...)
+			}
+		}
+		out[i] = &c
+	}
+	return out
 }
 
 // assertMatchesReference plans specs with both planners, under the
 // default and the port-aware key, and requires identical results; the
 // new Cell must also render the old string key.
-func assertMatchesReference(t testing.TB, name string, specs []*flows.Spec, slot sim.Time) {
+func assertMatchesReference(t testing.TB, name string, topo *topology.Topology, specs []*flows.Spec, slot sim.Time) {
 	t.Helper()
-	for _, k := range []struct {
-		name string
-		key  CellKey
-		ref  refCellKey
-	}{{"default", nil, nil}, {"port", portKey, refPortKey}} {
-		want, wantErr := referenceCompute(specs, slot, k.ref)
-		got, gotErr := Compute(specs, slot, k.key)
+	for _, k := range keyed(topo, specs) {
+		want, wantErr := referenceCompute(k.specs, slot, k.ref)
+		got, gotErr := Compute(k.specs, slot, k.topo)
 		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 			t.Fatalf("%s/%s: error %v, reference %v", name, k.name, gotErr, wantErr)
 		}
@@ -254,9 +295,10 @@ func workloadSpecs(t testing.TB, topo *topology.Topology, nFlows, hops int) []*f
 	return specs
 }
 
-// flowSet is one named planner input.
+// flowSet is one named planner input and the network it is bound on.
 type flowSet struct {
 	name  string
+	topo  *topology.Topology
 	specs []*flows.Spec
 }
 
@@ -277,8 +319,9 @@ func deriveGrid(t testing.TB) []flowSet {
 		for sw := 7; sw <= 14; sw++ {
 			for i, nFlows := range []int{64, 143, 242, 341, 440} {
 				hops := 2 + (sw+i)%2
+				topo := shape.mk(sw)
 				sets = append(sets, flowSet{fmt.Sprintf("%s/%dsw/%dflows/%dhops", shape.name, sw, nFlows, hops),
-					workloadSpecs(t, shape.mk(sw), nFlows, hops)})
+					topo, workloadSpecs(t, topo, nFlows, hops)})
 			}
 		}
 	}
@@ -287,14 +330,15 @@ func deriveGrid(t testing.TB) []flowSet {
 
 func TestEquivalenceDeriveGrid(t *testing.T) {
 	for _, set := range deriveGrid(t) {
-		assertMatchesReference(t, set.name, set.specs, slot)
+		assertMatchesReference(t, set.name, set.topo, set.specs, slot)
 	}
 }
 
 // TestEquivalenceMesh210 is the benchmark's mesh workload: 210
 // switches, 2048 flows across 4 switches each.
 func TestEquivalenceMesh210(t *testing.T) {
-	assertMatchesReference(t, "mesh210", workloadSpecs(t, topology.MeshSquarish(210), 2048, 4), slot)
+	mesh := topology.MeshSquarish(210)
+	assertMatchesReference(t, "mesh210", mesh, workloadSpecs(t, mesh, 2048, 4), slot)
 }
 
 // periods720 are the divisors of 720 the random and fuzzed flow sets
@@ -332,7 +376,7 @@ func randomSpecs(rng *rand.Rand, n int) []*flows.Spec {
 func TestEquivalenceRandomMixedPeriods(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260929))
 	for i := 0; i < 150; i++ {
-		assertMatchesReference(t, fmt.Sprintf("set%d", i), randomSpecs(rng, 1+rng.Intn(40)), slot)
+		assertMatchesReference(t, fmt.Sprintf("set%d", i), testTopo(), randomSpecs(rng, 1+rng.Intn(40)), slot)
 	}
 }
 
@@ -358,7 +402,7 @@ func FuzzComputeEquivalence(f *testing.F) {
 				Period: sim.Time(periods720[int(data[i])%len(periods720)]) * slot, Path: path,
 			})
 		}
-		assertMatchesReference(t, "fuzz", specs, slot)
+		assertMatchesReference(t, "fuzz", testTopo(), specs, slot)
 	})
 }
 
@@ -419,8 +463,8 @@ func accumulate(seg, worst []int32, sum []int) {
 }
 
 // denseCompute is Compute with the re-scanning search.
-func denseCompute(specs []*flows.Spec, slot sim.Time, key CellKey) (*Plan, error) {
-	g, err := prepare(specs, slot, key)
+func denseCompute(specs []*flows.Spec, slot sim.Time, topo *topology.Topology) (*Plan, error) {
+	g, err := prepare(specs, slot, topo)
 	if err != nil {
 		return nil, err
 	}
@@ -434,12 +478,9 @@ func denseCompute(specs []*flows.Spec, slot sim.Time, key CellKey) (*Plan, error
 // plans under the default and the port-aware key.
 func assertMatchesDense(t testing.TB, name string, specs []*flows.Spec) {
 	t.Helper()
-	for _, k := range []struct {
-		name string
-		key  CellKey
-	}{{"default", nil}, {"port", portKey}} {
-		want, wantErr := denseCompute(specs, slot, k.key)
-		got, gotErr := Compute(specs, slot, k.key)
+	for _, k := range keyed(testTopo(), specs) {
+		want, wantErr := denseCompute(k.specs, slot, k.topo)
+		got, gotErr := Compute(k.specs, slot, k.topo)
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotErr, wantErr) {
 			t.Fatalf("%s/%s: Compute %+v, %v; dense-grid search %+v, %v", name, k.name, got, gotErr, want, wantErr)
 		}

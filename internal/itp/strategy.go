@@ -7,6 +7,7 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 )
 
 // Strategy selects the offset-assignment algorithm. The paper's §V
@@ -48,11 +49,11 @@ func (s Strategy) String() string {
 // evaluates the resulting worst-case occupancy. StrategyGreedy
 // delegates to Compute; the others assign offsets in flow-ID order,
 // blind to the grid they are booked into.
-func ComputeWith(specs []*flows.Spec, slot sim.Time, key CellKey, strategy Strategy, seed uint64) (*Plan, error) {
+func ComputeWith(specs []*flows.Spec, slot sim.Time, topo *topology.Topology, strategy Strategy, seed uint64) (*Plan, error) {
 	var choose func(i int, f *flow) int
 	switch strategy {
 	case StrategyGreedy:
-		return Compute(specs, slot, key)
+		return Compute(specs, slot, topo)
 	case StrategyRoundRobin:
 		choose = func(i int, f *flow) int { return i % f.period }
 	case StrategyRandom:
@@ -63,7 +64,7 @@ func ComputeWith(specs []*flows.Spec, slot sim.Time, key CellKey, strategy Strat
 	default:
 		return nil, fmt.Errorf("itp: unknown strategy %d", strategy)
 	}
-	g, err := prepare(specs, slot, key)
+	g, err := prepare(specs, slot, topo)
 	if err != nil {
 		return nil, err
 	}

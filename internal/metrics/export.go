@@ -38,12 +38,6 @@ type SampleSnapshot struct {
 	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
-// Quantile estimates the q-quantile of a histogram sample (0 for
-// other kinds).
-func (s SampleSnapshot) Quantile(q float64) float64 {
-	return quantile(s.Bounds, s.Counts, s.Count, q)
-}
-
 // Snapshot copies the registry's current state. Families appear in
 // registration order, samples in registration order, so exports are
 // deterministic. A nil registry snapshots empty. Slices are sized

@@ -188,19 +188,6 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestSampleQuantile(t *testing.T) {
-	r := New()
-	h := r.Histogram("h", []int64{10, 20, 40})
-	for i := 0; i < 100; i++ {
-		h.Observe(15)
-	}
-	smp := r.Snapshot().Families[0].Samples[0]
-	q := smp.Quantile(0.5)
-	if q <= 10 || q > 20 {
-		t.Fatalf("snapshot q50 = %g, want in (10,20]", q)
-	}
-}
-
 // TestSnapshotHistogramsAreCopies: histogram counts are carved from one
 // per-snapshot array, which must neither follow the live registry nor
 // let one sample's slice grow into its neighbour's.

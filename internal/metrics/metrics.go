@@ -190,50 +190,6 @@ func (h Histogram) Count() uint64 {
 	return h.h.count
 }
 
-// Quantile estimates the q-quantile (0..1) by linear interpolation
-// within the bucket containing the target rank. Values in the +Inf
-// bucket clamp to the highest finite bound.
-func (h Histogram) Quantile(q float64) float64 {
-	if h.h == nil {
-		return 0
-	}
-	return quantile(h.h.bounds, h.h.counts, h.h.count, q)
-}
-
-// quantile is the shared bucket-interpolation estimator (also used on
-// snapshots).
-func quantile(bounds []int64, counts []uint64, total uint64, q float64) float64 {
-	if total == 0 || len(bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(bounds) {
-			// +Inf bucket: clamp to the largest finite bound.
-			return float64(bounds[len(bounds)-1])
-		}
-		lo := float64(0)
-		if i > 0 {
-			lo = float64(bounds[i-1])
-		}
-		hi := float64(bounds[i])
-		return lo + (hi-lo)*(rank-prev)/float64(c)
-	}
-	return float64(bounds[len(bounds)-1])
-}
-
 // ExponentialBounds returns n upper bounds starting at start and
 // multiplying by factor — the usual latency bucket layout.
 func ExponentialBounds(start int64, factor float64, n int) []int64 {

@@ -45,6 +45,9 @@ type ReconfigOutcome struct {
 	// Shed is set when the job's deadline expired before the commit
 	// began; nothing was staged or touched.
 	Shed bool
+	// Fenced is why the job was refused: the instance is fenced (see
+	// Instance.Fenced). Nothing was staged or touched.
+	Fenced error
 	// RejectErr is a validation rejection (the candidate cannot apply).
 	RejectErr error
 	// State/Attempts/CommitAt describe the resolved transaction.
@@ -100,8 +103,16 @@ type Instance struct {
 	// instance's health (NewInstance); read by the loop goroutine only.
 	onHealth func(healthy bool)
 
-	mu         sync.Mutex
-	live       core.Config
+	// The contract the fields below keep: the configuration in force is
+	// the journal tail, or the instance is fenced. live, tail and fence
+	// are written on the loop goroutine only, under mu.
+	mu   sync.Mutex
+	live core.Config // the network's configuration after the last job
+	// tail is the journal's last configuration, or the boot
+	// configuration while the journal is empty.
+	tail core.Config
+	// fence is why the network is not verified at tail; nil when it is.
+	fence      error
 	seq        uint64
 	journal    []JournalEntry
 	verifyErr  error
@@ -149,6 +160,7 @@ func NewInstance(opts Options, onHealth func(healthy bool)) (*Instance, error) {
 		jobs:     make(chan func(), 64),
 		done:     make(chan struct{}),
 		live:     net.LiveConfig(),
+		tail:     net.LiveConfig(),
 		onHealth: onHealth,
 	}
 	if opts.StateDir != "" {
@@ -301,25 +313,12 @@ func (in *Instance) finishRecovery() {
 func (in *Instance) replay(img *recoveredImage) error {
 	if img != nil && len(img.Journal) > 0 {
 		tail := img.Journal[len(img.Journal)-1]
-		if tail.Config != in.net.LiveConfig() {
-			txn, err := in.net.Reconfigure(tail.Config)
-			if err != nil {
-				return fmt.Errorf("svc: replay to journal tail seq %d: %w", tail.Seq, err)
-			}
-			verr := in.settle(txn)
-			if txn.State() != reconfig.StateCommitted {
-				return fmt.Errorf("svc: replay commit resolved %v: %w", txn.State(), txn.Err())
-			}
-			if verr != nil {
-				return fmt.Errorf("svc: replay verification: %w", verr)
-			}
-		}
-		if in.net.LiveConfig() != tail.Config {
-			return fmt.Errorf("svc: replayed live config diverges from journal tail seq %d", tail.Seq)
+		if err := in.driveTo(tail.Config); err != nil {
+			return fmt.Errorf("svc: replay to journal tail seq %d: %w", tail.Seq, err)
 		}
 	}
 	in.mu.Lock()
-	in.live = in.net.LiveConfig()
+	in.live, in.tail = in.net.LiveConfig(), in.net.LiveConfig()
 	if img != nil {
 		in.seq = img.Seq
 		in.journal = append([]JournalEntry(nil), img.Journal...)
@@ -332,6 +331,55 @@ func (in *Instance) replay(img *recoveredImage) error {
 		return fmt.Errorf("svc: post-recovery checkpoint: %w", err)
 	}
 	return nil
+}
+
+// driveTo brings the network to cfg — one transaction, settled, when it
+// is elsewhere — and verifies it there. Loop goroutine only.
+func (in *Instance) driveTo(cfg core.Config) error {
+	var verr error
+	if cfg == in.net.LiveConfig() {
+		verr = in.net.VerifyLive()
+	} else {
+		txn, err := in.net.Reconfigure(cfg)
+		if err != nil {
+			return err
+		}
+		if verr = in.settle(txn); txn.State() != reconfig.StateCommitted {
+			return fmt.Errorf("commit resolved %v: %w", txn.State(), txn.Err())
+		}
+	}
+	if verr != nil {
+		return fmt.Errorf("verification: %w", verr)
+	}
+	return nil
+}
+
+// restore fences the instance for cause and drives the network back to
+// the journal tail; it unfences only once the network verifies clean
+// there. Loop goroutine only.
+func (in *Instance) restore(cause error) {
+	in.mu.Lock()
+	in.fence = cause
+	in.mu.Unlock()
+	err := in.driveTo(in.tail)
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.live = in.net.LiveConfig()
+	if err != nil {
+		in.fence = fmt.Errorf("%v; back to the journal tail: %w", cause, err)
+	} else {
+		in.fence, in.verifyErr = nil, nil
+	}
+}
+
+// Fenced returns why the instance is fenced — a commit moved the
+// network but could not be journaled, and driving it back to the
+// journal tail has not verified clean — or nil. A fenced instance
+// refuses reconfigurations and is degraded.
+func (in *Instance) Fenced() error {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.fence
 }
 
 // settle drives a begun transaction to resolution: the engine runs to
@@ -362,7 +410,10 @@ func (in *Instance) RecoverErr() error {
 // it is still queued at expiry, and is ignored from the moment the
 // commit begins. On a durable instance the transaction is journaled:
 // intent before validation, commit fsynced before the outcome (and
-// thus any 2xx) is returned, abort on rejection or rollback.
+// thus any 2xx) is returned, abort on rejection or rollback. A commit
+// that leaves the network off the journal tail — it failed verification
+// or its commit record — fences the instance (see restore); a fenced
+// instance refuses the job (Fenced).
 func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (ReconfigOutcome, error) {
 	if in.Recovering() {
 		return ReconfigOutcome{}, ErrRecovering
@@ -372,6 +423,10 @@ func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (Reco
 		// Shed point: the deadline lapsed while queued; nothing staged.
 		if ctx.Err() != nil {
 			out.Shed = true
+			return
+		}
+		if in.fence != nil { // written on this goroutine only
+			out.Fenced = in.fence
 			return
 		}
 		cand, err := core.Overlay(in.net.LiveConfig(), req)
@@ -429,16 +484,23 @@ func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (Reco
 			in.seq++
 			out.Seq = in.seq
 			in.journal = append(in.journal, JournalEntry{Seq: in.seq, Config: out.Config})
+			in.tail = out.Config
 		}
 		seq := in.seq
 		in.mu.Unlock()
+		switch {
+		case out.VerifyErr != nil:
+			in.restore(out.VerifyErr)
+		case out.WALErr != nil:
+			in.restore(fmt.Errorf("commit not durable: %w", out.WALErr))
+		}
 		if committed && out.WALErr == nil && in.store != nil && seq%uint64(in.ckptEvery) == 0 {
 			if err := in.checkpoint(); err != nil {
 				in.setWALErr(err)
 			}
 		}
 		if in.onHealth != nil {
-			in.onHealth(out.VerifyErr == nil && !in.net.Watchdog.Degraded())
+			in.onHealth(in.fence == nil && !in.net.Watchdog.Degraded())
 		}
 	})
 	return out, err
@@ -495,17 +557,19 @@ func (in *Instance) MetricsSnapshot(ctx context.Context) (metrics.Snapshot, erro
 func (in *Instance) Health() (degraded bool, detail string) {
 	d, detail, _, _ := in.net.Health.Status()
 	in.mu.Lock()
-	verifyErr, walErr, recoverErr := in.verifyErr, in.walErr, in.recoverErr
+	verifyErr, walErr, recoverErr, fence := in.verifyErr, in.walErr, in.recoverErr, in.fence
 	in.mu.Unlock()
 	switch {
 	case verifyErr != nil:
 		detail = verifyErr.Error()
+	case fence != nil && detail == "":
+		detail = "fenced: " + fence.Error()
 	case recoverErr != nil && detail == "":
 		detail = "recovery failed: " + recoverErr.Error()
 	case walErr != nil && detail == "":
 		detail = "durability failed: " + walErr.Error()
 	}
-	return d || verifyErr != nil || walErr != nil || recoverErr != nil, detail
+	return d || verifyErr != nil || walErr != nil || recoverErr != nil || fence != nil, detail
 }
 
 func (in *Instance) walError() error {

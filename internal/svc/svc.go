@@ -511,6 +511,9 @@ func (s *Service) handleReconfig(w http.ResponseWriter, r *http.Request) {
 		s.stats.deadlineExceeded.Inc()
 		writeError(w, http.StatusGatewayTimeout, "deadline expired before commit started")
 		return
+	case out.Fenced != nil:
+		writeError(w, http.StatusServiceUnavailable, "fenced: "+out.Fenced.Error())
+		return
 	case out.RejectErr != nil:
 		// Validation rejection: a client problem, not an instance
 		// failure — the breaker does not count it.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
@@ -286,6 +288,68 @@ func TestServiceWedgeTripsBreakerAndHealth(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("breaker rejection missing Retry-After")
+	}
+}
+
+// TestFailedCommitKeepsLiveAtJournalTail: a wedged grow answers 500,
+// and a second grow must not move the configuration in force off the
+// journal — the wedge's leftovers fail every verification, so the
+// instance stays fenced: it refuses the grow with 503 and is unready.
+func TestFailedCommitKeepsLiveAtJournalTail(t *testing.T) {
+	s, ts := newTestService(t, Options{})
+	boot := s.Instance().LiveConfig()
+	if err := s.Instance().Arm(1, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/reconfig", `{"unicast_size":`+jsonInt(boot.UnicastSize*2)+`}`, nil)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("wedged grow: %d %s, want 500", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/reconfig", `{"meter_size":`+jsonInt(boot.MeterSize*2)+`}`, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("grow after the wedge: %d %s, want 503 (fenced)", resp.StatusCode, body)
+	}
+	var journal []JournalEntry
+	var live ConfigJSON
+	getJSON(t, ts.URL+"/v1/journal", &journal)
+	getJSON(t, ts.URL+"/v1/config", &live)
+	tail := boot
+	if len(journal) > 0 {
+		tail = journal[len(journal)-1].Config
+	}
+	if live != tail {
+		t.Fatalf("live config %+v is not the journal tail %+v", live, tail)
+	}
+	if rr, rb := getRaw(t, ts.URL+"/readyz"); rr.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("readyz while fenced: %d %s", rr.StatusCode, rb)
+	}
+}
+
+// TestRestoreDrivesBackToJournalTail: a configuration the engine
+// committed but the journal never took — what a failed commit record
+// leaves — is undone: restore drives the network back to the tail,
+// verifies it there and unfences.
+func TestRestoreDrivesBackToJournalTail(t *testing.T) {
+	s, _ := newTestService(t, Options{})
+	in := s.Instance()
+	boot := in.LiveConfig()
+	var moved, back core.Config
+	var fence error
+	err := in.submit(context.Background(), func() {
+		grown := boot
+		grown.MeterSize *= 2
+		if err := in.driveTo(grown); err != nil {
+			t.Error(err)
+		}
+		moved = in.net.LiveConfig()
+		in.restore(errors.New("commit not durable"))
+		back, fence = in.net.LiveConfig(), in.Fenced()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved == boot || back != boot || fence != nil {
+		t.Fatalf("moved to %+v, restored to %+v (boot %+v), fence %v", moved, back, boot, fence)
 	}
 }
 

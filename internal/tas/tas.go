@@ -158,10 +158,12 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 		return order[i].ID < order[j].ID
 	})
 
-	// busy tracks reserved intervals per resource (egress ports and
-	// source NICs), kept sorted.
-	busy := make(map[string][]Window)
-	reserve := func(key string, w Window) {
+	// busy holds each resource's reserved intervals, sorted: egress port
+	// i's at busy[i], and those of the NIC behind access port i at
+	// busy[ports+i].
+	ports := topo.Ports()
+	busy := make([][]Window, 2*ports)
+	reserve := func(key int, w Window) {
 		list := busy[key]
 		i := sort.Search(len(list), func(i int) bool { return list[i].Start > w.Start })
 		list = append(list, Window{})
@@ -169,7 +171,7 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 		list[i] = w
 		busy[key] = list
 	}
-	conflicts := func(key string, start, end sim.Time) bool {
+	conflicts := func(key int, start, end sim.Time) bool {
 		list := busy[key]
 		// Reserved intervals are disjoint and sorted by Start: only the
 		// neighbors around the insertion point can overlap.
@@ -183,13 +185,23 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 		return false
 	}
 
+	var hops []topology.Hop // the flow's egress ports, one per path switch
 	for _, s := range order {
 		txT := ethernet.TxTime(s.WireSize+ethernet.OverheadBytes, linkRate)
 		winLen := txT + opts.Guard
-		ports, err := egressPorts(s, topo)
-		if err != nil {
-			return nil, err
+		hops = hops[:0]
+		for h := range s.Path {
+			hop, err := topo.Egress(s.Path, s.DstHost, h)
+			if err != nil {
+				return nil, fmt.Errorf("tas: flow %d: %w", s.ID, err)
+			}
+			hops = append(hops, hop)
 		}
+		src, ok := topo.HostAttach(s.SrcHost)
+		if !ok {
+			return nil, fmt.Errorf("tas: flow %d source host %d not attached", s.ID, s.SrcHost)
+		}
+		nic := ports + src.Index
 		reps := int64(cycle / s.Period)
 		placed := false
 	search:
@@ -199,15 +211,15 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 				base := o + sim.Time(r)*s.Period
 				// Source NIC occupancy: the tester serializes one frame
 				// starting at the injection instant.
-				if conflicts(srcKey(s), base, base+txT) {
+				if conflicts(nic, base, base+txT) {
 					continue search
 				}
 				at := base + txT + netdev.CableDelay // arrival at first switch
-				for _, pk := range ports {
+				for _, hop := range hops {
 					start, end := at, at+winLen
 					// Reserve the guard band before the window too, so
 					// adjacent windows keep their quiet zones.
-					if conflicts(portKeyString(pk), start-sch.GuardBand, end) {
+					if conflicts(hop.Index, start-sch.GuardBand, end) {
 						continue search
 					}
 					at = end + netdev.CableDelay // worst-case arrival at next hop
@@ -216,11 +228,12 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 			// Feasible: commit all reservations.
 			for r := int64(0); r < reps; r++ {
 				base := o + sim.Time(r)*s.Period
-				reserve(srcKey(s), Window{Start: base, End: base + txT, FlowID: s.ID})
+				reserve(nic, Window{Start: base, End: base + txT, FlowID: s.ID})
 				at := base + txT + netdev.CableDelay
-				for _, pk := range ports {
+				for _, hop := range hops {
 					w := Window{Start: at, End: at + winLen, FlowID: s.ID}
-					reserve(portKeyString(pk), Window{Start: w.Start - sch.GuardBand, End: w.End, FlowID: s.ID})
+					reserve(hop.Index, Window{Start: w.Start - sch.GuardBand, End: w.End, FlowID: s.ID})
+					pk := PortKey{Switch: hop.Switch, Port: hop.Port}
 					sch.Windows[pk] = append(sch.Windows[pk], w)
 					at = w.End + netdev.CableDelay
 				}
@@ -250,31 +263,6 @@ func Synthesize(specs []*flows.Spec, topo *topology.Topology, opts Options) (*Sc
 	}
 	return sch, nil
 }
-
-// egressPorts resolves the flow's egress port at every hop.
-func egressPorts(s *flows.Spec, topo *topology.Topology) ([]PortKey, error) {
-	out := make([]PortKey, len(s.Path))
-	for h, sw := range s.Path {
-		if h+1 < len(s.Path) {
-			p, ok := topo.PortToward(sw, s.Path[h+1])
-			if !ok {
-				return nil, fmt.Errorf("tas: flow %d: no trunk %d->%d", s.ID, sw, s.Path[h+1])
-			}
-			out[h] = PortKey{Switch: sw, Port: p}
-			continue
-		}
-		at, ok := topo.HostAttach(s.DstHost)
-		if !ok || at.Switch != sw {
-			return nil, fmt.Errorf("tas: flow %d destination host %d not on switch %d", s.ID, s.DstHost, sw)
-		}
-		out[h] = PortKey{Switch: sw, Port: at.Port}
-	}
-	return out, nil
-}
-
-func srcKey(s *flows.Spec) string { return fmt.Sprintf("src%d", s.SrcHost) }
-
-func portKeyString(pk PortKey) string { return fmt.Sprintf("sw%d.p%d", pk.Switch, pk.Port) }
 
 // Apply writes the planned offsets into the specs.
 func (s *Schedule) Apply(specs []*flows.Spec) {
@@ -339,18 +327,16 @@ func (s *Schedule) GCLs(pk PortKey, tsA, tsB int) (in, out *gate.GCL, err error)
 // injection to delivery at the destination host (last window end plus
 // the final cable hop).
 func (s *Schedule) WorstCaseLatency(spec *flows.Spec, topo *topology.Topology) (sim.Time, error) {
-	ports, err := egressPorts(spec, topo)
-	if err != nil {
-		return 0, err
+	txT := ethernet.TxTime(spec.WireSize+ethernet.OverheadBytes, linkRate)
+	d := txT + netdev.CableDelay
+	for h := range spec.Path {
+		if _, err := topo.Egress(spec.Path, spec.DstHost, h); err != nil {
+			return 0, fmt.Errorf("tas: flow %d: %w", spec.ID, err)
+		}
+		d += txT + s.opts.Guard + netdev.CableDelay
 	}
-	o, ok := s.Offsets[spec.ID]
-	if !ok {
+	if _, ok := s.Offsets[spec.ID]; !ok {
 		return 0, fmt.Errorf("tas: flow %d not scheduled", spec.ID)
 	}
-	txT := ethernet.TxTime(spec.WireSize+ethernet.OverheadBytes, linkRate)
-	at := o + txT + netdev.CableDelay
-	for range ports {
-		at += txT + s.opts.Guard + netdev.CableDelay
-	}
-	return at - o, nil
+	return d, nil
 }

@@ -36,7 +36,7 @@ func ringWorkload(t *testing.T, n, hops int, period sim.Time) (*topology.Topolog
 
 func topoBind(topo *topology.Topology, specs []*flows.Spec) error {
 	for _, s := range specs {
-		p, err := topo.HostPath(s.SrcHost, s.DstHost)
+		p, err := topo.Router().HostPath(s.SrcHost, s.DstHost)
 		if err != nil {
 			return err
 		}
@@ -88,12 +88,13 @@ func TestHopProgression(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range specs {
-		ports, err := egressPorts(s, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var prevEnd sim.Time = -1
-		for _, pk := range ports {
+		for h := range s.Path {
+			hop, err := topo.Egress(s.Path, s.DstHost, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pk := PortKey{Switch: hop.Switch, Port: hop.Port}
 			var mine *Window
 			for i := range sch.Windows[pk] {
 				if sch.Windows[pk][i].FlowID == s.ID {

@@ -15,7 +15,7 @@ func Mesh(rows, cols int) *Topology {
 	if rows < 1 || cols < 1 || rows*cols < 2 {
 		panic("topology: mesh needs at least 2 switches")
 	}
-	t := newTopology(KindMesh, rows*cols, 4)
+	t := newTopology(KindMesh, rows*cols, 4, rows*(cols-1)+(rows-1)*cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			sw := r*cols + c
@@ -63,7 +63,7 @@ func FatTree(k int) *Topology {
 	half := k / 2
 	nPods := k * k // k pods × k switches
 	n := nPods + half*half
-	t := newTopology(KindFatTree, n, k)
+	t := newTopology(KindFatTree, n, k, 2*k*half*half)
 	for p := 0; p < k; p++ {
 		base := p * k
 		for e := 0; e < half; e++ {

@@ -22,7 +22,7 @@ func TestMeshShape(t *testing.T) {
 		t.Fatalf("corner port count = %d, want 2", m.PortCount(0))
 	}
 	// Shortest path crosses the grid with Manhattan length.
-	path, err := m.Path(0, 11)
+	path, err := m.Router().Path(0, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFatTreeShape(t *testing.T) {
 	}
 	// Cross-pod path: edge 0 (pod 0) to edge 4 (pod 1) goes
 	// edge→agg→core→agg→edge.
-	path, err := ft.Path(0, 4)
+	path, err := ft.Router().Path(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFatTreeShape(t *testing.T) {
 		t.Fatalf("cross-pod path %v has %d hops, want 5", path, len(path))
 	}
 	// Same-pod path stays inside the pod.
-	path, err = ft.Path(0, 1)
+	path, err = ft.Router().Path(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,9 @@
 // Trunk (inter-switch) ports are allocated first and are the "enabled
 // TSN ports" of the resource analysis: 3 for the star core, 2 for
 // linear interior nodes, 1 for the unidirectional ring. Host access
-// ports are allocated after the trunks.
+// ports are allocated after the trunks. Every port is also numbered
+// once network-wide, in allocation order (Attach.Index), and Egress is
+// the one resolver from a bound path to those ports.
 package topology
 
 import (
@@ -96,6 +98,8 @@ type Topology struct {
 	adj [][]trunk
 	// nextPort[sw] = next unallocated port index.
 	nextPort []int
+	// ports counts the ports allocated network-wide: the next Index.
+	ports int
 	// hostPort[host] = attachment point.
 	hostPort map[int]Attach
 	// links are the physical trunk cables (both endpoints).
@@ -103,13 +107,16 @@ type Topology struct {
 }
 
 // trunk is one direction of an inter-switch link: the output port
-// toward neighbor to.
-type trunk struct{ to, port int }
+// toward neighbor to, and that port's Index.
+type trunk struct{ to, port, index int32 }
 
-// Attach locates a host's access port.
+// Attach locates one switch port: Port on Switch, and Index, its number
+// network-wide — dense in [0, Topology.Ports()), fixed when the port is
+// allocated.
 type Attach struct {
 	Switch int
 	Port   int
+	Index  int
 }
 
 // Link is one physical trunk cable between two switch ports.
@@ -117,7 +124,9 @@ type Link struct {
 	A, B Attach
 }
 
-func newTopology(kind Kind, n, enabled int) *Topology {
+// newTopology returns n unconnected switches with room for the given
+// number of cables.
+func newTopology(kind Kind, n, enabled, cables int) *Topology {
 	return &Topology{
 		Kind:            kind,
 		N:               n,
@@ -125,23 +134,31 @@ func newTopology(kind Kind, n, enabled int) *Topology {
 		adj:             make([][]trunk, n),
 		nextPort:        make([]int, n),
 		hostPort:        make(map[int]Attach),
+		links:           make([]Link, 0, cables),
 	}
 }
 
-// addTrunk allocates the next port on sw toward neighbor.
-func (t *Topology) addTrunk(sw, neighbor int) {
-	at, _ := slices.BinarySearchFunc(t.adj[sw], neighbor, func(e trunk, to int) int { return e.to - to })
-	t.adj[sw] = slices.Insert(t.adj[sw], at, trunk{to: neighbor, port: t.nextPort[sw]})
+// port allocates sw's next port.
+func (t *Topology) port(sw int) Attach {
+	a := Attach{Switch: sw, Port: t.nextPort[sw], Index: t.ports}
 	t.nextPort[sw]++
+	t.ports++
+	return a
+}
+
+// addTrunk allocates the next port on sw toward neighbor.
+func (t *Topology) addTrunk(sw, neighbor int) Attach {
+	a := t.port(sw)
+	at, _ := slices.BinarySearchFunc(t.adj[sw], int32(neighbor), func(e trunk, to int32) int { return int(e.to - to) })
+	t.adj[sw] = slices.Insert(t.adj[sw], at, trunk{to: int32(neighbor), port: int32(a.Port), index: int32(a.Index)})
+	return a
 }
 
 // cable joins switches a and b with one bidirectional trunk — the next
 // free port on each side, a's allocated first — and records the Link.
 func (t *Topology) cable(a, b int) {
-	ap, bp := t.nextPort[a], t.nextPort[b]
-	t.addTrunk(a, b)
-	t.addTrunk(b, a)
-	t.links = append(t.links, Link{A: Attach{Switch: a, Port: ap}, B: Attach{Switch: b, Port: bp}})
+	ap := t.addTrunk(a, b)
+	t.links = append(t.links, Link{A: ap, B: t.addTrunk(b, a)})
 }
 
 // Star builds a core switch (0) with children 1..children. The paper's
@@ -151,7 +168,7 @@ func Star(children int) *Topology {
 	if children < 1 {
 		panic("topology: star needs at least one child")
 	}
-	t := newTopology(KindStar, children+1, children)
+	t := newTopology(KindStar, children+1, children, children)
 	for c := 1; c <= children; c++ {
 		t.cable(0, c)
 	}
@@ -165,7 +182,7 @@ func Ring(n int) *Topology {
 	if n < 3 {
 		panic("topology: ring needs at least 3 switches")
 	}
-	t := newTopology(KindRing, n, 1)
+	t := newTopology(KindRing, n, 1, n)
 	for i := 0; i < n; i++ {
 		t.addTrunk(i, (i+1)%n)
 	}
@@ -173,14 +190,8 @@ func Ring(n int) *Topology {
 	// on a dedicated ingress port (egress-idle, so it consumes no
 	// queue/buffer resources).
 	for i := 0; i < n; i++ {
-		next := (i + 1) % n
-		rx := t.nextPort[next]
-		t.nextPort[next]++
-		tx, _ := t.PortToward(i, next)
-		t.links = append(t.links, Link{
-			A: Attach{Switch: i, Port: tx},
-			B: Attach{Switch: next, Port: rx},
-		})
+		tx, _ := t.PortToward(i, (i+1)%n)
+		t.links = append(t.links, Link{A: tx, B: t.port((i + 1) % n)})
 	}
 	return t
 }
@@ -194,7 +205,7 @@ func RingBidir(n int) *Topology {
 	if n < 3 {
 		panic("topology: bidir ring needs at least 3 switches")
 	}
-	t := newTopology(KindRingBidir, n, 2)
+	t := newTopology(KindRingBidir, n, 2, n)
 	for i := 0; i < n; i++ {
 		t.addTrunk(i, (i+1)%n) // port 0: clockwise
 	}
@@ -204,13 +215,9 @@ func RingBidir(n int) *Topology {
 	// One physical cable per adjacent pair, joining i's clockwise port
 	// to (i+1)'s counter-clockwise port.
 	for i := 0; i < n; i++ {
-		next := (i + 1) % n
-		cw, _ := t.PortToward(i, next)
-		ccw, _ := t.PortToward(next, i)
-		t.links = append(t.links, Link{
-			A: Attach{Switch: i, Port: cw},
-			B: Attach{Switch: next, Port: ccw},
-		})
+		cw, _ := t.PortToward(i, (i+1)%n)
+		ccw, _ := t.PortToward((i+1)%n, i)
+		t.links = append(t.links, Link{A: cw, B: ccw})
 	}
 	return t
 }
@@ -229,7 +236,7 @@ func Tree(spines, leaves int) *Topology {
 	if leaves+1 > enabled {
 		enabled = leaves + 1 // a spine's downlinks + uplink
 	}
-	t := newTopology(KindTree, n, enabled)
+	t := newTopology(KindTree, n, enabled, n-1)
 	next := 1
 	for s := 0; s < spines; s++ {
 		spine := next
@@ -249,7 +256,7 @@ func Linear(n int) *Topology {
 	if n < 2 {
 		panic("topology: linear needs at least 2 switches")
 	}
-	t := newTopology(KindLinear, n, 2)
+	t := newTopology(KindLinear, n, 2, n-1)
 	for i := 0; i < n-1; i++ {
 		t.cable(i, i+1)
 	}
@@ -264,8 +271,7 @@ func (t *Topology) AttachHost(host, sw int) Attach {
 	if a, ok := t.hostPort[host]; ok {
 		return a
 	}
-	a := Attach{Switch: sw, Port: t.nextPort[sw]}
-	t.nextPort[sw]++
+	a := t.port(sw)
 	t.hostPort[host] = a
 	return a
 }
@@ -288,31 +294,62 @@ func (t *Topology) Hosts() []int {
 // PortCount returns the number of ports switch sw needs instantiated.
 func (t *Topology) PortCount(sw int) int { return t.nextPort[sw] }
 
+// Ports returns the number of ports network-wide: every Attach.Index is
+// below it.
+func (t *Topology) Ports() int { return t.ports }
+
 // TrunkLinks returns the physical inter-switch cables.
 func (t *Topology) TrunkLinks() []Link { return t.links }
 
 // PortToward returns sw's output port toward direct neighbor next.
-func (t *Topology) PortToward(sw, next int) (int, bool) {
-	for _, e := range t.adj[sw] {
-		if e.to == next {
-			return e.port, true
+func (t *Topology) PortToward(sw, next int) (Attach, bool) {
+	if sw >= 0 && sw < t.N {
+		for _, e := range t.adj[sw] {
+			if int(e.to) == next {
+				return Attach{Switch: sw, Port: int(e.port), Index: int(e.index)}, true
+			}
 		}
 	}
-	return 0, false
+	return Attach{}, false
 }
 
-// Path returns the switch sequence from switch src to switch dst,
-// inclusive. For the unidirectional ring the path follows the ring
-// direction; otherwise it is the shortest path, the lowest-numbered
-// neighbor first where several are equally short.
-func (t *Topology) Path(src, dst int) ([]int, error) { return t.Router().Path(src, dst) }
+// Hop is the egress port a flow leaves one switch of its path by, and
+// Next, what the port leads to: the path's next switch, or −(host+2)
+// for the destination host's access port.
+type Hop struct {
+	Attach
+	Next int
+}
+
+// Egress resolves hop h of a bound path toward dstHost: the trunk from
+// path[h] to path[h+1], or, at the last hop, dstHost's access port,
+// which must be on path[h]. It is the one place a path becomes egress
+// ports: the ITP grid's rows, the forwarding entries and the TAS
+// windows all read it.
+func (t *Topology) Egress(path []int, dstHost, h int) (Hop, error) {
+	sw := path[h]
+	if h+1 < len(path) {
+		a, ok := t.PortToward(sw, path[h+1])
+		if !ok {
+			return Hop{}, fmt.Errorf("topology: no trunk %d->%d", sw, path[h+1])
+		}
+		return Hop{Attach: a, Next: path[h+1]}, nil
+	}
+	a, ok := t.hostPort[dstHost]
+	if !ok {
+		return Hop{}, fmt.Errorf("topology: host %d not attached", dstHost)
+	}
+	if a.Switch != sw {
+		return Hop{}, fmt.Errorf("topology: path ends at switch %d but host %d is on %d", sw, dstHost, a.Switch)
+	}
+	return Hop{Attach: a, Next: -(dstHost + 2)}, nil
+}
 
 // Router answers path queries over one topology with one breadth-first
 // search per distinct source switch. Its memory is a few arenas that
 // grow with the sources searched and the paths handed out, never N×N up
-// front: Topology.Path builds a router per call. Equal (src, dst)
-// queries return the same slice: callers share it and must not modify
-// it.
+// front. Equal (src, dst) queries return the same slice: callers share
+// it and must not modify it.
 type Router struct {
 	t *Topology
 	// row[src] is where src's row starts in dests, -1 before its search.
@@ -344,8 +381,10 @@ func (t *Topology) Router() *Router {
 	return r
 }
 
-// Path is Topology.Path with the search and the result shared across
-// calls.
+// Path returns the switch sequence from switch src to switch dst,
+// inclusive. For the unidirectional ring the path follows the ring
+// direction; otherwise it is the shortest path, the lowest-numbered
+// neighbor first where several are equally short.
 func (r *Router) Path(src, dst int) ([]int, error) {
 	if src < 0 || src >= r.t.N || dst < 0 || dst >= r.t.N {
 		return nil, fmt.Errorf("topology: path %d->%d out of range", src, dst)
@@ -405,7 +444,7 @@ func (r *Router) search(src int) {
 		for _, e := range r.t.adj[cur] {
 			if row[e.to].prev == -1 {
 				row[e.to].prev = cur
-				queue = append(queue, int32(e.to))
+				queue = append(queue, e.to)
 			}
 		}
 	}
@@ -478,9 +517,4 @@ func (t *Topology) DisjointHostPaths(srcHost, dstHost int) (primary, alternate [
 		return nil, nil, fmt.Errorf("topology: host %d not attached", dstHost)
 	}
 	return t.DisjointPaths(sa.Switch, da.Switch)
-}
-
-// HostPath returns the full switch path between two attached hosts.
-func (t *Topology) HostPath(srcHost, dstHost int) ([]int, error) {
-	return t.Router().HostPath(srcHost, dstHost)
 }

@@ -12,10 +12,10 @@ func TestStarShape(t *testing.T) {
 	// Core has ports 0,1,2 toward children 1,2,3.
 	for c := 1; c <= 3; c++ {
 		p, ok := s.PortToward(0, c)
-		if !ok || p != c-1 {
+		if !ok || p.Port != c-1 {
 			t.Fatalf("core port toward %d = (%d,%v)", c, p, ok)
 		}
-		if p, ok := s.PortToward(c, 0); !ok || p != 0 {
+		if p, ok := s.PortToward(c, 0); !ok || p.Port != 0 {
 			t.Fatalf("child %d uplink = (%d,%v)", c, p, ok)
 		}
 	}
@@ -26,7 +26,7 @@ func TestStarShape(t *testing.T) {
 
 func TestStarPath(t *testing.T) {
 	s := Star(3)
-	p, err := s.Path(1, 3)
+	p, err := s.Router().Path(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRingShape(t *testing.T) {
 	// Every switch's trunk out is port 0.
 	for i := 0; i < 6; i++ {
 		p, ok := r.PortToward(i, (i+1)%6)
-		if !ok || p != 0 {
+		if !ok || p.Port != 0 {
 			t.Fatalf("sw%d trunk = (%d,%v)", i, p, ok)
 		}
 		// No reverse edge in a unidirectional ring.
@@ -65,7 +65,7 @@ func TestRingShape(t *testing.T) {
 
 func TestRingPathFollowsDirection(t *testing.T) {
 	r := Ring(6)
-	p, err := r.Path(4, 1)
+	p, err := r.Router().Path(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestLinearShape(t *testing.T) {
 
 func TestLinearPath(t *testing.T) {
 	l := Linear(6)
-	p, err := l.Path(5, 2)
+	p, err := l.Router().Path(5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestLinearPath(t *testing.T) {
 
 func TestPathSameSwitch(t *testing.T) {
 	l := Linear(3)
-	p, err := l.Path(1, 1)
+	p, err := l.Router().Path(1, 1)
 	if err != nil || len(p) != 1 || p[0] != 1 {
 		t.Fatalf("self path = %v, %v", p, err)
 	}
@@ -121,10 +121,10 @@ func TestPathSameSwitch(t *testing.T) {
 
 func TestPathErrors(t *testing.T) {
 	l := Linear(3)
-	if _, err := l.Path(-1, 2); err == nil {
+	if _, err := l.Router().Path(-1, 2); err == nil {
 		t.Fatal("out-of-range path accepted")
 	}
-	if _, err := l.Path(0, 9); err == nil {
+	if _, err := l.Router().Path(0, 9); err == nil {
 		t.Fatal("out-of-range dst accepted")
 	}
 }
@@ -154,14 +154,14 @@ func TestHostPath(t *testing.T) {
 	s := Star(3)
 	s.AttachHost(1, 1)
 	s.AttachHost(2, 3)
-	p, err := s.HostPath(1, 2)
+	p, err := s.Router().HostPath(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p) != 3 || p[0] != 1 || p[1] != 0 || p[2] != 3 {
 		t.Fatalf("host path = %v", p)
 	}
-	if _, err := s.HostPath(1, 99); err == nil {
+	if _, err := s.Router().HostPath(1, 99); err == nil {
 		t.Fatal("unattached host accepted")
 	}
 }
@@ -195,7 +195,7 @@ func TestTreeShape(t *testing.T) {
 		t.Fatalf("links = %d", len(tr.TrunkLinks()))
 	}
 	// Leaf-to-leaf across spines goes leaf→spine→root→spine→leaf.
-	p, err := tr.Path(3, 8) // a leaf of spine 1 to a leaf of spine 2
+	p, err := tr.Router().Path(3, 8) // a leaf of spine 1 to a leaf of spine 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestTreeShape(t *testing.T) {
 		t.Fatalf("cross-spine path = %v", p)
 	}
 	// Sibling leaves go through their spine only.
-	p, err = tr.Path(3, 4)
+	p, err = tr.Router().Path(3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,15 +272,15 @@ func TestRingBidir(t *testing.T) {
 	}
 	// Clockwise on port 0, counter-clockwise on port 1, everywhere.
 	for i := 0; i < 5; i++ {
-		if p, _ := r.PortToward(i, (i+1)%5); p != 0 {
+		if p, _ := r.PortToward(i, (i+1)%5); p.Port != 0 {
 			t.Fatalf("sw%d clockwise port = %d, want 0", i, p)
 		}
-		if p, _ := r.PortToward(i, (i+4)%5); p != 1 {
+		if p, _ := r.PortToward(i, (i+4)%5); p.Port != 1 {
 			t.Fatalf("sw%d counter-clockwise port = %d, want 1", i, p)
 		}
 	}
 	// Shortest path goes the short way round.
-	path, err := r.Path(0, 4)
+	path, err := r.Router().Path(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func TestFaultKindsIntegration(t *testing.T) {
 	if !ok {
 		t.Fatal("no port 1->2")
 	}
-	port = topoPort
+	port = topoPort.Port
 
 	topo := topology.Ring(6)
 	for h := 0; h < 6; h++ {

@@ -165,7 +165,7 @@ func (c recycleCase) startGroup(t *testing.T, net *Net) {
 	if !ok {
 		t.Fatal("no trunk 0->1")
 	}
-	for sw, mask := range []uint32{1<<local.Port | 1<<trunk, 1 << remote.Port} {
+	for sw, mask := range []uint32{1<<local.Port | 1<<trunk.Port, 1 << remote.Port} {
 		s := net.Switches[sw]
 		if err := s.Resize(tsnswitch.SwitchTbl, [2]int{s.Config().UnicastSize, 1}); err != nil {
 			t.Fatal(err)

@@ -233,11 +233,11 @@ func Build(opts Options) (*Net, error) {
 	engine := n.parts[0].engine
 
 	// Access ports run at AccessRate when configured.
-	accessPorts := make(map[topology.Attach]bool)
+	accessPorts := make(map[[2]int]bool) // switch, port
 	if opts.AccessRate > 0 {
 		for _, h := range opts.Topo.Hosts() {
 			at, _ := opts.Topo.HostAttach(h)
-			accessPorts[at] = true
+			accessPorts[[2]int{at.Switch, at.Port}] = true
 		}
 	}
 
@@ -253,7 +253,7 @@ func Build(opts Options) (*Net, error) {
 		if opts.AccessRate > 0 {
 			cfg.PortRates = make([]ethernet.Rate, cfg.Ports)
 			for pt := 0; pt < cfg.Ports; pt++ {
-				if accessPorts[topology.Attach{Switch: s, Port: pt}] {
+				if accessPorts[[2]int{s, pt}] {
 					cfg.PortRates[pt] = opts.AccessRate
 				}
 			}
@@ -428,7 +428,7 @@ func (n *Net) faultBindings() faults.Bindings {
 			if !ok {
 				return nil, fmt.Errorf("testbed: no trunk %d-%d", a, b)
 			}
-			return n.Switches[a].Ifc(p), nil
+			return n.Switches[a].Ifc(p.Port), nil
 		},
 		HostIfc: func(host int) (*netdev.Ifc, error) {
 			nic, ok := n.NICs[host]
@@ -516,10 +516,6 @@ func (n *Net) installFlows(specs []*flows.Spec) error {
 		if len(spec.Path) == 0 {
 			return fmt.Errorf("testbed: flow %d path not bound", spec.ID)
 		}
-		dstAt, ok := topo.HostAttach(spec.DstHost)
-		if !ok {
-			return fmt.Errorf("testbed: flow %d destination host %d not attached", spec.ID, spec.DstHost)
-		}
 		// Queue assignment by class.
 		var queueID int
 		switch spec.Class {
@@ -538,22 +534,11 @@ func (n *Net) installFlows(specs []*flows.Spec) error {
 		// are TS and never metered.
 		installPath := func(path []int, vid uint16, withMeter bool) error {
 			for h, swID := range path {
-				sw := n.Switches[swID]
-				// Egress port: toward the next switch, or the host port.
-				var outPort int
-				if h+1 < len(path) {
-					p, ok := topo.PortToward(swID, path[h+1])
-					if !ok {
-						return fmt.Errorf("testbed: flow %d: no trunk %d->%d", spec.ID, swID, path[h+1])
-					}
-					outPort = p
-				} else {
-					if dstAt.Switch != swID {
-						return fmt.Errorf("testbed: flow %d path ends at %d but host is on %d",
-							spec.ID, swID, dstAt.Switch)
-					}
-					outPort = dstAt.Port
+				hop, err := topo.Egress(path, spec.DstHost, h)
+				if err != nil {
+					return fmt.Errorf("testbed: flow %d: %w", spec.ID, err)
 				}
+				sw, outPort := n.Switches[swID], hop.Port
 				if err := sw.Forward().Unicast.Add(dstMAC, vid, outPort); err != nil {
 					return fmt.Errorf("testbed: flow %d switch %d: %w", spec.ID, swID, err)
 				}

@@ -19,11 +19,13 @@
 //     loss.
 //
 // A Plan reports occupancy per queueing point in PerCell, keyed by Cell
-// — the (switch, next hop) pair of an egress queue. The key was a
-// formatted string ("sw3->4") until the planner went integer-indexed;
-// Cell's String method still renders exactly that, so printing a cell
-// is unchanged and only code that indexed PerCell by a literal string
-// needs the struct instead.
+// — the (switch, next hop) pair of an egress queue. DeriveConfig plans
+// per egress port of the topology; PlanITP merges each switch's ports
+// into one cell (Next -1, printed "sw3"). The key was a formatted string
+// ("sw3->4") until the planner went integer-indexed; Cell's String
+// method still renders exactly that, so printing a cell is unchanged
+// and only code that indexed PerCell by a literal string needs the
+// struct instead.
 package tsnbuilder
 
 import (
