@@ -123,6 +123,46 @@ func BenchmarkEngineEvents(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineDepth measures the engine at the mesh's queue depth,
+// where BenchmarkEngineEvents keeps one event pending: about 512 events
+// in mesh-serial's mix, a third each of wire events (a transmission's
+// completion or a delivery, 0.6 µs out, in four groups that share an
+// instant), port retries (at the next 65 µs slot boundary + 1 ns, all
+// at one instant) and NIC timers (one 10 ms flow period out, spread over
+// it). Each event re-arms its own kind, so the depth holds; one op is
+// one event.
+func BenchmarkEngineDepth(b *testing.B) {
+	const (
+		perKind = 171
+		wire    = 600 * sim.Nanosecond
+		slot    = 65 * sim.Microsecond
+		period  = 10 * sim.Millisecond
+	)
+	e := sim.NewEngine()
+	n := 0
+	count := func(en *sim.Engine) {
+		if n++; n == b.N {
+			en.Stop()
+		}
+	}
+	var deliver, retry, timer sim.Handler
+	deliver = func(en *sim.Engine) { count(en); en.After(wire, "deliver", deliver) }
+	retry = func(en *sim.Engine) { count(en); en.At((en.Now()/slot+1)*slot+1, "port-retry", retry) }
+	timer = func(en *sim.Engine) { count(en); en.After(period, "nic-timer", timer) }
+	for i := range perKind {
+		e.At(sim.Time(i%4)*150, "deliver", deliver)
+		e.At(slot+1, "port-retry", retry)
+		e.At(sim.Time(i)*period/perKind, "nic-timer", timer)
+	}
+	e.RunFor(2 * period) // warm: free list, the current instant's storage
+	n = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	b.ReportMetric(float64(e.Pending()), "pending")
+}
+
 // nicSink counts the frames a NIC's peer receives and samples the
 // engine's pending-event depth at each arrival.
 type nicSink struct {

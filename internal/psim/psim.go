@@ -1,6 +1,6 @@
 // Package psim is the conservative parallel discrete-event layer over
 // internal/sim: it shards one large topology into partitions, gives
-// each partition its own event heap (a plain sim.Engine) and worker
+// each partition its own event queue (a plain sim.Engine) and worker
 // goroutine, and synchronizes them with barrier-stepped conservative
 // windows that start at the earliest pending event.
 //

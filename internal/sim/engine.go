@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 )
@@ -10,109 +12,49 @@ import (
 // engine so it can schedule follow-up events.
 type Handler func(e *Engine)
 
-// event is a scheduled callback. Popped and canceled events are
-// recycled through the engine's free list, so steady-state scheduling
-// allocates nothing. gen increments on every recycle; an EventRef
-// snapshots it so a stale ref can never resurrect (or cancel) a reused
-// event.
+// event is a scheduled callback together with its ordering key. Ties
+// between events scheduled for the same instant break on (prio, seq):
+// prio is a stable identity assigned by the caller (AtPrio) — zero for
+// ordinary events, a unique per-interface index for frame deliveries —
+// and seq is the scheduling order. Ordinary events therefore stay FIFO
+// in scheduling order, while deliveries order by interface identity,
+// which is what lets a partitioned run reproduce the serial execution
+// order exactly: an interface index is the same number no matter which
+// engine schedules the delivery, whereas a creation seq is not. seq is
+// unique, so (at, prio, seq) is a total order and the pop sequence does
+// not depend on how the queue files its events.
+//
+// Popped and canceled events are recycled through the engine's free
+// list, so steady-state scheduling allocates nothing. gen increments on
+// every recycle; an EventRef snapshots it so a stale ref can never
+// resurrect (or cancel) a reused event.
 type event struct {
-	fn    Handler
-	index int // heap index, -1 once popped or canceled
-	label string
-	gen   uint32
-}
-
-// entry is one slot of the pending-event heap. The ordering key is held
-// inline, so a comparison reads the heap's own backing array and never
-// chases the event pointer. Ties between events scheduled for the same
-// instant break on (prio, seq): prio is a stable identity assigned by
-// the caller (AtPrio) — zero for ordinary events, a unique
-// per-interface index for frame deliveries — and seq is the scheduling
-// order. Ordinary events therefore stay FIFO in scheduling order, while
-// deliveries order by interface identity, which is what lets a
-// partitioned run reproduce the serial execution order exactly: an
-// interface index is the same number no matter which engine schedules
-// the delivery, whereas a creation seq is not. seq is unique, so
-// (at, prio, seq) is a total order and the pop sequence does not depend
-// on the heap's shape or arity.
-type entry struct {
 	at   Time
 	prio uint64
 	seq  uint64
-	ev   *event
+	fn   Handler
+	// next and prev thread the event through its bucket's list.
+	next, prev *event
+	gen        uint32
+	// bucket is where the event waits: 1..63 a radix bucket, 0 the
+	// current instant, -1 nowhere (fired or canceled).
+	bucket int32
 }
 
-func (a *entry) before(b *entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
+// before orders two events at the same instant.
+func (a *event) before(b *event) bool {
 	if a.prio != b.prio {
 		return a.prio < b.prio
 	}
 	return a.seq < b.seq
 }
 
-// arity is the heap's fan-out: four children share a cache line pair
-// and halve the depth of a binary heap.
-const arity = 4
-
-// siftUp places x at hole i or above, moving later parents down.
-func (e *Engine) siftUp(i int, x entry) {
-	q := e.queue
-	for i > 0 {
-		p := (i - 1) / arity
-		if !x.before(&q[p]) {
-			break
-		}
-		q[i] = q[p]
-		q[i].ev.index = i
-		i = p
+// compareAtInstant is before as a slices.SortFunc comparison.
+func compareAtInstant(a, b *event) int {
+	if a.before(b) {
+		return -1
 	}
-	q[i] = x
-	x.ev.index = i
-}
-
-// siftDown places x at hole i or below, moving earlier children up.
-func (e *Engine) siftDown(i int, x entry) {
-	q := e.queue
-	for {
-		first := arity*i + 1
-		if first >= len(q) {
-			break
-		}
-		c, end := first, min(first+arity, len(q))
-		for k := first + 1; k < end; k++ {
-			if q[k].before(&q[c]) {
-				c = k
-			}
-		}
-		if !q[c].before(&x) {
-			break
-		}
-		q[i] = q[c]
-		q[i].ev.index = i
-		i = c
-	}
-	q[i] = x
-	x.ev.index = i
-}
-
-// remove takes the entry at heap index i out of the queue and refills
-// the hole with the last entry.
-func (e *Engine) remove(i int) {
-	e.queue[i].ev.index = -1
-	n := len(e.queue) - 1
-	x := e.queue[n]
-	e.queue[n] = entry{}
-	e.queue = e.queue[:n]
-	if i == n {
-		return // the removed entry was the last one
-	}
-	if i > 0 && x.before(&e.queue[(i-1)/arity]) {
-		e.siftUp(i, x)
-	} else {
-		e.siftDown(i, x)
-	}
+	return 1 // keys are unique, so a and b are never equal
 }
 
 // EventRef identifies a scheduled event so it can be canceled. The zero
@@ -126,13 +68,35 @@ type EventRef struct {
 }
 
 // Valid reports whether the reference points at a still-pending event.
-func (r EventRef) Valid() bool { return r.ev != nil && r.ev.gen == r.gen && r.ev.index >= 0 }
+func (r EventRef) Valid() bool { return r.ev != nil && r.ev.gen == r.gen && r.ev.bucket >= 0 }
+
+// maxTime is the largest instant; NextAt reports it when the engine is idle.
+const maxTime = Time(1<<63 - 1)
 
 // Engine is a deterministic discrete-event scheduler. The zero value is
 // not ready for use; construct with NewEngine.
+//
+// The pending events form a monotone radix queue. No event is ever
+// scheduled before now, and base — the last instant popped — never
+// passes now, so every pending instant is >= base and an event can be
+// filed by the highest bit where its instant differs from base: bucket
+// k holds the events with bits.Len64(at^base) == k. The events at base
+// itself wait in cur, sorted by (prio, seq). When cur runs out, the
+// lowest non-empty bucket holds the earliest instant; it becomes base
+// and that bucket's events move down to lower buckets or into cur.
 type Engine struct {
-	now     Time
-	queue   []entry // arity-ary min-heap on (at, prio, seq)
+	now  Time
+	base Time
+	// cur[head:] are the pending events at base in (prio, seq) order;
+	// cur[:head] is the consumed prefix, reused by later inserts.
+	cur  []*event
+	head int
+	// buckets[k] lists the events with bits.Len64(at^base) == k, k in
+	// 1..63 (at == base is cur); bit k of mask is set when the list is
+	// non-empty.
+	buckets [64]*event
+	mask    uint64
+	pending int
 	nextSeq uint64
 	stopped bool
 	// free recycles fired/canceled event structs so steady-state
@@ -158,7 +122,7 @@ func NewEngine() *Engine {
 }
 
 // Instrument binds the engine's telemetry: executed counts every
-// dispatched event, heapHW tracks the worst pending-event heap depth.
+// dispatched event, heapHW tracks the worst pending-event depth.
 // Call once, before Run; passing a nil registry's handles is safe.
 func (e *Engine) Instrument(executed metrics.Counter, heapHW metrics.Gauge) {
 	e.metExecuted = executed
@@ -186,14 +150,138 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending reports how many events are waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.pending }
 
 // NextAt returns the earliest pending instant (the largest Time when idle).
 func (e *Engine) NextAt() Time {
-	if len(e.queue) == 0 {
-		return 1<<63 - 1
+	if e.head < len(e.cur) {
+		return e.base
 	}
-	return e.queue[0].at
+	if e.mask == 0 {
+		return maxTime
+	}
+	return e.lowest().at
+}
+
+// lowest returns the earliest event of the lowest non-empty bucket —
+// the earliest pending event when cur is empty. It moves nothing: base
+// may only advance to an instant that is about to run, since a bounded
+// run can leave the clock short of this one and schedule before it.
+func (e *Engine) lowest() *event {
+	m := e.buckets[bits.TrailingZeros64(e.mask)]
+	for ev := m.next; ev != nil; ev = ev.next {
+		if ev.at < m.at {
+			m = ev
+		}
+	}
+	return m
+}
+
+// file links ev into the list of bucket k.
+func (e *Engine) file(ev *event, k int) {
+	ev.bucket = int32(k)
+	ev.prev, ev.next = nil, e.buckets[k]
+	if ev.next != nil {
+		ev.next.prev = ev
+	}
+	e.buckets[k] = ev
+	e.mask |= 1 << k
+}
+
+// unlink takes ev out of its bucket's list.
+func (e *Engine) unlink(ev *event) {
+	k := ev.bucket
+	if ev.prev != nil {
+		ev.prev.next = ev.next
+	} else {
+		e.buckets[k] = ev.next
+	}
+	if ev.next != nil {
+		ev.next.prev = ev.prev
+	}
+	if e.buckets[k] == nil {
+		e.mask &^= 1 << k
+	}
+}
+
+// search returns the index in cur[head:] of the first event that does
+// not run before ev.
+func (e *Engine) search(ev *event) int {
+	lo, hi := e.head, len(e.cur)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e.cur[m].before(ev) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// insertCur places ev, an event at base, in cur: an AtSeq event or a
+// prio-0 one can run before events already waiting. A source that
+// re-arms at the instant it fires appends on every pop, so a full cur
+// first moves its pending events down over the consumed prefix; cur's
+// storage stays bounded by the events pending at one instant.
+func (e *Engine) insertCur(ev *event) {
+	ev.bucket = 0
+	q, i := e.cur, e.search(ev)
+	if len(q) == cap(q) && e.head > 0 {
+		n := copy(q, q[e.head:])
+		q, i, e.head = q[:n], i-e.head, 0
+	}
+	q = append(q, nil)
+	copy(q[i+1:], q[i:])
+	q[i] = ev
+	e.cur = q
+}
+
+// removeCur takes ev, a pending event at base, out of cur.
+func (e *Engine) removeCur(ev *event) {
+	i := e.search(ev)
+	if e.cur = append(e.cur[:i], e.cur[i+1:]...); e.head == len(e.cur) {
+		e.cur, e.head = e.cur[:0], 0
+	}
+}
+
+// front returns the next event to run if its instant is <= limit, or
+// nil. When cur is used up and the earliest pending instant is within
+// limit, base moves there: the lowest bucket's events are refiled
+// under the new base — each lands in a lower bucket or, at base, in cur.
+func (e *Engine) front(limit Time) *event {
+	if e.head < len(e.cur) {
+		if e.base > limit {
+			return nil
+		}
+		return e.cur[e.head]
+	}
+	if e.mask == 0 {
+		return nil
+	}
+	m := e.lowest()
+	if m.at > limit {
+		return nil
+	}
+	k := m.bucket
+	list := e.buckets[k]
+	e.buckets[k] = nil
+	e.mask &^= 1 << k
+	e.base = m.at
+	for ev := list; ev != nil; {
+		next := ev.next
+		if ev.at == e.base {
+			ev.bucket = 0
+			e.cur = append(e.cur, ev)
+		} else {
+			e.file(ev, bits.Len64(uint64(ev.at^e.base)))
+		}
+		ev = next
+	}
+	if len(e.cur) > 1 {
+		slices.SortFunc(e.cur, compareAtInstant)
+	}
+	return e.cur[0]
 }
 
 // alloc takes an event struct off the free list, or heap-allocates one
@@ -209,12 +297,12 @@ func (e *Engine) alloc() *event {
 }
 
 // recycle returns a popped/canceled event to the free list. The
-// closure and label are cleared eagerly so a parked struct never
-// retains the callback's captured state, and the generation bump
-// invalidates every outstanding EventRef to this slot.
+// closure is cleared eagerly so a parked struct never retains the
+// callback's captured state, and the generation bump invalidates every
+// outstanding EventRef to this slot.
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
-	ev.label = ""
+	ev.bucket = -1
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -253,16 +341,21 @@ func (e *Engine) AtSeq(at Time, seq uint64, label string, fn Handler) EventRef {
 	return e.push(at, 0, seq, label, fn)
 }
 
-// push is the one scheduling routine behind At, AtPrio and AtSeq.
+// push is the one scheduling routine behind At, AtPrio and AtSeq. The
+// label only names the event in the panic message.
 func (e *Engine) push(at Time, prio, seq uint64, label string, fn Handler) EventRef {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v which is before now %v", label, at, e.now))
 	}
 	ev := e.alloc()
-	ev.fn, ev.label = fn, label
-	e.queue = append(e.queue, entry{})
-	e.siftUp(len(e.queue)-1, entry{at: at, prio: prio, seq: seq, ev: ev})
-	e.metHeapHW.SetMax(int64(len(e.queue)))
+	ev.at, ev.prio, ev.seq, ev.fn = at, prio, seq, fn
+	if k := bits.Len64(uint64(at ^ e.base)); k > 0 {
+		e.file(ev, k)
+	} else {
+		e.insertCur(ev)
+	}
+	e.pending++
+	e.metHeapHW.SetMax(int64(e.pending))
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
@@ -282,7 +375,12 @@ func (e *Engine) Cancel(r EventRef) bool {
 	if !r.Valid() {
 		return false
 	}
-	e.remove(r.ev.index)
+	if r.ev.bucket == 0 {
+		e.removeCur(r.ev)
+	} else {
+		e.unlink(r.ev)
+	}
+	e.pending--
 	e.recycle(r.ev)
 	return true
 }
@@ -296,15 +394,18 @@ func (e *Engine) Cancel(r EventRef) bool {
 // no-op.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step pops and runs the earliest event. It reports false when the
-// queue is empty.
-func (e *Engine) step() bool {
-	if len(e.queue) == 0 {
+// step pops and runs the earliest event if its instant is <= limit. It
+// reports false when there is none.
+func (e *Engine) step(limit Time) bool {
+	ev := e.front(limit)
+	if ev == nil {
 		return false
 	}
-	ev := e.queue[0].ev
-	e.now = e.queue[0].at
-	e.remove(0)
+	if e.head++; e.head == len(e.cur) {
+		e.cur, e.head = e.cur[:0], 0
+	}
+	e.pending--
+	e.now = ev.at
 	e.executed++
 	e.metExecuted.Inc()
 	if e.progressFn != nil {
@@ -326,7 +427,7 @@ func (e *Engine) step() bool {
 // Run executes events until the queue drains or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for !e.stopped && e.step() {
+	for !e.stopped && e.step(maxTime) {
 	}
 }
 
@@ -337,11 +438,7 @@ func (e *Engine) Run() {
 // where the run actually stopped.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped {
-		if len(e.queue) == 0 || e.queue[0].at > deadline {
-			break
-		}
-		e.step()
+	for !e.stopped && e.step(deadline) {
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -357,11 +454,7 @@ func (e *Engine) RunUntil(deadline Time) {
 // run stopped.
 func (e *Engine) RunBefore(limit Time) {
 	e.stopped = false
-	for !e.stopped {
-		if len(e.queue) == 0 || e.queue[0].at >= limit {
-			break
-		}
-		e.step()
+	for !e.stopped && e.step(limit-1) {
 	}
 	if !e.stopped && e.now < limit {
 		e.now = limit

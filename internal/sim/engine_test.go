@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -387,11 +388,33 @@ func TestEngineFreeListReuse(t *testing.T) {
 	}
 	e.After(1, "tick", tick)
 	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 10 && e.step(); i++ {
+		for i := 0; i < 10 && e.step(maxTime); i++ {
 		}
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state self-rescheduling allocated %.1f/run, want 0", allocs)
+	}
+}
+
+// TestEngineSameInstantRearmReusesStorage: a source that re-arms at the
+// instant it fires (a NIC whose next timer is due now) appends to the
+// current instant on every pop; the queue must reuse the popped slots
+// rather than grow with the events run.
+func TestEngineSameInstantRearmReusesStorage(t *testing.T) {
+	e := NewEngine()
+	var tick Handler
+	tick = func(en *Engine) { en.At(en.Now(), "tick", tick) }
+	for i := 0; i < 8; i++ {
+		e.At(5, "tick", tick)
+	}
+	for i := 0; i < 10000; i++ {
+		e.step(maxTime)
+	}
+	if e.Now() != 5 || e.Pending() != 8 {
+		t.Fatalf("now %v, %d pending; want 5ns, 8", e.Now(), e.Pending())
+	}
+	if c := cap(e.cur); c > 16 {
+		t.Fatalf("10 000 same-instant re-arms of 8 events grew the current instant to %d slots, want <= 16", c)
 	}
 }
 
@@ -428,8 +451,8 @@ func TestEngineCancelReleasesClosure(t *testing.T) {
 	if !e.Cancel(ref) {
 		t.Fatal("Cancel failed")
 	}
-	if ev.fn != nil || ev.label != "" {
-		t.Fatal("canceled event retains closure or label")
+	if ev.fn != nil {
+		t.Fatal("canceled event retains its closure")
 	}
 	if len(e.free) != 1 {
 		t.Fatalf("free list length = %d, want 1", len(e.free))
@@ -441,8 +464,8 @@ func TestEnginePopReleasesClosure(t *testing.T) {
 	ref := e.At(10, "x", func(*Engine) {})
 	ev := ref.ev
 	e.Run()
-	if ev.fn != nil || ev.label != "" {
-		t.Fatal("fired event retains closure or label")
+	if ev.fn != nil {
+		t.Fatal("fired event retains its closure")
 	}
 }
 
@@ -462,5 +485,14 @@ func TestEngineFreeListBoundedByPendingDepth(t *testing.T) {
 	e.Run()
 	if len(e.free) > 64 {
 		t.Fatalf("free list grew to %d after reuse wave, want <= 64", len(e.free))
+	}
+}
+
+// TestEventFitsSixtyFourBytes: every pending event is one allocation of
+// the free list's high water, and a 96-byte event (one more field) moves
+// it to the next size class.
+func TestEventFitsSixtyFourBytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 64 {
+		t.Fatalf("event is %d bytes, want <= 64", n)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
 // TestLineFramePathAllocs gates the whole frame path end to end: NIC
@@ -60,13 +61,15 @@ func TestLineFramePathAllocs(t *testing.T) {
 // admitted at build, so Net.Run allocates no more with
 // 1 024 flows than with 256 (about three allocations per flow when that
 // state was made at first use). What remains grows with the frames in
-// flight, not the flows.
+// flight, not the flows. The mesh case also pins the event queue's
+// storage to the pending depth: a 36-switch mesh puts many more events
+// at each slot boundary than the ring, and a queue that grew with the
+// events at an instant or with the events run would show here.
 func TestRunAllocsIndependentOfFlowCount(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	runAllocs := func(flowCount int) uint64 {
-		net, _, _ := liveRing(t, flowCount, false, Options{Metrics: metrics.New()})
+	runAllocs := func(t *testing.T, net *Net, flowCount int) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		net.Run(0, 30*sim.Millisecond)
@@ -76,9 +79,26 @@ func TestRunAllocsIndependentOfFlowCount(t *testing.T) {
 		}
 		return after.Mallocs - before.Mallocs
 	}
-	few, many := runAllocs(256), runAllocs(1024)
-	t.Logf("Net.Run allocations: %d with 256 flows, %d with 1024", few, many)
-	if many > few+64 {
-		t.Fatalf("Net.Run allocates %d times with 1024 flows, %d with 256: want a difference <= 64", many, few)
+	for _, c := range []struct {
+		name  string
+		build func(t *testing.T, flowCount int) *Net
+	}{
+		{"ring", func(t *testing.T, flowCount int) *Net {
+			net, _, _ := liveRing(t, flowCount, false, Options{Metrics: metrics.New()})
+			return net
+		}},
+		{"mesh", func(t *testing.T, flowCount int) *Net {
+			net, _ := derivedNet(t, workload.Params{Topology: "mesh", Switches: 36, TSFlows: flowCount,
+				Hops: 4, WireSize: 64, SlotUs: 65, Seed: 42}, Options{Metrics: metrics.New()})
+			return net
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			few, many := runAllocs(t, c.build(t, 256), 256), runAllocs(t, c.build(t, 1024), 1024)
+			t.Logf("Net.Run allocations: %d with 256 flows, %d with 1024", few, many)
+			if many > few+64 {
+				t.Fatalf("Net.Run allocates %d times with 1024 flows, %d with 256: want a difference <= 64", many, few)
+			}
+		})
 	}
 }
