@@ -244,7 +244,7 @@ func (p *serverProc) verify(l *ledger, round int, initial svc.ConfigJSON) int {
 		l.errf("round %d: %v", round, err)
 		return 0
 	}
-	l.check(journal, live, initial, false, fmt.Sprintf("round %d", round)) // a daemon fresh from replay is not fenced
+	l.check(journal, live, initial, fmt.Sprintf("round %d", round))
 	return len(journal)
 }
 

@@ -141,11 +141,10 @@ func (l *ledger) ack(rr svc.ReconfigResponse) {
 // check holds one observation of (journal, live config) to the journal
 // oracles: sequence numbers gapless from 1, every acknowledged seq
 // present with the acknowledged configuration, no entry different from
-// an earlier observation of it, and, unless the instance is fenced, the
-// configuration in force equal to the journal tail — or to initial
-// while nothing has committed: a rolled-back, wedged or killed
-// transaction must never move it.
-func (l *ledger) check(journal []svc.JournalEntry, live, initial svc.ConfigJSON, fenced bool, where string) {
+// an earlier observation of it, and the configuration in force equal
+// to the journal tail — or to initial while nothing has committed: a
+// rolled-back, wedged or killed transaction must never move it.
+func (l *ledger) check(journal []svc.JournalEntry, live, initial svc.ConfigJSON, where string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	want := initial
@@ -169,7 +168,7 @@ func (l *ledger) check(journal []svc.JournalEntry, live, initial svc.ConfigJSON,
 			l.violateLocked(l.lost, "%s: 2xx-acknowledged seq %d missing from journal", where, seq)
 		}
 	}
-	if !fenced && live != want {
+	if live != want {
 		l.violateLocked(l.tail, "%s: live config is not the journal tail (live %+v, want %+v)", where, live, want)
 	}
 }

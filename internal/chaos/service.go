@@ -17,7 +17,8 @@ package chaos
 //     saw must appear in the instance's committed journal with the
 //     exact configuration it acknowledged, journal sequence numbers
 //     must be gapless, and the final live configuration must equal the
-//     journal tail — an accepted transaction can never silently vanish.
+//     journal tail, with the instance unfenced — an accepted transaction
+//     can never silently vanish, and a wedge never outlives its repair.
 //   - cache coherence: a cached derivation body and a freshly
 //     recomputed one for the same spec must be byte-identical.
 //
@@ -46,7 +47,7 @@ const (
 	// OracleAcceptedLost rejects a run where a 2xx-acknowledged
 	// reconfiguration is missing from the journal, acknowledged with a
 	// different configuration than committed, or no longer reflected by
-	// the final live configuration.
+	// the final live configuration, or the instance ends the run fenced.
 	OracleAcceptedLost = "svc-accepted-then-lost"
 	// OracleCacheCoherence rejects a run where a cached derivation and a
 	// fresh recomputation of the same spec differ.
@@ -213,7 +214,10 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 	if journal, live, err := d.state(); err != nil {
 		d.errf("%v", err)
 	} else {
-		d.check(journal, live, initial, s.Instance().Fenced() != nil, "after the drive")
+		d.check(journal, live, initial, "after the drive")
+	}
+	if fence := s.Instance().Fenced(); fence != nil { // driving back to the tail repairs a wedge
+		d.violate(d.tail, "after the drive: instance still fenced: %v", fence)
 	}
 	d.checkQueueBound("derive", s.Admission().Derive)
 	d.checkQueueBound("reconfig", s.Admission().Reconfig)

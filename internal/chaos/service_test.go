@@ -90,7 +90,7 @@ func TestServiceCampaignOracleCatchesFabricatedLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.check(journal, live, s.Instance().LiveConfig(), false, "after the drive")
+	d.check(journal, live, s.Instance().LiveConfig(), "after the drive")
 	found := false
 	for _, v := range d.Violations {
 		if v.Oracle == OracleAcceptedLost && strings.Contains(v.Detail, "seq 999") {
@@ -117,7 +117,6 @@ func TestLedgerNamesTheBrokenOracle(t *testing.T) {
 		seen    []svc.JournalEntry // an earlier observation, checked clean first
 		journal []svc.JournalEntry
 		live    svc.ConfigJSON
-		fenced  bool
 		oracle  string // "" = no violation; otherwise the crash-campaign name
 		detail  string
 	}{
@@ -135,9 +134,6 @@ func TestLedgerNamesTheBrokenOracle(t *testing.T) {
 			oracle: OracleCrashLiveIsTail, detail: "not the journal tail"},
 		{name: "empty journal, live moved", live: cfg(9),
 			oracle: OracleCrashLiveIsTail, detail: "not the journal tail"},
-		{name: "fenced, live is not the tail", journal: clean, live: cfg(16), fenced: true},
-		{name: "fenced, sequence gap", journal: []svc.JournalEntry{entry(1, 16), entry(3, 32)}, live: cfg(16), fenced: true,
-			oracle: OracleCrashAcceptedLost, detail: "sequence gap"},
 	}
 	for _, c := range cases {
 		for _, oneLife := range []bool{false, true} {
@@ -150,12 +146,12 @@ func TestLedgerNamesTheBrokenOracle(t *testing.T) {
 				}
 			}
 			if len(c.seen) > 0 {
-				l.check(c.seen, c.seen[len(c.seen)-1].Config, initial, false, "round 0")
+				l.check(c.seen, c.seen[len(c.seen)-1].Config, initial, "round 0")
 			}
 			for _, a := range c.acks {
 				l.ack(a)
 			}
-			l.check(c.journal, c.live, initial, c.fenced, "round 1")
+			l.check(c.journal, c.live, initial, "round 1")
 			switch {
 			case want == "" && len(l.Violations) != 0:
 				t.Errorf("%s: clean observation flagged: %v", c.name, l.Violations)

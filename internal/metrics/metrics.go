@@ -23,7 +23,8 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -266,10 +267,10 @@ func appendLabelKey(buf []byte, labels []Label) []byte {
 	return buf
 }
 
-// sortedLabels returns a copy of labels sorted by key.
+// sortedLabels returns a copy of labels stably sorted by key.
 func sortedLabels(labels []Label) []Label {
 	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	slices.SortStableFunc(sorted, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
 	return sorted
 }
 

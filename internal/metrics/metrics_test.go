@@ -174,6 +174,17 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
+// TestResolveExistingCellAllocs: resolving a handle on a cell that
+// exists allocates only the sorted copy of its labels — the sort itself
+// allocates nothing.
+func TestResolveExistingCellAllocs(t *testing.T) {
+	r := New()
+	r.Counter("c", L("port", "1"), L("switch", "0"))
+	if n := testing.AllocsPerRun(1000, func() { r.Counter("c", L("switch", "0"), L("port", "1")) }); n != 1 {
+		t.Fatalf("resolving an existing counter allocates %.1f/op, want 1", n)
+	}
+}
+
 func BenchmarkCounterInc(b *testing.B) {
 	c := New().Counter("c")
 	b.ReportAllocs()

@@ -70,9 +70,9 @@ func sizes(b Bindings) string {
 	return strings.Join(out, " ")
 }
 
-// TestPerSwitchApplyRevertValidate: operations are staged from the
-// network-wide delta (same count and names as uniform sizing) but each
-// switch is resized to, reverted to and validated against its own share.
+// TestPerSwitchApplyRevertValidate: each switch is checked and staged
+// against its own share of the candidate and resized to it, and a
+// failed commit reverts each applied operation to the sizes it replaced.
 func TestPerSwitchApplyRevertValidate(t *testing.T) {
 	engine, design, b, old := derivedLine(t)
 	ctrl := NewController(engine, nil)

@@ -1,20 +1,20 @@
 // Package reconfig is the transactional live-reconfiguration engine:
 // it applies a new core.Config to a running switch network through a
-// validate → prepare → commit → rollback lifecycle driven by the
-// discrete-event engine.
+// stage → commit → rollback lifecycle driven by the discrete-event
+// engine.
 //
 // The paper's development-model claim is that changing the application
 // scenario only means regulating the set_* parameters and re-deriving;
 // this package extends that to a switch that is already forwarding
-// traffic. Validation statically checks the candidate against the
-// platform's builder rules and against in-flight state (a table cannot
-// shrink below its live occupancy, buffers cannot shrink below current
-// reservations); prepare stages one idempotent operation per changed
-// resource class; commit applies them atomically at a CQF cycle
-// boundary so slot alignment is never violated mid-slot; and any
-// mid-apply failure — including one injected through internal/faults —
-// rolls every applied operation back in reverse order, restoring the
-// exact pre-transaction state.
+// traffic. One staging pass checks the candidate against the platform's
+// builder rules and compares every live switch with its share of the
+// candidate: each class that differs is checked against in-flight state
+// (a table cannot shrink below its live occupancy, buffers cannot
+// shrink below current reservations) and staged as one operation.
+// Commit applies them atomically at a CQF cycle boundary so slot
+// alignment is never violated mid-slot; and any mid-apply failure —
+// including one injected through internal/faults — rolls every applied
+// operation back in reverse order, restoring what each one replaced.
 package reconfig
 
 import (
@@ -90,7 +90,7 @@ type Bindings struct {
 	// the default FPGA platform.
 	Platform core.Platform
 	// Design gives each switch's share of a network-wide configuration
-	// (Design.Local) to validate, apply and revert; nil sizes all alike.
+	// (Design.Local) to stage and apply; nil sizes all alike.
 	Design *core.Design
 }
 
@@ -125,17 +125,20 @@ func Verify(sw *tsnswitch.Switch, want core.Config) error {
 	return nil
 }
 
-// op is one staged reconfiguration step — data, not code: a resize is
-// {switch, class}; rebase_slot (not a resize) and set_frer_tbl add the
-// state their revert restores.
+// op is one staged reconfiguration step — data, not code: {switch,
+// class}, or a FRER table's index, plus the state apply replaced, which
+// revert restores.
 type op struct {
 	sw    *tsnswitch.Switch // nil for set_frer_tbl
 	class int               // index into core.Classes, or rebaseSlot
 	// rebase_slot: the lists apply replaced, captured at apply time so
 	// revert reinstalls the exact values, base alignment included.
 	savedIn, savedOut []*gate.GCL
-	// set_frer_tbl: index in Bindings.FRER, window to apply / to restore.
-	frerIdx, hist, oldHist int
+	frerIdx           int // set_frer_tbl: index in Bindings.FRER
+	// was is what apply replaced: the class's sizes (core.Sizes), the
+	// slot in was[0] for rebase_slot, (capacity, history) for
+	// set_frer_tbl.
+	was [2]int
 }
 
 // name formats the operation's name on demand.
@@ -265,31 +268,34 @@ type Txn struct {
 	onResolve []func(*Txn)
 }
 
-// Begin validates candidate new against the running state reachable
+// Begin stages candidate new against the running state reachable
 // through b and, if it is applicable, returns a prepared transaction.
 // A rejected candidate returns a descriptive error (all problems, not
 // just the first) and counts under outcome="rejected".
 func (c *Controller) Begin(old, new core.Config, b Bindings) (*Txn, error) {
-	if err := validate(old, new, b); err != nil {
+	ops, err := stage(old, new, b)
+	if err != nil {
 		c.metRejected.Inc()
 		return nil, err
 	}
-	t := &Txn{c: c, old: old, new: new, b: b, state: StatePrepared}
-	t.prepare()
-	return t, nil
+	return &Txn{c: c, old: old, new: new, b: b, ops: ops, state: StatePrepared}, nil
 }
 
-// validate statically checks the candidate: structural rules first
-// (the same Builder validation a fresh design passes), then the fields
-// a live switch cannot change, then, switch by switch, a dry run of
-// every class the switch does not already hold at its share of the
-// candidate — its core.Classes row's Fit (FitRebase for the slot), the
-// switch primitive's own check — and last the FRER tables' occupancy. A
-// class held at the candidate's size needs no check: its live occupancy
-// fits its live size. A switch's findings read in At order: its tables,
-// port by port, then the rest.
-func validate(old, new core.Config, b Bindings) error {
+// stage is the one pass that decides what a transaction changes:
+// structural rules first (the same Builder validation a fresh design
+// passes), then the fields a live switch cannot change, then, switch by
+// switch, each class whose live sizes differ from the switch's share of
+// the candidate — and the slot, if it differs — gets a dry run (its
+// core.Classes row's Fit, or FitRebase) and one staged operation. A
+// class held at the candidate's size needs neither, and one a failed
+// commit left off its share is staged back to it. A switch's findings
+// read in At order: its tables, port by port, then the rest. Last come
+// the FRER tables: their occupancy, and one set_frer_tbl each when
+// frer_size or its window changes — testbed sizes a table past
+// frer_size to fit its FRER flows, so its live capacity is no guide.
+func stage(old, new core.Config, b Bindings) ([]op, error) {
 	var errs []error
+	var ops []op
 	if _, err := core.BuilderFor(new, b.Platform).Build(); err != nil {
 		errs = append(errs, err)
 	}
@@ -312,10 +318,12 @@ func validate(old, new core.Config, b Bindings) error {
 		for c := range setFRERTbl {
 			if n[c] != live[c] {
 				found = append(found, sw.Fit(c, n[c])...)
+				ops = append(ops, op{sw: sw, class: c})
 			}
 		}
 		if got.SlotSize != new.SlotSize {
 			found = append(found, sw.FitRebase()...)
+			ops = append(ops, op{sw: sw, class: rebaseSlot})
 		}
 		slices.SortStableFunc(found, func(x, y tsnswitch.Misfit) int { return x.At - y.At })
 		for _, m := range found {
@@ -331,8 +339,14 @@ func validate(old, new core.Config, b Bindings) error {
 		if new.FRERSize > 0 && (newHist < 1 || newHist > frer.MaxHistory) {
 			errs = append(errs, fmt.Errorf("reconfig: FRER history %d out of [1,%d]", newHist, frer.MaxHistory))
 		}
+		if new.FRERSize != old.FRERSize || newHist != effectiveHistory(old) {
+			ops = append(ops, op{class: setFRERTbl, frerIdx: i})
+		}
 	}
-	return errors.Join(errs...)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return ops, nil
 }
 
 // effectiveHistory resolves the candidate's FRER window: explicit
@@ -347,46 +361,28 @@ func effectiveHistory(cfg core.Config) int {
 	return 0
 }
 
-// prepare stages one operation per changed resource class, per switch,
-// in deterministic order.
-func (t *Txn) prepare() {
-	old, new := &t.old, &t.new
-	was, will := old.Switch(), new.Switch()
-	from, to := core.Sizes(&was), core.Sizes(&will)
-	for _, sw := range t.b.Switches {
-		for c := range setFRERTbl {
-			if from[c] != to[c] {
-				t.ops = append(t.ops, op{sw: sw, class: c})
-			}
-		}
-		if old.SlotSize != new.SlotSize {
-			t.ops = append(t.ops, op{sw: sw, class: rebaseSlot})
-		}
-	}
-	if new.FRERSize != old.FRERSize || effectiveHistory(*new) != effectiveHistory(*old) {
-		for i, tbl := range t.b.FRER {
-			hist := effectiveHistory(*new)
-			if hist == 0 {
-				hist = tbl.History() // frer_size 0: keep the window, only the budget shrinks
-			}
-			t.ops = append(t.ops, op{class: setFRERTbl, frerIdx: i, hist: hist, oldHist: tbl.History()})
-		}
-	}
-}
-
-// apply moves o's resource from the old to the new configuration.
+// apply moves o's resource to the candidate configuration, first
+// capturing in o what it replaces.
 func (t *Txn) apply(o *op) error {
-	switch o.class {
-	case setFRERTbl:
-		return t.b.FRER[o.frerIdx].Resize(t.new.FRERSize, o.hist)
-	case rebaseSlot:
-		ports := o.sw.Config().Ports
-		o.savedIn, o.savedOut = make([]*gate.GCL, ports), make([]*gate.GCL, ports)
+	if o.class == setFRERTbl {
+		tbl := t.b.FRER[o.frerIdx]
+		o.was = [2]int{tbl.Capacity(), tbl.History()}
+		hist := effectiveHistory(t.new)
+		if hist == 0 {
+			hist = tbl.History() // frer_size 0: keep the window, only the budget shrinks
+		}
+		return tbl.Resize(t.new.FRERSize, hist)
+	}
+	got := o.sw.Config()
+	if o.class == rebaseSlot {
+		o.was[0] = int(got.SlotSize)
+		o.savedIn, o.savedOut = make([]*gate.GCL, got.Ports), make([]*gate.GCL, got.Ports)
 		for p := range o.savedIn {
 			o.savedIn[p], o.savedOut[p] = o.sw.PortSchedules(p)
 		}
 		return o.sw.RebaseCQF(t.new.SlotSize, o.sw.Clock.Now(t.c.engine.Now()))
 	}
+	o.was = core.Sizes(&got)[o.class]
 	return o.sw.Resize(o.class, t.b.local(t.new, o.sw)[o.class])
 }
 
@@ -394,11 +390,11 @@ func (t *Txn) apply(o *op) error {
 func (t *Txn) revert(o *op) error {
 	switch o.class {
 	case setFRERTbl:
-		return t.b.FRER[o.frerIdx].Resize(t.old.FRERSize, o.oldHist)
+		return t.b.FRER[o.frerIdx].Resize(o.was[0], o.was[1])
 	case rebaseSlot:
-		return o.sw.RestoreSchedules(t.old.SlotSize, o.savedIn, o.savedOut)
+		return o.sw.RestoreSchedules(sim.Time(o.was[0]), o.savedIn, o.savedOut)
 	}
-	return o.sw.Resize(o.class, t.b.local(t.old, o.sw)[o.class])
+	return o.sw.Resize(o.class, o.was)
 }
 
 // State returns the transaction's lifecycle state.
@@ -406,12 +402,6 @@ func (t *Txn) State() State { return t.state }
 
 // Err returns the failure that forced a rollback, or nil.
 func (t *Txn) Err() error { return t.err }
-
-// Old returns the pre-transaction configuration.
-func (t *Txn) Old() core.Config { return t.old }
-
-// New returns the candidate configuration.
-func (t *Txn) New() core.Config { return t.new }
 
 // Ops lists the staged operation names in apply order.
 func (t *Txn) Ops() []string {
@@ -529,11 +519,10 @@ func (t *Txn) Commit() {
 	t.resolve()
 }
 
-// rollback reverts ops [0, applied) in reverse order. A revert that
-// fails would leave the switch in an undefined mixed state, which the
-// staged operations are constructed to make impossible — occupancy can
-// only have been checked against the tighter of the two configurations
-// — so it panics.
+// rollback reverts ops [0, applied) in reverse order. Each revert
+// restores what its apply replaced, which the live state fitted a
+// moment earlier within the same event, so it cannot fail; one that did
+// would leave the switch in an undefined mixed state, so it panics.
 func (t *Txn) rollback(applied int) {
 	for i := applied - 1; i >= 0; i-- {
 		if err := t.revert(&t.ops[i]); err != nil {

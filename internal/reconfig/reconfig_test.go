@@ -3,6 +3,7 @@ package reconfig
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
@@ -325,7 +326,7 @@ func TestSlotRebaseRollsBackToSavedSchedules(t *testing.T) {
 
 func TestFRERResizeOps(t *testing.T) {
 	h := newHarness(t)
-	tbl := frer.NewTable(2, 16)
+	tbl := frer.NewTable(4, 16) // sized past frer_size, as testbed sizes a table to fit its FRER flows
 	if err := tbl.Register(7); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,20 @@ func TestFRERResizeOps(t *testing.T) {
 	cand := old
 	cand.FRERSize, cand.FRERHistory = 8, 32
 	b := h.bindings()
-	b.FRER = []*frer.Table{tbl}
+	b.FRER = []*frer.Table{tbl, frer.NewTable(2, 16)}
+
+	// A commit failing before the second table's op restores the first
+	// table to what it held, not to frer_size.
+	h.ctrl.Arm(1, 1, false)
+	failed, err := h.ctrl.Begin(old, cand, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed.Commit()
+	if failed.State() != StateRolledBack || tbl.Capacity() != 4 || tbl.History() != 16 {
+		t.Fatalf("rollback: %v, capacity=%d history=%d, want 4/16", failed.State(), tbl.Capacity(), tbl.History())
+	}
+
 	txn, err := h.ctrl.Begin(old, cand, b)
 	if err != nil {
 		t.Fatal(err)
@@ -360,6 +374,14 @@ func TestFRERResizeOps(t *testing.T) {
 	bad.FRERSize = 0
 	if _, err := h.ctrl.Begin(cand, bad, b); err == nil {
 		t.Fatal("FRER shrink below occupancy accepted")
+	}
+}
+
+// TestOpSize: Begin allocates every staged op in one slice, so a wider
+// op costs each reconfiguration bytes (one more field made it 104 B).
+func TestOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(op{}); n > 11*unsafe.Sizeof(uintptr(0)) {
+		t.Fatalf("op is %d B, want at most 11 words", n)
 	}
 }
 

@@ -333,20 +333,20 @@ func (in *Instance) replay(img *recoveredImage) error {
 	return nil
 }
 
-// driveTo brings the network to cfg — one transaction, settled, when it
-// is elsewhere — and verifies it there. Loop goroutine only.
+// driveTo brings the network to cfg and verifies it there: unless it is
+// there and verifies clean, by one settled transaction, which also
+// stages back whatever a wedged commit left. Loop goroutine only.
 func (in *Instance) driveTo(cfg core.Config) error {
-	var verr error
-	if cfg == in.net.LiveConfig() {
-		verr = in.net.VerifyLive()
-	} else {
-		txn, err := in.net.Reconfigure(cfg)
-		if err != nil {
-			return err
-		}
-		if verr = in.settle(txn); txn.State() != reconfig.StateCommitted {
-			return fmt.Errorf("commit resolved %v: %w", txn.State(), txn.Err())
-		}
+	if cfg == in.net.LiveConfig() && in.net.VerifyLive() == nil {
+		return nil
+	}
+	txn, err := in.net.Reconfigure(cfg)
+	if err != nil {
+		return err
+	}
+	verr := in.settle(txn)
+	if txn.State() != reconfig.StateCommitted {
+		return fmt.Errorf("commit resolved %v: %w", txn.State(), txn.Err())
 	}
 	if verr != nil {
 		return fmt.Errorf("verification: %w", verr)

@@ -295,7 +295,8 @@ func TestReconfigureAllocs(t *testing.T) {
 }
 
 // wedgedService returns a service whose last commit wedged behind a
-// journal of the given length, and that commit's verification error.
+// journal of the given length, and so did the repair that followed it,
+// and that commit's verification error.
 func wedgedService(t *testing.T, journal int) (*Service, error) {
 	t.Helper()
 	s, _ := newTestService(t, Options{})
@@ -305,7 +306,7 @@ func wedgedService(t *testing.T, journal int) (*Service, error) {
 			t.Fatalf("reconfigure %d: %+v %v", i, out, err)
 		}
 	}
-	if err := s.Instance().Arm(1, 1, true); err != nil {
+	if err := s.Instance().Arm(1, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	d := ReconfigRequest{UnicastSize: s.Instance().LiveConfig().UnicastSize * 2}

@@ -259,9 +259,12 @@ func TestServiceReconfigBadDelta(t *testing.T) {
 	}
 }
 
+// TestServiceWedgeTripsBreakerAndHealth: a wedge that also wedges the
+// repair leaves the instance fenced — degraded, unready — and trips the
+// breaker.
 func TestServiceWedgeTripsBreakerAndHealth(t *testing.T) {
 	s, ts := newTestService(t, Options{BreakerThreshold: 1, BreakerCooldown: time.Hour})
-	if err := s.Instance().Arm(1, 1, true); err != nil {
+	if err := s.Instance().Arm(1, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	live := s.Instance().LiveConfig()
@@ -292,9 +295,10 @@ func TestServiceWedgeTripsBreakerAndHealth(t *testing.T) {
 }
 
 // TestFailedCommitKeepsLiveAtJournalTail: a wedged grow answers 500,
-// and a second grow must not move the configuration in force off the
-// journal — the wedge's leftovers fail every verification, so the
-// instance stays fenced: it refuses the grow with 503 and is unready.
+// and the instance repairs itself — driving back to the journal tail
+// stages the wedge's leftovers back — so a second grow commits with 200
+// on the repaired network, the configuration in force is the journal
+// tail and the instance is ready.
 func TestFailedCommitKeepsLiveAtJournalTail(t *testing.T) {
 	s, ts := newTestService(t, Options{})
 	boot := s.Instance().LiveConfig()
@@ -306,8 +310,8 @@ func TestFailedCommitKeepsLiveAtJournalTail(t *testing.T) {
 		t.Fatalf("wedged grow: %d %s, want 500", resp.StatusCode, body)
 	}
 	resp, body = postJSON(t, ts.URL+"/v1/reconfig", `{"meter_size":`+jsonInt(boot.MeterSize*2)+`}`, nil)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("grow after the wedge: %d %s, want 503 (fenced)", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("grow after the wedge: %d %s, want 200 (repaired)", resp.StatusCode, body)
 	}
 	var journal []JournalEntry
 	var live ConfigJSON
@@ -317,11 +321,11 @@ func TestFailedCommitKeepsLiveAtJournalTail(t *testing.T) {
 	if len(journal) > 0 {
 		tail = journal[len(journal)-1].Config
 	}
-	if live != tail {
-		t.Fatalf("live config %+v is not the journal tail %+v", live, tail)
+	if len(journal) != 1 || live != tail {
+		t.Fatalf("live config %+v is not the journal tail %+v (journal %+v)", live, tail, journal)
 	}
-	if rr, rb := getRaw(t, ts.URL+"/readyz"); rr.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz while fenced: %d %s", rr.StatusCode, rb)
+	if rr, rb := getRaw(t, ts.URL+"/readyz"); rr.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after the repair: %d %s", rr.StatusCode, rb)
 	}
 }
 

@@ -854,11 +854,12 @@ func (n *Net) reconfigBindings() reconfig.Bindings {
 }
 
 // Reconfigure begins a transactional live reconfiguration to cfg:
-// validate against the running state, stage per-resource operations,
-// and schedule the atomic commit for the next CQF cycle boundary. An
-// inapplicable candidate is rejected here, before anything is touched.
-// The returned transaction resolves (committed or rolled back) at its
-// CommitTime; inspect State and Err after the engine passes it.
+// stage what differs on the running switches (to LiveConfig, what a
+// wedged commit left), and schedule the atomic commit for the next CQF
+// cycle boundary. An inapplicable candidate is rejected here, before
+// anything is touched. The returned transaction resolves (committed or
+// rolled back) at its CommitTime; inspect State and Err after the
+// engine passes it.
 func (n *Net) Reconfigure(cfg core.Config) (*reconfig.Txn, error) {
 	if n.runner != nil {
 		return nil, fmt.Errorf("testbed: live reconfiguration is not supported in partitioned runs (a commit would touch switches across partition goroutines)")
