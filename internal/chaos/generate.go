@@ -172,15 +172,12 @@ func randomFaults(rng *sim.Rand, c *Case, n int, trunks [][2]int, maxFaults int)
 	for len(out) < budget {
 		var f faults.Fault
 		if c.FRERCovered {
-			a, b := coveredA, coveredB
-			f = faults.Fault{AtUs: at(), A: &a, B: &b}
-			if rng.Float64() < 0.5 {
-				f.Kind = faults.KindLinkDown
-			} else {
-				f.Kind = faults.KindLinkFlap
-				f.PeriodUs = 2 * dur()
-				f.Count = 1 + rng.Intn(3)
+			atUs := at()
+			pick := faults.Pick{Kind: faults.KindLinkDown, Aim: faults.AimTrunk}
+			if rng.Float64() >= 0.5 {
+				pick.Kind = faults.KindLinkFlap
 			}
+			f = pick.Draw(atUs, faults.Targets{A: coveredA, B: coveredB}, rng, dur)
 		} else {
 			f = randomFault(rng, n, trunks, at, dur)
 		}
@@ -201,57 +198,17 @@ func randomFaults(rng *sim.Rand, c *Case, n int, trunks [][2]int, maxFaults int)
 	return out
 }
 
-// randomFault draws one fault from the full menu. gPTP-dependent kinds
-// (gm-kill, node-kill) are excluded: chaos cases run with perfect
-// clocks. Trunk faults draw from the topology's real trunk list (with
-// random orientation), and port-scoped faults hit port 0, which exists
-// on every switch in every topology.
+// randomFault draws one fault from the fault table's menu, which leaves
+// out gm-kill and node-kill: chaos cases run with perfect clocks. It
+// draws each candidate target before it picks: a switch, a host, and a
+// trunk from the topology's real trunk list (with random orientation);
+// port-scoped faults hit port 0, which every switch has.
 func randomFault(rng *sim.Rand, n int, trunks [][2]int, at, dur func() int64) faults.Fault {
-	sw := rng.Intn(n)
-	port := 0
-	host := 100 + 100*rng.Intn(2) + rng.Intn(n)
-	t := trunks[rng.Intn(len(trunks))]
-	a, b := t[0], t[1]
-	f := faults.Fault{AtUs: at()}
-	switch rng.Intn(9) {
-	case 0:
-		f.Kind = faults.KindLinkDown
-		f.A, f.B = &a, &b
-	case 1:
-		f.Kind = faults.KindLinkDown
-		f.Host = &host
-	case 2:
-		f.Kind = faults.KindLinkFlap
-		f.A, f.B = &a, &b
-		f.PeriodUs = 2 * dur()
-		f.Count = 1 + rng.Intn(3)
-	case 3:
-		f.Kind = faults.KindLinkLoss
-		f.A, f.B = &a, &b
-		f.Prob = 0.05 + 0.4*rng.Float64()
-		f.DurationUs = dur()
-	case 4:
-		f.Kind = faults.KindLinkCorrupt
-		f.A, f.B = &a, &b
-		f.Prob = 0.05 + 0.4*rng.Float64()
-		f.DurationUs = dur()
-	case 5:
-		f.Kind = faults.KindClockStep
-		f.Switch = &sw
-		f.StepNs = (1 + rng.Int63n(500_000)) * int64(1-2*rng.Intn(2))
-	case 6:
-		f.Kind = faults.KindClockDrift
-		f.Switch = &sw
-		f.DriftPPB = rng.Int63n(200_000) - 100_000
-	case 7:
-		f.Kind = faults.KindBufferExhaust
-		f.Switch, f.Port = &sw, &port
-		f.Slots = 1 + rng.Intn(8)
-		f.DurationUs = dur()
-	case 8:
-		f.Kind = faults.KindGateClose
-		f.Switch, f.Port = &sw, &port
-		f.DurationUs = dur()
-	}
-	return f
+	t := faults.Targets{Switch: rng.Intn(n)}
+	background := rng.Intn(2) == 1
+	t.Host = workload.Host(rng.Intn(n), background)
+	trunk := trunks[rng.Intn(len(trunks))]
+	t.A, t.B = trunk[0], trunk[1]
+	atUs, menu := at(), faults.Menu()
+	return menu[rng.Intn(len(menu))].Draw(atUs, t, rng, dur)
 }

@@ -127,17 +127,15 @@ func Shrink(c Case, violations []Violation, maxRuns int) (Case, []Violation) {
 }
 
 // fits reports whether every fault window and the reconfig commit
-// would land comfortably inside a run of durMs.
+// would land comfortably inside a run of durMs. A point fault acts at
+// at_us alone, so its one-µs window may end 1 µs past the limit.
 func fits(c *Case, durMs int) bool {
 	limit := int64(durMs)*1000 - 2000
 	for i := range c.Faults {
-		f := c.Faults[i]
-		end := f.AtUs
-		switch {
-		case f.DurationUs > 0:
-			end += f.DurationUs
-		case f.PeriodUs > 0:
-			end += f.PeriodUs * int64(f.Count)
+		f := &c.Faults[i]
+		_, end := f.Window()
+		if f.DurationUs == 0 && f.PeriodUs == 0 {
+			end--
 		}
 		if end > limit {
 			return false

@@ -203,9 +203,14 @@ type kind struct {
 	// and selector have passed.
 	check func(f *Fault) error
 	bind  binder
-	// restoreAtOn books each recovery when its activation runs, because
-	// only then is the state off puts back known.
+	// restoreAtOn books each recovery under a fresh order number, not a
+	// reserved one: the state off puts back is known only at activation.
 	restoreAtOn bool
+	// aims are the selectors the chaos campaign draws the kind on, one
+	// menu entry each (none keeps it off the menu), and draw, when set,
+	// draws its parameters; dur draws a duration in µs.
+	aims []Aim
+	draw func(f *Fault, rng *sim.Rand, dur func() int64)
 }
 
 // binder resolves a fault's bindings into what it does to its target
@@ -217,29 +222,35 @@ type binder func(f *Fault, t *target) (on, off func(*sim.Engine))
 // scenario content). New kinds append at the end so existing metric
 // orderings never shift.
 var kinds = []kind{
-	{name: KindLinkDown, sel: selLink, bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
+	{name: KindLinkDown, sel: selLink, aims: []Aim{AimTrunk, AimHost}, bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
 		return func(*sim.Engine) { t.fwd.SetLink(false) }, nil
 	}},
 	{name: KindLinkUp, sel: selLink, bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
 		return nil, func(*sim.Engine) { t.fwd.SetLink(true) }
 	}},
-	{name: KindLinkFlap, sel: selLink, fields: fPeriod | fCount,
+	{name: KindLinkFlap, sel: selLink, fields: fPeriod | fCount, aims: []Aim{AimTrunk},
 		check: func(f *Fault) error { return need(f, f.PeriodUs > 0 && f.Count > 0, "positive period_us and count") },
 		bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
 			return func(*sim.Engine) { t.fwd.SetLink(false) }, func(*sim.Engine) { t.fwd.SetLink(true) }
-		}},
-	{name: KindLinkLoss, sel: selLink, fields: fProb | fDuration, check: checkImpair, bind: impair(true)},
-	{name: KindLinkCorrupt, sel: selLink, fields: fProb | fDuration, check: checkImpair, bind: impair(false)},
-	{name: KindClockStep, sel: selSwitch, fields: fStep,
+		},
+		draw: func(f *Fault, rng *sim.Rand, dur func() int64) { f.PeriodUs, f.Count = 2*dur(), 1+rng.Intn(3) }},
+	{name: KindLinkLoss, sel: selLink, fields: fProb | fDuration, aims: []Aim{AimTrunk},
+		check: checkImpair, bind: impair(true), draw: drawImpair},
+	{name: KindLinkCorrupt, sel: selLink, fields: fProb | fDuration, aims: []Aim{AimTrunk},
+		check: checkImpair, bind: impair(false), draw: drawImpair},
+	{name: KindClockStep, sel: selSwitch, fields: fStep, aims: []Aim{AimSwitch},
 		check: func(f *Fault) error { return need(f, f.StepNs != 0, "non-zero step_ns") },
 		bind: func(f *Fault, t *target) (on, off func(*sim.Engine)) {
 			step := sim.Time(f.StepNs) * sim.Nanosecond
 			return func(e *sim.Engine) { t.sw.Clock.Step(e.Now(), step) }, nil
+		},
+		draw: func(f *Fault, rng *sim.Rand, _ func() int64) {
+			f.StepNs = (1 + rng.Int63n(500_000)) * int64(1-2*rng.Intn(2))
 		}},
-	{name: KindClockDrift, sel: selSwitch, fields: fDrift, bind: func(f *Fault, t *target) (on, off func(*sim.Engine)) {
+	{name: KindClockDrift, sel: selSwitch, fields: fDrift, aims: []Aim{AimSwitch}, bind: func(f *Fault, t *target) (on, off func(*sim.Engine)) {
 		drift := clock.PPB(f.DriftPPB)
 		return func(e *sim.Engine) { t.sw.Clock.SetDrift(e.Now(), drift) }, nil
-	}},
+	}, draw: func(f *Fault, rng *sim.Rand, _ func() int64) { f.DriftPPB = rng.Int63n(200_000) - 100_000 }},
 	{name: KindGMKill, sel: selDomain, bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
 		return func(*sim.Engine) {
 			if gm := t.dom.Grandmaster(); gm != nil {
@@ -250,15 +261,16 @@ var kinds = []kind{
 	{name: KindNodeKill, sel: selNode, bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
 		return func(*sim.Engine) { t.dom.KillNode(t.node) }, nil
 	}},
-	{name: KindBufferExhaust, sel: selSwitch, fields: fPort | fSlots | fDuration,
+	{name: KindBufferExhaust, sel: selSwitch, fields: fPort | fSlots | fDuration, aims: []Aim{AimSwitch},
 		check: func(f *Fault) error {
 			return need(f, f.Port != nil && f.Slots > 0 && f.DurationUs > 0, "port, positive slots and duration_us")
 		},
 		bind: func(f *Fault, t *target) (on, off func(*sim.Engine)) {
 			pool, slots := t.sw.Port(*f.Port).Pool(), f.Slots
 			return func(*sim.Engine) { pool.Reserve(slots) }, func(*sim.Engine) { pool.ReleaseReserved() }
-		}},
-	{name: KindGateClose, sel: selSwitch, fields: fPort | fDuration, restoreAtOn: true,
+		},
+		draw: func(f *Fault, rng *sim.Rand, dur func() int64) { f.Slots, f.DurationUs = 1+rng.Intn(8), dur() }},
+	{name: KindGateClose, sel: selSwitch, fields: fPort | fDuration, restoreAtOn: true, aims: []Aim{AimSwitch},
 		check: func(f *Fault) error {
 			return need(f, f.Port != nil && f.DurationUs > 0, "port and positive duration_us")
 		},
@@ -281,7 +293,8 @@ var kinds = []kind{
 						panic(fmt.Sprintf("faults: %s restore %s: %v", KindGateClose, t.key, err))
 					}
 				}
-		}},
+		},
+		draw: func(f *Fault, _ *sim.Rand, dur func() int64) { f.DurationUs = dur() }},
 	// A leak never recovers: the slots are gone until the watchdog (or
 	// a human) notices the conservation violation.
 	{name: KindBufferLeak, sel: selSwitch, fields: fPort | fSlots,
@@ -323,6 +336,10 @@ func checkImpair(f *Fault) error {
 		return fmt.Errorf("%s prob %v outside (0,1]", f.Kind, f.Prob)
 	}
 	return need(f, f.DurationUs > 0, "positive duration_us")
+}
+
+func drawImpair(f *Fault, rng *sim.Rand, dur func() int64) {
+	f.Prob, f.DurationUs = 0.05+0.4*rng.Float64(), dur()
 }
 
 func checkArm(f *Fault) error {
@@ -401,8 +418,8 @@ func (sc *Scenario) validate(base sim.Time) error {
 			if a.Kind != b.Kind || a.targetKey() != b.targetKey() {
 				continue
 			}
-			as, ae := a.window()
-			bs, be := b.window()
+			as, ae := a.Window()
+			bs, be := b.Window()
 			if as < be && bs < ae {
 				return fmt.Errorf("faults: fault %d duplicates fault %d: %s on %s, active windows [%d,%d)µs and [%d,%d)µs overlap",
 					i, j, b.Kind, b.targetKey(), as, ae, bs, be)
@@ -462,11 +479,11 @@ func (f *Fault) targetKey() string {
 	}
 }
 
-// window returns the fault's active interval [start, end) in µs, read
+// Window returns the fault's active interval [start, end) in µs, read
 // from its own fields: a flap spans all its cycles, a transient fault
-// its duration, and a point fault a single instant — two point faults
-// duplicate each other only at the exact same at_us.
-func (f *Fault) window() (start, end int64) {
+// its duration, and a point fault the one µs [at_us, at_us+1) — two
+// point faults duplicate each other only at the exact same at_us.
+func (f *Fault) Window() (start, end int64) {
 	if f.PeriodUs != 0 {
 		return f.AtUs, f.AtUs + f.PeriodUs*int64(f.Count)
 	}
@@ -681,7 +698,11 @@ func (inj *Injector) resolve(f *Fault, sel selector, b Bindings, t *target) erro
 // schedule books row k's fault from the fault's own fields: a flap
 // activates count times a period apart, every other kind once, and each
 // recovery follows its activation by half a period on a flap, by
-// duration_us otherwise.
+// duration_us otherwise. Apply books the first activation, which books
+// its recovery and the next cycle, so a flap of any count holds at most
+// two pending events. Apply reserves, in one block, the order numbers
+// booking every event at once would take, and each booking takes its
+// own, so the same-instant order is unchanged.
 func (inj *Injector) schedule(k int, f *Fault, at sim.Time, t *target) {
 	row := &kinds[k]
 	on, off := row.bind(f, t)
@@ -695,19 +716,82 @@ func (inj *Injector) schedule(k int, f *Fault, at sim.Time, t *target) {
 		off(e)
 		inj.markRecovered(k)
 	}
-	for c := 0; c < n; c++ {
-		start := at + sim.Time(c)*every
-		if on != nil {
-			inj.engine.At(start, label, func(e *sim.Engine) {
-				on(e)
-				inj.markInjected(k)
-				if row.restoreAtOn {
-					e.At(e.Now()+hold, label, restore)
-				}
-			})
+	if on == nil {
+		inj.engine.At(at+hold, label, restore)
+		return
+	}
+	per := uint64(1) // a cycle's numbers: its activation's, then its recovery's
+	if off != nil && !row.restoreAtOn {
+		per = 2
+	}
+	seq := inj.engine.TakeSeqs(uint64(n) * per)
+	var activate sim.Handler
+	activate = func(e *sim.Engine) {
+		on(e)
+		inj.markInjected(k)
+		switch {
+		case row.restoreAtOn:
+			e.At(e.Now()+hold, label, restore)
+		case off != nil:
+			e.AtSeq(e.Now()+hold, seq+1, label, restore)
 		}
-		if off != nil && !row.restoreAtOn {
-			inj.engine.At(start+hold, label, restore)
+		if n--; n > 0 {
+			seq += per
+			e.AtSeq(e.Now()+every, seq, label, activate)
 		}
 	}
+	inj.engine.AtSeq(at, seq, label, activate)
+}
+
+// Aim is a selector the chaos campaign draws a kind on.
+type Aim uint8
+
+const (
+	AimTrunk  Aim = iota // a+b: a directed trunk
+	AimHost              // host: an access link
+	AimSwitch            // switch, and port 0 where the kind takes a port
+)
+
+// Pick is one entry of the chaos campaign's fault menu: a kind and the
+// selector it is drawn on.
+type Pick struct {
+	Kind string
+	Aim  Aim
+}
+
+// Menu lists the campaign's picks: each row's aims, rows in table order.
+func Menu() []Pick {
+	var m []Pick
+	for _, k := range kinds {
+		for _, a := range k.aims {
+			m = append(m, Pick{k.name, a})
+		}
+	}
+	return m
+}
+
+// Targets are the candidates a campaign draws before it picks: a
+// directed trunk a→b, a host and a switch.
+type Targets struct{ A, B, Host, Switch int }
+
+// Draw returns p's fault at atUs on the target in t that p aims at, its
+// parameters drawn from rng in the row's fixed order.
+func (p Pick) Draw(atUs int64, t Targets, rng *sim.Rand, dur func() int64) Fault {
+	k := &kinds[lookup(p.Kind)]
+	f := Fault{AtUs: atUs, Kind: p.Kind}
+	switch p.Aim {
+	case AimTrunk:
+		f.A, f.B = &t.A, &t.B
+	case AimHost:
+		f.Host = &t.Host
+	case AimSwitch:
+		f.Switch = &t.Switch
+		if k.fields&fPort != 0 {
+			f.Port = new(int)
+		}
+	}
+	if k.draw != nil {
+		k.draw(&f, rng, dur)
+	}
+	return f
 }

@@ -135,6 +135,48 @@ func TestLinkFlapFault(t *testing.T) {
 	}
 }
 
+// TestLinkFlapBooksOneCycleAtATime: Apply books a flap's first
+// activation only, and each activation its recovery and the next cycle,
+// so a flap of 2^20 cycles leaves at most two events pending. A cycle
+// still runs before an event booked after Apply for the same instant:
+// its order number was reserved at Apply.
+func TestLinkFlapBooksOneCycleAtATime(t *testing.T) {
+	e := sim.NewEngine()
+	ifc, _, sb := linkPair(e)
+	inj := NewInjector(e, 1, nil)
+	sc, err := Parse(strings.NewReader(`{"faults": [
+		{"at_us": 0, "kind": "link-flap", "a": 0, "b": 1, "period_us": 20, "count": 1048576}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inj.Apply(sc, trunkBinding(ifc)); err != nil {
+		t.Fatal(err)
+	}
+	if p := e.Pending(); p > 2 {
+		t.Fatalf("%d events pending after Apply, want at most 2", p)
+	}
+	var seen uint64
+	e.At(40*sim.Microsecond, "probe", func(*sim.Engine) { seen = inj.Injected() })
+	// Cycle 3 takes the link down at 60µs and up at 70µs: a frame sent
+	// at 62µs is lost, one sent at 75µs crosses.
+	e.At(62*sim.Microsecond, "tx1", func(*sim.Engine) { ifc.Transmit(&ethernet.Frame{Seq: 1}, nil) })
+	e.At(75*sim.Microsecond, "tx2", func(*sim.Engine) { ifc.Transmit(&ethernet.Frame{Seq: 2}, nil) })
+	e.RunUntil(78 * sim.Microsecond)
+	if seen != 3 {
+		t.Fatalf("probe at cycle 2's instant saw %d activations, want 3", seen)
+	}
+	if inj.Injected() != 4 || inj.Recovered() != 4 {
+		t.Fatalf("flap counts = %d/%d, want 4/4", inj.Injected(), inj.Recovered())
+	}
+	if len(sb.frames) != 1 || sb.frames[0].Seq != 2 {
+		t.Fatalf("delivered %v, want only seq 2", sb.frames)
+	}
+	if p := e.Pending(); p > 2 {
+		t.Fatalf("%d events pending after four cycles, want at most 2", p)
+	}
+}
+
 func TestLinkLossDeterministic(t *testing.T) {
 	run := func() (delivered int) {
 		e := sim.NewEngine()

@@ -343,29 +343,41 @@ func TestEveryKindRejectsForeignField(t *testing.T) {
 }
 
 // TestReadmeKindTable: README's fault-kind table lists exactly the
-// kind table's rows, in order.
+// kind table's rows, in order, and its "Drawn on" column names each
+// row's campaign draws.
 func TestReadmeKindTable(t *testing.T) {
 	raw, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, table, ok := strings.Cut(string(raw), "| Kind | Fields | Effect |\n|---|---|---|\n")
+	_, table, ok := strings.Cut(string(raw), "| Kind | Fields | Drawn on | Effect |\n|---|---|---|---|\n")
 	if !ok {
 		t.Fatal("README has no fault-kind table")
 	}
 	var got, want []string
 	for _, line := range strings.Split(table, "\n") {
-		name, ok := strings.CutPrefix(line, "| `")
-		if !ok {
+		cells := strings.Split(line, " | ")
+		if !strings.HasPrefix(line, "| `") || len(cells) != 4 {
 			break
 		}
-		name, _, _ = strings.Cut(name, "`")
-		got = append(got, name)
+		got = append(got, strings.Trim(cells[0], "| `")+": "+cells[2])
 	}
+	aimed := [...]string{AimTrunk: "`a`+`b`", AimHost: "`host`", AimSwitch: "`switch`"}
 	for _, k := range kinds {
-		want = append(want, k.name)
+		var on []string
+		for _, a := range k.aims {
+			s := aimed[a]
+			if a == AimSwitch && k.fields&fPort != 0 {
+				s += "+`port`"
+			}
+			on = append(on, s)
+		}
+		if on == nil {
+			on = []string{"—"}
+		}
+		want = append(want, k.name+": "+strings.Join(on, " or "))
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("README kind column = %q\nkind table          = %q", got, want)
+		t.Fatalf("README kind: drawn-on rows = %q\nkind table               = %q", got, want)
 	}
 }

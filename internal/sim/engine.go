@@ -329,9 +329,13 @@ func (e *Engine) AtPrio(at Time, prio uint64, label string, fn Handler) EventRef
 // TakeSeq takes the next scheduling-order number — the one At would
 // stamp on an event scheduled now — without scheduling anything, for a
 // source that keeps many timers behind one event (the NIC) to pass AtSeq.
-func (e *Engine) TakeSeq() uint64 {
-	e.nextSeq++
-	return e.nextSeq - 1
+func (e *Engine) TakeSeq() uint64 { return e.TakeSeqs(1) }
+
+// TakeSeqs takes the next n numbers in one call and returns the first,
+// for a source that books a long series one event at a time (a flap).
+func (e *Engine) TakeSeqs(n uint64) uint64 {
+	e.nextSeq += n
+	return e.nextSeq - n
 }
 
 // AtSeq schedules fn at (at, prio 0, seq) for a seq TakeSeq returned:

@@ -93,8 +93,18 @@ type Built struct {
 	FRERFlows int
 }
 
+// Host numbers the two hosts Build attaches to switch sw: the TS host
+// 100+sw, which sources and sinks the TS flows and sinks the RC/BE
+// background, and the background host 200+sw, which sources it.
+func Host(sw int, background bool) int {
+	if background {
+		return 200 + sw
+	}
+	return 100 + sw
+}
+
 // Build constructs the workload deterministically from p. The
-// construction order — topology, hosts 100+h/200+h per switch, TS flows
+// construction order — topology, both hosts per switch, TS flows
 // with VID 1+i%4000, FRER tagging, background flows from id 100000,
 // path binding, derivation, plan application, deadline override, design
 // build — is load-bearing: cmd/tsnsim produced exactly this sequence
@@ -106,8 +116,8 @@ func Build(p Params) (*Built, error) {
 	topo, _ := topology.New(p.Topology, p.Switches) // Validate checked name and floor
 	n := topo.N
 	for h := 0; h < n; h++ {
-		topo.AttachHost(100+h, h)
-		topo.AttachHost(200+h, h)
+		topo.AttachHost(Host(h, false), h)
+		topo.AttachHost(Host(h, true), h)
 	}
 
 	specs := flows.GenerateTS(flows.TSParams{
@@ -117,7 +127,7 @@ func Build(p Params) (*Built, error) {
 		VID:      1,
 		Hosts: func(i int) (int, int) {
 			src := i % n
-			return 100 + src, 100 + (src+p.Hops-1)%n
+			return Host(src, false), Host((src+p.Hops-1)%n, false)
 		},
 		Seed: p.Seed,
 	})
@@ -139,13 +149,13 @@ func Build(p Params) (*Built, error) {
 	for srcIdx := 0; srcIdx < 3 && srcIdx < n; srcIdx++ {
 		if p.RCMbps > 0 {
 			specs = append(specs, flows.Background(id, ethernet.ClassRC,
-				200+srcIdx, 100+(srcIdx+p.Hops-1)%n, uint16(3000+srcIdx),
+				Host(srcIdx, true), Host((srcIdx+p.Hops-1)%n, false), uint16(3000+srcIdx),
 				ethernet.Rate(p.RCMbps)*ethernet.Mbps))
 			id++
 		}
 		if p.BEMbps > 0 {
 			specs = append(specs, flows.Background(id, ethernet.ClassBE,
-				200+srcIdx, 100+(srcIdx+p.Hops-1)%n, uint16(3200+srcIdx),
+				Host(srcIdx, true), Host((srcIdx+p.Hops-1)%n, false), uint16(3200+srcIdx),
 				ethernet.Rate(p.BEMbps)*ethernet.Mbps))
 			id++
 		}
