@@ -78,7 +78,6 @@ func TestPartitionsRejectUnshardableFlags(t *testing.T) {
 		mut  func(*runOpts)
 	}{
 		{"gptp", func(o *runOpts) { o.gptp = true }},
-		{"frer", func(o *runOpts) { o.Topology, o.FRERFlows = "bidir-ring", 2 }},
 		{"watchdog", func(o *runOpts) { o.Watchdog = true }},
 		{"faults", func(o *runOpts) { o.scenario = &faults.Scenario{} }},
 		{"reconfig", func(o *runOpts) { o.Reconfig = &chaos.Delta{} }},
@@ -95,6 +94,14 @@ func TestPartitionsRejectUnshardableFlags(t *testing.T) {
 		if _, err := run(o, nil); err == nil {
 			t.Errorf("%s: accepted with -partitions", tc.name)
 		}
+	}
+	// FRER flows shard (testbed's TestPartitionedParityFRER holds them
+	// to the serial export).
+	o := baseOpts()
+	o.partitions = 2
+	o.Topology, o.FRERFlows = "bidir-ring", 2
+	if _, err := run(o, nil); err != nil {
+		t.Errorf("frer: rejected with -partitions: %v", err)
 	}
 }
 

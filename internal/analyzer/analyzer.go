@@ -225,12 +225,12 @@ var LatencyBounds = metrics.ExponentialBounds(1000, 2, 14)
 // delivered-frames counter and an end-to-end latency histogram for
 // each traffic class. A nil registry is a no-op.
 func (c *Collector) Instrument(reg *metrics.Registry) {
-	reg.Help("tsn_flows_delivered_total", "frames delivered to end stations")
-	reg.Help("tsn_e2e_latency_ns", "end-to-end frame latency, nanoseconds")
+	delivered := reg.Counters("tsn_flows_delivered_total", "frames delivered to end stations", "class")
+	latency := reg.Histograms("tsn_e2e_latency_ns", "end-to-end frame latency, nanoseconds", LatencyBounds, "class")
 	for _, cls := range []ethernet.Class{ethernet.ClassBE, ethernet.ClassRC, ethernet.ClassTS} {
-		l := metrics.L("class", cls.String())
-		c.metDelivered[cls] = reg.Counter("tsn_flows_delivered_total", l)
-		c.metLatency[cls] = reg.Histogram("tsn_e2e_latency_ns", LatencyBounds, l)
+		class := metrics.Name(cls.String())
+		c.metDelivered[cls] = delivered.With(class)
+		c.metLatency[cls] = latency.With(class)
 	}
 }
 

@@ -133,8 +133,8 @@ func TestGenerateDrawOrder(t *testing.T) {
 }
 
 // TestFitsBoundary: a fault fits a run of durMs when its window ends by
-// the limit (durMs·1000 − 2000 µs); a point fault fits when it acts by
-// the limit, its one-µs window ending 1 µs past it.
+// the limit (durMs·1000 − 2000 µs) — a point fault's one-µs window and a
+// 1-µs link-loss alike.
 func TestFitsBoundary(t *testing.T) {
 	const limit = 8000 // a 10 ms run
 	a, b := 0, 1
@@ -142,8 +142,8 @@ func TestFitsBoundary(t *testing.T) {
 		f    faults.Fault
 		want bool
 	}{
-		{faults.Fault{AtUs: limit, Kind: faults.KindLinkDown, A: &a, B: &b}, true},
-		{faults.Fault{AtUs: limit + 1, Kind: faults.KindLinkDown, A: &a, B: &b}, false},
+		{faults.Fault{AtUs: limit - 1, Kind: faults.KindLinkDown, A: &a, B: &b}, true},
+		{faults.Fault{AtUs: limit, Kind: faults.KindLinkDown, A: &a, B: &b}, false},
 		{faults.Fault{AtUs: limit - 100, Kind: faults.KindLinkLoss, A: &a, B: &b, Prob: 0.5, DurationUs: 100}, true},
 		{faults.Fault{AtUs: limit - 99, Kind: faults.KindLinkLoss, A: &a, B: &b, Prob: 0.5, DurationUs: 100}, false},
 		{faults.Fault{AtUs: limit - 1, Kind: faults.KindLinkLoss, A: &a, B: &b, Prob: 0.5, DurationUs: 1}, true},
@@ -339,9 +339,10 @@ func TestCampaignFixedSeedReproducible(t *testing.T) {
 }
 
 // TestPartitionParityOracleHolds runs the oracle on a case that
-// carries every feature the strip must remove (faults, watchdog,
-// FRER): after stripping, the serial and 2-partition runs of the
-// remaining workload must export byte-identical metrics.
+// carries every feature the strip must remove (faults, watchdog) and
+// FRER flows, which it keeps: after stripping, the serial and
+// 2-partition runs of the remaining workload must export
+// byte-identical metrics.
 func TestPartitionParityOracleHolds(t *testing.T) {
 	a, b := 1, 2
 	c := Case{

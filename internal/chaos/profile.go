@@ -56,7 +56,7 @@ type Profile struct {
 	// n-th case (0 disables).
 	DeterminismEvery int `json:"determinism_every"`
 	// ParityEvery runs the partition-parity cross-check (serial vs
-	// 2-partition metrics byte-compare, faults/reconfig/watchdog/FRER
+	// 2-partition metrics byte-compare, faults/reconfig/watchdog
 	// stripped) on every n-th case (0 disables).
 	ParityEvery int `json:"parity_every"`
 	// RetryMax/RetryBackoffUs configure the reconfig retry policy for

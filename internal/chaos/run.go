@@ -92,14 +92,12 @@ func Execute(c Case) (*Result, error) {
 }
 
 // parityStrip reduces a case to the feature set the partitioned build
-// supports: its workload without FRER, run for its duration — no
-// faults, mid-run reconfiguration or watchdog. Topology, flows,
+// supports: its workload, run for its duration — no faults, mid-run
+// reconfiguration or watchdog. Topology, flows (FRER included),
 // background and seed are untouched, so the comparison still covers
-// the full forwarding, gating and shaping dataplane.
+// the full forwarding, gating, shaping and recovery dataplane.
 func parityStrip(c Case) Case {
-	s := Case{Index: c.Index, Params: c.Params, DurMs: c.DurMs}
-	s.FRERFlows = 0
-	return s
+	return Case{Index: c.Index, Params: c.Params, DurMs: c.DurMs}
 }
 
 // stripHeapGauge drops the scheduler heap-depth gauge's value lines

@@ -127,17 +127,12 @@ func Shrink(c Case, violations []Violation, maxRuns int) (Case, []Violation) {
 }
 
 // fits reports whether every fault window and the reconfig commit
-// would land comfortably inside a run of durMs. A point fault acts at
-// at_us alone, so its one-µs window may end 1 µs past the limit.
+// would land comfortably inside a run of durMs: a fault fits iff its
+// window [at, end) ends by the limit, whatever fields it carries.
 func fits(c *Case, durMs int) bool {
 	limit := int64(durMs)*1000 - 2000
 	for i := range c.Faults {
-		f := &c.Faults[i]
-		_, end := f.Window()
-		if f.DurationUs == 0 && f.PeriodUs == 0 {
-			end--
-		}
-		if end > limit {
+		if _, end := c.Faults[i].Window(); end > limit {
 			return false
 		}
 	}

@@ -217,10 +217,10 @@ type kind struct {
 // at each activation (on) and each recovery (off); either may be nil.
 type binder func(f *Fault, t *target) (on, off func(*sim.Engine))
 
-// kinds lists every kind once, in the fixed order used for metric
-// registration (determinism: registration order must not depend on the
-// scenario content). New kinds append at the end so existing metric
-// orderings never shift.
+// kinds lists every kind once. The chaos campaign draws its menu by
+// walking the rows in this order, so a new kind appends at the end:
+// inserting one would shift every existing campaign's draws. (Metric
+// exports sort by label value and do not care.)
 var kinds = []kind{
 	{name: KindLinkDown, sel: selLink, aims: []Aim{AimTrunk, AimHost}, bind: func(_ *Fault, t *target) (on, off func(*sim.Engine)) {
 		return func(*sim.Engine) { t.fwd.SetLink(false) }, nil
@@ -559,15 +559,11 @@ func NewInjector(engine *sim.Engine, seed uint64, reg *metrics.Registry) *Inject
 		injected:  make([]metrics.Counter, len(kinds)),
 		recovered: make([]metrics.Counter, len(kinds)),
 	}
-	if reg != nil {
-		reg.Help(MetricInjected, "fault activations by kind")
-		reg.Help(MetricRecovered, "fault recoveries by kind")
-		reg.Help(MetricLinkDrops, "frames lost to link faults by link and reason")
-		for i, k := range kinds {
-			l := metrics.L("kind", k.name)
-			inj.injected[i] = reg.Counter(MetricInjected, l)
-			inj.recovered[i] = reg.Counter(MetricRecovered, l)
-		}
+	injected := reg.Counters(MetricInjected, "fault activations by kind", "kind")
+	recovered := reg.Counters(MetricRecovered, "fault recoveries by kind", "kind")
+	for i, k := range kinds {
+		inj.injected[i] = injected.With(metrics.Name(k.name))
+		inj.recovered[i] = recovered.With(metrics.Name(k.name))
 	}
 	return inj
 }
@@ -652,15 +648,16 @@ func (inj *Injector) resolve(f *Fault, sel selector, b Bindings, t *target) erro
 		if inj.reg == nil {
 			return nil
 		}
+		drops := inj.reg.Counters(MetricLinkDrops, "frames lost to link faults by link and reason", "link", "reason")
 		for _, d := range [...]struct {
 			ifc *netdev.Ifc
 			dir string
 		}{{t.fwd, "fwd"}, {t.rev, "rev"}} {
-			l := metrics.L("link", t.key+"/"+d.dir)
+			link := metrics.Name(t.key + "/" + d.dir)
 			d.ifc.InstrumentLink(
-				inj.reg.Counter(MetricLinkDrops, l, metrics.L("reason", "link-down")),
-				inj.reg.Counter(MetricLinkDrops, l, metrics.L("reason", "loss")),
-				inj.reg.Counter(MetricLinkDrops, l, metrics.L("reason", "corrupt")),
+				drops.With(link, metrics.Name("link-down")),
+				drops.With(link, metrics.Name("loss")),
+				drops.With(link, metrics.Name("corrupt")),
 			)
 		}
 	case selSwitch:

@@ -134,9 +134,9 @@ func TestInstrument(t *testing.T) {
 	reg := metrics.New()
 	tbl := NewTable(1, 8)
 	tbl.Instrument(
-		reg.Counter(MetricPassed),
-		reg.Counter(MetricEliminated),
-		reg.Counter(MetricRogue),
+		reg.Counters(MetricPassed, "").With(),
+		reg.Counters(MetricEliminated, "").With(),
+		reg.Counters(MetricRogue, "").With(),
 	)
 	_ = tbl.Register(1)
 	tbl.Accept(1, 1)

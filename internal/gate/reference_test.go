@@ -151,7 +151,7 @@ func checkAgainstReference(slot sim.Time, masks []Mask, base sim.Time, ats []sim
 		}
 	}
 	reg := metrics.New()
-	ref.SetRolloverCounter(reg.Counter("rollovers"))
+	ref.SetRolloverCounter(reg.Counters("rollovers", "").With())
 	last := base
 	for _, at := range ats {
 		if at >= last {

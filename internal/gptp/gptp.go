@@ -16,8 +16,6 @@
 package gptp
 
 import (
-	"fmt"
-
 	"github.com/tsnbuilder/tsnbuilder/internal/clock"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
@@ -147,17 +145,17 @@ func (d *Domain) AddNode(id int, drift clock.PPB, initialOffset sim.Time) *Node 
 // node, and a domain-wide BMCA role-change counter. Call after every
 // AddNode; a nil registry is a no-op.
 func (d *Domain) Instrument(reg *metrics.Registry) {
-	reg.Help("tsn_gptp_offset_ns", "last sync offset sample from the upstream clock, nanoseconds")
-	reg.Help("tsn_gptp_syncs_total", "sync corrections applied")
-	reg.Help("tsn_gptp_steps_total", "phase steps (gross corrections) applied")
-	reg.Help("tsn_gptp_role_changes_total", "sync-tree rebuilds that changed some node's upstream port")
+	offset := reg.Gauges("tsn_gptp_offset_ns", "last sync offset sample from the upstream clock, nanoseconds", "node")
+	syncs := reg.Counters("tsn_gptp_syncs_total", "sync corrections applied", "node")
+	steps := reg.Counters("tsn_gptp_steps_total", "phase steps (gross corrections) applied", "node")
 	for _, n := range d.nodes {
-		node := metrics.L("node", fmt.Sprint(n.ID))
-		n.metOffset = reg.Gauge("tsn_gptp_offset_ns", node)
-		n.metSyncs = reg.Counter("tsn_gptp_syncs_total", node)
-		n.metSteps = reg.Counter("tsn_gptp_steps_total", node)
+		node := metrics.Int(n.ID)
+		n.metOffset = offset.With(node)
+		n.metSyncs = syncs.With(node)
+		n.metSteps = steps.With(node)
 	}
-	d.metRoleChanges = reg.Counter("tsn_gptp_role_changes_total")
+	d.metRoleChanges = reg.Counters("tsn_gptp_role_changes_total",
+		"sync-tree rebuilds that changed some node's upstream port").With()
 }
 
 // srcMAC derives the node's protocol source address.

@@ -38,19 +38,24 @@ type SampleSnapshot struct {
 	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
-// Snapshot copies the registry's current state. Families appear in
-// registration order, samples in registration order, so exports are
-// deterministic. A nil registry snapshots empty. Slices are sized
-// exactly; histogram counts are carved from one array per snapshot.
+// Snapshot copies the registry's current state in export order:
+// families by name, each family's samples by their label values in
+// declared key order (integers numerically, before names; names
+// lexically), so an export never depends on the order anything was
+// declared, resolved or merged in. Declared families without a cell
+// are left out. A nil registry snapshots empty. The order is settled
+// once after the registry grows, not per snapshot; slices are sized
+// exactly and histogram counts are carved from one array per snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.settle()
 	var nFam, nCounts int
 	for _, f := range r.families {
-		if f.kind != "" { // else Help() registered a name never instrumented
+		if len(f.samples) > 0 {
 			nFam++
 		}
 		if f.kind == KindHistogram {
@@ -63,7 +68,7 @@ func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{Families: make([]FamilySnapshot, 0, nFam)}
 	counts := make([]uint64, 0, nCounts)
 	for _, f := range r.families {
-		if f.kind == "" {
+		if len(f.samples) == 0 {
 			continue
 		}
 		samples := make([]SampleSnapshot, len(f.samples))
@@ -72,9 +77,9 @@ func (r *Registry) Snapshot() Snapshot {
 			ss.Labels = s.labels
 			switch f.kind {
 			case KindCounter:
-				ss.Value = float64(*s.c)
+				ss.Value = float64(s.c)
 			case KindGauge:
-				ss.Value = float64(*s.g)
+				ss.Value = float64(s.g)
 			case KindHistogram:
 				n := len(counts)
 				counts = append(counts, s.h.counts...)

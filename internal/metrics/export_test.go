@@ -11,11 +11,11 @@ import (
 
 func buildRegistry() *Registry {
 	r := New()
-	r.Help("tsn_switch_rx_frames_total", "frames received by the ingress pipeline")
-	r.Counter("tsn_switch_rx_frames_total", L("switch", "0")).Add(10)
-	r.Counter("tsn_switch_rx_frames_total", L("switch", "1")).Add(20)
-	r.Gauge("tsn_pool_occupancy", L("switch", "0"), L("port", "2")).Set(7)
-	h := r.Histogram("tsn_residence_ns", []int64{1000, 10000}, L("switch", "0"))
+	rx := r.Counters("tsn_switch_rx_frames_total", "frames received by the ingress pipeline", "switch")
+	rx.With(Int(0)).Add(10)
+	rx.With(Int(1)).Add(20)
+	r.Gauges("tsn_pool_occupancy", "", "switch", "port").With(Int(0), Int(2)).Set(7)
+	h := r.Histograms("tsn_residence_ns", "", []int64{1000, 10000}, "switch").With(Int(0))
 	h.Observe(500)
 	h.Observe(5000)
 	h.Observe(50000)
@@ -128,7 +128,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestWritePrometheusLabelEscaping(t *testing.T) {
 	r := New()
-	r.Counter("weird", L("detail", "a\"b\\c\nd")).Inc()
+	r.Counters("weird", "", "detail").With(Name("a\"b\\c\nd")).Inc()
 	var buf bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 
 func TestSnapshotIsCopy(t *testing.T) {
 	r := New()
-	c := r.Counter("c")
+	c := r.Counters("c", "").With()
 	c.Inc()
 	snap := r.Snapshot()
 	c.Add(100)
@@ -174,8 +174,8 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	mk := func() string {
 		r := New()
 		for i := 0; i < 5; i++ {
-			r.Counter("a", L("i", fmt.Sprint(i))).Inc()
-			r.Gauge("b", L("i", fmt.Sprint(i))).Set(int64(i))
+			r.Counters("a", "", "i").With(Int(i)).Inc()
+			r.Gauges("b", "", "i").With(Int(i)).Set(int64(i))
 		}
 		var buf bytes.Buffer
 		if err := r.Snapshot().WritePrometheus(&buf); err != nil {
@@ -193,8 +193,9 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 // let one sample's slice grow into its neighbour's.
 func TestSnapshotHistogramsAreCopies(t *testing.T) {
 	r := New()
-	a := r.Histogram("h", []int64{10, 20}, L("i", "a"))
-	b := r.Histogram("h", []int64{10, 20}, L("i", "b"))
+	hs := r.Histograms("h", "", []int64{10, 20}, "i")
+	b := hs.With(Name("b"))
+	a := hs.With(Name("a"))
 	a.ObserveExemplar(5, "first", 1)
 	b.Observe(15)
 	snap := r.Snapshot()
@@ -214,10 +215,10 @@ func TestSnapshotHistogramsAreCopies(t *testing.T) {
 }
 
 // TestSnapshotEmptyRegistryJSON pins the empty export: no families is
-// null, not [].
+// null, not [], and a declared family without a cell exports nothing.
 func TestSnapshotEmptyRegistryJSON(t *testing.T) {
 	r := New()
-	r.Help("never_instrumented", "help only")
+	r.Counters("never_instrumented", "declared only", "switch")
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -233,27 +234,28 @@ func TestSnapshotEmptyRegistryJSON(t *testing.T) {
 // the control loop.
 func instanceShapedRegistry() *Registry {
 	r := New()
-	labels := func(n, i int) []Label {
-		ls := make([]Label, n)
-		for k := range ls {
-			ls[k] = L([]string{"switch", "port", "queue"}[k], strconv.Itoa(i+k))
+	keys := []string{"switch", "port", "queue"}
+	values := func(n, i int) []Value {
+		vs := make([]Value, n)
+		for k := range vs {
+			vs[k] = Int(i + k)
 		}
-		return ls
+		return vs
 	}
 	fam := 0
 	add := func(kind Kind, bounds, nLabels int, samples ...int) {
 		for _, n := range samples {
 			name := fmt.Sprintf("tsn_family_%02d", fam)
 			fam++
-			r.Help(name, "shape stand-in")
 			for i := 0; i < n; i++ {
 				switch kind {
 				case KindCounter:
-					r.Counter(name, labels(nLabels, i)...).Add(uint64(i))
+					r.Counters(name, "shape stand-in", keys[:nLabels]...).With(values(nLabels, i)...).Add(uint64(i))
 				case KindGauge:
-					r.Gauge(name, labels(nLabels, i)...).Set(int64(i))
+					r.Gauges(name, "shape stand-in", keys[:nLabels]...).With(values(nLabels, i)...).Set(int64(i))
 				case KindHistogram:
-					r.Histogram(name, ExponentialBounds(100, 2, bounds), labels(nLabels, i)...).Observe(int64(i) * 300)
+					r.Histograms(name, "shape stand-in", ExponentialBounds(100, 2, bounds), keys[:nLabels]...).
+						With(values(nLabels, i)...).Observe(int64(i) * 300)
 				}
 			}
 		}
@@ -298,4 +300,74 @@ func BenchmarkRegistrySnapshot(b *testing.B) {
 		snap = r.Snapshot()
 	}
 	_ = snap
+}
+
+// TestExportIgnoresRegistrationOrder: the same cells, declared and
+// resolved in two different orders (families, cells within a family,
+// integer and name values), export byte-identical Prometheus text and
+// JSON, with families in name order and cells in value order.
+func TestExportIgnoresRegistrationOrder(t *testing.T) {
+	type op struct {
+		family string
+		vals   []Value
+		n      int64
+	}
+	ops := []op{
+		{"tsn_switch_drops_total", []Value{Int(10), Name("queue-full")}, 3},
+		{"tsn_switch_drops_total", []Value{Int(2), Name("meter")}, 1},
+		{"tsn_switch_drops_total", []Value{Int(2), Name("gate")}, 4},
+		{"tsn_pool_occupancy", []Value{Int(3), Name("shared")}, 9},
+		{"tsn_pool_occupancy", []Value{Int(3), Int(11)}, 5},
+		{"tsn_pool_occupancy", []Value{Int(3), Int(2)}, 6},
+		{"tsn_e2e_latency_ns", []Value{Name("TS")}, 700},
+		{"tsn_e2e_latency_ns", []Value{Name("BE")}, 90},
+		{"tsn_sim_events_total", nil, 42},
+	}
+	build := func(order []int) *Registry {
+		r := New()
+		for _, i := range order {
+			o := ops[i]
+			switch o.family {
+			case "tsn_switch_drops_total", "tsn_sim_events_total":
+				keys := []string{"switch", "reason"}[:len(o.vals)]
+				r.Counters(o.family, "help "+o.family, keys...).With(o.vals...).Add(uint64(o.n))
+			case "tsn_pool_occupancy":
+				r.Gauges(o.family, "help "+o.family, "switch", "port").With(o.vals...).Set(o.n)
+			default:
+				r.Histograms(o.family, "help "+o.family, []int64{100, 1000}, "class").
+					With(o.vals...).ObserveExemplar(o.n, "flow=1", o.n)
+			}
+		}
+		return r
+	}
+	fwd := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	rev := []int{8, 7, 6, 5, 4, 3, 2, 1, 0}
+	shuffled := []int{4, 8, 1, 6, 3, 0, 7, 5, 2}
+	wantProm, wantJSON := exportBytes(t, build(fwd))
+	for _, order := range [][]int{rev, shuffled} {
+		if prom, js := exportBytes(t, build(order)); prom != wantProm || js != wantJSON {
+			t.Fatalf("order %v exports differently:\n--- got ---\n%s--- want ---\n%s", order, prom, wantProm)
+		}
+	}
+	var types, samples []string
+	for _, line := range strings.Split(wantProm, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			types = append(types, name)
+		} else if strings.HasPrefix(line, "tsn_switch_drops_total") || strings.HasPrefix(line, "tsn_pool_occupancy") {
+			samples = append(samples, line)
+		}
+	}
+	wantTypes := []string{"tsn_e2e_latency_ns histogram", "tsn_pool_occupancy gauge",
+		"tsn_sim_events_total counter", "tsn_switch_drops_total counter"}
+	wantSamples := []string{
+		`tsn_pool_occupancy{port="2",switch="3"} 6`,
+		`tsn_pool_occupancy{port="11",switch="3"} 5`,
+		`tsn_pool_occupancy{port="shared",switch="3"} 9`,
+		`tsn_switch_drops_total{reason="gate",switch="2"} 4`,
+		`tsn_switch_drops_total{reason="meter",switch="2"} 1`,
+		`tsn_switch_drops_total{reason="queue-full",switch="10"} 3`,
+	}
+	if fmt.Sprint(types) != fmt.Sprint(wantTypes) || fmt.Sprint(samples) != fmt.Sprint(wantSamples) {
+		t.Fatalf("export order:\n%s\nwant families %v and samples %v", wantProm, wantTypes, wantSamples)
+	}
 }

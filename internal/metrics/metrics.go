@@ -3,27 +3,32 @@
 // JSON exporters. It is designed for a hot path that runs millions of
 // events per second of wall time:
 //
-//   - Instruments are resolved to handles once, at switch (or
-//     subsystem) construction time. A handle is one pointer; an
-//     increment is one nil check plus one memory write — no map
-//     lookups, no interface calls, no allocation.
-//   - The zero value of every handle is a valid no-op, so an
-//     uninstrumented dataplane (nil *Registry) pays only the nil
-//     check. Instrumentation sites never need their own guards.
-//   - Registration is idempotent: asking for the same name + label
-//     set returns a handle onto the same cell, so shared resources
-//     (an SMS buffer pool serving every port) can be instrumented
-//     from several sites without double counting.
+//   - A family is declared once — name, help, kind, bucket bounds and
+//     label keys (Registry.Counters, Gauges, Histograms) — and a cell
+//     resolves from values given in the declared key order: a hash of
+//     a fixed array, no sort, no formatting. Integer values are
+//     rendered only at export. The same values resolve the same cell,
+//     so a shared resource (an SMS pool serving every port) can be
+//     instrumented from several sites without double counting.
+//   - A handle is one pointer; an increment is one nil check plus one
+//     memory write — no map lookups, no interface calls, no allocation.
+//     The zero value of every handle is a valid no-op, so an
+//     uninstrumented dataplane (nil *Registry) pays only the nil check.
+//   - Exports list families by name and each family's cells by their
+//     values, whatever order anything was declared, resolved or merged
+//     in.
 //
 // The simulation is single-threaded, so handle operations are
-// deliberately unsynchronized; registration and snapshotting take the
+// deliberately unsynchronized; resolution and snapshotting take the
 // registry mutex and may run from other goroutines (e.g. a progress
 // reporter).
 package metrics
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -34,7 +39,8 @@ type Label struct {
 	Value string `json:"value"`
 }
 
-// L is shorthand for building a Label.
+// L is shorthand for building a Label: the form the readers
+// (CounterValue, GaugeValue, SumCounter) name a cell in.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // Kind classifies an instrument family.
@@ -206,158 +212,279 @@ func ExponentialBounds(start int64, factor float64, n int) []int64 {
 	return out
 }
 
-// sample is one labeled cell of a family.
+// Value is one label value of a cell: an integer, rendered in decimal
+// only at export, or a name.
+type Value struct {
+	name  string
+	n     int
+	named bool
+}
+
+// Int is an integer label value (a switch, port, queue, node, host or
+// status code); it must lie in [0, MaxInt32].
+func Int(n int) Value { return Value{n: n} }
+
+// Name is a name label value (a reason, class, route, …).
+func Name(s string) Value { return Value{name: s, named: true} }
+
+// maxKeys bounds a family's label keys, so a cell's values fit one
+// fixed array that hashes without building a key.
+const maxKeys = 4
+
+// cellKey holds a cell's values in declared key order: an integer as
+// itself, a name as ^id of its interned string (so negative).
+type cellKey [maxKeys]int32
+
+// sample is one labeled cell of a family. Counters and gauges keep
+// their value inline; handles point into the sample.
 type sample struct {
-	labels []Label
-	c      *uint64
-	g      *int64
+	key    cellKey
+	labels []Label // rendered by settle, sorted by key
+	c      uint64
+	g      int64
 	h      *histData
 }
 
-// family groups every sample of one metric name.
+// family is one declared metric name and its cells.
 type family struct {
+	reg     *Registry
 	name    string
 	help    string
 	kind    Kind
-	bounds  []int64 // histogram families share bucket layout
+	bounds  []int64  // histogram families share bucket layout
+	keys    []string // label keys, in the order cells give values
+	cells   map[cellKey]*sample
 	samples []*sample
-	byKey   map[string]*sample
+	settled bool // samples are in export order, every one rendered
 }
 
 // Registry owns instrument cells. A nil *Registry is valid: every
-// lookup returns an unbound (no-op) handle.
+// family it declares resolves unbound (no-op) handles.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
-	keyBuf   []byte // lookup's key scratch, guarded by mu
+	settled  bool             // families are in name order
+	names    []string         // interned name values, by id
+	nameIDs  map[string]int32 // name value → id
 }
 
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{byName: make(map[string]*family)}
+	return &Registry{byName: make(map[string]*family), nameIDs: make(map[string]int32)}
 }
 
-// Help attaches an explanatory string to a metric name, emitted as
-// the Prometheus # HELP line. Safe to call before or after the first
-// instrument registration.
-func (r *Registry) Help(name, help string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.byName[name]; ok {
-		f.help = help
-		return
-	}
-	f := &family{name: name, help: help, byKey: make(map[string]*sample)}
-	r.byName[name] = f
-	r.families = append(r.families, f)
+// CounterFamily is a declared counter family. The zero value (declared
+// on a nil registry) resolves no-op handles.
+type CounterFamily struct{ f *family }
+
+// GaugeFamily is a declared gauge family.
+type GaugeFamily struct{ f *family }
+
+// HistogramFamily is a declared histogram family.
+type HistogramFamily struct{ f *family }
+
+// Counters declares a counter family: its name, the # HELP text and
+// the label keys each cell gives values for. Declaring a family again
+// returns it; declaring a name differently panics.
+func (r *Registry) Counters(name, help string, keys ...string) CounterFamily {
+	return CounterFamily{r.declare(name, help, KindCounter, nil, keys)}
 }
 
-// appendLabelKey appends the dedup key of a sorted label set to buf.
-func appendLabelKey(buf []byte, labels []Label) []byte {
-	for _, l := range labels {
-		buf = append(buf, l.Key...)
-		buf = append(buf, 1)
-		buf = append(buf, l.Value...)
-		buf = append(buf, 0)
-	}
-	return buf
+// Gauges declares a gauge family.
+func (r *Registry) Gauges(name, help string, keys ...string) GaugeFamily {
+	return GaugeFamily{r.declare(name, help, KindGauge, nil, keys)}
 }
 
-// sortedLabels returns a copy of labels stably sorted by key.
-func sortedLabels(labels []Label) []Label {
-	sorted := append([]Label(nil), labels...)
-	slices.SortStableFunc(sorted, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
-	return sorted
+// Histograms declares a histogram family with the given strictly
+// increasing upper bounds (an implicit +Inf bucket follows).
+func (r *Registry) Histograms(name, help string, bounds []int64, keys ...string) HistogramFamily {
+	return HistogramFamily{r.declare(name, help, KindHistogram, bounds, keys)}
 }
 
-// lookup finds or creates the cell for (name, labels) of the given
-// kind. Kind mismatches on an existing family panic: they are
-// programming errors at instrumentation sites. sorted must be sorted by
-// key; a new cell keeps the slice (read-only from then on).
-func (r *Registry) lookup(name string, kind Kind, bounds []int64, sorted []Label) *sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.byName[name]
-	if !ok {
-		f = &family{name: name, byKey: make(map[string]*sample)}
-		r.byName[name] = f
-		r.families = append(r.families, f)
-	}
-	if f.kind == "" {
-		f.kind = kind
-		f.bounds = bounds
-	} else if f.kind != kind {
-		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, f.kind, kind))
-	}
-	// The key is built in a buffer reused under the lock and becomes a
-	// string only when a cell is inserted.
-	r.keyBuf = appendLabelKey(r.keyBuf[:0], sorted)
-	if s, ok := f.byKey[string(r.keyBuf)]; ok {
-		return s
-	}
-	s := &sample{labels: sorted}
-	switch kind {
-	case KindCounter:
-		s.c = new(uint64)
-	case KindGauge:
-		s.g = new(int64)
-	case KindHistogram:
-		s.h = &histData{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
-	}
-	f.byKey[string(r.keyBuf)] = s
-	f.samples = append(f.samples, s)
-	return s
-}
-
-// Counter resolves (or creates) a counter cell and returns its
-// handle. A nil registry returns a no-op handle.
-func (r *Registry) Counter(name string, labels ...Label) Counter {
-	if r == nil {
+// With resolves (creating at zero) the cell with the given values, one
+// per declared key, in declared order.
+func (c CounterFamily) With(vals ...Value) Counter {
+	if c.f == nil {
 		return Counter{}
 	}
-	return Counter{v: r.lookup(name, KindCounter, nil, sortedLabels(labels)).c}
+	return Counter{v: &c.f.cell(vals).c}
 }
 
-// Gauge resolves (or creates) a gauge cell and returns its handle.
-func (r *Registry) Gauge(name string, labels ...Label) Gauge {
-	if r == nil {
+// With resolves the gauge cell with the given values.
+func (g GaugeFamily) With(vals ...Value) Gauge {
+	if g.f == nil {
 		return Gauge{}
 	}
-	return Gauge{v: r.lookup(name, KindGauge, nil, sortedLabels(labels)).g}
+	return Gauge{v: &g.f.cell(vals).g}
 }
 
-// Histogram resolves (or creates) a histogram cell with the given
-// upper bounds (first registration wins the bucket layout) and
-// returns its handle.
-func (r *Registry) Histogram(name string, bounds []int64, labels ...Label) Histogram {
-	if r == nil {
+// With resolves the histogram cell with the given values.
+func (h HistogramFamily) With(vals ...Value) Histogram {
+	if h.f == nil {
 		return Histogram{}
+	}
+	return Histogram{h: h.f.cell(vals).h}
+}
+
+func (r *Registry) declare(name, help string, kind Kind, bounds []int64, keys []string) *family {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.declareLocked(name, help, kind, bounds, keys)
+}
+
+// declareLocked returns the family declared as given, creating it.
+func (r *Registry) declareLocked(name, help string, kind Kind, bounds []int64, keys []string) *family {
+	if f, ok := r.byName[name]; ok {
+		if f.help != help || f.kind != kind || !slices.Equal(f.bounds, bounds) || !slices.Equal(f.keys, keys) {
+			panic(fmt.Sprintf("metrics: %s declared as %s %q {%s} %v, redeclared as %s %q {%s} %v", name,
+				f.kind, f.help, strings.Join(f.keys, ","), f.bounds, kind, help, strings.Join(keys, ","), bounds))
+		}
+		return f
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic(fmt.Sprintf("metrics: %s bounds not strictly increasing", name))
 		}
 	}
-	return Histogram{h: r.lookup(name, KindHistogram, bounds, sortedLabels(labels)).h}
+	if len(keys) > maxKeys {
+		panic(fmt.Sprintf("metrics: %s declares %d label keys, at most %d", name, len(keys), maxKeys))
+	}
+	for i, k := range keys {
+		if slices.Contains(keys[:i], k) {
+			panic(fmt.Sprintf("metrics: %s declares label key %q twice", name, k))
+		}
+	}
+	f := &family{reg: r, name: name, help: help, kind: kind, bounds: bounds,
+		keys: slices.Clone(keys), cells: make(map[cellKey]*sample)}
+	r.byName[name] = f
+	r.families = append(r.families, f)
+	r.settled = false
+	return f
+}
+
+// cell resolves the cell with the given values under the registry lock.
+func (f *family) cell(vals []Value) *sample {
+	r := f.reg
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(vals) != len(f.keys) {
+		panic(fmt.Sprintf("metrics: %s takes %d label values, got %d", f.name, len(f.keys), len(vals)))
+	}
+	var k cellKey
+	for i, v := range vals {
+		switch {
+		case v.named:
+			k[i] = r.intern(v.name)
+		case v.n < 0 || v.n > math.MaxInt32:
+			panic(fmt.Sprintf("metrics: %s value %d out of range", f.name, v.n))
+		default:
+			k[i] = int32(v.n)
+		}
+	}
+	return f.cellLocked(k)
+}
+
+// cellLocked finds or creates the cell keyed k.
+func (f *family) cellLocked(k cellKey) *sample {
+	if s, ok := f.cells[k]; ok {
+		return s
+	}
+	s := &sample{key: k}
+	if f.kind == KindHistogram {
+		s.h = &histData{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
+	}
+	f.cells[k] = s
+	f.samples = append(f.samples, s)
+	f.settled = false
+	return s
+}
+
+// intern returns the key value of name: ^ its id.
+func (r *Registry) intern(name string) int32 {
+	id, ok := r.nameIDs[name]
+	if !ok {
+		id = int32(len(r.names))
+		r.names = append(r.names, name)
+		r.nameIDs[name] = id
+	}
+	return ^id
+}
+
+// render returns the export text of key value v.
+func (r *Registry) render(v int32) string {
+	if v < 0 {
+		return r.names[^v]
+	}
+	return strconv.Itoa(int(v))
+}
+
+// compare orders two key values: integers numerically, then names
+// lexically — never by interning order.
+func (r *Registry) compare(a, b int32) int {
+	switch {
+	case a >= 0 && b >= 0:
+		return int(a) - int(b)
+	case a >= 0:
+		return -1
+	case b >= 0:
+		return 1
+	}
+	return strings.Compare(r.names[^a], r.names[^b])
+}
+
+// settle puts the registry in export order — families by name, each
+// family's samples by their values in declared key order — and renders
+// every new sample's labels. It runs under the lock and works only
+// after declarations or resolutions added something, so a registry
+// that stops growing sorts once, not per snapshot.
+func (r *Registry) settle() {
+	if !r.settled {
+		slices.SortFunc(r.families, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+		r.settled = true
+	}
+	for _, f := range r.families {
+		if f.settled {
+			continue
+		}
+		n := len(f.keys)
+		for _, s := range f.samples {
+			if s.labels == nil && n > 0 {
+				s.labels = make([]Label, n)
+				for i, k := range f.keys {
+					s.labels[i] = Label{Key: k, Value: r.render(s.key[i])}
+				}
+				slices.SortFunc(s.labels, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+			}
+		}
+		slices.SortFunc(f.samples, func(a, b *sample) int {
+			for i := 0; i < n; i++ {
+				if c := r.compare(a.key[i], b.key[i]); c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
+		f.settled = true
+	}
 }
 
 // CounterValue reads a counter cell without creating it; missing
 // cells read as 0. Intended for tests and report generation.
 func (r *Registry) CounterValue(name string, labels ...Label) uint64 {
-	if s := r.find(name, labels); s != nil && s.c != nil {
-		return *s.c
+	if s := r.find(name, KindCounter, labels); s != nil {
+		return s.c
 	}
 	return 0
 }
 
 // GaugeValue reads a gauge cell without creating it.
 func (r *Registry) GaugeValue(name string, labels ...Label) int64 {
-	if s := r.find(name, labels); s != nil && s.g != nil {
-		return *s.g
+	if s := r.find(name, KindGauge, labels); s != nil {
+		return s.g
 	}
 	return 0
 }
@@ -375,10 +502,11 @@ func (r *Registry) SumCounter(name string, subset ...Label) uint64 {
 	if !ok || f.kind != KindCounter {
 		return 0
 	}
+	r.settle()
 	var total uint64
 	for _, s := range f.samples {
 		if labelsInclude(s.labels, subset) {
-			total += *s.c
+			total += s.c
 		}
 	}
 	return total
@@ -387,29 +515,30 @@ func (r *Registry) SumCounter(name string, subset ...Label) uint64 {
 // labelsInclude reports whether have contains every label of want.
 func labelsInclude(have, want []Label) bool {
 	for _, w := range want {
-		found := false
-		for _, h := range have {
-			if h == w {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(have, w) {
 			return false
 		}
 	}
 	return true
 }
 
-func (r *Registry) find(name string, labels []Label) *sample {
+// find returns the cell of family name (of kind) whose labels are
+// exactly labels, in any order.
+func (r *Registry) find(name string, kind Kind, labels []Label) *sample {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.byName[name]
-	if !ok {
+	if !ok || f.kind != kind {
 		return nil
 	}
-	return f.byKey[string(appendLabelKey(nil, sortedLabels(labels)))]
+	r.settle()
+	for _, s := range f.samples {
+		if len(s.labels) == len(labels) && labelsInclude(s.labels, labels) {
+			return s
+		}
+	}
+	return nil
 }

@@ -6,7 +6,8 @@ import (
 
 func TestCounterBasics(t *testing.T) {
 	r := New()
-	c := r.Counter("frames_total", L("switch", "0"))
+	frames := r.Counters("frames_total", "frames", "switch")
+	c := frames.With(Int(0))
 	c.Inc()
 	c.Add(4)
 	if got := c.Value(); got != 5 {
@@ -15,24 +16,26 @@ func TestCounterBasics(t *testing.T) {
 	if got := r.CounterValue("frames_total", L("switch", "0")); got != 5 {
 		t.Fatalf("CounterValue = %d, want 5", got)
 	}
-	// Same name+labels resolves to the same cell.
-	c2 := r.Counter("frames_total", L("switch", "0"))
+	// The same values resolve the same cell, through the family
+	// declared again too.
+	c2 := r.Counters("frames_total", "frames", "switch").With(Int(0))
 	c2.Inc()
 	if got := c.Value(); got != 6 {
 		t.Fatalf("dedup failed: %d, want 6", got)
 	}
-	// Label order must not matter.
-	a := r.Counter("d", L("x", "1"), L("y", "2"))
-	b := r.Counter("d", L("y", "2"), L("x", "1"))
-	a.Inc()
-	if b.Value() != 1 {
-		t.Fatal("label order created distinct cells")
+	// A reader names the labels in any order.
+	r.Counters("d", "", "y", "x").With(Int(2), Name("1")).Inc()
+	if r.CounterValue("d", L("x", "1"), L("y", "2")) != 1 || r.CounterValue("d", L("y", "2"), L("x", "1")) != 1 {
+		t.Fatal("label order changed the cell a reader finds")
+	}
+	if r.CounterValue("d", L("x", "1")) != 0 {
+		t.Fatal("a reader naming a label subset found a cell")
 	}
 }
 
 func TestGaugeBasics(t *testing.T) {
 	r := New()
-	g := r.Gauge("depth", L("q", "7"))
+	g := r.Gauges("depth", "", "q").With(Int(7))
 	g.Set(3)
 	g.Add(2)
 	if g.Value() != 5 {
@@ -53,9 +56,9 @@ func TestGaugeBasics(t *testing.T) {
 
 func TestNilRegistryAndZeroHandles(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	g := r.Gauge("y")
-	h := r.Histogram("z", []int64{1, 2})
+	c := r.Counters("x", "").With()
+	g := r.Gauges("y", "", "k").With(Int(1))
+	h := r.Histograms("z", "", []int64{1, 2}).With()
 	// All must be inert no-ops.
 	c.Inc()
 	c.Add(7)
@@ -69,7 +72,6 @@ func TestNilRegistryAndZeroHandles(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("zero handles returned nonzero values")
 	}
-	r.Help("x", "ignored")
 	if r.CounterValue("x") != 0 || r.GaugeValue("y") != 0 || r.SumCounter("x") != 0 {
 		t.Fatal("nil registry reads nonzero")
 	}
@@ -88,7 +90,7 @@ func TestNilRegistryAndZeroHandles(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := New()
-	h := r.Histogram("lat", []int64{10, 100, 1000})
+	h := r.Histograms("lat", "", []int64{10, 100, 1000}).With()
 	for v := int64(1); v <= 10; v++ {
 		h.Observe(v) // 10 obs in (…,10]
 	}
@@ -121,9 +123,10 @@ func TestExponentialBounds(t *testing.T) {
 
 func TestSumCounter(t *testing.T) {
 	r := New()
-	r.Counter("drops", L("switch", "0"), L("reason", "meter")).Add(3)
-	r.Counter("drops", L("switch", "1"), L("reason", "meter")).Add(4)
-	r.Counter("drops", L("switch", "1"), L("reason", "gate")).Add(5)
+	drops := r.Counters("drops", "", "switch", "reason")
+	drops.With(Int(0), Name("meter")).Add(3)
+	drops.With(Int(1), Name("meter")).Add(4)
+	drops.With(Int(1), Name("gate")).Add(5)
 	if got := r.SumCounter("drops"); got != 12 {
 		t.Fatalf("total = %d, want 12", got)
 	}
@@ -140,22 +143,51 @@ func TestSumCounter(t *testing.T) {
 
 func TestKindMismatchPanics(t *testing.T) {
 	r := New()
-	r.Counter("m")
+	r.Counters("m", "").With()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("kind mismatch did not panic")
 		}
 	}()
-	r.Gauge("m")
+	r.Gauges("m", "").With()
+}
+
+// TestRedeclarationMustMatch: a family is declared once; declaring its
+// name again with other help, keys or bounds panics, and so do
+// malformed declarations and resolutions.
+func TestRedeclarationMustMatch(t *testing.T) {
+	cases := map[string]func(r *Registry){
+		"help":          func(r *Registry) { r.Counters("m", "other", "switch") },
+		"keys":          func(r *Registry) { r.Counters("m", "help", "port") },
+		"bounds":        func(r *Registry) { r.Histograms("h", "", []int64{1, 3}) },
+		"unsorted":      func(r *Registry) { r.Histograms("u", "", []int64{2, 2}) },
+		"duplicate key": func(r *Registry) { r.Counters("dup", "", "a", "b", "a") },
+		"too many keys": func(r *Registry) { r.Counters("wide", "", "a", "b", "c", "d", "e") },
+		"arity":         func(r *Registry) { r.Counters("m", "help", "switch").With() },
+		"negative":      func(r *Registry) { r.Counters("m", "help", "switch").With(Int(-1)) },
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			r := New()
+			r.Counters("m", "help", "switch")
+			r.Histograms("h", "", []int64{1, 2})
+			defer func() {
+				if recover() == nil {
+					t.Fatal("did not panic")
+				}
+			}()
+			bad(r)
+		})
+	}
 }
 
 // TestHotPathAllocs enforces the acceptance criterion: the counter
 // path (and the other handle operations) must not allocate.
 func TestHotPathAllocs(t *testing.T) {
 	r := New()
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h", ExponentialBounds(100, 4, 10))
+	c := r.Counters("c", "").With()
+	g := r.Gauges("g", "").With()
+	h := r.Histograms("h", "", ExponentialBounds(100, 4, 10)).With()
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
 		t.Fatalf("Counter.Inc allocates %.1f/op", n)
 	}
@@ -175,18 +207,20 @@ func TestHotPathAllocs(t *testing.T) {
 }
 
 // TestResolveExistingCellAllocs: resolving a handle on a cell that
-// exists allocates only the sorted copy of its labels — the sort itself
-// allocates nothing.
+// exists — integer and name values alike — allocates nothing, and
+// neither does declaring an existing family again.
 func TestResolveExistingCellAllocs(t *testing.T) {
 	r := New()
-	r.Counter("c", L("port", "1"), L("switch", "0"))
-	if n := testing.AllocsPerRun(1000, func() { r.Counter("c", L("switch", "0"), L("port", "1")) }); n != 1 {
-		t.Fatalf("resolving an existing counter allocates %.1f/op, want 1", n)
+	r.Counters("c", "help", "switch", "port", "dir").With(Int(300), Int(1), Name("in"))
+	if n := testing.AllocsPerRun(1000, func() {
+		r.Counters("c", "help", "switch", "port", "dir").With(Int(300), Int(1), Name("in")).Inc()
+	}); n != 0 {
+		t.Fatalf("resolving an existing counter allocates %.1f/op, want 0", n)
 	}
 }
 
 func BenchmarkCounterInc(b *testing.B) {
-	c := New().Counter("c")
+	c := New().Counters("c", "").With()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
@@ -202,7 +236,7 @@ func BenchmarkCounterIncUnbound(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := New().Histogram("h", ExponentialBounds(100, 4, 10))
+	h := New().Histograms("h", "", ExponentialBounds(100, 4, 10)).With()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i) % 1_000_000)

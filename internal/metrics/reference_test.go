@@ -4,16 +4,103 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // The pre-PR-16 Merge and the registration path it ran every source
 // sample through (copy the labels, sort.Slice them, build the key with
 // a strings.Builder), kept verbatim as the oracle for
 // TestMergeMatchesReference and as the "before" of
-// BenchmarkRegistryMerge.
+// BenchmarkRegistryMerge. The registry they run on is kept with them:
+// the string-keyed registry of that time (refRegistry), since the live
+// one resolves cells by declared position.
+
+// refSample is one labeled cell of a refFamily.
+type refSample struct {
+	labels []Label
+	c      *uint64
+	g      *int64
+	h      *histData
+}
+
+// refFamily groups every sample of one metric name.
+type refFamily struct {
+	name    string
+	help    string
+	kind    Kind
+	bounds  []int64
+	samples []*refSample
+	byKey   map[string]*refSample
+}
+
+// refRegistry is the string-keyed registry: families and samples in
+// registration order.
+type refRegistry struct {
+	mu       sync.Mutex
+	families []*refFamily
+	byName   map[string]*refFamily
+}
+
+func newRefRegistry() *refRegistry { return &refRegistry{byName: make(map[string]*refFamily)} }
+
+// Help attaches a help string to a name, registering the name.
+func (r *refRegistry) Help(name, help string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.byName[name]; ok {
+		f.help = help
+		return
+	}
+	f := &refFamily{name: name, help: help, byKey: make(map[string]*refSample)}
+	r.byName[name] = f
+	r.families = append(r.families, f)
+}
+
+// snapshot exports r in registration order, as Snapshot once did.
+func (r *refRegistry) snapshot() Snapshot {
+	var snap Snapshot
+	for _, f := range r.families {
+		if f.kind == "" {
+			continue
+		}
+		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind}
+		for _, s := range f.samples {
+			ss := SampleSnapshot{Labels: s.labels}
+			switch f.kind {
+			case KindCounter:
+				ss.Value = float64(*s.c)
+			case KindGauge:
+				ss.Value = float64(*s.g)
+			case KindHistogram:
+				ss.Bounds, ss.Counts = s.h.bounds, append([]uint64(nil), s.h.counts...)
+				ss.Sum, ss.Count = s.h.sum, s.h.count
+				if s.h.exSet {
+					ex := s.h.ex
+					ss.Exemplar = &ex
+				}
+			}
+			fs.Samples = append(fs.Samples, ss)
+		}
+		snap.Families = append(snap.Families, fs)
+	}
+	return snap
+}
+
+// equalBounds reports whether two bucket layouts are identical.
+func equalBounds(a, b []int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if v != b[i] {
+			return false
+		}
+	}
+	return true
+}
 
 // referenceMerge is the old Registry.Merge.
-func referenceMerge(r, src *Registry) {
+func referenceMerge(r, src *refRegistry) {
 	if r == nil || src == nil {
 		return
 	}
@@ -135,12 +222,12 @@ func referenceLabelKey(labels []Label) string {
 // referenceLookup finds or creates the cell for (name, labels) of the given
 // kind. Kind mismatches on an existing family panic: they are
 // programming errors at instrumentation sites.
-func referenceLookup(r *Registry, name string, kind Kind, bounds []int64, labels []Label) *sample {
+func referenceLookup(r *refRegistry, name string, kind Kind, bounds []int64, labels []Label) *refSample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.byName[name]
 	if !ok {
-		f = &family{name: name, byKey: make(map[string]*sample)}
+		f = &refFamily{name: name, byKey: make(map[string]*refSample)}
 		r.byName[name] = f
 		r.families = append(r.families, f)
 	}
@@ -156,7 +243,7 @@ func referenceLookup(r *Registry, name string, kind Kind, bounds []int64, labels
 	if s, ok := f.byKey[key]; ok {
 		return s
 	}
-	s := &sample{labels: sorted}
+	s := &refSample{labels: sorted}
 	switch kind {
 	case KindCounter:
 		s.c = new(uint64)

@@ -12,7 +12,7 @@ import (
 // reader of the (link down, loss, corrupt) counts.
 func drops(a *Ifc) func() (down, loss, corrupt uint64) {
 	reg := metrics.New()
-	a.InstrumentLink(reg.Counter("down"), reg.Counter("loss"), reg.Counter("corrupt"))
+	a.InstrumentLink(reg.Counters("down", "").With(), reg.Counters("loss", "").With(), reg.Counters("corrupt", "").With())
 	return func() (uint64, uint64, uint64) {
 		return reg.CounterValue("down"), reg.CounterValue("loss"), reg.CounterValue("corrupt")
 	}

@@ -94,14 +94,16 @@ type Attribution struct {
 // histograms); flight may be nil (no miss dumps).
 func NewAttribution(reg *metrics.Registry, flight *trace.Flight) *Attribution {
 	a := &Attribution{flight: flight}
-	reg.Help(MetricComponent, "per-delivery latency attribution by component, nanoseconds")
-	reg.Help(MetricMiss, "end-to-end latency of deadline-missing deliveries, nanoseconds")
+	comp := reg.Histograms(MetricComponent, "per-delivery latency attribution by component, nanoseconds",
+		ComponentBounds, "class", "component")
+	miss := reg.Histograms(MetricMiss, "end-to-end latency of deadline-missing deliveries, nanoseconds",
+		analyzer.LatencyBounds, "class")
 	for _, cls := range []ethernet.Class{ethernet.ClassBE, ethernet.ClassRC, ethernet.ClassTS} {
-		l := metrics.L("class", cls.String())
+		class := metrics.Name(cls.String())
 		for ci, name := range componentNames {
-			a.comp[cls][ci] = reg.Histogram(MetricComponent, ComponentBounds, l, metrics.L("component", name))
+			a.comp[cls][ci] = comp.With(class, metrics.Name(name))
 		}
-		a.miss[cls] = reg.Histogram(MetricMiss, analyzer.LatencyBounds, l)
+		a.miss[cls] = miss.With(class)
 	}
 	return a
 }

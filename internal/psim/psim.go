@@ -76,18 +76,15 @@ func Lookahead(cuts []CutLink) sim.Time {
 // returns the per-switch partition index: contiguous, balanced,
 // ascending switch-ID blocks (switch sw goes to sw*parts/N).
 //
-// Contiguous ID blocks are load-bearing twice over. First, parity:
-// the serial testbed registers every switch's metric samples in
-// ascending switch-ID order, and merging per-partition registries
-// appends each partition's samples in partition order — so the merged
-// sample order equals the serial order exactly when the partitions
-// are ascending ID ranges. Second, edge cut: every topology this repo
-// generates numbers switches locality-preservingly (a ring's arcs, a
-// chain's segments, a tree's levels, a grid's rows, a fat-tree's
+// Contiguous ID blocks keep the edge cut small: every topology this
+// repo generates numbers switches locality-preservingly (a ring's arcs,
+// a chain's segments, a tree's levels, a grid's rows, a fat-tree's
 // pods), so adjacent IDs are usually adjacent in the graph and an ID
-// band cuts few cables. Hosts are not assigned here: each NIC follows
-// the switch it attaches to. parts must be ≥ 1; parts > N collapses
-// to one switch per partition.
+// band cuts few cables. Nothing else depends on the blocks — metric
+// exports sort, so any assignment merges to the serial export — and a
+// load-balancing assignment may replace them. Hosts are not assigned
+// here: each NIC follows the switch it attaches to. parts must be ≥ 1;
+// parts > N collapses to one switch per partition.
 func Assign(t *topology.Topology, parts int) []int {
 	if parts < 1 {
 		panic(fmt.Sprintf("psim: Assign with %d partitions", parts))

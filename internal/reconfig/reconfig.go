@@ -196,15 +196,14 @@ func (c *Controller) OnAttempt(fn func(*Txn, int)) { c.onAttempt = fn }
 func NewController(engine *sim.Engine, reg *metrics.Registry) *Controller {
 	c := &Controller{engine: engine}
 	if reg != nil {
-		reg.Help(MetricTxns, "reconfiguration transactions resolved, by outcome")
-		reg.Help(MetricOps, "reconfiguration operations, by result")
-		c.metCommitted = reg.Counter(MetricTxns, metrics.L("outcome", "committed"))
-		c.metRejected = reg.Counter(MetricTxns, metrics.L("outcome", "rejected"))
-		c.metRolledBack = reg.Counter(MetricTxns, metrics.L("outcome", "rolled-back"))
-		c.metApplied = reg.Counter(MetricOps, metrics.L("result", "applied"))
-		c.metReverted = reg.Counter(MetricOps, metrics.L("result", "reverted"))
-		reg.Help(MetricRetries, "reconfiguration commit attempts retried after transient failure")
-		c.metRetried = reg.Counter(MetricRetries)
+		txns := reg.Counters(MetricTxns, "reconfiguration transactions resolved, by outcome", "outcome")
+		c.metCommitted = txns.With(metrics.Name("committed"))
+		c.metRejected = txns.With(metrics.Name("rejected"))
+		c.metRolledBack = txns.With(metrics.Name("rolled-back"))
+		ops := reg.Counters(MetricOps, "reconfiguration operations, by result", "result")
+		c.metApplied = ops.With(metrics.Name("applied"))
+		c.metReverted = ops.With(metrics.Name("reverted"))
+		c.metRetried = reg.Counters(MetricRetries, "reconfiguration commit attempts retried after transient failure").With()
 	}
 	return c
 }

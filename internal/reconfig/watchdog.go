@@ -2,7 +2,6 @@ package reconfig
 
 import (
 	"fmt"
-	"strconv"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/frer"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
@@ -66,7 +65,6 @@ type Transition struct {
 // the event order and the same seed reproduces the same findings.
 type Watchdog struct {
 	engine *sim.Engine
-	reg    *metrics.Registry
 
 	switches []*tsnswitch.Switch
 	frers    []*frer.Table
@@ -78,6 +76,8 @@ type Watchdog struct {
 
 	metAudits metrics.Counter
 	metViol   map[string]metrics.Counter
+	levels    metrics.GaugeFamily   // per watched switch
+	trans     metrics.CounterFamily // per watched switch
 	metLevel  []metrics.Gauge
 	metTrans  []metrics.Counter
 
@@ -94,17 +94,15 @@ type Watchdog struct {
 func NewWatchdog(engine *sim.Engine, reg *metrics.Registry) *Watchdog {
 	w := &Watchdog{
 		engine:  engine,
-		reg:     reg,
 		metViol: make(map[string]metrics.Counter),
+		levels:  reg.Gauges(MetricDegradeLevel, "graceful-degradation level (0 off, 1 shed BE, 2 shed BE+RC)", "switch"),
+		trans:   reg.Counters(MetricDegradeTransitions, "graceful-degradation level changes", "switch"),
 	}
 	if reg != nil {
-		reg.Help(MetricAudits, "watchdog audit sweeps completed")
-		reg.Help(MetricViolations, "invariant violations detected, by invariant")
-		reg.Help(MetricDegradeLevel, "graceful-degradation level (0 off, 1 shed BE, 2 shed BE+RC)")
-		reg.Help(MetricDegradeTransitions, "graceful-degradation level changes")
-		w.metAudits = reg.Counter(MetricAudits)
+		w.metAudits = reg.Counters(MetricAudits, "watchdog audit sweeps completed").With()
+		viol := reg.Counters(MetricViolations, "invariant violations detected, by invariant", "invariant")
 		for _, inv := range Invariants() {
-			w.metViol[inv] = reg.Counter(MetricViolations, metrics.L("invariant", inv))
+			w.metViol[inv] = viol.With(metrics.Name(inv))
 		}
 	}
 	return w
@@ -113,14 +111,8 @@ func NewWatchdog(engine *sim.Engine, reg *metrics.Registry) *Watchdog {
 // Watch adds sw to the audited set.
 func (w *Watchdog) Watch(sw *tsnswitch.Switch) {
 	w.switches = append(w.switches, sw)
-	if w.reg != nil {
-		swl := metrics.L("switch", strconv.Itoa(sw.ID()))
-		w.metLevel = append(w.metLevel, w.reg.Gauge(MetricDegradeLevel, swl))
-		w.metTrans = append(w.metTrans, w.reg.Counter(MetricDegradeTransitions, swl))
-	} else {
-		w.metLevel = append(w.metLevel, metrics.Gauge{})
-		w.metTrans = append(w.metTrans, metrics.Counter{})
-	}
+	w.metLevel = append(w.metLevel, w.levels.With(metrics.Int(sw.ID())))
+	w.metTrans = append(w.metTrans, w.trans.With(metrics.Int(sw.ID())))
 }
 
 // WatchFRER adds a sequence-recovery table to the audited set.

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -674,57 +673,38 @@ const (
 // cells are never raced.
 func (s *Service) scrapeRegistry() *metrics.Registry {
 	reg := metrics.New()
-	reg.Help(MetricRequests, "service requests finished, by route and status code")
-	type requestCount struct {
-		route, code string
-		n           uint64
-	}
+	requests := reg.Counters(MetricRequests, "service requests finished, by route and status code", "route", "code")
 	s.stats.mu.Lock()
-	counts := make([]requestCount, 0, len(s.stats.requests))
 	for k, c := range s.stats.requests {
-		counts = append(counts, requestCount{k.route, strconv.Itoa(k.code), c.Value()})
+		requests.With(metrics.Name(k.route), metrics.Int(k.code)).Add(c.Value())
 	}
 	s.stats.mu.Unlock()
-	// Samples export in registration order: sort by (route, code) so a
-	// scrape does not depend on map iteration.
-	sort.Slice(counts, func(i, j int) bool {
-		if counts[i].route != counts[j].route {
-			return counts[i].route < counts[j].route
-		}
-		return counts[i].code < counts[j].code
-	})
-	for _, c := range counts {
-		reg.Counter(MetricRequests, metrics.L("route", c.route), metrics.L("code", c.code)).Add(c.n)
-	}
 
-	reg.Help(MetricQueueDepth, "admission queue depth (waiting requests)")
-	reg.Help(MetricQueueDepthHW, "admission queue depth high water")
-	reg.Help(MetricShed, "requests shed by admission control, by class and reason")
+	depth := reg.Gauges(MetricQueueDepth, "admission queue depth (waiting requests)", "class")
+	depthHW := reg.Gauges(MetricQueueDepthHW, "admission queue depth high water", "class")
+	shed := reg.Counters(MetricShed, "requests shed by admission control, by class and reason", "class", "reason")
 	for _, q := range []*ClassQueue{s.adm.Derive, s.adm.Reconfig} {
-		l := metrics.L("class", q.name)
-		reg.Gauge(MetricQueueDepth, l).Set(q.Waiting.Value())
-		reg.Gauge(MetricQueueDepthHW, l).Set(q.DepthHW.Value())
-		reg.Counter(MetricShed, l, metrics.L("reason", "queue-full")).Add(q.ShedFull.Value())
-		reg.Counter(MetricShed, l, metrics.L("reason", "pressure")).Add(q.ShedPressure.Value())
-		reg.Counter(MetricShed, l, metrics.L("reason", "deadline")).Add(q.ShedDeadline.Value())
+		class := metrics.Name(q.name)
+		depth.With(class).Set(q.Waiting.Value())
+		depthHW.With(class).Set(q.DepthHW.Value())
+		shed.With(class, metrics.Name("queue-full")).Add(q.ShedFull.Value())
+		shed.With(class, metrics.Name("pressure")).Add(q.ShedPressure.Value())
+		shed.With(class, metrics.Name("deadline")).Add(q.ShedDeadline.Value())
 	}
 
-	reg.Help(MetricBreakerState, "circuit breaker state (0 closed, 1 open, 2 half-open)")
-	reg.Gauge(MetricBreakerState).Set(int64(s.brk.State()))
-	reg.Help(MetricBreakerTrans, "circuit breaker transitions, by target state")
-	reg.Counter(MetricBreakerTrans, metrics.L("to", "open")).Add(s.brk.TransToOpen.Value())
-	reg.Counter(MetricBreakerTrans, metrics.L("to", "half-open")).Add(s.brk.TransToHalfOpen.Value())
-	reg.Counter(MetricBreakerTrans, metrics.L("to", "closed")).Add(s.brk.TransToClosed.Value())
+	reg.Gauges(MetricBreakerState, "circuit breaker state (0 closed, 1 open, 2 half-open)").With().Set(int64(s.brk.State()))
+	trans := reg.Counters(MetricBreakerTrans, "circuit breaker transitions, by target state", "to")
+	trans.With(metrics.Name("open")).Add(s.brk.TransToOpen.Value())
+	trans.With(metrics.Name("half-open")).Add(s.brk.TransToHalfOpen.Value())
+	trans.With(metrics.Name("closed")).Add(s.brk.TransToClosed.Value())
 
-	reg.Help(MetricCache, "derivation cache lookups, by outcome")
-	reg.Counter(MetricCache, metrics.L("outcome", "hit")).Add(s.cache.Hits.Value())
-	reg.Counter(MetricCache, metrics.L("outcome", "miss")).Add(s.cache.Misses.Value())
-	reg.Counter(MetricCache, metrics.L("outcome", "bypass")).Add(s.cache.Bypasses.Value())
-	reg.Counter(MetricCache, metrics.L("outcome", "eviction")).Add(s.cache.Evictions.Value())
+	cache := reg.Counters(MetricCache, "derivation cache lookups, by outcome", "outcome")
+	cache.With(metrics.Name("hit")).Add(s.cache.Hits.Value())
+	cache.With(metrics.Name("miss")).Add(s.cache.Misses.Value())
+	cache.With(metrics.Name("bypass")).Add(s.cache.Bypasses.Value())
+	cache.With(metrics.Name("eviction")).Add(s.cache.Evictions.Value())
 
-	reg.Help(MetricPanics, "handler panics recovered")
-	reg.Counter(MetricPanics).Add(s.stats.panics.Value())
-	reg.Help(MetricDeadlines, "requests that exceeded their deadline")
-	reg.Counter(MetricDeadlines).Add(s.stats.deadlineExceeded.Value())
+	reg.Counters(MetricPanics, "handler panics recovered").With().Add(s.stats.panics.Value())
+	reg.Counters(MetricDeadlines, "requests that exceeded their deadline").With().Add(s.stats.deadlineExceeded.Value())
 	return reg
 }

@@ -1,10 +1,6 @@
 package tsnswitch
 
-import (
-	"strconv"
-
-	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
-)
+import "github.com/tsnbuilder/tsnbuilder/internal/metrics"
 
 // Metric names exported by the switch dataplane. Label sets:
 // switch, and where noted port / queue / reason / dir.
@@ -48,58 +44,43 @@ func (sw *Switch) resolveInstruments(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.Help(MetricRxFrames, "frames entering the ingress pipeline")
-	reg.Help(MetricTxFrames, "frames fully transmitted")
-	reg.Help(MetricDrops, "frames dropped, by reason")
-	reg.Help(MetricEnqueues, "frames admitted to an egress queue")
-	reg.Help(MetricQueueHW, "worst-case egress queue occupancy (descriptors)")
-	reg.Help(MetricPoolOcc, "packet buffers currently allocated")
-	reg.Help(MetricPoolHW, "worst-case packet buffer occupancy")
-	reg.Help(MetricPoolFails, "packet buffer allocation failures")
-	reg.Help(MetricRollovers, "gate slot/entry rollovers observed")
-	reg.Help(MetricMeterPass, "frames passed by ingress policing")
-	reg.Help(MetricMeterDrop, "frames dropped by ingress policing")
-	reg.Help(MetricResidence, "enqueue-to-tx-start residence time, nanoseconds")
-	reg.Help(MetricPreemption, "express-frame preemptions of in-flight frames")
-
-	swl := metrics.L("switch", strconv.Itoa(sw.cfg.ID))
-	sw.met.rx = reg.Counter(MetricRxFrames, swl)
-	sw.met.tx = reg.Counter(MetricTxFrames, swl)
+	id := metrics.Int(sw.cfg.ID)
+	sw.met.rx = reg.Counters(MetricRxFrames, "frames entering the ingress pipeline", "switch").With(id)
+	sw.met.tx = reg.Counters(MetricTxFrames, "frames fully transmitted", "switch").With(id)
+	drops := reg.Counters(MetricDrops, "frames dropped, by reason", "switch", "reason")
 	for r := DropReason(0); r < dropReasonCount; r++ {
-		sw.met.drops[r] = reg.Counter(MetricDrops, swl, metrics.L("reason", r.String()))
+		sw.met.drops[r] = drops.With(id, metrics.Name(r.String()))
 	}
-	sw.met.residence = reg.Histogram(MetricResidence, ResidenceBounds, swl)
-	sw.met.preemptions = reg.Counter(MetricPreemption, swl)
+	sw.met.residence = reg.Histograms(MetricResidence, "enqueue-to-tx-start residence time, nanoseconds",
+		ResidenceBounds, "switch").With(id)
+	sw.met.preemptions = reg.Counters(MetricPreemption, "express-frame preemptions of in-flight frames", "switch").With(id)
 	sw.flt.Meters.Instrument(
-		reg.Counter(MetricMeterPass, swl),
-		reg.Counter(MetricMeterDrop, swl),
+		reg.Counters(MetricMeterPass, "frames passed by ingress policing", "switch").With(id),
+		reg.Counters(MetricMeterDrop, "frames dropped by ingress policing", "switch").With(id),
 	)
+	occ := reg.Gauges(MetricPoolOcc, "packet buffers currently allocated", "switch", "port")
+	hw := reg.Gauges(MetricPoolHW, "worst-case packet buffer occupancy", "switch", "port")
+	fails := reg.Counters(MetricPoolFails, "packet buffer allocation failures", "switch", "port")
 	// In SMS mode every port shares one pool; register it once under
 	// port="shared" so per-port sites cannot double count.
 	if sw.cfg.SharedBufferNum > 0 && len(sw.ports) > 0 {
-		shared := metrics.L("port", "shared")
-		sw.ports[0].pool.Instrument(
-			reg.Gauge(MetricPoolOcc, swl, shared),
-			reg.Gauge(MetricPoolHW, swl, shared),
-			reg.Counter(MetricPoolFails, swl, shared),
-		)
+		shared := metrics.Name("shared")
+		sw.ports[0].pool.Instrument(occ.With(id, shared), hw.With(id, shared), fails.With(id, shared))
 	}
+	enq := reg.Counters(MetricEnqueues, "frames admitted to an egress queue", "switch", "port", "queue")
+	qhw := reg.Gauges(MetricQueueHW, "worst-case egress queue occupancy (descriptors)", "switch", "port", "queue")
+	roll := reg.Counters(MetricRollovers, "gate slot/entry rollovers observed", "switch", "port", "dir")
 	for _, p := range sw.ports {
-		pl := metrics.L("port", strconv.Itoa(p.id))
+		port := metrics.Int(p.id)
 		if sw.cfg.SharedBufferNum <= 0 {
-			p.pool.Instrument(
-				reg.Gauge(MetricPoolOcc, swl, pl),
-				reg.Gauge(MetricPoolHW, swl, pl),
-				reg.Counter(MetricPoolFails, swl, pl),
-			)
+			p.pool.Instrument(occ.With(id, port), hw.With(id, port), fails.With(id, port))
 		}
 		for q, queue := range p.queues {
-			ql := metrics.L("queue", strconv.Itoa(q))
-			p.metEnq[q] = reg.Counter(MetricEnqueues, swl, pl, ql)
-			queue.Instrument(reg.Gauge(MetricQueueHW, swl, pl, ql))
+			p.metEnq[q] = enq.With(id, port, metrics.Int(q))
+			queue.Instrument(qhw.With(id, port, metrics.Int(q)))
 		}
 		for dir := range p.gates {
-			p.gates[dir].roll = reg.Counter(MetricRollovers, swl, pl, metrics.L("dir", dirNames[dir]))
+			p.gates[dir].roll = roll.With(id, port, metrics.Name(dirNames[dir]))
 		}
 	}
 }

@@ -11,10 +11,11 @@
 // Trunk cables cut by the sharding are rerouted through bounded
 // mailboxes (netdev.SetRemotePost) and the parts advance in barrier-
 // stepped lookahead windows. After the run the scratch state merges
-// back — in ascending partition order, which together with psim.Assign's
-// ascending-ID blocks makes the merged registry byte-identical to the
-// one-part run's (the scheduler heap-depth gauge excepted: per-partition
-// heaps have their own high waters; see DESIGN.md §16).
+// back. Registry exports sort and every fold (sum, max, earliest worst
+// exemplar) commutes, so the merged registry exports byte-identical to
+// the one-part run's whatever the assignment and merge order (the
+// scheduler heap-depth gauge excepted: per-partition heaps have their
+// own high waters; see DESIGN.md §16).
 package testbed
 
 import (
@@ -45,16 +46,14 @@ type part struct {
 }
 
 // newPart starts an engine recording into the given registry, collector
-// and flight recorder, resolving instruments in the one order every
-// export depends on.
+// and flight recorder, and resolves the part's engine, collector and
+// attribution instruments.
 func newPart(reg *metrics.Registry, coll *analyzer.Collector, flight *trace.Flight) *part {
 	p := &part{engine: sim.NewEngine(), reg: reg, coll: coll, flight: flight}
 	if reg != nil {
-		reg.Help("tsn_sim_events_total", "discrete events executed")
-		reg.Help("tsn_sim_heap_depth_high_water", "worst-case scheduler heap depth")
 		p.engine.Instrument(
-			reg.Counter("tsn_sim_events_total"),
-			reg.Gauge("tsn_sim_heap_depth_high_water"),
+			reg.Counters("tsn_sim_events_total", "discrete events executed").With(),
+			reg.Gauges("tsn_sim_heap_depth_high_water", "worst-case scheduler heap depth").With(),
 		)
 		coll.Instrument(reg)
 		p.attr = obs.NewAttribution(reg, flight)
@@ -188,17 +187,13 @@ func validatePartitioned(opts Options) error {
 	case opts.Pcap != nil:
 		return fmt.Errorf("testbed: pcap capture is not supported in partitioned runs (the writer is shared across NICs)")
 	}
-	for _, spec := range opts.Flows {
-		if spec.FRER {
-			return fmt.Errorf("testbed: FRER flow %d is not supported in partitioned runs (recovery-table instruments register in flow-encounter order, which interleaves partitions)", spec.ID)
-		}
-	}
 	return nil
 }
 
 // mergeResults folds every part's scratch state into the Net's, in
-// ascending partition order (the order that reproduces one-part
-// registration, see psim.Assign).
+// ascending partition order. The registry merge does not depend on
+// that order (exports sort); the collector and attribution merges
+// still run in it.
 func (n *Net) mergeResults() {
 	n.merged = true
 	for _, p := range n.parts {

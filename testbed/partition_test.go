@@ -31,7 +31,13 @@ var parityParams = workload.Params{
 // runs it for 50 ms and returns the network plus its Prometheus export.
 func runParity(t *testing.T, partitions int) (*Net, string) {
 	t.Helper()
-	w, err := workload.Build(parityParams)
+	return runParityOf(t, parityParams, partitions)
+}
+
+// runParityOf is runParity on another workload.
+func runParityOf(t *testing.T, params workload.Params, partitions int) (*Net, string) {
+	t.Helper()
+	w, err := workload.Build(params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +243,28 @@ func TestPartitionedParityMesh(t *testing.T) {
 	}
 }
 
+// TestPartitionedParityFRER: 802.1CB flows shard like any other — each
+// recovery table counts into the part of its listener — and the
+// partitioned exports and per-flow statistics equal the serial run's.
+func TestPartitionedParityFRER(t *testing.T) {
+	params := parityParams
+	params.Topology = "bidir-ring"
+	params.FRERFlows = 8
+	serial, serialExp := runParityOf(t, params, 0)
+	if !strings.Contains(serialExp, "tsn_frer_eliminated_total{") || serial.Summary(ethernet.ClassTS).Lost != 0 {
+		t.Fatalf("the FRER workload eliminated nothing or lost TS frames:\n%+v", serial.Summary(ethernet.ClassTS))
+	}
+	for _, parts := range []int{2, 3} {
+		par, parExp := runParityOf(t, params, parts)
+		if a, b := normalizeHeapHW(t, serialExp), normalizeHeapHW(t, parExp); a != b {
+			t.Fatalf("partitions=%d: FRER export differs from serial:\n%s", parts, firstDiff(a, b))
+		}
+		if a, b := flowCSV(serial), flowCSV(par); a != b {
+			t.Fatalf("partitions=%d: FRER per-flow statistics differ:\n%s", parts, firstDiff(a, b))
+		}
+	}
+}
+
 // TestPartitionedRunIsDeterministic pins run-to-run byte identity of a
 // partitioned run against itself — goroutine scheduling must never leak
 // into results.
@@ -277,18 +305,6 @@ func TestPartitionedRejections(t *testing.T) {
 		if _, err := Build(opts); err == nil {
 			t.Errorf("%s: partitioned build accepted an unshardable feature", tc.name)
 		}
-	}
-
-	// FRER flows interleave instrument registration across partitions.
-	fp := parityParams
-	fp.Topology = "bidir-ring"
-	fp.FRERFlows = 4
-	fw, err := workload.Build(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Build(Options{Design: fw.Design, Topo: fw.Topo, Flows: fw.Specs, Partitions: 2}); err == nil {
-		t.Error("frer: partitioned build accepted FRER flows")
 	}
 
 	// Live reconfiguration and flow addition are rejected at call time.

@@ -12,7 +12,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"strconv"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/clock"
@@ -192,13 +191,6 @@ func (o *Options) flightCapacity() int {
 	return obs.DumpWindow
 }
 
-// cbsStallsName/Help label the credit-based shaper stall counter, which
-// applyCBS and Build's family-order pin both register.
-const (
-	cbsStallsName = "tsn_cbs_stalls_total"
-	cbsStallsHelp = "egress selections blocked on negative CBS credit"
-)
-
 // Build assembles the network. There is one build: the topology is
 // sharded into min(Options.Partitions, Topo.N) parts, and an ordinary
 // serial network is the one-part case, whose single part aliases the
@@ -338,15 +330,6 @@ func Build(opts Options) (*Net, error) {
 
 	if err := n.program(); err != nil {
 		return nil, err
-	}
-
-	// Family order: the CBS stall family (registered during applyCBS, by
-	// the parts that own RC cells) precedes the reconfiguration families.
-	// Part 0's registry leads the merge and therefore dictates family
-	// order, so it gets the family even when it owns no RC cell — a no-op
-	// when it already has it, which a single part always does.
-	if !opts.DisableCBS && len(n.prog.cbsID) > 0 {
-		n.parts[0].reg.Help(cbsStallsName, cbsStallsHelp)
 	}
 
 	// Live-reconfiguration controller: always present, so fault
@@ -581,8 +564,9 @@ func (n *Net) installFlows(specs []*flows.Spec) error {
 	}
 	n.admit(specs)
 
-	// Deterministic cell order: CBS ids and metric registration must
-	// not depend on map iteration (bit-identical reruns).
+	// Deterministic cell order: a port's CBS ids are handed out in this
+	// order, so it must not depend on map iteration (bit-identical
+	// reruns).
 	cells := make([]pq, 0, len(changed))
 	for cell := range changed {
 		cells = append(cells, cell)
@@ -666,12 +650,9 @@ func (n *Net) applyCBS(cells []pq) error {
 			return fmt.Errorf("testbed: cbs configure: %w", err)
 		}
 		if reg := n.switchPart(cell.sw).reg; !attached && reg != nil {
-			reg.Help(cbsStallsName, cbsStallsHelp)
-			bank.For(cell.q).Instrument(reg.Counter(cbsStallsName,
-				metrics.L("switch", strconv.Itoa(cell.sw)),
-				metrics.L("port", strconv.Itoa(cell.port)),
-				metrics.L("queue", strconv.Itoa(cell.q)),
-			))
+			stalls := reg.Counters("tsn_cbs_stalls_total", "egress selections blocked on negative CBS credit",
+				"switch", "port", "queue")
+			bank.For(cell.q).Instrument(stalls.With(metrics.Int(cell.sw), metrics.Int(cell.port), metrics.Int(cell.q)))
 		}
 	}
 	return nil
@@ -697,17 +678,12 @@ func (n *Net) programFRER(spec *flows.Spec, recovery map[int]*frer.Table,
 	tbl := recovery[spec.DstHost]
 	if tbl == nil {
 		tbl = frer.NewTable(capacity, history)
-		if n.Metrics != nil {
-			n.Metrics.Help(frer.MetricPassed, "frames passed by 802.1CB sequence recovery")
-			n.Metrics.Help(frer.MetricEliminated, "duplicate member-stream frames eliminated")
-			n.Metrics.Help(frer.MetricRogue, "out-of-window frames discarded as rogue")
-			l := metrics.L("host", strconv.Itoa(spec.DstHost))
-			tbl.Instrument(
-				n.Metrics.Counter(frer.MetricPassed, l),
-				n.Metrics.Counter(frer.MetricEliminated, l),
-				n.Metrics.Counter(frer.MetricRogue, l),
-			)
-		}
+		reg, host := n.hostPart(spec.DstHost).reg, metrics.Int(spec.DstHost)
+		tbl.Instrument(
+			reg.Counters(frer.MetricPassed, "frames passed by 802.1CB sequence recovery", "host").With(host),
+			reg.Counters(frer.MetricEliminated, "duplicate member-stream frames eliminated", "host").With(host),
+			reg.Counters(frer.MetricRogue, "out-of-window frames discarded as rogue", "host").With(host),
+		)
 		recovery[spec.DstHost] = tbl
 		dst.SetRecovery(tbl)
 	}
