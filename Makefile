@@ -116,11 +116,12 @@ crash:
 	./tsnserve.crash -crash-chaos -chaos-seed 42 -crash-kills 50 -state-dir crash-state
 	rm -rf crash-state tsnserve.crash
 
+# examples runs every examples/*/main.go (the directory list is the
+# catalog; TestExamplesMatchReadme holds examples/README.md to it).
 examples:
-	@for ex in quickstart ring-industrial star-production-cell \
-	            platform-compare tas-lowlatency gptp-failover \
-	            ring-frer-failover live-reconfigure; do \
-		echo "=== $$ex ==="; go run ./examples/$$ex || exit 1; \
+	@for main in examples/*/main.go; do \
+		ex=$${main%/main.go}; \
+		echo "=== $${ex#examples/} ==="; go run ./$$ex || exit 1; \
 	done
 
 reproduce:

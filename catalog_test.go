@@ -2,7 +2,9 @@ package bench
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,5 +63,31 @@ func TestCatalogMatchesDocs(t *testing.T) {
 				t.Errorf("%s: `tsnbench -exp %s` names no catalog id", name, m[1])
 			}
 		}
+	}
+}
+
+// TestExamplesMatchReadme keeps examples/README.md's table the list of
+// runnable examples: its names are exactly the directories under
+// examples/ that hold a main.go, which is what `make examples` runs.
+func TestExamplesMatchReadme(t *testing.T) {
+	readme, err := os.ReadFile("examples/README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)` \\|").FindAllStringSubmatch(string(readme), -1) {
+		listed = append(listed, m[1])
+	}
+	mains, err := filepath.Glob("examples/*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	for _, m := range mains {
+		dirs = append(dirs, filepath.Base(filepath.Dir(m)))
+	}
+	slices.Sort(listed)
+	if !slices.Equal(listed, dirs) {
+		t.Errorf("examples/README.md lists %q; examples/*/main.go are %q", listed, dirs)
 	}
 }

@@ -2,10 +2,11 @@ package svc
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
@@ -15,11 +16,27 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
 
-// ErrInstanceClosed marks work submitted after the instance shut down.
-var ErrInstanceClosed = errors.New("svc: instance closed")
+// Refusal is a control-plane request's failure as its client sees it:
+// the HTTP status, the body's error text and, when set, the Retry-After
+// it carries. Instance.Reconfigure returns one for every outcome but a
+// commit, built where that outcome is decided.
+type Refusal struct {
+	Code       int
+	Msg        string
+	RetryAfter time.Duration
+}
 
-// ErrRecovering marks work refused while journal replay is running.
-var ErrRecovering = errors.New("svc: recovering: journal replay in progress")
+func (r *Refusal) Error() string { return r.Msg }
+
+// ErrInstanceClosed refuses work submitted after the instance shut down.
+var ErrInstanceClosed = &Refusal{Code: http.StatusServiceUnavailable, Msg: "instance shutting down"}
+
+// ErrRecovering refuses work while journal replay is running.
+var ErrRecovering = &Refusal{Code: http.StatusServiceUnavailable, Msg: "recovering: journal replay in progress"}
+
+// errNotStarted refuses a job whose deadline lapsed before its commit
+// began: nothing was staged or touched.
+var errNotStarted = &Refusal{Code: http.StatusGatewayTimeout, Msg: "deadline expired before commit started"}
 
 // JournalEntry is one committed reconfiguration: the sequence number
 // returned to the client and the configuration it put in force. The
@@ -38,34 +55,6 @@ type InstanceStatus struct {
 	Live    core.Config
 	Seq     uint64
 	Journal []JournalEntry
-}
-
-// ReconfigOutcome is one processed reconfiguration job's result.
-type ReconfigOutcome struct {
-	// Shed is set when the job's deadline expired before the commit
-	// began; nothing was staged or touched.
-	Shed bool
-	// Fenced is why the job was refused: the instance is fenced (see
-	// Instance.Fenced). Nothing was staged or touched.
-	Fenced error
-	// RejectErr is a validation rejection (the candidate cannot apply).
-	RejectErr error
-	// State/Attempts/CommitAt describe the resolved transaction.
-	State    reconfig.State
-	Attempts int
-	CommitAt sim.Time
-	// Err is the rollback cause for a failed commit.
-	Err error
-	// VerifyErr is a post-commit VerifyLive failure: partial state was
-	// left in place (the wedged-commit signature).
-	VerifyErr error
-	// WALErr is a durability failure: the transaction committed in the
-	// engine but its commit record never became stable, so no ack may
-	// be sent and the instance is no longer crash-consistent.
-	WALErr error
-	// Seq/Config are set for a committed, verified transaction.
-	Seq    uint64
-	Config core.Config
 }
 
 // Instance owns one long-running simulated network and the single
@@ -199,9 +188,10 @@ func (in *Instance) loop() {
 }
 
 // submit queues fn onto the control loop and waits for it to finish.
-// The ctx only bounds the enqueue: once accepted, the job runs to
-// completion and submit waits for it — callers must do their own
-// deadline check inside fn if they want to shed late work.
+// The ctx only bounds the enqueue (errNotStarted when it expires first):
+// once accepted, the job runs to completion and submit waits for it —
+// callers must do their own deadline check inside fn if they want to
+// shed late work.
 func (in *Instance) submit(ctx context.Context, fn func()) error {
 	if in.closed.Load() {
 		return ErrInstanceClosed
@@ -217,7 +207,7 @@ func (in *Instance) submit(ctx context.Context, fn func()) error {
 		select {
 		case in.jobs <- wrapped:
 		case <-ctx.Done():
-			return ctx.Err()
+			return errNotStarted
 		case <-in.done:
 			return ErrInstanceClosed
 		}
@@ -406,104 +396,136 @@ func (in *Instance) RecoverErr() error {
 }
 
 // Reconfigure runs one transactional reconfiguration against the live
-// network. It serializes onto the control loop; ctx sheds the job if
-// it is still queued at expiry, and is ignored from the moment the
-// commit begins. On a durable instance the transaction is journaled:
-// intent before validation, commit fsynced before the outcome (and
-// thus any 2xx) is returned, abort on rejection or rollback. A commit
-// that leaves the network off the journal tail — it failed verification
-// or its commit record — fences the instance (see restore); a fenced
-// instance refuses the job (Fenced).
-func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (ReconfigOutcome, error) {
+// network and returns its ack, or the *Refusal that ends it instead.
+// It serializes onto the control loop; ctx sheds the job if it is still
+// queued at expiry, and is ignored from the moment the commit begins. On
+// a durable instance the transaction is journaled: intent before
+// validation, commit fsynced before the ack (and thus any 2xx) is
+// returned, abort on rejection or rollback. A commit that leaves the
+// network off the journal tail — it failed verification or its commit
+// record — fences the instance (see restore); a fenced instance refuses
+// the job (Fenced).
+func (in *Instance) Reconfigure(ctx context.Context, req *ReconfigRequest) (ReconfigResponse, error) {
 	if in.Recovering() {
-		return ReconfigOutcome{}, ErrRecovering
+		return ReconfigResponse{}, ErrRecovering
 	}
-	var out ReconfigOutcome
-	err := in.submit(ctx, func() {
-		// Shed point: the deadline lapsed while queued; nothing staged.
-		if ctx.Err() != nil {
-			out.Shed = true
-			return
+	// One captured result, so the job costs one allocation for both.
+	var res struct {
+		ack ReconfigResponse
+		err error
+	}
+	err := in.submit(ctx, func() { res.err = in.commit(ctx, req, &res.ack) })
+	if err == nil {
+		err = res.err
+	}
+	if err != nil {
+		return ReconfigResponse{}, err
+	}
+	return res.ack, nil
+}
+
+// commit is Reconfigure's job on the loop: it returns nil on a commit,
+// with ack filled, or the refusal of the first failure in the order
+// shed, fenced, rejected (409), then the 500s: verify mismatch, WAL
+// failure, rolled back, unresolved.
+func (in *Instance) commit(ctx context.Context, req *ReconfigRequest, ack *ReconfigResponse) error {
+	// Shed point: the deadline lapsed while queued; nothing staged.
+	if ctx.Err() != nil {
+		return errNotStarted
+	}
+	if in.fence != nil { // written on this goroutine only
+		return &Refusal{Code: http.StatusServiceUnavailable, Msg: "fenced: " + in.fence.Error()}
+	}
+	cand, err := core.Overlay(in.net.LiveConfig(), req)
+	if err != nil {
+		return &Refusal{Code: http.StatusConflict, Msg: err.Error()}
+	}
+	var txnID uint64
+	if in.store != nil {
+		txnID = in.store.takeTxn()
+		intent := cand // the record's copy: cand itself stays off the heap on the non-durable path
+		if err := in.store.append(walRecord{T: recIntent, Txn: txnID, Config: &intent}); err != nil {
+			in.setWALErr(err)
+			return notDurable(err)
 		}
-		if in.fence != nil { // written on this goroutine only
-			out.Fenced = in.fence
-			return
+	}
+	txn, err := in.net.Reconfigure(cand)
+	if err != nil {
+		in.abortTxn(txnID)
+		return &Refusal{Code: http.StatusConflict, Msg: err.Error()}
+	}
+	// From here the commit is in flight: it settles regardless of the
+	// request deadline.
+	verifyErr := in.settle(txn)
+	*ack = ReconfigResponse{
+		State: txn.State().String(), Attempts: txn.Attempts(),
+		CommitAtNs: txn.CommitTime(), Config: in.net.LiveConfig(),
+	}
+	var refusal error
+	switch {
+	case verifyErr != nil:
+		refusal = &Refusal{Code: http.StatusInternalServerError, Msg: "post-commit verification failed: " + verifyErr.Error()}
+	case txn.State() == reconfig.StateRolledBack:
+		msg := "commit failed, rolled back"
+		if txn.Err() != nil {
+			msg = txn.Err().Error()
 		}
-		cand, err := core.Overlay(in.net.LiveConfig(), req)
-		if err != nil {
-			out.RejectErr = err
-			return
-		}
-		var txnID uint64
-		if in.store != nil {
-			txnID = in.store.takeTxn()
-			intent := cand // the record's copy: cand itself stays off the heap on the non-durable path
-			if err := in.store.append(walRecord{T: recIntent, Txn: txnID, Config: &intent}); err != nil {
-				out.WALErr = err
-				in.setWALErr(err)
-				return
+		refusal = &Refusal{Code: http.StatusInternalServerError, Msg: msg}
+	case txn.State() != reconfig.StateCommitted:
+		refusal = &Refusal{Code: http.StatusInternalServerError, Msg: fmt.Sprintf("transaction resolved %v", txn.State())}
+	}
+	committed := refusal == nil
+	var walErr error
+	if in.store != nil {
+		if committed {
+			// in.seq is only ever written on this goroutine; the
+			// unlocked read is ordered by program order.
+			rec := walRecord{T: recCommit, Txn: txnID, Seq: in.seq + 1, Config: &ack.Config}
+			if walErr = in.store.appendSync(rec); walErr != nil {
+				// The engine committed but durability failed: the ack
+				// must not be sent, and the instance is degraded until
+				// an operator intervenes.
+				in.setWALErr(walErr)
+				refusal = notDurable(walErr)
 			}
-		}
-		txn, err := in.net.Reconfigure(cand)
-		if err != nil {
-			out.RejectErr = err
+		} else {
 			in.abortTxn(txnID)
-			return
 		}
-		// From here the commit is in flight: it settles regardless of
-		// the request deadline.
-		out.VerifyErr = in.settle(txn)
-		out.State = txn.State()
-		out.Attempts = txn.Attempts()
-		out.CommitAt = txn.CommitTime()
-		out.Err = txn.Err()
-		out.Config = in.net.LiveConfig()
+	}
 
-		committed := out.State == reconfig.StateCommitted && out.VerifyErr == nil
-		if in.store != nil {
-			if committed {
-				// in.seq is only ever written on this goroutine; the
-				// unlocked read is ordered by program order.
-				rec := walRecord{T: recCommit, Txn: txnID, Seq: in.seq + 1, Config: &out.Config}
-				if err := in.store.appendSync(rec); err != nil {
-					// The engine committed but durability failed: the ack
-					// must not be sent, and the instance is degraded until
-					// an operator intervenes.
-					out.WALErr = err
-					in.setWALErr(err)
-				}
-			} else {
-				in.abortTxn(txnID)
-			}
+	in.mu.Lock()
+	in.live = ack.Config
+	in.verifyErr = verifyErr
+	if refusal == nil {
+		in.seq++
+		ack.Seq = in.seq
+		in.journal = append(in.journal, JournalEntry{Seq: in.seq, Config: ack.Config})
+		in.tail = ack.Config
+	}
+	seq := in.seq
+	in.mu.Unlock()
+	switch {
+	case verifyErr != nil:
+		in.restore(verifyErr)
+	case walErr != nil:
+		in.restore(fmt.Errorf("commit not durable: %w", walErr))
+	}
+	if refusal == nil && in.store != nil && seq%uint64(in.ckptEvery) == 0 {
+		if err := in.checkpoint(); err != nil {
+			in.setWALErr(err)
 		}
+	}
+	if in.onHealth != nil {
+		in.onHealth(in.fence == nil && !in.net.Watchdog.Degraded())
+	}
+	return refusal
+}
 
-		in.mu.Lock()
-		in.live = out.Config
-		in.verifyErr = out.VerifyErr
-		if committed && out.WALErr == nil {
-			in.seq++
-			out.Seq = in.seq
-			in.journal = append(in.journal, JournalEntry{Seq: in.seq, Config: out.Config})
-			in.tail = out.Config
-		}
-		seq := in.seq
-		in.mu.Unlock()
-		switch {
-		case out.VerifyErr != nil:
-			in.restore(out.VerifyErr)
-		case out.WALErr != nil:
-			in.restore(fmt.Errorf("commit not durable: %w", out.WALErr))
-		}
-		if committed && out.WALErr == nil && in.store != nil && seq%uint64(in.ckptEvery) == 0 {
-			if err := in.checkpoint(); err != nil {
-				in.setWALErr(err)
-			}
-		}
-		if in.onHealth != nil {
-			in.onHealth(in.fence == nil && !in.net.Watchdog.Degraded())
-		}
-	})
-	return out, err
+// notDurable refuses a transaction whose WAL record failed: the ack
+// contract (2xx implies crash-survivable) cannot be met, so this is a
+// failure even when the engine committed.
+func notDurable(err error) error {
+	return &Refusal{Code: http.StatusInternalServerError, Msg: "commit not durable: " + err.Error()}
 }
 
 // abortTxn journals a transaction's abort record (durable instances

@@ -3,6 +3,7 @@ package svc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -296,7 +297,7 @@ func TestReconfigureAllocs(t *testing.T) {
 
 // wedgedService returns a service whose last commit wedged behind a
 // journal of the given length, and so did the repair that followed it,
-// and that commit's verification error.
+// and that commit's verification error, read from its refusal.
 func wedgedService(t *testing.T, journal int) (*Service, error) {
 	t.Helper()
 	s, _ := newTestService(t, Options{})
@@ -310,12 +311,16 @@ func wedgedService(t *testing.T, journal int) (*Service, error) {
 		t.Fatal(err)
 	}
 	d := ReconfigRequest{UnicastSize: s.Instance().LiveConfig().UnicastSize * 2}
-	out, err := s.Instance().Reconfigure(context.Background(), &d)
-	if err != nil || out.VerifyErr == nil {
-		t.Fatalf("armed wedge did not surface: %+v %v", out, err)
+	_, err := s.Instance().Reconfigure(context.Background(), &d)
+	var refusal *Refusal
+	if !errors.As(err, &refusal) || !strings.HasPrefix(refusal.Msg, verifyFailed) {
+		t.Fatalf("armed wedge did not surface: %v", err)
 	}
-	return s, out.VerifyErr
+	return s, errors.New(strings.TrimPrefix(refusal.Msg, verifyFailed))
 }
+
+// verifyFailed leads the refusal of a commit that failed verification.
+const verifyFailed = "post-commit verification failed: "
 
 // TestHealthzDegradedIgnoresJournalLength: the endpoint polled hardest
 // while the instance is wedged reads one error, not a copy of every

@@ -40,7 +40,6 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/obs"
-	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
@@ -151,7 +150,6 @@ type stats struct {
 
 	deadlineExceeded metrics.SyncCounter
 	panics           metrics.SyncCounter
-	breakerRejects   metrics.SyncCounter
 }
 
 // requestKey is one tsn_svc_requests_total series. The code stays an
@@ -186,8 +184,7 @@ func NewService(opts Options) (*Service, error) {
 	opts.defaults()
 	brk := NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	// Watchdog recovery de-escalates the breaker: a healthy outcome
-	// resets it; failures count only through the explicit Failure calls
-	// on commit outcomes.
+	// resets it; failures count only through handleReconfig's 500s.
 	inst, err := NewInstance(opts, func(healthy bool) {
 		if healthy && brk.State() != BreakerClosed {
 			brk.Success()
@@ -318,7 +315,8 @@ func (q *request) stop() {
 
 // route wraps a handler in the middleware stack: panic recovery
 // outermost (a panicking request 500s, the process survives), then the
-// per-request deadline, then request accounting.
+// per-request deadline, then request accounting — where every 504 is
+// an exceeded deadline.
 func (s *Service) route(name string, deadline time.Duration, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		d := deadline
@@ -338,6 +336,9 @@ func (s *Service) route(name string, deadline time.Duration, h http.HandlerFunc)
 				// The handler may have written nothing yet; best-effort
 				// error body, never re-panic.
 				writeError(q, http.StatusInternalServerError, fmt.Sprintf("internal panic: %v", p))
+			}
+			if q.code == http.StatusGatewayTimeout {
+				s.stats.deadlineExceeded.Inc()
 			}
 			s.stats.request(name, q.code)
 		}()
@@ -367,10 +368,28 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: msg})
 }
 
-// shed writes the 429 load-shed response.
-func shed(w http.ResponseWriter, retryAfter time.Duration) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Round(time.Second)/time.Second)))
-	writeError(w, http.StatusTooManyRequests, "overloaded, retry later")
+// refuse writes a refusal's status, Retry-After and error body.
+func refuse(w http.ResponseWriter, r *Refusal) {
+	if r.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(int(r.RetryAfter/time.Second)))
+	}
+	writeError(w, r.Code, r.Msg)
+}
+
+// admit takes a slot of q, or refuses the request — 429 with
+// retryAfter when the queue sheds it, 504 when its deadline expires
+// while it waits — and reports false.
+func admit(w http.ResponseWriter, r *http.Request, q *ClassQueue, pressured bool, retryAfter time.Duration) (release func(), ok bool) {
+	release, err := q.Acquire(r.Context(), pressured)
+	switch {
+	case err == nil:
+		return release, true
+	case errors.Is(err, ErrShed):
+		refuse(w, &Refusal{Code: http.StatusTooManyRequests, Msg: "overloaded, retry later", RetryAfter: retryAfter})
+	default:
+		writeError(w, http.StatusGatewayTimeout, "deadline expired in admission queue")
+	}
+	return nil, false
 }
 
 // handleDerive serves POST /v1/derive: admission, spec normalization,
@@ -381,14 +400,8 @@ func (s *Service) handleDerive(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	release, err := s.adm.Derive.Acquire(r.Context(), s.adm.Pressured())
-	if err != nil {
-		if errors.Is(err, ErrShed) {
-			shed(w, time.Second)
-		} else {
-			s.stats.deadlineExceeded.Inc()
-			writeError(w, http.StatusGatewayTimeout, "deadline expired in admission queue")
-		}
+	release, ok := admit(w, r, s.adm.Derive, s.adm.Pressured(), time.Second)
+	if !ok {
 		return
 	}
 	defer release()
@@ -409,15 +422,20 @@ func (s *Service) handleDerive(w http.ResponseWriter, r *http.Request) {
 
 	var body []byte
 	var cached bool
-	if r.Header.Get("Cache-Control") == "no-cache" {
+	// A deadline already past answers 504 before the cache is asked: a
+	// hit or a free leader slot never waits, so nothing else would look.
+	// Err reads the clock; it arms no timer.
+	err := r.Context().Err()
+	switch {
+	case err != nil:
+	case r.Header.Get("Cache-Control") == "no-cache":
 		body, err = s.cache.Fresh(r.Context(), key, compute)
-	} else {
+	default:
 		body, cached, err = s.cache.Get(r.Context(), key, compute)
 	}
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		s.stats.deadlineExceeded.Inc()
 		writeError(w, http.StatusGatewayTimeout, "deadline expired during derivation")
 		return
 	default:
@@ -457,28 +475,21 @@ func deriveBody(key string, spec Spec) ([]byte, error) {
 
 // handleReconfig serves POST /v1/reconfig: breaker, admission, then
 // one serialized transaction against the managed instance. A 200 means
-// committed and verified in force; anything else means the live
-// configuration is exactly what it was (or 500 with the breaker
-// tripping when the engine itself broke its contract).
+// committed and verified in force; anything else is a refusal, and the
+// live configuration is exactly what it was — unless it is a 500: the
+// engine itself broke its contract, and only that feeds the breaker.
 func (s *Service) handleReconfig(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if !s.brk.Allow() {
-		s.stats.breakerRejects.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.brk.RetryAfter()/time.Second)))
-		writeError(w, http.StatusServiceUnavailable, "circuit breaker open: recent commits failed")
+		refuse(w, &Refusal{Code: http.StatusServiceUnavailable,
+			Msg: "circuit breaker open: recent commits failed", RetryAfter: s.brk.RetryAfter()})
 		return
 	}
-	release, err := s.adm.Reconfig.Acquire(r.Context(), false)
-	if err != nil {
-		if errors.Is(err, ErrShed) {
-			shed(w, 2*time.Second)
-		} else {
-			s.stats.deadlineExceeded.Inc()
-			writeError(w, http.StatusGatewayTimeout, "deadline expired in admission queue")
-		}
+	release, ok := admit(w, r, s.adm.Reconfig, false, 2*time.Second)
+	if !ok {
 		return
 	}
 	defer release()
@@ -493,66 +504,20 @@ func (s *Service) handleReconfig(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	out, err := s.inst.Reconfigure(r.Context(), req)
-	switch {
-	case err != nil:
-		switch {
-		case errors.Is(err, ErrInstanceClosed):
-			writeError(w, http.StatusServiceUnavailable, "instance shutting down")
-		case errors.Is(err, ErrRecovering):
-			writeError(w, http.StatusServiceUnavailable, "recovering: journal replay in progress")
-		default:
-			s.stats.deadlineExceeded.Inc()
-			writeError(w, http.StatusGatewayTimeout, "deadline expired before commit started")
+	ack, err := s.inst.Reconfigure(r.Context(), req)
+	if err != nil {
+		// Declared here, not above: errors.As moves its target to the
+		// heap, and an ack should not pay for that.
+		var refusal *Refusal
+		errors.As(err, &refusal)
+		if refusal.Code == http.StatusInternalServerError {
+			s.brk.Failure()
 		}
-		return
-	case out.Shed:
-		s.stats.deadlineExceeded.Inc()
-		writeError(w, http.StatusGatewayTimeout, "deadline expired before commit started")
-		return
-	case out.Fenced != nil:
-		writeError(w, http.StatusServiceUnavailable, "fenced: "+out.Fenced.Error())
-		return
-	case out.RejectErr != nil:
-		// Validation rejection: a client problem, not an instance
-		// failure — the breaker does not count it.
-		writeError(w, http.StatusConflict, out.RejectErr.Error())
-		return
-	case out.VerifyErr != nil:
-		// The engine broke commit-or-exact-rollback (wedged commit):
-		// partial state is live. Trip towards open and go unready.
-		s.brk.Failure()
-		writeError(w, http.StatusInternalServerError,
-			"post-commit verification failed: "+out.VerifyErr.Error())
-		return
-	case out.WALErr != nil:
-		// The commit record never became durable: the ack contract (2xx
-		// implies crash-survivable) cannot be met, so this is a failure
-		// even though the engine committed. The instance degrades until
-		// an operator intervenes.
-		s.brk.Failure()
-		writeError(w, http.StatusInternalServerError,
-			"commit not durable: "+out.WALErr.Error())
-		return
-	case out.State == reconfig.StateRolledBack:
-		s.brk.Failure()
-		msg := "commit failed, rolled back"
-		if out.Err != nil {
-			msg = out.Err.Error()
-		}
-		writeError(w, http.StatusInternalServerError, msg)
-		return
-	case out.State != reconfig.StateCommitted:
-		s.brk.Failure()
-		writeError(w, http.StatusInternalServerError,
-			fmt.Sprintf("transaction resolved %v", out.State))
+		refuse(w, refusal)
 		return
 	}
 	s.brk.Success()
-	writeJSON(w, http.StatusOK, ReconfigResponse{
-		Seq: out.Seq, State: out.State.String(), Attempts: out.Attempts,
-		CommitAtNs: out.CommitAt, Config: out.Config,
-	})
+	writeJSON(w, http.StatusOK, ack)
 }
 
 // handleConfig serves GET /v1/config: the network-wide configuration in
@@ -561,7 +526,7 @@ func (s *Service) handleReconfig(w http.ResponseWriter, r *http.Request) {
 // yet known, so the endpoint refuses rather than answering stale.
 func (s *Service) handleConfig(w http.ResponseWriter, _ *http.Request) {
 	if s.inst.Recovering() {
-		writeError(w, http.StatusServiceUnavailable, "recovering: journal replay in progress")
+		refuse(w, ErrRecovering)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.inst.LiveConfig())
@@ -571,7 +536,7 @@ func (s *Service) handleConfig(w http.ResponseWriter, _ *http.Request) {
 // journal (the accepted-then-lost oracle's ground truth).
 func (s *Service) handleJournal(w http.ResponseWriter, _ *http.Request) {
 	if s.inst.Recovering() {
-		writeError(w, http.StatusServiceUnavailable, "recovering: journal replay in progress")
+		refuse(w, ErrRecovering)
 		return
 	}
 	st := s.inst.Status()
