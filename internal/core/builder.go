@@ -51,7 +51,7 @@ type Builder struct {
 	platform Platform
 	cfg      Config
 	called   [nClasses]bool
-	selected map[Template]bool
+	selected [templateCount]bool
 	errs     []error
 }
 
@@ -62,11 +62,8 @@ func NewBuilder(platform Platform) *Builder {
 	if platform == nil {
 		platform = FPGA{}
 	}
-	b := &Builder{
-		platform: platform,
-		selected: make(map[Template]bool),
-	}
-	for _, t := range AllTemplates() {
+	b := &Builder{platform: platform}
+	for t := range b.selected {
 		b.selected[t] = true
 	}
 	b.cfg.SlotSize = 65 * sim.Microsecond
@@ -74,14 +71,15 @@ func NewBuilder(platform Platform) *Builder {
 	return b
 }
 
-// Select restricts the design to the given templates. APIs touching an
-// unselected template fail at Build.
+// Select restricts the design to the given templates, ignoring any
+// that is not one of the five. APIs touching an unselected template
+// fail at Build.
 func (b *Builder) Select(ts ...Template) *Builder {
-	for t := range b.selected {
-		b.selected[t] = false
-	}
+	b.selected = [templateCount]bool{}
 	for _, t := range ts {
-		b.selected[t] = true
+		if t >= 0 && t < templateCount {
+			b.selected[t] = true
+		}
 	}
 	return b
 }
@@ -219,10 +217,11 @@ func (b *Builder) checkQueueNum(api string, queueNum int) {
 	b.cfg.QueueNum = queueNum
 }
 
-// Build validates the accumulated configuration and produces the
-// Design: every set_* API called has its template selected, and every
-// selected template's APIs were called (set_frer_tbl is optional).
-func (b *Builder) Build() (*Design, error) {
+// Check validates the accumulated configuration as Build does, without
+// building: every API's arguments were valid, every set_* API called
+// has its template selected, and every selected template's APIs were
+// called (set_frer_tbl is optional).
+func (b *Builder) Check() error {
 	errs := append([]error(nil), b.errs...)
 	for _, t := range AllTemplates() {
 		for i := range Classes {
@@ -235,13 +234,19 @@ func (b *Builder) Build() (*Design, error) {
 			}
 		}
 	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	return errors.Join(errs...)
+}
+
+// Build validates the accumulated configuration (Check) and produces
+// the Design.
+func (b *Builder) Build() (*Design, error) {
+	if err := b.Check(); err != nil {
+		return nil, err
 	}
-	var templates []Template
-	for _, t := range AllTemplates() {
-		if b.selected[t] {
-			templates = append(templates, t)
+	templates := make([]Template, 0, templateCount)
+	for t, on := range b.selected {
+		if on {
+			templates = append(templates, Template(t))
 		}
 	}
 	return &Design{

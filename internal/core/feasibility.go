@@ -42,11 +42,11 @@ func CheckSlotFeasibility(plan *itp.Plan, rate ethernet.Rate, maxWire int) []Fea
 	}
 	perFrame := ethernet.TxTime(maxWire+ethernet.OverheadBytes, rate)
 	var out []FeasibilityIssue
-	for cell, occ := range plan.PerCell {
-		drain := perFrame * sim.Time(occ)
+	for _, c := range plan.PerCell {
+		drain := perFrame * sim.Time(c.Occupancy)
 		if drain > plan.Slot {
 			out = append(out, FeasibilityIssue{
-				Cell: cell.String(), Occupancy: occ, DrainTime: drain, Slot: plan.Slot,
+				Cell: c.Cell.String(), Occupancy: c.Occupancy, DrainTime: drain, Slot: plan.Slot,
 			})
 		}
 	}

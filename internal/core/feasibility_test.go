@@ -11,13 +11,13 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 )
 
-func planWith(cells map[itp.Cell]int, slot sim.Time) *itp.Plan {
+func planWith(cells []itp.CellOccupancy, slot sim.Time) *itp.Plan {
 	return &itp.Plan{PerCell: cells, Slot: slot}
 }
 
 func TestFeasibilityAtGigabit(t *testing.T) {
 	// 12 frames of 64 B at 1 Gbps drain in ~8 µs ≪ 65 µs.
-	plan := planWith(map[itp.Cell]int{{Switch: 0, Next: 1}: 12}, 65*sim.Microsecond)
+	plan := planWith([]itp.CellOccupancy{{Cell: itp.Cell{Switch: 0, Next: 1}, Occupancy: 12}}, 65*sim.Microsecond)
 	if issues := CheckSlotFeasibility(plan, ethernet.Gbps, 64); len(issues) != 0 {
 		t.Fatalf("gigabit flagged infeasible: %v", issues)
 	}
@@ -25,7 +25,7 @@ func TestFeasibilityAtGigabit(t *testing.T) {
 
 func TestFeasibilityAtSlowAccess(t *testing.T) {
 	// 12 frames of 64 B at 10 Mbps need ~807 µs ≫ 65 µs.
-	plan := planWith(map[itp.Cell]int{{Switch: 0, Next: -102}: 12, {Switch: 1, Next: 2}: 2}, 65*sim.Microsecond)
+	plan := planWith([]itp.CellOccupancy{{Cell: itp.Cell{Switch: 0, Next: -102}, Occupancy: 12}, {Cell: itp.Cell{Switch: 1, Next: 2}, Occupancy: 2}}, 65*sim.Microsecond)
 	issues := CheckSlotFeasibility(plan, 10*ethernet.Mbps, 64)
 	if len(issues) != 2 {
 		t.Fatalf("issues = %v", issues)
@@ -43,7 +43,7 @@ func TestFeasibilityDegenerateInputs(t *testing.T) {
 	if CheckSlotFeasibility(nil, ethernet.Gbps, 64) != nil {
 		t.Fatal("nil plan produced issues")
 	}
-	plan := planWith(map[itp.Cell]int{{}: 1}, sim.Microsecond)
+	plan := planWith([]itp.CellOccupancy{{Occupancy: 1}}, sim.Microsecond)
 	if CheckSlotFeasibility(plan, 0, 64) != nil || CheckSlotFeasibility(plan, ethernet.Gbps, 0) != nil {
 		t.Fatal("degenerate rate/size produced issues")
 	}
@@ -104,7 +104,7 @@ func TestMinFeasibleSlot(t *testing.T) {
 		t.Fatalf("MinFeasibleSlot = %v, want 81µs", got)
 	}
 	// The returned slot must actually be feasible.
-	plan := planWith(map[itp.Cell]int{{}: 12}, got)
+	plan := planWith([]itp.CellOccupancy{{Occupancy: 12}}, got)
 	if issues := CheckSlotFeasibility(plan, 100*ethernet.Mbps, 64); len(issues) != 0 {
 		t.Fatalf("MinFeasibleSlot result infeasible: %v", issues)
 	}

@@ -26,9 +26,14 @@ func (FPGA) Name() string { return "fpga-bram" }
 // MemoryCost implements Platform with the calibrated Table III model.
 func (FPGA) MemoryCost(cfg Config) *resource.Report {
 	// set_frer_tbl appears only when it was called, so designs without
-	// redundancy reproduce Table III bit-for-bit. The slice is sized for
-	// the required classes: room for it would cost every report an item.
-	items, f := make([]resource.Item, 0, len(Classes)-1), cfg.fields()
+	// redundancy reproduce Table III bit-for-bit.
+	n, f := 0, cfg.fields()
+	for i := range Classes {
+		if Classes[i].in(&cfg) {
+			n++
+		}
+	}
+	items := make([]resource.Item, 0, n)
 	for i := range Classes {
 		if r := &Classes[i]; r.in(&cfg) {
 			items = append(items, r.item(r.read(f, len(r.Params))))

@@ -52,16 +52,30 @@ func (c Cell) String() string {
 
 // Plan is the planner's result.
 type Plan struct {
-	// Offsets maps flow ID to its injection offset within the period
-	// (a whole number of slots).
-	Offsets map[uint32]sim.Time
+	// Offsets holds every planned TS flow's injection offset, in the
+	// order the flows were given.
+	Offsets []Offset
 	// MaxOccupancy is the worst packets-per-slot of any queueing point:
 	// the queue depth the network needs.
 	MaxOccupancy int
-	// PerCell reports the worst occupancy per queueing point.
-	PerCell map[Cell]int
+	// PerCell reports the worst occupancy of every queueing point the
+	// flows cross, in the order the given flows first reach them.
+	PerCell []CellOccupancy
 	// Slot echoes the slot size planned against.
 	Slot sim.Time
+}
+
+// Offset is one flow's injection offset within its period, a whole
+// number of slots.
+type Offset struct {
+	ID uint32
+	At sim.Time
+}
+
+// CellOccupancy is the worst packets-per-slot of one queueing point.
+type CellOccupancy struct {
+	Cell      Cell
+	Occupancy int
 }
 
 func gcd(a, b int) int {
@@ -88,6 +102,7 @@ type flow struct {
 	// rows[h] is the grid row of the cell at hop h.
 	rows  []int32
 	class int32 // index into grid.classes
+	in    int32 // the flow's position among the TS flows as given
 }
 
 // class gathers the flows of one stride and one row sequence: at hop h
@@ -243,7 +258,7 @@ func prepare(specs []*flows.Spec, slot sim.Time, topo *topology.Topology) (*grid
 			return nil, err
 		}
 		p := int(s.Period / slot)
-		g.flows = append(g.flows, flow{spec: s, period: p})
+		g.flows = append(g.flows, flow{spec: s, in: int32(len(g.flows)), period: p})
 		hops += len(s.Path)
 		longest = max(longest, p)
 		if g.hyper != 0 {
@@ -383,19 +398,19 @@ func (g *grid) book(f *flow, o int) {
 // picks for it against the grid so far, and reports the result.
 func (g *grid) place(slot sim.Time, choose func(i int, f *flow) int) *Plan {
 	p := &Plan{
-		Offsets: make(map[uint32]sim.Time, len(g.flows)),
-		PerCell: make(map[Cell]int, len(g.cells)),
+		Offsets: make([]Offset, len(g.flows)),
+		PerCell: make([]CellOccupancy, len(g.cells)),
 		Slot:    slot,
 	}
 	for i := range g.flows {
 		f := &g.flows[i]
 		o := choose(i, f)
 		g.book(f, o)
-		p.Offsets[f.spec.ID] = sim.Time(o) * slot
+		p.Offsets[f.in] = Offset{ID: f.spec.ID, At: sim.Time(o) * slot}
 	}
 	for r, c := range g.cells {
 		worst := int(slices.Max(g.row(int32(r))))
-		p.PerCell[c] = worst
+		p.PerCell[r] = CellOccupancy{Cell: c, Occupancy: worst}
 		p.MaxOccupancy = max(p.MaxOccupancy, worst)
 	}
 	return p
@@ -430,11 +445,22 @@ func (g *grid) longestFirst() {
 	})
 }
 
-// Apply writes the planned offsets into the specs.
+// Apply writes the planned offsets into the specs: each spec takes the
+// offset of the planned flow with its ID, if there is one. The search
+// for a spec starts after the previous spec's flow, so specs given in
+// planning order — all of them, or a run of them such as a batch added
+// last — are matched in one pass.
 func (p *Plan) Apply(specs []*flows.Spec) {
+	n, next := len(p.Offsets), 0
 	for _, s := range specs {
-		if off, ok := p.Offsets[s.ID]; ok {
-			s.Offset = off
+		for i, k := next, 0; k < n; i, k = i+1, k+1 {
+			if i == n {
+				i = 0
+			}
+			if o := p.Offsets[i]; o.ID == s.ID {
+				s.Offset, next = o.At, i+1
+				break
+			}
 		}
 	}
 }

@@ -58,7 +58,8 @@ func TestSpreadsUniformFlows(t *testing.T) {
 	}
 	// Offsets must be distinct multiples of the slot.
 	seen := map[sim.Time]bool{}
-	for id, off := range plan.Offsets {
+	for _, o := range plan.Offsets {
+		id, off := o.ID, o.At
 		if off%slot != 0 {
 			t.Fatalf("flow %d offset %v not slot-aligned", id, off)
 		}
@@ -149,8 +150,8 @@ func TestOffsetsWithinPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, off := range plan.Offsets {
-		if off < 0 || off >= 10*sim.Millisecond {
+	for _, o := range plan.Offsets {
+		if id, off := o.ID, o.At; off < 0 || off >= 10*sim.Millisecond {
 			t.Fatalf("flow %d offset %v outside period", id, off)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -239,19 +240,23 @@ func walk(topo *topology.Topology, specs []*flows.Spec) []*flows.Spec {
 }
 
 // assertMatchesReference plans specs with both planners, under the
-// default and the port-aware key, and requires identical results; the
-// new Cell must also render the old string key.
+// default and the port-aware key, and requires identical results: the
+// offset of every flow ID and the occupancy of every cell, read from
+// the map form of the plan; the new Cell must also render the old
+// string key.
 func assertMatchesReference(t testing.TB, name string, topo *topology.Topology, specs []*flows.Spec, slot sim.Time) {
 	t.Helper()
 	for _, k := range keyed(topo, specs) {
 		want, wantErr := referenceCompute(k.specs, slot, k.ref)
-		got, gotErr := Compute(k.specs, slot, k.topo)
+		plan, gotErr := Compute(k.specs, slot, k.topo)
 		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 			t.Fatalf("%s/%s: error %v, reference %v", name, k.name, gotErr, wantErr)
 		}
 		if wantErr != nil {
 			continue
 		}
+		assertPlanOrder(t, name+"/"+k.name, plan, k.specs)
+		got := mapFormOf(plan)
 		if !reflect.DeepEqual(got.Offsets, want.Offsets) {
 			t.Fatalf("%s/%s: offsets differ from the reference planner", name, k.name)
 		}
@@ -462,8 +467,9 @@ func accumulate(seg, worst []int32, sum []int) {
 	}
 }
 
-// denseCompute is Compute with the re-scanning search.
-func denseCompute(specs []*flows.Spec, slot sim.Time, topo *topology.Topology) (*Plan, error) {
+// denseCompute is Compute with the re-scanning search, reporting the
+// map-form plan.
+func denseCompute(specs []*flows.Spec, slot sim.Time, topo *topology.Topology) (*mapPlan, error) {
 	g, err := prepare(specs, slot, topo)
 	if err != nil {
 		return nil, err
@@ -471,16 +477,22 @@ func denseCompute(specs []*flows.Spec, slot sim.Time, topo *topology.Topology) (
 	defer g.release()
 	g.longestFirst()
 	worst, sum := make([]int32, g.hyper), make([]int, g.hyper) // no period exceeds hyper
-	return g.place(slot, func(_ int, f *flow) int { return g.bestOffset(f, worst, sum) }), nil
+	return g.placeMaps(slot, func(_ int, f *flow) int { return g.bestOffset(f, worst, sum) }), nil
 }
 
 // assertMatchesDense requires Compute and denseCompute to return equal
-// plans under the default and the port-aware key.
+// plans under the default and the port-aware key: the offset of every
+// flow ID and the occupancy of every cell.
 func assertMatchesDense(t testing.TB, name string, specs []*flows.Spec) {
 	t.Helper()
 	for _, k := range keyed(testTopo(), specs) {
 		want, wantErr := denseCompute(k.specs, slot, k.topo)
-		got, gotErr := Compute(k.specs, slot, k.topo)
+		plan, gotErr := Compute(k.specs, slot, k.topo)
+		var got *mapPlan
+		if plan != nil {
+			assertPlanOrder(t, name+"/"+k.name, plan, k.specs)
+			got = mapFormOf(plan)
+		}
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotErr, wantErr) {
 			t.Fatalf("%s/%s: Compute %+v, %v; dense-grid search %+v, %v", name, k.name, got, gotErr, want, wantErr)
 		}
@@ -605,4 +617,133 @@ func TestClassTreeMatchesScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// --- the map-form Plan ---
+
+// mapPlan is Plan as it stood before its offsets and occupancies became
+// slices, kept with the place and Apply that filled and read it as the
+// oracle for the slice form.
+type mapPlan struct {
+	// Offsets maps flow ID to its injection offset within the period
+	// (a whole number of slots).
+	Offsets map[uint32]sim.Time
+	// MaxOccupancy is the worst packets-per-slot of any queueing point:
+	// the queue depth the network needs.
+	MaxOccupancy int
+	// PerCell reports the worst occupancy per queueing point.
+	PerCell map[Cell]int
+	// Slot echoes the slot size planned against.
+	Slot sim.Time
+}
+
+// placeMaps is place as it stood, verbatim but for its name and result
+// type.
+func (g *grid) placeMaps(slot sim.Time, choose func(i int, f *flow) int) *mapPlan {
+	p := &mapPlan{
+		Offsets: make(map[uint32]sim.Time, len(g.flows)),
+		PerCell: make(map[Cell]int, len(g.cells)),
+		Slot:    slot,
+	}
+	for i := range g.flows {
+		f := &g.flows[i]
+		o := choose(i, f)
+		g.book(f, o)
+		p.Offsets[f.spec.ID] = sim.Time(o) * slot
+	}
+	for r, c := range g.cells {
+		worst := int(slices.Max(g.row(int32(r))))
+		p.PerCell[c] = worst
+		p.MaxOccupancy = max(p.MaxOccupancy, worst)
+	}
+	return p
+}
+
+// Apply is Plan.Apply as it stood.
+func (p *mapPlan) Apply(specs []*flows.Spec) {
+	for _, s := range specs {
+		if off, ok := p.Offsets[s.ID]; ok {
+			s.Offset = off
+		}
+	}
+}
+
+// mapFormOf keys p's offsets by flow ID and its occupancies by cell.
+func mapFormOf(p *Plan) *mapPlan {
+	m := &mapPlan{Offsets: map[uint32]sim.Time{}, MaxOccupancy: p.MaxOccupancy, PerCell: map[Cell]int{}, Slot: p.Slot}
+	for _, o := range p.Offsets {
+		m.Offsets[o.ID] = o.At
+	}
+	for _, c := range p.PerCell {
+		m.PerCell[c.Cell] = c.Occupancy
+	}
+	return m
+}
+
+// assertPlanOrder requires p's offsets to follow the planned TS flows
+// of specs in order, and its cells to be distinct.
+func assertPlanOrder(t testing.TB, name string, p *Plan, specs []*flows.Spec) {
+	t.Helper()
+	var ids []uint32
+	for _, s := range specs {
+		if s.Class == ethernet.ClassTS && s.Period > 0 {
+			ids = append(ids, s.ID)
+		}
+	}
+	got := make([]uint32, len(p.Offsets))
+	for i, o := range p.Offsets {
+		got[i] = o.ID
+	}
+	if !slices.Equal(got, ids) {
+		t.Fatalf("%s: offsets for flows %v, want the TS flows in input order %v", name, got, ids)
+	}
+	seen := map[Cell]bool{}
+	for _, c := range p.PerCell {
+		if seen[c.Cell] {
+			t.Fatalf("%s: cell %v reported twice", name, c.Cell)
+		}
+		seen[c.Cell] = true
+	}
+}
+
+// TestApplyMatchesMapForm applies one plan, through the slice form and
+// the map form alike, to its specs in order, to the batch planned last,
+// to the specs reversed and shuffled, to a copy carrying an unplanned
+// ID, and to nothing: every spec must come out with the same offset.
+func TestApplyMatchesMapForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	for i := 0; i < 40; i++ {
+		specs := randomSpecs(rng, 1+rng.Intn(40))
+		plan, err := Compute(specs, slot, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := specs[rng.Intn(len(specs)):]
+		reversed := slices.Clone(specs)
+		slices.Reverse(reversed)
+		shuffled := slices.Clone(specs)
+		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+		stranger := append(slices.Clone(specs[:len(specs)/2]), &flows.Spec{ID: 999_999}, specs[len(specs)/2])
+		for _, subset := range [][]*flows.Spec{specs, tail, reversed, shuffled, stranger, nil} {
+			got, want := copySpecs(subset), copySpecs(subset)
+			plan.Apply(got)
+			mapFormOf(plan).Apply(want)
+			for j := range got {
+				if got[j].Offset != want[j].Offset {
+					t.Fatalf("set %d: spec %d (ID %d) offset %v, map form %v", i, j, got[j].ID, got[j].Offset, want[j].Offset)
+				}
+			}
+		}
+	}
+}
+
+// copySpecs returns copies of specs, each offset set to -1.
+func copySpecs(specs []*flows.Spec) []*flows.Spec {
+	out := make([]*flows.Spec, len(specs))
+	for i, s := range specs {
+		c := *s
+		c.Offset = -1
+		out[i] = &c
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package itp
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
@@ -68,10 +69,8 @@ func TestStrategyDeterministicRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := range a.Offsets {
-		if a.Offsets[id] != b.Offsets[id] {
-			t.Fatal("random strategy not seed-deterministic")
-		}
+	if !slices.Equal(a.Offsets, b.Offsets) {
+		t.Fatal("random strategy not seed-deterministic")
 	}
 }
 

@@ -295,7 +295,7 @@ func (c *Controller) Begin(old, new core.Config, b Bindings) (*Txn, error) {
 func stage(old, new core.Config, b Bindings) ([]op, error) {
 	var errs []error
 	var ops []op
-	if _, err := core.BuilderFor(new, b.Platform).Build(); err != nil {
+	if err := core.BuilderFor(new, b.Platform).Check(); err != nil {
 		errs = append(errs, err)
 	}
 	if new.QueueNum != old.QueueNum {

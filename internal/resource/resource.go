@@ -10,6 +10,7 @@ package resource
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -94,7 +95,7 @@ func SwitchTbl(unicastSize, multicastSize int) Item {
 	return Item{
 		Name:   "Switch Tbl",
 		Width:  widthUnicast,
-		Params: fmt.Sprintf("%s, %s", compact(unicastSize), compact(multicastSize)),
+		Params: params(true, unicastSize, multicastSize),
 		Bits:   tableBits(UnicastWidth, unicastSize) + tableBits(MulticastWidth, multicastSize),
 	}
 }
@@ -104,7 +105,7 @@ func ClassTbl(classSize int) Item {
 	return Item{
 		Name:   "Class. Tbl",
 		Width:  widthClass,
-		Params: compact(classSize),
+		Params: params(true, classSize),
 		Bits:   tableBits(ClassWidth, classSize),
 	}
 }
@@ -114,7 +115,7 @@ func MeterTbl(meterSize int) Item {
 	return Item{
 		Name:   "Meter Tbl",
 		Width:  widthMeter,
-		Params: compact(meterSize),
+		Params: params(true, meterSize),
 		Bits:   tableBits(MeterWidth, meterSize),
 	}
 }
@@ -127,7 +128,7 @@ func GateTbl(gateSize, queueNum, portNum int) Item {
 	return Item{
 		Name:   "Gate Tbl",
 		Width:  widthGate,
-		Params: fmt.Sprintf("%d, %d, %d", gateSize, queueNum, portNum),
+		Params: params(false, gateSize, queueNum, portNum),
 		Bits:   2 * perTable * int64(portNum),
 	}
 }
@@ -139,7 +140,7 @@ func CBSTbl(cbsMapSize, cbsSize, portNum int) Item {
 	return Item{
 		Name:   "CBS Tbl",
 		Width:  widthCBS,
-		Params: fmt.Sprintf("%d, %d, %d", cbsMapSize, cbsSize, portNum),
+		Params: params(false, cbsMapSize, cbsSize, portNum),
 		Bits:   per * int64(portNum),
 	}
 }
@@ -152,7 +153,7 @@ func Queues(queueDepth, queueNum, portNum int) Item {
 	return Item{
 		Name:   "Queues",
 		Width:  widthQueue,
-		Params: fmt.Sprintf("%d, %d, %d", queueDepth, queueNum, portNum),
+		Params: params(false, queueDepth, queueNum, portNum),
 		Bits:   perQueue * int64(queueNum) * int64(portNum),
 	}
 }
@@ -163,7 +164,7 @@ func Buffers(bufferNum, portNum int) Item {
 	return Item{
 		Name:   "Buffers",
 		Width:  widthBuffer,
-		Params: fmt.Sprintf("%d, %d", bufferNum, portNum),
+		Params: params(false, bufferNum, portNum),
 		Bits:   int64(BufferSlotBits) * int64(bufferNum) * int64(portNum),
 	}
 }
@@ -176,7 +177,7 @@ func FRERTbl(frerSize, historyLen int) Item {
 	return Item{
 		Name:   "FRER Tbl",
 		Width:  fmt.Sprintf("%db", FRERBaseWidth+historyLen),
-		Params: fmt.Sprintf("%s, %d", compact(frerSize), historyLen),
+		Params: params(true, frerSize) + ", " + strconv.Itoa(historyLen),
 		Bits:   tableBits(FRERBaseWidth+historyLen, frerSize),
 	}
 }
@@ -193,12 +194,24 @@ func SharedBuffers(bufferNum int) Item {
 	}
 }
 
-// compact renders entry counts the way the paper does ("16K", "1024").
-func compact(n int) string {
-	if n != 0 && n%1024 == 0 {
-		return fmt.Sprintf("%dK", n/1024)
+// params renders a parameter list the way Table III prints it, "2, 8,
+// 3" — or, with compact set, as entry counts ("16K, 0", "1024"). It
+// formats into one string, so what it allocates does not depend on the
+// values.
+func params(compact bool, ns ...int) string {
+	var buf [64]byte
+	b := buf[:0]
+	for i, n := range ns {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		if compact && n != 0 && n%1024 == 0 {
+			b = append(strconv.AppendInt(b, int64(n/1024), 10), 'K')
+		} else {
+			b = strconv.AppendInt(b, int64(n), 10)
+		}
 	}
-	return fmt.Sprintf("%d", n)
+	return string(b)
 }
 
 // Report is a full resource breakdown (one column group of Table III).

@@ -467,8 +467,9 @@ func deriveBody(key string, spec Spec) ([]byte, error) {
 		MaxOccupancy: wl.Der.Plan.MaxOccupancy,
 		MemoryKb:     wl.Design.Report.TotalKb(),
 	}
-	for _, it := range wl.Design.Report.Items {
-		resp.Memory = append(resp.Memory, MemoryItem{Label: it.Name, Bits: it.Bits})
+	resp.Memory = make([]MemoryItem, len(wl.Design.Report.Items)) // never empty: the required classes
+	for i, it := range wl.Design.Report.Items {
+		resp.Memory[i] = MemoryItem{Label: it.Name, Bits: it.Bits}
 	}
 	return json.Marshal(resp)
 }

@@ -94,21 +94,31 @@ type Topology struct {
 	// star/linear/ring).
 	EnabledTSNPorts int
 
-	// adj[sw] lists sw's trunks in ascending neighbor order.
-	adj [][]trunk
+	// trunks holds every switch's trunks in one array, in the order
+	// they were added. head[sw] is the first of sw's in ascending
+	// neighbor order, each trunk's next the one after it, -1 the end.
+	trunks []trunk
+	head   []int32
 	// nextPort[sw] = next unallocated port index.
 	nextPort []int
 	// ports counts the ports allocated network-wide: the next Index.
 	ports int
-	// hostPort[host] = attachment point.
-	hostPort map[int]Attach
+	// hosts are the attachment points, in ascending host ID order.
+	hosts []hostPort
 	// links are the physical trunk cables (both endpoints).
 	links []Link
 }
 
 // trunk is one direction of an inter-switch link: the output port
-// toward neighbor to, and that port's Index.
-type trunk struct{ to, port, index int32 }
+// toward neighbor to, that port's Index, and the position in trunks of
+// the same switch's next trunk by neighbor.
+type trunk struct{ to, port, index, next int32 }
+
+// hostPort is one attached host and its access port.
+type hostPort struct {
+	host int
+	at   Attach
+}
 
 // Attach locates one switch port: Port on Switch, and Index, its number
 // network-wide — dense in [0, Topology.Ports()), fixed when the port is
@@ -125,17 +135,28 @@ type Link struct {
 }
 
 // newTopology returns n unconnected switches with room for the given
-// number of cables.
+// number of cables, their trunks — one each way, one only on the
+// unidirectional ring — and two hosts per switch, what workload.Build
+// attaches.
 func newTopology(kind Kind, n, enabled, cables int) *Topology {
-	return &Topology{
+	trunks := 2 * cables
+	if kind == KindRing {
+		trunks = cables
+	}
+	t := &Topology{
 		Kind:            kind,
 		N:               n,
 		EnabledTSNPorts: enabled,
-		adj:             make([][]trunk, n),
+		trunks:          make([]trunk, 0, trunks),
+		head:            make([]int32, n),
 		nextPort:        make([]int, n),
-		hostPort:        make(map[int]Attach),
+		hosts:           make([]hostPort, 0, 2*n),
 		links:           make([]Link, 0, cables),
 	}
+	for i := range t.head {
+		t.head[i] = -1
+	}
+	return t
 }
 
 // port allocates sw's next port.
@@ -146,11 +167,17 @@ func (t *Topology) port(sw int) Attach {
 	return a
 }
 
-// addTrunk allocates the next port on sw toward neighbor.
+// addTrunk allocates the next port on sw toward neighbor and links it
+// into sw's trunks in neighbor order.
 func (t *Topology) addTrunk(sw, neighbor int) Attach {
 	a := t.port(sw)
-	at, _ := slices.BinarySearchFunc(t.adj[sw], int32(neighbor), func(e trunk, to int32) int { return int(e.to - to) })
-	t.adj[sw] = slices.Insert(t.adj[sw], at, trunk{to: int32(neighbor), port: int32(a.Port), index: int32(a.Index)})
+	e := int32(len(t.trunks))
+	t.trunks = append(t.trunks, trunk{to: int32(neighbor), port: int32(a.Port), index: int32(a.Index)})
+	link := &t.head[sw]
+	for *link >= 0 && t.trunks[*link].to < int32(neighbor) {
+		link = &t.trunks[*link].next
+	}
+	t.trunks[e].next, *link = *link, e
 	return a
 }
 
@@ -263,30 +290,49 @@ func Linear(n int) *Topology {
 	return t
 }
 
-// AttachHost allocates an access port for host on switch sw.
+// AttachHost allocates an access port for host on switch sw. A host
+// already attached keeps its first attachment, which is returned.
 func (t *Topology) AttachHost(host, sw int) Attach {
 	if sw < 0 || sw >= t.N {
 		panic(fmt.Sprintf("topology: switch %d out of range", sw))
 	}
-	if a, ok := t.hostPort[host]; ok {
-		return a
+	i, ok := t.findHost(host)
+	if ok {
+		return t.hosts[i].at
 	}
 	a := t.port(sw)
-	t.hostPort[host] = a
+	t.hosts = slices.Insert(t.hosts, i, hostPort{host: host, at: a})
 	return a
+}
+
+// findHost returns where host is in t.hosts, or where it would go. It
+// is on every path and egress query, so the search is written out: a
+// comparator call per step costs more than the whole search.
+func (t *Topology) findHost(host int) (int, bool) {
+	lo, hi := 0, len(t.hosts)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); t.hosts[m].host < host {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t.hosts) && t.hosts[lo].host == host
 }
 
 // HostAttach returns host's attachment point.
 func (t *Topology) HostAttach(host int) (Attach, bool) {
-	a, ok := t.hostPort[host]
-	return a, ok
+	if i, ok := t.findHost(host); ok {
+		return t.hosts[i].at, true
+	}
+	return Attach{}, false
 }
 
-// Hosts returns all attached host IDs.
+// Hosts returns all attached host IDs in ascending order.
 func (t *Topology) Hosts() []int {
-	out := make([]int, 0, len(t.hostPort))
-	for h := range t.hostPort {
-		out = append(out, h)
+	out := make([]int, len(t.hosts))
+	for i, h := range t.hosts {
+		out[i] = h.host
 	}
 	return out
 }
@@ -304,8 +350,8 @@ func (t *Topology) TrunkLinks() []Link { return t.links }
 // PortToward returns sw's output port toward direct neighbor next.
 func (t *Topology) PortToward(sw, next int) (Attach, bool) {
 	if sw >= 0 && sw < t.N {
-		for _, e := range t.adj[sw] {
-			if int(e.to) == next {
+		for i := t.head[sw]; i >= 0; i = t.trunks[i].next {
+			if e := &t.trunks[i]; int(e.to) == next {
 				return Attach{Switch: sw, Port: int(e.port), Index: int(e.index)}, true
 			}
 		}
@@ -335,7 +381,7 @@ func (t *Topology) Egress(path []int, dstHost, h int) (Hop, error) {
 		}
 		return Hop{Attach: a, Next: path[h+1]}, nil
 	}
-	a, ok := t.hostPort[dstHost]
+	a, ok := t.HostAttach(dstHost)
 	if !ok {
 		return Hop{}, fmt.Errorf("topology: host %d not attached", dstHost)
 	}
@@ -406,11 +452,11 @@ func (r *Router) Path(src, dst int) ([]int, error) {
 
 // HostPath returns the full switch path between two attached hosts.
 func (r *Router) HostPath(srcHost, dstHost int) ([]int, error) {
-	sa, ok := r.t.hostPort[srcHost]
+	sa, ok := r.t.HostAttach(srcHost)
 	if !ok {
 		return nil, fmt.Errorf("topology: host %d not attached", srcHost)
 	}
-	da, ok := r.t.hostPort[dstHost]
+	da, ok := r.t.HostAttach(dstHost)
 	if !ok {
 		return nil, fmt.Errorf("topology: host %d not attached", dstHost)
 	}
@@ -441,10 +487,10 @@ func (r *Router) search(src int) {
 	queue := append(r.queue[:0], int32(src))
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		for _, e := range r.t.adj[cur] {
-			if row[e.to].prev == -1 {
-				row[e.to].prev = cur
-				queue = append(queue, e.to)
+		for i := r.t.head[cur]; i >= 0; i = r.t.trunks[i].next {
+			if to := r.t.trunks[i].to; row[to].prev == -1 {
+				row[to].prev = cur
+				queue = append(queue, to)
 			}
 		}
 	}
@@ -508,11 +554,11 @@ func (t *Topology) DisjointPaths(src, dst int) (primary, alternate []int, err er
 
 // DisjointHostPaths is DisjointPaths between two attached hosts.
 func (t *Topology) DisjointHostPaths(srcHost, dstHost int) (primary, alternate []int, err error) {
-	sa, ok := t.hostPort[srcHost]
+	sa, ok := t.HostAttach(srcHost)
 	if !ok {
 		return nil, nil, fmt.Errorf("topology: host %d not attached", srcHost)
 	}
-	da, ok := t.hostPort[dstHost]
+	da, ok := t.HostAttach(dstHost)
 	if !ok {
 		return nil, nil, fmt.Errorf("topology: host %d not attached", dstHost)
 	}

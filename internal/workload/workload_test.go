@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/israce"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
@@ -107,4 +108,28 @@ func FuzzBuild(f *testing.F) {
 			t.Fatalf("%+v: Validate says %v, Build says %v", p, verr, err)
 		}
 	})
+}
+
+// TestDeriveAllocs pins what a derivation allocates: building a
+// derive-cold-shaped workload — ring of 10, hops 3, /v1/derive's
+// defaults — costs the same count at 64 and at 440 TS flows, at most
+// 34: the topology, specs, paths, plan and design it returns, and no
+// scaffolding that grows with the network or the flow count.
+func TestDeriveAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	allocs := func(flows int) float64 {
+		p := Params{Topology: "ring", Switches: 10, TSFlows: flows, Hops: 3, WireSize: 200, SlotUs: 65, Seed: 42}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Build(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(440)
+	if small != large || small > 34 {
+		t.Fatalf("Build allocates %v times for 64 flows, %v for 440; want the same, at most 34", small, large)
+	}
+	t.Logf("%v allocations per Build", small)
 }

@@ -20,7 +20,6 @@ package testbed
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
@@ -29,7 +28,6 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/obs"
 	"github.com/tsnbuilder/tsnbuilder/internal/psim"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
-	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
 )
 
@@ -157,18 +155,10 @@ func (n *Net) assignDeliverPrios() {
 			sw.Ifc(p).SetDeliverPrio(idx)
 		}
 	}
-	for _, h := range sortedHosts(n.opts.Topo) {
+	for _, h := range n.opts.Topo.Hosts() {
 		idx++
 		n.NICs[h].Ifc().SetDeliverPrio(idx)
 	}
-}
-
-// sortedHosts returns the attached host IDs in ascending order
-// (topology.Hosts is map-ordered).
-func sortedHosts(t *topology.Topology) []int {
-	hosts := append([]int(nil), t.Hosts()...)
-	sort.Ints(hosts)
-	return hosts
 }
 
 // validatePartitioned rejects options that would couple partitions

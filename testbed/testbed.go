@@ -283,7 +283,7 @@ func Build(opts Options) (*Net, error) {
 		capture = pcap.NewWriter(opts.Pcap)
 		n.Capture = capture
 	}
-	for _, h := range sortedHosts(opts.Topo) {
+	for _, h := range opts.Topo.Hosts() {
 		at, _ := opts.Topo.HostAttach(h)
 		p := n.switchPart(at.Switch)
 		nicRate := opts.Design.Config.LinkRate

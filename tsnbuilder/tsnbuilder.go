@@ -18,14 +18,13 @@
 //     network with the testbed package to measure latency, jitter and
 //     loss.
 //
-// A Plan reports occupancy per queueing point in PerCell, keyed by Cell
-// — the (switch, next hop) pair of an egress queue. DeriveConfig plans
-// per egress port of the topology; PlanITP merges each switch's ports
-// into one cell (Next -1, printed "sw3"). The key was a formatted string
-// ("sw3->4") until the planner went integer-indexed; Cell's String
-// method still renders exactly that, so printing a cell is unchanged
-// and only code that indexed PerCell by a literal string needs the
-// struct instead.
+// A Plan lists one Offset per planned TS flow in Offsets, in the order
+// the flows were given (Plan.Apply writes them into the specs), and one
+// CellOccupancy per queueing point in PerCell, in the order the flows
+// first reach them. A Cell is the (switch, next hop) pair of an egress
+// queue, printed "sw3->4". DeriveConfig plans per egress port of the
+// topology; PlanITP merges each switch's ports into one cell (Next -1,
+// printed "sw3").
 package tsnbuilder
 
 import (
@@ -69,6 +68,10 @@ type (
 	// Cell is one queueing point of a Plan: the egress queue of Switch
 	// toward Next.
 	Cell = itp.Cell
+	// Offset is one flow's planned injection offset.
+	Offset = itp.Offset
+	// CellOccupancy is one queueing point's worst packets per slot.
+	CellOccupancy = itp.CellOccupancy
 )
 
 // Traffic and topology.
