@@ -303,15 +303,17 @@ func BenchmarkWorkloadBuild(b *testing.B) {
 // retains: heap-MB is the live heap the built network adds after a
 // collection, the number per-switch dimensioning moves (each switch's
 // tables hold what is bound through it, not the network's flow count).
+// Budget: 30 000 allocations per build (75.4 k when every queue, its
+// ring and every metric cell was an allocation of its own).
 func BenchmarkMeshBuild(b *testing.B) {
 	p := workload.Params{Topology: "mesh", Switches: 210, TSFlows: 2048, Hops: 4, WireSize: 64, SlotUs: 65, Seed: 42}
+	var ms runtime.MemStats
 	live := func() float64 {
 		runtime.GC()
-		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapAlloc) / (1 << 20)
 	}
-	base := live()
+	base, mallocs := live(), ms.Mallocs
 	var net *testbed.Net
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -330,6 +332,9 @@ func BenchmarkMeshBuild(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(live()-base, "heap-MB")
 	runtime.KeepAlive(net)
+	if perBuild := float64(ms.Mallocs-mallocs) / float64(b.N); perBuild > 30_000 {
+		b.Fatalf("%.0f allocations per build, budget 30 000", perBuild)
+	}
 }
 
 // BenchmarkDeriveAndBuild measures the full customization path: derive

@@ -232,11 +232,22 @@ type Queue struct {
 }
 
 // NewQueue returns a queue holding at most depth descriptors.
-func NewQueue(depth int) *Queue {
+func NewQueue(depth int) *Queue { return &NewQueues(1, depth)[0] }
+
+// NewQueues returns n queues holding at most depth descriptors each,
+// their rings carved from one array: a switch's whole queue set in two
+// allocations. Resize gives the queue it grows or shrinks a ring of its
+// own.
+func NewQueues(n, depth int) []Queue {
 	if depth <= 0 {
 		panic("buffering: non-positive queue depth")
 	}
-	return &Queue{depth: depth, ring: make([]Descriptor, depth)}
+	qs := make([]Queue, n)
+	ring := make([]Descriptor, n*depth)
+	for i := range qs {
+		qs[i] = Queue{depth: depth, ring: ring[i*depth : (i+1)*depth : (i+1)*depth]}
+	}
+	return qs
 }
 
 // Instrument binds the queue's depth high-water gauge.

@@ -35,6 +35,9 @@ func TestFanOutCtxStopsClaimingOnCancel(t *testing.T) {
 			// background goroutine or sleep.
 			cancel()
 		default:
+			// Every other call waits for the cancel, so no worker can
+			// run the sweep to the end before it happens.
+			<-ctx.Done()
 		}
 		return true
 	})

@@ -43,9 +43,10 @@ type SampleSnapshot struct {
 // declared key order (integers numerically, before names; names
 // lexically), so an export never depends on the order anything was
 // declared, resolved or merged in. Declared families without a cell
-// are left out. A nil registry snapshots empty. The order is settled
-// once after the registry grows, not per snapshot; slices are sized
-// exactly and histogram counts are carved from one array per snapshot.
+// are left out. A nil registry snapshots empty. Cells are kept in this
+// order as they are resolved, and new cells' labels are rendered once,
+// not per snapshot; slices are sized exactly and histogram counts are
+// carved from one array per snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}

@@ -19,9 +19,10 @@ import (
 //     serial run's exemplar whichever partition observed it; an exact
 //     (value, At) tie keeps r's.
 //
-// Merge keeps no order: exports sort (see Snapshot), so merging the
-// same sources in any order exports the same bytes, exact exemplar
-// ties aside. It is how the parallel experiment harness and the
+// Both registries keep each family's cells in export order, so a
+// family merges in one walk of two sorted lists, and merging the same
+// sources in any order exports the same bytes, exact exemplar ties
+// aside. It is how the parallel experiment harness and the
 // partitioned testbed keep the hot path unsynchronized: every worker
 // instruments its own scratch registry, and the owner merges them back
 // once the work is done. A family src declares differently from r
@@ -57,30 +58,57 @@ func (r *Registry) Merge(src *Registry) {
 		ids[i] = ^r.intern(name)
 	}
 	for _, sf := range src.families {
-		f := r.declareLocked(sf.name, sf.help, sf.kind, sf.bounds, sf.keys)
-		for _, c := range sf.samples {
-			k := c.key
-			for i := range sf.keys {
-				if k[i] < 0 {
-					k[i] = ^ids[^k[i]]
-				}
-			}
-			s := f.cellLocked(k)
-			s.c += c.c
-			s.g = max(s.g, c.g)
-			if c.h == nil {
-				continue
-			}
-			for i, n := range c.h.counts {
-				s.h.counts[i] += n
-			}
-			s.h.sum += c.h.sum
-			s.h.count += c.h.count
-			if c.h.exSet && (!s.h.exSet || c.h.ex.Value > s.h.ex.Value ||
-				(c.h.ex.Value == s.h.ex.Value && c.h.ex.At < s.h.ex.At)) {
-				s.h.ex = c.h.ex
-				s.h.exSet = true
+		r.declareLocked(sf.name, sf.help, sf.kind, sf.bounds, sf.keys).merge(sf, ids)
+	}
+}
+
+// merge folds sf's cells into f's in one walk of the two sorted lists;
+// ids maps sf's registry's name ids to f's. Translating names keeps a
+// list's order, since names compare by their text.
+func (f *family) merge(sf *family, ids []int32) {
+	merged := make([]*sample, 0, len(f.samples)+len(sf.samples))
+	i := 0 // f's cells before i are in merged
+	for _, c := range sf.samples {
+		k := c.key
+		for j := range f.keys {
+			if k[j] < 0 {
+				k[j] = ^ids[^k[j]]
 			}
 		}
+		for i < len(f.samples) && f.reg.compareKeys(f.samples[i].key, k) < 0 {
+			merged = append(merged, f.samples[i])
+			i++
+		}
+		var s *sample
+		if i < len(f.samples) && f.samples[i].key == k {
+			s = f.samples[i]
+			i++
+		} else {
+			s = f.newSample(k)
+		}
+		merged = append(merged, s)
+		s.fold(c)
+	}
+	f.samples = append(merged, f.samples[i:]...)
+}
+
+// fold adds source cell c into s: counters and histograms accumulate,
+// gauges take the maximum, and the greater exemplar (then the earlier
+// At) survives.
+func (s *sample) fold(c *sample) {
+	s.c += c.c
+	s.g = max(s.g, c.g)
+	if c.h == nil {
+		return
+	}
+	for i, n := range c.h.counts {
+		s.h.counts[i] += n
+	}
+	s.h.sum += c.h.sum
+	s.h.count += c.h.count
+	if c.h.exSet && (!s.h.exSet || c.h.ex.Value > s.h.ex.Value ||
+		(c.h.ex.Value == s.h.ex.Value && c.h.ex.At < s.h.ex.At)) {
+		s.h.ex = c.h.ex
+		s.h.exSet = true
 	}
 }

@@ -5,10 +5,13 @@
 //
 //   - A family is declared once — name, help, kind, bucket bounds and
 //     label keys (Registry.Counters, Gauges, Histograms) — and a cell
-//     resolves from values given in the declared key order: a hash of
-//     a fixed array, no sort, no formatting. Integer values are
-//     rendered only at export. The same values resolve the same cell,
-//     so a shared resource (an SMS pool serving every port) can be
+//     resolves from values given in the declared key order, kept as a
+//     fixed array. A family keeps its cells by value in slab chunks and
+//     a list of them in export order: a key sorting after the last cell
+//     appends, any other is found by binary search and inserted; no
+//     formatting, no allocation per cell. Integer values are rendered
+//     only at export. The same values resolve the same cell, so a
+//     shared resource (an SMS pool serving every port) can be
 //     instrumented from several sites without double counting.
 //   - A handle is one pointer; an increment is one nil check plus one
 //     memory write — no map lookups, no interface calls, no allocation.
@@ -16,7 +19,7 @@
 //     uninstrumented dataplane (nil *Registry) pays only the nil check.
 //   - Exports list families by name and each family's cells by their
 //     values, whatever order anything was declared, resolved or merged
-//     in.
+//     in; a merge walks two sorted lists once per family.
 //
 // The simulation is single-threaded, so handle operations are
 // deliberately unsynchronized; resolution and snapshotting take the
@@ -228,7 +231,7 @@ func Int(n int) Value { return Value{n: n} }
 func Name(s string) Value { return Value{name: s, named: true} }
 
 // maxKeys bounds a family's label keys, so a cell's values fit one
-// fixed array that hashes without building a key.
+// fixed array that compares without building a key.
 const maxKeys = 4
 
 // cellKey holds a cell's values in declared key order: an integer as
@@ -236,7 +239,8 @@ const maxKeys = 4
 type cellKey [maxKeys]int32
 
 // sample is one labeled cell of a family. Counters and gauges keep
-// their value inline; handles point into the sample.
+// their value inline; handles point into the sample, which lives in a
+// slab chunk of its family and never moves.
 type sample struct {
 	key    cellKey
 	labels []Label // rendered by settle, sorted by key
@@ -245,17 +249,30 @@ type sample struct {
 	h      *histData
 }
 
+// A family's samples live by value in chunks of one cell, then twice
+// the previous chunk, up to maxChunk: a chunk is never reallocated, so
+// a family pays one allocation per chunk, not per cell, and its slack
+// never exceeds its cells. Chunks of 1, 2, 4 and 8 hold the registry's
+// small families (3 classes, 15 class×component histograms) exactly.
+const maxChunk = 1024
+
 // family is one declared metric name and its cells.
 type family struct {
-	reg     *Registry
-	name    string
-	help    string
-	kind    Kind
-	bounds  []int64  // histogram families share bucket layout
-	keys    []string // label keys, in the order cells give values
-	cells   map[cellKey]*sample
+	reg    *Registry
+	name   string
+	help   string
+	kind   Kind
+	bounds []int64  // histogram families share bucket layout
+	keys   []string // label keys, in the order cells give values
+	// samples points at every cell in export order: by value in
+	// declared key order (Registry.compareKeys).
 	samples []*sample
-	settled bool // samples are in export order, every one rendered
+	// slab is the chunk new cells come from; a histogram family's
+	// hists and counts are carved alongside it, one slot per cell.
+	slab   []sample
+	hists  []histData
+	counts []uint64
+	fresh  int // cells whose labels settle has yet to render
 }
 
 // Registry owns instrument cells. A nil *Registry is valid: every
@@ -358,8 +375,7 @@ func (r *Registry) declareLocked(name, help string, kind Kind, bounds []int64, k
 			panic(fmt.Sprintf("metrics: %s declares label key %q twice", name, k))
 		}
 	}
-	f := &family{reg: r, name: name, help: help, kind: kind, bounds: bounds,
-		keys: slices.Clone(keys), cells: make(map[cellKey]*sample)}
+	f := &family{reg: r, name: name, help: help, kind: kind, bounds: bounds, keys: slices.Clone(keys)}
 	r.byName[name] = f
 	r.families = append(r.families, f)
 	r.settled = false
@@ -388,18 +404,54 @@ func (f *family) cell(vals []Value) *sample {
 	return f.cellLocked(k)
 }
 
-// cellLocked finds or creates the cell keyed k.
+// cellLocked finds or creates the cell keyed k. A key sorting after
+// the last cell — the order a builder resolves switches, ports and
+// queues in — appends; any other binary-searches and inserts.
 func (f *family) cellLocked(k cellKey) *sample {
-	if s, ok := f.cells[k]; ok {
-		return s
+	r, n := f.reg, len(f.samples)
+	if n > 0 {
+		c := r.compareKeys(f.samples[n-1].key, k)
+		if c == 0 {
+			return f.samples[n-1]
+		}
+		if c > 0 {
+			i, found := slices.BinarySearchFunc(f.samples[:n-1], k, func(s *sample, k cellKey) int {
+				return r.compareKeys(s.key, k)
+			})
+			if found {
+				return f.samples[i]
+			}
+			s := f.newSample(k)
+			f.samples = slices.Insert(f.samples, i, s)
+			return s
+		}
 	}
-	s := &sample{key: k}
-	if f.kind == KindHistogram {
-		s.h = &histData{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
-	}
-	f.cells[k] = s
+	s := f.newSample(k)
 	f.samples = append(f.samples, s)
-	f.settled = false
+	return s
+}
+
+// newSample takes a zeroed cell keyed k from the family's slab, which
+// the caller places in samples.
+func (f *family) newSample(k cellKey) *sample {
+	if len(f.slab) == cap(f.slab) {
+		n := min(max(2*cap(f.slab), 1), maxChunk)
+		f.slab = make([]sample, 0, n)
+		if f.kind == KindHistogram {
+			f.hists = make([]histData, n)
+			f.counts = make([]uint64, n*(len(f.bounds)+1))
+		}
+	}
+	i := len(f.slab)
+	f.slab = f.slab[:i+1]
+	s := &f.slab[i]
+	s.key = k
+	if f.kind == KindHistogram {
+		nb := len(f.bounds) + 1
+		s.h = &f.hists[i]
+		s.h.bounds, s.h.counts = f.bounds, f.counts[i*nb:(i+1)*nb:(i+1)*nb]
+	}
+	f.fresh++
 	return s
 }
 
@@ -436,39 +488,47 @@ func (r *Registry) compare(a, b int32) int {
 	return strings.Compare(r.names[^a], r.names[^b])
 }
 
-// settle puts the registry in export order — families by name, each
-// family's samples by their values in declared key order — and renders
-// every new sample's labels. It runs under the lock and works only
-// after declarations or resolutions added something, so a registry
-// that stops growing sorts once, not per snapshot.
+// compareKeys orders two cell keys of one family value by value in
+// declared key order; the unused trailing positions are zero in both.
+func (r *Registry) compareKeys(a, b cellKey) int {
+	for i := range a {
+		if c := r.compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// settle puts the families in name order and renders every new
+// sample's labels; each family's samples are already in export order.
+// It runs under the lock and works only after declarations or
+// resolutions added something, so a registry that stops growing
+// renders once, not per snapshot. One settle's new labels of a family
+// are carved from one array.
 func (r *Registry) settle() {
 	if !r.settled {
 		slices.SortFunc(r.families, func(a, b *family) int { return strings.Compare(a.name, b.name) })
 		r.settled = true
 	}
 	for _, f := range r.families {
-		if f.settled {
+		n := len(f.keys)
+		if f.fresh == 0 || n == 0 {
+			f.fresh = 0
 			continue
 		}
-		n := len(f.keys)
+		block := make([]Label, 0, f.fresh*n)
+		f.fresh = 0
 		for _, s := range f.samples {
-			if s.labels == nil && n > 0 {
-				s.labels = make([]Label, n)
-				for i, k := range f.keys {
-					s.labels[i] = Label{Key: k, Value: r.render(s.key[i])}
-				}
-				slices.SortFunc(s.labels, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+			if s.labels != nil {
+				continue
 			}
+			at := len(block)
+			for i, k := range f.keys {
+				block = append(block, Label{Key: k, Value: r.render(s.key[i])})
+			}
+			s.labels = block[at:len(block):len(block)]
+			slices.SortFunc(s.labels, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
 		}
-		slices.SortFunc(f.samples, func(a, b *sample) int {
-			for i := 0; i < n; i++ {
-				if c := r.compare(a.key[i], b.key[i]); c != 0 {
-					return c
-				}
-			}
-			return 0
-		})
-		f.settled = true
 	}
 }
 

@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -240,5 +243,141 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i) % 1_000_000)
+	}
+}
+
+// scriptFamilies are the families a resolution script draws from: one
+// kind per value ("i" an integer, "n" a name) of each declared key.
+var scriptFamilies = []struct {
+	name  string
+	kind  Kind
+	keys  []string
+	kinds string
+}{
+	{"enq_total", KindCounter, []string{"switch", "port", "queue"}, "iii"},
+	{"drops_total", KindCounter, []string{"switch", "reason"}, "in"},
+	{"requests_total", KindCounter, []string{"route", "code"}, "ni"},
+	{"events_total", KindCounter, nil, ""},
+	{"depth_hw", KindGauge, []string{"class"}, "n"},
+	{"lat_ns", KindHistogram, []string{"switch", "class"}, "in"},
+}
+
+// scriptNames are resolved in random order, never lexical; "10" and
+// "9" are names, which sort after every integer and "10" before "9".
+var scriptNames = []string{"queue-full", "TS", "gate", "BE", "zz", "a", "RC", "meter", "b", "ab", "10", "9"}
+
+// runScript resolves ops random cells on a live registry and on the
+// map-keyed reference, applies the same update to both, requires every
+// re-resolution to return the first handle and the exports to agree at
+// random points, and returns both registries. Integer values lie
+// below ints and have the given parity (0 even, 1 odd).
+func runScript(t *testing.T, rng *rand.Rand, ops, ints, parity int) (*Registry, *mapRegistry) {
+	t.Helper()
+	bounds := []int64{10, 100, 1000}
+	reg, ref := New(), newMapRegistry()
+	handles := make(map[string]any)
+	for op := 0; op < ops; op++ {
+		sf := scriptFamilies[rng.IntN(len(scriptFamilies))]
+		vals := make([]Value, len(sf.kinds))
+		for i, k := range sf.kinds {
+			if k == 'n' {
+				vals[i] = Name(scriptNames[rng.IntN(len(scriptNames))])
+			} else {
+				vals[i] = Int(rng.IntN(ints)/2*2 + parity)
+			}
+		}
+		var fb []int64
+		if sf.kind == KindHistogram {
+			fb = bounds
+		}
+		s := ref.declare(sf.name, "help of "+sf.name, sf.kind, fb, sf.keys).cell(vals)
+		v := rng.Int64N(2000)
+		var h any
+		switch sf.kind {
+		case KindCounter:
+			c := reg.Counters(sf.name, "help of "+sf.name, sf.keys...).With(vals...)
+			c.Add(uint64(v))
+			Counter{&s.c}.Add(uint64(v))
+			h = c
+		case KindGauge:
+			g := reg.Gauges(sf.name, "help of "+sf.name, sf.keys...).With(vals...)
+			g.SetMax(v)
+			Gauge{&s.g}.SetMax(v)
+			h = g
+		case KindHistogram:
+			hh := reg.Histograms(sf.name, "help of "+sf.name, bounds, sf.keys...).With(vals...)
+			hh.ObserveExemplar(v, fmt.Sprint("op=", op), int64(op))
+			Histogram{s.h}.ObserveExemplar(v, fmt.Sprint("op=", op), int64(op))
+			h = hh
+		}
+		key := fmt.Sprint(sf.name, vals)
+		if first, ok := handles[key]; ok && first != h {
+			t.Fatalf("op %d: %s re-resolved to a different cell", op, key)
+		}
+		handles[key] = h
+		if rng.IntN(64) == 0 {
+			requireSameExports(t, reg, ref)
+		}
+	}
+	requireSameExports(t, reg, ref)
+	return reg, ref
+}
+
+// requireSameExports compares both exports of reg and ref byte for byte.
+func requireSameExports(t *testing.T, reg *Registry, ref *mapRegistry) {
+	t.Helper()
+	gp, gj := exportBytes(t, reg)
+	var p, j bytes.Buffer
+	snap := ref.snapshot()
+	if err := snap.WritePrometheus(&p); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.WriteJSON(&j); err != nil {
+		t.Fatal(err)
+	}
+	if gp != p.String() {
+		t.Fatalf("Prometheus export differs from the map-keyed reference:\n--- got ---\n%s--- want ---\n%s", gp, p.String())
+	}
+	if gj != j.String() {
+		t.Fatalf("JSON export differs from the map-keyed reference:\n--- got ---\n%s--- want ---\n%s", gj, j.String())
+	}
+}
+
+// TestCellResolutionMatchesReference runs random resolution scripts —
+// integer and name values, names out of lexical order, re-resolutions,
+// histograms — against the map-keyed store the slab replaced, then
+// merges registries whose cells interleave, both into an empty
+// destination and into a populated one, and requires the same handles
+// and byte-identical exports throughout.
+func TestCellResolutionMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			runScript(t, rng, 600, 40, 0)
+			a, refA := runScript(t, rng, 300, 30, 0) // even integers
+			b, refB := runScript(t, rng, 300, 30, 1) // odd: every cell interleaves with a's
+			c, refC := runScript(t, rng, 300, 30, 0)
+
+			dst, refDst := New(), newMapRegistry()
+			for i, src := range []*Registry{a, b} {
+				dst.Merge(src)
+				refDst.merge([]*mapRegistry{refA, refB}[i])
+				requireSameExports(t, dst, refDst)
+			}
+			c.Merge(b) // into a populated destination
+			refC.merge(refB)
+			requireSameExports(t, c, refC)
+
+			// A merged cell is the one ordinary resolution finds.
+			enq := c.Counters("enq_total", "help of enq_total", "switch", "port", "queue")
+			cell := enq.With(Int(3), Int(5), Int(7))
+			if cell != enq.With(Int(3), Int(5), Int(7)) {
+				t.Fatal("re-resolution after a merge found a different cell")
+			}
+			cell.Inc()
+			refC.declare("enq_total", "help of enq_total", KindCounter, nil, []string{"switch", "port", "queue"}).
+				cell([]Value{Int(3), Int(5), Int(7)}).c++
+			requireSameExports(t, c, refC)
+		})
 	}
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -255,4 +256,164 @@ func referenceLookup(r *refRegistry, name string, kind Kind, bounds []int64, lab
 	f.byKey[key] = s
 	f.samples = append(f.samples, s)
 	return s
+}
+
+// The map-keyed cell store that slab slots replaced, kept verbatim as
+// the oracle for TestCellResolutionMatchesReference: a family found or
+// created a cell through its map, appended it, and settle sorted every
+// family that grew. mapRegistry borrows only the live registry's
+// interning, rendering and value order.
+
+// mapFamily is a family whose cells are keyed by a map.
+type mapFamily struct {
+	reg     *mapRegistry
+	name    string
+	help    string
+	kind    Kind
+	bounds  []int64
+	keys    []string
+	cells   map[cellKey]*sample
+	samples []*sample
+	settled bool // samples are in export order, every one rendered
+}
+
+// mapRegistry is a registry of mapFamily.
+type mapRegistry struct {
+	*Registry // names and value order
+	families  []*mapFamily
+	byName    map[string]*mapFamily
+	settled   bool
+}
+
+func newMapRegistry() *mapRegistry {
+	return &mapRegistry{Registry: New(), byName: make(map[string]*mapFamily)}
+}
+
+// declare returns the family declared as given, creating it.
+func (r *mapRegistry) declare(name, help string, kind Kind, bounds []int64, keys []string) *mapFamily {
+	if f, ok := r.byName[name]; ok {
+		return f
+	}
+	f := &mapFamily{reg: r, name: name, help: help, kind: kind, bounds: bounds,
+		keys: slices.Clone(keys), cells: make(map[cellKey]*sample)}
+	r.byName[name] = f
+	r.families = append(r.families, f)
+	r.settled = false
+	return f
+}
+
+// cell resolves the cell with the given values.
+func (f *mapFamily) cell(vals []Value) *sample {
+	var k cellKey
+	for i, v := range vals {
+		if v.named {
+			k[i] = f.reg.intern(v.name)
+		} else {
+			k[i] = int32(v.n)
+		}
+	}
+	return f.cellLocked(k)
+}
+
+// cellLocked finds or creates the cell keyed k.
+func (f *mapFamily) cellLocked(k cellKey) *sample {
+	if s, ok := f.cells[k]; ok {
+		return s
+	}
+	s := &sample{key: k}
+	if f.kind == KindHistogram {
+		s.h = &histData{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
+	}
+	f.cells[k] = s
+	f.samples = append(f.samples, s)
+	f.settled = false
+	return s
+}
+
+// settle puts the registry in export order — families by name, each
+// family's samples by their values in declared key order — and renders
+// every new sample's labels. It runs under the lock and works only
+// after declarations or resolutions added something, so a registry
+// that stops growing sorts once, not per snapshot.
+func (r *mapRegistry) settle() {
+	if !r.settled {
+		slices.SortFunc(r.families, func(a, b *mapFamily) int { return strings.Compare(a.name, b.name) })
+		r.settled = true
+	}
+	for _, f := range r.families {
+		if f.settled {
+			continue
+		}
+		n := len(f.keys)
+		for _, s := range f.samples {
+			if s.labels == nil && n > 0 {
+				s.labels = make([]Label, n)
+				for i, k := range f.keys {
+					s.labels[i] = Label{Key: k, Value: r.render(s.key[i])}
+				}
+				slices.SortFunc(s.labels, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+			}
+		}
+		slices.SortFunc(f.samples, func(a, b *sample) int {
+			for i := 0; i < n; i++ {
+				if c := r.compare(a.key[i], b.key[i]); c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
+		f.settled = true
+	}
+}
+
+// merge is Merge as it ran on the map store: every source cell
+// resolved through cellLocked (validation left out).
+func (r *mapRegistry) merge(src *mapRegistry) {
+	ids := make([]int32, len(src.names))
+	for i, name := range src.names {
+		ids[i] = ^r.intern(name)
+	}
+	for _, sf := range src.families {
+		f := r.declare(sf.name, sf.help, sf.kind, sf.bounds, sf.keys)
+		for _, c := range sf.samples {
+			k := c.key
+			for i := range sf.keys {
+				if k[i] < 0 {
+					k[i] = ^ids[^k[i]]
+				}
+			}
+			f.cellLocked(k).fold(c)
+		}
+	}
+}
+
+// snapshot exports r as Snapshot does.
+func (r *mapRegistry) snapshot() Snapshot {
+	r.settle()
+	var snap Snapshot
+	for _, f := range r.families {
+		if len(f.samples) == 0 {
+			continue
+		}
+		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind}
+		for _, s := range f.samples {
+			ss := SampleSnapshot{Labels: s.labels}
+			switch f.kind {
+			case KindCounter:
+				ss.Value = float64(s.c)
+			case KindGauge:
+				ss.Value = float64(s.g)
+			case KindHistogram:
+				ss.Bounds, ss.Counts = s.h.bounds, slices.Clone(s.h.counts)
+				ss.Sum, ss.Count = s.h.sum, s.h.count
+				if s.h.exSet {
+					ex := s.h.ex
+					ss.Exemplar = &ex
+				}
+			}
+			fs.Samples = append(fs.Samples, ss)
+		}
+		snap.Families = append(snap.Families, fs)
+	}
+	return snap
 }

@@ -75,9 +75,9 @@ func (sw *Switch) resolveInstruments(reg *metrics.Registry) {
 		if sw.cfg.SharedBufferNum <= 0 {
 			p.pool.Instrument(occ.With(id, port), hw.With(id, port), fails.With(id, port))
 		}
-		for q, queue := range p.queues {
+		for q := range p.queues {
 			p.metEnq[q] = enq.With(id, port, metrics.Int(q))
-			queue.Instrument(qhw.With(id, port, metrics.Int(q)))
+			p.queues[q].Instrument(qhw.With(id, port, metrics.Int(q)))
 		}
 		for dir := range p.gates {
 			p.gates[dir].roll = roll.With(id, port, metrics.Name(dirNames[dir]))

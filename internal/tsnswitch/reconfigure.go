@@ -104,8 +104,8 @@ func (sw *Switch) Fit(row int, n [2]int) (m []Misfit) {
 	case Queues:
 		most := 0
 		for _, p := range sw.ports {
-			for _, q := range p.queues {
-				most = max(most, q.Len())
+			for q := range p.queues {
+				most = max(most, p.queues[q].Len())
 			}
 		}
 		if most > n[0] {
@@ -164,8 +164,8 @@ func (sw *Switch) Resize(row int, n [2]int) error {
 		c.CBSMapSize, c.CBSSize = n[0], n[1]
 	case Queues:
 		for _, p := range sw.ports {
-			for _, q := range p.queues {
-				resized(q.Resize(n[0]))
+			for q := range p.queues {
+				resized(p.queues[q].Resize(n[0]))
 			}
 		}
 		c.QueueDepth = n[0]
@@ -242,8 +242,8 @@ type Violation struct {
 // a preempted frame awaiting resumption.
 func (p *Port) heldBuffers() int {
 	held := 0
-	for _, q := range p.queues {
-		held += q.Len()
+	for q := range p.queues {
+		held += p.queues[q].Len()
 	}
 	if p.ifc.InFlight() {
 		held++
@@ -282,8 +282,8 @@ func (sw *Switch) Audit(now sim.Time) (out []Violation) {
 				found("buffer-conservation", "switch %d port %d: %d slots allocated, %d accounted for", sw.cfg.ID, p.id, inUse, held)
 			}
 		}
-		for q, queue := range p.queues {
-			if queue.Len() > queue.Depth() {
+		for q := range p.queues {
+			if queue := &p.queues[q]; queue.Len() > queue.Depth() {
 				found("queue-bounds", "switch %d port %d queue %d: %d descriptors exceed depth %d",
 					sw.cfg.ID, p.id, q, queue.Len(), queue.Depth())
 			}

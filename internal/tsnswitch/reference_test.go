@@ -128,8 +128,8 @@ func (sw *Switch) ResizeCBS(mapSize, cbsSize int) error {
 func (sw *Switch) FitQueues(depth int) (m []Misfit) {
 	most := 0
 	for _, p := range sw.ports {
-		for _, q := range p.queues {
-			most = max(most, q.Len())
+		for q := range p.queues {
+			most = max(most, p.queues[q].Len())
 		}
 	}
 	if most > depth {
@@ -148,8 +148,8 @@ func (sw *Switch) ResizeQueues(depth int) error {
 		return m[0]
 	}
 	for _, p := range sw.ports {
-		for _, queue := range p.queues {
-			resized(queue.Resize(depth))
+		for q := range p.queues {
+			resized(p.queues[q].Resize(depth))
 		}
 	}
 	sw.cfg.QueueDepth = depth
@@ -296,8 +296,8 @@ func occupancy(sw *Switch, row int) (k [2]int) {
 		case CBSTbl:
 			k = [2]int{max(k[0], p.bank.MapLen()), max(k[1], p.bank.RequiredSize())}
 		case Queues:
-			for _, q := range p.queues {
-				k[0] = max(k[0], q.Len())
+			for q := range p.queues {
+				k[0] = max(k[0], p.queues[q].Len())
 			}
 		case Buffers:
 			k[0] = max(k[0], p.pool.InUse()+p.pool.Reserved())

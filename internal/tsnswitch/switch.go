@@ -62,7 +62,7 @@ type Port struct {
 	id  int
 	ifc *netdev.Ifc
 
-	queues []*buffering.Queue
+	queues []buffering.Queue
 	pool   *buffering.Pool
 	// gates[dirIn] and gates[dirOut] are Gate Ctrl's two directions.
 	gates [2]portGate
@@ -161,27 +161,35 @@ func New(engine *sim.Engine, cfg Config) *Switch {
 		shared = buffering.NewPool(cfg.SharedBufferNum)
 	}
 	in, out := gate.CQF(cfg.SlotSize, cfg.TSQueueA, cfg.TSQueueB)
-	for p := 0; p < cfg.Ports; p++ {
+	// Per-port state comes in one array per kind for the whole switch;
+	// each port's queue-indexed slices are carved from them.
+	nq := cfg.QueuesPerPort
+	ports := make([]Port, cfg.Ports)
+	queues := buffering.NewQueues(cfg.Ports*nq, cfg.QueueDepth)
+	metEnq := make([]metrics.Counter, cfg.Ports*nq)
+	blocked := make([]sim.Time, cfg.Ports*nq)
+	sw.ports = make([]*Port, cfg.Ports)
+	for p := range ports {
 		pool := shared
 		if pool == nil {
 			pool = buffering.NewPool(cfg.BuffersPerPort)
 		}
-		port := &Port{
-			sw:   sw,
-			id:   p,
-			pool: pool,
-			bank: shaper.NewBank(cfg.CBSMapSize, cfg.CBSSize),
+		lo, hi := p*nq, (p+1)*nq
+		port := &ports[p]
+		*port = Port{
+			sw:             sw,
+			id:             p,
+			pool:           pool,
+			bank:           shaper.NewBank(cfg.CBSMapSize, cfg.CBSSize),
+			queues:         queues[lo:hi:hi],
+			metEnq:         metEnq[lo:hi:hi],
+			shapeBlockedAt: blocked[lo:hi:hi],
 		}
 		port.gates[dirIn].install(in)
 		port.gates[dirOut].install(out)
 		port.ifc = netdev.NewIfc(engine, fmt.Sprintf("sw%d.p%d", cfg.ID, p), port, cfg.RateFor(p))
 		port.txDoneFn, port.retryFn = port.txDone, port.retry
-		for q := 0; q < cfg.QueuesPerPort; q++ {
-			port.queues = append(port.queues, buffering.NewQueue(cfg.QueueDepth))
-		}
-		port.metEnq = make([]metrics.Counter, cfg.QueuesPerPort)
-		port.shapeBlockedAt = make([]sim.Time, cfg.QueuesPerPort)
-		sw.ports = append(sw.ports, port)
+		sw.ports[p] = port
 	}
 	sw.resolveInstruments(cfg.Metrics)
 	return sw
@@ -396,7 +404,7 @@ func (p *Port) selectQueue(local sim.Time) (int, bool) {
 	sw := p.sw
 	outState := p.gates[dirOut].observe(local)
 	for q := len(p.queues) - 1; q >= 0; q-- {
-		queue := p.queues[q]
+		queue := &p.queues[q]
 		if queue.Len() == 0 {
 			continue
 		}
@@ -552,8 +560,8 @@ func (p *Port) armRetry(local sim.Time) {
 		return
 	}
 	pending := false
-	for _, q := range p.queues {
-		if q.Len() > 0 {
+	for q := range p.queues {
+		if p.queues[q].Len() > 0 {
 			pending = true
 			break
 		}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/israce"
@@ -100,5 +101,62 @@ func TestRunAllocsIndependentOfFlowCount(t *testing.T) {
 				t.Fatalf("Net.Run allocates %d times with 1024 flows, %d with 256: want a difference <= 64", many, few)
 			}
 		})
+	}
+}
+
+// TestBuildAllocsPerPort is the CI gate on building a network in bulk:
+// Build allocates per switch port (its pool, CBS bank and interface)
+// and per metric family, never per queue or per metric cell, so its
+// allocations per port stay under a fixed bound, and 16 times the flows
+// on the 6-switch ring cost the same but for the collector's flow-ID
+// map: at 1 024 entries a Go map spans a second table.
+func TestBuildAllocsPerPort(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	build := func(flowCount int) (allocs float64, ports int) {
+		topo := topology.Ring(6)
+		for h := 0; h < 6; h++ {
+			topo.AttachHost(100+h, h)
+		}
+		specs := flows.GenerateTS(flows.TSParams{
+			Count: flowCount, Period: 10 * sim.Millisecond, WireSize: 64, VID: 1,
+			Hosts: func(i int) (int, int) { return 100 + i%6, 100 + (i+2)%6 },
+			Seed:  11,
+		})
+		if err := core.BindPaths(topo, specs); err != nil {
+			t.Fatal(err)
+		}
+		der, err := core.DeriveConfig(core.Scenario{Topo: topo, Flows: specs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		der.Plan.Apply(specs)
+		design, err := core.BuilderFor(der.Config, nil).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var net *Net
+		allocs = testing.AllocsPerRun(3, func() {
+			net, err = Build(Options{Design: design, Topo: topo, Flows: specs, Seed: 5, Metrics: metrics.New()})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		for _, sw := range net.Switches {
+			ports += sw.Config().Ports
+		}
+		return allocs, ports
+	}
+	few, ports := build(64)
+	many, _ := build(1024)
+	t.Logf("Build allocations: %.0f with 64 flows, %.0f with 1024, over %d switch ports: %.1f per port", few, many, ports, few/float64(ports))
+	if many-few > 2 {
+		t.Fatalf("Build allocates %.0f times with 1024 flows, %.0f with 64: want at most the flow-ID map's 2 more", many, few)
+	}
+	// 44.1 per port measured (95.8 when every queue, its ring and every
+	// metric cell was an allocation of its own); the margin is 7 %.
+	if perPort := many / float64(ports); perPort > 47 {
+		t.Fatalf("Build allocates %.1f per switch port, want <= 47", perPort)
 	}
 }
