@@ -41,7 +41,7 @@ import (
 type options struct {
 	addr string
 
-	// svc is what the workload and service-tuning flags bind straight
+	// svc is what the scenario and service-tuning flags bind straight
 	// into; the millisecond flags below are converted by svcOptions.
 	svc           svc.Options
 	deriveMs      int
@@ -65,16 +65,11 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("tsnserve", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:9780", "listen address (loopback by default: /debug/pprof is served)")
 
-	// Every workload and service default is svc's own.
+	// Every workload and service default is svc's own; the managed
+	// network takes the scenario flags every command shares.
 	d := svc.DefaultOptions()
-	w, dw := &o.svc.Workload, d.Workload
-	fs.StringVar(&w.Topology, "topology", dw.Topology, "managed network topology (any tsnsim -topology)")
-	fs.IntVar(&w.Switches, "switches", dw.Switches, "managed network switch count")
-	fs.IntVar(&w.TSFlows, "ts-flows", dw.TSFlows, "managed network TS flow count")
-	fs.IntVar(&w.Hops, "hops", dw.Hops, "TS flow hop length")
-	fs.IntVar(&w.WireSize, "wire-size", dw.WireSize, "TS frame wire size (bytes)")
-	fs.IntVar(&w.SlotUs, "slot-us", dw.SlotUs, "CQF slot (µs)")
-	fs.Uint64Var(&w.Seed, "seed", dw.Seed, "managed network seed")
+	o.svc.Workload = d.Workload
+	o.svc.Workload.Bind(fs)
 
 	ms := func(t time.Duration) int { return int(t / time.Millisecond) }
 	fs.IntVar(&o.svc.CacheSize, "cache-size", d.CacheSize, "derivation cache entries")

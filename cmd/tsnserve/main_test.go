@@ -55,7 +55,7 @@ func TestServeAndSIGTERMDrain(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- run([]string{"-addr", addr, "-switches", "2", "-ts-flows", "4"}, sig)
+		runErr <- run([]string{"-addr", addr, "-switches", "2", "-flows", "4"}, sig)
 	}()
 	base := "http://" + addr
 	waitReady(t, base)
@@ -107,7 +107,7 @@ func TestStateDirSurvivesRestart(t *testing.T) {
 		sig := make(chan os.Signal, 1)
 		runErr := make(chan error, 1)
 		go func() {
-			runErr <- run([]string{"-addr", addr, "-switches", "2", "-ts-flows", "4", "-state-dir", dir}, sig)
+			runErr <- run([]string{"-addr", addr, "-switches", "2", "-flows", "4", "-state-dir", dir}, sig)
 		}()
 		waitReady(t, "http://"+addr)
 		check("http://" + addr)
@@ -167,7 +167,7 @@ func TestListenFailureStopsTheInstance(t *testing.T) {
 	}
 	defer ln.Close()
 	for _, extra := range [][]string{nil, {"-state-dir", t.TempDir()}} {
-		args := append([]string{"-addr", ln.Addr().String(), "-switches", "2", "-ts-flows", "4"}, extra...)
+		args := append([]string{"-addr", ln.Addr().String(), "-switches", "2", "-flows", "4"}, extra...)
 		err := run(args, make(chan os.Signal))
 		if err == nil || !strings.Contains(err.Error(), "address already in use") {
 			t.Fatalf("run %v on an occupied port = %v, want the listen error", extra, err)
@@ -192,7 +192,7 @@ func TestListenFailureStopsTheInstance(t *testing.T) {
 func TestChaosModeSmoke(t *testing.T) {
 	err := run([]string{
 		"-chaos", "-chaos-requests", "60", "-chaos-clients", "4",
-		"-switches", "2", "-ts-flows", "6", "-chaos-budget-s", "60",
+		"-switches", "2", "-flows", "6", "-chaos-budget-s", "60",
 	}, nil)
 	if err != nil {
 		t.Fatalf("chaos mode: %v", err)
@@ -221,7 +221,7 @@ func TestParseFlagsRejectsGarbage(t *testing.T) {
 func TestWorkloadBelowItsFloorIsAnError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-topology", "ring", "-switches", "2"},
-		{"-ts-flows", "0"},
+		{"-flows", "0"},
 	} {
 		err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), make(chan os.Signal))
 		if err == nil || !strings.Contains(err.Error(), "workload") {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/chaos"
@@ -31,18 +30,19 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/psim"
 	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
-	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
 	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
 
 // runOpts is one tsnsim invocation: the scenario its flags describe
 // plus what only a tsnsim run has — clocks, exports, guards, serving.
 type runOpts struct {
-	// Case is the scenario. -topology … -seed, -frer, -watchdog,
-	// -reconfig-retries, -reconfig-backoff and -ts-deadline bind into
-	// it, and the -faults and -reconfig files load into it.
+	// Case is the scenario. workload.Params.Bind's flags, -rc, -be,
+	// -frer, -watchdog, -reconfig-retries, -reconfig-backoff and
+	// -ts-deadline bind into it, and the -faults and -reconfig files
+	// load into it.
 	chaos.Case
 	// scenario is the -faults file whole (Case.Faults holds its
 	// faults), so the file's own seed reaches the injector.
@@ -76,18 +76,13 @@ func (o *runOpts) traced() bool { return o.hotspots || o.traceJSON != "" }
 // -reconfig files it names.
 func parseFlags(args []string) (*runOpts, error) {
 	o := &runOpts{}
+	o.Params = workload.Params{Topology: "ring", Switches: 6, TSFlows: 1024, Hops: 3, WireSize: 64, SlotUs: 65, Seed: 42}
 	fs := flag.NewFlagSet("tsnsim", flag.ContinueOnError)
-	fs.StringVar(&o.Topology, "topology", "ring", "topology: one of "+strings.Join(topology.Names, ", "))
-	fs.IntVar(&o.Switches, "switches", 6, "switch count (ring/linear); star children = switches-1")
-	fs.IntVar(&o.TSFlows, "flows", 1024, "TS flow count")
-	fs.IntVar(&o.Hops, "hops", 3, "switches each TS flow traverses")
-	fs.IntVar(&o.WireSize, "size", 64, "TS frame size (bytes)")
-	fs.IntVar(&o.SlotUs, "slot", 65, "CQF slot (µs)")
+	o.Bind(fs)
 	fs.IntVar(&o.RCMbps, "rc", 0, "RC background per injector (Mbps)")
 	fs.IntVar(&o.BEMbps, "be", 0, "BE background per injector (Mbps)")
 	fs.IntVar(&o.DurMs, "duration", 100, "measurement window (ms)")
 	noGPTP := fs.Bool("no-gptp", false, "run with perfect clocks instead of gPTP")
-	fs.Uint64Var(&o.Seed, "seed", 42, "workload seed")
 	fs.IntVar(&o.FRERFlows, "frer", 0, "make the first n TS flows 802.1CB-redundant (bidir-ring only, max 64)")
 	fs.BoolVar(&o.Watchdog, "watchdog", false, "run the invariant watchdog and graceful-degradation policy")
 	faultsPath := fs.String("faults", "", "fault-scenario JSON file to inject during the run")

@@ -131,6 +131,23 @@ func TestBadWorkloadExitsOne(t *testing.T) {
 	}
 }
 
+// TestFrontEndsAgree: tsnsim parses the shared scenario flags into the
+// Params tsnbuild and tsntas parse them into (each command's test of
+// this name checks the same value), and those are its defaults.
+func TestFrontEndsAgree(t *testing.T) {
+	args := []string{"-topology", "ring", "-switches", "6", "-flows", "1024", "-hops", "3"}
+	want := workload.Params{Topology: "ring", Switches: 6, TSFlows: 1024, Hops: 3, WireSize: 64, SlotUs: 65, Seed: 42}
+	for _, a := range [][]string{args, nil} {
+		o, err := parseFlags(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Params != want {
+			t.Fatalf("tsnsim %v parses into %+v, want %+v", a, o.Params, want)
+		}
+	}
+}
+
 func TestCSVOutput(t *testing.T) {
 	o := baseOpts()
 	o.csvPath = filepath.Join(t.TempDir(), "flows.csv")

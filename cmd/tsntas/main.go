@@ -4,10 +4,13 @@
 // worst-case latency bounds — the artifact an engineer would load into
 // the switches' gate tables.
 //
+// The generated scenario is workload.Scenario's, from the same flags
+// as tsnsim.
+//
 // Example:
 //
 //	tsntas -spec examples/scenarios/production-line.json
-//	tsntas -flows 64 -hops 3 -period 10
+//	tsntas -topology bidir-ring -switches 8 -flows 64 -hops 3
 package main
 
 import (
@@ -16,36 +19,48 @@ import (
 	"os"
 	"sort"
 
-	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/scenariofile"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/tas"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
+// options is one tsntas invocation: the workload its scenario flags
+// describe plus what only tsntas prints.
+type options struct {
+	workload.Params
+	spec    string
+	guardUs int
+	verbose bool
+}
+
+// parseFlags binds argv into options; a bad flag exits 2.
+func parseFlags(args []string) *options {
+	o := &options{Params: workload.Params{Topology: "ring", Switches: 6, TSFlows: 64, Hops: 3,
+		WireSize: 64, SlotUs: 65, Seed: 42}}
+	fs := flag.NewFlagSet("tsntas", flag.ExitOnError)
+	o.Bind(fs)
+	fs.StringVar(&o.spec, "spec", "", "JSON scenario file (overrides the workload flags)")
+	fs.IntVar(&o.guardUs, "guard", 2, "per-window guard slack (µs)")
+	fs.BoolVar(&o.verbose, "v", false, "print every window")
+	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning an error
+	return o
+}
+
 func main() {
-	var (
-		spec     = flag.String("spec", "", "JSON scenario file (overrides the workload flags)")
-		flowN    = flag.Int("flows", 64, "TS flow count")
-		hops     = flag.Int("hops", 3, "switches each flow traverses")
-		periodMs = flag.Int("period", 10, "TS period (ms)")
-		sizeB    = flag.Int("size", 64, "TS frame size (bytes)")
-		guardUs  = flag.Int("guard", 2, "per-window guard slack (µs)")
-		verbose  = flag.Bool("v", false, "print every window")
-	)
-	flag.Parse()
-	if err := run(*spec, *flowN, *hops, *periodMs, *sizeB, *guardUs, *verbose); err != nil {
+	if err := run(parseFlags(os.Args[1:])); err != nil {
 		fmt.Fprintln(os.Stderr, "tsntas:", err)
 		os.Exit(1)
 	}
 }
 
-func run(spec string, flowN, hops, periodMs, sizeB, guardUs int, verbose bool) error {
+func run(o *options) error {
 	var topo *topology.Topology
 	var specs []*flows.Spec
-	if spec != "" {
-		file, err := scenariofile.Load(spec)
+	if o.spec != "" {
+		file, err := scenariofile.Load(o.spec)
 		if err != nil {
 			return err
 		}
@@ -53,37 +68,15 @@ func run(spec string, flowN, hops, periodMs, sizeB, guardUs int, verbose bool) e
 			return err
 		}
 	} else {
-		if flowN < 1 {
-			return fmt.Errorf("-flows %d: need at least one flow", flowN)
-		}
-		if periodMs < 1 {
-			return fmt.Errorf("-period %d: need at least 1 ms", periodMs)
-		}
-		topo = topology.Ring(6)
-		for h := 0; h < 6; h++ {
-			topo.AttachHost(100+h, h)
-		}
-		specs = flows.GenerateTS(flows.TSParams{
-			Count:    flowN,
-			Period:   sim.Time(periodMs) * sim.Millisecond,
-			WireSize: sizeB,
-			VID:      1,
-			Hosts: func(i int) (int, int) {
-				src := i % 6
-				return 100 + src, 100 + (src+hops-1)%6
-			},
-			Seed: 42,
-		})
-		for i, s := range specs {
-			s.VID = uint16(1 + i%4000)
-		}
-		if err := core.BindPaths(topo, specs); err != nil {
+		b, err := workload.Scenario(o.Params)
+		if err != nil {
 			return err
 		}
+		topo, specs = b.Topo, b.Specs
 	}
 
 	sch, err := tas.Synthesize(specs, topo, tas.Options{
-		Guard:         sim.Time(guardUs) * sim.Microsecond,
+		Guard:         sim.Time(o.guardUs) * sim.Microsecond,
 		MaxFrameBytes: 1522,
 	})
 	if err != nil {
@@ -113,7 +106,7 @@ func run(spec string, flowN, hops, periodMs, sizeB, guardUs int, verbose bool) e
 		util := 100 * float64(busy) / float64(sch.Cycle)
 		fmt.Printf("sw%d port %d: %3d windows, %6.2f%% of cycle reserved\n",
 			pk.Switch, pk.Port, len(ws), util)
-		if verbose {
+		if o.verbose {
 			for _, w := range ws {
 				fmt.Printf("    [%10v, %10v) flow %d\n", w.Start, w.End, w.FlowID)
 			}

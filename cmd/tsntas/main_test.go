@@ -5,16 +5,23 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
+// runArgs runs tsntas on args.
+func runArgs(args ...string) error {
+	return run(parseFlags(args))
+}
+
 func TestRunGenerated(t *testing.T) {
-	if err := run("", 32, 3, 10, 64, 2, false); err != nil {
+	if err := runArgs("-flows", "32"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunVerbose(t *testing.T) {
-	if err := run("", 8, 2, 5, 128, 4, true); err != nil {
+	if err := runArgs("-flows", "8", "-hops", "2", "-size", "128", "-guard", "4", "-v"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -26,21 +33,22 @@ func TestRunSpecFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(path, 0, 0, 0, 0, 2, false); err != nil {
+	if err := runArgs("-spec", path); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunMissingSpec(t *testing.T) {
-	if err := run("/nonexistent.json", 0, 0, 0, 0, 2, false); err == nil {
+	if err := runArgs("-spec", "/nonexistent.json"); err == nil {
 		t.Fatal("missing spec accepted")
 	}
 }
 
 func TestRunInfeasible(t *testing.T) {
-	// 4000 large flows in a 1 ms period cannot be scheduled.
-	if err := run("", 4000, 3, 1, 1500, 2, false); err == nil {
-		t.Fatal("infeasible workload accepted")
+	// 4000 full-size flows in the fixed 10 ms period cannot be scheduled.
+	err := runArgs("-flows", "4000", "-size", "1500")
+	if err == nil || !strings.Contains(err.Error(), "no feasible window placement") {
+		t.Fatalf("err = %v, want no feasible window placement", err)
 	}
 }
 
@@ -49,15 +57,13 @@ func TestRunInfeasible(t *testing.T) {
 // model rejects.
 func TestRunBadInputs(t *testing.T) {
 	for _, tc := range []struct {
-		name, want                            string
-		flowN, hops, periodMs, sizeB, guardUs int
+		name, want string
+		args       []string
 	}{
-		{"zero flows", "-flows", 0, 3, 10, 64, 2},
-		{"zero period", "-period", 8, 3, 0, 64, 2},
-		{"negative period", "-period", 8, 3, -1, 64, 2},
-		{"zero size", "wire size", 8, 3, 10, 0, 2},
-		{"oversize", "wire size", 8, 3, 10, 20000, 2},
-		{"negative guard", "negative guard", 8, 3, 10, 64, -5},
+		{"zero flows", "ts_flows 0", []string{"-flows", "0"}},
+		{"zero size", "wire_size 0", []string{"-size", "0"}},
+		{"oversize", "wire_size 20000", []string{"-size", "20000"}},
+		{"negative guard", "negative guard", []string{"-flows", "8", "-guard", "-5"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -65,10 +71,25 @@ func TestRunBadInputs(t *testing.T) {
 					t.Fatalf("panic: %v", r)
 				}
 			}()
-			err := run("", tc.flowN, tc.hops, tc.periodMs, tc.sizeB, tc.guardUs, false)
+			err := runArgs(tc.args...)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one naming %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestFrontEndsAgree: tsntas parses the shared scenario flags into the
+// Params tsnbuild and tsnsim parse them into (each command's test of
+// this name checks the same value), and refuses hops beyond the
+// network.
+func TestFrontEndsAgree(t *testing.T) {
+	args := []string{"-topology", "ring", "-switches", "6", "-flows", "1024", "-hops", "3"}
+	want := workload.Params{Topology: "ring", Switches: 6, TSFlows: 1024, Hops: 3, WireSize: 64, SlotUs: 65, Seed: 42}
+	if got := parseFlags(args).Params; got != want {
+		t.Fatalf("tsntas %v parses into %+v, want %+v", args, got, want)
+	}
+	if err := runArgs("-hops", "7"); err == nil || !strings.Contains(err.Error(), "hops 7") {
+		t.Fatalf("-hops 7: err = %v, want one naming hops 7", err)
 	}
 }

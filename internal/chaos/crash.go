@@ -162,7 +162,7 @@ func startServer(client *http.Client, serverPath, stateDir string, plan crashPla
 		// A small managed network keeps each life's build time in the
 		// low milliseconds; it must be identical across lives — the
 		// state dir is pinned to the workload's parameter hash.
-		"-switches", "2", "-ts-flows", "4",
+		"-switches", "2", "-flows", "4",
 		"-checkpoint-every", "4", // rotate often: kills land in every store phase
 	}
 	if plan.armed {

@@ -11,6 +11,18 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 )
 
+// The paper's fixed resource choices (§IV.B) that every derivation
+// makes: 8 queues per port, 3 of them reserved for RC traffic, 1 Gbps
+// links, and 50 % multiplicative headroom on the ITP occupancy bound,
+// which is how the paper's planned occupancy of 8 becomes the
+// provisioned depth 12.
+const (
+	portQueues  = 8
+	rcQueues    = 3
+	linkRate    = ethernet.Gbps
+	depthMargin = 50 // percent
+)
+
 // Scenario is the application-level input of the top-down flow: the
 // pre-determined topology and flow features of §II.A from which the
 // resource parameters are computed.
@@ -20,39 +32,10 @@ type Scenario struct {
 	Flows []*flows.Spec
 	// SlotSize is the CQF slot; zero selects the paper's 65 µs.
 	SlotSize sim.Time
-	// RCQueues is the number of queues reserved for RC traffic (the
-	// paper uses 3).
-	RCQueues int
-	// QueueNum is the queues per port (the paper uses 8).
-	QueueNum int
-	// LinkRate defaults to 1 Gbps.
-	LinkRate ethernet.Rate
 	// AccessRate, when positive, is the slowest egress rate a TS flow
 	// crosses (field-device links). DeriveConfig then checks the slot
 	// against the drain-feasibility constraint and widens it if needed.
 	AccessRate ethernet.Rate
-	// DepthMargin is the multiplicative headroom applied to the ITP
-	// occupancy bound, in percent. Zero selects 50, which is how the
-	// paper's planned occupancy of 8 becomes the provisioned depth 12.
-	DepthMargin int
-}
-
-func (sc *Scenario) defaults() {
-	if sc.SlotSize == 0 {
-		sc.SlotSize = 65 * sim.Microsecond
-	}
-	if sc.RCQueues == 0 {
-		sc.RCQueues = 3
-	}
-	if sc.QueueNum == 0 {
-		sc.QueueNum = 8
-	}
-	if sc.LinkRate == 0 {
-		sc.LinkRate = ethernet.Gbps
-	}
-	if sc.DepthMargin == 0 {
-		sc.DepthMargin = 50
-	}
 }
 
 // BindPaths fills each flow's Path from the topology and the hosts'
@@ -118,7 +101,9 @@ func (d *Derivation) Design(platform Platform) (*Design, error) {
 //     = depth × queue count;
 //  5. enabled ports from the topology.
 func DeriveConfig(sc Scenario) (*Derivation, error) {
-	sc.defaults()
+	if sc.SlotSize == 0 {
+		sc.SlotSize = 65 * sim.Microsecond
+	}
 	if sc.Topo == nil {
 		return nil, fmt.Errorf("core: scenario without topology")
 	}
@@ -162,7 +147,7 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 	// drain through the slowest egress ("a packet received at a time
 	// slot must be sent at the next time slot"). Widening the slot can
 	// change the plan, so iterate to a fixed point.
-	if sc.AccessRate > 0 && sc.AccessRate < sc.LinkRate {
+	if sc.AccessRate > 0 && sc.AccessRate < linkRate {
 		maxWire := 0
 		for _, s := range sc.Flows {
 			if s.Class == ethernet.ClassTS && s.WireSize > maxWire {
@@ -192,7 +177,7 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 	if depth < 1 {
 		depth = 1
 	}
-	depth += (depth*sc.DepthMargin + 99) / 100
+	depth += (depth*depthMargin + 99) / 100
 
 	// Each FRER flow consumes a second forwarding/classification entry
 	// (its member stream on AltVID) and one sequence-recovery entry.
@@ -209,14 +194,14 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 		ClassSize:     nEntries,
 		MeterSize:     nFlows,
 		GateSize:      2, // CQF: scheduling cycle = 2 slots
-		QueueNum:      sc.QueueNum,
+		QueueNum:      portQueues,
 		PortNum:       sc.Topo.EnabledTSNPorts,
-		CBSMapSize:    sc.RCQueues,
-		CBSSize:       sc.RCQueues,
+		CBSMapSize:    rcQueues,
+		CBSSize:       rcQueues,
 		QueueDepth:    depth,
-		BufferNum:     depth * sc.QueueNum, // overall buffers = depth × all queues
+		BufferNum:     depth * portQueues, // overall buffers = depth × all queues
 		SlotSize:      sc.SlotSize,
-		LinkRate:      sc.LinkRate,
+		LinkRate:      linkRate,
 	}
 	if nFRER > 0 {
 		cfg.FRERSize = nFRER

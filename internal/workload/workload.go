@@ -1,16 +1,20 @@
-// Package workload constructs the canonical tsnsim workload — topology,
+// Package workload constructs the canonical workload — topology,
 // attached hosts, TS flow set with optional FRER coverage and RC/BE
 // background, derived configuration and built design — from a compact
-// parameter set. It is the single definition cmd/tsnsim, the chaos
+// parameter set. It is the single definition cmd/tsnsim, cmd/tsnbuild,
+// cmd/tsntas (which stops at Scenario), cmd/tsnserve, the chaos
 // campaign engine, the tsnserve instance and internal/experiments (the
 // paper's 6-switch ring is Topology "ring", Switches 6) all build from,
-// which is what makes a chaos case replayable through plain tsnsim
-// flags: the same Params always produce byte-identical flow sets and
-// designs.
+// and Params.Bind is the one set of flags the commands describe it
+// with. That is what makes a chaos case replayable through plain
+// tsnsim flags: the same Params always produce byte-identical flow
+// sets and designs.
 package workload
 
 import (
+	"flag"
 	"fmt"
+	"strings"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
@@ -19,15 +23,20 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 )
 
+// Period is every TS flow's period. A workload with another or a mixed
+// period is a scenariofile spec.
+const Period = 10 * sim.Millisecond
+
 // MaxFRERFlows caps how many TS flows can carry FRER redundancy: each
 // member stream needs its own alternate VID from the band above the TS
 // VID space (4001..4064).
 const MaxFRERFlows = 64
 
 // Params selects one workload. It is the one scenario shape: a
-// tsnsim command line (every field maps 1:1 to a flag), a chaos case
-// (which embeds it) and a POST /v1/derive body (svc.Spec is this type,
-// whose JSON tags it carries) all describe a workload as a Params.
+// command line (Bind's flags, plus tsnsim's -rc, -be, -frer and
+// -ts-deadline), a chaos case (which embeds it) and a POST /v1/derive
+// body (svc.Spec is this type, whose JSON tags it carries) all
+// describe a workload as a Params.
 type Params struct {
 	// Topology is one of topology.Names.
 	Topology string `json:"topology"`
@@ -55,6 +64,21 @@ type Params struct {
 	TSDeadline sim.Time `json:"ts_deadline_ns,omitempty"`
 	// Seed drives deadline assignment (and clock drift downstream).
 	Seed uint64 `json:"seed,omitempty"`
+}
+
+// Bind registers the scenario flags on fs — -topology, -switches,
+// -flows, -hops, -size, -slot and -seed — each defaulting to p's
+// current value and parsing into p. Every command that builds a
+// workload binds them here, so each command keeps its own defaults and
+// a flag means the same thing in all of them.
+func (p *Params) Bind(fs *flag.FlagSet) {
+	fs.StringVar(&p.Topology, "topology", p.Topology, "topology: one of "+strings.Join(topology.Names, ", "))
+	fs.IntVar(&p.Switches, "switches", p.Switches, "switch count (a star has switches-1 children)")
+	fs.IntVar(&p.TSFlows, "flows", p.TSFlows, "TS flow count")
+	fs.IntVar(&p.Hops, "hops", p.Hops, "switches each TS flow traverses")
+	fs.IntVar(&p.WireSize, "size", p.WireSize, "TS frame size (bytes)")
+	fs.IntVar(&p.SlotUs, "slot", p.SlotUs, "CQF slot (µs)")
+	fs.Uint64Var(&p.Seed, "seed", p.Seed, "workload seed")
 }
 
 // Validate holds every structural rule a workload must meet to build:
@@ -103,13 +127,11 @@ func Host(sw int, background bool) int {
 	return 100 + sw
 }
 
-// Build constructs the workload deterministically from p. The
-// construction order — topology, both hosts per switch, TS flows
-// with VID 1+i%4000, FRER tagging, background flows from id 100000,
-// path binding, derivation, plan application, deadline override, design
-// build — is load-bearing: cmd/tsnsim produced exactly this sequence
-// before the extraction, and replay equivalence depends on keeping it.
-func Build(p Params) (*Built, error) {
+// Scenario builds the first half of Build: the topology, both hosts
+// per switch, the TS flows with VID 1+i%4000 and their FRER tagging,
+// the background flows from id 100000, and every path bound. Der and
+// Design are left nil. cmd/tsntas schedules this flow set as it stands.
+func Scenario(p Params) (*Built, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -122,7 +144,7 @@ func Build(p Params) (*Built, error) {
 
 	specs := flows.GenerateTS(flows.TSParams{
 		Count:    p.TSFlows,
-		Period:   10 * sim.Millisecond,
+		Period:   Period,
 		WireSize: p.WireSize,
 		VID:      1,
 		Hosts: func(i int) (int, int) {
@@ -134,13 +156,7 @@ func Build(p Params) (*Built, error) {
 	for i, s := range specs {
 		s.VID = uint16(1 + i%4000)
 	}
-	frerN := p.FRERFlows
-	if frerN > len(specs) {
-		frerN = len(specs)
-	}
-	if frerN > MaxFRERFlows {
-		frerN = MaxFRERFlows
-	}
+	frerN := min(p.FRERFlows, len(specs), MaxFRERFlows)
 	for i := 0; i < frerN; i++ {
 		specs[i].FRER = true
 		specs[i].AltVID = uint16(4001 + i)
@@ -163,24 +179,37 @@ func Build(p Params) (*Built, error) {
 	if err := core.BindPaths(topo, specs); err != nil {
 		return nil, err
 	}
+	return &Built{Topo: topo, Specs: specs, FRERFlows: frerN}, nil
+}
+
+// Build constructs the workload deterministically from p: Scenario,
+// then derivation, plan application, deadline override and design
+// build. The order is load-bearing: cmd/tsnsim produced exactly this
+// sequence before the extraction, and replay equivalence depends on
+// keeping it.
+func Build(p Params) (*Built, error) {
+	b, err := Scenario(p)
+	if err != nil {
+		return nil, err
+	}
 	der, err := core.DeriveConfig(core.Scenario{
-		Topo: topo, Flows: specs,
+		Topo: b.Topo, Flows: b.Specs,
 		SlotSize: sim.Time(p.SlotUs) * sim.Microsecond,
 	})
 	if err != nil {
 		return nil, err
 	}
-	der.Plan.Apply(specs)
+	der.Plan.Apply(b.Specs)
 	if p.TSDeadline > 0 {
-		for _, s := range specs {
+		for _, s := range b.Specs {
 			if s.Class == ethernet.ClassTS {
 				s.Deadline = sim.Time(p.TSDeadline)
 			}
 		}
 	}
-	design, err := der.Design(nil)
-	if err != nil {
+	if b.Design, err = der.Design(nil); err != nil {
 		return nil, err
 	}
-	return &Built{Topo: topo, Specs: specs, Der: der, Design: design, FRERFlows: frerN}, nil
+	b.Der = der
+	return b, nil
 }

@@ -26,7 +26,7 @@ var rejected = []struct {
 	{"tsnsim -topology star -switches 1", func(p *Params) { p.Topology, p.Switches, p.Hops = "star", 1, 1 }},
 	{"tsnsim -topology mesh -switches 1", func(p *Params) { p.Topology, p.Switches, p.Hops = "mesh", 1, 1 }},
 	{"tsnserve -topology ring -switches 2", func(p *Params) { p.Switches, p.Hops = 2, 2 }},
-	{"tsnserve -ts-flows 0", func(p *Params) { p.Topology, p.Switches, p.TSFlows, p.Hops = "linear", 4, 0, 2 }},
+	{"tsnserve -flows 0", func(p *Params) { p.Topology, p.Switches, p.TSFlows, p.Hops = "linear", 4, 0, 2 }},
 	{"tree/1", func(p *Params) { p.Topology, p.Switches, p.Hops = "tree", 1, 1 }},
 	{"linear/1", func(p *Params) { p.Topology, p.Switches, p.Hops = "linear", 1, 1 }},
 
