@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/chaos"
 	"github.com/tsnbuilder/tsnbuilder/internal/experiments"
 )
 
@@ -63,6 +64,29 @@ func TestCatalogMatchesDocs(t *testing.T) {
 				t.Errorf("%s: `tsnbench -exp %s` names no catalog id", name, m[1])
 			}
 		}
+	}
+}
+
+// TestOraclesMatchDesign keeps DESIGN.md §13's oracle table the list
+// chaos.Oracles() returns: a row per oracle, and no row for another.
+func TestOraclesMatchDesign(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := strings.Index(string(design), "\n## 13. "), strings.Index(string(design), "\n## 14. ")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md: §13 not found")
+	}
+	var rows []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z-]+)` \\|").FindAllStringSubmatch(string(design[start:end]), -1) {
+		rows = append(rows, m[1])
+	}
+	want := chaos.Oracles()
+	slices.Sort(rows)
+	slices.Sort(want)
+	if !slices.Equal(rows, want) {
+		t.Errorf("DESIGN.md §13 has rows for %q; chaos.Oracles() is %q", rows, want)
 	}
 }
 

@@ -32,8 +32,8 @@ func runChaos(o chaosOpts) (bool, error) {
 	if err != nil {
 		return true, err
 	}
-	fmt.Printf("chaos: executed %d/%d cases, %d determinism checks, %d parity checks, %d failures, %d errors\n",
-		sum.Executed, sum.Planned, sum.DeterminismChecks, sum.ParityChecks, len(sum.Failures), len(sum.Errors))
+	fmt.Printf("chaos: executed %d/%d cases, %d cqf-bound checks, %d determinism checks, %d parity checks, %d failures, %d errors\n",
+		sum.Executed, sum.Planned, sum.BoundChecks, sum.DeterminismChecks, sum.ParityChecks, len(sum.Failures), len(sum.Errors))
 	for _, e := range sum.Errors {
 		fmt.Printf("chaos: ERROR %s\n", e)
 	}

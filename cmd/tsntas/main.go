@@ -5,7 +5,9 @@
 // the switches' gate tables.
 //
 // The generated scenario is workload.Scenario's, from the same flags
-// as tsnsim.
+// as tsnsim, but for -slot, which is refused: a TAS schedule has no CQF
+// slot. The summary's tightest deadline slack is the least
+// Deadline − worst-case latency over flows.
 //
 // Example:
 //
@@ -16,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -34,6 +37,7 @@ type options struct {
 	spec    string
 	guardUs int
 	verbose bool
+	slotSet bool // -slot given: refused, a TAS schedule has no CQF slot
 }
 
 // parseFlags binds argv into options; a bad flag exits 2.
@@ -46,17 +50,21 @@ func parseFlags(args []string) *options {
 	fs.IntVar(&o.guardUs, "guard", 2, "per-window guard slack (µs)")
 	fs.BoolVar(&o.verbose, "v", false, "print every window")
 	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning an error
+	fs.Visit(func(f *flag.Flag) { o.slotSet = o.slotSet || f.Name == "slot" })
 	return o
 }
 
 func main() {
-	if err := run(parseFlags(os.Args[1:])); err != nil {
+	if err := run(parseFlags(os.Args[1:]), os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tsntas:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o *options) error {
+func run(o *options, out io.Writer) error {
+	if o.slotSet {
+		return fmt.Errorf("-slot: a TAS schedule has no CQF slot")
+	}
 	var topo *topology.Topology
 	var specs []*flows.Spec
 	if o.spec != "" {
@@ -83,7 +91,7 @@ func run(o *options) error {
 		return err
 	}
 
-	fmt.Printf("schedule cycle: %v, guard band: %v, max gate entries: %d\n\n",
+	fmt.Fprintf(out, "schedule cycle: %v, guard band: %v, max gate entries: %d\n\n",
 		sch.Cycle, sch.GuardBand, sch.MaxGateEntries)
 
 	// Per-port window summaries, sorted for stable output.
@@ -104,18 +112,19 @@ func run(o *options) error {
 			busy += w.End - w.Start
 		}
 		util := 100 * float64(busy) / float64(sch.Cycle)
-		fmt.Printf("sw%d port %d: %3d windows, %6.2f%% of cycle reserved\n",
+		fmt.Fprintf(out, "sw%d port %d: %3d windows, %6.2f%% of cycle reserved\n",
 			pk.Switch, pk.Port, len(ws), util)
 		if o.verbose {
 			for _, w := range ws {
-				fmt.Printf("    [%10v, %10v) flow %d\n", w.Start, w.End, w.FlowID)
+				fmt.Fprintf(out, "    [%10v, %10v) flow %d\n", w.Start, w.End, w.FlowID)
 			}
 		}
 	}
 
-	// Worst-case bounds per flow (summarized).
-	var worst, sum sim.Time
-	var worstFlow uint32
+	// Worst-case bounds per flow (summarized), and the tightest deadline
+	// slack: the least Deadline − WorstCaseLatency over flows.
+	var worst, sum, slack sim.Time
+	var worstFlow, slackFlow uint32
 	tsCount := 0
 	for _, s := range specs {
 		if _, ok := sch.Offsets[s.ID]; !ok {
@@ -125,6 +134,9 @@ func run(o *options) error {
 		if err != nil {
 			return err
 		}
+		if tsCount == 0 || s.Deadline-wc < slack {
+			slack, slackFlow = s.Deadline-wc, s.ID
+		}
 		tsCount++
 		sum += wc
 		if wc > worst {
@@ -132,8 +144,8 @@ func run(o *options) error {
 		}
 	}
 	if tsCount > 0 {
-		fmt.Printf("\nworst-case latency: %v (flow %d); mean bound: %v across %d flows\n",
-			worst, worstFlow, sum/sim.Time(tsCount), tsCount)
+		fmt.Fprintf(out, "\nworst-case latency: %v (flow %d); mean bound: %v across %d flows; tightest deadline slack: %v (flow %d)\n",
+			worst, worstFlow, sum/sim.Time(tsCount), tsCount, slack, slackFlow)
 	}
 	return nil
 }

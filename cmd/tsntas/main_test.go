@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,18 @@ import (
 
 // runArgs runs tsntas on args.
 func runArgs(args ...string) error {
-	return run(parseFlags(args))
+	return run(parseFlags(args), io.Discard)
+}
+
+// summary runs tsntas on args and returns its last output line.
+func summary(t *testing.T, args ...string) string {
+	t.Helper()
+	var b strings.Builder
+	if err := run(parseFlags(args), &b); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	return lines[len(lines)-1]
 }
 
 func TestRunGenerated(t *testing.T) {
@@ -64,6 +76,7 @@ func TestRunBadInputs(t *testing.T) {
 		{"zero size", "wire_size 0", []string{"-size", "0"}},
 		{"oversize", "wire_size 20000", []string{"-size", "20000"}},
 		{"negative guard", "negative guard", []string{"-flows", "8", "-guard", "-5"}},
+		{"slot", "no CQF slot", []string{"-slot", "65"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -91,5 +104,9 @@ func TestFrontEndsAgree(t *testing.T) {
 	}
 	if err := runArgs("-hops", "7"); err == nil || !strings.Contains(err.Error(), "hops 7") {
 		t.Fatalf("-hops 7: err = %v, want one naming hops 7", err)
+	}
+	// -seed draws the deadlines, so it reaches the tightest slack.
+	if a, b := summary(t), summary(t, "-seed", "7"); a == b || !strings.Contains(a, "tightest deadline slack") {
+		t.Fatalf("-seed 7 summary %q, default %q", b, a)
 	}
 }

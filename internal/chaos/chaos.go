@@ -115,6 +115,9 @@ func (v Violation) String() string { return fmt.Sprintf("%s: %s", v.Oracle, v.De
 type Result struct {
 	Case       Case        `json:"case"`
 	Violations []Violation `json:"violations,omitempty"`
+	// Skipped names each oracle that did not judge the case, its Detail
+	// saying why.
+	Skipped []Violation `json:"skipped,omitempty"`
 	// MetricsJSON is the run's full telemetry snapshot, byte-comparable
 	// across replays (the determinism oracle's evidence).
 	MetricsJSON []byte `json:"-"`

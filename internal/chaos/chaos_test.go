@@ -170,6 +170,9 @@ func TestExecuteCleanCase(t *testing.T) {
 	if res.Failed() {
 		t.Fatalf("clean case violated: %v", res.Violations)
 	}
+	if len(res.Skipped) != 0 {
+		t.Fatalf("clean case skipped %v", res.Skipped)
+	}
 	if res.Events == 0 {
 		t.Fatal("no events executed")
 	}
@@ -190,6 +193,9 @@ func TestZeroLossOracleHoldsOnCoveredCase(t *testing.T) {
 	}
 	if res.Failed() {
 		t.Fatalf("covered link-down violated: %v", res.Violations)
+	}
+	if want := (Violation{OracleCQFBound, "1-fault script: faults break Eq. (1)'s premises"}); len(res.Skipped) != 1 || res.Skipped[0] != want {
+		t.Fatalf("faulted case skipped %v, want %v", res.Skipped, want)
 	}
 }
 
@@ -307,6 +313,30 @@ func TestShrinkWedgeToMinimalRepro(t *testing.T) {
 	}
 	if _, err := faults.Load(filepath.Join(dir, "wedge.faults.json")); err != nil {
 		t.Fatalf("fault sidecar does not parse: %v", err)
+	}
+}
+
+// TestCampaignJudgesCleanCases: the cqf-bound oracle judges exactly
+// the cases with no fault and no reconfiguration, and they hold.
+func TestCampaignJudgesCleanCases(t *testing.T) {
+	p, runs := DefaultProfile(), 24
+	clean := 0
+	for i := 0; i < runs; i++ {
+		c, err := Generate(p, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Faults) == 0 && c.Reconfig == nil {
+			clean++
+		}
+	}
+	sum, err := RunCampaign(Options{Profile: p, Runs: runs, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Failed() || clean == 0 || sum.BoundChecks != clean {
+		t.Fatalf("%d clean cases of %d, %d cqf-bound checks, failures %d, errors %v",
+			clean, runs, sum.BoundChecks, len(sum.Failures), sum.Errors)
 	}
 }
 

@@ -44,20 +44,26 @@ const (
 	// heap-depth gauge excepted (checked by the campaign on a sampled
 	// subset; see DESIGN.md §16).
 	OracleParity = "partition-parity"
+	// OracleCQFBound: on a case with no fault and no reconfiguration,
+	// every TS flow's latencies stay within the paper's Eq. (1),
+	// [(h−1)·T, (h+1)·T] (testbed.CheckCQFBound). Other cases skip it.
+	OracleCQFBound = "cqf-bound"
 )
 
 // Oracles lists every invariant oracle the engine can report, in
 // documentation order.
 func Oracles() []string {
 	return []string{OracleConservation, OracleZeroLoss, OracleAttribution,
-		OracleLadder, OracleAtomicity, OracleDeterminism, OracleParity}
+		OracleLadder, OracleAtomicity, OracleDeterminism, OracleParity, OracleCQFBound}
 }
 
-// checkOracles applies the post-run oracle suite to one executed case.
-func checkOracles(c *Case, net *testbed.Net, reg *metrics.Registry, rec *TxnRecord) []Violation {
-	var out []Violation
+// checkOracles applies the post-run oracle suite to res's executed
+// case: it appends every violation, and every oracle the case skipped
+// with the reason.
+func checkOracles(res *Result, net *testbed.Net, reg *metrics.Registry, rec *TxnRecord) {
+	c := &res.Case
 	add := func(oracle, format string, args ...any) {
-		out = append(out, Violation{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
+		res.Violations = append(res.Violations, Violation{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
 	}
 
 	// Frame conservation. Per-class loss is per-flow sent-vs-accepted,
@@ -109,10 +115,26 @@ func checkOracles(c *Case, net *testbed.Net, reg *metrics.Registry, rec *TxnReco
 		}
 	}
 
+	// Eq. (1) assumes synchronized clocks, intact links and gates, and
+	// one configuration for the whole run; a fault or a reconfiguration
+	// breaks that premise for a window no oracle defines yet.
+	switch {
+	case len(c.Faults) > 0:
+		res.Skipped = append(res.Skipped, Violation{Oracle: OracleCQFBound,
+			Detail: fmt.Sprintf("%d-fault script: faults break Eq. (1)'s premises", len(c.Faults))})
+	case c.Reconfig != nil:
+		res.Skipped = append(res.Skipped, Violation{Oracle: OracleCQFBound,
+			Detail: "mid-run reconfiguration: Eq. (1) holds for one configuration"})
+	default:
+		for _, v := range net.CheckCQFBound() {
+			add(OracleCQFBound, "%v", v)
+		}
+	}
+
 	// Reconfiguration atomicity: commit-or-exact-rollback. A case has
 	// at most one transaction; violations name it "txn 0".
 	if rec == nil {
-		return out
+		return
 	}
 	live := net.LiveConfig()
 	switch {
@@ -142,7 +164,6 @@ func checkOracles(c *Case, net *testbed.Net, reg *metrics.Registry, rec *TxnReco
 	if err := net.VerifyLive(); err != nil {
 		add(OracleAtomicity, "%v", err)
 	}
-	return out
 }
 
 // hasFaultKind reports whether the case's script contains kind.

@@ -82,7 +82,7 @@ func Execute(c Case) (*Result, error) {
 	net.Run(0, c.dur())
 
 	res := &Result{Case: c, Events: net.Engine.Executed()}
-	res.Violations = checkOracles(&c, net, reg, rec)
+	checkOracles(res, net, reg, rec)
 	var buf bytes.Buffer
 	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
 		return nil, fmt.Errorf("chaos: case %d metrics export: %w", c.Index, err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
 
 func params(t *testing.T) Params {
@@ -86,16 +87,12 @@ func TestFig7HopsShape(t *testing.T) {
 	if len(s.Rows) != 4 {
 		t.Fatalf("rows = %d", len(s.Rows))
 	}
-	slot := 65 * sim.Microsecond
 	for i, r := range s.Rows {
-		hops := sim.Time(i + 1)
 		if r.LossRate != 0 {
 			t.Errorf("hops=%d loss %v", i+1, r.LossRate)
 		}
-		// Eq. (1): latency within [(h-1)·slot, (h+1)·slot] (plus sub-
-		// slot wire time).
-		if r.Min < (hops-1)*slot || r.Max > (hops+1)*slot+2*sim.Microsecond {
-			t.Errorf("hops=%d latency [%v,%v] outside CQF bounds", i+1, r.Min, r.Max)
+		if lo, hi := testbed.CQFBound(i+1, 65*sim.Microsecond); r.Min < lo || r.Max > hi {
+			t.Errorf("hops=%d latency [%v,%v] outside Eq. (1)'s [%v,%v]", i+1, r.Min, r.Max, lo, hi)
 		}
 		// Monotone growth.
 		if i > 0 && r.Mean <= s.Rows[i-1].Mean {
@@ -384,8 +381,20 @@ func TestDesyncStudy(t *testing.T) {
 	if rows[0].X != 0 {
 		t.Fatal("first row must be the synchronized baseline")
 	}
-	if rows[0].LossRate != 0 || rows[0].BoundBroken() {
+	if rows[0].LossRate != 0 || len(rows[0].OutOfBound) > 0 {
 		t.Fatalf("synchronized baseline degraded: %+v", rows[0])
+	}
+	// An offset inside the slot lets frames skip one: the fastest
+	// delivery beats (h−1)·T, and nothing breaks the upper side.
+	for _, r := range rows[1 : len(rows)-1] {
+		if len(r.OutOfBound) == 0 {
+			t.Errorf("offset %s: Eq. (1) held", r.Label)
+		}
+		for _, v := range r.OutOfBound {
+			if v.Side != "lower" {
+				t.Errorf("offset %s: %v", r.Label, v)
+			}
+		}
 	}
 	// Some nonzero offset must inflate jitter over the baseline
 	// (boundary straddling splits frames across departure slots).

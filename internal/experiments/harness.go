@@ -52,8 +52,10 @@ type Row struct {
 	// QueueDepth, BufferNum and GateSize are the provisioned queue depth,
 	// per-port buffer count and gate table size.
 	QueueDepth, BufferNum, GateSize int
-	// Bound is Eq. (1)'s upper latency bound, (hops+1)·slot.
-	Bound sim.Time
+	// Bound is Eq. (1)'s upper bound on the point's paths, OutOfBound
+	// each side a TS flow broke (under E-TAS, not CQF, every lower one).
+	Bound      sim.Time
+	OutOfBound []testbed.BoundViolation
 	// Feasible is core.CheckSlotFeasibility's verdict at the slowest
 	// egress a TS flow crosses: one slot's frames drain within a slot.
 	Feasible bool
@@ -66,10 +68,6 @@ func (r Row) MissRate() float64 {
 	}
 	return float64(r.DeadlineMisses) / float64(r.Received)
 }
-
-// BoundBroken reports a worst latency beyond Eq. (1)'s bound (plus
-// sub-slot wire time).
-func (r Row) BoundBroken() bool { return r.Max > r.Bound+2*sim.Microsecond }
 
 // QueueBufKb is queueBufKb of the row's provisioned depth and buffers.
 func (r Row) QueueBufKb() float64 { return queueBufKb(r.QueueDepth, r.BufferNum) }
@@ -265,6 +263,7 @@ func (pt point) run(rp Params) (Row, error) {
 	for _, sw := range net.Switches {
 		pool = max(pool, sw.PoolHighWater(0))
 	}
+	_, bound := testbed.CQFBound(wp.Hops, cfg.SlotSize)
 	return Row{
 		Label: pt.label, X: pt.x,
 		Mean: s.MeanLatency, Jitter: s.Jitter, Min: s.MinLat, Max: s.MaxLat,
@@ -275,7 +274,8 @@ func (pt point) run(rp Params) (Row, error) {
 		QueueDepth:     cfg.QueueDepth,
 		BufferNum:      cfg.BufferNum,
 		GateSize:       cfg.GateSize,
-		Bound:          sim.Time(wp.Hops+1) * cfg.SlotSize,
+		Bound:          bound,
+		OutOfBound:     net.CheckCQFBound(),
 		Feasible:       len(core.CheckSlotFeasibility(w.Der.Plan, cmp.Or(access, cfg.LinkRate), wp.WireSize)) == 0,
 	}, nil
 }

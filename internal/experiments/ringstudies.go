@@ -17,7 +17,7 @@ import (
 
 // DeadlineStudy connects the slot-size sweep of Fig. 7(c) to the
 // paper's IEC 60802-guided deadline set {1,2,4,8 ms}: CQF's upper bound
-// (hop+1)·slot must stay below the tightest deadline. With 3-switch
+// (testbed.CQFBound) must stay below the tightest deadline. With 3-switch
 // paths the 65 µs slot leaves three orders of magnitude of margin;
 // pushing the slot toward 260 µs and beyond erodes it until the 1 ms
 // deadline class starts missing.
@@ -40,14 +40,11 @@ func FormatDeadline(rows []Row) string {
 // DesyncStudy quantifies what the Time Sync template buys: CQF's
 // determinism (Eq. (1)) rests on neighboring switches agreeing on slot
 // boundaries. The study forces a static clock error (the row's X, in
-// µs) onto every other switch in the ring and measures the TS flows.
-// Expected shape: with perfect sync the jitter is the in-slot phase
-// spread; an offset that pushes in-flight frames across a neighbor's
-// slot boundary splits them between two departure slots, inflating
-// jitter and bunching two slots of traffic into one queue (visible as a
-// higher queue high-water). Loss appears only once that bunching
-// exceeds the provisioned depth — the margin gPTP's sub-50 ns precision
-// preserves by three orders of magnitude.
+// µs) onto every other switch in the ring. An offset inside the slot
+// lets frames cross a neighbor's slot boundary early: they skip a slot,
+// breaking Eq. (1)'s lower bound, and split between two departure
+// slots, inflating jitter and the queue high water. A whole slot's
+// offset is invisible; gPTP keeps clocks within 50 ns.
 func DesyncStudy(p Params) ([]Row, error) {
 	return ringSweep(p, over([]int{0, 1, 8, 16, 32, 65}, func(us int) point {
 		offset := sim.Time(us) * sim.Microsecond
@@ -69,7 +66,7 @@ func FormatDesync(rows []Row) string {
 		"offset", "mean(µs)", "jitter(µs)", "max(µs)", "loss", "bounds", "highwater")
 	for _, r := range rows {
 		ok := "held"
-		if r.BoundBroken() {
+		if len(r.OutOfBound) > 0 {
 			ok = "BROKEN"
 		}
 		fmt.Fprintf(&b, "  %-10s %10.1f %10.2f %10.1f %7.2f%% %8s %10d\n",

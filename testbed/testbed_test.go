@@ -70,13 +70,8 @@ func TestRingZeroLossWithinBounds(t *testing.T) {
 	if ts.Lost != 0 {
 		t.Fatalf("TS loss = %d of %d (drops %+v)", ts.Lost, ts.Sent, net.SwitchStats().Drops)
 	}
-	// Eq. (1): hops=3 (the path crosses 4 switches? path = src..dst
-	// inclusive = hops+1 switches... here hop count = 3 switch-to-
-	// switch transitions + src switch = 4 switches). The CQF bound in
-	// slot units: latency ≤ (len(path)+1)·slot.
-	slot := 65 * sim.Microsecond
-	if ts.MaxLat > 5*slot {
-		t.Fatalf("TS max latency %v exceeds CQF bound", ts.MaxLat)
+	if out := net.CheckCQFBound(); len(out) > 0 {
+		t.Fatalf("%d sides of Eq. (1) broken, first %v", len(out), out[0])
 	}
 	if ts.DeadlineMisses != 0 {
 		t.Fatalf("deadline misses = %d", ts.DeadlineMisses)
