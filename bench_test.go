@@ -64,14 +64,13 @@ func benchStudy(b *testing.B) {
 func benchStudySeeded(b *testing.B, seed func(i int) uint64) {
 	st, p := catalogStudy(b), params()
 	var res experiments.Result
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		p.Seed = seed(i)
 		var err error
 		if res, err = st.Run(p); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
 	for _, m := range res().Metrics {
 		b.ReportMetric(m.Value, m.Unit)
 	}
@@ -214,8 +213,7 @@ func BenchmarkFrameCodec(b *testing.B) {
 	}
 	var buf []byte
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		buf = f.AppendMarshal(buf[:0])
 		if _, err := ethernet.UnmarshalNoCopy(buf); err != nil {
 			b.Fatal(err)
@@ -232,7 +230,7 @@ func BenchmarkFrameCodecCopy(b *testing.B) {
 		Payload: make([]byte, 1000), FlowID: 1, Seq: 2, Class: ethernet.ClassTS,
 	}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		buf := f.Marshal()
 		if _, err := ethernet.Unmarshal(buf); err != nil {
 			b.Fatal(err)
@@ -255,8 +253,7 @@ func BenchmarkITPCompute(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := itp.Compute(specs, 65*sim.Microsecond, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +283,7 @@ func BenchmarkWorkloadBuild(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				for _, p := range bc.params {
 					if _, err := workload.Build(p); err != nil {
 						b.Fatal(err)
@@ -316,8 +313,7 @@ func BenchmarkMeshBuild(b *testing.B) {
 	base, mallocs := live(), ms.Mallocs
 	var net *testbed.Net
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		wl, err := workload.Build(p)
 		if err != nil {
 			b.Fatal(err)
@@ -329,7 +325,6 @@ func BenchmarkMeshBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
 	b.ReportMetric(live()-base, "heap-MB")
 	runtime.KeepAlive(net)
 	if perBuild := float64(ms.Mallocs-mallocs) / float64(b.N); perBuild > 30_000 {
@@ -353,8 +348,7 @@ func BenchmarkDeriveAndBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		der, err := tsnbuilder.DeriveConfig(tsnbuilder.Scenario{Topo: topo, Flows: specs})
 		if err != nil {
 			b.Fatal(err)
@@ -372,8 +366,7 @@ func BenchmarkFlightRecord(b *testing.B) {
 	fl := trace.NewFlight(1 << 16)
 	ev := trace.Event{At: 1, Kind: trace.KindEnqueue, FlowID: 7, Seq: 3, Switch: 1, Port: 2, Queue: 7}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		fl.Record(ev)
 	}
 }
@@ -389,8 +382,7 @@ func BenchmarkAttributionObserve(b *testing.B) {
 	f.Span.Claim(300, 100)
 	f.Span.OnDeliver(2000, 100, 200)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		a.ObserveLatency(f, 2000, 1000, false)
 	}
 }
@@ -400,8 +392,7 @@ func BenchmarkAttributionObserve(b *testing.B) {
 func BenchmarkSpanOps(b *testing.B) {
 	var s ethernet.Span
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		s.Begin(100)
 		s.Claim(10, 5)
 		s.OnDeliver(400, 50, 100)
@@ -428,8 +419,7 @@ func BenchmarkSvcReconfigure(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		out, err := in.Reconfigure(context.Background(), &deltas[i%len(deltas)])
 		if err != nil || out.Seq == 0 {
 			b.Fatalf("reconfigure %d: %+v %v", i, out, err)

@@ -29,8 +29,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/chaos"
@@ -40,19 +41,12 @@ import (
 
 type options struct {
 	addr string
+	// svc is what the scenario and durability flags bind straight into.
+	svc svc.Options
 
-	// svc is what the scenario and service-tuning flags bind straight
-	// into; the millisecond flags below are converted by svcOptions.
-	svc           svc.Options
-	deriveMs      int
-	reconfigMs    int
-	breakerCoolMs int
-
-	chaos         bool
-	chaosSeed     uint64
-	chaosRequests int
-	chaosClients  int
-	chaosBudgetS  int
+	chaos        bool
+	chaosSeed    uint64
+	chaosBudgetS int
 
 	crashChaos    bool
 	crashKills    int
@@ -65,31 +59,15 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("tsnserve", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:9780", "listen address (loopback by default: /debug/pprof is served)")
 
-	// Every workload and service default is svc's own; the managed
-	// network takes the scenario flags every command shares.
-	d := svc.DefaultOptions()
-	o.svc.Workload = d.Workload
+	// The managed network takes the scenario flags every command shares,
+	// starting at svc's default workload.
+	o.svc.Workload = svc.DefaultWorkload()
 	o.svc.Workload.Bind(fs)
-
-	ms := func(t time.Duration) int { return int(t / time.Millisecond) }
-	fs.IntVar(&o.svc.CacheSize, "cache-size", d.CacheSize, "derivation cache entries")
-	fs.IntVar(&o.svc.DeriveConcurrency, "derive-concurrency", d.DeriveConcurrency, "concurrent derivations")
-	fs.IntVar(&o.svc.DeriveQueue, "derive-queue", d.DeriveQueue, "derive admission wait bound")
-	fs.IntVar(&o.svc.ReconfigQueue, "reconfig-queue", d.ReconfigQueue, "reconfig admission wait bound")
-	fs.IntVar(&o.deriveMs, "derive-deadline-ms", ms(d.DeriveDeadline), "default derive deadline (ms)")
-	fs.IntVar(&o.reconfigMs, "reconfig-deadline-ms", ms(d.ReconfigDeadline), "default reconfig deadline (ms)")
-	fs.IntVar(&o.svc.BreakerThreshold, "breaker-threshold", d.BreakerThreshold, "consecutive commit failures that open the breaker")
-	fs.IntVar(&o.breakerCoolMs, "breaker-cooldown-ms", ms(d.BreakerCooldown), "breaker open→half-open cooldown (ms)")
-	fs.IntVar(&o.svc.RetryMax, "retry-max", d.RetryMax, "bounded commit retries")
-	fs.IntVar(&o.svc.RetryBackoffUs, "retry-backoff-us", d.RetryBackoffUs, "commit retry backoff (µs, 0 = one CQF cycle)")
-
-	fs.StringVar(&o.svc.StateDir, "state-dir", d.StateDir, "durable state directory (WAL + checkpoints); empty = in-memory only")
-	fs.IntVar(&o.svc.CheckpointEvery, "checkpoint-every", d.CheckpointEvery, "fold the journal into a checkpoint every n commits")
+	fs.StringVar(&o.svc.StateDir, "state-dir", "", "durable state directory (WAL + checkpoints); empty = in-memory only")
+	fs.IntVar(&o.svc.CheckpointEvery, "checkpoint-every", svc.DefaultCheckpointEvery, "fold the journal into a checkpoint every n commits")
 
 	fs.BoolVar(&o.chaos, "chaos", false, "run the service chaos campaign instead of serving")
 	fs.Uint64Var(&o.chaosSeed, "chaos-seed", 42, "chaos campaign seed")
-	fs.IntVar(&o.chaosRequests, "chaos-requests", 200, "chaos campaign scripted requests")
-	fs.IntVar(&o.chaosClients, "chaos-clients", 8, "chaos campaign concurrent clients")
 	fs.IntVar(&o.chaosBudgetS, "chaos-budget-s", 120, "chaos campaign wall-clock budget (s)")
 
 	fs.BoolVar(&o.crashChaos, "crash-chaos", false, "run the crash-recovery chaos campaign (kill -9 + restart) instead of serving")
@@ -100,14 +78,6 @@ func parseFlags(args []string) (*options, error) {
 		return nil, err
 	}
 	return o, nil
-}
-
-func (o *options) svcOptions() svc.Options {
-	so := o.svc
-	so.DeriveDeadline = time.Duration(o.deriveMs) * time.Millisecond
-	so.ReconfigDeadline = time.Duration(o.reconfigMs) * time.Millisecond
-	so.BreakerCooldown = time.Duration(o.breakerCoolMs) * time.Millisecond
-	return so
 }
 
 // drainTimeout bounds how long shutdown waits for in-flight requests
@@ -132,7 +102,7 @@ func run(args []string, sig <-chan os.Signal) error {
 		wal.ArmCrash(o.crashAfterWAL, o.crashTorn)
 	}
 
-	s, err := svc.NewService(o.svcOptions())
+	s, err := svc.NewService(o.svc)
 	if err != nil {
 		return err
 	}
@@ -155,14 +125,11 @@ func run(args []string, sig <-chan os.Signal) error {
 
 // runChaos runs the service chaos campaign and reports its verdict.
 func runChaos(o *options) error {
-	fmt.Printf("tsnserve: chaos campaign seed=%d requests=%d clients=%d\n",
-		o.chaosSeed, o.chaosRequests, o.chaosClients)
+	fmt.Printf("tsnserve: chaos campaign seed=%d\n", o.chaosSeed)
 	sum, err := chaos.RunServiceCampaign(chaos.ServiceOptions{
 		Seed:     o.chaosSeed,
-		Clients:  o.chaosClients,
-		Requests: o.chaosRequests,
+		Workload: o.svc.Workload,
 		Budget:   time.Duration(o.chaosBudgetS) * time.Second,
-		Service:  o.svcOptions(),
 		Log: func(format string, args ...any) {
 			fmt.Printf("chaos: "+format+"\n", args...)
 		},
@@ -172,19 +139,15 @@ func runChaos(o *options) error {
 	}
 	fmt.Printf("chaos: %d/%d executed, %d accepted, %d coherence probes, %d faults\n",
 		sum.Executed, sum.Planned, sum.Accepted, sum.CoherenceProbes, sum.FaultsArmed)
-	codes := make([]int, 0, len(sum.ByStatus))
-	for code := range sum.ByStatus {
-		codes = append(codes, code)
-	}
-	sort.Ints(codes)
-	for _, code := range codes {
+	for _, code := range slices.Sorted(maps.Keys(sum.ByStatus)) {
 		fmt.Printf("chaos:   status %d × %d\n", code, sum.ByStatus[code])
 	}
 	if report("chaos", sum.Verdict) {
 		return fmt.Errorf("tsnserve: chaos campaign failed: %d violations, %d errors",
 			len(sum.Violations), len(sum.Errors))
 	}
-	fmt.Println("chaos: PASS — both service oracles held")
+	fmt.Printf("chaos: PASS — %s, %s and %s held\n",
+		chaos.OracleAcceptedLost, chaos.OracleCacheCoherence, chaos.OracleQueueBounded)
 	return nil
 }
 

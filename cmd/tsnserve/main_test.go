@@ -2,19 +2,15 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"reflect"
 	"runtime"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
-
-	"github.com/tsnbuilder/tsnbuilder/internal/svc"
 )
 
 // freePort grabs an ephemeral port and releases it for the daemon.
@@ -187,14 +183,10 @@ func TestListenFailureStopsTheInstance(t *testing.T) {
 	}
 }
 
-// TestChaosModeSmoke runs a tiny chaos campaign through the CLI path
-// and expects a clean verdict.
+// TestChaosModeSmoke runs the service chaos campaign through the CLI
+// path and expects a clean verdict.
 func TestChaosModeSmoke(t *testing.T) {
-	err := run([]string{
-		"-chaos", "-chaos-requests", "60", "-chaos-clients", "4",
-		"-switches", "2", "-flows", "6", "-chaos-budget-s", "60",
-	}, nil)
-	if err != nil {
+	if err := run([]string{"-chaos"}, nil); err != nil {
 		t.Fatalf("chaos mode: %v", err)
 	}
 }
@@ -210,9 +202,6 @@ func TestParseFlagsRejectsGarbage(t *testing.T) {
 	if o.addr != "127.0.0.1:1234" || o.svc.Workload.Topology != "ring" {
 		t.Fatalf("flags not applied: %+v", o)
 	}
-	if fmt.Sprintf("%v", o.svcOptions().DeriveDeadline) != "2s" {
-		t.Fatalf("default derive deadline: %v", o.svcOptions().DeriveDeadline)
-	}
 }
 
 // TestWorkloadBelowItsFloorIsAnError: a managed workload the topology
@@ -227,18 +216,5 @@ func TestWorkloadBelowItsFloorIsAnError(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "workload") {
 			t.Errorf("run %v = %v, want a workload error", args, err)
 		}
-	}
-}
-
-// TestFlagDefaultsAreSvcDefaults: with no flags, the options tsnserve
-// hands to svc are exactly svc.DefaultOptions — the daemon states no
-// default of its own.
-func TestFlagDefaultsAreSvcDefaults(t *testing.T) {
-	o, err := parseFlags(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := o.svcOptions(), svc.DefaultOptions(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("flag defaults %+v, svc defaults %+v", got, want)
 	}
 }

@@ -8,10 +8,12 @@ package chaos
 // specs, cache-coherence probes that race fresh recomputation against
 // cached bodies, reconfiguration transactions with transient and
 // wedged mid-commit faults armed underneath them, slow clients that
-// squat on admission slots, and unique-spec bursts that push the
-// admission queue into shedding.
+// squat on admission slots, and unique-spec bursts of cache misses. The
+// service runs with the daemon's own limits: eight clients never fill
+// its admission queues, so the run sheds nothing, and shedding is left
+// to the admission unit tests.
 //
-// Two service-level oracles judge the run:
+// Three service-level oracles judge the run:
 //
 //   - accepted-then-lost: every 2xx POST /v1/reconfig the clients ever
 //     saw must appear in the instance's committed journal with the
@@ -21,10 +23,12 @@ package chaos
 //     can never silently vanish, and a wedge never outlives its repair.
 //   - cache coherence: a cached derivation body and a freshly
 //     recomputed one for the same spec must be byte-identical.
+//   - queue bounded: no admission queue's depth high-water mark may
+//     exceed its bound.
 //
 // The drive plan is a pure function of (Seed, request index), so a
 // fixed seed replays the same request mix; only the interleaving varies
-// and both oracles are interleaving-independent by construction.
+// and every oracle is interleaving-independent by construction.
 
 import (
 	"bytes"
@@ -40,6 +44,7 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/experiments"
 	"github.com/tsnbuilder/tsnbuilder/internal/svc"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
 // Service-level oracle names.
@@ -61,20 +66,23 @@ const (
 type ServiceOptions struct {
 	// Seed fixes the drive plan (request mix, specs, deltas, faults).
 	Seed uint64
-	// Clients is the concurrent driver count (default 8).
-	Clients int
-	// Requests is the total scripted request count (default 200).
-	Requests int
+	// Workload is the managed network; a zero value takes
+	// svc.DefaultWorkload.
+	Workload workload.Params
 	// Budget bounds the campaign's wall clock; zero means unbudgeted.
 	// Like the simulation campaign, it stops new requests from being
 	// claimed — requests in flight finish, so verdicts never tear.
 	Budget time.Duration
-	// Service overrides the service construction; the zero value gets
-	// deliberately small queues so overload shedding is reachable.
-	Service svc.Options
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 }
+
+// The campaign's drive: serviceRequests scripted requests over
+// serviceClients concurrent clients.
+const (
+	serviceClients  = 8
+	serviceRequests = 200
+)
 
 // ServiceSummary is a finished service campaign's outcome.
 type ServiceSummary struct {
@@ -134,24 +142,11 @@ func newSvcDriver(base string, timeout time.Duration) *svcDriver {
 // RunServiceCampaign builds a service, drives it with the scripted
 // concurrent load, applies the service oracles and shuts it down.
 func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
-	if opts.Clients <= 0 {
-		opts.Clients = 8
-	}
-	if opts.Requests <= 0 {
-		opts.Requests = 200
-	}
 	logf := opts.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	sopts := opts.Service
-	if sopts.DeriveQueue == 0 {
-		sopts.DeriveQueue = 8 // small on purpose: shedding must be reachable
-	}
-	if sopts.ReconfigQueue == 0 {
-		sopts.ReconfigQueue = 4
-	}
-	s, err := svc.NewService(sopts)
+	s, err := svc.NewService(svc.Options{Workload: opts.Workload})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: service build: %w", err)
 	}
@@ -178,9 +173,9 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
 		defer cancel()
 	}
-	wedgeAt := opts.Requests / 2 // exactly one wedge, mid-campaign
-	logf("service campaign: %d requests over %d clients against %s", opts.Requests, opts.Clients, d.base)
-	_ = experiments.FanOutCtx(ctx, opts.Clients, opts.Requests, func(i int) bool {
+	wedgeAt := serviceRequests / 2 // exactly one wedge, mid-campaign
+	logf("service campaign: %d requests over %d clients against %s", serviceRequests, serviceClients, d.base)
+	_ = experiments.FanOutCtx(ctx, serviceClients, serviceRequests, func(i int) bool {
 		rng := rand.New(rand.NewSource(int64(opts.Seed)*1_000_003 + int64(i)))
 		switch {
 		case i == wedgeAt:
@@ -222,7 +217,7 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 	d.checkQueueBound("derive", s.Admission().Derive)
 	d.checkQueueBound("reconfig", s.Admission().Reconfig)
 	sum := &ServiceSummary{
-		Planned:         opts.Requests,
+		Planned:         serviceRequests,
 		Executed:        d.executed,
 		ByStatus:        d.byStatus,
 		Accepted:        len(d.acked),
@@ -294,7 +289,7 @@ func (d *svcDriver) slowDerive(spec string) {
 }
 
 // burst fires several unique-spec derivations back to back — all cache
-// misses, aimed at pushing the admission queue into shedding.
+// misses, each holding a derive slot for a whole derivation.
 func (d *svcDriver) burst(rng *rand.Rand) {
 	for k := 0; k < 6; k++ {
 		spec := fmt.Sprintf(`{"topology":"ring","switches":%d,"ts_flows":%d,"seed":%d}`,

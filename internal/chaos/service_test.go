@@ -12,25 +12,13 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
-// TestServiceCampaignFixedSeed is the acceptance run: a fixed-seed
-// campaign drives the live service concurrently — stampedes, coherence
-// probes, slow clients, transient and wedged mid-commit faults, shed
-// bursts — and both service oracles must hold.
+// TestServiceCampaignFixedSeed is the acceptance run, the same one
+// tsnserve -chaos makes: a fixed-seed campaign drives the live service
+// concurrently — stampedes, coherence probes, slow clients, transient
+// and wedged mid-commit faults, cache-miss bursts — and all three
+// service oracles must hold.
 func TestServiceCampaignFixedSeed(t *testing.T) {
-	sum, err := RunServiceCampaign(ServiceOptions{
-		Seed:     42,
-		Clients:  8,
-		Requests: 140,
-		Budget:   2 * time.Minute,
-		Service: svc.Options{
-			Workload: workload.Params{
-				Topology: "linear", Switches: 2, TSFlows: 6, Hops: 2,
-				WireSize: 200, SlotUs: 65, Seed: 1,
-			},
-			RetryMax: 3,
-		},
-		Log: t.Logf,
-	})
+	sum, err := RunServiceCampaign(ServiceOptions{Seed: 42, Budget: 2 * time.Minute, Log: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,9 +306,14 @@ func (d *Design) SwitchConfig(id, ports int) tsnswitch.Config {
 	return c
 }
 
+// TSQueues returns the CQF queue pair, the two highest queues of a
+// port: TS frames enter A and the pair alternates slot by slot.
+func (c Config) TSQueues() (a, b int) { return c.QueueNum - 1, c.QueueNum - 2 }
+
 // Switch maps c onto a switch's dataplane configuration: its sizes,
 // slot, link rate and TS queue pair; ID and Ports are left zero.
 func (c Config) Switch() tsnswitch.Config {
+	qa, qb := c.TSQueues()
 	return tsnswitch.Config{
 		QueuesPerPort:  c.QueueNum,
 		QueueDepth:     c.QueueDepth,
@@ -321,8 +326,8 @@ func (c Config) Switch() tsnswitch.Config {
 		CBSMapSize:     c.CBSMapSize,
 		CBSSize:        c.CBSSize,
 		SlotSize:       c.SlotSize,
-		TSQueueA:       c.QueueNum - 1,
-		TSQueueB:       c.QueueNum - 2,
+		TSQueueA:       qa,
+		TSQueueB:       qb,
 		LinkRate:       c.LinkRate,
 	}
 }

@@ -29,15 +29,9 @@ func liveBase() core.Config {
 }
 
 func liveSwitch(e *sim.Engine, cfg core.Config) *tsnswitch.Switch {
-	return tsnswitch.New(e, tsnswitch.Config{
-		ID: 0, Ports: cfg.PortNum, QueuesPerPort: cfg.QueueNum,
-		QueueDepth: cfg.QueueDepth, BuffersPerPort: cfg.BufferNum,
-		UnicastSize: cfg.UnicastSize, MulticastSize: cfg.MulticastSize,
-		ClassSize: cfg.ClassSize, MeterSize: cfg.MeterSize,
-		GateSize: cfg.GateSize, CBSMapSize: cfg.CBSMapSize, CBSSize: cfg.CBSSize,
-		SlotSize: cfg.SlotSize, LinkRate: cfg.LinkRate,
-		TSQueueA: cfg.QueueNum - 1, TSQueueB: cfg.QueueNum - 2,
-	})
+	c := cfg.Switch()
+	c.Ports = cfg.PortNum
+	return tsnswitch.New(e, c)
 }
 
 // observedConfig re-derives the Derivation-level Config from live

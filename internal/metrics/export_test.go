@@ -295,8 +295,7 @@ func BenchmarkRegistrySnapshot(b *testing.B) {
 			len(snap.Families), samples, labels, hists)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		snap = r.Snapshot()
 	}
 	_ = snap

@@ -599,8 +599,7 @@ func BenchmarkRegistryMerge(b *testing.B) {
 		b.Fatalf("%.3f allocations per merged sample (%d samples), budget 0.02", perSample, samples)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		merge()
 	}
 	b.ReportMetric(perSample, "allocs/sample")

@@ -225,7 +225,7 @@ func TestResolveExistingCellAllocs(t *testing.T) {
 func BenchmarkCounterInc(b *testing.B) {
 	c := New().Counters("c", "").With()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		c.Inc()
 	}
 }
@@ -233,7 +233,7 @@ func BenchmarkCounterInc(b *testing.B) {
 func BenchmarkCounterIncUnbound(b *testing.B) {
 	var c Counter
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		c.Inc()
 	}
 }
@@ -241,7 +241,7 @@ func BenchmarkCounterIncUnbound(b *testing.B) {
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := New().Histograms("h", "", ExponentialBounds(100, 4, 10)).With()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		h.Observe(int64(i) % 1_000_000)
 	}
 }

@@ -25,15 +25,9 @@ func baseCfg() core.Config {
 }
 
 func switchCfg(cfg core.Config) tsnswitch.Config {
-	return tsnswitch.Config{
-		ID: 0, Ports: cfg.PortNum, QueuesPerPort: cfg.QueueNum,
-		QueueDepth: cfg.QueueDepth, BuffersPerPort: cfg.BufferNum,
-		UnicastSize: cfg.UnicastSize, MulticastSize: cfg.MulticastSize,
-		ClassSize: cfg.ClassSize, MeterSize: cfg.MeterSize,
-		GateSize: cfg.GateSize, CBSMapSize: cfg.CBSMapSize, CBSSize: cfg.CBSSize,
-		SlotSize: cfg.SlotSize, LinkRate: cfg.LinkRate,
-		TSQueueA: cfg.QueueNum - 1, TSQueueB: cfg.QueueNum - 2,
-	}
+	c := cfg.Switch()
+	c.Ports = cfg.PortNum
+	return c
 }
 
 // harness is one live switch plus a controller over it.

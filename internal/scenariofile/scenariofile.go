@@ -9,8 +9,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
@@ -126,11 +127,7 @@ func (f *File) Build() (*topology.Topology, []*flows.Spec, error) {
 	}
 
 	// Deterministic host numbering: sort names.
-	names := make([]string, 0, len(f.Hosts))
-	for name := range f.Hosts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(f.Hosts))
 	ids := &hostIDs{byName: make(map[string]int)}
 	for i, name := range names {
 		sw := f.Hosts[name]

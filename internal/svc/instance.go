@@ -11,7 +11,6 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
-	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 	"github.com/tsnbuilder/tsnbuilder/testbed"
 )
@@ -118,10 +117,10 @@ func DefaultWorkload() workload.Params {
 }
 
 // NewInstance builds the managed network of opts.Workload and starts
-// its control loop; the Retry* and durability fields of opts apply,
-// the HTTP-side ones are ignored. With opts.StateDir set it opens the
-// durable store and replays checkpoint + WAL tail — corrupt or
-// mismatched state is an error — and the instance starts recovering:
+// its control loop, committing with up to retryMax retries. With
+// opts.StateDir set it opens the durable store and replays checkpoint
+// + WAL tail — corrupt or mismatched state is an error — and the
+// instance starts recovering:
 // the replay job is the first thing the loop runs, ahead of any
 // submitted work. onHealth, when non-nil, is invoked after every job
 // with the instance's health; it is taken here because the loop (and
@@ -141,9 +140,7 @@ func NewInstance(opts Options, onHealth func(healthy bool)) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("svc: instance build: %w", err)
 	}
-	if opts.RetryMax > 0 {
-		net.Reconfig.SetRetryPolicy(opts.RetryMax, sim.Time(opts.RetryBackoffUs)*sim.Microsecond)
-	}
+	net.Reconfig.SetRetryPolicy(retryMax, 0)
 	in := &Instance{
 		net: net, reg: reg, ckptEvery: opts.CheckpointEvery,
 		jobs:     make(chan func(), 64),

@@ -17,6 +17,32 @@ func breakerFailures(b *Breaker) int {
 	return b.failures
 }
 
+// setBreaker sets b's failure threshold and stops its clock, so an
+// open breaker stays open and its Retry-After reads the whole cooldown.
+func setBreaker(b *Breaker, threshold int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.threshold = threshold
+	now := b.now()
+	b.now = func() time.Time { return now }
+}
+
+// fill takes every slot of q, so the next request waits or sheds; the
+// returned func frees them.
+func fill(t *testing.T, q *ClassQueue) (release func()) {
+	t.Helper()
+	for range cap(q.slots) {
+		if _, err := q.Acquire(context.Background(), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return func() {
+		for range cap(q.slots) {
+			q.free()
+		}
+	}
+}
+
 // reconfigVia POSTs body to /v1/reconfig through the service's handler.
 func reconfigVia(s *Service, body string, hdr map[string]string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, "/v1/reconfig", strings.NewReader(body))
@@ -49,13 +75,13 @@ func holdLoop(s *Service, d time.Duration) {
 // TestReconfigOutcomeTable pins every outcome of POST /v1/reconfig: its
 // status, its exact body, whether it fed the breaker and whether it
 // counted as an exceeded deadline. Each row runs on a fresh service
-// whose breaker trips only far above one failure, so every failed
-// commit shows as one more consecutive failure.
+// whose breaker trips only far above one failure and whose clock is
+// stopped, so every failed commit shows as one more consecutive
+// failure and an open breaker's Retry-After is its whole cooldown.
 func TestReconfigOutcomeTable(t *testing.T) {
 	grow := `{"unicast_size":128}`
 	for _, row := range []struct {
 		name  string
-		opts  Options
 		setup func(t *testing.T, s *Service)
 		body  string
 		hdr   map[string]string
@@ -87,7 +113,7 @@ func TestReconfigOutcomeTable(t *testing.T) {
 		{
 			name: "rolled back", body: grow, code: http.StatusInternalServerError, failures: 1,
 			setup: func(t *testing.T, s *Service) {
-				if err := s.Instance().Arm(0, DefaultOptions().RetryMax+1, false); err != nil {
+				if err := s.Instance().Arm(0, retryMax+1, false); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -117,17 +143,17 @@ func TestReconfigOutcomeTable(t *testing.T) {
 		},
 		{
 			name: "breaker open", body: grow, code: http.StatusServiceUnavailable,
-			opts:  Options{BreakerThreshold: 1, BreakerCooldown: time.Hour},
-			setup: func(t *testing.T, s *Service) { s.Breaker().Failure() },
-			want:  `{"error":"circuit breaker open: recent commits failed"}`, retry: "3600",
+			setup: func(t *testing.T, s *Service) {
+				setBreaker(s.brk, 1)
+				s.brk.Failure()
+			},
+			want: `{"error":"circuit breaker open: recent commits failed"}`, retry: "2",
 		},
 		{
 			name: "queue full", body: grow, code: http.StatusTooManyRequests,
-			opts: Options{ReconfigQueue: -1}, // no room to wait
 			setup: func(t *testing.T, s *Service) {
-				if _, err := s.Admission().Reconfig.Acquire(context.Background(), false); err != nil {
-					t.Fatal(err)
-				}
+				s.adm = NewAdmission(1, 0, 0) // no room to wait
+				fill(t, s.adm.Reconfig)
 			},
 			want: `{"error":"overloaded, retry later"}`, retry: "2",
 		},
@@ -148,10 +174,7 @@ func TestReconfigOutcomeTable(t *testing.T) {
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			opts := row.opts
-			if opts.BreakerThreshold == 0 {
-				opts.BreakerThreshold, opts.BreakerCooldown = 100, time.Hour
-			}
+			var opts Options
 			var hold chan struct{}
 			if row.recovering {
 				hold = make(chan struct{})
@@ -163,6 +186,7 @@ func TestReconfigOutcomeTable(t *testing.T) {
 				// wait on a held replay.
 				t.Cleanup(sync.OnceFunc(func() { close(hold) }))
 			}
+			setBreaker(s.brk, 100)
 			if row.setup != nil {
 				row.setup(t, s)
 			}
@@ -207,7 +231,7 @@ func TestDeriveExpiredDeadline(t *testing.T) {
 // tsn_svc_deadline_exceeded_total, which therefore equals the 504s of
 // tsn_svc_requests_total.
 func TestDeadlineCountIsThe504s(t *testing.T) {
-	s, ts := newTestService(t, Options{DeriveConcurrency: 1})
+	s, ts := newTestService(t, Options{})
 	post := func(path, body, deadline string) {
 		t.Helper()
 		if resp, b := postJSON(t, ts.URL+path, body, map[string]string{"X-Request-Deadline": deadline}); resp.StatusCode != http.StatusGatewayTimeout {
@@ -221,10 +245,7 @@ func TestDeadlineCountIsThe504s(t *testing.T) {
 		q          *ClassQueue
 		path, body string
 	}{{s.Admission().Derive, "/v1/derive", specBody}, {s.Admission().Reconfig, "/v1/reconfig", grow}} {
-		release, err := a.q.Acquire(context.Background(), false) // the class's only slot
-		if err != nil {
-			t.Fatal(err)
-		}
+		release := fill(t, a.q)
 		post(a.path, a.body, "20ms")
 		release()
 	}

@@ -43,33 +43,13 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
-// Options configures NewService (and NewInstance, which reads the
-// workload, retry and durability fields). A zero field takes its value
-// in DefaultOptions.
+// Options configures NewService and NewInstance: which network the
+// service manages and where, if anywhere, it keeps its durable state.
+// Everything else about the control plane is fixed below.
 type Options struct {
-	// Workload selects the managed instance's network.
+	// Workload selects the managed instance's network; a zero value
+	// takes DefaultWorkload.
 	Workload workload.Params
-	// CacheSize bounds the derivation cache (entries).
-	CacheSize int
-	// DeriveConcurrency/DeriveQueue bound the derive class (running,
-	// waiting). ReconfigQueue bounds the reconfig wait queue
-	// (concurrency is 1 — commits serialize).
-	DeriveConcurrency int
-	DeriveQueue       int
-	ReconfigQueue     int
-	// DeriveDeadline/ReconfigDeadline are the default per-request
-	// deadlines; the X-Request-Deadline header (a Go duration, e.g.
-	// "500ms") overrides per request, capped at 60s.
-	DeriveDeadline   time.Duration
-	ReconfigDeadline time.Duration
-	// BreakerThreshold consecutive commit failures trip the breaker;
-	// BreakerCooldown is the open→half-open delay.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// RetryMax/RetryBackoffUs configure the reconfiguration engine's
-	// bounded commit retry (a zero backoff is the engine's default).
-	RetryMax       int
-	RetryBackoffUs int
 	// StateDir, when set, makes the control plane crash-consistent:
 	// accepted reconfigurations journal through a WAL in this directory
 	// and the instance replays them on startup (/readyz reports
@@ -77,7 +57,8 @@ type Options struct {
 	// purely in-memory behavior.
 	StateDir string
 	// CheckpointEvery folds the journal into a checkpoint (rotating the
-	// WAL) every n commits. Only meaningful with StateDir.
+	// WAL) every n commits; zero takes DefaultCheckpointEvery. Only
+	// meaningful with StateDir.
 	CheckpointEvery int
 	// recoverHold, when non-nil, stalls journal replay until the channel
 	// closes — an in-package test hook for observing the recovering
@@ -85,44 +66,41 @@ type Options struct {
 	recoverHold chan struct{}
 }
 
-// DefaultOptions is every default of Options, stated once: NewService
-// and NewInstance fill zero fields from it, tsnserve's flags start at it.
-func DefaultOptions() Options {
-	return Options{
-		Workload: DefaultWorkload(), CacheSize: 512,
-		DeriveConcurrency: 4, DeriveQueue: 64, ReconfigQueue: 16,
-		DeriveDeadline: 2 * time.Second, ReconfigDeadline: 10 * time.Second,
-		BreakerThreshold: 3, BreakerCooldown: 2 * time.Second,
-		RetryMax: 3, CheckpointEvery: 16,
-	}
-}
+// DefaultCheckpointEvery is the daemon's journal checkpoint interval.
+const DefaultCheckpointEvery = 16
 
 func (o *Options) defaults() {
-	d := DefaultOptions()
 	if o.Workload.Topology == "" {
-		o.Workload = d.Workload
+		o.Workload = DefaultWorkload()
 	}
 	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = d.CheckpointEvery
+		o.CheckpointEvery = DefaultCheckpointEvery
 	}
-	orDefault(&o.CacheSize, d.CacheSize)
-	orDefault(&o.DeriveConcurrency, d.DeriveConcurrency)
-	orDefault(&o.DeriveQueue, d.DeriveQueue)
-	orDefault(&o.ReconfigQueue, d.ReconfigQueue)
-	orDefault(&o.DeriveDeadline, d.DeriveDeadline)
-	orDefault(&o.ReconfigDeadline, d.ReconfigDeadline)
-	orDefault(&o.BreakerThreshold, d.BreakerThreshold)
-	orDefault(&o.BreakerCooldown, d.BreakerCooldown)
-	orDefault(&o.RetryMax, d.RetryMax)
 }
 
-// orDefault sets *v to d when it is zero.
-func orDefault[T comparable](v *T, d T) {
-	var zero T
-	if *v == zero {
-		*v = d
-	}
-}
+// The control plane's fixed limits.
+const (
+	// cacheSize bounds the derivation cache (entries).
+	cacheSize = 512
+	// deriveConcurrency/deriveQueue bound the derive class (running,
+	// waiting). reconfigQueue bounds the reconfig wait queue
+	// (concurrency is 1 — commits serialize).
+	deriveConcurrency = 4
+	deriveQueue       = 64
+	reconfigQueue     = 16
+	// deriveDeadline/reconfigDeadline are the default per-request
+	// deadlines; the X-Request-Deadline header (a Go duration, e.g.
+	// "500ms") overrides per request, capped at maxDeadline.
+	deriveDeadline   = 2 * time.Second
+	reconfigDeadline = 10 * time.Second
+	// breakerThreshold consecutive commit failures trip the breaker;
+	// breakerCooldown is the open→half-open delay.
+	breakerThreshold = 3
+	breakerCooldown  = 2 * time.Second
+	// retryMax bounds the reconfiguration engine's commit retries; they
+	// back off by the engine's default of one CQF cycle.
+	retryMax = 3
+)
 
 // maxDeadline caps client-requested deadlines.
 const maxDeadline = 60 * time.Second
@@ -133,7 +111,6 @@ const maxBodyBytes = 1 << 20
 // Service is the control plane: HTTP frontend, admission control,
 // derivation cache, circuit breaker and the managed instance.
 type Service struct {
-	opts  Options
 	inst  *Instance
 	cache *Cache
 	adm   *Admission
@@ -182,7 +159,7 @@ func (s *stats) request(route string, code int) {
 // serve rather than serving a journal it cannot trust.
 func NewService(opts Options) (*Service, error) {
 	opts.defaults()
-	brk := NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
+	brk := NewBreaker(breakerThreshold, breakerCooldown)
 	// Watchdog recovery de-escalates the breaker: a healthy outcome
 	// resets it; failures count only through handleReconfig's 500s.
 	inst, err := NewInstance(opts, func(healthy bool) {
@@ -194,10 +171,9 @@ func NewService(opts Options) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		opts:  opts,
 		inst:  inst,
-		cache: NewCache(opts.CacheSize),
-		adm:   NewAdmission(opts.DeriveConcurrency, opts.DeriveQueue, opts.ReconfigQueue),
+		cache: NewCache(cacheSize),
+		adm:   NewAdmission(deriveConcurrency, deriveQueue, reconfigQueue),
 		brk:   brk,
 		stats: newStats(),
 		// The introspection routes the server registers itself stay
@@ -206,8 +182,8 @@ func NewService(opts Options) (*Service, error) {
 		// a stream or a 30 s CPU profile short.
 		srv: obs.NewServer(inst.net.Attr, inst.net.Flight),
 	}
-	s.srv.Handle("/v1/derive", s.route("derive", s.opts.DeriveDeadline, s.handleDerive))
-	s.srv.Handle("/v1/reconfig", s.route("reconfig", s.opts.ReconfigDeadline, s.handleReconfig))
+	s.srv.Handle("/v1/derive", s.route("derive", deriveDeadline, s.handleDerive))
+	s.srv.Handle("/v1/reconfig", s.route("reconfig", reconfigDeadline, s.handleReconfig))
 	s.srv.Handle("/v1/config", s.route("config", 5*time.Second, s.handleConfig))
 	s.srv.Handle("/v1/journal", s.route("journal", 5*time.Second, s.handleJournal))
 	s.srv.Handle("/healthz", s.route("healthz", 5*time.Second, s.handleHealthz))

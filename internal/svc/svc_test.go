@@ -263,7 +263,8 @@ func TestServiceReconfigBadDelta(t *testing.T) {
 // repair leaves the instance fenced — degraded, unready — and trips the
 // breaker.
 func TestServiceWedgeTripsBreakerAndHealth(t *testing.T) {
-	s, ts := newTestService(t, Options{BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	s, ts := newTestService(t, Options{})
+	setBreaker(s.brk, 1)
 	if err := s.Instance().Arm(1, 2, true); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestRestoreDrivesBackToJournalTail(t *testing.T) {
 }
 
 func TestServiceTransientAbsorbedByRetry(t *testing.T) {
-	s, ts := newTestService(t, Options{RetryMax: 3})
+	s, ts := newTestService(t, Options{})
 	if err := s.Instance().Arm(0, 2, false); err != nil {
 		t.Fatal(err)
 	}
@@ -381,14 +382,11 @@ func TestServiceTransientAbsorbedByRetry(t *testing.T) {
 }
 
 func TestServiceOverloadSheds429(t *testing.T) {
-	s, ts := newTestService(t, Options{DeriveConcurrency: 1, DeriveQueue: -1})
+	s, ts := newTestService(t, Options{})
 	// Hold the only derive slot so the next request finds a full class
 	// with a zero wait bound — it must shed instantly, not queue.
-	release, err := s.Admission().Derive.Acquire(context.Background(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
+	s.adm = NewAdmission(1, 0, 0)
+	defer fill(t, s.adm.Derive)()
 	start := time.Now()
 	resp, body := postJSON(t, ts.URL+"/v1/derive", specBody, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -403,12 +401,8 @@ func TestServiceOverloadSheds429(t *testing.T) {
 }
 
 func TestServiceDeadlineInQueue(t *testing.T) {
-	s, ts := newTestService(t, Options{DeriveConcurrency: 1, DeriveQueue: 4})
-	release, err := s.Admission().Derive.Acquire(context.Background(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
+	s, ts := newTestService(t, Options{})
+	defer fill(t, s.Admission().Derive)()
 	resp, body := postJSON(t, ts.URL+"/v1/derive", specBody,
 		map[string]string{"X-Request-Deadline": "50ms"})
 	if resp.StatusCode != http.StatusGatewayTimeout {

@@ -100,8 +100,7 @@ func benchForward(b *testing.B, reg *metrics.Registry) {
 	}
 	f := tsFrame(1, 1)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		sw.ingress(f)
 		e.Run()
 	}

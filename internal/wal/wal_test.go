@@ -331,8 +331,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	defer w.Close()
 	payload := bytes.Repeat([]byte("x"), 256)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if err := w.Append(payload); err != nil {
 			b.Fatal(err)
 		}

@@ -386,6 +386,9 @@ func Build(opts Options) (*Net, error) {
 // the deterministic order used for watchdog audits and reconfiguration
 // bindings.
 func (n *Net) sortedRecovery() []*frer.Table {
+	// Collected by hand, not with slices.Sorted(maps.Keys(…)): every
+	// reconfiguration commit calls this, and the iterator form costs
+	// three allocations even when there is nothing to sort.
 	hosts := make([]int, 0, len(n.recovery))
 	for h := range n.recovery {
 		hosts = append(hosts, h)
@@ -490,7 +493,8 @@ func (n *Net) installFlows(specs []*flows.Spec) error {
 		sw.Filter().Class.Reserve(need[s][1])
 	}
 	topo := n.opts.Topo
-	rcQueues := rcQueueSet(n.liveCfg.QueueNum, n.liveCfg.CBSMapSize)
+	rcQueues := rcQueueSet(n.liveCfg)
+	tsQueue, _ := n.liveCfg.TSQueues()
 	changed := map[pq]bool{}
 
 	for _, spec := range specs {
@@ -503,7 +507,7 @@ func (n *Net) installFlows(specs []*flows.Spec) error {
 		var queueID int
 		switch spec.Class {
 		case ethernet.ClassTS:
-			queueID = n.liveCfg.QueueNum - 1 // CQF pair member A
+			queueID = tsQueue
 		case ethernet.ClassRC:
 			queueID = rcQueues[idx%len(rcQueues)]
 		default:
@@ -693,15 +697,17 @@ func (n *Net) programFRER(spec *flows.Spec, recovery map[int]*frer.Table,
 	return nil
 }
 
-// rcQueueSet returns the queue indices reserved for RC traffic: the
-// ones just below the CQF pair (e.g. 5,4,3 with 8 queues and 3 RC
-// queues).
-func rcQueueSet(queueNum, rcCount int) []int {
-	if rcCount <= 0 {
-		return []int{queueNum - 3}
+// rcQueueSet returns the queue indices reserved for RC traffic: one
+// per CBS map entry, just below the CQF pair (e.g. 5,4,3 with 8 queues
+// and 3 entries), and at least one.
+func rcQueueSet(c core.Config) []int {
+	_, b := c.TSQueues()
+	top := b - 1
+	if c.CBSMapSize <= 0 {
+		return []int{top}
 	}
-	out := make([]int, 0, rcCount)
-	for q := queueNum - 3; q > queueNum-3-rcCount && q > 0; q-- {
+	out := make([]int, 0, c.CBSMapSize)
+	for q := top; q > top-c.CBSMapSize && q > 0; q-- {
 		out = append(out, q)
 	}
 	return out
@@ -715,8 +721,7 @@ func rcQueueSet(queueNum, rcCount int) []int {
 // building), and Run's warmup must be a multiple of the schedule cycle
 // so injection offsets stay phase-aligned with the gate lists.
 func (n *Net) InstallTAS(sch *tas.Schedule) error {
-	qa := n.opts.Design.Config.QueueNum - 1
-	qb := n.opts.Design.Config.QueueNum - 2
+	qa, qb := n.opts.Design.Config.TSQueues()
 	open := gate.AlwaysOpen(sch.Cycle)
 	for s, sw := range n.Switches {
 		for p := 0; p < n.opts.Topo.PortCount(s); p++ {
@@ -983,8 +988,7 @@ func (n *Net) CheckBufferLeaks() error {
 // anywhere, the empirical check of the ITP dimensioning.
 func (n *Net) MaxQueueHighWater() int {
 	worst := 0
-	qa := n.opts.Design.Config.QueueNum - 1
-	qb := n.opts.Design.Config.QueueNum - 2
+	qa, qb := n.opts.Design.Config.TSQueues()
 	for s, sw := range n.Switches {
 		for p := 0; p < n.opts.Topo.PortCount(s); p++ {
 			for _, q := range []int{qa, qb} {
