@@ -7,6 +7,7 @@ package analyzer
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -111,11 +112,38 @@ func (f *FlowStats) Jitter() sim.Time {
 // which keeps quantile estimates stable for arbitrarily long runs.
 const sampleCap = 1 << 16
 
-// classSamples keeps a strided latency sample set for one class.
+// A class's samples live in chunks that are allocated once and never
+// copied: the first holds firstChunk samples, each next one twice as
+// many up to lastChunk, and the rest lastChunk each. A class that
+// delivers a few frames holds 2 KB; one at sampleCap holds maxChunks
+// chunks, ≈ 555 KB.
+const (
+	firstChunk = 256
+	growing    = 4 // chunks below lastChunk
+	lastChunk  = firstChunk << growing
+	grownAt    = firstChunk * (1<<growing - 1) // samples the growing chunks hold
+	maxChunks  = growing + (sampleCap-grownAt+lastChunk-1)/lastChunk
+)
+
+// chunkAt returns the chunk holding sample i and i's offset in it.
+func chunkAt(i int) (k, off int) {
+	if i < grownAt {
+		k = bits.Len(uint(i/firstChunk+1)) - 1
+		return k, i - firstChunk*(1<<k-1)
+	}
+	i -= grownAt
+	return growing + i/lastChunk, i % lastChunk
+}
+
+// classSamples keeps a strided latency sample set for one class: the n
+// retained samples in order, sample i at chunkAt(i).
 type classSamples struct {
-	samples []sim.Time
-	stride  uint64 // keep one sample in 2^stride
-	count   uint64
+	chunks [maxChunks][]sim.Time
+	opened int        // chunks allocated, filled in order
+	tail   []sim.Time // sample n's slot to its chunk's end; empty when push must find it
+	n      int
+	stride uint64 // keep one sample in 2^stride
+	count  uint64
 }
 
 func (c *classSamples) add(lat sim.Time) {
@@ -123,24 +151,66 @@ func (c *classSamples) add(lat sim.Time) {
 	if c.count&((1<<c.stride)-1) != 0 {
 		return
 	}
-	if len(c.samples) >= sampleCap {
+	if c.n >= sampleCap {
 		c.decimate()
 		if c.count&((1<<c.stride)-1) != 0 {
 			return
 		}
 	}
-	c.samples = append(c.samples, lat)
+	c.push(lat)
+}
+
+// push appends one retained sample. When the chunk in use is full, or
+// decimation moved the end, it finds sample n's slot again, opening its
+// chunk if the store never reached it.
+func (c *classSamples) push(lat sim.Time) {
+	if len(c.tail) == 0 {
+		k, off := chunkAt(c.n)
+		if k == c.opened {
+			c.chunks[k] = make([]sim.Time, firstChunk<<min(k, growing))
+			c.opened++
+		}
+		c.tail = c.chunks[k][off:]
+	}
+	c.tail[0] = lat
+	c.tail = c.tail[1:]
+	c.n++
+}
+
+// at returns the slot of retained sample i.
+func (c *classSamples) at(i int) *sim.Time {
+	k, off := chunkAt(i)
+	return &c.chunks[k][off]
 }
 
 // decimate halves the retained set in place (keep every other sample)
 // and doubles the sampling stride.
 func (c *classSamples) decimate() {
-	kept := c.samples[:0]
-	for i := 0; i < len(c.samples); i += 2 {
-		kept = append(kept, c.samples[i])
+	kept := 0
+	for i := 0; i < c.n; i += 2 {
+		*c.at(kept) = *c.at(i)
+		kept++
 	}
-	c.samples = kept
+	c.n, c.tail = kept, nil
 	c.stride++
+}
+
+// flat returns a copy of the retained samples in order.
+func (c *classSamples) flat() []sim.Time {
+	out := make([]sim.Time, 0, c.n)
+	for k := 0; k < c.opened && len(out) < c.n; k++ {
+		out = append(out, c.chunks[k][:min(len(c.chunks[k]), c.n-len(out))]...)
+	}
+	return out
+}
+
+// everyOther keeps samples 0, 2, 4, … of s in place: one decimation.
+func everyOther(s []sim.Time) []sim.Time {
+	kept := s[:0]
+	for i := 0; i < len(s); i += 2 {
+		kept = append(kept, s[i])
+	}
+	return kept
 }
 
 // merge folds src's retained samples into c. The coarser stride wins:
@@ -149,32 +219,31 @@ func (c *classSamples) decimate() {
 // sides are below the decimation threshold the merged set is the exact
 // union — a partitioned run's percentiles equal the serial run's.
 func (c *classSamples) merge(src *classSamples) {
-	ss := append([]sim.Time(nil), src.samples...)
-	st := src.stride
+	ss, st := src.flat(), src.stride
 	for c.stride < st {
 		c.decimate()
 	}
-	for st < c.stride {
-		kept := ss[:0]
-		for i := 0; i < len(ss); i += 2 {
-			kept = append(kept, ss[i])
-		}
-		ss = kept
-		st++
+	for ; st < c.stride; st++ {
+		ss = everyOther(ss)
 	}
-	c.samples = append(c.samples, ss...)
+	all := append(c.flat(), ss...)
+	for len(all) > sampleCap {
+		all = everyOther(all)
+		c.stride++
+	}
+	c.n, c.tail = 0, nil
+	for _, lat := range all {
+		c.push(lat)
+	}
 	c.count += src.count
-	for len(c.samples) > sampleCap {
-		c.decimate()
-	}
 }
 
 // quantile returns the q-quantile (0..1) of the retained samples.
 func (c *classSamples) quantile(q float64) sim.Time {
-	if len(c.samples) == 0 {
+	if c.n == 0 {
 		return 0
 	}
-	sorted := append([]sim.Time(nil), c.samples...)
+	sorted := c.flat()
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	idx := int(q * float64(len(sorted)-1))
 	return sorted[idx]

@@ -169,8 +169,8 @@ func TestPercentileDecimation(t *testing.T) {
 		t.Fatalf("decimated P50 = %v, want ~500µs", s.P50)
 	}
 	cs := c.perClass[ethernet.ClassTS]
-	if len(cs.samples) > sampleCap {
-		t.Fatalf("sample store grew to %d", len(cs.samples))
+	if cs.n > sampleCap {
+		t.Fatalf("sample store grew to %d", cs.n)
 	}
 	if cs.stride == 0 {
 		t.Fatal("decimation never engaged")
@@ -340,8 +340,8 @@ func TestClassSamplesMergeDecimated(t *testing.T) {
 	if a.count != wantCount {
 		t.Fatalf("merged count = %d, want %d", a.count, wantCount)
 	}
-	if len(a.samples) > sampleCap {
-		t.Fatalf("merged retained %d samples, over the %d cap", len(a.samples), sampleCap)
+	if a.n > sampleCap {
+		t.Fatalf("merged retained %d samples, over the %d cap", a.n, sampleCap)
 	}
 	// The merged set still spans both inputs.
 	if q := a.quantile(0.999); q < 1000000 {

@@ -3,6 +3,7 @@ package analyzer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -414,5 +415,143 @@ func TestStampedRowSkipsTheIndex(t *testing.T) {
 	c.byID = byID
 	if st := c.Flow(9); st.Received != 1 || c.Flow(7).Duplicates != 1 {
 		t.Fatalf("flow 9 %+v, flow 7 %+v", *st, *c.Flow(7))
+	}
+}
+
+// The reference sample store: classSamples as it was before chunks, one
+// slice grown by append (and copied at every growth). The methods are
+// kept verbatim; only the type is renamed. TestClassSamplesMatchReference
+// drives both with one latency stream and compares what they report.
+type refSamples struct {
+	samples []sim.Time
+	stride  uint64 // keep one sample in 2^stride
+	count   uint64
+}
+
+func (c *refSamples) add(lat sim.Time) {
+	c.count++
+	if c.count&((1<<c.stride)-1) != 0 {
+		return
+	}
+	if len(c.samples) >= sampleCap {
+		c.decimate()
+		if c.count&((1<<c.stride)-1) != 0 {
+			return
+		}
+	}
+	c.samples = append(c.samples, lat)
+}
+
+// decimate halves the retained set in place (keep every other sample)
+// and doubles the sampling stride.
+func (c *refSamples) decimate() {
+	kept := c.samples[:0]
+	for i := 0; i < len(c.samples); i += 2 {
+		kept = append(kept, c.samples[i])
+	}
+	c.samples = kept
+	c.stride++
+}
+
+// merge folds src's retained samples into c. The coarser stride wins:
+// the finer side is decimated until the strides match, then the sets
+// concatenate (quantile sorts, so order is immaterial). While both
+// sides are below the decimation threshold the merged set is the exact
+// union — a partitioned run's percentiles equal the serial run's.
+func (c *refSamples) merge(src *refSamples) {
+	ss := append([]sim.Time(nil), src.samples...)
+	st := src.stride
+	for c.stride < st {
+		c.decimate()
+	}
+	for st < c.stride {
+		kept := ss[:0]
+		for i := 0; i < len(ss); i += 2 {
+			kept = append(kept, ss[i])
+		}
+		ss = kept
+		st++
+	}
+	c.samples = append(c.samples, ss...)
+	c.count += src.count
+	for len(c.samples) > sampleCap {
+		c.decimate()
+	}
+}
+
+// quantile returns the q-quantile (0..1) of the retained samples.
+func (c *refSamples) quantile(q float64) sim.Time {
+	if len(c.samples) == 0 {
+		return 0
+	}
+	sorted := append([]sim.Time(nil), c.samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	idx := int(q * float64(len(sorted)-1))
+	return sorted[idx]
+}
+
+// TestClassSamplesMatchReference: seeded latency streams, some short,
+// some ending inside a chunk, some past sampleCap (one or two
+// decimations), then merges of collectors at equal and unequal strides
+// in both directions; after every step the chunked store must agree
+// with the append-based reference on count, stride and every reported
+// quantile, and hold its samples in the reference's order.
+func TestClassSamplesMatchReference(t *testing.T) {
+	qs := []float64{0, 0.5, 0.9, 0.99, 1}
+	check := func(t *testing.T, what string, c *classSamples, ref *refSamples) {
+		t.Helper()
+		if c.count != ref.count || c.stride != ref.stride || c.n != len(ref.samples) {
+			t.Fatalf("%s: count/stride/retained %d/%d/%d, reference %d/%d/%d",
+				what, c.count, c.stride, c.n, ref.count, ref.stride, len(ref.samples))
+		}
+		for _, q := range qs {
+			if got, want := c.quantile(q), ref.quantile(q); got != want {
+				t.Fatalf("%s: quantile(%v) = %v, reference %v", what, q, got, want)
+			}
+		}
+		if !slices.Equal(c.flat(), ref.samples) {
+			t.Fatalf("%s: retained samples differ from the reference's", what)
+		}
+	}
+	// Stream lengths: empty, inside the first chunk, at chunk edges,
+	// just below, at and past sampleCap, and past two decimations.
+	lengths := []int{0, 1, 255, 256, 257, 3840, 3841, sampleCap - 1, sampleCap, sampleCap + 1,
+		2*sampleCap + 3, 4*sampleCap + 5}
+	rng := sim.NewRand(7)
+	stream := func(n int) (*classSamples, *refSamples) {
+		c, ref := &classSamples{}, &refSamples{}
+		for i := 0; i < n; i++ {
+			lat := sim.Time(rng.Int63n(int64(sim.Millisecond)))
+			c.add(lat)
+			ref.add(lat)
+		}
+		return c, ref
+	}
+	for _, n := range lengths {
+		c, ref := stream(n)
+		check(t, fmt.Sprintf("stream of %d", n), c, ref)
+	}
+	// Merges: every pair of lengths from a spread that covers equal and
+	// unequal strides either way round; the merged store then keeps
+	// receiving samples.
+	spread := []int{0, 300, sampleCap + 10, 2*sampleCap + 3}
+	if testing.Short() {
+		spread = []int{0, 300, sampleCap + 10}
+	}
+	for _, a := range spread {
+		for _, b := range spread {
+			c, ref := stream(a)
+			cb, refb := stream(b)
+			c.merge(cb)
+			ref.merge(refb)
+			what := fmt.Sprintf("merge %d into %d", b, a)
+			check(t, what, c, ref)
+			for i := 0; i < 1000; i++ {
+				lat := sim.Time(rng.Int63n(int64(sim.Millisecond)))
+				c.add(lat)
+				ref.add(lat)
+			}
+			check(t, what+" then 1000 more", c, ref)
+		}
 	}
 }

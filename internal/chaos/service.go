@@ -77,7 +77,7 @@ type ServiceOptions struct {
 	Log func(format string, args ...any)
 }
 
-// The campaign's drive: serviceRequests scripted requests over
+// The campaign's drive: serviceRequests scripted actions over
 // serviceClients concurrent clients.
 const (
 	serviceClients  = 8
@@ -86,9 +86,13 @@ const (
 
 // ServiceSummary is a finished service campaign's outcome.
 type ServiceSummary struct {
+	// Planned counts the scripted actions, Executed those the drive ran
+	// before its budget expired; an action is one request, or several (a
+	// burst sends six, a coherence probe two).
 	Planned  int `json:"planned"`
 	Executed int `json:"executed"`
-	// ByStatus counts responses per HTTP status code.
+	// ByStatus counts responses per HTTP status code; its sum is the
+	// requests answered.
 	ByStatus map[int]int64 `json:"by_status"`
 	// Accepted is how many reconfigurations were acknowledged with 2xx.
 	Accepted int `json:"accepted"`
@@ -116,7 +120,6 @@ type svcDriver struct {
 func (d *svcDriver) record(status int) {
 	d.mu.Lock()
 	d.byStatus[status]++
-	d.executed++
 	d.mu.Unlock()
 }
 
@@ -174,7 +177,7 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 		defer cancel()
 	}
 	wedgeAt := serviceRequests / 2 // exactly one wedge, mid-campaign
-	logf("service campaign: %d requests over %d clients against %s", serviceRequests, serviceClients, d.base)
+	logf("service campaign: %d scripted actions over %d clients against %s", serviceRequests, serviceClients, d.base)
 	_ = experiments.FanOutCtx(ctx, serviceClients, serviceRequests, func(i int) bool {
 		rng := rand.New(rand.NewSource(int64(opts.Seed)*1_000_003 + int64(i)))
 		switch {
@@ -201,6 +204,9 @@ func RunServiceCampaign(opts ServiceOptions) (*ServiceSummary, error) {
 		default:
 			d.derive(strings.NewReader(specs[rng.Intn(len(specs))]), false)
 		}
+		d.mu.Lock()
+		d.executed++
+		d.mu.Unlock()
 		return true
 	})
 

@@ -28,8 +28,8 @@ func TestServiceCampaignFixedSeed(t *testing.T) {
 	for _, e := range sum.Errors {
 		t.Errorf("campaign error: %s", e)
 	}
-	if sum.Executed == 0 {
-		t.Fatal("campaign executed nothing")
+	if sum.Executed != sum.Planned || sum.Planned != serviceRequests {
+		t.Fatalf("executed %d of %d planned actions, want all %d", sum.Executed, sum.Planned, serviceRequests)
 	}
 	if sum.Accepted == 0 {
 		t.Error("no reconfiguration was ever accepted — the drive plan is broken")
@@ -47,6 +47,19 @@ func TestServiceCampaignFixedSeed(t *testing.T) {
 	// (500 verify/rollback) — never as a silent 2xx.
 	if sum.ByStatus[http.StatusInternalServerError] == 0 {
 		t.Error("the armed wedge never produced a 500")
+	}
+}
+
+// TestServiceCampaignBudgetCutsTheDrive: Executed counts scripted
+// actions, not responses, so it reads at most Planned and shows a
+// budget that expired before the drive ran to its end.
+func TestServiceCampaignBudgetCutsTheDrive(t *testing.T) {
+	sum, err := RunServiceCampaign(ServiceOptions{Seed: 42, Budget: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Planned != serviceRequests || sum.Executed >= sum.Planned {
+		t.Fatalf("executed %d of %d planned actions under a 1 ns budget, want fewer", sum.Executed, sum.Planned)
 	}
 }
 

@@ -113,14 +113,15 @@ func (f *Frame) BufferBytes() int { return f.WireBytes() }
 // which: on a short cable it arrives, and may already serve another
 // flow, before the sender's completion fires. The end station that
 // consumes a frame returns it to its engine's Pool, from which
-// injection draws; a tap sees the frame before that, and nobody keeps
-// the pointer past Receive. Frames that end elsewhere (dropped in a
-// switch, lost on the wire) are left to the garbage collector. Whoever
-// needs a second frame makes one explicitly: CloneHeader for multicast
-// replication in the switch ingress, a copy into a pool frame for FRER
-// member-stream re-tagging in the NIC. Header fields (VID, PCP,
-// addresses) on such a copy are the copy's own and may be rewritten
-// freely.
+// injection draws, and so does a switch for every frame it drops and
+// for the original of a multicast replication; a tap sees the frame
+// before that, and nobody keeps the pointer past Receive. Frames lost
+// on the wire are left to the garbage collector. Whoever needs a second
+// frame makes one explicitly: a copy into a pool frame, for multicast
+// replication in the switch ingress and FRER member-stream re-tagging
+// in the NIC (CloneHeader where no pool is at hand). Header fields
+// (VID, PCP, addresses) on such a copy are the copy's own and may be
+// rewritten freely.
 //
 // A frame's Payload is immutable from the instant the frame enters the
 // dataplane (NIC injection or Unmarshal), so every copy in flight — and
@@ -130,7 +131,7 @@ func (f *Frame) BufferBytes() int { return f.WireBytes() }
 // first by copying the payload.
 
 // CloneHeader returns a copy of the frame that shares the payload
-// bytes — the copy multicast replication makes. The copy's
+// bytes — a replica made where no Pool is at hand. The copy's
 // header fields are independent; its Payload aliases the original and
 // must be treated as read-only per the payload ownership contract.
 func (f *Frame) CloneHeader() *Frame {

@@ -1,13 +1,25 @@
 package ethernet
 
 // Pool is one engine's free list of frames (see the ownership contract
-// in frame.go), unsynchronised like all an engine owns. It keeps no
+// in frame.go), unsynchronised like all an engine owns. Frames end at a
+// NIC that received them or at a switch that dropped them (or the
+// original a multicast replicated), and both Put them here; what else
+// ends — a frame lost on a faulted wire — is garbage. A pool keeps no
 // more frames than it minted, so a partition that only receives cannot
-// hoard a sender's; what is not Put, or not kept, is garbage.
+// hoard a sender's.
 type Pool struct {
-	free   []*Frame
+	free []*Frame
+	// block is the unused tail of the newest frame block: a new
+	// in-flight high water mints from it, frameBlock frames per
+	// allocation.
+	block  []Frame
 	minted int
 }
+
+// frameBlock is how many frames one allocation provides: tens, so a
+// network's in-flight high water costs a few dozen allocations and a
+// pool that mints a handful wastes at most a block's 2 KB.
+const frameBlock = 16
 
 // Stats returns how many frames the pool holds and how many it minted.
 func (p *Pool) Stats() (held, minted int) { return len(p.free), p.minted }
@@ -19,8 +31,13 @@ func (p *Pool) Get() *Frame {
 		p.free = p.free[:n-1]
 		return f
 	}
+	if len(p.block) == 0 {
+		p.block = make([]Frame, frameBlock)
+	}
 	p.minted++
-	return new(Frame)
+	f := &p.block[0]
+	p.block = p.block[1:]
+	return f
 }
 
 // Put takes f back from its owner and clears it: a stale reader sees

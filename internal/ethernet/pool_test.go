@@ -1,6 +1,10 @@
 package ethernet
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/israce"
+)
 
 // TestPoolReusesLastReturned: Get hands back what Put took, newest
 // first, and mints only when nothing is parked.
@@ -93,4 +97,34 @@ func TestPoolPutTwiceInARowPanics(t *testing.T) {
 		}
 	}()
 	p.Put(f)
+}
+
+// TestPoolMintsInBlocks: a pool that mints 40 frames hands out 40
+// distinct frames from three blocks of frameBlock, and counts each
+// frame it handed out, not the block's unused tail.
+func TestPoolMintsInBlocks(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var p Pool
+	frames := make([]*Frame, 40)
+	allocs := testing.AllocsPerRun(1, func() {
+		p = Pool{}
+		for i := range frames {
+			frames[i] = p.Get()
+		}
+	})
+	if blocks := (len(frames) + frameBlock - 1) / frameBlock; allocs != float64(blocks) {
+		t.Fatalf("minting %d frames allocated %.0f times, want %d blocks", len(frames), allocs, blocks)
+	}
+	if held, minted := p.Stats(); held != 0 || minted != len(frames) {
+		t.Fatalf("pool holds %d and minted %d, want 0 and %d", held, minted, len(frames))
+	}
+	seen := make(map[*Frame]bool)
+	for _, f := range frames {
+		if seen[f] {
+			t.Fatal("Get handed out one frame twice")
+		}
+		seen[f] = true
+	}
 }

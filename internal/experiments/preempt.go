@@ -56,6 +56,7 @@ func PreemptStudy(p Params) ([]PreemptRow, error) {
 		frames := new(ethernet.Pool)
 		src.SetPool(frames)
 		dst.SetPool(frames)
+		sw.SetPool(frames)
 		netdev.Connect(src.Ifc(), sw.Ifc(0), netdev.CableDelay)
 		netdev.Connect(dst.Ifc(), sw.Ifc(1), netdev.CableDelay)
 		if err := sw.Forward().Unicast.Add(ethernet.HostMAC(2), 1, 1); err != nil {

@@ -81,6 +81,7 @@ type Node struct {
 type Port struct {
 	owner *Node
 	peer  *Port
+	dom   *Domain
 	// trueDelay is the physical propagation delay of the attached link.
 	trueDelay sim.Time
 	// measuredDelay is the pdelay mechanism's current estimate.
@@ -89,22 +90,54 @@ type Port struct {
 	rng           *sim.Rand
 	// seq numbers outgoing event messages.
 	seq uint16
+
+	// The exchanges this port starts: a peer-delay measurement of its
+	// link and, while it is master toward its peer, a two-step sync. A
+	// kind's interval is far longer than its exchange, so at most one of
+	// each is ever in flight.
+	pdelay, sync exchange
+	// Handlers bound once in Connect, so a tick or a message arrival
+	// allocates nothing.
+	pdelayTickFn, reqArriveFn, turnFn, respArriveFn sim.Handler
+	syncTickFn, syncArriveFn, followUpArriveFn      sim.Handler
 }
 
-// send marshals msg onto the wire and invokes handle with the decoded
-// copy after the link latency — every protocol exchange crosses the
-// real codec.
-func (d *Domain) send(from *Port, msg *Message, handle func(e *sim.Engine, m *Message)) {
+// exchange is one in-flight protocol exchange: the timestamps its later
+// steps need and the frame its messages cross the codec in, one at a
+// time (each message arrives before the next is sent).
+type exchange struct {
+	pending bool
+	t1, t2  sim.Time
+	frame   ethernet.Frame
+	body    [msgBodyBytes]byte
+}
+
+// begin marks the exchange in flight; a second one of the same kind
+// while it is would overwrite its state.
+func (x *exchange) begin(kind string) {
+	if x.pending {
+		panic("gptp: " + kind + " exchange started while one is in flight")
+	}
+	x.pending = true
+}
+
+// send marshals msg into the exchange's frame and schedules arrive
+// after the link latency; arrive reads it back through receive, so
+// every protocol exchange crosses the real codec.
+func (d *Domain) send(from *Port, x *exchange, msg Message, label string, arrive sim.Handler) {
 	from.seq++
 	msg.Seq = from.seq
-	frame := msg.Marshal(d.srcMAC(from.owner))
-	d.engine.After(d.msgDelay(from), "ptp:"+msg.Type.String(), func(e *sim.Engine) {
-		got, err := UnmarshalMessage(frame)
-		if err != nil {
-			panic(err) // codec breakage is a programming error
-		}
-		handle(e, got)
-	})
+	msg.encode(&x.frame, x.body[:], d.srcMAC(from.owner))
+	d.engine.After(d.msgDelay(from), label, arrive)
+}
+
+// receive decodes the message in flight in the exchange's frame.
+func (x *exchange) receive() Message {
+	m, err := decode(&x.frame)
+	if err != nil {
+		panic(err) // codec breakage is a programming error
+	}
+	return m
 }
 
 // Domain is a gPTP domain: a set of nodes joined by point-to-point
@@ -171,13 +204,21 @@ func (d *Domain) Connect(a, b *Node, delay sim.Time) (*Port, *Port) {
 		panic("gptp: negative link delay")
 	}
 	d.seed = d.seed*6364136223846793005 + 1442695040888963407
-	pa := &Port{owner: a, trueDelay: delay, rng: sim.NewRand(d.seed)}
+	pa := d.newPort(a, delay)
 	d.seed = d.seed*6364136223846793005 + 1442695040888963407
-	pb := &Port{owner: b, trueDelay: delay, rng: sim.NewRand(d.seed)}
+	pb := d.newPort(b, delay)
 	pa.peer, pb.peer = pb, pa
 	a.ports = append(a.ports, pa)
 	b.ports = append(b.ports, pb)
 	return pa, pb
+}
+
+// newPort makes one end of a link, its handlers bound.
+func (d *Domain) newPort(n *Node, delay sim.Time) *Port {
+	p := &Port{owner: n, dom: d, trueDelay: delay, rng: sim.NewRand(d.seed)}
+	p.pdelayTickFn, p.reqArriveFn, p.turnFn, p.respArriveFn = p.pdelayTick, p.reqArrive, p.turn, p.respArrive
+	p.syncTickFn, p.syncArriveFn, p.followUpArriveFn = p.syncTick, p.syncArrive, p.followUpArrive
+	return p
 }
 
 // SetGrandmaster designates gm as the domain's time source and builds
@@ -204,13 +245,12 @@ func (d *Domain) Start() {
 	}
 	for _, n := range d.nodes {
 		for _, p := range n.ports {
-			p := p
 			// Every port measures its link delay and ticks a periodic
 			// Sync opportunity; the role check happens at fire time, so
 			// re-election (BMCA failover) takes effect without
 			// rescheduling.
-			d.engine.After(0, "pdelay", func(*sim.Engine) { d.startPdelay(p) })
-			d.schedulePeriodicSync(p)
+			d.engine.After(0, "pdelay", p.pdelayTickFn)
+			d.engine.After(SyncInterval, "sync", p.syncTickFn)
 		}
 	}
 }
@@ -229,56 +269,70 @@ func (d *Domain) timestamp(p *Port, now sim.Time) sim.Time {
 
 // --- Peer delay measurement (Pdelay_Req / Pdelay_Resp) ---
 
-func (d *Domain) startPdelay(p *Port) {
-	d.measurePdelay(p)
-	d.engine.After(pdelayInterval, "pdelay", func(*sim.Engine) { d.startPdelay(p) })
+// pdelayTick measures the link delay and re-arms itself.
+func (p *Port) pdelayTick(*sim.Engine) {
+	p.dom.measurePdelay(p)
+	p.dom.engine.After(pdelayInterval, "pdelay", p.pdelayTickFn)
 }
 
+// measurePdelay starts p's exchange: it timestamps a Pdelay_Req out (t1);
+// the peer timestamps it in (t2, reqArrive) and its Pdelay_Resp out
+// after a turnaround (t3, turn); p timestamps that in (t4, respArrive).
 func (d *Domain) measurePdelay(p *Port) {
 	if !p.owner.alive || !p.peer.owner.alive {
 		return
 	}
-	now := d.engine.Now()
-	t1 := d.timestamp(p, now) // initiator tx timestamp
+	x := &p.pdelay
+	x.begin("pdelay")
+	x.t1 = d.timestamp(p, d.engine.Now()) // initiator tx timestamp
 	// Pdelay_Req crosses the wire through the codec.
-	d.send(p, &Message{Type: MsgPdelayReq}, func(e *sim.Engine, _ *Message) {
-		t2 := d.timestamp(p.peer, e.Now()) // responder rx
-		// Responder turnaround: a small processing time.
-		turnaround := 2 * sim.Microsecond
-		e.After(turnaround, "pdelay-turn", func(e2 *sim.Engine) {
-			t3 := d.timestamp(p.peer, e2.Now()) // responder tx
-			// Pdelay_Resp carries the turnaround (t3 − t2) as its
-			// correction, the condensed one-message form.
-			resp := &Message{Type: MsgPdelayResp, OriginTS: t2, Correction: int64(t3 - t2)}
-			d.send(p.peer, resp, func(e3 *sim.Engine, m *Message) {
-				t4 := d.timestamp(p, e3.Now()) // initiator rx
-				// Mean path delay per IEEE 1588: ((t4-t1)-(t3-t2))/2.
-				delay := ((t4 - t1) - sim.Time(m.Correction)) / 2
-				if delay < 0 {
-					delay = 0
-				}
-				// Exponentially average successive measurements: a static
-				// error in the delay estimate biases every downstream
-				// clock, so smoothing it matters more than smoothing the
-				// per-sync offset samples.
-				if p.hasDelay {
-					p.measuredDelay = (3*p.measuredDelay + delay) / 4
-				} else {
-					p.measuredDelay = delay
-					p.hasDelay = true
-				}
-			})
-		})
-	})
+	d.send(p, x, Message{Type: MsgPdelayReq}, "ptp:Pdelay_Req", p.reqArriveFn)
+}
+
+func (p *Port) reqArrive(e *sim.Engine) {
+	x := &p.pdelay
+	x.receive()
+	x.t2 = p.dom.timestamp(p.peer, e.Now()) // responder rx
+	// Responder turnaround: a small processing time.
+	e.After(2*sim.Microsecond, "pdelay-turn", p.turnFn)
+}
+
+func (p *Port) turn(e *sim.Engine) {
+	x := &p.pdelay
+	t3 := p.dom.timestamp(p.peer, e.Now()) // responder tx
+	// Pdelay_Resp carries the turnaround (t3 − t2) as its correction,
+	// the condensed one-message form.
+	resp := Message{Type: MsgPdelayResp, OriginTS: x.t2, Correction: int64(t3 - x.t2)}
+	p.dom.send(p.peer, x, resp, "ptp:Pdelay_Resp", p.respArriveFn)
+}
+
+func (p *Port) respArrive(e *sim.Engine) {
+	x := &p.pdelay
+	m := x.receive()
+	x.pending = false
+	t4 := p.dom.timestamp(p, e.Now()) // initiator rx
+	// Mean path delay per IEEE 1588: ((t4-t1)-(t3-t2))/2.
+	delay := ((t4 - x.t1) - sim.Time(m.Correction)) / 2
+	if delay < 0 {
+		delay = 0
+	}
+	// Exponentially average successive measurements: a static error in
+	// the delay estimate biases every downstream clock, so smoothing it
+	// matters more than smoothing the per-sync offset samples.
+	if p.hasDelay {
+		p.measuredDelay = (3*p.measuredDelay + delay) / 4
+	} else {
+		p.measuredDelay = delay
+		p.hasDelay = true
+	}
 }
 
 // --- Sync / Follow_Up propagation ---
 
-func (d *Domain) schedulePeriodicSync(master *Port) {
-	d.engine.After(SyncInterval, "sync", func(*sim.Engine) {
-		d.sendSync(master)
-		d.schedulePeriodicSync(master)
-	})
+// syncTick offers a Sync on p and re-arms itself.
+func (p *Port) syncTick(*sim.Engine) {
+	p.dom.sendSync(p)
+	p.dom.engine.After(SyncInterval, "sync", p.syncTickFn)
 }
 
 // sendSync emits one two-step Sync from master port: the Sync is
@@ -292,17 +346,26 @@ func (d *Domain) sendSync(master *Port) {
 	if master.peer.owner.upstream != master.peer {
 		return
 	}
-	now := d.engine.Now()
-	t1 := d.timestamp(master, now)
-	slave := master.peer
+	x := &master.sync
+	x.begin("sync")
+	x.t1 = d.timestamp(master, d.engine.Now())
 	// Two-step sync over the codec: the Sync event message is
 	// timestamped on arrival, the Follow_Up delivers t1.
-	d.send(master, &Message{Type: MsgSync}, func(e *sim.Engine, _ *Message) {
-		t2 := d.timestamp(slave, e.Now())
-		d.send(master, &Message{Type: MsgFollowUp, OriginTS: t1}, func(e2 *sim.Engine, m *Message) {
-			slave.owner.applysync(e2, m.OriginTS, t2, slave)
-		})
-	})
+	d.send(master, x, Message{Type: MsgSync}, "ptp:Sync", master.syncArriveFn)
+}
+
+func (p *Port) syncArrive(e *sim.Engine) {
+	x := &p.sync
+	x.receive()
+	x.t2 = p.dom.timestamp(p.peer, e.Now()) // slave rx
+	p.dom.send(p, x, Message{Type: MsgFollowUp, OriginTS: x.t1}, "ptp:Follow_Up", p.followUpArriveFn)
+}
+
+func (p *Port) followUpArrive(e *sim.Engine) {
+	x := &p.sync
+	m := x.receive()
+	x.pending = false
+	p.peer.owner.applysync(e, m.OriginTS, x.t2, p.peer)
 }
 
 // applysync runs the correction-time calculation and clock-correction

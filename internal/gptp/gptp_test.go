@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/clock"
+	"github.com/tsnbuilder/tsnbuilder/internal/israce"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
@@ -177,4 +178,43 @@ func TestOffsetDeterminism(t *testing.T) {
 	if run() != run() {
 		t.Fatal("gPTP simulation is not deterministic")
 	}
+}
+
+// TestMessagesAllocateNothing: every exchange crosses the codec in its
+// port's own frame and the handlers are bound once per port, so once
+// the domain runs, a second of syncs (32 per master port) and peer-delay
+// measurements (4 per port) allocates nothing.
+func TestMessagesAllocateNothing(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e := sim.NewEngine()
+	d := buildLine(e, []clock.PPB{0, 40_000, -30_000, 20_000}, 100*sim.Nanosecond)
+	d.Start()
+	e.RunUntil(sim.Second)
+	before := d.Stats()
+	if allocs := testing.AllocsPerRun(2, func() { e.RunFor(sim.Second) }); allocs != 0 {
+		t.Fatalf("a second of gPTP allocated %.0f times, want none", allocs)
+	}
+	for i, st := range d.Stats() { // three seconds of 31 or 32 syncs each
+		if got := st.SyncCount - before[i].SyncCount; got < 3*31 {
+			t.Fatalf("node %d applied %d syncs in three seconds", st.NodeID, got)
+		}
+	}
+}
+
+// TestSecondExchangeOfAKindPanics: a port keeps one in-flight exchange
+// of each kind; starting another while it is pending would overwrite
+// its timestamps, and panics instead.
+func TestSecondExchangeOfAKindPanics(t *testing.T) {
+	e := sim.NewEngine()
+	d := buildLine(e, []clock.PPB{0, 0}, 100*sim.Nanosecond)
+	p := d.Nodes()[0].ports[0]
+	d.measurePdelay(p)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second pdelay exchange started while one was in flight")
+		}
+	}()
+	d.measurePdelay(p)
 }

@@ -81,7 +81,14 @@ const msgBodyBytes = 1 + 1 + 2 + 8 + 8 + 1 + 1 + 8 + 2 // version+type+seq+ts+co
 // Marshal encodes the message into an Ethernet frame addressed to the
 // PTP multicast range, as gPTP transports event messages.
 func (m *Message) Marshal(src ethernet.MAC) *ethernet.Frame {
-	body := make([]byte, msgBodyBytes)
+	f := new(ethernet.Frame)
+	m.encode(f, make([]byte, msgBodyBytes), src)
+	return f
+}
+
+// encode is Marshal into f, with body (msgBodyBytes long) as its
+// payload: a sender that reuses one frame and body allocates nothing.
+func (m *Message) encode(f *ethernet.Frame, body []byte, src ethernet.MAC) {
 	body[0] = 2 // PTP version
 	body[1] = byte(m.Type)
 	binary.BigEndian.PutUint16(body[2:], m.Seq)
@@ -91,7 +98,7 @@ func (m *Message) Marshal(src ethernet.MAC) *ethernet.Frame {
 	body[21] = m.Priority.ClockClass
 	binary.BigEndian.PutUint64(body[22:], m.Priority.ClockID)
 	binary.BigEndian.PutUint16(body[30:], m.Steps)
-	return &ethernet.Frame{
+	*f = ethernet.Frame{
 		Dst:       ethernet.MAC{0x01, 0x80, 0xC2, 0x00, 0x00, 0x0E}, // 802.1AS link-local
 		Src:       src,
 		VID:       0,
@@ -106,17 +113,27 @@ var errNotPTP = errors.New("gptp: not a PTP frame")
 
 // UnmarshalMessage decodes a PTP frame produced by Marshal.
 func UnmarshalMessage(f *ethernet.Frame) (*Message, error) {
+	m, err := decode(f)
+	if err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// decode is UnmarshalMessage into a value, which the protocol's own
+// receivers use so a message allocates nothing.
+func decode(f *ethernet.Frame) (Message, error) {
 	if f.EtherType != ethernet.TypePTP {
-		return nil, errNotPTP
+		return Message{}, errNotPTP
 	}
 	if len(f.Payload) < msgBodyBytes {
-		return nil, fmt.Errorf("gptp: truncated PTP body (%d bytes)", len(f.Payload))
+		return Message{}, fmt.Errorf("gptp: truncated PTP body (%d bytes)", len(f.Payload))
 	}
 	b := f.Payload
 	if b[0] != 2 {
-		return nil, fmt.Errorf("gptp: unsupported PTP version %d", b[0])
+		return Message{}, fmt.Errorf("gptp: unsupported PTP version %d", b[0])
 	}
-	m := &Message{
+	m := Message{
 		Type:       MsgType(b[1]),
 		Seq:        binary.BigEndian.Uint16(b[2:]),
 		OriginTS:   sim.Time(binary.BigEndian.Uint64(b[4:])),
@@ -132,5 +149,5 @@ func UnmarshalMessage(f *ethernet.Frame) (*Message, error) {
 	case MsgSync, MsgPdelayReq, MsgPdelayResp, MsgFollowUp, MsgAnnounce:
 		return m, nil
 	}
-	return nil, fmt.Errorf("gptp: unknown message type %#x", b[1])
+	return Message{}, fmt.Errorf("gptp: unknown message type %#x", b[1])
 }

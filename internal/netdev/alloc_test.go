@@ -40,3 +40,31 @@ func TestTransmitAllocFree(t *testing.T) {
 		t.Fatalf("delivered %d frames for %d completions", rx.n, completions)
 	}
 }
+
+// TestFirstLaunchUsesTheInlineSlot: an interface's inbound wire FIFO
+// starts on the slot inside the Ifc, so the first frame a fresh
+// CableDelay cable carries costs nothing beyond building the two ends.
+func TestFirstLaunchUsesTheInlineSlot(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e := sim.NewEngine()
+	noop := func(*sim.Engine) {}
+	e.At(1, "warm", noop) // an event block and a free list for two events
+	e.At(2, "warm", noop)
+	e.Run()
+	cable := func() *Ifc {
+		a := NewIfc(e, "a", &counter{}, ethernet.Gbps)
+		Connect(a, NewIfc(e, "b", &counter{}, ethernet.Gbps), CableDelay)
+		return a
+	}
+	f := &ethernet.Frame{}
+	built := testing.AllocsPerRun(10, func() { cable() })
+	carried := testing.AllocsPerRun(10, func() {
+		cable().Transmit(f, nil)
+		e.Run()
+	})
+	if carried != built {
+		t.Fatalf("a fresh cable's first frame allocated %.0f times beyond building it, want 0", carried-built)
+	}
+}

@@ -94,6 +94,7 @@ func NewIfc(engine *sim.Engine, name string, owner Receiver, rate ethernet.Rate)
 	}
 	i := &Ifc{Name: name, engine: engine, owner: owner, rate: rate}
 	i.arriveFn, i.doneFn = i.arrive, i.done
+	i.inbound.ring = i.inbound.first[:]
 	return i
 }
 
@@ -276,10 +277,14 @@ type inFlight struct {
 // ordered: a frame arrives at start + wire + prop, and the next start
 // is at least one occupancy (wire + preamble + gap) later. Its depth is
 // 1 on a short cable and grows with prop/occupancy on a long or fast
-// one, so it is a ring (of power-of-two length), not a field.
+// one, so it is a ring (of power-of-two length), not a field. Its first
+// ring is the one slot inside the interface: enough while a frame's
+// occupancy outlasts the cable's propagation (CableDelay at 1 Gb/s), and
+// push grows it the first time a longer or faster cable holds two.
 type wireFIFO struct {
 	ring    []inFlight
 	head, n int
+	first   [1]inFlight
 }
 
 func (q *wireFIFO) push(x inFlight) {

@@ -25,8 +25,10 @@ type Handler func(e *Engine)
 // not depend on how the queue files its events.
 //
 // Popped and canceled events are recycled through the engine's free
-// list, so steady-state scheduling allocates nothing. gen increments on
-// every recycle; an EventRef snapshots it so a stale ref can never
+// list, and a new pending-depth high water takes its events from a
+// block of eventBlock, so steady-state scheduling allocates nothing and
+// reaching a depth of d costs d/eventBlock allocations. gen increments
+// on every recycle; an EventRef snapshots it so a stale ref can never
 // resurrect (or cancel) a reused event.
 type event struct {
 	at   Time
@@ -101,8 +103,11 @@ type Engine struct {
 	stopped bool
 	// free recycles fired/canceled event structs so steady-state
 	// scheduling is allocation-free. Bounded by the worst concurrent
-	// pending-event count, not by total events executed.
-	free []*event
+	// pending-event count, not by total events executed. block is the
+	// unused tail of the newest event block, where alloc goes when the
+	// free list is dry.
+	free  []*event
+	block []event
 	// Executed counts events run since construction; useful for
 	// progress accounting in benchmarks.
 	executed uint64
@@ -284,8 +289,14 @@ func (e *Engine) front(limit Time) *event {
 	return e.cur[0]
 }
 
-// alloc takes an event struct off the free list, or heap-allocates one
-// when the list is dry (cold start or a new pending-depth high water).
+// eventBlock is how many events one allocation provides: tens, so a
+// deep queue (the 210-switch mesh holds ≈ 730) costs a few dozen
+// allocations and a shallow one wastes at most a block's 2 KB.
+const eventBlock = 32
+
+// alloc takes an event struct off the free list or, when the list is
+// dry (cold start or a new pending-depth high water), off the current
+// block's unused tail, allocating a new block when that is used up.
 func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -293,7 +304,12 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{}
+	if len(e.block) == 0 {
+		e.block = make([]event, eventBlock)
+	}
+	ev := &e.block[0]
+	e.block = e.block[1:]
+	return ev
 }
 
 // recycle returns a popped/canceled event to the free list. The

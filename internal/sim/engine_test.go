@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/israce"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -494,5 +496,30 @@ func TestEngineFreeListBoundedByPendingDepth(t *testing.T) {
 func TestEventFitsSixtyFourBytes(t *testing.T) {
 	if n := unsafe.Sizeof(event{}); n > 64 {
 		t.Fatalf("event is %d bytes, want <= 64", n)
+	}
+}
+
+// TestEngineEventsComeInBlocks: a new pending-depth high water takes its
+// events from blocks of eventBlock, so reaching depth 100 on a fresh
+// engine costs four blocks (and the engine, where it escapes), and a
+// second wave to the same depth costs nothing.
+func TestEngineEventsComeInBlocks(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	noop := func(*Engine) {}
+	wave := func(e *Engine) {
+		for i := 0; i < 100; i++ {
+			e.At(e.Now()+Time(i+1), "x", noop)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { wave(NewEngine()) }); allocs > 1+4 {
+		t.Fatalf("a fresh engine reaching depth 100 allocated %.0f times, want at most 1 + 4 blocks of %d", allocs, eventBlock)
+	}
+	e := NewEngine()
+	wave(e)
+	e.Run()
+	if allocs := testing.AllocsPerRun(10, func() { wave(e); e.Run() }); allocs != 0 {
+		t.Fatalf("a second wave to the same depth allocated %.0f times, want 0", allocs)
 	}
 }

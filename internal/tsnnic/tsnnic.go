@@ -14,10 +14,12 @@
 // engine timer would have been stamped with, so the engine executes the
 // same (instant, order) sequence — DESIGN §11, "One timer per NIC".
 //
-// A NIC is also where a frame ends: Receive returns every frame to the
-// engine's ethernet.Pool, from which inject draws, and a flow's generator
-// state is a row admitted before it starts, so steady traffic allocates
-// neither per frame nor per flow (DESIGN §11, "Copy-light frames").
+// A NIC is where a frame ends unless a switch dropped it: Receive returns
+// every frame to the engine's ethernet.Pool, from which inject draws (a
+// switch returns what it drops there too), and a flow's generator state
+// is a row admitted before it starts, its class FIFO backed at the same
+// time, so steady traffic allocates neither per frame nor per flow
+// (DESIGN §11, "Copy-light frames" and "What a run allocates").
 package tsnnic
 
 import (
@@ -46,7 +48,9 @@ type NIC struct {
 	// Strict-priority MAC FIFOs indexed by class (TS > RC > BE). A FIFO
 	// holds its frames at [head:]; popping clears the slot and an
 	// emptied FIFO rewinds, so the backing array is reused and never
-	// pins a transmitted frame.
+	// pins a transmitted frame. Admit backs a class's FIFO with room for
+	// one tick of its largest flow; only frames that meet in the FIFO
+	// beyond that grow it.
 	fifos [3]struct {
 		frames []*ethernet.Frame
 		head   int
@@ -262,6 +266,12 @@ func (n *NIC) Admit(spec *flows.Spec, row uint32) int {
 		panic(fmt.Sprintf("tsnnic: flow %d src host %d started on NIC %d",
 			spec.ID, spec.SrcHost, n.HostID))
 	}
+	tick := spec.BurstFrames()
+	if spec.FRER {
+		tick *= 2 // the member-stream replica queues behind each frame
+	}
+	q := &n.fifos[classIndex(spec.Class)]
+	q.frames = slices.Grow(q.frames, tick)
 	n.flows = append(n.flows, flow{
 		spec:     spec,
 		interval: spec.FrameInterval(),

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/gate"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
@@ -72,6 +73,42 @@ type Config struct {
 	// dataplane instruments are resolved against it at construction so
 	// the hot path never pays a lookup. Nil disables instrumentation.
 	Metrics *metrics.Registry
+	// CQF, when non-nil, is where the switch takes its initial CQF gate
+	// lists from, so the switches of one network share them. Nil builds
+	// the switch a pair of its own.
+	CQF *CQFLists
+}
+
+// CQFLists hands out CQF gate lists: the in/out pair of one (slot,
+// queue A, queue B) is built at its first request and returned again
+// for the same three. A list is immutable and may serve both directions
+// and any number of ports, so one network needs one pair, not one per
+// switch. The zero value is ready; it is not safe for concurrent use.
+type CQFLists struct {
+	pairs map[cqfKey][2]*gate.GCL
+}
+
+type cqfKey struct {
+	slot sim.Time
+	a, b int
+}
+
+// Pair returns the CQF in/out lists of (slot, queueA, queueB). A nil
+// receiver builds a fresh pair.
+func (l *CQFLists) Pair(slot sim.Time, queueA, queueB int) (in, out *gate.GCL) {
+	if l == nil {
+		return gate.CQF(slot, queueA, queueB)
+	}
+	k := cqfKey{slot, queueA, queueB}
+	p, ok := l.pairs[k]
+	if !ok {
+		if l.pairs == nil {
+			l.pairs = make(map[cqfKey][2]*gate.GCL)
+		}
+		p[0], p[1] = gate.CQF(slot, queueA, queueB)
+		l.pairs[k] = p
+	}
+	return p[0], p[1]
 }
 
 // RateFor returns port p's line rate.

@@ -1,10 +1,14 @@
 package tsnswitch
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/gate"
+	"github.com/tsnbuilder/tsnbuilder/internal/israce"
+	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
@@ -165,5 +169,50 @@ func TestPreemptionRespectsMinFragment(t *testing.T) {
 	r.engine.RunUntil(sim.Second)
 	if len(r.hosts[1].got) != 3 {
 		t.Fatalf("received %d frames, want 3", len(r.hosts[1].got))
+	}
+}
+
+// TestPreemptionAllocatesNothing: the suspended-frame record and the
+// post-cut gap's handler are made with the port, so a run that preempts
+// allocates no more than the same run without preemption.
+func TestPreemptionAllocatesNothing(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := func(preempt bool) (allocs uint64, preemptions uint64) {
+		cfg := testConfig()
+		cfg.EnablePreemption = preempt
+		cfg.QueueDepth, cfg.BuffersPerPort = 64, 256
+		cfg.Metrics = metrics.New()
+		r := newRig(t, cfg)
+		open := gate.AlwaysOpen(sim.Millisecond)
+		for p := 0; p < cfg.Ports; p++ {
+			if err := r.sw.SetPortSchedules(p, open, open); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := uint32(0); k < 20; k++ {
+			at := sim.Time(k) * 50 * sim.Microsecond
+			r.hosts[0].sendAt(at, beFrame(1, 2*k))
+			r.hosts[0].sendAt(at, beFrame(1, 2*k+1))
+			r.hosts[0].sendAt(at+16*sim.Microsecond, tsFrame(1, 100+k))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.engine.RunUntil(sim.Second)
+		runtime.ReadMemStats(&after)
+		if len(r.hosts[1].got) != 60 {
+			t.Fatalf("delivered %d of 60 frames", len(r.hosts[1].got))
+		}
+		return after.Mallocs - before.Mallocs, cfg.Metrics.SumCounter(MetricPreemption)
+	}
+	plain, _ := run(false)
+	cut, preemptions := run(true)
+	if preemptions == 0 {
+		t.Fatal("nothing was preempted")
+	}
+	if cut != plain {
+		t.Fatalf("%d preemptions cost %d allocations over the run without (%d vs %d)", preemptions, int64(cut)-int64(plain), cut, plain)
 	}
 }

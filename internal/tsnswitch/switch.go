@@ -30,6 +30,12 @@ type Switch struct {
 	flt   *filter.Engine
 	ports []*Port
 
+	// frames takes back every frame the switch stops carrying — a drop,
+	// the original of a multicast replication — and gives the replicas:
+	// the engine's pool once SetPool has run, the switch's own until then.
+	frames *ethernet.Pool
+	own    ethernet.Pool
+
 	// Flight, when non-nil, receives per-packet dataplane events into
 	// the ring-buffer flight recorder.
 	Flight *trace.Flight
@@ -82,14 +88,17 @@ type Port struct {
 	transmitting bool
 	retryPending bool
 	// The in-flight transmission's queue and buffer slot, and a
-	// preempted frame awaiting resumption.
+	// preempted frame awaiting resumption (nil, or held).
 	txQueue   int
 	txBufSlot int
 	suspended *suspendedTx
 	// Handlers bound once in New, so starting a transmission or arming
-	// a retry allocates nothing.
+	// a retry allocates nothing; with preemption enabled, New also makes
+	// the suspended-frame record and the post-cut gap's handler.
 	txDoneFn func()
 	retryFn  sim.Handler
+	held     *suspendedTx
+	gapFn    sim.Handler
 }
 
 // Gate directions; dirNames are their "dir" label values.
@@ -154,13 +163,14 @@ func New(engine *sim.Engine, cfg Config) *Switch {
 		fwd:    forward.New(cfg.UnicastSize, cfg.MulticastSize),
 		flt:    filter.New(cfg.ClassSize, cfg.MeterSize, cfg.QueuesPerPort),
 	}
+	sw.frames = &sw.own
 	// SMS mode: one pool shared by every port; default: exclusive
 	// per-port pools (Fig. 4).
 	var shared *buffering.Pool
 	if cfg.SharedBufferNum > 0 {
 		shared = buffering.NewPool(cfg.SharedBufferNum)
 	}
-	in, out := gate.CQF(cfg.SlotSize, cfg.TSQueueA, cfg.TSQueueB)
+	in, out := cfg.CQF.Pair(cfg.SlotSize, cfg.TSQueueA, cfg.TSQueueB)
 	// Per-port state comes in one array per kind for the whole switch;
 	// each port's queue-indexed slices are carved from them.
 	nq := cfg.QueuesPerPort
@@ -189,6 +199,9 @@ func New(engine *sim.Engine, cfg Config) *Switch {
 		port.gates[dirOut].install(out)
 		port.ifc = netdev.NewIfc(engine, fmt.Sprintf("sw%d.p%d", cfg.ID, p), port, cfg.RateFor(p))
 		port.txDoneFn, port.retryFn = port.txDone, port.retry
+		if cfg.EnablePreemption {
+			port.held, port.gapFn = new(suspendedTx), port.gapEnd
+		}
 		sw.ports[p] = port
 	}
 	sw.resolveInstruments(cfg.Metrics)
@@ -197,6 +210,10 @@ func New(engine *sim.Engine, cfg Config) *Switch {
 
 // ID returns the switch identifier.
 func (sw *Switch) ID() int { return sw.cfg.ID }
+
+// SetPool replaces the switch's own frame pool by p, its engine's: a
+// frame the switch drops or replicates was drawn there by a NIC.
+func (sw *Switch) SetPool(p *ethernet.Pool) { sw.frames = p }
 
 // Config returns the resource specification the switch was built with.
 func (sw *Switch) Config() Config { return sw.cfg }
@@ -266,6 +283,15 @@ func (p *Port) Receive(f *ethernet.Frame, on *netdev.Ifc) {
 	p.sw.ingress(f)
 }
 
+// drop counts and traces f as dropped for reason r at (port, queue),
+// then returns it to the pool: the switch carries it no further.
+func (sw *Switch) drop(r DropReason, port, queue int, f *ethernet.Frame) {
+	sw.stats.Drops[r]++
+	sw.met.drops[r].Inc()
+	sw.emit(trace.KindDrop, port, queue, f, r.String())
+	sw.frames.Put(f)
+}
+
 // ingress runs Packet Switch and Ingress Filter, then hands the frame
 // to each output port's enqueue stage.
 func (sw *Switch) ingress(f *ethernet.Frame) {
@@ -274,19 +300,15 @@ func (sw *Switch) ingress(f *ethernet.Frame) {
 	sw.emit(trace.KindIngress, -1, -1, f, "")
 	outPorts, ok := sw.fwd.Resolve(f)
 	if !ok {
-		sw.stats.Drops[DropNoRoute]++
-		sw.met.drops[DropNoRoute].Inc()
-		sw.emit(trace.KindDrop, -1, -1, f, DropNoRoute.String())
+		sw.drop(DropNoRoute, -1, -1, f)
 		return
 	}
 	v := sw.flt.Process(f, sw.engine.Now())
 	if !v.Conform {
-		sw.stats.Drops[DropMeter]++
-		sw.met.drops[DropMeter].Inc()
-		sw.emit(trace.KindDrop, -1, -1, f, DropMeter.String())
+		sw.drop(DropMeter, -1, -1, f)
 		return
 	}
-	multicast := outPorts&(outPorts-1) != 0
+	multicast, forwarded := outPorts&(outPorts-1) != 0, false
 	for ; outPorts != 0; outPorts &= outPorts - 1 {
 		op := bits.TrailingZeros32(outPorts)
 		if op >= len(sw.ports) {
@@ -295,13 +317,19 @@ func (sw *Switch) ingress(f *ethernet.Frame) {
 			continue
 		}
 		// Multicast replication copies the header only (the payload is
-		// immutable in flight); the common unicast case moves the frame
-		// through untouched.
+		// immutable in flight) into a pool frame; the common unicast
+		// case moves the frame through untouched.
 		g := f
 		if multicast {
-			g = f.CloneHeader()
+			g = sw.frames.Get()
+			*g = *f
+		} else {
+			forwarded = true
 		}
 		sw.ports[op].enqueue(g, v.QueueID)
+	}
+	if !forwarded { // replicated, or its one port does not exist
+		sw.frames.Put(f)
 	}
 }
 
@@ -314,9 +342,7 @@ func (p *Port) enqueue(f *ethernet.Frame, queueID int) {
 	// this slot; other queues are admitted iff their in-gate is open.
 	qid := gate.EnqueueTarget(p.gates[dirIn].observe(local), queueID, sw.cfg.TSQueueA, sw.cfg.TSQueueB)
 	if qid < 0 {
-		sw.stats.Drops[DropGateClosed]++
-		sw.met.drops[DropGateClosed].Inc()
-		sw.emit(trace.KindDrop, p.id, queueID, f, DropGateClosed.String())
+		sw.drop(DropGateClosed, p.id, queueID, f)
 		return
 	}
 	// Graceful degradation: under buffer pressure shed BE (and, one
@@ -324,24 +350,18 @@ func (p *Port) enqueue(f *ethernet.Frame, queueID int) {
 	// never shed here.
 	if sw.degrade > DegradeOff && f.Class != ethernet.ClassTS {
 		if f.Class == ethernet.ClassBE || sw.degrade >= DegradeShedRC {
-			sw.stats.Drops[DropDegraded]++
-			sw.met.drops[DropDegraded].Inc()
-			sw.emit(trace.KindDrop, p.id, qid, f, DropDegraded.String())
+			sw.drop(DropDegraded, p.id, qid, f)
 			return
 		}
 	}
 	slot, ok := p.pool.Alloc(f.BufferBytes())
 	if !ok {
-		sw.stats.Drops[DropBufferFull]++
-		sw.met.drops[DropBufferFull].Inc()
-		sw.emit(trace.KindDrop, p.id, qid, f, DropBufferFull.String())
+		sw.drop(DropBufferFull, p.id, qid, f)
 		return
 	}
 	if !p.queues[qid].Push(buffering.Descriptor{Frame: f, Slot: slot, EnqueuedAt: sw.engine.Now()}) {
 		p.pool.Free(slot)
-		sw.stats.Drops[DropQueueFull]++
-		sw.met.drops[DropQueueFull].Inc()
-		sw.emit(trace.KindDrop, p.id, qid, f, DropQueueFull.String())
+		sw.drop(DropQueueFull, p.id, qid, f)
 		return
 	}
 	p.metEnq[qid].Inc()
@@ -380,19 +400,23 @@ func (p *Port) maybePreempt(arrivedQueue int) {
 		return // too early or too late in the frame to cut legally
 	}
 	sw.met.preemptions.Inc()
-	p.suspended = &suspendedTx{
+	*p.held = suspendedTx{
 		desc:      buffering.Descriptor{Frame: frame, Slot: p.txBufSlot},
 		queue:     p.txQueue,
 		remaining: remaining,
 	}
+	p.suspended = p.held
 	// The wire stays occupied for the fragment's mCRC + IFG; the port
 	// frees (and the express frame starts) once it clears. transmitting
 	// stays true until then so re-entrant tryTransmit calls no-op.
-	gap := max(0, p.ifc.FreeAt()-sw.engine.Now())
-	sw.engine.After(gap, "preempt-gap", func(*sim.Engine) {
-		p.transmitting = false
-		p.tryTransmit()
-	})
+	sw.engine.After(max(0, p.ifc.FreeAt()-sw.engine.Now()), "preempt-gap", p.gapFn)
+}
+
+// gapEnd frees the port once a cut fragment's mCRC and gap have cleared
+// the wire.
+func (p *Port) gapEnd(*sim.Engine) {
+	p.transmitting = false
+	p.tryTransmit()
 }
 
 // selectQueue implements Egress Sched: strict priority (highest queue

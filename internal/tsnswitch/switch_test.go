@@ -350,3 +350,42 @@ func TestDropReasonStrings(t *testing.T) {
 		t.Fatal("unknown reason formatting")
 	}
 }
+
+// TestDroppedAndReplicatedFramesReturnToThePool: a switch carries a
+// frame no further when it drops it or replicates it, and returns it to
+// the engine's pool then; the replicas come from that pool too. So a
+// network whose switches drop or replicate mints no more frames than
+// are in flight.
+func TestDroppedAndReplicatedFramesReturnToThePool(t *testing.T) {
+	cfg := testConfig()
+	cfg.Ports = 3
+	r := newRig(t, cfg)
+	var pool ethernet.Pool
+	r.sw.SetPool(&pool)
+	if err := r.sw.Forward().Multicast.Add(5, 1<<1|1<<2); err != nil {
+		t.Fatal(err)
+	}
+	lost := pool.Get()
+	*lost = *tsFrame(1, 1)
+	lost.Dst = ethernet.HostMAC(55) // no route
+	group := pool.Get()
+	*group = *tsFrame(1, 2)
+	group.Dst = ethernet.MAC{0x01, 0x00, 0x5e, 0, 0, 5}
+	r.hosts[0].sendAt(0, group)
+	r.hosts[0].sendAt(sim.Millisecond, lost) // after the replicas are out
+	r.engine.RunUntil(sim.Second)
+	if len(r.hosts[1].got) != 1 || len(r.hosts[2].got) != 1 || r.hosts[1].got[0] == r.hosts[2].got[0] {
+		t.Fatalf("hosts 1 and 2 received %d and %d frames, want one replica each", len(r.hosts[1].got), len(r.hosts[2].got))
+	}
+	if got := r.hosts[2].got[0]; got.Seq != 2 || got == group {
+		t.Fatalf("host 2 received %+v, want a replica of seq 2", *got)
+	}
+	// The dropped frame and the replicated original are back (cleared);
+	// the two replicas are out at the hosts.
+	if held, minted := pool.Stats(); held != 2 || minted != 4 {
+		t.Fatalf("pool holds %d frames and minted %d, want 2 and 4", held, minted)
+	}
+	if lost.Seq != 0 || group.Seq != 0 {
+		t.Fatal("a returned frame was not cleared")
+	}
+}

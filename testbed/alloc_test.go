@@ -12,6 +12,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
+	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
@@ -165,5 +166,113 @@ func TestBuildAllocsPerPort(t *testing.T) {
 	// margin is 7 %.
 	if perPort := many / float64(ports); perPort > 47 {
 		t.Fatalf("Build allocates %.1f per switch port, want <= 47", perPort)
+	}
+}
+
+// sampleChunks is how many chunks the analyzer's per-class latency store
+// has opened once it holds n samples (n below its decimation threshold):
+// 256, 512, 1 024 and 2 048 samples, then 4 096 each.
+func sampleChunks(n uint64) int {
+	k := 0
+	for size, held := uint64(256), uint64(0); held < n; k++ {
+		held += size
+		size = min(2*size, 4096)
+	}
+	return k
+}
+
+// TestSteadyStateRunAllocs is the CI gate on a run's steady state: once
+// the run has reached its high-water marks — event blocks, frames in
+// flight, FIFOs, free lists — driving the engine further allocates
+// nothing but the latency-sample chunks its deliveries open. The engine
+// runs in two halves; in the second, Mallocs may grow by the chunks
+// that the per-class delivered counts at the half and at the end imply,
+// and by nothing else: no event, frame, wire slot, gPTP message or
+// closure. The mesh is TestRunAllocsIndependentOfFlowCount's; the ring
+// runs ring-mixed's gPTP and RC/BE injectors, whose queue-full BE drops
+// go back to the pool.
+func TestSteadyStateRunAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, c := range []struct {
+		name       string
+		p          workload.Params
+		gptp       bool
+		warmup, at sim.Time // flows start at warmup, the halves meet at warmup+at
+	}{
+		// Each of the ring's halves, [200, 450) and [450, 700] ms, holds
+		// a peer-delay exchange on every link (every 250 ms) and syncs
+		// (every 32 ms): the first under traffic sets the high waters
+		// the second meets.
+		{"mesh", workload.Params{Topology: "mesh", Switches: 36, TSFlows: 1024, Hops: 4,
+			WireSize: 64, SlotUs: 65, Seed: 42}, false, 0, 40 * sim.Millisecond},
+		{"ring gptp rc be", workload.Params{Topology: "ring", Switches: 6, TSFlows: 1024, Hops: 3,
+			WireSize: 64, SlotUs: 65, RCMbps: 200, BEMbps: 300, Seed: 42}, true, 200 * sim.Millisecond, 250 * sim.Millisecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net, _ := derivedNet(t, c.p, Options{Metrics: metrics.New(), EnableGPTP: c.gptp})
+			classes := []ethernet.Class{ethernet.ClassTS, ethernet.ClassRC, ethernet.ClassBE}
+			delivered := func() (n [3]uint64) {
+				for i, cls := range classes {
+					n[i] = net.Summary(cls).Received
+				}
+				return n
+			}
+			net.start(net.talkers, c.warmup)
+			net.Engine.RunUntil(c.warmup + c.at)
+			mid := delivered()
+			// With the collector off nothing but the run allocates: a GC
+			// cycle lets the runtime's own cleanups (the unique package's,
+			// for net/netip) allocate in the window.
+			runtime.GC()
+			gc := debug.SetGCPercent(-1)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			net.Engine.RunUntil(c.warmup + 2*c.at)
+			runtime.ReadMemStats(&after)
+			debug.SetGCPercent(gc)
+			end := delivered()
+			allowed := 0
+			for i := range classes {
+				if end[i] >= 1<<16 {
+					t.Fatalf("%d %v samples: past the decimation threshold this count cannot follow", end[i], classes[i])
+				}
+				allowed += sampleChunks(end[i]) - sampleChunks(mid[i])
+			}
+			got := after.Mallocs - before.Mallocs
+			t.Logf("second half: %d allocations, %d sample chunks opened (delivered %v → %v)", got, allowed, mid, end)
+			if end[0] == mid[0] {
+				t.Fatal("no TS frame delivered in the second half")
+			}
+			if c.gptp && (end[1] == mid[1] || end[2] == mid[2] || net.SwitchStats().Drops[tsnswitch.DropQueueFull] == 0) {
+				t.Fatalf("RC/BE delivered %v → %v, %d queue-full drops: the background traffic is not running",
+					mid, end, net.SwitchStats().Drops[tsnswitch.DropQueueFull])
+			}
+			if got > uint64(allowed) {
+				t.Fatalf("the second half allocated %d times, want at most the %d sample chunks it opened", got, allowed)
+			}
+		})
+	}
+}
+
+// TestSwitchesShareOneCQFPair: gate lists are immutable and a list may
+// serve both directions and any number of ports, so a network's
+// switches, whatever part they run on, are built on one CQF pair.
+func TestSwitchesShareOneCQFPair(t *testing.T) {
+	for _, parts := range []int{1, 3} {
+		net, _ := derivedNet(t, workload.Params{Topology: "mesh", Switches: 16, TSFlows: 64, Hops: 3,
+			WireSize: 64, SlotUs: 65, Seed: 42}, Options{Partitions: parts})
+		in, out := net.Switches[0].PortSchedules(0)
+		if in == out {
+			t.Fatal("the in and out lists are one list")
+		}
+		for _, sw := range net.Switches {
+			for p := 0; p < sw.Config().Ports; p++ {
+				if i, o := sw.PortSchedules(p); i != in || o != out {
+					t.Fatalf("%d parts: switch %d port %d has its own CQF lists", parts, sw.ID(), p)
+				}
+			}
+		}
 	}
 }

@@ -40,7 +40,7 @@ type part struct {
 	flight *trace.Flight
 	attr   *obs.Attribution // nil when Options.Metrics is nil
 	ps     *psim.Partition  // nil in a one-part network
-	frames ethernet.Pool    // shared by the part's NICs: talkers and listeners are different hosts
+	frames ethernet.Pool    // shared by the part's NICs and switches: a frame ends elsewhere than it began
 }
 
 // newPart starts an engine recording into the given registry, collector

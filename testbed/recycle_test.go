@@ -154,8 +154,10 @@ func (c recycleCase) run(t *testing.T, noReuse bool) recycleOutcome {
 
 // startGroup makes host 300 on switch 0 a multicast source: switch 0
 // replicates group 5 to its own listener and toward switch 1, which
-// forwards to its listener. Both listeners therefore return frames no
-// pool minted (the clones; the original dies in switch 0).
+// forwards to its listener. The source's frames are built by hand, so
+// no pool minted them; switch 0 draws the two replicas from its part's
+// pool and returns the original there, and the listeners return the
+// replicas.
 func (c recycleCase) startGroup(t *testing.T, net *Net) {
 	t.Helper()
 	topo := net.opts.Topo

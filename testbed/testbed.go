@@ -233,15 +233,17 @@ func Build(opts Options) (*Net, error) {
 		}
 	}
 
-	// Switches, one per topology node, each on its part's engine. The
-	// ascending-ID loop plus psim.Assign's ascending-ID blocks keep every
-	// part registry's per-switch samples in the one-part registration
-	// order.
+	// Switches, one per topology node, each on its part's engine and
+	// all on one set of CQF lists. The ascending-ID loop plus
+	// psim.Assign's ascending-ID blocks keep every part registry's
+	// per-switch samples in the one-part registration order.
+	var cqf tsnswitch.CQFLists
 	for s := 0; s < opts.Topo.N; s++ {
 		p := n.switchPart(s)
 		cfg := opts.Design.SwitchConfig(s, opts.Topo.PortCount(s))
 		cfg.SharedBufferNum = opts.SharedBufferNum
 		cfg.Metrics = p.reg
+		cfg.CQF = &cqf
 		if opts.AccessRate > 0 {
 			cfg.PortRates = make([]ethernet.Rate, cfg.Ports)
 			for pt := 0; pt < cfg.Ports; pt++ {
@@ -252,6 +254,7 @@ func Build(opts Options) (*Net, error) {
 		}
 		sw := tsnswitch.New(p.engine, cfg)
 		sw.Flight = p.flight
+		sw.SetPool(&p.frames)
 		n.Switches = append(n.Switches, sw)
 	}
 
