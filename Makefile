@@ -90,6 +90,7 @@ fuzz:
 	go test -fuzz=FuzzComputeMatchesDenseGrid -fuzztime=30s ./internal/itp/
 	go test -fuzz=FuzzHeapOrder -fuzztime=30s ./internal/sim/
 	go test -fuzz=FuzzGCLMatchesReference -fuzztime=30s ./internal/gate/
+	go test -fuzz=FuzzPortGateCursorMatchesList -fuzztime=30s ./internal/tsnswitch/
 	go test -fuzz=FuzzSpecHashMatchesReference -fuzztime=30s ./internal/svc/
 	go test -fuzz=FuzzReconfigRequest -fuzztime=30s ./internal/svc/
 	go test -fuzz=FuzzLoadDelta -fuzztime=30s ./internal/chaos/

@@ -200,3 +200,35 @@ func TestImpairmentValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestLostFramesReturnToThePool: a frame the wire loses — link down,
+// probabilistic loss, corruption — goes back to the receiving
+// interface's pool, cleared, as one its owner received would.
+func TestLostFramesReturnToThePool(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cut  func(a *Ifc)
+	}{
+		{"link-down", func(a *Ifc) { a.SetLink(false) }},
+		{"loss", func(a *Ifc) { a.SetImpairment(1, 0, sim.NewRand(1)) }},
+		{"corrupt", func(a *Ifc) { a.SetImpairment(0, 1, sim.NewRand(1)) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			a, b, _, sb := pair(e, 100*sim.Nanosecond)
+			var pool ethernet.Pool
+			b.SetPool(&pool)
+			f := pool.Get()
+			f.FlowID = 7
+			c.cut(a)
+			e.After(0, "tx", func(*sim.Engine) { a.Transmit(f, nil) })
+			e.Run()
+			if len(sb.frames) != 0 {
+				t.Fatal("a lost frame was delivered")
+			}
+			if held, minted := pool.Stats(); held != 1 || minted != 1 || f.FlowID != 0 {
+				t.Fatalf("pool holds %d of %d minted, frame flow %d: the lost frame did not come back", held, minted, f.FlowID)
+			}
+		})
+	}
+}

@@ -180,7 +180,7 @@ func NewService(opts Options) (*Service, error) {
 		// outside route: its request writer hides http.Flusher (the
 		// /events stream would stop flushing) and its deadline would cut
 		// a stream or a 30 s CPU profile short.
-		srv: obs.NewServer(inst.net.Attr, inst.net.Flight),
+		srv: inst.srv,
 	}
 	s.srv.Handle("/v1/derive", s.route("derive", deriveDeadline, s.handleDerive))
 	s.srv.Handle("/v1/reconfig", s.route("reconfig", reconfigDeadline, s.handleReconfig))

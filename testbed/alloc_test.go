@@ -161,11 +161,11 @@ func TestBuildAllocsPerPort(t *testing.T) {
 	if many-few > 2 {
 		t.Fatalf("Build allocates %.0f times with 1024 flows, %.0f with 64: want at most the flow-ID map's 2 more", many, few)
 	}
-	// 44.0 per port measured at 1 024 flows (95.8 when every queue, its
-	// ring and every metric cell was an allocation of its own); the
-	// margin is 7 %.
-	if perPort := many / float64(ports); perPort > 47 {
-		t.Fatalf("Build allocates %.1f per switch port, want <= 47", perPort)
+	// 41.8 per port measured at 1 024 flows (95.8 when every queue, its
+	// ring and every metric cell was an allocation of its own, 42.8 while
+	// each CBS bank kept its bindings in a map); the margin is 7 %.
+	if perPort := many / float64(ports); perPort > 44.7 {
+		t.Fatalf("Build allocates %.1f per switch port, want <= 44.7", perPort)
 	}
 }
 

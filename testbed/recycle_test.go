@@ -131,8 +131,11 @@ func (c recycleCase) run(t *testing.T, noReuse bool) recycleOutcome {
 	if noReuse && minted != injected {
 		t.Fatalf("the reference network minted %d frames for %d injections: it reused some", minted, injected)
 	}
-	if !noReuse && minted > injected/4 { // frames lost to a fault are not returned: the FRER case mints 355 of 1 920
-		t.Fatalf("the network as built minted %d frames for %d injections: it hardly recycles", minted, injected)
+	// As built, a network mints its frames in flight, whatever it injects
+	// and whatever its wires lose: 18–58 here (the faulted FRER case
+	// minted 355 while a lost frame went to no pool).
+	if !noReuse && minted > 64 {
+		t.Fatalf("the network as built minted %d frames for %d injections: it does not recycle them all", minted, injected)
 	}
 
 	out := recycleOutcome{csv: flowCSV(net), sent: net.SentCounts(), leaks: fmt.Sprint(net.CheckBufferLeaks()), pcap: capture.Bytes()}
