@@ -115,8 +115,8 @@ func (f *Frame) BufferBytes() int { return f.WireBytes() }
 // consumes a frame returns it to its engine's Pool, from which
 // injection draws, and so does a switch for every frame it drops and
 // for the original of a multicast replication; a tap sees the frame
-// before that, and nobody keeps the pointer past Receive. Frames lost
-// on the wire are left to the garbage collector. Whoever needs a second
+// before that, and nobody keeps the pointer past Receive. A frame the
+// wire loses goes back there from the receiving Ifc. Whoever needs a second
 // frame makes one explicitly: a copy into a pool frame, for multicast
 // replication in the switch ingress and FRER member-stream re-tagging
 // in the NIC (CloneHeader where no pool is at hand). Header fields

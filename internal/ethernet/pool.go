@@ -2,11 +2,10 @@ package ethernet
 
 // Pool is one engine's free list of frames (see the ownership contract
 // in frame.go), unsynchronised like all an engine owns. Frames end at a
-// NIC that received them or at a switch that dropped them (or the
-// original a multicast replicated), and both Put them here; what else
-// ends — a frame lost on a faulted wire — is garbage. A pool keeps no
-// more frames than it minted, so a partition that only receives cannot
-// hoard a sender's.
+// NIC that received them, at a switch that dropped them (or the
+// original a multicast replicated) or on a faulted wire, and all three
+// Put them here. A pool keeps no more frames than it minted, so a
+// partition that only receives cannot hoard a sender's.
 type Pool struct {
 	free []*Frame
 	// block is the unused tail of the newest frame block: a new

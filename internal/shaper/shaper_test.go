@@ -176,6 +176,9 @@ func TestBankRangeErrors(t *testing.T) {
 	if err := b.Attach(1, 5); err == nil {
 		t.Fatal("out-of-range cbs id accepted")
 	}
+	if err := b.Attach(-1, 0); err == nil || b.MapLen() != 0 || b.For(-1) != nil {
+		t.Fatalf("negative queue id: err %v, MapLen %d", err, b.MapLen())
+	}
 	if err := b.Configure(9, ethernet.Mbps, ethernet.Gbps); err == nil {
 		t.Fatal("out-of-range Configure accepted")
 	}
