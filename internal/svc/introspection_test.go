@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"io"
@@ -11,6 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/trace"
 )
 
 // serveTestService serves a service on a real listener through its own
@@ -173,4 +177,34 @@ func TestIntrospectionUnderCommitsRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestEventsStreamOnAnIdleInstance: a client that opens /events on an
+// instance with no job in flight reads what the recorder already holds,
+// without waiting for a next job. The events are recorded in a job
+// before any client exists, so that job's own publication has no copy
+// to fill; only the subscription's publication can deliver them.
+func TestEventsStreamOnAnIdleInstance(t *testing.T) {
+	s, base, _ := serveTestService(t)
+	if err := s.inst.submit(context.Background(), func() {
+		s.inst.net.Flight.Record(trace.Event{At: 5, Kind: trace.KindIngress, FlowID: 3, Seq: 9})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, base+"/events", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	line, err := bufio.NewReader(resp.Body).ReadString('\n')
+	var ev struct {
+		At   sim.Time `json:"at_ns"`
+		Flow uint32   `json:"flow"`
+	}
+	if err != nil || json.Unmarshal([]byte(line), &ev) != nil || ev.At != 5 || ev.Flow != 3 {
+		t.Fatalf("first /events line %q (%v), want the recorded event", line, err)
+	}
 }
