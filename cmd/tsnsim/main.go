@@ -40,9 +40,8 @@ import (
 // plus what only a tsnsim run has — clocks, exports, guards, serving.
 type runOpts struct {
 	// Case is the scenario. workload.Params.Bind's flags, -rc, -be,
-	// -frer, -watchdog, -reconfig-retries, -reconfig-backoff and
-	// -ts-deadline bind into it, and the -faults and -reconfig files
-	// load into it.
+	// -frer, -watchdog and -ts-deadline bind into it, and the -faults
+	// and -reconfig files load into it.
 	chaos.Case
 	// scenario is the -faults file whole (Case.Faults holds its
 	// faults), so the file's own seed reaches the injector.
@@ -87,8 +86,6 @@ func parseFlags(args []string) (*runOpts, error) {
 	fs.BoolVar(&o.Watchdog, "watchdog", false, "run the invariant watchdog and graceful-degradation policy")
 	faultsPath := fs.String("faults", "", "fault-scenario JSON file to inject during the run")
 	reconfigPath := fs.String("reconfig", "", "live-reconfiguration JSON file to apply mid-run")
-	fs.IntVar(&o.RetryMax, "reconfig-retries", 0, "retry a failed reconfig commit up to this many times")
-	backoff := fs.Duration("reconfig-backoff", 0, "backoff between reconfig commit retries (simulated time, whole µs)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "abort with a diagnostic if the run exceeds this wall-clock time (e.g. 30s)")
 	// sim.Time counts nanoseconds, as time.Duration does.
 	fs.DurationVar((*time.Duration)(&o.TSDeadline), "ts-deadline", 0, "override every TS flow's latency deadline (tight values force misses, e.g. 10us)")
@@ -112,10 +109,6 @@ func parseFlags(args []string) (*runOpts, error) {
 		return nil, err
 	}
 	o.gptp = !*noGPTP
-	if *backoff%time.Microsecond != 0 {
-		return nil, fmt.Errorf("-reconfig-backoff %v is not a whole number of microseconds", *backoff)
-	}
-	o.RetryBackoffUs = int(*backoff / time.Microsecond)
 	var err error
 	if *faultsPath != "" {
 		if o.scenario, err = faults.Load(*faultsPath); err != nil {

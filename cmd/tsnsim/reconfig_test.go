@@ -82,20 +82,6 @@ func TestReconfigSpecStrictParsing(t *testing.T) {
 	}
 }
 
-func TestReconfigBackoffWholeMicroseconds(t *testing.T) {
-	if _, err := parseFlags([]string{"-reconfig-backoff", "1500ns"}); err == nil ||
-		!strings.Contains(err.Error(), "whole number of microseconds") {
-		t.Fatalf("sub-µs backoff not rejected: %v", err)
-	}
-	o, err := parseFlags([]string{"-reconfig-backoff", "2ms"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.RetryBackoffUs != 2000 {
-		t.Fatalf("2ms backoff parsed to %dµs", o.RetryBackoffUs)
-	}
-}
-
 func TestReconfigSpecBadPath(t *testing.T) {
 	if _, err := parseFlags([]string{"-reconfig", "/nonexistent/reconfig.json"}); err == nil {
 		t.Fatal("missing reconfig spec accepted")

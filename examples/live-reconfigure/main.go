@@ -117,9 +117,10 @@ func main() {
 		}
 	})
 	// Phase 3: a further grow attempt dies mid-apply (injected fault on
-	// its second staged operation) and must roll back completely.
+	// its second staged operation, on every attempt its retries make)
+	// and must roll back completely.
 	net.Engine.At(80*sim.Millisecond, "doomed-grow", func(*sim.Engine) {
-		net.Reconfig.Arm(1, 1, false)
+		net.Reconfig.Arm(1, reconfig.Retries+1, false)
 		doomed := der2.Config
 		doomed.UnicastSize *= 2
 		doomed.MeterSize *= 2

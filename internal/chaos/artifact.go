@@ -49,10 +49,6 @@ func (c *Case) TsnsimArgs(faultsFile, reconfigFile string) []string {
 	if c.Watchdog {
 		args = append(args, "-watchdog")
 	}
-	if c.RetryMax > 0 {
-		args = append(args, "-reconfig-retries", strconv.Itoa(c.RetryMax),
-			"-reconfig-backoff", fmt.Sprintf("%dus", c.RetryBackoffUs))
-	}
 	if c.TSDeadline > 0 {
 		args = append(args, "-ts-deadline", fmt.Sprintf("%dns", c.TSDeadline))
 	}

@@ -54,10 +54,6 @@ type Case struct {
 	DurMs int `json:"dur_ms"`
 	// Watchdog enables the invariant watchdog and degradation ladder.
 	Watchdog bool `json:"watchdog"`
-	// RetryMax/RetryBackoffUs configure the reconfiguration engine's
-	// bounded retry of transiently-failed commits.
-	RetryMax       int `json:"retry_max,omitempty"`
-	RetryBackoffUs int `json:"retry_backoff_us,omitempty"`
 
 	// Faults is the fault script, in faults.Scenario form.
 	Faults []faults.Fault `json:"faults,omitempty"`

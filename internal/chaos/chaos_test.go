@@ -46,7 +46,6 @@ func TestProfileValidate(t *testing.T) {
 		func(p *Profile) { p.MaxTSFlows = 0 },
 		func(p *Profile) { p.MinDurMs = 1 },
 		func(p *Profile) { p.WedgeProb = 1.5 },
-		func(p *Profile) { p.RetryMax = -1 },
 		func(p *Profile) { p.MaxFaults = maxFaults + 1 },
 		func(p *Profile) { p.MaxFaults = math.MaxInt },
 	}
@@ -110,11 +109,12 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestGenerateDrawOrder pins the generator's draw order: the JSON of
 // the default profile's first 64 cases hashes to the digest captured
-// while the generator still kept its own switch over fault kinds, so
-// every existing caseNNNN.repro.json still regenerates.
+// while the generator still kept its own switch over fault kinds (and
+// each case still carried a retry policy, here marshalled without it),
+// so every existing caseNNNN.repro.json still regenerates.
 // TestGenerateDeterministic compares the generator only with itself.
 func TestGenerateDrawOrder(t *testing.T) {
-	const want = "5fca1ab90ee1419185d40a1ae23e8b0fc895c69b062cd689d0b233988d51b40c"
+	const want = "21d9e55e3b5943177c1fed0955c035f713077eb30a0e00ca41059f6c62c416dd"
 	h := sha256.New()
 	for i := range 64 {
 		c, err := Generate(DefaultProfile(), i)
@@ -207,7 +207,7 @@ func wedgeCase(t *testing.T) Case {
 	c := Case{
 		Params: workload.Params{Seed: 11, Topology: "bidir-ring", Switches: 4, TSFlows: 4, Hops: 2,
 			WireSize: 64, SlotUs: 65},
-		DurMs: 15, RetryMax: 2, RetryBackoffUs: 200,
+		DurMs: 15,
 	}
 	wl, err := workload.Build(c.Params)
 	if err != nil {

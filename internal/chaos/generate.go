@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
+	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
@@ -103,15 +104,13 @@ func Generate(p Profile, index int) (Case, error) {
 			*grow[i].dst = &doubled
 		}
 		c.Reconfig = d
-		c.RetryMax = p.RetryMax
-		c.RetryBackoffUs = p.RetryBackoffUs
 		armAt := d.AtUs / 2
 		if armAt < 1 {
 			armAt = 1
 		}
-		if rng.Float64() < p.TransientProb && c.RetryMax > 0 {
+		if rng.Float64() < p.TransientProb {
 			op := rng.Intn(4)
-			count := rangeInt(rng, 1, c.RetryMax)
+			count := rangeInt(rng, 1, reconfig.Retries)
 			c.Faults = append(c.Faults, faults.Fault{
 				AtUs: armAt, Kind: faults.KindReconfigTransient, Op: &op, Count: count,
 			})

@@ -45,8 +45,8 @@ type Profile struct {
 	// WatchdogProb is the chance a case runs the invariant watchdog.
 	WatchdogProb float64 `json:"watchdog_prob"`
 	// TransientProb is the chance a reconfiguring case also injects a
-	// transient mid-commit staging failure (which the retry policy must
-	// absorb).
+	// transient mid-commit staging failure of 1 to reconfig.Retries
+	// attempts, which the commit's retries must absorb.
 	TransientProb float64 `json:"transient_prob"`
 	// WedgeProb is the chance a reconfiguring case injects the wedged
 	// mid-commit failure — the deliberately seeded atomicity bug. Keep
@@ -56,13 +56,9 @@ type Profile struct {
 	// n-th case (0 disables).
 	DeterminismEvery int `json:"determinism_every"`
 	// ParityEvery runs the partition-parity cross-check (serial vs
-	// 2-partition metrics byte-compare, faults/reconfig/watchdog
-	// stripped) on every n-th case (0 disables).
+	// 2-partition export digests, faults/reconfig/watchdog stripped) on
+	// every n-th case (0 disables).
 	ParityEvery int `json:"parity_every"`
-	// RetryMax/RetryBackoffUs configure the reconfig retry policy for
-	// reconfiguring cases.
-	RetryMax       int `json:"retry_max"`
-	RetryBackoffUs int `json:"retry_backoff_us"`
 	// Seed is the campaign master seed.
 	Seed uint64 `json:"seed"`
 }
@@ -92,8 +88,6 @@ func DefaultProfile() Profile {
 		WedgeProb:        0,
 		DeterminismEvery: 8,
 		ParityEvery:      8,
-		RetryMax:         3,
-		RetryBackoffUs:   200,
 		Seed:             1,
 	}
 }
@@ -145,9 +139,6 @@ func (p *Profile) Validate() error {
 	}
 	if p.ParityEvery < 0 {
 		return fmt.Errorf("chaos: parity_every %d negative", p.ParityEvery)
-	}
-	if p.RetryMax < 0 || p.RetryBackoffUs < 0 {
-		return fmt.Errorf("chaos: retry policy (%d, %dµs) negative", p.RetryMax, p.RetryBackoffUs)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"strings"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
@@ -26,7 +25,7 @@ type TxnRecord struct {
 }
 
 // Build turns c into a network ready to Run: its workload, fault
-// script, watchdog, commit retry policy and mid-run reconfiguration.
+// script, watchdog and mid-run reconfiguration.
 // opts carries what a case does not describe — gPTP, trace, pcap, the
 // metrics registry and partitions — plus, when the faults came from a
 // file, that file's scenario, whose own seed then reaches the
@@ -51,9 +50,6 @@ func (c *Case) Build(opts testbed.Options) (*testbed.Net, *TxnRecord, error) {
 	net, err := testbed.Build(opts)
 	if err != nil {
 		return nil, nil, err
-	}
-	if c.RetryMax > 0 {
-		net.Reconfig.SetRetryPolicy(c.RetryMax, sim.Time(c.RetryBackoffUs)*sim.Microsecond)
 	}
 	if c.Reconfig == nil {
 		return net, nil, nil
@@ -100,43 +96,23 @@ func parityStrip(c Case) Case {
 	return Case{Index: c.Index, Params: c.Params, DurMs: c.DurMs}
 }
 
-// stripHeapGauge drops the scheduler heap-depth gauge's value lines
-// from a Prometheus export — the one metric serial and partitioned
-// runs legitimately disagree on (per-partition heaps have their own
-// high waters; the merge keeps the maximum).
-func stripHeapGauge(export string) string {
-	lines := strings.Split(export, "\n")
-	out := lines[:0]
-	for _, l := range lines {
-		if strings.HasPrefix(l, "tsn_sim_heap_depth_high_water ") {
-			continue
-		}
-		out = append(out, l)
-	}
-	return strings.Join(out, "\n")
-}
-
 // CheckPartitionParity is the partition-parity oracle: it re-runs the
 // sampled case — stripped to the partitionable feature set — once on
 // the serial engine and once sharded across the given partition count,
-// and byte-compares the two metrics exports (heap-depth gauge
-// normalized). A nil return means parity held; a non-nil Violation
-// means the parallel simulator diverged from the serial schedule, the
-// determinism contract tsnsim -partitions promises.
+// and compares the two runs' testbed.Net.ExportDigest: the per-flow
+// rows and the metrics export, heap-depth gauge aside. A nil return
+// means parity held; a non-nil Violation means the parallel simulator
+// diverged from the serial schedule, the determinism contract tsnsim
+// -partitions promises.
 func CheckPartitionParity(c Case, partitions int) *Violation {
 	s := parityStrip(c)
 	run := func(parts int) (string, error) {
-		reg := metrics.New()
-		net, _, err := s.Build(testbed.Options{Metrics: reg, Partitions: parts})
+		net, _, err := s.Build(testbed.Options{Metrics: metrics.New(), Partitions: parts})
 		if err != nil {
 			return "", err
 		}
 		net.Run(0, s.dur())
-		var b strings.Builder
-		if err := reg.Snapshot().WritePrometheus(&b); err != nil {
-			return "", err
-		}
-		return b.String(), nil
+		return net.ExportDigest(), nil
 	}
 	serial, err := run(0)
 	if err != nil {
@@ -146,10 +122,9 @@ func CheckPartitionParity(c Case, partitions int) *Violation {
 	if err != nil {
 		return &Violation{Oracle: OracleParity, Detail: fmt.Sprintf("partitions=%d run errored: %v", partitions, err)}
 	}
-	if a, b := stripHeapGauge(serial), stripHeapGauge(par); a != b {
+	if serial != par {
 		return &Violation{Oracle: OracleParity, Detail: fmt.Sprintf(
-			"partitions=%d metrics diverged from serial (%d vs %d bytes after heap-gauge normalization)",
-			partitions, len(a), len(b))}
+			"partitions=%d exports diverged from serial (digest %.12s vs %.12s)", partitions, par, serial)}
 	}
 	return nil
 }

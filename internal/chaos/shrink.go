@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
+	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 )
 
 // The automatic failure shrinker: delta debugging over the parts of a
@@ -76,11 +77,10 @@ func Shrink(c Case, violations []Violation, maxRuns int) (Case, []Violation) {
 				i--
 			}
 		}
-		// Drop the reconfiguration delta (and its retry policy).
+		// Drop the reconfiguration delta.
 		if cur.Reconfig != nil && s.runs > 0 {
 			cand := cur
 			cand.Reconfig = nil
-			cand.RetryMax, cand.RetryBackoffUs = 0, 0
 			if s.reproduces(cand) {
 				cur = cand
 				changed = true
@@ -136,7 +136,7 @@ func fits(c *Case, durMs int) bool {
 			return false
 		}
 	}
-	if c.Reconfig != nil && c.Reconfig.AtUs+int64(c.RetryMax+1)*max(int64(c.RetryBackoffUs), 2*int64(c.SlotUs)) > limit {
+	if c.Reconfig != nil && c.Reconfig.AtUs+(reconfig.Retries+1)*2*int64(c.SlotUs) > limit {
 		return false
 	}
 	return true

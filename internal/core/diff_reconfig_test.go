@@ -116,9 +116,13 @@ func TestDerivationRoundTripAfterRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fail mid-apply, after several operations have already run.
-	ctrl.Arm(len(txn.Ops())-1, 1, false)
+	// Fail mid-apply, after several operations have already run, on
+	// the first attempt and on every retry.
+	ctrl.Arm(len(txn.Ops())-1, reconfig.Retries+1, false)
 	txn.Commit()
+	for txn.State() == reconfig.StatePrepared {
+		engine.RunUntil(txn.CommitTime())
+	}
 	if txn.State() != reconfig.StateRolledBack || txn.Err() == nil {
 		t.Fatalf("state = %v err = %v", txn.State(), txn.Err())
 	}

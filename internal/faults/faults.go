@@ -49,7 +49,10 @@ const (
 	KindBufferExhaust = "buffer-exhaust" // pool starvation: switch, port, slots, duration_us
 	KindGateClose     = "gate-close"     // TS gates stuck closed: switch, port, duration_us
 	KindBufferLeak    = "buffer-leak"    // permanent slot loss: switch, port, slots
-	KindReconfigFail  = "reconfig-fail"  // fail next reconfig commit mid-apply: op
+	// KindReconfigFail fails the next reconfig commit mid-apply before
+	// staged op `op` on every attempt its retries make (Retries+1), so
+	// the transaction rolls back.
+	KindReconfigFail = "reconfig-fail"
 	// KindReconfigTransient fails the next `count` reconfig commit
 	// attempts mid-apply before staged op `op`, then clears — the
 	// transient staging failure the engine's bounded retry absorbs.
@@ -303,9 +306,9 @@ var kinds = []kind{
 			pool, slots := t.sw.Port(*f.Port).Pool(), f.Slots
 			return func(*sim.Engine) { pool.Leak(slots) }, nil
 		}},
-	{name: KindReconfigFail, sel: selController, fields: fOp, check: checkArm, bind: arm(false)},
-	{name: KindReconfigTransient, sel: selController, fields: fOp | fCount, check: checkArm, bind: arm(false)},
-	{name: KindReconfigWedge, sel: selController, fields: fOp, check: checkArm, bind: arm(true)},
+	{name: KindReconfigFail, sel: selController, fields: fOp, check: checkArm, bind: arm(reconfig.Retries+1, false)},
+	{name: KindReconfigTransient, sel: selController, fields: fOp | fCount, check: checkArm, bind: arm(1, false)},
+	{name: KindReconfigWedge, sel: selController, fields: fOp, check: checkArm, bind: arm(1, true)},
 }
 
 // fields returns the optional fields f populates, as bits in fieldNames
@@ -375,15 +378,15 @@ func impair(loss bool) binder {
 }
 
 // arm binds the reconfig-* kinds: the next commit fails before staged
-// op `op` (absent: 0) for `count` attempts (absent, and on the one-shot
-// kinds: one), and wedged disables its rollback.
-func arm(wedged bool) binder {
+// op `op` (absent: 0) for `times` attempts — on reconfig-transient its
+// `count` (absent: one) — and wedged disables its rollback.
+func arm(times int, wedged bool) binder {
 	return func(f *Fault, t *target) (on, off func(*sim.Engine)) {
-		op, times := 0, f.Count
+		op, n := 0, max(times, f.Count)
 		if f.Op != nil {
 			op = *f.Op
 		}
-		return func(*sim.Engine) { t.ctrl.Arm(op, times, wedged) }, nil
+		return func(*sim.Engine) { t.ctrl.Arm(op, n, wedged) }, nil
 	}
 }
 

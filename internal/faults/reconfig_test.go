@@ -38,19 +38,18 @@ func TestReconfigKindsArmTheController(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name, fault string
-		retries     int
 		state       reconfig.State
 		attempts    int
 		errHas      string
 		sizes       [3]int // the switch after the transaction resolves
 	}{
-		{"fail rolls back once", `{"at_us": 5, "kind": "reconfig-fail", "op": 1}`, 0,
-			reconfig.StateRolledBack, 1, `injected failure before "sw0:set_meter_tbl"`, [3]int{64, 16, 8}},
-		{"transient without count fails one attempt", `{"at_us": 5, "kind": "reconfig-transient", "op": 1}`, 3,
+		{"fail rolls back once", `{"at_us": 5, "kind": "reconfig-fail", "op": 1}`,
+			reconfig.StateRolledBack, reconfig.Retries + 1, `injected failure before "sw0:set_meter_tbl"`, [3]int{64, 16, 8}},
+		{"transient without count fails one attempt", `{"at_us": 5, "kind": "reconfig-transient", "op": 1}`,
 			reconfig.StateCommitted, 2, "", [3]int{128, 32, 16}},
-		{"transient fails count attempts", `{"at_us": 5, "kind": "reconfig-transient", "op": 0, "count": 3}`, 3,
+		{"transient fails count attempts", `{"at_us": 5, "kind": "reconfig-transient", "op": 0, "count": 3}`,
 			reconfig.StateCommitted, 4, "", [3]int{128, 32, 16}},
-		{"wedge leaves the applied prefix", `{"at_us": 5, "kind": "reconfig-wedge", "op": 2}`, 3,
+		{"wedge leaves the applied prefix", `{"at_us": 5, "kind": "reconfig-wedge", "op": 2}`,
 			reconfig.StateRolledBack, 1, "with rollback disabled", [3]int{128, 32, 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,7 +57,6 @@ func TestReconfigKindsArmTheController(t *testing.T) {
 			reg := metrics.New()
 			sw := oneSwitch(e, old)
 			ctrl := reconfig.NewController(e, nil)
-			ctrl.SetRetryPolicy(tc.retries, 10*sim.Microsecond)
 			b := reconfig.Bindings{Switches: []*tsnswitch.Switch{sw}}
 			sc, err := Parse(strings.NewReader(`{"faults": [` + tc.fault + `]}`))
 			if err != nil {

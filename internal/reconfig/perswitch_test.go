@@ -92,12 +92,12 @@ func TestPerSwitchApplyRevertValidate(t *testing.T) {
 		t.Fatalf("staged ops: %v", ops)
 	}
 	for k := range ops {
-		ctrl.Arm(k, 1, false)
+		ctrl.Arm(k, Retries+1, false)
 		txn, err := ctrl.Begin(old, cand, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		txn.Commit()
+		resolve(engine, txn)
 		if txn.State() != StateRolledBack || sizes(b) != derived {
 			t.Fatalf("failure before op %d: %v, switches %s, want %s", k, txn.State(), sizes(b), derived)
 		}

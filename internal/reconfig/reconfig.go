@@ -44,9 +44,15 @@ const (
 	MetricRetries = "tsn_reconfig_retries_total"
 )
 
-// maxCommitAt is the latest instant a retry may be scheduled at: half
-// the sim.Time range, so arithmetic like CommitTime()+1 or adding a
-// watchdog interval downstream can never overflow.
+// Retries is how many times a transaction re-runs a failed commit
+// before it resolves rolled-back: every controller allows
+// Retries+1 attempts, each one CQF cycle of the outgoing configuration
+// after the last, so every attempt lands on a cycle boundary.
+const Retries = 3
+
+// maxCommitAt is the latest instant an attempt may be scheduled at:
+// half the sim.Time range, so arithmetic like CommitTime()+1 or adding
+// a watchdog interval downstream can never overflow, whatever the slot.
 const maxCommitAt = sim.Time(math.MaxInt64 / 2)
 
 // State is a transaction's lifecycle position.
@@ -172,12 +178,6 @@ type Controller struct {
 	armCount int
 	wedged   bool
 
-	// retryMax/backoff: bounded retry policy for failed commits. Zero
-	// retryMax (the default) resolves every failure as a rollback
-	// immediately, the pre-retry behavior.
-	retryMax int
-	backoff  sim.Time
-
 	// onAttempt, when set, runs at the commit point of every attempt —
 	// after the attempt counter ticks, before the first staged
 	// operation applies. The durability layer hooks it to make the
@@ -208,25 +208,15 @@ func NewController(engine *sim.Engine, reg *metrics.Registry) *Controller {
 	return c
 }
 
-// SetRetryPolicy bounds the commit retry loop: a failed commit rolls
-// its applied prefix back (each attempt stays atomic within one event)
-// and re-runs up to maxRetries times, backoff apart. Non-positive
-// backoff defaults to one CQF cycle of the outgoing configuration at
-// retry time. maxRetries 0 disables retrying.
-func (c *Controller) SetRetryPolicy(maxRetries int, backoff sim.Time) {
-	c.retryMax = max(maxRetries, 0)
-	c.backoff = backoff
-}
-
 // Arm injects a mid-commit failure: the next `times` commit attempts
 // (at least one) fail right before staged operation opIndex — clamped
 // to the staged range, negative meaning the first — then the fault
-// clears. Each failed attempt rolls back and, under SetRetryPolicy,
-// retries. A wedged failure instead disables the rollback path: the
-// already-applied prefix is NOT reverted, yet the transaction still
-// reports rolled-back. That deliberately violates the commit-or-exact-
-// rollback contract — it exists so the chaos invariant oracles have a
-// real bug to catch.
+// clears. Each failed attempt rolls back and, within Retries, retries,
+// so times > Retries makes the transaction roll back. A wedged failure
+// instead disables the rollback path: the already-applied prefix is NOT
+// reverted, yet the transaction still reports rolled-back. That
+// deliberately violates the commit-or-exact-rollback contract — it
+// exists so the chaos invariant oracles have a real bug to catch.
 func (c *Controller) Arm(opIndex, times int, wedged bool) {
 	c.armed = true
 	c.failOp = max(opIndex, 0)
@@ -416,7 +406,7 @@ func (t *Txn) Ops() []string {
 func (t *Txn) CommitTime() sim.Time { return t.commitAt }
 
 // Attempts returns how many commit attempts have run (0 before the
-// first; >1 only when a retry policy is set).
+// first; at most Retries+1).
 func (t *Txn) Attempts() int { return t.attempts }
 
 // OnResolve registers a callback invoked once, when the transaction
@@ -431,17 +421,6 @@ func (t *Txn) OnResolve(fn func(*Txn)) { t.onResolve = append(t.onResolve, fn) }
 // between slots. Any hyperperiod of the flow set is a multiple of the
 // cycle, so hyperperiod alignment follows from choosing k cycles.
 func (t *Txn) CommitAtBoundary() sim.Time {
-	cycle := 2 * t.old.SlotSize
-	now := t.c.engine.Now()
-	at := now - now%cycle + cycle
-	t.commitSchedule(at)
-	return at
-}
-
-// CommitAt schedules the commit for the absolute instant at.
-func (t *Txn) CommitAt(at sim.Time) { t.commitSchedule(at) }
-
-func (t *Txn) commitSchedule(at sim.Time) {
 	if t.state != StatePrepared {
 		panic(fmt.Sprintf("reconfig: commit of %s transaction", t.state))
 	}
@@ -449,17 +428,28 @@ func (t *Txn) commitSchedule(at sim.Time) {
 		panic("reconfig: transaction already scheduled")
 	}
 	t.scheduled = true
-	t.commitAt = at
-	t.c.engine.At(at, "reconfig:commit", func(*sim.Engine) { t.Commit() })
+	t.nextAttempt("reconfig:commit")
+	return t.commitAt
+}
+
+// nextAttempt books Commit at the first cycle boundary after now, or
+// at maxCommitAt when a pathological slot would reach past it: neither
+// the doubling nor the addition may overflow sim.Time into the past.
+func (t *Txn) nextAttempt(label string) {
+	cycle := 2 * min(t.old.SlotSize, maxCommitAt)
+	now := t.c.engine.Now()
+	last := now - now%cycle
+	t.commitAt = last + min(cycle, maxCommitAt-last)
+	t.c.engine.At(t.commitAt, label, func(*sim.Engine) { t.Commit() })
 }
 
 // Commit applies every staged operation in order, immediately. On the
 // first failure — real or injected via Controller.Arm — every
-// already-applied operation is reverted in reverse order; then, while
-// the controller's retry budget lasts, the whole commit is re-run one
-// backoff later (each attempt stays atomic within its own event), and
-// only a failure past the budget resolves the transaction rolled-back
-// with Err set. A wedged injected failure skips
+// already-applied operation is reverted in reverse order; then, up to
+// Retries times, the whole commit is re-run at the next CQF cycle
+// boundary (each attempt stays atomic within its own event), and only
+// a failure past the budget resolves the transaction rolled-back with
+// Err set. A wedged injected failure skips
 // both the rollback and the retries: the applied prefix is left in
 // place while the transaction still claims rolled-back — the seeded
 // atomicity bug the chaos oracles exist to catch. All operations of
@@ -488,20 +478,9 @@ func (t *Txn) Commit() {
 				how = " with rollback disabled"
 			} else {
 				t.rollback(i)
-				if t.attempts <= t.c.retryMax {
+				if t.attempts <= Retries {
 					t.c.metRetried.Inc()
-					backoff := t.c.backoff
-					if backoff <= 0 {
-						backoff = 2 * t.old.SlotSize
-					}
-					// Clamp the retry instant: a pathological backoff (or a
-					// long-lived engine already deep into its timeline) must
-					// not overflow sim.Time into the past and time-travel
-					// the retry. maxCommitAt leaves headroom for callers
-					// that add small offsets to CommitTime.
-					now := t.c.engine.Now()
-					t.commitAt = now + min(backoff, maxCommitAt-now)
-					t.c.engine.At(t.commitAt, "reconfig:retry", func(*sim.Engine) { t.Commit() })
+					t.nextAttempt("reconfig:retry")
 					return
 				}
 			}

@@ -39,9 +39,11 @@ type harness struct {
 	cfg    core.Config
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t *testing.T) *harness { return newHarnessFor(t, baseCfg()) }
+
+// newHarnessFor is newHarness over a switch built from cfg.
+func newHarnessFor(t *testing.T, cfg core.Config) *harness {
 	t.Helper()
-	cfg := baseCfg()
 	engine := sim.NewEngine()
 	sw := tsnswitch.New(engine, switchCfg(cfg))
 	reg := metrics.New()
@@ -56,6 +58,15 @@ func newHarness(t *testing.T) *harness {
 
 func (h *harness) bindings() Bindings {
 	return Bindings{Switches: []*tsnswitch.Switch{h.sw}}
+}
+
+// resolve commits txn now and runs e through its retries, one CQF cycle
+// apart, until it commits or rolls back.
+func resolve(e *sim.Engine, txn *Txn) {
+	txn.Commit()
+	for txn.State() == StatePrepared {
+		e.RunUntil(txn.CommitTime() + 1)
+	}
 }
 
 func TestBeginRejectsImmutableFields(t *testing.T) {
@@ -184,8 +195,8 @@ func TestInjectedFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ctrl.Arm(2, 1, false)
-	txn.Commit()
+	h.ctrl.Arm(2, Retries+1, false)
+	resolve(h.engine, txn)
 	if txn.State() != StateRolledBack {
 		t.Fatalf("state = %v", txn.State())
 	}
@@ -208,10 +219,10 @@ func TestInjectedFailureRollsBack(t *testing.T) {
 	if got := h.reg.CounterValue(MetricTxns, metrics.L("outcome", "rolled-back")); got != 1 {
 		t.Fatalf("rolled-back counter = %d", got)
 	}
-	if got := h.reg.CounterValue(MetricOps, metrics.L("result", "reverted")); got != 2 {
+	if got := h.reg.CounterValue(MetricOps, metrics.L("result", "reverted")); got != 2*(Retries+1) {
 		t.Fatalf("reverted counter = %d", got)
 	}
-	// The arm is one-shot: a fresh identical transaction commits.
+	// The arm is spent: a fresh identical transaction commits.
 	txn2, err := h.ctrl.Begin(h.cfg, cand, h.bindings())
 	if err != nil {
 		t.Fatal(err)
@@ -223,22 +234,25 @@ func TestInjectedFailureRollsBack(t *testing.T) {
 }
 
 // TestArmClampsToStagedRange: an index past the staged range fails the
-// last op, a negative one the first, and times < 1 arms one attempt.
+// last op, a negative one the first, and times < 1 arms one attempt:
+// the first transaction commits on its first retry, the next at once.
 func TestArmClampsToStagedRange(t *testing.T) {
 	for _, op := range []int{99, -3} {
 		h := newHarness(t)
 		cand := h.cfg
 		cand.MeterSize = 32 // single op
 		h.ctrl.Arm(op, 0, false)
-		for i, want := range []State{StateRolledBack, StateCommitted} {
+		for i, want := range []int{2, 1} {
 			txn, err := h.ctrl.Begin(h.cfg, cand, h.bindings())
 			if err != nil {
 				t.Fatal(err)
 			}
-			txn.Commit()
-			if txn.State() != want {
-				t.Fatalf("Arm(%d, 0): commit %d = %v, want %v", op, i, txn.State(), want)
+			resolve(h.engine, txn)
+			if txn.State() != StateCommitted || txn.Attempts() != want {
+				t.Fatalf("Arm(%d, 0): commit %d = %v after %d attempts, want committed after %d",
+					op, i, txn.State(), txn.Attempts(), want)
 			}
+			h.cfg, cand = cand, h.cfg
 		}
 	}
 }
@@ -305,8 +319,8 @@ func TestSlotRebaseRollsBackToSavedSchedules(t *testing.T) {
 	// Ops: [set_queues, rebase_slot]. The out-of-range index clamps to
 	// the last op, so set_queues applies, the injected failure fires in
 	// place of rebase_slot, and set_queues reverts.
-	h.ctrl.Arm(99, 1, false)
-	txn.Commit()
+	h.ctrl.Arm(99, Retries+1, false)
+	resolve(h.engine, txn)
 	if txn.State() != StateRolledBack {
 		t.Fatalf("state = %v", txn.State())
 	}
@@ -333,12 +347,12 @@ func TestFRERResizeOps(t *testing.T) {
 
 	// A commit failing before the second table's op restores the first
 	// table to what it held, not to frer_size.
-	h.ctrl.Arm(1, 1, false)
+	h.ctrl.Arm(1, Retries+1, false)
 	failed, err := h.ctrl.Begin(old, cand, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed.Commit()
+	resolve(h.engine, failed)
 	if failed.State() != StateRolledBack || tbl.Capacity() != 4 || tbl.History() != 16 {
 		t.Fatalf("rollback: %v, capacity=%d history=%d, want 4/16", failed.State(), tbl.Capacity(), tbl.History())
 	}
@@ -398,7 +412,6 @@ func TestCommitOfResolvedTxnPanics(t *testing.T) {
 
 func TestTransientFailureRetriesThenCommits(t *testing.T) {
 	h := newHarness(t)
-	h.ctrl.SetRetryPolicy(3, 10*sim.Microsecond)
 	cand := h.cfg
 	cand.UnicastSize = 128 // op 0
 	cand.MeterSize = 32    // op 1
@@ -419,8 +432,8 @@ func TestTransientFailureRetriesThenCommits(t *testing.T) {
 	if got := txn.Attempts(); got != 3 {
 		t.Fatalf("attempts = %d, want 3", got)
 	}
-	if got := txn.CommitTime(); got != 20*sim.Microsecond {
-		t.Fatalf("commit time = %v, want 20µs (two 10µs backoffs)", got)
+	if want := 4 * h.cfg.SlotSize; txn.CommitTime() != want {
+		t.Fatalf("commit time = %v, want %v (two CQF cycles)", txn.CommitTime(), want)
 	}
 	if got := h.reg.CounterValue(MetricRetries); got != 2 {
 		t.Fatalf("retries counter = %d, want 2", got)
@@ -437,15 +450,14 @@ func TestTransientFailureRetriesThenCommits(t *testing.T) {
 
 func TestRetryBudgetExhausted(t *testing.T) {
 	h := newHarness(t)
-	h.ctrl.SetRetryPolicy(1, 10*sim.Microsecond)
 	cand := h.cfg
 	cand.MeterSize = 32
 	txn, err := h.ctrl.Begin(h.cfg, cand, h.bindings())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both the first attempt and its single retry fail.
-	h.ctrl.Arm(0, 5, false)
+	// The first attempt and all its retries fail.
+	h.ctrl.Arm(0, Retries+2, false)
 	txn.Commit()
 	h.engine.RunUntil(sim.Millisecond)
 	if txn.State() != StateRolledBack {
@@ -454,11 +466,11 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	if txn.Err() == nil || !strings.Contains(txn.Err().Error(), "injected failure") {
 		t.Fatalf("err = %v", txn.Err())
 	}
-	if got := txn.Attempts(); got != 2 {
-		t.Fatalf("attempts = %d, want 2 (original + one retry)", got)
+	if got := txn.Attempts(); got != Retries+1 {
+		t.Fatalf("attempts = %d, want %d (original + retries)", got, Retries+1)
 	}
-	if got := h.reg.CounterValue(MetricRetries); got != 1 {
-		t.Fatalf("retries counter = %d, want 1", got)
+	if got := h.reg.CounterValue(MetricRetries); got != Retries {
+		t.Fatalf("retries counter = %d, want %d", got, Retries)
 	}
 	// The meter table is back at its old size.
 	if err := h.sw.Filter().Meters.Configure(16, ethernet.Mbps, 1500); err == nil {
@@ -468,7 +480,6 @@ func TestRetryBudgetExhausted(t *testing.T) {
 
 func TestRetryDefaultBackoffIsTwoCycles(t *testing.T) {
 	h := newHarness(t)
-	h.ctrl.SetRetryPolicy(1, 0) // zero backoff: default to 2× old slot
 	cand := h.cfg
 	cand.MeterSize = 32
 	txn, err := h.ctrl.Begin(h.cfg, cand, h.bindings())
@@ -488,9 +499,8 @@ func TestRetryDefaultBackoffIsTwoCycles(t *testing.T) {
 
 func TestWedgeSkipsRollbackAndRetry(t *testing.T) {
 	h := newHarness(t)
-	// Even with a generous retry budget, a wedged failure must not
-	// retry: the bug it models dies mid-commit, not transiently.
-	h.ctrl.SetRetryPolicy(5, 10*sim.Microsecond)
+	// Whatever the retry budget, a wedged failure must not retry: the
+	// bug it models dies mid-commit, not transiently.
 	cand := h.cfg
 	cand.UnicastSize = 128 // op 0
 	cand.MeterSize = 32    // op 1
@@ -534,7 +544,6 @@ func TestWedgeSkipsRollbackAndRetry(t *testing.T) {
 // ahead of any engine state change.
 func TestOnAttemptCommitPointHook(t *testing.T) {
 	h := newHarness(t)
-	h.ctrl.SetRetryPolicy(2, 10*sim.Microsecond)
 	cand := h.cfg
 	cand.MeterSize = 32
 	txn, err := h.ctrl.Begin(h.cfg, cand, h.bindings())
@@ -557,7 +566,7 @@ func TestOnAttemptCommitPointHook(t *testing.T) {
 		attempts = append(attempts, attempt)
 	})
 	h.ctrl.Arm(0, 1, false)
-	txn.CommitAt(h.engine.Now() + 1)
+	txn.CommitAtBoundary()
 	h.engine.RunUntil(txn.CommitTime() + 1)
 	for txn.State() == StatePrepared {
 		h.engine.RunUntil(txn.CommitTime() + 1)

@@ -119,12 +119,10 @@ func DefaultWorkload() workload.Params {
 }
 
 // NewInstance builds the managed network of opts.Workload and starts
-// its control loop, committing with up to retryMax retries. With
-// opts.StateDir set it opens the durable store and replays checkpoint
-// + WAL tail — corrupt or mismatched state is an error — and the
-// instance starts recovering:
-// the replay job is the first thing the loop runs, ahead of any
-// submitted work. onHealth, when non-nil, is invoked after every job
+// its control loop. With opts.StateDir set it opens the durable store
+// and replays checkpoint + WAL tail — corrupt or mismatched state is an
+// error — and the instance starts recovering: the replay job is the
+// first thing the loop runs, ahead of any submitted work. onHealth, when non-nil, is invoked after every job
 // with the instance's health; it is taken here because the loop (and
 // the replay job) starts before NewInstance returns.
 func NewInstance(opts Options, onHealth func(healthy bool)) (*Instance, error) {
@@ -142,7 +140,6 @@ func NewInstance(opts Options, onHealth func(healthy bool)) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("svc: instance build: %w", err)
 	}
-	net.Reconfig.SetRetryPolicy(retryMax, 0)
 	in := &Instance{
 		net: net, reg: reg, ckptEvery: opts.CheckpointEvery,
 		srv:      obs.NewServer(net.Attr, net.Flight),

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 )
 
 // breakerFailures reads the breaker's consecutive-failure count.
@@ -113,7 +115,7 @@ func TestReconfigOutcomeTable(t *testing.T) {
 		{
 			name: "rolled back", body: grow, code: http.StatusInternalServerError, failures: 1,
 			setup: func(t *testing.T, s *Service) {
-				if err := s.Instance().Arm(0, retryMax+1, false); err != nil {
+				if err := s.Instance().Arm(0, reconfig.Retries+1, false); err != nil {
 					t.Fatal(err)
 				}
 			},

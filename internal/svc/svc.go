@@ -97,9 +97,6 @@ const (
 	// breakerCooldown is the open→half-open delay.
 	breakerThreshold = 3
 	breakerCooldown  = 2 * time.Second
-	// retryMax bounds the reconfiguration engine's commit retries; they
-	// back off by the engine's default of one CQF cycle.
-	retryMax = 3
 )
 
 // maxDeadline caps client-requested deadlines.

@@ -2,8 +2,6 @@ package testbed
 
 import (
 	"bufio"
-	"bytes"
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -98,29 +96,6 @@ func (c fingerprintCase) run(t *testing.T) string {
 	}
 	net.Run(c.warmup, c.dur)
 	return net.ExportDigest()
-}
-
-// ExportDigest is the hex SHA-256 of what a run exports: the per-flow
-// rows (tsnsim -csv) and the Prometheus text (-metrics) but the heap-depth
-// gauge, which a partitioned run's shallower heaps change. It is the
-// rule of benchmark/dataplane.go's exportDigest and lives here until
-// that copy is replaced by a call of this one.
-func (n *Net) ExportDigest() string {
-	h := sha256.New()
-	sent := n.SentCounts()
-	for _, st := range n.Collector.Flows() {
-		fmt.Fprintf(h, "%d,%s,%d,%d,%d,%d,%d,%d,%d\n", st.FlowID, st.Class,
-			sent[st.FlowID], st.Received, st.MeanLatency(), st.Jitter(),
-			st.MinLat, st.MaxLat, st.DeadlineMisses)
-	}
-	var prom bytes.Buffer
-	_ = n.Metrics.Snapshot().WritePrometheus(&prom) // bytes.Buffer writes cannot fail
-	for _, line := range bytes.SplitAfter(prom.Bytes(), []byte("\n")) {
-		if !bytes.HasPrefix(line, []byte("tsn_sim_heap_depth_high_water ")) {
-			h.Write(line)
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // TestExportFingerprints pins what a user exports — the per-flow rows

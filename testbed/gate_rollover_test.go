@@ -86,9 +86,9 @@ func TestGateCloseRolloversMatchCleanRun(t *testing.T) {
 }
 
 // TestSlotRollbackRolloversMatchCleanRun: a slot-size change whose
-// commit fails after three switches were rebased restores the saved
-// lists; every rollover series of the network must end where the run
-// without the reconfiguration has it.
+// commit fails after three switches were rebased, on every attempt,
+// restores the saved lists each time; every rollover series of the
+// network must end where the run without the reconfiguration has it.
 func TestSlotRollbackRolloversMatchCleanRun(t *testing.T) {
 	clean, _ := runLiveRing(t, "", 0)
 	rolled, txn := runLiveRing(t,
@@ -96,8 +96,8 @@ func TestSlotRollbackRolloversMatchCleanRun(t *testing.T) {
 	if txn == nil || txn.State() != reconfig.StateRolledBack {
 		t.Fatalf("transaction did not roll back: %+v", txn)
 	}
-	if got := rolled.CounterValue(reconfig.MetricOps, metrics.L("result", "reverted")); got != 3 {
-		t.Fatalf("%d operations reverted, want the 3 applied rebases", got)
+	if got, want := rolled.CounterValue(reconfig.MetricOps, metrics.L("result", "reverted")), uint64(3*(reconfig.Retries+1)); got != want {
+		t.Fatalf("%d operations reverted, want the 3 applied rebases on each of %d attempts", got, reconfig.Retries+1)
 	}
 	want, got := rolloverSeries(clean), rolloverSeries(rolled)
 	if len(want) == 0 || len(got) != len(want) {

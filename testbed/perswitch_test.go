@@ -100,7 +100,9 @@ func TestDerivedMeshReconfigurationStaysPerSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reconfigure: %v", err)
 		}
-		net.Engine.RunUntil(txn.CommitTime())
+		for txn.State() == reconfig.StatePrepared {
+			net.Engine.RunUntil(txn.CommitTime())
+		}
 		return txn
 	}
 	holds := func(cfg core.Config, when string) {
@@ -124,7 +126,7 @@ func TestDerivedMeshReconfigurationStaysPerSwitch(t *testing.T) {
 	// 16 switches × (switch, class, meter tables + queues + buffers).
 	const nOps = 16 * 5
 	for k := 0; k < nOps; k++ {
-		net.Reconfig.Arm(k, 1, false)
+		net.Reconfig.Arm(k, reconfig.Retries+1, false)
 		txn := resolve(grown)
 		if n := len(txn.Ops()); n != nOps {
 			t.Fatalf("staged %d ops, want %d", n, nOps)

@@ -1,8 +1,9 @@
 package testbed
 
 // Retry-exhaustion integration test: when every commit attempt of a
-// transaction fails — transient fault armed for more attempts than the
-// retry budget allows — the network must end exactly where it started.
+// transaction fails — a failure armed for all reconfig.Retries+1
+// attempts, as reconfig-fail arms it — the network must end exactly
+// where it started.
 // VerifyLive is the judge: it compares every switch's live resizable
 // resources against the configuration the controller believes is in
 // force, so any forgotten rollback shows up as partial state.
@@ -17,7 +18,6 @@ import (
 func TestRetryExhaustionRollsBackCleanLive(t *testing.T) {
 	net, _, _ := liveRing(t, 60, false, Options{})
 	pre := net.LiveConfig()
-	net.Reconfig.SetRetryPolicy(2, 100*sim.Microsecond)
 
 	var txn *reconfig.Txn
 	net.Engine.At(20*sim.Millisecond, "grow-doomed", func(*sim.Engine) {
@@ -26,9 +26,9 @@ func TestRetryExhaustionRollsBackCleanLive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reconfigure: %v", err)
 		}
-		// More transient failures than the budget (1 original + 2
-		// retries) can absorb: the transaction must exhaust and roll back.
-		net.Reconfig.Arm(1, 5, false)
+		// As many failures as the original attempt and its retries:
+		// the transaction must exhaust its budget and roll back.
+		net.Reconfig.Arm(1, reconfig.Retries+1, false)
 	})
 	net.Run(0, 60*sim.Millisecond)
 
@@ -38,8 +38,8 @@ func TestRetryExhaustionRollsBackCleanLive(t *testing.T) {
 	if txn.State() != reconfig.StateRolledBack {
 		t.Fatalf("state = %v, want rolled-back after exhausted budget", txn.State())
 	}
-	if got := txn.Attempts(); got != 3 {
-		t.Fatalf("attempts = %d, want 3 (original + 2 retries)", got)
+	if got := txn.Attempts(); got != reconfig.Retries+1 {
+		t.Fatalf("attempts = %d, want %d (original + retries)", got, reconfig.Retries+1)
 	}
 	// The controller still believes the pre-transaction configuration is
 	// in force, and every switch actually carries it: rollback-clean.

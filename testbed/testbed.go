@@ -8,6 +8,8 @@
 package testbed
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"slices"
@@ -163,10 +165,6 @@ type progState struct {
 	// reserved is the cumulative RC bandwidth per (switch, port, queue)
 	// cell, the input to CBS slope configuration.
 	reserved map[pq]ethernet.Rate
-	// nextCBS is the next free CBS id per (switch, port) bank; cbsID
-	// remembers the shaper already serving a cell.
-	nextCBS map[bankKey]int
-	cbsID   map[pq]int
 }
 
 // talker is one admitted flow's generator: its source NIC and the
@@ -176,10 +174,8 @@ type talker struct {
 	row int
 }
 
-// pq addresses one (switch, port, queue) cell; bankKey one port's CBS
-// bank.
+// pq addresses one (switch, port, queue) cell.
 type pq struct{ sw, port, q int }
-type bankKey struct{ sw, port int }
 
 // flightCapacity is the flight recorder's ring size: what a post-mortem
 // dump reads (obs.DumpWindow, 1.57 MB per engine), or with EnableTrace
@@ -215,8 +211,6 @@ func Build(opts Options) (*Net, error) {
 		prog: progState{
 			nextMeter: make([]int, opts.Topo.N),
 			reserved:  make(map[pq]ethernet.Rate),
-			nextCBS:   make(map[bankKey]int),
-			cbsID:     make(map[pq]int),
 		},
 	}
 	n.shard(max(1, min(opts.Partitions, opts.Topo.N)))
@@ -630,7 +624,8 @@ func (n *Net) admit(specs []*flows.Spec) {
 // applyCBS configures one credit-based shaper per touched RC cell with
 // the cumulative reserved bandwidth + 25% headroom, capped below line
 // rate. Cells already attached to a shaper get their idle slope
-// re-programmed in place.
+// re-programmed in place; a new cell's shaper is its bank's next free
+// id — only this attaches, one shaper per cell, so that is MapLen.
 func (n *Net) applyCBS(cells []pq) error {
 	if n.opts.DisableCBS {
 		return nil
@@ -643,20 +638,18 @@ func (n *Net) applyCBS(cells []pq) error {
 			idle = n.liveCfg.LinkRate - 1
 		}
 		bank := sw.Bank(cell.port)
-		id, attached := n.prog.cbsID[cell]
-		if !attached {
-			bk := bankKey{cell.sw, cell.port}
-			id = n.prog.nextCBS[bk]
-			n.prog.nextCBS[bk] = id + 1
-			if err := bank.Attach(cell.q, id); err != nil {
-				return fmt.Errorf("testbed: cbs attach sw%d p%d q%d: %w", cell.sw, cell.port, cell.q, err)
-			}
-			n.prog.cbsID[cell] = id
+		if cbs := bank.For(cell.q); cbs != nil {
+			cbs.Configure(idle, n.liveCfg.LinkRate)
+			continue
+		}
+		id := bank.MapLen()
+		if err := bank.Attach(cell.q, id); err != nil {
+			return fmt.Errorf("testbed: cbs attach sw%d p%d q%d: %w", cell.sw, cell.port, cell.q, err)
 		}
 		if err := bank.Configure(id, idle, n.liveCfg.LinkRate); err != nil {
 			return fmt.Errorf("testbed: cbs configure: %w", err)
 		}
-		if reg := n.switchPart(cell.sw).reg; !attached && reg != nil {
+		if reg := n.switchPart(cell.sw).reg; reg != nil {
 			stalls := reg.Counters("tsn_cbs_stalls_total", "egress selections blocked on negative CBS credit",
 				"switch", "port", "queue")
 			bank.For(cell.q).Instrument(stalls.With(metrics.Int(cell.sw), metrics.Int(cell.port), metrics.Int(cell.q)))
@@ -950,6 +943,28 @@ func (n *Net) SentCounts() map[uint32]uint64 {
 		}
 	}
 	return out
+}
+
+// ExportDigest is the hex SHA-256 of what a run exports: the per-flow
+// rows (tsnsim -csv) and the Prometheus text (-metrics) but the heap-depth
+// gauge, which a partitioned run's shallower heaps change — so a serial
+// and a partitioned run of one scenario digest alike.
+func (n *Net) ExportDigest() string {
+	h := sha256.New()
+	sent := n.SentCounts()
+	for _, st := range n.Collector.Flows() {
+		fmt.Fprintf(h, "%d,%s,%d,%d,%d,%d,%d,%d,%d\n", st.FlowID, st.Class,
+			sent[st.FlowID], st.Received, st.MeanLatency(), st.Jitter(),
+			st.MinLat, st.MaxLat, st.DeadlineMisses)
+	}
+	var prom bytes.Buffer
+	_ = n.Metrics.Snapshot().WritePrometheus(&prom) // bytes.Buffer writes cannot fail
+	for _, line := range bytes.SplitAfter(prom.Bytes(), []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte("tsn_sim_heap_depth_high_water ")) {
+			h.Write(line)
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // Summary aggregates receive-side statistics for one traffic class.

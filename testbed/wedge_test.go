@@ -66,12 +66,14 @@ func TestReconfigWedgeNamesTheLastAppliedOp(t *testing.T) {
 
 		if k >= 2 {
 			wedged := liveState(net)
-			net.Reconfig.Arm(k-1, 1, false)
+			net.Reconfig.Arm(k-1, reconfig.Retries+1, false)
 			failed, err := net.Reconfigure(net.LiveConfig())
 			if err != nil {
 				t.Fatalf("wedge before op %d: repair rejected: %v", k, err)
 			}
-			net.Engine.RunUntil(failed.CommitTime())
+			for failed.State() == reconfig.StatePrepared {
+				net.Engine.RunUntil(failed.CommitTime())
+			}
 			if failed.State() != reconfig.StateRolledBack || !slices.Equal(liveState(net), wedged) {
 				t.Fatalf("wedge before op %d: failed repair %v did not restore the wedged state", k, failed.State())
 			}
