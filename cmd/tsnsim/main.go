@@ -397,10 +397,7 @@ func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
 	if rec != nil {
 		printReconfig(rec, o.Reconfig)
 	}
-	st := net.SwitchStats()
-	fmt.Printf("switches: rx=%d tx=%d drops=%d (no-route=%d meter=%d gate=%d buffer=%d queue=%d)\n",
-		st.RxFrames, st.TxFrames, st.TotalDrops(),
-		st.Drops[0], st.Drops[1], st.Drops[2], st.Drops[3], st.Drops[4])
+	fmt.Println(switchesLine(net.SwitchStats()))
 	fmt.Printf("worst TS queue occupancy: %d (provisioned depth %d)\n",
 		net.MaxQueueHighWater(), provisioned)
 	if net.Domain != nil {
@@ -467,6 +464,19 @@ func printAttribution(net *testbed.Net) {
 		fmt.Printf("flight recorder: worst miss flow=%d seq=%d lat=%.1fµs — %d events captured (serve /flightrec for the chain)\n",
 			d.FlowID, d.Seq, d.Lat.Micros(), len(d.Events))
 	}
+}
+
+// switchesLine renders the network's switch counts with every drop
+// reason, so the reasons listed sum to drops.
+func switchesLine(st tsnswitch.Stats) string {
+	line := fmt.Sprintf("switches: rx=%d tx=%d drops=%d (", st.RxFrames, st.TxFrames, st.TotalDrops())
+	for i, r := range tsnswitch.DropReasons() {
+		if i > 0 {
+			line += " "
+		}
+		line += fmt.Sprintf("%s=%d", r, st.Drops[r])
+	}
+	return line + ")"
 }
 
 // printSummary renders the exit summary line from the telemetry

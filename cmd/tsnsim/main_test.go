@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/chaos"
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
+	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
@@ -415,5 +418,43 @@ func TestFaultScenarioDeterministic(t *testing.T) {
 func TestFaultScenarioBadFile(t *testing.T) {
 	if _, err := parseFlags([]string{"-faults", "/nonexistent/faults.json"}); err == nil {
 		t.Fatal("missing fault scenario accepted")
+	}
+}
+
+// TestSwitchesLineListsEveryDropReason: with the watchdog shedding
+// traffic off a leaked pool, the switches line lists degraded drops
+// too, and the reasons it lists sum to its drops total.
+func TestSwitchesLineListsEveryDropReason(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "leak.json")
+	leak := `{"faults": [{"at_us": 5000, "kind": "buffer-leak", "switch": 0, "port": 0, "slots": 1000}]}`
+	if err := os.WriteFile(path, []byte(leak), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	net, err := run(withFlags(t, "-watchdog", "-faults", path, "-rc", "100", "-be", "200"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := switchesLine(net.SwitchStats())
+	var total, sum, degraded uint64
+	if _, err := fmt.Sscanf(line[strings.Index(line, "drops="):], "drops=%d", &total); err != nil {
+		t.Fatalf("%q: %v", line, err)
+	}
+	reasons := strings.Fields(strings.Trim(line[strings.Index(line, "("):], "()"))
+	if len(reasons) != len(tsnswitch.DropReasons()) {
+		t.Fatalf("%q lists %d reasons, want %d", line, len(reasons), len(tsnswitch.DropReasons()))
+	}
+	for _, r := range reasons {
+		name, v, _ := strings.Cut(r, "=")
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		sum += n
+		if name == tsnswitch.DropDegraded.String() {
+			degraded = n
+		}
+	}
+	if degraded == 0 || sum != total {
+		t.Fatalf("%q: degraded=%d, reasons sum to %d, drops=%d", line, degraded, sum, total)
 	}
 }

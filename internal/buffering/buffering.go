@@ -34,10 +34,11 @@ type Pool struct {
 	capacity int
 	free     []int  // LIFO free list of slot indices
 	onFree   []bool // per minted id: on the free list (Free's double-release check)
-	inUse    int
-	// highWater tracks the worst-case simultaneous occupancy, the
-	// number a dimensioning pass would need.
-	highWater int
+	// inUse is the occupancy cell; highWater, the worst-case
+	// simultaneous occupancy a dimensioning pass would need, is the
+	// high-water cell.
+	inUse     int64
+	highWater int64
 	// reserved holds slots withheld from the free list by a fault
 	// injector (transient buffer exhaustion). Reserved slots are
 	// neither free nor in use, so leak accounting ignores them.
@@ -49,9 +50,7 @@ type Pool struct {
 	// retired marks slot ids removed by a shrink; nil until first use.
 	retired map[int]bool
 
-	// Telemetry handles; zero values are no-ops.
-	metOcc  metrics.Gauge
-	metHW   metrics.Gauge
+	// metFail counts failed allocations; the zero value is a no-op.
 	metFail metrics.Counter
 }
 
@@ -81,23 +80,23 @@ func (p *Pool) push(slot int) {
 	p.onFree[slot] = true
 }
 
-// Instrument binds the pool's telemetry: occupancy follows InUse,
-// highWater follows the worst occupancy, allocFail counts failed
-// allocations. Call once at construction time.
-func (p *Pool) Instrument(occupancy, highWater metrics.Gauge, allocFail metrics.Counter) {
-	p.metOcc = occupancy
-	p.metHW = highWater
-	p.metFail = allocFail
+// Instrument registers the pool's cells with the given label values:
+// occupancy reads InUse, highWater reads HighWater, allocFail counts
+// failed allocations. Call once at construction time.
+func (p *Pool) Instrument(occupancy, highWater metrics.GaugeFamily, allocFail metrics.CounterFamily, vals ...metrics.Value) {
+	occupancy.Bind(&p.inUse, vals...)
+	highWater.Bind(&p.highWater, vals...)
+	p.metFail = allocFail.With(vals...)
 }
 
 // Capacity returns the configured number of slots.
 func (p *Pool) Capacity() int { return p.capacity }
 
 // InUse returns the number of currently allocated slots.
-func (p *Pool) InUse() int { return p.inUse }
+func (p *Pool) InUse() int { return int(p.inUse) }
 
 // HighWater returns the worst-case simultaneous occupancy seen.
-func (p *Pool) HighWater() int { return p.highWater }
+func (p *Pool) HighWater() int { return int(p.highWater) }
 
 // Alloc reserves a slot for a frame of wireBytes. It fails if the frame
 // exceeds SlotBytes (a hardware buffer cannot hold it) or the pool is
@@ -110,8 +109,6 @@ func (p *Pool) Alloc(wireBytes int) (slot int, ok bool) {
 	slot = p.pop()
 	p.inUse++
 	p.highWater = max(p.highWater, p.inUse)
-	p.metOcc.Set(int64(p.inUse))
-	p.metHW.SetMax(int64(p.inUse))
 	return slot, true
 }
 
@@ -128,7 +125,6 @@ func (p *Pool) Free(slot int) {
 	}
 	p.push(slot)
 	p.inUse--
-	p.metOcc.Set(int64(p.inUse))
 }
 
 // Reserve withholds up to n slots from the free list without marking
@@ -172,7 +168,7 @@ func (p *Pool) Resize(capacity int) error {
 	if capacity < 0 {
 		return fmt.Errorf("buffering: negative pool capacity %d", capacity)
 	}
-	if need := p.inUse + len(p.reserved); capacity < need {
+	if need := int(p.inUse) + len(p.reserved); capacity < need {
 		return fmt.Errorf("buffering: cannot shrink pool to %d: %d slots live (%d in use, %d reserved)",
 			capacity, need, p.inUse, len(p.reserved))
 	}
@@ -211,8 +207,6 @@ func (p *Pool) Leak(n int) int {
 		taken++
 	}
 	p.highWater = max(p.highWater, p.inUse)
-	p.metOcc.Set(int64(p.inUse))
-	p.metHW.SetMax(int64(p.inUse))
 	return taken
 }
 
@@ -223,12 +217,9 @@ type Queue struct {
 	ring  []Descriptor
 	head  int
 	count int
-	// highWater tracks the worst-case depth reached.
-	highWater int
-
-	// metHW mirrors highWater into the telemetry registry; the zero
-	// value is a no-op.
-	metHW metrics.Gauge
+	// highWater tracks the worst-case depth reached: the queue's
+	// high-water cell.
+	highWater int64
 }
 
 // NewQueue returns a queue holding at most depth descriptors.
@@ -250,8 +241,11 @@ func NewQueues(n, depth int) []Queue {
 	return qs
 }
 
-// Instrument binds the queue's depth high-water gauge.
-func (q *Queue) Instrument(highWater metrics.Gauge) { q.metHW = highWater }
+// Instrument registers the queue's depth high-water cell with the
+// given label values.
+func (q *Queue) Instrument(highWater metrics.GaugeFamily, vals ...metrics.Value) {
+	highWater.Bind(&q.highWater, vals...)
+}
 
 // Depth returns the configured capacity.
 func (q *Queue) Depth() int { return q.depth }
@@ -260,7 +254,7 @@ func (q *Queue) Depth() int { return q.depth }
 func (q *Queue) Len() int { return q.count }
 
 // HighWater returns the worst-case occupancy seen.
-func (q *Queue) HighWater() int { return q.highWater }
+func (q *Queue) HighWater() int { return int(q.highWater) }
 
 // Resize changes the queue depth in place, preserving queued
 // descriptors in FIFO order — the live-reconfiguration primitive behind
@@ -289,10 +283,7 @@ func (q *Queue) Push(d Descriptor) bool {
 	}
 	q.ring[(q.head+q.count)%q.depth] = d
 	q.count++
-	if q.count > q.highWater {
-		q.highWater = q.count
-		q.metHW.Set(int64(q.count))
-	}
+	q.highWater = max(q.highWater, int64(q.count))
 	return true
 }
 

@@ -37,7 +37,7 @@ func TestPoolAllocFree(t *testing.T) {
 func TestPoolOversizeFrame(t *testing.T) {
 	p := NewPool(4)
 	reg := metrics.New()
-	p.Instrument(metrics.Gauge{}, metrics.Gauge{}, reg.Counters("fail", "").With())
+	p.Instrument(metrics.GaugeFamily{}, metrics.GaugeFamily{}, reg.Counters("fail", ""))
 	if _, ok := p.Alloc(SlotBytes + 1); ok {
 		t.Fatal("oversize frame allocated")
 	}

@@ -261,7 +261,7 @@ func (pt point) run(rp Params) (Row, error) {
 	s := net.Summary(ethernet.ClassTS)
 	pool := 0
 	for _, sw := range net.Switches {
-		pool = max(pool, sw.PoolHighWater(0))
+		pool = max(pool, sw.Port(0).Pool().HighWater())
 	}
 	_, bound := testbed.CQFBound(wp.Hops, cfg.SlotSize)
 	return Row{

@@ -538,12 +538,10 @@ type Injector struct {
 	reg    *metrics.Registry
 	seed   uint64
 
-	// injected and recovered hold each kind's counters, by row.
-	injected  []metrics.Counter
-	recovered []metrics.Counter
-
-	injectedN  uint64
-	recoveredN uint64
+	// injected and recovered count each kind's activations and
+	// recoveries, by row: the per-kind counters' cells.
+	injected  []uint64
+	recovered []uint64
 
 	// OnInject, when set, runs on the simulation thread at every fault
 	// activation — the observability layer dumps the flight recorder
@@ -559,35 +557,41 @@ func NewInjector(engine *sim.Engine, seed uint64, reg *metrics.Registry) *Inject
 		engine:    engine,
 		reg:       reg,
 		seed:      seed,
-		injected:  make([]metrics.Counter, len(kinds)),
-		recovered: make([]metrics.Counter, len(kinds)),
+		injected:  make([]uint64, len(kinds)),
+		recovered: make([]uint64, len(kinds)),
 	}
 	injected := reg.Counters(MetricInjected, "fault activations by kind", "kind")
 	recovered := reg.Counters(MetricRecovered, "fault recoveries by kind", "kind")
 	for i, k := range kinds {
-		inj.injected[i] = injected.With(metrics.Name(k.name))
-		inj.recovered[i] = recovered.With(metrics.Name(k.name))
+		injected.Bind(&inj.injected[i], metrics.Name(k.name))
+		recovered.Bind(&inj.recovered[i], metrics.Name(k.name))
 	}
 	return inj
 }
 
 // Injected returns the total number of fault activations so far.
-func (inj *Injector) Injected() uint64 { return inj.injectedN }
+func (inj *Injector) Injected() uint64 { return sum(inj.injected) }
 
 // Recovered returns the total number of fault recoveries so far.
-func (inj *Injector) Recovered() uint64 { return inj.recoveredN }
+func (inj *Injector) Recovered() uint64 { return sum(inj.recovered) }
+
+// sum totals per-kind counts.
+func sum(counts []uint64) (n uint64) {
+	for _, c := range counts {
+		n += c
+	}
+	return n
+}
 
 func (inj *Injector) markInjected(k int) {
-	inj.injectedN++
-	inj.injected[k].Inc()
+	inj.injected[k]++
 	if inj.OnInject != nil {
 		inj.OnInject(kinds[k].name)
 	}
 }
 
 func (inj *Injector) markRecovered(k int) {
-	inj.recoveredN++
-	inj.recovered[k].Inc()
+	inj.recovered[k]++
 }
 
 // fnv1a hashes a label so each impaired link direction gets its own

@@ -87,12 +87,10 @@ type Table struct {
 	history  int
 	streams  map[uint32]*recoveryState
 
-	passed     uint64
-	eliminated uint64
-	rogue      uint64
-	mPassed    metrics.Counter
-	mElim      metrics.Counter
-	mRogue     metrics.Counter
+	// Decision counters; zero values are no-ops.
+	mPassed metrics.Counter
+	mElim   metrics.Counter
+	mRogue  metrics.Counter
 }
 
 // NewTable returns a table for capacity streams with a history-window
@@ -168,13 +166,10 @@ func (t *Table) Accept(id uint32, seq uint32) Decision {
 	d := st.accept(seq, t.history)
 	switch d {
 	case Pass:
-		t.passed++
 		t.mPassed.Inc()
 	case Duplicate:
-		t.eliminated++
 		t.mElim.Inc()
 	case Rogue:
-		t.rogue++
 		t.mRogue.Inc()
 	}
 	return d
@@ -217,9 +212,4 @@ func (st *recoveryState) accept(seq uint32, history int) Decision {
 	default:
 		return Rogue
 	}
-}
-
-// Stats returns (passed, eliminated, rogue) totals across all streams.
-func (t *Table) Stats() (passed, eliminated, rogue uint64) {
-	return t.passed, t.eliminated, t.rogue
 }

@@ -6,8 +6,25 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 )
 
+// instrumented returns a table counting into a fresh registry.
+func instrumented(capacity, history int) (*Table, *metrics.Registry) {
+	reg := metrics.New()
+	tbl := NewTable(capacity, history)
+	tbl.Instrument(
+		reg.Counters(MetricPassed, "").With(),
+		reg.Counters(MetricEliminated, "").With(),
+		reg.Counters(MetricRogue, "").With(),
+	)
+	return tbl, reg
+}
+
+// decisions reads the (passed, eliminated, rogue) counters of reg.
+func decisions(reg *metrics.Registry) (passed, eliminated, rogue uint64) {
+	return reg.CounterValue(MetricPassed), reg.CounterValue(MetricEliminated), reg.CounterValue(MetricRogue)
+}
+
 func TestRecoveryPassesFirstEliminatesSecond(t *testing.T) {
-	tbl := NewTable(4, 8)
+	tbl, reg := instrumented(4, 8)
 	if err := tbl.Register(1); err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +37,7 @@ func TestRecoveryPassesFirstEliminatesSecond(t *testing.T) {
 			t.Fatalf("second copy of seq %d: %v", seq, d)
 		}
 	}
-	passed, elim, rogue := tbl.Stats()
+	passed, elim, rogue := decisions(reg)
 	if passed != 10 || elim != 10 || rogue != 0 {
 		t.Fatalf("stats = %d/%d/%d, want 10/10/0", passed, elim, rogue)
 	}
@@ -40,7 +57,7 @@ func TestRecoveryInterleavedMemberStreams(t *testing.T) {
 }
 
 func TestRecoveryRogueOutsideWindow(t *testing.T) {
-	tbl := NewTable(1, 4)
+	tbl, reg := instrumented(1, 4)
 	_ = tbl.Register(5)
 	tbl.Accept(5, 100)
 	if d := tbl.Accept(5, 96); d != Rogue { // 100-96 = 4 ≥ history
@@ -49,7 +66,7 @@ func TestRecoveryRogueOutsideWindow(t *testing.T) {
 	if d := tbl.Accept(5, 97); d != Pass { // just inside the window
 		t.Fatalf("in-window seq: %v, want Pass", d)
 	}
-	if _, _, rogue := tbl.Stats(); rogue != 1 {
+	if _, _, rogue := decisions(reg); rogue != 1 {
 		t.Fatalf("rogue count = %d, want 1", rogue)
 	}
 }
@@ -68,13 +85,13 @@ func TestRecoveryLargeJumpClearsWindow(t *testing.T) {
 }
 
 func TestUnregisteredStreamPassesThrough(t *testing.T) {
-	tbl := NewTable(1, 8)
+	tbl, reg := instrumented(1, 8)
 	for i := 0; i < 3; i++ {
 		if d := tbl.Accept(77, 1); d != Pass {
 			t.Fatal("unregistered stream did not pass through")
 		}
 	}
-	if passed, _, _ := tbl.Stats(); passed != 0 {
+	if passed, _, _ := decisions(reg); passed != 0 {
 		t.Fatal("unregistered stream counted as recovered")
 	}
 }
@@ -131,13 +148,7 @@ func TestNewTableValidation(t *testing.T) {
 }
 
 func TestInstrument(t *testing.T) {
-	reg := metrics.New()
-	tbl := NewTable(1, 8)
-	tbl.Instrument(
-		reg.Counters(MetricPassed, "").With(),
-		reg.Counters(MetricEliminated, "").With(),
-		reg.Counters(MetricRogue, "").With(),
-	)
+	tbl, reg := instrumented(1, 8)
 	_ = tbl.Register(1)
 	tbl.Accept(1, 1)
 	tbl.Accept(1, 1)

@@ -56,8 +56,6 @@ func (d *Domain) Elect() (*Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				n.announceTx++
-				peer.announceRx++
 				if got.Priority.Less(best[peer]) {
 					best[peer] = got.Priority
 					changed = true

@@ -64,17 +64,14 @@ type Node struct {
 	// Servo state.
 	synced     bool
 	lastOffset sim.Time
-	// Stats.
-	syncCount  int
-	stepCount  int
+	// Stats; syncCount and stepCount are the sync and step counters'
+	// cells.
+	syncCount  uint64
+	stepCount  uint64
 	lastCorrAt sim.Time
-	announceTx uint64
-	announceRx uint64
 
-	// Telemetry handles; zero values are no-ops.
+	// metOffset is the offset gauge; the zero value is a no-op.
 	metOffset metrics.Gauge
-	metSyncs  metrics.Counter
-	metSteps  metrics.Counter
 }
 
 // Port is one gPTP-capable port of a node.
@@ -173,10 +170,11 @@ func (d *Domain) AddNode(id int, drift clock.PPB, initialOffset sim.Time) *Node 
 	return n
 }
 
-// Instrument resolves per-node telemetry handles from reg: a signed
+// Instrument registers per-node telemetry in reg: a signed
 // offset-from-upstream gauge (ns), sync and phase-step counters per
-// node, and a domain-wide BMCA role-change counter. Call after every
-// AddNode; a nil registry is a no-op.
+// node, which read the counts Stats reports, and a domain-wide BMCA
+// role-change counter. Call after every AddNode; a nil registry is a
+// no-op.
 func (d *Domain) Instrument(reg *metrics.Registry) {
 	offset := reg.Gauges("tsn_gptp_offset_ns", "last sync offset sample from the upstream clock, nanoseconds", "node")
 	syncs := reg.Counters("tsn_gptp_syncs_total", "sync corrections applied", "node")
@@ -184,8 +182,8 @@ func (d *Domain) Instrument(reg *metrics.Registry) {
 	for _, n := range d.nodes {
 		node := metrics.Int(n.ID)
 		n.metOffset = offset.With(node)
-		n.metSyncs = syncs.With(node)
-		n.metSteps = steps.With(node)
+		syncs.Bind(&n.syncCount, node)
+		steps.Bind(&n.stepCount, node)
 	}
 	d.metRoleChanges = reg.Counters("tsn_gptp_role_changes_total",
 		"sync-tree rebuilds that changed some node's upstream port").With()
@@ -381,7 +379,6 @@ func (n *Node) applysync(e *sim.Engine, t1, t2 sim.Time, p *Port) {
 	// offset = slaveTime - masterTimeAtArrival.
 	offset := t2 - (t1 + p.measuredDelay)
 	n.syncCount++
-	n.metSyncs.Inc()
 	n.metOffset.Set(int64(offset))
 	prevCorr := n.lastCorrAt
 	n.lastCorrAt = now
@@ -391,7 +388,6 @@ func (n *Node) applysync(e *sim.Engine, t1, t2 sim.Time, p *Port) {
 		n.Clock.Step(now, -offset)
 		n.synced = true
 		n.stepCount++
-		n.metSteps.Inc()
 		n.lastOffset = 0
 		return
 	}
@@ -409,7 +405,6 @@ func (n *Node) applysync(e *sim.Engine, t1, t2 sim.Time, p *Port) {
 	n.Clock.Step(now, -offset)
 	if offset > stepThreshold || offset < -stepThreshold {
 		n.stepCount++
-		n.metSteps.Inc()
 	}
 	n.lastOffset = offset
 }
@@ -457,8 +452,8 @@ func (d *Domain) Stats() []Stats {
 		}
 		out = append(out, Stats{
 			NodeID:    n.ID,
-			SyncCount: n.syncCount,
-			StepCount: n.stepCount,
+			SyncCount: int(n.syncCount),
+			StepCount: int(n.stepCount),
 			Offset:    d.OffsetFromGM(n),
 		})
 	}

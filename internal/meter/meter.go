@@ -19,9 +19,6 @@ type Meter struct {
 	burstBits  int64         // bucket capacity, bits
 	tokens     int64
 	lastUpdate sim.Time
-	// Counters.
-	passed  uint64
-	dropped uint64
 }
 
 // Configure (re)initializes the meter with a rate and burst size in
@@ -34,7 +31,6 @@ func (m *Meter) Configure(rate ethernet.Rate, burstBytes int) {
 	m.burstBits = int64(burstBytes) * 8
 	m.tokens = m.burstBits
 	m.lastUpdate = 0
-	m.passed, m.dropped = 0, 0
 }
 
 // refill credits tokens accrued since the last update.
@@ -66,16 +62,11 @@ func (m *Meter) Conform(now sim.Time, wireBytes int) bool {
 	m.refill(now)
 	need := int64(wireBytes) * 8
 	if m.tokens < need {
-		m.dropped++
 		return false
 	}
 	m.tokens -= need
-	m.passed++
 	return true
 }
-
-// Stats returns (passed, dropped) frame counts.
-func (m *Meter) Stats() (uint64, uint64) { return m.passed, m.dropped }
 
 // Table is the meter table: a fixed-capacity array of meters indexed by
 // the Meter ID produced by classification.

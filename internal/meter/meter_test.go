@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
@@ -68,14 +69,19 @@ func TestMeterLongRunRate(t *testing.T) {
 	}
 }
 
+// TestMeterStats: the table's pass and drop counters count a meter's
+// decisions.
 func TestMeterStats(t *testing.T) {
-	var m Meter
-	m.Configure(ethernet.Mbps, 100)
-	m.Conform(0, 100)
-	m.Conform(0, 100)
-	p, d := m.Stats()
-	if p != 1 || d != 1 {
-		t.Fatalf("Stats = (%d,%d), want (1,1)", p, d)
+	reg := metrics.New()
+	tbl := NewTable(1)
+	tbl.Instrument(reg.Counters("passed", "").With(), reg.Counters("dropped", "").With())
+	if err := tbl.Configure(0, ethernet.Mbps, 100); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Conform(0, 0, 100)
+	tbl.Conform(0, 0, 100)
+	if p, d := reg.CounterValue("passed"), reg.CounterValue("dropped"); p != 1 || d != 1 {
+		t.Fatalf("counters = (%d,%d), want (1,1)", p, d)
 	}
 }
 

@@ -78,16 +78,16 @@ func (r *Registry) Snapshot() Snapshot {
 			ss.Labels = s.labels
 			switch f.kind {
 			case KindCounter:
-				ss.Value = float64(s.c)
+				ss.Value = float64(s.value())
 			case KindGauge:
-				ss.Value = float64(s.g)
+				ss.Value = float64(int64(s.value()))
 			case KindHistogram:
-				n := len(counts)
-				counts = append(counts, s.h.counts...)
-				ss.Bounds, ss.Counts = s.h.bounds, counts[n:len(counts):len(counts)]
-				ss.Sum, ss.Count = s.h.sum, s.h.count
-				if s.h.exSet {
-					ex := s.h.ex
+				h, n := s.hist(), len(counts)
+				counts = append(counts, h.counts...)
+				ss.Bounds, ss.Counts = h.bounds, counts[n:len(counts):len(counts)]
+				ss.Sum, ss.Count = h.sum, h.count
+				if h.exSet {
+					ex := h.ex
 					ss.Exemplar = &ex
 				}
 			}

@@ -25,8 +25,10 @@ import (
 // aside. It is how the parallel experiment harness and the
 // partitioned testbed keep the hot path unsynchronized: every worker
 // instruments its own scratch registry, and the owner merges them back
-// once the work is done. A family src declares differently from r
-// (kind, bucket layout, help or keys) panics before r is touched.
+// once the work is done. A bound source cell folds in the value its
+// owner's field holds; folding into a bound cell of r panics, since its
+// count is its owner's to write. A family src declares differently
+// from r (kind, bucket layout, help or keys) panics before r is touched.
 // Merging a registry into itself panics. Merge holds r's lock, then
 // src's, so concurrent snapshots stay safe; two goroutines merging two
 // registries into each other concurrently is the caller's bug.
@@ -87,28 +89,36 @@ func (f *family) merge(sf *family, ids []int32) {
 			s = f.newSample(k)
 		}
 		merged = append(merged, s)
-		s.fold(c)
+		s.fold(f, c)
 	}
 	f.samples = append(merged, f.samples[i:]...)
 }
 
-// fold adds source cell c into s: counters and histograms accumulate,
-// gauges take the maximum, and the greater exemplar (then the earlier
-// At) survives.
-func (s *sample) fold(c *sample) {
-	s.c += c.c
-	s.g = max(s.g, c.g)
-	if c.h == nil {
+// fold adds source cell c into s, a cell of f: counters and histograms
+// accumulate, gauges take the maximum, and the greater exemplar (then
+// the earlier At) survives.
+func (s *sample) fold(f *family, c *sample) {
+	switch f.kind {
+	case KindCounter, KindGauge:
+		if s.ref != nil {
+			panic("metrics: Merge into a bound cell of " + f.name)
+		}
+		if f.kind == KindCounter {
+			s.v += c.value()
+		} else {
+			s.v = uint64(max(int64(s.v), int64(c.value())))
+		}
 		return
 	}
-	for i, n := range c.h.counts {
-		s.h.counts[i] += n
+	sh, ch := s.hist(), c.hist()
+	for i, n := range ch.counts {
+		sh.counts[i] += n
 	}
-	s.h.sum += c.h.sum
-	s.h.count += c.h.count
-	if c.h.exSet && (!s.h.exSet || c.h.ex.Value > s.h.ex.Value ||
-		(c.h.ex.Value == s.h.ex.Value && c.h.ex.At < s.h.ex.At)) {
-		s.h.ex = c.h.ex
-		s.h.exSet = true
+	sh.sum += ch.sum
+	sh.count += ch.count
+	if ch.exSet && (!sh.exSet || ch.ex.Value > sh.ex.Value ||
+		(ch.ex.Value == sh.ex.Value && ch.ex.At < sh.ex.At)) {
+		sh.ex = ch.ex
+		sh.exSet = true
 	}
 }

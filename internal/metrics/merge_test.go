@@ -46,8 +46,62 @@ func TestMergeHistograms(t *testing.T) {
 	hb.Observe(50)
 	hb.Observe(500)
 	a.Merge(b)
-	if got := a.Histograms("lat", "", bounds).With().Count(); got != 3 {
+	if got := a.Snapshot().Families[0].Samples[0].Count; got != 3 {
 		t.Errorf("merged histogram count = %d, want 3", got)
+	}
+}
+
+// TestMergeReadsBoundSources: a bound source cell folds in the value
+// of its owner's field, into an existing cell and into a new one.
+func TestMergeReadsBoundSources(t *testing.T) {
+	a, b := New(), New()
+	a.Counters("hits", "", "sw").With(Int(0)).Add(3)
+	a.Gauges("hw", "", "sw").With(Int(0)).Set(10)
+	hits, hw := uint64(4), int64(12)
+	b.Counters("hits", "", "sw").Bind(&hits, Int(0))
+	b.Counters("hits", "", "sw").Bind(&hits, Int(1))
+	b.Gauges("hw", "", "sw").Bind(&hw, Int(0))
+	a.Merge(b)
+	if got := a.CounterValue("hits", L("sw", "0")); got != 7 {
+		t.Errorf("merged counter = %d, want 7", got)
+	}
+	if got := a.CounterValue("hits", L("sw", "1")); got != 4 {
+		t.Errorf("new-cell counter = %d, want 4", got)
+	}
+	if got := a.GaugeValue("hw", L("sw", "0")); got != 12 {
+		t.Errorf("merged gauge = %d, want 12", got)
+	}
+	// The merged cells are a's own: the source's field moves on alone.
+	hits = 100
+	if got := a.CounterValue("hits", L("sw", "1")); got != 4 {
+		t.Errorf("merged counter followed the source's field to %d", got)
+	}
+}
+
+// TestMergeIntoBoundCellPanics: a bound cell's count is its owner's to
+// write, so Merge never folds into one.
+func TestMergeIntoBoundCellPanics(t *testing.T) {
+	for _, kind := range []Kind{KindCounter, KindGauge} {
+		a, b := New(), New()
+		count, level := uint64(1), int64(1)
+		if kind == KindCounter {
+			a.Counters("x", "").Bind(&count)
+			b.Counters("x", "").With().Inc()
+		} else {
+			a.Gauges("x", "").Bind(&level)
+			b.Gauges("x", "").With().Set(5)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Merge into a bound %s cell did not panic", kind)
+				}
+			}()
+			a.Merge(b)
+		}()
+		if count != 1 || level != 1 {
+			t.Errorf("Merge wrote through a bound %s cell", kind)
+		}
 	}
 }
 

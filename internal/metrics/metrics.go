@@ -13,6 +13,12 @@
 //     only at export. The same values resolve the same cell, so a
 //     shared resource (an SMS pool serving every port) can be
 //     instrumented from several sites without double counting.
+//   - A count has one home. A number its owner reads — in its own
+//     logic or through an accessor — stays a field of the owner, and
+//     Bind registers the cell by the field's address: the registry
+//     reads it at export and the owner's write is the only one. A
+//     number only telemetry reads lives in the cell, behind a handle
+//     from With. No number is kept in both places.
 //   - A handle is one pointer; an increment is one nil check plus one
 //     memory write — no map lookups, no interface calls, no allocation.
 //     The zero value of every handle is a valid no-op, so an
@@ -57,7 +63,8 @@ const (
 )
 
 // Counter is a monotonically increasing counter handle. The zero
-// value is a no-op.
+// value is a no-op. Counter and Gauge handles only write: a number its
+// owner reads is a field of the owner, registered with Bind.
 type Counter struct{ v *uint64 }
 
 // Inc adds one.
@@ -77,49 +84,24 @@ func (c Counter) Add(n uint64) {
 // Active reports whether the handle is bound to a registry cell.
 func (c Counter) Active() bool { return c.v != nil }
 
-// Value returns the current count (0 for an unbound handle).
-func (c Counter) Value() uint64 {
-	if c.v == nil {
-		return 0
-	}
-	return *c.v
-}
-
 // Gauge is a settable signed instrument handle. The zero value is a
-// no-op.
-type Gauge struct{ v *int64 }
+// no-op. It points at its cell's value word, which holds the int64's
+// two's-complement bits.
+type Gauge struct{ v *uint64 }
 
 // Set stores v.
 func (g Gauge) Set(v int64) {
 	if g.v != nil {
-		*g.v = v
-	}
-}
-
-// Add adjusts the gauge by d.
-func (g Gauge) Add(d int64) {
-	if g.v != nil {
-		*g.v += d
+		*g.v = uint64(v)
 	}
 }
 
 // SetMax raises the gauge to v if v exceeds the current value — the
-// high-water update used by queue and heap depth instrumentation.
+// high-water update used by heap depth instrumentation.
 func (g Gauge) SetMax(v int64) {
-	if g.v != nil && v > *g.v {
-		*g.v = v
+	if g.v != nil && v > int64(*g.v) {
+		*g.v = uint64(v)
 	}
-}
-
-// Active reports whether the handle is bound to a registry cell.
-func (g Gauge) Active() bool { return g.v != nil }
-
-// Value returns the current value (0 for an unbound handle).
-func (g Gauge) Value() int64 {
-	if g.v == nil {
-		return 0
-	}
-	return *g.v
 }
 
 // Exemplar is the worst exemplar-bearing observation of a histogram
@@ -192,14 +174,6 @@ func (h Histogram) Exemplar() (Exemplar, bool) {
 // Active reports whether the handle is bound to a registry cell.
 func (h Histogram) Active() bool { return h.h != nil }
 
-// Count returns the number of observations.
-func (h Histogram) Count() uint64 {
-	if h.h == nil {
-		return 0
-	}
-	return h.h.count
-}
-
 // ExponentialBounds returns n upper bounds starting at start and
 // multiplying by factor — the usual latency bucket layout.
 func ExponentialBounds(start int64, factor float64, n int) []int64 {
@@ -238,16 +212,31 @@ const maxKeys = 4
 // itself, a name as ^id of its interned string (so negative).
 type cellKey [maxKeys]int32
 
-// sample is one labeled cell of a family. Counters and gauges keep
-// their value inline; handles point into the sample, which lives in a
-// slab chunk of its family and never moves.
+// sample is one labeled cell of a family; it lives in a slab chunk of
+// its family and never moves. A counter or gauge resolved by With keeps
+// its value in v, where its handles point; a bound one reads the
+// owner's field, its ref. A histogram's ref is its data.
 type sample struct {
 	key    cellKey
 	labels []Label // rendered by settle, sorted by key
-	c      uint64
-	g      int64
-	h      *histData
+	v      uint64  // a counter's count, or a gauge's int64 bits
+	ref    any     // *uint64 or *int64 of a bound cell; *histData
 }
+
+// value reads a counter or gauge cell, through its binding or inline;
+// a gauge's value is the int64 of it.
+func (s *sample) value() uint64 {
+	switch p := s.ref.(type) {
+	case *uint64:
+		return *p
+	case *int64:
+		return uint64(*p)
+	}
+	return s.v
+}
+
+// hist returns a histogram cell's data.
+func (s *sample) hist() *histData { return s.ref.(*histData) }
 
 // A family's samples live by value in chunks of one cell, then twice
 // the previous chunk, up to maxChunk: a chunk is never reallocated, so
@@ -320,28 +309,62 @@ func (r *Registry) Histograms(name, help string, bounds []int64, keys ...string)
 }
 
 // With resolves (creating at zero) the cell with the given values, one
-// per declared key, in declared order.
+// per declared key, in declared order. The cell then holds the count:
+// With on a bound cell panics.
 func (c CounterFamily) With(vals ...Value) Counter {
 	if c.f == nil {
 		return Counter{}
 	}
-	return Counter{v: &c.f.cell(vals).c}
+	return Counter{v: c.f.inline(vals)}
 }
+
+// Bind registers the cell with the given values, as With does, as p:
+// every reader of the registry reads *p, which stays its owner's to
+// write. Binding a cell again to the same p is a no-op; binding one
+// that has another home — a With handle or another field — panics.
+func (c CounterFamily) Bind(p *uint64, vals ...Value) { c.f.bind(p, vals) }
 
 // With resolves the gauge cell with the given values.
 func (g GaugeFamily) With(vals ...Value) Gauge {
 	if g.f == nil {
 		return Gauge{}
 	}
-	return Gauge{v: &g.f.cell(vals).g}
+	return Gauge{v: g.f.inline(vals)}
 }
+
+// Bind registers the gauge cell with the given values as p.
+func (g GaugeFamily) Bind(p *int64, vals ...Value) { g.f.bind(p, vals) }
 
 // With resolves the histogram cell with the given values.
 func (h HistogramFamily) With(vals ...Value) Histogram {
 	if h.f == nil {
 		return Histogram{}
 	}
-	return Histogram{h: h.f.cell(vals).h}
+	s, _ := h.f.cell(vals)
+	return Histogram{h: s.hist()}
+}
+
+// inline resolves the counter or gauge cell with the given values and
+// returns its value word.
+func (f *family) inline(vals []Value) *uint64 {
+	s, _ := f.cell(vals)
+	if s.ref != nil {
+		panic("metrics: With on a bound cell of " + f.name + ": it would count beside the owner's field")
+	}
+	return &s.v
+}
+
+// bind points the cell with the given values at p (a *uint64 or
+// *int64, by the family's kind); a nil family binds nothing.
+func (f *family) bind(p any, vals []Value) {
+	if f == nil {
+		return
+	}
+	if s, created := f.cell(vals); created {
+		s.ref = p
+	} else if s.ref != p {
+		panic("metrics: Bind of a cell of " + f.name + " that already has a home")
+	}
 }
 
 func (r *Registry) declare(name, help string, kind Kind, bounds []int64, keys []string) *family {
@@ -382,8 +405,9 @@ func (r *Registry) declareLocked(name, help string, kind Kind, bounds []int64, k
 	return f
 }
 
-// cell resolves the cell with the given values under the registry lock.
-func (f *family) cell(vals []Value) *sample {
+// cell resolves the cell with the given values under the registry
+// lock, reporting whether it is new.
+func (f *family) cell(vals []Value) (*sample, bool) {
 	r := f.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -401,7 +425,9 @@ func (f *family) cell(vals []Value) *sample {
 			k[i] = int32(v.n)
 		}
 	}
-	return f.cellLocked(k)
+	n := len(f.samples)
+	s := f.cellLocked(k)
+	return s, len(f.samples) > n
 }
 
 // cellLocked finds or creates the cell keyed k. A key sorting after
@@ -448,8 +474,9 @@ func (f *family) newSample(k cellKey) *sample {
 	s.key = k
 	if f.kind == KindHistogram {
 		nb := len(f.bounds) + 1
-		s.h = &f.hists[i]
-		s.h.bounds, s.h.counts = f.bounds, f.counts[i*nb:(i+1)*nb:(i+1)*nb]
+		h := &f.hists[i]
+		h.bounds, h.counts = f.bounds, f.counts[i*nb:(i+1)*nb:(i+1)*nb]
+		s.ref = h
 	}
 	f.fresh++
 	return s
@@ -536,7 +563,7 @@ func (r *Registry) settle() {
 // cells read as 0. Intended for tests and report generation.
 func (r *Registry) CounterValue(name string, labels ...Label) uint64 {
 	if s := r.find(name, KindCounter, labels); s != nil {
-		return s.c
+		return s.value()
 	}
 	return 0
 }
@@ -544,7 +571,7 @@ func (r *Registry) CounterValue(name string, labels ...Label) uint64 {
 // GaugeValue reads a gauge cell without creating it.
 func (r *Registry) GaugeValue(name string, labels ...Label) int64 {
 	if s := r.find(name, KindGauge, labels); s != nil {
-		return s.g
+		return int64(s.value())
 	}
 	return 0
 }
@@ -566,7 +593,7 @@ func (r *Registry) SumCounter(name string, subset ...Label) uint64 {
 	var total uint64
 	for _, s := range f.samples {
 		if labelsInclude(s.labels, subset) {
-			total += s.c
+			total += s.value()
 		}
 	}
 	return total

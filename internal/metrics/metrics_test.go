@@ -2,9 +2,12 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -13,9 +16,6 @@ func TestCounterBasics(t *testing.T) {
 	c := frames.With(Int(0))
 	c.Inc()
 	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
 	if got := r.CounterValue("frames_total", L("switch", "0")); got != 5 {
 		t.Fatalf("CounterValue = %d, want 5", got)
 	}
@@ -23,7 +23,7 @@ func TestCounterBasics(t *testing.T) {
 	// declared again too.
 	c2 := r.Counters("frames_total", "frames", "switch").With(Int(0))
 	c2.Inc()
-	if got := c.Value(); got != 6 {
+	if got := r.CounterValue("frames_total", L("switch", "0")); got != 6 {
 		t.Fatalf("dedup failed: %d, want 6", got)
 	}
 	// A reader names the labels in any order.
@@ -39,21 +39,22 @@ func TestCounterBasics(t *testing.T) {
 func TestGaugeBasics(t *testing.T) {
 	r := New()
 	g := r.Gauges("depth", "", "q").With(Int(7))
-	g.Set(3)
-	g.Add(2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d, want 5", g.Value())
+	value := func() int64 { return r.GaugeValue("depth", L("q", "7")) }
+	g.Set(5)
+	if value() != 5 {
+		t.Fatalf("gauge = %d, want 5", value())
 	}
 	g.SetMax(4)
-	if g.Value() != 5 {
+	if value() != 5 {
 		t.Fatal("SetMax lowered the gauge")
 	}
 	g.SetMax(9)
-	if g.Value() != 9 {
+	if value() != 9 {
 		t.Fatal("SetMax did not raise the gauge")
 	}
-	if r.GaugeValue("depth", L("q", "7")) != 9 {
-		t.Fatal("GaugeValue mismatch")
+	g.Set(-3)
+	if value() != -3 {
+		t.Fatalf("gauge = %d, want -3", value())
 	}
 }
 
@@ -66,14 +67,13 @@ func TestNilRegistryAndZeroHandles(t *testing.T) {
 	c.Inc()
 	c.Add(7)
 	g.Set(1)
-	g.Add(1)
 	g.SetMax(1)
 	h.Observe(1)
-	if c.Active() || g.Active() || h.Active() {
+	if c.Active() || h.Active() {
 		t.Fatal("nil-registry handles report active")
 	}
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatal("zero handles returned nonzero values")
+	if _, ok := h.Exemplar(); ok {
+		t.Fatal("a zero histogram handle holds an exemplar")
 	}
 	if r.CounterValue("x") != 0 || r.GaugeValue("y") != 0 || r.SumCounter("x") != 0 {
 		t.Fatal("nil registry reads nonzero")
@@ -101,11 +101,11 @@ func TestHistogramBuckets(t *testing.T) {
 		h.Observe(50) // 10 obs in (10,100]
 	}
 	h.Observe(5000) // 1 obs in +Inf
-	if h.Count() != 21 {
-		t.Fatalf("count = %d, want 21", h.Count())
-	}
 	snap := r.Snapshot()
 	smp := snap.Families[0].Samples[0]
+	if smp.Count != 21 {
+		t.Fatalf("count = %d, want 21", smp.Count)
+	}
 	wantCounts := []uint64{10, 10, 0, 1}
 	for i, c := range smp.Counts {
 		if c != wantCounts[i] {
@@ -211,7 +211,8 @@ func TestHotPathAllocs(t *testing.T) {
 
 // TestResolveExistingCellAllocs: resolving a handle on a cell that
 // exists — integer and name values alike — allocates nothing, and
-// neither does declaring an existing family again.
+// neither does declaring an existing family again or binding an
+// existing cell again to its field.
 func TestResolveExistingCellAllocs(t *testing.T) {
 	r := New()
 	r.Counters("c", "help", "switch", "port", "dir").With(Int(300), Int(1), Name("in"))
@@ -219,6 +220,139 @@ func TestResolveExistingCellAllocs(t *testing.T) {
 		r.Counters("c", "help", "switch", "port", "dir").With(Int(300), Int(1), Name("in")).Inc()
 	}); n != 0 {
 		t.Fatalf("resolving an existing counter allocates %.1f/op, want 0", n)
+	}
+	var count uint64
+	var level int64
+	r.Counters("b", "help", "switch", "reason").Bind(&count, Int(300), Name("in"))
+	r.Gauges("g", "help", "switch").Bind(&level, Int(300))
+	if n := testing.AllocsPerRun(1000, func() {
+		r.Counters("b", "help", "switch", "reason").Bind(&count, Int(300), Name("in"))
+		r.Gauges("g", "help", "switch").Bind(&level, Int(300))
+	}); n != 0 {
+		t.Fatalf("binding an existing cell allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestBindAllocatesAsWith: a bound cell costs its registry what a
+// resolved one does.
+func TestBindAllocatesAsWith(t *testing.T) {
+	var count uint64
+	var level int64
+	with := testing.AllocsPerRun(100, func() {
+		r := New()
+		for i := range 64 {
+			r.Counters("c", "", "switch").With(Int(i))
+			r.Gauges("g", "", "switch").With(Int(i))
+		}
+	})
+	bind := testing.AllocsPerRun(100, func() {
+		r := New()
+		for i := range 64 {
+			r.Counters("c", "", "switch").Bind(&count, Int(i))
+			r.Gauges("g", "", "switch").Bind(&level, Int(i))
+		}
+	})
+	if bind > with {
+		t.Fatalf("Bind allocates %.1f per registry, With %.1f", bind, with)
+	}
+}
+
+// TestBoundCellsExportTheOwnersField: a bound counter and gauge read
+// their owner's field wherever the registry is read — both exports and
+// every reader — at the value it holds then.
+func TestBoundCellsExportTheOwnersField(t *testing.T) {
+	var rx uint64
+	var level int64
+	r := New()
+	r.Counters("rx_total", "frames", "switch").Bind(&rx, Int(3))
+	r.Gauges("level", "a level", "switch").Bind(&level, Int(3))
+	for _, want := range []struct {
+		rx    uint64
+		level int64
+	}{{0, 0}, {41, -2}, {1 << 40, 7}} {
+		rx, level = want.rx, want.level
+		if got := r.CounterValue("rx_total", L("switch", "3")); got != rx {
+			t.Fatalf("CounterValue = %d, want %d", got, rx)
+		}
+		if got := r.SumCounter("rx_total"); got != rx {
+			t.Fatalf("SumCounter = %d, want %d", got, rx)
+		}
+		if got := r.GaugeValue("level", L("switch", "3")); got != level {
+			t.Fatalf("GaugeValue = %d, want %d", got, level)
+		}
+		var prom, js bytes.Buffer
+		snap := r.Snapshot()
+		if err := snap.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{fmt.Sprintf("rx_total{switch=\"3\"} %d\n", rx), fmt.Sprintf("level{switch=\"3\"} %d\n", level)} {
+			if !strings.Contains(prom.String(), line) {
+				t.Fatalf("Prometheus export lacks %q:\n%s", line, prom.String())
+			}
+		}
+		if err := snap.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		var back Snapshot
+		if err := json.Unmarshal(js.Bytes(), &back); err != nil {
+			t.Fatal(err)
+		}
+		if v := back.Families[1].Samples[0].Value; v != float64(rx) {
+			t.Fatalf("JSON export of rx_total = %v, want %d", v, rx)
+		}
+		if v := back.Families[0].Samples[0].Value; v != float64(level) {
+			t.Fatalf("JSON export of level = %v, want %d", v, level)
+		}
+	}
+}
+
+// TestBindOnANilRegistry: a nil registry binds nothing and reads
+// nothing.
+func TestBindOnANilRegistry(t *testing.T) {
+	var r *Registry
+	count, level := uint64(5), int64(6)
+	r.Counters("c", "").Bind(&count)
+	r.Gauges("g", "").Bind(&level)
+	if r.CounterValue("c") != 0 || r.GaugeValue("g") != 0 || len(r.Snapshot().Families) != 0 {
+		t.Fatal("a nil registry exported a bound field")
+	}
+}
+
+// TestACellHasOneHome: a cell is bound to one field or resolved by
+// With, never both, and binding it again to its own field is a no-op.
+func TestACellHasOneHome(t *testing.T) {
+	var a, b uint64
+	r := New()
+	c := r.Counters("c", "", "k")
+	c.Bind(&a, Int(1))
+	c.Bind(&a, Int(1))
+	c.With(Int(2))
+	for name, fn := range map[string]func(){
+		"With on a bound cell":      func() { c.With(Int(1)) },
+		"Bind to a second field":    func() { c.Bind(&b, Int(1)) },
+		"Bind of a With-held cell":  func() { c.Bind(&b, Int(2)) },
+		"gauge Bind of a With cell": func() { g := r.Gauges("g", ""); g.With(); g.Bind(new(int64)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestCellSize pins a cell at eight words: a registry holds tens of
+// thousands of them, and every byte added to one is as many kilobytes
+// of a large network's live heap.
+func TestCellSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sized for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(sample{}); got != 64 {
+		t.Fatalf("a cell is %d bytes, want 64", got)
 	}
 }
 
@@ -297,17 +431,17 @@ func runScript(t *testing.T, rng *rand.Rand, ops, ints, parity int) (*Registry, 
 		case KindCounter:
 			c := reg.Counters(sf.name, "help of "+sf.name, sf.keys...).With(vals...)
 			c.Add(uint64(v))
-			Counter{&s.c}.Add(uint64(v))
+			Counter{&s.v}.Add(uint64(v))
 			h = c
 		case KindGauge:
 			g := reg.Gauges(sf.name, "help of "+sf.name, sf.keys...).With(vals...)
 			g.SetMax(v)
-			Gauge{&s.g}.SetMax(v)
+			Gauge{&s.v}.SetMax(v)
 			h = g
 		case KindHistogram:
 			hh := reg.Histograms(sf.name, "help of "+sf.name, bounds, sf.keys...).With(vals...)
 			hh.ObserveExemplar(v, fmt.Sprint("op=", op), int64(op))
-			Histogram{s.h}.ObserveExemplar(v, fmt.Sprint("op=", op), int64(op))
+			Histogram{s.hist()}.ObserveExemplar(v, fmt.Sprint("op=", op), int64(op))
 			h = hh
 		}
 		key := fmt.Sprint(sf.name, vals)
@@ -376,7 +510,7 @@ func TestCellResolutionMatchesReference(t *testing.T) {
 			}
 			cell.Inc()
 			refC.declare("enq_total", "help of enq_total", KindCounter, nil, []string{"switch", "port", "queue"}).
-				cell([]Value{Int(3), Int(5), Int(7)}).c++
+				cell([]Value{Int(3), Int(5), Int(7)}).v++
 			requireSameExports(t, c, refC)
 		})
 	}

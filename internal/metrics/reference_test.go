@@ -322,7 +322,7 @@ func (f *mapFamily) cellLocked(k cellKey) *sample {
 	}
 	s := &sample{key: k}
 	if f.kind == KindHistogram {
-		s.h = &histData{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
+		s.ref = &histData{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
 	}
 	f.cells[k] = s
 	f.samples = append(f.samples, s)
@@ -382,7 +382,7 @@ func (r *mapRegistry) merge(src *mapRegistry) {
 					k[i] = ^ids[^k[i]]
 				}
 			}
-			f.cellLocked(k).fold(c)
+			f.cellLocked(k).fold(&family{name: f.name, kind: f.kind}, c)
 		}
 	}
 }
@@ -400,14 +400,15 @@ func (r *mapRegistry) snapshot() Snapshot {
 			ss := SampleSnapshot{Labels: s.labels}
 			switch f.kind {
 			case KindCounter:
-				ss.Value = float64(s.c)
+				ss.Value = float64(s.value())
 			case KindGauge:
-				ss.Value = float64(s.g)
+				ss.Value = float64(int64(s.value()))
 			case KindHistogram:
-				ss.Bounds, ss.Counts = s.h.bounds, slices.Clone(s.h.counts)
-				ss.Sum, ss.Count = s.h.sum, s.h.count
-				if s.h.exSet {
-					ex := s.h.ex
+				h := s.hist()
+				ss.Bounds, ss.Counts = h.bounds, slices.Clone(h.counts)
+				ss.Sum, ss.Count = h.sum, h.count
+				if h.exSet {
+					ex := h.ex
 					ss.Exemplar = &ex
 				}
 			}

@@ -2,6 +2,7 @@ package reconfig
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/frer"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
@@ -21,11 +22,9 @@ const (
 	MetricDegradeTransitions = "tsn_degrade_transitions_total"
 )
 
-// Invariants lists every invariant class the watchdog audits, in the
-// order their violation counters are registered.
-func Invariants() []string {
-	return []string{"buffer-conservation", "queue-bounds", "gate-monotonic", "frer-bounds"}
-}
+// invariants is every invariant class the watchdog audits, in the order
+// their violation counters are registered.
+var invariants = [...]string{"buffer-conservation", "queue-bounds", "gate-monotonic", "frer-bounds"}
 
 // WatchdogInterval is the audit period: each sweep runs one interval
 // after the previous one.
@@ -69,17 +68,16 @@ type Watchdog struct {
 	switches []*tsnswitch.Switch
 	frers    []*frer.Table
 
+	// audits and violations (by invariant, in invariants order) are
+	// the audit and violation counters' cells.
 	audits      uint64
-	violations  uint64
+	violations  [len(invariants)]uint64
 	lastDetail  string
 	transitions []Transition
 
-	metAudits metrics.Counter
-	metViol   map[string]metrics.Counter
-	levels    metrics.GaugeFamily   // per watched switch
-	trans     metrics.CounterFamily // per watched switch
-	metLevel  []metrics.Gauge
-	metTrans  []metrics.Counter
+	levels   metrics.GaugeFamily   // per watched switch, read from the switch
+	trans    metrics.CounterFamily // per watched switch
+	metTrans []metrics.Counter
 
 	started bool
 
@@ -93,17 +91,14 @@ type Watchdog struct {
 // counting into reg (nil disables instrumentation).
 func NewWatchdog(engine *sim.Engine, reg *metrics.Registry) *Watchdog {
 	w := &Watchdog{
-		engine:  engine,
-		metViol: make(map[string]metrics.Counter),
-		levels:  reg.Gauges(MetricDegradeLevel, "graceful-degradation level (0 off, 1 shed BE, 2 shed BE+RC)", "switch"),
-		trans:   reg.Counters(MetricDegradeTransitions, "graceful-degradation level changes", "switch"),
+		engine: engine,
+		levels: reg.Gauges(MetricDegradeLevel, "graceful-degradation level (0 off, 1 shed BE, 2 shed BE+RC)", "switch"),
+		trans:  reg.Counters(MetricDegradeTransitions, "graceful-degradation level changes", "switch"),
 	}
-	if reg != nil {
-		w.metAudits = reg.Counters(MetricAudits, "watchdog audit sweeps completed").With()
-		viol := reg.Counters(MetricViolations, "invariant violations detected, by invariant", "invariant")
-		for _, inv := range Invariants() {
-			w.metViol[inv] = viol.With(metrics.Name(inv))
-		}
+	reg.Counters(MetricAudits, "watchdog audit sweeps completed").Bind(&w.audits)
+	viol := reg.Counters(MetricViolations, "invariant violations detected, by invariant", "invariant")
+	for i, inv := range invariants {
+		viol.Bind(&w.violations[i], metrics.Name(inv))
 	}
 	return w
 }
@@ -111,7 +106,7 @@ func NewWatchdog(engine *sim.Engine, reg *metrics.Registry) *Watchdog {
 // Watch adds sw to the audited set.
 func (w *Watchdog) Watch(sw *tsnswitch.Switch) {
 	w.switches = append(w.switches, sw)
-	w.metLevel = append(w.metLevel, w.levels.With(metrics.Int(sw.ID())))
+	sw.InstrumentDegradeLevel(w.levels)
 	w.metTrans = append(w.metTrans, w.trans.With(metrics.Int(sw.ID())))
 }
 
@@ -132,7 +127,12 @@ func (w *Watchdog) Audits() uint64 { return w.audits }
 
 // TotalViolations counts all invariant violations observed; the
 // registry's MetricViolations family breaks them down by invariant.
-func (w *Watchdog) TotalViolations() uint64 { return w.violations }
+func (w *Watchdog) TotalViolations() (n uint64) {
+	for _, v := range w.violations {
+		n += v
+	}
+	return n
+}
 
 // LastDetail returns the most recent violation's description, for
 // diagnostics.
@@ -147,19 +147,19 @@ func (w *Watchdog) Transitions() []Transition {
 	return out
 }
 
-// note records one violation.
+// note records one violation of an invariants class.
 func (w *Watchdog) note(invariant, detail string) {
-	w.violations++
-	w.lastDetail = detail
-	if c, ok := w.metViol[invariant]; ok {
-		c.Inc()
+	i := slices.Index(invariants[:], invariant)
+	if i < 0 {
+		panic("reconfig: watchdog violation of unlisted invariant " + invariant)
 	}
+	w.violations[i]++
+	w.lastDetail = detail
 }
 
 // tick runs one audit sweep and reschedules itself.
 func (w *Watchdog) tick(e *sim.Engine) {
 	w.audits++
-	w.metAudits.Inc()
 	for i, sw := range w.switches {
 		local := sw.Clock.Now(e.Now())
 		for _, v := range sw.Audit(local) {
@@ -223,5 +223,4 @@ func (w *Watchdog) drivePolicy(i int, sw *tsnswitch.Switch) {
 			Switch: sw.ID(), From: cur, To: want, At: w.engine.Now(),
 		})
 	}
-	w.metLevel[i].Set(int64(want))
 }

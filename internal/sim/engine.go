@@ -109,12 +109,12 @@ type Engine struct {
 	free  []*event
 	block []event
 	// Executed counts events run since construction; useful for
-	// progress accounting in benchmarks.
+	// progress accounting in benchmarks, and the events counter's cell.
 	executed uint64
 
-	// Telemetry handles; zero values are no-ops.
-	metExecuted metrics.Counter
-	metHeapHW   metrics.Gauge
+	// metHeapHW tracks the worst pending-event depth; the zero value
+	// is a no-op.
+	metHeapHW metrics.Gauge
 	// Progress hook: fire progressFn every progressEvery events.
 	progressEvery uint64
 	progressLeft  uint64
@@ -126,11 +126,12 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// Instrument binds the engine's telemetry: executed counts every
-// dispatched event, heapHW tracks the worst pending-event depth.
-// Call once, before Run; passing a nil registry's handles is safe.
-func (e *Engine) Instrument(executed metrics.Counter, heapHW metrics.Gauge) {
-	e.metExecuted = executed
+// Instrument binds the engine's telemetry: executed's cell reads the
+// dispatched-event count Executed reports, heapHW tracks the worst
+// pending-event depth. Call once, before Run; passing a nil registry's
+// families and handles is safe.
+func (e *Engine) Instrument(executed metrics.CounterFamily, heapHW metrics.Gauge) {
+	executed.Bind(&e.executed)
 	e.metHeapHW = heapHW
 }
 
@@ -427,7 +428,6 @@ func (e *Engine) step(limit Time) bool {
 	e.pending--
 	e.now = ev.at
 	e.executed++
-	e.metExecuted.Inc()
 	if e.progressFn != nil {
 		e.progressLeft--
 		if e.progressLeft == 0 {

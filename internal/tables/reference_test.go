@@ -10,15 +10,13 @@ import (
 )
 
 // The three concrete tables Table replaced, kept verbatim as the
-// oracle TestTableMatchesReference drives beside it.
+// oracle TestTableMatchesReference drives beside it, less the lookup
+// and miss counts that Table no longer keeps.
 
 // UnicastTable maps (Dst MAC, VID) to an output port.
 type UnicastTable struct {
 	capacity int
 	entries  map[UnicastKey]int
-	// lookups/misses are observability counters for the experiments.
-	lookups uint64
-	misses  uint64
 }
 
 // NewUnicast returns a unicast table with the given capacity.
@@ -56,16 +54,9 @@ func (t *UnicastTable) Add(dst ethernet.MAC, vid uint16, outPort int) error {
 
 // Lookup resolves the output port for dst/vid.
 func (t *UnicastTable) Lookup(dst ethernet.MAC, vid uint16) (outPort int, ok bool) {
-	t.lookups++
 	outPort, ok = t.entries[UnicastKey{Dst: dst, VID: vid}]
-	if !ok {
-		t.misses++
-	}
 	return outPort, ok
 }
-
-// Stats returns (lookups, misses).
-func (t *UnicastTable) Stats() (uint64, uint64) { return t.lookups, t.misses }
 
 // Resize changes the entry budget in place — the live-reconfiguration
 // primitive behind set_switch_tbl. Installed entries survive; shrinking
@@ -138,8 +129,6 @@ func (t *MulticastTable) Resize(capacity int) error {
 type ClassTable struct {
 	capacity int
 	entries  map[ClassKey]ClassEntry
-	lookups  uint64
-	misses   uint64
 }
 
 // NewClass returns a classification table with the given capacity.
@@ -175,16 +164,9 @@ func (t *ClassTable) Add(k ClassKey, e ClassEntry) error {
 
 // Lookup classifies a header tuple.
 func (t *ClassTable) Lookup(k ClassKey) (ClassEntry, bool) {
-	t.lookups++
 	e, ok := t.entries[k]
-	if !ok {
-		t.misses++
-	}
 	return e, ok
 }
-
-// Stats returns (lookups, misses).
-func (t *ClassTable) Stats() (uint64, uint64) { return t.lookups, t.misses }
 
 // Resize changes the entry budget in place — the live-reconfiguration
 // primitive behind set_class_tbl. Installed entries survive; shrinking
@@ -202,21 +184,20 @@ func (t *ClassTable) Resize(capacity int) error {
 }
 
 // reference is one concrete table's methods in Table's shape; reserve
-// and stats are nil for the multicast table, which had neither.
+// is nil for the multicast table, which had none.
 type reference[K comparable, V any] struct {
 	add           func(K, V) error
 	lookup        func(K) (V, bool)
 	resize        func(int) error
 	reserve       func(int)
 	len, capacity func() int
-	stats         func() (uint64, uint64)
 }
 
 // TestTableMatchesReference drives each instantiation of Table and the
 // concrete table it replaced with the same seeded Add/Lookup/Resize/
 // Reserve script, over a key space larger than the capacities, and
-// requires the same results, error texts, Len, Capacity and Stats after
-// every step.
+// requires the same results, error texts, Len and Capacity after every
+// step.
 func TestTableMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		n := int(seed % 5)
@@ -224,13 +205,13 @@ func TestTableMatchesReference(t *testing.T) {
 		drive(t, seed, unicast(n), reference[UnicastKey, int]{
 			add:    func(k UnicastKey, v int) error { return u.Add(k.Dst, k.VID, v) },
 			lookup: func(k UnicastKey) (int, bool) { return u.Lookup(k.Dst, k.VID) },
-			resize: u.Resize, reserve: u.Reserve, len: u.Len, capacity: u.Capacity, stats: u.Stats,
+			resize: u.Resize, reserve: u.Reserve, len: u.Len, capacity: u.Capacity,
 		}, func(i int) UnicastKey { return at(i%4, uint16(i/4)) }, func(x int) int { return x % 32 })
 		drive(t, seed, multicast(n), reference[uint16, uint32]{
 			add: m.Add, lookup: m.Lookup, resize: m.Resize, len: m.Len, capacity: m.Capacity,
 		}, func(i int) uint16 { return uint16(i) }, func(x int) uint32 { return uint32(x) })
 		drive(t, seed, class(n), reference[ClassKey, ClassEntry]{
-			add: c.Add, lookup: c.Lookup, resize: c.Resize, reserve: c.Reserve, len: c.Len, capacity: c.Capacity, stats: c.Stats,
+			add: c.Add, lookup: c.Lookup, resize: c.Resize, reserve: c.Reserve, len: c.Len, capacity: c.Capacity,
 		}, func(i int) ClassKey {
 			return ClassKey{Src: ethernet.HostMAC(i % 3), Dst: ethernet.HostMAC(i / 3), VID: 1, PRI: uint8(i % 2)}
 		}, func(x int) ClassEntry { return ClassEntry{MeterID: x % 4, QueueID: x % 8, HasMeter: x%2 == 0} })
@@ -266,11 +247,6 @@ func drive[K comparable, V any](t *testing.T, seed int64, got *Table[K, V], ref 
 		if got.Len() != ref.len() || got.Capacity() != ref.capacity() {
 			t.Fatalf("%s seed %d step %d: Len/Capacity %d/%d, reference %d/%d",
 				got.name, seed, step, got.Len(), got.Capacity(), ref.len(), ref.capacity())
-		}
-		if ref.stats != nil {
-			if gl, gm := got.Stats(); fmt.Sprint(gl, gm) != fmt.Sprint(ref.stats()) {
-				t.Fatalf("%s seed %d step %d: Stats (%d,%d) differ from the reference", got.name, seed, step, gl, gm)
-			}
 		}
 	}
 }

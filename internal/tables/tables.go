@@ -59,9 +59,6 @@ type Table[K comparable, V any] struct {
 	name     string
 	capacity int
 	entries  map[K]V
-	// lookups/misses are observability counters for the experiments.
-	lookups uint64
-	misses  uint64
 }
 
 // New returns a table with the given capacity whose errors call it
@@ -100,16 +97,9 @@ func (t *Table[K, V]) Add(k K, v V) error {
 
 // Lookup resolves k.
 func (t *Table[K, V]) Lookup(k K) (V, bool) {
-	t.lookups++
 	v, ok := t.entries[k]
-	if !ok {
-		t.misses++
-	}
 	return v, ok
 }
-
-// Stats returns (lookups, misses).
-func (t *Table[K, V]) Stats() (uint64, uint64) { return t.lookups, t.misses }
 
 // Resize changes the entry budget in place — the live-reconfiguration
 // primitive behind set_switch_tbl and set_class_tbl. Installed entries

@@ -57,17 +57,6 @@ func TestUnicastCapacity(t *testing.T) {
 	}
 }
 
-func TestUnicastStats(t *testing.T) {
-	tbl := unicast(1)
-	_ = tbl.Add(at(1, 1), 0)
-	tbl.Lookup(at(1, 1))
-	tbl.Lookup(at(9, 1))
-	lookups, misses := tbl.Stats()
-	if lookups != 2 || misses != 1 {
-		t.Fatalf("Stats = (%d,%d), want (2,1)", lookups, misses)
-	}
-}
-
 func TestMulticast(t *testing.T) {
 	tbl := multicast(2)
 	if err := tbl.Add(7, 0b1010); err != nil {

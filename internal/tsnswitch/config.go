@@ -209,7 +209,8 @@ func (r DropReason) String() string {
 // admission when the watchdog detects buffer pressure. TS frames are
 // never shed: the whole point of the policy is that degradation eats
 // best-effort headroom before it touches the time-sensitive service.
-type DegradeLevel int
+// It is an int64 so the watchdog's level gauge can read it in place.
+type DegradeLevel int64
 
 // Degradation levels, in escalation order.
 const (

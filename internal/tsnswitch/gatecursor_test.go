@@ -49,7 +49,8 @@ func cursorLists() []*gate.GCL {
 // mask, TimeToBoundary and the rollover count must agree.
 func checkCursor(script []byte) error {
 	lists := cursorLists()
-	d := portGate{roll: metrics.New().Counters("test_rollovers_total", "rollovers").With()}
+	reg := metrics.New()
+	d := portGate{roll: reg.Counters("test_rollovers_total", "rollovers").With()}
 	var ref listGate
 	d.install(lists[0])
 	ref.install(lists[0])
@@ -87,7 +88,7 @@ func checkCursor(script []byte) error {
 		if got, want := d.TimeToBoundary(t), ref.g.TimeToBoundary(t); got != want {
 			return fmt.Errorf("step %d (op %d) at %d: TimeToBoundary %d, list says %d", i/2, script[i]%8, t, got, want)
 		}
-		if got, want := d.roll.Value(), uint64(ref.rolls); got != want {
+		if got, want := reg.CounterValue("test_rollovers_total"), uint64(ref.rolls); got != want {
 			return fmt.Errorf("step %d (op %d) at %d: %d rollovers, list counts %d", i/2, script[i]%8, t, got, want)
 		}
 	}

@@ -26,34 +26,24 @@ const (
 // only fill when gating is misconfigured.
 var ResidenceBounds = metrics.ExponentialBounds(1000, 2, 12)
 
-// swInstruments holds one switch's pre-resolved telemetry handles.
-// The zero value (uninstrumented switch) is all no-ops, so the
-// dataplane calls them unconditionally.
-type swInstruments struct {
-	rx          metrics.Counter
-	tx          metrics.Counter
-	drops       [dropReasonCount]metrics.Counter
-	residence   metrics.Histogram
-	preemptions metrics.Counter
-}
-
-// resolveInstruments binds every probe point of the switch to reg.
-// Called once from New, after ports and queues exist; reg == nil
-// leaves every handle inert.
+// resolveInstruments binds every probe point of the switch to reg: the
+// Stats counts, pool occupancies and queue high waters by address, the
+// rest as handles. Called once from New, after ports and queues exist;
+// reg == nil leaves every handle inert.
 func (sw *Switch) resolveInstruments(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
 	id := metrics.Int(sw.cfg.ID)
-	sw.met.rx = reg.Counters(MetricRxFrames, "frames entering the ingress pipeline", "switch").With(id)
-	sw.met.tx = reg.Counters(MetricTxFrames, "frames fully transmitted", "switch").With(id)
+	reg.Counters(MetricRxFrames, "frames entering the ingress pipeline", "switch").Bind(&sw.stats.RxFrames, id)
+	reg.Counters(MetricTxFrames, "frames fully transmitted", "switch").Bind(&sw.stats.TxFrames, id)
 	drops := reg.Counters(MetricDrops, "frames dropped, by reason", "switch", "reason")
 	for r := DropReason(0); r < dropReasonCount; r++ {
-		sw.met.drops[r] = drops.With(id, metrics.Name(r.String()))
+		drops.Bind(&sw.stats.Drops[r], id, metrics.Name(r.String()))
 	}
-	sw.met.residence = reg.Histograms(MetricResidence, "enqueue-to-tx-start residence time, nanoseconds",
+	sw.metResidence = reg.Histograms(MetricResidence, "enqueue-to-tx-start residence time, nanoseconds",
 		ResidenceBounds, "switch").With(id)
-	sw.met.preemptions = reg.Counters(MetricPreemption, "express-frame preemptions of in-flight frames", "switch").With(id)
+	sw.metPreempt = reg.Counters(MetricPreemption, "express-frame preemptions of in-flight frames", "switch").With(id)
 	sw.flt.Meters.Instrument(
 		reg.Counters(MetricMeterPass, "frames passed by ingress policing", "switch").With(id),
 		reg.Counters(MetricMeterDrop, "frames dropped by ingress policing", "switch").With(id),
@@ -65,7 +55,7 @@ func (sw *Switch) resolveInstruments(reg *metrics.Registry) {
 	// port="shared" so per-port sites cannot double count.
 	if sw.cfg.SharedBufferNum > 0 && len(sw.ports) > 0 {
 		shared := metrics.Name("shared")
-		sw.ports[0].pool.Instrument(occ.With(id, shared), hw.With(id, shared), fails.With(id, shared))
+		sw.ports[0].pool.Instrument(occ, hw, fails, id, shared)
 	}
 	enq := reg.Counters(MetricEnqueues, "frames admitted to an egress queue", "switch", "port", "queue")
 	qhw := reg.Gauges(MetricQueueHW, "worst-case egress queue occupancy (descriptors)", "switch", "port", "queue")
@@ -73,14 +63,21 @@ func (sw *Switch) resolveInstruments(reg *metrics.Registry) {
 	for _, p := range sw.ports {
 		port := metrics.Int(p.id)
 		if sw.cfg.SharedBufferNum <= 0 {
-			p.pool.Instrument(occ.With(id, port), hw.With(id, port), fails.With(id, port))
+			p.pool.Instrument(occ, hw, fails, id, port)
 		}
 		for q := range p.queues {
 			p.metEnq[q] = enq.With(id, port, metrics.Int(q))
-			p.queues[q].Instrument(qhw.With(id, port, metrics.Int(q)))
+			p.queues[q].Instrument(qhw, id, port, metrics.Int(q))
 		}
 		for dir := range p.gates {
 			p.gates[dir].roll = roll.With(id, port, metrics.Name(dirNames[dir]))
 		}
 	}
+}
+
+// InstrumentDegradeLevel registers the switch's degradation level as
+// its cell of levels: the watchdog's family, since only a watched
+// switch exports one.
+func (sw *Switch) InstrumentDegradeLevel(levels metrics.GaugeFamily) {
+	levels.Bind((*int64)(&sw.degrade), metrics.Int(sw.cfg.ID))
 }

@@ -25,7 +25,7 @@ func TestSharedBufferPool(t *testing.T) {
 		t.Fatalf("received %d frames", len(r.hosts[1].got))
 	}
 	// Both ports report the same (shared) pool.
-	if r.sw.PoolHighWater(0) != r.sw.PoolHighWater(1) {
+	if r.sw.Port(0).Pool().HighWater() != r.sw.Port(1).Pool().HighWater() {
 		t.Fatal("ports report different pools in shared mode")
 	}
 }

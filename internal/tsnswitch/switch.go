@@ -40,13 +40,16 @@ type Switch struct {
 	// the ring-buffer flight recorder.
 	Flight *trace.Flight
 
+	// stats holds the rx, tx and drop counters' cells.
 	stats Stats
-	// degrade is the graceful-degradation level the watchdog drives;
-	// enqueue sheds lower classes at admission while it is raised.
+	// degrade is the graceful-degradation level the watchdog drives
+	// (and exports); enqueue sheds lower classes at admission while it
+	// is raised.
 	degrade DegradeLevel
-	// Telemetry: handles resolved once at construction (zero values are
-	// no-ops).
-	met swInstruments
+	// Handles of the counts only telemetry reads, resolved once at
+	// construction; the zero values are no-ops.
+	metResidence metrics.Histogram
+	metPreempt   metrics.Counter
 }
 
 // emit records a trace event into the flight recorder, if any.
@@ -303,7 +306,6 @@ func (p *Port) Receive(f *ethernet.Frame, on *netdev.Ifc) {
 // then returns it to the pool: the switch carries it no further.
 func (sw *Switch) drop(r DropReason, port, queue int, f *ethernet.Frame) {
 	sw.stats.Drops[r]++
-	sw.met.drops[r].Inc()
 	sw.emit(trace.KindDrop, port, queue, f, r.String())
 	sw.frames.Put(f)
 }
@@ -312,7 +314,6 @@ func (sw *Switch) drop(r DropReason, port, queue int, f *ethernet.Frame) {
 // to each output port's enqueue stage.
 func (sw *Switch) ingress(f *ethernet.Frame) {
 	sw.stats.RxFrames++
-	sw.met.rx.Inc()
 	sw.emit(trace.KindIngress, -1, -1, f, "")
 	outPorts, ok := sw.fwd.Resolve(f)
 	if !ok {
@@ -329,7 +330,6 @@ func (sw *Switch) ingress(f *ethernet.Frame) {
 		op := bits.TrailingZeros32(outPorts)
 		if op >= len(sw.ports) {
 			sw.stats.Drops[DropNoRoute]++
-			sw.met.drops[DropNoRoute].Inc()
 			continue
 		}
 		// Multicast replication copies the header only (the payload is
@@ -416,7 +416,7 @@ func (p *Port) maybePreempt(arrivedQueue int) {
 	if !ok {
 		return // too early or too late in the frame to cut legally
 	}
-	sw.met.preemptions.Inc()
+	sw.metPreempt.Inc()
 	*p.held = suspendedTx{
 		desc:      buffering.Descriptor{Frame: frame, Slot: p.txBufSlot},
 		queue:     p.txQueue,
@@ -500,7 +500,7 @@ func (p *Port) tryTransmit() {
 	}
 	p.transmitting = true
 	p.txQueue = q
-	sw.met.residence.Observe(int64(sw.engine.Now() - d.EnqueuedAt))
+	sw.metResidence.Observe(int64(sw.engine.Now() - d.EnqueuedAt))
 	sw.emit(trace.KindTxStart, p.id, q, d.Frame, "")
 	p.txBufSlot = d.Slot
 	p.ifc.Transmit(d.Frame, p.txDoneFn)
@@ -511,7 +511,6 @@ func (p *Port) tryTransmit() {
 func (p *Port) txDone() {
 	p.pool.Free(p.txBufSlot)
 	p.sw.stats.TxFrames++
-	p.sw.met.tx.Inc()
 	p.transmitting = false
 	p.tryTransmit()
 }
@@ -615,9 +614,4 @@ func (p *Port) retry(*sim.Engine) {
 // portID, the dimensioning signal of §III.C.
 func (sw *Switch) QueueHighWater(portID, q int) int {
 	return sw.Port(portID).queues[q].HighWater()
-}
-
-// PoolHighWater returns the worst-case buffer occupancy of port portID.
-func (sw *Switch) PoolHighWater(portID int) int {
-	return sw.Port(portID).pool.HighWater()
 }

@@ -308,7 +308,7 @@ func TestHighWaterTracking(t *testing.T) {
 	if hw == 0 {
 		t.Fatal("queue high water not tracked")
 	}
-	if r.sw.PoolHighWater(1) == 0 {
+	if r.sw.Port(1).Pool().HighWater() == 0 {
 		t.Fatal("pool high water not tracked")
 	}
 }

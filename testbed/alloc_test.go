@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
@@ -181,6 +182,23 @@ func sampleChunks(n uint64) int {
 	return k
 }
 
+// quiesce returns, with ms read, once the process has stopped
+// allocating. Every GC cycle wakes the unique package's map cleanup
+// (net/netip links it in), which allocates on its own goroutine; with
+// the collector off no cycle wakes it again, and sleeping lets a woken
+// one finish before a Mallocs window opens rather than inside it, where
+// it would land on a loaded host.
+func quiesce(ms *runtime.MemStats) {
+	runtime.ReadMemStats(ms)
+	for range 100 {
+		time.Sleep(time.Millisecond)
+		last := ms.Mallocs
+		if runtime.ReadMemStats(ms); ms.Mallocs == last {
+			return
+		}
+	}
+}
+
 // TestSteadyStateRunAllocs is the CI gate on a run's steady state: once
 // the run has reached its high-water marks — event blocks, frames in
 // flight, FIFOs, free lists — driving the engine further allocates
@@ -222,13 +240,11 @@ func TestSteadyStateRunAllocs(t *testing.T) {
 			net.start(net.talkers, c.warmup)
 			net.Engine.RunUntil(c.warmup + c.at)
 			mid := delivered()
-			// With the collector off nothing but the run allocates: a GC
-			// cycle lets the runtime's own cleanups (the unique package's,
-			// for net/netip) allocate in the window.
-			runtime.GC()
+			// The window opens with the collector off and the process
+			// quiet, so nothing but the run allocates in it.
 			gc := debug.SetGCPercent(-1)
 			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
+			quiesce(&before)
 			net.Engine.RunUntil(c.warmup + 2*c.at)
 			runtime.ReadMemStats(&after)
 			debug.SetGCPercent(gc)

@@ -7,6 +7,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
+	"github.com/tsnbuilder/tsnbuilder/internal/frer"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
@@ -104,12 +105,14 @@ func TestFRERZeroLossAcrossLinkFailure(t *testing.T) {
 	if net.Injector.Injected() != 1 {
 		t.Fatalf("injected = %d, want 1", net.Injector.Injected())
 	}
-	// Recovery bookkeeping at the listener NIC.
-	tbl := net.recovery[101]
-	if tbl == nil {
+	// Recovery bookkeeping at the listener NIC, read from its counters.
+	if net.recovery[101] == nil {
 		t.Fatal("listener has no recovery table")
 	}
-	passed, eliminated, rogue := tbl.Stats()
+	host := metrics.L("host", "101")
+	passed := net.Metrics.CounterValue(frer.MetricPassed, host)
+	eliminated := net.Metrics.CounterValue(frer.MetricEliminated, host)
+	rogue := net.Metrics.CounterValue(frer.MetricRogue, host)
 	if passed != ts.Received || eliminated != ts.Duplicates || rogue != 0 {
 		t.Fatalf("recovery stats %d/%d/%d vs summary %d/%d", passed, eliminated, rogue, ts.Received, ts.Duplicates)
 	}

@@ -2,16 +2,22 @@ package testbed
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/faults"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
+	"github.com/tsnbuilder/tsnbuilder/internal/frer"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
+	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
+	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
 // metricsScenario is a 6-switch ring carrying planned TS flows plus
@@ -140,5 +146,84 @@ func TestMetricsExportFromTestbed(t *testing.T) {
 	}
 	if !strings.Contains(text, "tsn_queue_residence_ns_bucket") {
 		t.Error("exposition missing residence histogram")
+	}
+}
+
+// TestCountsHaveOneHome: every count an owner keeps and reads through
+// an accessor is the cell its registry exports, on a run that moves all
+// of them — a bidir ring with gPTP, FRER, RC/BE pressure, a link-loss
+// fault and the watchdog.
+func TestCountsHaveOneHome(t *testing.T) {
+	sw2, sw3 := 2, 3
+	p := withBackground(workload.Params{Topology: "bidir-ring", Switches: 6, TSFlows: 48, Hops: 4,
+		WireSize: 64, SlotUs: 65, FRERFlows: 16, Seed: 42}, 200, 300)
+	wl, err := workload.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	net, err := Build(Options{Design: wl.Design, Topo: wl.Topo, Flows: wl.Specs, Seed: p.Seed, Metrics: reg,
+		EnableGPTP: true, EnableWatchdog: true, Faults: &faults.Scenario{Faults: []faults.Fault{
+			{AtUs: 205_000, Kind: faults.KindLinkLoss, A: &sw2, B: &sw3, Prob: 0.25, DurationUs: 8_000},
+		}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Run(200*sim.Millisecond, 30*sim.Millisecond)
+
+	same := func(what string, owner, exported uint64) {
+		t.Helper()
+		if owner != exported {
+			t.Errorf("%s: the owner reads %d, the registry exports %d", what, owner, exported)
+		}
+	}
+	num := func(key string, v int) metrics.Label { return metrics.L(key, strconv.Itoa(v)) }
+	var drops, poolHW uint64
+	for _, sw := range net.Switches {
+		id, st := num("switch", sw.ID()), sw.Stats()
+		same(fmt.Sprintf("switch %d rx", sw.ID()), st.RxFrames, reg.CounterValue(tsnswitch.MetricRxFrames, id))
+		same(fmt.Sprintf("switch %d tx", sw.ID()), st.TxFrames, reg.CounterValue(tsnswitch.MetricTxFrames, id))
+		for _, r := range tsnswitch.DropReasons() {
+			same(fmt.Sprintf("switch %d %s drops", sw.ID(), r), st.Drops[r],
+				reg.CounterValue(tsnswitch.MetricDrops, id, metrics.L("reason", r.String())))
+		}
+		drops += st.TotalDrops()
+		for pi := range sw.Config().Ports {
+			port, pool := num("port", pi), sw.Port(pi).Pool()
+			same(fmt.Sprintf("switch %d port %d pool in use", sw.ID(), pi), uint64(pool.InUse()),
+				uint64(reg.GaugeValue(tsnswitch.MetricPoolOcc, id, port)))
+			same(fmt.Sprintf("switch %d port %d pool high water", sw.ID(), pi), uint64(pool.HighWater()),
+				uint64(reg.GaugeValue(tsnswitch.MetricPoolHW, id, port)))
+			poolHW += uint64(pool.HighWater())
+			for q := range sw.Config().QueuesPerPort {
+				same(fmt.Sprintf("switch %d port %d queue %d high water", sw.ID(), pi, q), uint64(sw.QueueHighWater(pi, q)),
+					uint64(reg.GaugeValue(tsnswitch.MetricQueueHW, id, port, num("queue", q))))
+			}
+		}
+		same(fmt.Sprintf("switch %d degrade level", sw.ID()), uint64(sw.DegradeLevel()),
+			uint64(reg.GaugeValue(reconfig.MetricDegradeLevel, id)))
+	}
+	same("events", net.Engine.Executed(), reg.CounterValue("tsn_sim_events_total"))
+	var syncs, steps uint64
+	for _, st := range net.Domain.Stats() {
+		node := num("node", st.NodeID)
+		same(fmt.Sprintf("node %d syncs", st.NodeID), uint64(st.SyncCount), reg.CounterValue("tsn_gptp_syncs_total", node))
+		same(fmt.Sprintf("node %d steps", st.NodeID), uint64(st.StepCount), reg.CounterValue("tsn_gptp_steps_total", node))
+		syncs, steps = syncs+uint64(st.SyncCount), steps+uint64(st.StepCount)
+	}
+	same("faults injected", net.Injector.Injected(), reg.SumCounter(faults.MetricInjected))
+	same("faults recovered", net.Injector.Recovered(), reg.SumCounter(faults.MetricRecovered))
+	same("watchdog audits", net.Watchdog.Audits(), reg.CounterValue(reconfig.MetricAudits))
+	same("watchdog violations", net.Watchdog.TotalViolations(), reg.SumCounter(reconfig.MetricViolations))
+
+	// Each agreement above is between numbers the run moved.
+	for what, n := range map[string]uint64{
+		"drops": drops, "pool high water": poolHW, "syncs": syncs, "steps": steps,
+		"faults injected": net.Injector.Injected(), "faults recovered": net.Injector.Recovered(),
+		"audits": net.Watchdog.Audits(), "FRER eliminations": reg.SumCounter(frer.MetricEliminated),
+	} {
+		if n == 0 {
+			t.Errorf("the run counted no %s", what)
+		}
 	}
 }

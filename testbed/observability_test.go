@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -143,12 +144,21 @@ func TestAttributionExactSum(t *testing.T) {
 // clients hammer every endpoint from their own goroutines — the race
 // detector (CI runs this under -race) proves the snapshot-publishing
 // design keeps the unsynchronized hot path isolated from the server.
+// The server and the clients' keep-alive connections end with the test,
+// so nothing of it runs on beside the package's later tests.
 func TestTelemetryServerLiveUnderRace(t *testing.T) {
 	net, _, reg := obsScenario(t, sim.Microsecond)
 	srv, addr, err := net.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	client := &http.Client{Transport: &http.Transport{}}
+	defer func() {
+		client.CloseIdleConnections()
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
 	base := "http://" + addr
 
 	stop := make(chan struct{})
@@ -163,7 +173,7 @@ func TestTelemetryServerLiveUnderRace(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(base + path)
+				resp, err := client.Get(base + path)
 				if err != nil {
 					continue
 				}
@@ -184,7 +194,7 @@ func TestTelemetryServerLiveUnderRace(t *testing.T) {
 	if len(top) == 0 {
 		t.Fatal("no flows to query")
 	}
-	resp, err := http.Get(fmt.Sprintf("%s/flows/%d", base, top[0].FlowID))
+	resp, err := client.Get(fmt.Sprintf("%s/flows/%d", base, top[0].FlowID))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func newPart(reg *metrics.Registry, coll *analyzer.Collector, flight *trace.Flig
 	p := &part{engine: sim.NewEngine(), reg: reg, coll: coll, flight: flight}
 	if reg != nil {
 		p.engine.Instrument(
-			reg.Counters("tsn_sim_events_total", "discrete events executed").With(),
+			reg.Counters("tsn_sim_events_total", "discrete events executed"),
 			reg.Gauges("tsn_sim_heap_depth_high_water", "worst-case scheduler heap depth").With(),
 		)
 		coll.Instrument(reg)
