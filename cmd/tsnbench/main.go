@@ -86,7 +86,7 @@ var telemetry *obs.Server
 // never races the sweeps' hot-path registry writes.
 func publishTelemetry(reg *metrics.Registry) {
 	if telemetry != nil {
-		telemetry.Publish(reg.Snapshot(), nil)
+		telemetry.Publish(reg.Snapshot(), nil, nil)
 	}
 }
 
@@ -99,8 +99,8 @@ const telemetryDrainTimeout = 5 * time.Second
 // /debug/pprof profiles the runner live) and returns it with its address.
 func serveTelemetry(addr string, reg *metrics.Registry) (*obs.Server, string, error) {
 	srv := obs.NewServer(nil, nil)
-	srv.MountPublished(nil)
-	srv.Publish(reg.Snapshot(), nil)
+	srv.MountPublished()
+	srv.Publish(reg.Snapshot(), nil, nil)
 	bound, err := srv.Listen(addr)
 	if err != nil {
 		return nil, "", err

@@ -415,9 +415,7 @@ func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
 	printSummary(reg, wall, traceDropped)
 	printPartitionStats(net.PartitionStats())
 	printAttribution(net)
-	if net.Server != nil {
-		net.Server.Publish(reg.Snapshot(), net.Collector)
-	}
+	net.Publish()
 	return net, nil
 }
 

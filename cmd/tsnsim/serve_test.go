@@ -1,15 +1,20 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/reconfig"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
 
@@ -44,6 +49,67 @@ func TestServeWithForcedMisses(t *testing.T) {
 	}
 	if dumps := net.Attr.Dumps(); len(dumps) == 0 || len(dumps[len(dumps)-1].Events) == 0 {
 		t.Fatal("no flight-recorder dump of the offending chain")
+	}
+}
+
+// TestServeHealthzReportsTheWatchdog drives the watchdog into /healthz
+// end to end. After a run that a buffer leak degrades, /healthz answers
+// 503 with the watchdog's detail and the audit and violation totals
+// /metrics exports; after a healthy watched run it answers 200. Both
+// bodies are the exact bytes these runs have always served.
+func TestServeHealthzReportsTheWatchdog(t *testing.T) {
+	leak := filepath.Join(t.TempDir(), "leak.json")
+	script := `{"faults": [{"at_us": 5000, "kind": "buffer-leak", "switch": 0, "port": 0, "slots": 1000}]}`
+	if err := os.WriteFile(leak, []byte(script), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		flags []string
+		code  int
+		body  string
+	}{
+		{"healthy", []string{"-watchdog"}, http.StatusOK,
+			`{"audits":21,"detail":"","status":"ok","violations":0}`},
+		{"leak", []string{"-watchdog", "-faults", leak, "-rc", "100", "-be", "200"}, http.StatusServiceUnavailable,
+			`{"audits":21,"detail":"switch 0 port 0: 16 slots allocated, 0 accounted for","status":"degraded","violations":17}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := run(withFlags(t, append(tc.flags, "-serve", "127.0.0.1:0")...), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer net.Server.Shutdown(context.Background())
+			get := func(path string) (int, string) {
+				rec := httptest.NewRecorder()
+				net.Server.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				return rec.Code, rec.Body.String()
+			}
+			code, body := get("/healthz")
+			if code != tc.code || body != tc.body+"\n" {
+				t.Fatalf("/healthz = %d %s, want %d %s", code, body, tc.code, tc.body)
+			}
+			var hz struct{ Audits, Violations uint64 }
+			if err := json.Unmarshal([]byte(body), &hz); err != nil {
+				t.Fatal(err)
+			}
+			var audits, violations uint64
+			_, prom := get("/metrics")
+			for _, line := range strings.Split(prom, "\n") {
+				name, v, _ := strings.Cut(line, " ")
+				n, _ := strconv.ParseUint(v, 10, 64)
+				switch {
+				case name == reconfig.MetricAudits:
+					audits = n
+				case strings.HasPrefix(name, reconfig.MetricViolations+"{"):
+					violations += n
+				}
+			}
+			if hz.Audits != audits || hz.Violations != violations || audits == 0 {
+				t.Fatalf("/healthz reads %d audits and %d violations, /metrics %d and %d",
+					hz.Audits, hz.Violations, audits, violations)
+			}
+		})
 	}
 }
 

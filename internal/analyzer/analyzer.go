@@ -219,6 +219,9 @@ func everyOther(s []sim.Time) []sim.Time {
 // sides are below the decimation threshold the merged set is the exact
 // union — a partitioned run's percentiles equal the serial run's.
 func (c *classSamples) merge(src *classSamples) {
+	if src.count == 0 {
+		return
+	}
 	ss, st := src.flat(), src.stride
 	for c.stride < st {
 		c.decimate()
@@ -265,25 +268,24 @@ type Collector struct {
 	// *FlowStats stays valid however many rows follow. byID finds a row
 	// on the cold paths: admission, Flow, Merge and a frame that carries
 	// no row of this collector.
-	rows     []*FlowStats
-	byID     map[uint32]int
-	perClass map[ethernet.Class]*classSamples
+	rows []*FlowStats
+	byID map[uint32]int
+	// perClass holds the latency samples of each traffic class
+	// (BE/RC/TS); a frame of any other class is sampled nowhere. Each
+	// set's count is the class's tsn_flows_delivered_total.
+	perClass [3]classSamples
 
 	// sink, when set, observes every recorded delivery.
 	sink LatencySink
 
-	// Telemetry handles, indexed by traffic class (BE/RC/TS); zero
-	// values are no-ops.
-	metDelivered [3]metrics.Counter
-	metLatency   [3]metrics.Histogram
+	// metLatency is each class's latency histogram handle; zero values
+	// are no-ops.
+	metLatency [3]metrics.Histogram
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		byID:     make(map[uint32]int),
-		perClass: make(map[ethernet.Class]*classSamples),
-	}
+	return &Collector{byID: make(map[uint32]int)}
 }
 
 // LatencyBounds is the end-to-end latency bucket layout: 1 µs to
@@ -291,14 +293,15 @@ func NewCollector() *Collector {
 var LatencyBounds = metrics.ExponentialBounds(1000, 2, 14)
 
 // Instrument resolves the collector's per-class telemetry from reg: a
-// delivered-frames counter and an end-to-end latency histogram for
-// each traffic class. A nil registry is a no-op.
+// delivered-frames counter, bound to the class's sample count, and an
+// end-to-end latency histogram for each traffic class. A nil registry
+// is a no-op.
 func (c *Collector) Instrument(reg *metrics.Registry) {
 	delivered := reg.Counters("tsn_flows_delivered_total", "frames delivered to end stations", "class")
 	latency := reg.Histograms("tsn_e2e_latency_ns", "end-to-end frame latency, nanoseconds", LatencyBounds, "class")
-	for _, cls := range []ethernet.Class{ethernet.ClassBE, ethernet.ClassRC, ethernet.ClassTS} {
-		class := metrics.Name(cls.String())
-		c.metDelivered[cls] = delivered.With(class)
+	for cls := range c.perClass {
+		class := metrics.Name(ethernet.Class(cls).String())
+		delivered.Bind(&c.perClass[cls].count, class)
 		c.metLatency[cls] = latency.With(class)
 	}
 }
@@ -370,8 +373,8 @@ func (c *Collector) Record(f *ethernet.Frame, arrival sim.Time) {
 		lat = 0
 	}
 	st.Received++
-	if f.Class < ethernet.Class(len(c.metDelivered)) {
-		c.metDelivered[f.Class].Inc()
+	if f.Class < ethernet.Class(len(c.perClass)) {
+		c.perClass[f.Class].add(lat)
 		c.metLatency[f.Class].Observe(int64(lat))
 	}
 	st.sumLat += float64(lat)
@@ -407,12 +410,6 @@ func (c *Collector) Record(f *ethernet.Frame, arrival sim.Time) {
 	if f.Seq > st.lastSeq || !st.seenSeq {
 		st.lastSeq = f.Seq
 	}
-	cs, ok := c.perClass[f.Class]
-	if !ok {
-		cs = &classSamples{}
-		c.perClass[f.Class] = cs
-	}
-	cs.add(lat)
 }
 
 // NoteDuplicate records f as a FRER-eliminated duplicate. The frame is
@@ -485,13 +482,8 @@ func (c *Collector) Merge(src *Collector) {
 			dst.lastSeq, dst.seenSeq = st.lastSeq, st.seenSeq
 		}
 	}
-	for cls, cs := range src.perClass {
-		dst, ok := c.perClass[cls]
-		if !ok {
-			dst = &classSamples{}
-			c.perClass[cls] = dst
-		}
-		dst.merge(cs)
+	for cls := range c.perClass {
+		c.perClass[cls].merge(&src.perClass[cls])
 	}
 }
 
@@ -593,9 +585,9 @@ func (c *Collector) Summarize(cls ethernet.Class, sent map[uint32]uint64) Summar
 	} else {
 		s.MinLat = 0
 	}
-	if cs, ok := c.perClass[cls]; ok {
-		s.P50 = cs.quantile(0.50)
-		s.P99 = cs.quantile(0.99)
+	if cls < ethernet.Class(len(c.perClass)) {
+		s.P50 = c.perClass[cls].quantile(0.50)
+		s.P99 = c.perClass[cls].quantile(0.99)
 	}
 	return s
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
@@ -36,6 +37,19 @@ func newRefCollector() *refCollector {
 	return &refCollector{
 		perFlow:  make(map[uint32]*FlowStats),
 		perClass: make(map[ethernet.Class]*classSamples),
+	}
+}
+
+// Instrument resolves the collector's per-class telemetry from reg: a
+// delivered-frames counter and an end-to-end latency histogram for
+// each traffic class. A nil registry is a no-op.
+func (c *refCollector) Instrument(reg *metrics.Registry) {
+	delivered := reg.Counters("tsn_flows_delivered_total", "frames delivered to end stations", "class")
+	latency := reg.Histograms("tsn_e2e_latency_ns", "end-to-end frame latency, nanoseconds", LatencyBounds, "class")
+	for _, cls := range []ethernet.Class{ethernet.ClassBE, ethernet.ClassRC, ethernet.ClassTS} {
+		class := metrics.Name(cls.String())
+		c.metDelivered[cls] = delivered.With(class)
+		c.metLatency[cls] = latency.With(class)
 	}
 }
 
@@ -326,12 +340,20 @@ func (s *script) play(count, upto int, deliver func(p int, f *ethernet.Frame, ar
 
 // TestCollectorMatchesReference: over seeded scripts, the row collector
 // exports what the map collector exported — per part, and after a
-// two-part merge: Flows() value for value, and Summarize per class.
+// two-part merge: Flows() value for value, Summarize per class, and the
+// per-class telemetry, whose delivered counts the row collector keeps
+// once, as its sample sets' counts.
 func TestCollectorMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 64; seed++ {
 		s := newScript(seed)
 		c := [2]*Collector{NewCollector(), NewCollector()}
 		ref := [2]*refCollector{newRefCollector(), newRefCollector()}
+		var regs, refRegs [2]*metrics.Registry
+		for p := range c {
+			regs[p], refRegs[p] = metrics.New(), metrics.New()
+			c[p].Instrument(regs[p])
+			ref[p].Instrument(refRegs[p])
+		}
 		deliver := func(p int, f *ethernet.Frame, arrival sim.Time, note int) {
 			switch note {
 			case 0:
@@ -356,12 +378,33 @@ func TestCollectorMatchesReference(t *testing.T) {
 			sent[spec.ID] = uint64(s.rng.Intn(40))
 		}
 		merged, refMerged := NewCollector(), newRefCollector()
+		mergedReg, refMergedReg := metrics.New(), metrics.New()
 		for p := 0; p < 2; p++ {
-			compareCollectors(t, seed, fmt.Sprintf("part %d", p), c[p], ref[p], sent)
+			what := fmt.Sprintf("part %d", p)
+			compareCollectors(t, seed, what, c[p], ref[p], sent)
+			compareExports(t, seed, what, regs[p], refRegs[p])
 			merged.Merge(c[p])
 			refMerged.Merge(ref[p])
+			mergedReg.Merge(regs[p])
+			refMergedReg.Merge(refRegs[p])
 		}
 		compareCollectors(t, seed, "merged", merged, refMerged, sent)
+		compareExports(t, seed, "merged", mergedReg, refMergedReg)
+	}
+}
+
+// compareExports fails unless the two registries export the same text.
+func compareExports(t *testing.T, seed uint64, what string, reg, ref *metrics.Registry) {
+	t.Helper()
+	var got, want strings.Builder
+	if err := reg.Snapshot().WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Snapshot().WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("seed %d %s: telemetry export\n%s\nreference\n%s", seed, what, got.String(), want.String())
 	}
 }
 

@@ -347,7 +347,7 @@ func (d *svcDriver) armThenReconfig(arm func() error, delta svc.ReconfigRequest)
 }
 
 func (d *svcDriver) checkQueueBound(name string, q *svc.ClassQueue) {
-	if hw := q.DepthHW.Value(); hw > q.MaxWait() {
+	if hw := q.DepthHW.Load(); hw > q.MaxWait() {
 		d.violate(OracleQueueBounded, "%s queue high water %d exceeded bound %d", name, hw, q.MaxWait())
 	}
 }

@@ -16,8 +16,10 @@
 //   - A count has one home. A number its owner reads — in its own
 //     logic or through an accessor — stays a field of the owner, and
 //     Bind registers the cell by the field's address: the registry
-//     reads it at export and the owner's write is the only one. A
-//     number only telemetry reads lives in the cell, behind a handle
+//     reads it at export and the owner's write is the only one. An
+//     owner whose field several goroutines write keeps it atomic and
+//     registers it with BindAtomic, which the registry reads with Load.
+//     A number only telemetry reads lives in the cell, behind a handle
 //     from With. No number is kept in both places.
 //   - A handle is one pointer; an increment is one nil check plus one
 //     memory write — no map lookups, no interface calls, no allocation.
@@ -40,6 +42,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Label is one name/value pair qualifying an instrument.
@@ -220,7 +223,7 @@ type sample struct {
 	key    cellKey
 	labels []Label // rendered by settle, sorted by key
 	v      uint64  // a counter's count, or a gauge's int64 bits
-	ref    any     // *uint64 or *int64 of a bound cell; *histData
+	ref    any     // the bound field (*uint64, *int64, *atomic.Uint64, *atomic.Int64); *histData
 }
 
 // value reads a counter or gauge cell, through its binding or inline;
@@ -231,6 +234,10 @@ func (s *sample) value() uint64 {
 		return *p
 	case *int64:
 		return uint64(*p)
+	case *atomic.Uint64:
+		return p.Load()
+	case *atomic.Int64:
+		return uint64(p.Load())
 	}
 	return s.v
 }
@@ -324,6 +331,10 @@ func (c CounterFamily) With(vals ...Value) Counter {
 // that has another home — a With handle or another field — panics.
 func (c CounterFamily) Bind(p *uint64, vals ...Value) { c.f.bind(p, vals) }
 
+// BindAtomic is Bind for a field its owner's goroutines share: every
+// reader of the registry reads it with Load.
+func (c CounterFamily) BindAtomic(p *atomic.Uint64, vals ...Value) { c.f.bind(p, vals) }
+
 // With resolves the gauge cell with the given values.
 func (g GaugeFamily) With(vals ...Value) Gauge {
 	if g.f == nil {
@@ -335,19 +346,21 @@ func (g GaugeFamily) With(vals ...Value) Gauge {
 // Bind registers the gauge cell with the given values as p.
 func (g GaugeFamily) Bind(p *int64, vals ...Value) { g.f.bind(p, vals) }
 
+// BindAtomic is Bind for a gauge field its owner's goroutines share.
+func (g GaugeFamily) BindAtomic(p *atomic.Int64, vals ...Value) { g.f.bind(p, vals) }
+
 // With resolves the histogram cell with the given values.
 func (h HistogramFamily) With(vals ...Value) Histogram {
 	if h.f == nil {
 		return Histogram{}
 	}
-	s, _ := h.f.cell(vals)
-	return Histogram{h: s.hist()}
+	return Histogram{h: h.f.cell(vals, nil).hist()}
 }
 
 // inline resolves the counter or gauge cell with the given values and
 // returns its value word.
 func (f *family) inline(vals []Value) *uint64 {
-	s, _ := f.cell(vals)
+	s := f.cell(vals, nil)
 	if s.ref != nil {
 		panic("metrics: With on a bound cell of " + f.name + ": it would count beside the owner's field")
 	}
@@ -355,16 +368,13 @@ func (f *family) inline(vals []Value) *uint64 {
 }
 
 // bind points the cell with the given values at p (a *uint64 or
-// *int64, by the family's kind); a nil family binds nothing.
+// *int64, plain or atomic, by the family's kind); a nil family binds
+// nothing.
 func (f *family) bind(p any, vals []Value) {
 	if f == nil {
 		return
 	}
-	if s, created := f.cell(vals); created {
-		s.ref = p
-	} else if s.ref != p {
-		panic("metrics: Bind of a cell of " + f.name + " that already has a home")
-	}
+	f.cell(vals, p)
 }
 
 func (r *Registry) declare(name, help string, kind Kind, bounds []int64, keys []string) *family {
@@ -406,8 +416,10 @@ func (r *Registry) declareLocked(name, help string, kind Kind, bounds []int64, k
 }
 
 // cell resolves the cell with the given values under the registry
-// lock, reporting whether it is new.
-func (f *family) cell(vals []Value) (*sample, bool) {
+// lock. A non-nil home is the field a new cell reads — set under the
+// lock, so no reader sees the cell without it — and one that exists
+// must already read it.
+func (f *family) cell(vals []Value, home any) *sample {
 	r := f.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -427,7 +439,14 @@ func (f *family) cell(vals []Value) (*sample, bool) {
 	}
 	n := len(f.samples)
 	s := f.cellLocked(k)
-	return s, len(f.samples) > n
+	switch {
+	case home == nil:
+	case len(f.samples) > n:
+		s.ref = home
+	case s.ref != home:
+		panic("metrics: Bind of a cell of " + f.name + " that already has a home")
+	}
+	return s
 }
 
 // cellLocked finds or creates the cell keyed k. A key sorting after

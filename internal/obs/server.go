@@ -25,36 +25,12 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
 )
 
-// Health is the mutex-guarded health board the /healthz endpoint
-// serves. The simulation thread updates it (watchdog audits, fault
-// injections); server goroutines read it.
-type Health struct {
-	mu         sync.Mutex
-	degraded   bool
-	detail     string
-	audits     uint64
-	violations uint64
-}
-
-// SetDegraded flips the degraded flag with a human-readable detail.
-func (h *Health) SetDegraded(degraded bool, detail string) {
-	h.mu.Lock()
-	h.degraded, h.detail = degraded, detail
-	h.mu.Unlock()
-}
-
-// SetAudit records the watchdog's audit/violation totals.
-func (h *Health) SetAudit(audits, violations uint64) {
-	h.mu.Lock()
-	h.audits, h.violations = audits, violations
-	h.mu.Unlock()
-}
-
-// Status returns the current board state.
-func (h *Health) Status() (degraded bool, detail string, audits, violations uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.degraded, h.detail, h.audits, h.violations
+// HealthReport is what /healthz serves: the watchdog's verdict and
+// totals as of one publication.
+type HealthReport struct {
+	Degraded           bool
+	Detail             string
+	Audits, Violations uint64
 }
 
 // Server is the one HTTP server in the repository. It always serves the
@@ -87,10 +63,12 @@ type Server struct {
 }
 
 // publication is what the simulation thread hands the HTTP goroutines:
-// a registry snapshot and the delivered flows' breakdowns, by flow ID.
+// a registry snapshot, the delivered flows' breakdowns, by flow ID, and
+// the health report (nil: nothing watches the network).
 type publication struct {
-	snap  metrics.Snapshot
-	flows []flowJSON
+	snap   metrics.Snapshot
+	flows  []flowJSON
+	health *HealthReport
 }
 
 // NewServer wires the introspection set. Either argument may be nil;
@@ -115,11 +93,11 @@ func NewServer(attr *Attribution, flight *trace.Flight) *Server {
 func (s *Server) Handle(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
 
 // MountPublished mounts the simulation binaries' set: /metrics[.json]
-// from the last Publish, /healthz from the health board (nil: always ok).
-func (s *Server) MountPublished(health *Health) {
+// and /healthz, each from the last Publish.
+func (s *Server) MountPublished() {
 	s.Handle("/metrics", s.published("text/plain; version=0.0.4; charset=utf-8", metrics.Snapshot.WritePrometheus))
 	s.Handle("/metrics.json", s.published("application/json", metrics.Snapshot.WriteJSON))
-	s.Handle("/healthz", health.serve)
+	s.Handle("/healthz", s.healthz)
 }
 
 // published serves the last published snapshot in one export format.
@@ -130,13 +108,14 @@ func (s *Server) published(ctype string, write func(metrics.Snapshot, io.Writer)
 	}
 }
 
-// Publish stores a registry snapshot for /metrics and a copy of coll's
-// delivered rows for /flows, and PublishEvents; coll may be nil. Call it
-// from the simulation thread (periodically, and once after the run): the
-// handlers only ever read published copies, never the registry's cells,
-// the collector's rows or the recorder's ring.
-func (s *Server) Publish(snap metrics.Snapshot, coll *analyzer.Collector) {
-	p := &publication{snap: snap, flows: []flowJSON{}}
+// Publish stores a registry snapshot for /metrics, a copy of coll's
+// delivered rows for /flows and health for /healthz, and PublishEvents;
+// coll and health may be nil. Call it from the simulation thread
+// (periodically, and once after the run): the handlers only ever read
+// published copies, never the registry's cells, the collector's rows,
+// the watchdog or the recorder's ring.
+func (s *Server) Publish(snap metrics.Snapshot, coll *analyzer.Collector, health *HealthReport) {
+	p := &publication{snap: snap, flows: []flowJSON{}, health: health}
 	if coll != nil {
 		for _, st := range coll.Delivered() {
 			p.flows = append(p.flows, toFlowJSON(st))
@@ -225,24 +204,25 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// serve answers /healthz from the board; a nil board is always ok.
-func (h *Health) serve(w http.ResponseWriter, _ *http.Request) {
+// healthz answers /healthz from the last publication's report; without
+// one it is always ok.
+func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
+	h := s.pub.Load().health
 	if h == nil {
 		fmt.Fprintln(w, `{"status":"ok"}`)
 		return
 	}
-	degraded, detail, audits, violations := h.Status()
 	status := "ok"
 	code := http.StatusOK
-	if degraded {
+	if h.Degraded {
 		status = "degraded"
 		code = http.StatusServiceUnavailable
 	}
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"status": status, "detail": detail,
-		"audits": audits, "violations": violations,
+		"status": status, "detail": h.Detail,
+		"audits": h.Audits, "violations": h.Violations,
 	})
 }
 

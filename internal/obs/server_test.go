@@ -22,8 +22,10 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
 )
 
-// testServer wires a server over one observed miss and a health board.
-func testServer(t *testing.T) (*Server, *Health, *metrics.Registry) {
+// testServer wires a server over one observed miss, published without
+// a health report, and returns it with a function that publishes the
+// same state again with the given report.
+func testServer(t *testing.T) (*Server, func(*HealthReport)) {
 	t.Helper()
 	fl := trace.NewFlight(64)
 	fl.Record(trace.Event{At: 10, Kind: trace.KindEnqueue, FlowID: 7, Seq: 1})
@@ -33,11 +35,11 @@ func testServer(t *testing.T) (*Server, *Health, *metrics.Registry) {
 	coll.SetLatencySink(attr)
 	coll.Admit([]*flows.Spec{{ID: 7, Class: ethernet.ClassTS, Deadline: 1000}})
 	coll.Record(spanFrame(7, 1, ethernet.ClassTS, 5000), 6000)
-	health := &Health{}
 	srv := NewServer(attr, fl)
-	srv.MountPublished(health)
-	srv.Publish(reg.Snapshot(), coll)
-	return srv, health, reg
+	srv.MountPublished()
+	publish := func(h *HealthReport) { srv.Publish(reg.Snapshot(), coll, h) }
+	publish(nil)
+	return srv, publish
 }
 
 func get(t *testing.T, h http.Handler, path string) (int, string) {
@@ -48,7 +50,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 }
 
 func TestServerMetricsEndpoints(t *testing.T) {
-	srv, _, _ := testServer(t)
+	srv, _ := testServer(t)
 	code, body := get(t, srv.Handler(), "/metrics")
 	if code != 200 || !strings.Contains(body, MetricComponent) {
 		t.Fatalf("/metrics = %d, component family present=%v", code,
@@ -60,29 +62,34 @@ func TestServerMetricsEndpoints(t *testing.T) {
 	}
 }
 
+// TestServerHealthz: /healthz serves the last publication's report in
+// its two shapes — the bare ok without one, the full body with one.
 func TestServerHealthz(t *testing.T) {
-	srv, health, _ := testServer(t)
-	code, body := get(t, srv.Handler(), "/healthz")
-	if code != 200 || !strings.Contains(body, `"ok"`) {
+	srv, publish := testServer(t)
+	if code, body := get(t, srv.Handler(), "/healthz"); code != 200 || body != `{"status":"ok"}`+"\n" {
+		t.Fatalf("unwatched /healthz = %d %q", code, body)
+	}
+	publish(&HealthReport{})
+	if code, body := get(t, srv.Handler(), "/healthz"); code != 200 ||
+		body != `{"audits":0,"detail":"","status":"ok","violations":0}`+"\n" {
 		t.Fatalf("healthy /healthz = %d %q", code, body)
 	}
-	health.SetDegraded(true, "pool pressure 0.93 on switch 2")
-	health.SetAudit(41, 3)
-	code, body = get(t, srv.Handler(), "/healthz")
+	publish(&HealthReport{Degraded: true, Detail: "pool pressure 0.93 on switch 2", Audits: 41, Violations: 3})
+	code, body := get(t, srv.Handler(), "/healthz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("degraded /healthz = %d, want 503", code)
 	}
-	if !strings.Contains(body, "pool pressure") || !strings.Contains(body, `"audits":41`) {
-		t.Fatalf("degraded body missing detail: %q", body)
+	if want := `{"audits":41,"detail":"pool pressure 0.93 on switch 2","status":"degraded","violations":3}` + "\n"; body != want {
+		t.Fatalf("degraded body = %q, want %q", body, want)
 	}
-	health.SetDegraded(false, "")
+	publish(&HealthReport{Audits: 42, Violations: 3})
 	if code, _ = get(t, srv.Handler(), "/healthz"); code != 200 {
 		t.Fatalf("recovered /healthz = %d, want 200", code)
 	}
 }
 
 func TestServerFlowBreakdown(t *testing.T) {
-	srv, _, _ := testServer(t)
+	srv, _ := testServer(t)
 	code, body := get(t, srv.Handler(), "/flows/7")
 	if code != 200 {
 		t.Fatalf("/flows/7 = %d", code)
@@ -124,7 +131,7 @@ func TestServerFlowBreakdown(t *testing.T) {
 }
 
 func TestServerFlightrec(t *testing.T) {
-	srv, _, _ := testServer(t)
+	srv, _ := testServer(t)
 	code, body := get(t, srv.Handler(), "/flightrec")
 	if code != 200 {
 		t.Fatalf("/flightrec = %d", code)
@@ -143,7 +150,7 @@ func TestServerFlightrec(t *testing.T) {
 
 func TestServerNilComponentsDegradeGracefully(t *testing.T) {
 	srv := NewServer(nil, nil)
-	srv.MountPublished(nil)
+	srv.MountPublished()
 	if code, _ := get(t, srv.Handler(), "/healthz"); code != 200 {
 		t.Fatal("nil health should report ok")
 	}

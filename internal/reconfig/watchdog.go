@@ -82,8 +82,8 @@ type Watchdog struct {
 	started bool
 
 	// OnAudit, when set, runs on the simulation thread at the end of
-	// every audit sweep — the observability layer publishes watchdog
-	// state to its health board from it.
+	// every audit sweep — the testbed snapshots the flight recorder from
+	// it when a switch starts shedding.
 	OnAudit func()
 }
 

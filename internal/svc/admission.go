@@ -3,8 +3,7 @@ package svc
 import (
 	"context"
 	"errors"
-
-	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
+	"sync/atomic"
 )
 
 // Admission is the service's bounded intake: each request class has a
@@ -37,12 +36,13 @@ type ClassQueue struct {
 	release func()
 
 	// Waiting is the live queue depth (acquired but not yet running);
-	// DepthHW its high-water mark; Shed the rejections by reason.
-	Waiting      metrics.SyncGauge
-	DepthHW      metrics.SyncGauge
-	ShedFull     metrics.SyncCounter
-	ShedPressure metrics.SyncCounter
-	ShedDeadline metrics.SyncCounter
+	// DepthHW its high-water mark; Shed the rejections by reason. The
+	// service registry reads them where they are (BindAtomic).
+	Waiting      atomic.Int64
+	DepthHW      atomic.Int64
+	ShedFull     atomic.Uint64
+	ShedPressure atomic.Uint64
+	ShedDeadline atomic.Uint64
 }
 
 // NewClassQueue builds a queue admitting `concurrency` simultaneous
@@ -77,7 +77,7 @@ func NewAdmission(deriveConc, deriveWait, reconfigWait int) *Admission {
 // (≥ 80% of its wait bound) that derive traffic should be shed first.
 func (a *Admission) Pressured() bool {
 	return a.Reconfig.maxWait > 0 &&
-		a.Reconfig.Waiting.Value()*5 >= a.Reconfig.maxWait*4
+		a.Reconfig.Waiting.Load()*5 >= a.Reconfig.maxWait*4
 }
 
 // Acquire admits the request or rejects it: ErrShed when the queue is
@@ -86,7 +86,7 @@ func (a *Admission) Pressured() bool {
 // the returned release exactly once.
 func (q *ClassQueue) Acquire(ctx context.Context, pressured bool) (release func(), err error) {
 	if pressured {
-		q.ShedPressure.Inc()
+		q.ShedPressure.Add(1)
 		return nil, ErrShed
 	}
 	// Fast path: a free slot admits without queueing.
@@ -95,18 +95,23 @@ func (q *ClassQueue) Acquire(ctx context.Context, pressured bool) (release func(
 		return q.release, nil
 	default:
 	}
-	if q.Waiting.Add(1) > q.maxWait {
+	depth := q.Waiting.Add(1)
+	if depth > q.maxWait {
 		q.Waiting.Add(-1)
-		q.ShedFull.Inc()
+		q.ShedFull.Add(1)
 		return nil, ErrShed
 	}
-	q.DepthHW.SetMax(q.Waiting.Value())
+	for hw := q.DepthHW.Load(); depth > hw; hw = q.DepthHW.Load() {
+		if q.DepthHW.CompareAndSwap(hw, depth) {
+			break
+		}
+	}
 	defer q.Waiting.Add(-1)
 	select {
 	case q.slots <- struct{}{}:
 		return q.release, nil
 	case <-ctx.Done():
-		q.ShedDeadline.Inc()
+		q.ShedDeadline.Add(1)
 		return nil, ctx.Err()
 	}
 }
@@ -114,7 +119,7 @@ func (q *ClassQueue) Acquire(ctx context.Context, pressured bool) (release func(
 func (q *ClassQueue) free() { <-q.slots }
 
 // Depth returns the current wait-queue depth.
-func (q *ClassQueue) Depth() int64 { return q.Waiting.Value() }
+func (q *ClassQueue) Depth() int64 { return q.Waiting.Load() }
 
 // MaxWait returns the configured wait bound.
 func (q *ClassQueue) MaxWait() int64 { return q.maxWait }

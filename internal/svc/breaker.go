@@ -2,9 +2,8 @@ package svc
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 )
 
 // BreakerState is the circuit breaker's position.
@@ -40,8 +39,10 @@ func (s BreakerState) String() string {
 // constant time with Retry-After — a wedged network is not made worse
 // by a queue of doomed transactions.
 type Breaker struct {
-	mu        sync.Mutex
-	state     BreakerState
+	mu sync.Mutex
+	// state is a BreakerState, written under mu; the service registry
+	// reads it where it is (BindAtomic), as it does the transitions.
+	state     atomic.Int64
 	failures  int
 	threshold int
 	cooldown  time.Duration
@@ -50,7 +51,7 @@ type Breaker struct {
 	now       func() time.Time
 
 	// Transitions counts state entries by target state.
-	TransToOpen, TransToHalfOpen, TransToClosed metrics.SyncCounter
+	TransToOpen, TransToHalfOpen, TransToClosed atomic.Uint64
 }
 
 // NewBreaker returns a closed breaker tripping after `threshold`
@@ -71,7 +72,7 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
+	switch b.State() {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
@@ -97,7 +98,7 @@ func (b *Breaker) Success() {
 	defer b.mu.Unlock()
 	b.failures = 0
 	b.probing = false
-	if b.state != BreakerClosed {
+	if b.State() != BreakerClosed {
 		b.setState(BreakerClosed)
 	}
 }
@@ -109,7 +110,7 @@ func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
-	switch b.state {
+	switch b.State() {
 	case BreakerHalfOpen:
 		b.openedAt = b.now()
 		b.setState(BreakerOpen)
@@ -123,18 +124,14 @@ func (b *Breaker) Failure() {
 }
 
 // State returns the current state.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
+func (b *Breaker) State() BreakerState { return BreakerState(b.state.Load()) }
 
 // RetryAfter returns how long a rejected caller should wait before
 // retrying — the remaining cooldown, rounded up to a whole second.
 func (b *Breaker) RetryAfter() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state != BreakerOpen {
+	if b.State() != BreakerOpen {
 		return time.Second
 	}
 	left := b.cooldown - b.now().Sub(b.openedAt)
@@ -148,13 +145,13 @@ func (b *Breaker) RetryAfter() time.Duration {
 
 // setState moves to s with telemetry; call with mu held.
 func (b *Breaker) setState(s BreakerState) {
-	b.state = s
+	b.state.Store(int64(s))
 	switch s {
 	case BreakerOpen:
-		b.TransToOpen.Inc()
+		b.TransToOpen.Add(1)
 	case BreakerHalfOpen:
-		b.TransToHalfOpen.Inc()
+		b.TransToHalfOpen.Add(1)
 	case BreakerClosed:
-		b.TransToClosed.Inc()
+		b.TransToClosed.Add(1)
 	}
 }

@@ -36,7 +36,7 @@ func TestBreakerTripsAtThreshold(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("open breaker admitted a request inside the cooldown")
 	}
-	if got := b.TransToOpen.Value(); got != 1 {
+	if got := b.TransToOpen.Load(); got != 1 {
 		t.Fatalf("TransToOpen = %d", got)
 	}
 }

@@ -4,8 +4,7 @@ import (
 	"container/list"
 	"context"
 	"errors"
-
-	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
+	"sync/atomic"
 )
 
 // Cache is the bounded derivation cache: an LRU over response bodies
@@ -21,7 +20,7 @@ type Cache struct {
 
 	// Hits/Misses/Bypasses/Evictions are the cache's telemetry,
 	// readable concurrently.
-	Hits, Misses, Bypasses, Evictions metrics.SyncCounter
+	Hits, Misses, Bypasses, Evictions atomic.Uint64
 }
 
 // cacheEntry is one key's slot. ready closes when the leader finishes;
@@ -106,7 +105,7 @@ func (c *Cache) Get(ctx context.Context, key string, compute func() ([]byte, err
 			// the entry is already gone, the next request leads afresh.
 			return nil, false, e.err
 		}
-		c.Hits.Inc()
+		c.Hits.Add(1)
 		return e.body, true, nil
 	}
 
@@ -126,7 +125,7 @@ func (c *Cache) Get(ctx context.Context, key string, compute func() ([]byte, err
 	}()
 
 	e.body, e.err = compute()
-	c.Misses.Inc()
+	c.Misses.Add(1)
 	if e.err != nil {
 		return nil, false, e.err
 	}
@@ -138,7 +137,7 @@ func (c *Cache) Get(ctx context.Context, key string, compute func() ([]byte, err
 // the freshest result.
 func (c *Cache) Fresh(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, error) {
 	body, err := compute()
-	c.Bypasses.Inc()
+	c.Bypasses.Add(1)
 	if err != nil {
 		return nil, err
 	}
@@ -178,6 +177,6 @@ func (c *Cache) evictLocked() {
 		e := el.Value.(*cacheEntry)
 		c.ll.Remove(el)
 		delete(c.items, e.key)
-		c.Evictions.Inc()
+		c.Evictions.Add(1)
 	}
 }

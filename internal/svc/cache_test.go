@@ -46,8 +46,8 @@ func TestCacheSingleflight(t *testing.T) {
 			t.Fatalf("result %d = %q", i, b)
 		}
 	}
-	if c.Hits.Value() != n-1 || c.Misses.Value() != 1 {
-		t.Fatalf("hits=%d misses=%d", c.Hits.Value(), c.Misses.Value())
+	if c.Hits.Load() != n-1 || c.Misses.Load() != 1 {
+		t.Fatalf("hits=%d misses=%d", c.Hits.Load(), c.Misses.Load())
 	}
 }
 
@@ -64,15 +64,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	if got := c.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
-	if got := c.Evictions.Value(); got != 1 {
+	if got := c.Evictions.Load(); got != 1 {
 		t.Fatalf("Evictions = %d", got)
 	}
 	// k0 was least recent — a re-get must recompute (miss).
-	miss := c.Misses.Value()
+	miss := c.Misses.Load()
 	if _, hit, _ := c.Get(context.Background(), "k0", mk(0)); hit {
 		t.Fatal("evicted key served from cache")
 	}
-	if c.Misses.Value() != miss+1 {
+	if c.Misses.Load() != miss+1 {
 		t.Fatal("re-get of evicted key did not count as a miss")
 	}
 	// k2 stayed — hit.
@@ -161,7 +161,7 @@ func TestCacheFreshReplaces(t *testing.T) {
 	if err != nil || string(body) != "new" {
 		t.Fatalf("Fresh: body=%q err=%v", body, err)
 	}
-	if got := c.Bypasses.Value(); got != 1 {
+	if got := c.Bypasses.Load(); got != 1 {
 		t.Fatalf("Bypasses = %d", got)
 	}
 	// The cache now serves the fresh body.

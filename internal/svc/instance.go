@@ -89,15 +89,20 @@ type Instance struct {
 	recoverOnce sync.Once
 	recoverEnds atomic.Int32
 
-	// onHealth, when set, is invoked after every job with the
-	// instance's health (NewInstance); read by the loop goroutine only.
+	// onHealth, when set, is invoked after every job that ran the
+	// engine with the instance's health (NewInstance); read by the loop
+	// goroutine only.
 	onHealth func(healthy bool)
 
 	// The contract the fields below keep: the configuration in force is
 	// the journal tail, or the instance is fenced. live, tail and fence
-	// are written on the loop goroutine only, under mu.
-	mu   sync.Mutex
-	live core.Config // the network's configuration after the last job
+	// are written on the loop goroutine only, under mu, as are the
+	// watchdog's verdict and detail as of the last job that ran the
+	// engine (noteHealth).
+	mu         sync.Mutex
+	wdDegraded bool
+	wdDetail   string
+	live       core.Config // the network's configuration after the last job
 	// tail is the journal's last configuration, or the boot
 	// configuration while the journal is empty.
 	tail core.Config
@@ -288,8 +293,20 @@ func (in *Instance) recoverJob(img *recoveredImage, hold chan struct{}) {
 	} else {
 		in.finishRecovery()
 	}
+	in.noteHealth(err == nil)
+}
+
+// noteHealth ends every job that ran the engine: it records the
+// watchdog's verdict and detail for Health and feeds onHealth, healthy
+// when the job went right (ok) and no switch sheds. Loop goroutine only.
+func (in *Instance) noteHealth(ok bool) {
+	w := in.net.Watchdog
+	degraded := w.Degraded()
+	in.mu.Lock()
+	in.wdDegraded, in.wdDetail = degraded, w.LastDetail()
+	in.mu.Unlock()
 	if in.onHealth != nil {
-		in.onHealth(err == nil && !in.net.Watchdog.Degraded())
+		in.onHealth(ok && !degraded)
 	}
 }
 
@@ -519,9 +536,7 @@ func (in *Instance) commit(ctx context.Context, req *ReconfigRequest, ack *Recon
 			in.setWALErr(err)
 		}
 	}
-	if in.onHealth != nil {
-		in.onHealth(in.fence == nil && !in.net.Watchdog.Degraded())
-	}
+	in.noteHealth(in.fence == nil)
 	return refusal
 }
 
@@ -577,12 +592,13 @@ func (in *Instance) MetricsSnapshot(ctx context.Context) (metrics.Snapshot, erro
 	}
 }
 
-// Health returns the live health board (watchdog-written, mutex-
-// guarded, safe from any goroutine). A durability or replay failure
-// degrades the instance like a wedged commit, whose error leads detail.
+// Health returns the instance's health, safe from any goroutine: the
+// watchdog's verdict and detail as of the last job that ran the engine.
+// A durability or replay failure degrades the instance like a wedged
+// commit, whose error leads detail.
 func (in *Instance) Health() (degraded bool, detail string) {
-	d, detail, _, _ := in.net.Health.Status()
 	in.mu.Lock()
+	d, detail := in.wdDegraded, in.wdDetail
 	verifyErr, walErr, recoverErr, fence := in.verifyErr, in.walErr, in.recoverErr, in.fence
 	in.mu.Unlock()
 	switch {

@@ -356,10 +356,11 @@ func TestHealthzDegradedIgnoresJournalLength(t *testing.T) {
 	}
 }
 
-// TestMetricsServiceSectionOrderStable: the service section is rebuilt
-// from a map on every scrape, so its sample order must come from a sort,
-// not from map iteration — every scrape of an idle service is
-// byte-equal, with tsn_svc_requests_total in (route, code) order.
+// TestMetricsServiceSectionOrderStable: the request cells are bound in
+// the order requests first arrive, so the section's sample order must
+// come from the registry's, not from that order or a map's — every
+// scrape of an idle service is byte-equal, with tsn_svc_requests_total
+// in (route, code) order.
 func TestMetricsServiceSectionOrderStable(t *testing.T) {
 	s, ts := newTestService(t, Options{})
 	for _, rq := range []struct {
@@ -381,7 +382,7 @@ func TestMetricsServiceSectionOrderStable(t *testing.T) {
 	}
 	section := func() string {
 		var b strings.Builder
-		if err := s.scrapeRegistry().Snapshot().WritePrometheus(&b); err != nil {
+		if err := s.stats.reg.Snapshot().WritePrometheus(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

@@ -192,7 +192,7 @@ func TestReconfigOutcomeTable(t *testing.T) {
 			if row.setup != nil {
 				row.setup(t, s)
 			}
-			f0, d0 := breakerFailures(s.Breaker()), s.stats.deadlineExceeded.Value()
+			f0, d0 := breakerFailures(s.Breaker()), s.stats.deadlineExceeded.Load()
 			rec := reconfigVia(s, row.body, row.hdr)
 			if got := strings.TrimSuffix(rec.Body.String(), "\n"); rec.Code != row.code || got != row.want {
 				t.Errorf("%d %s, want %d %s", rec.Code, got, row.code, row.want)
@@ -203,7 +203,7 @@ func TestReconfigOutcomeTable(t *testing.T) {
 			if got := breakerFailures(s.Breaker()) - f0; got != row.failures {
 				t.Errorf("breaker failures +%d, want +%d", got, row.failures)
 			}
-			if got := s.stats.deadlineExceeded.Value() - d0; got != uint64(row.deadlines) {
+			if got := s.stats.deadlineExceeded.Load() - d0; got != uint64(row.deadlines) {
 				t.Errorf("%s +%d, want +%d", MetricDeadlines, got, row.deadlines)
 			}
 		})

@@ -116,14 +116,19 @@ type Service struct {
 	srv   *obs.Server
 }
 
-// stats is the service-level telemetry: atomic cells written by any
-// handler goroutine, folded into a registry snapshot at scrape time.
+// stats is the service-level telemetry: one registry, built with the
+// service, whose cells read the fields the handler goroutines count
+// into — the owners' atomics (admission, breaker, cache) and the
+// request counts below — with Load at scrape time.
 type stats struct {
-	mu       sync.Mutex
-	requests map[requestKey]*metrics.SyncCounter
+	reg *metrics.Registry
 
-	deadlineExceeded metrics.SyncCounter
-	panics           metrics.SyncCounter
+	mu       sync.Mutex
+	requests map[requestKey]*atomic.Uint64
+	byRoute  metrics.CounterFamily
+
+	deadlineExceeded atomic.Uint64
+	panics           atomic.Uint64
 }
 
 // requestKey is one tsn_svc_requests_total series. The code stays an
@@ -133,21 +138,56 @@ type requestKey struct {
 	code  int
 }
 
-func newStats() *stats {
-	return &stats{requests: make(map[requestKey]*metrics.SyncCounter)}
+// newStats declares the service families and binds every owner's field.
+func newStats(adm *Admission, brk *Breaker, cache *Cache) *stats {
+	reg := metrics.New()
+	s := &stats{
+		reg:      reg,
+		requests: make(map[requestKey]*atomic.Uint64),
+		byRoute:  reg.Counters(MetricRequests, "service requests finished, by route and status code", "route", "code"),
+	}
+	depth := reg.Gauges(MetricQueueDepth, "admission queue depth (waiting requests)", "class")
+	depthHW := reg.Gauges(MetricQueueDepthHW, "admission queue depth high water", "class")
+	shed := reg.Counters(MetricShed, "requests shed by admission control, by class and reason", "class", "reason")
+	for _, q := range []*ClassQueue{adm.Derive, adm.Reconfig} {
+		class := metrics.Name(q.name)
+		depth.BindAtomic(&q.Waiting, class)
+		depthHW.BindAtomic(&q.DepthHW, class)
+		shed.BindAtomic(&q.ShedFull, class, metrics.Name("queue-full"))
+		shed.BindAtomic(&q.ShedPressure, class, metrics.Name("pressure"))
+		shed.BindAtomic(&q.ShedDeadline, class, metrics.Name("deadline"))
+	}
+
+	reg.Gauges(MetricBreakerState, "circuit breaker state (0 closed, 1 open, 2 half-open)").BindAtomic(&brk.state)
+	trans := reg.Counters(MetricBreakerTrans, "circuit breaker transitions, by target state", "to")
+	trans.BindAtomic(&brk.TransToOpen, metrics.Name("open"))
+	trans.BindAtomic(&brk.TransToHalfOpen, metrics.Name("half-open"))
+	trans.BindAtomic(&brk.TransToClosed, metrics.Name("closed"))
+
+	outcome := reg.Counters(MetricCache, "derivation cache lookups, by outcome", "outcome")
+	outcome.BindAtomic(&cache.Hits, metrics.Name("hit"))
+	outcome.BindAtomic(&cache.Misses, metrics.Name("miss"))
+	outcome.BindAtomic(&cache.Bypasses, metrics.Name("bypass"))
+	outcome.BindAtomic(&cache.Evictions, metrics.Name("eviction"))
+
+	reg.Counters(MetricPanics, "handler panics recovered").BindAtomic(&s.panics)
+	reg.Counters(MetricDeadlines, "requests that exceeded their deadline").BindAtomic(&s.deadlineExceeded)
+	return s
 }
 
-// request counts one finished request under its route and status code.
+// request counts one finished request under its route and status code;
+// the first request of a pair binds its cell.
 func (s *stats) request(route string, code int) {
 	key := requestKey{route, code}
 	s.mu.Lock()
 	c, ok := s.requests[key]
 	if !ok {
-		c = &metrics.SyncCounter{}
+		c = new(atomic.Uint64)
 		s.requests[key] = c
+		s.byRoute.BindAtomic(c, metrics.Name(route), metrics.Int(code))
 	}
 	s.mu.Unlock()
-	c.Inc()
+	c.Add(1)
 }
 
 // NewService builds the control plane and starts the managed instance.
@@ -172,13 +212,13 @@ func NewService(opts Options) (*Service, error) {
 		cache: NewCache(cacheSize),
 		adm:   NewAdmission(deriveConcurrency, deriveQueue, reconfigQueue),
 		brk:   brk,
-		stats: newStats(),
 		// The introspection routes the server registers itself stay
 		// outside route: its request writer hides http.Flusher (the
 		// /events stream would stop flushing) and its deadline would cut
 		// a stream or a 30 s CPU profile short.
 		srv: inst.srv,
 	}
+	s.stats = newStats(s.adm, s.brk, s.cache)
 	s.srv.Handle("/v1/derive", s.route("derive", deriveDeadline, s.handleDerive))
 	s.srv.Handle("/v1/reconfig", s.route("reconfig", reconfigDeadline, s.handleReconfig))
 	s.srv.Handle("/v1/config", s.route("config", 5*time.Second, s.handleConfig))
@@ -305,13 +345,13 @@ func (s *Service) route(name string, deadline time.Duration, h http.HandlerFunc)
 		defer func() {
 			q.stop()
 			if p := recover(); p != nil {
-				s.stats.panics.Inc()
+				s.stats.panics.Add(1)
 				// The handler may have written nothing yet; best-effort
 				// error body, never re-panic.
 				writeError(q, http.StatusInternalServerError, fmt.Sprintf("internal panic: %v", p))
 			}
 			if q.code == http.StatusGatewayTimeout {
-				s.stats.deadlineExceeded.Inc()
+				s.stats.deadlineExceeded.Add(1)
 			}
 			s.stats.request(name, q.code)
 		}()
@@ -585,7 +625,7 @@ func (s *Service) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // loop and omitted if it does not answer within the request deadline.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.scrapeRegistry().Snapshot().WritePrometheus(w)
+	_ = s.stats.reg.Snapshot().WritePrometheus(w)
 	snap, err := s.inst.MetricsSnapshot(r.Context())
 	if err != nil {
 		_, _ = fmt.Fprintf(w, "# instance metrics omitted: control loop busy: %v\n", err)
@@ -606,44 +646,3 @@ const (
 	MetricPanics       = "tsn_svc_panics_total"
 	MetricDeadlines    = "tsn_svc_deadline_exceeded_total"
 )
-
-// scrapeRegistry folds the atomic service stats into a fresh registry.
-// Built per scrape on one goroutine, so the registry's unsynchronized
-// cells are never raced.
-func (s *Service) scrapeRegistry() *metrics.Registry {
-	reg := metrics.New()
-	requests := reg.Counters(MetricRequests, "service requests finished, by route and status code", "route", "code")
-	s.stats.mu.Lock()
-	for k, c := range s.stats.requests {
-		requests.With(metrics.Name(k.route), metrics.Int(k.code)).Add(c.Value())
-	}
-	s.stats.mu.Unlock()
-
-	depth := reg.Gauges(MetricQueueDepth, "admission queue depth (waiting requests)", "class")
-	depthHW := reg.Gauges(MetricQueueDepthHW, "admission queue depth high water", "class")
-	shed := reg.Counters(MetricShed, "requests shed by admission control, by class and reason", "class", "reason")
-	for _, q := range []*ClassQueue{s.adm.Derive, s.adm.Reconfig} {
-		class := metrics.Name(q.name)
-		depth.With(class).Set(q.Waiting.Value())
-		depthHW.With(class).Set(q.DepthHW.Value())
-		shed.With(class, metrics.Name("queue-full")).Add(q.ShedFull.Value())
-		shed.With(class, metrics.Name("pressure")).Add(q.ShedPressure.Value())
-		shed.With(class, metrics.Name("deadline")).Add(q.ShedDeadline.Value())
-	}
-
-	reg.Gauges(MetricBreakerState, "circuit breaker state (0 closed, 1 open, 2 half-open)").With().Set(int64(s.brk.State()))
-	trans := reg.Counters(MetricBreakerTrans, "circuit breaker transitions, by target state", "to")
-	trans.With(metrics.Name("open")).Add(s.brk.TransToOpen.Value())
-	trans.With(metrics.Name("half-open")).Add(s.brk.TransToHalfOpen.Value())
-	trans.With(metrics.Name("closed")).Add(s.brk.TransToClosed.Value())
-
-	cache := reg.Counters(MetricCache, "derivation cache lookups, by outcome", "outcome")
-	cache.With(metrics.Name("hit")).Add(s.cache.Hits.Value())
-	cache.With(metrics.Name("miss")).Add(s.cache.Misses.Value())
-	cache.With(metrics.Name("bypass")).Add(s.cache.Bypasses.Value())
-	cache.With(metrics.Name("eviction")).Add(s.cache.Evictions.Value())
-
-	reg.Counters(MetricPanics, "handler panics recovered").With().Add(s.stats.panics.Value())
-	reg.Counters(MetricDeadlines, "requests that exceeded their deadline").With().Add(s.stats.deadlineExceeded.Value())
-	return reg
-}

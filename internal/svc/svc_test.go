@@ -420,7 +420,7 @@ func TestServicePanicRecovery(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking handler returned %d", rec.Code)
 	}
-	if got := s.stats.panics.Value(); got != 1 {
+	if got := s.stats.panics.Load(); got != 1 {
 		t.Fatalf("panics counter = %d", got)
 	}
 	// The process survived; a normal request still works.

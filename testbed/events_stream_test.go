@@ -105,7 +105,7 @@ func streamRun(t *testing.T, during int) {
 	}
 
 	net.Run(0, 40*sim.Millisecond)
-	srv.Publish(net.Metrics.Snapshot(), net.Collector)
+	net.Publish()
 	total := net.Flight.Seq()
 	if total == 0 || total >= uint64(net.Flight.Cap()) {
 		t.Fatalf("the run recorded %d events into a ring of %d: want some, and no wrap", total, net.Flight.Cap())

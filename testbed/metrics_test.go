@@ -20,6 +20,23 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
+// deliveredHasOneHome checks each traffic class's delivered series
+// against the frames its flows received, and that every class delivered.
+func deliveredHasOneHome(t *testing.T, net *Net, reg *metrics.Registry) {
+	t.Helper()
+	var received [3]uint64
+	for _, st := range net.Collector.Flows() {
+		received[st.Class] += st.Received
+	}
+	for cls, n := range received {
+		name := ethernet.Class(cls).String()
+		if got := reg.CounterValue("tsn_flows_delivered_total", metrics.L("class", name)); got != n || n == 0 {
+			t.Errorf("%d partition(s): %s flows received %d frames, tsn_flows_delivered_total exports %d",
+				net.Partitions(), name, n, got)
+		}
+	}
+}
+
 // metricsScenario is a 6-switch ring carrying planned TS flows plus
 // one RC background flow, fully instrumented.
 func metricsScenario(t *testing.T, nTS int) (*Net, []*flows.Spec, *metrics.Registry) {
@@ -215,6 +232,18 @@ func TestCountsHaveOneHome(t *testing.T) {
 	same("faults recovered", net.Injector.Recovered(), reg.SumCounter(faults.MetricRecovered))
 	same("watchdog audits", net.Watchdog.Audits(), reg.CounterValue(reconfig.MetricAudits))
 	same("watchdog violations", net.Watchdog.TotalViolations(), reg.SumCounter(reconfig.MetricViolations))
+	deliveredHasOneHome(t, net, reg)
+
+	// The same workload on two partitions, stripped to what they run:
+	// each part's collector exports its own deliveries, and the merge
+	// adds them up.
+	pnet, err := Build(Options{Design: wl.Design, Topo: wl.Topo, Flows: wl.Specs, Seed: p.Seed, Metrics: metrics.New(),
+		Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pnet.Run(0, 30*sim.Millisecond)
+	deliveredHasOneHome(t, pnet, pnet.Metrics)
 
 	// Each agreement above is between numbers the run moved.
 	for what, n := range map[string]uint64{

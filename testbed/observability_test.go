@@ -147,7 +147,7 @@ func TestAttributionExactSum(t *testing.T) {
 // The server and the clients' keep-alive connections end with the test,
 // so nothing of it runs on beside the package's later tests.
 func TestTelemetryServerLiveUnderRace(t *testing.T) {
-	net, _, reg := obsScenario(t, sim.Microsecond)
+	net, _, _ := obsScenario(t, sim.Microsecond)
 	srv, addr, err := net.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestTelemetryServerLiveUnderRace(t *testing.T) {
 	}
 
 	net.Run(0, 30*sim.Millisecond)
-	srv.Publish(reg.Snapshot(), net.Collector)
+	net.Publish()
 	close(stop)
 	wg.Wait()
 

@@ -307,13 +307,17 @@ func TestPartitionedRejections(t *testing.T) {
 		}
 	}
 
-	// Live reconfiguration and flow addition are rejected at call time.
+	// Live reconfiguration, flow addition and the telemetry server are
+	// rejected at call time.
 	net, _ := runParity(t, 2)
 	if _, err := net.Reconfigure(net.LiveConfig()); err == nil {
 		t.Error("Reconfigure succeeded on a partitioned network")
 	}
 	if err := net.AddFlows(nil, 0); err == nil {
 		t.Error("AddFlows succeeded on a partitioned network")
+	}
+	if srv, _, err := net.Serve("127.0.0.1:0"); err == nil || srv != nil || net.Server != nil {
+		t.Errorf("Serve on a partitioned network = %v, %v; server %v", srv, err, net.Server)
 	}
 }
 

@@ -113,9 +113,6 @@ type Net struct {
 	// Options.Metrics is set. Each flow's decomposition is its Collector
 	// row.
 	Attr *obs.Attribution
-	// Health is the live health board the telemetry /healthz serves;
-	// the watchdog publishes into it.
-	Health *obs.Health
 	// Server is the live telemetry HTTP server; nil until Serve binds
 	// one. Shut it down with Server.Shutdown to drain in-flight
 	// requests before exit.
@@ -203,7 +200,6 @@ func Build(opts Options) (*Net, error) {
 	n := &Net{
 		NICs:      make(map[int]*tsnnic.NIC),
 		Collector: analyzer.NewCollector(),
-		Health:    &obs.Health{},
 		Metrics:   opts.Metrics,
 		opts:      opts,
 		liveCfg:   opts.Design.Config,
@@ -346,19 +342,18 @@ func Build(opts Options) (*Net, error) {
 		for _, tbl := range n.sortedRecovery() {
 			n.Watchdog.WatchFRER(tbl)
 		}
-		// Publish watchdog state to the health board after every sweep;
-		// a fresh degradation also snapshots the flight recorder so the
-		// events that led into the pressure survive the ring.
-		w := n.Watchdog
-		wasDegraded := false
-		w.OnAudit = func() {
-			degraded := w.Degraded()
-			n.Health.SetDegraded(degraded, w.LastDetail())
-			n.Health.SetAudit(w.Audits(), w.TotalViolations())
-			if degraded && !wasDegraded && n.Attr != nil {
-				n.Attr.DumpNow("watchdog:degraded", engine.Now())
+		// A fresh degradation snapshots the flight recorder so the events
+		// that led into the pressure survive the ring.
+		if n.Attr != nil {
+			w := n.Watchdog
+			wasDegraded := false
+			w.OnAudit = func() {
+				degraded := w.Degraded()
+				if degraded && !wasDegraded {
+					n.Attr.DumpNow("watchdog:degraded", engine.Now())
+				}
+				wasDegraded = degraded
 			}
-			wasDegraded = degraded
 		}
 		n.Watchdog.Start()
 	}
@@ -769,31 +764,51 @@ func (n *Net) Run(warmup, duration sim.Time) {
 const telemetryPublishInterval = 10 * sim.Millisecond
 
 // Serve starts the live telemetry HTTP server on addr (e.g. ":9090",
-// or ":0" for an ephemeral port) over this network's attribution,
-// flight recorder and health board, and returns it (also stored in
-// n.Server) plus the bound address. A periodic engine event republishes
-// the registry snapshot, the collector's rows and the recorder's new
-// events every telemetryPublishInterval of simulated time — the HTTP
-// goroutines only ever read published copies, never the hot-path cells
-// or the live ring; call srv.Publish once more after the run for the
-// final state. The server drains gracefully via srv.Hold or Shutdown.
+// or ":0" for an ephemeral port) over this network's attribution and
+// flight recorder, and returns it (also stored in n.Server) plus the
+// bound address. A periodic engine event calls Publish every
+// telemetryPublishInterval of simulated time — the HTTP goroutines only
+// ever read published copies, never the hot-path cells, the watchdog or
+// the live ring; call Publish once more after the run for the final
+// state. The server drains gracefully via srv.Hold or Shutdown. A
+// partitioned network has no one engine to publish from or recorder to
+// serve, and is refused.
 func (n *Net) Serve(addr string) (*obs.Server, string, error) {
+	if n.runner != nil {
+		return nil, "", fmt.Errorf("testbed: live telemetry is not supported in partitioned runs (no one engine publishes, and the flight recorders are per partition)")
+	}
 	srv := obs.NewServer(n.Attr, n.Flight)
 	srv.FeedEvents() // clients may arrive after the last Publish
-	srv.MountPublished(n.Health)
-	srv.Publish(n.Metrics.Snapshot(), n.Collector)
+	srv.MountPublished()
+	n.Server = srv
+	n.Publish()
 	var tick func(e *sim.Engine)
 	tick = func(e *sim.Engine) {
-		srv.Publish(n.Metrics.Snapshot(), n.Collector)
+		n.Publish()
 		e.After(telemetryPublishInterval, "obs:publish", tick)
 	}
 	n.Engine.After(telemetryPublishInterval, "obs:publish", tick)
 	bound, err := srv.Listen(addr)
 	if err != nil {
+		n.Server = nil
 		return nil, "", err
 	}
-	n.Server = srv
 	return srv, bound, nil
+}
+
+// Publish hands the telemetry server the network's state: a registry
+// snapshot, the collector's rows, the recorder's new events and the
+// watchdog's health report (all zero without a watchdog). A no-op
+// without a server. Call it on the simulation thread.
+func (n *Net) Publish() {
+	if n.Server == nil {
+		return
+	}
+	h := &obs.HealthReport{}
+	if w := n.Watchdog; w != nil {
+		h.Degraded, h.Detail, h.Audits, h.Violations = w.Degraded(), w.LastDetail(), w.Audits(), w.TotalViolations()
+	}
+	n.Server.Publish(n.Metrics.Snapshot(), n.Collector, h)
 }
 
 // LiveConfig returns the configuration currently in force: the design's
