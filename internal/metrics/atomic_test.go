@@ -94,3 +94,68 @@ func TestBindAtomicConcurrent(t *testing.T) {
 		t.Fatalf("SumCounter = %d, want %d", got, writers*adds)
 	}
 }
+
+// TestSyncGaugeConcurrentAdd: a gauge field shared between goroutines
+// and bound with BindAtomic reads back through the registry as the net
+// of every concurrent add, while scrapes run beside the writers.
+func TestSyncGaugeConcurrentAdd(t *testing.T) {
+	var depth atomic.Int64
+	r := New()
+	r.Gauges("depth", "depth").BindAtomic(&depth)
+	stop := make(chan struct{})
+	var scrape sync.WaitGroup
+	scrape.Add(1)
+	go func() {
+		defer scrape.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = r.Snapshot().WritePrometheus(new(strings.Builder))
+		}
+	}()
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 500 {
+				depth.Add(1)
+				depth.Add(-1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	scrape.Wait()
+	if got := r.GaugeValue("depth"); got != 0 {
+		t.Fatalf("gauge = %d, want 0 after balanced adds", got)
+	}
+}
+
+// TestSyncGaugeSetMax: RaiseAtomic keeps the highest of concurrent
+// raises, never lowers the field, and the bound cell exports it.
+func TestSyncGaugeSetMax(t *testing.T) {
+	var hw atomic.Int64
+	r := New()
+	r.Gauges("hw", "high water").BindAtomic(&hw)
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			RaiseAtomic(&hw, int64(w*100))
+		}()
+	}
+	wg.Wait()
+	if got := r.GaugeValue("hw"); got != 700 {
+		t.Fatalf("gauge = %d, want 700 (RaiseAtomic high water)", got)
+	}
+	hw.Store(-5)
+	RaiseAtomic(&hw, -10)
+	if got := r.GaugeValue("hw"); got != -5 {
+		t.Fatalf("RaiseAtomic lowered the gauge: %d", got)
+	}
+}

@@ -349,6 +349,17 @@ func (g GaugeFamily) Bind(p *int64, vals ...Value) { g.f.bind(p, vals) }
 // BindAtomic is Bind for a gauge field its owner's goroutines share.
 func (g GaugeFamily) BindAtomic(p *atomic.Int64, vals ...Value) { g.f.bind(p, vals) }
 
+// RaiseAtomic is SetMax for a gauge field its owner's goroutines share:
+// it raises *p to v if v exceeds the current value, and a concurrent
+// raise to a higher value is never lost.
+func RaiseAtomic(p *atomic.Int64, v int64) {
+	for hw := p.Load(); v > hw; hw = p.Load() {
+		if p.CompareAndSwap(hw, v) {
+			return
+		}
+	}
+}
+
 // With resolves the histogram cell with the given values.
 func (h HistogramFamily) With(vals ...Value) Histogram {
 	if h.f == nil {

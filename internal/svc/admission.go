@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
+
+	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 )
 
 // Admission is the service's bounded intake: each request class has a
@@ -101,11 +103,7 @@ func (q *ClassQueue) Acquire(ctx context.Context, pressured bool) (release func(
 		q.ShedFull.Add(1)
 		return nil, ErrShed
 	}
-	for hw := q.DepthHW.Load(); depth > hw; hw = q.DepthHW.Load() {
-		if q.DepthHW.CompareAndSwap(hw, depth) {
-			break
-		}
-	}
+	metrics.RaiseAtomic(&q.DepthHW, depth)
 	defer q.Waiting.Add(-1)
 	select {
 	case q.slots <- struct{}{}:
